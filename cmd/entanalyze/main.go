@@ -140,16 +140,18 @@ func run() error {
 		"with -aggregate -serve: degrade /healthz and name a site stale after this long "+
 			"without a frame from it (0 = never)")
 	flag.Parse()
+	setFlags := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
+	if *format != "text" && *format != "json" {
+		return usagef("unknown -format %q (want text or json)", *format)
+	}
 	if *aggregate != "" {
 		if flag.NArg() > 0 || *genSpec != "" || *ship != "" {
 			return usagef("-aggregate runs a standalone aggregator: it takes no traces, -gen, or -ship")
 		}
-		if *format != "text" && *format != "json" {
-			return usagef("unknown -format %q (want text or json)", *format)
-		}
 		return runAggregate(*aggregate, *expectSites, *dataset, *serve, *staleAfter, *format)
 	}
-	if *expectSites != "" || setOnCommandLine("stale-after") {
+	if *expectSites != "" || setFlags["stale-after"] {
 		return usagef("-expect-sites and -stale-after require -aggregate")
 	}
 	if (flag.NArg() == 0) == (*genSpec == "") {
@@ -174,9 +176,6 @@ func run() error {
 	if *ship != "" && *window > 0 && *windowOrigin == "" {
 		return usagef("a windowed fleet site needs -window-origin (the shared window clock; same RFC3339 instant on every site)")
 	}
-	if *format != "text" && *format != "json" {
-		return usagef("unknown -format %q (want text or json)", *format)
-	}
 	var policy pipeline.ErrorPolicy
 	switch *onError {
 	case "fail":
@@ -193,8 +192,6 @@ func run() error {
 			return &usageError{msg: err.Error()}
 		}
 	}
-	setFlags := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	prefix, err := netip.ParsePrefix(*monitored)
 	if err != nil {
 		return &usageError{msg: err.Error()}
@@ -341,19 +338,9 @@ func run() error {
 	var srv *core.ReportServer
 	if *serve != "" {
 		srv = core.NewReportServer(a)
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
+		if err := serveReports(*serve, srv, "reports", "/report/final"); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "serving reports on http://%s (/healthz, /report/latest, /report/window/<n>, /report/final)\n",
-			ln.Addr())
-		go func() {
-			server := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-			if err := server.Serve(ln); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}()
 	}
 
 	if *genSpec != "" {
@@ -368,46 +355,42 @@ func run() error {
 			st.Frames, streamCfg.Schedule.Duration(), wall.Seconds(),
 			float64(st.Frames)/wall.Seconds(), st.PeakBuffered, st.PeakInFlight)
 	}
-	var pool *pcap.Pool
+	// open is the one trace-file seam: a memory-mapped view under -mmap,
+	// otherwise a pooled streaming reader whose buffers are reused across
+	// traces. Either way the caller gets a packet source to hand to
+	// AddTraceSource and a closer to run once that returns — the
+	// analyzer's borrow contract consumes every retained view during
+	// replay, so nothing outlives the call.
+	pool := pcap.NewPool()
+	open := func(path string) (pcap.PacketSource, func() error, error) {
+		if *mmapInput {
+			src, err := pcap.OpenMmap(path)
+			if err == nil {
+				return src, src.Close, nil
+			}
+			if !errors.Is(err, pcap.ErrMmapUnsupported) {
+				return nil, nil, err
+			}
+			fmt.Fprintf(os.Stderr, "%s: mmap unavailable on this platform; streaming instead\n", path)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		rd, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20))
+		if err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		return pcap.NewPooledReader(rd, pool), f.Close, nil
+	}
 	for _, path := range flag.Args() {
 		before := a.PacketsSeen()
-		err := func() error {
-			if *mmapInput {
-				src, err := pcap.OpenMmap(path)
-				switch {
-				case err == nil:
-					// The mapping can be dropped as soon as the run
-					// returns: the analyzer's borrow contract consumes
-					// every retained view during replay, so nothing
-					// outlives AddTraceSource.
-					defer src.Close()
-					return a.AddTraceSource(path, prefix, wrapSource(src))
-				case errors.Is(err, pcap.ErrMmapUnsupported):
-					fmt.Fprintf(os.Stderr, "%s: mmap unavailable on this platform; streaming instead\n", path)
-				default:
-					return err
-				}
-			}
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if *inject == "" {
-				return a.AddTraceReader(path, prefix, bufio.NewReaderSize(f, 1<<20))
-			}
-			// Injection needs to sit between the pcap reader and the
-			// pipeline, so build the pooled source here instead of
-			// letting the analyzer do it.
-			rd, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20))
-			if err != nil {
-				return err
-			}
-			if pool == nil {
-				pool = pcap.NewPool()
-			}
-			return a.AddTraceSource(path, prefix, wrapSource(pcap.NewPooledReader(rd, pool)))
-		}()
+		src, closeSrc, err := open(path)
+		if err == nil {
+			err = a.AddTraceSource(path, prefix, wrapSource(src))
+			closeSrc()
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -439,17 +422,8 @@ func run() error {
 	}
 
 	report := a.Report()
-	windows := a.WindowReports()
-	switch *format {
-	case "json":
-		if err := core.WriteRunJSON(os.Stdout, windows, report); err != nil {
-			return err
-		}
-	default:
-		if len(windows) > 0 {
-			fmt.Print(core.RenderWindowSummary(windows) + "\n")
-		}
-		fmt.Print(core.RenderText(report))
+	if err := printRun(*format, a.WindowReports(), report); err != nil {
+		return err
 	}
 	if len(injectors) > 0 && policy == pipeline.Degrade && !a.Stopping() {
 		if err := checkCensus(report, injectors); err != nil {
@@ -468,15 +442,36 @@ func run() error {
 	return nil
 }
 
-// setOnCommandLine reports whether the named flag was explicitly set.
-func setOnCommandLine(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
+// serveReports serves one of the two report servers on addr in the
+// background (both share the window and final endpoints; tail names what
+// follows them). A serve failure after a successful listen is fatal.
+func serveReports(addr string, h http.Handler, what, tail string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "serving %s on http://%s (/healthz, /report/latest, /report/window/<n>, %s)\n", what, ln.Addr(), tail)
+	go func() {
+		server := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+		if err := server.Serve(ln); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-	})
-	return set
+	}()
+	return nil
+}
+
+// printRun writes a run's window summary and cumulative report to
+// standard output in the selected format.
+func printRun(format string, windows []*core.WindowReport, report *core.Report) error {
+	if format == "json" {
+		return core.WriteRunJSON(os.Stdout, windows, report)
+	}
+	if len(windows) > 0 {
+		fmt.Print(core.RenderWindowSummary(windows) + "\n")
+	}
+	fmt.Print(core.RenderText(report))
+	return nil
 }
 
 // runAggregate is the -aggregate mode: a standalone fleet aggregator
@@ -516,19 +511,9 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 	if serveAddr != "" {
 		fsrv = core.NewFleetServer(f)
 		fsrv.SetStaleThreshold(staleAfter)
-		hln, err := net.Listen("tcp", serveAddr)
-		if err != nil {
+		if err := serveReports(serveAddr, fsrv, "fleet reports", "/report/fleet, /report/final"); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "serving fleet reports on http://%s (/healthz, /report/latest, /report/window/<n>, /report/fleet, /report/final)\n",
-			hln.Addr())
-		go func() {
-			server := &http.Server{Handler: fsrv, ReadHeaderTimeout: 10 * time.Second}
-			if err := server.Serve(hln); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}()
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -542,18 +527,8 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 	agg.Close()
 	<-served
 
-	report := f.Report()
-	windows := f.WindowReports()
-	switch format {
-	case "json":
-		if err := core.WriteRunJSON(os.Stdout, windows, report); err != nil {
-			return err
-		}
-	default:
-		if len(windows) > 0 {
-			fmt.Print(core.RenderWindowSummary(windows) + "\n")
-		}
-		fmt.Print(core.RenderText(report))
+	if err := printRun(format, f.WindowReports(), f.Report()); err != nil {
+		return err
 	}
 	if st := f.Status(); !st.FinalReady {
 		fmt.Fprintf(os.Stderr, "fleet incomplete: missing sites %v, %d windows lost — the report above carries the degradation census\n",

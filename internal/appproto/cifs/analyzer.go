@@ -29,25 +29,10 @@ func (a *Analyzer) Merge(other *Analyzer) {
 	a.Bytes.Merge(other.Bytes)
 }
 
-// Snapshot returns an independent analyzer holding the command/byte
-// counters accumulated since the last Reset (the epoch contract; this
-// analyzer keeps no cross-message pairing state, so the cut is a pure
-// counter copy).
-func (a *Analyzer) Snapshot() *Analyzer {
-	s := NewAnalyzer()
-	s.Requests.Merge(a.Requests)
-	s.Bytes.Merge(a.Bytes)
-	return s
-}
-
-// Reset clears the banked counters in place.
-func (a *Analyzer) Reset() {
-	a.Requests.Reset()
-	a.Bytes.Reset()
-}
-
-// Cut is Snapshot followed by Reset in one move (nil when nothing was
-// banked since the last cut).
+// Cut moves the command/byte counters banked since the last cut into
+// the returned analyzer and installs fresh empties (nil when nothing was
+// banked). This analyzer keeps no cross-message pairing state, so the
+// cut is a pure counter move.
 func (a *Analyzer) Cut() *Analyzer {
 	if a.Requests.Total() == 0 && a.Bytes.Total() == 0 {
 		return nil

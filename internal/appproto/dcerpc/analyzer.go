@@ -74,31 +74,11 @@ func (a *Analyzer) Merge(other *Analyzer) {
 	}
 }
 
-// Snapshot returns an independent analyzer holding the function
-// counters and endpoint mappings accumulated since the last Reset. Bind
-// state stays behind (the epoch contract): a request PDU arriving after
-// the cut still resolves against the bind its channel saw before it.
-func (a *Analyzer) Snapshot() *Analyzer {
-	s := NewAnalyzer()
-	s.Requests.Merge(a.Requests)
-	s.Bytes.Merge(a.Bytes)
-	for port, iface := range a.MappedPorts {
-		s.MappedPorts[port] = iface
-	}
-	return s
-}
-
-// Reset clears the banked counters and mappings in place; per-channel
-// bind state persists across the cut.
-func (a *Analyzer) Reset() {
-	a.Requests.Reset()
-	a.Bytes.Reset()
-	clear(a.MappedPorts)
-}
-
-// Cut is Snapshot followed by Reset in one move (nil when nothing was
-// banked); per-channel bind state is untouched, exactly as with
-// Snapshot/Reset.
+// Cut moves the function counters and endpoint mappings banked since
+// the last cut into the returned analyzer and installs fresh empties
+// (nil when nothing was banked). Per-channel bind state stays behind —
+// the epoch contract: a request PDU arriving after the cut still
+// resolves against the bind its channel saw before it.
 func (a *Analyzer) Cut() *Analyzer {
 	if a.Requests.Total() == 0 && a.Bytes.Total() == 0 && len(a.MappedPorts) == 0 {
 		return nil

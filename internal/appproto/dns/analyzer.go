@@ -129,38 +129,14 @@ func (a *Analyzer) Merge(other *Analyzer) {
 	}
 }
 
-// Snapshot returns an independent analyzer holding the statistics
-// accumulated since the last Reset. The epoch contract: Snapshot/Reset
-// cut banked outputs (counters, latency samples, completed
-// transactions) while the in-flight pairing state — pending queries,
-// the per-operation dedup set — stays behind, so a query answered in a
-// later window pairs exactly as it would have without the cut, and
-// merging every snapshot reproduces the uncut analyzer's statistics.
-func (a *Analyzer) Snapshot() *Analyzer {
-	s := NewAnalyzer()
-	s.Types.Merge(a.Types)
-	s.Rcodes.Merge(a.Rcodes)
-	s.Clients.Merge(a.Clients)
-	s.Latency.Merge(a.Latency)
-	s.Done = append(s.Done, a.Done...)
-	return s
-}
-
-// Reset clears the banked statistics in place; pending queries, the
-// dedup set, and the address-format cache persist across the cut.
-func (a *Analyzer) Reset() {
-	a.Types.Reset()
-	a.Rcodes.Reset()
-	a.Clients.Reset()
-	a.Latency.Reset()
-	a.Done = nil
-}
-
-// Cut is Snapshot followed by Reset in one move: the banked containers
-// transfer to the returned analyzer and fresh empties take their place,
-// so the cost is O(1) in the epoch's size. Returns nil when nothing was
-// banked since the last cut. Pairing state is untouched, exactly as
-// with Snapshot/Reset.
+// Cut moves the statistics banked since the last cut — counters,
+// latency samples, completed transactions — into the returned analyzer
+// and installs fresh empties, so the cost is O(1) in the epoch's size.
+// Returns nil when nothing was banked. The epoch contract: the in-flight
+// pairing state — pending queries, the per-operation dedup set, the
+// address-format cache — stays behind, so a query answered in a later
+// window pairs exactly as it would have without the cut, and merging
+// every cut reproduces the uncut analyzer's statistics.
 func (a *Analyzer) Cut() *Analyzer {
 	if a.Types.Total() == 0 && a.Rcodes.Total() == 0 && a.Clients.Total() == 0 &&
 		a.Latency.N() == 0 && len(a.Done) == 0 {

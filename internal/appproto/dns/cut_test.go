@@ -6,25 +6,27 @@ import (
 	"time"
 )
 
-// TestSnapshotResetPairsAcrossCut pins the epoch contract's key
-// property: a query observed before a Snapshot/Reset cut pairs with its
-// response after the cut, the latency banks into the epoch where the
-// pairing completed, and merging the epoch snapshots reproduces the
-// uncut analyzer's statistics (including the cross-operation dedup).
-func TestSnapshotResetPairsAcrossCut(t *testing.T) {
+// TestCutPairsAcrossCut pins the epoch contract's key property: a query
+// observed before a Cut pairs with its response after it, the latency
+// banks into the epoch where the pairing completed, and merging the
+// cuts reproduces the statistics of the analyzer that was never cut
+// (including the cross-operation dedup).
+func TestCutPairsAcrossCut(t *testing.T) {
 	client := netip.MustParseAddr("10.0.0.1")
 	server := netip.MustParseAddr("10.0.0.53")
 	t0 := time.Date(2005, 1, 6, 0, 0, 0, 0, time.UTC)
 
 	run := func(cutMid bool) *Analyzer {
 		a := NewAnalyzer()
-		var snaps []*Analyzer
+		var cuts []*Analyzer
 		a.Message(t0, client, server, &Message{ID: 1, QName: "a.example", QType: TypeA})
 		if cutMid {
-			snaps = append(snaps, a.Snapshot())
-			a.Reset()
+			cuts = append(cuts, a.Cut())
 			if a.Types.Total() != 0 || a.Latency.N() != 0 {
-				t.Fatal("reset left banked stats")
+				t.Fatal("cut left banked stats")
+			}
+			if a.Cut() != nil {
+				t.Fatal("second cut with nothing banked is not nil")
 			}
 		}
 		// Response pairs across the cut; a retry of the same operation
@@ -35,11 +37,14 @@ func TestSnapshotResetPairsAcrossCut(t *testing.T) {
 		if !cutMid {
 			return a
 		}
+		cuts = append(cuts, a.Cut())
+		// A cut shares no mutable state with its source: what the source
+		// banks afterwards must not leak into it.
+		a.Message(t0.Add(2*time.Second), client, server, &Message{ID: 3, QName: "b.example", QType: TypeA})
 		merged := NewAnalyzer()
-		for _, s := range snaps {
-			merged.Merge(s)
+		for _, c := range cuts {
+			merged.Merge(c)
 		}
-		merged.Merge(a.Snapshot())
 		return merged
 	}
 

@@ -63,35 +63,11 @@ func (a *Analyzer) Merge(other *Analyzer) {
 	}
 }
 
-// Snapshot returns an independent analyzer holding the statistics
-// accumulated since the last Reset; the request/reply pairing state
-// stays behind (the epoch contract), so replies pair across cuts.
-func (a *Analyzer) Snapshot() *Analyzer {
-	s := NewAnalyzer()
-	s.Requests.Merge(a.Requests)
-	s.Bytes.Merge(a.Bytes)
-	s.ReqSizes.Merge(a.ReqSizes)
-	s.ReplySizes.Merge(a.ReplySizes)
-	for pair, n := range a.PerPair {
-		s.PerPair[pair] = n
-	}
-	s.OK, s.Failed = a.OK, a.Failed
-	return s
-}
-
-// Reset clears the banked statistics in place; pending request state
-// persists across the cut.
-func (a *Analyzer) Reset() {
-	a.Requests.Reset()
-	a.Bytes.Reset()
-	a.ReqSizes.Reset()
-	a.ReplySizes.Reset()
-	clear(a.PerPair)
-	a.OK, a.Failed = 0, 0
-}
-
-// Cut is Snapshot followed by Reset in one move (nil when nothing was
-// banked); call/reply pairing state is untouched.
+// Cut moves the statistics banked since the last cut into the returned
+// analyzer and installs fresh empties (nil when nothing was banked). The
+// request/reply pairing state stays behind — the epoch contract — so
+// replies pair across cuts, and merging every cut reproduces the uncut
+// analyzer's statistics.
 func (a *Analyzer) Cut() *Analyzer {
 	if a.Requests.Total() == 0 && a.Bytes.Total() == 0 && a.ReqSizes.N() == 0 &&
 		a.ReplySizes.N() == 0 && len(a.PerPair) == 0 && a.OK == 0 && a.Failed == 0 {

@@ -109,30 +109,11 @@ func (a *Analyzer) Merge(other *Analyzer) {
 	}
 }
 
-// Snapshot returns an independent analyzer holding the statistics
-// accumulated since the last Reset; the pending-query and per-operation
-// dedup state stays behind (the epoch contract), so cross-cut pairings
-// resolve exactly as they would without the cut.
-func (a *Analyzer) Snapshot() *Analyzer {
-	s := NewAnalyzer()
-	s.Ops.Merge(a.Ops)
-	s.NameTypes.Merge(a.NameTypes)
-	s.Clients.Merge(a.Clients)
-	s.Rcodes.Merge(a.Rcodes)
-	return s
-}
-
-// Reset clears the banked counters in place; pending queries, the dedup
-// set, and the address-format cache persist.
-func (a *Analyzer) Reset() {
-	a.Ops.Reset()
-	a.NameTypes.Reset()
-	a.Clients.Reset()
-	a.Rcodes.Reset()
-}
-
-// Cut is Snapshot followed by Reset in one move (nil when nothing was
-// banked); pairing state is untouched.
+// Cut moves the counters banked since the last cut into the returned
+// analyzer and installs fresh empties (nil when nothing was banked).
+// The pending-query and per-operation dedup state stays behind — the
+// epoch contract — so cross-cut pairings resolve exactly as they would
+// without the cut.
 func (a *Analyzer) Cut() *Analyzer {
 	if a.Ops.Total() == 0 && a.NameTypes.Total() == 0 && a.Clients.Total() == 0 && a.Rcodes.Total() == 0 {
 		return nil
@@ -206,26 +187,11 @@ func (s *SSNAnalyzer) Merge(other *SSNAnalyzer) {
 	}
 }
 
-// Snapshot returns an independent copy of the per-pair outcomes
-// accumulated since the last Reset. The outcome fold is a precedence
-// lattice (positive beats negative beats request), so merging the
-// snapshots of consecutive epochs yields exactly the outcome the uncut
-// analyzer would have reached.
-func (s *SSNAnalyzer) Snapshot() *SSNAnalyzer {
-	c := NewSSNAnalyzer()
-	for k, v := range s.pairs {
-		c.pairs[k] = v
-	}
-	return c
-}
-
-// Reset clears the per-pair outcomes in place.
-func (s *SSNAnalyzer) Reset() {
-	clear(s.pairs)
-}
-
-// Cut is Snapshot followed by Reset in one move (nil when no pair was
-// observed since the last cut).
+// Cut moves the per-pair outcomes observed since the last cut into the
+// returned analyzer (nil when there were none). The outcome fold is a
+// precedence lattice (positive beats negative beats request), so
+// merging the cuts of consecutive epochs yields exactly the outcome the
+// uncut analyzer would have reached.
 func (s *SSNAnalyzer) Cut() *SSNAnalyzer {
 	if len(s.pairs) == 0 {
 		return nil

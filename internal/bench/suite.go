@@ -144,9 +144,9 @@ func newAnalyzerWindow(ds *gen.Dataset, workers, replayWorkers int, window time.
 //     out-of-order regimes (pooled-buffer alloc gates).
 //   - replay/D3/workers=N: the two-phase deterministic replay stage at
 //     the determinism-pinned replay worker counts (fixed pipeline shape).
-//   - replay/D3/window={0,60s}: the epoch-rotation overhead pair — the
-//     batch path versus minute-windowed snapshot cutting at the same
-//     worker shape (the <5% rotation-cost gate).
+//   - replay/D3/window={0,60s}: the epoch-rotation overhead pair — one
+//     cut per trace versus minute-windowed cutting and banking at the
+//     same worker shape (the <5% rotation-cost gate).
 //   - stats/dist-observe: the compact Dist representation's
 //     bounded-memory gate.
 //   - analyze/D0..D4: the in-memory measured unit behind every table and
@@ -247,12 +247,12 @@ func Suite() []Benchmark {
 		})
 	}
 
-	// replay/D3/window=*: the epoch-rotation overhead gate. window=0 is
-	// the batch path; window=60s cuts ~60 epochs per one-hour trace
-	// (per-shard aggregate snapshots along both replay passes, window
-	// report banking at trace joins). The pair proves the snapshot-cut
-	// machinery stays within a few percent of batch throughput — the
-	// acceptance budget is <5% on this benchmark.
+	// replay/D3/window=*: the epoch-rotation overhead gate. window=0
+	// cuts once per trace and banks nothing; window=60s cuts ~60 epochs
+	// per one-hour trace (per-shard aggregate cuts along both replay
+	// passes, window report banking at trace joins). The pair proves the
+	// boundary cuts stay within a few percent of unwindowed throughput —
+	// the acceptance budget is <5% on this benchmark.
 	for _, win := range []time.Duration{0, 60 * time.Second} {
 		win := win
 		name := "replay/D3/window=0"

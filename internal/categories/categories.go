@@ -12,8 +12,8 @@
 // agree, exactly as a Bro site configuration would.
 //
 // The registry is immutable after init — per-window category breakdowns
-// come from the aggregate layer snapshotting its own counters, never from
-// state here (DESIGN.md § "Epoch snapshots and windowed reports").
+// come from the aggregate layer cutting its own counters, never from
+// state here (DESIGN.md § "Epoch cuts and windowed reports").
 package categories
 
 import (

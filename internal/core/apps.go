@@ -163,17 +163,22 @@ func (ap *appAggregates) winPair(service string, c *flows.Conn) {
 	}
 	pair := c.HostPair()
 	cur, seen := m[pair]
-	st := c.State
+	m[pair] = foldWinState(cur, seen, c.State)
+}
+
+// foldWinState is the Table 9 per-pair outcome fold, shared by
+// accumulation and Merge so a cut pair re-folds exactly as it would
+// have accumulated: established beats rejected beats the latest state.
+func foldWinState(cur flows.State, seen bool, st flows.State) flows.State {
 	switch {
 	case !seen:
-		m[pair] = st
+		return st
 	case st == flows.StateEstablished || cur == flows.StateEstablished:
-		m[pair] = flows.StateEstablished
+		return flows.StateEstablished
 	case st == flows.StateRejected || cur == flows.StateRejected:
-		m[pair] = flows.StateRejected
-	default:
-		m[pair] = st
+		return flows.StateRejected
 	}
+	return st
 }
 
 func (ap *appAggregates) markNFSPair(a, b netip.Addr, udp bool) {
@@ -514,16 +519,7 @@ func (ap *appAggregates) Merge(other *appAggregates) {
 		}
 		for pair, st := range pairs {
 			cur, seen := m[pair]
-			switch {
-			case !seen:
-				m[pair] = st
-			case st == flows.StateEstablished || cur == flows.StateEstablished:
-				m[pair] = flows.StateEstablished
-			case st == flows.StateRejected || cur == flows.StateRejected:
-				m[pair] = flows.StateRejected
-			default:
-				m[pair] = st
-			}
+			m[pair] = foldWinState(cur, seen, st)
 		}
 	}
 	if other.nfs != nil {
@@ -566,66 +562,18 @@ func mergeCounter(dst, src *stats.Counter) {
 	}
 }
 
-// Snapshot returns an independent aggregate holding everything banked
-// since the last Reset — the application half of the epoch-snapshot
-// contract (DESIGN.md "Epoch snapshots and windowed reports"). Cost is
-// proportional to the epoch's own statistics: the per-analyzer Snapshot
-// methods copy banked outputs only, never the in-flight pairing state
-// (DNS pending/dedup maps, RPC binds, NFS/NCP call matching), which
-// grows monotonically over a trace and would make per-window cuts
-// quadratic if copied.
-func (ap *appAggregates) Snapshot() *appAggregates {
-	s := &appAggregates{
-		dnsInt:           ap.dnsInt.Snapshot(),
-		dnsWan:           ap.dnsWan.Snapshot(),
-		nbns:             ap.nbns.Snapshot(),
-		ssn:              ap.ssn.Snapshot(),
-		cifs:             ap.cifs.Snapshot(),
-		rpc:              ap.rpc.Snapshot(),
-		winPairs:         make(map[string]map[layers.HostPair]flows.State, len(ap.winPairs)),
-		nfs:              ap.nfs.Snapshot(),
-		ncp:              ap.ncp.Snapshot(),
-		nfsUDP:           make(map[layers.HostPair]bool, len(ap.nfsUDP)),
-		nfsTCP:           make(map[layers.HostPair]bool, len(ap.nfsTCP)),
-		ncpConns:         ap.ncpConns,
-		ncpKeepAliveOnly: ap.ncpKeepAliveOnly,
-		email:            ap.email.Snapshot(),
-		http:             ap.http.Snapshot(),
-		sshConns:         ap.sshConns,
-		sshBulk:          ap.sshBulk,
-		sshPkts:          ap.sshPkts,
-		sshPayload:       ap.sshPayload,
-		ftpSessions:      append([]ftpSessionRec(nil), ap.ftpSessions...),
-		bulkConns:        ap.bulkConns.Snapshot(),
-		bulkBytes:        ap.bulkBytes.Snapshot(),
-		backupConns:      ap.backupConns.Snapshot(),
-		backupBytes:      ap.backupBytes.Snapshot(),
-		dantzConns:       ap.dantzConns,
-		dantzBidir:       ap.dantzBidir,
-	}
-	for service, pairs := range ap.winPairs {
-		m := make(map[layers.HostPair]flows.State, len(pairs))
-		for pair, st := range pairs {
-			m[pair] = st
-		}
-		s.winPairs[service] = m
-	}
-	for pair := range ap.nfsUDP {
-		s.nfsUDP[pair] = true
-	}
-	for pair := range ap.nfsTCP {
-		s.nfsTCP[pair] = true
-	}
-	return s
-}
-
-// cut is Snapshot followed by Reset by move: banked containers transfer
-// into the returned delta (nil fields/containers for components that
-// banked nothing) and fresh empties replace them, so the per-cut cost is
-// proportional to the number of components touched during the epoch,
-// never to the epoch's sample volume or to the aggregate's accumulated
-// pairing state. Returns nil when the whole aggregate banked nothing.
-// Merge accepts the sparse deltas (nil-component guards).
+// cut is the application half of the epoch contract (DESIGN.md "Epoch
+// cuts and windowed reports"): everything banked since the last cut
+// moves into the returned delta (nil fields/containers for components
+// that banked nothing; nil when nothing banked at all) and fresh empties
+// replace it, while every pairing domain the analyzers keep (DNS
+// pending/dedup maps, RPC binds, NFS/NCP call matching) stays behind —
+// so merging consecutive cuts reproduces exactly the state an uncut
+// aggregate would hold. The cost is proportional to the components the
+// epoch touched, never to its sample volume or to the pairing state,
+// which only grows and would make per-window cuts quadratic if copied.
+// The HTTP automated-client set moves with the rest: it is a per-epoch
+// census, and the union across cuts matches the uncut set exactly.
 func (ap *appAggregates) cut() *appAggregates {
 	s := &appAggregates{
 		dnsInt:           ap.dnsInt.Cut(),
@@ -721,35 +669,6 @@ func (h *httpAgg) empty() bool {
 		h.statusOK == 0 && h.statusAll == 0
 }
 
-// Reset clears the banked statistics in place while preserving every
-// pairing domain the analyzers keep (the sub-analyzer Resets guarantee
-// this), so merging consecutive snapshots reproduces exactly the state
-// an uncut aggregate would hold.
-func (ap *appAggregates) Reset() {
-	ap.dnsInt.Reset()
-	ap.dnsWan.Reset()
-	ap.nbns.Reset()
-	ap.ssn.Reset()
-	ap.cifs.Reset()
-	ap.rpc.Reset()
-	clear(ap.winPairs)
-	ap.nfs.Reset()
-	ap.ncp.Reset()
-	clear(ap.nfsUDP)
-	clear(ap.nfsTCP)
-	ap.ncpConns, ap.ncpKeepAliveOnly = 0, 0
-	ap.email.Reset()
-	ap.http.Reset()
-	ap.sshConns, ap.sshBulk = 0, 0
-	ap.sshPkts, ap.sshPayload = 0, 0
-	ap.ftpSessions = nil
-	ap.bulkConns.Reset()
-	ap.bulkBytes.Reset()
-	ap.backupConns.Reset()
-	ap.backupBytes.Reset()
-	ap.dantzConns, ap.dantzBidir = 0, 0
-}
-
 // sortFTPSessions restores canonical first-packet order after shard
 // merges, so anything walking the session list is shard-count-invariant.
 func (ap *appAggregates) sortFTPSessions() {
@@ -794,25 +713,6 @@ func (e *emailAgg) Merge(other *emailAgg) {
 	}
 	e.smtpAccepted += other.smtpAccepted
 	e.smtpRejected += other.smtpRejected
-}
-
-// Snapshot returns an independent copy of the banked email aggregates.
-// Everything here is banked (Reset clears it all), so building the copy
-// through Merge is exact and epoch-bounded.
-func (e *emailAgg) Snapshot() *emailAgg {
-	s := newEmailAgg()
-	s.Merge(e)
-	return s
-}
-
-// Reset clears the banked email aggregates in place (no pairing state
-// lives at this level; connection samples are self-contained).
-func (e *emailAgg) Reset() {
-	e.bytesByProto.Reset()
-	clear(e.durations)
-	clear(e.sizes)
-	clear(e.pairs)
-	e.smtpAccepted, e.smtpRejected = 0, 0
 }
 
 // Merge folds other's HTTP aggregates into h (all commutative sums and
@@ -898,33 +798,4 @@ func (h *httpAgg) Merge(other *httpAgg) {
 	h.methods.Merge(other.methods)
 	h.statusOK += other.statusOK
 	h.statusAll += other.statusAll
-}
-
-// Snapshot returns an independent copy of the banked HTTP aggregates
-// (all epoch-bounded — Reset clears every field — so Merge-into-fresh is
-// exact and cheap).
-func (h *httpAgg) Snapshot() *httpAgg {
-	s := newHTTPAgg()
-	s.Merge(h)
-	return s
-}
-
-// Reset clears the banked HTTP aggregates in place. The automated-client
-// set clears with the rest: it is a per-epoch census (a window report
-// judges automation from that window's requests), and the cumulative
-// union across snapshots matches the uncut set exactly.
-func (h *httpAgg) Reset() {
-	clear(h.connPairs)
-	clear(h.httpsConnsByPair)
-	clear(h.reqTotal)
-	clear(h.dataTotal)
-	clear(h.byClass)
-	clear(h.automated)
-	clear(h.fanServers)
-	clear(h.contentReq)
-	clear(h.contentLen)
-	clear(h.replySizes)
-	clear(h.conditional)
-	h.methods.Reset()
-	h.statusOK, h.statusAll = 0, 0
 }

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"enttrace/internal/enterprise"
+	"enttrace/internal/gen"
+	"enttrace/internal/pcap"
+	"enttrace/internal/pipeline"
+)
+
+// foldDataset is the reference fold the cut tests compare against: it
+// replays a small generated dataset into ap the way a replay worker
+// does — per trace, UDP messages in arrival order, then connections in
+// first-packet order, through the real packet stage and the real
+// accumulation entry points — but never cuts on its own. step runs
+// after every replayed message and connection, so the caller decides
+// where (if anywhere) the aggregate is cut.
+func foldDataset(t *testing.T, ap *appAggregates, step func()) {
+	t.Helper()
+	cfg := enterprise.D3()
+	cfg.Scale = 0.2
+	cfg.Monitored = cfg.Monitored[:1]
+	a := NewAnalyzer(Options{Dataset: "cut", PayloadAnalysis: true})
+	for trace, tr := range gen.GenerateDataset(cfg).Traces {
+		var sink *shardSink
+		res, err := pipeline.Run(pcap.NewSliceSource(tr.Packets), pipeline.Config{
+			Workers: 1,
+			NewSink: func(shard int, base time.Time) pipeline.Sink {
+				sink = newShardSink(&a.opts, tr.Prefix, base)
+				return sink
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range sink.udp {
+			replayUDPEvent(ap, ev, a.opts.IsLocal)
+			step()
+		}
+		for _, rec := range res.SortedConns() {
+			c := rec.Conn
+			name, _ := a.opts.Registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
+			ap.transportConn(c, name, a.opts.IsLocal)
+			if app := sink.conns[c]; app != nil {
+				a.parseConnPayload(ap, trace, rec, name, app)
+				app.release()
+			}
+			step()
+		}
+	}
+}
+
+// appsReport renders an application aggregate (full, or a sparse cut
+// delta) through the report builder, the comparison every byte-identity
+// differential ultimately makes.
+func appsReport(ap *appAggregates) *Report {
+	e := newEpochAgg()
+	e.apps.Merge(ap)
+	return buildReport("cut", e, nil)
+}
+
+// TestAppAggregatesMergeOfCutsMatchesUncut pins the aggregate-level
+// epoch contract against the reference it exists to honour: merging
+// every cut of an aggregate reproduces the aggregate that was never cut,
+// wherever the cuts fall. It is also what keeps cut()'s field
+// enumeration from drifting when appAggregates grows a field: a
+// statistic the real accumulation paths bank and cut() fails to move
+// never reaches the merge and fails the deep comparison.
+func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
+	uncut := newAppAggregates()
+	foldDataset(t, uncut, func() {})
+	want := appsReport(uncut)
+	if want.HTTP.InternalRequests == 0 || want.Names.DNSTypes == nil || want.Windows.CIFSTotalRequests == 0 {
+		t.Fatal("reference fold banked no HTTP/DNS/CIFS statistics; the comparison would be vacuous")
+	}
+
+	for _, every := range []int{1, 7, 1000} {
+		src := newAppAggregates()
+		merged := newAppAggregates()
+		steps, cuts := 0, 0
+		foldDataset(t, src, func() {
+			if steps++; steps%every == 0 {
+				if d := src.cut(); d != nil {
+					merged.Merge(d)
+					cuts++
+				}
+			}
+		})
+		if d := src.cut(); d != nil {
+			merged.Merge(d)
+			cuts++
+		}
+		if cuts < 2 {
+			t.Fatalf("every=%d: only %d cuts", every, cuts)
+		}
+		if d := src.cut(); d != nil {
+			t.Errorf("every=%d: cut left banked statistics behind", every)
+		}
+		if got := appsReport(merged); !reflect.DeepEqual(got, want) {
+			t.Errorf("every=%d: merge of %d cuts differs from the uncut aggregate", every, cuts)
+		}
+	}
+}
+
+// TestAppAggregatesCutIndependent pins that a cut shares no mutable
+// state with its source: what the source banks afterwards must not leak
+// into the delta, and folding the delta elsewhere must not alias it.
+func TestAppAggregatesCutIndependent(t *testing.T) {
+	src := newAppAggregates()
+	sum := newAppAggregates()
+	var delta *appAggregates
+	var before *Report
+	steps := 0
+	// Cut mid-fold, render the delta at once, fold it elsewhere, and keep
+	// accumulating into both neighbours.
+	foldDataset(t, src, func() {
+		if steps++; steps == 400 {
+			delta = src.cut()
+			before = appsReport(delta)
+			sum.Merge(delta)
+		}
+	})
+	if delta == nil {
+		t.Fatal("cut of a populated aggregate returned nil")
+	}
+	foldDataset(t, sum, func() {})
+	if after := appsReport(delta); !reflect.DeepEqual(before, after) {
+		t.Error("cut delta aliases its source or an aggregate it was merged into")
+	}
+	if reflect.DeepEqual(before, appsReport(src)) {
+		t.Error("source banked nothing after the cut; the check would be vacuous")
+	}
+}

@@ -63,8 +63,9 @@ type Options struct {
 	// run into windows of this duration in packet time (aligned to the
 	// first packet of the first trace) and makes a per-window Report
 	// available for each, while the cumulative report stays
-	// byte-identical to a run without windowing. 0 disables windowing;
-	// the batch path is then untouched.
+	// byte-identical to a run without windowing. 0 disables windowing:
+	// the same accumulation path runs with no boundaries, so nothing is
+	// cut or banked per window.
 	Window time.Duration
 	// OnWindow, when set (requires Window > 0), receives each window's
 	// report as the event-time watermark passes its end. Reports emitted
@@ -132,36 +133,26 @@ type Analyzer struct {
 	opts Options
 
 	// cum is the cumulative aggregate: every report-feeding accumulator
-	// for the whole run. The batch path accumulates into it directly;
-	// the windowed path folds banked per-window deltas into it in
-	// banking order, which yields byte-identical final reports.
+	// for the whole run. Each trace's delta folds into it at trace end,
+	// the replay workers' share at Report — in banking order either
+	// way, which keeps final reports byte-identical for any window
+	// length and worker count.
 	cum *epochAgg
 
-	// win is the epoch-rotation state; nil when Options.Window == 0.
+	// win is the epoch-rotation state; it holds no windows when
+	// Options.Window == 0.
 	win *windowState
 
 	// apps holds the serial (phase A) application state — the Endpoint
 	// Mapper PDU accounting that rides along with port registration.
-	// Everything else application-level accumulates in replayShards.
+	// Everything else application-level accumulates in replayWorkers.
 	apps *appAggregates
 
-	// replayShards are the parallel replay's per-worker aggregates. They
-	// persist across traces (a host pair always hashes to the same
-	// shard, so cross-trace pairing state — DNS retries, RPC binds —
-	// stays shard-local) and merge with apps at report time. In
-	// windowed mode each shard's banked statistics are cut into window
-	// deltas as its worker crosses boundaries; only pairing state
-	// persists in the shard between cuts.
-	replayShards []*appAggregates
-
-	// cumApps/cumConns are the windowed mode's per-worker running
-	// cumulative aggregates: each worker folds its own cut deltas into
-	// its slot (lock-free, parallel with the other shards), and Report
-	// drains the slots in shard order — the same canonical order the
-	// batch path's mergedApps uses, which is what keeps the windowed
-	// cumulative report byte-identical to batch.
-	cumApps  []*appAggregates
-	cumConns []*connAggregates
+	// replayWorkers are the parallel replay's per-worker states. Report
+	// drains them in shard order — a canonical order independent of
+	// where the cuts fell, which is what keeps the cumulative report
+	// byte-identical across window lengths.
+	replayWorkers []*replayWorker
 
 	traceCount int
 
@@ -185,6 +176,11 @@ type Analyzer struct {
 
 	// pool recycles capture buffers across AddTraceReader calls.
 	pool *pcap.Pool
+
+	// final is the marshaled cumulative report a ReportServer publishes
+	// once analysis ends (SetFinal, on the analysis goroutine) and its
+	// handlers read; atomic, since the two race by design.
+	final atomic.Pointer[[]byte]
 }
 
 // Stop requests a graceful drain of any in-flight Add* call: intake
@@ -217,19 +213,18 @@ func NewAnalyzer(opts Options) *Analyzer {
 	a := &Analyzer{
 		opts: opts,
 		cum:  newEpochAgg(),
+		win:  newWindowState(opts.Dataset, opts.Window, opts.OnWindow),
 		apps: newAppAggregates(),
+		pool: pcap.NewPool(),
 	}
 	a.traceCount = opts.TraceBase
-	if opts.Window > 0 {
-		a.win = newWindowState(opts.Dataset, opts.Window, opts.OnWindow)
-		a.win.setOrigin(opts.WindowOrigin)
-	}
+	a.win.setOrigin(opts.WindowOrigin)
 	return a
 }
 
 // AddTrace processes one in-memory trace through the streaming pipeline.
 func (a *Analyzer) AddTrace(tr TraceInput) error {
-	return a.addSource(tr.Name, tr.Monitored, pcap.NewSliceSource(tr.Packets))
+	return a.AddTraceSource(tr.Name, tr.Monitored, pcap.NewSliceSource(tr.Packets))
 }
 
 // AddTraceReader streams one pcap trace through the pipeline without
@@ -242,10 +237,7 @@ func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Read
 	if err != nil {
 		return err
 	}
-	if a.pool == nil {
-		a.pool = pcap.NewPool()
-	}
-	return a.addSource(name, monitored, pcap.NewPooledReader(rd, a.pool))
+	return a.AddTraceSource(name, monitored, pcap.NewPooledReader(rd, a.pool))
 }
 
 // AddTraceSource runs one trace from an arbitrary packet source through
@@ -257,17 +249,14 @@ func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Read
 // implements pcap.Releaser, its packets are recycled as soon as analysis
 // is done with them, keeping memory bounded however long the source
 // runs. See DESIGN.md "Packet sources".
-func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.PacketSource) error {
-	return a.addSource(name, monitored, src)
-}
-
-// addSource runs one trace through the sharded pipeline and merges the
-// per-shard results deterministically: packet-level accumulators merge in
-// shard order (all integer/set unions), and everything order-sensitive —
+//
+// The trace runs through the sharded pipeline and the per-shard results
+// merge deterministically: packet-level accumulators merge in shard
+// order (all integer/set unions), and everything order-sensitive —
 // scanner detection, dynamic port registration, application parsing —
 // replays in global first-packet order, which is identical for any
 // worker count.
-func (a *Analyzer) addSource(name string, monitored netip.Prefix, src pipeline.Source) error {
+func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.PacketSource) error {
 	// MaxConns bounds the whole run; each shard table gets an equal
 	// slice of it.
 	perShard := 0
@@ -307,23 +296,20 @@ func (a *Analyzer) addSource(name string, monitored netip.Prefix, src pipeline.S
 	a.traceCount++
 	a.packetsSeen.Add(res.Packets)
 
-	// Trace-granular accumulation target: the cumulative aggregate in
-	// batch mode; a fresh per-trace delta in windowed mode, banked into
-	// the window containing the trace's last packet once the trace's
-	// event-time extent (and hence the watermark) is known.
-	tgt := a.cum
-	if a.win != nil {
-		if res.Packets > 0 {
-			a.win.setOrigin(traceBase)
-		}
-		tgt = newEpochAgg()
+	// Trace-granular accumulation target: a fresh per-trace delta,
+	// folded into the cumulative aggregate — and banked into the window
+	// containing the trace's last packet — once the trace's event-time
+	// extent (and hence the watermark) is known.
+	if res.Packets > 0 {
+		a.win.setOrigin(traceBase)
 	}
+	tgt := newTraceDelta()
 	tgt.totalPackets += res.Packets
 	tgt.traceCount++
 
 	// Degraded-run accounting: the trace's source-error census and the
 	// MaxConns backstop's eviction count ride the same trace-granular
-	// delta as every other accumulator, so windowed sums reconcile with
+	// delta as every other accumulator, so window sums reconcile with
 	// the cumulative.
 	tgt.capEvicted += res.CapEvicted
 	if len(res.SourceErrors) > 0 {
@@ -398,21 +384,20 @@ func (a *Analyzer) addSource(name string, monitored netip.Prefix, src pipeline.S
 	tgt.load.finishTrace(perSec, kept, a.opts.IsLocal, a.opts.LinkCapacityMbps, a.traceCount)
 	join()
 
-	if a.win != nil {
-		// Bank the phase-A application residue (Endpoint Mapper PDU
-		// accounting) and the trace-granular delta at the watermark,
-		// then emit newly completed windows. Reset keeps the registry
-		// pairing state (RPC binds) for later traces.
-		a.win.finishTrace(a.cum, tgt, a.apps.cut(), maxTS)
-	}
+	// The phase-A application residue (Endpoint Mapper PDU accounting)
+	// rides the trace-granular delta; the cut keeps the registry pairing
+	// state (RPC binds) for later traces. Bank the delta at the
+	// watermark, then emit newly completed windows.
+	tgt.apps = a.apps.cut()
+	a.win.finishTrace(a.cum, tgt, maxTS)
 	return nil
 }
 
-// ensureReplayShards lazily builds the per-worker replay aggregates.
-// The count is fixed at first use so the pair→shard assignment stays
-// stable for the Analyzer's lifetime.
-func (a *Analyzer) ensureReplayShards() []*appAggregates {
-	if a.replayShards == nil {
+// ensureReplayWorkers lazily builds the per-worker replay states. The
+// count is fixed at first use so the pair→shard assignment stays stable
+// for the Analyzer's lifetime.
+func (a *Analyzer) ensureReplayWorkers() []*replayWorker {
+	if a.replayWorkers == nil {
 		n := a.opts.ReplayWorkers
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
@@ -420,42 +405,25 @@ func (a *Analyzer) ensureReplayShards() []*appAggregates {
 		if n > maxReplayWorkers {
 			n = maxReplayWorkers
 		}
-		a.replayShards = make([]*appAggregates, n)
-		for i := range a.replayShards {
-			a.replayShards[i] = newAppAggregates()
-		}
-		if a.win != nil {
-			a.cumApps = make([]*appAggregates, n)
-			a.cumConns = make([]*connAggregates, n)
-			for i := range a.cumApps {
-				a.cumApps[i] = newAppAggregates()
-				a.cumConns[i] = newConnAggregates()
-			}
+		a.replayWorkers = make([]*replayWorker, n)
+		for i := range a.replayWorkers {
+			a.replayWorkers[i] = &replayWorker{shard: newAppAggregates()}
 		}
 	}
-	return a.replayShards
+	return a.replayWorkers
 }
 
 // maxReplayWorkers bounds the replay fan-out; beyond this the per-shard
 // aggregate fixed costs outweigh any parallelism.
 const maxReplayWorkers = 64
 
-// mergedApps folds the serial aggregate and every replay shard into one
-// view for the report, in canonical order: phase-A state first, then
-// shards by index, with order-bearing collections (FTP sessions)
-// restored to first-packet order. The sources are left untouched, so
-// reports can interleave with further traces.
-func (a *Analyzer) mergedApps() *appAggregates {
-	if a.replayShards == nil {
-		return a.apps
+// drainLocked folds every replay worker's share into the cumulative, in
+// shard order. Callers hold a.win.mu and must not race an in-flight
+// Add*.
+func (a *Analyzer) drainLocked() {
+	for _, rw := range a.replayWorkers {
+		rw.drain(a.cum)
 	}
-	merged := newAppAggregates()
-	merged.Merge(a.apps)
-	for _, shard := range a.replayShards {
-		merged.Merge(shard)
-	}
-	merged.sortFTPSessions()
-	return merged
 }
 
 func unionHosts(dst, src map[netip.Addr]struct{}) {
@@ -543,18 +511,7 @@ func (a *Analyzer) accumulateConn(ca *connAggregates, c *flows.Conn, cat string)
 	}
 }
 
-// AddDataset is a convenience that runs every trace of a generated
-// dataset through the analyzer.
-func (a *Analyzer) AddDataset(traces []TraceInput) error {
-	for _, tr := range traces {
-		if err := a.AddTrace(tr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// connLocality reports whether a connection crosses the enterprise border.
+// connWAN reports whether a connection crosses the enterprise border.
 func connWAN(c *flows.Conn, isLocal func(netip.Addr) bool) bool {
 	return !(isLocal(c.Key.Src) && isLocal(c.Key.Dst))
 }

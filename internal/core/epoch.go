@@ -11,12 +11,12 @@ import (
 )
 
 // epochAgg holds every report-feeding accumulator for one span of event
-// time: the whole run (the cumulative aggregate every Analyzer owns) or
-// one time window. The batch path accumulates into the cumulative
-// aggregate directly; the windowed path accumulates into per-window
-// deltas that merge into both the window's aggregate and the cumulative
-// one, in banking order, so the final cumulative report is byte-identical
-// to a run that never windowed.
+// time: the whole run (the cumulative aggregate every Analyzer owns),
+// one trace, or one time window. Every trace accumulates into a fresh
+// per-trace delta that merges into the cumulative aggregate — and, when
+// the run is windowed, into the window's aggregate as well — in banking
+// order, so the cumulative report is byte-identical however the run was
+// cut.
 type epochAgg struct {
 	// Table 1 accumulators.
 	totalPackets                            int64
@@ -55,13 +55,23 @@ type epochAgg struct {
 	capEvicted int64
 	agedOut    int64
 
-	// apps folds banked application deltas. The batch path leaves it
-	// empty (live replay shards merge at report time instead); the
-	// windowed path banks every application snapshot here.
+	// apps folds banked application deltas: the phase-A residue at each
+	// trace end, the replay workers' running cumulatives at Report.
 	apps *appAggregates
 }
 
+// newEpochAgg returns an empty aggregate that can be merged into and
+// reported from.
 func newEpochAgg() *epochAgg {
+	e := newTraceDelta()
+	e.apps = newAppAggregates()
+	return e
+}
+
+// newTraceDelta returns an empty per-trace delta: an aggregate that is
+// only ever merged from, so its apps stays nil until the trace's
+// phase-A cut (a sparse delta, nil when nothing banked) is attached.
+func newTraceDelta() *epochAgg {
 	return &epochAgg{
 		monitoredHosts: make(map[netip.Addr]struct{}),
 		localHosts:     make(map[netip.Addr]struct{}),
@@ -76,7 +86,6 @@ func newEpochAgg() *epochAgg {
 		fanAgg:         make(map[netip.Addr]*flows.FanStats),
 		load:           newLoadAgg(),
 		roleCounts:     make(map[roles.Role]int),
-		apps:           newAppAggregates(),
 	}
 }
 
@@ -107,7 +116,9 @@ func (e *epochAgg) merge(other *epochAgg) {
 	e.srcErrs = append(e.srcErrs, other.srcErrs...)
 	e.capEvicted += other.capEvicted
 	e.agedOut += other.agedOut
-	e.apps.Merge(other.apps)
+	if other.apps != nil {
+		e.apps.Merge(other.apps)
+	}
 }
 
 // foldConns folds one replay worker's connection-level sums into e.
@@ -164,8 +175,15 @@ type windowDelta struct {
 // event-time watermark that decides when a window is complete. All
 // access is mutex-guarded so a serve-mode HTTP handler can read window
 // reports while analysis is still streaming.
+//
+// Every Analyzer has one. With dur == 0 the clock never gets an origin,
+// so every timestamp maps to the same window: replay workers see no
+// boundary and never cut, nothing is banked per window, and the
+// accessors answer "no windows". A window boundary is a cut point that
+// also banks its delta — not a second accumulation path.
 type windowState struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// dur is the window length; 0 means the run is not windowed.
 	dur      time.Duration
 	dataset  string
 	onWindow func(*WindowReport)
@@ -210,11 +228,12 @@ func newWindowState(dataset string, dur time.Duration, onWindow func(*WindowRepo
 
 // setOrigin pins the window clock to the first trace's first packet
 // timestamp. Idempotent; windows are aligned to multiples of dur from
-// this instant for the Analyzer's lifetime.
+// this instant for the Analyzer's lifetime. An unwindowed run has no
+// clock to pin.
 func (ws *windowState) setOrigin(base time.Time) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if !ws.originSet && !base.IsZero() {
+	if ws.dur > 0 && !ws.originSet && !base.IsZero() {
 		ws.origin = base
 		ws.originSet = true
 	}
@@ -234,31 +253,12 @@ func (ws *windowState) windowOf(ts time.Time) int {
 	return int(d / ws.dur)
 }
 
-func (ws *windowState) windowStart(n int) time.Time { return ws.origin.Add(time.Duration(n) * ws.dur) }
-func (ws *windowState) windowEnd(n int) time.Time {
-	return ws.origin.Add(time.Duration(n+1) * ws.dur)
-}
-
-// epoch returns window n's aggregate, creating it on first touch.
-// Callers hold ws.mu.
-func (ws *windowState) epoch(n int) *epochAgg {
-	e := ws.pending[n]
-	if e == nil {
-		e = newEpochAgg()
-		ws.pending[n] = e
-	}
-	if n > ws.maxWindow {
-		ws.maxWindow = n
-	}
-	return e
-}
-
 // bankDeltas records one trace's worker deltas, in shard-major banking
 // order. Banking is an append — the folds happen lazily (window reports
 // on demand, the cumulative at Report) — and banking order preserves
 // each host pair's chronological fold (a pair's deltas all come from
-// one shard, in window order), which is what keeps the cumulative
-// aggregate byte-identical to a batch run.
+// one shard, in window order), which is what keeps the sum of windows
+// equal to the cumulative aggregate.
 func (ws *windowState) bankDeltas(deltas []windowDelta) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -278,27 +278,26 @@ func (ws *windowState) bankDeltas(deltas []windowDelta) {
 //
 // A zero-packet trace has no event time: it banks into the window of
 // the current watermark (so window sums still cover it), or into the
-// cumulative alone when no packet has ever been seen — either way the
-// cumulative stays byte-identical to a batch run, which counts empty
-// traces too.
-func (ws *windowState) finishTrace(cum *epochAgg, traceDelta *epochAgg, apDelta *appAggregates, maxTS time.Time) {
+// cumulative alone when no packet has ever been seen (or the run is not
+// windowed, and so has no clock) — either way the cumulative counts it.
+func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 	var completed []*WindowReport
 	ws.mu.Lock()
-	if apDelta != nil {
-		cum.apps.Merge(apDelta)
-	}
 	cum.merge(traceDelta)
-	if ws.originSet {
-		at := maxTS
-		if at.IsZero() {
-			at = ws.watermark
-		}
-		e := ws.epoch(ws.windowOf(at))
-		if apDelta != nil {
-			e.apps.Merge(apDelta)
-		}
-		e.merge(traceDelta)
+	if !ws.originSet {
+		ws.mu.Unlock()
+		return
 	}
+	at := maxTS
+	if at.IsZero() {
+		at = ws.watermark
+	}
+	n := ws.windowOf(at)
+	if ws.pending[n] == nil {
+		ws.pending[n] = newEpochAgg()
+	}
+	ws.pending[n].merge(traceDelta)
+	ws.maxWindow = max(ws.maxWindow, n)
 	if !maxTS.IsZero() {
 		if maxTS.After(ws.watermark) {
 			ws.watermark = maxTS
@@ -347,114 +346,77 @@ func (ws *windowState) foldWindowLocked(n int) *epochAgg {
 // aggregate plus the window's worker deltas, folded in banking order.
 // Callers hold ws.mu.
 func (ws *windowState) windowReportLocked(n int) *WindowReport {
-	e := ws.foldWindowLocked(n)
-	meta := &WindowMeta{Index: n, Start: ws.windowStart(n), End: ws.windowEnd(n)}
-	return &WindowReport{
-		Index:  n,
-		Start:  meta.Start,
-		End:    meta.End,
-		Report: buildReport(ws.dataset, e, e.apps, meta),
-	}
+	return newWindowReport(ws.dataset, ws.foldWindowLocked(n), n, ws.origin, ws.dur)
 }
 
-// report builds window n's report (false when n is out of range).
-func (ws *windowState) report(n int) (*WindowReport, bool) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if n < 0 || n > ws.maxWindow {
-		return nil, false
-	}
-	return ws.windowReportLocked(n), true
-}
-
-// allReports builds every window's report, 0..maxWindow, empty windows
-// included. This is the canonical end-of-run view: late banked data is
-// reflected regardless of when (or whether) a window was emitted.
-func (ws *windowState) allReports() []*WindowReport {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	out := make([]*WindowReport, 0, ws.maxWindow+1)
-	for n := 0; n <= ws.maxWindow; n++ {
-		out = append(out, ws.windowReportLocked(n))
-	}
-	return out
-}
-
-// latest returns the highest completed window index (-1 when the
-// watermark has not passed any window boundary yet).
-func (ws *windowState) latest() int {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if !ws.originSet {
-		return -1
-	}
-	n := ws.windowOf(ws.watermark) - 1
-	if n > ws.maxWindow {
-		n = ws.maxWindow
-	}
-	return n
+// newWindowReport renders window n's aggregate, labelled with its span
+// [origin + n·dur, origin + (n+1)·dur) on the window clock.
+func newWindowReport(dataset string, e *epochAgg, n int, origin time.Time, dur time.Duration) *WindowReport {
+	meta := &WindowMeta{Index: n, Start: origin.Add(time.Duration(n) * dur), End: origin.Add(time.Duration(n+1) * dur)}
+	return &WindowReport{Index: n, Start: meta.Start, End: meta.End, Report: buildReport(dataset, e, meta)}
 }
 
 // Windowing reports whether epoch rotation is enabled.
-func (a *Analyzer) Windowing() bool { return a.win != nil }
+func (a *Analyzer) Windowing() bool { return a.win.dur > 0 }
 
 // WindowDuration returns the configured window length (0 when
 // windowing is disabled).
-func (a *Analyzer) WindowDuration() time.Duration {
-	if a.win == nil {
-		return 0
-	}
-	return a.win.dur
-}
+func (a *Analyzer) WindowDuration() time.Duration { return a.win.dur }
 
 // Watermark returns the event-time high-water mark: the largest packet
 // timestamp fully processed. Safe for concurrent use with Add*.
 func (a *Analyzer) Watermark() time.Time {
-	if a.win == nil {
-		return time.Time{}
-	}
 	a.win.mu.Lock()
 	defer a.win.mu.Unlock()
 	return a.win.watermark
 }
 
-// LatestWindowIndex returns the highest completed window (-1 if none).
-// Safe for concurrent use with Add*.
+// LatestWindowIndex returns the highest completed window (-1 when the
+// watermark has not passed any window boundary yet). Safe for
+// concurrent use with Add*.
 func (a *Analyzer) LatestWindowIndex() int {
-	if a.win == nil {
+	ws := a.win
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if !ws.originSet {
 		return -1
 	}
-	return a.win.latest()
+	return min(ws.windowOf(ws.watermark)-1, ws.maxWindow)
 }
 
 // WindowCount returns the number of known windows (complete or open).
 // Safe for concurrent use with Add*.
 func (a *Analyzer) WindowCount() int {
-	if a.win == nil {
-		return 0
-	}
 	a.win.mu.Lock()
 	defer a.win.mu.Unlock()
 	return a.win.maxWindow + 1
 }
 
-// WindowReport builds the report for window n. Reports are live views:
-// a window that later traces still feed (in event time) reflects
-// everything banked so far. Safe for concurrent use with Add*.
+// WindowReport builds the report for window n (false when n is out of
+// range). Reports are live views: a window that later traces still feed
+// (in event time) reflects everything banked so far. Safe for
+// concurrent use with Add*.
 func (a *Analyzer) WindowReport(n int) (*WindowReport, bool) {
-	if a.win == nil {
+	a.win.mu.Lock()
+	defer a.win.mu.Unlock()
+	if n < 0 || n > a.win.maxWindow {
 		return nil, false
 	}
-	return a.win.report(n)
+	return a.win.windowReportLocked(n), true
 }
 
-// WindowReports builds every window's report in window order — the
-// canonical windowed view of the run. The sum of these windows merges
-// to the cumulative report: every banked quantity lives in exactly one
-// window. Safe for concurrent use with Add*.
+// WindowReports builds every window's report in window order, empty
+// windows included — the canonical windowed view of the run: late
+// banked data is reflected regardless of when (or whether) a window was
+// emitted, and the sum of these windows merges to the cumulative
+// report, since every banked quantity lives in exactly one window. Nil
+// when there are no windows. Safe for concurrent use with Add*.
 func (a *Analyzer) WindowReports() []*WindowReport {
-	if a.win == nil {
-		return nil
+	a.win.mu.Lock()
+	defer a.win.mu.Unlock()
+	var out []*WindowReport
+	for n := 0; n <= a.win.maxWindow; n++ {
+		out = append(out, a.win.windowReportLocked(n))
 	}
-	return a.win.allReports()
+	return out
 }

@@ -48,68 +48,61 @@ type WindowExport struct {
 // the aggregator can refuse sites cutting windows on different
 // boundaries.
 func (a *Analyzer) FleetHello() fleet.Hello {
-	h := fleet.Hello{Schema: SnapshotSchema()}
-	if a.win != nil {
-		h.WindowNanos = int64(a.win.dur)
-		a.win.mu.Lock()
-		if a.win.originSet {
-			h.OriginNanos = a.win.origin.UnixNano()
-		}
-		a.win.mu.Unlock()
+	a.win.mu.Lock()
+	defer a.win.mu.Unlock()
+	h := fleet.Hello{Schema: SnapshotSchema(), WindowNanos: int64(a.win.dur)}
+	if a.win.originSet {
+		h.OriginNanos = a.win.origin.UnixNano()
 	}
 	return h
 }
 
 // ExportWindow encodes window n's complete folded snapshot. On a
 // windowed analyzer it is safe to call while analysis streams (the
-// window fold is read-only); a batch analyzer exports the whole run as
-// window 0 and must be quiescent. The error path is an encoding bug or
-// an out-of-range window, never data-dependent.
+// window fold is read-only). An unwindowed run is one unbounded window:
+// it exports the drained cumulative as window 0, and like Report must
+// not race an in-flight Add*. The error path is an encoding bug or an
+// out-of-range window, never data-dependent.
 func (a *Analyzer) ExportWindow(n int) (WindowExport, error) {
-	if a.win == nil {
-		if n != 0 {
-			return WindowExport{}, fmt.Errorf("batch run exports only window 0, not %d", n)
-		}
-		// Shallow copy so the merged application view rides in the
-		// snapshot without mutating the analyzer's own aggregate.
-		tmp := *a.cum
-		tmp.apps = a.mergedApps()
-		payload, err := fleet.Marshal(&tmp)
-		if err != nil {
-			return WindowExport{}, err
-		}
-		return WindowExport{Window: 0, Payload: payload}, nil
-	}
 	a.win.mu.Lock()
 	defer a.win.mu.Unlock()
-	if n < 0 || n > a.win.maxWindow {
-		return WindowExport{}, fmt.Errorf("window %d out of range (max %d)", n, a.win.maxWindow)
+	if max := a.exportCountLocked() - 1; n < 0 || n > max {
+		return WindowExport{}, fmt.Errorf("window %d out of range (max %d)", n, max)
 	}
-	payload, err := fleet.Marshal(a.win.foldWindowLocked(n))
+	e := a.cum
+	if a.Windowing() {
+		e = a.win.foldWindowLocked(n)
+	} else {
+		a.drainLocked()
+	}
+	payload, err := fleet.Marshal(e)
 	if err != nil {
 		return WindowExport{}, err
 	}
 	return WindowExport{Window: n, Watermark: wmNanos(a.win.watermark), Payload: payload}, nil
 }
 
+// exportCountLocked is how many snapshots the run exports: every known
+// window, or exactly one (the whole run) when it is not windowed.
+// Callers hold a.win.mu.
+func (a *Analyzer) exportCountLocked() int {
+	if !a.Windowing() {
+		return 1
+	}
+	return a.win.maxWindow + 1
+}
+
 // ExportAll encodes every known window (0..max, empty windows
 // included — presence is how the aggregator distinguishes "no traffic"
-// from "not delivered"). A batch analyzer exports the whole run as a
-// single window 0. Call at end of run for the canonical re-export pass;
-// the slice is empty when the analyzer saw no data at all.
+// from "not delivered"); an unwindowed analyzer exports the whole run as
+// a single window 0. Call at end of run for the canonical re-export
+// pass; a windowed analyzer that saw no data at all exports nothing.
 func (a *Analyzer) ExportAll() ([]WindowExport, error) {
-	if a.win == nil {
-		we, err := a.ExportWindow(0)
-		if err != nil {
-			return nil, err
-		}
-		return []WindowExport{we}, nil
-	}
 	a.win.mu.Lock()
-	max := a.win.maxWindow
+	count := a.exportCountLocked()
 	a.win.mu.Unlock()
-	out := make([]WindowExport, 0, max+1)
-	for n := 0; n <= max; n++ {
+	out := make([]WindowExport, 0, count)
+	for n := 0; n < count; n++ {
 		we, err := a.ExportWindow(n)
 		if err != nil {
 			return nil, err
@@ -407,7 +400,7 @@ func (f *Fleet) Report() *Report {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	merged, census := f.mergedLocked()
-	r := buildReport(f.dataset, merged, merged.apps, nil)
+	r := buildReport(f.dataset, merged, nil)
 	if len(census.Sites) > 0 {
 		r.Fleet = census
 	}
@@ -511,15 +504,7 @@ func (f *Fleet) windowReportLocked(n int) *WindowReport {
 			e.merge(dw.agg)
 		}
 	}
-	start := f.origin.Add(time.Duration(n) * f.window)
-	end := f.origin.Add(time.Duration(n+1) * f.window)
-	meta := &WindowMeta{Index: n, Start: start, End: end}
-	return &WindowReport{
-		Index:  n,
-		Start:  start,
-		End:    end,
-		Report: buildReport(f.dataset, e, e.apps, meta),
-	}
+	return newWindowReport(f.dataset, e, n, f.origin, f.window)
 }
 
 // FleetStatus is the operational view of a fleet merge, feeding the

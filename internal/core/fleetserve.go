@@ -2,8 +2,6 @@ package core
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -40,12 +38,14 @@ type FleetServer struct {
 // NewFleetServer returns a server over f (the handlers use only the
 // Fleet's concurrency-safe accessors).
 func NewFleetServer(f *Fleet) *FleetServer {
-	s := &FleetServer{f: f, mux: http.NewServeMux(), staleAfter: DefaultStallThreshold, now: time.Now}
-	s.mux.HandleFunc("/healthz", s.healthz)
-	s.mux.HandleFunc("/report/latest", s.latest)
-	s.mux.HandleFunc("/report/window/", s.window)
-	s.mux.HandleFunc("/report/fleet", s.fleet)
-	s.mux.HandleFunc("/report/final", s.final)
+	s := &FleetServer{f: f, staleAfter: DefaultStallThreshold, now: time.Now}
+	s.mux = newReportMux(f, s.healthz)
+	// /report/fleet serves the current merged cumulative, whatever its
+	// completeness; the Fleet section names what is missing while the
+	// fleet is partial.
+	s.mux.HandleFunc("/report/fleet", func(w http.ResponseWriter, req *http.Request) {
+		serveReport(w, f.Report())
+	})
 	return s
 }
 
@@ -156,69 +156,17 @@ func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 	if h.LostWindows > 0 || len(h.MissingSites) > 0 || len(h.StaleSites) > 0 {
 		h.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, h)
+	writeJSON(w, h)
 }
 
-func (s *FleetServer) latest(w http.ResponseWriter, req *http.Request) {
-	if !s.f.Windowing() {
-		httpError(w, http.StatusNotFound, "fleet is not windowed")
-		return
-	}
-	n := s.f.MaxWindow()
-	if n < 0 {
-		httpError(w, http.StatusNotFound, "no window delivered yet")
-		return
-	}
-	s.serveWindow(w, n)
-}
+func (f *Fleet) latestWindow() int { return f.MaxWindow() }
 
-func (s *FleetServer) window(w http.ResponseWriter, req *http.Request) {
-	if !s.f.Windowing() {
-		httpError(w, http.StatusNotFound, "fleet is not windowed")
-		return
+// finalJSON gates on fleet completeness: it is exactly what
+// /report/fleet would serve, but only once every site has finned — the
+// moment the merged report stops changing.
+func (f *Fleet) finalJSON() ([]byte, error) {
+	if !f.Status().FinalReady {
+		return nil, nil
 	}
-	raw := strings.TrimPrefix(req.URL.Path, "/report/window/")
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "window index must be an integer")
-		return
-	}
-	s.serveWindow(w, n)
-}
-
-func (s *FleetServer) serveWindow(w http.ResponseWriter, n int) {
-	wr, ok := s.f.WindowReport(n)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such window")
-		return
-	}
-	s.serveReport(w, wr.Report)
-}
-
-// fleet serves the current merged cumulative, whatever its completeness;
-// the Fleet section names what is missing while the fleet is partial.
-func (s *FleetServer) fleet(w http.ResponseWriter, req *http.Request) {
-	s.serveReport(w, s.f.Report())
-}
-
-// final gates on fleet completeness: it serves exactly what
-// /report/fleet would, but only once every site has finned — the moment
-// the merged report stops changing.
-func (s *FleetServer) final(w http.ResponseWriter, req *http.Request) {
-	if !s.f.Status().FinalReady {
-		httpError(w, http.StatusNotFound, "fleet incomplete: sites still reporting")
-		return
-	}
-	s.serveReport(w, s.f.Report())
-}
-
-func (s *FleetServer) serveReport(w http.ResponseWriter, r *Report) {
-	b, err := MarshalReport(r)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(b, '\n'))
+	return MarshalReport(f.Report())
 }

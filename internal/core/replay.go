@@ -37,15 +37,16 @@ import (
 // every stateful pairing domain (DNS/NBNS transaction matching, NFS/NCP
 // call-reply pairing, per-host-pair outcome folding) lives wholly inside
 // one worker and is processed there in global order; each worker
-// accumulates into its own appAggregates shard. The shards merge in
-// canonical order at report time (Analyzer.mergedApps), and because
-// every merged quantity is either commutative or pair-contained, the
-// report is byte-identical for any replay worker count.
+// accumulates into its own appAggregates shard. Report drains the
+// workers in shard order, and because every merged quantity is either
+// commutative or pair-contained, the report is byte-identical for any
+// replay worker count.
 //
 // Phase B also carries the connection-level accumulation that used to
-// run serially after replay — Table 3/Figure 1/origin sums (commutative)
-// and the fan/role distinct-peer evidence (pair-contained) — folded into
-// the Analyzer at join time in shard order.
+// run serially after replay: the Table 3/Figure 1/origin sums
+// (commutative) ride beside the worker's shard and drain with it, and
+// the fan/role distinct-peer evidence (pair-contained) folds into the
+// trace delta at join time in shard order.
 //
 // replayApps returns after phase A with phase B in flight; the caller
 // runs work that is independent of the per-shard state (trace load
@@ -55,23 +56,20 @@ import (
 // (mutex-guarded) reassembly pool; it reads the registry, connections,
 // and kept set without writing them — which is what makes the overlap
 // safe.
-// In windowed mode (Analyzer.win != nil) each worker additionally cuts
-// its shard's application aggregate into per-window deltas as it crosses
-// window boundaries in event time — first along the UDP pass, then
-// along the connection pass — banking connection-level sums per window
-// alongside. Workers never synchronize at boundaries (a lagging worker
-// cuts late); the deltas fold into the window and cumulative aggregates
-// at join, and the watermark machinery decides when windows complete.
-// The per-trace distinct-peer censuses (fan, roles) stay trace-granular:
+//
+// In a windowed run each worker cuts its shard at window boundaries
+// (see replayShard) and banks those deltas per window at join; the watermark machinery decides when windows complete. The
+// per-trace distinct-peer censuses (fan, roles) stay trace-granular:
 // slicing them per window would double-count peers seen in two windows.
+//
 // maxTS is the trace's event-time extent; connections still idle past
 // the IdleEvict horizon at that instant count toward the AgedOut
 // disposition. The check reads only the connection's own timestamps and
 // the trace-wide extent, so the count is bit-identical for any worker
 // count — whether or not the shard tables' memory sweep ever ran.
 func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Conn]*connStreams, events []udpEvent, kept map[*flows.Conn]bool, monitored netip.Prefix, tgt *epochAgg, maxTS time.Time) (join func()) {
-	shards := a.ensureReplayShards()
-	nshard := len(shards)
+	workers := a.ensureReplayWorkers()
+	nshard := len(workers)
 
 	// Phase A: classification snapshots (protocol name and Figure 1
 	// category) plus dynamic port registrations, in first-packet order.
@@ -130,13 +128,13 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 
 	trace := a.traceCount
 	inMonitored := func(h netip.Addr) bool { return monitored.Contains(h) }
-	results := make([]*replayResult, nshard)
+	results := make([]replayResult, nshard)
 	run := func(w int) {
-		ap := shards[w]
-		rr := &replayResult{}
+		ap := workers[w].shard
+		keptConns := make([]*flows.Conn, 0, len(connsByShard[w]))
 		// processConn replays one connection into the worker's current
 		// aggregates.
-		processConn := func(i int32, ca *connAggregates, keptConns *[]*flows.Conn) {
+		processConn := func(i int32, ca *connAggregates) {
 			rec := recs[i]
 			conn := rec.Conn
 			app := streams[conn]
@@ -148,7 +146,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 				ca.agedOut++
 			}
 			if kept[conn] {
-				*keptConns = append(*keptConns, conn)
+				keptConns = append(keptConns, conn)
 				a.accumulateConn(ca, conn, cats[i])
 				// Transport-level accumulation happens for every kept
 				// conn even without payloads (email figures, windows
@@ -170,27 +168,16 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 				ca.hostile.fold(app)
 			}
 		}
-		keptConns := make([]*flows.Conn, 0, len(connsByShard[w]))
-		if a.win == nil {
-			// Batch: UDP messages first, in arrival order — the order
-			// the sequential path parsed them in relative to connection
-			// replay — then connections, one aggregate for the trace.
-			replayUDPInto(ap, udpByShard[w], a.opts.IsLocal)
-			ca := newConnAggregates()
-			for _, i := range connsByShard[w] {
-				processConn(i, ca, &keptConns)
-			}
-			rr.ca = ca
-		} else {
-			rr.deltas = a.runWindowed(w, ap, recs, connsByShard[w], udpByShard[w], processConn, &keptConns)
-		}
+		deltas := a.replayShard(workers[w], recs, connsByShard[w], udpByShard[w], processConn)
 		// Distinct-peer censuses over this shard's kept connections:
 		// exact under the pair sharding, since every (host, peer) edge
 		// domain lives wholly in one shard. Trace-granular by design —
 		// see the windowed note above.
-		rr.fan = flows.FanInOut(keptConns, inMonitored, a.opts.IsLocal)
-		rr.roles = roles.Accumulate(keptConns)
-		results[w] = rr
+		results[w] = replayResult{
+			deltas: deltas,
+			fan:    flows.FanInOut(keptConns, inMonitored, a.opts.IsLocal),
+			roles:  roles.Accumulate(keptConns),
+		}
 	}
 	// Even a single replay worker runs as a goroutine, so the caller's
 	// shard-independent accumulation overlaps it on multicore hardware.
@@ -216,70 +203,103 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 	}
 }
 
-// runWindowed is one worker's windowed replay: the same UDP-then-conns
-// sequence as the batch path (so the shard's pairing state evolves
-// identically), with the shard aggregate cut into per-window snapshots
-// at boundary crossings. Both passes walk their events in arrival order,
-// which within a trace is timestamp order, so each pass's cuts are
-// monotone; timestamp regressions (possible in real captures) clamp to
-// the current window rather than banking backwards.
-func (a *Analyzer) runWindowed(w int, ap *appAggregates, recs []pipeline.ConnRecord, connIdx []int32, events []udpEvent, processConn func(int32, *connAggregates, *[]*flows.Conn), keptConns *[]*flows.Conn) []windowDelta {
+// replayWorker is one replay worker's state. It persists across traces:
+// a host pair always hashes to the same worker, so cross-trace pairing
+// state (DNS retries, RPC binds) stays worker-local.
+type replayWorker struct {
+	// shard accumulates the worker's share of the replay, and conns the
+	// connection-level sums beside it (nil when empty), until a cut
+	// moves what they banked out; only pairing state survives a cut.
+	shard *appAggregates
+	conns *connAggregates
+	// cumApps/cumConns are the running cumulative of everything the
+	// worker has cut (nil until its first cut): it folds its own deltas
+	// in, lock-free and parallel with the other workers.
+	cumApps  *appAggregates
+	cumConns *connAggregates
+}
+
+// cut moves everything the worker banked since the last cut into its
+// running cumulative and appends it to deltas for banking under window.
+func (rw *replayWorker) cut(deltas []windowDelta, window int) []windowDelta {
+	d, ca := rw.shard.cut(), rw.conns
+	rw.conns = nil
+	if d == nil && ca == nil {
+		return deltas
+	}
+	if rw.cumApps == nil {
+		rw.cumApps, rw.cumConns = newAppAggregates(), newConnAggregates()
+	}
+	if d != nil {
+		rw.cumApps.Merge(d)
+	}
+	if ca != nil {
+		rw.cumConns.merge(ca)
+	}
+	return append(deltas, windowDelta{window: window, apps: d, conns: ca})
+}
+
+// drain moves everything the worker holds into e: its running
+// cumulative first, then whatever it has banked since its last cut — on
+// an unwindowed run, where workers never cut, that is everything. Moving
+// keeps the drain idempotent: a report mid-run consumes only what has
+// been banked since the previous one.
+func (rw *replayWorker) drain(e *epochAgg) {
+	if rw.cumApps != nil {
+		e.apps.Merge(rw.cumApps)
+		e.foldConns(rw.cumConns)
+		rw.cumApps, rw.cumConns = nil, nil
+	}
+	if d := rw.shard.cut(); d != nil {
+		e.apps.Merge(d)
+	}
+	if rw.conns != nil {
+		e.foldConns(rw.conns)
+		rw.conns = nil
+	}
+}
+
+// replayShard is one worker's replay of its share of a trace: UDP
+// messages first, in arrival order — the order the sequential path
+// parsed them in relative to connection replay — then connections (a
+// connection banks wholly into the window of its first packet, even
+// when it straddles a boundary). The worker cuts wherever it crosses a
+// window boundary in event time, and a windowed run also cuts at end of
+// trace: the watermark is about to pass the trace, and can complete a
+// window only once every worker has banked its share of it. The deltas
+// are returned for per-window banking. An unwindowed run has no
+// boundaries (every timestamp maps to window 0) and no window waiting on
+// the shard, so the worker never cuts: the shard accumulates across
+// traces until Report drains it. Workers never synchronize at a boundary
+// (a lagging worker cuts late). Each pass walks in arrival order, which
+// within a trace is timestamp order, so its cuts are monotone; timestamp
+// regressions (possible in real captures) clamp to the current window.
+func (a *Analyzer) replayShard(rw *replayWorker, recs []pipeline.ConnRecord, connIdx []int32, events []udpEvent, processConn func(int32, *connAggregates)) []windowDelta {
 	var deltas []windowDelta
-	// UDP pass.
-	cur := -1
-	bankUDP := func() {
-		if d := ap.cut(); d != nil {
-			deltas = append(deltas, windowDelta{window: cur, apps: d})
-			a.cumApps[w].Merge(d)
+	cur, floor := -1, 0
+	// enter moves the worker into the window of ts (never below the
+	// pass's floor), cutting what it banked in the window it leaves.
+	enter := func(ts time.Time) {
+		floor = max(floor, a.win.windowOf(ts))
+		if cur >= 0 && floor != cur {
+			deltas = rw.cut(deltas, cur)
 		}
+		cur = floor
 	}
 	for _, ev := range events {
-		n := a.win.windowOf(ev.ts)
-		if n < cur {
-			n = cur
-		}
-		if cur >= 0 && n != cur {
-			bankUDP()
-		}
-		cur = n
-		replayUDPEvent(ap, ev, a.opts.IsLocal)
+		enter(ev.ts)
+		replayUDPEvent(rw.shard, ev, a.opts.IsLocal)
 	}
-	if cur >= 0 {
-		bankUDP()
-	}
-	// Connection pass: a connection banks wholly into the window of its
-	// first packet, even when it straddles the boundary.
-	cur = -1
-	var ca *connAggregates
-	bankConns := func() {
-		d := ap.cut()
-		if d != nil || ca != nil {
-			deltas = append(deltas, windowDelta{window: cur, apps: d, conns: ca})
-		}
-		if d != nil {
-			a.cumApps[w].Merge(d)
-		}
-		if ca != nil {
-			a.cumConns[w].merge(ca)
-		}
-		ca = nil
-	}
+	floor = 0
 	for _, i := range connIdx {
-		n := a.win.windowOf(recs[i].Conn.Start)
-		if n < cur {
-			n = cur
+		enter(recs[i].Conn.Start)
+		if rw.conns == nil {
+			rw.conns = newConnAggregates()
 		}
-		if cur >= 0 && n != cur {
-			bankConns()
-		}
-		cur = n
-		if ca == nil {
-			ca = newConnAggregates()
-		}
-		processConn(i, ca, keptConns)
+		processConn(i, rw.conns)
 	}
-	if cur >= 0 {
-		bankConns()
+	if a.Windowing() && cur >= 0 {
+		deltas = rw.cut(deltas, cur)
 	}
 	return deltas
 }
@@ -320,42 +340,32 @@ func (ca *connAggregates) merge(o *connAggregates) {
 	ca.agedOut += o.agedOut
 }
 
-// replayResult is one worker's output for one trace: the whole-trace
-// connection sums (batch mode) or per-window deltas (windowed mode),
-// plus the trace-granular distinct-peer censuses.
+// replayResult is one worker's output for one trace: the deltas to bank
+// per window (none when the run is not windowed) plus the trace-granular
+// distinct-peer censuses.
 type replayResult struct {
-	ca     *connAggregates
 	deltas []windowDelta
 	fan    map[netip.Addr]*flows.FanStats
 	roles  *roles.Partial
 }
 
-// foldReplayResults folds the per-worker results into the trace target,
-// in shard order; every fold is a sum (or, windowed, a banked delta
-// merge in shard-major order), so the totals are identical for any
-// shard count.
-func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []*replayResult) {
-	var rolePartial *roles.Partial
-	for _, rr := range results {
-		if rr.ca != nil {
-			tgt.foldConns(rr.ca)
-		}
-		if len(rr.deltas) > 0 {
-			a.win.bankDeltas(rr.deltas)
-		}
+// foldReplayResults folds the per-worker results into the trace target
+// and banks the window deltas, in shard order; every fold is a sum or a
+// banked delta merge in shard-major order, so the totals are identical
+// for any shard count.
+func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []replayResult) {
+	evidence := results[0].roles
+	for w, rr := range results {
+		a.win.bankDeltas(rr.deltas)
 		tgt.foldFan(rr.fan)
-		if rolePartial == nil {
-			rolePartial = rr.roles
-		} else {
-			rolePartial.Merge(rr.roles)
+		if w > 0 {
+			evidence.Merge(rr.roles)
 		}
 	}
 	// Role verdicts are per trace (thresholds apply to the merged
 	// evidence), summed across traces like the serial path did.
-	if rolePartial != nil {
-		for role, n := range roles.Summary(rolePartial.Finalize(roles.Config{})) {
-			tgt.roleCounts[role] += n
-		}
+	for role, n := range roles.Summary(evidence.Finalize(roles.Config{})) {
+		tgt.roleCounts[role] += n
 	}
 }
 
@@ -457,19 +467,9 @@ func udpAppPorts(srcPort, dstPort uint16) bool {
 	return false
 }
 
-// replayUDPInto feeds captured datagrams through the message analyzers
-// in arrival order — the order the sequential path parsed them in.
-func replayUDPInto(ap *appAggregates, events []udpEvent, isLocal func(netip.Addr) bool) {
-	for _, ev := range events {
-		replayUDPEvent(ap, ev, isLocal)
-	}
-}
-
 // replayUDPEvent dispatches one captured datagram. The DNS decode
 // scratch lives on the aggregate (one per worker, reused across
-// events); the windowed pass dispatches event-by-event between window
-// cuts, and sharing this dispatcher with the batch loop keeps the two
-// paths from drifting.
+// events).
 func replayUDPEvent(ap *appAggregates, ev udpEvent, isLocal func(netip.Addr) bool) {
 	switch {
 	case ev.dstPort == 53 || ev.srcPort == 53:

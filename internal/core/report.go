@@ -371,29 +371,16 @@ type LoadReport struct {
 	EntOver1Pct, WanOver1Pct float64
 }
 
-// Report finalizes all accumulated state into the dataset report. In
-// batch mode it reads the cumulative aggregate plus the live replay
-// shards; in windowed mode the cumulative aggregate already holds every
-// banked delta (merged in banking order), so the report is byte-identical
-// to a batch run over the same traces.
+// Report finalizes all accumulated state into the dataset report. The
+// cumulative aggregate already holds every trace's delta, merged in
+// banking order; the replay workers drain into it here, in shard order,
+// so the report is byte-identical for any window length and worker
+// count, however often it is taken. Must not race an in-flight Add*.
 func (a *Analyzer) Report() *Report {
-	if a.win != nil {
-		a.win.mu.Lock()
-		defer a.win.mu.Unlock()
-		// Drain each worker's running cumulative aggregate, in shard
-		// order (the batch path's mergedApps order). cut() keeps the
-		// drain idempotent: a report mid-run consumes only what has been
-		// banked since the previous one.
-		for i, cs := range a.cumApps {
-			if d := cs.cut(); d != nil {
-				a.cum.apps.Merge(d)
-			}
-			a.cum.foldConns(a.cumConns[i])
-			a.cumConns[i] = newConnAggregates()
-		}
-		return buildReport(a.opts.Dataset, a.cum, a.cum.apps, nil)
-	}
-	return buildReport(a.opts.Dataset, a.cum, a.mergedApps(), nil)
+	a.win.mu.Lock()
+	defer a.win.mu.Unlock()
+	a.drainLocked()
+	return buildReport(a.opts.Dataset, a.cum, nil)
 }
 
 // frac is num/den guarded against empty denominators: a quiet window
@@ -407,10 +394,9 @@ func frac(num, den float64) float64 {
 }
 
 // buildReport renders one epoch aggregate (the whole run or one window)
-// into the dataset report. ap supplies the application-level sections —
-// the canonical shard merge in batch mode, the epoch's own banked
-// aggregate in windowed mode.
-func buildReport(dataset string, e *epochAgg, ap *appAggregates, win *WindowMeta) *Report {
+// into the dataset report.
+func buildReport(dataset string, e *epochAgg, win *WindowMeta) *Report {
+	ap := e.apps
 	r := &Report{Dataset: dataset, Window: win}
 	r.Table1 = DatasetStats{
 		Packets:        e.totalPackets,

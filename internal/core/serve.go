@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -25,10 +24,6 @@ import (
 type ReportServer struct {
 	a   *Analyzer
 	mux *http.ServeMux
-
-	// finalJSON is written once by SetFinal (on the analysis goroutine)
-	// and read by handlers; atomic, since the two race by design.
-	finalJSON atomic.Pointer[[]byte]
 
 	// Stall detection: /healthz tracks a progress signature (packets
 	// seen, watermark) and reports the server degraded once it stops
@@ -52,11 +47,8 @@ func (s *ReportServer) SetStallThreshold(d time.Duration) { s.stallAfter = d }
 // NewReportServer returns a server over a (the handlers use only the
 // Analyzer's concurrency-safe accessors).
 func NewReportServer(a *Analyzer) *ReportServer {
-	s := &ReportServer{a: a, mux: http.NewServeMux(), stallAfter: DefaultStallThreshold}
-	s.mux.HandleFunc("/healthz", s.healthz)
-	s.mux.HandleFunc("/report/latest", s.latest)
-	s.mux.HandleFunc("/report/window/", s.window)
-	s.mux.HandleFunc("/report/final", s.final)
+	s := &ReportServer{a: a, stallAfter: DefaultStallThreshold}
+	s.mux = newReportMux(a, s.healthz)
 	return s
 }
 
@@ -69,7 +61,7 @@ func (s *ReportServer) SetFinal(r *Report) error {
 	if err != nil {
 		return err
 	}
-	s.finalJSON.Store(&b)
+	s.a.final.Store(&b)
 	return nil
 }
 
@@ -125,7 +117,7 @@ func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
 		Windowing:        s.a.Windowing(),
 		Windows:          s.a.WindowCount(),
 		CompletedWindows: s.a.LatestWindowIndex() + 1,
-		FinalReady:       s.finalJSON.Load() != nil,
+		FinalReady:       s.a.final.Load() != nil,
 		LiveConns:        s.a.LiveConns(),
 		SourceErrors:     s.a.SourceErrorsSeen(),
 		Draining:         s.a.Stopping(),
@@ -148,73 +140,107 @@ func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
 	if h.SourceErrors > 0 {
 		h.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, h)
+	writeJSON(w, h)
 }
 
-func (s *ReportServer) latest(w http.ResponseWriter, req *http.Request) {
-	if !s.a.Windowing() {
-		httpError(w, http.StatusNotFound, "windowing disabled; run with -window")
-		return
-	}
-	n := s.a.LatestWindowIndex()
-	if n < 0 {
-		httpError(w, http.StatusNotFound, "no completed window yet")
-		return
-	}
-	s.serveWindow(w, n)
+// reportView is what the report endpoints need from the thing they
+// serve. Analyzer and Fleet implement it, so a fleet-wide report is
+// drop-in for a single-instance consumer.
+type reportView interface {
+	Windowing() bool
+	// latestWindow is the window /report/latest serves (-1 when none).
+	latestWindow() int
+	WindowReport(n int) (*WindowReport, bool)
+	// finalJSON is the marshaled cumulative report once it has stopped
+	// changing, nil until then.
+	finalJSON() ([]byte, error)
 }
 
-func (s *ReportServer) window(w http.ResponseWriter, req *http.Request) {
-	if !s.a.Windowing() {
-		httpError(w, http.StatusNotFound, "windowing disabled; run with -window")
-		return
+func (a *Analyzer) latestWindow() int { return a.LatestWindowIndex() }
+
+func (a *Analyzer) finalJSON() ([]byte, error) {
+	if b := a.final.Load(); b != nil {
+		return *b, nil
 	}
-	raw := strings.TrimPrefix(req.URL.Path, "/report/window/")
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "window index must be an integer")
-		return
-	}
-	s.serveWindow(w, n)
+	return nil, nil
 }
 
-func (s *ReportServer) serveWindow(w http.ResponseWriter, n int) {
-	wr, ok := s.a.WindowReport(n)
+// newReportMux wires the endpoints both servers share — /report/latest,
+// /report/window/<n>, /report/final over v — beside the server's own
+// /healthz.
+func newReportMux(v reportView, healthz http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", healthz)
+	mux.HandleFunc("/report/latest", func(w http.ResponseWriter, req *http.Request) {
+		if !v.Windowing() {
+			httpError(w, http.StatusNotFound, "windowing disabled; window endpoints need -window")
+			return
+		}
+		n := v.latestWindow()
+		if n < 0 {
+			httpError(w, http.StatusNotFound, "no completed window yet")
+			return
+		}
+		serveWindow(w, v, n)
+	})
+	mux.HandleFunc("/report/window/", func(w http.ResponseWriter, req *http.Request) {
+		if !v.Windowing() {
+			httpError(w, http.StatusNotFound, "windowing disabled; window endpoints need -window")
+			return
+		}
+		n, err := strconv.Atoi(strings.TrimPrefix(req.URL.Path, "/report/window/"))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "window index must be an integer")
+			return
+		}
+		serveWindow(w, v, n)
+	})
+	mux.HandleFunc("/report/final", func(w http.ResponseWriter, req *http.Request) {
+		b, err := v.finalJSON()
+		switch {
+		case err != nil:
+			httpError(w, http.StatusInternalServerError, err.Error())
+		case b == nil:
+			httpError(w, http.StatusNotFound, "final report not ready: still running")
+		default:
+			writeReportJSON(w, b)
+		}
+	})
+	return mux
+}
+
+func serveWindow(w http.ResponseWriter, v reportView, n int) {
+	wr, ok := v.WindowReport(n)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such window")
 		return
 	}
-	b, err := MarshalReport(wr.Report)
+	serveReport(w, wr.Report)
+}
+
+func serveReport(w http.ResponseWriter, r *Report) {
+	b, err := MarshalReport(r)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(b, '\n'))
+	writeReportJSON(w, b)
 }
 
-func (s *ReportServer) final(w http.ResponseWriter, req *http.Request) {
-	b := s.finalJSON.Load()
-	if b == nil {
-		httpError(w, http.StatusNotFound, "analysis still running")
-		return
-	}
+func writeReportJSON(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(*b)
+	w.Write(b)
 	w.Write([]byte("\n"))
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	writeReportJSON(w, b)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

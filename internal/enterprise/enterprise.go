@@ -12,7 +12,7 @@
 // monitor the subnets holding the main DNS and print servers instead.
 //
 // Everything here is static topology shared by the generator and the
-// analyzer; it carries no analysis state and so no Snapshot/Reset
+// analyzer; it carries no analysis state and so no Cut/Merge
 // obligations. DESIGN.md § "System inventory" maps these types to the
 // rest of the system.
 package enterprise

@@ -11,8 +11,8 @@
 // Epoch obligations: none directly — a Table is per-shard, lives for a
 // whole trace, and connections may straddle window boundaries. The
 // windowed layer above (internal/core) banks a connection into the epoch
-// in which it closes and snapshots its own aggregates; see DESIGN.md
-// § "Epoch snapshots and windowed reports: the Snapshot/Reset/watermark
+// of its first packet and cuts its own aggregates; see DESIGN.md
+// § "Epoch cuts and windowed reports: the Cut/Merge/watermark
 // contract".
 package flows
 

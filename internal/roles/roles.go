@@ -6,13 +6,12 @@
 // client (fan-out dominated), a peer (balanced, many symmetric
 // conversations — the SrvLoc pattern), or inactive.
 //
-// Epoch obligations: Partial provides the aggregate layer's
-// Snapshot/Reset pair (Snapshot returns the evidence accumulated since
-// the last Reset as an independent mergeable value). Role evidence is
-// trace-granular in the windowed design — a whole trace's Partial banks
-// into the window containing the trace's last packet rather than being
-// cut mid-trace; see DESIGN.md § "Epoch snapshots and windowed reports:
-// the Snapshot/Reset/watermark contract".
+// Epoch obligations: Partial owes the aggregate layer only Merge. Role
+// evidence is trace-granular — each replay worker accumulates a fresh
+// Partial per trace, the workers' Partials merge at join, and the whole
+// trace's verdicts bank into the window containing the trace's last
+// packet rather than being cut mid-trace; see DESIGN.md § "Epoch cuts
+// and windowed reports: the Cut/Merge/watermark contract".
 package roles
 
 import (
@@ -224,32 +223,6 @@ func (pt *Partial) Merge(other *Partial) {
 	for hp, n := range other.ports {
 		pt.ports[hp] += n
 	}
-}
-
-// Snapshot returns an independent copy of the evidence accumulated
-// since the last Reset, so a long-running accumulation can cut per-epoch
-// role censuses (Finalize consumes its receiver; snapshotting first
-// keeps the running evidence intact).
-func (pt *Partial) Snapshot() *Partial {
-	s := &Partial{
-		profiles: make(map[netip.Addr]*HostProfile, len(pt.profiles)),
-		ports:    make(map[hostPort]int, len(pt.ports)),
-	}
-	for h, p := range pt.profiles {
-		cp := *p
-		cp.ServicePorts = append([]uint16(nil), p.ServicePorts...)
-		s.profiles[h] = &cp
-	}
-	for hp, n := range pt.ports {
-		s.ports[hp] = n
-	}
-	return s
-}
-
-// Reset clears the accumulated evidence in place.
-func (pt *Partial) Reset() {
-	clear(pt.profiles)
-	clear(pt.ports)
 }
 
 // Finalize applies the service-port threshold and the role rules,

@@ -2,6 +2,7 @@ package roles
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -162,29 +163,36 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// TestPartialSnapshotReset pins the epoch-cut contract: Snapshot
-// captures the evidence accumulated so far independently (Finalize
-// consumes its receiver, so a long-running accumulation snapshots
-// first), and Reset clears the evidence in place.
-func TestPartialSnapshotReset(t *testing.T) {
+// TestPartialMergeMatchesUncut pins what the epoch machinery asks of
+// Partial: evidence accumulated per replay shard (connections split by
+// host pair) and merged reaches the verdicts of one accumulation over
+// all the connections, and Merge leaves its source intact — Finalize
+// consumes its receiver, so a source that aliased the merged evidence
+// would lose or corrupt its own.
+func TestPartialMergeMatchesUncut(t *testing.T) {
 	srv := addr(1)
-	conns := []*flows.Conn{
-		conn(addr(2), srv, 40000, 80),
-		conn(addr(3), srv, 40001, 80),
-		conn(addr(4), srv, 40002, 80),
+	shards := [][]*flows.Conn{
+		{conn(addr(2), srv, 40000, 80), conn(addr(2), srv, 40003, 80)},
+		{conn(addr(3), srv, 40001, 80)},
+		{conn(addr(4), srv, 40002, 80), conn(srv, addr(4), 40004, 22)},
 	}
-	pt := Accumulate(conns)
-	want := Summary(Accumulate(conns).Finalize(Config{}))
-	got := Summary(pt.Snapshot().Finalize(Config{}))
-	if len(got) != len(want) || got[Server] != want[Server] || got[Client] != want[Client] {
-		t.Errorf("snapshot verdicts %v != direct %v", got, want)
+	var all []*flows.Conn
+	merged := Accumulate(nil)
+	parts := make([]*Partial, len(shards))
+	for i, sh := range shards {
+		all = append(all, sh...)
+		parts[i] = Accumulate(sh)
+		merged.Merge(parts[i])
 	}
-	// Finalize consumed the snapshot, not the original evidence.
-	if again := Summary(pt.Snapshot().Finalize(Config{})); again[Server] != want[Server] {
-		t.Error("finalizing a snapshot consumed the original evidence")
+	want := Classify(all, Config{})
+	got := merged.Finalize(Config{})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged shard verdicts %v != uncut %v", Summary(got), Summary(want))
 	}
-	pt.Reset()
-	if n := len(Summary(pt.Finalize(Config{}))); n != 0 {
-		t.Errorf("reset left %d profiles", n)
+	// Finalizing the merge consumed the merge, not the sources.
+	for i, sh := range shards {
+		if own := parts[i].Finalize(Config{}); !reflect.DeepEqual(own, Classify(sh, Config{})) {
+			t.Errorf("shard %d evidence changed after being merged", i)
+		}
 	}
 }

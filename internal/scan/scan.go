@@ -11,8 +11,8 @@
 // so a slow scan cannot escape detection by straddling window cuts, and
 // the removal delta banks into the window containing the trace's last
 // packet. Reset readies a Detector for the next trace, not the next
-// window. See DESIGN.md § "Epoch snapshots and windowed reports: the
-// Snapshot/Reset/watermark contract".
+// window. See DESIGN.md § "Epoch cuts and windowed reports: the
+// Cut/Merge/watermark contract".
 package scan
 
 import (

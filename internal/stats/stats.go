@@ -9,12 +9,13 @@
 // keeps all samples (or exact counts) rather than sketching, because the
 // reproduction operates at a scale where exactness is affordable.
 //
-// Epoch obligations: Counter and Dist implement the aggregate layer's
-// Snapshot/Reset pair (DESIGN.md § "Epoch snapshots and windowed
-// reports") — Snapshot returns the values banked since the last Reset as
-// an independent aggregate that merges elsewhere, Reset clears banked
-// values in O(1), and snapshot-merge across epochs reproduces the batch
-// aggregate exactly.
+// Epoch obligations: Counter and Dist are the leaves of the aggregate
+// layer's Cut + Merge contract (DESIGN.md § "Epoch cuts and windowed
+// reports"). An owner cuts by moving a banked Counter or Dist out and
+// installing a fresh one, so neither type needs a cut of its own; what
+// they owe is an exact Merge — folding the pieces of any partition
+// reproduces the aggregate that never split, bit for bit — that leaves
+// its source usable and aliases nothing.
 package stats
 
 import (
@@ -88,26 +89,6 @@ func (c *Counter) Merge(other *Counter) {
 	for k, v := range other.counts {
 		c.Add(k, v)
 	}
-}
-
-// Snapshot returns an independent copy of the counter — the epoch cut
-// primitive: Snapshot captures everything accumulated since the last
-// Reset, and merging every snapshot reproduces the counter that never
-// reset. The copy shares no state with c.
-func (c *Counter) Snapshot() *Counter {
-	s := &Counter{counts: make(map[string]int64, len(c.counts)), total: c.total}
-	for k, v := range c.counts {
-		s.counts[k] = v
-	}
-	return s
-}
-
-// Reset clears all counts in place, retaining map capacity. The
-// Snapshot/Reset pair is how long-running accumulations cut per-window
-// deltas without disturbing concurrent readers of earlier snapshots.
-func (c *Counter) Reset() {
-	clear(c.counts)
-	c.total = 0
 }
 
 // Dist is an empirical distribution over float64 samples. It is exact but
@@ -340,34 +321,6 @@ func (d *Dist) Merge(other *Dist) {
 		d.vals = append(d.vals, other.vals[j])
 		d.counts = append(d.counts, other.counts[j])
 	}
-}
-
-// Snapshot returns an independent copy of the distribution holding
-// exactly the samples observed since the last Reset. Merging every
-// snapshot yields a distribution bit-identical to one that never reset
-// (Merge is exact), which is the windowed-report invariant. d is
-// compacted as a side effect (logically unchanged, like every read).
-func (d *Dist) Snapshot() *Dist {
-	d.compact()
-	d.foldPending()
-	s := &Dist{nan: d.nan, n: d.n}
-	if len(d.vals) > 0 {
-		s.vals = append(make([]float64, 0, len(d.vals)), d.vals...)
-		s.counts = append(make([]int64, 0, len(d.counts)), d.counts...)
-	}
-	return s
-}
-
-// Reset drops all samples in place, retaining the run-list and staging
-// capacity for the next epoch.
-func (d *Dist) Reset() {
-	d.vals = d.vals[:0]
-	d.counts = d.counts[:0]
-	d.cum = d.cum[:0]
-	d.staged = d.staged[:0]
-	d.pendingVals, d.pendingCounts, d.pendingN = nil, nil, 0
-	d.nan = 0
-	d.n = 0
 }
 
 // stageRuns copies other's run list into the pending set, folding once

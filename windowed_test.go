@@ -114,3 +114,57 @@ func TestWindowedMatchesBatchGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestMidRunReportsLeaveFinalUnchanged pins that taking reports is free
+// of side effects on the answer: Report() drains the replay workers'
+// running cumulatives into the cumulative aggregate, so a run that calls
+// Report() and WindowReports() after every trace folds the same deltas
+// in a different grouping than a run that reports once — and must still
+// end in the same bytes, text and JSON, windowed or not, at any replay
+// worker count.
+func TestMidRunReportsLeaveFinalUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end analysis in -short mode")
+	}
+	ds := determinismDataset(t, "D3", 0.15)
+	run := func(workers int, window time.Duration, everyTrace bool) []byte {
+		a := core.NewAnalyzer(core.Options{
+			Dataset:         ds.Config.Name,
+			KnownScanners:   enterprise.KnownScanners(),
+			PayloadAnalysis: true,
+			Workers:         workers,
+			ReplayWorkers:   workers,
+			Window:          window,
+		})
+		for _, tr := range ds.Traces {
+			if err := a.AddTrace(core.TraceInput{Name: tr.Prefix.String(), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+				t.Fatal(err)
+			}
+			if everyTrace {
+				a.Report()
+				a.WindowReports()
+			}
+		}
+		final, wins := a.Report(), a.WindowReports()
+		if (window > 0) != (len(wins) > 1) {
+			t.Fatalf("window %v produced %d windows", window, len(wins))
+		}
+		// What entanalyze prints, in both formats.
+		var buf bytes.Buffer
+		if len(wins) > 0 {
+			buf.WriteString(core.RenderWindowSummary(wins))
+		}
+		buf.WriteString(core.RenderText(final))
+		if err := core.WriteRunJSON(&buf, wins, final); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, window := range []time.Duration{0, 10 * time.Minute} {
+		for _, workers := range []int{1, 4} {
+			if !bytes.Equal(run(workers, window, true), run(workers, window, false)) {
+				t.Errorf("window %v, %d workers: reporting after every trace changed the final report", window, workers)
+			}
+		}
+	}
+}
