@@ -176,111 +176,103 @@ func fillBody(n int) []byte {
 // ParseRequests parses a reassembled client→server stream into requests.
 // Parsing is tolerant: a malformed head terminates the parse, returning
 // what was recognized. The stream is borrowed: every retained field is an
-// owned string copy, so the caller may recycle the buffer afterwards.
+// owned string copy, so the caller may recycle the buffer afterwards. It
+// is a one-chunk feed of StreamParser.
 func ParseRequests(stream []byte) []Request {
-	var out []Request
-	for len(stream) > 0 {
-		head, rest, ok := splitHead(stream)
-		if !ok {
-			break
-		}
-		first, hdrs := cutLine(head)
-		method, after, ok1 := cutByte(first, ' ')
-		uri, version, ok2 := cutByte(after, ' ')
-		if !ok1 || !ok2 || !bytes.HasPrefix(version, []byte("HTTP/")) {
-			break
-		}
-		r := Request{Method: internMethod(method), URI: string(uri)}
-		cl := 0
-		for len(hdrs) > 0 {
-			var ln []byte
-			ln, hdrs = cutLine(hdrs)
-			name, val, found := cutByte(ln, ':')
-			if !found {
-				continue
-			}
-			val = trimSpace(val)
-			switch {
-			case nameIs(name, "host"):
-				r.Host = string(val)
-			case nameIs(name, "user-agent"):
-				r.UserAgent = string(val)
-			case nameIs(name, "if-modified-since"), nameIs(name, "if-none-match"):
-				r.Conditional = true
-			case nameIs(name, "content-length"):
-				cl = parseInt(val)
-			}
-		}
-		if cl > len(rest) {
-			cl = len(rest) // truncated capture
-		}
-		r.BodyLen = cl
-		out = append(out, r)
-		stream = rest[cl:]
-	}
-	return out
+	var p StreamParser
+	p.InitRequests(0)
+	p.Data(stream)
+	return p.Requests()
 }
 
 // ParseResponses parses a reassembled server→client stream into responses.
 // The stream is borrowed; see ParseRequests.
 func ParseResponses(stream []byte) []Response {
-	var out []Response
-	for len(stream) > 0 {
-		head, rest, ok := splitHead(stream)
-		if !ok {
-			break
-		}
-		first, hdrs := cutLine(head)
-		version, after, ok1 := cutByte(first, ' ')
-		if !ok1 || !bytes.HasPrefix(version, []byte("HTTP/")) {
-			break
-		}
-		codeStr := after
-		if i := bytes.IndexByte(after, ' '); i >= 0 {
-			codeStr = after[:i]
-		}
-		status := parseInt(codeStr)
-		if status <= 0 {
-			break
-		}
-		r := Response{Status: status}
-		cl := 0
-		for len(hdrs) > 0 {
-			var ln []byte
-			ln, hdrs = cutLine(hdrs)
-			name, val, found := cutByte(ln, ':')
-			if !found {
-				continue
-			}
-			val = trimSpace(val)
-			switch {
-			case nameIs(name, "content-type"):
-				if semi := bytes.IndexByte(val, ';'); semi >= 0 {
-					val = val[:semi]
-				}
-				r.ContentType = string(val)
-			case nameIs(name, "content-length"):
-				cl = parseInt(val)
-			}
-		}
-		if cl > len(rest) {
-			cl = len(rest)
-		}
-		r.BodyLen = cl
-		out = append(out, r)
-		stream = rest[cl:]
-	}
-	return out
+	var p StreamParser
+	p.InitResponses(0)
+	p.Data(stream)
+	return p.Responses()
 }
 
-// splitHead cuts the header block (up to CRLFCRLF) from a stream without
-// copying it.
-func splitHead(stream []byte) (head, rest []byte, ok bool) {
-	idx := bytes.Index(stream, []byte("\r\n\r\n"))
-	if idx < 0 {
-		return nil, nil, false
+// parseRequestLine splits a request's first line; ok is false when it is
+// not "method SP uri SP HTTP/…".
+func parseRequestLine(first []byte) (method, uri []byte, ok bool) {
+	method, after, ok1 := cutByte(first, ' ')
+	uri, version, ok2 := cutByte(after, ' ')
+	return method, uri, ok1 && ok2 && bytes.HasPrefix(version, []byte("HTTP/"))
+}
+
+// parseStatusLine extracts a response's status code; ok is false when the
+// first line is not "HTTP/… SP positive-code …".
+func parseStatusLine(first []byte) (status int, ok bool) {
+	version, after, ok1 := cutByte(first, ' ')
+	if !ok1 || !bytes.HasPrefix(version, []byte("HTTP/")) {
+		return 0, false
 	}
-	return stream[:idx], stream[idx+4:], true
+	codeStr, _, _ := cutByte(after, ' ')
+	status = parseInt(codeStr)
+	return status, status > 0
+}
+
+// parseRequestHead parses one request head (everything before its
+// CRLFCRLF). cl is the declared Content-Length; the caller counts the body
+// bytes the stream actually carries into BodyLen.
+func parseRequestHead(head []byte) (r Request, cl int, ok bool) {
+	first, hdrs := cutLine(head)
+	method, uri, ok := parseRequestLine(first)
+	if !ok {
+		return r, 0, false
+	}
+	r = Request{Method: internMethod(method), URI: string(uri)}
+	for len(hdrs) > 0 {
+		var ln []byte
+		ln, hdrs = cutLine(hdrs)
+		name, val, found := cutByte(ln, ':')
+		if !found {
+			continue
+		}
+		val = trimSpace(val)
+		switch {
+		case nameIs(name, "host"):
+			r.Host = string(val)
+		case nameIs(name, "user-agent"):
+			r.UserAgent = string(val)
+		case nameIs(name, "if-modified-since"), nameIs(name, "if-none-match"):
+			r.Conditional = true
+		case nameIs(name, "content-length"):
+			cl = parseInt(val)
+		}
+	}
+	return r, cl, true
+}
+
+// parseResponseHead is parseRequestHead for a response head.
+func parseResponseHead(head []byte) (r Response, cl int, ok bool) {
+	first, hdrs := cutLine(head)
+	status, ok := parseStatusLine(first)
+	if !ok {
+		return r, 0, false
+	}
+	r = Response{Status: status}
+	for len(hdrs) > 0 {
+		var ln []byte
+		ln, hdrs = cutLine(hdrs)
+		name, val, found := cutByte(ln, ':')
+		if !found {
+			continue
+		}
+		val = trimSpace(val)
+		switch {
+		case nameIs(name, "content-type"):
+			if semi := bytes.IndexByte(val, ';'); semi >= 0 {
+				val = val[:semi]
+			}
+			r.ContentType = string(val)
+		case nameIs(name, "content-length"):
+			cl = parseInt(val)
+		}
+	}
+	return r, cl, true
 }
 
 // cutLine splits off the first CRLF-terminated line; the remainder is

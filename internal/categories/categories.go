@@ -18,6 +18,7 @@ package categories
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -199,6 +200,20 @@ func (r *Registry) Classify(transport uint8, orig, resp netip.Addr, origPort, re
 		return "", OtherTCP
 	}
 	return "", OtherUDP
+}
+
+// WellKnown returns the name the static Table 4 set gives a port, or ""
+// if it gives none. Classify consults the responder's well-known port
+// before anything else, so a connection whose responder port is
+// well-known has this name whatever is registered dynamically later.
+func WellKnown(transport uint8, port uint16) string {
+	for i := range wellKnown {
+		p := &wellKnown[i]
+		if (p.Transport == 0 || p.Transport == transport) && slices.Contains(p.Ports, port) {
+			return p.Name
+		}
+	}
+	return ""
 }
 
 // PortOf returns the first well-known port for a protocol name, for the

@@ -108,6 +108,26 @@ func TestDynamicRegistration(t *testing.T) {
 	}
 }
 
+// WellKnown must name exactly what Classify resolves from the responder
+// port alone, and a dynamic registration must never change that verdict:
+// the analyzer retires a stream's bytes early on the strength of it.
+func TestWellKnownIsTheFixedVerdict(t *testing.T) {
+	r := NewRegistry()
+	for _, tp := range []uint8{layers.ProtoTCP, layers.ProtoUDP} {
+		for port := 1; port <= 0xFFFF; port++ {
+			want, _ := r.Classify(tp, tClient, tServer, 0, uint16(port))
+			if got := WellKnown(tp, uint16(port)); got != want {
+				t.Fatalf("WellKnown(%d, %d) = %q, Classify says %q", tp, port, got, want)
+			}
+		}
+	}
+	r.Register(tServer, layers.ProtoTCP, 80, "Spoolss", Windows)
+	r.Register(tClient, layers.ProtoTCP, 40000, "Spoolss", Windows)
+	if name, _ := r.Classify(layers.ProtoTCP, tClient, tServer, 40000, 80); name != WellKnown(layers.ProtoTCP, 80) {
+		t.Errorf("a dynamic registration overrode the responder's well-known port: %q", name)
+	}
+}
+
 func TestPortOf(t *testing.T) {
 	if p, ok := PortOf("SMTP"); !ok || p != 25 {
 		t.Errorf("PortOf(SMTP) = %d, %v", p, ok)

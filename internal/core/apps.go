@@ -476,13 +476,6 @@ func (h *httpAgg) conn(c *flows.Conn, wan bool, reqs []http.Request, resps []htt
 	}
 }
 
-// httpConn is the dispatcher entry point.
-func (ap *appAggregates) httpConn(c *flows.Conn, wan bool, cliStream, srvStream []byte) {
-	reqs := http.ParseRequests(cliStream)
-	resps := http.ParseResponses(srvStream)
-	ap.http.conn(c, wan, reqs, resps)
-}
-
 // Merge folds other's application-level state into ap — the aggregate
 // half of the parallel replay's merge contract (DESIGN.md "Two-phase
 // deterministic replay"). Every operation here is either commutative

@@ -8,6 +8,7 @@ import (
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/dns"
 	"enttrace/internal/appproto/ftp"
+	"enttrace/internal/appproto/http"
 	"enttrace/internal/appproto/netbios"
 	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
@@ -58,9 +59,10 @@ import (
 // safe.
 //
 // In a windowed run each worker cuts its shard at window boundaries
-// (see replayShard) and banks those deltas per window at join; the watermark machinery decides when windows complete. The
-// per-trace distinct-peer censuses (fan, roles) stay trace-granular:
-// slicing them per window would double-count peers seen in two windows.
+// (see replayShard) and banks those deltas per window at join; the
+// watermark machinery decides when windows complete. The per-trace
+// distinct-peer censuses (fan, roles) stay trace-granular: slicing them
+// per window would double-count peers seen in two windows.
 //
 // maxTS is the trace's event-time extent; connections still idle past
 // the IdleEvict horizon at that instant count toward the AgedOut
@@ -394,7 +396,11 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 	}
 	switch name {
 	case "HTTP":
-		ap.httpConn(conn, wan, app.cliBuf.Buf, app.srvBuf.Buf)
+		if app.http != nil {
+			ap.http.conn(conn, wan, app.http.cli.Requests(), app.http.srv.Responses())
+		} else {
+			ap.http.conn(conn, wan, http.ParseRequests(app.cliBuf.Buf), http.ParseResponses(app.srvBuf.Buf))
+		}
 	case "SMTP":
 		ap.smtpParsed(wan, smtp.Parse(app.cliBuf.Buf, app.srvBuf.Buf))
 	case "CIFS":

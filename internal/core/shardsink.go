@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"time"
 
+	"enttrace/internal/appproto/http"
+	"enttrace/internal/categories"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
@@ -11,7 +13,9 @@ import (
 	"enttrace/internal/stats"
 )
 
-// bufferedProtos are the TCP protocols whose payloads are reassembled.
+// bufferedProtos are the TCP protocols whose payloads are reassembled,
+// with the per-direction byte limit replay sees. newConnStreams decides
+// what each one's reassembled bytes are delivered into.
 var bufferedProtos = map[string]int{
 	"HTTP":        4 << 20,
 	"FTP":         1 << 20,
@@ -30,8 +34,8 @@ var bufferedProtos = map[string]int{
 // mapping, FTP PASV), so the stream is kept around for the
 // deterministic replay to classify and parse. The limit matches the
 // Spoolss entry above — the one dynamically mapped protocol the replay
-// actually parses. This buffering is the streaming pipeline's main
-// memory trade-off: up to 2 MB per unclassified high-port connection
+// actually parses. This buffering is part of the streaming pipeline's
+// main memory trade-off: up to 2 MB per unclassified high-port connection
 // until trace end (see DESIGN.md §3).
 const unknownStreamLimit = 1 << 20
 
@@ -59,7 +63,20 @@ type shardSink struct {
 	// Deferred application state, replayed in global packet order.
 	conns map[*flows.Conn]*connStreams
 	udp   []udpEvent
+	// udpSlab is the open chunk of the storage the udp payloads are copied
+	// into. A chunk is appended to and never regrown — a full one is left
+	// to the payload slices that point into it — so those slices stay
+	// valid and nothing but payload bytes is held.
+	udpSlab []byte
 }
+
+// The udpSlab chunks double from udpSlabMin to udpSlabMax: a sink that
+// captures a handful of datagrams holds about their bytes, one that
+// captures thousands allocates rarely.
+const (
+	udpSlabMin = 1 << 10
+	udpSlabMax = 64 << 10
+)
 
 // udpEvent is one captured datagram for an application protocol the
 // paper parses per message (DNS, Netbios/NS, NFS-over-UDP).
@@ -68,13 +85,18 @@ type udpEvent struct {
 	ts               time.Time
 	src, dst         netip.Addr
 	srcPort, dstPort uint16
-	payload          []byte
+	// payload is the sink's own copy (a slice of its udpSlab).
+	payload []byte
 }
 
-// connStreams buffers one TCP connection's two directions until replay.
-// The streams are embedded by value (one allocation per connection), and
-// every byte buffer underneath them is pooled: replayApps releases the
-// whole structure back to the reassembly buffer pool at end of trace.
+// connStreams reassembles one TCP connection's two directions and holds
+// what replay needs of them: the bytes themselves (cliBuf/srvBuf, or the
+// EPM segment buffers) where replay does the parsing, the parsed
+// transactions alone where the stream could be parsed as it arrived
+// (http), nothing where replay reads nothing. The streams are embedded by
+// value (one allocation per connection), and every byte buffer underneath
+// them is pooled: replayApps releases the whole structure back to the
+// reassembly buffer pool at end of trace.
 type connStreams struct {
 	// kind is the registry protocol name when the connection attached;
 	// replay re-classifies, so this only records the buffering decision.
@@ -83,6 +105,10 @@ type connStreams struct {
 	buffered             bool
 	cliStream, srvStream reassembly.Stream
 	cliBuf, srvBuf       reassembly.BufferConsumer
+	// http replaces the buffers for a connection that is HTTP by its
+	// responder's well-known port: the streams feed the parsers directly
+	// and no stream byte is kept.
+	http *httpStreams
 	// epmCli/epmSrv replace the buffers for Endpoint Mapper connections,
 	// preserving gap boundaries so replay can resynchronize PDU parsing
 	// exactly where the incremental parser would have.
@@ -120,10 +146,11 @@ func (s *shardSink) Undecodable(idx int64) {
 }
 
 // Packet implements pipeline.Sink. pk may come from a recycled-buffer
-// source: anything that outlives this call must either copy out of
-// pk.Data (TCP reassembly buffers do) or call pk.Retain() (UDP capture
-// does), or a reused buffer would leak other packets' bytes into the
-// analysis.
+// source, and the sink never retains it: whatever outlives this call is
+// copied out of pk.Data (out-of-order TCP segments, buffered streams and
+// split HTTP heads by reassembly and its consumers, UDP payloads by
+// captureUDP), or a reused buffer would leak other packets' bytes into
+// the analysis.
 func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir) {
 	s.countNetLayer(p)
 	s.recordHosts(p)
@@ -179,16 +206,34 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	}
 }
 
+// httpStreams is the parse state of one connection's two HTTP directions.
+type httpStreams struct {
+	cli, srv http.StreamParser
+}
+
+// nullConsumer reassembles a stream for its ledger alone.
+type nullConsumer struct{}
+
+func (nullConsumer) Data([]byte) {}
+func (nullConsumer) Gap(int)     {}
+
 // newConnStreams decides, from the attach-time classification, whether
-// and how a connection's payload is buffered for replay.
+// and how a connection's payload is kept for replay.
 func newConnStreams(name string, conn *flows.Conn) *connStreams {
 	app := &connStreams{kind: name}
+	limit, buffered := bufferedProtos[name]
+	// A name that comes from the responder's well-known port is the one
+	// verdict no later dynamic registration can change (Classify looks
+	// there first), so what replay will do with the stream is known now.
+	// A name matched through the originator's port is not: such a stream
+	// keeps its bytes for whatever replay classifies it as.
+	fixed := buffered && categories.WellKnown(conn.Proto, conn.Key.DstPort) == name
 	switch {
 	case name == "FTP" && conn.Key.DstPort == 21:
 		// Control channel: the client side is size-capped like any other
 		// buffered protocol; the server side is kept whole so replay can
 		// register PASV data ports before classifying later connections.
-		app.cliBuf.Limit = bufferedProtos[name]
+		app.cliBuf.Limit = limit
 		app.buffered = true
 		app.cliStream.Init(&app.cliBuf)
 		app.srvStream.Init(&app.srvBuf)
@@ -198,8 +243,22 @@ func newConnStreams(name string, conn *flows.Conn) *connStreams {
 		app.buffered = true
 		app.cliStream.Init(app.epmCli)
 		app.srvStream.Init(app.epmSrv)
+	case fixed && name == "HTTP":
+		// Replay needs the message heads and body lengths only: parse
+		// them out of the chunks as reassembly delivers them.
+		app.http = &httpStreams{}
+		app.http.cli.InitRequests(limit)
+		app.http.srv.InitResponses(limit)
+		app.buffered = true
+		app.cliStream.Init(&app.http.cli)
+		app.srvStream.Init(&app.http.srv)
+	case fixed && name == "IMAP4":
+		// Replay parses nothing of IMAP4 (the email figures are
+		// transport-level); the streams run for the hostile-input ledger.
+		app.buffered = true
+		app.cliStream.Init(nullConsumer{})
+		app.srvStream.Init(nullConsumer{})
 	default:
-		limit, buffered := bufferedProtos[name]
 		if !buffered && name == "" && conn.Key.DstPort > 1023 {
 			// Unclassified ephemeral port: it may be endpoint-mapped
 			// later in the trace. Well-known unregistered ports cannot
@@ -219,9 +278,10 @@ func newConnStreams(name string, conn *flows.Conn) *connStreams {
 }
 
 // release sends every pooled byte buffer under this connection's streams
-// back to the reassembly pool. Any slice of the stream buffers taken
-// during replay is invalid afterwards; parse results that outlive replay
-// hold copies (strings or owned structs), never stream sub-slices.
+// back to the reassembly pool and drops the parsed transactions. Any
+// slice of the stream buffers taken during replay is invalid afterwards;
+// parse results that outlive replay hold copies (strings or owned
+// structs), never stream sub-slices.
 func (app *connStreams) release() {
 	if !app.buffered || app.released {
 		return
@@ -232,28 +292,35 @@ func (app *connStreams) release() {
 	app.srvStream.Discard()
 	app.cliBuf.Release()
 	app.srvBuf.Release()
+	app.http = nil
 	if app.epmCli != nil {
 		app.epmCli.release()
 		app.epmSrv.release()
 	}
 }
 
-// captureUDP records datagrams for the message-based analyzers. The
-// payload slice references the capture buffer, so the packet is retained:
-// a pooled source must not recycle it while the replay still holds the
-// slice. These are the few packets per trace the Retain contract exists
-// for — everything else is copied (reassembly) or consumed immediately.
+// captureUDP records datagrams for the message-based analyzers, copying
+// each payload into the sink's slab. Retaining the packet instead would
+// pin its whole pooled capture buffer — grown to the trace's largest
+// record — for a payload a fraction of that size, and make the pool
+// allocate a replacement; the Retain contract stays in pcap for consumers
+// that want it.
 func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 	if len(p.Payload) == 0 || !udpAppPorts(p.UDP.SrcPort, p.UDP.DstPort) {
 		return
 	}
-	pk.Retain()
+	if len(p.Payload) > cap(s.udpSlab)-len(s.udpSlab) {
+		next := min(max(2*cap(s.udpSlab), udpSlabMin), udpSlabMax)
+		s.udpSlab = make([]byte, 0, max(next, len(p.Payload)))
+	}
+	at := len(s.udpSlab)
+	s.udpSlab = append(s.udpSlab, p.Payload...)
 	src, _ := p.NetSrc()
 	dst, _ := p.NetDst()
 	s.udp = append(s.udp, udpEvent{
 		idx: idx, ts: pk.Timestamp, src: src, dst: dst,
 		srcPort: p.UDP.SrcPort, dstPort: p.UDP.DstPort,
-		payload: p.Payload,
+		payload: s.udpSlab[at:len(s.udpSlab):len(s.udpSlab)],
 	})
 }
 
