@@ -44,7 +44,7 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 			c := rec.Conn
 			name, _ := a.opts.Registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
 			ap.transportConn(c, name, a.opts.IsLocal)
-			if app := sink.conns[c]; app != nil {
+			if app := connStreamsOf(c); app != nil {
 				a.parseConnPayload(ap, trace, rec, name, app)
 				app.release()
 			}

@@ -337,7 +337,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	var maxTS time.Time
 	shardBins := make([][]int64, 0, len(sinks))
 	for _, s := range sinks {
-		tgt.netLayer.Merge(s.netLayer)
+		s.foldNetLayer(tgt.netLayer)
 		unionHosts(tgt.monitoredHosts, s.monHosts)
 		unionHosts(tgt.localHosts, s.localHosts)
 		unionHosts(tgt.remoteHosts, s.remoteHosts)
@@ -363,7 +363,6 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 		tgt.scanners[s] = struct{}{}
 	}
 	kept := fres.Kept
-	keptBy := keptSet(kept)
 
 	// Application replay: UDP messages, dynamic registrations, transport
 	// accumulation, payload parsing — all in canonical order. The serial
@@ -371,13 +370,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// connection-level accumulation below, which classifies against the
 	// registry; the parallel phase is left in flight while that
 	// accumulation runs, since the two touch disjoint state.
-	streams := make(map[*flows.Conn]*connStreams)
-	for _, s := range sinks {
-		for c, st := range s.conns {
-			streams[c] = st
-		}
-	}
-	join := a.replayApps(recs, streams, mergeUDPEvents(sinks), keptBy, monitored, tgt, maxTS)
+	join := a.replayApps(recs, mergeUDPEvents(sinks), keptMask(conns, kept), monitored, tgt, maxTS)
 
 	// Trace load accounting overlaps the replay workers (it reads only
 	// the per-second bins and connection fields, which nothing mutates).
@@ -437,12 +430,19 @@ func unionHosts(dst, src map[netip.Addr]struct{}) {
 // concurrent use with Add* (the serve-mode health endpoint polls it).
 func (a *Analyzer) PacketsSeen() int64 { return a.packetsSeen.Load() }
 
-func keptSet(conns []*flows.Conn) map[*flows.Conn]bool {
-	m := make(map[*flows.Conn]bool, len(conns))
-	for _, c := range conns {
-		m[c] = true
+// keptMask marks which of conns survived the scan filter: mask[i] reports
+// whether conns[i] is in kept. kept is a subsequence of conns (Filter
+// preserves order), so one walk of both decides every position.
+func keptMask(conns, kept []*flows.Conn) []bool {
+	mask := make([]bool, len(conns))
+	k := 0
+	for i, c := range conns {
+		if k < len(kept) && kept[k] == c {
+			mask[i] = true
+			k++
+		}
 	}
-	return m
+	return mask
 }
 
 // accumulateConn feeds Table 3, Figure 1, and the §4 origin mix into a

@@ -26,15 +26,15 @@ type tcpStep struct {
 	data  []byte
 }
 
-// driveSink feeds steps to a shard sink whose table already holds app for
-// conn, so the real packet path (SYN, RST and payload handling included)
+// driveSink feeds steps to a shard sink with app already hung on conn, so
+// the real packet path (SYN, RST and payload handling included)
 // decides what reaches the streams. The payload is lent in a buffer that
 // is scribbled over after each packet, as a pooled source would.
 func driveSink(app *connStreams, conn *flows.Conn, steps []tcpStep) {
 	opts := Options{PayloadAnalysis: true}
 	opts.fill()
 	s := newShardSink(&opts, enterprise.EnterprisePrefix, time.Unix(100, 0))
-	s.conns[conn] = app
+	conn.App = app
 	var lent []byte
 	for i, st := range steps {
 		lent = append(lent[:0], st.data...)
@@ -309,7 +309,7 @@ func TestSinkHoldsNoWebBytesAtEndOfInput(t *testing.T) {
 	opts := Options{PayloadAnalysis: true}
 	opts.fill()
 	var sinks []*retainWatch
-	_, err = pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
+	res, err := pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
 		Workers: 2,
 		NewSink: func(shard int, base time.Time) pipeline.Sink {
 			w := &retainWatch{shardSink: newShardSink(&opts, tr.Prefix, base)}
@@ -323,12 +323,13 @@ func TestSinkHoldsNoWebBytesAtEndOfInput(t *testing.T) {
 
 	var httpConns, udpEvents int
 	var delivered, udpBytes int64
-	for _, w := range sinks {
+	for shard, w := range sinks {
 		if w.retained > 0 {
 			t.Errorf("the sink retained %d packets", w.retained)
 		}
-		for conn, app := range w.conns {
-			if categories.WellKnown(conn.Proto, conn.Key.DstPort) != "HTTP" {
+		for _, rec := range res.Shards[shard].Conns {
+			conn, app := rec.Conn, connStreamsOf(rec.Conn)
+			if app == nil || categories.WellKnown(conn.Proto, conn.Key.DstPort) != "HTTP" {
 				continue
 			}
 			if app.http == nil {

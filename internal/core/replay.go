@@ -69,7 +69,11 @@ import (
 // disposition. The check reads only the connection's own timestamps and
 // the trace-wide extent, so the count is bit-identical for any worker
 // count — whether or not the shard tables' memory sweep ever ran.
-func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Conn]*connStreams, events []udpEvent, kept map[*flows.Conn]bool, monitored netip.Prefix, tgt *epochAgg, maxTS time.Time) (join func()) {
+//
+// kept is parallel to recs: kept[i] reports whether recs[i] survived the
+// scan filter. A connection's reassembled streams, if the packet stage
+// kept any, hang off its flows.Conn.
+func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kept []bool, monitored netip.Prefix, tgt *epochAgg, maxTS time.Time) (join func()) {
 	workers := a.ensureReplayWorkers()
 	nshard := len(workers)
 
@@ -87,19 +91,19 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 		if !a.opts.PayloadAnalysis {
 			continue
 		}
-		app := streams[rec.Conn]
+		app := connStreamsOf(rec.Conn)
 		if app == nil {
 			continue
 		}
 		switch {
 		case name == "FTP" && rec.Conn.Key.DstPort == 21:
-			if kept[rec.Conn] {
+			if kept[i] {
 				app.cliStream.Close()
 				app.srvStream.Close()
 			}
 			a.replayFTPRegistrations(rec.Conn.Key.Dst, app.srvBuf.Buf)
 		case name == "DCE/RPC-EPM":
-			if kept[rec.Conn] {
+			if kept[i] {
 				// The sequential path closed kept EPM streams at trace
 				// end, flushing still-pending out-of-order data through
 				// the PDU parser; mirror that before reading segments.
@@ -139,7 +143,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 		processConn := func(i int32, ca *connAggregates) {
 			rec := recs[i]
 			conn := rec.Conn
-			app := streams[conn]
+			app := connStreamsOf(conn)
 			// AgedOut census: every connection (kept or filtered) idle
 			// past the horizon at end of trace. Idle-split predecessor
 			// segments qualify by construction (their successor's first
@@ -147,7 +151,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 			if a.opts.IdleEvict > 0 && maxTS.Sub(conn.Last) > a.opts.IdleEvict {
 				ca.agedOut++
 			}
-			if kept[conn] {
+			if kept[i] {
 				keptConns = append(keptConns, conn)
 				a.accumulateConn(ca, conn, cats[i])
 				// Transport-level accumulation happens for every kept
@@ -195,13 +199,6 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, streams map[*flows.Con
 	return func() {
 		wg.Wait()
 		a.foldReplayResults(tgt, results)
-		// Streams whose connection the flow table never surfaced
-		// (evicted mid-trace) have no ConnRecord and so no owning
-		// worker; release is idempotent, so a serial sweep catches the
-		// stragglers.
-		for _, app := range streams {
-			app.release()
-		}
 	}
 }
 

@@ -50,7 +50,9 @@ type shardSink struct {
 	base      time.Time
 
 	// Packet-level accumulators (merged across shards in shard order).
-	netLayer                          *stats.Counter
+	// netLayer counts frames per network-layer class; the host sets are
+	// fed once per connection (see Packet).
+	netLayer                          [numNetClasses]int64
 	monHosts, localHosts, remoteHosts map[netip.Addr]struct{}
 	// bins holds wire bytes per second since base (the trace's first
 	// packet, fixed by the router before any worker starts).
@@ -60,9 +62,10 @@ type shardSink struct {
 	// window completion in windowed mode.
 	maxTS time.Time
 
-	// Deferred application state, replayed in global packet order.
-	conns map[*flows.Conn]*connStreams
-	udp   []udpEvent
+	// Deferred application state, replayed in global packet order. The
+	// TCP half is not here: each connection's connStreams hangs off its
+	// flows.Conn (the App slot) and reaches replay with the connection.
+	udp []udpEvent
 	// udpSlab is the open chunk of the storage the udp payloads are copied
 	// into. A chunk is appended to and never regrown — a full one is left
 	// to the payload slices that point into it — so those slices stay
@@ -113,9 +116,9 @@ type connStreams struct {
 	// preserving gap boundaries so replay can resynchronize PDU parsing
 	// exactly where the incremental parser would have.
 	epmCli, epmSrv *segBuffer
-	// released guards double-recycling: the owning replay worker
-	// releases a connection's streams, and a serial sweep afterwards
-	// catches connections the flow table never surfaced.
+	// released makes release idempotent. Every connection reaches replay
+	// (the flow table surfaces evicted ones too) and is released there by
+	// the one worker that owns its host pair.
 	released bool
 	// Hostile-input signals observed at packet time. rstSeen flags any
 	// RST on the connection; bogusRST counts RSTs whose sequence number
@@ -132,17 +135,44 @@ func newShardSink(opts *Options, monitored netip.Prefix, base time.Time) *shardS
 		opts:        opts,
 		monitored:   monitored,
 		base:        base,
-		netLayer:    stats.NewCounter(),
 		monHosts:    make(map[netip.Addr]struct{}),
 		localHosts:  make(map[netip.Addr]struct{}),
 		remoteHosts: make(map[netip.Addr]struct{}),
-		conns:       make(map[*flows.Conn]*connStreams),
 	}
+}
+
+// The network-layer classes of Table 2, as indices into
+// shardSink.netLayer, and the report's name for each.
+const (
+	netIP = iota
+	netARP
+	netIPX
+	netOther
+	netUndecodable
+	numNetClasses
+)
+
+var netClassNames = [numNetClasses]string{"IP", "ARP", "IPX", "Other", "undecodable"}
+
+// foldNetLayer adds the shard's frame counts to c. A class no frame fell
+// in adds no key, as if it had never been incremented.
+func (s *shardSink) foldNetLayer(c *stats.Counter) {
+	for class, n := range s.netLayer {
+		if n > 0 {
+			c.Add(netClassNames[class], n)
+		}
+	}
+}
+
+// connStreamsOf returns the streams the sink hung on conn, or nil.
+func connStreamsOf(conn *flows.Conn) *connStreams {
+	app, _ := conn.App.(*connStreams)
+	return app
 }
 
 // Undecodable implements pipeline.Sink.
 func (s *shardSink) Undecodable(idx int64) {
-	s.netLayer.Inc("undecodable")
+	s.netLayer[netUndecodable]++
 }
 
 // Packet implements pipeline.Sink. pk may come from a recycled-buffer
@@ -151,9 +181,18 @@ func (s *shardSink) Undecodable(idx int64) {
 // split HTTP heads by reassembly and its consumers, UDP payloads by
 // captureUDP), or a reused buffer would leak other packets' bytes into
 // the analysis.
+//
+// Nothing here hashes per packet. The host census is taken when a
+// connection is created: every later packet of it names the same two
+// addresses, and a frame outside any connection is one that carries no
+// network-layer address to record. A TCP connection's streams are found
+// through conn.App.
 func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir) {
-	s.countNetLayer(p)
-	s.recordHosts(p)
+	s.netLayer[netClass(p)]++
+	if conn != nil && idx == conn.FirstIdx {
+		s.recordHost(conn.Key.Src)
+		s.recordHost(conn.Key.Dst)
+	}
 	s.bin(pk.Timestamp, pk.OrigLen)
 	if pk.Timestamp.After(s.maxTS) {
 		s.maxTS = pk.Timestamp
@@ -168,11 +207,11 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	if !p.Layers.Has(layers.LayerTCP) {
 		return
 	}
-	app := s.conns[conn]
+	app := connStreamsOf(conn)
 	if app == nil {
 		name, _ := s.opts.Registry.Classify(conn.Proto, conn.Key.Src, conn.Key.Dst, conn.Key.SrcPort, conn.Key.DstPort)
 		app = newConnStreams(name, conn)
-		s.conns[conn] = app
+		conn.App = app
 	}
 	if len(p.Payload) > 0 && app.rstSeen {
 		app.postRSTData++
@@ -324,39 +363,33 @@ func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 	})
 }
 
-func (s *shardSink) countNetLayer(p *layers.Packet) {
+// netClass is the frame's row of Table 2.
+func netClass(p *layers.Packet) int {
 	switch {
 	case p.Layers.Has(layers.LayerIPv4), p.Layers.Has(layers.LayerIPv6):
-		s.netLayer.Inc("IP")
+		return netIP
 	case p.Layers.Has(layers.LayerARP):
-		s.netLayer.Inc("ARP")
+		return netARP
 	case p.Layers.Has(layers.LayerIPX):
-		s.netLayer.Inc("IPX")
+		return netIPX
 	default:
-		s.netLayer.Inc("Other")
+		return netOther
 	}
 }
 
-func (s *shardSink) recordHosts(p *layers.Packet) {
-	record := func(addr netip.Addr) {
-		if !addr.IsValid() || addr.IsMulticast() {
-			return
-		}
-		switch {
-		case s.monitored.Contains(addr):
-			s.monHosts[addr] = struct{}{}
-			s.localHosts[addr] = struct{}{}
-		case s.opts.IsLocal(addr):
-			s.localHosts[addr] = struct{}{}
-		default:
-			s.remoteHosts[addr] = struct{}{}
-		}
+// recordHost enters one address in the host census.
+func (s *shardSink) recordHost(addr netip.Addr) {
+	if !addr.IsValid() || addr.IsMulticast() {
+		return
 	}
-	if src, ok := p.NetSrc(); ok {
-		record(src)
-	}
-	if dst, ok := p.NetDst(); ok {
-		record(dst)
+	switch {
+	case s.monitored.Contains(addr):
+		s.monHosts[addr] = struct{}{}
+		s.localHosts[addr] = struct{}{}
+	case s.opts.IsLocal(addr):
+		s.localHosts[addr] = struct{}{}
+	default:
+		s.remoteHosts[addr] = struct{}{}
 	}
 }
 

@@ -1,6 +1,8 @@
 package flows
 
 import (
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,5 +96,48 @@ func TestNoAgingWithoutConfig(t *testing.T) {
 	aged, capped := tbl.EvictStats()
 	if aged != 0 || capped != 0 {
 		t.Errorf("EvictStats = (%d, %d), want zeros", aged, capped)
+	}
+}
+
+// TestConnsInCreationOrder pins the order Conns promises, which is what
+// lets the pipeline skip sorting a shard's connections: creation order,
+// however the connections left the live table — idle splits, the sweep,
+// the MaxConns backstop, or Flush — and a subsequence of it before Flush.
+func TestConnsInCreationOrder(t *testing.T) {
+	tbl := NewTable(Config{IdleTimeout: 5 * time.Second, MaxConns: 24})
+	var created []*Conn
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		// Thirty tuples revisited at random over 200 s: flows pause past
+		// the horizon and split, and the cap evicts the coldest.
+		frame := layers.BuildUDP(layers.UDPOpts{
+			FrameOpts: layers.FrameOpts{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB},
+			SrcPort:   uint16(5000 + rng.Intn(30)), DstPort: 53, Payload: make([]byte, 64),
+		})
+		var p layers.Packet
+		if err := layers.Decode(frame, len(frame), &p); err != nil {
+			t.Fatal(err)
+		}
+		if c, _, isNew := tbl.Packet(t0(int64(i)*100), &p, len(frame)); isNew {
+			created = append(created, c)
+		}
+	}
+	aged, capped := tbl.EvictStats()
+	if aged == 0 || capped == 0 || len(created) < 100 {
+		t.Fatalf("input too tame: %d connections, %d aged out, %d cap-evicted", len(created), aged, capped)
+	}
+
+	var finished []*Conn
+	for _, c := range created {
+		if c.finished {
+			finished = append(finished, c)
+		}
+	}
+	if tbl.Live() == 0 || !slices.Equal(tbl.Conns(), finished) {
+		t.Errorf("before Flush: Conns is not the finished connections in creation order (%d live)", tbl.Live())
+	}
+	tbl.Flush()
+	if !slices.Equal(tbl.Conns(), created) {
+		t.Error("after Flush: Conns is not every connection in creation order")
 	}
 }

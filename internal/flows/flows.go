@@ -96,8 +96,24 @@ type Conn struct {
 	track    [2]dirTrack
 	// Multicast marks flows addressed to a multicast group.
 	Multicast bool
-	// finished marks connections already emitted (timeout or FIN/RST).
+	// finished marks connections that have left the live table (timeout,
+	// eviction, or Flush).
 	finished bool
+	// flipped records whether Key is the reverse of its canonical form: a
+	// packet runs originator → responder exactly when its own key flips
+	// the same way.
+	flipped bool
+
+	// FirstIdx and App belong to the table's caller, which fills them when
+	// Packet reports the connection new; the table never reads them. They
+	// are what keeps per-connection work off the per-packet path: the one
+	// probe of the live table finds the connection, and everything a caller
+	// decided at its first packet is a field load away. FirstIdx is the
+	// caller's ordering key (the pipeline's global index of the
+	// connection's first packet); App is one slot for whatever state the
+	// packet consumer keeps per connection.
+	FirstIdx int64
+	App      any
 }
 
 // Duration is the time between the first and last packet.
@@ -169,7 +185,9 @@ func (c *Config) withDefaults() Config {
 type Table struct {
 	cfg  Config
 	live map[layers.FlowKey]*Conn
-	done []*Conn
+	// conns is every connection the table has created, in creation order;
+	// the ones not in live are finished.
+	conns []*Conn
 	// slab batches Conn allocations: connection tracking creates one Conn
 	// per flow, and carving them from a block cuts the hot path's
 	// allocation count without changing lifetimes (all of a trace's
@@ -189,13 +207,15 @@ func NewTable(cfg Config) *Table {
 }
 
 // Packet feeds one decoded packet. wireLen is the frame's original wire
-// length. It returns the connection and the packet's direction within it,
-// or nil for packets with no transport flow (ARP, IPX, fragments).
-func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (*Conn, Dir) {
+// length. It returns the connection, the packet's direction within it, and
+// whether this packet created the connection; the connection is nil for
+// frames with no network-layer addresses (ARP, IPX). The lookup in the
+// live table is the only hashing a packet costs here.
+func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (conn *Conn, dir Dir, isNew bool) {
 	t.maybeSweep(ts)
 	key, ok := layers.FlowKeyOf(p)
 	if !ok {
-		return nil, DirOrig
+		return nil, DirOrig, false
 	}
 	if p.Layers.Has(layers.LayerICMP) {
 		// Echo exchanges pair request and reply into one flow by ID.
@@ -206,15 +226,15 @@ func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (*Conn, Dir)
 		}
 	}
 	canon, flipped := key.Canonical()
-	conn := t.live[canon]
+	conn = t.live[canon]
 	if conn != nil && t.expired(conn, ts) {
 		t.finish(conn)
 		conn = nil
 	}
-	isNew := conn == nil
+	isNew = conn == nil
 	if isNew {
 		conn = t.alloc()
-		*conn = Conn{Key: key, Proto: key.Proto, Start: ts, Last: ts}
+		*conn = Conn{Key: key, Proto: key.Proto, Start: ts, Last: ts, flipped: flipped}
 		if p.Eth.Dst.Multicast() {
 			conn.Multicast = true
 		}
@@ -227,12 +247,13 @@ func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (*Conn, Dir)
 		}
 		t.enforceCap(conn)
 	}
-	// Direction relative to the connection's originator.
-	dir := DirOrig
-	if key != conn.Key {
+	// Direction relative to the connection's originator. Both keys share
+	// one canonical form, so they are equal or reversed, and the flip bits
+	// tell which. (A key that is its own reverse never flips, so such a
+	// flow is all originator, as a key comparison would have it.)
+	if flipped != conn.flipped {
 		dir = DirResp
 	}
-	_ = flipped
 	conn.Last = ts
 	conn.WireBytes += int64(wireLen)
 	payload := int64(p.PayloadLen)
@@ -247,9 +268,9 @@ func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (*Conn, Dir)
 		conn.DataPkts++
 	}
 	if p.Layers.Has(layers.LayerTCP) {
-		t.tcpUpdate(conn, dir, &p.TCP, p.PayloadLen, isNew)
+		t.tcpUpdate(conn, dir, &p.TCP, p.PayloadLen)
 	}
-	return conn, dir
+	return conn, dir, isNew
 }
 
 // alloc carves one Conn from the slab.
@@ -259,6 +280,7 @@ func (t *Table) alloc() *Conn {
 	}
 	c := &t.slab[0]
 	t.slab = t.slab[1:]
+	t.conns = append(t.conns, c)
 	return c
 }
 
@@ -339,7 +361,7 @@ func (t *Table) EvictStats() (aged, capped int64) { return t.agedEvicted, t.capE
 // CapEvicted returns the MaxConns backstop's eviction count alone.
 func (t *Table) CapEvicted() int64 { return t.capEvicted }
 
-func (t *Table) tcpUpdate(c *Conn, dir Dir, tcp *layers.TCP, payloadLen int, isNew bool) {
+func (t *Table) tcpUpdate(c *Conn, dir Dir, tcp *layers.TCP, payloadLen int) {
 	syn := tcp.Flags&layers.TCPSyn != 0
 	ack := tcp.Flags&layers.TCPAck != 0
 	rst := tcp.Flags&layers.TCPRst != 0
@@ -396,6 +418,7 @@ func (t *Table) tcpUpdate(c *Conn, dir Dir, tcp *layers.TCP, payloadLen int, isN
 // packet turned out to be from the responder.
 func (c *Conn) reorient() {
 	c.Key = c.Key.Reverse()
+	c.flipped = !c.flipped
 	c.OrigPkts, c.RespPkts = c.RespPkts, c.OrigPkts
 	c.OrigBytes, c.RespBytes = c.RespBytes, c.OrigBytes
 	c.track[0], c.track[1] = c.track[1], c.track[0]
@@ -420,10 +443,7 @@ func (c *Conn) classify() State {
 }
 
 func (t *Table) finish(c *Conn) {
-	if !c.finished {
-		c.finished = true
-		t.done = append(t.done, c)
-	}
+	c.finished = true
 	canon, _ := c.Key.Canonical()
 	if t.live[canon] == c {
 		delete(t.live, canon)
@@ -437,7 +457,6 @@ func (t *Table) finish(c *Conn) {
 func (t *Table) Flush() {
 	for _, c := range t.live {
 		c.finished = true
-		t.done = append(t.done, c)
 	}
 	if t.cfg.LiveGauge != nil {
 		t.cfg.LiveGauge.Add(-int64(len(t.live)))
@@ -445,9 +464,21 @@ func (t *Table) Flush() {
 	t.live = make(map[layers.FlowKey]*Conn)
 }
 
-// Conns returns all finalized connections, in no particular order. Call
-// Flush first to include still-live flows.
-func (t *Table) Conns() []*Conn { return t.done }
+// Conns returns all finalized connections in the order they were created
+// (the order of their first packets). Call Flush first to include
+// still-live flows.
+func (t *Table) Conns() []*Conn {
+	if len(t.live) == 0 {
+		return t.conns
+	}
+	done := make([]*Conn, 0, len(t.conns)-len(t.live))
+	for _, c := range t.conns {
+		if c.finished {
+			done = append(done, c)
+		}
+	}
+	return done
+}
 
 // Live returns the number of currently tracked connections.
 func (t *Table) Live() int { return len(t.live) }

@@ -28,7 +28,8 @@ func feedTCP(t *testing.T, tbl *Table, ts time.Time, src, dst netip.Addr, sp, dp
 	if err := layers.Decode(frame, len(frame), &p); err != nil {
 		t.Fatal(err)
 	}
-	return tbl.Packet(ts, &p, len(frame))
+	c, dir, _ := tbl.Packet(ts, &p, len(frame))
+	return c, dir
 }
 
 func feedUDP(t *testing.T, tbl *Table, ts time.Time, src, dst netip.Addr, sp, dp uint16, n int) (*Conn, Dir) {
@@ -41,7 +42,8 @@ func feedUDP(t *testing.T, tbl *Table, ts time.Time, src, dst netip.Addr, sp, dp
 	if err := layers.Decode(frame, len(frame), &p); err != nil {
 		t.Fatal(err)
 	}
-	return tbl.Packet(ts, &p, len(frame))
+	c, dir, _ := tbl.Packet(ts, &p, len(frame))
+	return c, dir
 }
 
 func TestTCPHandshakeEstablished(t *testing.T) {
@@ -219,14 +221,17 @@ func TestICMPEchoPairing(t *testing.T) {
 		}
 		return &p
 	}
-	c1, _ := tbl.Packet(t0(0), build(layers.ICMPEchoRequest, 7, ipA, ipB), 60)
-	c2, d := tbl.Packet(t0(1), build(layers.ICMPEchoReply, 7, ipB, ipA), 60)
+	c1, _, new1 := tbl.Packet(t0(0), build(layers.ICMPEchoRequest, 7, ipA, ipB), 60)
+	c2, d, new2 := tbl.Packet(t0(1), build(layers.ICMPEchoReply, 7, ipB, ipA), 60)
 	if c1 != c2 || d != DirResp {
 		t.Error("echo reply should pair with request")
 	}
-	c3, _ := tbl.Packet(t0(2), build(layers.ICMPEchoRequest, 8, ipA, ipB), 60)
-	if c3 == c1 {
-		t.Error("different echo ID should be a distinct flow")
+	if !new1 || new2 {
+		t.Errorf("new-connection report = %v then %v, want true then false", new1, new2)
+	}
+	c3, _, new3 := tbl.Packet(t0(2), build(layers.ICMPEchoRequest, 8, ipA, ipB), 60)
+	if c3 == c1 || !new3 {
+		t.Error("different echo ID should be a distinct, new flow")
 	}
 }
 
@@ -241,7 +246,7 @@ func TestMulticastFlagged(t *testing.T) {
 	if err := layers.Decode(frame, len(frame), &p); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := tbl.Packet(t0(0), &p, len(frame))
+	c, _, _ := tbl.Packet(t0(0), &p, len(frame))
 	if !c.Multicast {
 		t.Error("multicast flow not flagged")
 	}
@@ -254,7 +259,7 @@ func TestNonIPIgnored(t *testing.T) {
 	if err := layers.Decode(frame, len(frame), &p); err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := tbl.Packet(t0(0), &p, len(frame)); c != nil {
+	if c, _, _ := tbl.Packet(t0(0), &p, len(frame)); c != nil {
 		t.Error("ARP should not create a connection")
 	}
 }
@@ -339,5 +344,49 @@ func BenchmarkTablePacket(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl.Packet(ts, &p, len(frame))
+	}
+}
+
+// TestDirectionMatchesKeyComparison pins the flip-bit direction against
+// the comparison it replaced: a packet is responder → originator exactly
+// when its key differs from the connection's as the connection stood when
+// the packet arrived — through reorientation, where the connection's key
+// turns around under later packets.
+func TestDirectionMatchesKeyComparison(t *testing.T) {
+	tbl := NewTable(Config{})
+	keyOf := map[*Conn]layers.FlowKey{}
+	steps := []struct {
+		src, dst netip.Addr
+		sp, dp   uint16
+		flags    uint8
+	}{
+		{ipB, ipA, 80, 3000, layers.TCPAck},                 // capture starts on the server's side
+		{ipA, ipB, 3000, 80, layers.TCPAck},                 // client, still "responder"
+		{ipA, ipB, 3000, 80, layers.TCPSyn},                 // late SYN: reorients
+		{ipB, ipA, 80, 3000, layers.TCPSyn | layers.TCPAck}, // now the responder
+		{ipA, ipB, 3000, 80, layers.TCPAck},
+		{ipC, ipC, 7, 7, layers.TCPAck}, // its own reverse: all originator
+		{ipC, ipC, 7, 7, layers.TCPSyn},
+		{ipC, ipA, 9, 9, layers.TCPAck}, // higher address first
+		{ipA, ipC, 9, 9, layers.TCPAck},
+	}
+	reoriented := false
+	for i, st := range steps {
+		key := layers.FlowKey{Proto: layers.ProtoTCP, Src: st.src, Dst: st.dst, SrcPort: st.sp, DstPort: st.dp}
+		c, dir := feedTCP(t, tbl, t0(int64(i)), st.src, st.dst, st.sp, st.dp, 100, 0, st.flags, nil)
+		want := DirOrig
+		if was, seen := keyOf[c]; seen && was != key {
+			want = DirResp
+		}
+		if dir != want {
+			t.Errorf("step %d (%v): dir = %v, key comparison says %v", i, key, dir, want)
+		}
+		if was, seen := keyOf[c]; seen && was != c.Key {
+			reoriented = true
+		}
+		keyOf[c] = c.Key
+	}
+	if !reoriented {
+		t.Error("no step reoriented a connection")
 	}
 }

@@ -57,7 +57,7 @@ type StreamStats struct {
 	PeakBuffered int
 	// PeakInFlight is the most frames ever issued to the consumer and
 	// not yet returned via Release; for the pipeline this is bounded by
-	// its batch/queue depth.
+	// its batches in circulation (six per worker) times the batch size.
 	PeakInFlight int64
 }
 
@@ -97,10 +97,11 @@ func (h *frameHeap) Pop() interface{} {
 // soon as the pipeline releases them, so a soak run's steady state
 // allocates nothing per frame.
 //
-// Next and Release follow the pipeline's pooling contract: Next is
-// called from one goroutine (the router); Release may be called from
-// any worker goroutine. A consumer keeping slices into a frame's Data
-// must call Retain first, as with any pooled source.
+// Next and Release follow the pooling contract: Next is called from one
+// goroutine; Release is safe from any (the pipeline calls it from the
+// goroutine that calls Next, a batch at a time; other consumers need
+// not). A consumer keeping slices into a frame's Data must call Retain
+// first, as with any pooled source.
 type StreamSource struct {
 	run     *scheduleRun
 	offsets []time.Duration
@@ -203,7 +204,7 @@ func (s *StreamSource) pop() *pcap.Packet {
 }
 
 // Release implements pcap.Releaser, recycling a frame's buffer once the
-// pipeline is done with it (a no-op for retained packets, whose data
+// consumer is done with it (a no-op for retained packets, whose data
 // has escaped into longer-lived analysis state). Safe to call from any
 // goroutine.
 func (s *StreamSource) Release(p *pcap.Packet) {

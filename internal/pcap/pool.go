@@ -13,9 +13,11 @@ import "sync"
 //   - Buffers grow to the trace's largest record and then stabilize, so a
 //     steady-state read loop performs no per-packet allocation.
 //
-// A Pool is safe for concurrent use; Put may be called from any
-// goroutine, which is how pipeline workers release packets the router
-// handed them.
+// A Pool is safe for concurrent use, and Put may be called from any
+// goroutine. It is cheapest when Put and Get share one: the pipeline
+// releases packets on the goroutine that reads them (its router takes
+// them back a batch at a time), so a packet comes back from the per-P
+// cache it was put in rather than being stolen from another P's.
 type Pool struct {
 	p sync.Pool
 }

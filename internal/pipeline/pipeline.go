@@ -19,7 +19,6 @@ package pipeline
 import (
 	"io"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -36,9 +35,10 @@ import (
 // load harness) all satisfy it directly, and the pipeline cannot tell
 // them apart — a streamed generator run and a pcap replay of the same
 // frames produce byte-identical results. Sources that additionally
-// implement pcap.Releaser get each packet back as soon as its worker is
-// done, which is what keeps pooled sources' memory bounded; see
-// DESIGN.md "Packet sources".
+// implement pcap.Releaser get every packet back exactly once, on the
+// goroutine that calls Next, with never more than maxBatches batches'
+// worth out at a time — which is what keeps pooled sources' memory
+// bounded; see DESIGN.md "Packet sources".
 type Source = pcap.PacketSource
 
 // isEOF recognizes a clean end of stream. Only a bare io.EOF counts:
@@ -86,10 +86,19 @@ type SourceError struct {
 // single worker goroutine and needs no synchronization; all cross-shard
 // aggregation happens after Run returns, when the caller walks
 // Result.Shards in shard order.
+//
+// Per-connection sink state lives on the connection, not in a map keyed
+// by it: conn.App is the sink's own slot (the pipeline never touches it),
+// and conn.FirstIdx == idx exactly on the connection's first packet, so
+// whatever is fixed when a connection is created — which hosts it names,
+// how its payload will be kept — is decided once there and costs later
+// packets a field load. A connection belongs to one shard for its whole
+// life, so the slot needs no synchronization either; it travels with the
+// connection into Result.
 type Sink interface {
 	// Packet is called for every successfully decoded packet routed to
 	// this shard, in global read order within the shard. conn is nil for
-	// packets with no transport flow (ARP, IPX, fragments); p is reused
+	// frames with no network-layer addresses (ARP, IPX); p is reused
 	// between calls and must not be retained. pk is the raw capture
 	// record: when the source recycles packets (pcap.Releaser), pk and
 	// any slice into pk.Data — including p.Payload — are valid only
@@ -166,12 +175,12 @@ type Result struct {
 
 // SortedConns merges every shard's connections into first-packet order.
 // The order is identical for any worker count. Each shard's list is
-// already sorted (worker.finish sorts in parallel before the workers
-// join), so this is a k-way merge of sorted runs — a loser tree, not
-// the O(n·k) head scan this used to be: the merge runs on the serial
-// path after the workers join, so its cost is Amdahl residue that used
-// to grow with the worker count. FirstIdx values are unique global
-// packet indices, so the merge order is total.
+// already sorted (a shard's table creates its connections in the order
+// their first packets arrive), so this is a k-way merge of sorted runs —
+// a loser tree, not the O(n·k) head scan this used to be: the merge runs
+// on the serial path after the workers join, so its cost is Amdahl
+// residue that used to grow with the worker count. FirstIdx values are
+// unique global packet indices, so the merge order is total.
 func (r *Result) SortedConns() []ConnRecord {
 	runs := make([][]ConnRecord, 0, len(r.Shards))
 	for _, s := range r.Shards {
@@ -186,28 +195,20 @@ type item struct {
 	p   *pcap.Packet
 }
 
-// worker owns one shard: a connection table, the caller's sink, and the
-// first-packet index of every connection it has seen.
+// worker owns one shard: a connection table and the caller's sink.
 type worker struct {
-	shard    int
-	tbl      *flows.Table
-	sink     Sink
-	firstIdx map[*flows.Conn]int64
-	pkt      layers.Packet
-	in       chan []item
-	// release recycles a packet once the worker is done with it; nil
-	// when the source does not pool packets.
-	release func(*pcap.Packet)
-	// batches takes emptied batch slices back for the router to refill.
+	shard int
+	tbl   *flows.Table
+	sink  Sink
+	pkt   layers.Packet
+	in    chan []item
+	// batches takes drained batches back, packets and all, for the router
+	// to release and refill.
 	batches *batchPool
 }
 
 func newWorker(shard int, cfg Config, base time.Time) *worker {
-	w := &worker{
-		shard:    shard,
-		tbl:      flows.NewTable(cfg.Flows),
-		firstIdx: make(map[*flows.Conn]int64),
-	}
+	w := &worker{shard: shard, tbl: flows.NewTable(cfg.Flows)}
 	if cfg.NewSink != nil {
 		w.sink = cfg.NewSink(shard, base)
 	}
@@ -222,11 +223,9 @@ func (w *worker) process(it item) {
 		}
 		return
 	}
-	conn, dir := w.tbl.Packet(pk.Timestamp, &w.pkt, pk.OrigLen)
-	if conn != nil {
-		if _, seen := w.firstIdx[conn]; !seen {
-			w.firstIdx[conn] = it.idx
-		}
+	conn, dir, isNew := w.tbl.Packet(pk.Timestamp, &w.pkt, pk.OrigLen)
+	if isNew {
+		conn.FirstIdx = it.idx
 	}
 	if w.sink != nil {
 		w.sink.Packet(it.idx, pk, &w.pkt, conn, dir)
@@ -237,49 +236,82 @@ func (w *worker) drain() {
 	for batch := range w.in {
 		for _, it := range batch {
 			w.process(it)
-			if w.release != nil {
-				w.release(it.p)
-			}
 		}
-		if w.batches != nil {
-			w.batches.put(batch)
-		}
+		w.batches.put(batch)
 	}
 }
 
-// batchPool is a fixed-size free list of routed-batch slices, recycled
-// between the router (get/refill) and the workers (put after drain). A
-// plain buffered channel keeps it allocation-free in steady state and
-// safe across goroutines; when the list runs dry the router falls back
-// to allocating, so it can never deadlock.
+// batchPool is the free list of routed-batch slices, and the road a
+// pooled source's packets go home by. A worker puts a drained batch back
+// with its packets still in it; the router, taking a batch to refill,
+// first releases them. Release and the source's Next therefore run on one
+// goroutine: a sync.Pool under the source hands a packet back from the
+// per-P cache it was put in, where a worker's Put on another P made every
+// Get a steal (EXPERIMENTS.md "Per connection, not per packet" has the
+// profile), and a worker touches the source once per batch, not once per
+// packet.
 type batchPool struct {
 	free      chan []item
 	batchSize int
+	// release recycles one packet; nil when the source does not pool.
+	release func(*pcap.Packet)
 }
 
-func newBatchPool(workers, batchSize int) *batchPool {
-	// Capacity covers every batch that can be in flight at once: per
-	// worker, the channel buffer plus one being drained plus one being
-	// filled by the router.
+// maxBatches bounds the batches of one run, and with them the packets a
+// pooled source has issued and not yet got back: maxBatches × BatchSize.
+// Per worker: the channel buffer, one being drained, one being filled.
+//
+// It is also the free list's capacity, which is why put can never block
+// or drop. get allocates only when the list is empty, and every batch off
+// the list is being filled (one per worker), queued (workerQueueDepth per
+// worker) or being drained (one per worker) — so an allocation happens
+// with fewer than maxBatches in existence, and the list, holding a subset
+// of them, cannot be full when a batch comes back.
+func maxBatches(workers int) int { return workers * (workerQueueDepth + 2) }
+
+func newBatchPool(workers, batchSize int, release func(*pcap.Packet)) *batchPool {
 	return &batchPool{
-		free:      make(chan []item, workers*(workerQueueDepth+2)),
+		free:      make(chan []item, maxBatches(workers)),
 		batchSize: batchSize,
+		release:   release,
 	}
 }
 
+// get returns an empty batch for the router to fill, releasing the
+// packets of the returned batch it reuses.
 func (p *batchPool) get() []item {
 	select {
 	case b := <-p.free:
+		p.releaseAll(b)
 		return b[:0]
 	default:
 		return make([]item, 0, p.batchSize)
 	}
 }
 
-func (p *batchPool) put(b []item) {
-	select {
-	case p.free <- b:
-	default:
+// put hands a drained batch, with its packets, back to the router.
+func (p *batchPool) put(b []item) { p.free <- b }
+
+// drain releases the packets of every batch on the list. The router calls
+// it once the workers have exited, when every batch that carried packets
+// is there.
+func (p *batchPool) drain() {
+	for {
+		select {
+		case b := <-p.free:
+			p.releaseAll(b)
+		default:
+			return
+		}
+	}
+}
+
+func (p *batchPool) releaseAll(b []item) {
+	if p.release == nil {
+		return
+	}
+	for _, it := range b {
+		p.release(it.p)
 	}
 }
 
@@ -288,14 +320,14 @@ const workerQueueDepth = 4
 
 func (w *worker) finish() ShardResult {
 	w.tbl.Flush()
+	// Conns is in creation order and FirstIdx is assigned at creation from
+	// an index that only grows within a shard, so the records come out in
+	// the FirstIdx order SortedConns merges by.
 	conns := w.tbl.Conns()
 	recs := make([]ConnRecord, len(conns))
 	for i, c := range conns {
-		recs[i] = ConnRecord{Conn: c, FirstIdx: w.firstIdx[c], Shard: w.shard}
+		recs[i] = ConnRecord{Conn: c, FirstIdx: c.FirstIdx, Shard: w.shard}
 	}
-	// Sort on the worker, in parallel across shards: SortedConns then
-	// only k-way merges the per-shard runs on the serial path.
-	sort.Slice(recs, func(i, j int) bool { return recs[i].FirstIdx < recs[j].FirstIdx })
 	return ShardResult{Shard: w.shard, Sink: w.sink, Conns: recs}
 }
 
@@ -387,9 +419,8 @@ func Run(src Source, cfg Config) (*Result, error) {
 	base := first.Timestamp
 	res.Base = base
 
-	// Pooled sources get their packets back as soon as a worker is done
-	// with them; sinks keep buffers alive across that boundary by
-	// calling Retain.
+	// Pooled sources get their packets back once the sink has seen them;
+	// sinks keep buffers alive across that boundary by calling Retain.
 	var release func(*pcap.Packet)
 	if rel, ok := src.(pcap.Releaser); ok {
 		release = rel.Release
@@ -399,12 +430,11 @@ func Run(src Source, cfg Config) (*Result, error) {
 		return runSerial(rdr, first, cfg, res, release)
 	}
 
-	batches := newBatchPool(workers, batchSize)
+	batches := newBatchPool(workers, batchSize, release)
 	ws := make([]*worker, workers)
 	for i := 0; i < workers; i++ {
 		ws[i] = newWorker(i, cfg, base)
 		ws[i].in = make(chan []item, workerQueueDepth)
-		ws[i].release = release
 		ws[i].batches = batches
 	}
 	done := make(chan int, workers)
@@ -450,6 +480,7 @@ func Run(src Source, cfg Config) (*Result, error) {
 	for range ws {
 		<-done
 	}
+	batches.drain()
 	for _, w := range ws {
 		res.Shards = append(res.Shards, w.finish())
 		res.CapEvicted += w.tbl.CapEvicted()

@@ -85,23 +85,43 @@ func fingerprints(res *Result) []string {
 	return out
 }
 
+// TestSortedConnsOrderedByFirstPacket also pins what the workers no longer
+// sort for: each shard's connections already come in first-packet order,
+// whichever way they left the flow table — end of trace, idle splits and
+// sweeps, or the MaxConns backstop.
 func TestSortedConnsOrderedByFirstPacket(t *testing.T) {
 	pkts := testTrace(t)
-	res := runWorkers(t, pkts, 4)
-	recs := res.SortedConns()
-	if len(recs) == 0 {
-		t.Fatal("no connections")
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].FirstIdx <= recs[i-1].FirstIdx {
-			t.Fatalf("FirstIdx not strictly increasing at %d: %d then %d",
-				i, recs[i-1].FirstIdx, recs[i].FirstIdx)
+	for name, fcfg := range map[string]flows.Config{
+		"whole flows":      {},
+		"evicting, capped": {IdleTimeout: time.Second, MaxConns: 4},
+	} {
+		res, err := Run(pcap.NewSliceSource(pkts), Config{Workers: 4, Flows: fcfg})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	// First-packet order must agree with start-timestamp order.
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Conn.Start.Before(recs[i-1].Conn.Start) {
-			t.Fatalf("conn %d starts before its predecessor", i)
+		if name != "whole flows" && res.CapEvicted == 0 {
+			t.Fatalf("%s: the cap evicted nothing", name)
+		}
+		recs := res.SortedConns()
+		if len(recs) == 0 {
+			t.Fatalf("%s: no connections", name)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].FirstIdx <= recs[i-1].FirstIdx {
+				t.Fatalf("%s: FirstIdx not strictly increasing at %d: %d then %d",
+					name, i, recs[i-1].FirstIdx, recs[i].FirstIdx)
+			}
+		}
+		// First-packet order must agree with start-timestamp order.
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Conn.Start.Before(recs[i-1].Conn.Start) {
+				t.Fatalf("%s: conn %d starts before its predecessor", name, i)
+			}
+		}
+		for _, rec := range recs {
+			if rec.FirstIdx != rec.Conn.FirstIdx {
+				t.Fatalf("%s: record says first packet %d, connection says %d", name, rec.FirstIdx, rec.Conn.FirstIdx)
+			}
 		}
 	}
 }
