@@ -45,7 +45,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -97,7 +96,7 @@ func run() error {
 	replayWorkers := flag.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
 	window := flag.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
 	mmapInput := flag.Bool("mmap", false,
-		"memory-map trace files instead of streaming through bufio (Linux; zero-copy packet views).\n"+
+		"memory-map trace files instead of reading them by the slab (Linux; zero-copy packet views).\n"+
 			"Falls back to the streaming reader where mmap is unavailable. Reports are identical either way.")
 	format := flag.String("format", "text", "report output format: text or json")
 	serve := flag.String("serve", "", "serve reports over HTTP at this address (e.g. :8080); window endpoints need -window")
@@ -356,11 +355,11 @@ func run() error {
 			float64(st.Frames)/wall.Seconds(), st.PeakBuffered, st.PeakInFlight)
 	}
 	// open is the one trace-file seam: a memory-mapped view under -mmap,
-	// otherwise a pooled streaming reader whose buffers are reused across
-	// traces. Either way the caller gets a packet source to hand to
-	// AddTraceSource and a closer to run once that returns — the
-	// analyzer's borrow contract consumes every retained view during
-	// replay, so nothing outlives the call.
+	// otherwise a pooled streaming reader that reads the file straight
+	// into slabs reused across traces. Either way the caller gets a
+	// packet source to hand to AddTraceSource and a closer to run once
+	// that returns — the analyzer's borrow contract consumes every
+	// retained view during replay, so nothing outlives the call.
 	pool := pcap.NewPool()
 	open := func(path string) (pcap.PacketSource, func() error, error) {
 		if *mmapInput {
@@ -377,7 +376,7 @@ func run() error {
 		if err != nil {
 			return nil, nil, err
 		}
-		rd, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20))
+		rd, err := pcap.NewReader(f)
 		if err != nil {
 			f.Close()
 			return nil, nil, err

@@ -174,7 +174,7 @@ type Analyzer struct {
 	// ahead of the end-of-trace census (health endpoints poll it).
 	srcErrsLive atomic.Int64
 
-	// pool recycles capture buffers across AddTraceReader calls.
+	// pool recycles the reader's slabs across AddTraceReader calls.
 	pool *pcap.Pool
 
 	// final is the marshaled cumulative report a ReportServer publishes
@@ -228,10 +228,11 @@ func (a *Analyzer) AddTrace(tr TraceInput) error {
 }
 
 // AddTraceReader streams one pcap trace through the pipeline without
-// materializing it: packets are read incrementally through a recycled
-// packet pool (near-zero allocation per packet), decoded in batches, and
-// sharded across the configured worker count. The pool is per-Analyzer,
-// so buffers are reused across successive traces.
+// materializing it: r is read a slab at a time straight into recycled
+// slabs and packets are parsed in place (no allocation and no copy per
+// packet), decoded in batches, and sharded across the configured worker
+// count. The pool is per-Analyzer, so slabs are reused across successive
+// traces.
 func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Reader) error {
 	rd, err := pcap.NewReader(r)
 	if err != nil {

@@ -340,10 +340,10 @@ func (app *connStreams) release() {
 
 // captureUDP records datagrams for the message-based analyzers, copying
 // each payload into the sink's slab. Retaining the packet instead would
-// pin its whole pooled capture buffer — grown to the trace's largest
-// record — for a payload a fraction of that size, and make the pool
-// allocate a replacement; the Retain contract stays in pcap for consumers
-// that want it.
+// pin the reader's whole 256 KiB slab it was parsed out of — thousands
+// of other packets' bytes — for one payload, and make the pool allocate
+// a replacement; the Retain contract stays in pcap for consumers that
+// want it.
 func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 	if len(p.Payload) == 0 || !udpAppPorts(p.UDP.SrcPort, p.UDP.DstPort) {
 		return

@@ -2,7 +2,7 @@ package flows
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // FanStats holds, for one host, the set sizes the paper's §4 reports:
@@ -56,16 +56,13 @@ func FanInOut(conns []*Conn, monitored, isLocal func(netip.Addr) bool) map[netip
 		}
 	}
 	out := make(map[netip.Addr]*FanStats)
-	byHostPeer := func(e []edge) func(i, j int) bool {
-		return func(i, j int) bool {
-			if c := e[i].host.Compare(e[j].host); c != 0 {
-				return c < 0
-			}
-			return e[i].peer.Compare(e[j].peer) < 0
-		}
-	}
 	scan := func(e []edge, record func(s *FanStats, peer netip.Addr)) {
-		sort.Slice(e, byHostPeer(e))
+		slices.SortFunc(e, func(a, b edge) int {
+			if c := a.host.Compare(b.host); c != 0 {
+				return c
+			}
+			return a.peer.Compare(b.peer)
+		})
 		for i := 0; i < len(e); i++ {
 			if i > 0 && e[i] == e[i-1] {
 				continue // duplicate (host, peer) pair

@@ -1,7 +1,6 @@
 package pcap
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +14,10 @@ var ErrMmapUnsupported = errors.New("pcap: mmap not supported on this platform")
 
 // MapSource reads a pcap trace from a byte slice that is already in
 // memory — typically a memory-mapped file (OpenMmap) — and hands out
-// packets whose Data is a view into that slice rather than a copy. It
+// packets whose Data is a view into that slice rather than a copy. It is
+// PooledReader's record walk over a single slab that is borrowed, not
+// read: the whole trace is there from the start, so the walk never
+// refills, and the slab is the caller's, so it is never recycled. It
 // implements PacketSource and Releaser with the same contract as
 // PooledReader: a packet is valid until Release, and consumers keeping
 // slices into Data past the callback must Retain it first.
@@ -31,18 +33,19 @@ var ErrMmapUnsupported = errors.New("pcap: mmap not supported on this platform")
 // nothing derived from packet Data outlives the run, so closing after
 // AddTraceSource returns is safe.
 //
-// Error semantics mirror Reader record for record: a clean end of the
-// slice is io.EOF; a record cut short — header or body — is a sticky
+// Errors are Reader's record for record, by construction — every source
+// decodes through parseRecord and ends through tornError: a clean end of
+// the slice is io.EOF; a record cut short — header or body — is a sticky
 // error wrapping io.ErrUnexpectedEOF with the packets before it already
 // delivered; an incl length over the snaplen is a sticky corruption
 // error. All of it classifies identically through ClassifyReadError.
 type MapSource struct {
+	format
 	data   []byte
 	off    int
-	order  binary.ByteOrder
-	hdr    Header
 	sticky error
-	pool   *Pool
+	// pool recycles the Packet structs (never the bytes they view).
+	pool *Pool
 	// unmap releases the mapping (nil for caller-owned slices).
 	unmap func() error
 }
@@ -54,23 +57,12 @@ func NewMapSource(data []byte) (*MapSource, error) {
 	if len(data) < globalHeaderLen {
 		return nil, fmt.Errorf("pcap: reading global header: %w", io.ErrUnexpectedEOF)
 	}
-	var gh [globalHeaderLen]byte
-	copy(gh[:], data)
-	order, hdr, err := parseGlobalHeader(gh)
+	f, err := parseGlobalHeader(data[:globalHeaderLen])
 	if err != nil {
 		return nil, err
 	}
-	return &MapSource{
-		data:  data,
-		off:   globalHeaderLen,
-		order: order,
-		hdr:   hdr,
-		pool:  NewPool(),
-	}, nil
+	return &MapSource{format: f, data: data, off: globalHeaderLen, pool: NewPool()}, nil
 }
-
-// Header returns the trace's global header fields.
-func (s *MapSource) Header() Header { return s.hdr }
 
 // Next implements PacketSource. The returned packet's Data aliases the
 // mapped file — no copy — and is valid until Release (or, if Retained,
@@ -79,38 +71,20 @@ func (s *MapSource) Next() (*Packet, error) {
 	if s.sticky != nil {
 		return nil, s.sticky
 	}
-	if s.off == len(s.data) {
-		s.sticky = io.EOF
-		return nil, io.EOF
-	}
-	if len(s.data)-s.off < recordHeaderLen {
-		s.sticky = fmt.Errorf("pcap: reading record header: %w", io.ErrUnexpectedEOF)
-		return nil, s.sticky
-	}
-	rec := s.data[s.off : s.off+recordHeaderLen]
-	sec := int64(s.order.Uint32(rec[0:4]))
-	frac := int64(s.order.Uint32(rec[4:8]))
-	incl := s.order.Uint32(rec[8:12])
-	orig := s.order.Uint32(rec[12:16])
-	if incl > s.hdr.SnapLen && s.hdr.SnapLen != 0 || incl > 1<<24 {
-		s.sticky = fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, s.hdr.SnapLen)
-		return nil, s.sticky
-	}
-	body := s.off + recordHeaderLen
-	if len(s.data)-body < int(incl) {
-		s.sticky = fmt.Errorf("pcap: reading packet body: %w", io.ErrUnexpectedEOF)
-		return nil, s.sticky
-	}
-	s.off = body + int(incl)
-	nsec := frac * 1000
-	if s.hdr.Nanos {
-		nsec = frac
-	}
+	win := s.data[s.off:]
 	p := s.pool.Get()
-	p.Timestamp = time.Unix(sec, nsec).UTC()
-	p.Data = s.data[body : body+int(incl) : body+int(incl)]
-	p.OrigLen = int(orig)
-	return p, nil
+	need, err := s.parseRecord(win, p)
+	switch {
+	case err != nil:
+		s.sticky = err
+	case len(win) < need:
+		s.sticky = tornError(len(win), io.EOF)
+	default:
+		s.off += need
+		return p, nil
+	}
+	s.pool.Put(p)
+	return nil, s.sticky
 }
 
 // Release implements Releaser. Unlike a buffer-recycling pool, the
@@ -118,7 +92,7 @@ func (s *MapSource) Next() (*Packet, error) {
 // lengths zeroed — before returning the struct for reuse. Retained
 // packets are left untouched, views and all.
 func (s *MapSource) Release(p *Packet) {
-	if p == nil || p.retained {
+	if p == nil || p.Retained() {
 		return
 	}
 	p.Data = nil

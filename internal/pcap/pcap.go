@@ -16,12 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"time"
 )
 
-// readBufferSize is the bufio buffer NewReader installs over unbuffered
-// streams. Large enough that even jumbo records need one refill at most.
+// readBufferSize is the bufio buffer Reader.Next installs over
+// unbuffered streams. Large enough that even jumbo records need one
+// refill at most.
 const readBufferSize = 256 << 10
 
 // Magic numbers for the two timestamp resolutions, in file byte order.
@@ -51,19 +51,33 @@ type Packet struct {
 	// OrigLen is the original wire length, >= len(Data).
 	OrigLen int
 
-	// retained marks a pooled packet whose Data has escaped into
-	// longer-lived state; Pool.Put leaves it alone. See Retain.
-	retained bool
+	// owner is the slab Data views when a PooledReader issued the packet,
+	// retainedMark once the consumer called Retain, nil otherwise. One
+	// word for both keeps the struct at 64 bytes — a cache line, and a
+	// size class — which every materialized trace pays per packet.
+	owner *slab
 }
 
-// Retain marks the packet as kept by its consumer: a subsequent Pool.Put
-// becomes a no-op, so Data is never recycled out from under references
-// held beyond the packet callback. Harmless on non-pooled packets.
-func (p *Packet) Retain() { p.retained = true }
+// retainedMark is the owner of every retained packet. Overwriting the
+// slab pointer is what makes a retained packet's Release a no-op.
+var retainedMark = new(slab)
+
+// Retain marks the packet as kept by its consumer: a subsequent Release
+// or Pool.Put becomes a no-op, so Data is never recycled out from under
+// references held beyond the packet callback. Harmless on non-pooled
+// packets.
+//
+// The cost under a PooledReader: the packet's slab is never recycled. It
+// is reclaimed by the collector when the last packet or Data slice into
+// it dies, so one retained 60-byte datagram pins a whole 256 KiB slab
+// for as long as it is kept. Nothing in this repository retains (the
+// analysis core copies what it keeps); a consumer that would retain a
+// large share of a trace should copy too.
+func (p *Packet) Retain() { p.owner = retainedMark }
 
 // Retained reports whether Retain was called since the packet was last
-// issued by a Pool.
-func (p *Packet) Retained() bool { return p.retained }
+// issued by a pooled source.
+func (p *Packet) Retained() bool { return p.owner == retainedMark }
 
 // Truncated reports whether the capture lost bytes to the snaplen.
 func (p *Packet) Truncated() bool { return p.OrigLen > len(p.Data) }
@@ -76,44 +90,16 @@ type Header struct {
 	Nanos bool
 }
 
-// Reader reads packets from a pcap stream.
-type Reader struct {
-	r      io.Reader
-	order  binary.ByteOrder
-	hdr    Header
-	rec    [recordHeaderLen]byte
-	nanos  bool
-	sticky error
-}
-
-// NewReader parses the global header from r and returns a Reader. Readers
-// without their own buffering (anything not implementing io.ByteReader,
-// such as *os.File) are wrapped in a large bufio.Reader, so record-sized
-// reads never hit the underlying stream directly.
-func NewReader(r io.Reader) (*Reader, error) {
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReaderSize(r, readBufferSize)
-	}
-	var gh [globalHeaderLen]byte
-	if _, err := io.ReadFull(r, gh[:]); err != nil {
-		return nil, fmt.Errorf("pcap: reading global header: %w", err)
-	}
-	order, hdr, err := parseGlobalHeader(gh)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{
-		r:     r,
-		order: order,
-		nanos: hdr.Nanos,
-		hdr:   hdr,
-	}, nil
+// format is what the global header fixes for every record after it.
+type format struct {
+	order binary.ByteOrder
+	hdr   Header
 }
 
 // parseGlobalHeader decodes a 24-byte pcap global header: magic (either
 // byte order, µs or ns timestamp variant), snaplen, link type. Shared
 // by the streaming Reader and the memory-mapped MapSource.
-func parseGlobalHeader(gh [globalHeaderLen]byte) (binary.ByteOrder, Header, error) {
+func parseGlobalHeader(gh []byte) (format, error) {
 	var order binary.ByteOrder
 	var nanos bool
 	switch binary.LittleEndian.Uint32(gh[0:4]) {
@@ -128,101 +114,142 @@ func parseGlobalHeader(gh [globalHeaderLen]byte) (binary.ByteOrder, Header, erro
 		case MagicNanoseconds:
 			order, nanos = binary.BigEndian, true
 		default:
-			return nil, Header{}, ErrBadMagic
+			return format{}, ErrBadMagic
 		}
 	}
-	return order, Header{
+	return format{order: order, hdr: Header{
 		SnapLen:  order.Uint32(gh[16:20]),
 		LinkType: order.Uint32(gh[20:24]),
 		Nanos:    nanos,
-	}, nil
+	}}, nil
 }
 
 // Header returns the trace's global header fields.
-func (r *Reader) Header() Header { return r.hdr }
+func (f *format) Header() Header { return f.hdr }
 
-// Next returns the next packet, or io.EOF at a clean end of file. The
-// returned Data slice is freshly allocated to the record's exact size
-// and owned by the caller; for an allocation-free hot path use NextInto
-// with recycled packets.
+// parseRecord is the one record parser: Reader, MapSource and
+// PooledReader all decode through it, so they agree record for record.
+// It decodes the record at the head of win, a window of the stream that
+// may end anywhere, into p. need is the length the whole record takes —
+// the 16-byte header until win holds one, header plus body after. Once
+// win holds the header p has its Timestamp and OrigLen; when
+// len(win) >= need the record is complete and p.Data views its body in
+// win. Short of that the caller supplies more bytes and parses again, or
+// reports the stream's end with tornError. The only error is a corrupt
+// length field, reported as soon as the header is there.
+func (f *format) parseRecord(win []byte, p *Packet) (need int, err error) {
+	if len(win) < recordHeaderLen {
+		return recordHeaderLen, nil
+	}
+	sec := int64(f.order.Uint32(win[0:4]))
+	frac := int64(f.order.Uint32(win[4:8]))
+	incl := f.order.Uint32(win[8:12])
+	orig := f.order.Uint32(win[12:16])
+	if incl > f.hdr.SnapLen && f.hdr.SnapLen != 0 || incl > 1<<24 {
+		return 0, fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, f.hdr.SnapLen)
+	}
+	if !f.hdr.Nanos {
+		frac *= 1000
+	}
+	p.Timestamp = time.Unix(sec, frac).UTC()
+	p.OrigLen = int(orig)
+	need = recordHeaderLen + int(incl)
+	if len(win) >= need {
+		p.Data = win[recordHeaderLen:need:need]
+	}
+	return need, nil
+}
+
+// tornError is the error for a stream that ended, with cause, have bytes
+// into a record that needs more. No bytes and a clean io.EOF is the end
+// of the trace, returned bare. Otherwise the cause is wrapped under the
+// part of the record it cut — an io.EOF inside a record becoming
+// io.ErrUnexpectedEOF, which ClassifyReadError reads as a torn record.
+func tornError(have int, cause error) error {
+	if cause == io.EOF {
+		if have == 0 {
+			return io.EOF
+		}
+		cause = io.ErrUnexpectedEOF
+	}
+	if have < recordHeaderLen {
+		return fmt.Errorf("pcap: reading record header: %w", cause)
+	}
+	return fmt.Errorf("pcap: reading packet body: %w", cause)
+}
+
+// Reader reads packets from a pcap stream, one freshly allocated packet
+// per record. It is the reference reader — the tests, the fuzz targets
+// and small tools use it; a run over a whole trace wraps it in a
+// PooledReader, which reads the same stream by the slab.
+type Reader struct {
+	format
+	r io.Reader
+	// buffered records that r has its own buffering, or has been given
+	// it by the first Next.
+	buffered bool
+	rec      [recordHeaderLen]byte
+	sticky   error
+}
+
+// NewReader parses the global header from r and returns a Reader. The
+// header is read straight off r. Buffering is Next's business: a
+// PooledReader over this Reader reads r into its slabs directly.
+func NewReader(r io.Reader) (*Reader, error) {
+	var gh [globalHeaderLen]byte
+	if _, err := io.ReadFull(r, gh[:]); err != nil {
+		return nil, fmt.Errorf("pcap: reading global header: %w", err)
+	}
+	f, err := parseGlobalHeader(gh[:])
+	if err != nil {
+		return nil, err
+	}
+	_, buffered := r.(io.ByteReader)
+	return &Reader{format: f, r: r, buffered: buffered}, nil
+}
+
+// Next returns the next packet, or io.EOF at a clean end of file. A
+// record cut short by the end of the stream — header or body — yields an
+// error wrapping io.ErrUnexpectedEOF. Errors are sticky. The returned
+// Data slice is freshly allocated to the record's exact size and owned
+// by the caller. Streams without their own buffering (anything not
+// implementing io.ByteReader, such as *os.File) are wrapped in a large
+// bufio.Reader on the first call, so record-sized reads never hit the
+// underlying stream directly.
 func (r *Reader) Next() (*Packet, error) {
+	// Kept small enough to inline, so a caller that drops the packet
+	// does not pay for the struct.
 	p := new(Packet)
-	if err := r.readInto(p, false); err != nil {
+	if err := r.read(p); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// NextInto reads the next record into p, reusing p.Data's capacity when it
-// fits, and returns io.EOF at a clean end of file. A record cut short by
-// the end of the stream — header or body — yields an error wrapping
-// io.ErrUnexpectedEOF. Any previous contents of p are overwritten.
-func (r *Reader) NextInto(p *Packet) error {
-	return r.readInto(p, true)
-}
-
-// readInto is the shared record reader. reuse selects the buffer policy:
-// rounded-up allocations that converge under recycling (NextInto), or
-// exact-size allocations for packets the caller keeps (Next) — a
-// materialized header-only trace must not pay 2 KB per 96-byte record.
-func (r *Reader) readInto(p *Packet, reuse bool) error {
+// read reads the next record into p, with a Data buffer of its own.
+func (r *Reader) read(p *Packet) error {
 	if r.sticky != nil {
 		return r.sticky
 	}
-	if _, err := io.ReadFull(r.r, r.rec[:]); err != nil {
-		if err == io.EOF {
-			r.sticky = io.EOF
-			return io.EOF
-		}
-		// ReadFull's io.ErrUnexpectedEOF (a partial header) stays
-		// visible through the wrapping.
-		r.sticky = fmt.Errorf("pcap: reading record header: %w", err)
+	if !r.buffered {
+		r.r, r.buffered = bufio.NewReaderSize(r.r, readBufferSize), true
+	}
+	n, err := io.ReadFull(r.r, r.rec[:])
+	if err != nil {
+		r.sticky = tornError(n, err)
 		return r.sticky
 	}
-	sec := int64(r.order.Uint32(r.rec[0:4]))
-	frac := int64(r.order.Uint32(r.rec[4:8]))
-	incl := r.order.Uint32(r.rec[8:12])
-	orig := r.order.Uint32(r.rec[12:16])
-	if incl > r.hdr.SnapLen && r.hdr.SnapLen != 0 || incl > 1<<24 {
-		r.sticky = fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, r.hdr.SnapLen)
+	need, err := r.parseRecord(r.rec[:], p)
+	if err != nil {
+		r.sticky = err
+		return err
+	}
+	p.Data = make([]byte, need-recordHeaderLen)
+	if n, err := io.ReadFull(r.r, p.Data); err != nil {
+		r.sticky = tornError(recordHeaderLen+n, err)
 		return r.sticky
 	}
-	n := int(incl)
-	switch {
-	case cap(p.Data) >= n:
-		p.Data = p.Data[:n]
-	case reuse:
-		// Round the allocation up so a recycled buffer converges on the
-		// trace's largest record instead of reallocating per size class.
-		p.Data = make([]byte, n, roundUpPow2(n))
-	default:
-		p.Data = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r.r, p.Data); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.sticky = fmt.Errorf("pcap: reading packet body: %w", err)
-		return r.sticky
-	}
-	nsec := frac * 1000
-	if r.nanos {
-		nsec = frac
-	}
-	p.Timestamp = time.Unix(sec, nsec).UTC()
-	p.OrigLen = int(orig)
-	p.retained = false
 	return nil
-}
-
-// roundUpPow2 rounds n up to the next power of two, with a floor that
-// covers typical full-size Ethernet frames.
-func roundUpPow2(n int) int {
-	const floor = 2048
-	if n <= floor {
-		return floor
-	}
-	return 1 << bits.Len(uint(n-1))
 }
 
 // ReadAll drains the reader, returning every packet until EOF. On error —

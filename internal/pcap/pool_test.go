@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 )
@@ -27,61 +28,6 @@ func writeTestTrace(t testing.TB, n int) ([]byte, []*Packet) {
 		want = append(want, &Packet{Timestamp: stamp, Data: data, OrigLen: len(data)})
 	}
 	return buf.Bytes(), want
-}
-
-func TestNextIntoReusesBuffer(t *testing.T) {
-	raw, want := writeTestTrace(t, 50)
-	r, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p Packet
-	var firstCap int
-	for i := 0; ; i++ {
-		err := r.NextInto(&p)
-		if err == io.EOF {
-			if i != len(want) {
-				t.Fatalf("read %d packets, want %d", i, len(want))
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(p.Data, want[i].Data) {
-			t.Fatalf("packet %d data mismatch", i)
-		}
-		if !p.Timestamp.Equal(want[i].Timestamp) {
-			t.Fatalf("packet %d timestamp = %v, want %v", i, p.Timestamp, want[i].Timestamp)
-		}
-		if i == 0 {
-			firstCap = cap(p.Data)
-		} else if cap(p.Data) != firstCap {
-			// All test records fit the power-of-two floor, so the first
-			// allocation must be the only one.
-			t.Fatalf("packet %d reallocated: cap %d, first cap %d", i, cap(p.Data), firstCap)
-		}
-	}
-}
-
-func TestNextIntoGrowsUndersizedBuffer(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0, LinkTypeEthernet)
-	big := bytes.Repeat([]byte{0xEE}, 5000)
-	if err := w.WritePacket(ts(1, 0), big); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Packet{Data: make([]byte, 0, 16)}
-	if err := r.NextInto(&p); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.Data, big) {
-		t.Fatal("grown buffer lost data")
-	}
 }
 
 func TestPoolRecyclesUnretained(t *testing.T) {
@@ -138,29 +84,161 @@ func TestPooledReaderMatchesNext(t *testing.T) {
 // TestPooledReaderRetainSurvivesReuse is the Retain contract end to end:
 // a retained packet's bytes must survive arbitrarily many subsequent
 // reads through the same pool, while released packets may be recycled.
+// Under slabs that means a retained packet's Release leaves its slab's
+// count alone, so the slab never goes back to the pool — every seventh
+// packet retained pins every slab of the trace here, and each must stay
+// intact while the pool recycles nothing.
 func TestPooledReaderRetainSurvivesReuse(t *testing.T) {
-	raw, want := writeTestTrace(t, 60)
-	src := NewPooledReader(mustReader(t, raw), nil)
-	kept := map[int][]byte{}
-	for i := 0; ; i++ {
+	raw, want := writeTestTrace(t, 600)
+	for _, slabBytes := range []int{17, 256, defaultSlabBytes} {
+		pool := NewPool()
+		pool.slabBytes = slabBytes
+		src := NewPooledReader(mustReader(t, raw), pool)
+		kept := map[int]*Packet{}
+		for i := 0; ; i++ {
+			p, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%7 == 0 {
+				p.Retain()
+				kept[i] = p
+			}
+			src.Release(p)
+		}
+		// A second reader on the same pool reuses whatever was recycled.
+		if _, err := ReadAll(NewPooledReader(mustReader(t, raw), pool)); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range kept {
+			if !p.Retained() {
+				t.Errorf("slab %d: packet %d no longer marked retained", slabBytes, i)
+			}
+			if !bytes.Equal(p.Data, want[i].Data) || !p.Timestamp.Equal(want[i].Timestamp) || p.OrigLen != want[i].OrigLen {
+				t.Errorf("slab %d: retained packet %d corrupted by pool reuse", slabBytes, i)
+			}
+		}
+	}
+}
+
+// TestSlabNotRefilledWhilePacketOut is the slab lifetime rule: a slab is
+// recycled only when the reader has left it and every packet issued from
+// it is back. One packet is held while ten slabs' worth more is drained
+// and released — on the reading goroutine and on others, as the pipeline
+// and other consumers do — and its bytes must not change; once it is
+// released too, its slab must come back through the pool.
+func TestSlabNotRefilledWhilePacketOut(t *testing.T) {
+	const size = 4 << 10
+	raw, want := writeTestTrace(t, 12*size/(recordHeaderLen+20))
+	if len(raw) < 11*size {
+		t.Fatalf("trace is %d bytes, want at least %d", len(raw), 11*size)
+	}
+	pool := NewPool()
+	pool.slabBytes = size
+	src := NewPooledReader(mustReader(t, raw), pool)
+
+	held, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldSlab := held.owner
+	view := held.Data
+	snapshot := append([]byte(nil), heldSlab.buf...)
+
+	var wg sync.WaitGroup
+	back := make(chan *Packet, 64)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range back {
+				src.Release(p)
+			}
+		}()
+	}
+	slabs := map[*slab]bool{heldSlab: true}
+	for i := 1; ; i++ {
 		p, err := src.Next()
 		if err == io.EOF {
+			if i != len(want) {
+				t.Fatalf("read %d packets, want %d", i, len(want))
+			}
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%7 == 0 {
-			p.Retain()
-			kept[i] = p.Data
+		if !bytes.Equal(p.Data, want[i].Data) {
+			t.Fatalf("packet %d data mismatch", i)
 		}
-		src.Release(p)
-	}
-	for i, data := range kept {
-		if !bytes.Equal(data, want[i].Data) {
-			t.Errorf("retained packet %d corrupted by pool reuse", i)
+		if p.owner == heldSlab && len(slabs) > 1 {
+			t.Fatalf("packet %d issued from the held packet's slab after the reader left it", i)
+		}
+		slabs[p.owner] = true
+		if i%2 == 0 {
+			src.Release(p)
+		} else {
+			back <- p
 		}
 	}
+	close(back)
+	wg.Wait()
+	if &held.Data[0] != &view[0] || !bytes.Equal(held.Data, want[0].Data) || !bytes.Equal(heldSlab.buf, snapshot) {
+		t.Fatal("held packet's slab was rewritten while the packet was out")
+	}
+	src.Release(held)
+	if got := pool.getSlab(1); got != heldSlab {
+		t.Skip("pool did not hand the slab back (GC interference); recycling untestable this run")
+	}
+}
+
+// TestPooledReaderOneReadPerRefill pins the latency rule: Next returns a
+// record as soon as its bytes have arrived, without waiting for the slab
+// to fill — one Read per refill, and none while complete records remain.
+func TestPooledReaderOneReadPerRefill(t *testing.T) {
+	raw, want := writeTestTrace(t, 3)
+	first := globalHeaderLen + recordHeaderLen + len(want[0].Data)
+	st := &stepReader{steps: [][]byte{raw[:globalHeaderLen], raw[globalHeaderLen:first], raw[first:]}}
+	rd, err := NewReader(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewPooledReader(rd, nil)
+	if _, err := src.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if st.reads != 2 {
+		t.Fatalf("first packet took %d Reads, want 2 (global header, then the record's bytes)", st.reads)
+	}
+	for i := 1; i < 3; i++ {
+		if _, err := src.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.reads != 3 {
+		t.Fatalf("three packets took %d Reads, want 3", st.reads)
+	}
+}
+
+// stepReader returns one prepared step per Read, then io.EOF.
+type stepReader struct {
+	steps [][]byte
+	reads int
+}
+
+func (r *stepReader) Read(p []byte) (int, error) {
+	if len(r.steps) == 0 {
+		return 0, io.EOF
+	}
+	r.reads++
+	n := copy(p, r.steps[0])
+	if r.steps[0] = r.steps[0][n:]; len(r.steps[0]) == 0 {
+		r.steps = r.steps[1:]
+	}
+	return n, nil
 }
 
 func mustReader(t testing.TB, raw []byte) *Reader {

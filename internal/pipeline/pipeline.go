@@ -30,15 +30,17 @@ import (
 
 // Source is the pipeline's ingest seam: anything that yields packets in
 // capture order, ending with a bare io.EOF. It is pcap's PacketSource;
-// *pcap.Reader (file replay), pcap.SliceSource (in-memory traces),
-// pcap.Merger (multi-tap merge), and gen.StreamSource (the synthetic
-// load harness) all satisfy it directly, and the pipeline cannot tell
-// them apart — a streamed generator run and a pcap replay of the same
-// frames produce byte-identical results. Sources that additionally
-// implement pcap.Releaser get every packet back exactly once, on the
-// goroutine that calls Next, with never more than maxBatches batches'
-// worth out at a time — which is what keeps pooled sources' memory
-// bounded; see DESIGN.md "Packet sources".
+// *pcap.PooledReader and *pcap.MapSource (file replay, read by the slab
+// or mapped), pcap.SliceSource (in-memory traces), pcap.Merger (multi-tap
+// merge), and gen.StreamSource (the synthetic load harness) all satisfy
+// it directly, and the pipeline cannot tell them apart — a streamed
+// generator run and a pcap replay of the same frames produce
+// byte-identical results. Sources that additionally implement
+// pcap.Releaser get every packet back exactly once, on the goroutine
+// that calls Next, with never more than maxBatches batches' worth out at
+// a time — which is what keeps pooled sources' memory bounded (a
+// PooledReader's in slabs: a slab goes home with the last packet read
+// from it); see DESIGN.md "Packet sources".
 type Source = pcap.PacketSource
 
 // isEOF recognizes a clean end of stream. Only a bare io.EOF counts:
@@ -103,7 +105,8 @@ type Sink interface {
 	// record: when the source recycles packets (pcap.Releaser), pk and
 	// any slice into pk.Data — including p.Payload — are valid only
 	// until Packet returns, unless the sink calls pk.Retain() to keep
-	// the buffer out of the pool.
+	// the bytes from being recycled — which under a PooledReader keeps
+	// the packet's whole slab; a sink that keeps little should copy.
 	Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir)
 	// Undecodable is called for packets layers.Decode rejects.
 	Undecodable(idx int64)
@@ -245,11 +248,12 @@ func (w *worker) drain() {
 // pooled source's packets go home by. A worker puts a drained batch back
 // with its packets still in it; the router, taking a batch to refill,
 // first releases them. Release and the source's Next therefore run on one
-// goroutine: a sync.Pool under the source hands a packet back from the
-// per-P cache it was put in, where a worker's Put on another P made every
-// Get a steal (EXPERIMENTS.md "Per connection, not per packet" has the
-// profile), and a worker touches the source once per batch, not once per
-// packet.
+// goroutine: what a release writes — a slab's reference count under
+// PooledReader, a sync.Pool's per-P cache under the sources that pool
+// single packets — was last written by the same core, where releasing
+// from the workers made every Get a steal (EXPERIMENTS.md "Per
+// connection, not per packet" has the profile), and a worker touches the
+// source once per batch, not once per packet.
 type batchPool struct {
 	free      chan []item
 	batchSize int
@@ -420,7 +424,8 @@ func Run(src Source, cfg Config) (*Result, error) {
 	res.Base = base
 
 	// Pooled sources get their packets back once the sink has seen them;
-	// sinks keep buffers alive across that boundary by calling Retain.
+	// sinks keep a packet's bytes alive across that boundary by calling
+	// Retain.
 	var release func(*pcap.Packet)
 	if rel, ok := src.(pcap.Releaser); ok {
 		release = rel.Release

@@ -15,7 +15,9 @@
 package roles
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"enttrace/internal/flows"
@@ -138,12 +140,7 @@ func Accumulate(conns []*flows.Conn) *Partial {
 	}
 
 	// Fan-out and raw out-connection counts.
-	sort.Slice(outE, func(i, j int) bool {
-		if c := outE[i].host.Compare(outE[j].host); c != 0 {
-			return c < 0
-		}
-		return outE[i].peer.Compare(outE[j].peer) < 0
-	})
+	slices.SortFunc(outE, byHostPeer)
 	for i := 0; i < len(outE); {
 		h := outE[i].host
 		fan, j := 0, i
@@ -159,12 +156,7 @@ func Accumulate(conns []*flows.Conn) *Partial {
 	}
 
 	// Fan-in and raw in-connection counts.
-	sort.Slice(inE, func(i, j int) bool {
-		if c := inE[i].host.Compare(inE[j].host); c != 0 {
-			return c < 0
-		}
-		return inE[i].peer.Compare(inE[j].peer) < 0
-	})
+	slices.SortFunc(inE, byHostPeer)
 	for i := 0; i < len(inE); {
 		h := inE[i].host
 		fan, j := 0, i
@@ -182,14 +174,14 @@ func Accumulate(conns []*flows.Conn) *Partial {
 	// Distinct clients per local port. Resort the in-edges by
 	// (host, port, peer) and scan (host, port) runs; the service
 	// threshold is applied at Finalize, after any merging.
-	sort.Slice(inE, func(i, j int) bool {
-		if c := inE[i].host.Compare(inE[j].host); c != 0 {
-			return c < 0
+	slices.SortFunc(inE, func(a, b classifyEdge) int {
+		if c := a.host.Compare(b.host); c != 0 {
+			return c
 		}
-		if inE[i].port != inE[j].port {
-			return inE[i].port < inE[j].port
+		if c := cmp.Compare(a.port, b.port); c != 0 {
+			return c
 		}
-		return inE[i].peer.Compare(inE[j].peer) < 0
+		return a.peer.Compare(b.peer)
 	})
 	for i := 0; i < len(inE); {
 		h, port := inE[i].host, inE[i].port
@@ -203,6 +195,18 @@ func Accumulate(conns []*flows.Conn) *Partial {
 		i = j
 	}
 	return pt
+}
+
+// byHostPeer orders edges by (host, peer), then port: a total order, so
+// the sorted list is the same whatever order the edges arrived in.
+func byHostPeer(a, b classifyEdge) int {
+	if c := a.host.Compare(b.host); c != 0 {
+		return c
+	}
+	if c := a.peer.Compare(b.peer); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.port, b.port)
 }
 
 // Merge folds other's evidence into pt. Exact when the underlying
