@@ -412,6 +412,9 @@ func run() error {
 			watermark = we.Watermark
 		}
 		shipper.Fin(maxWindow, watermark)
+		// Close blocks until the aggregator has acknowledged everything
+		// queued above (or the shipper gave up); the shipper sleeps
+		// between acks, so the wait costs this site no CPU.
 		if err := shipper.Close(); err != nil {
 			return fmt.Errorf("ship to %s: %w", *ship, err)
 		}

@@ -399,7 +399,8 @@ func (f *Fleet) siteNamesLocked() []string {
 func (f *Fleet) Report() *Report {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	merged, census := f.mergedLocked()
+	merged := newEpochAgg()
+	census := f.censusLocked(merged)
 	r := buildReport(f.dataset, merged, nil)
 	if len(census.Sites) > 0 {
 		r.Fleet = census
@@ -407,11 +408,15 @@ func (f *Fleet) Report() *Report {
 	return r
 }
 
-// mergedLocked folds every delivered snapshot and takes the degradation
-// census in one pass, so the two views can never disagree about which
-// windows were counted. Callers hold f.mu.
-func (f *Fleet) mergedLocked() (*epochAgg, *FleetReport) {
-	merged := newEpochAgg()
+// censusLocked walks every (site, window) the fleet is owed and takes the
+// degradation census; given a non-nil merged it also folds every
+// delivered snapshot into it on the way. One walk serves both, so the
+// report and the status views can never disagree about which windows
+// were counted — but only Report pays for the fold: Status answers
+// /healthz polls and the FinalReady gate under the same mutex Delta
+// needs, and a fold merges every epoch the fleet holds. Callers hold
+// f.mu.
+func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
 	census := &FleetReport{}
 	maxW := f.maxWindowLocked()
 	known := make(map[string]bool, len(f.sites))
@@ -439,7 +444,9 @@ func (f *Fleet) mergedLocked() (*epochAgg, *FleetReport) {
 				if hasLost && lostSeq > dw.seq {
 					sr.LostWindows = append(sr.LostWindows, w)
 				}
-				merged.merge(dw.agg)
+				if merged != nil {
+					merged.merge(dw.agg)
+				}
 				sr.Windows++
 			case hasLost:
 				sr.LostWindows = append(sr.LostWindows, w)
@@ -468,7 +475,7 @@ func (f *Fleet) mergedLocked() (*epochAgg, *FleetReport) {
 			return census.Sites[i].Site < census.Sites[j].Site
 		})
 	}
-	return merged, census
+	return census
 }
 
 // WindowReport builds the fleet-wide report for one window (false when
@@ -537,11 +544,13 @@ type FleetSiteStatus struct {
 	LastDelivery time.Time // wall clock of the site's last frame
 }
 
-// Status snapshots the fleet's liveness state.
+// Status snapshots the fleet's liveness state. It takes the census
+// without the fold: its cost follows the number of sites and windows,
+// not the size of the snapshots.
 func (f *Fleet) Status() FleetStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, census := f.mergedLocked()
+	census := f.censusLocked(nil)
 	lostBySite := make(map[string]int, len(census.Sites))
 	for _, sr := range census.Sites {
 		lostBySite[sr.Site] = len(sr.LostWindows)

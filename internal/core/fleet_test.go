@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
+	"enttrace/internal/flows"
 	"enttrace/internal/gen"
 )
 
@@ -316,3 +320,221 @@ func TestFleetDegradationCensus(t *testing.T) {
 func traceName(i int) string { return "trace-" + string(rune('a'+i)) }
 
 func siteName(s int) string { return "site-" + string(rune('a'+s)) }
+
+// syntheticSnapshot encodes a snapshot whose only content is one fan
+// host named after (site, window): cheap to build, and folding it
+// allocates (every distinct fan host gets its own entry in the merge).
+func syntheticSnapshot(t *testing.T, site, window int) []byte {
+	t.Helper()
+	e := newEpochAgg()
+	e.fanAgg[netip.AddrFrom4([4]byte{10, byte(site), byte(window >> 8), byte(window)})] = &flows.FanStats{FanInLocal: 1}
+	b, err := fleet.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func syntheticHello() fleet.Hello {
+	return fleet.Hello{Schema: SnapshotSchema(), WindowNanos: int64(time.Minute)}
+}
+
+// syntheticFleet is a complete fleet of sites × windows synthetic
+// snapshots, every site finned.
+func syntheticFleet(t *testing.T, sites, windows int) *Fleet {
+	t.Helper()
+	f := NewFleet(FleetConfig{Dataset: "fleet"})
+	for s := 0; s < sites; s++ {
+		name := siteName(s)
+		if err := f.Hello(name, syntheticHello()); err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < windows; w++ {
+			if err := f.Delta(name, w, uint64(w+1), int64(w+1), syntheticSnapshot(t, s, w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Fin(name, windows-1, uint64(windows+1), int64(windows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// TestFleetStatusDoesNotFold pins Status as census-only. It answers
+// every /healthz poll and finalJSON's FinalReady gate under the mutex
+// Delta needs; when it folded every delivered snapshot to count lost
+// windows, its allocations followed sites × windows (here one merged
+// fan entry per snapshot, 960 of them, on top of the merged aggregate
+// and every map under it). Without the fold they follow the sites alone.
+func TestFleetStatusDoesNotFold(t *testing.T) {
+	const sites = 16
+	allocs := func(windows int) float64 {
+		f := syntheticFleet(t, sites, windows)
+		if st := f.Status(); !st.FinalReady || st.Windows != windows || len(st.Sites) != sites || st.LostWindows != 0 {
+			t.Fatalf("%d windows: status %+v", windows, st)
+		}
+		if got := f.Report().Figure2.Hosts; got != sites*windows {
+			t.Fatalf("%d windows: the fold Status skips would merge %d fan hosts, want %d", windows, got, sites*windows)
+		}
+		return testing.AllocsPerRun(10, func() { f.Status() })
+	}
+	few, many := allocs(6), allocs(60)
+	if many != few {
+		t.Errorf("Status allocates %.0f times over 6 windows a site and %.0f over 60: it should not depend on the window count", few, many)
+	}
+	if many > 2*sites {
+		t.Errorf("Status allocates %.0f times for %d sites; the census of a complete fleet needs a handful plus the rows", many, sites)
+	}
+}
+
+// TestFleetStatusMatchesReportCensus pins that Status (the census
+// alone) and Report (the census taken while folding) name the same
+// degradation, case by case. They come from one walk, so this holds by
+// construction; the table keeps it that way.
+func TestFleetStatusMatchesReportCensus(t *testing.T) {
+	type want struct {
+		lost, missing map[string][]int // per census site
+		missingSites  []string
+		finalReady    bool
+	}
+	cases := []struct {
+		name   string
+		expect []string
+		feed   func(t *testing.T, f *Fleet)
+		want   want
+	}{
+		{
+			name: "lost window",
+			feed: func(t *testing.T, f *Fleet) {
+				deliver(t, f, "site-a", map[int]uint64{0: 1, 2: 3})
+				if err := f.Lost("site-a", 1, 2); err != nil {
+					t.Fatal(err)
+				}
+				fin(t, f, "site-a", 2, 4)
+			},
+			want: want{lost: map[string][]int{"site-a": {1}}, finalReady: true},
+		},
+		{
+			name: "stale provisional under a newer LOST",
+			feed: func(t *testing.T, f *Fleet) {
+				deliver(t, f, "site-a", map[int]uint64{0: 1, 1: 2})
+				// Window 1's canonical re-export (seq 3) was evicted: the
+				// provisional delivery still folds, the window is lost.
+				if err := f.Lost("site-a", 1, 4); err != nil {
+					t.Fatal(err)
+				}
+				fin(t, f, "site-a", 1, 5)
+			},
+			want: want{lost: map[string][]int{"site-a": {1}}, finalReady: true},
+		},
+		{
+			name: "re-export newer than the LOST",
+			feed: func(t *testing.T, f *Fleet) {
+				if err := f.Hello("site-a", syntheticHello()); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Lost("site-a", 0, 1); err != nil {
+					t.Fatal(err)
+				}
+				deliver(t, f, "site-a", map[int]uint64{0: 2})
+				fin(t, f, "site-a", 0, 3)
+			},
+			want: want{finalReady: true},
+		},
+		{
+			name:   "missing expected site",
+			expect: []string{"site-a", "site-ghost"},
+			feed: func(t *testing.T, f *Fleet) {
+				deliver(t, f, "site-a", map[int]uint64{0: 1, 1: 2})
+				fin(t, f, "site-a", 1, 3)
+			},
+			want: want{missing: map[string][]int{"site-ghost": {0, 1}}, missingSites: []string{"site-ghost"}},
+		},
+		{
+			name: "un-finned site",
+			feed: func(t *testing.T, f *Fleet) {
+				deliver(t, f, "site-a", map[int]uint64{0: 1, 1: 2, 2: 3})
+				fin(t, f, "site-a", 2, 4)
+				// site-b is still running: it owes the fleet's horizon.
+				deliver(t, f, "site-b", map[int]uint64{0: 1})
+				if err := f.Lost("site-b", 2, 2); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: want{lost: map[string][]int{"site-b": {2}}, missing: map[string][]int{"site-b": {1}}},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewFleet(FleetConfig{Dataset: "fleet", ExpectSites: c.expect})
+			c.feed(t, f)
+			st, census := f.Status(), f.Report().Fleet
+			if census == nil {
+				census = &FleetReport{}
+			}
+
+			f.mu.Lock()
+			bare, folded := f.censusLocked(nil), f.censusLocked(newEpochAgg())
+			f.mu.Unlock()
+			if !reflect.DeepEqual(bare, folded) {
+				t.Errorf("the census differs with the fold:\nwithout %+v\n   with %+v", bare, folded)
+			}
+
+			lost, missing := map[string][]int{}, map[string][]int{}
+			total := 0
+			for _, sr := range census.Sites {
+				if len(sr.LostWindows) > 0 {
+					lost[sr.Site] = sr.LostWindows
+				}
+				if len(sr.MissingWindows) > 0 {
+					missing[sr.Site] = sr.MissingWindows
+				}
+				total += len(sr.LostWindows)
+			}
+			if c.want.lost == nil {
+				c.want.lost = map[string][]int{}
+			}
+			if c.want.missing == nil {
+				c.want.missing = map[string][]int{}
+			}
+			if !reflect.DeepEqual(lost, c.want.lost) || !reflect.DeepEqual(missing, c.want.missing) {
+				t.Errorf("report census: lost %v missing %v, want lost %v missing %v", lost, missing, c.want.lost, c.want.missing)
+			}
+			if st.LostWindows != total {
+				t.Errorf("status counts %d lost windows, the report's census names %d", st.LostWindows, total)
+			}
+			for _, row := range st.Sites {
+				if row.LostWindows != len(lost[row.Site]) {
+					t.Errorf("status row %s: %d lost windows, census names %v", row.Site, row.LostWindows, lost[row.Site])
+				}
+			}
+			if !reflect.DeepEqual(st.MissingSites, c.want.missingSites) {
+				t.Errorf("status MissingSites %v, want %v", st.MissingSites, c.want.missingSites)
+			}
+			if st.FinalReady != c.want.finalReady {
+				t.Errorf("status FinalReady %v, want %v", st.FinalReady, c.want.finalReady)
+			}
+		})
+	}
+}
+
+// deliver sends HELLO and the given window → seq snapshots for site.
+func deliver(t *testing.T, f *Fleet, site string, windows map[int]uint64) {
+	t.Helper()
+	if err := f.Hello(site, syntheticHello()); err != nil {
+		t.Fatal(err)
+	}
+	for w, seq := range windows {
+		if err := f.Delta(site, w, seq, int64(w+1), syntheticSnapshot(t, 0, w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func fin(t *testing.T, f *Fleet, site string, maxWindow int, seq uint64) {
+	t.Helper()
+	if err := f.Fin(site, maxWindow, seq, 0); err != nil {
+		t.Fatal(err)
+	}
+}

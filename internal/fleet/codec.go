@@ -7,25 +7,31 @@
 // internal/core (which owns the aggregate types); this package owns
 // bytes on the wire and delivery semantics only.
 //
-// The payload codec is a deterministic reflection walk: it serializes
-// any acyclic value graph of plain data (structs — exported or not —
-// maps, slices, strings, numbers, netip.Addr, time.Time), producing
-// identical bytes for identical values (map entries are sorted by
-// encoded key). A 64-bit schema hash derived from the walked type
-// structure pins the layout: two builds agree on the hash exactly when
+// The payload codec is deterministic and driven by reflection: it
+// serializes any acyclic value graph of plain data (structs — exported
+// or not — maps, slices, strings, numbers, netip.Addr, time.Time),
+// producing identical bytes for identical values (map entries are
+// sorted by encoded key). Reflection is paid per type, not per value:
+// the first time a type is met it is compiled into a plan (wire form,
+// kept fields, special cases all decided), and values are encoded and
+// decoded by running the plan. A 64-bit schema hash derived from the
+// same plans pins the layout: two builds agree on the hash exactly when
 // they agree on every field name, order, and type in the graph, so a
 // decoder can reject a frame from a mismatched build before touching
 // the payload. See DESIGN.md "Fleet aggregation".
 package fleet
 
 import (
+	"bytes"
 	"encoding"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -47,7 +53,7 @@ func Marshal(v any) ([]byte, error) {
 		return nil, errNotPointer
 	}
 	var e encoder
-	if err := e.encode(rv.Elem()); err != nil {
+	if err := planOf(rv.Type().Elem()).enc(&e, rv.Elem()); err != nil {
 		return nil, err
 	}
 	return e.buf, nil
@@ -63,7 +69,7 @@ func Unmarshal(b []byte, v any) error {
 		return errNotPointer
 	}
 	d := decoder{buf: b}
-	if err := d.decode(rv.Elem()); err != nil {
+	if err := planOf(rv.Type().Elem()).dec(&d, rv.Elem()); err != nil {
 		return err
 	}
 	if len(d.buf) != 0 {
@@ -82,62 +88,64 @@ func SchemaOf(v any) uint64 {
 		t = t.Elem()
 	}
 	h := fnv.New64a()
-	hashType(h, t, map[reflect.Type]bool{})
+	planOf(t).schema(h, map[reflect.Type]bool{})
 	return h.Sum64()
 }
 
-func hashType(h interface{ Write([]byte) (int, error) }, t reflect.Type, seen map[reflect.Type]bool) {
-	// Special-cased types hash by name, not structure: their wire form
-	// is their own MarshalBinary/runs layout, not the field walk.
-	switch {
-	case t == timeType:
-		h.Write([]byte("time.Time"))
-		return
-	case t == distType:
-		h.Write([]byte("stats.Dist:runs"))
-		return
-	case isBinaryCodec(t):
-		h.Write([]byte("binary:" + t.String()))
-		return
+// plan is the codec compiled for one type. Everything that depends on
+// the type alone is decided when the plan is built — the wire form, the
+// struct fields that are kept, whether the type is one of the
+// special-cased ones — so running it asks no questions of the type
+// again. enc and dec take an addressable Value free of reflect's
+// read-only flag (struct plans restore that for each field they hand
+// down); dec overwrites all of it. schema writes the type's
+// contribution to the schema hash; seen holds the struct types open on
+// the path down to it.
+type plan struct {
+	enc    func(*encoder, reflect.Value) error
+	dec    func(*decoder, reflect.Value) error
+	schema func(h io.Writer, seen map[reflect.Type]bool)
+}
+
+// plans caches every complete plan by reflect.Type, for the life of the
+// process: the set of types is fixed by the build.
+var plans sync.Map
+
+func planOf(t reflect.Type) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
 	}
-	if seen[t] {
-		// Recursive type: the name already contributed where it was
-		// first seen; terminate the walk.
-		h.Write([]byte("rec:" + t.String()))
-		return
+	// Build everything t reaches privately and publish only what is
+	// complete: no other goroutine may find a plan whose children are
+	// still being filled in. Two goroutines that meet a type together
+	// both build it; the plans are interchangeable, and whichever is
+	// stored first serves everyone after.
+	b := planBuilder{}
+	p := b.plan(t)
+	for t, p := range b {
+		plans.LoadOrStore(t, p)
 	}
-	switch t.Kind() {
-	case reflect.Pointer:
-		h.Write([]byte("*"))
-		hashType(h, t.Elem(), seen)
-	case reflect.Slice:
-		h.Write([]byte("[]"))
-		hashType(h, t.Elem(), seen)
-	case reflect.Array:
-		fmt.Fprintf(h.(interface{ Write([]byte) (int, error) }), "[%d]", t.Len())
-		hashType(h, t.Elem(), seen)
-	case reflect.Map:
-		h.Write([]byte("map["))
-		hashType(h, t.Key(), seen)
-		h.Write([]byte("]"))
-		hashType(h, t.Elem(), seen)
-	case reflect.Struct:
-		seen[t] = true
-		h.Write([]byte("struct " + t.String() + "{"))
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if skipKind(f.Type.Kind()) {
-				continue
-			}
-			h.Write([]byte(f.Name + ":"))
-			hashType(h, f.Type, seen)
-			h.Write([]byte(";"))
-		}
-		h.Write([]byte("}"))
-		delete(seen, t)
-	default:
-		h.Write([]byte(t.Kind().String()))
+	return p
+}
+
+// planBuilder holds the plans of one build, complete or not.
+type planBuilder map[reflect.Type]*plan
+
+// plan returns t's plan, building it if neither the cache nor this build
+// has it. A type that contains itself finds its own entry here while it
+// is still being filled in; that is safe because a parent keeps the
+// *plan and reads enc, dec and schema through it only when run.
+func (b planBuilder) plan(t reflect.Type) *plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*plan)
 	}
+	if p := b[t]; p != nil {
+		return p
+	}
+	p := new(plan)
+	b[t] = p
+	b.fill(p, t)
+	return p
 }
 
 var (
@@ -159,15 +167,451 @@ func skipKind(k reflect.Kind) bool {
 	return k == reflect.Func || k == reflect.Chan || k == reflect.UnsafePointer
 }
 
-// launder returns a readable+writable view of v. Values reached through
-// unexported struct fields are flagged read-only by the reflect
-// package; re-deriving the value from its address strips the flag. The
-// codec keeps every value addressable precisely so this works.
-func launder(v reflect.Value) reflect.Value {
-	if !v.CanInterface() && v.CanAddr() {
-		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+// label is the schema of a type whose contribution is a fixed string.
+func label(s string) func(io.Writer, map[reflect.Type]bool) {
+	return func(h io.Writer, _ map[reflect.Type]bool) { io.WriteString(h, s) }
+}
+
+// field is one kept field of a struct plan.
+type field struct {
+	name   string
+	typ    reflect.Type
+	offset uintptr
+	plan   *plan
+}
+
+// at returns the field of the struct at base. Reflect flags a Value
+// reached through an unexported field read-only; deriving it from its
+// address instead yields one that can be read and set.
+func (f *field) at(base unsafe.Pointer) reflect.Value {
+	return reflect.NewAt(f.typ, unsafe.Add(base, f.offset)).Elem()
+}
+
+// fill compiles t into p: the one place the codec dispatches on type.
+func (b planBuilder) fill(p *plan, t reflect.Type) {
+	// Special cases first: exact wire forms owned by the value's own
+	// package. They hash by name, not structure.
+	switch {
+	case t == timeType:
+		p.schema = label("time.Time")
+		p.enc = func(e *encoder, v reflect.Value) error {
+			raw, err := v.Addr().Interface().(*time.Time).MarshalBinary()
+			if err != nil {
+				return err
+			}
+			e.bytes(raw)
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			raw, err := d.bytes()
+			if err != nil {
+				return err
+			}
+			var tm time.Time
+			if err := tm.UnmarshalBinary(raw); err != nil {
+				return fmt.Errorf("fleet: time: %w", err)
+			}
+			*v.Addr().Interface().(*time.Time) = tm
+			return nil
+		}
+		return
+	case t == distType:
+		p.schema = label("stats.Dist:runs")
+		p.enc = func(e *encoder, v reflect.Value) error {
+			vals, counts, nan := stats.DistRuns(v.Addr().Interface().(*stats.Dist))
+			e.varint(nan)
+			e.uvarint(uint64(len(vals)))
+			for i := range vals {
+				e.float64(vals[i])
+				e.varint(counts[i])
+			}
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			nan, err := d.varint()
+			if err != nil {
+				return err
+			}
+			n, err := d.uvarint()
+			if err != nil {
+				return err
+			}
+			if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
+				return errShort
+			}
+			vals := make([]float64, n)
+			counts := make([]int64, n)
+			for i := range vals {
+				raw, err := d.take(8)
+				if err != nil {
+					return err
+				}
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+				if counts[i], err = d.varint(); err != nil {
+					return err
+				}
+			}
+			dist, err := stats.DistFromRuns(vals, counts, nan)
+			if err != nil {
+				return fmt.Errorf("fleet: dist: %w", err)
+			}
+			*v.Addr().Interface().(*stats.Dist) = *dist
+			return nil
+		}
+		return
+	case isBinaryCodec(t):
+		p.schema = label("binary:" + t.String())
+		p.enc = func(e *encoder, v reflect.Value) error {
+			raw, err := v.Addr().Interface().(encoding.BinaryMarshaler).MarshalBinary()
+			if err != nil {
+				return err
+			}
+			e.bytes(raw)
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			raw, err := d.bytes()
+			if err != nil {
+				return err
+			}
+			v.SetZero()
+			if err := v.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(raw); err != nil {
+				return fmt.Errorf("fleet: %s: %w", t, err)
+			}
+			return nil
+		}
+		return
 	}
-	return v
+
+	p.schema = label(t.Kind().String())
+	switch t.Kind() {
+	case reflect.Bool:
+		p.enc = func(e *encoder, v reflect.Value) error {
+			e.flag(v.Bool())
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			f, err := d.byteFlag()
+			if err != nil {
+				return err
+			}
+			v.SetBool(f)
+			return nil
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		p.enc = func(e *encoder, v reflect.Value) error {
+			e.varint(v.Int())
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			x, err := d.varint()
+			if err != nil {
+				return err
+			}
+			if v.OverflowInt(x) {
+				return fmt.Errorf("fleet: %d overflows %s", x, t)
+			}
+			v.SetInt(x)
+			return nil
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		p.enc = func(e *encoder, v reflect.Value) error {
+			e.uvarint(v.Uint())
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			x, err := d.uvarint()
+			if err != nil {
+				return err
+			}
+			if v.OverflowUint(x) {
+				return fmt.Errorf("fleet: %d overflows %s", x, t)
+			}
+			v.SetUint(x)
+			return nil
+		}
+	case reflect.Float32:
+		p.enc = func(e *encoder, v reflect.Value) error {
+			e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			raw, err := d.take(4)
+			if err != nil {
+				return err
+			}
+			v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw))))
+			return nil
+		}
+	case reflect.Float64:
+		p.enc = func(e *encoder, v reflect.Value) error {
+			e.float64(v.Float())
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			raw, err := d.take(8)
+			if err != nil {
+				return err
+			}
+			v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+			return nil
+		}
+	case reflect.String:
+		p.enc = func(e *encoder, v reflect.Value) error {
+			e.uvarint(uint64(v.Len()))
+			e.buf = append(e.buf, v.String()...)
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			raw, err := d.bytes()
+			if err != nil {
+				return err
+			}
+			v.SetString(string(raw))
+			return nil
+		}
+	case reflect.Slice:
+		elem := b.plan(t.Elem())
+		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
+			io.WriteString(h, "[]")
+			elem.schema(h, seen)
+		}
+		if t.Elem().Kind() == reflect.Uint8 {
+			p.enc = func(e *encoder, v reflect.Value) error {
+				if e.flag(!v.IsNil()) {
+					e.bytes(v.Bytes())
+				}
+				return nil
+			}
+			p.dec = func(d *decoder, v reflect.Value) error {
+				n, present, err := d.length()
+				if err != nil {
+					return err
+				}
+				if !present {
+					v.SetZero()
+					return nil
+				}
+				raw, err := d.take(int(n))
+				if err != nil {
+					return err
+				}
+				v.SetBytes(append([]byte(nil), raw...))
+				return nil
+			}
+			break
+		}
+		p.enc = func(e *encoder, v reflect.Value) error {
+			if !e.flag(!v.IsNil()) {
+				return nil
+			}
+			n := v.Len()
+			e.uvarint(uint64(n))
+			for i := 0; i < n; i++ {
+				if err := elem.enc(e, v.Index(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			n, present, err := d.length()
+			if err != nil {
+				return err
+			}
+			if !present {
+				v.SetZero()
+				return nil
+			}
+			// A decoded element costs ≥ 1 wire byte; bound the allocation.
+			if n > uint64(len(d.buf))+1 {
+				return errShort
+			}
+			s := reflect.MakeSlice(t, int(n), int(n))
+			for i := 0; i < int(n); i++ {
+				if err := elem.dec(d, s.Index(i)); err != nil {
+					return err
+				}
+			}
+			v.Set(s)
+			return nil
+		}
+	case reflect.Array:
+		elem, n := b.plan(t.Elem()), t.Len()
+		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
+			fmt.Fprintf(h, "[%d]", n)
+			elem.schema(h, seen)
+		}
+		p.enc = func(e *encoder, v reflect.Value) error {
+			for i := 0; i < n; i++ {
+				if err := elem.enc(e, v.Index(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			for i := 0; i < n; i++ {
+				if err := elem.dec(d, v.Index(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	case reflect.Map:
+		kt, et := t.Key(), t.Elem()
+		key, elem := b.plan(kt), b.plan(et)
+		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
+			io.WriteString(h, "map[")
+			key.schema(h, seen)
+			io.WriteString(h, "]")
+			elem.schema(h, seen)
+		}
+		// Map entries are not addressable: both directions copy each
+		// entry through one addressable key slot and one value slot.
+		// Reusing the slots across entries is sound because enc keeps
+		// nothing of what it read and dec overwrites its whole target
+		// with freshly allocated contents.
+		p.enc = func(e *encoder, v reflect.Value) error {
+			if !e.flag(!v.IsNil()) {
+				return nil
+			}
+			e.uvarint(uint64(v.Len()))
+			// Deterministic order: encode every (key, value) pair into a
+			// scratch buffer, sort the pairs by their key bytes, append.
+			type pair struct{ key, val, end int }
+			var scratch encoder
+			pairs := make([]pair, 0, v.Len())
+			k, val := reflect.New(kt).Elem(), reflect.New(et).Elem()
+			for iter := v.MapRange(); iter.Next(); {
+				pr := pair{key: len(scratch.buf)}
+				k.SetIterKey(iter)
+				if err := key.enc(&scratch, k); err != nil {
+					return err
+				}
+				pr.val = len(scratch.buf)
+				val.SetIterValue(iter)
+				if err := elem.enc(&scratch, val); err != nil {
+					return err
+				}
+				pr.end = len(scratch.buf)
+				pairs = append(pairs, pr)
+			}
+			slices.SortFunc(pairs, func(x, y pair) int {
+				return bytes.Compare(scratch.buf[x.key:x.val], scratch.buf[y.key:y.val])
+			})
+			for _, pr := range pairs {
+				e.buf = append(e.buf, scratch.buf[pr.key:pr.end]...)
+			}
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			n, present, err := d.length()
+			if err != nil {
+				return err
+			}
+			if !present {
+				v.SetZero()
+				return nil
+			}
+			if n > uint64(len(d.buf))+1 {
+				return errShort
+			}
+			m := reflect.MakeMapWithSize(t, int(n))
+			k, val := reflect.New(kt).Elem(), reflect.New(et).Elem()
+			for i := 0; i < int(n); i++ {
+				if err := key.dec(d, k); err != nil {
+					return err
+				}
+				if err := elem.dec(d, val); err != nil {
+					return err
+				}
+				m.SetMapIndex(k, val)
+			}
+			v.Set(m)
+			return nil
+		}
+	case reflect.Pointer:
+		et := t.Elem()
+		elem := b.plan(et)
+		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
+			io.WriteString(h, "*")
+			elem.schema(h, seen)
+		}
+		p.enc = func(e *encoder, v reflect.Value) error {
+			if !e.flag(!v.IsNil()) {
+				return nil
+			}
+			return elem.enc(e, v.Elem())
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			present, err := d.byteFlag()
+			if err != nil {
+				return err
+			}
+			if !present {
+				v.SetZero()
+				return nil
+			}
+			nv := reflect.New(et)
+			if err := elem.dec(d, nv.Elem()); err != nil {
+				return err
+			}
+			v.Set(nv)
+			return nil
+		}
+	case reflect.Struct:
+		var fields []field
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if skipKind(f.Type.Kind()) {
+				continue
+			}
+			fields = append(fields, field{name: f.Name, typ: f.Type, offset: f.Offset, plan: b.plan(f.Type)})
+		}
+		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
+			if seen[t] {
+				// Recursive type: the name already contributed where it
+				// was first seen; terminate the walk.
+				io.WriteString(h, "rec:"+t.String())
+				return
+			}
+			seen[t] = true
+			io.WriteString(h, "struct "+t.String()+"{")
+			for i := range fields {
+				io.WriteString(h, fields[i].name+":")
+				fields[i].plan.schema(h, seen)
+				io.WriteString(h, ";")
+			}
+			io.WriteString(h, "}")
+			delete(seen, t)
+		}
+		p.enc = func(e *encoder, v reflect.Value) error {
+			base := v.Addr().UnsafePointer()
+			for i := range fields {
+				if err := fields[i].plan.enc(e, fields[i].at(base)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		p.dec = func(d *decoder, v reflect.Value) error {
+			base := v.Addr().UnsafePointer()
+			for i := range fields {
+				if err := fields[i].plan.dec(d, fields[i].at(base)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	default:
+		p.enc = func(*encoder, reflect.Value) error {
+			return fmt.Errorf("fleet: cannot encode kind %s (%s)", t.Kind(), t)
+		}
+		p.dec = func(*decoder, reflect.Value) error {
+			return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
+		}
+	}
 }
 
 type encoder struct {
@@ -180,131 +624,15 @@ func (e *encoder) bytes(b []byte)    { e.uvarint(uint64(len(b))); e.buf = append
 func (e *encoder) fixed64(x uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, x) }
 func (e *encoder) float64(f float64) { e.fixed64(math.Float64bits(f)) }
 
-func (e *encoder) encode(v reflect.Value) error {
-	v = launder(v)
-	t := v.Type()
-
-	// Special cases first: exact wire forms owned by the value's own
-	// package.
-	switch {
-	case t == timeType:
-		b, err := v.Interface().(time.Time).MarshalBinary()
-		if err != nil {
-			return err
-		}
-		e.bytes(b)
-		return nil
-	case t == distType:
-		vals, counts, nan := stats.DistRuns(v.Addr().Interface().(*stats.Dist))
-		e.varint(nan)
-		e.uvarint(uint64(len(vals)))
-		for i := range vals {
-			e.float64(vals[i])
-			e.varint(counts[i])
-		}
-		return nil
-	case isBinaryCodec(t):
-		b, err := v.Interface().(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			return err
-		}
-		e.bytes(b)
-		return nil
-	}
-
-	switch t.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			e.buf = append(e.buf, 1)
-		} else {
-			e.buf = append(e.buf, 0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.varint(v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		e.uvarint(v.Uint())
-	case reflect.Float32:
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
-	case reflect.Float64:
-		e.float64(v.Float())
-	case reflect.String:
-		e.bytes([]byte(v.String()))
-	case reflect.Slice:
-		if v.IsNil() {
-			e.buf = append(e.buf, 0)
-		} else {
-			e.buf = append(e.buf, 1)
-			e.uvarint(uint64(v.Len()))
-			if t.Elem().Kind() == reflect.Uint8 {
-				e.buf = append(e.buf, v.Bytes()...)
-				return nil
-			}
-			for i := 0; i < v.Len(); i++ {
-				if err := e.encode(v.Index(i)); err != nil {
-					return err
-				}
-			}
-		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if err := e.encode(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Map:
-		if v.IsNil() {
-			e.buf = append(e.buf, 0)
-			return nil
-		}
+// flag writes one boolean byte — a bool, or whether a nilable value is
+// present — and returns it.
+func (e *encoder) flag(present bool) bool {
+	if present {
 		e.buf = append(e.buf, 1)
-		e.uvarint(uint64(v.Len()))
-		// Deterministic order: encode each (key, value) pair into a
-		// scratch buffer, sort the pairs by bytes, append.
-		type entry struct{ k, kv []byte }
-		entries := make([]entry, 0, v.Len())
-		iter := v.MapRange()
-		for iter.Next() {
-			var ke, ve encoder
-			// Map keys/values are not addressable; copy them into
-			// fresh addressable slots before the walk.
-			k := reflect.New(t.Key()).Elem()
-			k.Set(iter.Key())
-			if err := ke.encode(k); err != nil {
-				return err
-			}
-			val := reflect.New(t.Elem()).Elem()
-			val.Set(iter.Value())
-			if err := ve.encode(val); err != nil {
-				return err
-			}
-			entries = append(entries, entry{k: ke.buf, kv: append(ke.buf, ve.buf...)})
-		}
-		sort.Slice(entries, func(i, j int) bool {
-			return string(entries[i].k) < string(entries[j].k)
-		})
-		for _, en := range entries {
-			e.buf = append(e.buf, en.kv...)
-		}
-	case reflect.Pointer:
-		if v.IsNil() {
-			e.buf = append(e.buf, 0)
-			return nil
-		}
-		e.buf = append(e.buf, 1)
-		return e.encode(v.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if skipKind(t.Field(i).Type.Kind()) {
-				continue
-			}
-			if err := e.encode(v.Field(i)); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("fleet: cannot encode kind %s (%s)", t.Kind(), t)
+	} else {
+		e.buf = append(e.buf, 0)
 	}
-	return nil
+	return present
 }
 
 type decoder struct {
@@ -365,201 +693,12 @@ func (d *decoder) byteFlag() (bool, error) {
 	return false, fmt.Errorf("fleet: bad presence flag %d", b[0])
 }
 
-// decode fills v (addressable) from the stream.
-func (d *decoder) decode(v reflect.Value) error {
-	v = launder(v)
-	t := v.Type()
-
-	switch {
-	case t == timeType:
-		b, err := d.bytes()
-		if err != nil {
-			return err
-		}
-		var tm time.Time
-		if err := tm.UnmarshalBinary(b); err != nil {
-			return fmt.Errorf("fleet: time: %w", err)
-		}
-		v.Set(reflect.ValueOf(tm))
-		return nil
-	case t == distType:
-		nan, err := d.varint()
-		if err != nil {
-			return err
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
-			return errShort
-		}
-		vals := make([]float64, n)
-		counts := make([]int64, n)
-		for i := range vals {
-			raw, err := d.take(8)
-			if err != nil {
-				return err
-			}
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-			if counts[i], err = d.varint(); err != nil {
-				return err
-			}
-		}
-		dist, err := stats.DistFromRuns(vals, counts, nan)
-		if err != nil {
-			return fmt.Errorf("fleet: dist: %w", err)
-		}
-		v.Set(reflect.ValueOf(*dist))
-		return nil
-	case isBinaryCodec(t):
-		b, err := d.bytes()
-		if err != nil {
-			return err
-		}
-		nv := reflect.New(t)
-		if err := nv.Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(b); err != nil {
-			return fmt.Errorf("fleet: %s: %w", t, err)
-		}
-		v.Set(nv.Elem())
-		return nil
+// length reads a nilable value's presence byte and, when it is present,
+// its element count.
+func (d *decoder) length() (n uint64, present bool, err error) {
+	if present, err = d.byteFlag(); !present || err != nil {
+		return 0, false, err
 	}
-
-	switch t.Kind() {
-	case reflect.Bool:
-		f, err := d.byteFlag()
-		if err != nil {
-			return err
-		}
-		v.SetBool(f)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		x, err := d.varint()
-		if err != nil {
-			return err
-		}
-		if v.OverflowInt(x) {
-			return fmt.Errorf("fleet: %d overflows %s", x, t)
-		}
-		v.SetInt(x)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		x, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if v.OverflowUint(x) {
-			return fmt.Errorf("fleet: %d overflows %s", x, t)
-		}
-		v.SetUint(x)
-	case reflect.Float32:
-		raw, err := d.take(4)
-		if err != nil {
-			return err
-		}
-		v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw))))
-	case reflect.Float64:
-		raw, err := d.take(8)
-		if err != nil {
-			return err
-		}
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
-	case reflect.String:
-		b, err := d.bytes()
-		if err != nil {
-			return err
-		}
-		v.SetString(string(b))
-	case reflect.Slice:
-		present, err := d.byteFlag()
-		if err != nil {
-			return err
-		}
-		if !present {
-			v.Set(reflect.Zero(t))
-			return nil
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if t.Elem().Kind() == reflect.Uint8 {
-			b, err := d.take(int(n))
-			if err != nil {
-				return err
-			}
-			v.SetBytes(append([]byte(nil), b...))
-			return nil
-		}
-		// A decoded element costs ≥ 1 wire byte; bound the allocation.
-		if n > uint64(len(d.buf))+1 {
-			return errShort
-		}
-		s := reflect.MakeSlice(t, int(n), int(n))
-		for i := 0; i < int(n); i++ {
-			if err := d.decode(s.Index(i)); err != nil {
-				return err
-			}
-		}
-		v.Set(s)
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if err := d.decode(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Map:
-		present, err := d.byteFlag()
-		if err != nil {
-			return err
-		}
-		if !present {
-			v.Set(reflect.Zero(t))
-			return nil
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > uint64(len(d.buf))+1 {
-			return errShort
-		}
-		m := reflect.MakeMapWithSize(t, int(n))
-		for i := 0; i < int(n); i++ {
-			k := reflect.New(t.Key()).Elem()
-			if err := d.decode(k); err != nil {
-				return err
-			}
-			val := reflect.New(t.Elem()).Elem()
-			if err := d.decode(val); err != nil {
-				return err
-			}
-			m.SetMapIndex(k, val)
-		}
-		v.Set(m)
-	case reflect.Pointer:
-		present, err := d.byteFlag()
-		if err != nil {
-			return err
-		}
-		if !present {
-			v.Set(reflect.Zero(t))
-			return nil
-		}
-		nv := reflect.New(t.Elem())
-		if err := d.decode(nv.Elem()); err != nil {
-			return err
-		}
-		v.Set(nv)
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if skipKind(t.Field(i).Type.Kind()) {
-				continue
-			}
-			if err := d.decode(v.Field(i)); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
-	}
-	return nil
+	n, err = d.uvarint()
+	return n, true, err
 }

@@ -1,0 +1,189 @@
+package fleet
+
+import (
+	"bytes"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// diffUnmarshal decodes b through the plans and through the reference
+// walk into two fresh targets and fails unless the two agree: on
+// accepting b at all, on the error's text, on the decoded value, and on
+// what that value re-encodes to through either encoder. It returns the
+// re-encoding (nil when b is rejected).
+func diffUnmarshal(t testing.TB, b []byte, fresh func() any) []byte {
+	t.Helper()
+	got, want := fresh(), fresh()
+	err, refErr := Unmarshal(b, got), refUnmarshal(b, want)
+	if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+		t.Fatalf("decode disagrees\n     plan: %v\nreference: %v", err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		// DeepEqual holds NaN unequal to itself. A value that carries one
+		// is not even equal to a second reference decode of the same
+		// bytes; then only the re-encodings below can judge.
+		again := fresh()
+		if err := refUnmarshal(b, again); err != nil || reflect.DeepEqual(want, again) {
+			t.Fatalf("decoded values differ\n     plan: %+v\nreference: %+v", got, want)
+		}
+	}
+	out := make([][]byte, 0, 4)
+	for _, v := range []any{got, want} {
+		re, err := Marshal(v)
+		if err != nil {
+			t.Fatalf("plan re-encode: %v", err)
+		}
+		refRe, err := refMarshal(v)
+		if err != nil {
+			t.Fatalf("reference re-encode: %v", err)
+		}
+		out = append(out, re, refRe)
+	}
+	for _, re := range out[1:] {
+		if !bytes.Equal(re, out[0]) {
+			t.Fatalf("re-encodings differ (plan and reference encoders over both decodes):\n%x\n%x", out[0], re)
+		}
+	}
+	return out[0]
+}
+
+func freshFixture() any { return new(wireFixture) }
+
+// TestCodecMatchesReferenceWalk is the fixture-sized differential: the
+// plans and the reference walk produce the same bytes for the same
+// value, decode them to the same value, and what they produce is
+// canonical — decoding and re-encoding changes nothing.
+func TestCodecMatchesReferenceWalk(t *testing.T) {
+	for name, in := range map[string]*wireFixture{"full": mkFixture(), "zero": {}} {
+		b, err := Marshal(in)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		ref, err := refMarshal(in)
+		if err != nil {
+			t.Fatalf("%s: reference Marshal: %v", name, err)
+		}
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("%s: plan and reference encode differently:\n%x\n%x", name, b, ref)
+		}
+		if re := diffUnmarshal(t, b, freshFixture); !bytes.Equal(re, b) {
+			t.Fatalf("%s: not a decode → re-encode fixed point:\n%x\n%x", name, b, re)
+		}
+		// Every truncation is rejected the same way by both.
+		for cut := 0; cut < len(b); cut++ {
+			diffUnmarshal(t, b[:cut], freshFixture)
+		}
+	}
+}
+
+// chain contains itself three ways — through a pointer, a slice and a
+// map — so its plan is found half-built by its own children.
+type chain struct {
+	id     int
+	next   *chain
+	kids   []chain
+	byName map[string]*chain
+}
+
+func mkChain() *chain {
+	leaf := &chain{id: 3, byName: map[string]*chain{"nil": nil}}
+	return &chain{
+		id:     1,
+		next:   &chain{id: 2, next: leaf, kids: []chain{}},
+		kids:   []chain{{id: 4}, {id: 5, next: &chain{id: 6}}},
+		byName: map[string]*chain{"b": {id: 7}, "a": leaf},
+	}
+}
+
+func TestCodecRecursiveType(t *testing.T) {
+	plans.Clear() // build chain's plan here, through its own recursion
+	in := mkChain()
+	b, err := Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refMarshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, ref) {
+		t.Fatalf("plan and reference encode a recursive type differently:\n%x\n%x", b, ref)
+	}
+	if re := diffUnmarshal(t, b, func() any { return new(chain) }); !bytes.Equal(re, b) {
+		t.Fatalf("recursive type is not a fixed point:\n%x\n%x", b, re)
+	}
+	var out chain
+	if err := Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&out, in) {
+		t.Fatalf("recursive round trip:\n got %+v\nwant %+v", &out, in)
+	}
+}
+
+// TestSchemaMatchesReferenceWalk pins the schema hash the plans write to
+// the one the type walk wrote: the HELLO of a site built before the
+// plans must still be accepted.
+func TestSchemaMatchesReferenceWalk(t *testing.T) {
+	type unsupported struct {
+		v any
+		c complex128
+		f func()
+		n [3]*unsupported
+	}
+	for _, v := range []any{&wireFixture{}, &Hello{}, &chain{}, &unsupported{}, new(int), new(map[pairKey][]innerFixture)} {
+		if got, want := SchemaOf(v), refSchemaOf(v); got != want {
+			t.Errorf("%T: schema %#x, reference walk %#x", v, got, want)
+		}
+	}
+}
+
+// TestPlanCacheFirstUse races eight goroutines to be the first to decode
+// (then encode) types the cache has never seen, a recursive one among
+// them: every one of them must get a complete plan, whoever builds it.
+// Run under -race at several -cpu values (CI's race job does).
+func TestPlanCacheFirstUse(t *testing.T) {
+	fixture, err := refMarshal(mkFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained, err := refMarshal(mkChain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		plans.Clear()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, c := range []struct {
+					b     []byte
+					fresh func() any
+				}{{fixture, freshFixture}, {chained, func() any { return new(chain) }}} {
+					out := c.fresh()
+					if g%2 == 1 {
+						SchemaOf(out)
+					}
+					if err := Unmarshal(c.b, out); err != nil {
+						t.Errorf("first-use decode: %v", err)
+						return
+					}
+					re, err := Marshal(out)
+					if err != nil || !bytes.Equal(re, c.b) {
+						t.Errorf("first-use re-encode differs from the reference bytes (err %v)", err)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}

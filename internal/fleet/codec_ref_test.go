@@ -1,0 +1,450 @@
+package fleet
+
+import (
+	"encoding"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"reflect"
+	"sort"
+	"time"
+	"unsafe"
+
+	"enttrace/internal/stats"
+)
+
+// The per-value reflection walk the codec was before it compiled plans,
+// kept verbatim as the reference the plans must agree with: it asks
+// every question (which wire form, which fields, is this a special
+// type) of the type again for every value it meets, and hashes the
+// schema by its own walk over the type. Plan and reference share only
+// the byte-level primitives on encoder and decoder.
+
+func refMarshal(v any) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return nil, errNotPointer
+	}
+	var e encoder
+	if err := e.refEncode(rv.Elem()); err != nil {
+		return nil, err
+	}
+	return e.buf, nil
+}
+
+func refUnmarshal(b []byte, v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return errNotPointer
+	}
+	d := decoder{buf: b}
+	if err := d.refDecode(rv.Elem()); err != nil {
+		return err
+	}
+	if len(d.buf) != 0 {
+		return fmt.Errorf("fleet: %d trailing bytes after decode", len(d.buf))
+	}
+	return nil
+}
+
+func refSchemaOf(v any) uint64 {
+	t := reflect.TypeOf(v)
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	h := fnv.New64a()
+	refHashType(h, t, map[reflect.Type]bool{})
+	return h.Sum64()
+}
+
+func refHashType(h interface{ Write([]byte) (int, error) }, t reflect.Type, seen map[reflect.Type]bool) {
+	// Special-cased types hash by name, not structure: their wire form
+	// is their own MarshalBinary/runs layout, not the field walk.
+	switch {
+	case t == timeType:
+		h.Write([]byte("time.Time"))
+		return
+	case t == distType:
+		h.Write([]byte("stats.Dist:runs"))
+		return
+	case isBinaryCodec(t):
+		h.Write([]byte("binary:" + t.String()))
+		return
+	}
+	if seen[t] {
+		// Recursive type: the name already contributed where it was
+		// first seen; terminate the walk.
+		h.Write([]byte("rec:" + t.String()))
+		return
+	}
+	switch t.Kind() {
+	case reflect.Pointer:
+		h.Write([]byte("*"))
+		refHashType(h, t.Elem(), seen)
+	case reflect.Slice:
+		h.Write([]byte("[]"))
+		refHashType(h, t.Elem(), seen)
+	case reflect.Array:
+		fmt.Fprintf(h.(interface{ Write([]byte) (int, error) }), "[%d]", t.Len())
+		refHashType(h, t.Elem(), seen)
+	case reflect.Map:
+		h.Write([]byte("map["))
+		refHashType(h, t.Key(), seen)
+		h.Write([]byte("]"))
+		refHashType(h, t.Elem(), seen)
+	case reflect.Struct:
+		seen[t] = true
+		h.Write([]byte("struct " + t.String() + "{"))
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if skipKind(f.Type.Kind()) {
+				continue
+			}
+			h.Write([]byte(f.Name + ":"))
+			refHashType(h, f.Type, seen)
+			h.Write([]byte(";"))
+		}
+		h.Write([]byte("}"))
+		delete(seen, t)
+	default:
+		h.Write([]byte(t.Kind().String()))
+	}
+}
+
+// launder returns a readable+writable view of v. Values reached through
+// unexported struct fields are flagged read-only by the reflect
+// package; re-deriving the value from its address strips the flag. The
+// codec keeps every value addressable precisely so this works.
+func launder(v reflect.Value) reflect.Value {
+	if !v.CanInterface() && v.CanAddr() {
+		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+	}
+	return v
+}
+
+func (e *encoder) refEncode(v reflect.Value) error {
+	v = launder(v)
+	t := v.Type()
+
+	// Special cases first: exact wire forms owned by the value's own
+	// package.
+	switch {
+	case t == timeType:
+		b, err := v.Interface().(time.Time).MarshalBinary()
+		if err != nil {
+			return err
+		}
+		e.bytes(b)
+		return nil
+	case t == distType:
+		vals, counts, nan := stats.DistRuns(v.Addr().Interface().(*stats.Dist))
+		e.varint(nan)
+		e.uvarint(uint64(len(vals)))
+		for i := range vals {
+			e.float64(vals[i])
+			e.varint(counts[i])
+		}
+		return nil
+	case isBinaryCodec(t):
+		b, err := v.Interface().(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			return err
+		}
+		e.bytes(b)
+		return nil
+	}
+
+	switch t.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			e.buf = append(e.buf, 1)
+		} else {
+			e.buf = append(e.buf, 0)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.varint(v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		e.uvarint(v.Uint())
+	case reflect.Float32:
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
+	case reflect.Float64:
+		e.float64(v.Float())
+	case reflect.String:
+		e.bytes([]byte(v.String()))
+	case reflect.Slice:
+		if v.IsNil() {
+			e.buf = append(e.buf, 0)
+		} else {
+			e.buf = append(e.buf, 1)
+			e.uvarint(uint64(v.Len()))
+			if t.Elem().Kind() == reflect.Uint8 {
+				e.buf = append(e.buf, v.Bytes()...)
+				return nil
+			}
+			for i := 0; i < v.Len(); i++ {
+				if err := e.refEncode(v.Index(i)); err != nil {
+					return err
+				}
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if err := e.refEncode(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Map:
+		if v.IsNil() {
+			e.buf = append(e.buf, 0)
+			return nil
+		}
+		e.buf = append(e.buf, 1)
+		e.uvarint(uint64(v.Len()))
+		// Deterministic order: encode each (key, value) pair into a
+		// scratch buffer, sort the pairs by bytes, append.
+		type entry struct{ k, kv []byte }
+		entries := make([]entry, 0, v.Len())
+		iter := v.MapRange()
+		for iter.Next() {
+			var ke, ve encoder
+			// Map keys/values are not addressable; copy them into
+			// fresh addressable slots before the walk.
+			k := reflect.New(t.Key()).Elem()
+			k.Set(iter.Key())
+			if err := ke.refEncode(k); err != nil {
+				return err
+			}
+			val := reflect.New(t.Elem()).Elem()
+			val.Set(iter.Value())
+			if err := ve.refEncode(val); err != nil {
+				return err
+			}
+			entries = append(entries, entry{k: ke.buf, kv: append(ke.buf, ve.buf...)})
+		}
+		sort.Slice(entries, func(i, j int) bool {
+			return string(entries[i].k) < string(entries[j].k)
+		})
+		for _, en := range entries {
+			e.buf = append(e.buf, en.kv...)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			e.buf = append(e.buf, 0)
+			return nil
+		}
+		e.buf = append(e.buf, 1)
+		return e.refEncode(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if skipKind(t.Field(i).Type.Kind()) {
+				continue
+			}
+			if err := e.refEncode(v.Field(i)); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("fleet: cannot encode kind %s (%s)", t.Kind(), t)
+	}
+	return nil
+}
+
+// refDecode fills v (addressable) from the stream.
+func (d *decoder) refDecode(v reflect.Value) error {
+	v = launder(v)
+	t := v.Type()
+
+	switch {
+	case t == timeType:
+		b, err := d.bytes()
+		if err != nil {
+			return err
+		}
+		var tm time.Time
+		if err := tm.UnmarshalBinary(b); err != nil {
+			return fmt.Errorf("fleet: time: %w", err)
+		}
+		v.Set(reflect.ValueOf(tm))
+		return nil
+	case t == distType:
+		nan, err := d.varint()
+		if err != nil {
+			return err
+		}
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
+			return errShort
+		}
+		vals := make([]float64, n)
+		counts := make([]int64, n)
+		for i := range vals {
+			raw, err := d.take(8)
+			if err != nil {
+				return err
+			}
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			if counts[i], err = d.varint(); err != nil {
+				return err
+			}
+		}
+		dist, err := stats.DistFromRuns(vals, counts, nan)
+		if err != nil {
+			return fmt.Errorf("fleet: dist: %w", err)
+		}
+		v.Set(reflect.ValueOf(*dist))
+		return nil
+	case isBinaryCodec(t):
+		b, err := d.bytes()
+		if err != nil {
+			return err
+		}
+		nv := reflect.New(t)
+		if err := nv.Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(b); err != nil {
+			return fmt.Errorf("fleet: %s: %w", t, err)
+		}
+		v.Set(nv.Elem())
+		return nil
+	}
+
+	switch t.Kind() {
+	case reflect.Bool:
+		f, err := d.byteFlag()
+		if err != nil {
+			return err
+		}
+		v.SetBool(f)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		x, err := d.varint()
+		if err != nil {
+			return err
+		}
+		if v.OverflowInt(x) {
+			return fmt.Errorf("fleet: %d overflows %s", x, t)
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		x, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if v.OverflowUint(x) {
+			return fmt.Errorf("fleet: %d overflows %s", x, t)
+		}
+		v.SetUint(x)
+	case reflect.Float32:
+		raw, err := d.take(4)
+		if err != nil {
+			return err
+		}
+		v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw))))
+	case reflect.Float64:
+		raw, err := d.take(8)
+		if err != nil {
+			return err
+		}
+		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+	case reflect.String:
+		b, err := d.bytes()
+		if err != nil {
+			return err
+		}
+		v.SetString(string(b))
+	case reflect.Slice:
+		present, err := d.byteFlag()
+		if err != nil {
+			return err
+		}
+		if !present {
+			v.Set(reflect.Zero(t))
+			return nil
+		}
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if t.Elem().Kind() == reflect.Uint8 {
+			b, err := d.take(int(n))
+			if err != nil {
+				return err
+			}
+			v.SetBytes(append([]byte(nil), b...))
+			return nil
+		}
+		// A decoded element costs ≥ 1 wire byte; bound the allocation.
+		if n > uint64(len(d.buf))+1 {
+			return errShort
+		}
+		s := reflect.MakeSlice(t, int(n), int(n))
+		for i := 0; i < int(n); i++ {
+			if err := d.refDecode(s.Index(i)); err != nil {
+				return err
+			}
+		}
+		v.Set(s)
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if err := d.refDecode(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Map:
+		present, err := d.byteFlag()
+		if err != nil {
+			return err
+		}
+		if !present {
+			v.Set(reflect.Zero(t))
+			return nil
+		}
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(d.buf))+1 {
+			return errShort
+		}
+		m := reflect.MakeMapWithSize(t, int(n))
+		for i := 0; i < int(n); i++ {
+			k := reflect.New(t.Key()).Elem()
+			if err := d.refDecode(k); err != nil {
+				return err
+			}
+			val := reflect.New(t.Elem()).Elem()
+			if err := d.refDecode(val); err != nil {
+				return err
+			}
+			m.SetMapIndex(k, val)
+		}
+		v.Set(m)
+	case reflect.Pointer:
+		present, err := d.byteFlag()
+		if err != nil {
+			return err
+		}
+		if !present {
+			v.Set(reflect.Zero(t))
+			return nil
+		}
+		nv := reflect.New(t.Elem())
+		if err := d.refDecode(nv.Elem()); err != nil {
+			return err
+		}
+		v.Set(nv)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if skipKind(t.Field(i).Type.Kind()) {
+				continue
+			}
+			if err := d.refDecode(v.Field(i)); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
+	}
+	return nil
+}

@@ -163,6 +163,11 @@ func TestSchemaOf(t *testing.T) {
 	if a != SchemaOf(wireFixture{}) {
 		t.Fatal("pointer vs value schema mismatch")
 	}
+	// Pinned: how the hash is computed may change, the hash may not — a
+	// site built before the change must still pass HELLO.
+	if want := uint64(0x30745e5379c456c2); a != want {
+		t.Fatalf("wireFixture schema hash drifted: %#x, want %#x", a, want)
+	}
 	type renamed struct {
 		namex string // one field name differs from wireFixture.name
 		count int64

@@ -1,0 +1,9 @@
+package fleet
+
+// The reference walk, for the external tests in this directory (they
+// import internal/core, which this package's own tests cannot).
+var (
+	RefMarshal   = refMarshal
+	RefUnmarshal = refUnmarshal
+	RefSchemaOf  = refSchemaOf
+)

@@ -237,7 +237,12 @@ func (s *Shipper) run() {
 		deltas  int    // DELTA frames in queue (the bounded population)
 		nextSeq uint64 = 1
 		backoff        = s.cfg.Backoff
-		inOpen         = true
+		// in is nil once the producer has closed s.in. A closed channel is
+		// always ready to receive, so selecting on it would spin for as
+		// long as the queue takes to drain; a nil channel's case never
+		// fires, and the draining loop sleeps until an ack, a connection
+		// error or Abort wakes it.
+		in = s.in
 	)
 	teardown := func() {
 		if conn != nil {
@@ -429,11 +434,11 @@ func (s *Shipper) run() {
 		if s.isDead() {
 			// Terminal: swallow producers until they close the channel so
 			// submit never blocks, recording tracked frames as lost.
-			if !inOpen {
+			if in == nil {
 				return
 			}
 			select {
-			case f, ok := <-s.in:
+			case f, ok := <-in:
 				if !ok {
 					return
 				}
@@ -445,7 +450,7 @@ func (s *Shipper) run() {
 			}
 			continue
 		}
-		if !inOpen && len(queue) == 0 {
+		if in == nil && len(queue) == 0 {
 			// Drained: everything tracked is acknowledged.
 			if conn != nil {
 				if err := s.cfg.NetFaults.Flush(rawSend); err != nil {
@@ -454,16 +459,16 @@ func (s *Shipper) run() {
 			}
 			return
 		}
-		if !inOpen && conn == nil {
+		if in == nil && conn == nil {
 			// Closing with residue: reconnect to flush it.
 			if !connect() {
 				continue
 			}
 		}
 		select {
-		case f, ok := <-s.in:
+		case f, ok := <-in:
 			if !ok {
-				inOpen = false
+				in = nil
 				continue
 			}
 			enqueue(f)
@@ -486,7 +491,7 @@ func (s *Shipper) run() {
 			prune(m.seq)
 		case <-s.abortCh:
 			die(fmt.Errorf("%w: aborted", ErrGaveUp))
-			if !inOpen {
+			if in == nil {
 				return
 			}
 		}
@@ -502,22 +507,31 @@ func (s *Shipper) isDead() bool {
 // readAcks is the per-connection reader goroutine: it forwards ACK
 // sequence numbers and surfaces ERR frames and read failures, tagged
 // with the connection generation so the run loop can ignore stale ones.
+// It ends with its connection: on the first read error (run's teardown
+// closes the conn), on anything but an ACK, or when the run loop is gone.
 func (s *Shipper) readAcks(conn net.Conn, gen int) {
 	br := bufio.NewReader(conn)
 	for {
+		m := connMsg{gen: gen}
 		f, err := ReadFrame(br)
-		if err != nil {
-			s.msgs <- connMsg{gen: gen, err: err}
+		switch {
+		case err != nil:
+			m.err = err
+		case f.Type == FrameAck:
+			m.seq = f.Seq
+		case f.Type == FrameErr:
+			m.err = fmt.Errorf("%w: %s", errPeerFatal, f.Payload)
+		default:
+			m.err = fmt.Errorf("fleet: unexpected %s frame from aggregator", f.Type)
+		}
+		select {
+		case s.msgs <- m:
+		case <-s.doneCh:
+			// The run loop has returned and nobody receives: with msgs
+			// full, a bare send would park this goroutine forever.
 			return
 		}
-		switch f.Type {
-		case FrameAck:
-			s.msgs <- connMsg{gen: gen, seq: f.Seq}
-		case FrameErr:
-			s.msgs <- connMsg{gen: gen, err: fmt.Errorf("%w: %s", errPeerFatal, f.Payload)}
-			return
-		default:
-			s.msgs <- connMsg{gen: gen, err: fmt.Errorf("fleet: unexpected %s frame from aggregator", f.Type)}
+		if m.err != nil {
 			return
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -406,4 +408,68 @@ func TestShipperSurvivesAggregatorRestart(t *testing.T) {
 	if sink.fins["a"] != 2 {
 		t.Fatalf("fin not redelivered: %v", sink.fins)
 	}
+}
+
+// TestShipperExitsLeaveNoGoroutines pins that every way a shipper ends —
+// a full drain, Abort with a burst in flight, reconnect give-up, a
+// peer-fatal reject — takes its reader goroutines with it, and that the
+// aggregator's Close takes its handlers. The reader used to finish every
+// path with a bare send on msgs: after run had returned, with the buffer
+// full of unread acks, it parked there for the life of the process.
+func TestShipperExitsLeaveNoGoroutines(t *testing.T) {
+	sink := newRecordingSink()
+	addr, stop := startAggregator(t, sink)
+	ship := func(site string, deltas int, dial func() (net.Conn, error), maxAttempts int) *Shipper {
+		t.Helper()
+		sh, err := NewShipper(ShipperConfig{Addr: addr, Site: site, Dial: dial, Backoff: fastBackoff(maxAttempts)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < deltas; w++ {
+			sh.ShipDelta(w, int64(w), []byte{byte(w)})
+		}
+		return sh
+	}
+
+	sh := ship("drain", 300, nil, 0)
+	sh.Fin(299, 300)
+	if err := sh.Close(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	// Abort while the aggregator is still acking a burst well past the
+	// 256-slot msgs buffer.
+	for i := 0; i < 20; i++ {
+		ship(fmt.Sprintf("abort-%d", i), 900, nil, 0).Abort()
+	}
+	sh = ship("gave-up", 2, func() (net.Conn, error) { return nil, errors.New("refused") }, 3)
+	if err := sh.Close(); !errors.Is(err, ErrGaveUp) {
+		t.Fatalf("give-up: Close = %v, want ErrGaveUp", err)
+	}
+	stop()
+
+	reject := newRecordingSink()
+	reject.helloErr = errors.New("schema mismatch")
+	addr, stop = startAggregator(t, reject)
+	sh = ship("rejected", 1, nil, 0)
+	if err := sh.Close(); !errors.Is(err, errPeerFatal) {
+		t.Fatalf("reject: Close = %v, want peer-fatal", err)
+	}
+	stop()
+
+	var stacks string
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		stacks = string(buf[:runtime.Stack(buf, true)])
+		leaked := false
+		for _, fn := range []string{"readAcks", "(*Shipper).run", "(*Aggregator).handle"} {
+			leaked = leaked || strings.Contains(stacks, fn)
+		}
+		if !leaked {
+			return
+		}
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	t.Fatalf("fleet goroutines still alive a second after every shipper and aggregator ended:\n%s", stacks)
 }

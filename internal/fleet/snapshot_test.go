@@ -1,0 +1,84 @@
+package fleet_test
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"enttrace/internal/core"
+	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
+	"enttrace/internal/gen"
+)
+
+// snapshotType digs the epoch snapshot type out of core.Analyzer: the
+// type is private to core, and the reference walk is private to this
+// package's tests, so this is the one place both can be had.
+func snapshotType(t *testing.T) reflect.Type {
+	t.Helper()
+	f, ok := reflect.TypeOf((*core.Analyzer)(nil)).Elem().FieldByName("cum")
+	if !ok || f.Type.Kind() != reflect.Pointer || f.Type.Elem().Kind() != reflect.Struct {
+		t.Fatal("core.Analyzer no longer keeps its cumulative snapshot in a field named cum: point this at the type ExportWindow marshals")
+	}
+	return f.Type.Elem()
+}
+
+// TestSnapshotBytesMatchReferenceWalk runs the differential over the
+// real thing: every window snapshot a windowed D3 analysis exports
+// (encoded by the plans) decodes to the same value through the plans
+// and through the reference walk, re-encodes to the exported bytes
+// through both encoders from either decode, and the schema hash in
+// every HELLO is the one the reference walk computes — so a site and an
+// aggregator on either side of the plan change interoperate.
+func TestSnapshotBytesMatchReferenceWalk(t *testing.T) {
+	typ := snapshotType(t)
+	fresh := func() any { return reflect.New(typ).Interface() }
+	if got, want := core.SnapshotSchema(), fleet.RefSchemaOf(fresh()); got != want {
+		t.Fatalf("core.SnapshotSchema() = %#x, the reference walk hashes the same type to %#x", got, want)
+	}
+
+	cfg := enterprise.D3()
+	cfg.Scale = 0.2
+	cfg.Monitored = cfg.Monitored[:2]
+	ds := gen.GenerateDataset(cfg)
+	a := core.NewAnalyzer(core.Options{Dataset: "D3", PayloadAnalysis: true, Window: time.Minute})
+	for i, tr := range ds.Traces {
+		if err := a.AddTrace(core.TraceInput{Name: string(rune('a' + i)), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exports, err := a.ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exports) < 10 {
+		t.Fatalf("only %d windows exported; the run is too small to mean much", len(exports))
+	}
+	for _, we := range exports {
+		plan, ref := fresh(), fresh()
+		if err := fleet.Unmarshal(we.Payload, plan); err != nil {
+			t.Fatalf("window %d: plan decode: %v", we.Window, err)
+		}
+		if err := fleet.RefUnmarshal(we.Payload, ref); err != nil {
+			t.Fatalf("window %d: reference decode: %v", we.Window, err)
+		}
+		if !reflect.DeepEqual(plan, ref) {
+			t.Fatalf("window %d: plan and reference decode to different snapshots", we.Window)
+		}
+		for name, v := range map[string]any{"plan": plan, "reference": ref} {
+			re, err := fleet.Marshal(v)
+			if err != nil {
+				t.Fatalf("window %d: %v", we.Window, err)
+			}
+			refRe, err := fleet.RefMarshal(v)
+			if err != nil {
+				t.Fatalf("window %d: %v", we.Window, err)
+			}
+			if !bytes.Equal(re, we.Payload) || !bytes.Equal(refRe, we.Payload) {
+				t.Fatalf("window %d: the %s decode re-encodes to %d bytes by plan, %d by reference; exported %d",
+					we.Window, name, len(re), len(refRe), len(we.Payload))
+			}
+		}
+	}
+}
