@@ -1,0 +1,293 @@
+//go:build !race
+
+// Allocation ceilings: what keeps the per-packet pass cheap is a
+// near-zero-allocation hot path, and this one table is what holds it.
+// benchmark/ measures time and memory end to end; nothing there fails a
+// PR that adds one allocation per packet. The race detector changes
+// what allocates, hence the build tag.
+package enttrace_test
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"enttrace/internal/advtest"
+	"enttrace/internal/enterprise"
+	"enttrace/internal/gen"
+	"enttrace/internal/layers"
+	"enttrace/internal/pcap"
+	"enttrace/internal/reassembly"
+	"enttrace/internal/stats"
+)
+
+// ceilingsToolchain is the Go minor the table's values were recorded
+// on. Allocation counts move between minors (runtime, inliner, escape
+// analysis), so on any other toolchain only the zero rows are checked.
+const ceilingsToolchain = "go1.24"
+
+// A row fails above recorded × (1 + ceilingTolerance) + slack, and —
+// the gate is a ratchet — below recorded × (1 − ceilingRatchet) − slack.
+// The slack keeps rows that sit at a handful of allocations from
+// tripping on one; the rows at thousands are governed by the ratio.
+const (
+	ceilingTolerance = 0.10
+	ceilingRatchet   = 0.20
+	allocSlack       = 8
+	bytesSlack       = 1024
+)
+
+// allocsPerOp measures f the way testing.AllocsPerRun does — one P, one
+// warm-up call outside the counters — and reports allocated bytes per
+// call beside the malloc count.
+func allocsPerOp(runs int, f func()) (allocs, size uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// drainTrace reads one pcap to EOF, through pool's slab reader when pool
+// is non-nil and through the owning Reader otherwise. A read failure
+// must fail the row, not shrink its workload.
+func drainTrace(tb testing.TB, raw []byte, pool *pcap.Pool) {
+	rd, err := pcap.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if pool == nil {
+		for err == nil {
+			_, err = rd.Next()
+		}
+	} else {
+		src := pcap.NewPooledReader(rd, pool)
+		for err == nil {
+			var p *pcap.Packet
+			if p, err = src.Next(); err == nil {
+				src.Release(p)
+			}
+		}
+	}
+	if err != io.EOF {
+		tb.Fatalf("trace read failed mid-measurement: %v", err)
+	}
+}
+
+// TestAllocationCeilings pins mallocs and allocated bytes per operation
+// for the hot path's layers and the end-to-end analyses built on them.
+// Row names are those of the baseline file this table replaced, so
+// EXPERIMENTS' history still maps. Every row logs its measured values in
+// the row's literal form (shown on failure, or with -v); paste them over
+// the recorded ones if, and only if, the change is meant to move them.
+// Diagnose with
+//
+//	go test -run 'TestAllocationCeilings/<row>' -memprofile mem.pprof -memprofilerate 1 .
+func TestAllocationCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end analyses in -short mode")
+	}
+	type datasetKey struct {
+		name  string
+		scale float64
+	}
+	datasets := map[datasetKey]*gen.Dataset{}
+	dataset := func(tb testing.TB, name string, scale float64) *gen.Dataset {
+		key := datasetKey{name, scale}
+		if datasets[key] == nil {
+			datasets[key] = determinismDataset(tb, name, scale)
+		}
+		return datasets[key]
+	}
+	d3 := func(tb testing.TB) *gen.Dataset { return dataset(tb, "D3", 0.15) }
+
+	// A setup builds its inputs off the counters and returns the op.
+	type setup func(tb testing.TB) func()
+	analyze := func(name string) setup {
+		return func(tb testing.TB) func() {
+			ds := dataset(tb, name, 0.15)
+			return func() { analyzeWorkers(tb, ds, 4) }
+		}
+	}
+	stream := func(workers int) setup {
+		return func(tb testing.TB) func() {
+			ds := d3(tb)
+			raws := datasetPcaps(tb, ds)
+			return func() { analyzeStream(tb, ds, raws, workers) }
+		}
+	}
+	replay := func(replayWorkers int) setup {
+		return func(tb testing.TB) func() {
+			ds := d3(tb)
+			return func() { analyzeGrid(tb, ds, 4, replayWorkers) }
+		}
+	}
+	// The rotation pair runs at the reproduction's full density, where a
+	// 60-second window carries a realistic packet volume: one cut per
+	// trace against ~60 per one-hour trace, every window rendered.
+	rotation := func(window time.Duration) setup {
+		return func(tb testing.TB) func() {
+			ds := dataset(tb, "D3", 1.0)
+			return func() { analyzeWindowed(tb, ds, 4, 4, window) }
+		}
+	}
+	// The gen→analyze loop of `entanalyze -gen`: the default shape tiled
+	// to an hour, streamed with no pcap bytes anywhere.
+	soak := func(window time.Duration) setup {
+		return func(tb testing.TB) func() {
+			cfg := enterprise.D3()
+			sched := gen.DefaultSchedule().Repeat(time.Hour)
+			subnet := cfg.Monitored[0]
+			return func() {
+				a := soakAnalyzer(cfg, 4, window)
+				src := gen.NewStreamSource(gen.StreamConfig{
+					Network:  enterprise.NewNetwork(cfg),
+					Subnet:   subnet,
+					Schedule: sched,
+					Snaplen:  cfg.Snaplen,
+				})
+				if err := a.AddTraceSource("soak", enterprise.SubnetPrefix(subnet), src); err != nil {
+					tb.Fatal(err)
+				}
+				a.Report()
+			}
+		}
+	}
+
+	rows := []struct {
+		name          string
+		allocs, bytes uint64 // recorded per op on ceilingsToolchain
+		runs          int    // ops averaged over; 0 means 1
+		setup         setup
+	}{
+		{name: "decode/d3", allocs: 0, bytes: 0, setup: func(tb testing.TB) func() {
+			pkts := d3(tb).Traces[0].Packets
+			var p layers.Packet
+			return func() {
+				for _, pk := range pkts {
+					_ = layers.Decode(pk.Data, pk.OrigLen, &p)
+				}
+			}
+		}},
+		{name: "pcap/read-trace", allocs: 4875, bytes: 2684216, setup: func(tb testing.TB) func() {
+			raw := datasetPcaps(tb, d3(tb))[0]
+			return func() { drainTrace(tb, raw, nil) }
+		}},
+		{name: "pcap/read-trace-pooled", allocs: 3, bytes: 168, setup: func(tb testing.TB) func() {
+			raw, pool := datasetPcaps(tb, d3(tb))[0], pcap.NewPool()
+			return func() { drainTrace(tb, raw, pool) }
+		}},
+		{name: "pipeline/stream/workers=1", allocs: 14880, bytes: 9169320, setup: stream(1)},
+		{name: "pipeline/stream/workers=4", allocs: 16099, bytes: 16216472, setup: stream(4)},
+		{name: "pipeline/stream/workers=8", allocs: 17049, bytes: 18036072, setup: stream(8)},
+		// In-order delivery borrows the caller's slice and buffers nothing.
+		{name: "reassembly/in-order", allocs: 0, bytes: 0, runs: 1000, setup: func(tb testing.TB) func() {
+			data := make([]byte, 1460)
+			c := &reassembly.BufferConsumer{Limit: 1} // measure reassembly, not retention
+			s := reassembly.NewStream(c)
+			seq := uint32(0)
+			return func() {
+				s.Segment(seq, data)
+				seq += uint32(len(data))
+			}
+		}},
+		// One op = an 8-segment burst delivered in reverse with a
+		// retransmit mixed in: every segment but the last is buffered
+		// through the pool and drained at once.
+		{name: "reassembly/out-of-order", allocs: 4, bytes: 480, runs: 1000, setup: func(tb testing.TB) func() {
+			data := make([]byte, 1460)
+			c := &reassembly.BufferConsumer{Limit: 1}
+			base := uint32(0)
+			return func() {
+				var s reassembly.Stream
+				s.Init(c)
+				s.SetISN(base)
+				for seg := 7; seg >= 1; seg-- {
+					s.Segment(base+uint32(seg*len(data)), data)
+				}
+				s.Segment(base+uint32(len(data)), data)
+				s.Segment(base, data) // plugs the hole
+				base += 64 << 10
+			}
+		}},
+		// One op = a D3-sized distribution, 64k integer-valued samples
+		// over 1k distinct values plus the extraction a report performs:
+		// Dist must not retain per-sample memory.
+		{name: "stats/dist-observe", allocs: 38, bytes: 112368, setup: func(tb testing.TB) func() {
+			return func() {
+				d := stats.NewDist()
+				for j := 0; j < 64<<10; j++ {
+					d.Observe(float64(j & 1023))
+				}
+				d.Median()
+				d.CDF(128)
+			}
+		}},
+		{name: "replay/D3/workers=1", allocs: 15875, bytes: 10523168, setup: replay(1)},
+		{name: "replay/D3/workers=4", allocs: 19694, bytes: 11251648, setup: replay(4)},
+		{name: "replay/D3/workers=8", allocs: 22323, bytes: 11444504, setup: replay(8)},
+		{name: "replay/D3/window=0", allocs: 69198, bytes: 44115672, setup: rotation(0)},
+		{name: "replay/D3/window=60s", allocs: 210097, bytes: 61607848, setup: rotation(60 * time.Second)},
+		{name: "analyze/D0", allocs: 7534, bytes: 3350808, setup: analyze("D0")},
+		{name: "analyze/D1", allocs: 7857, bytes: 7021104, setup: analyze("D1")},
+		{name: "analyze/D2", allocs: 7990, bytes: 7293992, setup: analyze("D2")},
+		{name: "analyze/D3", allocs: 15875, bytes: 10523168, setup: analyze("D3")},
+		{name: "analyze/D4", allocs: 15794, bytes: 10684072, setup: analyze("D4")},
+		{name: "soak/D3-shape", allocs: 215750, bytes: 122779008, setup: soak(0)},
+		{name: "soak/D3-shape/window=60s", allocs: 237855, bytes: 123959968, setup: soak(60 * time.Second)},
+		// The hostile-input price: the evasion scenario family through
+		// the differential harness's replay path at the default shape.
+		{name: "adversarial/evasion", allocs: 8373, bytes: 1700592, setup: func(tb testing.TB) func() {
+			var traces []gen.Trace
+			var raws [][]byte
+			for _, sc := range gen.EvasionScenarios() {
+				tr := sc.Build()
+				traces, raws = append(traces, tr), append(raws, advtest.Serialize(tr))
+			}
+			return func() {
+				for i, raw := range raws {
+					res, err := advtest.Replay(raw, traces[i].Prefix, advtest.GridPoint{Workers: 4, ReplayWorkers: 4}, 0)
+					if err != nil {
+						tb.Fatal(err)
+					}
+					if res.Report.Hostile.IngestBytes == 0 {
+						tb.Fatal("evasion replay produced no reassembled bytes")
+					}
+				}
+			}
+		}},
+	}
+
+	v := runtime.Version()
+	recordedHere := v == ceilingsToolchain || strings.HasPrefix(v, ceilingsToolchain+".")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if !recordedHere && row.allocs != 0 {
+				t.Skipf("ceilings were recorded on %s, this is %s", ceilingsToolchain, v)
+			}
+			allocs, size := allocsPerOp(max(row.runs, 1), row.setup(t))
+			t.Logf("measured {name: %q, allocs: %d, bytes: %d, …}", row.name, allocs, size)
+			check := func(unit string, got, recorded, slack uint64) {
+				switch {
+				case recorded == 0 && got != 0:
+					t.Errorf("%d %s/op on a path that must not allocate", got, unit)
+				case float64(got) > float64(recorded)*(1+ceilingTolerance)+float64(slack):
+					t.Errorf("%d %s/op is over the ceiling: recorded %d, +%.0f%% +%d allowed",
+						got, unit, recorded, ceilingTolerance*100, slack)
+				case float64(got) < float64(recorded)*(1-ceilingRatchet)-float64(slack):
+					t.Errorf("%d %s/op against a recorded %d: improved — record the new value", got, unit, recorded)
+				}
+			}
+			check("allocs", allocs, row.allocs, allocSlack)
+			check("bytes", size, row.bytes, bytesSlack)
+		})
+	}
+}

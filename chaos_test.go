@@ -44,23 +44,13 @@ func chaosAnalyzer(cfg enterprise.Config, workers int, window time.Duration) *co
 }
 
 // checkCensusMatches asserts a report's folded census equals the
-// injector's fired manifest, field by field.
-func checkCensusMatches(t *testing.T, r *core.Report, exp faults.Expected) {
+// injector's fired manifest: totals and kinds by the check the binaries
+// run, then the per-trace offsets and terminal flag.
+func checkCensusMatches(t *testing.T, r *core.Report, src *faults.Source) {
 	t.Helper()
-	se := r.SourceErrors
-	if se.Errors != exp.Errors || se.LostBytes != exp.LostBytes {
-		t.Errorf("census totals = (%d errors, %d lost), manifest (%d, %d)",
-			se.Errors, se.LostBytes, exp.Errors, exp.LostBytes)
-	}
-	for k, n := range exp.ByKind {
-		if se.ByKind[k] != n {
-			t.Errorf("census ByKind[%s] = %d, manifest %d", k, se.ByKind[k], n)
-		}
-	}
-	for k, n := range se.ByKind {
-		if exp.ByKind[k] != n {
-			t.Errorf("census has %d %s errors the manifest lacks", n, k)
-		}
+	se, exp := r.SourceErrors, src.Expected()
+	if err := faults.CheckCensus(se.Errors, se.LostBytes, se.ByKind, src); err != nil {
+		t.Errorf("%v; by kind: census %v, manifest %v", err, se.ByKind, exp.ByKind)
 	}
 	if exp.Errors == 0 {
 		if len(se.Traces) != 0 {
@@ -136,7 +126,7 @@ func TestChaosGridDeterminism(t *testing.T) {
 					} else if !reflect.DeepEqual(exp, *wantExp) {
 						t.Errorf("%s: manifest differs between runs: %+v vs %+v", point, exp, *wantExp)
 					}
-					checkCensusMatches(t, r, exp)
+					checkCensusMatches(t, r, src)
 
 					rj, err := core.MarshalReport(r)
 					if err != nil {
@@ -422,7 +412,7 @@ func TestChaosSoakServeHealth(t *testing.T) {
 	}
 
 	r := a.Report()
-	checkCensusMatches(t, r, exp)
+	checkCensusMatches(t, r, src)
 	if err := srv.SetFinal(r); err != nil {
 		t.Fatal(err)
 	}

@@ -428,9 +428,13 @@ func run() error {
 		return err
 	}
 	if len(injectors) > 0 && policy == pipeline.Degrade && !a.Stopping() {
-		if err := checkCensus(report, injectors); err != nil {
+		se := report.SourceErrors
+		if err := faults.CheckCensus(se.Errors, se.LostBytes, se.ByKind, injectors...); err != nil {
 			return err
 		}
+		// The match line is stable for CI to grep.
+		fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
+			se.Errors, se.LostBytes)
 	}
 	if srv != nil {
 		if err := srv.SetFinal(report); err != nil {
@@ -536,42 +540,5 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 		fmt.Fprintf(os.Stderr, "fleet incomplete: missing sites %v, %d windows lost — the report above carries the degradation census\n",
 			st.MissingSites, st.LostWindows)
 	}
-	return nil
-}
-
-// checkCensus verifies the report's SourceError census against what the
-// injectors actually fired; the match line is stable for CI to grep.
-func checkCensus(r *core.Report, injectors []*faults.Source) error {
-	exp := faults.Expected{ByKind: make(map[string]int64)}
-	for _, fs := range injectors {
-		e := fs.Expected()
-		exp.Errors += e.Errors
-		exp.LostBytes += e.LostBytes
-		for k, n := range e.ByKind {
-			exp.ByKind[k] += n
-		}
-	}
-	got := r.SourceErrors
-	ok := got.Errors == exp.Errors && got.LostBytes == exp.LostBytes
-	if ok {
-		for k, n := range exp.ByKind {
-			if got.ByKind[k] != n {
-				ok = false
-				break
-			}
-		}
-		for k := range got.ByKind {
-			if _, want := exp.ByKind[k]; !want {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		return fmt.Errorf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (%d errors, %d bytes lost)",
-			got.Errors, got.LostBytes, exp.Errors, exp.LostBytes)
-	}
-	fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
-		exp.Errors, exp.LostBytes)
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,14 +101,11 @@ func run() error {
 		return &usageError{msg: "-duration requires -schedule"}
 	}
 
-	want := make(map[string]bool)
-	for _, d := range strings.Split(*datasets, ",") {
-		want[strings.TrimSpace(d)] = true
+	selected, err := selectDatasets(*datasets)
+	if err != nil {
+		return err
 	}
-	for _, cfg := range enterprise.AllDatasets() {
-		if !want[cfg.Name] {
-			continue
-		}
+	for _, cfg := range selected {
 		cfg.Scale = *scale
 		if *subnets > 0 && *subnets < len(cfg.Monitored) {
 			cfg.Monitored = cfg.Monitored[:*subnets]
@@ -168,9 +166,13 @@ func run() error {
 		}
 		r := a.Report()
 		if len(injectors) > 0 && policy == pipeline.Degrade {
-			if err := checkCensus(r, injectors); err != nil {
+			se := r.SourceErrors
+			if err := faults.CheckCensus(se.Errors, se.LostBytes, se.ByKind, injectors...); err != nil {
 				return err
 			}
+			// The match line is stable for CI to grep.
+			fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
+				se.Errors, se.LostBytes)
 		}
 		windows := a.WindowReports()
 		if *format == "json" {
@@ -205,39 +207,17 @@ func run() error {
 	return nil
 }
 
-// checkCensus verifies the report's SourceError census against what the
-// injectors actually fired; the match line is stable for CI to grep.
-func checkCensus(r *core.Report, injectors []*faults.Source) error {
-	exp := faults.Expected{ByKind: make(map[string]int64)}
-	for _, fs := range injectors {
-		e := fs.Expected()
-		exp.Errors += e.Errors
-		exp.LostBytes += e.LostBytes
-		for k, n := range e.ByKind {
-			exp.ByKind[k] += n
+// selectDatasets resolves a -datasets value to configs in D0..D4 order.
+// A name that is not a dataset is a usage error, not an empty report.
+func selectDatasets(spec string) ([]enterprise.Config, error) {
+	all := enterprise.AllDatasets()
+	want := make(map[string]bool)
+	for _, d := range strings.Split(spec, ",") {
+		d = strings.TrimSpace(d)
+		if !slices.ContainsFunc(all, func(c enterprise.Config) bool { return c.Name == d }) {
+			return nil, &usageError{msg: fmt.Sprintf("unknown dataset %q in -datasets (want D0..D4)", d)}
 		}
+		want[d] = true
 	}
-	got := r.SourceErrors
-	ok := got.Errors == exp.Errors && got.LostBytes == exp.LostBytes
-	if ok {
-		for k, n := range exp.ByKind {
-			if got.ByKind[k] != n {
-				ok = false
-				break
-			}
-		}
-		for k := range got.ByKind {
-			if _, want := exp.ByKind[k]; !want {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		return fmt.Errorf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (%d errors, %d bytes lost)",
-			got.Errors, got.LostBytes, exp.Errors, exp.LostBytes)
-	}
-	fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
-		exp.Errors, exp.LostBytes)
-	return nil
+	return slices.DeleteFunc(all, func(c enterprise.Config) bool { return !want[c.Name] }), nil
 }

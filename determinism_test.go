@@ -6,10 +6,11 @@
 package enttrace_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
-	"enttrace/internal/bench"
 	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
@@ -21,17 +22,25 @@ func analyzeWorkers(tb testing.TB, ds *gen.Dataset, workers int) *core.Report {
 	return analyzeGrid(tb, ds, workers, 0)
 }
 
-// analyzeGrid runs a dataset at an explicit (pipeline workers, replay
-// workers) point.
-func analyzeGrid(tb testing.TB, ds *gen.Dataset, workers, replayWorkers int) *core.Report {
-	tb.Helper()
-	a := core.NewAnalyzer(core.Options{
+// datasetAnalyzer returns a fresh analyzer configured for a dataset at
+// an explicit (pipeline workers, replay workers) point; window 0 is a
+// batch run.
+func datasetAnalyzer(ds *gen.Dataset, workers, replayWorkers int, window time.Duration) *core.Analyzer {
+	return core.NewAnalyzer(core.Options{
 		Dataset:         ds.Config.Name,
 		KnownScanners:   enterprise.KnownScanners(),
 		PayloadAnalysis: ds.Config.Snaplen >= 1500,
 		Workers:         workers,
 		ReplayWorkers:   replayWorkers,
+		Window:          window,
 	})
+}
+
+// analyzeGrid runs a dataset at an explicit (pipeline workers, replay
+// workers) point.
+func analyzeGrid(tb testing.TB, ds *gen.Dataset, workers, replayWorkers int) *core.Report {
+	tb.Helper()
+	a := datasetAnalyzer(ds, workers, replayWorkers, 0)
 	for _, tr := range ds.Traces {
 		if err := a.AddTrace(core.TraceInput{
 			Name:      tr.Prefix.String(),
@@ -109,22 +118,54 @@ func diffReports(t *testing.T, a, b *core.Report) {
 	}
 }
 
-// benchWorkers times the full analysis at a given worker count and
-// reports throughput in packets/sec.
-func benchWorkers(b *testing.B, dsName string, workers int) {
-	ds := determinismDataset(b, dsName, 0.15)
-	var pkts int64
-	for _, tr := range ds.Traces {
-		pkts += int64(len(tr.Packets))
+// datasetPcaps serializes each trace of a dataset the way entgen would.
+func datasetPcaps(tb testing.TB, ds *gen.Dataset) [][]byte {
+	tb.Helper()
+	raws := make([][]byte, len(ds.Traces))
+	for i, tr := range ds.Traces {
+		var buf bytes.Buffer
+		if err := gen.WriteTrace(&buf, ds.Config, tr); err != nil {
+			tb.Fatal(err)
+		}
+		raws[i] = buf.Bytes()
 	}
+	return raws
+}
+
+// analyzeStream is analyzeWorkers through the streaming entry point —
+// pcap bytes (datasetPcaps) read by AddTraceReader's pooled slab reader —
+// which is where per-packet read allocations live; analyzeGrid hands
+// the pipeline pre-built packets. It is the body of both
+// BenchmarkPipelineStream* and the pipeline/stream rows of
+// TestAllocationCeilings, so the two cannot drift.
+func analyzeStream(tb testing.TB, ds *gen.Dataset, raws [][]byte, workers int) *core.Report {
+	tb.Helper()
+	a := datasetAnalyzer(ds, workers, 0, 0)
+	for i, tr := range ds.Traces {
+		if err := a.AddTraceReader(tr.Prefix.String(), tr.Prefix, bytes.NewReader(raws[i])); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return a.Report()
+}
+
+// benchAnalysis times one full analysis of ds per iteration and reports
+// allocations and throughput in packets/sec.
+func benchAnalysis(b *testing.B, ds *gen.Dataset, analysis func()) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analyzeWorkers(b, ds, workers)
+		analysis()
 	}
 	b.StopTimer()
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(pkts)*float64(b.N)/elapsed, "pkts/sec")
+		b.ReportMetric(float64(ds.TotalPackets())*float64(b.N)/elapsed, "pkts/sec")
 	}
+}
+
+func benchWorkers(b *testing.B, dsName string, workers int) {
+	ds := determinismDataset(b, dsName, 0.15)
+	benchAnalysis(b, ds, func() { analyzeWorkers(b, ds, workers) })
 }
 
 func BenchmarkPipelineD3Workers1(b *testing.B) { benchWorkers(b, "D3", 1) }
@@ -133,14 +174,10 @@ func BenchmarkPipelineD3Workers4(b *testing.B) { benchWorkers(b, "D3", 4) }
 func BenchmarkPipelineD4Workers1(b *testing.B) { benchWorkers(b, "D4", 1) }
 func BenchmarkPipelineD4Workers4(b *testing.B) { benchWorkers(b, "D4", 4) }
 
-// benchStreamWorkers times the streaming entry point — pcap bytes through
-// AddTraceReader — which is where per-packet read allocations live (the
-// in-memory benchmarks above hand the pipeline pre-built packets). The
-// workload definition lives in bench.StreamBenchmark, shared with the
-// entbench CI telemetry suite so the two cannot drift; here it runs over
-// the determinism harness's dataset.
 func benchStreamWorkers(b *testing.B, dsName string, workers int) {
-	bench.StreamBenchmark(b, determinismDataset(b, dsName, 0.15), workers)
+	ds := determinismDataset(b, dsName, 0.15)
+	raws := datasetPcaps(b, ds)
+	benchAnalysis(b, ds, func() { analyzeStream(b, ds, raws, workers) })
 }
 
 func BenchmarkPipelineStreamD3Workers1(b *testing.B) { benchStreamWorkers(b, "D3", 1) }

@@ -6,7 +6,8 @@
 // and windowed==batch equivalence.
 //
 // The helpers are exported so the adversarial consumers (the test suite
-// here, entbench's evasion benchmark) share one replay path. The package
+// here, the adversarial/evasion row of the root package's
+// TestAllocationCeilings) share one replay path. The package
 // holds no epoch state of its own — it drives the analyzer's windowed and
 // batch modes and asserts their equivalence. DESIGN.md § "Adversarial
 // input: overlap-conflict policy and the hostile-input census" is the

@@ -19,9 +19,11 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -64,12 +66,24 @@ type Schedule struct {
 	Events []Event
 }
 
-// sorted returns the events in firing order.
-func (s Schedule) sorted() []Event {
-	evs := make([]Event, len(s.Events))
-	copy(evs, s.Events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Index < evs[j].Index })
-	return evs
+// firingOrder returns a copy of a schedule's events sorted by index;
+// the sort is stable, so ties fire in insertion order. It serves both
+// schedule types (Event here, NetEvent in net.go).
+func firingOrder[E any](evs []E, index func(E) int64) []E {
+	out := slices.Clone(evs)
+	slices.SortStableFunc(out, func(a, b E) int { return cmp.Compare(index(a), index(b)) })
+	return out
+}
+
+// xorshift is the seeded generator behind both random schedules. Seed
+// it with seed|1: the state must not start at zero.
+type xorshift uint64
+
+func (x *xorshift) next() uint64 {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	return uint64(*x)
 }
 
 // ParseSpec parses an injection spec. Two forms:
@@ -169,25 +183,19 @@ func parseRand(rest string) (Schedule, error) {
 // reads, stalls) at pseudorandom offsets in [0, span). The same seed
 // always yields the same schedule, so soak runs are reproducible.
 func RandomSchedule(seed uint64, count int, span int64) Schedule {
-	rng := seed | 1 // xorshift must not start at zero
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	rng := xorshift(seed | 1)
 	var s Schedule
 	for i := 0; i < count; i++ {
-		ev := Event{Index: int64(next() % uint64(span))}
-		switch next() % 3 {
+		ev := Event{Index: int64(rng.next() % uint64(span))}
+		switch rng.next() % 3 {
 		case 0:
 			ev.Kind = ReadError
 		case 1:
 			ev.Kind = ShortRead
-			ev.Cut = int(14 + next()%64)
+			ev.Cut = int(14 + rng.next()%64)
 		default:
 			ev.Kind = Stall
-			ev.Delay = time.Duration(1+next()%4) * time.Millisecond
+			ev.Delay = time.Duration(1+rng.next()%4) * time.Millisecond
 		}
 		s.Events = append(s.Events, ev)
 	}
@@ -270,7 +278,11 @@ type Source struct {
 
 // Wrap returns a fault-injecting source over inner.
 func Wrap(inner pcap.PacketSource, sched Schedule) *Source {
-	s := &Source{inner: inner, evs: sched.sorted(), sleep: time.Sleep}
+	s := &Source{
+		inner: inner,
+		evs:   firingOrder(sched.Events, func(e Event) int64 { return e.Index }),
+		sleep: time.Sleep,
+	}
 	if rel, ok := inner.(pcap.Releaser); ok {
 		s.rel = rel
 	}
@@ -427,4 +439,24 @@ func (s *Source) Expected() Expected {
 		}
 	}
 	return exp
+}
+
+// CheckCensus compares a report's source-error census (totals and
+// per-kind counts) with what the injectors actually fired, summed over
+// all of them. Stalls surface no error and are not counted.
+func CheckCensus(errors, lostBytes int64, byKind map[string]int64, injectors ...*Source) error {
+	exp := Expected{ByKind: make(map[string]int64)}
+	for _, fs := range injectors {
+		e := fs.Expected()
+		exp.Errors += e.Errors
+		exp.LostBytes += e.LostBytes
+		for k, n := range e.ByKind {
+			exp.ByKind[k] += n
+		}
+	}
+	if errors != exp.Errors || lostBytes != exp.LostBytes || !maps.Equal(byKind, exp.ByKind) {
+		return fmt.Errorf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (%d errors, %d bytes lost)",
+			errors, lostBytes, exp.Errors, exp.LostBytes)
+	}
+	return nil
 }

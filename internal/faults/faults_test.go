@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -287,5 +288,49 @@ func TestLimitDeliversExactlyN(t *testing.T) {
 	}
 	if n != 4 {
 		t.Errorf("delivered %d packets, want 4", n)
+	}
+}
+
+// TestCheckCensus pins the check both binaries run after a degraded
+// run: the manifest is summed over every injector, stalls count for
+// nothing, and totals alone do not pass when the kinds differ.
+func TestCheckCensus(t *testing.T) {
+	var srcs []*Source
+	for range 2 {
+		src := Wrap(pcap.NewSliceSource(mkPackets(10, 100)), Schedule{Events: []Event{
+			{Kind: ReadError, Index: 2},
+			{Kind: Stall, Index: 3},
+			{Kind: ShortRead, Index: 5, Cut: 40},
+		}})
+		src.SetSleep(func(time.Duration) {})
+		drain(t, src)
+		srcs = append(srcs, src)
+	}
+	// Per injector: one whole 100-byte record and one 60-byte tail.
+	good := map[string]int64{"read-error": 2, "short-read": 2}
+	if err := CheckCensus(4, 320, good, srcs...); err != nil {
+		t.Errorf("matching census rejected: %v", err)
+	}
+	if err := CheckCensus(0, 0, nil); err != nil {
+		t.Errorf("empty census against no injectors rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		errors, lost int64
+		byKind       map[string]int64
+	}{
+		"one injector's worth": {2, 160, map[string]int64{"read-error": 1, "short-read": 1}},
+		"bytes off":            {4, 319, good},
+		"kinds swapped":        {4, 320, map[string]int64{"read-error": 3, "short-read": 1}},
+		"extra kind":           {4, 320, map[string]int64{"read-error": 2, "short-read": 2, "stall": 0}},
+	} {
+		err := CheckCensus(c.errors, c.lost, c.byKind, srcs...)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		want := fmt.Sprintf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (4 errors, 320 bytes lost)", c.errors, c.lost)
+		if err.Error() != want {
+			t.Errorf("%s: error text %q, want %q", name, err, want)
+		}
 	}
 }

@@ -2,8 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -45,112 +43,14 @@ type NetSchedule struct {
 	Events []NetEvent
 }
 
-func (s NetSchedule) sorted() []NetEvent {
-	evs := make([]NetEvent, len(s.Events))
-	copy(evs, s.Events)
-	for i := 1; i < len(evs); i++ { // insertion sort keeps ties stable
-		for j := i; j > 0 && evs[j-1].Index > evs[j].Index; j-- {
-			evs[j-1], evs[j] = evs[j], evs[j-1]
-		}
-	}
-	return evs
-}
-
-// ParseNetSpec parses a network injection spec. Two forms:
-//
-//	kind@index[:arg][,kind@index[:arg]...]
-//	netrand:seed:count:span
-//
-// Explicit events: drop@10, stall@5:50ms, dup@3, reorder@7. The random
-// form draws count events of all four kinds at seeded-pseudorandom send
-// ordinals in [0, span); the same seed always yields the same schedule.
-func ParseNetSpec(spec string) (NetSchedule, error) {
-	if rest, ok := strings.CutPrefix(spec, "netrand:"); ok {
-		return parseNetRand(rest)
-	}
-	var s NetSchedule
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		ev, err := parseNetEvent(part)
-		if err != nil {
-			return NetSchedule{}, err
-		}
-		s.Events = append(s.Events, ev)
-	}
-	if len(s.Events) == 0 {
-		return NetSchedule{}, fmt.Errorf("faults: empty net injection spec %q", spec)
-	}
-	return s, nil
-}
-
-func parseNetEvent(part string) (NetEvent, error) {
-	kind, rest, ok := strings.Cut(part, "@")
-	if !ok {
-		return NetEvent{}, fmt.Errorf("faults: net event %q: want kind@index[:arg]", part)
-	}
-	idxStr, arg, hasArg := strings.Cut(rest, ":")
-	idx, err := strconv.ParseInt(idxStr, 10, 64)
-	if err != nil || idx < 0 {
-		return NetEvent{}, fmt.Errorf("faults: net event %q: bad index %q", part, idxStr)
-	}
-	ev := NetEvent{Index: idx}
-	switch kind {
-	case "drop":
-		ev.Kind = ConnDrop
-	case "stall":
-		ev.Kind = NetStall
-		ev.Delay = 10 * time.Millisecond
-		if hasArg {
-			d, err := time.ParseDuration(arg)
-			if err != nil || d < 0 {
-				return NetEvent{}, fmt.Errorf("faults: net event %q: bad duration %q", part, arg)
-			}
-			ev.Delay = d
-		}
-	case "dup":
-		ev.Kind = DupFrame
-	case "reorder":
-		ev.Kind = ReorderFrame
-	default:
-		return NetEvent{}, fmt.Errorf("faults: net event %q: unknown kind %q (want drop, stall, dup, reorder)", part, kind)
-	}
-	if hasArg && ev.Kind != NetStall {
-		return NetEvent{}, fmt.Errorf("faults: net event %q: %s takes no argument", part, ev.Kind)
-	}
-	return ev, nil
-}
-
-func parseNetRand(rest string) (NetSchedule, error) {
-	fields := strings.Split(rest, ":")
-	if len(fields) != 3 {
-		return NetSchedule{}, fmt.Errorf("faults: net random spec: want netrand:seed:count:span")
-	}
-	seed, err1 := strconv.ParseUint(fields[0], 10, 64)
-	count, err2 := strconv.Atoi(fields[1])
-	span, err3 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil || count <= 0 || span <= 0 {
-		return NetSchedule{}, fmt.Errorf("faults: net random spec netrand:%s: bad field", rest)
-	}
-	return RandomNetSchedule(seed, count, span), nil
-}
-
 // RandomNetSchedule draws count network events at pseudorandom send
 // ordinals in [0, span), deterministically from seed.
 func RandomNetSchedule(seed uint64, count int, span int64) NetSchedule {
-	rng := seed | 1
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	rng := xorshift(seed | 1)
 	var s NetSchedule
 	for i := 0; i < count; i++ {
-		ev := NetEvent{Index: int64(next() % uint64(span))}
-		switch next() % 4 {
+		ev := NetEvent{Index: int64(rng.next() % uint64(span))}
+		switch rng.next() % 4 {
 		case 0:
 			ev.Kind = ConnDrop
 		case 1:
@@ -159,7 +59,7 @@ func RandomNetSchedule(seed uint64, count int, span int64) NetSchedule {
 			ev.Kind = ReorderFrame
 		default:
 			ev.Kind = NetStall
-			ev.Delay = time.Duration(1+next()%4) * time.Millisecond
+			ev.Delay = time.Duration(1+rng.next()%4) * time.Millisecond
 		}
 		s.Events = append(s.Events, ev)
 	}
@@ -201,7 +101,10 @@ type NetInjector struct {
 // is valid everywhere and injects nothing, so callers can thread an
 // optional injector without branching.
 func NewNetInjector(s NetSchedule) *NetInjector {
-	return &NetInjector{evs: s.sorted(), sleep: time.Sleep}
+	return &NetInjector{
+		evs:   firingOrder(s.Events, func(e NetEvent) int64 { return e.Index }),
+		sleep: time.Sleep,
+	}
 }
 
 // SetSleep replaces the stall clock (tests pass a recorder so schedules

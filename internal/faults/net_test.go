@@ -32,37 +32,35 @@ func frames(n int) [][]byte {
 	return out
 }
 
-func TestParseNetSpec(t *testing.T) {
-	s, err := ParseNetSpec("drop@10, stall@5:50ms, dup@3, reorder@7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Events) != 4 {
-		t.Fatalf("got %d events", len(s.Events))
-	}
-	sorted := s.sorted()
+// TestNetScheduleFiringOrderAndSeed pins the two properties a schedule
+// has before an injector runs it: events fire sorted by index whatever
+// order they were listed in, and a seed always draws the same events.
+func TestNetScheduleFiringOrderAndSeed(t *testing.T) {
+	in := NewNetInjector(NetSchedule{Events: []NetEvent{
+		{Kind: ConnDrop, Index: 10},
+		{Kind: NetStall, Index: 5, Delay: 50 * time.Millisecond},
+		{Kind: DupFrame, Index: 3},
+		{Kind: ReorderFrame, Index: 7},
+	}})
 	wantKinds := []NetKind{DupFrame, NetStall, ReorderFrame, ConnDrop}
 	for i, k := range wantKinds {
-		if sorted[i].Kind != k {
-			t.Errorf("sorted[%d] = %s, want %s", i, sorted[i].Kind, k)
+		if in.evs[i].Kind != k {
+			t.Errorf("evs[%d] = %s, want %s", i, in.evs[i].Kind, k)
 		}
 	}
-	if sorted[1].Delay != 50*time.Millisecond {
-		t.Errorf("stall delay %v", sorted[1].Delay)
+	if in.evs[1].Delay != 50*time.Millisecond {
+		t.Errorf("stall delay %v", in.evs[1].Delay)
 	}
-	for _, bad := range []string{"", "drop", "drop@-1", "frob@1", "dup@1:x", "netrand:1:2", "netrand:a:b:c"} {
-		if _, err := ParseNetSpec(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
+	r, r2 := RandomNetSchedule(7, 5, 100), RandomNetSchedule(7, 5, 100)
+	if len(r.Events) != 5 {
+		t.Fatalf("random schedule drew %d events, want 5", len(r.Events))
 	}
-	r, err := ParseNetSpec("netrand:7:5:100")
-	if err != nil || len(r.Events) != 5 {
-		t.Fatalf("netrand: %v, %d events", err, len(r.Events))
-	}
-	r2, _ := ParseNetSpec("netrand:7:5:100")
 	for i := range r.Events {
 		if r.Events[i] != r2.Events[i] {
-			t.Fatal("netrand not deterministic")
+			t.Fatal("random schedule not deterministic")
+		}
+		if r.Events[i].Index < 0 || r.Events[i].Index >= 100 {
+			t.Errorf("event %d at send %d, outside [0, 100)", i, r.Events[i].Index)
 		}
 	}
 }
@@ -165,8 +163,7 @@ func TestNetInjectorStallUsesClockSeam(t *testing.T) {
 }
 
 func TestNetInjectorManifestAndNil(t *testing.T) {
-	sched, _ := ParseNetSpec("dup@0,drop@2")
-	in := NewNetInjector(sched)
+	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: DupFrame, Index: 0}, {Kind: ConnDrop, Index: 2}}})
 	rec := &sendRecorder{}
 	for i := 0; i < 3; i++ {
 		in.Send([]byte{byte(i)}, rec.send)

@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit used throughout the
 // enterprise-traffic reproduction: counters keyed by string, empirical
-// distributions with quantiles and CDF extraction, log-spaced histograms,
-// and fraction formatting that mirrors the way the paper reports numbers
-// (percentages, ranges such as "45%–65%", GB/MB volumes).
+// distributions with quantiles and CDF extraction, and fraction
+// formatting that mirrors the way the paper reports numbers (percentages,
+// ranges such as "45%–65%", GB/MB volumes).
 //
 // The paper reports almost everything as fractions and distribution shapes
 // rather than absolute values, so this package is deliberately exact: it
@@ -533,68 +533,6 @@ func (d *Dist) CDF(maxPoints int) []CDFPoint {
 	}
 	return pts
 }
-
-// Histogram counts samples into log10-spaced bins, mirroring the log-scale
-// x axes used by the paper's size and duration figures.
-type Histogram struct {
-	// binsPerDecade controls resolution; 5 gives bins at 1, 1.58, 2.51, ...
-	binsPerDecade int
-	counts        map[int]int64
-	total         int64
-}
-
-// NewHistogram returns a histogram with the given number of log-spaced bins
-// per decade (minimum 1).
-func NewHistogram(binsPerDecade int) *Histogram {
-	if binsPerDecade < 1 {
-		binsPerDecade = 1
-	}
-	return &Histogram{binsPerDecade: binsPerDecade, counts: make(map[int]int64)}
-}
-
-// Observe adds a sample; non-positive samples land in the lowest bin.
-func (h *Histogram) Observe(v float64) {
-	h.counts[h.binIndex(v)]++
-	h.total++
-}
-
-func (h *Histogram) binIndex(v float64) int {
-	if v < 1 {
-		return math.MinInt32
-	}
-	return int(math.Floor(math.Log10(v) * float64(h.binsPerDecade)))
-}
-
-// BinLow returns the lower edge of the bin with the given index.
-func (h *Histogram) BinLow(idx int) float64 {
-	if idx == math.MinInt32 {
-		return 0
-	}
-	return math.Pow(10, float64(idx)/float64(h.binsPerDecade))
-}
-
-// Bin is one histogram bin with its lower edge and count.
-type Bin struct {
-	Low   float64
-	Count int64
-}
-
-// Bins returns non-empty bins sorted by lower edge.
-func (h *Histogram) Bins() []Bin {
-	idxs := make([]int, 0, len(h.counts))
-	for i := range h.counts {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	bins := make([]Bin, 0, len(idxs))
-	for _, i := range idxs {
-		bins = append(bins, Bin{Low: h.BinLow(i), Count: h.counts[i]})
-	}
-	return bins
-}
-
-// Total returns the number of observed samples.
-func (h *Histogram) Total() int64 { return h.total }
 
 // Pct formats a fraction as the paper does: "0.0%" below one-in-a-thousand,
 // one decimal below 2%, integers above.

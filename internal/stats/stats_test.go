@@ -217,73 +217,6 @@ func TestCDFAtProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(1)
-	for _, v := range []float64{0.5, 1, 5, 10, 50, 100, 999} {
-		h.Observe(v)
-	}
-	bins := h.Bins()
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// Bins: <1 (0.5), [1,10) {1,5}, [10,100) {10,50}, [100,1000) {100,999}
-	if len(bins) != 4 {
-		t.Fatalf("got %d bins: %+v", len(bins), bins)
-	}
-	wantCounts := []int64{1, 2, 2, 2}
-	for i, w := range wantCounts {
-		if bins[i].Count != w {
-			t.Errorf("bin %d count = %d, want %d (%+v)", i, bins[i].Count, w, bins)
-		}
-	}
-	if bins[1].Low != 1 || bins[2].Low != 10 {
-		t.Errorf("bin edges wrong: %+v", bins)
-	}
-}
-
-func TestHistogramResolution(t *testing.T) {
-	h := NewHistogram(5)
-	h.Observe(1)
-	h.Observe(1.9) // should fall in a different bin from 1 with 5 bins/decade
-	if len(h.Bins()) != 2 {
-		t.Errorf("5 bins/decade should separate 1 and 1.9: %+v", h.Bins())
-	}
-	if NewHistogram(0).binsPerDecade != 1 {
-		t.Error("binsPerDecade should clamp to 1")
-	}
-}
-
-// Property: histogram total always equals number of observations and bins
-// are sorted.
-func TestHistogramProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		h := NewHistogram(3)
-		n := 0
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			h.Observe(v)
-			n++
-		}
-		if h.Total() != int64(n) {
-			return false
-		}
-		bins := h.Bins()
-		var sum int64
-		for i, b := range bins {
-			sum += b.Count
-			if i > 0 && bins[i-1].Low >= b.Low {
-				return false
-			}
-		}
-		return sum == int64(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPctFormatting(t *testing.T) {
 	cases := []struct {
 		in   float64

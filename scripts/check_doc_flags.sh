@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Doc-drift gate: every flag that README.md / DESIGN.md / EXPERIMENTS.md
 # show on an ent* command line must actually be accepted by one of the
-# four binaries. Catches examples that outlive a flag rename or removal.
+# three binaries. Catches examples that outlive a flag rename or removal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 valid="$(mktemp)"
 trap 'rm -f "$valid"' EXIT
-for cmd in entanalyze entgen entreport entbench; do
+for cmd in entanalyze entgen entreport; do
   # -h exits non-zero by flag-package convention; the usage text is what
   # we are after.
   go run "./cmd/$cmd" -h 2>&1 | sed -n 's/^  -\([a-zA-Z0-9_-]*\).*/\1/p' || true
@@ -23,23 +23,22 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
       echo "$doc: flag -$flag is not accepted by any ent* binary" >&2
       fail=1
     fi
-  done < <(grep -oE '\bent(analyze|gen|report|bench)[^|#`]*' "$doc" |
+  done < <(grep -oE '\bent(analyze|gen|report)[^|#`]*' "$doc" |
     grep -oE ' -[a-zA-Z][a-zA-Z0-9_-]*' | sed 's/^ -//' | sort -u)
 done
 
-# The resilience- and scaling-flag families appear in DESIGN.md's
-# code blocks on lines that are not full ent* command lines (policy
-# tables, healthz transcripts, bench recipes), so the command-line pass
-# above misses them. Scan every fenced block for these families
-# explicitly, so a rename of any of the flags cannot leave stale prose
-# behind.
+# The resilience-flag family appears in DESIGN.md's code blocks on
+# lines that are not full ent* command lines (policy tables, healthz
+# transcripts), so the command-line pass above misses them. Scan every
+# fenced block for it explicitly, so a rename of any of the flags cannot
+# leave stale prose behind.
 while read -r flag; do
   if ! grep -qx "$flag" "$valid"; then
     echo "DESIGN.md code block: flag -$flag is not accepted by any ent* binary" >&2
     fail=1
   fi
 done < <(awk '/^```/ { inblk = !inblk; next } inblk' DESIGN.md |
-  grep -oE '(^| )-(inject|on-error|max-conns|idle-evict|mmap|cpus)\b' |
+  grep -oE '(^| )-(inject|on-error|max-conns|idle-evict|mmap)\b' |
   sed 's/^ *-//' | sort -u)
 
 if [ "$fail" -ne 0 ]; then

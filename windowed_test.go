@@ -21,14 +21,7 @@ import (
 // rotation enabled, returning the cumulative report and every window.
 func analyzeWindowed(tb testing.TB, ds *gen.Dataset, workers, replayWorkers int, window time.Duration) (*core.Report, []*core.WindowReport) {
 	tb.Helper()
-	a := core.NewAnalyzer(core.Options{
-		Dataset:         ds.Config.Name,
-		KnownScanners:   enterprise.KnownScanners(),
-		PayloadAnalysis: ds.Config.Snaplen >= 1500,
-		Workers:         workers,
-		ReplayWorkers:   replayWorkers,
-		Window:          window,
-	})
+	a := datasetAnalyzer(ds, workers, replayWorkers, window)
 	for _, tr := range ds.Traces {
 		if err := a.AddTrace(core.TraceInput{
 			Name:      tr.Prefix.String(),
