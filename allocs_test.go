@@ -10,12 +10,14 @@ package enttrace_test
 import (
 	"bytes"
 	"io"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"enttrace/internal/advtest"
+	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
 	"enttrace/internal/layers"
@@ -162,6 +164,26 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 
+	// One op = one GET into a recorder for a window nobody has written
+	// since it was last served: the warm-up call renders it, and every
+	// counted call may only hand the bytes over (the recorder's buffer
+	// is most of what is left). A fold, a Report and a MarshalIndent per
+	// poll is what these rows refuse.
+	serveHit := func(path string) setup {
+		return func(tb testing.TB) func() {
+			ds := d3(tb)
+			srv := core.NewReportServer(addTraces(tb, datasetAnalyzer(ds, 4, 4, 60*time.Second), ds))
+			req := httptest.NewRequest("GET", path, nil)
+			return func() {
+				rr := httptest.NewRecorder()
+				srv.ServeHTTP(rr, req)
+				if rr.Code != 200 {
+					tb.Fatalf("%s: %d", path, rr.Code)
+				}
+			}
+		}
+	}
+
 	rows := []struct {
 		name          string
 		allocs, bytes uint64 // recorded per op on ceilingsToolchain
@@ -243,6 +265,8 @@ func TestAllocationCeilings(t *testing.T) {
 		{name: "analyze/D4", allocs: 15794, bytes: 10684072, setup: analyze("D4")},
 		{name: "soak/D3-shape", allocs: 215750, bytes: 122779008, setup: soak(0)},
 		{name: "soak/D3-shape/window=60s", allocs: 237855, bytes: 123959968, setup: soak(60 * time.Second)},
+		{name: "serve/window-hit", allocs: 14, bytes: 9228, runs: 100, setup: serveHit("/report/window/0")},
+		{name: "serve/latest-hit", allocs: 11, bytes: 7124, runs: 100, setup: serveHit("/report/latest")},
 		// The hostile-input price: the evasion scenario family through
 		// the differential harness's replay path at the default shape.
 		{name: "adversarial/evasion", allocs: 8373, bytes: 1700592, setup: func(tb testing.TB) func() {

@@ -45,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -337,9 +338,11 @@ func run() error {
 	var srv *core.ReportServer
 	if *serve != "" {
 		srv = core.NewReportServer(a)
-		if err := serveReports(*serve, srv, "reports", "/report/final"); err != nil {
+		stop, err := serveReports(*serve, srv, "reports", "/report/final")
+		if err != nil {
 			return err
 		}
+		defer stop()
 	}
 
 	if *genSpec != "" {
@@ -450,21 +453,40 @@ func run() error {
 
 // serveReports serves one of the two report servers on addr in the
 // background (both share the window and final endpoints; tail names what
-// follows them). A serve failure after a successful listen is fatal.
-func serveReports(addr string, h http.Handler, what, tail string) error {
+// follows them) until the returned stop is called — on the way out of
+// either mode, once the drain has emitted its report.
+func serveReports(addr string, h http.Handler, what, tail string) (stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "serving %s on http://%s (/healthz, /report/latest, /report/window/<n>, %s)\n", what, ln.Addr(), tail)
+	return serveOn(ln, h), nil
+}
+
+// serveOn serves h on ln in the background. A serve failure after a
+// successful listen is fatal. stop shuts the server down — requests in
+// flight get five seconds to finish, then their connections are closed
+// under them — and returns once the listener, every connection and the
+// serving goroutine are gone.
+func serveOn(ln net.Listener, h http.Handler) (stop func()) {
+	server := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	served := make(chan struct{})
 	go func() {
-		server := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-		if err := server.Serve(ln); err != nil {
+		defer close(served)
+		if err := server.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}()
-	return nil
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if server.Shutdown(ctx) != nil {
+			server.Close()
+		}
+		<-served
+	}
 }
 
 // printRun writes a run's window summary and cumulative report to
@@ -517,9 +539,11 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 	if serveAddr != "" {
 		fsrv = core.NewFleetServer(f)
 		fsrv.SetStaleThreshold(staleAfter)
-		if err := serveReports(serveAddr, fsrv, "fleet reports", "/report/fleet, /report/final"); err != nil {
+		stop, err := serveReports(serveAddr, fsrv, "fleet reports", "/report/fleet, /report/final")
+		if err != nil {
 			return err
 		}
+		defer stop()
 	}
 
 	sigc := make(chan os.Signal, 1)

@@ -40,7 +40,12 @@ func datasetAnalyzer(ds *gen.Dataset, workers, replayWorkers int, window time.Du
 // workers) point.
 func analyzeGrid(tb testing.TB, ds *gen.Dataset, workers, replayWorkers int) *core.Report {
 	tb.Helper()
-	a := datasetAnalyzer(ds, workers, replayWorkers, 0)
+	return addTraces(tb, datasetAnalyzer(ds, workers, replayWorkers, 0), ds).Report()
+}
+
+// addTraces runs every trace of ds through a, in order.
+func addTraces(tb testing.TB, a *core.Analyzer, ds *gen.Dataset) *core.Analyzer {
+	tb.Helper()
 	for _, tr := range ds.Traces {
 		if err := a.AddTrace(core.TraceInput{
 			Name:      tr.Prefix.String(),
@@ -50,7 +55,7 @@ func analyzeGrid(tb testing.TB, ds *gen.Dataset, workers, replayWorkers int) *co
 			tb.Fatal(err)
 		}
 	}
-	return a.Report()
+	return a
 }
 
 func determinismDataset(tb testing.TB, name string, scale float64) *gen.Dataset {

@@ -213,6 +213,9 @@ type windowState struct {
 	maxWindow int
 	// nextEmit is the first window index not yet emitted via onWindow.
 	nextEmit int
+	// rendered memoises the windows' served bodies; every method that
+	// writes under mu clears it (setOrigin, bankDeltas, finishTrace).
+	rendered rendered
 }
 
 func newWindowState(dataset string, dur time.Duration, onWindow func(*WindowReport)) *windowState {
@@ -223,6 +226,7 @@ func newWindowState(dataset string, dur time.Duration, onWindow func(*WindowRepo
 		pending:   make(map[int]*epochAgg),
 		deltas:    make(map[int][]windowDelta),
 		maxWindow: -1,
+		rendered:  make(rendered),
 	}
 }
 
@@ -236,6 +240,7 @@ func (ws *windowState) setOrigin(base time.Time) {
 	if ws.dur > 0 && !ws.originSet && !base.IsZero() {
 		ws.origin = base
 		ws.originSet = true
+		clear(ws.rendered)
 	}
 }
 
@@ -262,6 +267,7 @@ func (ws *windowState) windowOf(ts time.Time) int {
 func (ws *windowState) bankDeltas(deltas []windowDelta) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	clear(ws.rendered)
 	for _, d := range deltas {
 		if d.window > ws.maxWindow {
 			ws.maxWindow = d.window
@@ -297,6 +303,7 @@ func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 		ws.pending[n] = newEpochAgg()
 	}
 	ws.pending[n].merge(traceDelta)
+	clear(ws.rendered)
 	ws.maxWindow = max(ws.maxWindow, n)
 	if !maxTS.IsZero() {
 		if maxTS.After(ws.watermark) {
@@ -375,13 +382,25 @@ func (a *Analyzer) Watermark() time.Time {
 // watermark has not passed any window boundary yet). Safe for
 // concurrent use with Add*.
 func (a *Analyzer) LatestWindowIndex() int {
-	ws := a.win
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+	a.win.mu.Lock()
+	defer a.win.mu.Unlock()
+	return a.win.latestLocked()
+}
+
+func (ws *windowState) latestLocked() int {
 	if !ws.originSet {
 		return -1
 	}
 	return min(ws.windowOf(ws.watermark)-1, ws.maxWindow)
+}
+
+// progress reads the window counts and the watermark under one lock:
+// read one accessor at a time, a trace ending in between shows a
+// completed count from after it beside a window count from before.
+func (ws *windowState) progress() (windows, completed int, watermark time.Time) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.maxWindow + 1, ws.latestLocked() + 1, ws.watermark
 }
 
 // WindowCount returns the number of known windows (complete or open).
@@ -403,6 +422,20 @@ func (a *Analyzer) WindowReport(n int) (*WindowReport, bool) {
 		return nil, false
 	}
 	return a.win.windowReportLocked(n), true
+}
+
+// windowJSON returns the body a report server writes for window n (nil
+// when n is out of range), rendered only if the window has not been
+// asked for since the view was last written. WindowReport stays the
+// un-memoised fold: it hands out a *Report its caller may change.
+func (a *Analyzer) windowJSON(n int) ([]byte, error) {
+	ws := a.win
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if n < 0 || n > ws.maxWindow {
+		return nil, nil
+	}
+	return ws.rendered.body(n, func() *Report { return ws.windowReportLocked(n).Report })
 }
 
 // WindowReports builds every window's report in window order, empty

@@ -172,6 +172,16 @@ type Fleet struct {
 	origin  time.Time
 	adopted bool
 	sites   map[string]*fleetSite
+	// rendered memoises the bodies the fleet server writes: each window
+	// it has been asked for, and the merged cumulative behind
+	// /report/fleet and /report/final. Every Sink method that writes
+	// something a report reads clears it — Hello, Delta, Lost and Fin on
+	// entry, Heartbeat when it is a site's first contact — so a GET folds
+	// the fleet, under the mutex each arriving Delta needs, only when
+	// such a frame has landed since the last one. A known site's
+	// Heartbeat and Disconnect write liveness alone (lastSeen, watermark,
+	// connected), which only Status reads.
+	rendered rendered
 }
 
 // fleetSite is one site's delivery state.
@@ -211,6 +221,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		origin:  cfg.Origin,
 		adopted: cfg.Window > 0 || !cfg.Origin.IsZero(),
 		sites:   make(map[string]*fleetSite),
+
+		rendered: make(rendered),
 	}
 }
 
@@ -240,6 +252,7 @@ func (s *fleetSite) seen(now time.Time, watermark int64) {
 func (f *Fleet) Hello(site string, h fleet.Hello) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	clear(f.rendered)
 	if h.Schema != f.schema {
 		return fmt.Errorf("snapshot schema mismatch: site %s ships %#x, aggregator expects %#x (mixed builds cannot merge)",
 			site, h.Schema, f.schema)
@@ -269,6 +282,7 @@ func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payl
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	clear(f.rendered)
 	s := f.site(site)
 	s.seen(f.now(), watermark)
 	if prev := s.windows[window]; prev != nil && prev.seq >= seq {
@@ -284,6 +298,7 @@ func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payl
 func (f *Fleet) Lost(site string, window int, seq uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	clear(f.rendered)
 	s := f.site(site)
 	s.seen(f.now(), 0)
 	if seq > s.lost[window] {
@@ -296,6 +311,10 @@ func (f *Fleet) Lost(site string, window int, seq uint64) error {
 func (f *Fleet) Heartbeat(site string, watermark int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.sites[site] == nil {
+		// First contact: the census gains a site that owes every window.
+		clear(f.rendered)
+	}
 	f.site(site).seen(f.now(), watermark)
 }
 
@@ -304,6 +323,7 @@ func (f *Fleet) Heartbeat(site string, watermark int64) {
 func (f *Fleet) Fin(site string, maxWindow int, seq uint64, watermark int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	clear(f.rendered)
 	s := f.site(site)
 	s.seen(f.now(), watermark)
 	s.fin = true
@@ -343,14 +363,6 @@ func (f *Fleet) Windowing() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.window > 0
-}
-
-// WindowDuration returns the fleet's window length (0 for batch fleets
-// or before the first site's Hello fixes the config).
-func (f *Fleet) WindowDuration() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.window
 }
 
 // MaxWindow returns the highest window index any site has delivered,
@@ -399,6 +411,10 @@ func (f *Fleet) siteNamesLocked() []string {
 func (f *Fleet) Report() *Report {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.reportLocked()
+}
+
+func (f *Fleet) reportLocked() *Report {
 	merged := newEpochAgg()
 	census := f.censusLocked(merged)
 	r := buildReport(f.dataset, merged, nil)
@@ -514,6 +530,50 @@ func (f *Fleet) windowReportLocked(n int) *WindowReport {
 	return newWindowReport(f.dataset, e, n, f.origin, f.window)
 }
 
+// windowJSON returns the body the fleet server writes for window n (nil
+// when out of range or the fleet is not windowed), folding the sites'
+// snapshots of it only if a report-visible frame has landed since it was
+// last asked for. WindowReport stays the un-memoised fold: it hands out
+// a *Report its caller may change.
+func (f *Fleet) windowJSON(n int) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.window <= 0 || n < 0 || n > f.maxWindowLocked() {
+		return nil, nil
+	}
+	return f.rendered.body(n, func() *Report { return f.windowReportLocked(n).Report })
+}
+
+// cumulativeJSON returns the body of the merged cumulative report:
+// /report/fleet's at any time, and with finalOnly /report/final's — nil
+// until every site has finned, the moment the report stops changing. The
+// gate and the render share one critical section, so what is served as
+// final was rendered from a fleet that was final.
+func (f *Fleet) cumulativeJSON(finalOnly bool) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if finalOnly && !f.finalReadyLocked() {
+		return nil, nil
+	}
+	return f.rendered.body(cumulativeBody, f.reportLocked)
+}
+
+// finalReadyLocked: every known site finned, every expected site known,
+// and at least one site reported. Callers hold f.mu.
+func (f *Fleet) finalReadyLocked() bool {
+	for _, s := range f.sites {
+		if !s.fin {
+			return false
+		}
+	}
+	for _, name := range f.expect {
+		if f.sites[name] == nil {
+			return false
+		}
+	}
+	return len(f.sites) > 0
+}
+
 // FleetStatus is the operational view of a fleet merge, feeding the
 // aggregator's /healthz. Wall-clock quantities (delivery ages) are the
 // server's to derive; everything here is observed state.
@@ -524,8 +584,11 @@ type FleetStatus struct {
 	// FinalReady: every known site finned, every expected site present
 	// and finned, and at least one site reported.
 	FinalReady bool
-	// Windows is the fleet's window horizon (MaxWindow+1); LostWindows
-	// counts census-lost windows across sites.
+	// Window is the fleet's window length (0 for batch fleets or before
+	// the first site's Hello fixes the config). Windows is the fleet's
+	// window horizon (MaxWindow+1); LostWindows counts census-lost
+	// windows across sites.
+	Window      time.Duration
 	Windows     int
 	LostWindows int
 	// WatermarkSkew is the spread between the most- and least-advanced
@@ -555,9 +618,8 @@ func (f *Fleet) Status() FleetStatus {
 	for _, sr := range census.Sites {
 		lostBySite[sr.Site] = len(sr.LostWindows)
 	}
-	st := FleetStatus{Windows: f.maxWindowLocked() + 1}
+	st := FleetStatus{Window: f.window, Windows: f.maxWindowLocked() + 1, FinalReady: f.finalReadyLocked()}
 	var minWM, maxWM int64
-	allFin := len(f.sites) > 0
 	for _, name := range f.siteNamesLocked() {
 		s := f.sites[name]
 		row := FleetSiteStatus{
@@ -578,7 +640,6 @@ func (f *Fleet) Status() FleetStatus {
 			}
 		}
 		st.LostWindows += row.LostWindows
-		allFin = allFin && s.fin
 		st.Sites = append(st.Sites, row)
 	}
 	if minWM != 0 && maxWM > minWM {
@@ -587,12 +648,8 @@ func (f *Fleet) Status() FleetStatus {
 	for _, name := range f.expect {
 		if f.sites[name] == nil {
 			st.MissingSites = append(st.MissingSites, name)
-			allFin = false
-		} else if !f.sites[name].fin {
-			allFin = false
 		}
 	}
 	sort.Strings(st.MissingSites)
-	st.FinalReady = allFin
 	return st
 }

@@ -43,8 +43,9 @@ func NewFleetServer(f *Fleet) *FleetServer {
 	// /report/fleet serves the current merged cumulative, whatever its
 	// completeness; the Fleet section names what is missing while the
 	// fleet is partial.
-	s.mux.HandleFunc("/report/fleet", func(w http.ResponseWriter, req *http.Request) {
-		serveReport(w, f.Report())
+	s.mux.HandleFunc("GET /report/fleet", func(w http.ResponseWriter, req *http.Request) {
+		b, err := f.cumulativeJSON(false)
+		serveBody(w, b, err, "")
 	})
 	return s
 }
@@ -110,21 +111,22 @@ type fleetSiteHealth struct {
 // healthz is cheap enough to poll: Status walks the (site, window) census
 // and merges nothing, so a poll holds the fleet's mutex — the one every
 // arriving Delta needs — for about 50 µs per thousand windows held,
-// whatever the snapshots weigh.
+// whatever the snapshots weigh. Everything it reports comes from that one
+// Status, so no frame can land between two of its fields.
 func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 	st := s.f.Status()
 	h := fleetHealth{
 		Status:       "ok",
 		Sites:        len(st.Sites),
 		MissingSites: st.MissingSites,
-		Windowing:    s.f.Windowing(),
+		Windowing:    st.Window > 0,
 		Windows:      st.Windows,
 		LostWindows:  st.LostWindows,
 		FinalReady:   st.FinalReady,
 		Draining:     s.draining.Load(),
 	}
 	if h.Windowing {
-		h.WindowDur = s.f.WindowDuration().String()
+		h.WindowDur = st.Window.String()
 	}
 	quiet := h.FinalReady || h.Draining
 	now := s.now()
@@ -165,14 +167,4 @@ func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 
 func (f *Fleet) latestWindow() int { return f.MaxWindow() }
 
-// finalJSON gates on fleet completeness: it is exactly what
-// /report/fleet would serve, but only once every site has finned — the
-// moment the merged report stops changing. The gate is Status, a census
-// with no fold, so a call folds the fleet once (in Report) when it is
-// ready and not at all before.
-func (f *Fleet) finalJSON() ([]byte, error) {
-	if !f.Status().FinalReady {
-		return nil, nil
-	}
-	return MarshalReport(f.Report())
-}
+func (f *Fleet) finalJSON() ([]byte, error) { return f.cumulativeJSON(true) }

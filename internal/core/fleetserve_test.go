@@ -42,11 +42,7 @@ func fleetSiteAnalyzer(t *testing.T, seed int64, offsets ...time.Duration) *Anal
 		Window:          time.Minute,
 		WindowOrigin:    windowTestBase,
 	})
-	em := gen.NewEmitter(seed)
-	for i, off := range offsets {
-		emitConn(em, int(seed)*10+i, windowTestBase.Add(off), 0)
-	}
-	if err := a.AddTrace(TraceInput{Name: "t" + string(rune('0'+seed)), Monitored: enterprise.SubnetPrefix(5), Packets: em.Packets()}); err != nil {
+	if err := a.AddTrace(connTrace(seed, offsets...)); err != nil {
 		t.Fatal(err)
 	}
 	return a

@@ -18,14 +18,27 @@ func MarshalReport(r *Report) ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
+// servedJSON renders a report as it goes out on the wire — MarshalReport's
+// bytes and a newline — in a slice of exactly that size: MarshalIndent's
+// buffer carries half as much again in slack, which a memo of these would
+// keep alive.
+func servedJSON(r *Report) ([]byte, error) {
+	b, err := MarshalReport(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b)+1)
+	out[copy(out, b)] = '\n'
+	return out, nil
+}
+
 // WriteReportJSON writes a report as indented JSON followed by a
 // newline.
 func WriteReportJSON(w io.Writer, r *Report) error {
-	b, err := MarshalReport(r)
+	b, err := servedJSON(r)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
 }

@@ -54,10 +54,10 @@ func NewReportServer(a *Analyzer) *ReportServer {
 
 // SetFinal publishes the cumulative report. Call it from the analysis
 // goroutine after the last trace; handlers serve 404 on /report/final
-// until then. The report is marshaled once, here, so handlers never
+// until then. The report is rendered once, here, so handlers never
 // touch the analyzer's aggregates after analysis ends.
 func (s *ReportServer) SetFinal(r *Report) error {
-	b, err := MarshalReport(r)
+	b, err := servedJSON(r)
 	if err != nil {
 		return err
 	}
@@ -111,18 +111,18 @@ func (s *ReportServer) stallAge(packets int64, mark time.Time) time.Duration {
 }
 
 func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
+	windows, completed, wm := s.a.win.progress()
 	h := healthStatus{
 		Status:           "ok",
 		Packets:          s.a.PacketsSeen(),
 		Windowing:        s.a.Windowing(),
-		Windows:          s.a.WindowCount(),
-		CompletedWindows: s.a.LatestWindowIndex() + 1,
+		Windows:          windows,
+		CompletedWindows: completed,
 		FinalReady:       s.a.final.Load() != nil,
 		LiveConns:        s.a.LiveConns(),
 		SourceErrors:     s.a.SourceErrorsSeen(),
 		Draining:         s.a.Stopping(),
 	}
-	wm := s.a.Watermark()
 	if h.Windowing {
 		h.WindowDuration = s.a.WindowDuration().String()
 		if !wm.IsZero() {
@@ -143,16 +143,47 @@ func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, h)
 }
 
+// rendered is a view's memo of response bodies, keyed by window index
+// (cumulativeBody for the cumulative report): exactly the bytes a GET is
+// answered with. The view guards it with the mutex that guards the state
+// the bodies are rendered from; every method that writes that state
+// clears it, and body fills it under the same lock, so an entry is never
+// older than the last write. A poll of a view nobody has written since
+// the path was last asked for folds, builds and marshals nothing. It
+// needs no bound of its own: an entry exists only for a window someone
+// asked for and the view holds the aggregates of (≈33 KB of deltas a
+// window against ≈9 KB of JSON).
+type rendered map[int][]byte
+
+const cumulativeBody = -1
+
+// body returns the memoised body for key, rendering build's report on a
+// miss. Callers hold the view's mutex.
+func (m rendered) body(key int, build func() *Report) ([]byte, error) {
+	if b, ok := m[key]; ok {
+		return b, nil
+	}
+	b, err := servedJSON(build())
+	if err == nil {
+		m[key] = b
+	}
+	return b, err
+}
+
 // reportView is what the report endpoints need from the thing they
 // serve. Analyzer and Fleet implement it, so a fleet-wide report is
-// drop-in for a single-instance consumer.
+// drop-in for a single-instance consumer. The two JSON methods return
+// the response body itself, trailing newline included, out of the
+// view's rendered memo; the handlers only write what they are handed,
+// and must not change it.
 type reportView interface {
 	Windowing() bool
 	// latestWindow is the window /report/latest serves (-1 when none).
 	latestWindow() int
-	WindowReport(n int) (*WindowReport, bool)
-	// finalJSON is the marshaled cumulative report once it has stopped
-	// changing, nil until then.
+	// windowJSON is window n's report, nil when there is no such window.
+	windowJSON(n int) ([]byte, error)
+	// finalJSON is the cumulative report once it has stopped changing,
+	// nil until then.
 	finalJSON() ([]byte, error)
 }
 
@@ -167,23 +198,19 @@ func (a *Analyzer) finalJSON() ([]byte, error) {
 
 // newReportMux wires the endpoints both servers share — /report/latest,
 // /report/window/<n>, /report/final over v — beside the server's own
-// /healthz.
+// /healthz. GET patterns also match HEAD; any other method is a 405.
 func newReportMux(v reportView, healthz http.HandlerFunc) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", healthz)
-	mux.HandleFunc("/report/latest", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /healthz", healthz)
+	mux.HandleFunc("GET /report/latest", func(w http.ResponseWriter, req *http.Request) {
 		if !v.Windowing() {
 			httpError(w, http.StatusNotFound, "windowing disabled; window endpoints need -window")
 			return
 		}
-		n := v.latestWindow()
-		if n < 0 {
-			httpError(w, http.StatusNotFound, "no completed window yet")
-			return
-		}
-		serveWindow(w, v, n)
+		b, err := v.windowJSON(v.latestWindow())
+		serveBody(w, b, err, "no completed window yet")
 	})
-	mux.HandleFunc("/report/window/", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /report/window/", func(w http.ResponseWriter, req *http.Request) {
 		if !v.Windowing() {
 			httpError(w, http.StatusNotFound, "windowing disabled; window endpoints need -window")
 			return
@@ -193,45 +220,36 @@ func newReportMux(v reportView, healthz http.HandlerFunc) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, "window index must be an integer")
 			return
 		}
-		serveWindow(w, v, n)
+		b, err := v.windowJSON(n)
+		serveBody(w, b, err, "no such window")
 	})
-	mux.HandleFunc("/report/final", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("GET /report/final", func(w http.ResponseWriter, req *http.Request) {
 		b, err := v.finalJSON()
-		switch {
-		case err != nil:
-			httpError(w, http.StatusInternalServerError, err.Error())
-		case b == nil:
-			httpError(w, http.StatusNotFound, "final report not ready: still running")
-		default:
-			writeReportJSON(w, b)
-		}
+		serveBody(w, b, err, "final report not ready: still running")
 	})
 	return mux
 }
 
-func serveWindow(w http.ResponseWriter, v reportView, n int) {
-	wr, ok := v.WindowReport(n)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such window")
-		return
-	}
-	serveReport(w, wr.Report)
-}
-
-func serveReport(w http.ResponseWriter, r *Report) {
-	b, err := MarshalReport(r)
-	if err != nil {
+// serveBody answers with a body a view handed over: 500 if rendering it
+// failed, 404 saying what is missing if the view has no such document.
+func serveBody(w http.ResponseWriter, b []byte, err error, missing string) {
+	switch {
+	case err != nil:
 		httpError(w, http.StatusInternalServerError, err.Error())
-		return
+	case b == nil:
+		httpError(w, http.StatusNotFound, missing)
+	default:
+		writeBody(w, http.StatusOK, b)
 	}
-	writeReportJSON(w, b)
 }
 
-func writeReportJSON(w http.ResponseWriter, b []byte) {
+// writeBody is every response this package writes: a JSON body that ends
+// in a newline, its length declared, in one Write.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(code)
 	w.Write(b)
-	w.Write([]byte("\n"))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -240,11 +258,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeReportJSON(w, b)
+	writeBody(w, http.StatusOK, append(b, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	b, _ := json.Marshal(map[string]string{"error": msg}) // a map of strings cannot fail
+	writeBody(w, code, append(b, '\n'))
 }

@@ -21,16 +21,7 @@ import (
 // rotation enabled, returning the cumulative report and every window.
 func analyzeWindowed(tb testing.TB, ds *gen.Dataset, workers, replayWorkers int, window time.Duration) (*core.Report, []*core.WindowReport) {
 	tb.Helper()
-	a := datasetAnalyzer(ds, workers, replayWorkers, window)
-	for _, tr := range ds.Traces {
-		if err := a.AddTrace(core.TraceInput{
-			Name:      tr.Prefix.String(),
-			Monitored: tr.Prefix,
-			Packets:   tr.Packets,
-		}); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	a := addTraces(tb, datasetAnalyzer(ds, workers, replayWorkers, window), ds)
 	return a.Report(), a.WindowReports()
 }
 
