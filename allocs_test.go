@@ -164,6 +164,20 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 
+	// The generator's own price. One op = one trace of the dataset's
+	// first vantage at scale 0.15, as GenerateDataset produces it.
+	genTrace := func(cfg enterprise.Config) setup {
+		return func(tb testing.TB) func() {
+			cfg.Scale = 0.15
+			net := enterprise.NewNetwork(cfg)
+			return func() {
+				if len(gen.GenerateTrace(net, cfg.Monitored[0], 0)) == 0 {
+					tb.Fatal("empty trace")
+				}
+			}
+		}
+	}
+
 	// One op = one GET into a recorder for a window nobody has written
 	// since it was last served: the warm-up call renders it, and every
 	// counted call may only hand the bytes over (the recorder's buffer
@@ -263,8 +277,41 @@ func TestAllocationCeilings(t *testing.T) {
 		{name: "analyze/D2", allocs: 7990, bytes: 7293992, setup: analyze("D2")},
 		{name: "analyze/D3", allocs: 15875, bytes: 10523168, setup: analyze("D3")},
 		{name: "analyze/D4", allocs: 15794, bytes: 10684072, setup: analyze("D4")},
-		{name: "soak/D3-shape", allocs: 215750, bytes: 122779008, setup: soak(0)},
-		{name: "soak/D3-shape/window=60s", allocs: 237855, bytes: 123959968, setup: soak(60 * time.Second)},
+		{name: "soak/D3-shape", allocs: 60714, bytes: 44526136, setup: soak(0)},
+		{name: "soak/D3-shape/window=60s", allocs: 85036, bytes: 46978440, setup: soak(60 * time.Second)},
+		// Per frame these come to 0.61 allocations and 1 132 B (D2: 9 894
+		// frames, 68 bytes kept of each), 0.83 and 1 521 B (D3: 4 872 whole
+		// frames) and 0.78 and 791 B (the stream: 37 707 frames built in
+		// pooled packets) — at the parent of the commit that added the rows,
+		// which built every frame twice at full size, 2.68 and 2 435 B, 2.90
+		// and 2 122 B, 5.29 and 3 065 B. What is left is per session, not per
+		// frame: turn payloads (generated whole to be checksummed, even when
+		// the capture keeps 68 bytes), encoder buffers and turn lists; and
+		// for a trace its arena chunks, its packet structs and their sort.
+		{name: "gen/trace/D2", allocs: 6017, bytes: 11204648, setup: genTrace(enterprise.D2())},
+		{name: "gen/trace/D3", allocs: 4041, bytes: 7412384, setup: genTrace(enterprise.D3())},
+		{name: "gen/stream", allocs: 29261, bytes: 29845064, setup: func(tb testing.TB) func() {
+			cfg := enterprise.D3()
+			scfg := gen.StreamConfig{
+				Network:  enterprise.NewNetwork(cfg),
+				Subnet:   cfg.Monitored[0],
+				Schedule: gen.DefaultSchedule().Repeat(time.Hour),
+				Snaplen:  cfg.Snaplen,
+			}
+			return func() {
+				src := gen.NewStreamSource(scfg)
+				for {
+					p, err := src.Next()
+					if err != nil {
+						break
+					}
+					src.Release(p)
+				}
+				if src.Stats().Frames == 0 {
+					tb.Fatal("empty stream")
+				}
+			}
+		}},
 		{name: "serve/window-hit", allocs: 14, bytes: 9228, runs: 100, setup: serveHit("/report/window/0")},
 		{name: "serve/latest-hit", allocs: 11, bytes: 7124, runs: 100, setup: serveHit("/report/latest")},
 		// The hostile-input price: the evasion scenario family through

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -28,7 +30,7 @@ type usageError struct{ msg string }
 func (e *usageError) Error() string { return e.msg }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		var ue *usageError
 		if errors.As(err, &ue) {
@@ -38,25 +40,50 @@ func main() {
 	}
 }
 
-func run() error {
-	dataset := flag.String("dataset", "D0", "dataset name (D0..D4)")
-	out := flag.String("out", ".", "output directory")
-	scale := flag.Float64("scale", 1.0, "workload scale factor")
-	subnets := flag.Int("subnets", 0, "limit monitored subnets (0 = all)")
-	schedule := flag.String("schedule", "",
+// writePcap creates path and runs write over a buffered writer on it.
+// pcap.Writer issues two writes per packet — a 16-byte record header,
+// then the body — which straight onto an *os.File are two system calls
+// per packet, millions per dataset. The first error among write, the
+// flush and the close is returned.
+func writePcap(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 256<<10)
+	if err := write(w); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// run is the program: args are the command line after the program name,
+// stdout takes the one line per file written.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("entgen", flag.ExitOnError)
+	dataset := fs.String("dataset", "D0", "dataset name (D0..D4)")
+	out := fs.String("out", ".", "output directory")
+	scale := fs.Float64("scale", 1.0, "workload scale factor")
+	subnets := fs.Int("subnets", 0, "limit monitored subnets (0 = all)")
+	schedule := fs.String("schedule", "",
 		`emit one time-structured trace instead of the tap rotation: comma-separated phases `+
 			`kind:duration[:rate] with rate in sessions/minute, e.g. `+
 			`"ramp:60s:0-30,burst:60s:90,quiet:60s,steady:2m:18"; "default" uses the built-in day-in-miniature`)
-	duration := flag.Duration("duration", 0,
+	duration := fs.Duration("duration", 0,
 		"with -schedule, tile the schedule to at least this length (soak-sized traces; 0 = emit it once)")
-	evasion := flag.String("evasion", "",
+	evasion := fs.String("evasion", "",
 		`emit adversarial evasion scenario pcaps instead of the tap rotation: a scenario name, `+
 			`"all", or "list" to print the scenario family`)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *evasion == "list" {
 		for _, sc := range gen.EvasionScenarios() {
-			fmt.Printf("%-18s %s\n", sc.Name, sc.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", sc.Name, sc.Description)
 		}
 		return nil
 	}
@@ -91,22 +118,15 @@ func run() error {
 			tr := sc.Build()
 			name := fmt.Sprintf("evasion-%s.pcap", sc.Name)
 			path := filepath.Join(*out, name)
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
 			// Full frames: evasion pcaps carry their corrupt headers and
 			// payload bytes intact regardless of the dataset snaplen.
 			wcfg := cfg
 			wcfg.Snaplen = 65535
-			if err := gen.WriteTrace(f, wcfg, tr); err != nil {
-				f.Close()
+			err := writePcap(path, func(w io.Writer) error { return gen.WriteTrace(w, wcfg, tr) })
+			if err != nil {
 				return err
 			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("%s: %d packets (%s)\n", path, len(tr.Packets), sc.Description)
+			fmt.Fprintf(stdout, "%s: %d packets (%s)\n", path, len(tr.Packets), sc.Description)
 		}
 		return nil
 	}
@@ -124,10 +144,6 @@ func run() error {
 		subnet := cfg.Monitored[0]
 		name := fmt.Sprintf("%s-scheduled-subnet%02d.pcap", cfg.Name, subnet)
 		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
 		// Stream the frames straight to disk: a soak-length schedule never
 		// materializes in memory, and the file is byte-identical to the
 		// materialized path.
@@ -137,33 +153,26 @@ func run() error {
 			Schedule: sched,
 			Snaplen:  cfg.Snaplen,
 		})
-		n, err := gen.WriteStream(f, cfg.Snaplen, src)
+		var n int64
+		err := writePcap(path, func(w io.Writer) (err error) {
+			n, err = gen.WriteStream(w, cfg.Snaplen, src)
+			return err
+		})
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("%s: %d packets over %s\n", path, n, sched.Duration())
+		fmt.Fprintf(stdout, "%s: %d packets over %s\n", path, n, sched.Duration())
 		return nil
 	}
 	ds := gen.GenerateDataset(cfg)
 	for _, tr := range ds.Traces {
 		name := fmt.Sprintf("%s-subnet%02d-tap%d.pcap", cfg.Name, tr.Subnet, tr.Tap)
 		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
+		err := writePcap(path, func(w io.Writer) error { return gen.WriteTrace(w, cfg, tr) })
 		if err != nil {
 			return err
 		}
-		if err := gen.WriteTrace(f, cfg, tr); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("%s: %d packets\n", path, len(tr.Packets))
+		fmt.Fprintf(stdout, "%s: %d packets\n", path, len(tr.Packets))
 	}
 	return nil
 }

@@ -10,7 +10,10 @@ package http
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
+
+	"enttrace/internal/appproto/filler"
 )
 
 // Request is one parsed HTTP request.
@@ -110,40 +113,40 @@ func equalFold(a, lower string) bool {
 // activities.
 func Automated(class string) bool { return class != ClientBrowser }
 
+// fixedHeadLen covers everything in an encoded head but the caller's
+// strings — the longer of the two is the request's, ≈120 bytes with its
+// If-Modified-Since line — so the encoders can size one buffer for head
+// and body up front.
+const fixedHeadLen = 128
+
 // EncodeRequest serializes a request with a Content-Length body.
 func EncodeRequest(r *Request) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", r.Method, r.URI)
-	fmt.Fprintf(&b, "Host: %s\r\n", r.Host)
+	b := make([]byte, 0, fixedHeadLen+len(r.Method)+len(r.URI)+len(r.Host)+len(r.UserAgent)+max(r.BodyLen, 0))
+	b = fmt.Appendf(b, "%s %s HTTP/1.1\r\n", r.Method, r.URI)
+	b = fmt.Appendf(b, "Host: %s\r\n", r.Host)
 	if r.UserAgent != "" {
-		fmt.Fprintf(&b, "User-Agent: %s\r\n", r.UserAgent)
+		b = fmt.Appendf(b, "User-Agent: %s\r\n", r.UserAgent)
 	}
 	if r.Conditional {
-		b.WriteString("If-Modified-Since: Thu, 01 Jul 2004 00:00:00 GMT\r\n")
+		b = append(b, "If-Modified-Since: Thu, 01 Jul 2004 00:00:00 GMT\r\n"...)
 	}
 	if r.BodyLen > 0 {
-		fmt.Fprintf(&b, "Content-Length: %d\r\n", r.BodyLen)
+		b = fmt.Appendf(b, "Content-Length: %d\r\n", r.BodyLen)
 	}
-	b.WriteString("\r\n")
-	if r.BodyLen > 0 {
-		b.Write(fillBody(r.BodyLen))
-	}
-	return b.Bytes()
+	b = append(b, "\r\n"...)
+	return appendBody(b, r.BodyLen)
 }
 
 // EncodeResponse serializes a response with a Content-Length body.
 func EncodeResponse(r *Response) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", r.Status, statusText(r.Status))
+	b := make([]byte, 0, fixedHeadLen+len(r.ContentType)+max(r.BodyLen, 0))
+	b = fmt.Appendf(b, "HTTP/1.1 %d %s\r\n", r.Status, statusText(r.Status))
 	if r.ContentType != "" {
-		fmt.Fprintf(&b, "Content-Type: %s\r\n", r.ContentType)
+		b = fmt.Appendf(b, "Content-Type: %s\r\n", r.ContentType)
 	}
-	fmt.Fprintf(&b, "Content-Length: %d\r\n", r.BodyLen)
-	b.WriteString("Connection: keep-alive\r\n\r\n")
-	if r.BodyLen > 0 {
-		b.Write(fillBody(r.BodyLen))
-	}
-	return b.Bytes()
+	b = fmt.Appendf(b, "Content-Length: %d\r\n", r.BodyLen)
+	b = append(b, "Connection: keep-alive\r\n\r\n"...)
+	return appendBody(b, r.BodyLen)
 }
 
 func statusText(code int) string {
@@ -163,13 +166,15 @@ func statusText(code int) string {
 	}
 }
 
-// fillBody produces n deterministic filler bytes.
-func fillBody(n int) []byte {
-	b := make([]byte, n)
-	const pat = "abcdefghijklmnopqrstuvwxyz0123456789"
-	for i := range b {
-		b[i] = pat[i%len(pat)]
+// appendBody appends n deterministic filler bytes to an encoded head,
+// in place when the head's buffer was sized for them.
+func appendBody(b []byte, n int) []byte {
+	if n <= 0 {
+		return b
 	}
+	head := len(b)
+	b = slices.Grow(b, n)[:head+n]
+	filler.Fill(b[head:], "abcdefghijklmnopqrstuvwxyz0123456789")
 	return b
 }
 

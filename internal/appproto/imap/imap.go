@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"enttrace/internal/appproto/filler"
 )
 
 // Session describes one IMAP session for generation.
@@ -112,13 +114,7 @@ func tlsRecord(typ byte, n int) []byte {
 
 // mailbox builds n bytes of message payload.
 func mailbox(n int) []byte {
-	var b bytes.Buffer
-	const line = "From: someone@lbl.gov\r\nSubject: status\r\n\r\nbody text follows here\r\n"
-	for b.Len() < n {
-		b.WriteString(line)
-	}
-	out := b.Bytes()
-	return out[:n]
+	return filler.Bytes(n, "From: someone@lbl.gov\r\nSubject: status\r\n\r\nbody text follows here\r\n")
 }
 
 // Result summarizes a parsed plaintext IMAP session.

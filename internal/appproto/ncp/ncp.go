@@ -15,6 +15,8 @@ package ncp
 import (
 	"encoding/binary"
 	"errors"
+
+	"enttrace/internal/appproto/filler"
 )
 
 // Frame type signatures.
@@ -161,10 +163,4 @@ func ReplyFor(req *Msg, dataLen int) *Msg {
 	return m
 }
 
-func fill(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte('n' + i%13)
-	}
-	return b
-}
+func fill(n int) []byte { return filler.Bytes(n, "nopqrstuvwxyz") }

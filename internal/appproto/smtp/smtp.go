@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"enttrace/internal/appproto/filler"
 )
 
 // Dialogue describes one SMTP session for generation.
@@ -60,17 +62,11 @@ func (d *Dialogue) Turns() []Turn {
 // message builds an n-byte RFC822-ish message ending with the dot
 // terminator.
 func message(n int) []byte {
-	var b bytes.Buffer
-	b.WriteString("Subject: report\r\nMIME-Version: 1.0\r\n\r\n")
-	const line = "The quick brown fox jumps over the lazy dog 0123456789.\r\n"
-	for b.Len() < n {
-		b.WriteString(line)
-	}
-	msg := b.Bytes()
-	if len(msg) > n {
-		msg = msg[:n]
-	}
-	return append(msg, []byte("\r\n.\r\n")...)
+	const terminator = "\r\n.\r\n"
+	msg := make([]byte, n, n+len(terminator))
+	head := copy(msg, "Subject: report\r\nMIME-Version: 1.0\r\n\r\n")
+	filler.Fill(msg[head:], "The quick brown fox jumps over the lazy dog 0123456789.\r\n")
+	return append(msg, terminator...)
 }
 
 // Result summarizes a parsed SMTP session.

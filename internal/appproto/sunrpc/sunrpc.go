@@ -9,6 +9,8 @@ package sunrpc
 import (
 	"encoding/binary"
 	"errors"
+
+	"enttrace/internal/appproto/filler"
 )
 
 // RPC message types.
@@ -135,13 +137,7 @@ func Encode(m *Msg) []byte {
 
 func pad4(n int) int { return (4 - n%4) % 4 }
 
-func fill(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte('A' + i%26)
-	}
-	return b
-}
+func fill(n int) []byte { return filler.Bytes(n, "ABCDEFGHIJKLMNOPQRSTUVWXYZ") }
 
 // Decode parses a message. For replies, proc must be supplied by the
 // caller (from the matched call), since RPC replies do not repeat it.

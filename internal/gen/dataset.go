@@ -3,6 +3,9 @@ package gen
 import (
 	"io"
 	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"enttrace/internal/enterprise"
 	"enttrace/internal/pcap"
@@ -25,35 +28,42 @@ type Dataset struct {
 	Traces []Trace
 }
 
-// GenerateDataset runs the tap rotation for a dataset configuration,
-// applying the dataset snaplen exactly as the capture hardware would.
+// GenerateDataset runs the tap rotation for a dataset configuration.
+// Traces are generated side by side, on as many goroutines as there are
+// processors to run them, each into its own slot: a trace draws only on
+// its own seed and Emitter and reads the network plan, which nothing
+// writes after NewNetwork, so neither the width nor the order traces
+// finish in can show in a byte of the result.
 func GenerateDataset(cfg enterprise.Config) *Dataset {
 	net := enterprise.NewNetwork(cfg)
 	ds := &Dataset{Config: cfg}
 	for _, subnet := range cfg.Monitored {
 		for tap := 0; tap < cfg.PerTap; tap++ {
-			pkts := GenerateTrace(net, subnet, tap)
-			applySnaplen(pkts, cfg.Snaplen)
 			ds.Traces = append(ds.Traces, Trace{
-				Subnet:  subnet,
-				Tap:     tap,
-				Packets: pkts,
-				Prefix:  enterprise.SubnetPrefix(subnet),
+				Subnet: subnet,
+				Tap:    tap,
+				Prefix: enterprise.SubnetPrefix(subnet),
 			})
 		}
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ds.Traces)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ds.Traces) {
+					return
+				}
+				tr := &ds.Traces[i]
+				tr.Packets = GenerateTrace(net, tr.Subnet, tr.Tap)
+			}
+		}()
+	}
+	wg.Wait()
 	return ds
-}
-
-func applySnaplen(pkts []*pcap.Packet, snaplen uint32) {
-	if snaplen == 0 {
-		return
-	}
-	for _, p := range pkts {
-		if uint32(len(p.Data)) > snaplen {
-			p.Data = p.Data[:snaplen]
-		}
-	}
 }
 
 // TotalPackets counts packets across all traces.

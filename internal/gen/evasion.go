@@ -5,7 +5,6 @@ import (
 
 	"enttrace/internal/enterprise"
 	"enttrace/internal/layers"
-	"enttrace/internal/pcap"
 )
 
 // This file is the adversarial workload family (ROADMAP item 3b): traffic
@@ -149,11 +148,11 @@ func (c *evasionConn) raw(fromClient bool, off uint32, flags uint8, payload []by
 		seq = c.srvISS + off
 		ack = c.cliISS
 	}
-	c.e.frame(c.now, layers.BuildTCP(layers.TCPOpts{
+	c.e.tcp(c.now, &layers.TCPOpts{
 		FrameOpts: frameOpts(src, dst, c.e.nextID()),
 		SrcPort:   sport, DstPort: dport,
 		Seq: seq, Ack: ack, Flags: flags, Payload: payload,
-	}))
+	})
 	c.now = c.now.Add(c.owd)
 }
 
@@ -168,27 +167,27 @@ func (c *evasionConn) rawSeq(fromClient bool, seq uint32, flags uint8, payload [
 		sport, dport = c.sport, c.cport
 		ack = c.cliISS
 	}
-	c.e.frame(c.now, layers.BuildTCP(layers.TCPOpts{
+	c.e.tcp(c.now, &layers.TCPOpts{
 		FrameOpts: frameOpts(src, dst, c.e.nextID()),
 		SrcPort:   sport, DstPort: dport,
 		Seq: seq, Ack: ack, Flags: flags, Payload: payload,
-	}))
+	})
 	c.now = c.now.Add(c.owd)
 }
 
 // handshake emits SYN / SYN-ACK / ACK with the connection's fixed ISNs.
 func (c *evasionConn) handshake() {
-	c.e.frame(c.now, layers.BuildTCP(layers.TCPOpts{
+	c.e.tcp(c.now, &layers.TCPOpts{
 		FrameOpts: frameOpts(c.cli, c.srv, c.e.nextID()),
 		SrcPort:   c.cport, DstPort: c.sport,
 		Seq: c.cliISS - 1, Flags: layers.TCPSyn,
-	}))
+	})
 	c.now = c.now.Add(c.owd)
-	c.e.frame(c.now, layers.BuildTCP(layers.TCPOpts{
+	c.e.tcp(c.now, &layers.TCPOpts{
 		FrameOpts: frameOpts(c.srv, c.cli, c.e.nextID()),
 		SrcPort:   c.sport, DstPort: c.cport,
 		Seq: c.srvISS - 1, Ack: c.cliISS, Flags: layers.TCPSyn | layers.TCPAck,
-	}))
+	})
 	c.now = c.now.Add(c.owd)
 	c.raw(true, 0, layers.TCPAck, nil)
 }
@@ -333,7 +332,7 @@ func buildTruncHeaders() Trace {
 	corruptAt := c.now
 	inject := func(data []byte) {
 		corruptAt = corruptAt.Add(50 * time.Microsecond)
-		e.pkts = append(e.pkts, pcap.Packet{Timestamp: corruptAt, Data: data, OrigLen: len(data)})
+		e.frame(corruptAt, data)
 	}
 	valid := layers.BuildTCP(layers.TCPOpts{
 		FrameOpts: frameOpts(c.cli, c.srv, e.nextID()),
@@ -341,7 +340,7 @@ func buildTruncHeaders() Trace {
 		Seq: c.cliISS + 400, Flags: layers.TCPAck, Payload: fill(400, 32, 0),
 	})
 	// Runt Ethernet frame (shorter than the 14-byte header).
-	inject(append([]byte(nil), valid[:10]...))
+	inject(valid[:10])
 	// IPv4 version field corrupted to 5.
 	bad := append([]byte(nil), valid...)
 	bad[14] = 0x55

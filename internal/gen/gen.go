@@ -9,9 +9,10 @@
 package gen
 
 import (
+	"cmp"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"enttrace/internal/enterprise"
@@ -69,14 +70,28 @@ type TCPOpts struct {
 	NoFin bool
 }
 
-// Emitter accumulates timestamped frames for one trace.
+// Emitter builds the timestamped frames of one trace, each exactly once
+// and at capture length, into storage its owner provides: a chunked
+// arena when the trace is materialized (Packets), the pooled packet
+// itself when a StreamSource drives it.
 type Emitter struct {
 	rng  *rand.Rand
-	pkts []pcap.Packet
 	ipid uint16
+	// snaplen is the capture length frames are built at: at most this
+	// many bytes of a frame are written, OrigLen keeps the wire length.
+	// 0 builds whole frames.
+	snaplen int
+
+	// stream, when set, owns the frames: each is built in one of its
+	// pooled packets and parked in its reorder heap. Otherwise they
+	// collect in pkts, in emission order, their bytes in the arena.
+	stream *StreamSource
+	pkts   []pcap.Packet
+	arena  arena
 }
 
-// NewEmitter returns an emitter seeded deterministically.
+// NewEmitter returns an emitter seeded deterministically. It builds
+// whole frames; the trace generators set the dataset's capture length.
 func NewEmitter(seed int64) *Emitter {
 	return &Emitter{rng: rand.New(rand.NewSource(seed))}
 }
@@ -85,8 +100,92 @@ func NewEmitter(seed int64) *Emitter {
 // shaping.
 func (e *Emitter) RNG() *rand.Rand { return e.rng }
 
+// arena is the frame storage of a materialized trace: frames laid end to
+// end in chunks, so a trace costs a few large pointer-free allocations
+// instead of one per frame. A frame never spans chunks, and every frame
+// handed out is a three-index slice (cap == len), so a consumer's append
+// to a packet's Data reallocates instead of writing into its neighbour.
+// A chunk lives as long as any frame in it is referenced.
+type arena struct {
+	chunk []byte // len is the part handed out
+}
+
+// arenaChunk is the size chunks grow to (from an eighth of it, so a
+// trace of a few frames does not hold 256 KiB): large enough that the
+// unused tail when a full-size frame does not fit is under 1 %.
+const arenaChunk = 256 << 10
+
+// room returns an empty slice with capacity for n bytes at the tail of
+// the current chunk, starting a new chunk if that is too short. What is
+// then appended to it, up to n bytes, lands in the arena; take claims it.
+func (a *arena) room(n int) []byte {
+	if cap(a.chunk)-len(a.chunk) < n {
+		size := min(max(2*cap(a.chunk), arenaChunk/8), arenaChunk)
+		a.chunk = make([]byte, 0, max(size, n))
+	}
+	return a.chunk[len(a.chunk):]
+}
+
+// take claims the n bytes appended to room's slice.
+func (a *arena) take(n int) []byte {
+	start := len(a.chunk)
+	a.chunk = a.chunk[:start+n]
+	return a.chunk[start : start+n : start+n]
+}
+
+// begin returns the packet the next frame is to be appended to: Data is
+// empty, with room for room bytes (less when the capture length cuts the
+// frame shorter). The pointer is good until the next begin.
+func (e *Emitter) begin(ts time.Time, room int) *pcap.Packet {
+	if e.stream != nil {
+		return e.stream.newFrame(ts)
+	}
+	if e.snaplen > 0 {
+		room = min(room, e.snaplen)
+	}
+	if len(e.pkts) == cap(e.pkts) {
+		// Double: append grows a large slice by a quarter, which would
+		// copy each 64-byte struct some five times over a trace.
+		e.pkts = slices.Grow(e.pkts, max(len(e.pkts), 1024))
+	}
+	e.pkts = append(e.pkts, pcap.Packet{Timestamp: ts, Data: e.arena.room(room)})
+	return &e.pkts[len(e.pkts)-1]
+}
+
+// end hands the built frame to its owner.
+func (e *Emitter) end(p *pcap.Packet) {
+	if e.stream != nil {
+		e.stream.park(p)
+		return
+	}
+	p.Data = e.arena.take(len(p.Data))
+}
+
+func (e *Emitter) tcp(ts time.Time, o *layers.TCPOpts) {
+	p := e.begin(ts, layers.MaxHeaderLen+len(o.Payload))
+	p.Data, p.OrigLen = layers.AppendTCP(p.Data, o, e.snaplen)
+	e.end(p)
+}
+
+func (e *Emitter) udp(ts time.Time, o *layers.UDPOpts) {
+	p := e.begin(ts, layers.MaxHeaderLen+len(o.Payload))
+	p.Data, p.OrigLen = layers.AppendUDP(p.Data, o, e.snaplen)
+	e.end(p)
+}
+
+func (e *Emitter) icmp(ts time.Time, o *layers.ICMPOpts) {
+	p := e.begin(ts, layers.MaxHeaderLen+len(o.Payload))
+	p.Data, p.OrigLen = layers.AppendICMP(p.Data, o, e.snaplen)
+	e.end(p)
+}
+
+// frame emits a frame some other code built (the link-layer background,
+// the evasion family's corrupt frames), copying what the capture length
+// keeps of it.
 func (e *Emitter) frame(ts time.Time, data []byte) {
-	e.pkts = append(e.pkts, pcap.Packet{Timestamp: ts, Data: data, OrigLen: len(data)})
+	p := e.begin(ts, len(data))
+	p.Data, p.OrigLen = layers.AppendRaw(p.Data, data, e.snaplen)
+	e.end(p)
 }
 
 func (e *Emitter) nextID() uint16 {
@@ -94,34 +193,35 @@ func (e *Emitter) nextID() uint16 {
 	return e.ipid
 }
 
-// Packets returns all emitted frames sorted by timestamp. The slice is
-// the emitter's own; callers take ownership.
+// Packets returns all emitted frames sorted by timestamp, frames with
+// equal timestamps in emission order. It sorts 16-byte (timestamp,
+// emission index) keys rather than the packets: the index makes the
+// order total, so any sort yields the one a stable sort by timestamp
+// would, and the 64-byte packets are then moved once. Callers take
+// ownership; the emitter is spent.
 func (e *Emitter) Packets() []*pcap.Packet {
-	sort.SliceStable(e.pkts, func(i, j int) bool {
-		return e.pkts[i].Timestamp.Before(e.pkts[j].Timestamp)
+	type key struct {
+		ts  int64 // Unix nanoseconds: trace times sit within a few hours of the dataset's date
+		idx int
+	}
+	keys := make([]key, len(e.pkts))
+	for i := range e.pkts {
+		keys[i] = key{e.pkts[i].Timestamp.UnixNano(), i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
-	out := make([]*pcap.Packet, len(e.pkts))
-	for i := range e.pkts {
-		out[i] = &e.pkts[i]
+	sorted := make([]pcap.Packet, len(keys))
+	out := make([]*pcap.Packet, len(keys))
+	for i, k := range keys {
+		sorted[i] = e.pkts[k.idx]
+		out[i] = &sorted[i]
 	}
+	e.pkts = nil
 	return out
-}
-
-// Count reports frames emitted so far.
-func (e *Emitter) Count() int { return len(e.pkts) }
-
-// Drain passes every frame buffered since the last Drain to fn in
-// emission order, then clears the buffer for reuse. It is the streaming
-// alternative to Packets: Packets sorts and hands over ownership of the
-// whole trace at once, while Drain lets a caller consume frames
-// incrementally — copying whatever it keeps — so the emitter's buffer
-// never grows beyond one drain interval. The data slice must be copied
-// if kept: the emitter makes no guarantee about it after fn returns.
-func (e *Emitter) Drain(fn func(ts time.Time, data []byte)) {
-	for i := range e.pkts {
-		fn(e.pkts[i].Timestamp, e.pkts[i].Data)
-	}
-	e.pkts = e.pkts[:0]
 }
 
 func frameOpts(src, dst enterprise.Host, id uint16) layers.FrameOpts {
@@ -151,11 +251,11 @@ func (e *Emitter) TCPSession(o TCPOpts) time.Time {
 	now := o.Start
 
 	sendFlags := func(from, to *tcpEndpoint, ts time.Time, flags uint8, ack uint32, payload []byte) {
-		e.frame(ts, layers.BuildTCP(layers.TCPOpts{
+		e.tcp(ts, &layers.TCPOpts{
 			FrameOpts: frameOpts(from.host, to.host, e.nextID()),
 			SrcPort:   from.port, DstPort: to.port,
 			Seq: from.seq, Ack: ack, Flags: flags, Payload: payload,
-		}))
+		})
 	}
 
 	// SYN.
@@ -169,11 +269,11 @@ func (e *Emitter) TCPSession(o TCPOpts) time.Time {
 	case Rejected:
 		now = now.Add(owd)
 		// RST from the server, with the server's seq zero-ish.
-		e.frame(now, layers.BuildTCP(layers.TCPOpts{
+		e.tcp(now, &layers.TCPOpts{
 			FrameOpts: frameOpts(o.Server, o.Client, e.nextID()),
 			SrcPort:   o.ServerPort, DstPort: o.ClientPort,
 			Seq: 0, Ack: cli.seq + 1, Flags: layers.TCPRst | layers.TCPAck,
-		}))
+		})
 		return now
 	}
 	cli.seq++
@@ -225,17 +325,17 @@ func (e *Emitter) TCPSession(o TCPOpts) time.Time {
 		}
 		for i := 0; i < o.KeepAlives; i++ {
 			now = now.Add(gap)
-			e.frame(now, layers.BuildTCP(layers.TCPOpts{
+			e.tcp(now, &layers.TCPOpts{
 				FrameOpts: frameOpts(o.Client, o.Server, e.nextID()),
 				SrcPort:   o.ClientPort, DstPort: o.ServerPort,
 				Seq: cli.seq - 1, Ack: srv.seq, Flags: layers.TCPAck, Payload: []byte{0},
-			}))
+			})
 			// Keep-alive ACK response.
-			e.frame(now.Add(owd), layers.BuildTCP(layers.TCPOpts{
+			e.tcp(now.Add(owd), &layers.TCPOpts{
 				FrameOpts: frameOpts(o.Server, o.Client, e.nextID()),
 				SrcPort:   o.ServerPort, DstPort: o.ClientPort,
 				Seq: srv.seq, Ack: cli.seq, Flags: layers.TCPAck,
-			}))
+			})
 		}
 	}
 
@@ -254,40 +354,40 @@ func (e *Emitter) TCPSession(o TCPOpts) time.Time {
 // UDPExchange emits a request datagram and optional reply, returning the
 // reply time (or request time if unanswered).
 func (e *Emitter) UDPExchange(client, server enterprise.Host, cport, sport uint16, start time.Time, rtt time.Duration, req, reply []byte) time.Time {
-	e.frame(start, layers.BuildUDP(layers.UDPOpts{
+	e.udp(start, &layers.UDPOpts{
 		FrameOpts: frameOpts(client, server, e.nextID()),
 		SrcPort:   cport, DstPort: sport, Payload: req,
-	}))
+	})
 	if reply == nil {
 		return start
 	}
 	at := start.Add(rtt)
-	e.frame(at, layers.BuildUDP(layers.UDPOpts{
+	e.udp(at, &layers.UDPOpts{
 		FrameOpts: frameOpts(server, client, e.nextID()),
 		SrcPort:   sport, DstPort: cport, Payload: reply,
-	}))
+	})
 	return at
 }
 
 // UDPSend emits a single one-way datagram (announcements, multicast).
 func (e *Emitter) UDPSend(src, dst enterprise.Host, sport, dport uint16, ts time.Time, payload []byte) {
-	e.frame(ts, layers.BuildUDP(layers.UDPOpts{
+	e.udp(ts, &layers.UDPOpts{
 		FrameOpts: frameOpts(src, dst, e.nextID()),
 		SrcPort:   sport, DstPort: dport, Payload: payload,
-	}))
+	})
 }
 
 // ICMPEcho emits an echo request and, when answered, its reply.
 func (e *Emitter) ICMPEcho(client, server enterprise.Host, id, seq uint16, start time.Time, rtt time.Duration, answered bool) {
-	e.frame(start, layers.BuildICMP(layers.ICMPOpts{
+	e.icmp(start, &layers.ICMPOpts{
 		FrameOpts: frameOpts(client, server, e.nextID()),
 		Type:      layers.ICMPEchoRequest, ID: id, Seq: seq, Payload: make([]byte, 56),
-	}))
+	})
 	if answered {
-		e.frame(start.Add(rtt), layers.BuildICMP(layers.ICMPOpts{
+		e.icmp(start.Add(rtt), &layers.ICMPOpts{
 			FrameOpts: frameOpts(server, client, e.nextID()),
 			Type:      layers.ICMPEchoReply, ID: id, Seq: seq, Payload: make([]byte, 56),
-		}))
+		})
 	}
 }
 

@@ -239,6 +239,57 @@ func TestDatasetSnaplen(t *testing.T) {
 	if ds.TotalPackets() == 0 {
 		t.Error("empty dataset")
 	}
+
+	// A header trace is the whole-frame trace cut at 68 bytes — same
+	// frames, same order, wire lengths intact — and holds no more memory
+	// than it shows: frames are built at capture length, not built whole
+	// and resliced over a 1 500-byte array (which pinned 5 886 816 bytes
+	// behind this trace's 612 552).
+	d2 := scaled(enterprise.D2(), 0.15)
+	d2.Monitored = d2.Monitored[:1]
+	header := func() []*pcap.Packet { return GenerateDataset(d2).Traces[0].Packets }
+	t.Run("keeps-what-it-captures", func(t *testing.T) {
+		uncut := d2
+		uncut.Snaplen = 0
+		whole := GenerateDataset(uncut).Traces[0].Packets
+		pkts := header()
+		if len(pkts) != len(whole) || len(pkts) == 0 {
+			t.Fatalf("%d packets at snaplen 68, %d uncut", len(pkts), len(whole))
+		}
+		kept, pinned := 0, 0
+		for i, pk := range pkts {
+			w := whole[i].Data
+			if pk.OrigLen != len(w) || !pk.Timestamp.Equal(whole[i].Timestamp) {
+				t.Fatalf("packet %d: wire length %d at %v, uncut frame is %d bytes at %v",
+					i, pk.OrigLen, pk.Timestamp, len(w), whole[i].Timestamp)
+			}
+			if !bytes.Equal(pk.Data, w[:min(len(w), 68)]) {
+				t.Fatalf("packet %d: captured bytes are not the uncut frame's first %d", i, len(pk.Data))
+			}
+			kept += len(pk.Data)
+			pinned += cap(pk.Data)
+		}
+		if pinned != kept {
+			t.Errorf("trace keeps %d bytes and pins %d", kept, pinned)
+		}
+	})
+	// Frames share arena chunks end to end; a consumer appending to one
+	// must get a new array, not the next frame's bytes.
+	t.Run("append-leaves-neighbours-alone", func(t *testing.T) {
+		pkts := header()
+		before := make([][]byte, len(pkts))
+		for i, pk := range pkts {
+			before[i] = bytes.Clone(pk.Data)
+		}
+		for _, pk := range pkts {
+			pk.Data = append(pk.Data, 0xee, 0xee, 0xee, 0xee)
+		}
+		for i, pk := range pkts {
+			if !bytes.Equal(pk.Data[:len(before[i])], before[i]) {
+				t.Fatalf("packet %d changed when other packets' Data were appended to", i)
+			}
+		}
+	})
 }
 
 func TestWriteTraceRoundTrip(t *testing.T) {
@@ -284,6 +335,12 @@ func TestMulticastEmission(t *testing.T) {
 
 func BenchmarkGenerateTrace(b *testing.B) {
 	net := enterprise.NewNetwork(scaled(enterprise.D4(), 0.1))
+	captured := 0
+	for _, pk := range GenerateTrace(net, 5, 0) {
+		captured += len(pk.Data)
+	}
+	b.SetBytes(int64(captured))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = GenerateTrace(net, 5, 0)

@@ -191,13 +191,15 @@ type scheduleRun struct {
 // emits the anchor frames: window boundaries derive from the first
 // packet timestamp, so the opening ARP exchange pins window k exactly to
 // phase time [k·w, (k+1)·w) regardless of when the first session fires
-// inside the ramp.
-func newScheduleRun(net *enterprise.Network, subnet, tap int, sched Schedule) *scheduleRun {
+// inside the ramp. Frames are built at snaplen, and go to stream when the
+// run is a StreamSource's (nil materializes them in the emitter).
+func newScheduleRun(net *enterprise.Network, subnet, tap int, sched Schedule, snaplen uint32, stream *StreamSource) *scheduleRun {
 	cfg := net.Config()
 	// Offset the seed space from GenerateTrace so a scheduled trace
 	// never replays an unscheduled trace's content byte-for-byte.
 	seed := cfg.Seed*1_000_003 + int64(subnet)*1009 + int64(tap) + 0x5ced
 	em := NewEmitter(seed)
+	em.snaplen, em.stream = int(snaplen), stream
 	g := &traceGen{
 		em:      em,
 		rng:     em.RNG(),
@@ -241,10 +243,11 @@ func (r *scheduleRun) emitSession(k int, off time.Duration) {
 // sessions follow the schedule instead of uniform placement, each
 // session pinned to its scheduled instant. Packet contents are drawn
 // from the usual deterministic per-trace RNG; only the timeline is
-// scheduled. For long schedules prefer NewStreamSource, which yields the
-// identical frame sequence without materializing it.
+// scheduled, and frames are captured at the dataset's snaplen as in
+// GenerateTrace. For long schedules prefer NewStreamSource, which yields
+// the identical frame sequence without materializing it.
 func GenerateScheduledTrace(net *enterprise.Network, subnet, tap int, sched Schedule) []*pcap.Packet {
-	r := newScheduleRun(net, subnet, tap, sched)
+	r := newScheduleRun(net, subnet, tap, sched, net.Config().Snaplen, nil)
 	for k, off := range sched.SessionOffsets() {
 		r.emitSession(k, off)
 	}

@@ -16,7 +16,6 @@
 package gen
 
 import (
-	"container/heap"
 	"io"
 	"sync/atomic"
 	"time"
@@ -61,41 +60,80 @@ type StreamStats struct {
 	PeakInFlight int64
 }
 
-// frameRec is one synthesized frame waiting in the reorder buffer. idx
-// is its global emission index — the order the generator produced it —
-// which breaks timestamp ties exactly like the stable sort in
-// Emitter.Packets does.
+// frameRec is one synthesized frame waiting in the reorder buffer, under
+// the key Emitter.Packets sorts by: timestamp, then idx, its global
+// emission index — the order the generator produced it — which breaks
+// timestamp ties exactly as Packets does.
 type frameRec struct {
-	pk  *pcap.Packet
+	ts  int64 // pk.Timestamp, Unix nanoseconds
 	idx int64
+	pk  *pcap.Packet
 }
 
-// frameHeap is a min-heap on (timestamp, emission index).
+func (a frameRec) before(b frameRec) bool {
+	if a.ts != b.ts {
+		return a.ts < b.ts
+	}
+	return a.idx < b.idx
+}
+
+// frameHeap is a binary min-heap on (timestamp, emission index), written
+// for the one element type: container/heap's interface boxes every
+// record pushed and popped, an allocation per frame each way.
 type frameHeap []frameRec
 
-func (h frameHeap) Len() int { return len(h) }
-func (h frameHeap) Less(i, j int) bool {
-	if !h[i].pk.Timestamp.Equal(h[j].pk.Timestamp) {
-		return h[i].pk.Timestamp.Before(h[j].pk.Timestamp)
+func (h *frameHeap) push(r frameRec) {
+	q := append(*h, r)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !r.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].idx < h[j].idx
+	q[i] = r
+	*h = q
 }
-func (h frameHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *frameHeap) Push(x interface{}) { *h = append(*h, x.(frameRec)) }
-func (h *frameHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = frameRec{}
-	*h = old[:n-1]
-	return e
+
+func (h *frameHeap) pop() frameRec {
+	q := *h
+	top, n := q[0], len(q)-1
+	r := q[n]
+	q[n] = frameRec{}
+	q = q[:n]
+	// Sift the former last element down from the root.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(r) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = r
+	}
+	*h = q
+	return top
 }
 
 // StreamSource synthesizes frames on demand from a Schedule and yields
 // them in capture order. It implements pcap.PacketSource and
-// pcap.Releaser: frames are built into pooled buffers and recycled as
-// soon as the pipeline releases them, so a soak run's steady state
-// allocates nothing per frame.
+// pcap.Releaser: the emitter builds each frame, at capture length,
+// straight into a pooled packet, which waits in the reorder heap, goes
+// out through Next and is recycled as soon as the pipeline releases it.
+// Building, buffering and handing over a frame allocate nothing once the
+// pool's buffers have grown to frame size. What a soak run still
+// allocates is per session, not per frame — each turn's payload, the
+// protocol encoders' buffers, the turn list — plus whatever the pool
+// re-grows after a collection empties it: TestAllocationCeilings' row
+// gen/stream pins the sum, 0.78 allocations and 0.8 KB per frame on the
+// default shape (most of it HTTP bodies, which are most of the frames).
 //
 // Next and Release follow the pooling contract: Next is called from one
 // goroutine; Release is safe from any (the pipeline calls it from the
@@ -108,7 +146,6 @@ type StreamSource struct {
 	next    int // next session index to synthesize
 	h       frameHeap
 	pool    *pcap.Pool
-	snaplen uint32
 	emitIdx int64
 	done    bool
 
@@ -123,35 +160,37 @@ type StreamSource struct {
 // lazily as Next drains the timeline.
 func NewStreamSource(cfg StreamConfig) *StreamSource {
 	s := &StreamSource{
-		run:     newScheduleRun(cfg.Network, cfg.Subnet, cfg.Tap, cfg.Schedule),
 		offsets: cfg.Schedule.SessionOffsets(),
 		pool:    pcap.NewPool(),
-		snaplen: cfg.Snaplen,
 	}
-	s.run.g.em.Drain(s.buffer) // the ARP anchor exchange
+	// The run's emitter builds into s from its first frame, the ARP
+	// anchor exchange.
+	s.run = newScheduleRun(cfg.Network, cfg.Subnet, cfg.Tap, cfg.Schedule, cfg.Snaplen, s)
 	return s
 }
 
-// buffer copies one synthesized frame into a pooled packet and parks it
-// in the reorder heap under its emission index.
-func (s *StreamSource) buffer(ts time.Time, data []byte) {
+// newFrame hands the emitter the pooled packet its next frame is built
+// in: what the frame keeps at the capture length is appended to Data.
+func (s *StreamSource) newFrame(ts time.Time) *pcap.Packet {
 	pk := s.pool.Get()
-	pk.Timestamp = ts
-	pk.Data = append(pk.Data[:0], data...)
-	pk.OrigLen = len(data)
-	heap.Push(&s.h, frameRec{pk: pk, idx: s.emitIdx})
+	pk.Timestamp, pk.Data = ts, pk.Data[:0]
+	return pk
+}
+
+// park takes a built frame back from the emitter and holds it in the
+// reorder heap under its emission index.
+func (s *StreamSource) park(pk *pcap.Packet) {
+	s.h.push(frameRec{ts: pk.Timestamp.UnixNano(), idx: s.emitIdx, pk: pk})
 	s.emitIdx++
-	if len(s.h) > s.peakBuf {
-		s.peakBuf = len(s.h)
-	}
+	s.peakBuf = max(s.peakBuf, len(s.h))
 }
 
 // Next implements pcap.PacketSource, yielding the globally next frame
 // and ending with a bare io.EOF.
 //
-// Emission order reproduces Emitter.Packets' stable sort exactly. The
-// heap orders buffered frames by (timestamp, emission index) — the
-// stable sort's key. A buffered frame may be emitted once its timestamp
+// Emission order reproduces Emitter.Packets' exactly. The heap orders
+// buffered frames by (timestamp, emission index) — the key Packets
+// sorts by. A buffered frame may be emitted once its timestamp
 // is at or before the next unsynthesized session's start, because every
 // frame of session m carries a timestamp >= its start offset (see
 // scheduleRun.emitSession) and offsets are non-decreasing — so no
@@ -168,7 +207,7 @@ func (s *StreamSource) Next() (*pcap.Packet, error) {
 	for {
 		if len(s.h) > 0 {
 			if s.next >= len(s.offsets) ||
-				!s.h[0].pk.Timestamp.After(s.run.g.start.Add(s.offsets[s.next])) {
+				s.h[0].ts <= s.run.g.start.Add(s.offsets[s.next]).UnixNano() {
 				return s.pop(), nil
 			}
 		}
@@ -179,21 +218,17 @@ func (s *StreamSource) Next() (*pcap.Packet, error) {
 		}
 		s.run.emitSession(s.next, s.offsets[s.next])
 		s.next++
-		s.run.g.em.Drain(s.buffer)
 	}
 }
 
-// pop releases the earliest buffered frame to the consumer, applying
-// the capture transform a pcap write/read round-trip would: snaplen
-// truncation with the wire length preserved, and the timestamp cut to
-// microsecond resolution (pcap.Writer stores µs; pcap.Reader returns
-// UTC) — so a streamed run and a replayed file see identical packets.
+// pop releases the earliest buffered frame to the consumer. The frame
+// was built at the capture length, wire length in OrigLen; what is left
+// of the transform a pcap write/read round-trip applies is the timestamp
+// cut to microsecond resolution (pcap.Writer stores µs; pcap.Reader
+// returns UTC) — so a streamed run and a replayed file see identical
+// packets.
 func (s *StreamSource) pop() *pcap.Packet {
-	rec := heap.Pop(&s.h).(frameRec)
-	pk := rec.pk
-	if s.snaplen > 0 && uint32(len(pk.Data)) > s.snaplen {
-		pk.Data = pk.Data[:s.snaplen]
-	}
+	pk := s.h.pop().pk
 	ts := pk.Timestamp
 	pk.Timestamp = time.Unix(ts.Unix(), int64(ts.Nanosecond())/1000*1000).UTC()
 	s.frames++

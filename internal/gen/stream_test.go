@@ -3,6 +3,8 @@ package gen
 import (
 	"bytes"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -91,6 +93,37 @@ func TestStreamSourceMatchesPcapRoundTrip(t *testing.T) {
 				t.Errorf("Stats.PeakBuffered = %d, want > 0", st.PeakBuffered)
 			}
 		})
+	}
+}
+
+// TestFrameHeapPopsInKeyOrder drives the typed reorder heap the way Next
+// does — pushes and pops interleaved, many timestamp ties — and holds
+// what comes out to a sort of what went in by (timestamp, index).
+func TestFrameHeapPopsInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h frameHeap
+	var in, out []frameRec
+	for idx := int64(0); idx < 5000; idx++ {
+		r := frameRec{ts: int64(len(out)) + rng.Int63n(40), idx: idx}
+		in = append(in, r)
+		h.push(r)
+		// Later pushes sit at or past len(out): drain what none of them
+		// can precede, as Next's horizon rule does.
+		for len(h) > 0 && h[0].ts <= int64(len(out)) {
+			out = append(out, h.pop())
+		}
+	}
+	for len(h) > 0 {
+		out = append(out, h.pop())
+	}
+	slices.SortFunc(in, func(a, b frameRec) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	if !slices.Equal(in, out) {
+		t.Fatalf("heap order differs from the key sort (%d in, %d out)", len(in), len(out))
 	}
 }
 

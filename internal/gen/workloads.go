@@ -14,6 +14,7 @@ import (
 	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/dns"
+	"enttrace/internal/appproto/filler"
 	"enttrace/internal/appproto/ftp"
 	"enttrace/internal/appproto/http"
 	"enttrace/internal/appproto/imap"
@@ -44,12 +45,15 @@ type traceGen struct {
 	pinned time.Time
 }
 
-// GenerateTrace produces the packets of one monitored-subnet trace.
-// tap distinguishes repeat traces of the same subnet (D1's per-tap 2).
+// GenerateTrace produces the packets of one monitored-subnet trace as the
+// capture hardware recorded them: frames are built at the dataset's
+// snaplen, OrigLen keeping the wire length. tap distinguishes repeat
+// traces of the same subnet (D1's per-tap 2).
 func GenerateTrace(net *enterprise.Network, subnet, tap int) []*pcap.Packet {
 	cfg := net.Config()
 	seed := cfg.Seed*1_000_003 + int64(subnet)*1009 + int64(tap)
 	em := NewEmitter(seed)
+	em.snaplen = int(cfg.Snaplen)
 	g := &traceGen{
 		em:      em,
 		rng:     em.RNG(),
@@ -1454,10 +1458,4 @@ func (g *traceGen) linkLayerBackground() {
 }
 
 // fillBytes produces n deterministic filler bytes.
-func fillBytes(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte('a' + i%23)
-	}
-	return b
-}
+func fillBytes(n int) []byte { return filler.Bytes(n, "abcdefghijklmnopqrstuvw") }

@@ -394,6 +394,8 @@ func BenchmarkDecodeTCP(b *testing.B) {
 
 func BenchmarkBuildTCP(b *testing.B) {
 	opts := TCPOpts{FrameOpts: frameOpts(), SrcPort: 33000, DstPort: 80, Flags: TCPAck, Payload: bytes.Repeat([]byte{0xaa}, 512)}
+	b.SetBytes(int64(len(BuildTCP(opts))))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BuildTCP(opts)
