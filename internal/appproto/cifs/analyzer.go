@@ -1,7 +1,7 @@
 package cifs
 
 import (
-	"enttrace/internal/appproto/netbios"
+	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/stats"
 )
 
@@ -12,9 +12,10 @@ type Analyzer struct {
 	// message data bytes (header-claimed) per category.
 	Requests *stats.Counter
 	Bytes    *stats.Counter
-	// PipeSink, when non-nil, receives the DCE/RPC payload of each pipe
-	// transaction (both directions) for function-level analysis.
-	PipeSink func(fromClient bool, pipe string, payload []byte)
+	// PipeSink, when non-nil, receives the DCE/RPC PDUs of each pipe
+	// transaction that carries any (both directions) for function-level
+	// analysis.
+	PipeSink func(fromClient bool, pipe string, pdus []dcerpc.Summary)
 }
 
 // NewAnalyzer returns an empty analyzer.
@@ -42,59 +43,31 @@ func (a *Analyzer) Cut() *Analyzer {
 	return s
 }
 
-// Stream consumes one reassembled direction of a CIFS connection.
-// netbiosFramed selects TCP-139-style session framing (each SMB wrapped in
-// a NetBIOS session frame) versus raw port-445 framing, which this codec
-// treats as back-to-back SMB messages.
+// Stream consumes one reassembled direction of a CIFS connection handed
+// over whole. netbiosFramed selects TCP-139-style session framing (each
+// SMB wrapped in a NetBIOS session frame) versus raw port-445 framing,
+// which this codec treats as back-to-back SMB messages. It is a one-chunk
+// feed of StreamParser.
 func (a *Analyzer) Stream(fromClient bool, netbiosFramed bool, stream []byte) {
-	for len(stream) > 0 {
-		var smb []byte
-		if netbiosFramed {
-			h, err := netbios.DecodeSSNHeader(stream)
-			if err != nil {
-				return
-			}
-			if h.Type != netbios.SSNMessage {
-				// Session-request/response frames carry no SMB.
-				adv := 4 + h.Length
-				if adv > len(stream) {
-					return
-				}
-				stream = stream[adv:]
-				continue
-			}
-			end := 4 + h.Length
-			if end > len(stream) {
-				end = len(stream)
-			}
-			smb = stream[4:end]
-			stream = stream[end:]
-		} else {
-			smb = stream
-			stream = nil
-		}
-		a.consumeSMB(fromClient, smb)
-	}
+	var p StreamParser
+	p.Init(netbiosFramed, 0)
+	p.Data(stream)
+	p.End()
+	a.Records(fromClient, &p)
 }
 
-// consumeSMB walks back-to-back SMB messages in a buffer, reusing one
-// Message across iterations (DecodeInto overwrites it).
-func (a *Analyzer) consumeSMB(fromClient bool, buf []byte) {
-	var msg Message
-	for len(buf) > 0 {
-		m := &msg
-		n, err := DecodeInto(buf, m)
-		if err != nil || n == 0 {
-			return
-		}
-		cat := Category(m)
+// Records folds one direction's parsed messages; p's stream has ended.
+func (a *Analyzer) Records(fromClient bool, p *StreamParser) {
+	pdus := p.PDUs()
+	for _, m := range p.Records() {
+		cat := category(m.Command, m.Pipe)
 		if !m.Response {
 			a.Requests.Inc(cat)
 		}
 		a.Bytes.Add(cat, int64(m.DataLen))
-		if m.Command == CmdTrans && a.PipeSink != nil && len(m.Payload) > 0 {
-			a.PipeSink(fromClient, m.PipeName, m.Payload)
+		if m.PDUs > 0 && a.PipeSink != nil {
+			a.PipeSink(fromClient, m.Pipe, pdus[:m.PDUs])
 		}
-		buf = buf[n:]
+		pdus = pdus[m.PDUs:]
 	}
 }

@@ -116,50 +116,63 @@ func Decode(data []byte) (*Message, int, error) {
 	return m, n, nil
 }
 
+// hdrLen is the SMB header; paramLen the parameter block this codec
+// writes after it: word count, data length, name length, byte count.
+const (
+	hdrLen   = 32
+	paramLen = 7
+)
+
 // DecodeInto parses one SMB message into a caller-owned Message, the
-// allocation-light variant stream walkers use. m is overwritten; Payload
-// borrows data.
+// allocation-light variant of Decode. m is overwritten; Payload borrows
+// data.
 func DecodeInto(data []byte, m *Message) (int, error) {
-	if len(data) < 32 || data[0] != smbMagic[0] || data[1] != smbMagic[1] ||
-		data[2] != smbMagic[2] || data[3] != smbMagic[3] {
+	if len(data) < hdrLen || !decodeHeader(data, m) {
 		return 0, ErrNotSMB
 	}
-	*m = Message{
-		Command:  data[4],
-		Status:   binary.LittleEndian.Uint32(data[5:9]),
-		Response: data[9]&0x80 != 0,
-		TreeID:   binary.LittleEndian.Uint16(data[24:26]),
-		MID:      binary.LittleEndian.Uint16(data[30:32]),
-	}
-	body := data[32:]
-	if len(body) < 7 {
+	body := data[hdrLen:]
+	if len(body) < paramLen {
 		return len(data), nil // header-only capture
 	}
-	dataLen := int(binary.LittleEndian.Uint16(body[1:3]))
-	nameLen := int(binary.LittleEndian.Uint16(body[3:5]))
-	rest := body[7:]
+	dataLen, nameLen := decodeParams(body)
+	rest := body[paramLen:]
 	if nameLen > 0 {
-		n := nameLen
-		if n > len(rest) {
-			n = len(rest)
-		}
-		nameBytes := rest[:n]
-		for len(nameBytes) > 0 && nameBytes[len(nameBytes)-1] == 0 {
-			nameBytes = nameBytes[:len(nameBytes)-1]
-		}
-		m.PipeName = internPipe(nameBytes)
+		n := min(nameLen, len(rest))
+		m.PipeName = internPipe(trimNULs(rest[:n]))
 		rest = rest[n:]
 	}
 	m.DataLen = dataLen
-	if dataLen < len(rest) {
-		rest = rest[:dataLen]
+	m.Payload = rest[:min(dataLen, len(rest))]
+	return min(hdrLen+paramLen+nameLen+dataLen, len(data)), nil
+}
+
+// decodeHeader parses the header that opens h (at least hdrLen bytes)
+// into m, overwriting it; it reports whether h starts with the SMB magic.
+func decodeHeader(h []byte, m *Message) bool {
+	if [4]byte(h) != smbMagic {
+		return false
 	}
-	m.Payload = rest
-	consumed := 32 + 7 + nameLen + dataLen
-	if consumed > len(data) {
-		consumed = len(data)
+	*m = Message{
+		Command:  h[4],
+		Status:   binary.LittleEndian.Uint32(h[5:9]),
+		Response: h[9]&0x80 != 0,
+		TreeID:   binary.LittleEndian.Uint16(h[24:26]),
+		MID:      binary.LittleEndian.Uint16(h[30:32]),
 	}
-	return consumed, nil
+	return true
+}
+
+// decodeParams reads the claimed payload and name lengths out of the
+// parameter block that opens params.
+func decodeParams(params []byte) (dataLen, nameLen int) {
+	return int(binary.LittleEndian.Uint16(params[1:3])), int(binary.LittleEndian.Uint16(params[3:5]))
+}
+
+func trimNULs(name []byte) []byte {
+	for len(name) > 0 && name[len(name)-1] == 0 {
+		name = name[:len(name)-1]
+	}
+	return name
 }
 
 // wellKnownPipes are the pipe names seen in the traces; interning them
@@ -179,16 +192,18 @@ func internPipe(b []byte) string {
 }
 
 // Category buckets a message per Table 10.
-func Category(m *Message) string {
-	switch m.Command {
+func Category(m *Message) string { return category(m.Command, m.PipeName) }
+
+func category(command uint8, pipe string) string {
+	switch command {
 	case CmdNegotiate, CmdSessionSetupAndX, CmdLogoffAndX,
 		CmdTreeConnectAndX, CmdTreeDisconnect, CmdNTCreateAndX, CmdClose:
 		return CatBasic
 	case CmdTrans:
-		if strings.EqualFold(m.PipeName, LanmanPipe) {
+		if strings.EqualFold(pipe, LanmanPipe) {
 			return CatLanman
 		}
-		if len(m.PipeName) >= 6 && strings.EqualFold(m.PipeName[:6], `\PIPE\`) {
+		if len(pipe) >= 6 && strings.EqualFold(pipe[:6], `\PIPE\`) {
 			return CatPipes
 		}
 		return CatOther

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/netbios"
 )
 
@@ -116,17 +117,19 @@ func TestAnalyzerRaw445Stream(t *testing.T) {
 		{Command: CmdNegotiate},
 		{Command: CmdSessionSetupAndX},
 		{Command: CmdNTCreateAndX},
-		{Command: CmdTrans, PipeName: `\PIPE\spoolss`, Payload: make([]byte, 400)},
+		{Command: CmdTrans, PipeName: `\PIPE\spoolss`, Payload: dcerpc.Encode(&dcerpc.PDU{Type: dcerpc.PTRequest, Opnum: dcerpc.OpSpoolssWritePrinter, Stub: make([]byte, 400)})},
 		{Command: CmdWriteAndX, Payload: make([]byte, 8192)},
 	}
 	for _, m := range msgs {
 		stream = append(stream, Encode(m)...)
 	}
 	a := NewAnalyzer()
-	var pipePayloads int
-	a.PipeSink = func(fromClient bool, pipe string, payload []byte) {
-		if pipe == `\PIPE\spoolss` {
-			pipePayloads += len(payload)
+	var pipeStubs uint32
+	a.PipeSink = func(fromClient bool, pipe string, pdus []dcerpc.Summary) {
+		if pipe == `\PIPE\spoolss` && fromClient {
+			for _, pdu := range pdus {
+				pipeStubs += pdu.StubLen
+			}
 		}
 	}
 	a.Stream(true, false, stream)
@@ -139,8 +142,8 @@ func TestAnalyzerRaw445Stream(t *testing.T) {
 	if a.Bytes.Get(CatFile) != 8192 {
 		t.Errorf("file bytes = %d", a.Bytes.Get(CatFile))
 	}
-	if pipePayloads != 400 {
-		t.Errorf("pipe sink got %d bytes", pipePayloads)
+	if pipeStubs != 400 {
+		t.Errorf("pipe sink got %d stub bytes", pipeStubs)
 	}
 }
 

@@ -89,77 +89,69 @@ func (a *Analyzer) Cut() *Analyzer {
 	return s
 }
 
-// Stream consumes one direction of a DCE/RPC channel (a named pipe's
-// payload bytes or a stand-alone TCP stream). channel identifies the
-// conversation so binds pair with later requests; fromClient marks the
-// request direction.
+// Stream consumes one direction of a DCE/RPC channel handed over whole (a
+// named pipe's payload bytes or a stand-alone TCP stream). channel
+// identifies the conversation so binds pair with later requests;
+// fromClient marks the request direction. It is a one-chunk feed of
+// StreamParser.
 func (a *Analyzer) Stream(channel string, fromClient bool, data []byte) {
-	for len(data) > 0 {
-		p, n, err := Decode(data)
-		if err != nil || n == 0 {
-			return
-		}
-		a.PDU(channel, fromClient, p)
-		data = data[n:]
-	}
+	a.Summaries(channel, parseWhole(data))
 }
 
 // StreamKey is Stream with an allocation-free channel key.
 func (a *Analyzer) StreamKey(key ChanKey, fromClient bool, data []byte) {
-	for len(data) > 0 {
-		p, n, err := Decode(data)
-		if err != nil || n == 0 {
-			return
-		}
-		a.PDUKey(key, fromClient, p)
-		data = data[n:]
+	a.SummariesKey(key, parseWhole(data))
+}
+
+func parseWhole(data []byte) []Summary {
+	var p StreamParser
+	p.Data(data)
+	p.End()
+	return p.PDUs()
+}
+
+// Summaries consumes PDUs already parsed out of channel, in stream order.
+func (a *Analyzer) Summaries(channel string, pdus []Summary) {
+	for _, s := range pdus {
+		fold(a, a.binds, channel, s)
 	}
 }
 
-// PDU consumes one already-decoded PDU.
-func (a *Analyzer) PDU(channel string, fromClient bool, p *PDU) {
-	switch p.Type {
+// SummariesKey is Summaries with an allocation-free channel key.
+func (a *Analyzer) SummariesKey(key ChanKey, pdus []Summary) {
+	for _, s := range pdus {
+		fold(a, a.bindsK, key, s)
+	}
+}
+
+// fold takes one PDU of channel ch, whose bind state lives in binds.
+func fold[K comparable](a *Analyzer, binds map[K]UUID, ch K, s Summary) {
+	switch s.Type {
 	case PTBind:
-		a.binds[channel] = p.Iface
+		binds[ch] = s.Iface
 	case PTBindAck:
 		// Bind-acks on stand-alone channels also reveal the interface.
-		if _, known := a.binds[channel]; !known {
-			a.binds[channel] = p.Iface
+		if _, known := binds[ch]; !known {
+			binds[ch] = s.Iface
 		}
 	default:
-		a.accumulate(a.binds[channel], p)
-	}
-}
-
-// PDUKey is PDU with an allocation-free channel key.
-func (a *Analyzer) PDUKey(key ChanKey, fromClient bool, p *PDU) {
-	switch p.Type {
-	case PTBind:
-		a.bindsK[key] = p.Iface
-	case PTBindAck:
-		if _, known := a.bindsK[key]; !known {
-			a.bindsK[key] = p.Iface
-		}
-	default:
-		a.accumulate(a.bindsK[key], p)
+		a.accumulate(binds[ch], s)
 	}
 }
 
 // accumulate records a non-bind PDU against the channel's bound
 // interface.
-func (a *Analyzer) accumulate(iface UUID, p *PDU) {
-	switch p.Type {
+func (a *Analyzer) accumulate(iface UUID, s Summary) {
+	switch s.Type {
 	case PTRequest:
-		fn := FunctionName(iface, p.Opnum)
+		fn := FunctionName(iface, s.Opnum)
 		a.Requests.Inc(fn)
-		a.Bytes.Add(fn, int64(p.StubLen))
+		a.Bytes.Add(fn, int64(s.StubLen))
 	case PTResponse:
-		if InterfaceName(iface) == "EPM" {
-			if mapped, _, port, ok := ParseEpmMapResponse(p); ok {
-				a.MappedPorts[port] = mapped
-			}
+		if s.Mapped && InterfaceName(iface) == "EPM" {
+			a.MappedPorts[s.Port] = s.Iface
 		}
-		a.Bytes.Add(FunctionName(iface, 0), int64(p.StubLen))
+		a.Bytes.Add(FunctionName(iface, 0), int64(s.StubLen))
 	}
 }
 

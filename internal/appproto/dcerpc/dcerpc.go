@@ -144,6 +144,10 @@ var ErrBadVersion = errors.New("dcerpc: not a version-5 PDU")
 
 const hdrLen = 16
 
+// epmStubLen is the size of an endpoint-map entry: port, interface UUID,
+// IPv4 host.
+const epmStubLen = 22
+
 // Encode serializes the PDU.
 func Encode(p *PDU) []byte {
 	var body []byte
@@ -185,18 +189,19 @@ func Decode(data []byte) (*PDU, int, error) {
 	if data[0] != 5 {
 		return nil, 0, ErrBadVersion
 	}
-	p := &PDU{
+	p := &PDU{}
+	return p, decodeInto(data, p), nil
+}
+
+// decodeInto parses the version-5 PDU that opens data, at least hdrLen
+// bytes, into p and returns the bytes consumed. Stub borrows data.
+func decodeInto(data []byte, p *PDU) int {
+	*p = PDU{
 		Type:   data[2],
 		CallID: binary.LittleEndian.Uint32(data[12:16]),
 	}
-	fragLen := int(binary.LittleEndian.Uint16(data[8:10]))
-	if fragLen < hdrLen {
-		fragLen = hdrLen
-	}
-	consumed := fragLen
-	if consumed > len(data) {
-		consumed = len(data)
-	}
+	fragLen := max(int(binary.LittleEndian.Uint16(data[8:10])), hdrLen)
+	consumed := min(fragLen, len(data))
 	body := data[hdrLen:consumed]
 	switch p.Type {
 	case PTBind, PTBindAck:
@@ -215,7 +220,7 @@ func Decode(data []byte) (*PDU, int, error) {
 			p.Stub = body[8:]
 		}
 	}
-	return p, consumed, nil
+	return consumed
 }
 
 // EncodeEpmMapResponse builds an EPM ept_map response PDU whose stub
@@ -224,7 +229,7 @@ func Decode(data []byte) (*PDU, int, error) {
 // same reason: the mapped endpoint may live on a different host than
 // the endpoint mapper itself.
 func EncodeEpmMapResponse(callID uint32, iface UUID, host netip.Addr, port uint16) []byte {
-	stub := make([]byte, 22)
+	stub := make([]byte, epmStubLen)
 	binary.BigEndian.PutUint16(stub[0:2], port)
 	copy(stub[2:18], iface[:])
 	a4 := host.As4()
@@ -235,11 +240,11 @@ func EncodeEpmMapResponse(callID uint32, iface UUID, host netip.Addr, port uint1
 // ParseEpmMapResponse extracts (iface, host, port) from an EPM map
 // response stub. ok is false when the stub is too short.
 func ParseEpmMapResponse(p *PDU) (iface UUID, host netip.Addr, port uint16, ok bool) {
-	if p.Type != PTResponse || len(p.Stub) < 22 {
+	if p.Type != PTResponse || len(p.Stub) < epmStubLen {
 		return UUID{}, netip.Addr{}, 0, false
 	}
 	port = binary.BigEndian.Uint16(p.Stub[0:2])
 	copy(iface[:], p.Stub[2:18])
-	host = netip.AddrFrom4([4]byte(p.Stub[18:22]))
+	host = netip.AddrFrom4([4]byte(p.Stub[18:epmStubLen]))
 	return iface, host, port, true
 }

@@ -86,22 +86,27 @@ func (a *Analyzer) Cut() *Analyzer {
 }
 
 // Stream consumes one direction of an NCP connection's reassembled bytes.
+// It is a one-chunk feed of StreamParser.
 func (a *Analyzer) Stream(src, dst netip.Addr, data []byte) {
-	for len(data) > 0 {
-		m, n, err := Decode(data)
-		if err != nil || n == 0 {
-			return
-		}
+	var p StreamParser
+	p.Init(0)
+	p.Data(data)
+	a.Records(src, dst, p.Records())
+}
+
+// Records folds one direction's parsed messages, traveling src → dst.
+func (a *Analyzer) Records(src, dst netip.Addr, recs []Record) {
+	for _, m := range recs {
 		a.message(src, dst, m)
-		data = data[n:]
 	}
 }
 
-func (a *Analyzer) message(src, dst netip.Addr, m *Msg) {
+func (a *Analyzer) message(src, dst netip.Addr, m Record) {
 	name := FnName(m.Function)
+	size := float64(hdrLen + int(m.PayloadLen))
 	if m.Request {
 		a.Requests.Inc(name)
-		a.ReqSizes.Observe(float64(hdrLen + m.PayloadLen))
+		a.ReqSizes.Observe(size)
 		a.PerPair[pairOf(src, dst)]++
 		if m.Function == FnWriteFile {
 			a.Bytes.Add(name, int64(m.PayloadLen))
@@ -109,15 +114,12 @@ func (a *Analyzer) message(src, dst netip.Addr, m *Msg) {
 		a.pending[pendKey{client: src, server: dst, seq: m.Sequence}] = m.Function
 		return
 	}
-	key := pendKey{client: dst, server: src, seq: m.Sequence}
-	if _, ok := a.pending[key]; ok {
-		delete(a.pending, key)
-	}
-	a.ReplySizes.Observe(float64(hdrLen + m.PayloadLen))
+	delete(a.pending, pendKey{client: dst, server: src, seq: m.Sequence})
+	a.ReplySizes.Observe(size)
 	if m.Completion == 0 {
 		a.OK++
 		if m.Function == FnReadFile {
-			a.Bytes.Add(FnName(m.Function), int64(m.PayloadLen))
+			a.Bytes.Add(name, int64(m.PayloadLen))
 		}
 	} else {
 		a.Failed++

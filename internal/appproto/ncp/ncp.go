@@ -105,21 +105,18 @@ func Decode(data []byte) (*Msg, int, error) {
 	if len(data) < hdrLen {
 		return nil, 0, ErrShort
 	}
-	typ := binary.BigEndian.Uint16(data[0:2])
-	if typ != TypeRequest && typ != TypeReply {
+	r, ok := decodeHeader(data)
+	if !ok {
 		return nil, 0, ErrBadType
 	}
 	m := &Msg{
-		Request:    typ == TypeRequest,
-		Sequence:   data[2],
-		Function:   data[3],
-		Completion: data[4],
-		PayloadLen: int(binary.BigEndian.Uint32(data[5:9])),
+		Request:    r.Request,
+		Sequence:   r.Sequence,
+		Function:   r.Function,
+		Completion: r.Completion,
+		PayloadLen: int(r.PayloadLen),
 	}
-	consumed := hdrLen + m.PayloadLen
-	if consumed > len(data) {
-		consumed = len(data)
-	}
+	consumed := min(hdrLen+m.PayloadLen, len(data))
 	m.Payload = data[hdrLen:consumed]
 	return m, consumed, nil
 }

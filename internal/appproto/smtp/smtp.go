@@ -8,10 +8,7 @@
 package smtp
 
 import (
-	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"enttrace/internal/appproto/filler"
 )
@@ -81,36 +78,13 @@ type Result struct {
 }
 
 // Parse extracts the outcome from the two reassembled directions of an
-// SMTP connection.
+// SMTP connection handed over whole. It is a one-chunk feed of
+// StreamParser.
 func Parse(clientStream, serverStream []byte) Result {
-	var r Result
-	// Find the DATA section in the client stream.
-	cs := clientStream
-	if idx := bytes.Index(cs, []byte("DATA\r\n")); idx >= 0 {
-		body := cs[idx+6:]
-		if end := bytes.Index(body, []byte("\r\n.\r\n")); end >= 0 {
-			r.MessageBytes = end
-		} else {
-			r.MessageBytes = len(body) // truncated capture
-		}
-	}
-	sawData := false
-	for _, ln := range strings.Split(string(serverStream), "\r\n") {
-		if len(ln) < 3 {
-			continue
-		}
-		code, err := strconv.Atoi(ln[:3])
-		if err != nil {
-			continue
-		}
-		switch {
-		case code == 354:
-			sawData = true
-		case code == 250 && sawData:
-			r.Accepted = true
-		case code >= 500:
-			r.Rejected = true
-		}
-	}
-	return r
+	var cli, srv StreamParser
+	cli.InitClient(0)
+	srv.InitServer(0)
+	cli.Data(clientStream)
+	srv.Data(serverStream)
+	return ResultOf(&cli, &srv)
 }

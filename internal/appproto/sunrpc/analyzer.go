@@ -90,47 +90,51 @@ func (a *Analyzer) Cut() *Analyzer {
 	return s
 }
 
-// Message feeds one raw RPC message (UDP payload or one TCP record)
-// traveling src → dst.
+// Message feeds one raw RPC message (a UDP payload) traveling src → dst.
 func (a *Analyzer) Message(src, dst netip.Addr, raw []byte) {
-	// Peek the type to know whether a matched proc is needed.
-	m, err := Decode(raw, 0)
-	if err != nil {
-		return
+	if r, ok := scanMessage(raw); ok {
+		a.record(src, dst, r)
 	}
-	if m.Type == MsgCall {
-		if m.Prog != ProgNFS {
+}
+
+// Records folds one direction's parsed TCP records, traveling src → dst.
+func (a *Analyzer) Records(src, dst netip.Addr, recs []Record) {
+	for _, r := range recs {
+		a.record(src, dst, r)
+	}
+}
+
+func (a *Analyzer) record(src, dst netip.Addr, r Record) {
+	if r.Type == MsgCall {
+		if r.Prog != ProgNFS {
 			return
 		}
-		a.pendingProc[pendKey{client: src, server: dst, xid: m.XID}] = m.Proc
-		name := ProcName(m.Proc)
+		a.pendingProc[pendKey{client: src, server: dst, xid: r.XID}] = r.Proc
+		name := ProcName(r.Proc)
 		a.Requests.Inc(name)
-		if m.Proc == ProcWrite {
-			a.Bytes.Add(name, int64(m.DataLen))
+		if r.Proc == ProcWrite {
+			a.Bytes.Add(name, int64(r.Count))
 		}
-		a.ReqSizes.Observe(float64(len(raw)))
+		a.ReqSizes.Observe(float64(r.Len))
 		a.PerPair[pairOf(src, dst)]++
 		return
 	}
-	key := pendKey{client: dst, server: src, xid: m.XID}
+	// A reply does not repeat its procedure: the matched call names it.
+	key := pendKey{client: dst, server: src, xid: r.XID}
 	proc, ok := a.pendingProc[key]
 	if !ok {
 		return
 	}
 	delete(a.pendingProc, key)
-	m, err = Decode(raw, proc)
-	if err != nil {
-		return
-	}
-	if m.Status == NFSOK {
+	if r.Status == NFSOK {
 		a.OK++
 		if proc == ProcRead {
-			a.Bytes.Add(ProcName(proc), int64(m.DataLen))
+			a.Bytes.Add(ProcName(proc), int64(r.Count))
 		}
 	} else {
 		a.Failed++
 	}
-	a.ReplySizes.Observe(float64(len(raw)))
+	a.ReplySizes.Observe(float64(r.Len))
 }
 
 // SuccessRate is successful replies over all matched replies.

@@ -139,52 +139,36 @@ func pad4(n int) int { return (4 - n%4) % 4 }
 
 func fill(n int) []byte { return filler.Bytes(n, "ABCDEFGHIJKLMNOPQRSTUVWXYZ") }
 
-// Decode parses a message. For replies, proc must be supplied by the
-// caller (from the matched call), since RPC replies do not repeat it.
+// Decode parses a message handed over whole. For replies, proc must be
+// supplied by the caller (from the matched call), since RPC replies do
+// not repeat it. A capture cut short inside a call's arguments still
+// yields the header facts.
 func Decode(data []byte, replyProc uint32) (*Msg, error) {
-	if len(data) < 8 {
+	r, ok := scanMessage(data)
+	if !ok {
 		return nil, ErrShort
 	}
-	get32 := func(off int) uint32 { return binary.BigEndian.Uint32(data[off : off+4]) }
-	m := &Msg{XID: get32(0), Type: get32(4)}
+	m := &Msg{XID: r.XID, Type: r.Type}
 	if m.Type == MsgCall {
-		if len(data) < 24 {
-			return nil, ErrShort
-		}
-		m.Prog, m.Vers, m.Proc = get32(12), get32(16), get32(20)
-		// Skip credential and verifier.
-		off := 24
-		for i := 0; i < 2; i++ {
-			if len(data) < off+8 {
-				return m, nil // truncated capture: header facts still valid
-			}
-			l := int(get32(off + 4))
-			off += 8 + l + pad4(l)
-		}
-		off += fhSize
-		switch m.Proc {
-		case ProcWrite:
-			if len(data) >= off+12 {
-				m.DataLen = int(get32(off + 8))
-			}
-		case ProcRead:
-			if len(data) >= off+12 {
-				m.DataLen = int(get32(off + 8))
-			}
-		}
+		m.Prog, m.Vers, m.Proc = r.Prog, r.Vers, r.Proc
+		m.DataLen = int(r.Count)
 		return m, nil
 	}
-	// Reply layout: reply_stat(8), verf flavor(12), verf len(16),
-	// accept_stat(20), NFS status(24).
-	if len(data) < 28 {
-		return nil, ErrShort
-	}
 	m.Proc = replyProc
-	m.Status = get32(24)
-	if m.Status == NFSOK && replyProc == ProcRead && len(data) >= 32 {
-		m.DataLen = int(get32(28))
+	m.Status = r.Status
+	if m.Status == NFSOK && replyProc == ProcRead {
+		m.DataLen = int(r.Count)
 	}
 	return m, nil
+}
+
+// scanMessage reads one whole message's fields; ok is false when it is
+// too short to decode.
+func scanMessage(raw []byte) (Record, bool) {
+	var s msgScan
+	s.begin(uint32(len(raw)))
+	s.feed(raw)
+	return s.rec, s.valid
 }
 
 // MarkRecord prepends the TCP record-marking header (last-fragment bit set).
@@ -193,18 +177,4 @@ func MarkRecord(msg []byte) []byte {
 	binary.BigEndian.PutUint32(out, uint32(len(msg))|0x80000000)
 	copy(out[4:], msg)
 	return out
-}
-
-// SplitRecords walks a record-marked TCP stream, invoking fn on each
-// complete record. Incomplete trailing data is ignored (truncated trace).
-func SplitRecords(stream []byte, fn func(rec []byte)) {
-	for len(stream) >= 4 {
-		hdr := binary.BigEndian.Uint32(stream)
-		l := int(hdr & 0x7fffffff)
-		if l <= 0 || 4+l > len(stream) {
-			return
-		}
-		fn(stream[4 : 4+l])
-		stream = stream[4+l:]
-	}
 }

@@ -76,27 +76,23 @@ func TestRecordMarking(t *testing.T) {
 	for _, m := range msgs {
 		stream = append(stream, MarkRecord(m)...)
 	}
-	var got [][]byte
-	SplitRecords(stream, func(rec []byte) {
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		got = append(got, cp)
-	})
+	got := SplitRecords(stream)
 	if len(got) != 2 {
 		t.Fatalf("split %d records", len(got))
 	}
-	for i := range got {
-		if string(got[i]) != string(msgs[i]) {
-			t.Errorf("record %d mismatch", i)
+	for i, want := range []Record{
+		{Len: uint32(len(msgs[0])), XID: 1, Type: MsgCall, Prog: ProgNFS, Vers: 3, Proc: ProcGetAttr},
+		{Len: uint32(len(msgs[1])), XID: 2, Type: MsgCall, Prog: ProgNFS, Vers: 3, Proc: ProcAccess},
+	} {
+		if got[i] != want {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want)
 		}
 	}
 }
 
 func TestSplitRecordsTruncated(t *testing.T) {
 	rec := MarkRecord(Encode(&Msg{XID: 1, Type: MsgCall, Prog: ProgNFS, Vers: 3, Proc: ProcRead}))
-	count := 0
-	SplitRecords(rec[:len(rec)-3], func([]byte) { count++ })
-	if count != 0 {
+	if count := len(SplitRecords(rec[:len(rec)-3])); count != 0 {
 		t.Error("truncated record should not be delivered")
 	}
 }
@@ -205,7 +201,7 @@ func TestCallRoundTripProperty(t *testing.T) {
 func TestDecodeFuzz(t *testing.T) {
 	f := func(data []byte, proc uint32) bool {
 		_, _ = Decode(data, proc)
-		SplitRecords(data, func([]byte) {})
+		SplitRecords(data)
 		a := NewAnalyzer()
 		a.Message(cli, srv, data)
 		return true

@@ -202,45 +202,34 @@ func (ap *appAggregates) smtpParsed(wan bool, res smtp.Result) {
 	ap.email.smtpParsed(wan, res)
 }
 
-func (ap *appAggregates) ssnFrames(client, server netip.Addr, cliStream, srvStream []byte) {
-	walk := func(from netip.Addr, to netip.Addr, stream []byte) {
-		for len(stream) >= 4 {
-			h, err := netbios.DecodeSSNHeader(stream)
-			if err != nil {
-				return
-			}
-			ap.ssn.Frame(from, to, h.Type)
-			adv := 4 + h.Length
-			if adv > len(stream) {
-				return
-			}
-			stream = stream[adv:]
-		}
+// cifsStreams folds both directions of a CIFS connection, parsed and
+// ended, through the command analyzer, routing the PDUs of named-pipe
+// transactions to the DCE/RPC analyzer. A NetBIOS-framed connection's
+// session-service frames go to the Table 9 handshake census first.
+func (ap *appAggregates) cifsStreams(conn *flows.Conn, cli, srv *cifs.StreamParser) {
+	client, server := conn.Key.Src, conn.Key.Dst
+	for _, typ := range cli.SSNFrames() {
+		ap.ssn.Frame(client, server, typ)
 	}
-	walk(client, server, cliStream)
-	walk(server, client, srvStream)
-}
-
-// cifsStreams feeds both directions of a CIFS connection through the
-// command analyzer, routing named-pipe payloads to the DCE/RPC analyzer.
-func (ap *appAggregates) cifsStreams(conn *flows.Conn, framed bool, cliStream, srvStream []byte) {
+	for _, typ := range srv.SSNFrames() {
+		ap.ssn.Frame(server, client, typ)
+	}
 	// The channel key (connection + pipe) is stable across the hundreds of
-	// payload chunks a busy pipe produces; build it once per pipe instead
-	// of concatenating per chunk, and only for connections that actually
-	// carry pipe transactions.
+	// transactions a busy pipe carries; build it once per pipe instead of
+	// concatenating per transaction, and only for connections that
+	// actually carry pipe transactions.
 	var keyStr, lastPipe, lastChan string
-	sink := func(fromClient bool, pipe string, payload []byte) {
+	ap.cifs.PipeSink = func(fromClient bool, pipe string, pdus []dcerpc.Summary) {
 		if pipe != lastPipe || lastChan == "" {
 			if keyStr == "" {
 				keyStr = conn.Key.String()
 			}
 			lastPipe, lastChan = pipe, keyStr+pipe
 		}
-		ap.rpc.Stream(lastChan, fromClient, payload)
+		ap.rpc.Summaries(lastChan, pdus)
 	}
-	ap.cifs.PipeSink = sink
-	ap.cifs.Stream(true, framed, cliStream)
-	ap.cifs.Stream(false, framed, srvStream)
+	ap.cifs.Records(true, cli)
+	ap.cifs.Records(false, srv)
 	ap.cifs.PipeSink = nil
 }
 

@@ -105,6 +105,12 @@ type Options struct {
 	// snapshots merge into the same canonical order a single instance
 	// over all traces would produce.
 	TraceBase int
+
+	// bufferStreams makes every reassembled protocol keep its stream
+	// bytes for replay to parse, as all of them did before they had
+	// stream parsers. Only the byte-identity differential sets it: the
+	// buffered path is its reference.
+	bufferStreams bool
 }
 
 func (o *Options) fill() {

@@ -175,7 +175,7 @@ func TestHTTPStreamsMatchBufferedReference(t *testing.T) {
 	for name, schedule := range schedules {
 		t.Run(name, func(t *testing.T) {
 			steps := schedule(t, rand.New(rand.NewSource(14)))
-			got := newConnStreams("HTTP", conn)
+			got := newConnStreams("HTTP", conn, true)
 			if got.http == nil {
 				t.Fatal("a responder-port HTTP connection is not parsed as it arrives")
 			}
@@ -241,8 +241,15 @@ func TestHTTPStreamsMatchBufferedReference(t *testing.T) {
 	}
 }
 
+// parsed reports whether the connection's streams feed stream parsers.
+func (app *connStreams) parsed() bool {
+	return app.http != nil || app.smtp != nil || app.cifs != nil || app.ncp != nil || app.nfs != nil
+}
+
 // Only the responder's well-known port fixes a verdict for good; anything
-// else keeps its bytes for whatever replay classifies it as.
+// else keeps its bytes for whatever replay classifies it as. FTP's control
+// channel and the Endpoint Mapper keep theirs whatever the port: replay
+// reads them for registrations before it classifies anything.
 func TestNewConnStreamsConsumerChoice(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -255,21 +262,35 @@ func TestNewConnStreamsConsumerChoice(t *testing.T) {
 		{"HTTP", 80, 40000, false, false, true}, // matched via the originator's port
 		{"IMAP4", 40000, 143, false, true, false},
 		{"IMAP4", 143, 40000, false, false, true},
-		{"SMTP", 40000, 25, false, false, true},
+		{"SMTP", 40000, 25, true, false, false},
+		{"SMTP", 25, 40000, false, false, true},
+		{"CIFS", 40000, 445, true, false, false},
+		{"CIFS", 445, 40000, false, false, true},
+		{"Netbios-SSN", 40000, 139, true, false, false},
+		{"NCP", 40000, 524, true, false, false},
+		{"NCP", 524, 40000, false, false, true},
+		{"NFS", 40000, 2049, true, false, false},
+		{"FTP", 40000, 21, false, false, true},
+		{"Spoolss", 40000, 1026, false, false, true}, // a name only a registration gives
 		{"", 40000, 40001, false, false, true},
 		{"", 40000, 999, false, false, false},
 	} {
-		app := newConnStreams(c.name, tcpConn(hostA, hostB, c.sport, c.dport, flows.StateEstablished))
+		conn := tcpConn(hostA, hostB, c.sport, c.dport, flows.StateEstablished)
+		app := newConnStreams(c.name, conn, true)
 		if app.buffered {
 			app.cliStream.Segment(1, []byte("GET / HTTP/1.1\r\n\r\n"))
 		}
 		raw := len(app.cliBuf.Buf) > 0
-		null := app.buffered && !raw && app.http == nil
-		if parsed := app.http != nil; parsed != c.parsed || null != c.null || raw != c.raw {
+		null := app.buffered && !raw && !app.parsed() && app.epmCli == nil
+		if parsed := app.parsed(); parsed != c.parsed || null != c.null || raw != c.raw {
 			t.Errorf("%q %d→%d: parsed=%v null=%v raw=%v, want %v/%v/%v", c.name, c.sport, c.dport, parsed, null, raw, c.parsed, c.null, c.raw)
 		}
 		if c.name != "" && app.buffered != (bufferedProtos[c.name] > 0) {
 			t.Errorf("%q %d→%d: buffered=%v, so the hostile ledger would change", c.name, c.sport, c.dport, app.buffered)
+		}
+		// The differential's reference keeps every one of them raw.
+		if ref := newConnStreams(c.name, conn, false); ref.parsed() || ref.buffered != app.buffered {
+			t.Errorf("%q %d→%d: the buffered reference parses, or reassembles something else", c.name, c.sport, c.dport)
 		}
 		app.release()
 	}
@@ -288,70 +309,91 @@ func (w *retainWatch) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn 
 	}
 }
 
-// TestSinkHoldsNoWebBytesAtEndOfInput pins the analyzer-side memory the
-// incremental parser buys, at the moment it peaks: when pipeline.Run
-// returns, before replay, a connection that is HTTP by its responder port
-// owns no pooled stream storage at all (only out-of-order pending data),
-// and the UDP capture owns its payload bytes, not the capture buffers.
-func TestSinkHoldsNoWebBytesAtEndOfInput(t *testing.T) {
+// TestSinkHoldsNoParsedStreamBytesAtEndOfInput pins the analyzer-side
+// memory the incremental parsers buy, at the moment it peaks: when
+// pipeline.Run returns, before replay, a connection whose protocol is
+// fixed by its responder port and parsed by a stream consumer owns no
+// pooled stream storage at all (only out-of-order pending data), and the
+// UDP capture owns its payload bytes, not the capture buffers.
+func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 	cfg := enterprise.D3()
-	cfg.Monitored = []int{2}
-	cfg.Scale = 0.2
-	tr := gen.GenerateDataset(cfg).Traces[0]
-	var raw bytes.Buffer
-	if err := gen.WriteTrace(&raw, cfg, tr); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := pcap.NewReader(&raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Monitored = []int{2, 7}
+	cfg.Scale = 0.25
 	opts := Options{PayloadAnalysis: true}
 	opts.fill()
-	var sinks []*retainWatch
-	res, err := pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
-		Workers: 2,
-		NewSink: func(shard int, base time.Time) pipeline.Sink {
-			w := &retainWatch{shardSink: newShardSink(&opts, tr.Prefix, base)}
-			sinks = append(sinks, w)
-			return w
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	type tally struct {
+		conns     int
+		delivered int64
 	}
-
-	var httpConns, udpEvents int
-	var delivered, udpBytes int64
-	for shard, w := range sinks {
-		if w.retained > 0 {
-			t.Errorf("the sink retained %d packets", w.retained)
+	parsed := map[string]*tally{"HTTP": {}, "SMTP": {}, "CIFS": {}, "Netbios-SSN": {}, "NCP": {}, "NFS": {}}
+	var udpEvents int
+	var udpBytes int64
+	for _, tr := range gen.GenerateDataset(cfg).Traces {
+		var raw bytes.Buffer
+		if err := gen.WriteTrace(&raw, cfg, tr); err != nil {
+			t.Fatal(err)
 		}
-		for _, rec := range res.Shards[shard].Conns {
-			conn, app := rec.Conn, connStreamsOf(rec.Conn)
-			if app == nil || categories.WellKnown(conn.Proto, conn.Key.DstPort) != "HTTP" {
-				continue
-			}
-			if app.http == nil {
-				t.Fatalf("%v is HTTP by its responder port and still buffered raw", conn.Key)
-			}
-			httpConns++
-			delivered += app.cliStream.Accounting().DeliveredBytes + app.srvStream.Accounting().DeliveredBytes
-			if held := cap(app.cliBuf.Buf) + cap(app.srvBuf.Buf); held != 0 || app.epmCli != nil {
-				t.Fatalf("%v holds %d bytes of pooled stream storage", conn.Key, held)
-			}
+		rd, err := pcap.NewReader(&raw)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ev := range w.udp {
-			udpEvents++
-			udpBytes += int64(len(ev.payload))
+		var sinks []*retainWatch
+		res, err := pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
+			Workers: 2,
+			NewSink: func(shard int, base time.Time) pipeline.Sink {
+				w := &retainWatch{shardSink: newShardSink(&opts, tr.Prefix, base)}
+				sinks = append(sinks, w)
+				return w
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shard, w := range sinks {
+			if w.retained > 0 {
+				t.Errorf("the sink retained %d packets", w.retained)
+			}
+			for _, rec := range res.Shards[shard].Conns {
+				conn, app := rec.Conn, connStreamsOf(rec.Conn)
+				if app == nil {
+					continue
+				}
+				seen := parsed[categories.WellKnown(conn.Proto, conn.Key.DstPort)]
+				if seen == nil {
+					continue
+				}
+				if !app.parsed() {
+					t.Fatalf("%v is %s by its responder port and still buffered raw", conn.Key, app.kind)
+				}
+				seen.conns++
+				seen.delivered += app.cliStream.Accounting().DeliveredBytes + app.srvStream.Accounting().DeliveredBytes
+				if held := cap(app.cliBuf.Buf) + cap(app.srvBuf.Buf); held != 0 || app.epmCli != nil {
+					t.Fatalf("%v holds %d bytes of pooled stream storage", conn.Key, held)
+				}
+			}
+			for _, ev := range w.udp {
+				udpEvents++
+				udpBytes += int64(len(ev.payload))
+			}
+			for _, rec := range res.Shards[shard].Conns {
+				if app := connStreamsOf(rec.Conn); app != nil {
+					app.release()
+				}
+			}
 		}
 	}
-	if httpConns < 50 || delivered < 1<<20 {
-		t.Fatalf("trace too thin to pin anything: %d HTTP connections delivered %d bytes", httpConns, delivered)
+	// A trace too thin in any of the protocols would pin nothing for it.
+	for proto, floor := range map[string]tally{
+		"HTTP": {50, 1 << 20}, "SMTP": {2, 64 << 10}, "CIFS": {10, 64 << 10},
+		"Netbios-SSN": {5, 64 << 10}, "NCP": {5, 256 << 10}, "NFS": {1, 64 << 10},
+	} {
+		if seen := parsed[proto]; seen.conns < floor.conns || seen.delivered < floor.delivered {
+			t.Errorf("trace too thin to pin anything for %s: %d connections delivered %d bytes", proto, seen.conns, seen.delivered)
+		}
+		t.Logf("%-11s %4d connections delivered %8d stream bytes and hold none", proto, parsed[proto].conns, parsed[proto].delivered)
 	}
 	if udpEvents < 50 {
 		t.Fatalf("trace too thin to pin anything: %d captured datagrams", udpEvents)
 	}
-	t.Logf("%d HTTP connections delivered %d stream bytes and hold none; %d datagrams (%d payload bytes) captured, none retained",
-		httpConns, delivered, udpEvents, udpBytes)
+	t.Logf("%d datagrams (%d payload bytes) captured, none retained", udpEvents, udpBytes)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/dns"
 	"enttrace/internal/appproto/ftp"
@@ -113,8 +114,8 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 			// Channel keys carry the trace ordinal: FirstIdx restarts at
 			// zero every trace, and the RPC analyzer's bind state
 			// persists for the Analyzer's lifetime.
-			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: rec.FirstIdx, Side: dcerpc.SideClient}, true, app.epmCli.segments())
-			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: rec.FirstIdx, Side: dcerpc.SideServer}, false, app.epmSrv.segments())
+			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: rec.FirstIdx, Side: dcerpc.SideClient}, app.epmCli.segments())
+			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: rec.FirstIdx, Side: dcerpc.SideServer}, app.epmSrv.segments())
 		}
 	}
 
@@ -391,6 +392,9 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 		app.cliStream.Close()
 		app.srvStream.Close()
 	}
+	// A connection whose streams fed parsers has its records ready; one
+	// that kept its bytes (an originator-port match, or a name only replay
+	// could give it) has them parsed here, by the same parsers.
 	switch name {
 	case "HTTP":
 		if app.http != nil {
@@ -399,23 +403,40 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 			ap.http.conn(conn, wan, http.ParseRequests(app.cliBuf.Buf), http.ParseResponses(app.srvBuf.Buf))
 		}
 	case "SMTP":
-		ap.smtpParsed(wan, smtp.Parse(app.cliBuf.Buf, app.srvBuf.Buf))
-	case "CIFS":
-		ap.cifsStreams(conn, false, app.cliBuf.Buf, app.srvBuf.Buf)
-	case "Netbios-SSN":
-		ap.ssnFrames(client, server, app.cliBuf.Buf, app.srvBuf.Buf)
-		ap.cifsStreams(conn, true, app.cliBuf.Buf, app.srvBuf.Buf)
+		if app.smtp != nil {
+			ap.smtpParsed(wan, smtp.ResultOf(&app.smtp.cli, &app.smtp.srv))
+		} else {
+			ap.smtpParsed(wan, smtp.Parse(app.cliBuf.Buf, app.srvBuf.Buf))
+		}
+	case "CIFS", "Netbios-SSN":
+		streams := app.cifs
+		if streams == nil {
+			streams = &parserPair[cifs.StreamParser]{}
+			streams.cli.Init(name == "Netbios-SSN", 0)
+			streams.srv.Init(name == "Netbios-SSN", 0)
+			streams.cli.Data(app.cliBuf.Buf)
+			streams.srv.Data(app.srvBuf.Buf)
+		}
+		streams.cli.End()
+		streams.srv.End()
+		ap.cifsStreams(conn, &streams.cli, &streams.srv)
 	case "NCP":
-		ap.ncp.Stream(client, server, app.cliBuf.Buf)
-		ap.ncp.Stream(server, client, app.srvBuf.Buf)
+		if app.ncp != nil {
+			ap.ncp.Records(client, server, app.ncp.cli.Records())
+			ap.ncp.Records(server, client, app.ncp.srv.Records())
+		} else {
+			ap.ncp.Stream(client, server, app.cliBuf.Buf)
+			ap.ncp.Stream(server, client, app.srvBuf.Buf)
+		}
 		ap.markNCPKeepAlive(conn)
 	case "NFS":
-		sunrpc.SplitRecords(app.cliBuf.Buf, func(rec []byte) {
-			ap.nfs.Message(client, server, rec)
-		})
-		sunrpc.SplitRecords(app.srvBuf.Buf, func(rec []byte) {
-			ap.nfs.Message(server, client, rec)
-		})
+		if app.nfs != nil {
+			ap.nfs.Records(client, server, app.nfs.cli.Records())
+			ap.nfs.Records(server, client, app.nfs.srv.Records())
+		} else {
+			ap.nfs.Records(client, server, sunrpc.SplitRecords(app.cliBuf.Buf))
+			ap.nfs.Records(server, client, sunrpc.SplitRecords(app.srvBuf.Buf))
+		}
 		ap.markNFSPair(client, server, false)
 	case "Spoolss":
 		key := dcerpc.ChanKey{Trace: trace, Conn: rec.FirstIdx, Side: dcerpc.SideBoth}
@@ -524,35 +545,25 @@ func (a *Analyzer) replayFTPRegistrations(host netip.Addr, srv []byte) {
 	}
 }
 
-// replayEPM walks complete DCE/RPC PDUs out of each contiguous stream
+// replayEPM takes the complete DCE/RPC PDUs of each contiguous stream
 // segment of an Endpoint Mapper connection, accumulating PDU statistics
 // and registering endpoint-mapped service ports. Parsing restarts at
-// segment (gap) boundaries, like the incremental parser's buffer reset.
-func (a *Analyzer) replayEPM(key dcerpc.ChanKey, fromClient bool, segs [][]byte) {
+// segment (gap) boundaries, and a PDU a segment ends inside is left out:
+// the parser is never told the segment is over, so it waits for the rest.
+func (a *Analyzer) replayEPM(key dcerpc.ChanKey, segs [][]byte) {
 	for _, seg := range segs {
-		buf := seg
-		for {
-			p, n, err := dcerpc.Decode(buf)
-			if err != nil || n == 0 || n > len(buf) {
-				break
+		var p dcerpc.StreamParser
+		p.Data(seg)
+		a.apps.rpc.SummariesKey(key, p.PDUs())
+		for _, pdu := range p.PDUs() {
+			if !pdu.Mapped {
+				continue
 			}
-			// Only consume complete PDUs; Decode clamps n to the buffer,
-			// so compare against the header's fragment length.
-			if len(buf) >= 10 {
-				fragLen := int(uint16(buf[8]) | uint16(buf[9])<<8)
-				if fragLen > len(buf) {
-					break // the incremental parser would wait for more bytes
-				}
+			name := dcerpc.InterfaceName(pdu.Iface)
+			if name == "unknown" {
+				name = "DCE/RPC"
 			}
-			a.apps.rpc.PDUKey(key, fromClient, p)
-			if iface, host, port, ok := dcerpc.ParseEpmMapResponse(p); ok {
-				name := dcerpc.InterfaceName(iface)
-				if name == "unknown" {
-					name = "DCE/RPC"
-				}
-				a.opts.Registry.Register(host, layers.ProtoTCP, port, name, categories.Windows)
-			}
-			buf = buf[n:]
+			a.opts.Registry.Register(netip.AddrFrom4(pdu.Host), layers.ProtoTCP, pdu.Port, name, categories.Windows)
 		}
 	}
 }

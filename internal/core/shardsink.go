@@ -4,7 +4,11 @@ import (
 	"net/netip"
 	"time"
 
+	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/http"
+	"enttrace/internal/appproto/ncp"
+	"enttrace/internal/appproto/smtp"
+	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/categories"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
@@ -14,8 +18,11 @@ import (
 )
 
 // bufferedProtos are the TCP protocols whose payloads are reassembled,
-// with the per-direction byte limit replay sees. newConnStreams decides
-// what each one's reassembled bytes are delivered into.
+// with the per-direction byte limit replay sees: a stream parser stops
+// reading there, a buffer stops growing. newConnStreams decides what each
+// one's reassembled bytes are delivered into — for all but FTP, the
+// Endpoint Mapper and dynamically mapped Spoolss that is a parser, when
+// the responder's port fixes the name.
 var bufferedProtos = map[string]int{
 	"HTTP":        4 << 20,
 	"FTP":         1 << 20,
@@ -25,6 +32,7 @@ var bufferedProtos = map[string]int{
 	"Netbios-SSN": 2 << 20,
 	"NCP":         2 << 20,
 	"NFS":         2 << 20,
+	"DCE/RPC-EPM": 1 << 20,
 	"Spoolss":     1 << 20, // dynamically mapped DCE/RPC service ports
 }
 
@@ -93,13 +101,14 @@ type udpEvent struct {
 }
 
 // connStreams reassembles one TCP connection's two directions and holds
-// what replay needs of them: the bytes themselves (cliBuf/srvBuf, or the
-// EPM segment buffers) where replay does the parsing, the parsed
-// transactions alone where the stream could be parsed as it arrived
-// (http), nothing where replay reads nothing. The streams are embedded by
-// value (one allocation per connection), and every byte buffer underneath
-// them is pooled: replayApps releases the whole structure back to the
-// reassembly buffer pool at end of trace.
+// what replay needs of them: the parsed records alone where the protocol
+// was known when the connection attached and its stream could be parsed
+// as it arrived (http, smtp, cifs, ncp, nfs), the bytes themselves
+// (cliBuf/srvBuf, or the EPM segment buffers) where replay must classify
+// or register before it can parse, nothing where replay reads nothing.
+// The streams are embedded by value (one allocation per connection), and
+// every byte buffer underneath them is pooled: replayApps releases the
+// whole structure back to the reassembly buffer pool at end of trace.
 type connStreams struct {
 	// kind is the registry protocol name when the connection attached;
 	// replay re-classifies, so this only records the buffering decision.
@@ -108,10 +117,15 @@ type connStreams struct {
 	buffered             bool
 	cliStream, srvStream reassembly.Stream
 	cliBuf, srvBuf       reassembly.BufferConsumer
-	// http replaces the buffers for a connection that is HTTP by its
-	// responder's well-known port: the streams feed the parsers directly
-	// and no stream byte is kept.
-	http *httpStreams
+	// At most one of these replaces the buffers, for a connection whose
+	// protocol is fixed by its responder's well-known port: the streams
+	// feed the two directions' parsers directly and no stream byte is
+	// kept. cifs serves both framings (CIFS and Netbios-SSN).
+	http *parserPair[http.StreamParser]
+	smtp *parserPair[smtp.StreamParser]
+	cifs *parserPair[cifs.StreamParser]
+	ncp  *parserPair[ncp.StreamParser]
+	nfs  *parserPair[sunrpc.StreamParser]
 	// epmCli/epmSrv replace the buffers for Endpoint Mapper connections,
 	// preserving gap boundaries so replay can resynchronize PDU parsing
 	// exactly where the incremental parser would have.
@@ -210,7 +224,7 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	app := connStreamsOf(conn)
 	if app == nil {
 		name, _ := s.opts.Registry.Classify(conn.Proto, conn.Key.Src, conn.Key.Dst, conn.Key.SrcPort, conn.Key.DstPort)
-		app = newConnStreams(name, conn)
+		app = newConnStreams(name, conn, !s.opts.bufferStreams)
 		conn.App = app
 	}
 	if len(p.Payload) > 0 && app.rstSeen {
@@ -245,9 +259,9 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	}
 }
 
-// httpStreams is the parse state of one connection's two HTTP directions.
-type httpStreams struct {
-	cli, srv http.StreamParser
+// parserPair is the parse state of one connection's two directions.
+type parserPair[P any] struct {
+	cli, srv P
 }
 
 // nullConsumer reassembles a stream for its ledger alone.
@@ -257,8 +271,9 @@ func (nullConsumer) Data([]byte) {}
 func (nullConsumer) Gap(int)     {}
 
 // newConnStreams decides, from the attach-time classification, whether
-// and how a connection's payload is kept for replay.
-func newConnStreams(name string, conn *flows.Conn) *connStreams {
+// and how a connection's payload is kept for replay; parse allows stream
+// parsers where the name is fixed.
+func newConnStreams(name string, conn *flows.Conn, parse bool) *connStreams {
 	app := &connStreams{kind: name}
 	limit, buffered := bufferedProtos[name]
 	// A name that comes from the responder's well-known port is the one
@@ -266,37 +281,48 @@ func newConnStreams(name string, conn *flows.Conn) *connStreams {
 	// there first), so what replay will do with the stream is known now.
 	// A name matched through the originator's port is not: such a stream
 	// keeps its bytes for whatever replay classifies it as.
-	fixed := buffered && categories.WellKnown(conn.Proto, conn.Key.DstPort) == name
+	fixed := parse && buffered && categories.WellKnown(conn.Proto, conn.Key.DstPort) == name
 	switch {
 	case name == "FTP" && conn.Key.DstPort == 21:
-		// Control channel: the client side is size-capped like any other
-		// buffered protocol; the server side is kept whole so replay can
-		// register PASV data ports before classifying later connections.
-		app.cliBuf.Limit = limit
-		app.buffered = true
-		app.cliStream.Init(&app.cliBuf)
-		app.srvStream.Init(&app.srvBuf)
+		// Control channel. Replay reads the server side before it
+		// classifies any later connection, to register the PASV data
+		// ports announced within the limit.
+		app.buffer(limit)
 	case name == "DCE/RPC-EPM":
-		app.epmCli = &segBuffer{}
-		app.epmSrv = &segBuffer{}
-		app.buffered = true
-		app.cliStream.Init(app.epmCli)
-		app.srvStream.Init(app.epmSrv)
+		app.epmCli = &segBuffer{room: limit}
+		app.epmSrv = &segBuffer{room: limit}
+		app.consume(app.epmCli, app.epmSrv)
 	case fixed && name == "HTTP":
 		// Replay needs the message heads and body lengths only: parse
 		// them out of the chunks as reassembly delivers them.
-		app.http = &httpStreams{}
+		app.http = &parserPair[http.StreamParser]{}
 		app.http.cli.InitRequests(limit)
 		app.http.srv.InitResponses(limit)
-		app.buffered = true
-		app.cliStream.Init(&app.http.cli)
-		app.srvStream.Init(&app.http.srv)
+		app.consume(&app.http.cli, &app.http.srv)
+	case fixed && name == "SMTP":
+		app.smtp = &parserPair[smtp.StreamParser]{}
+		app.smtp.cli.InitClient(limit)
+		app.smtp.srv.InitServer(limit)
+		app.consume(&app.smtp.cli, &app.smtp.srv)
+	case fixed && (name == "CIFS" || name == "Netbios-SSN"):
+		app.cifs = &parserPair[cifs.StreamParser]{}
+		app.cifs.cli.Init(name == "Netbios-SSN", limit)
+		app.cifs.srv.Init(name == "Netbios-SSN", limit)
+		app.consume(&app.cifs.cli, &app.cifs.srv)
+	case fixed && name == "NCP":
+		app.ncp = &parserPair[ncp.StreamParser]{}
+		app.ncp.cli.Init(limit)
+		app.ncp.srv.Init(limit)
+		app.consume(&app.ncp.cli, &app.ncp.srv)
+	case fixed && name == "NFS":
+		app.nfs = &parserPair[sunrpc.StreamParser]{}
+		app.nfs.cli.Init(limit)
+		app.nfs.srv.Init(limit)
+		app.consume(&app.nfs.cli, &app.nfs.srv)
 	case fixed && name == "IMAP4":
 		// Replay parses nothing of IMAP4 (the email figures are
 		// transport-level); the streams run for the hostile-input ledger.
-		app.buffered = true
-		app.cliStream.Init(nullConsumer{})
-		app.srvStream.Init(nullConsumer{})
+		app.consume(nullConsumer{}, nullConsumer{})
 	default:
 		if !buffered && name == "" && conn.Key.DstPort > 1023 {
 			// Unclassified ephemeral port: it may be endpoint-mapped
@@ -306,14 +332,25 @@ func newConnStreams(name string, conn *flows.Conn) *connStreams {
 			limit, buffered = unknownStreamLimit, true
 		}
 		if buffered {
-			app.cliBuf.Limit = limit
-			app.srvBuf.Limit = limit
-			app.buffered = true
-			app.cliStream.Init(&app.cliBuf)
-			app.srvStream.Init(&app.srvBuf)
+			app.buffer(limit)
 		}
 	}
 	return app
+}
+
+// consume starts the connection's two streams, delivering into cli and
+// srv.
+func (app *connStreams) consume(cli, srv reassembly.Consumer) {
+	app.buffered = true
+	app.cliStream.Init(cli)
+	app.srvStream.Init(srv)
+}
+
+// buffer starts the two streams delivering into cliBuf and srvBuf, each
+// keeping its first limit bytes.
+func (app *connStreams) buffer(limit int) {
+	app.cliBuf.Limit, app.srvBuf.Limit = limit, limit
+	app.consume(&app.cliBuf, &app.srvBuf)
 }
 
 // release sends every pooled byte buffer under this connection's streams
@@ -331,7 +368,7 @@ func (app *connStreams) release() {
 	app.srvStream.Discard()
 	app.cliBuf.Release()
 	app.srvBuf.Release()
-	app.http = nil
+	app.http, app.smtp, app.cifs, app.ncp, app.nfs = nil, nil, nil, nil, nil
 	if app.epmCli != nil {
 		app.epmCli.release()
 		app.epmSrv.release()
@@ -426,10 +463,15 @@ func (s *shardSink) bin(ts time.Time, wireLen int) {
 type segBuffer struct {
 	segs [][]byte
 	cur  []byte
+	// room is how many more bytes are kept, over all segments; the rest
+	// of the stream is dropped.
+	room int
 }
 
 // Data implements reassembly.Consumer, copying the borrowed chunk.
 func (b *segBuffer) Data(d []byte) {
+	d = d[:min(len(d), b.room)]
+	b.room -= len(d)
 	b.cur = reassembly.AppendPooled(b.cur, d)
 }
 

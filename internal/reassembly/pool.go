@@ -16,19 +16,33 @@ import "sync"
 // Put calls per connection.
 const (
 	minClassBits = 12 // 4 KB: smallest pooled capacity
-	maxClassBits = 22 // 4 MB: the largest BufferConsumer limit in use
+	maxClassBits = 22 // 4 MB: the largest per-direction stream limit in use
 	numClasses   = maxClassBits - minClassBits + 1
-	// maxRetainPerClass bounds how many bytes each size class keeps
-	// parked, so one huge trace cannot pin memory forever.
-	maxRetainPerClass = 32 << 20
+	// maxParked bounds the bytes the pool keeps parked, over all size
+	// classes, so a burst of large buffers cannot pin memory for the rest
+	// of the process's life. What still draws on the pool is out-of-order
+	// segments and the streams replay must classify before it can parse
+	// (unclassified ephemeral ports, FTP control, Endpoint Mapper): a
+	// full-payload trace of the reproduction's largest dataset has at
+	// most 4 MiB of those out at once, so twice that is parked at most.
+	maxParked = 8 << 20
 )
 
 type bufPool struct {
-	mu   sync.Mutex
-	free [numClasses][][]byte
+	mu     sync.Mutex
+	free   [numClasses][][]byte
+	parked int // bytes of capacity in free
 }
 
 var pool bufPool
+
+// ParkedBytes reports how many bytes of buffer capacity the pool holds
+// for reuse right now.
+func ParkedBytes() int {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	return pool.parked
+}
 
 // classFor returns the smallest size class whose capacity is ≥ n, or -1
 // when n exceeds the largest class.
@@ -55,6 +69,7 @@ func GetBuffer(n int) []byte {
 		b := free[len(free)-1]
 		free[len(free)-1] = nil
 		pool.free[c] = free[:len(free)-1]
+		pool.parked -= cap(b)
 		pool.mu.Unlock()
 		return b
 	}
@@ -98,8 +113,9 @@ func PutBuffer(b []byte) {
 		return
 	}
 	pool.mu.Lock()
-	if len(pool.free[c])<<(minClassBits+c) < maxRetainPerClass {
+	if pool.parked+cap(b) <= maxParked {
 		pool.free[c] = append(pool.free[c], b[:0])
+		pool.parked += cap(b)
 	}
 	pool.mu.Unlock()
 }
