@@ -205,6 +205,48 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 
+	// One op = one window closing: a four-connection trace whose clients
+	// hash two to each of two replay workers, each trace one window later
+	// than the last, so its join banks two workers' deltas (HTTP component
+	// and connection sums) into a new window and its end builds the
+	// report of the window before and hands it to OnWindow. The trace's
+	// own trip through the pipeline is most of the count; what the row
+	// refuses is a fold — a fresh full aggregate and a merge of both
+	// deltas into it — coming back between banking and the report.
+	windowClose := func(tb testing.TB) func() {
+		const ops = 50
+		emitted := 0
+		a := core.NewAnalyzer(core.Options{Dataset: "close", PayloadAnalysis: true, Workers: 1, ReplayWorkers: 2,
+			Window: time.Minute, OnWindow: func(*core.WindowReport) { emitted++ }})
+		server := enterprise.InternalHost(5, 200)
+		base := time.Date(2005, 1, 6, 9, 0, 0, 0, time.UTC)
+		traces := make([]core.TraceInput, ops+1) // allocsPerOp warms up with one
+		for i := range traces {
+			em := gen.NewEmitter(int64(i))
+			for c := 0; c < 4; c++ {
+				em.TCPSession(gen.TCPOpts{
+					Client: enterprise.InternalHost(5, 10+c), Server: server,
+					ClientPort: uint16(40000 + c), ServerPort: 80,
+					Start: base.Add(time.Duration(i)*time.Minute + time.Duration(c)*time.Second), RTT: time.Millisecond,
+					Turns: []gen.Turn{
+						{FromClient: true, Data: []byte("GET / HTTP/1.1\r\nHost: www.lbl.gov\r\nUser-Agent: Mozilla/4.0\r\n\r\n")},
+						{Data: []byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 2\r\n\r\nok")},
+					},
+				})
+			}
+			traces[i] = core.TraceInput{Name: "close", Monitored: enterprise.SubnetPrefix(5), Packets: em.Packets()}
+		}
+		next := 0
+		return func() {
+			if err := a.AddTrace(traces[next]); err != nil {
+				tb.Fatal(err)
+			}
+			if next++; emitted != next-1 {
+				tb.Fatalf("%d windows emitted after %d traces", emitted, next)
+			}
+		}
+	}
+
 	// One op = one MSS-sized chunk handed to a stream parser that is inside
 	// a record body: enter puts a parser there and returns its Data.
 	body := func(enter func() func([]byte)) setup {
@@ -323,14 +365,14 @@ func TestAllocationCeilings(t *testing.T) {
 		{name: "replay/D3/workers=4", allocs: 19744, bytes: 11394816, setup: replay(4)},
 		{name: "replay/D3/workers=8", allocs: 22373, bytes: 11588392, setup: replay(8)},
 		{name: "replay/D3/window=0", allocs: 66278, bytes: 44582576, setup: rotation(0)},
-		{name: "replay/D3/window=60s", allocs: 207180, bytes: 62166408, setup: rotation(60 * time.Second)},
+		{name: "replay/D3/window=60s", allocs: 182569, bytes: 54793344, setup: rotation(60 * time.Second)},
 		{name: "analyze/D0", allocs: 7761, bytes: 3527416, setup: analyze("D0")},
 		{name: "analyze/D1", allocs: 7857, bytes: 7021104, setup: analyze("D1")},
 		{name: "analyze/D2", allocs: 7990, bytes: 7293992, setup: analyze("D2")},
 		{name: "analyze/D3", allocs: 15921, bytes: 10666136, setup: analyze("D3")},
 		{name: "analyze/D4", allocs: 15696, bytes: 10842920, setup: analyze("D4")},
 		{name: "soak/D3-shape", allocs: 60714, bytes: 44526136, setup: soak(0)},
-		{name: "soak/D3-shape/window=60s", allocs: 85036, bytes: 46978440, setup: soak(60 * time.Second)},
+		{name: "soak/D3-shape/window=60s", allocs: 77296, bytes: 46853272, setup: soak(60 * time.Second)},
 		// Per frame these come to 0.61 allocations and 1 132 B (D2: 9 894
 		// frames, 68 bytes kept of each), 0.83 and 1 521 B (D3: 4 872 whole
 		// frames) and 0.78 and 791 B (the stream: 37 707 frames built in
@@ -364,6 +406,7 @@ func TestAllocationCeilings(t *testing.T) {
 				}
 			}
 		}},
+		{name: "window/close", allocs: 436, bytes: 73517, runs: 50, setup: windowClose},
 		{name: "serve/window-hit", allocs: 14, bytes: 9228, runs: 100, setup: serveHit("/report/window/0")},
 		{name: "serve/latest-hit", allocs: 11, bytes: 7124, runs: 100, setup: serveHit("/report/latest")},
 		// The hostile-input price: the evasion scenario family through

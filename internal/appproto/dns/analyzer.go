@@ -7,23 +7,11 @@ import (
 	"enttrace/internal/stats"
 )
 
-// Transaction is one matched query/response pair (or an unanswered query).
-type Transaction struct {
-	Client, Server netip.Addr
-	QName          string
-	QType          uint16
-	Rcode          uint8
-	Answered       bool
-	Latency        time.Duration
-}
-
 // Analyzer consumes DNS messages observed on the wire and produces the
 // paper's §5.1.3 statistics: per-type request mix, return-code mix,
 // latency distribution, and per-client request counts.
 type Analyzer struct {
 	pending map[pendKey]pend
-	// Done holds completed transactions.
-	Done []Transaction
 
 	Types   *stats.Counter // request type mix
 	Rcodes  *stats.Counter // return code mix (by distinct name+hostpair)
@@ -50,7 +38,6 @@ type opKey struct {
 
 type pend struct {
 	qname string
-	qtype uint16
 	at    time.Time
 }
 
@@ -83,7 +70,7 @@ func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *Message) {
 	if !m.Response {
 		a.Types.Inc(TypeName(m.QType))
 		a.Clients.Inc(a.addrString(src))
-		a.pending[pendKey{client: src, server: dst, id: m.ID}] = pend{qname: m.QName, qtype: m.QType, at: ts}
+		a.pending[pendKey{client: src, server: dst, id: m.ID}] = pend{qname: m.QName, at: ts}
 		return
 	}
 	key := pendKey{client: dst, server: src, id: m.ID}
@@ -92,8 +79,7 @@ func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *Message) {
 		return
 	}
 	delete(a.pending, key)
-	lat := ts.Sub(q.at)
-	a.Latency.Observe(lat.Seconds())
+	a.Latency.Observe(ts.Sub(q.at).Seconds())
 	// The paper counts success/failure by distinct operation (name,
 	// host pair), not raw message count, to avoid retry skew.
 	op := opKey{qname: q.qname, client: dst, server: src}
@@ -101,26 +87,18 @@ func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *Message) {
 		a.seenOp[op] = struct{}{}
 		a.Rcodes.Inc(rcodeName(m.Rcode))
 	}
-	a.Done = append(a.Done, Transaction{
-		Client: dst, Server: src,
-		QName: q.qname, QType: q.qtype,
-		Rcode: m.Rcode, Answered: true, Latency: lat,
-	})
 }
 
 // Merge folds other's accumulated state into a. The aggregate outputs
 // (counters, latency distribution) are commutative, so merging per-shard
 // analyzers yields the same statistics for any sharding — provided each
 // (client, server) host pair was fed to exactly one shard, which is what
-// keeps the pending/seenOp pairing state shard-local. Done transactions
-// are appended in merge-call order; callers that need a canonical order
-// must sort by their own key.
+// keeps the pending/seenOp pairing state shard-local.
 func (a *Analyzer) Merge(other *Analyzer) {
 	a.Types.Merge(other.Types)
 	a.Rcodes.Merge(other.Rcodes)
 	a.Clients.Merge(other.Clients)
 	a.Latency.Merge(other.Latency)
-	a.Done = append(a.Done, other.Done...)
 	for k, v := range other.pending {
 		a.pending[k] = v
 	}
@@ -129,35 +107,23 @@ func (a *Analyzer) Merge(other *Analyzer) {
 	}
 }
 
-// Cut moves the statistics banked since the last cut — counters,
-// latency samples, completed transactions — into the returned analyzer
-// and installs fresh empties, so the cost is O(1) in the epoch's size.
-// Returns nil when nothing was banked. The epoch contract: the in-flight
+// Cut moves the statistics banked since the last cut — counters and
+// latency samples — into the returned analyzer and installs fresh
+// empties, so the cost is O(1) in the epoch's size. Returns nil when
+// nothing was banked. The epoch contract: the in-flight
 // pairing state — pending queries, the per-operation dedup set, the
 // address-format cache — stays behind, so a query answered in a later
 // window pairs exactly as it would have without the cut, and merging
 // every cut reproduces the uncut analyzer's statistics.
 func (a *Analyzer) Cut() *Analyzer {
 	if a.Types.Total() == 0 && a.Rcodes.Total() == 0 && a.Clients.Total() == 0 &&
-		a.Latency.N() == 0 && len(a.Done) == 0 {
+		a.Latency.N() == 0 {
 		return nil
 	}
-	s := &Analyzer{Types: a.Types, Rcodes: a.Rcodes, Clients: a.Clients, Latency: a.Latency, Done: a.Done}
+	s := &Analyzer{Types: a.Types, Rcodes: a.Rcodes, Clients: a.Clients, Latency: a.Latency}
 	a.Types, a.Rcodes, a.Clients = stats.NewCounter(), stats.NewCounter(), stats.NewCounter()
 	a.Latency = stats.NewDist()
-	a.Done = nil
 	return s
-}
-
-// Flush records remaining unanswered queries as transactions.
-func (a *Analyzer) Flush() {
-	for k, q := range a.pending {
-		a.Done = append(a.Done, Transaction{
-			Client: k.client, Server: k.server,
-			QName: q.qname, QType: q.qtype,
-		})
-		delete(a.pending, k)
-	}
 }
 
 func rcodeName(rc uint8) string {

@@ -139,30 +139,33 @@ func TestAnalyzerPairsQueryResponse(t *testing.T) {
 	t0 := time.Unix(100, 0)
 	a.Message(t0, client, server, &Message{ID: 5, QName: "a.lbl.gov", QType: TypeA})
 	a.Message(t0.Add(400*time.Microsecond), server, client, &Message{ID: 5, Response: true, Rcode: RcodeNoError, QName: "a.lbl.gov", QType: TypeA})
-	if len(a.Done) != 1 {
-		t.Fatalf("done = %d", len(a.Done))
+	if len(a.pending) != 0 {
+		t.Errorf("pending = %d after the answer", len(a.pending))
 	}
-	tr := a.Done[0]
-	if !tr.Answered || tr.Rcode != RcodeNoError || tr.Latency != 400*time.Microsecond {
-		t.Errorf("transaction = %+v", tr)
-	}
-	if a.Types.Get("A") != 1 {
+	if a.Types.Get("A") != 1 || a.Types.Total() != 1 {
 		t.Error("type counter")
 	}
-	if a.Rcodes.Get("NOERROR") != 1 {
+	if a.Rcodes.Get("NOERROR") != 1 || a.Rcodes.Total() != 1 {
 		t.Error("rcode counter")
 	}
-	if a.Latency.N() != 1 {
-		t.Error("latency dist")
+	if a.Clients.Get(client.String()) != 1 || a.Clients.Total() != 1 {
+		t.Error("client counter")
+	}
+	if a.Latency.N() != 1 || a.Latency.Median() != (400*time.Microsecond).Seconds() {
+		t.Errorf("latency dist: n %d, median %v", a.Latency.N(), a.Latency.Median())
 	}
 }
 
-func TestAnalyzerUnansweredFlushed(t *testing.T) {
+func TestAnalyzerUnansweredStaysPending(t *testing.T) {
 	a := NewAnalyzer()
 	a.Message(time.Unix(0, 0), client, server, &Message{ID: 1, QName: "x.lbl.gov", QType: TypeAAAA})
-	a.Flush()
-	if len(a.Done) != 1 || a.Done[0].Answered {
-		t.Errorf("done = %+v", a.Done)
+	// The request counts at once; with no answer there is no outcome and
+	// no latency sample, and the query waits for one.
+	if a.Types.Get("AAAA") != 1 || a.Clients.Get(client.String()) != 1 {
+		t.Error("unanswered query missing from the request counters")
+	}
+	if len(a.pending) != 1 || a.Rcodes.Total() != 0 || a.Latency.N() != 0 {
+		t.Errorf("pending %d, rcodes %d, latency samples %d; want 1, 0, 0", len(a.pending), a.Rcodes.Total(), a.Latency.N())
 	}
 }
 
@@ -177,18 +180,21 @@ func TestAnalyzerRetryCountedOnce(t *testing.T) {
 		a.Message(t0, client, server, &Message{ID: id, QName: "stale.lbl.gov", QType: TypeA})
 		a.Message(t0.Add(time.Millisecond), server, client, &Message{ID: id, Response: true, Rcode: RcodeNXDomain, QName: "stale.lbl.gov", QType: TypeA})
 	}
-	if a.Rcodes.Get("NXDOMAIN") != 1 {
-		t.Errorf("NXDOMAIN = %d, want 1 (deduplicated)", a.Rcodes.Get("NXDOMAIN"))
+	if a.Rcodes.Get("NXDOMAIN") != 1 || a.Rcodes.Total() != 1 {
+		t.Errorf("NXDOMAIN = %d of %d, want 1 of 1 (deduplicated)", a.Rcodes.Get("NXDOMAIN"), a.Rcodes.Total())
 	}
-	if len(a.Done) != 5 {
-		t.Errorf("done = %d, want 5 raw transactions", len(a.Done))
+	// Requests and latency are per message: every retry was asked and
+	// answered.
+	if a.Types.Get("A") != 5 || a.Clients.Get(client.String()) != 5 || a.Latency.N() != 5 {
+		t.Errorf("types %d, clients %d, latency samples %d; want 5 raw transactions each",
+			a.Types.Get("A"), a.Clients.Get(client.String()), a.Latency.N())
 	}
 }
 
 func TestAnalyzerResponseWithoutQueryIgnored(t *testing.T) {
 	a := NewAnalyzer()
 	a.Message(time.Unix(0, 0), server, client, &Message{ID: 9, Response: true, Rcode: RcodeNoError})
-	if len(a.Done) != 0 {
+	if a.Rcodes.Total() != 0 || a.Latency.N() != 0 || a.Types.Total() != 0 || a.Clients.Total() != 0 || len(a.pending) != 0 {
 		t.Error("orphan response should be dropped")
 	}
 }

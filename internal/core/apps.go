@@ -328,33 +328,46 @@ func (e *emailAgg) successRate(key string) (float64, int) {
 // and success-rate statistics.
 type httpAgg struct {
 	// Transport-level (all datasets).
-	connPairs        map[string]map[layers.HostPair]bool // locality → pair success
+	connPairs        map[locPair]bool // (pair, locality) → any success
 	httpsConnsByPair map[layers.HostPair]int64
 
 	// Payload-level (full-snaplen datasets).
 	reqTotal    map[string]int64 // locality → request count
 	dataTotal   map[string]int64 // locality → response body bytes
 	byClass     map[string]*struct{ Reqs, Bytes int64 }
-	automated   map[netip.Addr]bool                               // clients seen acting automated
-	fanServers  map[netip.Addr]map[string]map[netip.Addr]struct{} // client → locality → servers
-	contentReq  map[string]*stats.Counter                         // locality → content-class requests
-	contentLen  map[string]*stats.Counter                         // locality → content-class bytes
-	replySizes  map[string]*stats.Dist                            // locality → body size dist
+	automated   map[netip.Addr]bool       // clients seen acting automated
+	fanServers  map[fanEdge]struct{}      // distinct (client, server, locality); fan-out is counted at report time
+	contentReq  map[string]*stats.Counter // locality → content-class requests
+	contentLen  map[string]*stats.Counter // locality → content-class bytes
+	replySizes  map[string]*stats.Dist    // locality → body size dist
 	conditional map[string]*struct{ Cond, Total, CondBytes, Bytes int64 }
 	methods     *stats.Counter
 	statusOK    int64
 	statusAll   int64
 }
 
+// locPair and fanEdge key the HTTP aggregate's two per-host sets. They
+// are flat — one map an aggregate, not one a client or a locality — so
+// merging a delta inserts keys and allocates nothing per client.
+type locPair struct {
+	pair layers.HostPair
+	wan  bool
+}
+
+type fanEdge struct {
+	client, server netip.Addr
+	wan            bool
+}
+
 func newHTTPAgg() *httpAgg {
 	return &httpAgg{
-		connPairs:        make(map[string]map[layers.HostPair]bool),
+		connPairs:        make(map[locPair]bool),
 		httpsConnsByPair: make(map[layers.HostPair]int64),
 		reqTotal:         make(map[string]int64),
 		dataTotal:        make(map[string]int64),
 		byClass:          make(map[string]*struct{ Reqs, Bytes int64 }),
 		automated:        make(map[netip.Addr]bool),
-		fanServers:       make(map[netip.Addr]map[string]map[netip.Addr]struct{}),
+		fanServers:       make(map[fanEdge]struct{}),
 		contentReq:       make(map[string]*stats.Counter),
 		contentLen:       make(map[string]*stats.Counter),
 		replySizes:       make(map[string]*stats.Dist),
@@ -375,13 +388,8 @@ func (h *httpAgg) transportConn(name string, wan bool, c *flows.Conn) {
 		h.httpsConnsByPair[c.HostPair()]++
 		return
 	}
-	key := httpLoc(wan)
-	pm := h.connPairs[key]
-	if pm == nil {
-		pm = make(map[layers.HostPair]bool)
-		h.connPairs[key] = pm
-	}
-	pm[c.HostPair()] = pm[c.HostPair()] || c.Successful()
+	key := locPair{pair: c.HostPair(), wan: wan}
+	h.connPairs[key] = h.connPairs[key] || c.Successful()
 }
 
 // conn processes one parsed HTTP connection.
@@ -418,16 +426,7 @@ func (h *httpAgg) conn(c *flows.Conn, wan bool, reqs []http.Request, resps []htt
 			continue // remaining stats exclude automated activity
 		}
 		h.methods.Inc(r.Method)
-		// Fan-out.
-		fl := h.fanServers[client]
-		if fl == nil {
-			fl = make(map[string]map[netip.Addr]struct{})
-			h.fanServers[client] = fl
-		}
-		if fl[loc] == nil {
-			fl[loc] = make(map[netip.Addr]struct{})
-		}
-		fl[loc][server] = struct{}{}
+		h.fanServers[fanEdge{client: client, server: server, wan: wan}] = struct{}{}
 		// Conditional GETs and their byte savings.
 		cond := h.conditional[loc]
 		if cond == nil {
@@ -470,77 +469,111 @@ func (h *httpAgg) conn(c *flows.Conn, wan bool, reqs []http.Request, resps []htt
 // deterministic replay"). Every operation here is either commutative
 // (sums, counter/distribution merges, set unions) or keyed by a host
 // pair that the replay sharding guarantees lives in exactly one source,
-// so the merged state is identical for any shard count. other remains
-// usable afterwards; nothing mutable is aliased. other may be a sparse
-// cut delta: nil components mean "nothing banked" and are skipped. The
-// receiver must be a full aggregate (newAppAggregates).
+// so the merged state is identical for any shard count. Either side may
+// be sparse (a cut delta, a window's aggregate): components other lacks
+// are skipped, and components ap lacks are adopted from other by
+// pointer, not copied. Into a full aggregate (newAppAggregates) nothing
+// is adopted, other remains usable afterwards and nothing mutable is
+// aliased; a sparse receiver consumes other.
 func (ap *appAggregates) Merge(other *appAggregates) {
-	if other.dnsInt != nil {
-		ap.dnsInt.Merge(other.dnsInt)
-	}
-	if other.dnsWan != nil {
-		ap.dnsWan.Merge(other.dnsWan)
-	}
-	if other.nbns != nil {
-		ap.nbns.Merge(other.nbns)
-	}
-	if other.ssn != nil {
-		ap.ssn.Merge(other.ssn)
-	}
-	if other.cifs != nil {
-		ap.cifs.Merge(other.cifs)
-	}
-	if other.rpc != nil {
-		ap.rpc.Merge(other.rpc)
-	}
-	for service, pairs := range other.winPairs {
-		m := ap.winPairs[service]
-		if m == nil {
-			m = make(map[layers.HostPair]flows.State, len(pairs))
-			ap.winPairs[service] = m
-		}
-		for pair, st := range pairs {
-			cur, seen := m[pair]
-			m[pair] = foldWinState(cur, seen, st)
+	fold(&ap.dnsInt, other.dnsInt)
+	fold(&ap.dnsWan, other.dnsWan)
+	fold(&ap.nbns, other.nbns)
+	fold(&ap.ssn, other.ssn)
+	fold(&ap.cifs, other.cifs)
+	fold(&ap.rpc, other.rpc)
+	if ap.winPairs == nil {
+		ap.winPairs = other.winPairs
+	} else {
+		for service, pairs := range other.winPairs {
+			m := ap.winPairs[service]
+			if m == nil {
+				m = make(map[layers.HostPair]flows.State, len(pairs))
+				ap.winPairs[service] = m
+			}
+			for pair, st := range pairs {
+				cur, seen := m[pair]
+				m[pair] = foldWinState(cur, seen, st)
+			}
 		}
 	}
-	if other.nfs != nil {
-		ap.nfs.Merge(other.nfs)
-	}
-	if other.ncp != nil {
-		ap.ncp.Merge(other.ncp)
-	}
-	for pair := range other.nfsUDP {
-		ap.nfsUDP[pair] = true
-	}
-	for pair := range other.nfsTCP {
-		ap.nfsTCP[pair] = true
-	}
+	fold(&ap.nfs, other.nfs)
+	fold(&ap.ncp, other.ncp)
+	foldPairs(&ap.nfsUDP, other.nfsUDP)
+	foldPairs(&ap.nfsTCP, other.nfsTCP)
 	ap.ncpConns += other.ncpConns
 	ap.ncpKeepAliveOnly += other.ncpKeepAliveOnly
-	if other.email != nil {
-		ap.email.Merge(other.email)
-	}
-	if other.http != nil {
-		ap.http.Merge(other.http)
-	}
+	fold(&ap.email, other.email)
+	fold(&ap.http, other.http)
 	ap.sshConns += other.sshConns
 	ap.sshBulk += other.sshBulk
 	ap.sshPkts += other.sshPkts
 	ap.sshPayload += other.sshPayload
 	ap.ftpSessions = append(ap.ftpSessions, other.ftpSessions...)
-	mergeCounter(ap.bulkConns, other.bulkConns)
-	mergeCounter(ap.bulkBytes, other.bulkBytes)
-	mergeCounter(ap.backupConns, other.backupConns)
-	mergeCounter(ap.backupBytes, other.backupBytes)
+	fold(&ap.bulkConns, other.bulkConns)
+	fold(&ap.bulkBytes, other.bulkBytes)
+	fold(&ap.backupConns, other.backupConns)
+	fold(&ap.backupBytes, other.backupBytes)
 	ap.dantzConns += other.dantzConns
 	ap.dantzBidir += other.dantzBidir
 }
 
-// mergeCounter is Counter.Merge with a nil-source guard (sparse deltas).
-func mergeCounter(dst, src *stats.Counter) {
-	if src != nil {
-		dst.Merge(src)
+// fold merges one component of a possibly sparse source into the
+// receiver's — or moves it there, when the receiver has none yet.
+func fold[T any, P interface {
+	*T
+	Merge(P)
+}](dst *P, src P) {
+	switch {
+	case src == nil:
+	case *dst == nil:
+		*dst = src
+	default:
+		(*dst).Merge(src)
+	}
+}
+
+// foldPairs is fold for a host-pair set.
+func foldPairs(dst *map[layers.HostPair]bool, src map[layers.HostPair]bool) {
+	if *dst == nil {
+		*dst = src
+		return
+	}
+	for pair := range src {
+		(*dst)[pair] = true
+	}
+}
+
+// emptyApps stands in, read-only, for the components a sparse aggregate
+// lacks when a report is built from it.
+var emptyApps = newAppAggregates()
+
+// dense returns a copy of ap in which every component a report builder
+// dereferences is present: ap's own where it holds one, emptyApps'
+// otherwise. The maps and the session list read the same nil or empty.
+// The copy shares everything it points to with ap; it is for reading.
+func (ap *appAggregates) dense() *appAggregates {
+	d, e := *ap, emptyApps
+	orEmpty(&d.dnsInt, e.dnsInt)
+	orEmpty(&d.dnsWan, e.dnsWan)
+	orEmpty(&d.nbns, e.nbns)
+	orEmpty(&d.ssn, e.ssn)
+	orEmpty(&d.cifs, e.cifs)
+	orEmpty(&d.rpc, e.rpc)
+	orEmpty(&d.nfs, e.nfs)
+	orEmpty(&d.ncp, e.ncp)
+	orEmpty(&d.email, e.email)
+	orEmpty(&d.http, e.http)
+	orEmpty(&d.bulkConns, e.bulkConns)
+	orEmpty(&d.bulkBytes, e.bulkBytes)
+	orEmpty(&d.backupConns, e.backupConns)
+	orEmpty(&d.backupBytes, e.backupBytes)
+	return &d
+}
+
+func orEmpty[T any](p **T, empty *T) {
+	if *p == nil {
+		*p = empty
 	}
 }
 
@@ -700,15 +733,8 @@ func (e *emailAgg) Merge(other *emailAgg) {
 // Merge folds other's HTTP aggregates into h (all commutative sums and
 // set unions, so the merged state is sharding-invariant).
 func (h *httpAgg) Merge(other *httpAgg) {
-	for key, pm := range other.connPairs {
-		dst := h.connPairs[key]
-		if dst == nil {
-			dst = make(map[layers.HostPair]bool, len(pm))
-			h.connPairs[key] = dst
-		}
-		for pair, ok := range pm {
-			dst[pair] = dst[pair] || ok
-		}
+	for key, ok := range other.connPairs {
+		h.connPairs[key] = h.connPairs[key] || ok
 	}
 	for pair, n := range other.httpsConnsByPair {
 		h.httpsConnsByPair[pair] += n
@@ -731,22 +757,8 @@ func (h *httpAgg) Merge(other *httpAgg) {
 	for client := range other.automated {
 		h.automated[client] = true
 	}
-	for client, byLoc := range other.fanServers {
-		dstLoc := h.fanServers[client]
-		if dstLoc == nil {
-			dstLoc = make(map[string]map[netip.Addr]struct{}, len(byLoc))
-			h.fanServers[client] = dstLoc
-		}
-		for loc, servers := range byLoc {
-			dst := dstLoc[loc]
-			if dst == nil {
-				dst = make(map[netip.Addr]struct{}, len(servers))
-				dstLoc[loc] = dst
-			}
-			for server := range servers {
-				dst[server] = struct{}{}
-			}
-		}
+	for edge := range other.fanServers {
+		h.fanServers[edge] = struct{}{}
 	}
 	for loc, c := range other.contentReq {
 		if h.contentReq[loc] == nil {

@@ -69,6 +69,14 @@ func appsReport(ap *appAggregates) *Report {
 // enumeration from drifting when appAggregates grows a field: a
 // statistic the real accumulation paths bank and cut() fails to move
 // never reaches the merge and fails the deep comparison.
+//
+// Every cut is merged twice: into a full aggregate, which copies it, and
+// then into a sparse one, which adopts what it lacks and is read in
+// place through dense() — the way a window banks and reports. A
+// component Merge cannot adopt, or dense() does not fill, fails on the
+// sparse side; anything the adoption let the sparse side share with the
+// copy shows on the full one, which is compared after every later cut
+// has been merged into what was adopted.
 func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 	uncut := newAppAggregates()
 	foldDataset(t, uncut, func() {})
@@ -80,19 +88,21 @@ func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 	for _, every := range []int{1, 7, 1000} {
 		src := newAppAggregates()
 		merged := newAppAggregates()
+		window := newWindowAgg()
 		steps, cuts := 0, 0
+		bank := func() {
+			if d := src.cut(); d != nil {
+				merged.Merge(d)
+				window.apps.Merge(d)
+				cuts++
+			}
+		}
 		foldDataset(t, src, func() {
 			if steps++; steps%every == 0 {
-				if d := src.cut(); d != nil {
-					merged.Merge(d)
-					cuts++
-				}
+				bank()
 			}
 		})
-		if d := src.cut(); d != nil {
-			merged.Merge(d)
-			cuts++
-		}
+		bank()
 		if cuts < 2 {
 			t.Fatalf("every=%d: only %d cuts", every, cuts)
 		}
@@ -101,6 +111,9 @@ func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 		}
 		if got := appsReport(merged); !reflect.DeepEqual(got, want) {
 			t.Errorf("every=%d: merge of %d cuts differs from the uncut aggregate", every, cuts)
+		}
+		if got := buildReport("cut", window, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("every=%d: %d cuts adopted into a sparse aggregate read differently from the uncut aggregate", every, cuts)
 		}
 	}
 }

@@ -56,7 +56,9 @@ type epochAgg struct {
 	agedOut    int64
 
 	// apps folds banked application deltas: the phase-A residue at each
-	// trace end, the replay workers' running cumulatives at Report.
+	// trace end, and the replay workers' share — their running
+	// cumulatives at Report into the cumulative, their cuts at each join
+	// into a window's, which is sparse (newWindowAgg).
 	apps *appAggregates
 }
 
@@ -67,6 +69,19 @@ func newEpochAgg() *epochAgg {
 	e.apps = newAppAggregates()
 	return e
 }
+
+// newWindowAgg returns an empty window aggregate: merged into like the
+// cumulative, but sparse — its apps holds a component only once a banked
+// delta has brought one (appAggregates.Merge adopts it).
+func newWindowAgg() *epochAgg {
+	e := newTraceDelta()
+	e.apps = &appAggregates{}
+	return e
+}
+
+// emptyWindow is what a window nothing was banked into reads as: one
+// aggregate shared by every such window of every analyzer, never written.
+var emptyWindow = newWindowAgg()
 
 // newTraceDelta returns an empty per-trace delta: an aggregate that is
 // only ever merged from, so its apps stays nil until the trace's
@@ -91,7 +106,9 @@ func newTraceDelta() *epochAgg {
 
 // merge folds other into e. Every fold is a sum, union, exact
 // distribution merge, or append-in-banking-order, so folding a partition
-// of deltas reproduces the aggregate that never split.
+// of deltas reproduces the aggregate that never split. A window
+// aggregate adopts the application components it lacks from other (see
+// appAggregates.Merge): what is merged into a window is consumed.
 func (e *epochAgg) merge(other *epochAgg) {
 	e.totalPackets += other.totalPackets
 	e.traceCount += other.traceCount
@@ -161,9 +178,9 @@ type WindowReport struct {
 	Report     *Report
 }
 
-// windowDelta is one replay worker's banked contribution to one window:
-// the application aggregate snapshot cut at the window boundary and the
-// connection-level sums accumulated inside the window.
+// windowDelta is one replay worker's contribution to one window: what
+// its application aggregate banked up to the cut at the window boundary
+// and the connection-level sums accumulated inside the window.
 type windowDelta struct {
 	window int
 	apps   *appAggregates
@@ -171,7 +188,7 @@ type windowDelta struct {
 }
 
 // windowState is the Analyzer's epoch-rotation machinery: the window
-// clock (origin + duration), the per-window pending aggregates, and the
+// clock (origin + duration), the per-window aggregates, and the
 // event-time watermark that decides when a window is complete. All
 // access is mutex-guarded so a serve-mode HTTP handler can read window
 // reports while analysis is still streaming.
@@ -196,18 +213,18 @@ type windowState struct {
 	// a trace has drained, so a window is declared complete only when no
 	// in-flight worker can still contribute to it.
 	watermark time.Time
-	// pending maps window index to that window's trace-granular
-	// aggregate (packet censuses, scan, load, fan, roles — banked once
-	// per trace). Windows stay addressable after completion: a later
-	// trace that overlaps an already-completed window in event time
-	// banks into it (late data), and the canonical WindowReports() view
-	// at the end of the run reflects everything.
-	pending map[int]*epochAgg
-	// deltas holds each window's worker deltas in banking order; window
-	// reports fold them on demand, so banking itself is an append. (The
-	// cumulative fold does not read these: each worker maintains its own
-	// running aggregate of everything it banked, drained at Report.)
-	deltas map[int][]windowDelta
+	// windows maps window index to the window's aggregate: everything
+	// banked into it so far, merged as it arrived — the workers' deltas
+	// of every trace that touched it (bankDeltas), the trace-granular
+	// delta of every trace that ended in it (finishTrace). It is the one
+	// store a window has: reports and exports are built from it in place,
+	// under mu. A window nothing was banked into has no entry and reads
+	// as emptyWindow. Windows stay addressable after completion: a later
+	// trace that overlaps one in event time banks into it (late data),
+	// and WindowReports() at the end of the run reflects everything. (The
+	// cumulative does not read these: each worker keeps a running
+	// aggregate of everything it cut, drained at Report.)
+	windows map[int]*epochAgg
 	// maxWindow is the highest window index known (banked or covered by
 	// the watermark); -1 before any data.
 	maxWindow int
@@ -223,8 +240,7 @@ func newWindowState(dataset string, dur time.Duration, onWindow func(*WindowRepo
 		dur:       dur,
 		dataset:   dataset,
 		onWindow:  onWindow,
-		pending:   make(map[int]*epochAgg),
-		deltas:    make(map[int][]windowDelta),
+		windows:   make(map[int]*epochAgg),
 		maxWindow: -1,
 		rendered:  make(rendered),
 	}
@@ -258,21 +274,38 @@ func (ws *windowState) windowOf(ts time.Time) int {
 	return int(d / ws.dur)
 }
 
-// bankDeltas records one trace's worker deltas, in shard-major banking
-// order. Banking is an append — the folds happen lazily (window reports
-// on demand, the cumulative at Report) — and banking order preserves
-// each host pair's chronological fold (a pair's deltas all come from
-// one shard, in window order), which is what keeps the sum of windows
-// equal to the cumulative aggregate.
+// bankedLocked returns window n's aggregate for banking into, creating
+// it on first use. Callers hold ws.mu.
+func (ws *windowState) bankedLocked(n int) *epochAgg {
+	w := ws.windows[n]
+	if w == nil {
+		w = newWindowAgg()
+		ws.windows[n] = w
+	}
+	ws.maxWindow = max(ws.maxWindow, n)
+	return w
+}
+
+// bankDeltas merges one worker's deltas of one trace into their windows;
+// the join hands workers over in shard order. A banked delta is
+// consumed: the window adopts what it lacks by pointer (the worker moved
+// the delta out at the cut and has already copied it into its running
+// cumulative, so nothing else holds it) and merges the rest. Arrival
+// order preserves each host pair's chronological fold (a pair's deltas
+// all come from one shard, in window order), which is what keeps the sum
+// of windows equal to the cumulative aggregate.
 func (ws *windowState) bankDeltas(deltas []windowDelta) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	clear(ws.rendered)
 	for _, d := range deltas {
-		if d.window > ws.maxWindow {
-			ws.maxWindow = d.window
+		w := ws.bankedLocked(d.window)
+		if d.apps != nil {
+			w.apps.Merge(d.apps)
 		}
-		ws.deltas[d.window] = append(ws.deltas[d.window], d)
+		if d.conns != nil {
+			w.foldConns(d.conns)
+		}
 	}
 }
 
@@ -280,14 +313,14 @@ func (ws *windowState) bankDeltas(deltas []windowDelta) {
 // scanner removal, load, fan, roles, and the phase-A application
 // residue) into the window containing the trace's last packet — the
 // window during which those quantities become known — then advances the
-// watermark and emits every newly completed window.
+// watermark and emits every newly completed window, each as soon as its
+// report is built.
 //
 // A zero-packet trace has no event time: it banks into the window of
 // the current watermark (so window sums still cover it), or into the
 // cumulative alone when no packet has ever been seen (or the run is not
 // windowed, and so has no clock) — either way the cumulative counts it.
 func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
-	var completed []*WindowReport
 	ws.mu.Lock()
 	cum.merge(traceDelta)
 	if !ws.originSet {
@@ -298,62 +331,42 @@ func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 	if at.IsZero() {
 		at = ws.watermark
 	}
-	n := ws.windowOf(at)
-	if ws.pending[n] == nil {
-		ws.pending[n] = newEpochAgg()
-	}
-	ws.pending[n].merge(traceDelta)
+	// The cumulative copied the delta; the window may keep its parts.
+	ws.bankedLocked(ws.windowOf(at)).merge(traceDelta)
 	clear(ws.rendered)
-	ws.maxWindow = max(ws.maxWindow, n)
-	if !maxTS.IsZero() {
-		if maxTS.After(ws.watermark) {
-			ws.watermark = maxTS
-		}
-		// Every window strictly before the watermark's window is
-		// complete; gap windows with no traffic at all are enumerated
-		// (and emitted) as empty reports.
-		if high := ws.windowOf(ws.watermark) - 1; high > ws.maxWindow {
-			ws.maxWindow = high
-		}
-		if ws.onWindow != nil {
-			for ; ws.nextEmit < ws.windowOf(ws.watermark); ws.nextEmit++ {
-				completed = append(completed, ws.windowReportLocked(ws.nextEmit))
-			}
-		}
+	if maxTS.After(ws.watermark) {
+		ws.watermark = maxTS
+	}
+	// Every window strictly before the watermark's window is complete;
+	// gap windows with no traffic at all are enumerated (and emitted) as
+	// empty reports.
+	complete := ws.windowOf(ws.watermark)
+	ws.maxWindow = max(ws.maxWindow, complete-1)
+	for ws.onWindow != nil && ws.nextEmit < complete {
+		wr := ws.windowReportLocked(ws.nextEmit)
+		ws.nextEmit++
+		// Emit outside the lock: the callback may serve HTTP or block.
+		ws.mu.Unlock()
+		ws.onWindow(wr)
+		ws.mu.Lock()
 	}
 	ws.mu.Unlock()
-	// Emit outside the lock: the callback may serve HTTP or block.
-	for _, wr := range completed {
-		ws.onWindow(wr)
-	}
 }
 
-// foldWindowLocked builds window n's standalone aggregate: the
-// trace-granular pending epoch plus the window's worker deltas, folded
-// in banking order. This is the single fold both window reports and
-// fleet snapshot exports go through, so a shipped window is exactly the
-// window a local report would describe. Callers hold ws.mu.
-func (ws *windowState) foldWindowLocked(n int) *epochAgg {
-	e := newEpochAgg()
-	if tp := ws.pending[n]; tp != nil {
-		e.merge(tp)
+// aggLocked returns window n's aggregate for reading. Callers hold
+// ws.mu, and keep it while they read: a report or an export is built
+// from the aggregate banking writes, not from a copy.
+func (ws *windowState) aggLocked(n int) *epochAgg {
+	if w := ws.windows[n]; w != nil {
+		return w
 	}
-	for _, d := range ws.deltas[n] {
-		if d.apps != nil {
-			e.apps.Merge(d.apps)
-		}
-		if d.conns != nil {
-			e.foldConns(d.conns)
-		}
-	}
-	return e
+	return emptyWindow
 }
 
-// windowReportLocked builds window n's report: the trace-granular
-// aggregate plus the window's worker deltas, folded in banking order.
-// Callers hold ws.mu.
+// windowReportLocked builds window n's report from its aggregate, in
+// place. Callers hold ws.mu.
 func (ws *windowState) windowReportLocked(n int) *WindowReport {
-	return newWindowReport(ws.dataset, ws.foldWindowLocked(n), n, ws.origin, ws.dur)
+	return newWindowReport(ws.dataset, ws.aggLocked(n), n, ws.origin, ws.dur)
 }
 
 // newWindowReport renders window n's aggregate, labelled with its span
@@ -427,7 +440,7 @@ func (a *Analyzer) WindowReport(n int) (*WindowReport, bool) {
 // windowJSON returns the body a report server writes for window n (nil
 // when n is out of range), rendered only if the window has not been
 // asked for since the view was last written. WindowReport stays the
-// un-memoised fold: it hands out a *Report its caller may change.
+// un-memoised build: it hands out a *Report its caller may change.
 func (a *Analyzer) windowJSON(n int) ([]byte, error) {
 	ws := a.win
 	ws.mu.Lock()

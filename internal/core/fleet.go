@@ -57,9 +57,10 @@ func (a *Analyzer) FleetHello() fleet.Hello {
 	return h
 }
 
-// ExportWindow encodes window n's complete folded snapshot. On a
-// windowed analyzer it is safe to call while analysis streams (the
-// window fold is read-only). An unwindowed run is one unbounded window:
+// ExportWindow encodes window n's complete snapshot: the window's
+// aggregate as it stands, read in place. On a windowed analyzer it is
+// safe to call while analysis streams (banking and the export take the
+// same lock). An unwindowed run is one unbounded window:
 // it exports the drained cumulative as window 0, and like Report must
 // not race an in-flight Add*. The error path is an encoding bug or an
 // out-of-range window, never data-dependent.
@@ -71,7 +72,7 @@ func (a *Analyzer) ExportWindow(n int) (WindowExport, error) {
 	}
 	e := a.cum
 	if a.Windowing() {
-		e = a.win.foldWindowLocked(n)
+		e = a.win.aggLocked(n)
 	} else {
 		a.drainLocked()
 	}

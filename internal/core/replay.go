@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"net/netip"
 	"sync"
 	"time"
@@ -219,8 +220,9 @@ type replayWorker struct {
 	cumConns *connAggregates
 }
 
-// cut moves everything the worker banked since the last cut into its
-// running cumulative and appends it to deltas for banking under window.
+// cut moves everything the worker banked since the last cut out of its
+// shard: a copy goes into the worker's running cumulative, and the delta
+// itself onto deltas, for the window it is banked under to keep.
 func (rw *replayWorker) cut(deltas []windowDelta, window int) []windowDelta {
 	d, ca := rw.shard.cut(), rw.conns
 	rw.conns = nil
@@ -350,9 +352,9 @@ type replayResult struct {
 }
 
 // foldReplayResults folds the per-worker results into the trace target
-// and banks the window deltas, in shard order; every fold is a sum or a
-// banked delta merge in shard-major order, so the totals are identical
-// for any shard count.
+// and banks the window deltas into their windows, in shard order; every
+// fold is a sum or a delta merge in shard-major order, so the totals are
+// identical for any shard count.
 func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []replayResult) {
 	evidence := results[0].roles
 	for w, rr := range results {
@@ -514,33 +516,33 @@ func replayUDPEvent(ap *appAggregates, ev udpEvent, isLocal func(netip.Addr) boo
 	}
 }
 
-// replayFTPRegistrations scans complete reply lines of an FTP control
-// stream's server side and registers PASV-advertised data ports, exactly
-// as the incremental parser did at the moment each 227 reply was seen.
-// Lines are parsed in place; nothing here allocates. host is the FTP
-// server (the control connection's responder): a 227 reply advertises a
-// data port on the server itself, so the registration is scoped there.
+// replayFTPRegistrations registers the PASV-advertised data ports of an
+// FTP control stream's server side, exactly as the incremental parser
+// did at the moment each 227 reply was seen. host is the FTP server (the
+// control connection's responder): a 227 reply advertises a data port on
+// the server itself, so the registration is scoped there.
 func (a *Analyzer) replayFTPRegistrations(host netip.Addr, srv []byte) {
-	scanned := 0
+	pasvPorts(srv, func(port uint16) {
+		a.opts.Registry.Register(host, layers.ProtoTCP, port, "FTP-Data", categories.Bulk)
+	})
+}
+
+// pasvPorts scans the complete (CRLF-terminated) reply lines of srv and
+// yields the data port of every parseable 227 reply, in stream order.
+// Lines are parsed in place; nothing here allocates.
+func pasvPorts(srv []byte, yield func(port uint16)) {
 	for {
-		idx := -1
-		for i := scanned; i+1 < len(srv); i++ {
-			if srv[i] == '\r' && srv[i+1] == '\n' {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
+		end := bytes.Index(srv, []byte("\r\n"))
+		if end < 0 {
 			return
 		}
-		line := srv[scanned:idx]
-		scanned = idx + 2
-		code, text, ok := ftp.ParseReplyLine(line)
+		code, text, ok := ftp.ParseReplyLine(srv[:end])
+		srv = srv[end+2:]
 		if !ok || code != 227 {
 			continue
 		}
 		if port, ok := ftp.PasvPortFromText(text); ok {
-			a.opts.Registry.Register(host, layers.ProtoTCP, port, "FTP-Data", categories.Bulk)
+			yield(port)
 		}
 	}
 }

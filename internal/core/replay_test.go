@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/ftp"
+	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
 	"enttrace/internal/layers"
@@ -145,4 +148,48 @@ func TestReplayRegistrationOrdering(t *testing.T) {
 				grid[0], grid[1])
 		}
 	}
+}
+
+// FuzzReplayFTPRegistrations holds the one walk of buffered stream bytes
+// replay still makes — the CRLF scan of an FTP control connection's
+// server side for 227 replies — to a reference that splits the stream
+// with bytes.Split and parses every complete line: over arbitrary bytes
+// the two must find the same set of data ports, and what the scan finds
+// must be what reaches the registry, scoped to the server.
+func FuzzReplayFTPRegistrations(f *testing.F) {
+	const pasv = "227 Entering Passive Mode (128,3,7,5,136,205)\r\n"
+	f.Add([]byte("220 ready\r\n" + pasv + "226 done\r\n"))
+	f.Add([]byte("220 ready\r\n227 Entering Passive Mode (128,3,7,5,\r\n136,205)\r\n")) // a 227 line split in two
+	f.Add([]byte("227 Entering Passive Mode (128,3,7,5,136,205)\r"))                    // a bare CR: the line never ends
+	f.Add([]byte(strings.Repeat("x", 1<<20) + "\r\n" + pasv))                           // a 227 after 1 MiB of one line
+	server, other := netip.MustParseAddr("128.3.7.5"), netip.MustParseAddr("128.3.7.6")
+	f.Fuzz(func(t *testing.T, srv []byte) {
+		want := make(map[uint16]bool)
+		lines := bytes.Split(srv, []byte("\r\n"))
+		for _, line := range lines[:len(lines)-1] { // what follows the last CRLF is not a line yet
+			if code, text, ok := ftp.ParseReplyLine(line); ok && code == 227 {
+				if port, ok := ftp.PasvPortFromText(text); ok {
+					want[port] = true
+				}
+			}
+		}
+		got := make(map[uint16]bool)
+		pasvPorts(srv, func(port uint16) { got[port] = true })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the scan found data ports %v, the split-lines reference %v", got, want)
+		}
+		a := NewAnalyzer(Options{Dataset: "ftp"})
+		a.replayFTPRegistrations(server, srv)
+		for port := range want {
+			if categories.WellKnown(layers.ProtoTCP, port) != "" {
+				continue // the static table names the port, whatever is registered
+			}
+			if name, _ := a.opts.Registry.Classify(layers.ProtoTCP, other, server, 40000, port); name != "FTP-Data" {
+				t.Fatalf("port %d advertised by the server classifies as %q there", port, name)
+			}
+			if name, _ := a.opts.Registry.Classify(layers.ProtoTCP, server, other, 40000, port); name != "" {
+				t.Fatalf("port %d advertised by the server classifies as %q on another host", port, name)
+			}
+		}
+	})
 }

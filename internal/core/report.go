@@ -396,7 +396,7 @@ func frac(num, den float64) float64 {
 // buildReport renders one epoch aggregate (the whole run or one window)
 // into the dataset report.
 func buildReport(dataset string, e *epochAgg, win *WindowMeta) *Report {
-	ap := e.apps
+	ap := e.apps.dense()
 	r := &Report{Dataset: dataset, Window: win}
 	r.Table1 = DatasetStats{
 		Packets:        e.totalPackets,
@@ -535,36 +535,42 @@ func httpReport(ap *appAggregates) HTTPReport {
 			ByteFrac: frac(float64(e.Bytes), float64(r.InternalBytes)),
 		}
 	}
-	// Figure 3 fan-out.
+	// Figure 3 fan-out: distinct servers per client and locality (the
+	// edge key with no server).
+	fan := make(map[fanEdge]int)
+	for edge := range h.fanServers {
+		if !h.automated[edge.client] {
+			fan[fanEdge{client: edge.client, wan: edge.wan}]++
+		}
+	}
 	fanEnt, fanWan := stats.NewDist(), stats.NewDist()
-	fanEnt.Reserve(len(h.fanServers))
-	fanWan.Reserve(len(h.fanServers))
-	for client, byLoc := range h.fanServers {
-		if h.automated[client] {
-			continue
-		}
-		if n := len(byLoc["ent"]); n > 0 {
-			fanEnt.Observe(float64(n))
-		}
-		if n := len(byLoc["wan"]); n > 0 {
+	fanEnt.Reserve(len(fan))
+	fanWan.Reserve(len(fan))
+	for key, n := range fan {
+		if key.wan {
 			fanWan.Observe(float64(n))
+		} else {
+			fanEnt.Observe(float64(n))
 		}
 	}
 	r.FanOutEnt, r.FanOutWan = fanEnt.CDF(64), fanWan.CDF(64)
 	r.NEntClients, r.NWanClients = fanEnt.N(), fanWan.N()
 	// Success by pair.
-	rate := func(loc string) (float64, int) {
-		pm := h.connPairs[loc]
-		ok := 0
-		for _, s := range pm {
+	rate := func(wan bool) (float64, int) {
+		ok, n := 0, 0
+		for key, s := range h.connPairs {
+			if key.wan != wan {
+				continue
+			}
+			n++
 			if s {
 				ok++
 			}
 		}
-		return frac(float64(ok), float64(len(pm))), len(pm)
+		return frac(float64(ok), float64(n)), n
 	}
-	r.SuccessEnt, r.PairsEnt = rate("ent")
-	r.SuccessWan, r.PairsWan = rate("wan")
+	r.SuccessEnt, r.PairsEnt = rate(false)
+	r.SuccessWan, r.PairsWan = rate(true)
 	if c := h.conditional["ent"]; c != nil {
 		r.CondEnt = frac(float64(c.Cond), float64(c.Total))
 		r.CondBytesEnt = frac(float64(c.CondBytes), float64(c.Bytes))

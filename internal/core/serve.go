@@ -149,10 +149,9 @@ func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
 // the bodies are rendered from; every method that writes that state
 // clears it, and body fills it under the same lock, so an entry is never
 // older than the last write. A poll of a view nobody has written since
-// the path was last asked for folds, builds and marshals nothing. It
-// needs no bound of its own: an entry exists only for a window someone
-// asked for and the view holds the aggregates of (≈33 KB of deltas a
-// window against ≈9 KB of JSON).
+// the path was last asked for builds and marshals nothing. It needs no
+// bound of its own: an entry exists only for a window someone asked for,
+// whose aggregate the view holds anyway (≈16 KB, against ≈9 KB of JSON).
 type rendered map[int][]byte
 
 const cumulativeBody = -1

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"enttrace/internal/appproto/dns"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
 )
@@ -247,5 +250,135 @@ func TestWindowedReportsAcrossTraces(t *testing.T) {
 	if wins[0].Report.Table1.Traces != 1 || wins[1].Report.Table1.Traces != 1 {
 		t.Errorf("trace banking: got %d/%d traces, want 1/1",
 			wins[0].Report.Table1.Traces, wins[1].Report.Table1.Traces)
+	}
+}
+
+// TestWindowReadsInPlace holds the readers of a window to what reading in
+// place newly risks. A window's report and its export are built from the
+// aggregate banking writes, under the same lock: a read compacts the
+// distributions it touches and sorts the session list where they lie,
+// and the next trace banks late data into the very aggregate that was
+// read (the dataset's traces cover the same hour, so every trace after
+// the first lands in windows already read). So, after every trace, every
+// way of reading — all windows twice, all exports twice, single windows
+// in between — must equal a fresh analyzer fed the same traces and read
+// once, and every export must decode to the report of its window. The
+// windows are cut from deltas the replay workers also folded into their
+// running cumulatives; the run's final Report() must equal a run that
+// never cut, whatever was read and merged into on the way — a window
+// that still shared anything with a worker would show there.
+func TestWindowReadsInPlace(t *testing.T) {
+	ds := fleetTestDataset(t)
+	analyzer := func(window time.Duration) *Analyzer {
+		return NewAnalyzer(Options{Dataset: "reads", PayloadAnalysis: true, Workers: 2, ReplayWorkers: 2, Window: window})
+	}
+	add := func(a *Analyzer, i int) {
+		t.Helper()
+		tr := ds.Traces[i]
+		if err := a.AddTrace(TraceInput{Name: traceName(i), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	windows := func(a *Analyzer) []byte {
+		var buf bytes.Buffer
+		for _, wr := range a.WindowReports() {
+			buf.Write(reportBytes(t, wr.Report))
+		}
+		return buf.Bytes()
+	}
+	exports := func(a *Analyzer) []byte {
+		t.Helper()
+		all, err := a.ExportAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, we := range all {
+			e, err := decodeEpoch(we.Payload)
+			if err != nil {
+				t.Fatalf("window %d: %v", we.Window, err)
+			}
+			wr, _ := a.WindowReport(we.Window)
+			if !bytes.Equal(reportBytes(t, buildReport("reads", e, wr.Report.Window)), reportBytes(t, wr.Report)) {
+				t.Errorf("window %d: the export decodes to a different report than the window's", we.Window)
+			}
+			buf.Write(we.Payload)
+		}
+		return buf.Bytes()
+	}
+
+	const window = 5 * time.Minute
+	live, batch := analyzer(window), analyzer(0)
+	for i := range ds.Traces {
+		add(live, i)
+		add(batch, i)
+		fresh := analyzer(window)
+		for j := 0; j <= i; j++ {
+			add(fresh, j)
+		}
+		wantWindows, wantExports := windows(fresh), exports(fresh)
+		for pass := 0; pass < 2; pass++ {
+			if !bytes.Equal(windows(live), wantWindows) {
+				t.Fatalf("after trace %d, pass %d: WindowReports differs from a fresh analyzer's", i, pass)
+			}
+			if !bytes.Equal(exports(live), wantExports) {
+				t.Fatalf("after trace %d, pass %d: ExportAll differs from a fresh analyzer's", i, pass)
+			}
+		}
+	}
+	if live.WindowCount() < 10 {
+		t.Fatalf("%d windows: the traces were meant to overlap over an hour", live.WindowCount())
+	}
+	if !bytes.Equal(reportBytes(t, live.Report()), reportBytes(t, batch.Report())) {
+		t.Error("the cumulative report of the run whose windows were read differs from a run that never cut")
+	}
+	if !reflect.DeepEqual(emptyWindow, newWindowAgg()) || !reflect.DeepEqual(emptyApps, newAppAggregates()) {
+		t.Error("something was written to the empties every quiet window and every sparse aggregate read through")
+	}
+}
+
+// TestSparseWindowExports pins what a window that holds little exports:
+// a window nothing was banked into has no aggregate at all and one that
+// saw a single protocol holds that component alone, and both — like
+// every window — export a snapshot the aggregator's decoder accepts and
+// that decodes to the window's own report.
+func TestSparseWindowExports(t *testing.T) {
+	client, server := enterprise.InternalHost(5, 10), enterprise.InternalHost(5, 200)
+	em := gen.NewEmitter(11)
+	emitConn(em, 0, windowTestBase, 0) // window 0: connection sums only
+	// Window 1: nothing. Window 2: one internal DNS lookup.
+	query := &dns.Message{ID: 7, QName: "a.lbl.gov", QType: dns.TypeA}
+	reply := &dns.Message{ID: 7, Response: true, QName: "a.lbl.gov", QType: dns.TypeA, AnswerCount: 1}
+	em.UDPExchange(client, server, 40000, 53, windowTestBase.Add(130*time.Second), time.Millisecond, dns.Encode(query), dns.Encode(reply))
+	emitConn(em, 1, windowTestBase.Add(190*time.Second), 0) // window 3, left open
+	a := windowedAnalyzer(time.Minute)
+	if err := a.AddTrace(TraceInput{Name: "t0", Monitored: enterprise.SubnetPrefix(5), Packets: em.Packets()}); err != nil {
+		t.Fatal(err)
+	}
+	if a.WindowCount() != 4 {
+		t.Fatalf("want 4 windows, got %d", a.WindowCount())
+	}
+	if w := a.win.windows[1]; w != nil {
+		t.Errorf("the empty window holds an aggregate: %+v", w)
+	}
+	if ap := a.win.windows[2].apps; ap.dnsInt == nil || ap.dnsWan != nil || ap.http != nil || ap.email != nil || ap.cifs != nil {
+		t.Errorf("the DNS-only window holds %+v, want the internal DNS component alone", ap)
+	}
+	for n := 0; n < a.WindowCount(); n++ {
+		we, err := a.ExportWindow(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := decodeEpoch(we.Payload)
+		if err != nil {
+			t.Fatalf("window %d: %v", n, err)
+		}
+		wr, _ := a.WindowReport(n)
+		if !bytes.Equal(reportBytes(t, buildReport("win", e, wr.Report.Window)), reportBytes(t, wr.Report)) {
+			t.Errorf("window %d: the export decodes to a different report than the window's", n)
+		}
+	}
+	if r, _ := a.WindowReport(2); r.Report.Names.DNSTypes["A"] != 1 {
+		t.Errorf("window 2 DNS types: %v", r.Report.Names.DNSTypes)
 	}
 }

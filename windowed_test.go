@@ -8,6 +8,8 @@ package enttrace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
@@ -148,6 +150,75 @@ func TestMidRunReportsLeaveFinalUnchanged(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			if !bytes.Equal(run(workers, window, true), run(workers, window, false)) {
 				t.Errorf("window %v, %d workers: reporting after every trace changed the final report", window, workers)
+			}
+		}
+	}
+}
+
+// TestWindowReportDigests pins the windowed run's bytes against the
+// commit before windows became aggregates (2c27067, where a window kept
+// its banked deltas and folded them trace-granular-first on every read):
+// SHA-256 over every window's MarshalReport bytes, then the cumulative's.
+// The grid differentials above compare one build with itself, so a change
+// to the order a window folds in — or to what a banked delta still shares
+// with the worker that cut it — could move every window and stay
+// self-consistent; this fails instead. One constant per input: the bytes
+// may not depend on the replay worker count either. A change that means
+// to move report bytes re-records them and says so.
+func TestWindowReportDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end analysis in -short mode")
+	}
+	const window = 60 * time.Second
+	digest := func(a *core.Analyzer) string {
+		h := sha256.New()
+		for _, wr := range a.WindowReports() {
+			b, err := core.MarshalReport(wr.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+		b, err := core.MarshalReport(a.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	dataset := func(name string) func(int) *core.Analyzer {
+		ds := determinismDataset(t, name, 0.15)
+		return func(workers int) *core.Analyzer {
+			return addTraces(t, datasetAnalyzer(ds, workers, workers, window), ds)
+		}
+	}
+	// The default shape tiled to an hour, streamed as one trace.
+	schedule := func(workers int) *core.Analyzer {
+		cfg := enterprise.D3()
+		a := soakAnalyzer(cfg, workers, window)
+		src := gen.NewStreamSource(gen.StreamConfig{
+			Network:  enterprise.NewNetwork(cfg),
+			Subnet:   cfg.Monitored[0],
+			Schedule: gen.DefaultSchedule().Repeat(time.Hour),
+			Snaplen:  cfg.Snaplen,
+		})
+		if err := a.AddTraceSource("sched", enterprise.SubnetPrefix(cfg.Monitored[0]), src); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	inputs := []struct {
+		name, want string
+		run        func(workers int) *core.Analyzer
+	}{
+		{"D3", "ae1f28b88e7dd0d42a069df646aab82ab448cf788c55637d727d24d379ea8cdb", dataset("D3")},
+		{"D0", "b9b81c90192024df0b631ea63f571da258b990ab5653e0b6a67a7226b2d23c2c", dataset("D0")},
+		{"schedule-1h", "ff3f3bde7adfc963f11eaff2ccb9139b80b4adb12ee4a0f90caaa18cedeebc6a", schedule},
+	}
+	for _, in := range inputs {
+		for _, workers := range []int{1, 2, 4} {
+			if got := digest(in.run(workers)); got != in.want {
+				t.Errorf("%s at %d replay workers: digest %s, recorded %s", in.name, workers, got, in.want)
 			}
 		}
 	}
