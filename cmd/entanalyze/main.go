@@ -49,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/netip"
@@ -79,7 +80,7 @@ func usagef(format string, args ...any) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		var ue *usageError
 		if errors.As(err, &ue) {
@@ -89,72 +90,79 @@ func main() {
 	}
 }
 
-func run() error {
-	payload := flag.Bool("payload", true, "enable application-payload analysis")
-	monitored := flag.String("monitored", "128.3.0.0/16", "monitored prefix for fan-in/out")
-	dataset := flag.String("name", "pcap", "label for the report")
-	workers := flag.Int("workers", 0, "pipeline shard workers (0 = GOMAXPROCS); results are identical for any count")
-	replayWorkers := flag.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
-	window := flag.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
-	mmapInput := flag.Bool("mmap", false,
-		"memory-map trace files instead of reading them by the slab (Linux; zero-copy packet views).\n"+
-			"Falls back to the streaming reader where mmap is unavailable. Reports are identical either way.")
-	format := flag.String("format", "text", "report output format: text or json")
-	serve := flag.String("serve", "", "serve reports over HTTP at this address (e.g. :8080); window endpoints need -window")
-	genSpec := flag.String("gen", "",
+// run is the program: args are the command line after the program name,
+// stdout takes the report, stderr the narration.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("entanalyze", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main prints a parse error once; -h prints the usage below
+	payload := fs.Bool("payload", true, "enable application-payload analysis")
+	monitored := fs.String("monitored", "128.3.0.0/16", "monitored prefix for fan-in/out")
+	dataset := fs.String("name", "pcap", "label for the report")
+	workers := fs.Int("workers", 0, "pipeline shard workers (0 = GOMAXPROCS); results are identical for any count")
+	replayWorkers := fs.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
+	window := fs.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
+	format := fs.String("format", "text", "report output format: text or json")
+	serve := fs.String("serve", "", "serve reports over HTTP at this address (e.g. :8080); window endpoints need -window")
+	genSpec := fs.String("gen", "",
 		`stream a synthesized schedule instead of reading trace files: comma-separated phases `+
 			`kind:duration[:rate] with rate in sessions/minute (e.g. "steady:5m:120"), or "default" `+
 			`for the built-in day-in-miniature; frames never touch disk`)
-	genDataset := flag.String("gen-dataset", "D3", "dataset shape for -gen (D0..D4): snaplen, subnets, seed")
-	duration := flag.Duration("duration", 0, "with -gen, tile the schedule to at least this length (soak mode; 0 = run it once)")
-	onError := flag.String("on-error", "fail",
+	genDataset := fs.String("gen-dataset", "D3", "dataset shape for -gen (D0..D4): snaplen, subnets, seed")
+	duration := fs.Duration("duration", 0, "with -gen, tile the schedule to at least this length (soak mode; 0 = run it once)")
+	onError := fs.String("on-error", "fail",
 		`source read-error policy: "fail" aborts on the first error (default); "skip" degrades `+
 			`and continues — poisoned records are dropped and the report carries a SourceError census`)
-	inject := flag.String("inject", "",
+	inject := fs.String("inject", "",
 		`deterministic fault injection against every source: "kind@index[:arg],..." with kinds `+
 			`read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span"; pair with `+
 			`-on-error skip to exercise degraded runs (the census is checked against the manifest)`)
-	idleEvict := flag.Duration("idle-evict", 0,
+	idleEvict := fs.Duration("idle-evict", 0,
 		"evict connections idle past this horizon, bounding memory on indefinite runs "+
 			"(0 = protocol-default timeouts only); evictions are banked as the report's AgedOut disposition")
-	maxConns := flag.Int("max-conns", 0,
+	maxConns := fs.Int("max-conns", 0,
 		"hard bound on live connections across all shards (0 = unbounded); a lossy backstop — "+
 			"evictions are surfaced in the report when it fires")
-	ship := flag.String("ship", "",
+	ship := fs.String("ship", "",
 		"stream per-window snapshot deltas to a fleet aggregator at this TCP address "+
 			"(two-tier mode; requires -site, and -window-origin when windowed)")
-	site := flag.String("site", "", "with -ship: this site's unique name in the fleet")
-	windowOrigin := flag.String("window-origin", "",
+	site := fs.String("site", "", "with -ship: this site's unique name in the fleet")
+	windowOrigin := fs.String("window-origin", "",
 		"with -ship and -window: the fleet's shared window-clock origin, RFC3339 "+
 			"(every site must pass the same value or the aggregator refuses the session)")
-	traceBase := flag.Int("trace-base", 0,
+	traceBase := fs.Int("trace-base", 0,
 		"with -ship: global ordinal of this site's first trace, so the fleet report "+
 			"orders per-trace rows exactly like a single instance over the concatenated traces")
-	aggregate := flag.String("aggregate", "",
+	aggregate := fs.String("aggregate", "",
 		"run as the fleet aggregator listening for site shippers at this TCP address; "+
 			"no traces are read — reports come from merged site snapshots (pair with -serve)")
-	expectSites := flag.String("expect-sites", "",
+	expectSites := fs.String("expect-sites", "",
 		"with -aggregate: comma-separated site names the fleet is incomplete without; "+
 			"an absent site keeps /report/final unavailable and is named in /healthz")
-	staleAfter := flag.Duration("stale-after", 30*time.Second,
+	staleAfter := fs.Duration("stale-after", 30*time.Second,
 		"with -aggregate -serve: degrade /healthz and name a site stale after this long "+
 			"without a frame from it (0 = never)")
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(stderr)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return usagef("%v (entanalyze -h lists the flags)", err)
+	}
 	setFlags := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	if *format != "text" && *format != "json" {
 		return usagef("unknown -format %q (want text or json)", *format)
 	}
 	if *aggregate != "" {
-		if flag.NArg() > 0 || *genSpec != "" || *ship != "" {
+		if fs.NArg() > 0 || *genSpec != "" || *ship != "" {
 			return usagef("-aggregate runs a standalone aggregator: it takes no traces, -gen, or -ship")
 		}
-		return runAggregate(*aggregate, *expectSites, *dataset, *serve, *staleAfter, *format)
+		return runAggregate(stdout, stderr, *aggregate, *expectSites, *dataset, *serve, *staleAfter, *format)
 	}
 	if *expectSites != "" || setFlags["stale-after"] {
 		return usagef("-expect-sites and -stale-after require -aggregate")
 	}
-	if (flag.NArg() == 0) == (*genSpec == "") {
+	if (fs.NArg() == 0) == (*genSpec == "") {
 		return usagef("usage: entanalyze [flags] trace.pcap ...\n       entanalyze -gen <schedule|default> [flags]\n       entanalyze -aggregate <addr> [flags]")
 	}
 	if (*ship == "") != (*site == "") {
@@ -263,14 +271,14 @@ func run() error {
 		// fleet mode, ship the completed window as a provisional
 		// snapshot (the end-of-run canonical re-export supersedes it).
 		opts.OnWindow = func(wr *core.WindowReport) {
-			fmt.Fprintf(os.Stderr, "window %d [%s, %s): %d conns, %s payload\n",
+			fmt.Fprintf(stderr, "window %d [%s, %s): %d conns, %s payload\n",
 				wr.Index, wr.Start.UTC().Format("15:04:05"), wr.End.UTC().Format("15:04:05"),
 				wr.Report.Table3.TotalConns, stats.Bytes(wr.Report.Table3.TotalBytes))
 			if shipper != nil {
 				if we, err := a.ExportWindow(wr.Index); err == nil {
 					shipper.ShipDelta(we.Window, we.Watermark, we.Payload)
 				} else {
-					fmt.Fprintf(os.Stderr, "ship window %d: %v\n", wr.Index, err)
+					fmt.Fprintf(stderr, "ship window %d: %v\n", wr.Index, err)
 				}
 			}
 		}
@@ -283,7 +291,7 @@ func run() error {
 			Addr:  *ship,
 			Site:  *site,
 			Hello: a.FleetHello(),
-			Logf:  func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+			Logf:  func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
 		})
 		if err != nil {
 			return err
@@ -317,7 +325,7 @@ func run() error {
 	go func() {
 		<-sigc
 		signal.Stop(sigc)
-		fmt.Fprintln(os.Stderr, "signal: draining — stopping intake, flushing windows, emitting final report")
+		fmt.Fprintln(stderr, "signal: draining — stopping intake, flushing windows, emitting final report")
 		a.Stop()
 		close(sigDone)
 	}()
@@ -338,7 +346,7 @@ func run() error {
 	var srv *core.ReportServer
 	if *serve != "" {
 		srv = core.NewReportServer(a)
-		stop, err := serveReports(*serve, srv, "reports", "/report/final")
+		stop, err := serveReports(stderr, *serve, srv, "reports", "/report/final")
 		if err != nil {
 			return err
 		}
@@ -353,50 +361,33 @@ func run() error {
 		}
 		wall := time.Since(start)
 		st := src.Stats()
-		fmt.Fprintf(os.Stderr, "gen stream: %d packets over %s of schedule in %.1fs wall (%.0f pkts/s), peak %d frames buffered, %d in flight\n",
+		fmt.Fprintf(stderr, "gen stream: %d packets over %s of schedule in %.1fs wall (%.0f pkts/s), peak %d frames buffered, %d in flight\n",
 			st.Frames, streamCfg.Schedule.Duration(), wall.Seconds(),
 			float64(st.Frames)/wall.Seconds(), st.PeakBuffered, st.PeakInFlight)
 	}
-	// open is the one trace-file seam: a memory-mapped view under -mmap,
-	// otherwise a pooled streaming reader that reads the file straight
-	// into slabs reused across traces. Either way the caller gets a
-	// packet source to hand to AddTraceSource and a closer to run once
-	// that returns — the analyzer's borrow contract consumes every
-	// retained view during replay, so nothing outlives the call.
+	// analyzeFile is the one way a trace file is opened: a pooled reader
+	// takes it straight into slabs reused across traces. The file closes
+	// once AddTraceSource returns — the analyzer's borrow contract
+	// consumes every retained view during replay, so nothing outlives it.
 	pool := pcap.NewPool()
-	open := func(path string) (pcap.PacketSource, func() error, error) {
-		if *mmapInput {
-			src, err := pcap.OpenMmap(path)
-			if err == nil {
-				return src, src.Close, nil
-			}
-			if !errors.Is(err, pcap.ErrMmapUnsupported) {
-				return nil, nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%s: mmap unavailable on this platform; streaming instead\n", path)
-		}
+	analyzeFile := func(path string) error {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
+		defer f.Close()
 		rd, err := pcap.NewReader(f)
 		if err != nil {
-			f.Close()
-			return nil, nil, err
+			return err
 		}
-		return pcap.NewPooledReader(rd, pool), f.Close, nil
+		return a.AddTraceSource(path, prefix, wrapSource(pcap.NewPooledReader(rd, pool)))
 	}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		before := a.PacketsSeen()
-		src, closeSrc, err := open(path)
-		if err == nil {
-			err = a.AddTraceSource(path, prefix, wrapSource(src))
-			closeSrc()
-		}
-		if err != nil {
+		if err := analyzeFile(path); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %d packets\n", path, a.PacketsSeen()-before)
+		fmt.Fprintf(stderr, "%s: %d packets\n", path, a.PacketsSeen()-before)
 	}
 
 	if shipper != nil {
@@ -422,12 +413,12 @@ func run() error {
 			return fmt.Errorf("ship to %s: %w", *ship, err)
 		}
 		st := shipper.Stats()
-		fmt.Fprintf(os.Stderr, "shipped %d windows to %s as site %s (%d frames acked, %d reconnects, %d resends)\n",
+		fmt.Fprintf(stderr, "shipped %d windows to %s as site %s (%d frames acked, %d reconnects, %d resends)\n",
 			len(exports), *ship, *site, st.Acked, st.Reconnects, st.Resends)
 	}
 
 	report := a.Report()
-	if err := printRun(*format, a.WindowReports(), report); err != nil {
+	if err := printRun(stdout, *format, a.WindowReports(), report); err != nil {
 		return err
 	}
 	if len(injectors) > 0 && policy == pipeline.Degrade && !a.Stopping() {
@@ -436,7 +427,7 @@ func run() error {
 			return err
 		}
 		// The match line is stable for CI to grep.
-		fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
+		fmt.Fprintf(stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
 			se.Errors, se.LostBytes)
 	}
 	if srv != nil {
@@ -444,7 +435,7 @@ func run() error {
 			return err
 		}
 		if !a.Stopping() {
-			fmt.Fprintln(os.Stderr, "analysis complete; still serving (SIGINT/SIGTERM to exit)")
+			fmt.Fprintln(stderr, "analysis complete; still serving (SIGINT/SIGTERM to exit)")
 			<-sigDone
 		}
 	}
@@ -455,12 +446,12 @@ func run() error {
 // background (both share the window and final endpoints; tail names what
 // follows them) until the returned stop is called — on the way out of
 // either mode, once the drain has emitted its report.
-func serveReports(addr string, h http.Handler, what, tail string) (stop func(), err error) {
+func serveReports(stderr io.Writer, addr string, h http.Handler, what, tail string) (stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "serving %s on http://%s (/healthz, /report/latest, /report/window/<n>, %s)\n", what, ln.Addr(), tail)
+	fmt.Fprintf(stderr, "serving %s on http://%s (/healthz, /report/latest, /report/window/<n>, %s)\n", what, ln.Addr(), tail)
 	return serveOn(ln, h), nil
 }
 
@@ -490,15 +481,15 @@ func serveOn(ln net.Listener, h http.Handler) (stop func()) {
 }
 
 // printRun writes a run's window summary and cumulative report to
-// standard output in the selected format.
-func printRun(format string, windows []*core.WindowReport, report *core.Report) error {
+// stdout in the selected format.
+func printRun(stdout io.Writer, format string, windows []*core.WindowReport, report *core.Report) error {
 	if format == "json" {
-		return core.WriteRunJSON(os.Stdout, windows, report)
+		return core.WriteRunJSON(stdout, windows, report)
 	}
 	if len(windows) > 0 {
-		fmt.Print(core.RenderWindowSummary(windows) + "\n")
+		fmt.Fprint(stdout, core.RenderWindowSummary(windows)+"\n")
 	}
-	fmt.Print(core.RenderText(report))
+	fmt.Fprint(stdout, core.RenderText(report))
 	return nil
 }
 
@@ -508,14 +499,14 @@ func printRun(format string, windows []*core.WindowReport, report *core.Report) 
 // fleet-wide reports and per-site liveness over HTTP, and on
 // SIGINT/SIGTERM drains and emits the merged report — degraded with a
 // per-site census when sites are missing, lagging, or lost.
-func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Duration, format string) error {
+func runAggregate(stdout, stderr io.Writer, addr, expect, dataset, serveAddr string, staleAfter time.Duration, format string) error {
 	var sites []string
 	for _, s := range strings.Split(expect, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			sites = append(sites, s)
 		}
 	}
-	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	logf := func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
 	f := core.NewFleet(core.FleetConfig{Dataset: dataset, ExpectSites: sites, Logf: logf})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -523,15 +514,15 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 	}
 	agg := fleet.NewAggregator(ln, f, logf)
 	if len(sites) > 0 {
-		fmt.Fprintf(os.Stderr, "fleet aggregator listening on %s (expecting sites: %s)\n", ln.Addr(), strings.Join(sites, ", "))
+		fmt.Fprintf(stderr, "fleet aggregator listening on %s (expecting sites: %s)\n", ln.Addr(), strings.Join(sites, ", "))
 	} else {
-		fmt.Fprintf(os.Stderr, "fleet aggregator listening on %s\n", ln.Addr())
+		fmt.Fprintf(stderr, "fleet aggregator listening on %s\n", ln.Addr())
 	}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
 		if err := agg.Serve(); !errors.Is(err, net.ErrClosed) {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 		}
 	}()
 
@@ -539,7 +530,7 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 	if serveAddr != "" {
 		fsrv = core.NewFleetServer(f)
 		fsrv.SetStaleThreshold(staleAfter)
-		stop, err := serveReports(serveAddr, fsrv, "fleet reports", "/report/fleet, /report/final")
+		stop, err := serveReports(stderr, serveAddr, fsrv, "fleet reports", "/report/fleet, /report/final")
 		if err != nil {
 			return err
 		}
@@ -553,15 +544,15 @@ func runAggregate(addr, expect, dataset, serveAddr string, staleAfter time.Durat
 	if fsrv != nil {
 		fsrv.SetDraining(true)
 	}
-	fmt.Fprintln(os.Stderr, "signal: draining — closing shipper sessions, emitting fleet report")
+	fmt.Fprintln(stderr, "signal: draining — closing shipper sessions, emitting fleet report")
 	agg.Close()
 	<-served
 
-	if err := printRun(format, f.WindowReports(), f.Report()); err != nil {
+	if err := printRun(stdout, format, f.WindowReports(), f.Report()); err != nil {
 		return err
 	}
 	if st := f.Status(); !st.FinalReady {
-		fmt.Fprintf(os.Stderr, "fleet incomplete: missing sites %v, %d windows lost — the report above carries the degradation census\n",
+		fmt.Fprintf(stderr, "fleet incomplete: missing sites %v, %d windows lost — the report above carries the degradation census\n",
 			st.MissingSites, st.LostWindows)
 	}
 	return nil

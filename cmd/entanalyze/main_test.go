@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -95,4 +96,60 @@ func TestServeStopLeavesNothingBehind(t *testing.T) {
 		}
 	}
 	t.Fatalf("a second after stop: %d descriptors open, %d before serving; goroutines:\n%s", fds, fdsBefore, stacks)
+}
+
+// TestUsageErrors drives run down every bad invocation it can refuse:
+// each is a *usageError (exit 2), returned before anything is opened,
+// listened on or written to stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // a fragment of the message
+	}{
+		{"unknown flag", []string{"-mmap", "x.pcap"}, "flag provided but not defined: -mmap"},
+		{"flag value", []string{"-workers", "two", "x.pcap"}, "invalid value"},
+		{"format", []string{"-format", "xml", "x.pcap"}, "unknown -format"},
+		{"aggregate with traces", []string{"-aggregate", ":0", "x.pcap"}, "-aggregate runs a standalone"},
+		{"aggregate with gen", []string{"-aggregate", ":0", "-gen", "default"}, "-aggregate runs a standalone"},
+		{"aggregate with ship", []string{"-aggregate", ":0", "-ship", ":1", "-site", "a"}, "-aggregate runs a standalone"},
+		{"expect-sites alone", []string{"-expect-sites", "a", "x.pcap"}, "require -aggregate"},
+		{"stale-after alone", []string{"-stale-after", "5s", "x.pcap"}, "require -aggregate"},
+		{"no input", nil, "usage: entanalyze"},
+		{"traces and gen", []string{"-gen", "default", "x.pcap"}, "usage: entanalyze"},
+		{"ship without site", []string{"-ship", ":1", "x.pcap"}, "-ship and -site go together"},
+		{"site without ship", []string{"-site", "a", "x.pcap"}, "-ship and -site go together"},
+		{"trace-base without ship", []string{"-trace-base", "3", "x.pcap"}, "-trace-base only applies"},
+		{"window-origin without window", []string{"-window-origin", "2005-01-06T09:00:00Z", "x.pcap"}, "-window-origin requires -window"},
+		{"window-origin unparseable", []string{"-window", "60s", "-window-origin", "noon", "x.pcap"}, "-window-origin:"},
+		{"windowed ship without origin", []string{"-ship", ":1", "-site", "a", "-window", "60s", "x.pcap"}, "needs -window-origin"},
+		{"on-error", []string{"-on-error", "retry", "x.pcap"}, "unknown -on-error"},
+		{"inject", []string{"-inject", "melt@3", "x.pcap"}, "melt"},
+		{"monitored", []string{"-monitored", "128.3/16", "x.pcap"}, "128.3/16"},
+		{"gen-dataset", []string{"-gen", "default", "-gen-dataset", "D9"}, "unknown -gen-dataset"},
+		{"gen spec", []string{"-gen", "steady"}, "steady"},
+		{"duration without gen", []string{"-duration", "1m", "x.pcap"}, "require -gen"},
+		{"gen-dataset without gen", []string{"-gen-dataset", "D1", "x.pcap"}, "require -gen"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(tc.args, &stdout, &stderr)
+			if _, ok := err.(*usageError); !ok {
+				t.Fatalf("run(%q) = %v, want a *usageError", tc.args, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%q) = %q, want it to mention %q", tc.args, err, tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("run(%q) wrote to stdout: %q", tc.args, stdout.String())
+			}
+		})
+	}
+	var stderr bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &stderr); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
+	}
+	if n := strings.Count(stderr.String(), "\n  -"); n != 22 {
+		t.Errorf("-h lists %d flags, want 22:\n%s", n, stderr.String())
+	}
 }

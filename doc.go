@@ -14,7 +14,7 @@
 // long run streams.
 //
 // Input comes through one seam — anything satisfying pcap.PacketSource:
-// replayed capture files, multi-tap merges, the adversarial evasion
+// replayed capture files, in-memory traces, the adversarial evasion
 // workloads (entgen -evasion, internal/advtest), or the streamed
 // generator (entanalyze -gen), which synthesizes frames on the fly from
 // a load schedule for soak runs at rates and durations no trace file

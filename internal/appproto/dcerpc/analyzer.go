@@ -160,9 +160,3 @@ func (a *Analyzer) BoundInterface(channel string) (UUID, bool) {
 	u, ok := a.binds[channel]
 	return u, ok
 }
-
-// BoundInterfaceKey reports the interface bound on a ChanKey channel.
-func (a *Analyzer) BoundInterfaceKey(key ChanKey) (UUID, bool) {
-	u, ok := a.bindsK[key]
-	return u, ok
-}

@@ -106,8 +106,8 @@ func (ap *appAggregates) ftpSession(trace int, firstIdx int64, s ftp.Session) {
 // replay phase at the connection's canonical position (so a port
 // registered later in the trace does not reclassify earlier-starting
 // connections).
-func (ap *appAggregates) transportConn(c *flows.Conn, name string, isLocal func(netip.Addr) bool) {
-	wan := connWAN(c, isLocal)
+func (ap *appAggregates) transportConn(c *flows.Conn, name string) {
+	wan := connWAN(c)
 	switch name {
 	case "SMTP", "IMAP4", "IMAP/S", "POP3", "POP/S", "LDAP":
 		ap.email.conn(name, wan, c)

@@ -29,7 +29,7 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 		res, err := pipeline.Run(pcap.NewSliceSource(tr.Packets), pipeline.Config{
 			Workers: 1,
 			NewSink: func(shard int, base time.Time) pipeline.Sink {
-				sink = newShardSink(&a.opts, tr.Prefix, base)
+				sink = newShardSink(&a.opts, a.registry, tr.Prefix, base)
 				return sink
 			},
 		})
@@ -37,13 +37,13 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 			t.Fatal(err)
 		}
 		for _, ev := range sink.udp {
-			replayUDPEvent(ap, ev, a.opts.IsLocal)
+			replayUDPEvent(ap, ev)
 			step()
 		}
 		for _, rec := range res.SortedConns() {
 			c := rec.Conn
-			name, _ := a.opts.Registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
-			ap.transportConn(c, name, a.opts.IsLocal)
+			name, _ := a.registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
+			ap.transportConn(c, name)
 			if app := connStreamsOf(c); app != nil {
 				a.parseConnPayload(ap, trace, rec, name, app)
 				app.release()

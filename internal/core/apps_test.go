@@ -10,6 +10,7 @@ import (
 
 	"enttrace/internal/appproto/http"
 	"enttrace/internal/appproto/smtp"
+	"enttrace/internal/categories"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
 )
@@ -166,24 +167,23 @@ func TestSMTPParsedCounts(t *testing.T) {
 
 func TestTransportConnBackupAccounting(t *testing.T) {
 	ap := newAppAggregates()
-	opts := Options{}
-	opts.fill()
+	registry := categories.NewRegistry()
 	classified := func(c *flows.Conn) string {
-		name, _ := opts.Registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
+		name, _ := registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
 		return name
 	}
 	dantz := tcpConn(hostA, hostB, 40000, 497, flows.StateEstablished)
 	dantz.OrigBytes, dantz.RespBytes = 200<<10, 150<<10
-	ap.transportConn(dantz, classified(dantz), opts.IsLocal)
+	ap.transportConn(dantz, classified(dantz))
 	oneway := tcpConn(hostA, hostB, 40001, 497, flows.StateEstablished)
 	oneway.OrigBytes = 500 << 10
-	ap.transportConn(oneway, classified(oneway), opts.IsLocal)
+	ap.transportConn(oneway, classified(oneway))
 	if ap.dantzConns != 2 || ap.dantzBidir != 1 {
 		t.Errorf("dantz: conns=%d bidir=%d", ap.dantzConns, ap.dantzBidir)
 	}
 	veritas := tcpConn(hostA, hostB, 40002, 13724, flows.StateEstablished)
 	veritas.OrigBytes = 1 << 20
-	ap.transportConn(veritas, classified(veritas), opts.IsLocal)
+	ap.transportConn(veritas, classified(veritas))
 	if ap.backupBytes.Get("VERITAS-BACKUP-DATA") != 1<<20 {
 		t.Error("veritas bytes")
 	}
@@ -191,14 +191,12 @@ func TestTransportConnBackupAccounting(t *testing.T) {
 
 func TestTransportConnSSH(t *testing.T) {
 	ap := newAppAggregates()
-	opts := Options{}
-	opts.fill()
 	small := tcpConn(hostA, hostB, 40000, 22, flows.StateEstablished)
 	small.OrigBytes, small.OrigPkts = 4000, 80
-	ap.transportConn(small, "SSH", opts.IsLocal)
+	ap.transportConn(small, "SSH")
 	big := tcpConn(hostA, hostB, 40001, 22, flows.StateEstablished)
 	big.OrigBytes, big.OrigPkts = 500<<10, 400
-	ap.transportConn(big, "SSH", opts.IsLocal)
+	ap.transportConn(big, "SSH")
 	if ap.sshConns != 2 || ap.sshBulk != 1 {
 		t.Errorf("ssh: conns=%d bulk=%d", ap.sshConns, ap.sshBulk)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
 	"enttrace/internal/gen"
@@ -20,15 +21,13 @@ import (
 // them, from every frame, through a string-keyed counter and the address
 // maps.
 type perPacketCensus struct {
-	opts                              *Options
 	monitored                         netip.Prefix
 	netLayer                          *stats.Counter
 	monHosts, localHosts, remoteHosts map[netip.Addr]struct{}
 }
 
-func newPerPacketCensus(opts *Options, monitored netip.Prefix) *perPacketCensus {
+func newPerPacketCensus(monitored netip.Prefix) *perPacketCensus {
 	return &perPacketCensus{
-		opts:        opts,
 		monitored:   monitored,
 		netLayer:    stats.NewCounter(),
 		monHosts:    make(map[netip.Addr]struct{}),
@@ -59,7 +58,7 @@ func (c *perPacketCensus) recordHosts(p *layers.Packet) {
 		case c.monitored.Contains(addr):
 			c.monHosts[addr] = struct{}{}
 			c.localHosts[addr] = struct{}{}
-		case c.opts.IsLocal(addr):
+		case enterprise.IsLocal(addr):
 			c.localHosts[addr] = struct{}{}
 		default:
 			c.remoteHosts[addr] = struct{}{}
@@ -111,15 +110,15 @@ type censusStats struct {
 func compareCensus(t *testing.T, label string, prefix netip.Prefix, pkts []*pcap.Packet, workers int, fcfg flows.Config, payload bool) censusStats {
 	t.Helper()
 	opts := Options{PayloadAnalysis: payload}
-	opts.fill()
+	registry := categories.NewRegistry()
 	var pairs []*censusPair
 	res, err := pipeline.Run(pcap.NewSliceSource(pkts), pipeline.Config{
 		Workers: workers,
 		Flows:   fcfg,
 		NewSink: func(shard int, base time.Time) pipeline.Sink {
 			p := &censusPair{
-				sink:     newShardSink(&opts, prefix, base),
-				ref:      newPerPacketCensus(&opts, prefix),
+				sink:     newShardSink(&opts, registry, prefix, base),
+				ref:      newPerPacketCensus(prefix),
 				firstSrc: make(map[*flows.Conn]netip.Addr),
 			}
 			pairs = append(pairs, p)

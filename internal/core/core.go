@@ -30,19 +30,11 @@ import (
 type Options struct {
 	// Dataset labels the report (e.g. "D3").
 	Dataset string
-	// Registry classifies connections; nil uses the Table 4 registry.
-	Registry *categories.Registry
 	// KnownScanners are removed regardless of the heuristic.
 	KnownScanners []netip.Addr
-	// IsLocal classifies enterprise addresses; nil uses the 128.3/16
-	// default.
-	IsLocal func(netip.Addr) bool
 	// PayloadAnalysis enables application-layer parsing. The paper
 	// disables it for the 68-byte-snaplen datasets (D1, D2).
 	PayloadAnalysis bool
-	// LinkCapacityMbps is the subnet link speed for utilization; the
-	// paper's networks were 100 Mbps.
-	LinkCapacityMbps float64
 	// Workers is the streaming pipeline's shard count; 0 uses GOMAXPROCS.
 	// Reports are bit-identical for any worker count.
 	Workers int
@@ -51,14 +43,8 @@ type Options struct {
 	// transport accumulation) fans out across this many goroutines, each
 	// accumulating into its own aggregate shard, merged canonically at
 	// report time. 0 uses GOMAXPROCS. Reports are bit-identical for any
-	// count. A caller-supplied IsLocal must be safe for concurrent use
-	// regardless of this count: even a single replay worker runs as a
-	// goroutine overlapping the trace-load accounting, and both sides
-	// consult IsLocal.
+	// count.
 	ReplayWorkers int
-	// BatchSize is packets per pipeline dispatch batch; 0 uses the
-	// pipeline default.
-	BatchSize int
 	// Window enables epoch rotation: when > 0, the analyzer cuts the
 	// run into windows of this duration in packet time (aligned to the
 	// first packet of the first trace) and makes a per-window Report
@@ -113,18 +99,6 @@ type Options struct {
 	bufferStreams bool
 }
 
-func (o *Options) fill() {
-	if o.Registry == nil {
-		o.Registry = categories.NewRegistry()
-	}
-	if o.IsLocal == nil {
-		o.IsLocal = enterprise.IsLocal
-	}
-	if o.LinkCapacityMbps == 0 {
-		o.LinkCapacityMbps = 100
-	}
-}
-
 // TraceInput is one monitored-subnet trace.
 type TraceInput struct {
 	Name string
@@ -137,6 +111,10 @@ type TraceInput struct {
 // Analyzer accumulates dataset-wide statistics across traces.
 type Analyzer struct {
 	opts Options
+
+	// registry classifies connections: Table 4's static ports plus the
+	// FTP-data and Endpoint-Mapper ports phase A registers as it replays.
+	registry *categories.Registry
 
 	// cum is the cumulative aggregate: every report-feeding accumulator
 	// for the whole run. Each trace's delta folds into it at trace end,
@@ -215,13 +193,13 @@ type locSplit struct {
 
 // NewAnalyzer returns an Analyzer for one dataset.
 func NewAnalyzer(opts Options) *Analyzer {
-	opts.fill()
 	a := &Analyzer{
-		opts: opts,
-		cum:  newEpochAgg(),
-		win:  newWindowState(opts.Dataset, opts.Window, opts.OnWindow),
-		apps: newAppAggregates(),
-		pool: pcap.NewPool(),
+		opts:     opts,
+		registry: categories.NewRegistry(),
+		cum:      newEpochAgg(),
+		win:      newWindowState(opts.Dataset, opts.Window, opts.OnWindow),
+		apps:     newAppAggregates(),
+		pool:     pcap.NewPool(),
 	}
 	a.traceCount = opts.TraceBase
 	a.win.setOrigin(opts.WindowOrigin)
@@ -249,8 +227,8 @@ func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Read
 
 // AddTraceSource runs one trace from an arbitrary packet source through
 // the pipeline — this is the analyzer's ingest seam. A source can be a
-// pcap.Merger over several taps, a replayed file, or a gen.StreamSource
-// synthesizing frames on the fly (the soak-mode load harness): the
+// replayed file, an in-memory trace, or a gen.StreamSource synthesizing
+// frames on the fly (the soak-mode load harness): the
 // analysis below the seam is source-blind, so a streamed schedule and a
 // pcap round-trip of the same frames report byte-identically. If src
 // implements pcap.Releaser, its packets are recycled as soon as analysis
@@ -280,8 +258,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	var sinks []*shardSink
 	var traceBase time.Time
 	res, err := pipeline.Run(src, pipeline.Config{
-		Workers:   a.opts.Workers,
-		BatchSize: a.opts.BatchSize,
+		Workers: a.opts.Workers,
 		Flows: flows.Config{
 			IdleTimeout: a.opts.IdleEvict,
 			MaxConns:    perShard,
@@ -292,7 +269,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 		ErrCounter: &a.srcErrsLive,
 		NewSink: func(shard int, base time.Time) pipeline.Sink {
 			traceBase = base
-			s := newShardSink(&a.opts, monitored, base)
+			s := newShardSink(&a.opts, a.registry, monitored, base)
 			sinks = append(sinks, s)
 			return s
 		},
@@ -381,7 +358,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 
 	// Trace load accounting overlaps the replay workers (it reads only
 	// the per-second bins and connection fields, which nothing mutates).
-	tgt.load.finishTrace(perSec, kept, a.opts.IsLocal, a.opts.LinkCapacityMbps, a.traceCount)
+	tgt.load.finishTrace(perSec, kept, a.traceCount)
 	join()
 
 	// The phase-A application residue (Endpoint Mapper PDU accounting)
@@ -472,8 +449,8 @@ func (a *Analyzer) accumulateConn(ca *connAggregates, c *flows.Conn, cat string)
 	ca.transBytes.Add(tname, c.PayloadBytes())
 	ca.transConns.Inc(tname)
 
-	srcLocal := a.opts.IsLocal(c.Key.Src)
-	dstLocal := a.opts.IsLocal(c.Key.Dst)
+	srcLocal := enterprise.IsLocal(c.Key.Src)
+	dstLocal := enterprise.IsLocal(c.Key.Dst)
 
 	// §4 origins.
 	switch {
@@ -519,6 +496,6 @@ func (a *Analyzer) accumulateConn(ca *connAggregates, c *flows.Conn, cat string)
 }
 
 // connWAN reports whether a connection crosses the enterprise border.
-func connWAN(c *flows.Conn, isLocal func(netip.Addr) bool) bool {
-	return !(isLocal(c.Key.Src) && isLocal(c.Key.Dst))
+func connWAN(c *flows.Conn) bool {
+	return !(enterprise.IsLocal(c.Key.Src) && enterprise.IsLocal(c.Key.Dst))
 }

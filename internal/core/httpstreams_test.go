@@ -31,9 +31,7 @@ type tcpStep struct {
 // decides what reaches the streams. The payload is lent in a buffer that
 // is scribbled over after each packet, as a pooled source would.
 func driveSink(app *connStreams, conn *flows.Conn, steps []tcpStep) {
-	opts := Options{PayloadAnalysis: true}
-	opts.fill()
-	s := newShardSink(&opts, enterprise.EnterprisePrefix, time.Unix(100, 0))
+	s := newShardSink(&Options{PayloadAnalysis: true}, categories.NewRegistry(), enterprise.EnterprisePrefix, time.Unix(100, 0))
 	conn.App = app
 	var lent []byte
 	for i, st := range steps {
@@ -320,7 +318,7 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 	cfg.Monitored = []int{2, 7}
 	cfg.Scale = 0.25
 	opts := Options{PayloadAnalysis: true}
-	opts.fill()
+	registry := categories.NewRegistry()
 	type tally struct {
 		conns     int
 		delivered int64
@@ -341,7 +339,7 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 		res, err := pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
 			Workers: 2,
 			NewSink: func(shard int, base time.Time) pipeline.Sink {
-				w := &retainWatch{shardSink: newShardSink(&opts, tr.Prefix, base)}
+				w := &retainWatch{shardSink: newShardSink(&opts, registry, tr.Prefix, base)}
 				sinks = append(sinks, w)
 				return w
 			},

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"net/netip"
-	"time"
-
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
 	"enttrace/internal/stats"
@@ -11,29 +8,8 @@ import (
 
 // traceLoad bins one trace's wire bytes per second.
 type traceLoad struct {
-	name    string
-	start   time.Time
-	started bool
-	bins    []int64
-}
-
-func newTraceLoad(name string) *traceLoad {
-	return &traceLoad{name: name}
-}
-
-func (t *traceLoad) packet(ts time.Time, wireLen int) {
-	if !t.started {
-		t.start = ts
-		t.started = true
-	}
-	sec := int(ts.Sub(t.start) / time.Second)
-	if sec < 0 {
-		sec = 0
-	}
-	for len(t.bins) <= sec {
-		t.bins = append(t.bins, 0)
-	}
-	t.bins[sec] += int64(wireLen)
+	name string
+	bins []int64
 }
 
 // mergedTraceLoad rebuilds a trace's per-second byte series from the
@@ -41,7 +17,7 @@ func (t *traceLoad) packet(ts time.Time, wireLen int) {
 // trace's first packet), so the merge is an element-wise integer sum —
 // exact, and independent of shard count and order.
 func mergedTraceLoad(name string, shardBins [][]int64) *traceLoad {
-	t := newTraceLoad(name)
+	t := &traceLoad{name: name}
 	for _, bins := range shardBins {
 		for len(t.bins) < len(bins) {
 			t.bins = append(t.bins, 0)
@@ -50,7 +26,6 @@ func mergedTraceLoad(name string, shardBins [][]int64) *traceLoad {
 			t.bins[i] += v
 		}
 	}
-	t.started = len(t.bins) > 0
 	return t
 }
 
@@ -104,7 +79,11 @@ func windowPeak(bins []int64, w int) float64 {
 	return float64(best) / float64(w)
 }
 
-func (l *loadAgg) finishTrace(t *traceLoad, kept []*flows.Conn, isLocal func(netip.Addr) bool, capacityMbps float64, ord int) {
+// linkCapacityMbps is the monitored subnets' link speed, the figure
+// utilization is judged against: the paper's networks were 100 Mbps.
+const linkCapacityMbps = 100
+
+func (l *loadAgg) finishTrace(t *traceLoad, kept []*flows.Conn, ord int) {
 	tl := TraceLoad{Name: t.name, ord: ord}
 	if len(t.bins) > 0 {
 		toMbps := func(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e6 }
@@ -113,11 +92,9 @@ func (l *loadAgg) finishTrace(t *traceLoad, kept []*flows.Conn, isLocal func(net
 		tl.Peak60s = toMbps(windowPeak(t.bins, 60))
 		d := stats.NewDist()
 		d.Reserve(len(t.bins))
-		var total int64
 		for _, v := range t.bins {
 			d.Observe(toMbps(float64(v)))
-			total += v
-			if toMbps(float64(v)) >= 0.9*capacityMbps {
+			if toMbps(float64(v)) >= 0.9*linkCapacityMbps {
 				tl.SaturatedSeconds++
 			}
 		}
@@ -135,7 +112,7 @@ func (l *loadAgg) finishTrace(t *traceLoad, kept []*flows.Conn, isLocal func(net
 		if c.Proto != layers.ProtoTCP {
 			continue
 		}
-		wan := connWAN(c, isLocal)
+		wan := connWAN(c)
 		if wan {
 			wanData += c.DataPkts - c.KeepAliveRetrans
 			wanRetrans += c.Retrans

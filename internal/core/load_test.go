@@ -2,9 +2,9 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
@@ -59,24 +59,27 @@ func TestWindowPeakMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestTraceLoadBinning: a trace's per-second series is the element-wise
+// sum of its shards' bins, as long as the longest of them, whatever
+// their order — and no bins at all for a trace no shard saw.
 func TestTraceLoadBinning(t *testing.T) {
-	tl := newTraceLoad("x")
-	t0 := time.Unix(500, 0)
-	tl.packet(t0, 1000)
-	tl.packet(t0.Add(200*time.Millisecond), 500)
-	tl.packet(t0.Add(3*time.Second), 100)
-	if len(tl.bins) != 4 {
-		t.Fatalf("bins = %d", len(tl.bins))
+	shards := [][]int64{{1000, 0, 0, 100}, nil, {500}, {0, 7}}
+	want := []int64{1500, 7, 0, 100}
+	if tl := mergedTraceLoad("x", shards); tl.name != "x" || !slices.Equal(tl.bins, want) {
+		t.Errorf("merged = %q %v, want x %v", tl.name, tl.bins, want)
 	}
-	if tl.bins[0] != 1500 || tl.bins[3] != 100 || tl.bins[1] != 0 {
-		t.Errorf("bins = %v", tl.bins)
+	slices.Reverse(shards)
+	if tl := mergedTraceLoad("x", shards); !slices.Equal(tl.bins, want) {
+		t.Errorf("merged in reverse shard order = %v, want %v", tl.bins, want)
+	}
+	if tl := mergedTraceLoad("empty", [][]int64{nil, {}}); len(tl.bins) != 0 {
+		t.Errorf("bins = %v for a trace without packets", tl.bins)
 	}
 }
 
 func TestFinishTraceRetransSplit(t *testing.T) {
 	agg := newLoadAgg()
-	tl := newTraceLoad("t")
-	tl.packet(time.Unix(0, 0), 1000)
+	tl := mergedTraceLoad("t", [][]int64{{1000}})
 	local1 := netip.MustParseAddr("128.3.1.1")
 	local2 := netip.MustParseAddr("128.3.1.2")
 	remote := netip.MustParseAddr("8.8.8.8")
@@ -92,7 +95,7 @@ func TestFinishTraceRetransSplit(t *testing.T) {
 		Key:   layers.FlowKey{Proto: layers.ProtoUDP, Src: local1, Dst: local2},
 		Proto: layers.ProtoUDP, DataPkts: 500,
 	}
-	agg.finishTrace(tl, []*flows.Conn{ent, wan, udp}, enterprise.IsLocal, 100, 1)
+	agg.finishTrace(tl, []*flows.Conn{ent, wan, udp}, 1)
 	got := agg.traces[0]
 	// Keep-alives excluded from the denominator.
 	wantEnt := 5.0 / 900.0
@@ -109,12 +112,9 @@ func TestFinishTraceRetransSplit(t *testing.T) {
 
 func TestSaturationDwell(t *testing.T) {
 	agg := newLoadAgg()
-	tl := newTraceLoad("sat")
-	t0 := time.Unix(0, 0)
 	// One second at 100 Mbps (12.5 MB), then quiet.
-	tl.packet(t0, 12_500_000)
-	tl.packet(t0.Add(5*time.Second), 100)
-	agg.finishTrace(tl, nil, enterprise.IsLocal, 100, 1)
+	tl := mergedTraceLoad("sat", [][]int64{{12_500_000, 0, 0, 0, 0, 100}})
+	agg.finishTrace(tl, nil, 1)
 	got := agg.traces[0]
 	if got.SaturatedSeconds != 1 {
 		t.Errorf("saturated seconds = %d", got.SaturatedSeconds)

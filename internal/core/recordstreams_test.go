@@ -378,7 +378,7 @@ func TestRegistrationStreamsAreBounded(t *testing.T) {
 				a := NewAnalyzer(Options{PayloadAnalysis: true})
 				a.replayFTPRegistrations(hostB, app.srvBuf.Buf)
 				for port, want := range map[uint16]string{31<<8 | 64: "FTP-Data", 31<<8 | 65: ""} {
-					if got, _ := a.opts.Registry.Classify(layers.ProtoTCP, hostA, hostB, 40200, port); got != want {
+					if got, _ := a.registry.Classify(layers.ProtoTCP, hostA, hostB, 40200, port); got != want {
 						t.Errorf("port %d classifies as %q after the registrations, want %q", port, got, want)
 					}
 				}

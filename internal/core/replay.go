@@ -15,6 +15,7 @@ import (
 	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/categories"
+	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
 	"enttrace/internal/kmerge"
 	"enttrace/internal/layers"
@@ -88,7 +89,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 	names := make([]string, len(recs))
 	cats := make([]string, len(recs))
 	for i, rec := range recs {
-		name, cat := a.opts.Registry.Classify(rec.Conn.Proto, rec.Conn.Key.Src, rec.Conn.Key.Dst, rec.Conn.Key.SrcPort, rec.Conn.Key.DstPort)
+		name, cat := a.registry.Classify(rec.Conn.Proto, rec.Conn.Key.Src, rec.Conn.Key.Dst, rec.Conn.Key.SrcPort, rec.Conn.Key.DstPort)
 		names[i], cats[i] = name, cat
 		if !a.opts.PayloadAnalysis {
 			continue
@@ -159,7 +160,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 				// Transport-level accumulation happens for every kept
 				// conn even without payloads (email figures, windows
 				// success rates, backup).
-				ap.transportConn(conn, names[i], a.opts.IsLocal)
+				ap.transportConn(conn, names[i])
 				if a.opts.PayloadAnalysis && app != nil {
 					a.parseConnPayload(ap, trace, rec, names[i], app)
 				}
@@ -183,7 +184,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 		// see the windowed note above.
 		results[w] = replayResult{
 			deltas: deltas,
-			fan:    flows.FanInOut(keptConns, inMonitored, a.opts.IsLocal),
+			fan:    flows.FanInOut(keptConns, inMonitored, enterprise.IsLocal),
 			roles:  roles.Accumulate(keptConns),
 		}
 	}
@@ -290,7 +291,7 @@ func (a *Analyzer) replayShard(rw *replayWorker, recs []pipeline.ConnRecord, con
 	}
 	for _, ev := range events {
 		enter(ev.ts)
-		replayUDPEvent(rw.shard, ev, a.opts.IsLocal)
+		replayUDPEvent(rw.shard, ev)
 	}
 	floor = 0
 	for _, i := range connIdx {
@@ -389,7 +390,7 @@ func foldLocSplit(dst, src map[string]*locSplit) {
 func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.ConnRecord, name string, app *connStreams) {
 	conn := rec.Conn
 	client, server := conn.Key.Src, conn.Key.Dst
-	wan := connWAN(conn, a.opts.IsLocal)
+	wan := connWAN(conn)
 	if app.buffered && name != "DCE/RPC-EPM" && !(name == "FTP" && conn.Key.DstPort == 21) {
 		app.cliStream.Close()
 		app.srvStream.Close()
@@ -496,11 +497,11 @@ func udpAppPorts(srcPort, dstPort uint16) bool {
 // replayUDPEvent dispatches one captured datagram. The DNS decode
 // scratch lives on the aggregate (one per worker, reused across
 // events).
-func replayUDPEvent(ap *appAggregates, ev udpEvent, isLocal func(netip.Addr) bool) {
+func replayUDPEvent(ap *appAggregates, ev udpEvent) {
 	switch {
 	case ev.dstPort == 53 || ev.srcPort == 53:
 		if err := dns.DecodeInto(ev.payload, &ap.dnsScratch); err == nil {
-			if isLocal(ev.src) && isLocal(ev.dst) {
+			if enterprise.IsLocal(ev.src) && enterprise.IsLocal(ev.dst) {
 				ap.dnsInt.Message(ev.ts, ev.src, ev.dst, &ap.dnsScratch)
 			} else {
 				ap.dnsWan.Message(ev.ts, ev.src, ev.dst, &ap.dnsScratch)
@@ -523,7 +524,7 @@ func replayUDPEvent(ap *appAggregates, ev udpEvent, isLocal func(netip.Addr) boo
 // the server itself, so the registration is scoped there.
 func (a *Analyzer) replayFTPRegistrations(host netip.Addr, srv []byte) {
 	pasvPorts(srv, func(port uint16) {
-		a.opts.Registry.Register(host, layers.ProtoTCP, port, "FTP-Data", categories.Bulk)
+		a.registry.Register(host, layers.ProtoTCP, port, "FTP-Data", categories.Bulk)
 	})
 }
 
@@ -565,7 +566,7 @@ func (a *Analyzer) replayEPM(key dcerpc.ChanKey, segs [][]byte) {
 			if name == "unknown" {
 				name = "DCE/RPC"
 			}
-			a.opts.Registry.Register(netip.AddrFrom4(pdu.Host), layers.ProtoTCP, pdu.Port, name, categories.Windows)
+			a.registry.Register(netip.AddrFrom4(pdu.Host), layers.ProtoTCP, pdu.Port, name, categories.Windows)
 		}
 	}
 }
@@ -573,9 +574,8 @@ func (a *Analyzer) replayEPM(key dcerpc.ChanKey, segs [][]byte) {
 // mergeUDPEvents collects every shard's captured datagrams into global
 // arrival order. Each shard's slice is already sorted by global index
 // (packets route to a pipeline worker in read order), so this is a
-// k-way merge of sorted runs, not a sort. The loser tree keeps this
-// serial-path step at O(n log k) regardless of shard count; idx values
-// are unique, so the order is total.
+// k-way merge of sorted runs, one per worker, not a sort; idx values are
+// unique, so the order is total.
 func mergeUDPEvents(sinks []*shardSink) []udpEvent {
 	runs := make([][]udpEvent, 0, len(sinks))
 	for _, s := range sinks {

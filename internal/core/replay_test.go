@@ -184,10 +184,10 @@ func FuzzReplayFTPRegistrations(f *testing.F) {
 			if categories.WellKnown(layers.ProtoTCP, port) != "" {
 				continue // the static table names the port, whatever is registered
 			}
-			if name, _ := a.opts.Registry.Classify(layers.ProtoTCP, other, server, 40000, port); name != "FTP-Data" {
+			if name, _ := a.registry.Classify(layers.ProtoTCP, other, server, 40000, port); name != "FTP-Data" {
 				t.Fatalf("port %d advertised by the server classifies as %q there", port, name)
 			}
-			if name, _ := a.opts.Registry.Classify(layers.ProtoTCP, server, other, 40000, port); name != "" {
+			if name, _ := a.registry.Classify(layers.ProtoTCP, server, other, 40000, port); name != "" {
 				t.Fatalf("port %d advertised by the server classifies as %q on another host", port, name)
 			}
 		}

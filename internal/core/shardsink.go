@@ -10,6 +10,7 @@ import (
 	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/categories"
+	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
@@ -54,6 +55,7 @@ const unknownStreamLimit = 1 << 20
 // shared while packets flow.
 type shardSink struct {
 	opts      *Options
+	registry  *categories.Registry
 	monitored netip.Prefix
 	base      time.Time
 
@@ -144,9 +146,10 @@ type connStreams struct {
 	postRSTData int64
 }
 
-func newShardSink(opts *Options, monitored netip.Prefix, base time.Time) *shardSink {
+func newShardSink(opts *Options, registry *categories.Registry, monitored netip.Prefix, base time.Time) *shardSink {
 	return &shardSink{
 		opts:        opts,
+		registry:    registry,
 		monitored:   monitored,
 		base:        base,
 		monHosts:    make(map[netip.Addr]struct{}),
@@ -223,7 +226,7 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	}
 	app := connStreamsOf(conn)
 	if app == nil {
-		name, _ := s.opts.Registry.Classify(conn.Proto, conn.Key.Src, conn.Key.Dst, conn.Key.SrcPort, conn.Key.DstPort)
+		name, _ := s.registry.Classify(conn.Proto, conn.Key.Src, conn.Key.Dst, conn.Key.SrcPort, conn.Key.DstPort)
 		app = newConnStreams(name, conn, !s.opts.bufferStreams)
 		conn.App = app
 	}
@@ -423,7 +426,7 @@ func (s *shardSink) recordHost(addr netip.Addr) {
 	case s.monitored.Contains(addr):
 		s.monHosts[addr] = struct{}{}
 		s.localHosts[addr] = struct{}{}
-	case s.opts.IsLocal(addr):
+	case enterprise.IsLocal(addr):
 		s.localHosts[addr] = struct{}{}
 	default:
 		s.remoteHosts[addr] = struct{}{}

@@ -1,119 +1,33 @@
-// Package kmerge merges k pre-sorted runs into one sorted slice in
-// O(n log k) comparisons using a loser tree (a tournament tree that
-// stores, at each internal node, the loser of the match played there,
-// with the overall winner kept at the root). Re-inserting the winner's
-// successor replays exactly one root-to-leaf path — log k comparisons —
-// instead of rescanning every run head the way a linear k-way scan
-// does.
+// Package kmerge merges k pre-sorted runs into one sorted slice. Its two
+// callers — pipeline.Result.SortedConns (per-shard connection runs →
+// first-packet order) and core's mergeUDPEvents (per-shard datagram runs
+// → arrival order) — merge one run per pipeline worker, so k ≤ Workers.
 //
-// The repository's two serial-path merges go through this package:
-// pipeline.Result.SortedConns (per-shard connection runs → canonical
-// first-packet order) and core's mergeUDPEvents (per-shard datagram
-// runs → global arrival order). Both sit between pipeline drain and
-// replay fan-out, on the one segment of the analysis that cannot be
-// parallelized, so their cost is pure Amdahl serial residue: at k
-// shards the old head scan paid O(n·k) comparisons and grew linearly
-// with the worker count it was supposed to be amortizing.
-//
-// Determinism: the merge is stable across runs — when two heads
-// compare equal (neither less(a,b) nor less(b,a)), the element from
-// the lower-indexed run is emitted first. Callers that index runs by
-// shard therefore get the same tie order a serial single-shard pass
-// would have produced, which is what the byte-identical-reports
-// guarantee leans on.
+// The merge is a head scan, O(n·k). A loser tree (O(n log k), 260 lines)
+// stood here from PR 10 and was deleted for want of a number: over
+// 65 536 round-robin elements it read 0.70 / 0.97 / 1.47 ms at
+// k = 2 / 8 / 32 against the scan's 0.68 / 1.52 / 5.76 ms — level at the
+// benchmark host's k = 2 — while a traced batch-payload run merges
+// ≈ 2.7 k connections a trace (pipeline.sorted_conns_ms 0.015) and both
+// merges together were under 1 % of analysis CPU.
 package kmerge
 
-import "cmp"
+import (
+	"cmp"
+	"slices"
+)
 
-// Merge merges the pre-sorted runs under less into one ascending
-// slice. Runs may be empty or nil; a nil or all-empty runs set yields
-// nil. When exactly one run is non-empty it is returned directly (no
-// copy) — callers that go on to mutate the result must be holding
-// throwaway runs, which both in-repo call sites are.
+// MergeBy merges the pre-sorted runs ascending by key(e). Runs may be
+// empty or nil; none non-empty yields nil, and exactly one is returned
+// as is (no copy), so a caller that mutates the result must own the runs.
 //
-// Ties across runs resolve to the lower run index (stable), and ties
-// within a run keep their order (elements of one run are never
-// reordered), so Merge(runs) is element-for-element identical to
-// appending all runs in index order and stable-sorting.
-//
-// When the sort key is an ordered scalar, prefer MergeBy: it hoists
-// the key per head and compares inline, roughly halving the merge's
-// constant factor (less here is an indirect call per match).
-func Merge[T any](runs [][]T, less func(a, b T) bool) []T {
-	live, n := liveRuns(runs)
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	case 2:
-		return merge2(live[0], live[1], less, n)
-	}
-	out := make([]T, n)
-	t := newLoserTree(live, less)
-	for i := range out {
-		w := t.node[0]
-		out[i] = t.runs[w][t.heads[w]]
-		t.heads[w]++
-		t.replay(w)
-	}
-	return out
-}
-
-// MergeBy merges the pre-sorted runs ascending by key(e). Semantics
-// are exactly Merge's (same tie rules, same no-copy single-run
-// shortcut) with the comparison specialized: each run's current key is
-// cached as its head advances — one key() call per element — and every
-// tournament match is an inline ordered compare instead of an indirect
-// less() call. This is the variant on the analyzer's serial path
-// (pipeline.SortedConns, core's UDP event merge), where the key is a
-// global packet index.
+// Ties across runs resolve to the lower run index and a run is never
+// reordered, so the result is element for element what appending the
+// runs in index order and stable-sorting gives: runs indexed by shard
+// merge to the same order for any shard count, which is what keeps
+// reports byte-identical across worker counts.
 func MergeBy[T any, K cmp.Ordered](runs [][]T, key func(T) K) []T {
-	live, n := liveRuns(runs)
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	k := len(live)
-	t := keyedTree[T, K]{
-		node:   make([]int, k),
-		heads:  make([]int, k),
-		curKey: make([]K, k),
-		done:   make([]bool, k),
-		runs:   live,
-	}
-	for i := range t.node {
-		t.node[i] = -1
-	}
-	for i, r := range live {
-		t.curKey[i] = key(r[0])
-	}
-	for i := range live {
-		t.replay(i)
-	}
-	out := make([]T, n)
-	for i := range out {
-		w := t.node[0]
-		h := t.heads[w]
-		out[i] = t.runs[w][h]
-		h++
-		t.heads[w] = h
-		if h < len(t.runs[w]) {
-			t.curKey[w] = key(t.runs[w][h])
-		} else {
-			t.done[w] = true
-		}
-		t.replay(w)
-	}
-	return out
-}
-
-// liveRuns drops empty runs (preserving order, so tie-breaking by
-// filtered index matches tie-breaking by original index) and counts
-// the total elements.
-func liveRuns[T any](runs [][]T) ([][]T, int) {
+	// Dropping empty runs keeps the rest in run-index order.
 	live := make([][]T, 0, len(runs))
 	n := 0
 	for _, r := range runs {
@@ -122,139 +36,24 @@ func liveRuns[T any](runs [][]T) ([][]T, int) {
 			n += len(r)
 		}
 	}
-	return live, n
-}
-
-// keyedTree is the loser tree specialized to cached ordered keys; see
-// loserTree for the node layout and sentinel rules.
-type keyedTree[T any, K cmp.Ordered] struct {
-	node   []int
-	heads  []int
-	curKey []K
-	done   []bool
-	runs   [][]T
-}
-
-func (t *keyedTree[T, K]) replay(i int) {
-	winner := i
-	for parent := (i + len(t.node)) / 2; parent > 0; parent >>= 1 {
-		if t.wins(t.node[parent], winner) {
-			t.node[parent], winner = winner, t.node[parent]
-		}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
 	}
-	t.node[0] = winner
-}
-
-// wins reports whether run a's head beats run b's: the -1 seeding
-// sentinel beats everything, exhausted runs lose to everything real,
-// ties break to the lower run index. One ordered compare per match.
-func (t *keyedTree[T, K]) wins(a, b int) bool {
-	if a < 0 {
-		return true
-	}
-	if b < 0 {
-		return false
-	}
-	if t.done[a] {
-		return false
-	}
-	if t.done[b] {
-		return true
-	}
-	if a < b {
-		// a wins unless b is strictly smaller (tie → lower index = a).
-		return !(t.curKey[b] < t.curKey[a])
-	}
-	return t.curKey[a] < t.curKey[b]
-}
-
-// merge2 is the two-run fast path: a plain guarded two-finger merge,
-// cheaper than any tree for k == 2 (the most common parallel shape —
-// pipeline workers default to small counts). Ties go to run 0.
-func merge2[T any](a, b []T, less func(x, y T) bool, n int) []T {
 	out := make([]T, 0, n)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
+	for len(live) > 1 {
+		best, bestKey := 0, key(live[0][0])
+		for r := 1; r < len(live); r++ {
+			if k := key(live[r][0]); k < bestKey {
+				best, bestKey = r, k
+			}
+		}
+		out = append(out, live[best][0])
+		if live[best] = live[best][1:]; len(live[best]) == 0 {
+			live = slices.Delete(live, best, best+1)
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// loserTree is the tournament state over k := len(runs) non-empty
-// runs. node has k slots: node[0] holds the current overall winner's
-// run index and node[1:] the internal nodes, each storing the loser of
-// the last match played there. Leaf i occupies virtual position k+i,
-// so its parent chain is (k+i)/2, (k+i)/4, … 1.
-type loserTree[T any] struct {
-	node  []int
-	heads []int
-	runs  [][]T
-	less  func(a, b T) bool
-}
-
-func newLoserTree[T any](runs [][]T, less func(a, b T) bool) *loserTree[T] {
-	k := len(runs)
-	t := &loserTree[T]{
-		node:  make([]int, k),
-		heads: make([]int, k),
-		runs:  runs,
-		less:  less,
-	}
-	// Seed every node with the -1 sentinel, which wins every match it
-	// plays (see wins): as each leaf is replayed in, the sentinel keeps
-	// moving up and out of the way, so after k replays every internal
-	// node holds a real loser and node[0] the real winner.
-	for i := range t.node {
-		t.node[i] = -1
-	}
-	for i := range runs {
-		t.replay(i)
-	}
-	return t
-}
-
-// replay re-runs leaf i's matches from its parent up to the root,
-// leaving the tournament winner at node[0]. At every node the winner
-// of (occupant, incoming) moves up and the loser stays.
-func (t *loserTree[T]) replay(i int) {
-	winner := i
-	for parent := (i + len(t.node)) / 2; parent > 0; parent /= 2 {
-		if t.wins(t.node[parent], winner) {
-			t.node[parent], winner = winner, t.node[parent]
-		}
-	}
-	t.node[0] = winner
-}
-
-// wins reports whether run a's head beats run b's head. The -1
-// initialization sentinel beats everything (it must bubble out of the
-// tree during seeding); an exhausted run loses to everything real, so
-// it sinks to the bottom and stays there. Ties break to the lower run
-// index — the stability rule.
-func (t *loserTree[T]) wins(a, b int) bool {
-	if a < 0 {
-		return true
-	}
-	if b < 0 {
-		return false
-	}
-	if t.heads[a] >= len(t.runs[a]) {
-		return false
-	}
-	if t.heads[b] >= len(t.runs[b]) {
-		return true
-	}
-	x, y := t.runs[a][t.heads[a]], t.runs[b][t.heads[b]]
-	if a < b {
-		// a wins unless b is strictly smaller (tie → lower index = a).
-		return !t.less(y, x)
-	}
-	return t.less(x, y)
+	return append(out, live[0]...)
 }

@@ -1,9 +1,10 @@
 package kmerge
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -15,12 +16,11 @@ type elem struct {
 	run, seq int
 }
 
-func elemLess(a, b elem) bool { return a.key < b.key }
-
 func elemKey(e elem) int { return e.key }
 
 // buildRuns makes k pre-sorted runs of random lengths (some empty) with
-// keys drawn from a small space so duplicates are common.
+// keys drawn from a small space so duplicates are common, across runs
+// and within one.
 func buildRuns(rng *rand.Rand, k, maxLen, keySpace int) [][]elem {
 	runs := make([][]elem, k)
 	for r := range runs {
@@ -29,7 +29,7 @@ func buildRuns(rng *rand.Rand, k, maxLen, keySpace int) [][]elem {
 		for i := range keys {
 			keys[i] = rng.Intn(keySpace)
 		}
-		sort.Ints(keys)
+		slices.Sort(keys)
 		run := make([]elem, n)
 		for i, key := range keys {
 			run[i] = elem{key: key, run: r, seq: i}
@@ -48,109 +48,69 @@ func reference(runs [][]elem) []elem {
 	for _, r := range runs {
 		all = append(all, r...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].key < all[j].key })
+	slices.SortStableFunc(all, func(a, b elem) int { return cmp.Compare(a.key, b.key) })
 	return all
-}
-
-// headScanMerge is the O(n·k) linear scan this package replaced
-// (pipeline.SortedConns / core.mergeUDPEvents before the loser tree):
-// every pop rescans all run heads. Kept here as the property-test
-// oracle's second witness and the micro-benchmark baseline.
-func headScanMerge(runs [][]elem) []elem {
-	var n int
-	live := make([][]elem, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-			n += len(r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	out := make([]elem, 0, n)
-	heads := make([]int, len(live))
-	for len(out) < n {
-		best := -1
-		var bestKey int
-		for r, h := range heads {
-			if h >= len(live[r]) {
-				continue
-			}
-			if best < 0 || live[r][h].key < bestKey {
-				best, bestKey = r, live[r][h].key
-			}
-		}
-		out = append(out, live[best][heads[best]])
-		heads[best]++
-	}
-	return out
 }
 
 func checkEqual(t *testing.T, got, want []elem, label string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: merged %d elements, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: element %d = %+v, want %+v", label, i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: merged\n%+v\nwant\n%+v", label, got, want)
 	}
 }
 
 // TestMergeMatchesSortProperty is the package contract: for seeded
-// random run shapes — 0, 1, and many runs, empty runs mixed in, heavy
-// key duplication — Merge is element-for-element identical to
-// append-all-then-stable-sort (and to the old head scan, whose
-// first-strictly-smaller-head rule encodes the same tie order).
+// random run shapes — 0, 1, and many runs, heavy key duplication, and
+// an empty or nil run forced into every position in turn — MergeBy is
+// element-for-element identical to append-all-then-stable-sort (elem's
+// provenance makes a cross-run or within-run tie swap a mismatch).
 func TestMergeMatchesSortProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, k := range []int{0, 1, 2, 3, 5, 8, 17, 32} {
+	for _, k := range []int{0, 1, 2, 3, 8, 32} {
 		for trial := 0; trial < 25; trial++ {
 			runs := buildRuns(rng, k, 50, 12)
 			want := reference(runs)
 			label := fmt.Sprintf("k=%d trial=%d", k, trial)
-			checkEqual(t, Merge(runs, elemLess), want, label)
-			checkEqual(t, MergeBy(runs, elemKey), want, label+" (MergeBy)")
-			checkEqual(t, headScanMerge(runs), want, label+" (head-scan oracle)")
+			checkEqual(t, MergeBy(runs, elemKey), want, label)
+			for hole := 0; hole < k; hole++ {
+				for _, empty := range [][]elem{nil, {}} {
+					holed := slices.Clone(runs)
+					holed[hole] = empty
+					checkEqual(t, MergeBy(holed, elemKey), reference(holed),
+						fmt.Sprintf("%s, run %d emptied", label, hole))
+				}
+			}
 		}
 	}
 }
 
 // TestMergeEdgeShapes pins the shapes property trials may miss.
 func TestMergeEdgeShapes(t *testing.T) {
-	if got := Merge(nil, elemLess); got != nil {
-		t.Errorf("Merge(nil) = %v, want nil", got)
-	}
-	if got := Merge([][]elem{{}, nil, {}}, elemLess); got != nil {
-		t.Errorf("Merge(all empty) = %v, want nil", got)
-	}
 	if got := MergeBy(nil, elemKey); got != nil {
 		t.Errorf("MergeBy(nil) = %v, want nil", got)
 	}
-	// A single non-empty run among empties comes back as that very
-	// slice — the documented no-copy shortcut.
-	run := []elem{{key: 1}, {key: 2}}
-	got := Merge([][]elem{{}, run, nil}, elemLess)
-	if len(got) != 2 || &got[0] != &run[0] {
-		t.Error("single-run merge did not return the run itself")
+	if got := MergeBy([][]elem{{}, nil, {}}, elemKey); got != nil {
+		t.Errorf("MergeBy(all empty) = %v, want nil", got)
 	}
-	if got := MergeBy([][]elem{nil, run}, elemKey); len(got) != 2 || &got[0] != &run[0] {
-		t.Error("single-run MergeBy did not return the run itself")
+	// A single non-empty run among empties comes back as that very
+	// slice — the documented no-copy shortcut — wherever it sits.
+	run := []elem{{key: 1}, {key: 2}}
+	for pos := 0; pos < 3; pos++ {
+		runs := [][]elem{nil, {}, nil}
+		runs[pos] = run
+		if got := MergeBy(runs, elemKey); len(got) != 2 || &got[0] != &run[0] {
+			t.Errorf("single live run at %d: MergeBy did not return the run itself", pos)
+		}
 	}
 	// All-equal keys across many runs: pure tie-breaking. Output must
 	// walk the runs in index order, each run intact.
 	equal := [][]elem{
 		{{key: 5, run: 0, seq: 0}, {key: 5, run: 0, seq: 1}},
 		{{key: 5, run: 1, seq: 0}},
-		{{key: 5, run: 2, seq: 0}, {key: 5, run: 2, seq: 1}, {key: 5, run: 2, seq: 2}},
+		{},
+		{{key: 5, run: 3, seq: 0}, {key: 5, run: 3, seq: 1}, {key: 5, run: 3, seq: 2}},
 	}
-	checkEqual(t, Merge(equal, elemLess), reference(equal), "all-equal keys")
-	checkEqual(t, MergeBy(equal, elemKey), reference(equal), "all-equal keys (MergeBy)")
+	checkEqual(t, MergeBy(equal, elemKey), slices.Concat(equal...), "all-equal keys")
 }
 
 // TestMergeUniqueKeysTotalOrder mirrors the in-repo call sites, whose
@@ -167,84 +127,16 @@ func TestMergeUniqueKeysTotalOrder(t *testing.T) {
 			runs[r] = append(runs[r], elem{key: v, run: r, seq: i})
 		}
 		for r := range runs {
-			sort.Slice(runs[r], func(i, j int) bool { return runs[r][i].key < runs[r][j].key })
+			slices.SortFunc(runs[r], func(a, b elem) int { return cmp.Compare(a.key, b.key) })
 		}
-		for name, got := range map[string][]elem{
-			"Merge":   Merge(runs, elemLess),
-			"MergeBy": MergeBy(runs, elemKey),
-		} {
-			if len(got) != len(perm) {
-				t.Fatalf("trial %d %s: merged %d, want %d", trial, name, len(got), len(perm))
-			}
-			for i, e := range got {
-				if e.key != i {
-					t.Fatalf("trial %d %s: position %d holds key %d", trial, name, i, e.key)
-				}
+		got := MergeBy(runs, elemKey)
+		if len(got) != len(perm) {
+			t.Fatalf("trial %d: merged %d, want %d", trial, len(got), len(perm))
+		}
+		for i, e := range got {
+			if e.key != i {
+				t.Fatalf("trial %d: position %d holds key %d", trial, i, e.key)
 			}
 		}
-	}
-}
-
-// benchRuns splits total elements with unique ascending keys across k
-// runs round-robin — the shape SortedConns sees (hash-sharded global
-// indices, every run interleaved with every other, worst case for a
-// merge's branch predictor).
-func benchRuns(total, k int) [][]elem {
-	runs := make([][]elem, k)
-	for i := 0; i < total; i++ {
-		r := i % k
-		runs[r] = append(runs[r], elem{key: i, run: r})
-	}
-	return runs
-}
-
-// BenchmarkMergeBy vs BenchmarkHeadScan at k∈{2,8,32} is the
-// O(n log k) vs O(n·k) pin: the EXPERIMENTS.md table records the
-// ratio, and the k=32 point is where the head scan's linear rescan
-// cost shows (the acceptance bar is ≥3× there). MergeBy is what the
-// analyzer's serial path runs; BenchmarkMerge prices the fully generic
-// less-func variant for comparison.
-func BenchmarkMergeBy(b *testing.B) {
-	const total = 65536
-	for _, k := range []int{2, 8, 32} {
-		runs := benchRuns(total, k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := MergeBy(runs, elemKey); len(got) != total {
-					b.Fatal("short merge")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMerge(b *testing.B) {
-	const total = 65536
-	for _, k := range []int{2, 8, 32} {
-		runs := benchRuns(total, k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := Merge(runs, elemLess); len(got) != total {
-					b.Fatal("short merge")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkHeadScan(b *testing.B) {
-	const total = 65536
-	for _, k := range []int{2, 8, 32} {
-		runs := benchRuns(total, k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := headScanMerge(runs); len(got) != total {
-					b.Fatal("short merge")
-				}
-			}
-		})
 	}
 }

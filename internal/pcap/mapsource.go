@@ -1,37 +1,27 @@
 package pcap
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
 )
 
-// ErrMmapUnsupported is returned by OpenMmap on platforms without a
-// memory-mapping implementation. Callers fall back to the streaming
-// Reader path, which is portable.
-var ErrMmapUnsupported = errors.New("pcap: mmap not supported on this platform")
-
 // MapSource reads a pcap trace from a byte slice that is already in
-// memory — typically a memory-mapped file (OpenMmap) — and hands out
-// packets whose Data is a view into that slice rather than a copy. It is
-// PooledReader's record walk over a single slab that is borrowed, not
-// read: the whole trace is there from the start, so the walk never
-// refills, and the slab is the caller's, so it is never recycled. It
-// implements PacketSource and Releaser with the same contract as
-// PooledReader: a packet is valid until Release, and consumers keeping
-// slices into Data past the callback must Retain it first.
+// memory and hands out packets whose Data is a view into that slice
+// rather than a copy. It is PooledReader's record walk over a single
+// slab that is borrowed, not read: the whole trace is there from the
+// start, so the walk never refills, and the slab is the caller's, so it
+// is never recycled. It implements PacketSource and Releaser with the
+// same contract as PooledReader: a packet is valid until Release, and
+// consumers keeping slices into Data past the callback must Retain it
+// first.
 //
 // The zero-copy twist is what Release means here. A released packet's
-// Data pointed into the mapping, so Release poisons the struct (Data
-// becomes nil) before recycling it: any use-after-release fails loudly
-// with a nil-slice panic instead of silently reading whatever record
-// the view happened to cover. Retained packets are exempt — their views
-// stay valid until Close unmaps the file, which is why Close must not
-// be called until the run consuming the source has returned. The
-// analysis core's borrow contract (see connStreams.release) guarantees
-// nothing derived from packet Data outlives the run, so closing after
-// AddTraceSource returns is safe.
+// Data pointed into the caller's slice, so Release poisons the struct
+// (Data becomes nil) before recycling it: any use-after-release fails
+// loudly with a nil-slice panic instead of silently reading whatever
+// record the view happened to cover. Retained packets are exempt — their
+// views stay valid for as long as the caller keeps the slice.
 //
 // Errors are Reader's record for record, by construction — every source
 // decodes through parseRecord and ends through tornError: a clean end of
@@ -46,8 +36,6 @@ type MapSource struct {
 	sticky error
 	// pool recycles the Packet structs (never the bytes they view).
 	pool *Pool
-	// unmap releases the mapping (nil for caller-owned slices).
-	unmap func() error
 }
 
 // NewMapSource returns a MapSource over an in-memory pcap image. The
@@ -65,8 +53,8 @@ func NewMapSource(data []byte) (*MapSource, error) {
 }
 
 // Next implements PacketSource. The returned packet's Data aliases the
-// mapped file — no copy — and is valid until Release (or, if Retained,
-// until Close).
+// image — no copy — and is valid until Release (or, if Retained, for as
+// long as the image is).
 func (s *MapSource) Next() (*Packet, error) {
 	if s.sticky != nil {
 		return nil, s.sticky
@@ -99,22 +87,4 @@ func (s *MapSource) Release(p *Packet) {
 	p.OrigLen = 0
 	p.Timestamp = time.Time{}
 	s.pool.Put(p)
-}
-
-// Close releases the underlying mapping, if any. Every view handed out
-// by Next — including retained packets — dies with it, so Close only
-// after the run consuming this source has fully returned.
-func (s *MapSource) Close() error {
-	s.data = nil
-	// Any Next after Close is a borrow-contract violation; report it as
-	// such even on a cleanly drained source (a real read error stays).
-	if s.sticky == nil || s.sticky == io.EOF {
-		s.sticky = errors.New("pcap: source closed")
-	}
-	if s.unmap == nil {
-		return nil
-	}
-	unmap := s.unmap
-	s.unmap = nil
-	return unmap()
 }

@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 )
 
-// mmapTestTrace serializes a small trace exercising the record shapes
+// mapTestTrace serializes a small trace exercising the record shapes
 // the map walker must agree with the streaming Reader on: empty
 // payload, full frame, and a snaplen-truncated record.
-func mmapTestTrace(t *testing.T) []byte {
+func mapTestTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 96, LinkTypeEthernet)
@@ -39,7 +36,7 @@ func mmapTestTrace(t *testing.T) []byte {
 // capture data, and original lengths — and the map source's Data really
 // is a view into the input, not a copy.
 func TestMapSourceMatchesReader(t *testing.T) {
-	raw := mmapTestTrace(t)
+	raw := mapTestTrace(t)
 	r, err := NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +95,7 @@ func rawOffsetOf(t *testing.T, raw []byte, view []byte) int {
 // wrapping io.ErrUnexpectedEOF, which the degrade policy's fallback
 // classification buckets as a terminal torn-record.
 func TestMapSourceTruncatedFinalRecord(t *testing.T) {
-	raw := mmapTestTrace(t)
+	raw := mapTestTrace(t)
 	for _, cut := range []struct {
 		name string
 		drop int
@@ -144,7 +141,7 @@ func TestMapSourceTruncatedFinalRecord(t *testing.T) {
 // any indexing panics immediately), while a Retained packet keeps its
 // view intact through Release.
 func TestMapSourceReleasePoisons(t *testing.T) {
-	src, err := NewMapSource(mmapTestTrace(t))
+	src, err := NewMapSource(mapTestTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,64 +174,18 @@ func TestMapSourceReleasePoisons(t *testing.T) {
 }
 
 // TestMapSourceHeaderErrors pins the constructor's failure modes to the
-// Reader's shapes: too short for a global header wraps
-// io.ErrUnexpectedEOF, a wrong magic is ErrBadMagic.
+// Reader's shapes: too short for a global header — a zero-length image
+// included — wraps io.ErrUnexpectedEOF, a wrong magic is ErrBadMagic.
 func TestMapSourceHeaderErrors(t *testing.T) {
-	if _, err := NewMapSource([]byte{1, 2, 3}); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("short header: err = %v, want wrapped io.ErrUnexpectedEOF", err)
+	for _, short := range [][]byte{nil, {}, {1, 2, 3}} {
+		_, err := NewMapSource(short)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || err.Error() != "pcap: reading global header: unexpected EOF" {
+			t.Errorf("%d-byte image: err = %v, want \"pcap: reading global header: unexpected EOF\"", len(short), err)
+		}
 	}
 	bad := make([]byte, 24)
 	copy(bad, "not a pcap file.........")
 	if _, err := NewMapSource(bad); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: err = %v, want ErrBadMagic", err)
-	}
-}
-
-// TestOpenMmapReadsFile exercises the real mmap path end to end on
-// Linux: map a trace file, drain it, Close unmaps without error. On
-// other platforms OpenMmap must report ErrMmapUnsupported.
-func TestOpenMmapReadsFile(t *testing.T) {
-	raw := mmapTestTrace(t)
-	path := filepath.Join(t.TempDir(), "trace.pcap")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := OpenMmap(path)
-	if runtime.GOOS != "linux" {
-		if !errors.Is(err, ErrMmapUnsupported) {
-			t.Fatalf("err = %v, want ErrMmapUnsupported off Linux", err)
-		}
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for {
-		p, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-		src.Release(p)
-	}
-	if n != 4 {
-		t.Errorf("read %d packets, want 4", n)
-	}
-	if err := src.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
-	if _, err := src.Next(); err == nil || err == io.EOF {
-		t.Errorf("Next after Close: err = %v, want a closed error", err)
-	}
-
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMmap(path); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("empty file: err = %v, want wrapped io.ErrUnexpectedEOF", err)
 	}
 }

@@ -2,9 +2,7 @@
 // 24-byte global header followed by 16-byte-headed packet records. It
 // supports both byte orders, microsecond and nanosecond timestamp variants,
 // snaplen truncation on write (the paper's D1/D2 datasets were captured
-// with a 68-byte snaplen), and timestamp-ordered merging of several
-// unidirectional streams — the way the paper's tracing host merged four
-// NIC streams into one trace.
+// with a 68-byte snaplen).
 //
 // Only link type Ethernet (DLT_EN10MB = 1) is used by this repository, but
 // the reader preserves whatever link type the file declares.
@@ -98,7 +96,7 @@ type format struct {
 
 // parseGlobalHeader decodes a 24-byte pcap global header: magic (either
 // byte order, µs or ns timestamp variant), snaplen, link type. Shared
-// by the streaming Reader and the memory-mapped MapSource.
+// by the streaming Reader and the in-memory MapSource.
 func parseGlobalHeader(gh []byte) (format, error) {
 	var order binary.ByteOrder
 	var nanos bool
@@ -256,10 +254,19 @@ func (r *Reader) read(p *Packet) error {
 // including a final record truncated by the end of the stream, reported
 // as an error wrapping io.ErrUnexpectedEOF — the packets successfully
 // read before the failure are returned alongside it.
-func (r *Reader) ReadAll() ([]*Packet, error) {
+func (r *Reader) ReadAll() ([]*Packet, error) { return ReadAll(r) }
+
+// PacketSource yields packets in timestamp order, ending with io.EOF. Both
+// *Reader and in-memory traces satisfy it.
+type PacketSource interface {
+	Next() (*Packet, error)
+}
+
+// ReadAll drains any PacketSource into a slice.
+func ReadAll(src PacketSource) ([]*Packet, error) {
 	var pkts []*Packet
 	for {
-		p, err := r.Next()
+		p, err := src.Next()
 		if err == io.EOF {
 			return pkts, nil
 		}
@@ -268,6 +275,26 @@ func (r *Reader) ReadAll() ([]*Packet, error) {
 		}
 		pkts = append(pkts, p)
 	}
+}
+
+// SliceSource adapts an in-memory packet slice to PacketSource.
+type SliceSource struct {
+	pkts []*Packet
+	idx  int
+}
+
+// NewSliceSource returns a source over pkts; the slice is not copied and
+// must already be in timestamp order.
+func NewSliceSource(pkts []*Packet) *SliceSource { return &SliceSource{pkts: pkts} }
+
+// Next implements PacketSource.
+func (s *SliceSource) Next() (*Packet, error) {
+	if s.idx >= len(s.pkts) {
+		return nil, io.EOF
+	}
+	p := s.pkts[s.idx]
+	s.idx++
+	return p, nil
 }
 
 // Writer writes packets to a pcap stream, truncating to the configured

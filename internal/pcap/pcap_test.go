@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,82 +197,6 @@ func TestSliceSource(t *testing.T) {
 	}
 	if _, err := s.Next(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
-	}
-}
-
-func TestMergerInterleaves(t *testing.T) {
-	a := NewSliceSource([]*Packet{
-		{Timestamp: ts(1, 0), Data: []byte{'a'}},
-		{Timestamp: ts(3, 0), Data: []byte{'a'}},
-		{Timestamp: ts(5, 0), Data: []byte{'a'}},
-	})
-	b := NewSliceSource([]*Packet{
-		{Timestamp: ts(2, 0), Data: []byte{'b'}},
-		{Timestamp: ts(4, 0), Data: []byte{'b'}},
-	})
-	m := NewMerger(a, b)
-	got, err := ReadAll(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("merged %d packets, want 5", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Timestamp.Before(got[i-1].Timestamp) {
-			t.Fatalf("merge out of order at %d", i)
-		}
-	}
-	wantSrc := "ababa"
-	for i, p := range got {
-		if p.Data[0] != wantSrc[i] {
-			t.Errorf("position %d from source %c, want %c", i, p.Data[0], wantSrc[i])
-		}
-	}
-}
-
-func TestMergerEmptySources(t *testing.T) {
-	m := NewMerger(NewSliceSource(nil), NewSliceSource(nil))
-	got, err := ReadAll(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("got %d packets from empty sources", len(got))
-	}
-}
-
-// Property: merging k sorted streams yields a sorted stream containing
-// every packet exactly once.
-func TestMergerProperty(t *testing.T) {
-	f := func(seed int64, sizes [4]uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var sources []PacketSource
-		total := 0
-		for _, sz := range sizes {
-			n := int(sz % 50)
-			total += n
-			pkts := make([]*Packet, n)
-			cur := int64(0)
-			for i := range pkts {
-				cur += int64(rng.Intn(1000))
-				pkts[i] = &Packet{Timestamp: ts(cur, 0)}
-			}
-			sources = append(sources, NewSliceSource(pkts))
-		}
-		got, err := ReadAll(NewMerger(sources...))
-		if err != nil || len(got) != total {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Timestamp.Before(got[i-1].Timestamp) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -30,17 +30,17 @@ import (
 
 // Source is the pipeline's ingest seam: anything that yields packets in
 // capture order, ending with a bare io.EOF. It is pcap's PacketSource;
-// *pcap.PooledReader and *pcap.MapSource (file replay, read by the slab
-// or mapped), pcap.SliceSource (in-memory traces), pcap.Merger (multi-tap
-// merge), and gen.StreamSource (the synthetic load harness) all satisfy
-// it directly, and the pipeline cannot tell them apart — a streamed
-// generator run and a pcap replay of the same frames produce
-// byte-identical results. Sources that additionally implement
-// pcap.Releaser get every packet back exactly once, on the goroutine
-// that calls Next, with never more than maxBatches batches' worth out at
-// a time — which is what keeps pooled sources' memory bounded (a
-// PooledReader's in slabs: a slab goes home with the last packet read
-// from it); see DESIGN.md "Packet sources".
+// *pcap.PooledReader (file replay, read by the slab), *pcap.MapSource
+// and pcap.SliceSource (in-memory images and packet lists), and
+// gen.StreamSource (the synthetic load harness) all satisfy it directly,
+// and the pipeline cannot tell them apart — a streamed generator run and
+// a pcap replay of the same frames produce byte-identical results.
+// Sources that additionally implement pcap.Releaser get every packet
+// back exactly once, on the goroutine that calls Next, with never more
+// than maxBatches batches' worth out at a time — which is what keeps
+// pooled sources' memory bounded (a PooledReader's in slabs: a slab goes
+// home with the last packet read from it); see DESIGN.md "Packet
+// sources".
 type Source = pcap.PacketSource
 
 // isEOF recognizes a clean end of stream. Only a bare io.EOF counts:
@@ -179,10 +179,8 @@ type Result struct {
 // SortedConns merges every shard's connections into first-packet order.
 // The order is identical for any worker count. Each shard's list is
 // already sorted (a shard's table creates its connections in the order
-// their first packets arrive), so this is a k-way merge of sorted runs —
-// a loser tree, not the O(n·k) head scan this used to be: the merge runs
-// on the serial path after the workers join, so its cost is Amdahl
-// residue that used to grow with the worker count. FirstIdx values are
+// their first packets arrive), so this is a k-way merge of sorted runs,
+// one per worker (kmerge has what that costs). FirstIdx values are
 // unique global packet indices, so the merge order is total.
 func (r *Result) SortedConns() []ConnRecord {
 	runs := make([][]ConnRecord, 0, len(r.Shards))
@@ -493,9 +491,13 @@ func Run(src Source, cfg Config) (*Result, error) {
 	return res, rdr.err
 }
 
-// runSerial is the single-worker fast path: no goroutines, no channels.
-// It is the sequential baseline the parallel path is benchmarked against
-// and must produce byte-identical results to it.
+// runSerial is the single-worker path: no goroutines, no channels. It
+// must produce byte-identical results to the worker path. It stays
+// because it is the instrument's baseline, not because it is faster:
+// benchmark/'s traced op runs at Workers: 1 so that its stage spans do
+// not overlap and sum to the op, and pipeline.w2_over_w1 and
+// core.w_default_over_w1 are ratios over this path (0.78–0.90 and
+// 0.77–0.87 on two vCPUs, EXPERIMENTS "pkts/sec versus cores").
 func runSerial(rdr *sourceReader, first *pcap.Packet, cfg Config, res *Result, release func(*pcap.Packet)) (*Result, error) {
 	w := newWorker(0, cfg, first.Timestamp)
 	pk := first

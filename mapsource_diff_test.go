@@ -1,17 +1,14 @@
-// Source equivalence for the memory-mapped pcap path: analyzing a D3
-// trace through pcap.OpenMmap (zero-copy record views) must produce run
-// JSON byte-identical to streaming the same file through the buffered
-// Reader, at every point of the worker grid, batch and windowed. This
-// is the differential that lets `entanalyze -mmap` claim "reports are
-// identical either way".
+// Source equivalence for the in-memory pcap source: analyzing a D3 trace
+// through pcap.NewMapSource (zero-copy record views of the image) must
+// produce run JSON byte-identical to streaming the same bytes through
+// the pooled reader, at every point of the worker grid, batch and
+// windowed. benchmark/'s soak reference analyses through MapSource, so
+// this is the differential that keeps that reference honest.
 package enttrace_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,25 +18,18 @@ import (
 	"enttrace/internal/pcap"
 )
 
-// TestMmapRunJSONMatchesBufio is the mmap differential: for each
+// TestMapSourceRunJSONMatchesPooledReader: for each
 // {workers}×{replay-workers}×{batch,60s-window} grid point, one
-// analyzer reads the trace file via AddTraceReader (bufio path) and one
-// via an OpenMmap source; their full-run JSON must match byte for byte.
-// The mmap source is Closed between the run and the report render,
-// proving no report state borrows the mapping.
-func TestMmapRunJSONMatchesBufio(t *testing.T) {
+// analyzer reads the trace via AddTraceReader (the pooled reader) and
+// one via a MapSource over a copy of the same bytes; their full-run JSON
+// must match byte for byte. The copy is zeroed between the run and the
+// report render, proving no report state borrows the image.
+func TestMapSourceRunJSONMatchesPooledReader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end analysis in -short mode")
 	}
 	cfg := enterprise.D3()
 	raw := scheduledPcap(t, cfg, gen.DefaultSchedule())
-	path := filepath.Join(t.TempDir(), "d3.pcap")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pcap.OpenMmap(path); errors.Is(err, pcap.ErrMmapUnsupported) {
-		t.Skip("mmap unsupported on this platform")
-	}
 	subnet := cfg.Monitored[0]
 	prefix := enterprise.SubnetPrefix(subnet)
 	name := "sched"
@@ -65,20 +55,19 @@ func TestMmapRunJSONMatchesBufio(t *testing.T) {
 					want := runJSON(t, ref)
 
 					mapped := newAnalyzer(workers, replayWorkers, window)
-					src, err := pcap.OpenMmap(path)
+					image := bytes.Clone(raw)
+					src, err := pcap.NewMapSource(image)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := mapped.AddTraceSource(name, prefix, src); err != nil {
 						t.Fatal(err)
 					}
-					if err := src.Close(); err != nil {
-						t.Fatal(err)
-					}
+					clear(image)
 					got := runJSON(t, mapped)
 
 					if !bytes.Equal(got, want) {
-						t.Errorf("mmap run JSON differs from bufio replay (%d vs %d bytes)", len(got), len(want))
+						t.Errorf("MapSource run JSON differs from the pooled reader's (%d vs %d bytes)", len(got), len(want))
 					}
 				})
 			}

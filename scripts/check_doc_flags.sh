@@ -38,7 +38,7 @@ while read -r flag; do
     fail=1
   fi
 done < <(awk '/^```/ { inblk = !inblk; next } inblk' DESIGN.md |
-  grep -oE '(^| )-(inject|on-error|max-conns|idle-evict|mmap)\b' |
+  grep -oE '(^| )-(inject|on-error|max-conns|idle-evict)\b' |
   sed 's/^ *-//' | sort -u)
 
 if [ "$fail" -ne 0 ]; then
