@@ -207,9 +207,10 @@ func TestAllocationCeilings(t *testing.T) {
 
 	// One op = one window closing: a four-connection trace whose clients
 	// hash two to each of two replay workers, each trace one window later
-	// than the last, so its join banks two workers' deltas (HTTP component
-	// and connection sums) into a new window and its end builds the
-	// report of the window before and hands it to OnWindow. The trace's
+	// than the last, so its workers' hand-off builds the report of the
+	// window before and hands it to OnWindow once both have entered the
+	// new one, and banks their two deltas (HTTP component and connection
+	// sums) into the new window once both are done. The trace's
 	// own trip through the pipeline is most of the count; what the row
 	// refuses is a fold — a fresh full aggregate and a merge of both
 	// deltas into it — coming back between banking and the report.

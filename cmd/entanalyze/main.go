@@ -270,6 +270,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// boundary, so a long streaming run shows progress — and in
 		// fleet mode, ship the completed window as a provisional
 		// snapshot (the end-of-run canonical re-export supersedes it).
+		// The callback runs on a replay worker's goroutine, one call at
+		// a time and in window order, beside the heartbeat goroutine
+		// below: ExportWindow and ShipDelta are both safe there.
 		opts.OnWindow = func(wr *core.WindowReport) {
 			fmt.Fprintf(stderr, "window %d [%s, %s): %d conns, %s payload\n",
 				wr.Index, wr.Start.UTC().Format("15:04:05"), wr.End.UTC().Format("15:04:05"),

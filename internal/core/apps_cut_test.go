@@ -36,8 +36,8 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range sink.udp {
-			replayUDPEvent(ap, ev)
+		for i := range sink.udp {
+			replayUDPEvent(ap, &sink.udp[i])
 			step()
 		}
 		for _, rec := range res.SortedConns() {

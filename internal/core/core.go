@@ -54,10 +54,19 @@ type Options struct {
 	// cut or banked per window.
 	Window time.Duration
 	// OnWindow, when set (requires Window > 0), receives each window's
-	// report as the event-time watermark passes its end. Reports emitted
-	// mid-run are provisional when later traces overlap the window in
-	// event time; WindowReports() at end of run is the canonical view.
-	// The callback runs on the analysis goroutine between traces.
+	// report as the event-time watermark passes its end — for most
+	// windows while their trace is still replaying, as soon as every
+	// replay worker has passed them. Reports emitted mid-run are
+	// provisional when later traces overlap the window in event time;
+	// WindowReports() at end of run is the canonical view.
+	//
+	// The callback runs on whichever goroutine completes the window: a
+	// replay worker's, or the caller's of Add* at trace end. Calls are
+	// serialized and arrive in window-index order, and all of a trace's
+	// calls happen before its Add* returns. The callback may read the
+	// Analyzer's concurrency-safe accessors (WindowReport, ExportWindow,
+	// Watermark, …) but must not call Add* or Report, which drains the
+	// replay workers that may still be running.
 	OnWindow func(*WindowReport)
 	// OnError selects the source read-error policy. The zero value is
 	// pipeline.FailFast (any source error aborts the trace, the
@@ -353,7 +362,8 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// phase (dynamic registrations) runs inline and must precede the
 	// connection-level accumulation below, which classifies against the
 	// registry; the parallel phase is left in flight while that
-	// accumulation runs, since the two touch disjoint state.
+	// accumulation runs, since the two touch disjoint state. The workers
+	// bank and emit the windows they have all passed as they go.
 	join := a.replayApps(recs, mergeUDPEvents(sinks), keptMask(conns, kept), monitored, tgt, maxTS)
 
 	// Trace load accounting overlaps the replay workers (it reads only
@@ -363,8 +373,8 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 
 	// The phase-A application residue (Endpoint Mapper PDU accounting)
 	// rides the trace-granular delta; the cut keeps the registry pairing
-	// state (RPC binds) for later traces. Bank the delta at the
-	// watermark, then emit newly completed windows.
+	// state (RPC binds) for later traces. Bank the delta into the window
+	// of the trace's last packet, then emit what that completes.
 	tgt.apps = a.apps.cut()
 	a.win.finishTrace(a.cum, tgt, maxTS)
 	return nil

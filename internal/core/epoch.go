@@ -190,8 +190,9 @@ type windowDelta struct {
 // windowState is the Analyzer's epoch-rotation machinery: the window
 // clock (origin + duration), the per-window aggregates, and the
 // event-time watermark that decides when a window is complete. All
-// access is mutex-guarded so a serve-mode HTTP handler can read window
-// reports while analysis is still streaming.
+// access is mutex-guarded: the replay workers bank and emit through it
+// while a trace is still replaying (see handoff), and a serve-mode HTTP
+// handler reads window reports while analysis is still streaming.
 //
 // Every Analyzer has one. With dur == 0 the clock never gets an origin,
 // so every timestamp maps to the same window: replay workers see no
@@ -207,11 +208,12 @@ type windowState struct {
 
 	origin    time.Time
 	originSet bool
-	// watermark is the largest packet timestamp fully processed. Shard
-	// workers bank deltas at their own pace (a lagging worker cuts its
-	// snapshots later); the watermark only advances once every worker of
-	// a trace has drained, so a window is declared complete only when no
-	// in-flight worker can still contribute to it.
+	// watermark is the event time before which every window is complete:
+	// nothing the run has read can still bank into one. Mid-trace it is
+	// the start of the first window some replay worker has not passed
+	// (advance, from the hand-off; never past the trace's last packet),
+	// and at trace end the trace's last packet (finishTrace). Windows
+	// before it have been emitted.
 	watermark time.Time
 	// windows maps window index to the window's aggregate: everything
 	// banked into it so far, merged as it arrived — the workers' deltas
@@ -231,7 +233,9 @@ type windowState struct {
 	// nextEmit is the first window index not yet emitted via onWindow.
 	nextEmit int
 	// rendered memoises the windows' served bodies; every method that
-	// writes under mu clears it (setOrigin, bankDeltas, finishTrace).
+	// writes the clock or an aggregate under mu clears it (setOrigin,
+	// bankDeltas, finishTrace). advance moves only the watermark, which
+	// no body is rendered from.
 	rendered rendered
 }
 
@@ -286,15 +290,19 @@ func (ws *windowState) bankedLocked(n int) *epochAgg {
 	return w
 }
 
-// bankDeltas merges one worker's deltas of one trace into their windows;
-// the join hands workers over in shard order. A banked delta is
-// consumed: the window adopts what it lacks by pointer (the worker moved
-// the delta out at the cut and has already copied it into its running
-// cumulative, so nothing else holds it) and merges the rest. Arrival
-// order preserves each host pair's chronological fold (a pair's deltas
-// all come from one shard, in window order), which is what keeps the sum
-// of windows equal to the cumulative aggregate.
+// bankDeltas merges worker deltas into their windows, in the order
+// given; the hand-off gives every delta of a batch of windows, shard by
+// shard (see handoff). A banked delta is consumed: the window adopts
+// what it lacks by pointer (the worker moved the delta out at the cut
+// and has already copied it into its running cumulative, so nothing
+// else holds it) and merges the rest. Arrival order preserves each host
+// pair's chronological fold (a pair's deltas all come from one shard, in
+// window order), which is what keeps the sum of windows equal to the
+// cumulative aggregate.
 func (ws *windowState) bankDeltas(deltas []windowDelta) {
+	if len(deltas) == 0 {
+		return
+	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	clear(ws.rendered)
@@ -309,12 +317,50 @@ func (ws *windowState) bankDeltas(deltas []windowDelta) {
 	}
 }
 
+// advance moves the watermark to the start of window lo, the first
+// window some replay worker of the trace ending at maxTS has not passed
+// (passedAll when none is left), but never past maxTS — the trace
+// delta still banks into maxTS's window — and emits the windows that
+// completes. finishTrace takes it the rest of the way.
+func (ws *windowState) advance(lo int, maxTS time.Time) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if !ws.originSet {
+		return
+	}
+	if start := ws.origin.Add(time.Duration(min(lo, ws.windowOf(maxTS))) * ws.dur); !start.After(maxTS) {
+		ws.advanceLocked(start)
+	}
+}
+
+// advanceLocked lifts the watermark to to (it never moves back) and
+// emits every window strictly before the watermark's that has not been
+// emitted, each as soon as its report is built; gap windows with no
+// traffic at all are enumerated (and emitted) as empty reports. The
+// callback runs outside the lock (it may serve HTTP or block). Callers
+// hold ws.mu, and one caller at a time emits: a trace's hand-off
+// (one banking worker at a time), then its finishTrace after the join.
+func (ws *windowState) advanceLocked(to time.Time) {
+	if to.After(ws.watermark) {
+		ws.watermark = to
+	}
+	complete := ws.windowOf(ws.watermark)
+	ws.maxWindow = max(ws.maxWindow, complete-1)
+	for ws.onWindow != nil && ws.nextEmit < complete {
+		wr := ws.windowReportLocked(ws.nextEmit)
+		ws.nextEmit++
+		ws.mu.Unlock()
+		ws.onWindow(wr)
+		ws.mu.Lock()
+	}
+}
+
 // finishTrace banks a trace's trace-granular delta (packet censuses,
 // scanner removal, load, fan, roles, and the phase-A application
 // residue) into the window containing the trace's last packet — the
 // window during which those quantities become known — then advances the
-// watermark and emits every newly completed window, each as soon as its
-// report is built.
+// watermark to that packet and emits every newly completed window.
+// The windows the replay workers had all passed are out already.
 //
 // A zero-packet trace has no event time: it banks into the window of
 // the current watermark (so window sums still cover it), or into the
@@ -322,9 +368,9 @@ func (ws *windowState) bankDeltas(deltas []windowDelta) {
 // windowed, and so has no clock) — either way the cumulative counts it.
 func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 	ws.mu.Lock()
+	defer ws.mu.Unlock()
 	cum.merge(traceDelta)
 	if !ws.originSet {
-		ws.mu.Unlock()
 		return
 	}
 	at := maxTS
@@ -334,23 +380,7 @@ func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 	// The cumulative copied the delta; the window may keep its parts.
 	ws.bankedLocked(ws.windowOf(at)).merge(traceDelta)
 	clear(ws.rendered)
-	if maxTS.After(ws.watermark) {
-		ws.watermark = maxTS
-	}
-	// Every window strictly before the watermark's window is complete;
-	// gap windows with no traffic at all are enumerated (and emitted) as
-	// empty reports.
-	complete := ws.windowOf(ws.watermark)
-	ws.maxWindow = max(ws.maxWindow, complete-1)
-	for ws.onWindow != nil && ws.nextEmit < complete {
-		wr := ws.windowReportLocked(ws.nextEmit)
-		ws.nextEmit++
-		// Emit outside the lock: the callback may serve HTTP or block.
-		ws.mu.Unlock()
-		ws.onWindow(wr)
-		ws.mu.Lock()
-	}
-	ws.mu.Unlock()
+	ws.advanceLocked(maxTS)
 }
 
 // aggLocked returns window n's aggregate for reading. Callers hold
@@ -383,8 +413,10 @@ func (a *Analyzer) Windowing() bool { return a.win.dur > 0 }
 // windowing is disabled).
 func (a *Analyzer) WindowDuration() time.Duration { return a.win.dur }
 
-// Watermark returns the event-time high-water mark: the largest packet
-// timestamp fully processed. Safe for concurrent use with Add*.
+// Watermark returns the event-time high-water mark: the time before
+// which every window is complete and emitted — the last packet of the
+// last finished trace, or mid-trace the start of the first window a
+// replay worker has not passed. Safe for concurrent use with Add*.
 func (a *Analyzer) Watermark() time.Time {
 	a.win.mu.Lock()
 	defer a.win.mu.Unlock()

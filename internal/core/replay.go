@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,17 +58,18 @@ import (
 // replayApps returns after phase A with phase B in flight; the caller
 // runs work that is independent of the per-shard state (trace load
 // accounting) concurrently, then calls the returned join to wait for
-// the workers and fold their connection-level results. Phase B touches
-// only per-worker state, the stream buffers it owns, and the
-// (mutex-guarded) reassembly pool; it reads the registry, connections,
-// and kept set without writing them — which is what makes the overlap
-// safe.
+// the workers and fold their fan/role censuses. Phase B touches only
+// per-worker state, the stream buffers it owns, the (mutex-guarded)
+// reassembly pool and the trace's hand-off; it reads the registry,
+// connections, and kept set without writing them — which is what makes
+// the overlap safe.
 //
-// In a windowed run each worker cuts its shard at window boundaries
-// (see replayShard) and banks those deltas per window at join; the
-// watermark machinery decides when windows complete. The per-trace
-// distinct-peer censuses (fan, roles) stay trace-granular: slicing them
-// per window would double-count peers seen in two windows.
+// In a windowed run each worker cuts its shard at window boundaries and
+// publishes the deltas to the trace's hand-off as it goes (see
+// replayShard); the windows every worker has passed are banked and
+// emitted while the replay is still running, by the workers themselves.
+// The per-trace distinct-peer censuses (fan, roles) stay trace-granular:
+// slicing them per window would double-count peers seen in two windows.
 //
 // maxTS is the trace's event-time extent; connections still idle past
 // the IdleEvict horizon at that instant count toward the AgedOut
@@ -122,21 +126,18 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 	}
 
 	// Phase B: partition connections and UDP messages by canonical host
-	// pair and fan out. Per-shard slices preserve global order, so each
-	// worker sees exactly the serial subsequence of its pairs.
-	connsByShard := make([][]int32, nshard)
-	for i, rec := range recs {
-		s := pairShard(rec.Conn.Key.Src, rec.Conn.Key.Dst, nshard)
-		connsByShard[s] = append(connsByShard[s], int32(i))
-	}
-	udpByShard := make([][]udpEvent, nshard)
-	for _, ev := range events {
-		s := pairShard(ev.src, ev.dst, nshard)
-		udpByShard[s] = append(udpByShard[s], ev)
-	}
+	// pair and fan out. Per-shard index lists preserve global order, so
+	// each worker sees exactly the serial subsequence of its pairs.
+	connsByShard := partitionByPair(len(recs), nshard, func(i int) (netip.Addr, netip.Addr) {
+		return recs[i].Conn.Key.Src, recs[i].Conn.Key.Dst
+	})
+	udpByShard := partitionByPair(len(events), nshard, func(i int) (netip.Addr, netip.Addr) {
+		return events[i].src, events[i].dst
+	})
 
 	trace := a.traceCount
 	inMonitored := func(h netip.Addr) bool { return monitored.Contains(h) }
+	h := newHandoff(a.win, nshard, maxTS)
 	results := make([]replayResult, nshard)
 	run := func(w int) {
 		ap := workers[w].shard
@@ -177,16 +178,16 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 				ca.hostile.fold(app)
 			}
 		}
-		deltas := a.replayShard(workers[w], recs, connsByShard[w], udpByShard[w], processConn)
+		a.replayShard(workers[w], h, w, recs, connsByShard[w], events, udpByShard[w], processConn)
 		// Distinct-peer censuses over this shard's kept connections:
 		// exact under the pair sharding, since every (host, peer) edge
 		// domain lives wholly in one shard. Trace-granular by design —
 		// see the windowed note above.
 		results[w] = replayResult{
-			deltas: deltas,
-			fan:    flows.FanInOut(keptConns, inMonitored, enterprise.IsLocal),
-			roles:  roles.Accumulate(keptConns),
+			fan:   flows.FanInOut(keptConns, inMonitored, enterprise.IsLocal),
+			roles: roles.Accumulate(keptConns),
 		}
+		h.bankUntilAllPassed()
 	}
 	// Even a single replay worker runs as a goroutine, so the caller's
 	// shard-independent accumulation overlaps it on multicore hardware.
@@ -268,16 +269,22 @@ func (rw *replayWorker) drain(e *epochAgg) {
 // connection banks wholly into the window of its first packet, even
 // when it straddles a boundary). The worker cuts wherever it crosses a
 // window boundary in event time, and a windowed run also cuts at end of
-// trace: the watermark is about to pass the trace, and can complete a
-// window only once every worker has banked its share of it. The deltas
-// are returned for per-window banking. An unwindowed run has no
-// boundaries (every timestamp maps to window 0) and no window waiting on
-// the shard, so the worker never cuts: the shard accumulates across
-// traces until Report drains it. Workers never synchronize at a boundary
-// (a lagging worker cuts late). Each pass walks in arrival order, which
-// within a trace is timestamp order, so its cuts are monotone; timestamp
-// regressions (possible in real captures) clamp to the current window.
-func (a *Analyzer) replayShard(rw *replayWorker, recs []pipeline.ConnRecord, connIdx []int32, events []udpEvent, processConn func(int32, *connAggregates)) []windowDelta {
+// trace, so that every window the trace touched has its share. Each
+// pass walks in arrival order, which within a trace is timestamp order,
+// so its cuts are monotone; timestamp regressions (possible in real
+// captures) clamp to the current window.
+//
+// The worker hands its cuts to h whenever its connection pass enters a
+// new window — its frontier: it will cut nothing more below it — and
+// once more, as done, at the end. Its UDP pass publishes no frontier:
+// a connection may still bank into any window the UDP pass crossed. An
+// unwindowed run has no boundaries (every timestamp maps to window 0)
+// and no window waiting on the shard, so the worker never cuts and
+// publishes nothing but its frontier: the shard accumulates across
+// traces until Report drains it. Workers never wait for each other to
+// replay (a lagging worker cuts late, and holds the windows it has not
+// passed); one that is done banks for the rest (see handoff).
+func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, recs []pipeline.ConnRecord, connIdx []int32, events []udpEvent, udpIdx []int32, processConn func(int32, *connAggregates)) {
 	var deltas []windowDelta
 	cur, floor := -1, 0
 	// enter moves the worker into the window of ts (never below the
@@ -289,13 +296,20 @@ func (a *Analyzer) replayShard(rw *replayWorker, recs []pipeline.ConnRecord, con
 		}
 		cur = floor
 	}
-	for _, ev := range events {
+	for _, j := range udpIdx {
+		ev := &events[j]
 		enter(ev.ts)
 		replayUDPEvent(rw.shard, ev)
 	}
 	floor = 0
+	frontier := -1
 	for _, i := range connIdx {
 		enter(recs[i].Conn.Start)
+		if cur != frontier {
+			frontier = cur
+			h.publish(w, deltas, frontier)
+			deltas = deltas[:0]
+		}
 		if rw.conns == nil {
 			rw.conns = newConnAggregates()
 		}
@@ -304,7 +318,149 @@ func (a *Analyzer) replayShard(rw *replayWorker, recs []pipeline.ConnRecord, con
 	if a.Windowing() && cur >= 0 {
 		deltas = rw.cut(deltas, cur)
 	}
-	return deltas
+	h.publish(w, deltas, passedAll)
+}
+
+// passedAll is the frontier of a worker that has finished its share of
+// the trace.
+const passedAll = math.MaxInt
+
+// handoff is where one trace's replay workers hand their window deltas
+// over. A window is complete once every worker's frontier has passed
+// it. Completed windows are banked — per window in the order the join
+// used to bank them, shard 0's deltas, then shard 1's, … (finishTrace
+// adds the trace-granular delta after them) — and the watermark moves
+// to the minimum frontier, which emits the windows it completes.
+//
+// Who banks is a matter of balance, not of bytes. The worker that raises
+// the minimum is the one holding every window back, so it leaves the
+// banking to a worker ahead of it whenever there is one: a worker still
+// replaying banks at its next publish, and a worker that has finished
+// its share waits to be woken for it (bankUntilAllPassed). Banking and
+// reporting the soak's windows cost about as much CPU as one worker's
+// connection pass; left to the raiser, they keep the slowest worker
+// slowest (EXPERIMENTS "Windows leave as the replay passes them"). One
+// worker banks at a time, and it looks again before it stops, so
+// windows are banked and emitted in index order; no more goroutines are
+// runnable than there are workers — a dedicated emitter goroutine beside
+// them starves on two vCPUs (DESIGN "Epoch cuts and windowed reports").
+type handoff struct {
+	ws    *windowState
+	maxTS time.Time
+
+	mu sync.Mutex
+	// udp and conns are each worker's published deltas not yet banked,
+	// each in window order: those of its UDP pass, published with its
+	// first frontier, and those of its connection pass. A window's UDP
+	// cut precedes its connection cuts, as the worker cut them.
+	udp, conns [][]windowDelta
+	// frontier is each worker's frontier: -1 until its connection pass
+	// begins, passedAll once it is done.
+	frontier []int
+	// replaying counts the workers not yet done, idle those waiting in
+	// bankUntilAllPassed; wake (on mu) rouses one of those.
+	replaying, idle int
+	wake            sync.Cond
+	// banked is the minimum frontier last acted on: every delta below it
+	// is banked.
+	banked  int
+	banking bool
+	// batch is the banking worker's scratch.
+	batch []windowDelta
+}
+
+func newHandoff(ws *windowState, workers int, maxTS time.Time) *handoff {
+	h := &handoff{
+		ws:        ws,
+		maxTS:     maxTS,
+		udp:       make([][]windowDelta, workers),
+		conns:     make([][]windowDelta, workers),
+		frontier:  make([]int, workers),
+		replaying: workers,
+	}
+	h.wake.L = &h.mu
+	for w := range h.frontier {
+		h.frontier[w] = -1
+	}
+	return h
+}
+
+// publish records worker w's new deltas and frontier, then banks and
+// emits every window the minimum frontier has passed — unless w was at
+// the minimum and another worker is there to do it. deltas is copied;
+// the caller may reuse it.
+func (h *handoff) publish(w int, deltas []windowDelta, frontier int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	raiser := h.frontier[w] == slices.Min(h.frontier)
+	if h.frontier[w] < 0 {
+		h.udp[w] = append(h.udp[w], deltas...)
+	} else {
+		h.conns[w] = append(h.conns[w], deltas...)
+	}
+	h.frontier[w] = frontier
+	if frontier == passedAll {
+		if h.replaying--; h.replaying == 0 {
+			h.wake.Broadcast()
+		}
+	} else if raiser && (h.replaying > 1 || h.idle > 0) {
+		h.wake.Signal()
+		return
+	}
+	h.bankLocked()
+}
+
+// bankUntilAllPassed keeps a worker that has published passedAll
+// banking for the others until every one of them has.
+func (h *handoff) bankUntilAllPassed() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for h.replaying > 0 {
+		h.idle++
+		h.wake.Wait()
+		h.idle--
+		h.bankLocked()
+	}
+}
+
+// bankLocked banks and emits the windows below the minimum frontier,
+// looking again after each batch, unless another worker is at it (it
+// will look again). Callers hold h.mu; it is released while banking.
+func (h *handoff) bankLocked() {
+	if h.banking {
+		return
+	}
+	h.banking = true
+	for lo := slices.Min(h.frontier); lo > h.banked; lo = slices.Min(h.frontier) {
+		batch := h.batch[:0]
+		for s := range h.frontier {
+			batch = takeBelow(batch, &h.udp[s], lo)
+			batch = takeBelow(batch, &h.conns[s], lo)
+		}
+		h.banked = lo
+		h.mu.Unlock()
+		h.ws.bankDeltas(batch)
+		h.ws.advance(lo, h.maxTS)
+		h.mu.Lock()
+		h.batch = batch
+	}
+	h.banking = false
+}
+
+// takeBelow moves run's leading deltas of windows below lo onto batch.
+func takeBelow(batch []windowDelta, run *[]windowDelta, lo int) []windowDelta {
+	r := *run
+	n := 0
+	for n < len(r) && r[n].window < lo {
+		n++
+	}
+	batch = append(batch, r[:n]...)
+	if n == len(r) {
+		*run = r[:0]
+	} else {
+		*run = r[n:]
+	}
+	return batch
 }
 
 // connAggregates is one replay worker's connection-level accumulation:
@@ -343,23 +499,19 @@ func (ca *connAggregates) merge(o *connAggregates) {
 	ca.agedOut += o.agedOut
 }
 
-// replayResult is one worker's output for one trace: the deltas to bank
-// per window (none when the run is not windowed) plus the trace-granular
-// distinct-peer censuses.
+// replayResult is one worker's output for one trace beside what it
+// handed off per window: the trace-granular distinct-peer censuses.
 type replayResult struct {
-	deltas []windowDelta
-	fan    map[netip.Addr]*flows.FanStats
-	roles  *roles.Partial
+	fan   map[netip.Addr]*flows.FanStats
+	roles *roles.Partial
 }
 
-// foldReplayResults folds the per-worker results into the trace target
-// and banks the window deltas into their windows, in shard order; every
-// fold is a sum or a delta merge in shard-major order, so the totals are
-// identical for any shard count.
+// foldReplayResults folds the per-worker censuses into the trace target
+// in shard order; fan sums and role evidence merges are identical for
+// any shard count.
 func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []replayResult) {
 	evidence := results[0].roles
 	for w, rr := range results {
-		a.win.bankDeltas(rr.deltas)
 		tgt.foldFan(rr.fan)
 		if w > 0 {
 			evidence.Merge(rr.roles)
@@ -452,10 +604,36 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 	}
 }
 
+// partitionByPair lists, per replay shard, the indices of the n items
+// whose host pair (pair(i)) maps there, in index order. One allocation
+// backs every shard's list.
+func partitionByPair(n, nshard int, pair func(i int) (netip.Addr, netip.Addr)) [][]int32 {
+	shardOf := make([]uint8, n) // nshard ≤ maxReplayWorkers
+	counts := make([]int, nshard)
+	for i := range shardOf {
+		x, y := pair(i)
+		s := pairShard(x, y, nshard)
+		shardOf[i] = uint8(s)
+		counts[s]++
+	}
+	flat := make([]int32, n)
+	out := make([][]int32, nshard)
+	off := 0
+	for s, c := range counts {
+		out[s] = flat[off : off : off+c]
+		off += c
+	}
+	for i, s := range shardOf {
+		out[s] = append(out[s], int32(i))
+	}
+	return out
+}
+
 // pairShard maps an unordered address pair onto a replay shard. The
-// assignment is stable for the Analyzer's lifetime (FNV over the
-// addresses), so a host pair's state — transaction pairing, outcome
-// folding, dedup sets — accumulates in the same shard across traces.
+// assignment is stable for the Analyzer's lifetime, so a host pair's
+// state — transaction pairing, outcome folding, dedup sets —
+// accumulates in the same shard across traces. Reports do not depend on
+// the map, only worker balance does (TestPairShardBalance).
 func pairShard(x, y netip.Addr, n int) int {
 	if n <= 1 {
 		return 0
@@ -469,15 +647,14 @@ func pairShard(x, y netip.Addr, n int) int {
 	return int(h % uint64(n))
 }
 
-// addrHash is FNV-1a over the address's 16-byte form.
+// addrHash mixes the address's two 64-bit words with one multiply each;
+// the words are read big-endian so that an IPv4 address's host byte
+// lands in the low bits, which every later bit of a product depends on.
 func addrHash(a netip.Addr) uint64 {
 	b := a.As16()
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
+	h := binary.BigEndian.Uint64(b[:8])*0x9E3779B97F4A7C15 ^ binary.BigEndian.Uint64(b[8:])
+	h *= 0xBF58476D1CE4E5B9
+	return h ^ h>>31
 }
 
 // udpAppPorts reports whether a datagram belongs to one of the
@@ -497,7 +674,7 @@ func udpAppPorts(srcPort, dstPort uint16) bool {
 // replayUDPEvent dispatches one captured datagram. The DNS decode
 // scratch lives on the aggregate (one per worker, reused across
 // events).
-func replayUDPEvent(ap *appAggregates, ev udpEvent) {
+func replayUDPEvent(ap *appAggregates, ev *udpEvent) {
 	switch {
 	case ev.dstPort == 53 || ev.srcPort == 53:
 		if err := dns.DecodeInto(ev.payload, &ap.dnsScratch); err == nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,45 @@ func TestReplayRegistrationOrdering(t *testing.T) {
 		if !reflect.DeepEqual(serial, got) {
 			t.Errorf("report with %d pipeline / %d replay workers differs from serial replay",
 				grid[0], grid[1])
+		}
+	}
+}
+
+// TestPairShardBalance holds the pair→shard map to an even split: worker
+// balance decides when the replay frontier passes a window, so a skewed
+// map would show up as window lag. The population is every host pair of
+// a D3 dataset, since the map holds for the Analyzer's lifetime; one
+// trace's ≈1 100 pairs spread up to 1.25× at eight shards under any good
+// hash, which is sampling noise rather than skew.
+func TestPairShardBalance(t *testing.T) {
+	cfg := enterprise.D3()
+	cfg.Scale = 0.3
+	pairs := make(map[layers.HostPair]bool)
+	var p layers.Packet
+	for _, tr := range gen.GenerateDataset(cfg).Traces {
+		for _, pk := range tr.Packets {
+			if layers.Decode(pk.Data, pk.OrigLen, &p) != nil {
+				continue
+			}
+			if k, ok := layers.FlowKeyOf(&p); ok {
+				pairs[layers.NewHostPair(k.Src, k.Dst)] = true
+			}
+		}
+	}
+	if len(pairs) < 5000 {
+		t.Fatalf("%d host pairs: too few to tell skew from noise", len(pairs))
+	}
+	for _, n := range []int{2, 4, 8} {
+		counts := make([]int, n)
+		for hp := range pairs {
+			if s := pairShard(hp.B, hp.A, n); s != pairShard(hp.A, hp.B, n) {
+				t.Fatalf("pair %v maps to shards %d and %d by argument order", hp, s, pairShard(hp.A, hp.B, n))
+			}
+			counts[pairShard(hp.A, hp.B, n)]++
+		}
+		if most := slices.Max(counts); float64(most) > 1.15*float64(len(pairs))/float64(n) {
+			t.Errorf("%d shards: the largest holds %d of %d pairs (%.3f× its share): %v",
+				n, most, len(pairs), float64(most*n)/float64(len(pairs)), counts)
 		}
 	}
 }

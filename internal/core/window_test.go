@@ -253,6 +253,70 @@ func TestWindowedReportsAcrossTraces(t *testing.T) {
 	}
 }
 
+// TestWindowsLeaveBehindReplayFrontier pins where windows are emitted,
+// not only their bytes: by the replay workers, as the last of them
+// passes each window, before the trace's join. In a single-trace run
+// every emitted window precedes the trace's last, so every OnWindow call
+// must find the trace-end fold into the cumulative not yet done, and the
+// watermark and latest completed window already covering the window it
+// hands over; what it hands over must be exactly what WindowReports()
+// reads at the end (one trace, no late data), and the same bytes at
+// every replay worker count. A change that slides emission back behind
+// the join fails the first check at every count.
+func TestWindowsLeaveBehindReplayFrontier(t *testing.T) {
+	cfg := enterprise.D3()
+	cfg.Scale = 1
+	pkts := gen.GenerateScheduledTrace(enterprise.NewNetwork(cfg), cfg.Monitored[0], 0, gen.DefaultSchedule())
+	var want []byte
+	for _, workers := range []int{1, 2, 4, 8} {
+		var a *Analyzer
+		var emitted [][]byte
+		a = NewAnalyzer(Options{
+			Dataset:         "frontier",
+			PayloadAnalysis: true,
+			Workers:         2,
+			ReplayWorkers:   workers,
+			Window:          time.Minute,
+			OnWindow: func(wr *WindowReport) {
+				if n := a.cum.traceCount; n != 0 {
+					t.Errorf("%d workers, window %d: emitted after the trace-end fold (%d traces in the cumulative)", workers, wr.Index, n)
+				}
+				if got := a.LatestWindowIndex(); got < wr.Index {
+					t.Errorf("%d workers, window %d: latest completed window %d", workers, wr.Index, got)
+				}
+				if wm := a.Watermark(); wm.Before(wr.End) {
+					t.Errorf("%d workers, window %d: watermark %v before the window's end %v", workers, wr.Index, wm, wr.End)
+				}
+				if wr.Index != len(emitted) {
+					t.Errorf("%d workers: window %d emitted as call %d", workers, wr.Index, len(emitted))
+				}
+				b, err := MarshalReport(wr.Report)
+				if err != nil {
+					t.Error(err)
+				}
+				emitted = append(emitted, b)
+			},
+		})
+		if err := a.AddTrace(TraceInput{Name: "sched", Monitored: enterprise.SubnetPrefix(cfg.Monitored[0]), Packets: pkts}); err != nil {
+			t.Fatal(err)
+		}
+		wins := a.WindowReports()
+		if len(emitted) < 3 || len(emitted) != len(wins)-1 {
+			t.Fatalf("%d workers: %d windows emitted of %d", workers, len(emitted), len(wins))
+		}
+		for n, b := range emitted {
+			if !bytes.Equal(b, reportBytes(t, wins[n].Report)) {
+				t.Errorf("%d workers: window %d as emitted differs from WindowReports()", workers, n)
+			}
+		}
+		if got := bytes.Join(emitted, nil); want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%d workers: emitted windows differ from one worker's", workers)
+		}
+	}
+}
+
 // TestWindowReadsInPlace holds the readers of a window to what reading in
 // place newly risks. A window's report and its export are built from the
 // aggregate banking writes, under the same lock: a read compacts the

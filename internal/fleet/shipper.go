@@ -65,9 +65,12 @@ type ShipperStats struct {
 // only an explicit queue-bound eviction or reconnect give-up drops
 // data, and both are recorded.
 //
-// All sends go through one internal goroutine; the public methods are
-// safe to call from one producer goroutine (the analyzer's window
-// callback). Call Fin then Close when the trace is done.
+// All sends go through one internal goroutine. ShipDelta, Heartbeat and
+// Fin are safe for concurrent use with each other (entanalyze ships from
+// the analyzer's window callback, which runs on replay-worker
+// goroutines, while a ticker goroutine heartbeats); frames enter the
+// queue in the order their calls do. Call Fin then Close when the trace
+// is done, once every other call has returned.
 type Shipper struct {
 	cfg  ShipperConfig
 	in   chan *Frame
@@ -127,7 +130,10 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 }
 
 // ShipDelta queues one window's encoded snapshot delta. watermark is
-// the site's packet-time high water in unix nanoseconds.
+// the site's packet-time high water in unix nanoseconds. Safe to call
+// from any goroutine, concurrently with Heartbeat and Fin, but not with
+// or after Close; deltas are sequenced in call order, so a caller that
+// needs window order serializes its calls (core's OnWindow does).
 func (s *Shipper) ShipDelta(window int, watermark int64, payload []byte) {
 	s.submit(&Frame{Type: FrameDelta, Site: s.cfg.Site, Window: window, Watermark: watermark, Payload: payload})
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"reflect"
 	"testing"
 	"time"
@@ -192,10 +193,29 @@ func TestWindowReportDigests(t *testing.T) {
 			return addTraces(t, datasetAnalyzer(ds, workers, workers, window), ds)
 		}
 	}
-	// The default shape tiled to an hour, streamed as one trace.
+	// The default shape tiled to an hour, streamed as one trace, with the
+	// reports OnWindow hands over hashed as they arrive: they leave while
+	// the trace is still replaying (DESIGN "Epoch cuts and windowed
+	// reports"), and must still be the bytes the parent commit emitted
+	// after its join.
+	var emitted hash.Hash
 	schedule := func(workers int) *core.Analyzer {
 		cfg := enterprise.D3()
-		a := soakAnalyzer(cfg, workers, window)
+		a := core.NewAnalyzer(core.Options{
+			Dataset:         cfg.Name,
+			KnownScanners:   enterprise.KnownScanners(),
+			PayloadAnalysis: cfg.Snaplen >= 1500,
+			Workers:         workers,
+			ReplayWorkers:   workers,
+			Window:          window,
+			OnWindow: func(wr *core.WindowReport) {
+				b, err := core.MarshalReport(wr.Report)
+				if err != nil {
+					t.Error(err)
+				}
+				emitted.Write(b)
+			},
+		})
 		src := gen.NewStreamSource(gen.StreamConfig{
 			Network:  enterprise.NewNetwork(cfg),
 			Subnet:   cfg.Monitored[0],
@@ -210,15 +230,22 @@ func TestWindowReportDigests(t *testing.T) {
 	inputs := []struct {
 		name, want string
 		run        func(workers int) *core.Analyzer
+		// wantEmitted is the digest of the OnWindow stream, recorded at
+		// c67e1d7; empty where OnWindow is not set.
+		wantEmitted string
 	}{
-		{"D3", "ae1f28b88e7dd0d42a069df646aab82ab448cf788c55637d727d24d379ea8cdb", dataset("D3")},
-		{"D0", "b9b81c90192024df0b631ea63f571da258b990ab5653e0b6a67a7226b2d23c2c", dataset("D0")},
-		{"schedule-1h", "ff3f3bde7adfc963f11eaff2ccb9139b80b4adb12ee4a0f90caaa18cedeebc6a", schedule},
+		{"D3", "ae1f28b88e7dd0d42a069df646aab82ab448cf788c55637d727d24d379ea8cdb", dataset("D3"), ""},
+		{"D0", "b9b81c90192024df0b631ea63f571da258b990ab5653e0b6a67a7226b2d23c2c", dataset("D0"), ""},
+		{"schedule-1h", "ff3f3bde7adfc963f11eaff2ccb9139b80b4adb12ee4a0f90caaa18cedeebc6a", schedule, "9e4140c66bb8662d0127b031331cb6b7f2d39f3e07d690590f9221131cd9e1d3"},
 	}
 	for _, in := range inputs {
 		for _, workers := range []int{1, 2, 4} {
+			emitted = sha256.New()
 			if got := digest(in.run(workers)); got != in.want {
 				t.Errorf("%s at %d replay workers: digest %s, recorded %s", in.name, workers, got, in.want)
+			}
+			if got := hex.EncodeToString(emitted.Sum(nil)); in.wantEmitted != "" && got != in.wantEmitted {
+				t.Errorf("%s at %d replay workers: OnWindow digest %s, recorded %s", in.name, workers, got, in.wantEmitted)
 			}
 		}
 	}
