@@ -125,14 +125,13 @@ func TestAnalyzerRaw445Stream(t *testing.T) {
 	}
 	a := NewAnalyzer()
 	var pipeStubs uint32
-	a.PipeSink = func(fromClient bool, pipe string, pdus []dcerpc.Summary) {
-		if pipe == `\PIPE\spoolss` && fromClient {
+	feed(a, false, stream, func(pipe string, pdus []dcerpc.Summary) {
+		if pipe == `\PIPE\spoolss` {
 			for _, pdu := range pdus {
 				pipeStubs += pdu.StubLen
 			}
 		}
-	}
-	a.Stream(true, false, stream)
+	})
 	if a.Requests.Get(CatBasic) != 3 {
 		t.Errorf("basic = %d", a.Requests.Get(CatBasic))
 	}
@@ -147,6 +146,18 @@ func TestAnalyzerRaw445Stream(t *testing.T) {
 	}
 }
 
+// feed folds one reassembled direction handed over whole — a one-chunk
+// feed of StreamParser. netbiosFramed selects TCP-139-style session
+// framing (each SMB wrapped in a NetBIOS session frame) versus raw
+// port-445 framing.
+func feed(a *Analyzer, netbiosFramed bool, stream []byte, pipes func(string, []dcerpc.Summary)) {
+	var p StreamParser
+	p.Init(netbiosFramed, 0)
+	p.Data(stream)
+	p.End()
+	a.Records(&p, pipes)
+}
+
 func TestAnalyzerNetbiosFramedStream(t *testing.T) {
 	// TCP 139: session request first, then SMBs inside session messages.
 	var stream []byte
@@ -158,7 +169,7 @@ func TestAnalyzerNetbiosFramedStream(t *testing.T) {
 		stream = append(stream, netbios.EncodeSSN(netbios.SSNMessage, Encode(m))...)
 	}
 	a := NewAnalyzer()
-	a.Stream(true, true, stream)
+	feed(a, true, stream, nil)
 	if a.Requests.Get(CatBasic) != 1 || a.Requests.Get(CatLanman) != 1 {
 		t.Errorf("basic=%d lanman=%d", a.Requests.Get(CatBasic), a.Requests.Get(CatLanman))
 	}
@@ -168,7 +179,7 @@ func TestAnalyzerResponsesNotCountedAsRequests(t *testing.T) {
 	var stream []byte
 	stream = append(stream, Encode(&Message{Command: CmdReadAndX, Response: true, Payload: make([]byte, 100)})...)
 	a := NewAnalyzer()
-	a.Stream(false, false, stream)
+	feed(a, false, stream, nil)
 	if a.Requests.Total() != 0 {
 		t.Error("response counted as request")
 	}
@@ -206,7 +217,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestAnalyzerFuzz(t *testing.T) {
 	f := func(data []byte, framed bool) bool {
 		a := NewAnalyzer()
-		a.Stream(true, framed, data)
+		feed(a, framed, data, nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -151,7 +151,7 @@ func refOutcome(framed bool, stream []byte) outcome {
 			return
 		}
 		o.pipes, o.pdus = append(o.pipes, pipe), append(o.pdus, q.PDUs()...)
-		o.rpc.Stream(pipe, fromClient, payload)
+		o.rpc.Stream(dcerpc.ChanKey{Pipe: pipe}, payload)
 	}, true, framed, stream)
 	if framed {
 		o.frames = refSSNFrames(stream)
@@ -184,12 +184,10 @@ func feedChunked(framed bool, stream []byte, limit int, cuts []int, gaps []bool)
 	p.End()
 	p.End() // closing twice changes nothing
 	o := outcome{counts: NewAnalyzer(), rpc: dcerpc.NewAnalyzer(), frames: p.SSNFrames()}
-	o.counts.PipeSink = func(fromClient bool, pipe string, pdus []dcerpc.Summary) {
+	o.counts.Records(&p, func(pipe string, pdus []dcerpc.Summary) {
 		o.pipes, o.pdus = append(o.pipes, pipe), append(o.pdus, pdus...)
-		o.rpc.Summaries(pipe, pdus)
-	}
-	o.counts.Records(true, &p)
-	o.counts.PipeSink = nil
+		o.rpc.Summaries(dcerpc.ChanKey{Pipe: pipe}, pdus)
+	})
 	return o
 }
 

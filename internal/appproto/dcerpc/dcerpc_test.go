@@ -110,7 +110,7 @@ func TestAnalyzerBindThenRequests(t *testing.T) {
 		stream = append(stream, Encode(&PDU{Type: PTRequest, CallID: uint32(2 + i), Opnum: OpSpoolssWritePrinter, Stub: make([]byte, 4096)})...)
 	}
 	stream = append(stream, Encode(&PDU{Type: PTRequest, CallID: 99, Opnum: OpSpoolssOpenPrinter, Stub: make([]byte, 64)})...)
-	a.Stream("pipe1", true, stream)
+	a.Stream(ChanKey{Pipe: "pipe1"}, stream)
 	if got := a.Requests.Get("Spoolss/WritePrinter"); got != 10 {
 		t.Errorf("WritePrinter = %d", got)
 	}
@@ -120,35 +120,38 @@ func TestAnalyzerBindThenRequests(t *testing.T) {
 	if got := a.Requests.Get("Spoolss/other"); got != 1 {
 		t.Errorf("Spoolss/other = %d", got)
 	}
-	if u, ok := a.BoundInterface("pipe1"); !ok || u != IfSpoolss {
+	if u, ok := a.binds[ChanKey{Pipe: "pipe1"}]; !ok || u != IfSpoolss {
 		t.Error("bind not recorded")
 	}
 }
 
 func TestAnalyzerChannelsIndependent(t *testing.T) {
 	a := NewAnalyzer()
-	a.Stream("auth", true, Encode(&PDU{Type: PTBind, CallID: 1, Iface: IfNetLogon}))
-	a.Stream("print", true, Encode(&PDU{Type: PTBind, CallID: 1, Iface: IfSpoolss}))
-	a.Stream("auth", true, Encode(&PDU{Type: PTRequest, CallID: 2, Opnum: OpNetrLogonSamLogon, Stub: make([]byte, 100)}))
-	a.Stream("print", true, Encode(&PDU{Type: PTRequest, CallID: 2, Opnum: OpSpoolssWritePrinter, Stub: make([]byte, 100)}))
+	auth, spool := ChanKey{Conn: 1, Pipe: `\PIPE\netlogon`}, ChanKey{Conn: 1, Pipe: `\PIPE\spoolss`}
+	a.Stream(auth, Encode(&PDU{Type: PTBind, CallID: 1, Iface: IfNetLogon}))
+	a.Stream(spool, Encode(&PDU{Type: PTBind, CallID: 1, Iface: IfSpoolss}))
+	a.Stream(auth, Encode(&PDU{Type: PTRequest, CallID: 2, Opnum: OpNetrLogonSamLogon, Stub: make([]byte, 100)}))
+	a.Stream(spool, Encode(&PDU{Type: PTRequest, CallID: 2, Opnum: OpSpoolssWritePrinter, Stub: make([]byte, 100)}))
 	if a.Requests.Get("NetLogon") != 1 || a.Requests.Get("Spoolss/WritePrinter") != 1 {
 		t.Errorf("cross-channel contamination: %v", a.Requests.Keys())
 	}
 }
 
-func TestAnalyzerEpmRegistersPort(t *testing.T) {
-	a := NewAnalyzer()
-	a.Stream("epm", true, Encode(&PDU{Type: PTBind, CallID: 1, Iface: IfEPM}))
-	a.Stream("epm", false, EncodeEpmMapResponse(2, IfSpoolss, netip.AddrFrom4([4]byte{128, 3, 7, 5}), 2101))
-	u, ok := a.MappedPorts[2101]
-	if !ok || u != IfSpoolss {
-		t.Errorf("mapped ports = %v", a.MappedPorts)
+// TestEpmResponseSummaryCarriesMapping pins what replay registers an
+// endpoint-mapped port from: the parsed response's Summary.
+func TestEpmResponseSummaryCarriesMapping(t *testing.T) {
+	var p StreamParser
+	p.Data(EncodeEpmMapResponse(2, IfSpoolss, netip.AddrFrom4([4]byte{128, 3, 7, 5}), 2101))
+	p.End()
+	if pdus := p.PDUs(); len(pdus) != 1 || !pdus[0].Mapped || pdus[0].Port != 2101 || pdus[0].Iface != IfSpoolss ||
+		pdus[0].Host != [4]byte{128, 3, 7, 5} {
+		t.Errorf("summaries = %+v", pdus)
 	}
 }
 
 func TestAnalyzerUnboundRequestIsOther(t *testing.T) {
 	a := NewAnalyzer()
-	a.Stream("mystery", true, Encode(&PDU{Type: PTRequest, CallID: 1, Opnum: 7, Stub: make([]byte, 10)}))
+	a.Stream(ChanKey{}, Encode(&PDU{Type: PTRequest, CallID: 1, Opnum: 7, Stub: make([]byte, 10)}))
 	if a.Requests.Get("Other") != 1 {
 		t.Errorf("requests: %v", a.Requests.Keys())
 	}
@@ -177,7 +180,7 @@ func TestFuzzProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		_, _, _ = Decode(data)
 		a := NewAnalyzer()
-		a.Stream("x", true, data)
+		a.Stream(ChanKey{}, data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -195,6 +198,6 @@ func BenchmarkAnalyzerStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := NewAnalyzer()
-		a.Stream("p", true, stream)
+		a.Stream(ChanKey{}, stream)
 	}
 }

@@ -85,8 +85,8 @@ func refWholePDUs(buf []byte, pdu func(*PDU)) {
 	}
 }
 
-// refFold is the analyzer's per-PDU step as it stood, on a string channel.
-func refFold(a *Analyzer, channel string, p *PDU) {
+// refFold is the analyzer's per-PDU step as it stood.
+func refFold(a *Analyzer, channel ChanKey, p *PDU) {
 	switch p.Type {
 	case PTBind:
 		a.binds[channel] = p.Iface
@@ -99,13 +99,7 @@ func refFold(a *Analyzer, channel string, p *PDU) {
 		a.Requests.Inc(fn)
 		a.Bytes.Add(fn, int64(p.StubLen))
 	case PTResponse:
-		iface := a.binds[channel]
-		if InterfaceName(iface) == "EPM" {
-			if mapped, _, port, ok := ParseEpmMapResponse(p); ok {
-				a.MappedPorts[port] = mapped
-			}
-		}
-		a.Bytes.Add(FunctionName(iface, 0), int64(p.StubLen))
+		a.Bytes.Add(FunctionName(a.binds[channel], 0), int64(p.StubLen))
 	}
 }
 
@@ -146,7 +140,7 @@ func checkAgainstReference(t testing.TB, payload []byte, cuts []int) {
 	for range 2 {
 		refStream(payload, func(p *PDU) {
 			want = append(want, summarize(p))
-			refFold(wantFold, "ch", p)
+			refFold(wantFold, ChanKey{}, p)
 		})
 	}
 	twice := [][]byte{payload, payload}
@@ -158,7 +152,7 @@ func checkAgainstReference(t testing.TB, payload []byte, cuts []int) {
 			t.Fatalf("%s PDUs differ from the reference\npayload %x\ncuts %v\n got %+v\nwant %+v", what, payload, cuts, got, want)
 		}
 		fold := NewAnalyzer()
-		fold.Summaries("ch", got)
+		fold.Summaries(ChanKey{}, got)
 		if !reflect.DeepEqual(fold, wantFold) {
 			t.Fatalf("%s PDUs fold differently from the reference\npayload %x\n got %+v\nwant %+v", what, payload, fold, wantFold)
 		}
@@ -170,8 +164,8 @@ func checkAgainstReference(t testing.TB, payload []byte, cuts []int) {
 		t.Fatalf("an open payload's PDUs differ from the reference\npayload %x\ncuts %v\n got %+v\nwant %+v", payload, cuts, got, wantWhole)
 	}
 	whole := NewAnalyzer()
-	whole.Stream("ch", true, payload)
-	whole.Stream("ch", true, payload)
+	whole.Stream(ChanKey{}, payload)
+	whole.Stream(ChanKey{}, payload)
 	if !reflect.DeepEqual(whole, wantFold) {
 		t.Fatalf("Stream(%x) folds differently from the reference", payload)
 	}

@@ -10,17 +10,24 @@ import (
 // Analyzer consumes DNS messages observed on the wire and produces the
 // paper's §5.1.3 statistics: per-type request mix, return-code mix,
 // latency distribution, and per-client request counts.
+//
+// It merges and cuts by its fields (fleet.Merge, fleet.Cut). The pairing
+// state — pending queries, the per-operation dedup set, the address
+// cache — stays with the analyzer that saw it: a query answered after a
+// cut pairs exactly as it would have without the cut, and merging every
+// cut reproduces the uncut statistics, provided each (client, server)
+// host pair is fed to one analyzer.
 type Analyzer struct {
-	pending map[pendKey]pend
+	pending map[pendKey]pend `agg:"pairing"`
 
-	Types   *stats.Counter // request type mix
-	Rcodes  *stats.Counter // return code mix (by distinct name+hostpair)
-	Clients *stats.Counter // requests per client
-	Latency *stats.Dist    // seconds
-	seenOp  map[opKey]struct{}
+	Types   *stats.Counter     // request type mix
+	Rcodes  *stats.Counter     // return code mix (by distinct name+hostpair)
+	Clients *stats.Counter     // requests per client
+	Latency *stats.Dist        // seconds
+	seenOp  map[opKey]struct{} `agg:"pairing"`
 	// addrNames caches formatted client addresses; a busy client would
 	// otherwise be re-rendered once per request.
-	addrNames map[netip.Addr]string
+	addrNames map[netip.Addr]string `agg:"pairing"`
 }
 
 type pendKey struct {
@@ -87,43 +94,6 @@ func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *Message) {
 		a.seenOp[op] = struct{}{}
 		a.Rcodes.Inc(rcodeName(m.Rcode))
 	}
-}
-
-// Merge folds other's accumulated state into a. The aggregate outputs
-// (counters, latency distribution) are commutative, so merging per-shard
-// analyzers yields the same statistics for any sharding — provided each
-// (client, server) host pair was fed to exactly one shard, which is what
-// keeps the pending/seenOp pairing state shard-local.
-func (a *Analyzer) Merge(other *Analyzer) {
-	a.Types.Merge(other.Types)
-	a.Rcodes.Merge(other.Rcodes)
-	a.Clients.Merge(other.Clients)
-	a.Latency.Merge(other.Latency)
-	for k, v := range other.pending {
-		a.pending[k] = v
-	}
-	for k := range other.seenOp {
-		a.seenOp[k] = struct{}{}
-	}
-}
-
-// Cut moves the statistics banked since the last cut — counters and
-// latency samples — into the returned analyzer and installs fresh
-// empties, so the cost is O(1) in the epoch's size. Returns nil when
-// nothing was banked. The epoch contract: the in-flight
-// pairing state — pending queries, the per-operation dedup set, the
-// address-format cache — stays behind, so a query answered in a later
-// window pairs exactly as it would have without the cut, and merging
-// every cut reproduces the uncut analyzer's statistics.
-func (a *Analyzer) Cut() *Analyzer {
-	if a.Types.Total() == 0 && a.Rcodes.Total() == 0 && a.Clients.Total() == 0 &&
-		a.Latency.N() == 0 {
-		return nil
-	}
-	s := &Analyzer{Types: a.Types, Rcodes: a.Rcodes, Clients: a.Clients, Latency: a.Latency}
-	a.Types, a.Rcodes, a.Clients = stats.NewCounter(), stats.NewCounter(), stats.NewCounter()
-	a.Latency = stats.NewDist()
-	return s
 }
 
 func rcodeName(rc uint8) string {

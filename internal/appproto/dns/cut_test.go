@@ -4,10 +4,12 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+
+	"enttrace/internal/fleet"
 )
 
 // TestCutPairsAcrossCut pins the epoch contract's key property: a query
-// observed before a Cut pairs with its response after it, the latency
+// observed before a cut pairs with its response after it, the latency
 // banks into the epoch where the pairing completed, and merging the
 // cuts reproduces the statistics of the analyzer that was never cut
 // (including the cross-operation dedup).
@@ -21,11 +23,11 @@ func TestCutPairsAcrossCut(t *testing.T) {
 		var cuts []*Analyzer
 		a.Message(t0, client, server, &Message{ID: 1, QName: "a.example", QType: TypeA})
 		if cutMid {
-			cuts = append(cuts, a.Cut())
+			cuts = append(cuts, fleet.Cut(a))
 			if a.Types.Total() != 0 || a.Latency.N() != 0 {
 				t.Fatal("cut left banked stats")
 			}
-			if a.Cut() != nil {
+			if fleet.Cut(a) != nil {
 				t.Fatal("second cut with nothing banked is not nil")
 			}
 		}
@@ -37,13 +39,13 @@ func TestCutPairsAcrossCut(t *testing.T) {
 		if !cutMid {
 			return a
 		}
-		cuts = append(cuts, a.Cut())
+		cuts = append(cuts, fleet.Cut(a))
 		// A cut shares no mutable state with its source: what the source
 		// banks afterwards must not leak into it.
 		a.Message(t0.Add(2*time.Second), client, server, &Message{ID: 3, QName: "b.example", QType: TypeA})
 		merged := NewAnalyzer()
 		for _, c := range cuts {
-			merged.Merge(c)
+			fleet.Merge(merged, c)
 		}
 		return merged
 	}

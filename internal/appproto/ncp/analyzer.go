@@ -8,7 +8,9 @@ import (
 
 // Analyzer accumulates Table 14's request/byte mix, Figure 7's requests
 // per host pair, Figure 8's size distributions, and the request success
-// rate from completion codes.
+// rate from completion codes. It merges and cuts by its fields
+// (fleet.Merge, fleet.Cut); the request/reply pairing stays with the
+// analyzer that saw the request, so replies pair across cuts.
 type Analyzer struct {
 	Requests             *stats.Counter
 	Bytes                *stats.Counter
@@ -17,7 +19,7 @@ type Analyzer struct {
 	OK, Failed           int64
 
 	// pending pairs replies to requests by (pair, sequence).
-	pending map[pendKey]uint8
+	pending map[pendKey]uint8 `agg:"pairing"`
 }
 
 type pendKey struct {
@@ -42,47 +44,6 @@ func pairOf(a, b netip.Addr) [2]netip.Addr {
 		a, b = b, a
 	}
 	return [2]netip.Addr{a, b}
-}
-
-// Merge folds other's accumulated state into a. Counters, distributions,
-// and per-pair sums are commutative; the request/reply pairing state
-// unions correctly when each (client, server) host pair was fed to
-// exactly one source.
-func (a *Analyzer) Merge(other *Analyzer) {
-	a.Requests.Merge(other.Requests)
-	a.Bytes.Merge(other.Bytes)
-	a.ReqSizes.Merge(other.ReqSizes)
-	a.ReplySizes.Merge(other.ReplySizes)
-	for pair, n := range other.PerPair {
-		a.PerPair[pair] += n
-	}
-	a.OK += other.OK
-	a.Failed += other.Failed
-	for k, v := range other.pending {
-		a.pending[k] = v
-	}
-}
-
-// Cut moves the statistics banked since the last cut into the returned
-// analyzer and installs fresh empties (nil when nothing was banked). The
-// request/reply pairing state stays behind — the epoch contract — so
-// replies pair across cuts, and merging every cut reproduces the uncut
-// analyzer's statistics.
-func (a *Analyzer) Cut() *Analyzer {
-	if a.Requests.Total() == 0 && a.Bytes.Total() == 0 && a.ReqSizes.N() == 0 &&
-		a.ReplySizes.N() == 0 && len(a.PerPair) == 0 && a.OK == 0 && a.Failed == 0 {
-		return nil
-	}
-	s := &Analyzer{
-		Requests: a.Requests, Bytes: a.Bytes,
-		ReqSizes: a.ReqSizes, ReplySizes: a.ReplySizes,
-		PerPair: a.PerPair, OK: a.OK, Failed: a.Failed,
-	}
-	a.Requests, a.Bytes = stats.NewCounter(), stats.NewCounter()
-	a.ReqSizes, a.ReplySizes = stats.NewDist(), stats.NewDist()
-	a.PerPair = make(map[[2]netip.Addr]int64)
-	a.OK, a.Failed = 0, 0
-	return s
 }
 
 // Stream consumes one direction of an NCP connection's reassembled bytes.

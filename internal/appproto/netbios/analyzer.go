@@ -9,16 +9,19 @@ import (
 
 // Analyzer accumulates the §5.1.3 Netbios/NS statistics: request-type mix,
 // name-type mix, per-client spread, and the failure rate counted per
-// distinct (name, host pair) operation.
+// distinct (name, host pair) operation. It merges and cuts by its fields
+// (fleet.Merge, fleet.Cut); the pending-query and dedup state stays with
+// the analyzer that saw it, so cross-cut pairings resolve exactly as
+// they would without the cut.
 type Analyzer struct {
 	Ops       *stats.Counter // request type mix (query/refresh/...)
 	NameTypes *stats.Counter // workstation/server vs domain/browser
 	Clients   *stats.Counter // requests per client
 	Rcodes    *stats.Counter // per-distinct-operation outcome
 
-	pending   map[pendKey]pendVal
-	seenOp    map[opKey]struct{}
-	addrNames map[netip.Addr]string
+	pending   map[pendKey]pendVal   `agg:"pairing"`
+	seenOp    map[opKey]struct{}    `agg:"pairing"`
+	addrNames map[netip.Addr]string `agg:"pairing"`
 }
 
 // opKey identifies one distinct operation (name asked between one host
@@ -93,37 +96,6 @@ func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *NSMessage) {
 	}
 }
 
-// Merge folds other's accumulated state into a. Counters are
-// commutative; the pending/seenOp pairing state is correct to union as
-// long as each (client, server) host pair was fed to exactly one source.
-func (a *Analyzer) Merge(other *Analyzer) {
-	a.Ops.Merge(other.Ops)
-	a.NameTypes.Merge(other.NameTypes)
-	a.Clients.Merge(other.Clients)
-	a.Rcodes.Merge(other.Rcodes)
-	for k, v := range other.pending {
-		a.pending[k] = v
-	}
-	for k := range other.seenOp {
-		a.seenOp[k] = struct{}{}
-	}
-}
-
-// Cut moves the counters banked since the last cut into the returned
-// analyzer and installs fresh empties (nil when nothing was banked).
-// The pending-query and per-operation dedup state stays behind — the
-// epoch contract — so cross-cut pairings resolve exactly as they would
-// without the cut.
-func (a *Analyzer) Cut() *Analyzer {
-	if a.Ops.Total() == 0 && a.NameTypes.Total() == 0 && a.Clients.Total() == 0 && a.Rcodes.Total() == 0 {
-		return nil
-	}
-	s := &Analyzer{Ops: a.Ops, NameTypes: a.NameTypes, Clients: a.Clients, Rcodes: a.Rcodes}
-	a.Ops, a.NameTypes = stats.NewCounter(), stats.NewCounter()
-	a.Clients, a.Rcodes = stats.NewCounter(), stats.NewCounter()
-	return s
-}
-
 // FailureRate is the fraction of distinct query operations that returned
 // NXDOMAIN — the paper reports 36–50%.
 func (a *Analyzer) FailureRate() float64 {
@@ -133,15 +105,41 @@ func (a *Analyzer) FailureRate() float64 {
 // SSNAnalyzer tracks Session Service handshakes per host pair for the
 // Netbios/SSN success-rate row of Table 9.
 type SSNAnalyzer struct {
-	// outcome per host pair: positive beats negative beats none.
-	pairs map[pairKey]uint8
+	pairs map[pairKey]ssnOutcome
+}
+
+// ssnOutcome is a host pair's handshake outcome: the strongest
+// session-service frame it saw.
+type ssnOutcome uint8
+
+// Join is the outcome of frames seen by o and then p: a positive
+// response beats a negative one, which beats a bare request. It is a
+// precedence lattice, so the outcome does not depend on how the frames
+// were split across analyzers or cuts.
+func (o ssnOutcome) Join(p ssnOutcome) ssnOutcome {
+	if p.rank() > o.rank() {
+		return p
+	}
+	return o
+}
+
+func (o ssnOutcome) rank() int {
+	switch uint8(o) {
+	case SSNRequest:
+		return 1
+	case SSNNegativeResponse:
+		return 2
+	case SSNPositiveResponse:
+		return 3
+	}
+	return 0
 }
 
 type pairKey struct{ a, b netip.Addr }
 
 // NewSSNAnalyzer returns an empty SSN analyzer.
 func NewSSNAnalyzer() *SSNAnalyzer {
-	return &SSNAnalyzer{pairs: make(map[pairKey]uint8)}
+	return &SSNAnalyzer{pairs: make(map[pairKey]ssnOutcome)}
 }
 
 func canonPair(x, y netip.Addr) pairKey {
@@ -154,58 +152,18 @@ func canonPair(x, y netip.Addr) pairKey {
 // Frame feeds one session-service frame type observed between client and
 // server.
 func (s *SSNAnalyzer) Frame(client, server netip.Addr, typ uint8) {
-	k := canonPair(client, server)
-	cur := s.pairs[k]
 	switch typ {
-	case SSNRequest:
-		if cur == 0 {
-			s.pairs[k] = SSNRequest
-		}
-	case SSNPositiveResponse:
-		s.pairs[k] = SSNPositiveResponse
-	case SSNNegativeResponse:
-		if cur != SSNPositiveResponse {
-			s.pairs[k] = SSNNegativeResponse
-		}
+	case SSNRequest, SSNPositiveResponse, SSNNegativeResponse:
+		k := canonPair(client, server)
+		s.pairs[k] = s.pairs[k].Join(ssnOutcome(typ))
 	}
-}
-
-// Merge folds other's per-pair outcomes into s under the same precedence
-// Frame applies (positive beats negative beats request), which makes the
-// merged outcome independent of how frames were split across sources.
-func (s *SSNAnalyzer) Merge(other *SSNAnalyzer) {
-	for k, v := range other.pairs {
-		cur := s.pairs[k]
-		switch {
-		case v == SSNPositiveResponse || cur == SSNPositiveResponse:
-			s.pairs[k] = SSNPositiveResponse
-		case v == SSNNegativeResponse || cur == SSNNegativeResponse:
-			s.pairs[k] = SSNNegativeResponse
-		case cur == 0:
-			s.pairs[k] = v
-		}
-	}
-}
-
-// Cut moves the per-pair outcomes observed since the last cut into the
-// returned analyzer (nil when there were none). The outcome fold is a
-// precedence lattice (positive beats negative beats request), so
-// merging the cuts of consecutive epochs yields exactly the outcome the
-// uncut analyzer would have reached.
-func (s *SSNAnalyzer) Cut() *SSNAnalyzer {
-	if len(s.pairs) == 0 {
-		return nil
-	}
-	c := &SSNAnalyzer{pairs: s.pairs}
-	s.pairs = make(map[pairKey]uint8)
-	return c
 }
 
 // Summary reports (successful, rejected, unanswered, total) host pairs.
 func (s *SSNAnalyzer) Summary() (ok, rejected, unanswered, total int) {
 	for _, v := range s.pairs {
 		total++
-		switch v {
+		switch uint8(v) {
 		case SSNPositiveResponse:
 			ok++
 		case SSNNegativeResponse:

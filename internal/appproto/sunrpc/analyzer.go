@@ -9,6 +9,13 @@ import (
 // Analyzer accumulates the paper's NFS statistics: Table 13's per-procedure
 // request/byte mix, Figure 7's requests per host pair, Figure 8's
 // request/reply size distributions, and the request success rate.
+//
+// It merges and cuts by its fields (fleet.Merge, fleet.Cut). The
+// call/reply pairing stays with the analyzer that saw the call: a reply
+// arriving after a cut still matches it, its outcome banks into the
+// epoch in which the pairing completed, and merging every cut reproduces
+// the uncut statistics, provided each (client, server) host pair is fed
+// to one analyzer.
 type Analyzer struct {
 	Requests *stats.Counter // per ProcName
 	Bytes    *stats.Counter // file payload bytes per ProcName
@@ -21,7 +28,7 @@ type Analyzer struct {
 	// OK and Failed count replies by outcome.
 	OK, Failed int64
 
-	pendingProc map[pendKey]uint32
+	pendingProc map[pendKey]uint32 `agg:"pairing"`
 }
 
 type pendKey struct {
@@ -46,48 +53,6 @@ func pairOf(a, b netip.Addr) [2]netip.Addr {
 		a, b = b, a
 	}
 	return [2]netip.Addr{a, b}
-}
-
-// Merge folds other's accumulated state into a. Counters, distributions,
-// and per-pair sums are commutative; the pendingProc call/reply pairing
-// unions correctly when each (client, server) host pair was fed to
-// exactly one source.
-func (a *Analyzer) Merge(other *Analyzer) {
-	a.Requests.Merge(other.Requests)
-	a.Bytes.Merge(other.Bytes)
-	a.ReqSizes.Merge(other.ReqSizes)
-	a.ReplySizes.Merge(other.ReplySizes)
-	for pair, n := range other.PerPair {
-		a.PerPair[pair] += n
-	}
-	a.OK += other.OK
-	a.Failed += other.Failed
-	for k, v := range other.pendingProc {
-		a.pendingProc[k] = v
-	}
-}
-
-// Cut moves the statistics banked since the last cut into the returned
-// analyzer and installs fresh empties (nil when nothing was banked). The
-// call/reply pairing state stays behind — the epoch contract: a reply
-// arriving after the cut still matches the call observed before it, its
-// outcome banks into the epoch in which the pairing completed, and
-// merging every cut reproduces the uncut analyzer's statistics.
-func (a *Analyzer) Cut() *Analyzer {
-	if a.Requests.Total() == 0 && a.Bytes.Total() == 0 && a.ReqSizes.N() == 0 &&
-		a.ReplySizes.N() == 0 && len(a.PerPair) == 0 && a.OK == 0 && a.Failed == 0 {
-		return nil
-	}
-	s := &Analyzer{
-		Requests: a.Requests, Bytes: a.Bytes,
-		ReqSizes: a.ReqSizes, ReplySizes: a.ReplySizes,
-		PerPair: a.PerPair, OK: a.OK, Failed: a.Failed,
-	}
-	a.Requests, a.Bytes = stats.NewCounter(), stats.NewCounter()
-	a.ReqSizes, a.ReplySizes = stats.NewDist(), stats.NewDist()
-	a.PerPair = make(map[[2]netip.Addr]int64)
-	a.OK, a.Failed = 0, 0
-	return s
 }
 
 // Message feeds one raw RPC message (a UDP payload) traveling src → dst.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
 	"enttrace/internal/gen"
 	"enttrace/internal/pcap"
 	"enttrace/internal/pipeline"
@@ -58,7 +60,7 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 // differential ultimately makes.
 func appsReport(ap *appAggregates) *Report {
 	e := newEpochAgg()
-	e.apps.Merge(ap)
+	fleet.Merge(e.apps, ap)
 	return buildReport("cut", e, nil)
 }
 
@@ -91,9 +93,9 @@ func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 		window := newWindowAgg()
 		steps, cuts := 0, 0
 		bank := func() {
-			if d := src.cut(); d != nil {
-				merged.Merge(d)
-				window.apps.Merge(d)
+			if d := fleet.Cut(src); d != nil {
+				fleet.Merge(merged, d)
+				fleet.Merge(window.apps, d)
 				cuts++
 			}
 		}
@@ -106,7 +108,7 @@ func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 		if cuts < 2 {
 			t.Fatalf("every=%d: only %d cuts", every, cuts)
 		}
-		if d := src.cut(); d != nil {
+		if d := fleet.Cut(src); d != nil {
 			t.Errorf("every=%d: cut left banked statistics behind", every)
 		}
 		if got := appsReport(merged); !reflect.DeepEqual(got, want) {
@@ -120,7 +122,11 @@ func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 
 // TestAppAggregatesCutIndependent pins that a cut shares no mutable
 // state with its source: what the source banks afterwards must not leak
-// into the delta, and folding the delta elsewhere must not alias it.
+// into the delta, and folding the delta elsewhere must not alias it. One
+// level up, a merge into a full epoch aggregate or a fresh set of
+// connection sums — the cumulative's, a worker's running cumulative's,
+// the fleet's fold — shares no map or pointer with what it merged, for
+// every window of a windowed run.
 func TestAppAggregatesCutIndependent(t *testing.T) {
 	src := newAppAggregates()
 	sum := newAppAggregates()
@@ -131,9 +137,9 @@ func TestAppAggregatesCutIndependent(t *testing.T) {
 	// accumulating into both neighbours.
 	foldDataset(t, src, func() {
 		if steps++; steps == 400 {
-			delta = src.cut()
+			delta = fleet.Cut(src)
 			before = appsReport(delta)
-			sum.Merge(delta)
+			fleet.Merge(sum, delta)
 		}
 	})
 	if delta == nil {
@@ -145,5 +151,24 @@ func TestAppAggregatesCutIndependent(t *testing.T) {
 	}
 	if reflect.DeepEqual(before, appsReport(src)) {
 		t.Error("source banked nothing after the cut; the check would be vacuous")
+	}
+
+	ds := fleetTestDataset(t)
+	a := NewAnalyzer(Options{Dataset: "refs", PayloadAnalysis: true, Workers: 2, ReplayWorkers: 2, Window: 5 * time.Minute})
+	for i, tr := range ds.Traces[:3] {
+		if err := a.AddTrace(TraceInput{Name: traceName(i), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.win.windows) < 3 {
+		t.Fatalf("%d windows banked: the check would be vacuous", len(a.win.windows))
+	}
+	for n, w := range a.win.windows {
+		e := newEpochAgg()
+		fleet.Merge(e, w)
+		sharesNothing(t, fmt.Sprintf("window %d into an epoch", n), e, w)
+		ca := newConnAggregates()
+		fleet.Merge(ca, &w.connAggregates)
+		sharesNothing(t, fmt.Sprintf("window %d into connection sums", n), ca, &w.connAggregates)
 	}
 }

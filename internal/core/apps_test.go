@@ -46,7 +46,7 @@ func TestWinPairFolding(t *testing.T) {
 		t.Fatalf("pairs = %d, want 1", n)
 	}
 	for _, st := range ap.winPairs["CIFS"] {
-		if st != flows.StateEstablished {
+		if flows.State(st) != flows.StateEstablished {
 			t.Errorf("state = %v, want established", st)
 		}
 	}
@@ -76,7 +76,7 @@ func TestEmailAggLocalitySplit(t *testing.T) {
 	if got := e.sizes["SMTP/wan"].Median(); got != 9000 {
 		t.Errorf("wan size = %v", got)
 	}
-	rate, n := e.successRate("SMTP/ent")
+	rate, n := successRate(e.pairs["SMTP/ent"], false)
 	if rate != 1 || n != 1 {
 		t.Errorf("success = %v n=%d", rate, n)
 	}
@@ -119,13 +119,13 @@ func TestHTTPAggAutomatedSeparation(t *testing.T) {
 		{Status: 404, ContentType: "text/html", BodyLen: 200},
 	}
 	h.conn(conn, false, reqs, resps)
-	if h.reqTotal["ent"] != 2 {
-		t.Errorf("total = %d", h.reqTotal["ent"])
+	if h.intRequests != 2 {
+		t.Errorf("total = %d", h.intRequests)
 	}
 	if h.byClass[http.ClientScanner] == nil || h.byClass[http.ClientScanner].Reqs != 1 {
 		t.Error("scanner share missing")
 	}
-	if !h.automated[hostA] {
+	if _, auto := h.automated[hostA]; !auto {
 		t.Error("client not flagged automated")
 	}
 	// The browser request contributed to content stats; the scanner's

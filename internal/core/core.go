@@ -12,6 +12,7 @@ package core
 
 import (
 	"io"
+	"maps"
 	"net/netip"
 	"runtime"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 
 	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
@@ -331,9 +333,9 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	shardBins := make([][]int64, 0, len(sinks))
 	for _, s := range sinks {
 		s.foldNetLayer(tgt.netLayer)
-		unionHosts(tgt.monitoredHosts, s.monHosts)
-		unionHosts(tgt.localHosts, s.localHosts)
-		unionHosts(tgt.remoteHosts, s.remoteHosts)
+		maps.Copy(tgt.monitoredHosts, s.monHosts)
+		maps.Copy(tgt.localHosts, s.localHosts)
+		maps.Copy(tgt.remoteHosts, s.remoteHosts)
 		if s.maxTS.After(maxTS) {
 			maxTS = s.maxTS
 		}
@@ -375,7 +377,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// rides the trace-granular delta; the cut keeps the registry pairing
 	// state (RPC binds) for later traces. Bank the delta into the window
 	// of the trace's last packet, then emit what that completes.
-	tgt.apps = a.apps.cut()
+	tgt.apps = fleet.Cut(a.apps)
 	a.win.finishTrace(a.cum, tgt, maxTS)
 	return nil
 }
@@ -394,7 +396,7 @@ func (a *Analyzer) ensureReplayWorkers() []*replayWorker {
 		}
 		a.replayWorkers = make([]*replayWorker, n)
 		for i := range a.replayWorkers {
-			a.replayWorkers[i] = &replayWorker{shard: newAppAggregates()}
+			a.replayWorkers[i] = &replayWorker{shard: &epochAgg{connAggregates: *newConnAggregates(), apps: newAppAggregates()}}
 		}
 	}
 	return a.replayWorkers
@@ -410,12 +412,6 @@ const maxReplayWorkers = 64
 func (a *Analyzer) drainLocked() {
 	for _, rw := range a.replayWorkers {
 		rw.drain(a.cum)
-	}
-}
-
-func unionHosts(dst, src map[netip.Addr]struct{}) {
-	for h := range src {
-		dst[h] = struct{}{}
 	}
 }
 

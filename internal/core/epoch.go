@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
-	"enttrace/internal/roles"
 	"enttrace/internal/stats"
 )
 
@@ -16,7 +16,10 @@ import (
 // per-trace delta that merges into the cumulative aggregate — and, when
 // the run is windowed, into the window's aggregate as well — in banking
 // order, so the cumulative report is byte-identical however the run was
-// cut.
+// cut. It merges by its fields (fleet.Merge): every fold is a sum, a
+// union, an exact distribution merge, or an append in banking order, so
+// folding a partition of deltas reproduces the aggregate that never
+// split.
 type epochAgg struct {
 	// Table 1 accumulators.
 	totalPackets                            int64
@@ -26,34 +29,26 @@ type epochAgg struct {
 	// Table 2: network-layer packet counts.
 	netLayer *stats.Counter
 
-	// Post-filter connection-level accumulators.
-	transBytes, transConns *stats.Counter // Table 3
-	removedConns           int
-	totalConns             int
-	scanners               map[netip.Addr]struct{}
-
-	catBytes, catConns map[string]*locSplit // Figure 1
-	origins            *stats.Counter       // §4 origin mix
+	// Post-filter connection-level accumulators: what the replay workers
+	// fold in (Table 3, Figure 1, the origin mix, the hostile-input
+	// census, AgedOut), then the trace-level counts beside them.
+	connAggregates
+	removedConns int
+	totalConns   int
+	scanners     map[netip.Addr]struct{}
 
 	fanAgg map[netip.Addr]*flows.FanStats // Figure 2
 
 	load *loadAgg
 
-	roleCounts map[roles.Role]int
-
-	// hostile is the hostile-input census (reassembly ledger + RST
-	// signals), folded from replay workers like the connection sums.
-	hostile hostileCounters
+	// roleCounts counts hosts per roles.Role.
+	roleCounts *stats.Counter
 
 	// srcErrs is the degraded-run source-error census, one entry per
 	// trace that saw errors, in banking order.
 	srcErrs []TraceSourceErrors
-	// capEvicted counts MaxConns-backstop evictions; agedOut counts
-	// connections idle past the IdleEvict horizon at end of trace (the
-	// AgedOut disposition, folded from replay workers like the
-	// connection sums).
+	// capEvicted counts MaxConns-backstop evictions.
 	capEvicted int64
-	agedOut    int64
 
 	// apps folds banked application deltas: the phase-A residue at each
 	// trace end, and the replay workers' share — their running
@@ -72,7 +67,7 @@ func newEpochAgg() *epochAgg {
 
 // newWindowAgg returns an empty window aggregate: merged into like the
 // cumulative, but sparse — its apps holds a component only once a banked
-// delta has brought one (appAggregates.Merge adopts it).
+// delta has brought one (the merge adopts it).
 func newWindowAgg() *epochAgg {
 	e := newTraceDelta()
 	e.apps = &appAggregates{}
@@ -92,71 +87,11 @@ func newTraceDelta() *epochAgg {
 		localHosts:     make(map[netip.Addr]struct{}),
 		remoteHosts:    make(map[netip.Addr]struct{}),
 		netLayer:       stats.NewCounter(),
-		transBytes:     stats.NewCounter(),
-		transConns:     stats.NewCounter(),
+		connAggregates: *newConnAggregates(),
 		scanners:       make(map[netip.Addr]struct{}),
-		catBytes:       make(map[string]*locSplit),
-		catConns:       make(map[string]*locSplit),
-		origins:        stats.NewCounter(),
 		fanAgg:         make(map[netip.Addr]*flows.FanStats),
 		load:           newLoadAgg(),
-		roleCounts:     make(map[roles.Role]int),
-	}
-}
-
-// merge folds other into e. Every fold is a sum, union, exact
-// distribution merge, or append-in-banking-order, so folding a partition
-// of deltas reproduces the aggregate that never split. A window
-// aggregate adopts the application components it lacks from other (see
-// appAggregates.Merge): what is merged into a window is consumed.
-func (e *epochAgg) merge(other *epochAgg) {
-	e.totalPackets += other.totalPackets
-	e.traceCount += other.traceCount
-	unionHosts(e.monitoredHosts, other.monitoredHosts)
-	unionHosts(e.localHosts, other.localHosts)
-	unionHosts(e.remoteHosts, other.remoteHosts)
-	e.netLayer.Merge(other.netLayer)
-	e.transBytes.Merge(other.transBytes)
-	e.transConns.Merge(other.transConns)
-	e.removedConns += other.removedConns
-	e.totalConns += other.totalConns
-	unionHosts(e.scanners, other.scanners)
-	foldLocSplit(e.catBytes, other.catBytes)
-	foldLocSplit(e.catConns, other.catConns)
-	e.origins.Merge(other.origins)
-	e.foldFan(other.fanAgg)
-	e.load.traces = append(e.load.traces, other.load.traces...)
-	for role, n := range other.roleCounts {
-		e.roleCounts[role] += n
-	}
-	e.hostile.merge(&other.hostile)
-	e.srcErrs = append(e.srcErrs, other.srcErrs...)
-	e.capEvicted += other.capEvicted
-	e.agedOut += other.agedOut
-	if other.apps != nil {
-		e.apps.Merge(other.apps)
-	}
-}
-
-// foldConns folds one replay worker's connection-level sums into e.
-func (e *epochAgg) foldConns(ca *connAggregates) {
-	e.transBytes.Merge(ca.transBytes)
-	e.transConns.Merge(ca.transConns)
-	e.origins.Merge(ca.origins)
-	foldLocSplit(e.catBytes, ca.catBytes)
-	foldLocSplit(e.catConns, ca.catConns)
-	e.hostile.merge(&ca.hostile)
-	e.agedOut += ca.agedOut
-}
-
-func (e *epochAgg) foldFan(fan map[netip.Addr]*flows.FanStats) {
-	for h, s := range fan {
-		agg := e.fanAgg[h]
-		if agg == nil {
-			agg = &flows.FanStats{}
-			e.fanAgg[h] = agg
-		}
-		agg.Merge(s)
+		roleCounts:     stats.NewCounter(),
 	}
 }
 
@@ -179,12 +114,10 @@ type WindowReport struct {
 }
 
 // windowDelta is one replay worker's contribution to one window: what
-// its application aggregate banked up to the cut at the window boundary
-// and the connection-level sums accumulated inside the window.
+// its shard banked up to the cut at the window boundary.
 type windowDelta struct {
 	window int
-	apps   *appAggregates
-	conns  *connAggregates
+	delta  *epochAgg
 }
 
 // windowState is the Analyzer's epoch-rotation machinery: the window
@@ -307,13 +240,7 @@ func (ws *windowState) bankDeltas(deltas []windowDelta) {
 	defer ws.mu.Unlock()
 	clear(ws.rendered)
 	for _, d := range deltas {
-		w := ws.bankedLocked(d.window)
-		if d.apps != nil {
-			w.apps.Merge(d.apps)
-		}
-		if d.conns != nil {
-			w.foldConns(d.conns)
-		}
+		fleet.Merge(ws.bankedLocked(d.window), d.delta)
 	}
 }
 
@@ -369,7 +296,7 @@ func (ws *windowState) advanceLocked(to time.Time) {
 func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	cum.merge(traceDelta)
+	fleet.Merge(cum, traceDelta)
 	if !ws.originSet {
 		return
 	}
@@ -378,7 +305,7 @@ func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 		at = ws.watermark
 	}
 	// The cumulative copied the delta; the window may keep its parts.
-	ws.bankedLocked(ws.windowOf(at)).merge(traceDelta)
+	fleet.Merge(ws.bankedLocked(ws.windowOf(at)), traceDelta)
 	clear(ws.rendered)
 	ws.advanceLocked(maxTS)
 }

@@ -120,9 +120,10 @@ func wmNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// decodeEpoch decodes one shipped window snapshot and validates the
-// invariants the merge fold relies on (the codec guarantees structure,
-// not non-nilness — a snapshot our own encoder produced always passes).
+// decodeEpoch decodes one shipped window snapshot and checks that it
+// holds the containers every window holds, which a report built from it
+// reads (the codec guarantees structure, not non-nilness — a snapshot
+// our own encoder produced always passes).
 func decodeEpoch(payload []byte) (*epochAgg, error) {
 	e := new(epochAgg)
 	if err := fleet.Unmarshal(payload, e); err != nil {
@@ -462,7 +463,7 @@ func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
 					sr.LostWindows = append(sr.LostWindows, w)
 				}
 				if merged != nil {
-					merged.merge(dw.agg)
+					fleet.Merge(merged, dw.agg)
 				}
 				sr.Windows++
 			case hasLost:
@@ -525,7 +526,7 @@ func (f *Fleet) windowReportLocked(n int) *WindowReport {
 	e := newEpochAgg()
 	for _, name := range f.siteNamesLocked() {
 		if dw := f.sites[name].windows[n]; dw != nil {
-			e.merge(dw.agg)
+			fleet.Merge(e, dw.agg)
 		}
 	}
 	return newWindowReport(f.dataset, e, n, f.origin, f.window)

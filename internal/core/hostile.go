@@ -6,9 +6,10 @@ import "enttrace/internal/reassembly"
 // (see reassembly.Accounting and the overlap-conflict policy in that
 // package's doc) plus the packet-time RST signals tracked on connStreams.
 // Every field is a commutative sum except peakPending, which merges by
-// max; each connection contributes exactly once (at replay, after its
-// streams are released), so window sums reproduce the batch aggregate
-// and the report is identical for any worker/replay-worker grid point.
+// max (agg:"max"); each connection contributes exactly once (at replay,
+// after its streams are released), so window sums reproduce the batch
+// aggregate and the report is identical for any worker/replay-worker
+// grid point.
 type hostileCounters struct {
 	// streams counts stream directions that ingested at least one byte.
 	streams int64
@@ -18,8 +19,8 @@ type hostileCounters struct {
 	// Gap / wrap events.
 	gapSkipped, gapEvents, wrapEvents int64
 	// peakPending is the largest buffered out-of-order volume any single
-	// stream direction reached (max-merged).
-	peakPending int64
+	// stream direction reached.
+	peakPending int64 `agg:"max"`
 	// RST-shaped signals from packet time.
 	bogusRST, postRSTData int64
 }
@@ -57,22 +58,4 @@ func (h *hostileCounters) fold(app *connStreams) {
 		h.addStream(app.cliStream.Accounting())
 		h.addStream(app.srvStream.Accounting())
 	}
-}
-
-// merge folds another aggregate into h.
-func (h *hostileCounters) merge(o *hostileCounters) {
-	h.streams += o.streams
-	h.ingest += o.ingest
-	h.delivered += o.delivered
-	h.duplicate += o.duplicate
-	h.conflict += o.conflict
-	h.discarded += o.discarded
-	h.gapSkipped += o.gapSkipped
-	h.gapEvents += o.gapEvents
-	h.wrapEvents += o.wrapEvents
-	if o.peakPending > h.peakPending {
-		h.peakPending = o.peakPending
-	}
-	h.bogusRST += o.bogusRST
-	h.postRSTData += o.postRSTData
 }

@@ -1,0 +1,248 @@
+package core
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"enttrace/internal/appproto/cifs"
+	"enttrace/internal/appproto/dcerpc"
+	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
+	"enttrace/internal/gen"
+)
+
+// TestMergePlanCoversAggregates pins the plan, not only its output:
+// every field the epoch aggregate reaches either has a merge rule or is
+// declared pairing state. A field added without either — a string, an
+// interface, a func, an array — fails here, naming itself, instead of
+// panicking at the first window cut.
+func TestMergePlanCoversAggregates(t *testing.T) {
+	for _, v := range []any{&epochAgg{}, &appAggregates{}} {
+		if err := fleet.MergeError(v); err != nil {
+			t.Errorf("%T: %v", v, err)
+		}
+	}
+}
+
+// pairingFields visits every agg:"pairing" field reachable from v
+// through struct fields and pointers.
+func pairingFields(v reflect.Value, path string, visit func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			pairingFields(v.Elem(), path, visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.Tag.Get("agg") == "pairing" {
+				visit(path+"."+f.Name, v.Field(i))
+			} else {
+				pairingFields(v.Field(i), path+"."+f.Name, visit)
+			}
+		}
+	}
+}
+
+// pairingMaps identifies the pairing maps reachable from ap, with their
+// sizes.
+func pairingMaps(ap *appAggregates) map[string][2]uintptr {
+	out := make(map[string][2]uintptr)
+	pairingFields(reflect.ValueOf(ap), "apps", func(path string, f reflect.Value) {
+		if f.Kind() == reflect.Map {
+			out[path] = [2]uintptr{f.Pointer(), uintptr(f.Len())}
+		}
+	})
+	return out
+}
+
+// TestPairingNeverTravels pins the rule every Merge in this package
+// leans on: a cut carries no pairing state — every agg:"pairing" field of
+// every cut is nil or empty — and the source keeps its own, the same
+// maps holding the same entries, so a query pending at a cut still pairs
+// after it.
+func TestPairingNeverTravels(t *testing.T) {
+	src := newAppAggregates()
+	steps, cuts, held := 0, 0, 0
+	foldDataset(t, src, func() {
+		if steps++; steps%25 != 0 {
+			return
+		}
+		before := pairingMaps(src)
+		d := fleet.Cut(src)
+		if d == nil {
+			return
+		}
+		cuts++
+		pairingFields(reflect.ValueOf(d), "cut", func(path string, f reflect.Value) {
+			if !f.IsZero() && (f.Kind() != reflect.Map || f.Len() != 0) {
+				t.Errorf("cut %d carries pairing state %s", cuts, path)
+			}
+		})
+		after := pairingMaps(src)
+		if !reflect.DeepEqual(before, after) {
+			t.Errorf("cut %d changed the source's pairing state:\nbefore %v\n after %v", cuts, before, after)
+		}
+		for _, m := range after {
+			if m[1] > 0 {
+				held++
+			}
+		}
+	})
+	if cuts < 10 || held == 0 {
+		t.Fatalf("%d cuts, pairing state held across %d: the check would be vacuous", cuts, held)
+	}
+}
+
+// refs records every map and pointer reachable from v through struct
+// fields, pointers and map values — not through slices, whose elements
+// are records appended whole and never written after.
+func refs(v reflect.Value, path string, into map[uintptr]string) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map:
+		if v.IsNil() {
+			return
+		}
+		into[v.Pointer()] = path
+		if v.Kind() == reflect.Pointer {
+			refs(v.Elem(), path, into)
+			return
+		}
+		for it := v.MapRange(); it.Next(); {
+			refs(it.Value(), path+"[]", into)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			refs(v.Field(i), path+"."+v.Type().Field(i).Name, into)
+		}
+	}
+}
+
+// sharesNothing fails unless dst and src reach no map or pointer in
+// common.
+func sharesNothing(t *testing.T, what string, dst, src any) {
+	t.Helper()
+	d, s := map[uintptr]string{}, map[uintptr]string{}
+	refs(reflect.ValueOf(dst), "dst", d)
+	refs(reflect.ValueOf(src), "src", s)
+	for p, path := range d {
+		if other, ok := s[p]; ok {
+			t.Errorf("%s: %s is %s", what, path, other)
+		}
+	}
+}
+
+// TestZeroLengthResponsesBankInTheirWindow is the regression test for a
+// cut that left zero-count keys behind: a window whose only RPC and CIFS
+// traffic is zero-length responses banks their keys — a "fn": 0 row — in
+// that window, and the next window reads none of them.
+func TestZeroLengthResponsesBankInTheirWindow(t *testing.T) {
+	ap := newAppAggregates()
+	key := dcerpc.ChanKey{Conn: 1, Side: dcerpc.SideBoth}
+	ap.rpc.Summaries(key, []dcerpc.Summary{{Type: dcerpc.PTBind, Iface: dcerpc.IfSpoolss}})
+	if fleet.Cut(ap) != nil {
+		t.Fatal("a bind alone banked something")
+	}
+	ap.rpc.Summaries(key, []dcerpc.Summary{{Type: dcerpc.PTResponse}})
+	var p cifs.StreamParser
+	p.Init(false, 0)
+	p.Data(cifs.Encode(&cifs.Message{Command: cifs.CmdReadAndX, Response: true}))
+	p.End()
+	ap.cifs.Records(&p, nil)
+
+	window := fleet.Cut(ap)
+	if window == nil {
+		t.Fatal("a window of zero-length responses cut as empty")
+	}
+	rep := appsReport(window)
+	if _, ok := rep.Windows.RPCBytes["Spoolss/other"]; !ok {
+		t.Errorf("window RPC bytes %v: the zero-stub response's key did not bank in its window", rep.Windows.RPCBytes)
+	}
+	if _, ok := rep.Windows.CIFSBytes[cifs.CatFile]; !ok {
+		t.Errorf("window CIFS bytes %v: the zero-length response's key did not bank in its window", rep.Windows.CIFSBytes)
+	}
+	if ap.rpc.Bytes.Len() != 0 || ap.cifs.Bytes.Len() != 0 {
+		t.Error("the cut left zero-count keys behind for a later window")
+	}
+}
+
+// mergeSeeds returns real window snapshots: a small windowed run's
+// exports, in threes.
+func mergeSeeds(tb testing.TB) [][3][]byte {
+	cfg := enterprise.D3()
+	cfg.Scale = 0.05
+	cfg.Monitored = cfg.Monitored[:1]
+	a := NewAnalyzer(Options{Dataset: "seed", PayloadAnalysis: true, Window: 2 * time.Minute})
+	for i, tr := range gen.GenerateDataset(cfg).Traces {
+		if err := a.AddTrace(TraceInput{Name: traceName(i), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	exports, err := a.ExportAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds [][3][]byte
+	for i := 0; i+2 < len(exports) && len(seeds) < 8; i += 3 {
+		seeds = append(seeds, [3][]byte{exports[i].Payload, exports[i+1].Payload, exports[i+2].Payload})
+	}
+	return seeds
+}
+
+// renderEpoch is what a report of e looks like: its JSON, or the error
+// marshalling it gave.
+func renderEpoch(e *epochAgg) []byte {
+	b, err := MarshalReport(buildReport("fuzz", e, nil))
+	if err != nil {
+		return []byte("error: " + err.Error())
+	}
+	return b
+}
+
+// FuzzMergeAssociative holds the plan's merge to the algebra the windowed
+// and fleet designs rest on, over decoded snapshots: (a⊕b)⊕c and
+// a⊕(b⊕c) render identical reports, and ∅⊕a renders as a does. A
+// snapshot that cannot be reported on its own (the decoder checks
+// structure, not meaning) says nothing about merging and is skipped.
+func FuzzMergeAssociative(f *testing.F) {
+	for _, s := range mergeSeeds(f) {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, pa, pb, pc []byte) {
+		var in [3]*epochAgg
+		for i, p := range [][]byte{pa, pb, pc} {
+			e, err := decodeEpoch(p)
+			if err != nil || !reportable(e) {
+				return
+			}
+			in[i] = e
+		}
+		a, b, c := in[0], in[1], in[2]
+		fold := func(parts ...*epochAgg) *epochAgg {
+			e := newEpochAgg()
+			for _, p := range parts {
+				fleet.Merge(e, p)
+			}
+			return e
+		}
+		if l, r := renderEpoch(fold(fold(a, b), c)), renderEpoch(fold(a, fold(b, c))); !bytes.Equal(l, r) {
+			t.Fatalf("(a⊕b)⊕c and a⊕(b⊕c) differ:\n%s\n%s", l, r)
+		}
+		if got, want := renderEpoch(fold(a)), renderEpoch(a); !bytes.Equal(got, want) {
+			t.Fatalf("∅⊕a renders differently from a:\n%s\n%s", got, want)
+		}
+	})
+}
+
+// reportable reports whether a report can be built from e alone.
+func reportable(e *epochAgg) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	renderEpoch(e)
+	return true
+}

@@ -19,6 +19,7 @@ import (
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
 	"enttrace/internal/kmerge"
 	"enttrace/internal/layers"
@@ -140,7 +141,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 	h := newHandoff(a.win, nshard, maxTS)
 	results := make([]replayResult, nshard)
 	run := func(w int) {
-		ap := workers[w].shard
+		ap := workers[w].shard.apps
 		keptConns := make([]*flows.Conn, 0, len(connsByShard[w]))
 		// processConn replays one connection into the worker's current
 		// aggregates.
@@ -210,37 +211,31 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 // a host pair always hashes to the same worker, so cross-trace pairing
 // state (DNS retries, RPC binds) stays worker-local.
 type replayWorker struct {
-	// shard accumulates the worker's share of the replay, and conns the
-	// connection-level sums beside it (nil when empty), until a cut
-	// moves what they banked out; only pairing state survives a cut.
-	shard *appAggregates
-	conns *connAggregates
-	// cumApps/cumConns are the running cumulative of everything the
-	// worker has cut (nil until its first cut): it folds its own deltas
-	// in, lock-free and parallel with the other workers.
-	cumApps  *appAggregates
-	cumConns *connAggregates
+	// shard accumulates the worker's share of the replay — its
+	// application aggregate and the connection-level sums beside it —
+	// until a cut moves what it banked out; only pairing state survives a
+	// cut.
+	shard *epochAgg
+	// cum is the running cumulative of everything the worker has cut
+	// (nil until its first cut): it folds its own deltas in, lock-free
+	// and parallel with the other workers.
+	cum *epochAgg
 }
 
-// cut moves everything the worker banked since the last cut out of its
-// shard: a copy goes into the worker's running cumulative, and the delta
-// itself onto deltas, for the window it is banked under to keep.
-func (rw *replayWorker) cut(deltas []windowDelta, window int) []windowDelta {
-	d, ca := rw.shard.cut(), rw.conns
-	rw.conns = nil
-	if d == nil && ca == nil {
+// closeWindow moves everything the worker banked since its last cut out
+// of its shard: a copy goes into the worker's running cumulative, and the
+// delta itself onto deltas, for window — the one it is banked under — to
+// keep.
+func (rw *replayWorker) closeWindow(deltas []windowDelta, window int) []windowDelta {
+	d := fleet.Cut(rw.shard)
+	if d == nil {
 		return deltas
 	}
-	if rw.cumApps == nil {
-		rw.cumApps, rw.cumConns = newAppAggregates(), newConnAggregates()
+	if rw.cum == nil {
+		rw.cum = newEpochAgg()
 	}
-	if d != nil {
-		rw.cumApps.Merge(d)
-	}
-	if ca != nil {
-		rw.cumConns.merge(ca)
-	}
-	return append(deltas, windowDelta{window: window, apps: d, conns: ca})
+	fleet.Merge(rw.cum, d)
+	return append(deltas, windowDelta{window: window, delta: d})
 }
 
 // drain moves everything the worker holds into e: its running
@@ -249,17 +244,12 @@ func (rw *replayWorker) cut(deltas []windowDelta, window int) []windowDelta {
 // keeps the drain idempotent: a report mid-run consumes only what has
 // been banked since the previous one.
 func (rw *replayWorker) drain(e *epochAgg) {
-	if rw.cumApps != nil {
-		e.apps.Merge(rw.cumApps)
-		e.foldConns(rw.cumConns)
-		rw.cumApps, rw.cumConns = nil, nil
+	if rw.cum != nil {
+		fleet.Merge(e, rw.cum)
+		rw.cum = nil
 	}
-	if d := rw.shard.cut(); d != nil {
-		e.apps.Merge(d)
-	}
-	if rw.conns != nil {
-		e.foldConns(rw.conns)
-		rw.conns = nil
+	if d := fleet.Cut(rw.shard); d != nil {
+		fleet.Merge(e, d)
 	}
 }
 
@@ -292,14 +282,14 @@ func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, recs []pipel
 	enter := func(ts time.Time) {
 		floor = max(floor, a.win.windowOf(ts))
 		if cur >= 0 && floor != cur {
-			deltas = rw.cut(deltas, cur)
+			deltas = rw.closeWindow(deltas, cur)
 		}
 		cur = floor
 	}
 	for _, j := range udpIdx {
 		ev := &events[j]
 		enter(ev.ts)
-		replayUDPEvent(rw.shard, ev)
+		replayUDPEvent(rw.shard.apps, ev)
 	}
 	floor = 0
 	frontier := -1
@@ -310,13 +300,10 @@ func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, recs []pipel
 			h.publish(w, deltas, frontier)
 			deltas = deltas[:0]
 		}
-		if rw.conns == nil {
-			rw.conns = newConnAggregates()
-		}
-		processConn(i, rw.conns)
+		processConn(i, &rw.shard.connAggregates)
 	}
 	if a.Windowing() && cur >= 0 {
-		deltas = rw.cut(deltas, cur)
+		deltas = rw.closeWindow(deltas, cur)
 	}
 	h.publish(w, deltas, passedAll)
 }
@@ -465,7 +452,8 @@ func takeBelow(batch []windowDelta, run *[]windowDelta, lo int) []windowDelta {
 
 // connAggregates is one replay worker's connection-level accumulation:
 // the Table 3 transport breakdown, Figure 1 category splits, and §4
-// origin mix (all commutative sums).
+// origin mix (all commutative sums). epochAgg embeds it, so a worker's
+// sums fold into an epoch as a merge of that one field.
 type connAggregates struct {
 	transBytes, transConns *stats.Counter
 	origins                *stats.Counter
@@ -488,17 +476,6 @@ func newConnAggregates() *connAggregates {
 	}
 }
 
-// merge folds another worker aggregate into ca (all commutative sums).
-func (ca *connAggregates) merge(o *connAggregates) {
-	ca.transBytes.Merge(o.transBytes)
-	ca.transConns.Merge(o.transConns)
-	ca.origins.Merge(o.origins)
-	foldLocSplit(ca.catBytes, o.catBytes)
-	foldLocSplit(ca.catConns, o.catConns)
-	ca.hostile.merge(&o.hostile)
-	ca.agedOut += o.agedOut
-}
-
 // replayResult is one worker's output for one trace beside what it
 // handed off per window: the trace-granular distinct-peer censuses.
 type replayResult struct {
@@ -512,7 +489,7 @@ type replayResult struct {
 func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []replayResult) {
 	evidence := results[0].roles
 	for w, rr := range results {
-		tgt.foldFan(rr.fan)
+		fleet.Merge(&tgt.fanAgg, &rr.fan)
 		if w > 0 {
 			evidence.Merge(rr.roles)
 		}
@@ -520,19 +497,7 @@ func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []replayResult) {
 	// Role verdicts are per trace (thresholds apply to the merged
 	// evidence), summed across traces like the serial path did.
 	for role, n := range roles.Summary(evidence.Finalize(roles.Config{})) {
-		tgt.roleCounts[role] += n
-	}
-}
-
-func foldLocSplit(dst, src map[string]*locSplit) {
-	for k, s := range src {
-		d := dst[k]
-		if d == nil {
-			d = &locSplit{}
-			dst[k] = d
-		}
-		d.Ent += s.Ent
-		d.Wan += s.Wan
+		tgt.roleCounts.Add(string(role), int64(n))
 	}
 }
 
@@ -574,7 +539,7 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 		}
 		streams.cli.End()
 		streams.srv.End()
-		ap.cifsStreams(conn, &streams.cli, &streams.srv)
+		ap.cifsStreams(dcerpc.ChanKey{Trace: trace, Conn: rec.FirstIdx, Side: dcerpc.SideBoth}, conn, &streams.cli, &streams.srv)
 	case "NCP":
 		if app.ncp != nil {
 			ap.ncp.Records(client, server, app.ncp.cli.Records())
@@ -595,8 +560,8 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 		ap.markNFSPair(client, server, false)
 	case "Spoolss":
 		key := dcerpc.ChanKey{Trace: trace, Conn: rec.FirstIdx, Side: dcerpc.SideBoth}
-		ap.rpc.StreamKey(key, true, app.cliBuf.Buf)
-		ap.rpc.StreamKey(key, false, app.srvBuf.Buf)
+		ap.rpc.Stream(key, app.cliBuf.Buf)
+		ap.rpc.Stream(key, app.srvBuf.Buf)
 	case "FTP":
 		if conn.Key.DstPort == 21 {
 			ap.ftpSession(trace, rec.FirstIdx, ftp.Analyze(app.cliBuf.Buf, app.srvBuf.Buf))
@@ -734,7 +699,7 @@ func (a *Analyzer) replayEPM(key dcerpc.ChanKey, segs [][]byte) {
 	for _, seg := range segs {
 		var p dcerpc.StreamParser
 		p.Data(seg)
-		a.apps.rpc.SummariesKey(key, p.PDUs())
+		a.apps.rpc.Summaries(key, p.PDUs())
 		for _, pdu := range p.PDUs() {
 			if !pdu.Mapped {
 				continue

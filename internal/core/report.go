@@ -437,8 +437,8 @@ func buildReport(dataset string, e *epochAgg, win *WindowMeta) *Report {
 	r.Hostile = e.hostileReport()
 	r.SourceErrors = e.sourceErrorReport()
 	r.Roles = make(map[string]int)
-	for role, n := range e.roleCounts {
-		r.Roles[string(role)] = n
+	for _, role := range e.roleCounts.Keys() {
+		r.Roles[role] = int(e.roleCounts.Get(role))
 	}
 	r.Findings = findings(r)
 	return r
@@ -527,8 +527,8 @@ func (e *epochAgg) fanReport() FanReport {
 func httpReport(ap *appAggregates) HTTPReport {
 	h := ap.http
 	r := HTTPReport{Automated: make(map[string]AutomatedShare)}
-	r.InternalRequests = h.reqTotal["ent"]
-	r.InternalBytes = h.dataTotal["ent"]
+	r.InternalRequests = h.intRequests
+	r.InternalBytes = h.intBytes
 	for class, e := range h.byClass {
 		r.Automated[class] = AutomatedShare{
 			ReqFrac:  frac(float64(e.Reqs), float64(r.InternalRequests)),
@@ -539,7 +539,7 @@ func httpReport(ap *appAggregates) HTTPReport {
 	// edge key with no server).
 	fan := make(map[fanEdge]int)
 	for edge := range h.fanServers {
-		if !h.automated[edge.client] {
+		if _, auto := h.automated[edge.client]; !auto {
 			fan[fanEdge{client: edge.client, wan: edge.wan}]++
 		}
 	}
@@ -555,22 +555,8 @@ func httpReport(ap *appAggregates) HTTPReport {
 	}
 	r.FanOutEnt, r.FanOutWan = fanEnt.CDF(64), fanWan.CDF(64)
 	r.NEntClients, r.NWanClients = fanEnt.N(), fanWan.N()
-	// Success by pair.
-	rate := func(wan bool) (float64, int) {
-		ok, n := 0, 0
-		for key, s := range h.connPairs {
-			if key.wan != wan {
-				continue
-			}
-			n++
-			if s {
-				ok++
-			}
-		}
-		return frac(float64(ok), float64(n)), n
-	}
-	r.SuccessEnt, r.PairsEnt = rate(false)
-	r.SuccessWan, r.PairsWan = rate(true)
+	r.SuccessEnt, r.PairsEnt = successRate(h.connPairs, false)
+	r.SuccessWan, r.PairsWan = successRate(h.connPairs, true)
 	if c := h.conditional["ent"]; c != nil {
 		r.CondEnt = frac(float64(c.Cond), float64(c.Total))
 		r.CondBytesEnt = frac(float64(c.CondBytes), float64(c.Bytes))
@@ -633,10 +619,10 @@ func emailReport(ap *appAggregates) EmailReport {
 	r.MedianIMAPSDurEnt, r.MedianIMAPSDurWan = med("IMAP/S/ent"), med("IMAP/S/wan")
 	r.SMTPSizeEnt, r.SMTPSizeWan = scdf("SMTP/ent"), scdf("SMTP/wan")
 	r.IMAPSSizeEnt, r.IMAPSSizeWan = scdf("IMAP/S/ent"), scdf("IMAP/S/wan")
-	r.SMTPSuccessEnt, _ = e.successRate("SMTP/ent")
-	r.SMTPSuccessWan, _ = e.successRate("SMTP/wan")
-	entOK, entN := e.successRate("IMAP/S/ent")
-	wanOK, wanN := e.successRate("IMAP/S/wan")
+	r.SMTPSuccessEnt, _ = successRate(e.pairs["SMTP/ent"], false)
+	r.SMTPSuccessWan, _ = successRate(e.pairs["SMTP/wan"], false)
+	entOK, entN := successRate(e.pairs["IMAP/S/ent"], false)
+	wanOK, wanN := successRate(e.pairs["IMAP/S/wan"], false)
 	r.IMAPSSuccess = frac(entOK*float64(entN)+wanOK*float64(wanN), float64(entN+wanN))
 	return r
 }
@@ -683,7 +669,7 @@ func windowsReport(ap *appAggregates) WindowsReport {
 		o := ServiceOutcome{Pairs: len(pairs)}
 		var ok, rej, un int
 		for _, st := range pairs {
-			switch st {
+			switch flows.State(st) {
 			case flows.StateEstablished, flows.StateActive:
 				ok++
 			case flows.StateRejected:

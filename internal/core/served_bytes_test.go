@@ -216,7 +216,7 @@ func TestServedBytesMatchFreshRender(t *testing.T) {
 			ca := newConnAggregates()
 			ca.transConns.Add("tcp", 1)
 			ca.transBytes.Add("tcp", 100)
-			return []windowDelta{{window: window, conns: ca}}
+			return []windowDelta{{window: window, delta: &epochAgg{connAggregates: *ca}}}
 		}
 		mustAdd := func(tr TraceInput) func() {
 			return func() {

@@ -144,8 +144,9 @@ func TestSchemaMatchesReferenceWalk(t *testing.T) {
 
 // TestPlanCacheFirstUse races eight goroutines to be the first to decode
 // (then encode) types the cache has never seen, a recursive one among
-// them: every one of them must get a complete plan, whoever builds it.
-// Run under -race at several -cpu values (CI's race job does).
+// them, and half of them to merge and cut one: every one must get a
+// complete plan, whoever builds it. Run under -race at several -cpu
+// values (CI's race job does).
 func TestPlanCacheFirstUse(t *testing.T) {
 	fixture, err := refMarshal(mkFixture())
 	if err != nil {
@@ -164,6 +165,13 @@ func TestPlanCacheFirstUse(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
+				if g%2 == 0 {
+					dst := fullFixture(1)
+					Merge(dst, fullFixture(2))
+					if d := Cut(dst); d == nil || d.count != 3 || len(d.set) != 2 || d.counter.Get("k") != 3 {
+						t.Error("first-use merge and cut")
+					}
+				}
 				for _, c := range []struct {
 					b     []byte
 					fresh func() any

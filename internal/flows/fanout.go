@@ -8,7 +8,11 @@ import (
 // FanStats holds, for one host, the set sizes the paper's §4 reports:
 // fan-in (distinct hosts that originate conversations to it) and fan-out
 // (distinct hosts it originates conversations to), split by whether the
-// peer is local to the enterprise.
+// peer is local to the enterprise. Two FanStats add field by field
+// exactly when they were computed over connection sets split by host
+// pair (each (host, peer) edge then lives in exactly one) — the
+// invariant both the replay sharding and the per-trace fan census
+// provide.
 type FanStats struct {
 	FanInLocal, FanInRemote   int
 	FanOutLocal, FanOutRemote int
@@ -19,17 +23,6 @@ func (f FanStats) FanIn() int { return f.FanInLocal + f.FanInRemote }
 
 // FanOut is total distinct contacted peers.
 func (f FanStats) FanOut() int { return f.FanOutLocal + f.FanOutRemote }
-
-// Merge adds other's distinct-peer counts into f. Exact when the two
-// stats were computed over connection sets split by host pair (each
-// (host, peer) edge then lives in exactly one source) — the invariant
-// both the replay sharding and the per-trace fan census provide.
-func (f *FanStats) Merge(other *FanStats) {
-	f.FanInLocal += other.FanInLocal
-	f.FanInRemote += other.FanInRemote
-	f.FanOutLocal += other.FanOutLocal
-	f.FanOutRemote += other.FanOutRemote
-}
 
 // FanInOut computes per-host fan statistics over a set of connections.
 // isLocal classifies an address as inside the enterprise; only hosts for

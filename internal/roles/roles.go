@@ -211,7 +211,11 @@ func byHostPeer(a, b classifyEdge) int {
 
 // Merge folds other's evidence into pt. Exact when the underlying
 // connection subsets were split by host pair: each (host, peer) edge
-// domain then lives in exactly one source, so distinct counts add.
+// domain then lives in exactly one source, so distinct counts add. It is
+// written out rather than left to the fleet codec's merge plan because a
+// HostProfile carries its host's address, which identifies the entry and
+// does not merge: the plan would need a tag kind for it, for the one type
+// that is never windowed or shipped.
 func (pt *Partial) Merge(other *Partial) {
 	for h, op := range other.profiles {
 		p := pt.profiles[h]

@@ -10,12 +10,14 @@
 // reproduction operates at a scale where exactness is affordable.
 //
 // Epoch obligations: Counter and Dist are the leaves of the aggregate
-// layer's Cut + Merge contract (DESIGN.md § "Epoch cuts and windowed
-// reports"). An owner cuts by moving a banked Counter or Dist out and
-// installing a fresh one, so neither type needs a cut of its own; what
-// they owe is an exact Merge — folding the pieces of any partition
-// reproduces the aggregate that never split, bit for bit — that leaves
-// its source usable and aliases nothing.
+// layer's merge and cut (DESIGN.md § "Epoch cuts and windowed reports"),
+// which the fleet codec's per-type plan derives for everything above
+// them. A cut moves a banked Counter or Dist out whole and installs a
+// zero value, which is ready to use, and leaves nil where nothing was
+// banked: a nil *Counter or *Dist reads as empty. What the two owe is an
+// exact Merge — folding the pieces of any partition reproduces the
+// aggregate that never split, bit for bit — that leaves its source
+// usable and aliases nothing.
 package stats
 
 import (
@@ -26,8 +28,8 @@ import (
 
 // Counter accumulates named counts, e.g. packets per network-layer protocol.
 // The map is allocated on first write, so an empty counter costs one
-// small struct — the epoch machinery creates (and often discards
-// unused) fresh counters at every window cut.
+// small struct — the epoch machinery creates fresh counters at every
+// window cut. A nil *Counter reads as empty.
 type Counter struct {
 	counts map[string]int64
 	total  int64
@@ -51,15 +53,26 @@ func (c *Counter) Add(key string, n int64) {
 // Inc increments key by one.
 func (c *Counter) Inc(key string) { c.Add(key, 1) }
 
+// noCounts is what a nil *Counter reads as.
+var noCounts Counter
+
+// read returns c, or noCounts for a nil c.
+func (c *Counter) read() *Counter {
+	if c == nil {
+		return &noCounts
+	}
+	return c
+}
+
 // Get returns the count for key (zero if absent).
-func (c *Counter) Get(key string) int64 { return c.counts[key] }
+func (c *Counter) Get(key string) int64 { return c.read().counts[key] }
 
 // Total returns the sum over all keys.
-func (c *Counter) Total() int64 { return c.total }
+func (c *Counter) Total() int64 { return c.read().total }
 
 // Fraction returns count(key)/total, or 0 if the counter is empty.
 func (c *Counter) Fraction(key string) float64 {
-	if c.total == 0 {
+	if c.Total() == 0 {
 		return 0
 	}
 	return float64(c.counts[key]) / float64(c.total)
@@ -68,6 +81,7 @@ func (c *Counter) Fraction(key string) float64 {
 // Keys returns all keys sorted by descending count, ties broken by name, so
 // table rows come out in a stable, paper-like order.
 func (c *Counter) Keys() []string {
+	c = c.read()
 	keys := make([]string, 0, len(c.counts))
 	for k := range c.counts {
 		keys = append(keys, k)
@@ -82,11 +96,11 @@ func (c *Counter) Keys() []string {
 }
 
 // Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.counts) }
+func (c *Counter) Len() int { return len(c.read().counts) }
 
 // Merge adds all counts from other into c.
 func (c *Counter) Merge(other *Counter) {
-	for k, v := range other.counts {
+	for k, v := range other.read().counts {
 		c.Add(k, v)
 	}
 }
@@ -102,7 +116,7 @@ func (c *Counter) Merge(other *Counter) {
 //
 // NaN samples are ordered before every other value (the sort.Float64s
 // convention the all-samples implementation inherited); ±Inf sort
-// normally.
+// normally. A nil *Dist reads as empty.
 type Dist struct {
 	// vals/counts are the sorted distinct values (NaN excluded) and their
 	// multiplicities.
@@ -412,11 +426,19 @@ func (d *Dist) ensureCompact() {
 }
 
 // N returns the number of samples.
-func (d *Dist) N() int { return int(d.n) }
+func (d *Dist) N() int {
+	if d == nil {
+		return 0
+	}
+	return int(d.n)
+}
 
 // Distinct returns the number of distinct non-NaN values retained — the
 // compact representation's actual memory footprint.
 func (d *Dist) Distinct() int {
+	if d.N() == 0 {
+		return 0
+	}
 	d.ensureCompact()
 	return len(d.vals)
 }
@@ -438,7 +460,7 @@ func (d *Dist) valueAtRank(rank int64) float64 {
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on the
 // sorted samples. Returns 0 for an empty distribution.
 func (d *Dist) Quantile(q float64) float64 {
-	if d.n == 0 {
+	if d.N() == 0 {
 		return 0
 	}
 	d.ensureCompact()
@@ -466,7 +488,7 @@ func (d *Dist) Max() float64 { return d.Quantile(1) }
 
 // Mean returns the arithmetic mean (0 if empty).
 func (d *Dist) Mean() float64 {
-	if d.n == 0 {
+	if d.N() == 0 {
 		return 0
 	}
 	return d.Sum() / float64(d.n)
@@ -474,6 +496,9 @@ func (d *Dist) Mean() float64 {
 
 // Sum returns the total of all samples (NaN if any sample was NaN).
 func (d *Dist) Sum() float64 {
+	if d.N() == 0 {
+		return 0
+	}
 	d.ensureCompact()
 	if d.nan > 0 {
 		return math.NaN()
@@ -489,7 +514,7 @@ func (d *Dist) Sum() float64 {
 // <= x (NaN samples order before every x, matching the sorted-samples
 // implementation).
 func (d *Dist) CDFAt(x float64) float64 {
-	if d.n == 0 {
+	if d.N() == 0 {
 		return 0
 	}
 	d.ensureCompact()
@@ -512,7 +537,7 @@ type CDFPoint struct {
 // rank, always including the minimum and maximum. It is the series behind
 // every "Cumulative Fraction" figure in the paper.
 func (d *Dist) CDF(maxPoints int) []CDFPoint {
-	n := d.n
+	n := int64(d.N())
 	if n == 0 {
 		return nil
 	}
