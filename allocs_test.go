@@ -280,9 +280,9 @@ func TestAllocationCeilings(t *testing.T) {
 			raw, pool := datasetPcaps(tb, d3(tb))[0], pcap.NewPool()
 			return func() { drainTrace(tb, raw, pool) }
 		}},
-		{name: "pipeline/stream/workers=1", allocs: 14926, bytes: 9312272, setup: stream(1)},
-		{name: "pipeline/stream/workers=4", allocs: 16148, bytes: 16368136, setup: stream(4)},
-		{name: "pipeline/stream/workers=8", allocs: 17098, bytes: 18189016, setup: stream(8)},
+		{name: "pipeline/stream/workers=1", allocs: 11173, bytes: 8040144, setup: stream(1)},
+		{name: "pipeline/stream/workers=4", allocs: 12335, bytes: 15092368, setup: stream(4)},
+		{name: "pipeline/stream/workers=8", allocs: 13279, bytes: 16912376, setup: stream(8)},
 		// In-order delivery borrows the caller's slice and buffers nothing.
 		{name: "reassembly/in-order", allocs: 0, bytes: 0, runs: 1000, setup: func(tb testing.TB) func() {
 			data := make([]byte, 1460)
@@ -362,16 +362,16 @@ func TestAllocationCeilings(t *testing.T) {
 			p.Data(dcerpc.Encode(&dcerpc.PDU{Type: dcerpc.PTRequest, Stub: make([]byte, 65000)})[:64])
 			return p.Data
 		})},
-		{name: "replay/D3/workers=1", allocs: 15933, bytes: 10691576, setup: replay(1)},
-		{name: "replay/D3/workers=4", allocs: 19744, bytes: 11394816, setup: replay(4)},
-		{name: "replay/D3/workers=8", allocs: 22373, bytes: 11588392, setup: replay(8)},
-		{name: "replay/D3/window=0", allocs: 66278, bytes: 44582576, setup: rotation(0)},
+		{name: "replay/D3/workers=1", allocs: 12112, bytes: 9391016, setup: replay(1)},
+		{name: "replay/D3/workers=4", allocs: 13477, bytes: 9459368, setup: replay(4)},
+		{name: "replay/D3/workers=8", allocs: 14890, bytes: 9600736, setup: replay(8)},
+		{name: "replay/D3/window=0", allocs: 46714, bytes: 32776240, setup: rotation(0)},
 		{name: "replay/D3/window=60s", allocs: 182569, bytes: 54793344, setup: rotation(60 * time.Second)},
-		{name: "analyze/D0", allocs: 7761, bytes: 3527416, setup: analyze("D0")},
-		{name: "analyze/D1", allocs: 7857, bytes: 7021104, setup: analyze("D1")},
-		{name: "analyze/D2", allocs: 7990, bytes: 7293992, setup: analyze("D2")},
-		{name: "analyze/D3", allocs: 15921, bytes: 10666136, setup: analyze("D3")},
-		{name: "analyze/D4", allocs: 15696, bytes: 10842920, setup: analyze("D4")},
+		{name: "analyze/D0", allocs: 6099, bytes: 3327840, setup: analyze("D0")},
+		{name: "analyze/D1", allocs: 4686, bytes: 6575912, setup: analyze("D1")},
+		{name: "analyze/D2", allocs: 4733, bytes: 6837616, setup: analyze("D2")},
+		{name: "analyze/D3", allocs: 12112, bytes: 9391016, setup: analyze("D3")},
+		{name: "analyze/D4", allocs: 11897, bytes: 9433064, setup: analyze("D4")},
 		{name: "soak/D3-shape", allocs: 60714, bytes: 44526136, setup: soak(0)},
 		{name: "soak/D3-shape/window=60s", allocs: 77296, bytes: 46853272, setup: soak(60 * time.Second)},
 		// Per frame these come to 0.61 allocations and 1 132 B (D2: 9 894

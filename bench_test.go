@@ -422,11 +422,10 @@ func BenchmarkScannerThresholds(b *testing.B) {
 		}
 	}
 	tbl.Flush()
-	res := scan.Filter(tbl.Conns(), enterprise.KnownScanners())
-	if len(res.Scanners) == 0 {
+	conns := tbl.Conns()
+	if res := scan.TakeCensus(conns, enterprise.KnownScanners()); len(res.Scanners) == 0 {
 		b.Fatal("no scanners at default thresholds")
 	}
-	conns := tbl.Conns()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := scan.NewDetector()

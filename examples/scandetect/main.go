@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
@@ -34,16 +33,15 @@ func main() {
 		tbl.Packet(pk.Timestamp, &p, pk.OrigLen)
 	}
 	tbl.Flush()
+	// The table lists connections in creation order, which is start
+	// order: the first-contact order the detector keys on.
 	conns := tbl.Conns()
-	// The detector keys on first-contact order, so feed connections in
-	// start order (scan.Filter does this internally).
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Start.Before(conns[j].Start) })
 	fmt.Printf("connections: %d\n\n", len(conns))
 
-	res := scan.Filter(conns, enterprise.KnownScanners())
+	res := scan.TakeCensus(conns, enterprise.KnownScanners())
 	fmt.Printf("paper heuristic (>%d hosts, ≥%d ordered): %d scanners, %s of connections removed\n",
 		scan.DefaultHostThreshold, scan.DefaultOrderedThreshold,
-		len(res.Scanners), stats.Pct(res.RemovedFraction))
+		len(res.Scanners), stats.Pct(float64(res.RemovedConns)/float64(len(conns))))
 	for _, s := range res.Scanners {
 		fmt.Printf("  scanner: %s\n", s)
 	}

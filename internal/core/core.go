@@ -25,6 +25,7 @@ import (
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
 	"enttrace/internal/pipeline"
+	"enttrace/internal/roles"
 	"enttrace/internal/scan"
 )
 
@@ -351,13 +352,12 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	}
 	tgt.totalConns += len(conns)
 
-	// §3 scanner removal, per trace.
-	fres := scan.Filter(conns, a.opts.KnownScanners)
-	tgt.removedConns += fres.RemovedConns
-	for _, s := range fres.Scanners {
+	// §3 scanner removal, per trace, from the trace's one census pass.
+	census := scan.TakeCensus(conns, a.opts.KnownScanners)
+	tgt.removedConns += census.RemovedConns
+	for _, s := range census.Scanners {
 		tgt.scanners[s] = struct{}{}
 	}
-	kept := fres.Kept
 
 	// Application replay: UDP messages, dynamic registrations, transport
 	// accumulation, payload parsing — all in canonical order. The serial
@@ -366,11 +366,18 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// registry; the parallel phase is left in flight while that
 	// accumulation runs, since the two touch disjoint state. The workers
 	// bank and emit the windows they have all passed as they go.
-	join := a.replayApps(recs, mergeUDPEvents(sinks), keptMask(conns, kept), monitored, tgt, maxTS)
+	join := a.replayApps(recs, mergeUDPEvents(sinks), census.Kept, maxTS)
 
-	// Trace load accounting overlaps the replay workers (it reads only
-	// the per-second bins and connection fields, which nothing mutates).
-	tgt.load.finishTrace(perSec, kept, a.traceCount)
+	// Trace load accounting and the distinct-peer censuses overlap the
+	// replay workers: they read only the per-second bins, connection
+	// fields and the census, which nothing mutates, and write only the
+	// trace delta, which the workers never touch.
+	tgt.load.finishTrace(perSec, conns, census.Kept, a.traceCount)
+	var profiles []roles.HostProfile
+	tgt.fanAgg, profiles = peerCensus(conns, census, monitored)
+	for role, n := range roles.Summary(profiles) {
+		tgt.roleCounts.Add(string(role), int64(n))
+	}
 	join()
 
 	// The phase-A application residue (Endpoint Mapper PDU accounting)
@@ -420,19 +427,13 @@ func (a *Analyzer) drainLocked() {
 // concurrent use with Add* (the serve-mode health endpoint polls it).
 func (a *Analyzer) PacketsSeen() int64 { return a.packetsSeen.Load() }
 
-// keptMask marks which of conns survived the scan filter: mask[i] reports
-// whether conns[i] is in kept. kept is a subsequence of conns (Filter
-// preserves order), so one walk of both decides every position.
-func keptMask(conns, kept []*flows.Conn) []bool {
-	mask := make([]bool, len(conns))
-	k := 0
-	for i, c := range conns {
-		if k < len(kept) && kept[k] == c {
-			mask[i] = true
-			k++
-		}
-	}
-	return mask
+// peerCensus reads a trace's Figure 2 fan and host roles from its
+// census: the kept pairs are the kept connections' distinct edges, so
+// neither needs a sort. Role verdicts are per trace (thresholds apply to
+// the trace's whole evidence) and sum across traces.
+func peerCensus(conns []*flows.Conn, census *scan.Census, monitored netip.Prefix) (map[netip.Addr]*flows.FanStats, []roles.HostProfile) {
+	fan := flows.FanInOut(census.Pairs, monitored.Contains, enterprise.IsLocal)
+	return fan, roles.Accumulate(census.Pairs, conns, census.PairOf).Finalize(roles.Config{})
 }
 
 // accumulateConn feeds Table 3, Figure 1, and the §4 origin mix into a

@@ -83,7 +83,9 @@ func windowPeak(bins []int64, w int) float64 {
 // utilization is judged against: the paper's networks were 100 Mbps.
 const linkCapacityMbps = 100
 
-func (l *loadAgg) finishTrace(t *traceLoad, kept []*flows.Conn, ord int) {
+// finishTrace records one trace's load row; retransmission rates count
+// the conns whose kept entry is set.
+func (l *loadAgg) finishTrace(t *traceLoad, conns []*flows.Conn, kept []bool, ord int) {
 	tl := TraceLoad{Name: t.name, ord: ord}
 	if len(t.bins) > 0 {
 		toMbps := func(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e6 }
@@ -108,8 +110,8 @@ func (l *loadAgg) finishTrace(t *traceLoad, kept []*flows.Conn, ord int) {
 		tl.Avg = d.Mean()
 	}
 	var entData, entRetrans, wanData, wanRetrans int64
-	for _, c := range kept {
-		if c.Proto != layers.ProtoTCP {
+	for i, c := range conns {
+		if !kept[i] || c.Proto != layers.ProtoTCP {
 			continue
 		}
 		wan := connWAN(c)

@@ -95,7 +95,12 @@ func TestFinishTraceRetransSplit(t *testing.T) {
 		Key:   layers.FlowKey{Proto: layers.ProtoUDP, Src: local1, Dst: local2},
 		Proto: layers.ProtoUDP, DataPkts: 500,
 	}
-	agg.finishTrace(tl, []*flows.Conn{ent, wan, udp}, 1)
+	// A removed (scanner) connection counts toward neither rate.
+	removed := &flows.Conn{
+		Key:   layers.FlowKey{Proto: layers.ProtoTCP, Src: remote, Dst: local1},
+		Proto: layers.ProtoTCP, DataPkts: 3000, Retrans: 3000,
+	}
+	agg.finishTrace(tl, []*flows.Conn{ent, wan, removed, udp}, []bool{true, true, false, true}, 1)
 	got := agg.traces[0]
 	// Keep-alives excluded from the denominator.
 	wantEnt := 5.0 / 900.0
@@ -114,7 +119,7 @@ func TestSaturationDwell(t *testing.T) {
 	agg := newLoadAgg()
 	// One second at 100 Mbps (12.5 MB), then quiet.
 	tl := mergedTraceLoad("sat", [][]int64{{12_500_000, 0, 0, 0, 0, 100}})
-	agg.finishTrace(tl, nil, 1)
+	agg.finishTrace(tl, nil, nil, 1)
 	got := agg.traces[0]
 	if got.SaturatedSeconds != 1 {
 		t.Errorf("saturated seconds = %d", got.SaturatedSeconds)

@@ -20,11 +20,9 @@ import (
 	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/fleet"
-	"enttrace/internal/flows"
 	"enttrace/internal/kmerge"
 	"enttrace/internal/layers"
 	"enttrace/internal/pipeline"
-	"enttrace/internal/roles"
 	"enttrace/internal/stats"
 )
 
@@ -52,14 +50,12 @@ import (
 //
 // Phase B also carries the connection-level accumulation that used to
 // run serially after replay: the Table 3/Figure 1/origin sums
-// (commutative) ride beside the worker's shard and drain with it, and
-// the fan/role distinct-peer evidence (pair-contained) folds into the
-// trace delta at join time in shard order.
+// (commutative) ride beside the worker's shard and drain with it.
 //
 // replayApps returns after phase A with phase B in flight; the caller
 // runs work that is independent of the per-shard state (trace load
-// accounting) concurrently, then calls the returned join to wait for
-// the workers and fold their fan/role censuses. Phase B touches only
+// accounting, the fan and role censuses) concurrently, then calls the
+// returned join, which only waits for the workers. Phase B touches only
 // per-worker state, the stream buffers it owns, the (mutex-guarded)
 // reassembly pool and the trace's hand-off; it reads the registry,
 // connections, and kept set without writing them — which is what makes
@@ -69,8 +65,6 @@ import (
 // publishes the deltas to the trace's hand-off as it goes (see
 // replayShard); the windows every worker has passed are banked and
 // emitted while the replay is still running, by the workers themselves.
-// The per-trace distinct-peer censuses (fan, roles) stay trace-granular:
-// slicing them per window would double-count peers seen in two windows.
 //
 // maxTS is the trace's event-time extent; connections still idle past
 // the IdleEvict horizon at that instant count toward the AgedOut
@@ -81,7 +75,7 @@ import (
 // kept is parallel to recs: kept[i] reports whether recs[i] survived the
 // scan filter. A connection's reassembled streams, if the packet stage
 // kept any, hang off its flows.Conn.
-func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kept []bool, monitored netip.Prefix, tgt *epochAgg, maxTS time.Time) (join func()) {
+func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kept []bool, maxTS time.Time) (join func()) {
 	workers := a.ensureReplayWorkers()
 	nshard := len(workers)
 
@@ -137,12 +131,9 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 	})
 
 	trace := a.traceCount
-	inMonitored := func(h netip.Addr) bool { return monitored.Contains(h) }
 	h := newHandoff(a.win, nshard, maxTS)
-	results := make([]replayResult, nshard)
 	run := func(w int) {
 		ap := workers[w].shard.apps
-		keptConns := make([]*flows.Conn, 0, len(connsByShard[w]))
 		// processConn replays one connection into the worker's current
 		// aggregates.
 		processConn := func(i int32, ca *connAggregates) {
@@ -157,7 +148,6 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 				ca.agedOut++
 			}
 			if kept[i] {
-				keptConns = append(keptConns, conn)
 				a.accumulateConn(ca, conn, cats[i])
 				// Transport-level accumulation happens for every kept
 				// conn even without payloads (email figures, windows
@@ -180,14 +170,6 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 			}
 		}
 		a.replayShard(workers[w], h, w, recs, connsByShard[w], events, udpByShard[w], processConn)
-		// Distinct-peer censuses over this shard's kept connections:
-		// exact under the pair sharding, since every (host, peer) edge
-		// domain lives wholly in one shard. Trace-granular by design —
-		// see the windowed note above.
-		results[w] = replayResult{
-			fan:   flows.FanInOut(keptConns, inMonitored, enterprise.IsLocal),
-			roles: roles.Accumulate(keptConns),
-		}
 		h.bankUntilAllPassed()
 	}
 	// Even a single replay worker runs as a goroutine, so the caller's
@@ -201,10 +183,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 		}(w)
 	}
 
-	return func() {
-		wg.Wait()
-		a.foldReplayResults(tgt, results)
-	}
+	return wg.Wait
 }
 
 // replayWorker is one replay worker's state. It persists across traces:
@@ -473,31 +452,6 @@ func newConnAggregates() *connAggregates {
 		origins:    stats.NewCounter(),
 		catBytes:   make(map[string]*locSplit),
 		catConns:   make(map[string]*locSplit),
-	}
-}
-
-// replayResult is one worker's output for one trace beside what it
-// handed off per window: the trace-granular distinct-peer censuses.
-type replayResult struct {
-	fan   map[netip.Addr]*flows.FanStats
-	roles *roles.Partial
-}
-
-// foldReplayResults folds the per-worker censuses into the trace target
-// in shard order; fan sums and role evidence merges are identical for
-// any shard count.
-func (a *Analyzer) foldReplayResults(tgt *epochAgg, results []replayResult) {
-	evidence := results[0].roles
-	for w, rr := range results {
-		fleet.Merge(&tgt.fanAgg, &rr.fan)
-		if w > 0 {
-			evidence.Merge(rr.roles)
-		}
-	}
-	// Role verdicts are per trace (thresholds apply to the merged
-	// evidence), summed across traces like the serial path did.
-	for role, n := range roles.Summary(evidence.Finalize(roles.Config{})) {
-		tgt.roleCounts.Add(string(role), int64(n))
 	}
 }
 

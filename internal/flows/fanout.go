@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"slices"
 )
@@ -8,11 +9,8 @@ import (
 // FanStats holds, for one host, the set sizes the paper's §4 reports:
 // fan-in (distinct hosts that originate conversations to it) and fan-out
 // (distinct hosts it originates conversations to), split by whether the
-// peer is local to the enterprise. Two FanStats add field by field
-// exactly when they were computed over connection sets split by host
-// pair (each (host, peer) edge then lives in exactly one) — the
-// invariant both the replay sharding and the per-trace fan census
-// provide.
+// peer is local to the enterprise. Each trace's FanStats come from that
+// trace's distinct pairs; across traces they add field by field.
 type FanStats struct {
 	FanInLocal, FanInRemote   int
 	FanOutLocal, FanOutRemote int
@@ -24,63 +22,104 @@ func (f FanStats) FanIn() int { return f.FanInLocal + f.FanInRemote }
 // FanOut is total distinct contacted peers.
 func (f FanStats) FanOut() int { return f.FanOutLocal + f.FanOutRemote }
 
-// FanInOut computes per-host fan statistics over a set of connections.
-// isLocal classifies an address as inside the enterprise; only hosts for
-// which monitored(addr) is true get an entry (the paper computes fan only
-// for monitored hosts). Multicast flows are excluded.
-//
-// Distinct peers are counted by sorting (host, peer) edge lists and
-// scanning runs — the per-host set-of-maps form this replaces allocated
-// a small object per host pair per trace.
-func FanInOut(conns []*Conn, monitored, isLocal func(netip.Addr) bool) map[netip.Addr]*FanStats {
-	type edge struct{ host, peer netip.Addr }
-	inE := make([]edge, 0, len(conns))
-	outE := make([]edge, 0, len(conns))
-	for _, c := range conns {
-		if c.Multicast {
-			continue
-		}
-		orig, resp := c.Key.Src, c.Key.Dst
-		if monitored(resp) {
-			inE = append(inE, edge{host: resp, peer: orig})
-		}
-		if monitored(orig) {
-			outE = append(outE, edge{host: orig, peer: resp})
-		}
+// Pair is one distinct (originator, responder) address pair of a set of
+// connections, with the number of those connections it carries.
+type Pair struct {
+	Orig, Resp netip.Addr
+	Conns      int64
+}
+
+// Pairs deduplicates connections' (originator, responder) pairs: List
+// holds each distinct pair once, in the order its first connection was
+// added. The zero value is ready to use.
+type Pairs struct {
+	List []Pair
+	// v4 indexes the pairs of two IPv4 addresses by both as one word,
+	// other the rest by their bytes (pairKey). Neither holds a pointer for
+	// the collector to scan, and the first hashes a word, not 34 bytes:
+	// one D3 trace's census (2 768 connections, Xeon, two vCPUs) took
+	// 350 µs with every pair keyed by pairKey and 233 µs split this way.
+	v4    map[uint64]int32
+	other map[pairKey]int32
+}
+
+// pairKey is a pair's addresses as 16-byte forms and which of them are
+// IPv4. Decoded addresses carry no IPv6 zone, so nothing is lost.
+type pairKey struct {
+	orig, resp [16]byte
+	is4        [2]bool
+}
+
+// Reserve sizes the table for n distinct pairs, most of them IPv4.
+func (t *Pairs) Reserve(n int) {
+	t.List = slices.Grow(t.List, n)
+	if t.v4 == nil {
+		t.v4 = make(map[uint64]int32, n)
 	}
+}
+
+// Add counts one connection from orig to resp. It returns the pair's
+// index in List and whether this connection is the pair's first.
+func (t *Pairs) Add(orig, resp netip.Addr) (int32, bool) {
+	if orig.Is4() && resp.Is4() {
+		o, r := orig.As4(), resp.As4()
+		return addPair(t, &t.v4, uint64(binary.BigEndian.Uint32(o[:]))<<32|uint64(binary.BigEndian.Uint32(r[:])), orig, resp)
+	}
+	return addPair(t, &t.other, pairKey{orig.As16(), resp.As16(), [2]bool{orig.Is4(), resp.Is4()}}, orig, resp)
+}
+
+func addPair[K comparable](t *Pairs, index *map[K]int32, k K, orig, resp netip.Addr) (int32, bool) {
+	if i, ok := (*index)[k]; ok {
+		t.List[i].Conns++
+		return i, false
+	}
+	if *index == nil {
+		*index = make(map[K]int32)
+	}
+	i := int32(len(t.List))
+	(*index)[k] = i
+	t.List = append(t.List, Pair{Orig: orig, Resp: resp, Conns: 1})
+	return i, true
+}
+
+// Reset empties the table, keeping its storage.
+func (t *Pairs) Reset() {
+	t.List = t.List[:0]
+	clear(t.v4)
+	clear(t.other)
+}
+
+// FanInOut computes per-host fan statistics from distinct pairs: each
+// pair is one peer of its originator's fan-out and of its responder's
+// fan-in. isLocal classifies an address as inside the enterprise; only
+// hosts for which monitored(addr) is true get an entry (the paper
+// computes fan only for monitored hosts). The pairs are the caller's
+// choice of connections — the census passes a trace's kept unicast ones.
+func FanInOut(pairs []Pair, monitored, isLocal func(netip.Addr) bool) map[netip.Addr]*FanStats {
 	out := make(map[netip.Addr]*FanStats)
-	scan := func(e []edge, record func(s *FanStats, peer netip.Addr)) {
-		slices.SortFunc(e, func(a, b edge) int {
-			if c := a.host.Compare(b.host); c != 0 {
-				return c
+	get := func(h netip.Addr) *FanStats {
+		s := out[h]
+		if s == nil {
+			s = &FanStats{}
+			out[h] = s
+		}
+		return s
+	}
+	for _, p := range pairs {
+		if monitored(p.Resp) {
+			if s := get(p.Resp); isLocal(p.Orig) {
+				s.FanInLocal++
+			} else {
+				s.FanInRemote++
 			}
-			return a.peer.Compare(b.peer)
-		})
-		for i := 0; i < len(e); i++ {
-			if i > 0 && e[i] == e[i-1] {
-				continue // duplicate (host, peer) pair
+		}
+		if monitored(p.Orig) {
+			if s := get(p.Orig); isLocal(p.Resp) {
+				s.FanOutLocal++
+			} else {
+				s.FanOutRemote++
 			}
-			s := out[e[i].host]
-			if s == nil {
-				s = &FanStats{}
-				out[e[i].host] = s
-			}
-			record(s, e[i].peer)
 		}
 	}
-	scan(inE, func(s *FanStats, peer netip.Addr) {
-		if isLocal(peer) {
-			s.FanInLocal++
-		} else {
-			s.FanInRemote++
-		}
-	})
-	scan(outE, func(s *FanStats, peer netip.Addr) {
-		if isLocal(peer) {
-			s.FanOutLocal++
-		} else {
-			s.FanOutRemote++
-		}
-	})
 	return out
 }

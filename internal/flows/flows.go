@@ -11,9 +11,10 @@
 // Epoch obligations: none directly — a Table is per-shard, lives for a
 // whole trace, and connections may straddle window boundaries. The
 // windowed layer above (internal/core) banks a connection into the epoch
-// of its first packet and cuts its own aggregates; see DESIGN.md
-// § "Epoch cuts and windowed reports: the Cut/Merge/watermark
-// contract".
+// of its first packet and cuts its own aggregates; Pairs and FanInOut are
+// per trace, read from the trace's census (scan.TakeCensus), and bank
+// whole. See DESIGN.md § "Epoch cuts and windowed reports: the
+// Cut/Merge/watermark contract".
 package flows
 
 import (

@@ -2,6 +2,7 @@ package flows
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -273,6 +274,18 @@ func TestWireBytesAccounting(t *testing.T) {
 	}
 }
 
+// unicastPairs is conns' distinct unicast (originator, responder) pairs,
+// the table a trace's census hands FanInOut.
+func unicastPairs(conns []*Conn) []Pair {
+	var t Pairs
+	for _, c := range conns {
+		if !c.Multicast {
+			t.Add(c.Key.Src, c.Key.Dst)
+		}
+	}
+	return t.List
+}
+
 func TestFanInOut(t *testing.T) {
 	tbl := NewTable(Config{})
 	// A (monitored, local) talks to B (local) and C (remote).
@@ -280,10 +293,12 @@ func TestFanInOut(t *testing.T) {
 	feedUDP(t, tbl, t0(1), ipA, ipC, 1001, 53, 10)
 	// C contacts A.
 	feedUDP(t, tbl, t0(2), ipC, ipA, 2000, 80, 10)
+	// A second conversation with B adds a connection, not a peer.
+	feedUDP(t, tbl, t0(3), ipA, ipB, 1002, 53, 10)
 	tbl.Flush()
 	local := func(a netip.Addr) bool { return a == ipA || a == ipB }
 	monitored := func(a netip.Addr) bool { return a == ipA }
-	fan := FanInOut(tbl.Conns(), monitored, local)
+	fan := FanInOut(unicastPairs(tbl.Conns()), monitored, local)
 	s := fan[ipA]
 	if s == nil {
 		t.Fatal("no stats for monitored host")
@@ -313,9 +328,35 @@ func TestFanInOutExcludesMulticast(t *testing.T) {
 	tbl.Packet(t0(0), &p, len(frame))
 	tbl.Flush()
 	all := func(netip.Addr) bool { return true }
-	fan := FanInOut(tbl.Conns(), all, all)
+	fan := FanInOut(unicastPairs(tbl.Conns()), all, all)
 	if s := fan[ipA]; s != nil && s.FanOut() != 0 {
 		t.Errorf("multicast contributed to fan-out: %+v", s)
+	}
+}
+
+// TestPairsDeduplicate pins the pair table: one entry per directed pair
+// of addresses, in first-connection order, counting every connection,
+// and empty after Reset.
+func TestPairsDeduplicate(t *testing.T) {
+	var tbl Pairs
+	// ipA as an IPv4-mapped IPv6 address is another host, and an IPv6
+	// pair goes through the other index.
+	mapped, v6 := netip.AddrFrom16(ipA.As16()), netip.MustParseAddr("2001:db8::1")
+	adds := [][2]netip.Addr{{ipA, ipB}, {ipB, ipA}, {ipA, ipB}, {ipA, ipC}, {mapped, ipB}, {v6, mapped}, {ipA, ipB}, {v6, mapped}}
+	wantIdx := []int32{0, 1, 0, 2, 3, 4, 0, 4}
+	wantFirst := []bool{true, true, false, true, true, true, false, false}
+	for i, ad := range adds {
+		if idx, first := tbl.Add(ad[0], ad[1]); idx != wantIdx[i] || first != wantFirst[i] {
+			t.Errorf("add %d: (%d, %v), want (%d, %v)", i, idx, first, wantIdx[i], wantFirst[i])
+		}
+	}
+	want := []Pair{{ipA, ipB, 3}, {ipB, ipA, 1}, {ipA, ipC, 1}, {mapped, ipB, 1}, {v6, mapped, 2}}
+	if !slices.Equal(tbl.List, want) {
+		t.Errorf("pairs = %v, want %v", tbl.List, want)
+	}
+	tbl.Reset()
+	if idx, first := tbl.Add(ipA, ipC); len(tbl.List) != 1 || idx != 0 || !first {
+		t.Errorf("after Reset: (%d, %v), %v", idx, first, tbl.List)
 	}
 }
 

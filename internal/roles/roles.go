@@ -6,18 +6,16 @@
 // client (fan-out dominated), a peer (balanced, many symmetric
 // conversations — the SrvLoc pattern), or inactive.
 //
-// Epoch obligations: Partial owes the aggregate layer only Merge. Role
-// evidence is trace-granular — each replay worker accumulates a fresh
-// Partial per trace, the workers' Partials merge at join, and the whole
-// trace's verdicts bank into the window containing the trace's last
-// packet rather than being cut mid-trace; see DESIGN.md § "Epoch cuts
-// and windowed reports: the Cut/Merge/watermark contract".
+// Epoch obligations: none. Role evidence is trace-granular — one
+// Evidence per trace, read from that trace's census (scan.TakeCensus),
+// finalized once — and the whole trace's verdicts bank into the window
+// containing the trace's last packet rather than being cut mid-trace;
+// see DESIGN.md § "Epoch cuts and windowed reports: the Cut/Merge/
+// watermark contract".
 package roles
 
 import (
-	"cmp"
 	"net/netip"
-	"slices"
 	"sort"
 
 	"enttrace/internal/flows"
@@ -79,172 +77,73 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// classifyEdge is one directed conversation endpoint used by Classify's
-// sort-and-scan passes.
-type classifyEdge struct {
-	host, peer netip.Addr
-	port       uint16
+// Evidence is one trace's per-host classification evidence: distinct-peer
+// fans, raw connection counts, and distinct-client counts per local port,
+// with thresholds and verdicts deferred to Finalize.
+type Evidence struct {
+	hosts []HostProfile
+	// clients counts distinct clients per local port, keyed by the host's
+	// index in hosts and the port as index<<16 | port.
+	clients map[uint64]int
 }
 
-// Classify profiles every host appearing as an endpoint of conns.
-// Multicast flows are ignored. It is Accumulate followed by Finalize;
-// callers that shard the connection set use those directly.
-func Classify(conns []*flows.Conn, cfg Config) map[netip.Addr]*HostProfile {
-	return Accumulate(conns).Finalize(cfg)
-}
-
-// hostPort keys distinct-client counts for one host's local port.
-type hostPort struct {
-	host netip.Addr
-	port uint16
-}
-
-// Partial is mergeable per-host classification evidence: distinct-peer
-// fans, raw connection counts, and distinct-client counts per local
-// port, with thresholds and verdicts deferred to Finalize. Partials
-// built from connection subsets merge exactly when the subsets split by
-// host pair — every distinct-count domain here is (host, peer) — which
-// is the invariant the parallel replay's sharding provides.
-type Partial struct {
-	profiles map[netip.Addr]*HostProfile
-	ports    map[hostPort]int
-}
-
-// Accumulate builds the evidence for one connection subset.
-//
-// The distinct-peer and per-port client counts are computed by sorting
-// edge lists and scanning runs rather than by nested maps of sets: the
-// map form allocated tens of thousands of small objects per trace, which
-// made this the second-biggest allocation site on the analysis hot path.
-func Accumulate(conns []*flows.Conn) *Partial {
-	outE := make([]classifyEdge, 0, len(conns))
-	inE := make([]classifyEdge, 0, len(conns))
-	for _, c := range conns {
-		if c.Multicast {
+// Accumulate builds the evidence from a set of connections' distinct
+// (originator, responder) pairs: each pair is one peer of its
+// originator's fan-out and of its responder's fan-in, and carries their
+// connection counts. Distinct clients per local port take one pass over
+// conns, where conns[i] counts toward pairs[pairOf[i]], or toward nothing
+// when pairOf[i] < 0: one (pair, port) is one distinct (responder, port,
+// originator).
+func Accumulate(pairs []flows.Pair, conns []*flows.Conn, pairOf []int32) *Evidence {
+	ev := &Evidence{clients: make(map[uint64]int)}
+	index := make(map[netip.Addr]int32, len(pairs))
+	host := func(h netip.Addr) int32 {
+		i, ok := index[h]
+		if !ok {
+			i = int32(len(ev.hosts))
+			index[h] = i
+			ev.hosts = append(ev.hosts, HostProfile{Addr: h})
+		}
+		return i
+	}
+	// resp[j] is pairs[j]'s responder's index in hosts.
+	resp := make([]int32, len(pairs))
+	for j, p := range pairs {
+		o := host(p.Orig)
+		ev.hosts[o].FanOut++
+		ev.hosts[o].ConnsOut += p.Conns
+		resp[j] = host(p.Resp)
+		ev.hosts[resp[j]].FanIn++
+		ev.hosts[resp[j]].ConnsIn += p.Conns
+	}
+	seen := make(map[uint64]struct{}, len(pairs))
+	for i, c := range conns {
+		j := pairOf[i]
+		if j < 0 {
 			continue
 		}
-		outE = append(outE, classifyEdge{host: c.Key.Src, peer: c.Key.Dst})
-		inE = append(inE, classifyEdge{host: c.Key.Dst, peer: c.Key.Src, port: c.Key.DstPort})
-	}
-	pt := &Partial{
-		profiles: make(map[netip.Addr]*HostProfile),
-		ports:    make(map[hostPort]int),
-	}
-	get := func(h netip.Addr) *HostProfile {
-		p := pt.profiles[h]
-		if p == nil {
-			p = &HostProfile{Addr: h}
-			pt.profiles[h] = p
+		port := uint64(c.Key.DstPort)
+		k := uint64(j)<<16 | port
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			ev.clients[uint64(resp[j])<<16|port]++
 		}
-		return p
 	}
-
-	// Fan-out and raw out-connection counts.
-	slices.SortFunc(outE, byHostPeer)
-	for i := 0; i < len(outE); {
-		h := outE[i].host
-		fan, j := 0, i
-		for ; j < len(outE) && outE[j].host == h; j++ {
-			if j == i || outE[j].peer != outE[j-1].peer {
-				fan++
-			}
-		}
-		p := get(h)
-		p.FanOut += fan
-		p.ConnsOut += int64(j - i)
-		i = j
-	}
-
-	// Fan-in and raw in-connection counts.
-	slices.SortFunc(inE, byHostPeer)
-	for i := 0; i < len(inE); {
-		h := inE[i].host
-		fan, j := 0, i
-		for ; j < len(inE) && inE[j].host == h; j++ {
-			if j == i || inE[j].peer != inE[j-1].peer {
-				fan++
-			}
-		}
-		p := get(h)
-		p.FanIn += fan
-		p.ConnsIn += int64(j - i)
-		i = j
-	}
-
-	// Distinct clients per local port. Resort the in-edges by
-	// (host, port, peer) and scan (host, port) runs; the service
-	// threshold is applied at Finalize, after any merging.
-	slices.SortFunc(inE, func(a, b classifyEdge) int {
-		if c := a.host.Compare(b.host); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.port, b.port); c != 0 {
-			return c
-		}
-		return a.peer.Compare(b.peer)
-	})
-	for i := 0; i < len(inE); {
-		h, port := inE[i].host, inE[i].port
-		clients, j := 0, i
-		for ; j < len(inE) && inE[j].host == h && inE[j].port == port; j++ {
-			if j == i || inE[j].peer != inE[j-1].peer {
-				clients++
-			}
-		}
-		pt.ports[hostPort{h, port}] += clients
-		i = j
-	}
-	return pt
-}
-
-// byHostPeer orders edges by (host, peer), then port: a total order, so
-// the sorted list is the same whatever order the edges arrived in.
-func byHostPeer(a, b classifyEdge) int {
-	if c := a.host.Compare(b.host); c != 0 {
-		return c
-	}
-	if c := a.peer.Compare(b.peer); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.port, b.port)
-}
-
-// Merge folds other's evidence into pt. Exact when the underlying
-// connection subsets were split by host pair: each (host, peer) edge
-// domain then lives in exactly one source, so distinct counts add. It is
-// written out rather than left to the fleet codec's merge plan because a
-// HostProfile carries its host's address, which identifies the entry and
-// does not merge: the plan would need a tag kind for it, for the one type
-// that is never windowed or shipped.
-func (pt *Partial) Merge(other *Partial) {
-	for h, op := range other.profiles {
-		p := pt.profiles[h]
-		if p == nil {
-			p = &HostProfile{Addr: h}
-			pt.profiles[h] = p
-		}
-		p.FanIn += op.FanIn
-		p.FanOut += op.FanOut
-		p.ConnsIn += op.ConnsIn
-		p.ConnsOut += op.ConnsOut
-	}
-	for hp, n := range other.ports {
-		pt.ports[hp] += n
-	}
+	return ev
 }
 
 // Finalize applies the service-port threshold and the role rules,
-// consuming pt.
-func (pt *Partial) Finalize(cfg Config) map[netip.Addr]*HostProfile {
+// consuming ev. Hosts come in the order the pairs first named them.
+func (ev *Evidence) Finalize(cfg Config) []HostProfile {
 	cfg = cfg.withDefaults()
 	type svc struct {
 		port uint16
 		n    int
 	}
-	perHost := make(map[netip.Addr][]svc)
-	for hp, clients := range pt.ports {
+	perHost := make(map[int32][]svc)
+	for k, clients := range ev.clients {
 		if clients >= cfg.MinClientsPerService {
-			perHost[hp.host] = append(perHost[hp.host], svc{hp.port, clients})
+			perHost[int32(k>>16)] = append(perHost[int32(k>>16)], svc{uint16(k), clients})
 		}
 	}
 	for h, svcs := range perHost {
@@ -254,20 +153,16 @@ func (pt *Partial) Finalize(cfg Config) map[netip.Addr]*HostProfile {
 			}
 			return svcs[a].port < svcs[b].port
 		})
-		p := pt.profiles[h]
-		if p == nil {
-			p = &HostProfile{Addr: h}
-			pt.profiles[h] = p
-		}
+		p := &ev.hosts[h]
 		p.ServicePorts = make([]uint16, len(svcs))
 		for k, s := range svcs {
 			p.ServicePorts[k] = s.port
 		}
 	}
-	for _, p := range pt.profiles {
-		p.Role = classifyOne(p, cfg)
+	for i := range ev.hosts {
+		ev.hosts[i].Role = classifyOne(&ev.hosts[i], cfg)
 	}
-	return pt.profiles
+	return ev.hosts
 }
 
 func classifyOne(p *HostProfile, cfg Config) Role {
@@ -308,7 +203,7 @@ func maxf(a, b float64) float64 {
 }
 
 // Summary counts hosts by role.
-func Summary(profiles map[netip.Addr]*HostProfile) map[Role]int {
+func Summary(profiles []HostProfile) map[Role]int {
 	out := make(map[Role]int)
 	for _, p := range profiles {
 		out[p.Role]++

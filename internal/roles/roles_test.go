@@ -2,7 +2,6 @@ package roles
 
 import (
 	"net/netip"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -21,13 +20,33 @@ func conn(src, dst netip.Addr, sport, dport uint16) *flows.Conn {
 	}
 }
 
+// classify profiles every host appearing as an endpoint of conns, the
+// way a trace's census feeds Accumulate: one pair per distinct unicast
+// (originator, responder), every unicast connection counted toward its
+// pair.
+func classify(conns []*flows.Conn, cfg Config) map[netip.Addr]*HostProfile {
+	var pairs flows.Pairs
+	pairOf := make([]int32, len(conns))
+	for i, c := range conns {
+		pairOf[i] = -1
+		if !c.Multicast {
+			pairOf[i], _ = pairs.Add(c.Key.Src, c.Key.Dst)
+		}
+	}
+	profiles := make(map[netip.Addr]*HostProfile)
+	for _, p := range Accumulate(pairs.List, conns, pairOf).Finalize(cfg) {
+		profiles[p.Addr] = &p
+	}
+	return profiles
+}
+
 func TestServerDetection(t *testing.T) {
 	srv := addr(1)
 	var conns []*flows.Conn
 	for i := 2; i < 12; i++ {
 		conns = append(conns, conn(addr(i), srv, uint16(40000+i), 80))
 	}
-	profiles := Classify(conns, Config{})
+	profiles := classify(conns, Config{})
 	p := profiles[srv]
 	if p == nil || p.Role != Server {
 		t.Fatalf("server profile = %+v", p)
@@ -51,7 +70,7 @@ func TestMultiServiceServer(t *testing.T) {
 		conns = append(conns, conn(addr(i), srv, uint16(40000+i), 25))
 		conns = append(conns, conn(addr(i), srv, uint16(41000+i), 993))
 	}
-	p := Classify(conns, Config{})[srv]
+	p := classify(conns, Config{})[srv]
 	if len(p.ServicePorts) != 2 {
 		t.Fatalf("service ports = %v", p.ServicePorts)
 	}
@@ -66,14 +85,14 @@ func TestPeerDetection(t *testing.T) {
 		conns = append(conns, conn(hub, addr(i), uint16(42000+i), uint16(43000+i)))
 		conns = append(conns, conn(addr(i), hub, uint16(44000+i), uint16(45000+i)))
 	}
-	p := Classify(conns, Config{})[hub]
+	p := classify(conns, Config{})[hub]
 	if p.Role != Peer {
 		t.Fatalf("hub role = %v (%+v)", p.Role, p)
 	}
 }
 
 func TestQuietAbsent(t *testing.T) {
-	profiles := Classify(nil, Config{})
+	profiles := classify(nil, Config{})
 	if len(profiles) != 0 {
 		t.Error("no conns should give no profiles")
 	}
@@ -82,7 +101,7 @@ func TestQuietAbsent(t *testing.T) {
 func TestMulticastIgnored(t *testing.T) {
 	c := conn(addr(1), addr(2), 40000, 5004)
 	c.Multicast = true
-	if got := Classify([]*flows.Conn{c}, Config{}); len(got) != 0 {
+	if got := classify([]*flows.Conn{c}, Config{}); len(got) != 0 {
 		t.Errorf("multicast produced profiles: %v", got)
 	}
 }
@@ -94,12 +113,12 @@ func TestServiceThreshold(t *testing.T) {
 		conn(addr(3), srv, 40002, 80),
 	}
 	// Two clients is below the default threshold of three.
-	p := Classify(conns, Config{})[srv]
+	p := classify(conns, Config{})[srv]
 	if len(p.ServicePorts) != 0 {
 		t.Errorf("ports = %v, want none below threshold", p.ServicePorts)
 	}
 	conns = append(conns, conn(addr(4), srv, 40003, 80))
-	p = Classify(conns, Config{})[srv]
+	p = classify(conns, Config{})[srv]
 	if len(p.ServicePorts) != 1 {
 		t.Errorf("ports = %v, want port 80 at threshold", p.ServicePorts)
 	}
@@ -111,7 +130,11 @@ func TestSummary(t *testing.T) {
 	for i := 2; i < 8; i++ {
 		conns = append(conns, conn(addr(i), srv, uint16(40000+i), 443))
 	}
-	sum := Summary(Classify(conns, Config{}))
+	var profiles []HostProfile
+	for _, p := range classify(conns, Config{}) {
+		profiles = append(profiles, *p)
+	}
+	sum := Summary(profiles)
 	if sum[Server] != 1 || sum[Client] != 6 {
 		t.Errorf("summary = %v", sum)
 	}
@@ -129,7 +152,7 @@ func TestCoverageProperty(t *testing.T) {
 			}
 			conns = append(conns, conn(addr(a), addr(b), 40000, uint16(1+pr%1000)))
 		}
-		profiles := Classify(conns, Config{})
+		profiles := classify(conns, Config{})
 		for _, c := range conns {
 			if profiles[c.Key.Src] == nil || profiles[c.Key.Dst] == nil {
 				return false
@@ -157,42 +180,8 @@ func BenchmarkClassify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := Classify(conns, Config{}); len(got) == 0 {
+		if got := classify(conns, Config{}); len(got) == 0 {
 			b.Fatal("empty")
-		}
-	}
-}
-
-// TestPartialMergeMatchesUncut pins what the epoch machinery asks of
-// Partial: evidence accumulated per replay shard (connections split by
-// host pair) and merged reaches the verdicts of one accumulation over
-// all the connections, and Merge leaves its source intact — Finalize
-// consumes its receiver, so a source that aliased the merged evidence
-// would lose or corrupt its own.
-func TestPartialMergeMatchesUncut(t *testing.T) {
-	srv := addr(1)
-	shards := [][]*flows.Conn{
-		{conn(addr(2), srv, 40000, 80), conn(addr(2), srv, 40003, 80)},
-		{conn(addr(3), srv, 40001, 80)},
-		{conn(addr(4), srv, 40002, 80), conn(srv, addr(4), 40004, 22)},
-	}
-	var all []*flows.Conn
-	merged := Accumulate(nil)
-	parts := make([]*Partial, len(shards))
-	for i, sh := range shards {
-		all = append(all, sh...)
-		parts[i] = Accumulate(sh)
-		merged.Merge(parts[i])
-	}
-	want := Classify(all, Config{})
-	got := merged.Finalize(Config{})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("merged shard verdicts %v != uncut %v", Summary(got), Summary(want))
-	}
-	// Finalizing the merge consumed the merge, not the sources.
-	for i, sh := range shards {
-		if own := parts[i].Finalize(Config{}); !reflect.DeepEqual(own, Classify(sh, Config{})) {
-			t.Errorf("shard %d evidence changed after being merged", i)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -97,6 +98,31 @@ func TestKnownScanner(t *testing.T) {
 	}
 }
 
+// TestScannersSorted pins Scanners' order: address order, the same on
+// every call, for known and heuristic scanners alike — map iteration
+// order must not leak into it.
+func TestScannersSorted(t *testing.T) {
+	d := NewDetector()
+	var want []netip.Addr
+	for s := 0; s < 40; s++ {
+		src := netip.AddrFrom4([4]byte{192, 0, 2, byte(200 - s*5)})
+		want = append(want, src)
+		if s%3 == 0 {
+			d.AddKnown(src)
+			continue
+		}
+		for i := 0; i < 60; i++ {
+			d.Observe(src, addr(i))
+		}
+	}
+	slices.SortFunc(want, netip.Addr.Compare)
+	for run := 0; run < 50; run++ {
+		if got := d.Scanners(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: Scanners() = %v, want %v", run, got, want)
+		}
+	}
+}
+
 func makeConn(src, dst netip.Addr, port uint16) *flows.Conn {
 	return &flows.Conn{
 		Key:   layers.FlowKey{Proto: layers.ProtoTCP, Src: src, Dst: dst, SrcPort: 40000, DstPort: port},
@@ -115,35 +141,39 @@ func TestFilterRemovesScannerConns(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		conns = append(conns, makeConn(normal, addr(1000+i*7%13), 25))
 	}
-	res := Filter(conns, nil)
+	res := TakeCensus(conns, nil)
 	if res.RemovedConns != 80 {
 		t.Errorf("removed = %d, want 80", res.RemovedConns)
 	}
-	if len(res.Kept) != 20 {
-		t.Errorf("kept = %d, want 20", len(res.Kept))
-	}
-	wantFrac := 0.8
-	if res.RemovedFraction != wantFrac {
-		t.Errorf("fraction = %v, want %v", res.RemovedFraction, wantFrac)
+	for i, kept := range res.Kept {
+		if kept != (i >= 80) {
+			t.Errorf("conn %d kept = %v", i, kept)
+		}
 	}
 	if len(res.Scanners) != 1 || res.Scanners[0] != scanner {
 		t.Errorf("scanners = %v", res.Scanners)
 	}
+	// The kept pair table is the normal source's distinct pairs alone.
+	for _, p := range res.Pairs {
+		if p.Orig != normal {
+			t.Errorf("scanner pair %v survived", p)
+		}
+	}
 }
 
 func TestFilterEmpty(t *testing.T) {
-	res := Filter(nil, nil)
-	if res.RemovedFraction != 0 || len(res.Kept) != 0 {
-		t.Errorf("empty filter: %+v", res)
+	res := TakeCensus(nil, nil)
+	if res.RemovedConns != 0 || len(res.Kept) != 0 || len(res.Pairs) != 0 {
+		t.Errorf("empty census: %+v", res)
 	}
 }
 
 func TestFilterKnownInternal(t *testing.T) {
 	known := netip.MustParseAddr("128.3.0.2")
 	conns := []*flows.Conn{makeConn(known, addr(1), 80), makeConn(addr(5), addr(6), 80)}
-	res := Filter(conns, []netip.Addr{known})
-	if res.RemovedConns != 1 || len(res.Kept) != 1 {
-		t.Errorf("known scanner filter: removed=%d kept=%d", res.RemovedConns, len(res.Kept))
+	res := TakeCensus(conns, []netip.Addr{known})
+	if res.RemovedConns != 1 || res.Kept[0] || !res.Kept[1] {
+		t.Errorf("known scanner filter: removed=%d kept=%v", res.RemovedConns, res.Kept)
 	}
 }
 
@@ -155,9 +185,12 @@ func TestMulticastConnsNotObserved(t *testing.T) {
 		c.Multicast = true
 		conns = append(conns, c)
 	}
-	res := Filter(conns, nil)
+	res := TakeCensus(conns, nil)
 	if res.RemovedConns != 0 {
 		t.Error("multicast fan-out misclassified as scanning")
+	}
+	if len(res.Pairs) != 0 {
+		t.Errorf("multicast entered the pair table: %v", res.Pairs)
 	}
 }
 
