@@ -8,6 +8,11 @@
 // categories of the paper's Table 9), and detects retransmissions and TCP
 // keep-alives in sequence space (the inputs to Figure 10).
 //
+// A packet costs one probe of the live table, keyed by the canonical flow
+// key as plain words read from the decoded header: no pointer to hash, no
+// netip.Addr to compare. A connection's layers.FlowKey is built once, when
+// its first packet creates it.
+//
 // Epoch obligations: none directly — a Table is per-shard, lives for a
 // whole trace, and connections may straddle window boundaries. The
 // windowed layer above (internal/core) banks a connection into the epoch
@@ -18,6 +23,8 @@
 package flows
 
 import (
+	"encoding/binary"
+	"net/netip"
 	"sync/atomic"
 	"time"
 
@@ -185,7 +192,7 @@ func (c *Config) withDefaults() Config {
 // connection observed.
 type Table struct {
 	cfg  Config
-	live map[layers.FlowKey]*Conn
+	live map[liveKey]*Conn
 	// conns is every connection the table has created, in creation order;
 	// the ones not in live are finished.
 	conns []*Conn
@@ -204,7 +211,98 @@ type Table struct {
 
 // NewTable returns an empty connection table.
 func NewTable(cfg Config) *Table {
-	return &Table{cfg: cfg.withDefaults(), live: make(map[layers.FlowKey]*Conn)}
+	return &Table{cfg: cfg.withDefaults(), live: make(map[liveKey]*Conn)}
+}
+
+// liveKey is a connection's identity in the live table: its canonical
+// flow key as words, read from the decoded header. Endpoint a is the
+// lower one; an address is two big-endian words, an IPv4 one its 32 bits
+// in the low word. meta packs the ports, the protocol and a family bit,
+// which keeps an IPv4 address apart from the IPv6 address with the same
+// low word. With no pointer in it the map hashes and compares it as 40
+// bytes of memory.
+type liveKey struct {
+	aHi, aLo, bHi, bLo uint64
+	meta               uint64 // a's port<<48 | b's port<<32 | proto<<8 | 1 for IPv6
+}
+
+const metaIPv6 = 1
+
+// v4Word and v6Words are an address's words in a liveKey.
+func v4Word(x netip.Addr) uint64 {
+	b := x.As4()
+	return uint64(binary.BigEndian.Uint32(b[:]))
+}
+
+func v6Words(x netip.Addr) (hi, lo uint64) {
+	b := x.As16()
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+// set fills k with the key of the flow src:sp → dst:dp, oriented the way
+// FlowKey.Canonical orients — lower address first, lower port first
+// between equal addresses — by integer compare, which is Addr.Compare's
+// order within one family. It reports whether the flow was flipped.
+func (k *liveKey) set(sHi, sLo, dHi, dLo uint64, sp, dp uint16, meta uint64) (flipped bool) {
+	flipped = sHi > dHi || sHi == dHi && (sLo > dLo || sLo == dLo && sp > dp)
+	if flipped {
+		sHi, sLo, sp, dHi, dLo, dp = dHi, dLo, dp, sHi, sLo, sp
+	}
+	*k = liveKey{sHi, sLo, dHi, dLo, uint64(sp)<<48 | uint64(dp)<<32 | meta}
+	return flipped
+}
+
+// setAddrs is set for a flow's addresses, whose family picks the words.
+func (k *liveKey) setAddrs(proto uint8, src, dst netip.Addr, sp, dp uint16) (flipped bool) {
+	if src.Is4() {
+		return k.set(0, v4Word(src), 0, v4Word(dst), sp, dp, uint64(proto)<<8)
+	}
+	sHi, sLo := v6Words(src)
+	dHi, dLo := v6Words(dst)
+	return k.set(sHi, sLo, dHi, dLo, sp, dp, uint64(proto)<<8|metaIPv6)
+}
+
+// fromPacket sets k to a decoded packet's key; ok is false for frames
+// with no network-layer addresses. Ports are zero where Decode parsed no
+// TCP or UDP header, except that ICMP echo keys both ports by ID,
+// pairing request and reply into one flow.
+func (k *liveKey) fromPacket(p *layers.Packet) (flipped, ok bool) {
+	var sp, dp uint16
+	switch {
+	case p.Layers.Has(layers.LayerTCP):
+		sp, dp = p.TCP.SrcPort, p.TCP.DstPort
+	case p.Layers.Has(layers.LayerUDP):
+		sp, dp = p.UDP.SrcPort, p.UDP.DstPort
+	case p.Layers.Has(layers.LayerICMP) && (p.ICMP.Type == layers.ICMPEchoRequest || p.ICMP.Type == layers.ICMPEchoReply):
+		sp, dp = p.ICMP.ID, p.ICMP.ID
+	}
+	switch {
+	case p.Layers.Has(layers.LayerIPv4): // inlined: the path nearly every packet takes
+		return k.set(0, v4Word(p.IP4.Src), 0, v4Word(p.IP4.Dst), sp, dp, uint64(p.IP4.Protocol)<<8), true
+	case p.Layers.Has(layers.LayerIPv6):
+		return k.setAddrs(p.IP6.NextHeader, p.IP6.Src, p.IP6.Dst, sp, dp), true
+	}
+	return false, false
+}
+
+// flowKey turns k back into a FlowKey, reversed if flipped: the key of
+// the packet k was built from.
+func (k *liveKey) flowKey(flipped bool) layers.FlowKey {
+	addr := func(hi, lo uint64) netip.Addr {
+		var b [16]byte
+		binary.BigEndian.PutUint64(b[:8], hi)
+		binary.BigEndian.PutUint64(b[8:], lo)
+		if k.meta&metaIPv6 == 0 {
+			return netip.AddrFrom4([4]byte(b[12:]))
+		}
+		return netip.AddrFrom16(b)
+	}
+	fk := layers.FlowKey{Proto: uint8(k.meta >> 8), Src: addr(k.aHi, k.aLo), Dst: addr(k.bHi, k.bLo),
+		SrcPort: uint16(k.meta >> 48), DstPort: uint16(k.meta >> 32)}
+	if flipped {
+		return fk.Reverse()
+	}
+	return fk
 }
 
 // Packet feeds one decoded packet. wireLen is the frame's original wire
@@ -214,20 +312,12 @@ func NewTable(cfg Config) *Table {
 // live table is the only hashing a packet costs here.
 func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (conn *Conn, dir Dir, isNew bool) {
 	t.maybeSweep(ts)
-	key, ok := layers.FlowKeyOf(p)
+	var key liveKey
+	flipped, ok := key.fromPacket(p)
 	if !ok {
 		return nil, DirOrig, false
 	}
-	if p.Layers.Has(layers.LayerICMP) {
-		// Echo exchanges pair request and reply into one flow by ID.
-		key.SrcPort, key.DstPort = 0, 0
-		if p.ICMP.Type == layers.ICMPEchoRequest || p.ICMP.Type == layers.ICMPEchoReply {
-			key.SrcPort = p.ICMP.ID
-			key.DstPort = p.ICMP.ID
-		}
-	}
-	canon, flipped := key.Canonical()
-	conn = t.live[canon]
+	conn = t.live[key]
 	if conn != nil && t.expired(conn, ts) {
 		t.finish(conn)
 		conn = nil
@@ -235,14 +325,10 @@ func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (conn *Conn,
 	isNew = conn == nil
 	if isNew {
 		conn = t.alloc()
-		*conn = Conn{Key: key, Proto: key.Proto, Start: ts, Last: ts, flipped: flipped}
-		if p.Eth.Dst.Multicast() {
-			conn.Multicast = true
-		}
-		if dst, ok := p.NetDst(); ok && dst.Is4() && dst.IsMulticast() {
-			conn.Multicast = true
-		}
-		t.live[canon] = conn
+		fk := key.flowKey(flipped)
+		*conn = Conn{Key: fk, Proto: fk.Proto, Start: ts, Last: ts, flipped: flipped,
+			Multicast: p.Eth.Dst.Multicast() || fk.Dst.Is4() && fk.Dst.IsMulticast()}
+		t.live[key] = conn
 		if t.cfg.LiveGauge != nil {
 			t.cfg.LiveGauge.Add(1)
 		}
@@ -445,9 +531,10 @@ func (c *Conn) classify() State {
 
 func (t *Table) finish(c *Conn) {
 	c.finished = true
-	canon, _ := c.Key.Canonical()
-	if t.live[canon] == c {
-		delete(t.live, canon)
+	var k liveKey // rebuilt from the connection's FlowKey, once per connection
+	k.setAddrs(c.Key.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
+	if t.live[k] == c {
+		delete(t.live, k)
 		if t.cfg.LiveGauge != nil {
 			t.cfg.LiveGauge.Add(-1)
 		}
@@ -462,7 +549,7 @@ func (t *Table) Flush() {
 	if t.cfg.LiveGauge != nil {
 		t.cfg.LiveGauge.Add(-int64(len(t.live)))
 	}
-	t.live = make(map[layers.FlowKey]*Conn)
+	t.live = make(map[liveKey]*Conn)
 }
 
 // Conns returns all finalized connections in the order they were created

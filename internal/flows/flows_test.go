@@ -371,20 +371,41 @@ func TestManyConnsDistinct(t *testing.T) {
 	}
 }
 
+// BenchmarkTablePacket prices one packet of a live connection on each key
+// path: IPv4 and IPv6 with ports, and a TCP header the snaplen cut short,
+// which keys with zero ports.
 func BenchmarkTablePacket(b *testing.B) {
-	tbl := NewTable(Config{})
 	frame := layers.BuildTCP(layers.TCPOpts{
 		FrameOpts: layers.FrameOpts{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB},
 		SrcPort:   3000, DstPort: 80, Seq: 1, Flags: layers.TCPAck, Payload: make([]byte, 512),
 	})
-	var p layers.Packet
-	if err := layers.Decode(frame, len(frame), &p); err != nil {
-		b.Fatal(err)
-	}
-	ts := t0(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.Packet(ts, &p, len(frame))
+	v6 := asIPv6(frame, ip6A, ip6B)
+	for _, bc := range []struct {
+		name    string
+		frame   []byte
+		origLen int
+		port    uint16
+	}{
+		{"ipv4", frame, len(frame), 3000},
+		{"ipv6", v6, len(v6), 3000},
+		{"truncated", frame[:14+20+8], len(frame), 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tbl := NewTable(Config{})
+			var p layers.Packet
+			if err := layers.Decode(bc.frame, bc.origLen, &p); err != nil {
+				b.Fatal(err)
+			}
+			ts := t0(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tbl.Packet(ts, &p, bc.origLen)
+			}
+			b.StopTimer()
+			if c, _, _ := tbl.Packet(ts, &p, bc.origLen); tbl.Live() != 1 || c.Key.SrcPort != bc.port {
+				b.Fatalf("%d live connections, key %v: want one, source port %d", tbl.Live(), c.Key, bc.port)
+			}
+		})
 	}
 }
 
