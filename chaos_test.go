@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -43,13 +44,13 @@ func chaosAnalyzer(cfg enterprise.Config, workers int, window time.Duration) *co
 	})
 }
 
-// checkCensusMatches asserts a report's folded census equals the
-// injector's fired manifest: totals and kinds by the check the binaries
-// run, then the per-trace offsets and terminal flag.
-func checkCensusMatches(t *testing.T, r *core.Report, src *faults.Source) {
+// checkCensusMatches asserts a report's folded census equals the fired
+// manifest of src, the only source in wrapped: totals and kinds by the
+// check the binaries run, then the per-trace offsets and terminal flag.
+func checkCensusMatches(t *testing.T, r *core.Report, in *faults.Injector, src *faults.Source) {
 	t.Helper()
 	se, exp := r.SourceErrors, src.Expected()
-	if err := faults.CheckCensus(se.Errors, se.LostBytes, se.ByKind, src); err != nil {
+	if err := in.CheckCensus(io.Discard, se.Errors, se.LostBytes, se.ByKind); err != nil {
 		t.Errorf("%v; by kind: census %v, manifest %v", err, se.ByKind, exp.ByKind)
 	}
 	if exp.Errors == 0 {
@@ -113,7 +114,8 @@ func TestChaosGridDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					src := faults.Wrap(rd, fsched)
+					in := &faults.Injector{Schedule: fsched}
+					src := in.Wrap(rd).(*faults.Source)
 					src.SetSleep(func(time.Duration) {}) // replay stalls instantly
 					if err := a.AddTraceSource("chaos", prefix, src); err != nil {
 						t.Fatalf("%s: %v", point, err)
@@ -126,7 +128,7 @@ func TestChaosGridDeterminism(t *testing.T) {
 					} else if !reflect.DeepEqual(exp, *wantExp) {
 						t.Errorf("%s: manifest differs between runs: %+v vs %+v", point, exp, *wantExp)
 					}
-					checkCensusMatches(t, r, src)
+					checkCensusMatches(t, r, in, src)
 
 					rj, err := core.MarshalReport(r)
 					if err != nil {
@@ -347,12 +349,13 @@ func TestChaosSoakServeHealth(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	src := faults.Wrap(gen.NewStreamSource(gen.StreamConfig{
+	in := &faults.Injector{Schedule: faults.RandomSchedule(7, 40, 8000)}
+	src := in.Wrap(gen.NewStreamSource(gen.StreamConfig{
 		Network:  enterprise.NewNetwork(cfg),
 		Subnet:   subnet,
 		Schedule: sched,
 		Snaplen:  cfg.Snaplen,
-	}), faults.RandomSchedule(7, 40, 8000))
+	})).(*faults.Source)
 	src.SetSleep(func(time.Duration) {})
 
 	done := make(chan error, 1)
@@ -412,7 +415,7 @@ func TestChaosSoakServeHealth(t *testing.T) {
 	}
 
 	r := a.Report()
-	checkCensusMatches(t, r, src)
+	checkCensusMatches(t, r, in, src)
 	if err := srv.SetFinal(r); err != nil {
 		t.Fatal(err)
 	}

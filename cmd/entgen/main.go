@@ -30,7 +30,7 @@ type usageError struct{ msg string }
 func (e *usageError) Error() string { return e.msg }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		var ue *usageError
 		if errors.As(err, &ue) {
@@ -63,9 +63,10 @@ func writePcap(path string, write func(io.Writer) error) error {
 }
 
 // run is the program: args are the command line after the program name,
-// stdout takes the one line per file written.
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("entgen", flag.ExitOnError)
+// stdout takes the one line per file written, stderr the usage on -h.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("entgen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main prints a parse error once; -h prints the usage below
 	dataset := fs.String("dataset", "D0", "dataset name (D0..D4)")
 	out := fs.String("out", ".", "output directory")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
@@ -79,7 +80,13 @@ func run(args []string, stdout io.Writer) error {
 	evasion := fs.String("evasion", "",
 		`emit adversarial evasion scenario pcaps instead of the tap rotation: a scenario name, `+
 			`"all", or "list" to print the scenario family`)
-	fs.Parse(args)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(stderr)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return &usageError{msg: fmt.Sprintf("%v (entgen -h lists the flags)", err)}
+	}
 
 	if *evasion == "list" {
 		for _, sc := range gen.EvasionScenarios() {
@@ -87,16 +94,28 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
-
-	var cfg enterprise.Config
-	found := false
-	for _, c := range enterprise.AllDatasets() {
-		if c.Name == *dataset {
-			cfg, found = c, true
-		}
-	}
-	if !found {
+	cfg, ok := enterprise.DatasetByName(*dataset)
+	if !ok {
 		return &usageError{msg: fmt.Sprintf("unknown dataset %q", *dataset)}
+	}
+	var scenarios []gen.EvasionScenario
+	if *evasion == "all" {
+		scenarios = gen.EvasionScenarios()
+	} else if *evasion != "" {
+		sc, ok := gen.EvasionScenarioByName(*evasion)
+		if !ok {
+			return &usageError{msg: fmt.Sprintf("unknown evasion scenario %q (try -evasion list)", *evasion)}
+		}
+		scenarios = []gen.EvasionScenario{sc}
+	}
+	var sched gen.Schedule
+	if *schedule != "" {
+		var err error
+		if sched, err = gen.ParseSchedule(*schedule); err != nil {
+			return &usageError{msg: err.Error()}
+		}
+	} else if *duration > 0 {
+		return &usageError{msg: "-duration requires -schedule"}
 	}
 	cfg.Scale = *scale
 	if *subnets > 0 && *subnets < len(cfg.Monitored) {
@@ -105,19 +124,10 @@ func run(args []string, stdout io.Writer) error {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	if *evasion != "" {
-		scenarios := gen.EvasionScenarios()
-		if *evasion != "all" {
-			sc, ok := gen.EvasionScenarioByName(*evasion)
-			if !ok {
-				return &usageError{msg: fmt.Sprintf("unknown evasion scenario %q (try -evasion list)", *evasion)}
-			}
-			scenarios = []gen.EvasionScenario{sc}
-		}
+	if scenarios != nil {
 		for _, sc := range scenarios {
 			tr := sc.Build()
-			name := fmt.Sprintf("evasion-%s.pcap", sc.Name)
-			path := filepath.Join(*out, name)
+			path := filepath.Join(*out, fmt.Sprintf("evasion-%s.pcap", sc.Name))
 			// Full frames: evasion pcaps carry their corrupt headers and
 			// payload bytes intact regardless of the dataset snaplen.
 			wcfg := cfg
@@ -131,28 +141,12 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 	if *schedule != "" {
-		sched := gen.DefaultSchedule()
-		if *schedule != "default" {
-			var err error
-			if sched, err = gen.ParseSchedule(*schedule); err != nil {
-				return &usageError{msg: err.Error()}
-			}
-		}
-		if *duration > 0 {
-			sched = sched.Repeat(*duration)
-		}
-		subnet := cfg.Monitored[0]
-		name := fmt.Sprintf("%s-scheduled-subnet%02d.pcap", cfg.Name, subnet)
-		path := filepath.Join(*out, name)
 		// Stream the frames straight to disk: a soak-length schedule never
 		// materializes in memory, and the file is byte-identical to the
 		// materialized path.
-		src := gen.NewStreamSource(gen.StreamConfig{
-			Network:  enterprise.NewNetwork(cfg),
-			Subnet:   subnet,
-			Schedule: sched,
-			Snaplen:  cfg.Snaplen,
-		})
+		stream := gen.DatasetStream(cfg, sched.Repeat(*duration))
+		path := filepath.Join(*out, fmt.Sprintf("%s-scheduled-subnet%02d.pcap", cfg.Name, stream.Subnet))
+		src := gen.NewStreamSource(stream)
 		var n int64
 		err := writePcap(path, func(w io.Writer) (err error) {
 			n, err = gen.WriteStream(w, cfg.Snaplen, src)
@@ -161,13 +155,12 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "%s: %d packets over %s\n", path, n, sched.Duration())
+		fmt.Fprintf(stdout, "%s: %d packets over %s\n", path, n, stream.Schedule.Duration())
 		return nil
 	}
 	ds := gen.GenerateDataset(cfg)
 	for _, tr := range ds.Traces {
-		name := fmt.Sprintf("%s-subnet%02d-tap%d.pcap", cfg.Name, tr.Subnet, tr.Tap)
-		path := filepath.Join(*out, name)
+		path := filepath.Join(*out, fmt.Sprintf("%s-subnet%02d-tap%d.pcap", cfg.Name, tr.Subnet, tr.Tap))
 		err := writePcap(path, func(w io.Writer) error { return gen.WriteTrace(w, cfg, tr) })
 		if err != nil {
 			return err

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,7 +57,7 @@ func TestRunWritesWhatTheGeneratorProduces(t *testing.T) {
 	t.Run("dataset", func(t *testing.T) {
 		dir := t.TempDir()
 		var stdout bytes.Buffer
-		if err := run([]string{"-dataset", "D0", "-scale", "0.1", "-subnets", "2", "-out", dir}, &stdout); err != nil {
+		if err := run([]string{"-dataset", "D0", "-scale", "0.1", "-subnets", "2", "-out", dir}, &stdout, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		cfg := enterprise.D0()
@@ -81,7 +83,7 @@ func TestRunWritesWhatTheGeneratorProduces(t *testing.T) {
 	// frame, against the materialized scheduled trace.
 	t.Run("schedule", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := run([]string{"-dataset", "D1", "-schedule", "default", "-out", dir}, io.Discard); err != nil {
+		if err := run([]string{"-dataset", "D1", "-schedule", "default", "-out", dir}, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		cfg := enterprise.D1()
@@ -92,7 +94,7 @@ func TestRunWritesWhatTheGeneratorProduces(t *testing.T) {
 
 	t.Run("evasion", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := run([]string{"-evasion", "gap-maxpending", "-out", dir}, io.Discard); err != nil {
+		if err := run([]string{"-evasion", "gap-maxpending", "-out", dir}, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		sc, ok := gen.EvasionScenarioByName("gap-maxpending")
@@ -103,22 +105,44 @@ func TestRunWritesWhatTheGeneratorProduces(t *testing.T) {
 	})
 }
 
-// TestRunRejectsUnknownNames: a dataset or scenario that does not exist
-// is a usage error naming it, and nothing is written.
-func TestRunRejectsUnknownNames(t *testing.T) {
-	for _, args := range [][]string{
-		{"-dataset", "D9"},
-		{"-evasion", "no-such-scenario"},
-		{"-schedule", "sprint:10s:5"},
+// TestUsageErrors drives run down every bad invocation it can refuse:
+// each is a usage error (exit 2) returned before the output directory
+// is created, and -h is not an error at all.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // a fragment of the message
+	}{
+		{"unknown flag", []string{"-on-error", "skip"}, "flag provided but not defined: -on-error"},
+		{"flag value", []string{"-scale", "big"}, "invalid value"},
+		{"dataset", []string{"-dataset", "D9"}, `unknown dataset "D9"`},
+		{"evasion", []string{"-evasion", "no-such-scenario"}, "no-such-scenario"},
+		{"schedule", []string{"-schedule", "sprint:10s:5"}, "sprint"},
+		{"schedule beside evasion", []string{"-evasion", "all", "-schedule", "sprint:10s:5"}, "sprint"},
+		{"duration without schedule", []string{"-duration", "1m"}, "-duration requires -schedule"},
 	} {
-		dir := t.TempDir()
-		err := run(append(args, "-out", dir), io.Discard)
-		var ue *usageError
-		if !errors.As(err, &ue) {
-			t.Errorf("%v: got %v, want a usage error", args, err)
-		}
-		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
-			t.Errorf("%v: wrote %v before failing", args, files)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out")
+			var stdout, stderr bytes.Buffer
+			err := run(append(tc.args, "-out", out), &stdout, &stderr)
+			var ue *usageError
+			if !errors.As(err, &ue) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%q) = %v, want a usage error mentioning %q", tc.args, err, tc.want)
+			}
+			if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("run(%q) created -out before failing (%v)", tc.args, err)
+			}
+			if stdout.Len() != 0 || stderr.Len() != 0 {
+				t.Errorf("run(%q) wrote %q to stdout and %q to stderr", tc.args, stdout.String(), stderr.String())
+			}
+		})
+	}
+	var stderr bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &stderr); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
+	}
+	if n := strings.Count(stderr.String(), "\n  -"); n != 7 {
+		t.Errorf("-h lists %d flags, want 7:\n%s", n, stderr.String())
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -34,7 +35,7 @@ type usageError struct{ msg string }
 func (e *usageError) Error() string { return e.msg }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		var ue *usageError
 		if errors.As(err, &ue) {
@@ -44,67 +45,64 @@ func main() {
 	}
 }
 
-func run() error {
-	scale := flag.Float64("scale", 1.0, "workload scale factor (volume knob)")
-	datasets := flag.String("datasets", "D0,D1,D2,D3,D4", "comma-separated dataset names")
-	subnets := flag.Int("subnets", 0, "limit monitored subnets per dataset (0 = all)")
-	figdir := flag.String("figdir", "", "directory for per-figure TSV data series (empty = skip)")
-	workers := flag.Int("workers", 0, "pipeline shard workers (0 = GOMAXPROCS); results are identical for any count")
-	replayWorkers := flag.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
-	window := flag.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
-	format := flag.String("format", "text", "report output format: text or json")
-	schedule := flag.String("schedule", "",
+// run is the program: args are the command line after the program name,
+// stdout takes the reports, stderr the narration.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("entreport", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // main prints a parse error once; -h prints the usage below
+	scale := fs.Float64("scale", 1.0, "workload scale factor (volume knob)")
+	datasets := fs.String("datasets", "D0,D1,D2,D3,D4", "comma-separated dataset names")
+	subnets := fs.Int("subnets", 0, "limit monitored subnets per dataset (0 = all)")
+	figdir := fs.String("figdir", "", "directory for per-figure TSV data series (empty = skip)")
+	workers := fs.Int("workers", 0, "pipeline shard workers (0 = GOMAXPROCS); results are identical for any count")
+	replayWorkers := fs.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
+	window := fs.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
+	format := fs.String("format", "text", "report output format: text or json")
+	schedule := fs.String("schedule", "",
 		`analyze a time-structured schedule streamed straight from the generator (no trace `+
 			`materialized) instead of the tap rotation: phase spec or "default"`)
-	duration := flag.Duration("duration", 0, "with -schedule, tile the schedule to at least this length")
-	onError := flag.String("on-error", "fail",
+	duration := fs.Duration("duration", 0, "with -schedule, tile the schedule to at least this length")
+	onError := fs.String("on-error", "fail",
 		`source read-error policy: "fail" aborts on the first error (default); "skip" degrades `+
 			`and continues — poisoned records are dropped and the report carries a SourceError census`)
-	inject := flag.String("inject", "",
+	inject := fs.String("inject", "",
 		`deterministic fault injection against every source: "kind@index[:arg],..." with kinds `+
 			`read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span"; pair with `+
 			`-on-error skip to exercise degraded runs (the census is checked against the manifest)`)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(stderr)
+		fs.Usage()
+		return nil
+	} else if err != nil {
+		return &usageError{msg: fmt.Sprintf("%v (entreport -h lists the flags)", err)}
+	}
 	if *format != "text" && *format != "json" {
 		return &usageError{msg: fmt.Sprintf("unknown -format %q (want text or json)", *format)}
 	}
-	var policy pipeline.ErrorPolicy
-	switch *onError {
-	case "fail":
-		policy = pipeline.FailFast
-	case "skip":
-		policy = pipeline.Degrade
-	default:
-		return &usageError{msg: fmt.Sprintf("unknown -on-error %q (want fail or skip)", *onError)}
+	policy, err := pipeline.ParseErrorPolicy(*onError)
+	if err != nil {
+		return &usageError{msg: err.Error()}
 	}
 	var injectSched faults.Schedule
 	if *inject != "" {
-		var err error
 		if injectSched, err = faults.ParseSpec(*inject); err != nil {
 			return &usageError{msg: err.Error()}
 		}
 	}
-
 	var sched gen.Schedule
 	if *schedule != "" {
-		sched = gen.DefaultSchedule()
-		if *schedule != "default" {
-			var err error
-			if sched, err = gen.ParseSchedule(*schedule); err != nil {
-				return &usageError{msg: err.Error()}
-			}
+		if sched, err = gen.ParseSchedule(*schedule); err != nil {
+			return &usageError{msg: err.Error()}
 		}
-		if *duration > 0 {
-			sched = sched.Repeat(*duration)
-		}
+		sched = sched.Repeat(*duration)
 	} else if *duration > 0 {
 		return &usageError{msg: "-duration requires -schedule"}
 	}
-
 	selected, err := selectDatasets(*datasets)
 	if err != nil {
 		return err
 	}
+
 	for _, cfg := range selected {
 		cfg.Scale = *scale
 		if *subnets > 0 && *subnets < len(cfg.Monitored) {
@@ -119,35 +117,22 @@ func run() error {
 			Window:          *window,
 			OnError:         policy,
 		})
-		// wrapSource interposes the fault injector (when -inject is set);
-		// both ingest modes route through it — dataset traces via a slice
-		// source — so a degraded rotation and a degraded stream exercise
-		// the same seam. Injectors are per-dataset: each report's census
-		// is checked against exactly the faults fired into it.
-		var injectors []*faults.Source
-		wrapSource := func(src pcap.PacketSource) pcap.PacketSource {
-			if *inject == "" {
-				return src
-			}
-			fs := faults.Wrap(src, injectSched)
-			injectors = append(injectors, fs)
-			return fs
-		}
+		// Both ingest modes route through the injector — dataset traces
+		// via a slice source — so a degraded rotation and a degraded
+		// stream exercise the same seam. Injectors are per-dataset: each
+		// report's census is checked against exactly the faults fired
+		// into it.
+		in := &faults.Injector{Schedule: injectSched}
 		var genDur time.Duration
 		var totalPkts int64
 		start := time.Now()
 		if *schedule != "" {
 			// Streamed mode: frames go straight from the generator into
 			// the pipeline, so generation and analysis share the clock.
-			subnet := cfg.Monitored[0]
-			src := gen.NewStreamSource(gen.StreamConfig{
-				Network:  enterprise.NewNetwork(cfg),
-				Subnet:   subnet,
-				Schedule: sched,
-				Snaplen:  cfg.Snaplen,
-			})
-			name := fmt.Sprintf("%s/subnet%d/scheduled", cfg.Name, subnet)
-			if err := a.AddTraceSource(name, enterprise.SubnetPrefix(subnet), wrapSource(src)); err != nil {
+			stream := gen.DatasetStream(cfg, sched)
+			src := gen.NewStreamSource(stream)
+			name := fmt.Sprintf("%s/subnet%d/scheduled", cfg.Name, stream.Subnet)
+			if err := a.AddTraceSource(name, enterprise.SubnetPrefix(stream.Subnet), in.Wrap(src)); err != nil {
 				return fmt.Errorf("analyze %s: %w", cfg.Name, err)
 			}
 			totalPkts = src.Stats().Frames
@@ -158,32 +143,20 @@ func run() error {
 			start = time.Now()
 			for _, tr := range ds.Traces {
 				name := fmt.Sprintf("%s/subnet%d/tap%d", cfg.Name, tr.Subnet, tr.Tap)
-				src := wrapSource(pcap.NewSliceSource(tr.Packets))
-				if err := a.AddTraceSource(name, tr.Prefix, src); err != nil {
+				if err := a.AddTraceSource(name, tr.Prefix, in.Wrap(pcap.NewSliceSource(tr.Packets))); err != nil {
 					return fmt.Errorf("analyze %s: %w", cfg.Name, err)
 				}
 			}
 		}
 		r := a.Report()
-		if len(injectors) > 0 && policy == pipeline.Degrade {
+		if policy == pipeline.Degrade {
 			se := r.SourceErrors
-			if err := faults.CheckCensus(se.Errors, se.LostBytes, se.ByKind, injectors...); err != nil {
+			if err := in.CheckCensus(stderr, se.Errors, se.LostBytes, se.ByKind); err != nil {
 				return err
 			}
-			// The match line is stable for CI to grep.
-			fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
-				se.Errors, se.LostBytes)
 		}
-		windows := a.WindowReports()
-		if *format == "json" {
-			if err := core.WriteRunJSON(os.Stdout, windows, r); err != nil {
-				return fmt.Errorf("json report: %w", err)
-			}
-		} else {
-			if len(windows) > 0 {
-				fmt.Print(core.RenderWindowSummary(windows) + "\n")
-			}
-			fmt.Print(core.RenderText(r))
+		if err := core.WriteRun(stdout, *format, a.WindowReports(), r); err != nil {
+			return fmt.Errorf("%s report: %w", *format, err)
 		}
 		if *figdir != "" {
 			if err := core.WriteFigureData(*figdir, r); err != nil {
@@ -192,9 +165,9 @@ func run() error {
 		}
 		// Telemetry goes to stdout in text mode (as always) but must not
 		// corrupt the machine-readable stream in json mode.
-		dst := os.Stdout
+		dst := stdout
 		if *format == "json" {
-			dst = os.Stderr
+			dst = stderr
 		}
 		if *schedule != "" {
 			fmt.Fprintf(dst, "[%s: streamed %d packets gen→analyze in %.1fs]\n\n",
@@ -210,14 +183,13 @@ func run() error {
 // selectDatasets resolves a -datasets value to configs in D0..D4 order.
 // A name that is not a dataset is a usage error, not an empty report.
 func selectDatasets(spec string) ([]enterprise.Config, error) {
-	all := enterprise.AllDatasets()
 	want := make(map[string]bool)
 	for _, d := range strings.Split(spec, ",") {
 		d = strings.TrimSpace(d)
-		if !slices.ContainsFunc(all, func(c enterprise.Config) bool { return c.Name == d }) {
+		if _, ok := enterprise.DatasetByName(d); !ok {
 			return nil, &usageError{msg: fmt.Sprintf("unknown dataset %q in -datasets (want D0..D4)", d)}
 		}
 		want[d] = true
 	}
-	return slices.DeleteFunc(all, func(c enterprise.Config) bool { return !want[c.Name] }), nil
+	return slices.DeleteFunc(enterprise.AllDatasets(), func(c enterprise.Config) bool { return !want[c.Name] }), nil
 }

@@ -66,3 +66,18 @@ func WriteRunJSON(w io.Writer, windows []*WindowReport, cumulative *Report) erro
 	_, err = w.Write(b)
 	return err
 }
+
+// WriteRun writes a run in format: "json" is WriteRunJSON's document,
+// anything else the text tables, after the window summary when there
+// are windows.
+func WriteRun(w io.Writer, format string, windows []*WindowReport, cumulative *Report) error {
+	if format == "json" {
+		return WriteRunJSON(w, windows, cumulative)
+	}
+	text := RenderText(cumulative)
+	if len(windows) > 0 {
+		text = RenderWindowSummary(windows) + "\n" + text
+	}
+	_, err := io.WriteString(w, text)
+	return err
+}

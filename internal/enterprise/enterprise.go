@@ -170,6 +170,16 @@ func AllDatasets() []Config {
 	return []Config{D0(), D1(), D2(), D3(), D4()}
 }
 
+// DatasetByName returns the preset called name (D0..D4).
+func DatasetByName(name string) (Config, bool) {
+	for _, c := range AllDatasets() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
+}
+
 // Network instantiates the address plan for a Config.
 type Network struct {
 	cfg     Config

@@ -441,13 +441,36 @@ func (s *Source) Expected() Expected {
 	return exp
 }
 
-// CheckCensus compares a report's source-error census (totals and
-// per-kind counts) with what the injectors actually fired, summed over
-// all of them. Stalls surface no error and are not counted.
-func CheckCensus(errors, lostBytes int64, byKind map[string]int64, injectors ...*Source) error {
+// Injector fires one schedule into every source of a run and keeps the
+// wrappers, so the run's census can be checked against all of them. An
+// Injector with an empty schedule wraps nothing.
+type Injector struct {
+	Schedule Schedule
+	sources  []*Source
+}
+
+// Wrap returns src under the schedule.
+func (in *Injector) Wrap(src pcap.PacketSource) pcap.PacketSource {
+	if len(in.Schedule.Events) == 0 {
+		return src
+	}
+	s := Wrap(src, in.Schedule)
+	in.sources = append(in.sources, s)
+	return s
+}
+
+// CheckCensus compares a degraded run's source-error census (totals and
+// per-kind counts) with what the wrapped sources fired, summed over all
+// of them, and on a match writes the line saying so to w. Stalls surface
+// no error and are not counted. It checks nothing when nothing was
+// wrapped.
+func (in *Injector) CheckCensus(w io.Writer, errors, lostBytes int64, byKind map[string]int64) error {
+	if len(in.sources) == 0 {
+		return nil
+	}
 	exp := Expected{ByKind: make(map[string]int64)}
-	for _, fs := range injectors {
-		e := fs.Expected()
+	for _, s := range in.sources {
+		e := s.Expected()
 		exp.Errors += e.Errors
 		exp.LostBytes += e.LostBytes
 		for k, n := range e.ByKind {
@@ -458,5 +481,6 @@ func CheckCensus(errors, lostBytes int64, byKind map[string]int64, injectors ...
 		return fmt.Errorf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (%d errors, %d bytes lost)",
 			errors, lostBytes, exp.Errors, exp.LostBytes)
 	}
+	fmt.Fprintf(w, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n", errors, lostBytes)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -292,38 +293,44 @@ func TestLimitDeliversExactlyN(t *testing.T) {
 }
 
 // TestCheckCensus pins the check both binaries run after a degraded
-// run: the manifest is summed over every injector, stalls count for
-// nothing, and totals alone do not pass when the kinds differ.
+// run: the manifest is summed over every wrapped source, stalls count
+// for nothing, and totals alone do not pass when the kinds differ.
 func TestCheckCensus(t *testing.T) {
-	var srcs []*Source
+	in := &Injector{Schedule: Schedule{Events: []Event{
+		{Kind: ReadError, Index: 2},
+		{Kind: Stall, Index: 3},
+		{Kind: ShortRead, Index: 5, Cut: 40},
+	}}}
+	if err := in.CheckCensus(io.Discard, 4, 0, nil); err != nil {
+		t.Errorf("an injector that wrapped nothing checked a census: %v", err)
+	}
 	for range 2 {
-		src := Wrap(pcap.NewSliceSource(mkPackets(10, 100)), Schedule{Events: []Event{
-			{Kind: ReadError, Index: 2},
-			{Kind: Stall, Index: 3},
-			{Kind: ShortRead, Index: 5, Cut: 40},
-		}})
+		src := in.Wrap(pcap.NewSliceSource(mkPackets(10, 100))).(*Source)
 		src.SetSleep(func(time.Duration) {})
 		drain(t, src)
-		srcs = append(srcs, src)
 	}
-	// Per injector: one whole 100-byte record and one 60-byte tail.
+	// Per source: one whole 100-byte record and one 60-byte tail.
 	good := map[string]int64{"read-error": 2, "short-read": 2}
-	if err := CheckCensus(4, 320, good, srcs...); err != nil {
+	var line strings.Builder
+	if err := in.CheckCensus(&line, 4, 320, good); err != nil {
 		t.Errorf("matching census rejected: %v", err)
 	}
-	if err := CheckCensus(0, 0, nil); err != nil {
-		t.Errorf("empty census against no injectors rejected: %v", err)
+	if want := "fault census: report matches injected manifest (4 errors, 320 bytes lost)\n"; line.String() != want {
+		t.Errorf("match line %q, want %q", line.String(), want)
+	}
+	if src := (&Injector{}).Wrap(pcap.NewSliceSource(nil)); reflect.TypeOf(src) != reflect.TypeOf(pcap.NewSliceSource(nil)) {
+		t.Errorf("an empty schedule wrapped its source in %T", src)
 	}
 	for name, c := range map[string]struct {
 		errors, lost int64
 		byKind       map[string]int64
 	}{
-		"one injector's worth": {2, 160, map[string]int64{"read-error": 1, "short-read": 1}},
-		"bytes off":            {4, 319, good},
-		"kinds swapped":        {4, 320, map[string]int64{"read-error": 3, "short-read": 1}},
-		"extra kind":           {4, 320, map[string]int64{"read-error": 2, "short-read": 2, "stall": 0}},
+		"one source's worth": {2, 160, map[string]int64{"read-error": 1, "short-read": 1}},
+		"bytes off":          {4, 319, good},
+		"kinds swapped":      {4, 320, map[string]int64{"read-error": 3, "short-read": 1}},
+		"extra kind":         {4, 320, map[string]int64{"read-error": 2, "short-read": 2, "stall": 0}},
 	} {
-		err := CheckCensus(c.errors, c.lost, c.byKind, srcs...)
+		err := in.CheckCensus(io.Discard, c.errors, c.lost, c.byKind)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue

@@ -54,11 +54,15 @@ func (s Schedule) Duration() time.Duration {
 	return d
 }
 
-// ParseSchedule parses the CLI schedule syntax: comma-separated phases
-// of the form kind:duration[:rate] with rate in sessions/minute —
+// ParseSchedule parses the CLI schedule syntax: "default" for
+// DefaultSchedule, or comma-separated phases of the form
+// kind:duration[:rate] with rate in sessions/minute —
 // "ramp:60s:0-30,burst:30s:120,quiet:60s,steady:90s:20". Ramp rates are
 // "start-end"; quiet takes no rate.
 func ParseSchedule(spec string) (Schedule, error) {
+	if spec == "default" {
+		return DefaultSchedule(), nil
+	}
 	var s Schedule
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -31,6 +32,9 @@ func TestParseSchedule(t *testing.T) {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q): want error", bad)
 		}
+	}
+	if s, err := ParseSchedule("default"); err != nil || !reflect.DeepEqual(s, DefaultSchedule()) {
+		t.Errorf(`ParseSchedule("default") = %+v, %v; want DefaultSchedule()`, s, err)
 	}
 }
 

@@ -42,6 +42,13 @@ type StreamConfig struct {
 	Snaplen uint32
 }
 
+// DatasetStream is the scheduled trace of dataset cfg, as the three
+// binaries stream it: sched at cfg's first monitored subnet, tap 0, cut
+// to cfg's snaplen.
+func DatasetStream(cfg enterprise.Config, sched Schedule) StreamConfig {
+	return StreamConfig{Network: enterprise.NewNetwork(cfg), Subnet: cfg.Monitored[0], Schedule: sched, Snaplen: cfg.Snaplen}
+}
+
 // StreamStats is a StreamSource's bounded-memory telemetry.
 type StreamStats struct {
 	// Frames is the total number of frames yielded so far.

@@ -17,6 +17,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sync/atomic"
@@ -66,6 +67,18 @@ const (
 	// run is an answer, not a failure.
 	Degrade
 )
+
+// ParseErrorPolicy reads a policy by its -on-error name: "fail" is
+// FailFast, "skip" Degrade.
+func ParseErrorPolicy(name string) (ErrorPolicy, error) {
+	switch name {
+	case "fail":
+		return FailFast, nil
+	case "skip":
+		return Degrade, nil
+	}
+	return FailFast, fmt.Errorf("unknown -on-error %q (want fail or skip)", name)
+}
 
 // SourceError is one source read failure recorded by the Degrade
 // policy. The fields mirror pcap.SourceFault; errors without that
