@@ -27,19 +27,21 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 	cfg.Monitored = cfg.Monitored[:1]
 	a := NewAnalyzer(Options{Dataset: "cut", PayloadAnalysis: true})
 	for trace, tr := range gen.GenerateDataset(cfg).Traces {
-		var sink *shardSink
+		// One replay shard, fed by nothing: the tap keeps every datagram.
+		feed := newTraceFeed(a.win, make([]*replayWorker, 1), 1)
+		var sink *udpTap
 		res, err := pipeline.Run(pcap.NewSliceSource(tr.Packets), pipeline.Config{
 			Workers: 1,
 			NewSink: func(shard int, base time.Time) pipeline.Sink {
-				sink = newShardSink(&a.opts, a.registry, tr.Prefix, base)
+				sink = &udpTap{shardSink: newShardSink(&a.opts, a.registry, tr.Prefix, base, feed, shard)}
 				return sink
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range sink.udp {
-			replayUDPEvent(ap, &sink.udp[i])
+		for i := range sink.events {
+			replayUDPEvent(ap, &sink.events[i])
 			step()
 		}
 		for _, rec := range res.SortedConns() {
@@ -47,12 +49,24 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 			name, _ := a.registry.Classify(c.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
 			ap.transportConn(c, name)
 			if app := connStreamsOf(c); app != nil {
-				a.parseConnPayload(ap, trace, rec, name, app)
+				a.parseConnPayload(ap, trace, c, name, app)
 				app.release()
 			}
 			step()
 		}
 	}
+}
+
+// udpTap keeps, in place of publishing them, the datagrams a one-worker
+// sink captures for a one-shard replay: every datagram, in index order.
+type udpTap struct {
+	*shardSink
+	events []udpEvent
+}
+
+func (t *udpTap) Publish(int64, bool) {
+	t.events = append(t.events, t.in.batchUDP[0]...)
+	t.in.batchUDP[0], t.in.batchConns = t.in.batchUDP[0][:0], t.in.batchConns[:0]
 }
 
 // appsReport renders an application aggregate (full, or a sparse cut

@@ -95,6 +95,19 @@ func (c *censusPair) Undecodable(idx int64) {
 	c.sink.Undecodable(idx)
 }
 
+func (c *censusPair) Publish(through int64, more bool) { c.sink.Publish(through, more) }
+
+// testFeed is the feed into a throwaway analyzer's replay shards, for
+// tests that drive the packet stage themselves at that analyzer's width,
+// ready for one trace: the caller calls finish after it.
+func testFeed(opts Options) *traceFeed {
+	f := NewAnalyzer(opts).ensureFeed()
+	if opts.PayloadAnalysis {
+		f.start()
+	}
+	return f
+}
+
 // censusStats is what one compared run exercised.
 type censusStats struct {
 	packets    int64
@@ -109,15 +122,17 @@ type censusStats struct {
 // network-layer counter with the same keys and the same values.
 func compareCensus(t *testing.T, label string, prefix netip.Prefix, pkts []*pcap.Packet, workers int, fcfg flows.Config, payload bool) censusStats {
 	t.Helper()
-	opts := Options{PayloadAnalysis: payload}
+	opts := Options{PayloadAnalysis: payload, Workers: workers}
 	registry := categories.NewRegistry()
+	feed := testFeed(opts)
+	defer feed.finish()
 	var pairs []*censusPair
 	res, err := pipeline.Run(pcap.NewSliceSource(pkts), pipeline.Config{
 		Workers: workers,
 		Flows:   fcfg,
 		NewSink: func(shard int, base time.Time) pipeline.Sink {
 			p := &censusPair{
-				sink:     newShardSink(&opts, registry, prefix, base),
+				sink:     newShardSink(&opts, registry, prefix, base, feed, shard),
 				ref:      newPerPacketCensus(prefix),
 				firstSrc: make(map[*flows.Conn]netip.Addr),
 			}

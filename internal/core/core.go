@@ -38,8 +38,9 @@ type Options struct {
 	// PayloadAnalysis enables application-layer parsing. The paper
 	// disables it for the 68-byte-snaplen datasets (D1, D2).
 	PayloadAnalysis bool
-	// Workers is the streaming pipeline's shard count; 0 uses GOMAXPROCS.
-	// Reports are bit-identical for any worker count.
+	// Workers is the streaming pipeline's shard count; 0 uses GOMAXPROCS,
+	// read when the first trace is added. Reports are bit-identical for
+	// any worker count.
 	Workers int
 	// ReplayWorkers is the deterministic replay's worker count: the
 	// application-analysis stage (payload parsing, UDP message dispatch,
@@ -76,6 +77,12 @@ type Options struct {
 	// historical behavior); pipeline.Degrade skips poisoned records,
 	// keeps the healthy traffic, and folds a SourceError census into the
 	// report instead.
+	//
+	// A FailFast abort is sticky. The replay takes in a trace's UDP
+	// messages while the trace is still read, so an abort mid-trace
+	// leaves part of that trace in the Analyzer; it keeps the first such
+	// error, and every later Add* returns it without reading anything.
+	// The Analyzer is done at that point: see Report.
 	OnError pipeline.ErrorPolicy
 	// IdleEvict, when > 0, ends any connection idle past this horizon
 	// and sweeps it out of the live table, bounding memory on indefinite
@@ -109,6 +116,11 @@ type Options struct {
 	// stream parsers. Only the byte-identity differential sets it: the
 	// buffered path is its reference.
 	bufferStreams bool
+	// batchSize, when > 0, replaces the pipeline's batch size
+	// (pipeline.Config.BatchSize), the granularity at which the packet
+	// stage hands connections and datagrams to the replay. Only the
+	// batch-size differential sets it.
+	batchSize int
 }
 
 // TraceInput is one monitored-subnet trace.
@@ -149,8 +161,14 @@ type Analyzer struct {
 	// where the cuts fell, which is what keeps the cumulative report
 	// byte-identical across window lengths.
 	replayWorkers []*replayWorker
+	// feed hands each trace to the replay workers while it is read.
+	feed *traceFeed
 
 	traceCount int
+
+	// err is the error that aborted a trace's read (see Options.OnError):
+	// once set, every Add* returns it without reading.
+	err error
 
 	// packetsSeen mirrors cum.totalPackets for lock-free progress reads
 	// (the serve-mode health endpoint polls it mid-trace).
@@ -230,6 +248,9 @@ func (a *Analyzer) AddTrace(tr TraceInput) error {
 // count. The pool is per-Analyzer, so slabs are reused across successive
 // traces.
 func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Reader) error {
+	if a.err != nil {
+		return a.err
+	}
 	rd, err := pcap.NewReader(r)
 	if err != nil {
 		return err
@@ -252,25 +273,29 @@ func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Read
 // order (all integer/set unions), and everything order-sensitive —
 // scanner detection, dynamic port registration, application parsing —
 // replays in global first-packet order, which is identical for any
-// worker count.
+// worker count. What of that order depends on nothing end of input
+// decides — the canonical connection list, each replay shard's share of
+// it, and the UDP message pass — is built while the source is read
+// (traceFeed); the rest starts when it runs dry.
 func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.PacketSource) error {
+	if a.err != nil {
+		return a.err
+	}
+	feed := a.ensureFeed()
+	defer feed.reset()
+	if a.opts.PayloadAnalysis {
+		feed.start()
+	}
 	// MaxConns bounds the whole run; each shard table gets an equal
 	// slice of it.
 	perShard := 0
 	if a.opts.MaxConns > 0 {
-		workers := a.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		perShard = a.opts.MaxConns / workers
-		if perShard < 1 {
-			perShard = 1
-		}
+		perShard = max(a.opts.MaxConns/len(feed.in), 1)
 	}
 	var sinks []*shardSink
-	var traceBase time.Time
 	res, err := pipeline.Run(src, pipeline.Config{
-		Workers: a.opts.Workers,
+		Workers:   len(feed.in),
+		BatchSize: a.opts.batchSize,
 		Flows: flows.Config{
 			IdleTimeout: a.opts.IdleEvict,
 			MaxConns:    perShard,
@@ -280,13 +305,19 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 		Stopped:    a.stopFlag.Load,
 		ErrCounter: &a.srcErrsLive,
 		NewSink: func(shard int, base time.Time) pipeline.Sink {
-			traceBase = base
-			s := newShardSink(&a.opts, a.registry, monitored, base)
+			// The UDP pass cuts windows while the trace is read, so the
+			// window clock is pinned at the first packet.
+			a.win.setOrigin(base)
+			s := newShardSink(&a.opts, a.registry, monitored, base, feed, shard)
 			sinks = append(sinks, s)
 			return s
 		},
 	})
+	feed.finish()
 	if err != nil {
+		// The replay shards hold part of the trace's datagrams now:
+		// nothing after this may add to the Analyzer.
+		a.err = err
 		return err
 	}
 	a.traceCount++
@@ -296,9 +327,6 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// folded into the cumulative aggregate — and banked into the window
 	// containing the trace's last packet — once the trace's event-time
 	// extent (and hence the watermark) is known.
-	if res.Packets > 0 {
-		a.win.setOrigin(traceBase)
-	}
 	tgt := newTraceDelta()
 	tgt.totalPackets += res.Packets
 	tgt.traceCount++
@@ -344,12 +372,9 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	}
 	perSec := mergedTraceLoad(name, shardBins)
 
-	// Canonical connection order: by first packet, across all shards.
-	recs := res.SortedConns()
-	conns := make([]*flows.Conn, len(recs))
-	for i, rec := range recs {
-		conns[i] = rec.Conn
-	}
+	// Canonical connection order: by first packet, across all shards —
+	// built by the feed as the trace was read.
+	conns := feed.conns
 	tgt.totalConns += len(conns)
 
 	// §3 scanner removal, per trace, from the trace's one census pass.
@@ -359,14 +384,15 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 		tgt.scanners[s] = struct{}{}
 	}
 
-	// Application replay: UDP messages, dynamic registrations, transport
-	// accumulation, payload parsing — all in canonical order. The serial
-	// phase (dynamic registrations) runs inline and must precede the
-	// connection-level accumulation below, which classifies against the
-	// registry; the parallel phase is left in flight while that
-	// accumulation runs, since the two touch disjoint state. The workers
-	// bank and emit the windows they have all passed as they go.
-	join := a.replayApps(recs, mergeUDPEvents(sinks), census.Kept, maxTS)
+	// Application replay: the rest of the UDP messages, dynamic
+	// registrations, transport accumulation, payload parsing — all in
+	// canonical order. The serial phase (dynamic registrations) runs
+	// inline and must precede the connection-level accumulation below,
+	// which classifies against the registry; the parallel phase is left
+	// in flight while that accumulation runs, since the two touch
+	// disjoint state. The workers bank and emit the windows they have all
+	// passed as they go.
+	join := a.replayApps(feed, census.Kept, maxTS)
 
 	// Trace load accounting and the distinct-peer censuses overlap the
 	// replay workers: they read only the per-second bins, connection
@@ -389,11 +415,12 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	return nil
 }
 
-// ensureReplayWorkers lazily builds the per-worker replay states. The
-// count is fixed at first use so the pair→shard assignment stays stable
-// for the Analyzer's lifetime.
-func (a *Analyzer) ensureReplayWorkers() []*replayWorker {
-	if a.replayWorkers == nil {
+// ensureFeed lazily builds the per-worker replay states and the feed
+// that hands them each trace as it is read. Both widths — replay workers
+// and pipeline workers — are fixed at first use, so the pair→shard
+// assignment stays stable for the Analyzer's lifetime.
+func (a *Analyzer) ensureFeed() *traceFeed {
+	if a.feed == nil {
 		n := a.opts.ReplayWorkers
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
@@ -405,8 +432,13 @@ func (a *Analyzer) ensureReplayWorkers() []*replayWorker {
 		for i := range a.replayWorkers {
 			a.replayWorkers[i] = &replayWorker{shard: &epochAgg{connAggregates: *newConnAggregates(), apps: newAppAggregates()}}
 		}
+		workers := a.opts.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		a.feed = newTraceFeed(a.win, a.replayWorkers, workers)
 	}
-	return a.replayWorkers
+	return a.feed
 }
 
 // maxReplayWorkers bounds the replay fan-out; beyond this the per-shard

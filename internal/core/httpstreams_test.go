@@ -31,7 +31,10 @@ type tcpStep struct {
 // decides what reaches the streams. The payload is lent in a buffer that
 // is scribbled over after each packet, as a pooled source would.
 func driveSink(app *connStreams, conn *flows.Conn, steps []tcpStep) {
-	s := newShardSink(&Options{PayloadAnalysis: true}, categories.NewRegistry(), enterprise.EnterprisePrefix, time.Unix(100, 0))
+	opts := Options{PayloadAnalysis: true, Workers: 1}
+	feed := testFeed(opts)
+	defer feed.finish()
+	s := newShardSink(&opts, categories.NewRegistry(), enterprise.EnterprisePrefix, time.Unix(100, 0), feed, 0)
 	conn.App = app
 	var lent []byte
 	for i, st := range steps {
@@ -312,20 +315,19 @@ func (w *retainWatch) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn 
 // pipeline.Run returns, before replay, a connection whose protocol is
 // fixed by its responder port and parsed by a stream consumer owns no
 // pooled stream storage at all (only out-of-order pending data), and the
-// UDP capture owns its payload bytes, not the capture buffers.
+// UDP capture — replayed as the trace is read — owns its payload bytes,
+// not the capture buffers.
 func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 	cfg := enterprise.D3()
 	cfg.Monitored = []int{2, 7}
 	cfg.Scale = 0.25
-	opts := Options{PayloadAnalysis: true}
-	registry := categories.NewRegistry()
+	opts := Options{PayloadAnalysis: true, Workers: 2}
+	a := NewAnalyzer(opts)
 	type tally struct {
 		conns     int
 		delivered int64
 	}
 	parsed := map[string]*tally{"HTTP": {}, "SMTP": {}, "CIFS": {}, "Netbios-SSN": {}, "NCP": {}, "NFS": {}}
-	var udpEvents int
-	var udpBytes int64
 	for _, tr := range gen.GenerateDataset(cfg).Traces {
 		var raw bytes.Buffer
 		if err := gen.WriteTrace(&raw, cfg, tr); err != nil {
@@ -336,10 +338,13 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sinks []*retainWatch
+		feed := a.ensureFeed()
+		feed.reset()
+		feed.start()
 		res, err := pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
 			Workers: 2,
 			NewSink: func(shard int, base time.Time) pipeline.Sink {
-				w := &retainWatch{shardSink: newShardSink(&opts, registry, tr.Prefix, base)}
+				w := &retainWatch{shardSink: newShardSink(&opts, a.registry, tr.Prefix, base, feed, shard)}
 				sinks = append(sinks, w)
 				return w
 			},
@@ -369,15 +374,15 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 					t.Fatalf("%v holds %d bytes of pooled stream storage", conn.Key, held)
 				}
 			}
-			for _, ev := range w.udp {
-				udpEvents++
-				udpBytes += int64(len(ev.payload))
-			}
 			for _, rec := range res.Shards[shard].Conns {
 				if app := connStreamsOf(rec.Conn); app != nil {
 					app.release()
 				}
 			}
+		}
+		feed.finish()
+		for r := range feed.passes {
+			feed.replayUDP(r, true)
 		}
 	}
 	// A trace too thin in any of the protocols would pin nothing for it.
@@ -390,8 +395,9 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 		}
 		t.Logf("%-11s %4d connections delivered %8d stream bytes and hold none", proto, parsed[proto].conns, parsed[proto].delivered)
 	}
-	if udpEvents < 50 {
-		t.Fatalf("trace too thin to pin anything: %d captured datagrams", udpEvents)
+	if n := a.feed.replayed.Load(); n < 50 {
+		t.Fatalf("trace too thin to pin anything: %d captured datagrams", n)
+	} else {
+		t.Logf("%d datagrams captured, none retained", n)
 	}
-	t.Logf("%d datagrams (%d payload bytes) captured, none retained", udpEvents, udpBytes)
 }

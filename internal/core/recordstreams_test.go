@@ -17,7 +17,6 @@ import (
 	"enttrace/internal/flows"
 	"enttrace/internal/gen"
 	"enttrace/internal/layers"
-	"enttrace/internal/pipeline"
 	"enttrace/internal/reassembly"
 )
 
@@ -268,7 +267,7 @@ func TestRecordStreamsMatchBufferedConnection(t *testing.T) {
 				for i, app := range []*connStreams{got, want} {
 					driveSink(app, conn, steps)
 					ap := newAppAggregates()
-					a.parseConnPayload(ap, 0, pipeline.ConnRecord{Conn: conn}, proto.name, app)
+					a.parseConnPayload(ap, 0, conn, proto.name, app)
 					// The SMTP verdicts reach no report; compare them as banked.
 					folded[i] = fmt.Appendf(reportBytes(t, appsReport(ap)), "\nsmtp accepted %d rejected %d", ap.email.smtpAccepted, ap.email.smtpRejected)
 				}

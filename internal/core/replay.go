@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"enttrace/internal/appproto/cifs"
@@ -20,9 +21,8 @@ import (
 	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/fleet"
-	"enttrace/internal/kmerge"
+	"enttrace/internal/flows"
 	"enttrace/internal/layers"
-	"enttrace/internal/pipeline"
 	"enttrace/internal/stats"
 )
 
@@ -48,9 +48,14 @@ import (
 // commutative or pair-contained, the report is byte-identical for any
 // replay worker count.
 //
-// Phase B also carries the connection-level accumulation that used to
-// run serially after replay: the Table 3/Figure 1/origin sums
-// (commutative) ride beside the worker's shard and drain with it.
+// Phase B's UDP pass does not wait for replayApps: it reads no verdict
+// and no registration, so each shard replays its datagrams while the
+// trace is still being read (traceFeed), and what replayApps starts is
+// the rest of that pass — the datagrams of the last batches — then the
+// connection pass. Phase B also carries the connection-level
+// accumulation that used to run serially after replay: the Table
+// 3/Figure 1/origin sums (commutative) ride beside the worker's shard
+// and drain with it.
 //
 // replayApps returns after phase A with phase B in flight; the caller
 // runs work that is independent of the per-shard state (trace load
@@ -72,12 +77,13 @@ import (
 // the trace-wide extent, so the count is bit-identical for any worker
 // count — whether or not the shard tables' memory sweep ever ran.
 //
-// kept is parallel to recs: kept[i] reports whether recs[i] survived the
-// scan filter. A connection's reassembled streams, if the packet stage
-// kept any, hang off its flows.Conn.
-func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kept []bool, maxTS time.Time) (join func()) {
-	workers := a.ensureReplayWorkers()
+// kept is parallel to f.conns: kept[i] reports whether f.conns[i]
+// survived the scan filter. A connection's reassembled streams, if the
+// packet stage kept any, hang off its flows.Conn.
+func (a *Analyzer) replayApps(f *traceFeed, kept []bool, maxTS time.Time) (join func()) {
+	workers := f.workers
 	nshard := len(workers)
+	conns := f.conns
 
 	// Phase A: classification snapshots (protocol name and Figure 1
 	// category) plus dynamic port registrations, in first-packet order.
@@ -85,25 +91,25 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 	// loop is the only place the registry is written, so phase B can
 	// classify from the snapshots alone and never touch the registry
 	// concurrently.
-	names := make([]string, len(recs))
-	cats := make([]string, len(recs))
-	for i, rec := range recs {
-		name, cat := a.registry.Classify(rec.Conn.Proto, rec.Conn.Key.Src, rec.Conn.Key.Dst, rec.Conn.Key.SrcPort, rec.Conn.Key.DstPort)
+	names := make([]string, len(conns))
+	cats := make([]string, len(conns))
+	for i, conn := range conns {
+		name, cat := a.registry.Classify(conn.Proto, conn.Key.Src, conn.Key.Dst, conn.Key.SrcPort, conn.Key.DstPort)
 		names[i], cats[i] = name, cat
 		if !a.opts.PayloadAnalysis {
 			continue
 		}
-		app := connStreamsOf(rec.Conn)
+		app := connStreamsOf(conn)
 		if app == nil {
 			continue
 		}
 		switch {
-		case name == "FTP" && rec.Conn.Key.DstPort == 21:
+		case name == "FTP" && conn.Key.DstPort == 21:
 			if kept[i] {
 				app.cliStream.Close()
 				app.srvStream.Close()
 			}
-			a.replayFTPRegistrations(rec.Conn.Key.Dst, app.srvBuf.Buf)
+			a.replayFTPRegistrations(conn.Key.Dst, app.srvBuf.Buf)
 		case name == "DCE/RPC-EPM":
 			if kept[i] {
 				// The sequential path closed kept EPM streams at trace
@@ -115,21 +121,14 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 			// Channel keys carry the trace ordinal: FirstIdx restarts at
 			// zero every trace, and the RPC analyzer's bind state
 			// persists for the Analyzer's lifetime.
-			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: rec.FirstIdx, Side: dcerpc.SideClient}, app.epmCli.segments())
-			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: rec.FirstIdx, Side: dcerpc.SideServer}, app.epmSrv.segments())
+			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: conn.FirstIdx, Side: dcerpc.SideClient}, app.epmCli.segments())
+			a.replayEPM(dcerpc.ChanKey{Trace: a.traceCount, Conn: conn.FirstIdx, Side: dcerpc.SideServer}, app.epmSrv.segments())
 		}
 	}
 
-	// Phase B: partition connections and UDP messages by canonical host
-	// pair and fan out. Per-shard index lists preserve global order, so
-	// each worker sees exactly the serial subsequence of its pairs.
-	connsByShard := partitionByPair(len(recs), nshard, func(i int) (netip.Addr, netip.Addr) {
-		return recs[i].Conn.Key.Src, recs[i].Conn.Key.Dst
-	})
-	udpByShard := partitionByPair(len(events), nshard, func(i int) (netip.Addr, netip.Addr) {
-		return events[i].src, events[i].dst
-	})
-
+	// Phase B: fan out by canonical host pair. The feed listed each
+	// shard's connections in global order as they arrived, so each
+	// worker sees exactly the serial subsequence of its pairs.
 	trace := a.traceCount
 	h := newHandoff(a.win, nshard, maxTS)
 	run := func(w int) {
@@ -137,8 +136,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 		// processConn replays one connection into the worker's current
 		// aggregates.
 		processConn := func(i int32, ca *connAggregates) {
-			rec := recs[i]
-			conn := rec.Conn
+			conn := conns[i]
 			app := connStreamsOf(conn)
 			// AgedOut census: every connection (kept or filtered) idle
 			// past the horizon at end of trace. Idle-split predecessor
@@ -154,7 +152,7 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 				// success rates, backup).
 				ap.transportConn(conn, names[i])
 				if a.opts.PayloadAnalysis && app != nil {
-					a.parseConnPayload(ap, trace, rec, names[i], app)
+					a.parseConnPayload(ap, trace, conn, names[i], app)
 				}
 			}
 			if app != nil {
@@ -169,7 +167,11 @@ func (a *Analyzer) replayApps(recs []pipeline.ConnRecord, events []udpEvent, kep
 				ca.hostile.fold(app)
 			}
 		}
-		a.replayShard(workers[w], h, w, recs, connsByShard[w], events, udpByShard[w], processConn)
+		// The shard's pass goroutine stopped at end of input
+		// (traceFeed.finish): the rest of its UDP pass is this
+		// goroutine's.
+		f.replayUDP(w, true)
+		a.replayShard(workers[w], h, w, conns, f.byShard[w], &f.passes[w].cuts, processConn)
 		h.bankUntilAllPassed()
 	}
 	// Even a single replay worker runs as a goroutine, so the caller's
@@ -232,59 +234,372 @@ func (rw *replayWorker) drain(e *epochAgg) {
 	}
 }
 
-// replayShard is one worker's replay of its share of a trace: UDP
-// messages first, in arrival order — the order the sequential path
-// parsed them in relative to connection replay — then connections (a
-// connection banks wholly into the window of its first packet, even
-// when it straddles a boundary). The worker cuts wherever it crosses a
-// window boundary in event time, and a windowed run also cuts at end of
-// trace, so that every window the trace touched has its share. Each
-// pass walks in arrival order, which within a trace is timestamp order,
-// so its cuts are monotone; timestamp regressions (possible in real
-// captures) clamp to the current window.
+// replayShard is one worker's connection pass over its share of a
+// trace, after its UDP pass (traceFeed.replayUDP) has replayed the
+// shard's datagrams in arrival order — the order the sequential path
+// parsed them in relative to connection replay. A connection banks
+// wholly into the window of its first packet, even when it straddles a
+// boundary. The shard cuts wherever either pass crosses a window
+// boundary in event time (c carries the UDP pass's place on the window
+// clock into this one), and a windowed run also cuts at end of trace,
+// so that every window the trace touched has its share. Each pass walks
+// in arrival order, which within a trace is timestamp order, so its cuts
+// are monotone; timestamp regressions (possible in real captures) clamp
+// to the current window.
 //
 // The worker hands its cuts to h whenever its connection pass enters a
 // new window — its frontier: it will cut nothing more below it — and
-// once more, as done, at the end. Its UDP pass publishes no frontier:
-// a connection may still bank into any window the UDP pass crossed. An
-// unwindowed run has no boundaries (every timestamp maps to window 0)
-// and no window waiting on the shard, so the worker never cuts and
-// publishes nothing but its frontier: the shard accumulates across
-// traces until Report drains it. Workers never wait for each other to
-// replay (a lagging worker cuts late, and holds the windows it has not
-// passed); one that is done banks for the rest (see handoff).
-func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, recs []pipeline.ConnRecord, connIdx []int32, events []udpEvent, udpIdx []int32, processConn func(int32, *connAggregates)) {
-	var deltas []windowDelta
-	cur, floor := -1, 0
-	// enter moves the worker into the window of ts (never below the
-	// pass's floor), cutting what it banked in the window it leaves.
-	enter := func(ts time.Time) {
-		floor = max(floor, a.win.windowOf(ts))
-		if cur >= 0 && floor != cur {
-			deltas = rw.closeWindow(deltas, cur)
-		}
-		cur = floor
-	}
-	for _, j := range udpIdx {
-		ev := &events[j]
-		enter(ev.ts)
-		replayUDPEvent(rw.shard.apps, ev)
-	}
-	floor = 0
+// once more, as done, at the end. The UDP pass publishes no frontier: a
+// connection may still bank into any window the UDP pass crossed, so
+// its cuts go out with the first frontier. An unwindowed run has no
+// boundaries (every timestamp maps to window 0) and no window waiting on
+// the shard, so the worker never cuts and publishes nothing but its
+// frontier: the shard accumulates across traces until Report drains it.
+// Workers never wait for each other to replay (a lagging worker cuts
+// late, and holds the windows it has not passed); one that is done banks
+// for the rest (see handoff).
+func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, conns []*flows.Conn, connIdx []int32, c *shardCuts, processConn func(int32, *connAggregates)) {
+	c.floor = 0
 	frontier := -1
 	for _, i := range connIdx {
-		enter(recs[i].Conn.Start)
-		if cur != frontier {
-			frontier = cur
-			h.publish(w, deltas, frontier)
-			deltas = deltas[:0]
+		c.enter(rw, a.win, conns[i].Start)
+		if c.cur != frontier {
+			frontier = c.cur
+			h.publish(w, c.deltas, frontier)
+			clear(c.deltas) // banked by move: the window owns them now
+			c.deltas = c.deltas[:0]
 		}
 		processConn(i, &rw.shard.connAggregates)
 	}
-	if a.Windowing() && cur >= 0 {
-		deltas = rw.closeWindow(deltas, cur)
+	if a.Windowing() && c.cur >= 0 {
+		c.deltas = rw.closeWindow(c.deltas, c.cur)
 	}
-	h.publish(w, deltas, passedAll)
+	h.publish(w, c.deltas, passedAll)
+}
+
+// shardCuts is a replay shard's place on the window clock during one
+// trace: the window it is in (-1 before its first datagram or
+// connection), the floor the current pass does not fall below, and the
+// deltas it has cut and not yet handed over.
+type shardCuts struct {
+	cur, floor int
+	deltas     []windowDelta
+}
+
+// enter moves the shard into the window of ts (never below the pass's
+// floor), cutting what it banked in the window it leaves.
+func (c *shardCuts) enter(rw *replayWorker, ws *windowState, ts time.Time) {
+	c.floor = max(c.floor, ws.windowOf(ts))
+	if c.cur >= 0 && c.floor != c.cur {
+		c.deltas = rw.closeWindow(c.deltas, c.cur)
+	}
+	c.cur = c.floor
+}
+
+// traceFeed is the hand-off from the packet stage to the replay shards
+// while a trace is still being read. Once per batch each pipeline shard's
+// sink publishes the connections it created, the datagrams it captured
+// (already split by replay shard, pairShard) and its watermark
+// (pipeline.Sink.Publish). The smallest watermark over the pipeline
+// shards is the feed's frontier: every shard has published everything
+// below it. Below the frontier the feed keeps
+//
+//   - the trace's connections in canonical first-packet order, the order
+//     pipeline.Result.SortedConns gives after the run, with each replay
+//     shard's positions in it: built under the lock by the publisher;
+//   - each replay shard's UDP pass: its datagrams replayed in global
+//     index order by the shard's pass goroutine, which a publish wakes
+//     when the pass is due (start, kick).
+//
+// Neither reads anything end of input decides. What does — the scanner
+// census, phase A, the connection pass, the load, fan and role
+// censuses — waits for AddTraceSource: the census is trace-wide, and a
+// TCP connection's originator may still flip (flows.Conn.reorient) until
+// it sees its SYN.
+//
+// Like the replay workers, the feed lives as long as the Analyzer, its
+// widths fixed at first use, and reset empties it after each trace: it
+// keeps its buffers, so a trace allocates nothing here once the first
+// has grown them.
+type traceFeed struct {
+	ws      *windowState
+	workers []*replayWorker
+	// replayed counts the datagrams the UDP passes have replayed, across
+	// traces. It moves while a trace is read; the test that the pass runs
+	// during the read watches it.
+	replayed atomic.Int64
+
+	// in is each pipeline shard's side of the feed.
+	in []*feedIn
+
+	mu sync.Mutex
+	// conns is the trace's connections below the frontier in
+	// first-packet order; byShard lists each replay shard's positions in
+	// conns, in the same order.
+	conns   []*flows.Conn
+	byShard [][]int32
+	// udp holds each replay shard's published datagrams, one run per
+	// pipeline shard, each in index order. The shard's pass has replayed
+	// a prefix of each run (udpPass.pos) and drops it when it next looks;
+	// a publisher only appends, past the end the pass reads to.
+	udp [][][]udpEvent
+
+	passes []udpPass
+	// waiting counts, per replay shard, the datagrams published since its
+	// pass last looked.
+	waiting []int
+
+	// wake holds each pass goroutine's wake-up, running the goroutines,
+	// while a trace with payload analysis is read.
+	wake    []chan struct{}
+	running sync.WaitGroup
+}
+
+// feedIn is one pipeline shard's side of the feed: the batch its sink is
+// filling, which only the shard's goroutine touches, and — under the
+// feed's lock — what it has published.
+type feedIn struct {
+	// batchConns and batchUDP (per replay shard) are the batch's
+	// connections and datagrams, until Publish hands them over; due marks
+	// the replay shards whose UDP pass the publish should run.
+	batchConns []fedConn
+	batchUDP   [][]udpEvent
+	due        []bool
+
+	// through is the shard's last published watermark; pending its
+	// published connections not yet below the frontier, in creation (=
+	// first-packet) order, of which order has taken off.
+	through int64
+	pending []fedConn
+	off     int
+}
+
+// fedConn is a connection as its sink publishes it: with its
+// first-packet index and its replay shard, both fixed at creation. The
+// shard is hashed there, by the connection's own worker: reorientation
+// swaps Key's addresses later, which pairShard does not see but a read
+// from another goroutine would race.
+type fedConn struct {
+	conn  *flows.Conn
+	idx   int64
+	shard int
+}
+
+// udpPass is one replay shard's UDP pass over a trace: run by its pass
+// goroutine while the trace is read, finished by the replay worker after.
+type udpPass struct {
+	// pos is how far the pass has replayed each pipeline shard's run of
+	// runs, the snapshot of the feed's runs it is reading.
+	pos  []int
+	runs [][]udpEvent
+	cuts shardCuts
+}
+
+func newTraceFeed(ws *windowState, workers []*replayWorker, pipelineShards int) *traceFeed {
+	n := len(workers)
+	f := &traceFeed{
+		ws:      ws,
+		workers: workers,
+		in:      make([]*feedIn, pipelineShards),
+		byShard: make([][]int32, n),
+		udp:     make([][][]udpEvent, n),
+		passes:  make([]udpPass, n),
+		waiting: make([]int, n),
+	}
+	for q := range f.in {
+		f.in[q] = &feedIn{batchUDP: make([][]udpEvent, n), due: make([]bool, n)}
+	}
+	for r := range f.udp {
+		f.udp[r] = make([][]udpEvent, pipelineShards)
+		f.passes[r].pos = make([]int, pipelineShards)
+		f.passes[r].cuts.cur = -1
+	}
+	return f
+}
+
+// reset empties the feed once a trace is done with it. The buffers stay
+// for the next trace; the trace's connections, datagrams and deltas in
+// them do not, or the last trace's would stay reachable for as long as
+// the Analyzer lives.
+func (f *traceFeed) reset() {
+	for _, in := range f.in {
+		clear(in.pending)
+		in.through, in.pending, in.off = 0, in.pending[:0], 0
+	}
+	clear(f.conns)
+	f.conns = f.conns[:0]
+	for r, runs := range f.udp {
+		f.byShard[r], f.waiting[r] = f.byShard[r][:0], 0
+		p := &f.passes[r]
+		for q, run := range runs {
+			clear(run)
+			runs[q] = run[:0]
+			p.pos[q] = 0
+		}
+		clear(p.cuts.deltas)
+		p.cuts = shardCuts{cur: -1, deltas: p.cuts.deltas[:0]}
+	}
+}
+
+// publish takes pipeline shard q's batch and watermark, empties the
+// batch, and orders the connections the frontier has passed. It marks
+// due the UDP passes to run now: every one when more is false — the
+// worker has no batch of its own queued — and otherwise those with
+// passBacklog datagrams waiting.
+func (f *traceFeed) publish(q int, through int64, more bool) {
+	in := f.in[q]
+	f.mu.Lock()
+	in.pending = append(in.pending, in.batchConns...)
+	for r, evs := range in.batchUDP {
+		f.udp[r][q] = append(f.udp[r][q], evs...)
+		f.waiting[r] += len(evs)
+		in.due[r] = !more || f.waiting[r] >= passBacklog
+	}
+	in.through = through
+	f.order(f.frontier())
+	f.mu.Unlock()
+	// What the batch held is the feed's to keep now; the sink's copies
+	// must not keep a connection or a payload alive.
+	clear(in.batchConns)
+	in.batchConns = in.batchConns[:0]
+	for r, evs := range in.batchUDP {
+		clear(evs)
+		in.batchUDP[r] = evs[:0]
+	}
+}
+
+// finish is end of input: each shard has published all it will. It
+// stops the pass goroutines — what is left of each pass is its replay
+// worker's — and orders every connection left.
+func (f *traceFeed) finish() {
+	for _, wake := range f.wake {
+		close(wake)
+	}
+	f.running.Wait()
+	f.wake = f.wake[:0]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.order(math.MaxInt64)
+}
+
+// frontier is the smallest watermark. Callers hold mu.
+func (f *traceFeed) frontier() int64 {
+	lo := int64(math.MaxInt64)
+	for _, in := range f.in {
+		lo = min(lo, in.through)
+	}
+	return lo
+}
+
+// order moves the pending connections below bound into canonical order:
+// a merge of the shards' runs by first-packet index, which is unique, so
+// the order is total and the same for any shard count. Callers hold mu.
+func (f *traceFeed) order(bound int64) {
+	for {
+		var best *feedIn
+		bestIdx := bound
+		for _, in := range f.in {
+			if in.off < len(in.pending) && in.pending[in.off].idx < bestIdx {
+				best, bestIdx = in, in.pending[in.off].idx
+			}
+		}
+		if best == nil {
+			break
+		}
+		fc := best.pending[best.off]
+		best.off++
+		f.byShard[fc.shard] = append(f.byShard[fc.shard], int32(len(f.conns)))
+		f.conns = append(f.conns, fc.conn)
+	}
+	for _, in := range f.in {
+		n := copy(in.pending, in.pending[in.off:])
+		clear(in.pending[n:])
+		in.pending, in.off = in.pending[:n], 0
+	}
+}
+
+// passBacklog is how many datagrams a replay shard's UDP pass lets wait
+// while the publishing worker has batches of its own queued. Each run
+// of a pass takes a core from the packet path and fills its cache with
+// the analyzers'; a pass after every batch on a busy worker cost more
+// than the replay it carried (EXPERIMENTS "UDP messages replay while the
+// trace is read").
+const passBacklog = 256
+
+// start runs one goroutine per replay shard for the trace's read. Each
+// sleeps until a publish makes its pass due (kick), then replays what
+// the frontier has passed; finish ends them. Between wake-ups they are
+// not runnable, so on two vCPUs they take a core only for work that is
+// there — which is why they measured better than handoff's rule here,
+// running the pass on whichever pipeline worker publishes (EXPERIMENTS
+// "UDP messages replay while the trace is read" has both).
+func (f *traceFeed) start() {
+	for r := range f.passes {
+		wake := make(chan struct{}, 1)
+		f.wake = append(f.wake, wake)
+		f.running.Add(1)
+		go func() {
+			defer f.running.Done()
+			for range wake {
+				f.replayUDP(r, false)
+			}
+		}()
+	}
+}
+
+// kick wakes replay shard r's pass goroutine, unless a wake-up is
+// already pending: the run that takes it sees this publish too.
+func (f *traceFeed) kick(r int) {
+	select {
+	case f.wake[r] <- struct{}{}:
+	default:
+	}
+}
+
+// replayUDP replays replay shard r's published datagrams below the
+// frontier — all of them when all is set, at end of input — in global
+// index order, cutting wherever they cross a window boundary. One
+// goroutine runs a pass at a time: its pass goroutine while the trace is
+// read, its replay worker after. The feed's lock is held only to drop
+// what the pass replayed before and take the runs as they stand.
+func (f *traceFeed) replayUDP(r int, all bool) {
+	p := &f.passes[r]
+	f.mu.Lock()
+	bound := int64(math.MaxInt64)
+	if !all {
+		bound = f.frontier()
+	}
+	f.waiting[r] = 0
+	for q, run := range f.udp[r] {
+		n := copy(run, run[p.pos[q]:])
+		clear(run[n:]) // the replayed datagrams' payloads may go
+		f.udp[r][q] = run[:n]
+		p.pos[q] = 0
+		p.runs = append(p.runs, run[:n])
+	}
+	f.mu.Unlock()
+
+	rw := f.workers[r]
+	var n int64
+	for {
+		best, bestIdx := -1, bound
+		for q, run := range p.runs {
+			if i := p.pos[q]; i < len(run) && run[i].idx < bestIdx {
+				best, bestIdx = q, run[i].idx
+			}
+		}
+		if best < 0 {
+			break
+		}
+		ev := &p.runs[best][p.pos[best]]
+		p.pos[best]++
+		p.cuts.enter(rw, f.ws, ev.ts)
+		replayUDPEvent(rw.shard.apps, ev)
+		n++
+	}
+	clear(p.runs)
+	p.runs = p.runs[:0]
+	f.replayed.Add(n)
 }
 
 // passedAll is the frontier of a worker that has finished its share of
@@ -458,8 +773,7 @@ func newConnAggregates() *connAggregates {
 // parseConnPayload replays one kept connection's reassembled payload
 // into the worker's aggregate shard. name is the phase-A classification
 // snapshot.
-func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.ConnRecord, name string, app *connStreams) {
-	conn := rec.Conn
+func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, conn *flows.Conn, name string, app *connStreams) {
 	client, server := conn.Key.Src, conn.Key.Dst
 	wan := connWAN(conn)
 	if app.buffered && name != "DCE/RPC-EPM" && !(name == "FTP" && conn.Key.DstPort == 21) {
@@ -493,7 +807,7 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 		}
 		streams.cli.End()
 		streams.srv.End()
-		ap.cifsStreams(dcerpc.ChanKey{Trace: trace, Conn: rec.FirstIdx, Side: dcerpc.SideBoth}, conn, &streams.cli, &streams.srv)
+		ap.cifsStreams(dcerpc.ChanKey{Trace: trace, Conn: conn.FirstIdx, Side: dcerpc.SideBoth}, conn, &streams.cli, &streams.srv)
 	case "NCP":
 		if app.ncp != nil {
 			ap.ncp.Records(client, server, app.ncp.cli.Records())
@@ -513,39 +827,14 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, rec pipeline.C
 		}
 		ap.markNFSPair(client, server, false)
 	case "Spoolss":
-		key := dcerpc.ChanKey{Trace: trace, Conn: rec.FirstIdx, Side: dcerpc.SideBoth}
+		key := dcerpc.ChanKey{Trace: trace, Conn: conn.FirstIdx, Side: dcerpc.SideBoth}
 		ap.rpc.Stream(key, app.cliBuf.Buf)
 		ap.rpc.Stream(key, app.srvBuf.Buf)
 	case "FTP":
 		if conn.Key.DstPort == 21 {
-			ap.ftpSession(trace, rec.FirstIdx, ftp.Analyze(app.cliBuf.Buf, app.srvBuf.Buf))
+			ap.ftpSession(trace, conn.FirstIdx, ftp.Analyze(app.cliBuf.Buf, app.srvBuf.Buf))
 		}
 	}
-}
-
-// partitionByPair lists, per replay shard, the indices of the n items
-// whose host pair (pair(i)) maps there, in index order. One allocation
-// backs every shard's list.
-func partitionByPair(n, nshard int, pair func(i int) (netip.Addr, netip.Addr)) [][]int32 {
-	shardOf := make([]uint8, n) // nshard ≤ maxReplayWorkers
-	counts := make([]int, nshard)
-	for i := range shardOf {
-		x, y := pair(i)
-		s := pairShard(x, y, nshard)
-		shardOf[i] = uint8(s)
-		counts[s]++
-	}
-	flat := make([]int32, n)
-	out := make([][]int32, nshard)
-	off := 0
-	for s, c := range counts {
-		out[s] = flat[off : off : off+c]
-		off += c
-	}
-	for i, s := range shardOf {
-		out[s] = append(out[s], int32(i))
-	}
-	return out
 }
 
 // pairShard maps an unordered address pair onto a replay shard. The
@@ -665,17 +954,4 @@ func (a *Analyzer) replayEPM(key dcerpc.ChanKey, segs [][]byte) {
 			a.registry.Register(netip.AddrFrom4(pdu.Host), layers.ProtoTCP, pdu.Port, name, categories.Windows)
 		}
 	}
-}
-
-// mergeUDPEvents collects every shard's captured datagrams into global
-// arrival order. Each shard's slice is already sorted by global index
-// (packets route to a pipeline worker in read order), so this is a
-// k-way merge of sorted runs, one per worker, not a sort; idx values are
-// unique, so the order is total.
-func mergeUDPEvents(sinks []*shardSink) []udpEvent {
-	runs := make([][]udpEvent, 0, len(sinks))
-	for _, s := range sinks {
-		runs = append(runs, s.udp)
-	}
-	return kmerge.MergeBy(runs, func(e udpEvent) int64 { return e.idx })
 }

@@ -271,8 +271,10 @@ type NameServiceReport struct {
 	DNSMedianLatencyWanMs float64
 	DNSTypes              map[string]float64
 	DNSRcodes             map[string]float64
-	// Top-10 client share of requests (the paper: DNS concentrated, NBNS
-	// spread with top ten < 40%).
+	// Top-10 client share of requests. The paper finds DNS concentrated
+	// and NBNS spread (top ten < 40%); the DNS half is not reproduced:
+	// the generator gives every client 7–17 lookups a trace, so the top
+	// ten carry about 4% of DNS requests (EXPERIMENTS, §5.1.3 row).
 	DNSTop10ClientShare  float64
 	NBNSTop10ClientShare float64
 	NBNSOps              map[string]float64
@@ -376,6 +378,11 @@ type LoadReport struct {
 // banking order; the replay workers drain into it here, in shard order,
 // so the report is byte-identical for any window length and worker
 // count, however often it is taken. Must not race an in-flight Add*.
+//
+// After an Add* has failed under FailFast (Options.OnError), the report
+// is not one of whole traces: the replay shards had already taken in
+// part of the aborted trace's UDP messages, and they drain with the
+// rest. Stop at the first error to keep only completed traces.
 func (a *Analyzer) Report() *Report {
 	a.win.mu.Lock()
 	defer a.win.mu.Unlock()

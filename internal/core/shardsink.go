@@ -52,12 +52,17 @@ const unknownStreamLimit = 1 << 20
 // accumulators that merge cheaply after the run, plus the reassembled
 // application streams and captured UDP messages that the deterministic
 // replay consumes. It is owned by one pipeline worker; nothing here is
-// shared while packets flow.
+// shared while packets flow except through feed, to which the sink
+// publishes its batch's connections and datagrams.
 type shardSink struct {
 	opts      *Options
 	registry  *categories.Registry
 	monitored netip.Prefix
 	base      time.Time
+	feed      *traceFeed
+	// shard is the sink's pipeline shard, in is its side of feed.
+	shard int
+	in    *feedIn
 
 	// Packet-level accumulators (merged across shards in shard order).
 	// netLayer counts frames per network-layer class; the host sets are
@@ -72,10 +77,11 @@ type shardSink struct {
 	// window completion in windowed mode.
 	maxTS time.Time
 
-	// Deferred application state, replayed in global packet order. The
-	// TCP half is not here: each connection's connStreams hangs off its
-	// flows.Conn (the App slot) and reaches replay with the connection.
-	udp []udpEvent
+	// The batch's connections and datagrams are in in, until Publish
+	// hands them to feed. A connection's streams are not: its
+	// connStreams hangs off its flows.Conn (the App slot) and reaches
+	// replay with the connection.
+	//
 	// udpSlab is the open chunk of the storage the udp payloads are copied
 	// into. A chunk is appended to and never regrown — a full one is left
 	// to the payload slices that point into it — so those slices stay
@@ -146,12 +152,15 @@ type connStreams struct {
 	postRSTData int64
 }
 
-func newShardSink(opts *Options, registry *categories.Registry, monitored netip.Prefix, base time.Time) *shardSink {
+func newShardSink(opts *Options, registry *categories.Registry, monitored netip.Prefix, base time.Time, feed *traceFeed, shard int) *shardSink {
 	return &shardSink{
 		opts:        opts,
 		registry:    registry,
 		monitored:   monitored,
 		base:        base,
+		feed:        feed,
+		shard:       shard,
+		in:          feed.in[shard],
 		monHosts:    make(map[netip.Addr]struct{}),
 		localHosts:  make(map[netip.Addr]struct{}),
 		remoteHosts: make(map[netip.Addr]struct{}),
@@ -209,6 +218,7 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	if conn != nil && idx == conn.FirstIdx {
 		s.recordHost(conn.Key.Src)
 		s.recordHost(conn.Key.Dst)
+		s.in.batchConns = append(s.in.batchConns, fedConn{conn: conn, idx: idx, shard: pairShard(conn.Key.Src, conn.Key.Dst, len(s.in.batchUDP))})
 	}
 	s.bin(pk.Timestamp, pk.OrigLen)
 	if pk.Timestamp.After(s.maxTS) {
@@ -396,11 +406,27 @@ func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 	s.udpSlab = append(s.udpSlab, p.Payload...)
 	src, _ := p.NetSrc()
 	dst, _ := p.NetDst()
-	s.udp = append(s.udp, udpEvent{
+	b := s.in.batchUDP
+	r := pairShard(src, dst, len(b))
+	b[r] = append(b[r], udpEvent{
 		idx: idx, ts: pk.Timestamp, src: src, dst: dst,
 		srcPort: p.UDP.SrcPort, dstPort: p.UDP.DstPort,
 		payload: s.udpSlab[at:len(s.udpSlab):len(s.udpSlab)],
 	})
+}
+
+// Publish implements pipeline.Sink: it hands the batch's connections and
+// datagrams to the feed and wakes the UDP passes the publish made due.
+func (s *shardSink) Publish(through int64, more bool) {
+	s.feed.publish(s.shard, through, more)
+	if !s.opts.PayloadAnalysis {
+		return // no datagram is ever captured, no pass runs
+	}
+	for r, due := range s.in.due {
+		if due {
+			s.feed.kick(r)
+		}
+	}
 }
 
 // netClass is the frame's row of Table 2.

@@ -1,7 +1,9 @@
-// Package kmerge merges k pre-sorted runs into one sorted slice. Its two
-// callers — pipeline.Result.SortedConns (per-shard connection runs →
-// first-packet order) and core's mergeUDPEvents (per-shard datagram runs
-// → arrival order) — merge one run per pipeline worker, so k ≤ Workers.
+// Package kmerge merges k pre-sorted runs into one sorted slice. Its
+// caller, pipeline.Result.SortedConns (per-shard connection runs →
+// first-packet order), merges one run per pipeline worker, so k ≤
+// Workers. core's traceFeed runs the same head scan incrementally, over
+// connections and datagrams as the shards publish them, bounded by the
+// shards' watermarks; it has no use for a one-shot merge.
 //
 // The merge is a head scan, O(n·k). A loser tree (O(n log k), 260 lines)
 // stood here from PR 10 and was deleted for want of a number: over

@@ -12,8 +12,9 @@
 // Result.SortedConns returns the dataset's connections in first-packet
 // order regardless of worker count, which is what lets the analysis layer
 // produce bit-identical reports for 1 or N workers: all cross-connection
-// accumulation is replayed in that canonical order after the workers
-// finish.
+// accumulation is replayed in that canonical order. A caller that wants
+// the order before the workers finish builds it from Sink.Publish: the
+// smallest watermark over shards bounds what every shard has seen.
 package pipeline
 
 import (
@@ -98,9 +99,10 @@ type SourceError struct {
 }
 
 // Sink receives per-packet callbacks on one shard. A Sink is owned by a
-// single worker goroutine and needs no synchronization; all cross-shard
-// aggregation happens after Run returns, when the caller walks
-// Result.Shards in shard order.
+// single worker goroutine and needs no synchronization; cross-shard
+// aggregation happens either after Run returns, when the caller walks
+// Result.Shards in shard order, or at the shard's batch boundaries, when
+// Publish hands the caller what the shard has seen so far.
 //
 // Per-connection sink state lives on the connection, not in a map keyed
 // by it: conn.App is the sink's own slot (the pipeline never touches it),
@@ -123,6 +125,17 @@ type Sink interface {
 	Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir)
 	// Undecodable is called for packets layers.Decode rejects.
 	Undecodable(idx int64)
+	// Publish is called once per batch, never per packet, after the
+	// batch's callbacks: every packet routed to this shard whose global
+	// index is below through has been passed to Packet or Undecodable.
+	// through never decreases. more reports that another batch is already
+	// queued for the shard, so work the sink defers to a quiet moment can
+	// wait. The worker path calls it after each batch it drains; a
+	// single-worker run, whose worker is its reader and never has a batch
+	// queued, every BatchSize packets and once at end of input. It runs on
+	// the shard's goroutine, like Packet, and is the sink's chance to hand
+	// its batch to other goroutines while the source is still being read.
+	Publish(through int64, more bool)
 }
 
 // Config parameterizes a pipeline run.
@@ -209,13 +222,21 @@ type item struct {
 	p   *pcap.Packet
 }
 
+// batch is what the router hands a worker: the shard's next packets, in
+// routing order, and the read position they bring it to — every packet
+// routed to the shard below through is in this batch or an earlier one.
+type batch struct {
+	items   []item
+	through int64
+}
+
 // worker owns one shard: a connection table and the caller's sink.
 type worker struct {
 	shard int
 	tbl   *flows.Table
 	sink  Sink
 	pkt   layers.Packet
-	in    chan []item
+	in    chan batch
 	// batches takes drained batches back, packets and all, for the router
 	// to release and refill.
 	batches *batchPool
@@ -246,12 +267,16 @@ func (w *worker) process(it item) {
 	}
 }
 
+// drain processes the shard's batches and publishes after each one.
 func (w *worker) drain() {
-	for batch := range w.in {
-		for _, it := range batch {
+	for b := range w.in {
+		for _, it := range b.items {
 			w.process(it)
 		}
-		w.batches.put(batch)
+		w.batches.put(b.items)
+		if w.sink != nil {
+			w.sink.Publish(b.through, len(w.in) > 0)
+		}
 	}
 }
 
@@ -443,14 +468,14 @@ func Run(src Source, cfg Config) (*Result, error) {
 	}
 
 	if workers == 1 {
-		return runSerial(rdr, first, cfg, res, release)
+		return runSerial(rdr, first, cfg, batchSize, res, release)
 	}
 
 	batches := newBatchPool(workers, batchSize, release)
 	ws := make([]*worker, workers)
 	for i := 0; i < workers; i++ {
 		ws[i] = newWorker(i, cfg, base)
-		ws[i].in = make(chan []item, workerQueueDepth)
+		ws[i].in = make(chan batch, workerQueueDepth)
 		ws[i].batches = batches
 	}
 	done := make(chan int, workers)
@@ -466,10 +491,25 @@ func Run(src Source, cfg Config) (*Result, error) {
 	for s := range pending {
 		pending[s] = batches.get()
 	}
-	flush := func(s int) {
-		if len(pending[s]) > 0 {
-			ws[s].in <- pending[s]
-			pending[s] = batches.get()
+	// sent is each shard's read position as its last batch carried it.
+	sent := make([]int64, workers)
+	sendTo := func(s int, through int64) {
+		ws[s].in <- batch{pending[s], through}
+		pending[s] = batches.get()
+		sent[s] = through
+	}
+	// A shard the read has left behind — its flows quiet while another
+	// shard's are busy — still has its read position carried on, in
+	// whatever it holds or an empty batch, so that a caller ordering
+	// shards by their watermarks is not held up by it. Only a shard with
+	// nothing queued is: one with batches waiting is behind, not left
+	// behind, and a catch-up queued behind another would be stale.
+	leftBehind := int64(2 * workers * batchSize)
+	catchUp := func(idx int64) {
+		for s := range ws {
+			if idx-sent[s] >= leftBehind && len(ws[s].in) == 0 {
+				sendTo(s, idx)
+			}
 		}
 	}
 
@@ -478,10 +518,11 @@ func Run(src Source, cfg Config) (*Result, error) {
 	for {
 		s := shardOf(pk.Data, workers)
 		pending[s] = append(pending[s], item{idx: idx, p: pk})
-		if len(pending[s]) >= batchSize {
-			flush(s)
-		}
 		idx++
+		if len(pending[s]) >= batchSize {
+			sendTo(s, idx)
+			catchUp(idx)
+		}
 		var ok bool
 		pk, ok = rdr.next(idx)
 		if !ok {
@@ -490,7 +531,9 @@ func Run(src Source, cfg Config) (*Result, error) {
 	}
 	res.Packets = idx
 	for s := range ws {
-		flush(s)
+		if len(pending[s]) > 0 {
+			sendTo(s, idx)
+		}
 		close(ws[s].in)
 	}
 	for range ws {
@@ -510,8 +553,9 @@ func Run(src Source, cfg Config) (*Result, error) {
 // benchmark/'s traced op runs at Workers: 1 so that its stage spans do
 // not overlap and sum to the op, and pipeline.w2_over_w1 and
 // core.w_default_over_w1 are ratios over this path (0.78–0.90 and
-// 0.77–0.87 on two vCPUs, EXPERIMENTS "pkts/sec versus cores").
-func runSerial(rdr *sourceReader, first *pcap.Packet, cfg Config, res *Result, release func(*pcap.Packet)) (*Result, error) {
+// 0.77–0.87 on two vCPUs, EXPERIMENTS "pkts/sec versus cores"). It
+// publishes every batchSize packets, as the worker path does per batch.
+func runSerial(rdr *sourceReader, first *pcap.Packet, cfg Config, batchSize int, res *Result, release func(*pcap.Packet)) (*Result, error) {
 	w := newWorker(0, cfg, first.Timestamp)
 	pk := first
 	var idx int64
@@ -521,11 +565,17 @@ func runSerial(rdr *sourceReader, first *pcap.Packet, cfg Config, res *Result, r
 			release(pk)
 		}
 		idx++
+		if w.sink != nil && idx%int64(batchSize) == 0 {
+			w.sink.Publish(idx, false)
+		}
 		var ok bool
 		pk, ok = rdr.next(idx)
 		if !ok {
 			break
 		}
+	}
+	if w.sink != nil && idx%int64(batchSize) != 0 {
+		w.sink.Publish(idx, false)
 	}
 	res.Packets = idx
 	res.Shards = []ShardResult{w.finish()}

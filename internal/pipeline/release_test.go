@@ -78,7 +78,8 @@ func (s liveSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flo
 		s.dead.Add(1)
 	}
 }
-func (s liveSink) Undecodable(int64) {}
+func (s liveSink) Undecodable(int64)   {}
+func (s liveSink) Publish(int64, bool) {}
 
 // TestEveryPacketReleasedExactlyOnce pins the pooling contract of the
 // batch return path: whatever ends the run, every packet Next returned
