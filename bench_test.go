@@ -129,14 +129,6 @@ func BenchmarkTable2_NetworkLayerBreakdown(b *testing.B) {
 	})
 }
 
-func BenchmarkTable3_TransportBreakdown(b *testing.B) {
-	run(b, "D3", func(b *testing.B, r *core.Report) {
-		if r.Table3.BytesFrac["TCP"] < 0.5 || r.Table3.ConnsFrac["UDP"] < 0.5 {
-			b.Fatalf("transport mix: %+v", r.Table3)
-		}
-	})
-}
-
 func BenchmarkTable4_CategoryRegistry(b *testing.B) {
 	// Table 4 is the classification registry itself; measure lookups.
 	reg := categories.NewRegistry()
@@ -316,36 +308,6 @@ func BenchmarkTable15_Backup(b *testing.B) {
 		}
 		if total == 0 {
 			b.Fatalf("backup: %+v", r.Backup)
-		}
-	})
-}
-
-func BenchmarkFigure9_Utilization(b *testing.B) {
-	run(b, "D4", func(b *testing.B, r *core.Report) {
-		if len(r.Load.Peak1s) == 0 {
-			b.Fatal("no utilization data")
-		}
-	})
-}
-
-func BenchmarkFigure10_Retransmission(b *testing.B) {
-	run(b, "D4", func(b *testing.B, r *core.Report) {
-		any := false
-		for _, t := range r.Load.Traces {
-			if t.RetransEnt > 0 || t.RetransWan > 0 {
-				any = true
-			}
-		}
-		if !any {
-			b.Fatal("no retransmissions measured")
-		}
-	})
-}
-
-func BenchmarkScannerRemoval(b *testing.B) {
-	run(b, "D0", func(b *testing.B, r *core.Report) {
-		if r.Scan.Scanners == 0 || r.Scan.RemovedFraction == 0 {
-			b.Fatalf("scan: %+v", r.Scan)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 	a := NewAnalyzer(Options{Dataset: "cut", PayloadAnalysis: true})
 	for trace, tr := range gen.GenerateDataset(cfg).Traces {
 		// One replay shard, fed by nothing: the tap keeps every datagram.
-		feed := newTraceFeed(a.win, make([]*replayWorker, 1), 1)
+		feed := newTraceFeed(a.windowStore, make([]*replayWorker, 1), 1)
 		var sink *udpTap
 		res, err := pipeline.Run(pcap.NewSliceSource(tr.Packets), pipeline.Config{
 			Workers: 1,
@@ -174,10 +174,11 @@ func TestAppAggregatesCutIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(a.win.windows) < 3 {
-		t.Fatalf("%d windows banked: the check would be vacuous", len(a.win.windows))
+	if len(a.local.slots) < 3 {
+		t.Fatalf("%d windows banked: the check would be vacuous", len(a.local.slots))
 	}
-	for n, w := range a.win.windows {
+	for n, sl := range a.local.slots {
+		w := sl.agg
 		e := newEpochAgg()
 		fleet.Merge(e, w)
 		sharesNothing(t, fmt.Sprintf("window %d into an epoch", n), e, w)

@@ -147,9 +147,9 @@ type Analyzer struct {
 	// length and worker count.
 	cum *epochAgg
 
-	// win is the epoch-rotation state; it holds no windows when
-	// Options.Window == 0.
-	win *windowState
+	// windowStore holds the run's windows: the Analyzer is its one local
+	// site. It holds no windows when Options.Window == 0.
+	*windowStore
 
 	// apps holds the serial (phase A) application state — the Endpoint
 	// Mapper PDU accounting that rides along with port registration.
@@ -190,11 +190,6 @@ type Analyzer struct {
 
 	// pool recycles the reader's slabs across AddTraceReader calls.
 	pool *pcap.Pool
-
-	// final is the marshaled cumulative report a ReportServer publishes
-	// once analysis ends (SetFinal, on the analysis goroutine) and its
-	// handlers read; atomic, since the two race by design.
-	final atomic.Pointer[[]byte]
 }
 
 // Stop requests a graceful drain of any in-flight Add* call: intake
@@ -224,15 +219,16 @@ type locSplit struct {
 // NewAnalyzer returns an Analyzer for one dataset.
 func NewAnalyzer(opts Options) *Analyzer {
 	a := &Analyzer{
-		opts:     opts,
-		registry: categories.NewRegistry(),
-		cum:      newEpochAgg(),
-		win:      newWindowState(opts.Dataset, opts.Window, opts.OnWindow),
-		apps:     newAppAggregates(),
-		pool:     pcap.NewPool(),
+		opts:        opts,
+		registry:    categories.NewRegistry(),
+		cum:         newEpochAgg(),
+		windowStore: newWindowStore(opts.Dataset, opts.Window),
+		apps:        newAppAggregates(),
+		pool:        pcap.NewPool(),
 	}
+	a.local, a.onWindow = a.site(""), opts.OnWindow
 	a.traceCount = opts.TraceBase
-	a.win.setOrigin(opts.WindowOrigin)
+	a.setOrigin(opts.WindowOrigin)
 	return a
 }
 
@@ -307,7 +303,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 		NewSink: func(shard int, base time.Time) pipeline.Sink {
 			// The UDP pass cuts windows while the trace is read, so the
 			// window clock is pinned at the first packet.
-			a.win.setOrigin(base)
+			a.setOrigin(base)
 			s := newShardSink(&a.opts, a.registry, monitored, base, feed, shard)
 			sinks = append(sinks, s)
 			return s
@@ -411,7 +407,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// state (RPC binds) for later traces. Bank the delta into the window
 	// of the trace's last packet, then emit what that completes.
 	tgt.apps = fleet.Cut(a.apps)
-	a.win.finishTrace(a.cum, tgt, maxTS)
+	a.finishTrace(a.cum, tgt, maxTS)
 	return nil
 }
 
@@ -436,7 +432,7 @@ func (a *Analyzer) ensureFeed() *traceFeed {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		a.feed = newTraceFeed(a.win, a.replayWorkers, workers)
+		a.feed = newTraceFeed(a.windowStore, a.replayWorkers, workers)
 	}
 	return a.feed
 }
@@ -446,7 +442,7 @@ func (a *Analyzer) ensureFeed() *traceFeed {
 const maxReplayWorkers = 64
 
 // drainLocked folds every replay worker's share into the cumulative, in
-// shard order. Callers hold a.win.mu and must not race an in-flight
+// shard order. Callers hold a.mu and must not race an in-flight
 // Add*.
 func (a *Analyzer) drainLocked() {
 	for _, rw := range a.replayWorkers {

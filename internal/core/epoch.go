@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"sort"
 	"sync"
 	"time"
 
@@ -120,107 +121,136 @@ type windowDelta struct {
 	delta  *epochAgg
 }
 
-// windowState is the Analyzer's epoch-rotation machinery: the window
-// clock (origin + duration), the per-window aggregates, and the
-// event-time watermark that decides when a window is complete. All
-// access is mutex-guarded: the replay workers bank and emit through it
-// while a trace is still replaying (see handoff), and a serve-mode HTTP
-// handler reads window reports while analysis is still streaming.
+// windowStore holds per-window aggregates keyed by site, then window —
+// the accumulating panes of the Dataflow model — and answers every window
+// read of an Analyzer and of a Fleet alike: a single instance is a
+// one-site fleet. An Analyzer's store holds its local site alone, whose
+// slots the replay workers and each trace end merge into (bankDeltas,
+// finishTrace); a Fleet's holds a site per shipper, whose slots a
+// higher-sequence snapshot replaces whole (Fleet.Delta). Reads do not
+// tell the two apart: window n's report is built in place from the one
+// site holding it, or from a fold of every holder in site-name order.
 //
-// Every Analyzer has one. With dur == 0 the clock never gets an origin,
-// so every timestamp maps to the same window: replay workers see no
-// boundary and never cut, nothing is banked per window, and the
-// accessors answer "no windows". A window boundary is a cut point that
-// also banks its delta — not a second accumulation path.
-type windowState struct {
-	mu sync.Mutex
-	// dur is the window length; 0 means the run is not windowed.
-	dur      time.Duration
-	dataset  string
-	onWindow func(*WindowReport)
-
+// All access is under mu: the replay workers bank and emit while a trace
+// is still replaying (see handoff), frames land while a fleet serves, and
+// report-server handlers read windows meanwhile.
+type windowStore struct {
+	mu      sync.Mutex
+	dataset string
+	// dur and origin are the window clock; dur == 0 means not windowed.
+	// originSet records that the clock is pinned: an Analyzer's at its
+	// first packet (setOrigin), a Fleet's by its config or first Hello.
+	// An unpinned Analyzer clock maps every timestamp to window 0, so
+	// replay workers see no boundary and never cut, and nothing is banked
+	// per window.
+	dur       time.Duration
 	origin    time.Time
 	originSet bool
-	// watermark is the event time before which every window is complete:
-	// nothing the run has read can still bank into one. Mid-trace it is
-	// the start of the first window some replay worker has not passed
-	// (advance, from the hand-off; never past the trace's last packet),
-	// and at trace end the trace's last packet (finishTrace). Windows
-	// before it have been emitted.
-	watermark time.Time
-	// windows maps window index to the window's aggregate: everything
-	// banked into it so far, merged as it arrived — the workers' deltas
-	// of every trace that touched it (bankDeltas), the trace-granular
-	// delta of every trace that ended in it (finishTrace). It is the one
-	// store a window has: reports and exports are built from it in place,
-	// under mu. A window nothing was banked into has no entry and reads
-	// as emptyWindow. Windows stay addressable after completion: a later
-	// trace that overlaps one in event time banks into it (late data),
-	// and WindowReports() at the end of the run reflects everything. (The
-	// cumulative does not read these: each worker keeps a running
-	// aggregate of everything it cut, drained at Report.)
-	windows map[int]*epochAgg
-	// maxWindow is the highest window index known (banked or covered by
-	// the watermark); -1 before any data.
-	maxWindow int
-	// nextEmit is the first window index not yet emitted via onWindow.
+	sites     map[string]*siteState
+	// local is an Analyzer's own site (nil in a Fleet); nextEmit is the
+	// first of its windows not yet handed to onWindow.
+	local    *siteState
 	nextEmit int
-	// rendered memoises the windows' served bodies; every method that
-	// writes the clock or an aggregate under mu clears it (setOrigin,
-	// bankDeltas, finishTrace). advance moves only the watermark, which
-	// no body is rendered from.
+	onWindow func(*WindowReport)
+	// rendered memoises the served bodies. Every method that writes the
+	// clock or a slot, or changes what a site owes, clears it: setOrigin,
+	// bankDeltas and finishTrace locally; Fleet's Hello, Delta, Lost and
+	// Fin, and a Heartbeat that is a site's first contact. advance moves
+	// only the local watermark and horizon, which no body is rendered from.
 	rendered rendered
 }
 
-func newWindowState(dataset string, dur time.Duration, onWindow func(*WindowReport)) *windowState {
-	return &windowState{
-		dur:       dur,
-		dataset:   dataset,
-		onWindow:  onWindow,
-		windows:   make(map[int]*epochAgg),
-		maxWindow: -1,
-		rendered:  make(rendered),
-	}
+// siteState is one site's slots, horizon and liveness.
+type siteState struct {
+	// slots maps window index to the site's aggregate of it. The local
+	// site's holds everything banked into the window so far, merged as it
+	// arrived — the workers' deltas of every trace that touched it, the
+	// trace-granular delta of every trace that ended in it — and stays
+	// open after the window completes: a later trace that overlaps it in
+	// event time banks into it (late data). (The cumulative does not read
+	// these: each worker keeps a running aggregate of everything it cut,
+	// drained at Report.) A remote site's is the latest snapshot it
+	// delivered. A window with no slot reads as emptyWindow.
+	slots map[int]slot
+	// horizon is the highest window the site has banked, delivered,
+	// declared lost, finned through or (local) completed; -1 before any.
+	horizon int
+	lost    map[int]uint64 // window → seq of its latest LOST declaration
+	fin     bool
+	finMax  int
+	// watermark is the site's event-time watermark. The local site's is
+	// the time before which every window is complete and emitted: mid-trace
+	// the start of the first window some replay worker has not passed
+	// (advance; never past the trace's last packet), at trace end the
+	// trace's last packet (finishTrace). A remote site's is the highest its
+	// frames have carried.
+	watermark time.Time
+	connected bool
+	lastSeen  time.Time // wall clock of a remote site's last frame
 }
 
-// setOrigin pins the window clock to the first trace's first packet
-// timestamp. Idempotent; windows are aligned to multiples of dur from
-// this instant for the Analyzer's lifetime. An unwindowed run has no
-// clock to pin.
-func (ws *windowState) setOrigin(base time.Time) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.dur > 0 && !ws.originSet && !base.IsZero() {
-		ws.origin = base
-		ws.originSet = true
-		clear(ws.rendered)
+// slot is one site's aggregate of one window and the sequence number it
+// was delivered under: a remote site's slot is replaced only by a higher
+// one, the local site's (seq 0) is merged into.
+type slot struct {
+	seq uint64
+	agg *epochAgg
+}
+
+func newWindowStore(dataset string, dur time.Duration) *windowStore {
+	return &windowStore{dataset: dataset, dur: dur, sites: make(map[string]*siteState), rendered: make(rendered)}
+}
+
+// site returns the named site, creating it on first contact. Callers
+// hold st.mu.
+func (st *windowStore) site(name string) *siteState {
+	s := st.sites[name]
+	if s == nil {
+		s = &siteState{slots: make(map[int]slot), horizon: -1, lost: make(map[int]uint64), finMax: -1}
+		st.sites[name] = s
+	}
+	return s
+}
+
+// setOrigin pins an Analyzer's window clock to the first trace's first
+// packet timestamp. Idempotent; windows are aligned to multiples of dur
+// from this instant for the Analyzer's lifetime. An unwindowed run has
+// no clock to pin.
+func (st *windowStore) setOrigin(base time.Time) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dur > 0 && !st.originSet && !base.IsZero() {
+		st.origin = base
+		st.originSet = true
+		clear(st.rendered)
 	}
 }
 
 // windowOf maps a packet timestamp to its window index. Timestamps
 // before the origin (a later trace starting earlier in event time than
 // the first) clamp to window 0.
-func (ws *windowState) windowOf(ts time.Time) int {
-	if !ws.originSet {
+func (st *windowStore) windowOf(ts time.Time) int {
+	if !st.originSet {
 		return 0
 	}
-	d := ts.Sub(ws.origin)
+	d := ts.Sub(st.origin)
 	if d < 0 {
 		return 0
 	}
-	return int(d / ws.dur)
+	return int(d / st.dur)
 }
 
-// bankedLocked returns window n's aggregate for banking into, creating
-// it on first use. Callers hold ws.mu.
-func (ws *windowState) bankedLocked(n int) *epochAgg {
-	w := ws.windows[n]
-	if w == nil {
-		w = newWindowAgg()
-		ws.windows[n] = w
+// bankedLocked returns the local site's aggregate of window n for
+// banking into, creating it on first use. Callers hold st.mu.
+func (st *windowStore) bankedLocked(n int) *epochAgg {
+	s := st.local
+	sl := s.slots[n]
+	if sl.agg == nil {
+		sl.agg = newWindowAgg()
+		s.slots[n] = sl
 	}
-	ws.maxWindow = max(ws.maxWindow, n)
-	return w
+	s.horizon = max(s.horizon, n)
+	return sl.agg
 }
 
 // bankDeltas merges worker deltas into their windows, in the order
@@ -232,15 +262,15 @@ func (ws *windowState) bankedLocked(n int) *epochAgg {
 // pair's chronological fold (a pair's deltas all come from one shard, in
 // window order), which is what keeps the sum of windows equal to the
 // cumulative aggregate.
-func (ws *windowState) bankDeltas(deltas []windowDelta) {
+func (st *windowStore) bankDeltas(deltas []windowDelta) {
 	if len(deltas) == 0 {
 		return
 	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	clear(ws.rendered)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	clear(st.rendered)
 	for _, d := range deltas {
-		fleet.Merge(ws.bankedLocked(d.window), d.delta)
+		fleet.Merge(st.bankedLocked(d.window), d.delta)
 	}
 }
 
@@ -249,36 +279,37 @@ func (ws *windowState) bankDeltas(deltas []windowDelta) {
 // (passedAll when none is left), but never past maxTS — the trace
 // delta still banks into maxTS's window — and emits the windows that
 // completes. finishTrace takes it the rest of the way.
-func (ws *windowState) advance(lo int, maxTS time.Time) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if !ws.originSet {
+func (st *windowStore) advance(lo int, maxTS time.Time) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.originSet {
 		return
 	}
-	if start := ws.origin.Add(time.Duration(min(lo, ws.windowOf(maxTS))) * ws.dur); !start.After(maxTS) {
-		ws.advanceLocked(start)
+	if start := st.origin.Add(time.Duration(min(lo, st.windowOf(maxTS))) * st.dur); !start.After(maxTS) {
+		st.advanceLocked(start)
 	}
 }
 
-// advanceLocked lifts the watermark to to (it never moves back) and
-// emits every window strictly before the watermark's that has not been
-// emitted, each as soon as its report is built; gap windows with no
+// advanceLocked lifts the local watermark to to (it never moves back)
+// and emits every window strictly before the watermark's that has not
+// been emitted, each as soon as its report is built; gap windows with no
 // traffic at all are enumerated (and emitted) as empty reports. The
 // callback runs outside the lock (it may serve HTTP or block). Callers
-// hold ws.mu, and one caller at a time emits: a trace's hand-off
-// (one banking worker at a time), then its finishTrace after the join.
-func (ws *windowState) advanceLocked(to time.Time) {
-	if to.After(ws.watermark) {
-		ws.watermark = to
+// hold st.mu, and one caller at a time emits: a trace's hand-off (one
+// banking worker at a time), then its finishTrace after the join.
+func (st *windowStore) advanceLocked(to time.Time) {
+	s := st.local
+	if to.After(s.watermark) {
+		s.watermark = to
 	}
-	complete := ws.windowOf(ws.watermark)
-	ws.maxWindow = max(ws.maxWindow, complete-1)
-	for ws.onWindow != nil && ws.nextEmit < complete {
-		wr := ws.windowReportLocked(ws.nextEmit)
-		ws.nextEmit++
-		ws.mu.Unlock()
-		ws.onWindow(wr)
-		ws.mu.Lock()
+	complete := st.windowOf(s.watermark)
+	s.horizon = max(s.horizon, complete-1)
+	for st.onWindow != nil && st.nextEmit < complete {
+		wr := st.windowReportLocked(st.nextEmit)
+		st.nextEmit++
+		st.mu.Unlock()
+		st.onWindow(wr)
+		st.mu.Lock()
 	}
 }
 
@@ -293,121 +324,148 @@ func (ws *windowState) advanceLocked(to time.Time) {
 // the current watermark (so window sums still cover it), or into the
 // cumulative alone when no packet has ever been seen (or the run is not
 // windowed, and so has no clock) — either way the cumulative counts it.
-func (ws *windowState) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+func (st *windowStore) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	fleet.Merge(cum, traceDelta)
-	if !ws.originSet {
+	if !st.originSet {
 		return
 	}
 	at := maxTS
 	if at.IsZero() {
-		at = ws.watermark
+		at = st.local.watermark
 	}
 	// The cumulative copied the delta; the window may keep its parts.
-	fleet.Merge(ws.bankedLocked(ws.windowOf(at)), traceDelta)
-	clear(ws.rendered)
-	ws.advanceLocked(maxTS)
+	fleet.Merge(st.bankedLocked(st.windowOf(at)), traceDelta)
+	clear(st.rendered)
+	st.advanceLocked(maxTS)
 }
 
-// aggLocked returns window n's aggregate for reading. Callers hold
-// ws.mu, and keep it while they read: a report or an export is built
-// from the aggregate banking writes, not from a copy.
-func (ws *windowState) aggLocked(n int) *epochAgg {
-	if w := ws.windows[n]; w != nil {
-		return w
+// aggLocked returns window n's aggregate for reading: the slot of the one
+// site holding the window, read in place, or every holder's slot folded
+// into a fresh aggregate in site-name order — the concatenated-trace
+// banking order; emptyWindow when no site holds it. Callers hold st.mu,
+// and keep it while they read: a report or an export is built from the
+// aggregate banking writes, not from a copy.
+func (st *windowStore) aggLocked(n int) *epochAgg {
+	var one *epochAgg
+	holders := 0
+	for _, s := range st.sites {
+		if sl, ok := s.slots[n]; ok {
+			one, holders = sl.agg, holders+1
+		}
 	}
-	return emptyWindow
-}
-
-// windowReportLocked builds window n's report from its aggregate, in
-// place. Callers hold ws.mu.
-func (ws *windowState) windowReportLocked(n int) *WindowReport {
-	return newWindowReport(ws.dataset, ws.aggLocked(n), n, ws.origin, ws.dur)
-}
-
-// newWindowReport renders window n's aggregate, labelled with its span
-// [origin + n·dur, origin + (n+1)·dur) on the window clock.
-func newWindowReport(dataset string, e *epochAgg, n int, origin time.Time, dur time.Duration) *WindowReport {
-	meta := &WindowMeta{Index: n, Start: origin.Add(time.Duration(n) * dur), End: origin.Add(time.Duration(n+1) * dur)}
-	return &WindowReport{Index: n, Start: meta.Start, End: meta.End, Report: buildReport(dataset, e, meta)}
-}
-
-// Windowing reports whether epoch rotation is enabled.
-func (a *Analyzer) Windowing() bool { return a.win.dur > 0 }
-
-// WindowDuration returns the configured window length (0 when
-// windowing is disabled).
-func (a *Analyzer) WindowDuration() time.Duration { return a.win.dur }
-
-// Watermark returns the event-time high-water mark: the time before
-// which every window is complete and emitted — the last packet of the
-// last finished trace, or mid-trace the start of the first window a
-// replay worker has not passed. Safe for concurrent use with Add*.
-func (a *Analyzer) Watermark() time.Time {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
-	return a.win.watermark
-}
-
-// LatestWindowIndex returns the highest completed window (-1 when the
-// watermark has not passed any window boundary yet). Safe for
-// concurrent use with Add*.
-func (a *Analyzer) LatestWindowIndex() int {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
-	return a.win.latestLocked()
-}
-
-func (ws *windowState) latestLocked() int {
-	if !ws.originSet {
-		return -1
+	switch holders {
+	case 0:
+		return emptyWindow
+	case 1:
+		return one
 	}
-	return min(ws.windowOf(ws.watermark)-1, ws.maxWindow)
+	e := newEpochAgg()
+	for _, name := range st.siteNamesLocked() {
+		if sl, ok := st.sites[name].slots[n]; ok {
+			fleet.Merge(e, sl.agg)
+		}
+	}
+	return e
 }
 
-// progress reads the window counts and the watermark under one lock:
-// read one accessor at a time, a trace ending in between shows a
-// completed count from after it beside a window count from before.
-func (ws *windowState) progress() (windows, completed int, watermark time.Time) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.maxWindow + 1, ws.latestLocked() + 1, ws.watermark
+// windowReportLocked renders window n, labelled with its span
+// [origin + n·dur, origin + (n+1)·dur) on the window clock. Callers hold
+// st.mu.
+func (st *windowStore) windowReportLocked(n int) *WindowReport {
+	meta := &WindowMeta{Index: n, Start: st.origin.Add(time.Duration(n) * st.dur), End: st.origin.Add(time.Duration(n+1) * st.dur)}
+	return &WindowReport{Index: n, Start: meta.Start, End: meta.End, Report: buildReport(st.dataset, st.aggLocked(n), meta)}
+}
+
+// countLocked is the number of windows known: one past the highest site
+// horizon. Callers hold st.mu.
+func (st *windowStore) countLocked() int {
+	n := 0
+	for _, s := range st.sites {
+		n = max(n, s.horizon+1)
+	}
+	return n
+}
+
+// latestLocked is the window /report/latest serves: the highest any site
+// has completed (-1 when none). The local site has completed the windows
+// before its watermark; a remote site every window it has delivered,
+// declared lost or finned through. Callers hold st.mu.
+func (st *windowStore) latestLocked() int {
+	latest := -1
+	for _, s := range st.sites {
+		done := s.horizon
+		if s == st.local {
+			done = -1
+			if st.originSet {
+				done = min(st.windowOf(s.watermark)-1, s.horizon)
+			}
+		}
+		latest = max(latest, done)
+	}
+	return latest
+}
+
+func (st *windowStore) siteNamesLocked() []string {
+	names := make([]string, 0, len(st.sites))
+	for name := range st.sites {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Windowing reports whether the run (or fleet) is cut into windows.
+func (st *windowStore) Windowing() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.dur > 0
 }
 
 // WindowCount returns the number of known windows (complete or open).
-// Safe for concurrent use with Add*.
-func (a *Analyzer) WindowCount() int {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
-	return a.win.maxWindow + 1
+// Safe for concurrent use with Add* and with arriving frames.
+func (st *windowStore) WindowCount() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.countLocked()
 }
 
-// WindowReport builds the report for window n (false when n is out of
-// range). Reports are live views: a window that later traces still feed
-// (in event time) reflects everything banked so far. Safe for
-// concurrent use with Add*.
-func (a *Analyzer) WindowReport(n int) (*WindowReport, bool) {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
-	if n < 0 || n > a.win.maxWindow {
+// LatestWindowIndex returns the highest completed window (-1 when there
+// is none yet): on an Analyzer the last window its watermark has passed,
+// on a Fleet the highest any site has delivered, declared lost or finned
+// through. Safe for concurrent use with Add* and with arriving frames.
+func (st *windowStore) LatestWindowIndex() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.latestLocked()
+}
+
+// WindowReport builds the report for window n (false when the run is not
+// windowed or n is out of range). Reports are live views: a window that
+// later traces or deliveries still feed reflects everything banked so
+// far. Safe for concurrent use with Add* and with arriving frames.
+func (st *windowStore) WindowReport(n int) (*WindowReport, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dur <= 0 || n < 0 || n >= st.countLocked() {
 		return nil, false
 	}
-	return a.win.windowReportLocked(n), true
+	return st.windowReportLocked(n), true
 }
 
 // windowJSON returns the body a report server writes for window n (nil
-// when n is out of range), rendered only if the window has not been
-// asked for since the view was last written. WindowReport stays the
-// un-memoised build: it hands out a *Report its caller may change.
-func (a *Analyzer) windowJSON(n int) ([]byte, error) {
-	ws := a.win
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if n < 0 || n > ws.maxWindow {
+// when WindowReport has no such window), rendered only if the window has
+// not been asked for since the store was last written. WindowReport
+// stays the un-memoised build: it hands out a *Report its caller may
+// change.
+func (st *windowStore) windowJSON(n int) ([]byte, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dur <= 0 || n < 0 || n >= st.countLocked() {
 		return nil, nil
 	}
-	return ws.rendered.body(n, func() *Report { return ws.windowReportLocked(n).Report })
+	return st.rendered.body(n, func() *Report { return st.windowReportLocked(n).Report })
 }
 
 // WindowReports builds every window's report in window order, empty
@@ -415,13 +473,36 @@ func (a *Analyzer) windowJSON(n int) ([]byte, error) {
 // banked data is reflected regardless of when (or whether) a window was
 // emitted, and the sum of these windows merges to the cumulative
 // report, since every banked quantity lives in exactly one window. Nil
-// when there are no windows. Safe for concurrent use with Add*.
-func (a *Analyzer) WindowReports() []*WindowReport {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
+// when there are no windows. Safe for concurrent use with Add* and with
+// arriving frames.
+func (st *windowStore) WindowReports() []*WindowReport {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dur <= 0 {
+		return nil
+	}
 	var out []*WindowReport
-	for n := 0; n <= a.win.maxWindow; n++ {
-		out = append(out, a.win.windowReportLocked(n))
+	for n, count := 0, st.countLocked(); n < count; n++ {
+		out = append(out, st.windowReportLocked(n))
 	}
 	return out
+}
+
+// Watermark returns the event-time high-water mark: the time before
+// which every window is complete and emitted — the last packet of the
+// last finished trace, or mid-trace the start of the first window a
+// replay worker has not passed. Safe for concurrent use with Add*.
+func (a *Analyzer) Watermark() time.Time {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.local.watermark
+}
+
+// progress reads the window counts and the watermark under one lock:
+// read one accessor at a time, a trace ending in between shows a
+// completed count from after it beside a window count from before.
+func (a *Analyzer) progress() (windows, completed int, watermark time.Time) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.countLocked(), a.latestLocked() + 1, a.local.watermark
 }

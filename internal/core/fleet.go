@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"enttrace/internal/fleet"
@@ -48,11 +47,11 @@ type WindowExport struct {
 // the aggregator can refuse sites cutting windows on different
 // boundaries.
 func (a *Analyzer) FleetHello() fleet.Hello {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
-	h := fleet.Hello{Schema: SnapshotSchema(), WindowNanos: int64(a.win.dur)}
-	if a.win.originSet {
-		h.OriginNanos = a.win.origin.UnixNano()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	h := fleet.Hello{Schema: SnapshotSchema(), WindowNanos: int64(a.dur)}
+	if a.originSet {
+		h.OriginNanos = a.origin.UnixNano()
 	}
 	return h
 }
@@ -65,14 +64,14 @@ func (a *Analyzer) FleetHello() fleet.Hello {
 // not race an in-flight Add*. The error path is an encoding bug or an
 // out-of-range window, never data-dependent.
 func (a *Analyzer) ExportWindow(n int) (WindowExport, error) {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if max := a.exportCountLocked() - 1; n < 0 || n > max {
 		return WindowExport{}, fmt.Errorf("window %d out of range (max %d)", n, max)
 	}
 	e := a.cum
-	if a.Windowing() {
-		e = a.win.aggLocked(n)
+	if a.dur > 0 {
+		e = a.aggLocked(n)
 	} else {
 		a.drainLocked()
 	}
@@ -80,17 +79,17 @@ func (a *Analyzer) ExportWindow(n int) (WindowExport, error) {
 	if err != nil {
 		return WindowExport{}, err
 	}
-	return WindowExport{Window: n, Watermark: wmNanos(a.win.watermark), Payload: payload}, nil
+	return WindowExport{Window: n, Watermark: wmNanos(a.local.watermark), Payload: payload}, nil
 }
 
 // exportCountLocked is how many snapshots the run exports: every known
 // window, or exactly one (the whole run) when it is not windowed.
-// Callers hold a.win.mu.
+// Callers hold a.mu.
 func (a *Analyzer) exportCountLocked() int {
-	if !a.Windowing() {
+	if a.dur == 0 {
 		return 1
 	}
-	return a.win.maxWindow + 1
+	return a.countLocked()
 }
 
 // ExportAll encodes every known window (0..max, empty windows
@@ -99,9 +98,9 @@ func (a *Analyzer) exportCountLocked() int {
 // a single window 0. Call at end of run for the canonical re-export
 // pass; a windowed analyzer that saw no data at all exports nothing.
 func (a *Analyzer) ExportAll() ([]WindowExport, error) {
-	a.win.mu.Lock()
+	a.mu.Lock()
 	count := a.exportCountLocked()
-	a.win.mu.Unlock()
+	a.mu.Unlock()
 	out := make([]WindowExport, 0, count)
 	for n := 0; n < count; n++ {
 		we, err := a.ExportWindow(n)
@@ -161,46 +160,20 @@ type FleetConfig struct {
 // owns dedup (latest sequence number per site and window wins —
 // delivery is at-least-once and a re-export supersedes earlier
 // provisional snapshots), per-site liveness watermarks, and the
-// degradation census. Safe for concurrent use.
+// degradation census. Its windows live in the same store an Analyzer
+// reads its own from, one site per shipper, and are read through the
+// same methods. Safe for concurrent use.
 type Fleet struct {
-	dataset string
-	expect  []string
-	schema  uint64
-	now     func() time.Time
-	logf    func(format string, args ...any)
-
-	mu      sync.Mutex
-	window  time.Duration
-	origin  time.Time
-	adopted bool
-	sites   map[string]*fleetSite
-	// rendered memoises the bodies the fleet server writes: each window
-	// it has been asked for, and the merged cumulative behind
-	// /report/fleet and /report/final. Every Sink method that writes
-	// something a report reads clears it — Hello, Delta, Lost and Fin on
-	// entry, Heartbeat when it is a site's first contact — so a GET folds
-	// the fleet, under the mutex each arriving Delta needs, only when
-	// such a frame has landed since the last one. A known site's
-	// Heartbeat and Disconnect write liveness alone (lastSeen, watermark,
-	// connected), which only Status reads.
-	rendered rendered
-}
-
-// fleetSite is one site's delivery state.
-type fleetSite struct {
-	connected bool
-	lastSeen  time.Time // wall clock of the last frame from this site
-	watermark int64     // event-time watermark, unix nanoseconds
-	windows   map[int]*fleetWindow
-	lost      map[int]uint64 // window → seq of its latest LOST declaration
-	fin       bool
-	finMax    int
-}
-
-// fleetWindow is the latest delivered snapshot for one (site, window).
-type fleetWindow struct {
-	seq uint64
-	agg *epochAgg
+	// windowStore holds every site's slots, horizon and liveness, under
+	// its mutex; its memo also holds the merged cumulative behind
+	// /report/fleet and /report/final. A known site's Heartbeat and
+	// Disconnect write liveness alone (lastSeen, watermark, connected),
+	// which only Status reads, so they leave the memo be.
+	*windowStore
+	expect []string
+	schema uint64
+	now    func() time.Time
+	logf   func(format string, args ...any)
 }
 
 // NewFleet returns an empty fleet merger.
@@ -213,40 +186,21 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	st := newWindowStore(cfg.Dataset, cfg.Window)
+	st.origin, st.originSet = cfg.Origin, cfg.Window > 0 || !cfg.Origin.IsZero()
 	return &Fleet{
-		dataset: cfg.Dataset,
-		expect:  append([]string(nil), cfg.ExpectSites...),
-		schema:  SnapshotSchema(),
-		now:     now,
-		logf:    logf,
-		window:  cfg.Window,
-		origin:  cfg.Origin,
-		adopted: cfg.Window > 0 || !cfg.Origin.IsZero(),
-		sites:   make(map[string]*fleetSite),
-
-		rendered: make(rendered),
+		windowStore: st,
+		expect:      append([]string(nil), cfg.ExpectSites...),
+		schema:      SnapshotSchema(),
+		now:         now,
+		logf:        logf,
 	}
 }
 
-// site returns the named site's state, creating it on first contact.
-// Callers hold f.mu.
-func (f *Fleet) site(name string) *fleetSite {
-	s := f.sites[name]
-	if s == nil {
-		s = &fleetSite{
-			windows: make(map[int]*fleetWindow),
-			lost:    make(map[int]uint64),
-			finMax:  -1,
-		}
-		f.sites[name] = s
-	}
-	return s
-}
-
-func (s *fleetSite) seen(now time.Time, watermark int64) {
+func (s *siteState) seen(now time.Time, watermark int64) {
 	s.lastSeen = now
-	if watermark > s.watermark {
-		s.watermark = watermark
+	if wm := originTime(watermark); wm.After(s.watermark) {
+		s.watermark = wm
 	}
 }
 
@@ -260,11 +214,11 @@ func (f *Fleet) Hello(site string, h fleet.Hello) error {
 			site, h.Schema, f.schema)
 	}
 	win, origin := time.Duration(h.WindowNanos), originTime(h.OriginNanos)
-	if !f.adopted {
-		f.window, f.origin, f.adopted = win, origin, true
-	} else if win != f.window || !origin.Equal(f.origin) {
+	if !f.originSet {
+		f.dur, f.origin, f.originSet = win, origin, true
+	} else if win != f.dur || !origin.Equal(f.origin) {
 		return fmt.Errorf("window config mismatch: site %s cuts %v windows from %s, fleet uses %v from %s",
-			site, win, fmtOrigin(origin), f.window, fmtOrigin(f.origin))
+			site, win, fmtOrigin(origin), f.dur, fmtOrigin(f.origin))
 	}
 	s := f.site(site)
 	s.connected = true
@@ -287,10 +241,11 @@ func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payl
 	clear(f.rendered)
 	s := f.site(site)
 	s.seen(f.now(), watermark)
-	if prev := s.windows[window]; prev != nil && prev.seq >= seq {
+	if prev, ok := s.slots[window]; ok && prev.seq >= seq {
 		return nil
 	}
-	s.windows[window] = &fleetWindow{seq: seq, agg: e}
+	s.slots[window] = slot{seq: seq, agg: e}
+	s.horizon = max(s.horizon, window)
 	return nil
 }
 
@@ -306,6 +261,7 @@ func (f *Fleet) Lost(site string, window int, seq uint64) error {
 	if seq > s.lost[window] {
 		s.lost[window] = seq
 	}
+	s.horizon = max(s.horizon, window)
 	return nil
 }
 
@@ -329,9 +285,8 @@ func (f *Fleet) Fin(site string, maxWindow int, seq uint64, watermark int64) err
 	s := f.site(site)
 	s.seen(f.now(), watermark)
 	s.fin = true
-	if maxWindow > s.finMax {
-		s.finMax = maxWindow
-	}
+	s.finMax = max(s.finMax, maxWindow)
+	s.horizon = max(s.horizon, maxWindow)
 	f.logf("fleet: site %s fin through window %d", site, maxWindow)
 	return nil
 }
@@ -358,50 +313,6 @@ func fmtOrigin(t time.Time) string {
 		return "unset"
 	}
 	return t.UTC().Format(time.RFC3339Nano)
-}
-
-// Windowing reports whether the fleet cuts windowed reports.
-func (f *Fleet) Windowing() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.window > 0
-}
-
-// MaxWindow returns the highest window index any site has delivered,
-// declared lost, or finned through (-1 before any data).
-func (f *Fleet) MaxWindow() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.maxWindowLocked()
-}
-
-func (f *Fleet) maxWindowLocked() int {
-	max := -1
-	for _, s := range f.sites {
-		for w := range s.windows {
-			if w > max {
-				max = w
-			}
-		}
-		for w := range s.lost {
-			if w > max {
-				max = w
-			}
-		}
-		if s.finMax > max {
-			max = s.finMax
-		}
-	}
-	return max
-}
-
-func (f *Fleet) siteNamesLocked() []string {
-	names := make([]string, 0, len(f.sites))
-	for name := range f.sites {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Report builds the fleet-wide cumulative report: every site's window
@@ -436,7 +347,7 @@ func (f *Fleet) reportLocked() *Report {
 // f.mu.
 func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
 	census := &FleetReport{}
-	maxW := f.maxWindowLocked()
+	maxW := f.countLocked() - 1
 	known := make(map[string]bool, len(f.sites))
 	for _, name := range f.siteNamesLocked() {
 		known[name] = true
@@ -451,10 +362,10 @@ func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
 			horizon = s.finMax
 		}
 		for w := 0; w <= horizon; w++ {
-			dw := s.windows[w]
+			dw, delivered := s.slots[w]
 			lostSeq, hasLost := s.lost[w]
 			switch {
-			case dw != nil:
+			case delivered:
 				// A LOST declaration newer than the best delivery means
 				// the canonical re-export was evicted: fold the stale
 				// provisional snapshot (best effort) but census it as
@@ -494,56 +405,6 @@ func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
 		})
 	}
 	return census
-}
-
-// WindowReport builds the fleet-wide report for one window (false when
-// out of range or the fleet is not windowed).
-func (f *Fleet) WindowReport(n int) (*WindowReport, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.window <= 0 || n < 0 || n > f.maxWindowLocked() {
-		return nil, false
-	}
-	return f.windowReportLocked(n), true
-}
-
-// WindowReports builds every fleet window report, 0..MaxWindow (nil
-// when the fleet is not windowed).
-func (f *Fleet) WindowReports() []*WindowReport {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.window <= 0 {
-		return nil
-	}
-	out := make([]*WindowReport, 0, f.maxWindowLocked()+1)
-	for n := 0; n <= f.maxWindowLocked(); n++ {
-		out = append(out, f.windowReportLocked(n))
-	}
-	return out
-}
-
-func (f *Fleet) windowReportLocked(n int) *WindowReport {
-	e := newEpochAgg()
-	for _, name := range f.siteNamesLocked() {
-		if dw := f.sites[name].windows[n]; dw != nil {
-			fleet.Merge(e, dw.agg)
-		}
-	}
-	return newWindowReport(f.dataset, e, n, f.origin, f.window)
-}
-
-// windowJSON returns the body the fleet server writes for window n (nil
-// when out of range or the fleet is not windowed), folding the sites'
-// snapshots of it only if a report-visible frame has landed since it was
-// last asked for. WindowReport stays the un-memoised fold: it hands out
-// a *Report its caller may change.
-func (f *Fleet) windowJSON(n int) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.window <= 0 || n < 0 || n > f.maxWindowLocked() {
-		return nil, nil
-	}
-	return f.rendered.body(n, func() *Report { return f.windowReportLocked(n).Report })
 }
 
 // cumulativeJSON returns the body of the merged cumulative report:
@@ -588,7 +449,7 @@ type FleetStatus struct {
 	FinalReady bool
 	// Window is the fleet's window length (0 for batch fleets or before
 	// the first site's Hello fixes the config). Windows is the fleet's
-	// window horizon (MaxWindow+1); LostWindows counts census-lost
+	// window horizon (WindowCount); LostWindows counts census-lost
 	// windows across sites.
 	Window      time.Duration
 	Windows     int
@@ -620,33 +481,31 @@ func (f *Fleet) Status() FleetStatus {
 	for _, sr := range census.Sites {
 		lostBySite[sr.Site] = len(sr.LostWindows)
 	}
-	st := FleetStatus{Window: f.window, Windows: f.maxWindowLocked() + 1, FinalReady: f.finalReadyLocked()}
-	var minWM, maxWM int64
+	st := FleetStatus{Window: f.dur, Windows: f.countLocked(), FinalReady: f.finalReadyLocked()}
+	var minWM, maxWM time.Time
 	for _, name := range f.siteNamesLocked() {
 		s := f.sites[name]
 		row := FleetSiteStatus{
 			Site:         name,
 			Connected:    s.connected,
 			Fin:          s.fin,
-			Windows:      len(s.windows),
+			Windows:      len(s.slots),
 			LostWindows:  lostBySite[name],
+			Watermark:    s.watermark,
 			LastDelivery: s.lastSeen,
 		}
-		if s.watermark != 0 {
-			row.Watermark = time.Unix(0, s.watermark).UTC()
-			if minWM == 0 || s.watermark < minWM {
+		if !s.watermark.IsZero() {
+			if minWM.IsZero() || s.watermark.Before(minWM) {
 				minWM = s.watermark
 			}
-			if s.watermark > maxWM {
+			if s.watermark.After(maxWM) {
 				maxWM = s.watermark
 			}
 		}
 		st.LostWindows += row.LostWindows
 		st.Sites = append(st.Sites, row)
 	}
-	if minWM != 0 && maxWM > minWM {
-		st.WatermarkSkew = time.Duration(maxWM - minWM)
-	}
+	st.WatermarkSkew = maxWM.Sub(minWM)
 	for _, name := range f.expect {
 		if f.sites[name] == nil {
 			st.MissingSites = append(st.MissingSites, name)

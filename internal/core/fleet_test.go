@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -88,47 +91,93 @@ func reportBytes(t *testing.T, r *Report) []byte {
 // folded by the fleet merger, must reproduce the site's own cumulative
 // and per-window reports byte for byte. This is the error-free base
 // case of the fleet differential — any codec field drift or fold-order
-// divergence fails here first, without transport in the way.
+// divergence fails here first, without transport in the way. A single
+// instance is a one-site fleet, so the two report servers must also
+// serve the same bytes for every window and the final report, at every
+// worker grid point; only /report/latest differs, by rule: the analyzer
+// serves the last window its watermark has passed, the fleet the last
+// window the site delivered.
 func TestFleetSingleSiteRoundTrip(t *testing.T) {
 	ds := fleetTestDataset(t)
 	origin := datasetOrigin(ds)
-	a := NewAnalyzer(Options{
-		Dataset:         "fleet",
-		PayloadAnalysis: true,
-		Workers:         2,
-		ReplayWorkers:   2,
-		Window:          time.Minute,
-		WindowOrigin:    origin,
-	})
-	for i, tr := range ds.Traces {
-		if err := a.AddTrace(TraceInput{Name: traceName(i), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+	for _, g := range []struct{ workers, replay int }{{1, 1}, {4, 3}} {
+		a := NewAnalyzer(Options{
+			Dataset:         "fleet",
+			PayloadAnalysis: true,
+			Workers:         g.workers,
+			ReplayWorkers:   g.replay,
+			Window:          time.Minute,
+			WindowOrigin:    origin,
+		})
+		for i, tr := range ds.Traces {
+			if err := a.AddTrace(TraceInput{Name: traceName(i), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		f := NewFleet(FleetConfig{Dataset: "fleet"})
+		deliverAll(t, f, "site-a", a)
+
+		fleetFinal := f.Report()
+		if fleetFinal.Fleet != nil {
+			t.Fatalf("%v: complete single-site fleet carries a degradation census: %+v", g, fleetFinal.Fleet)
+		}
+		localFinal := a.Report()
+		if !bytes.Equal(reportBytes(t, fleetFinal), reportBytes(t, localFinal)) {
+			t.Errorf("%v: fleet cumulative report differs from the site's own report", g)
+		}
+		if RenderText(fleetFinal) != RenderText(localFinal) {
+			t.Errorf("%v: fleet cumulative text rendering differs from the site's own", g)
+		}
+
+		localWindows := a.WindowReports()
+		fleetWindows := f.WindowReports()
+		if len(fleetWindows) != len(localWindows) {
+			t.Fatalf("%v: fleet has %d windows, site has %d", g, len(fleetWindows), len(localWindows))
+		}
+		for n := range localWindows {
+			if !bytes.Equal(reportBytes(t, fleetWindows[n].Report), reportBytes(t, localWindows[n].Report)) {
+				t.Errorf("%v: window %d: fleet report differs from the site's own", g, n)
+			}
+		}
+
+		rs, fs := NewReportServer(a), NewFleetServer(f)
+		if err := rs.SetFinal(localFinal); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	f := NewFleet(FleetConfig{Dataset: "fleet"})
-	deliverAll(t, f, "site-a", a)
-
-	fleetFinal := f.Report()
-	if fleetFinal.Fleet != nil {
-		t.Fatalf("complete single-site fleet carries a degradation census: %+v", fleetFinal.Fleet)
-	}
-	localFinal := a.Report()
-	if !bytes.Equal(reportBytes(t, fleetFinal), reportBytes(t, localFinal)) {
-		t.Error("fleet cumulative report differs from the site's own report")
-	}
-	if RenderText(fleetFinal) != RenderText(localFinal) {
-		t.Error("fleet cumulative text rendering differs from the site's own")
-	}
-
-	localWindows := a.WindowReports()
-	fleetWindows := f.WindowReports()
-	if len(fleetWindows) != len(localWindows) {
-		t.Fatalf("fleet has %d windows, site has %d", len(fleetWindows), len(localWindows))
-	}
-	for n := range localWindows {
-		if !bytes.Equal(reportBytes(t, fleetWindows[n].Report), reportBytes(t, localWindows[n].Report)) {
-			t.Errorf("window %d: fleet report differs from the site's own", n)
+		get := func(h http.Handler, path string) []byte {
+			t.Helper()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%v: %s answered %d (%s)", g, path, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		window := func(n int) string { return fmt.Sprintf("/report/window/%d", n) }
+		for n := range localWindows {
+			if !bytes.Equal(get(rs, window(n)), get(fs, window(n))) {
+				t.Errorf("%v: the servers serve window %d differently", g, n)
+			}
+		}
+		if !bytes.Equal(get(rs, "/report/final"), get(fs, "/report/final")) {
+			t.Errorf("%v: the servers serve /report/final differently", g)
+		}
+		for _, c := range []struct {
+			name string
+			h    http.Handler
+			got  int
+			want int
+		}{
+			{"analyzer", rs, a.LatestWindowIndex(), int(a.Watermark().Sub(origin)/time.Minute) - 1},
+			{"fleet", fs, f.LatestWindowIndex(), len(localWindows) - 1},
+		} {
+			if c.got != c.want {
+				t.Errorf("%v: %s latest window %d, want %d", g, c.name, c.got, c.want)
+			}
+			if !bytes.Equal(get(c.h, "/report/latest"), get(c.h, window(c.want))) {
+				t.Errorf("%v: %s /report/latest is not window %d", g, c.name, c.want)
+			}
 		}
 	}
 }

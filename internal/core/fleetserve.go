@@ -39,7 +39,7 @@ type FleetServer struct {
 // Fleet's concurrency-safe accessors).
 func NewFleetServer(f *Fleet) *FleetServer {
 	s := &FleetServer{f: f, staleAfter: DefaultStallThreshold, now: time.Now}
-	s.mux = newReportMux(f, s.healthz)
+	s.mux = newReportMux(f.windowStore, func() ([]byte, error) { return f.cumulativeJSON(true) }, s.healthz)
 	// /report/fleet serves the current merged cumulative, whatever its
 	// completeness; the Fleet section names what is missing while the
 	// fleet is partial.
@@ -164,7 +164,3 @@ func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 	}
 	writeJSON(w, h)
 }
-
-func (f *Fleet) latestWindow() int { return f.MaxWindow() }
-
-func (f *Fleet) finalJSON() ([]byte, error) { return f.cumulativeJSON(true) }

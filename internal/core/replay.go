@@ -130,7 +130,7 @@ func (a *Analyzer) replayApps(f *traceFeed, kept []bool, maxTS time.Time) (join 
 	// shard's connections in global order as they arrived, so each
 	// worker sees exactly the serial subsequence of its pairs.
 	trace := a.traceCount
-	h := newHandoff(a.win, nshard, maxTS)
+	h := newHandoff(a.windowStore, nshard, maxTS)
 	run := func(w int) {
 		ap := workers[w].shard.apps
 		// processConn replays one connection into the worker's current
@@ -262,7 +262,7 @@ func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, conns []*flo
 	c.floor = 0
 	frontier := -1
 	for _, i := range connIdx {
-		c.enter(rw, a.win, conns[i].Start)
+		c.enter(rw, a.windowStore, conns[i].Start)
 		if c.cur != frontier {
 			frontier = c.cur
 			h.publish(w, c.deltas, frontier)
@@ -271,7 +271,7 @@ func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, conns []*flo
 		}
 		processConn(i, &rw.shard.connAggregates)
 	}
-	if a.Windowing() && c.cur >= 0 {
+	if a.dur > 0 && c.cur >= 0 {
 		c.deltas = rw.closeWindow(c.deltas, c.cur)
 	}
 	h.publish(w, c.deltas, passedAll)
@@ -288,8 +288,8 @@ type shardCuts struct {
 
 // enter moves the shard into the window of ts (never below the pass's
 // floor), cutting what it banked in the window it leaves.
-func (c *shardCuts) enter(rw *replayWorker, ws *windowState, ts time.Time) {
-	c.floor = max(c.floor, ws.windowOf(ts))
+func (c *shardCuts) enter(rw *replayWorker, st *windowStore, ts time.Time) {
+	c.floor = max(c.floor, st.windowOf(ts))
 	if c.cur >= 0 && c.floor != c.cur {
 		c.deltas = rw.closeWindow(c.deltas, c.cur)
 	}
@@ -322,7 +322,7 @@ func (c *shardCuts) enter(rw *replayWorker, ws *windowState, ts time.Time) {
 // keeps its buffers, so a trace allocates nothing here once the first
 // has grown them.
 type traceFeed struct {
-	ws      *windowState
+	st      *windowStore
 	workers []*replayWorker
 	// replayed counts the datagrams the UDP passes have replayed, across
 	// traces. It moves while a trace is read; the test that the pass runs
@@ -395,10 +395,10 @@ type udpPass struct {
 	cuts shardCuts
 }
 
-func newTraceFeed(ws *windowState, workers []*replayWorker, pipelineShards int) *traceFeed {
+func newTraceFeed(st *windowStore, workers []*replayWorker, pipelineShards int) *traceFeed {
 	n := len(workers)
 	f := &traceFeed{
-		ws:      ws,
+		st:      st,
 		workers: workers,
 		in:      make([]*feedIn, pipelineShards),
 		byShard: make([][]int32, n),
@@ -593,7 +593,7 @@ func (f *traceFeed) replayUDP(r int, all bool) {
 		}
 		ev := &p.runs[best][p.pos[best]]
 		p.pos[best]++
-		p.cuts.enter(rw, f.ws, ev.ts)
+		p.cuts.enter(rw, f.st, ev.ts)
 		replayUDPEvent(rw.shard.apps, ev)
 		n++
 	}
@@ -626,7 +626,7 @@ const passedAll = math.MaxInt
 // runnable than there are workers — a dedicated emitter goroutine beside
 // them starves on two vCPUs (DESIGN "Epoch cuts and windowed reports").
 type handoff struct {
-	ws    *windowState
+	st    *windowStore
 	maxTS time.Time
 
 	mu sync.Mutex
@@ -650,9 +650,9 @@ type handoff struct {
 	batch []windowDelta
 }
 
-func newHandoff(ws *windowState, workers int, maxTS time.Time) *handoff {
+func newHandoff(st *windowStore, workers int, maxTS time.Time) *handoff {
 	h := &handoff{
-		ws:        ws,
+		st:        st,
 		maxTS:     maxTS,
 		udp:       make([][]windowDelta, workers),
 		conns:     make([][]windowDelta, workers),
@@ -720,8 +720,8 @@ func (h *handoff) bankLocked() {
 		}
 		h.banked = lo
 		h.mu.Unlock()
-		h.ws.bankDeltas(batch)
-		h.ws.advance(lo, h.maxTS)
+		h.st.bankDeltas(batch)
+		h.st.advance(lo, h.maxTS)
 		h.mu.Lock()
 		h.batch = batch
 	}

@@ -384,8 +384,8 @@ type LoadReport struct {
 // part of the aborted trace's UDP messages, and they drain with the
 // rest. Stop at the first error to keep only completed traces.
 func (a *Analyzer) Report() *Report {
-	a.win.mu.Lock()
-	defer a.win.mu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.drainLocked()
 	return buildReport(a.opts.Dataset, a.cum, nil)
 }

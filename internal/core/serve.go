@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,6 +25,11 @@ import (
 type ReportServer struct {
 	a   *Analyzer
 	mux *http.ServeMux
+
+	// final is the marshaled cumulative report SetFinal publishes once
+	// analysis ends, on the analysis goroutine, and the handlers read;
+	// atomic, since the two race by design.
+	final atomic.Pointer[[]byte]
 
 	// Stall detection: /healthz tracks a progress signature (packets
 	// seen, watermark) and reports the server degraded once it stops
@@ -48,7 +54,12 @@ func (s *ReportServer) SetStallThreshold(d time.Duration) { s.stallAfter = d }
 // Analyzer's concurrency-safe accessors).
 func NewReportServer(a *Analyzer) *ReportServer {
 	s := &ReportServer{a: a, stallAfter: DefaultStallThreshold}
-	s.mux = newReportMux(a, s.healthz)
+	s.mux = newReportMux(a.windowStore, func() ([]byte, error) {
+		if b := s.final.Load(); b != nil {
+			return *b, nil
+		}
+		return nil, nil
+	}, s.healthz)
 	return s
 }
 
@@ -61,7 +72,7 @@ func (s *ReportServer) SetFinal(r *Report) error {
 	if err != nil {
 		return err
 	}
-	s.a.final.Store(&b)
+	s.final.Store(&b)
 	return nil
 }
 
@@ -111,20 +122,20 @@ func (s *ReportServer) stallAge(packets int64, mark time.Time) time.Duration {
 }
 
 func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
-	windows, completed, wm := s.a.win.progress()
+	windows, completed, wm := s.a.progress()
 	h := healthStatus{
 		Status:           "ok",
 		Packets:          s.a.PacketsSeen(),
-		Windowing:        s.a.Windowing(),
+		Windowing:        s.a.dur > 0,
 		Windows:          windows,
 		CompletedWindows: completed,
-		FinalReady:       s.a.final.Load() != nil,
+		FinalReady:       s.final.Load() != nil,
 		LiveConns:        s.a.LiveConns(),
 		SourceErrors:     s.a.SourceErrorsSeen(),
 		Draining:         s.a.Stopping(),
 	}
 	if h.Windowing {
-		h.WindowDuration = s.a.WindowDuration().String()
+		h.WindowDuration = s.a.dur.String()
 		if !wm.IsZero() {
 			h.Watermark = wm.UTC().Format(time.RFC3339Nano)
 		}
@@ -143,21 +154,21 @@ func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, h)
 }
 
-// rendered is a view's memo of response bodies, keyed by window index
-// (cumulativeBody for the cumulative report): exactly the bytes a GET is
-// answered with. The view guards it with the mutex that guards the state
-// the bodies are rendered from; every method that writes that state
+// rendered is the window store's memo of response bodies, keyed by
+// window index (cumulativeBody for a fleet's cumulative report): exactly
+// the bytes a GET is answered with. The store's mutex guards it with the
+// slots the bodies are rendered from; every method that writes the store
 // clears it, and body fills it under the same lock, so an entry is never
-// older than the last write. A poll of a view nobody has written since
+// older than the last write. A poll of a store nobody has written since
 // the path was last asked for builds and marshals nothing. It needs no
 // bound of its own: an entry exists only for a window someone asked for,
-// whose aggregate the view holds anyway (≈16 KB, against ≈9 KB of JSON).
+// whose aggregate the store holds anyway (≈16 KB, against ≈9 KB of JSON).
 type rendered map[int][]byte
 
 const cumulativeBody = -1
 
 // body returns the memoised body for key, rendering build's report on a
-// miss. Callers hold the view's mutex.
+// miss. Callers hold the store's mutex.
 func (m rendered) body(key int, build func() *Report) ([]byte, error) {
 	if b, ok := m[key]; ok {
 		return b, nil
@@ -169,48 +180,25 @@ func (m rendered) body(key int, build func() *Report) ([]byte, error) {
 	return b, err
 }
 
-// reportView is what the report endpoints need from the thing they
-// serve. Analyzer and Fleet implement it, so a fleet-wide report is
-// drop-in for a single-instance consumer. The two JSON methods return
-// the response body itself, trailing newline included, out of the
-// view's rendered memo; the handlers only write what they are handed,
-// and must not change it.
-type reportView interface {
-	Windowing() bool
-	// latestWindow is the window /report/latest serves (-1 when none).
-	latestWindow() int
-	// windowJSON is window n's report, nil when there is no such window.
-	windowJSON(n int) ([]byte, error)
-	// finalJSON is the cumulative report once it has stopped changing,
-	// nil until then.
-	finalJSON() ([]byte, error)
-}
-
-func (a *Analyzer) latestWindow() int { return a.LatestWindowIndex() }
-
-func (a *Analyzer) finalJSON() ([]byte, error) {
-	if b := a.final.Load(); b != nil {
-		return *b, nil
-	}
-	return nil, nil
-}
-
-// newReportMux wires the endpoints both servers share — /report/latest,
-// /report/window/<n>, /report/final over v — beside the server's own
-// /healthz. GET patterns also match HEAD; any other method is a 405.
-func newReportMux(v reportView, healthz http.HandlerFunc) *http.ServeMux {
+// newReportMux wires the endpoints both servers share — /report/latest
+// and /report/window/<n> over st, /report/final over final — beside the
+// server's own /healthz. Both body sources hand over the response body
+// itself, trailing newline included (nil when there is no such
+// document); the handlers only write it, and must not change it. GET
+// patterns also match HEAD; any other method is a 405.
+func newReportMux(st *windowStore, final func() ([]byte, error), healthz http.HandlerFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", healthz)
 	mux.HandleFunc("GET /report/latest", func(w http.ResponseWriter, req *http.Request) {
-		if !v.Windowing() {
+		if !st.Windowing() {
 			httpError(w, http.StatusNotFound, "windowing disabled; window endpoints need -window")
 			return
 		}
-		b, err := v.windowJSON(v.latestWindow())
+		b, err := st.windowJSON(st.LatestWindowIndex())
 		serveBody(w, b, err, "no completed window yet")
 	})
 	mux.HandleFunc("GET /report/window/", func(w http.ResponseWriter, req *http.Request) {
-		if !v.Windowing() {
+		if !st.Windowing() {
 			httpError(w, http.StatusNotFound, "windowing disabled; window endpoints need -window")
 			return
 		}
@@ -219,11 +207,11 @@ func newReportMux(v reportView, healthz http.HandlerFunc) *http.ServeMux {
 			httpError(w, http.StatusBadRequest, "window index must be an integer")
 			return
 		}
-		b, err := v.windowJSON(n)
+		b, err := st.windowJSON(n)
 		serveBody(w, b, err, "no such window")
 	})
 	mux.HandleFunc("GET /report/final", func(w http.ResponseWriter, req *http.Request) {
-		b, err := v.finalJSON()
+		b, err := final()
 		serveBody(w, b, err, "final report not ready: still running")
 	})
 	return mux

@@ -165,7 +165,7 @@ func freshFleet(t *testing.T, f *Fleet) func(path string) []byte {
 		case "/report/fleet":
 			return append(reportBytes(t, f.Report()), '\n')
 		}
-		n := f.MaxWindow()
+		n := f.LatestWindowIndex()
 		if path != "/report/latest" {
 			fmt.Sscanf(path, "/report/window/%d", &n)
 		}
@@ -229,21 +229,21 @@ func TestServedBytesMatchFreshRender(t *testing.T) {
 		step("empty", false, func() {})
 		// Window 0 exists, labelled from the zero origin, before the clock
 		// is pinned; pinning it relabels the window — setOrigin's reset.
-		step("bank before the origin", true, func() { a.win.bankDeltas(oneConn(0)) })
-		step("setOrigin", true, func() { a.win.setOrigin(windowTestBase) })
+		step("bank before the origin", true, func() { a.bankDeltas(oneConn(0)) })
+		step("setOrigin", true, func() { a.setOrigin(windowTestBase) })
 		step("trace 1, windows 0-2", true, mustAdd(connTrace(1, 0, 70*time.Second, 130*time.Second)))
 		// Later traces overlap it in event time: they bank into windows
 		// that have been served.
 		step("trace 2, windows 0-1", true, mustAdd(connTrace(2, 30*time.Second, 100*time.Second)))
 		step("trace 3, windows 1-4", true, mustAdd(connTrace(3, 90*time.Second, 250*time.Second)))
 		// A worker's deltas landing in a served window — bankDeltas' reset.
-		step("bankDeltas alone", true, func() { a.win.bankDeltas(oneConn(1)) })
+		step("bankDeltas alone", true, func() { a.bankDeltas(oneConn(1)) })
 		// A trace-granular delta landing at the watermark's window —
 		// finishTrace's reset.
 		step("finishTrace alone", true, func() {
 			td := newTraceDelta()
 			td.totalPackets, td.traceCount = 7, 1
-			a.win.finishTrace(a.cum, td, time.Time{})
+			a.finishTrace(a.cum, td, time.Time{})
 		})
 		step("trace 4, window 0", true, mustAdd(connTrace(4, 10*time.Second)))
 	})
@@ -258,7 +258,7 @@ func TestServedBytesMatchFreshRender(t *testing.T) {
 			if err := write(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			cur := servedPaths(t, name, srv, f.MaxWindow(), []string{"/report/fleet", "/report/final"}, fresh)
+			cur := servedPaths(t, name, srv, f.WindowCount()-1, []string{"/report/fleet", "/report/final"}, fresh)
 			if changes && sameServed(prev, cur) {
 				t.Fatalf("%s changed no served body: the step cannot tell a reset from none", name)
 			}
@@ -406,7 +406,7 @@ func TestPollsWhileTracesBank(t *testing.T) {
 			}
 		}
 	})
-	servedPaths(t, "fleet, after the run", fsrv, f.MaxWindow(), []string{"/report/fleet", "/report/final"}, freshFleet(t, f))
+	servedPaths(t, "fleet, after the run", fsrv, f.WindowCount()-1, []string{"/report/fleet", "/report/final"}, freshFleet(t, f))
 }
 
 // TestHealthzIsOneSnapshot polls /healthz while traces bank: every

@@ -422,10 +422,10 @@ func TestSparseWindowExports(t *testing.T) {
 	if a.WindowCount() != 4 {
 		t.Fatalf("want 4 windows, got %d", a.WindowCount())
 	}
-	if w := a.win.windows[1]; w != nil {
+	if w := a.local.slots[1].agg; w != nil {
 		t.Errorf("the empty window holds an aggregate: %+v", w)
 	}
-	if ap := a.win.windows[2].apps; ap.dnsInt == nil || ap.dnsWan != nil || ap.http != nil || ap.email != nil || ap.cifs != nil {
+	if ap := a.local.slots[2].agg.apps; ap.dnsInt == nil || ap.dnsWan != nil || ap.http != nil || ap.email != nil || ap.cifs != nil {
 		t.Errorf("the DNS-only window holds %+v, want the internal DNS component alone", ap)
 	}
 	for n := 0; n < a.WindowCount(); n++ {
