@@ -102,9 +102,7 @@ func (c *censusPair) Publish(through int64, more bool) { c.sink.Publish(through,
 // ready for one trace: the caller calls finish after it.
 func testFeed(opts Options) *traceFeed {
 	f := NewAnalyzer(opts).ensureFeed()
-	if opts.PayloadAnalysis {
-		f.start()
-	}
+	f.start(opts.KnownScanners, opts.PayloadAnalysis)
 	return f
 }
 

@@ -15,6 +15,7 @@ import (
 	"maps"
 	"net/netip"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -271,17 +272,16 @@ func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Read
 // replays in global first-packet order, which is identical for any
 // worker count. What of that order depends on nothing end of input
 // decides — the canonical connection list, each replay shard's share of
-// it, and the UDP message pass — is built while the source is read
-// (traceFeed); the rest starts when it runs dry.
+// it, the UDP message pass and the scanner census of the settled
+// connections — is built while the source is read (traceFeed); the rest
+// starts when it runs dry.
 func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.PacketSource) error {
 	if a.err != nil {
 		return a.err
 	}
 	feed := a.ensureFeed()
 	defer feed.reset()
-	if a.opts.PayloadAnalysis {
-		feed.start()
-	}
+	feed.start(a.opts.KnownScanners, a.opts.PayloadAnalysis)
 	// MaxConns bounds the whole run; each shard table gets an equal
 	// slice of it.
 	perShard := 0
@@ -319,6 +319,26 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	a.traceCount++
 	a.packetsSeen.Add(res.Packets)
 
+	// What is left runs as a small dependency graph, each step as soon as
+	// its inputs are: the load series needs only the bins, the fan and
+	// role censuses the finished census, the retransmission sums the
+	// kept mask and counters nothing writes any more. The two helper
+	// goroutines read what nothing mutates — the sinks' bins, connection
+	// fields and the census — and hand back what the caller folds into
+	// the trace delta, which the replay workers never touch.
+	ord := a.traceCount
+	var load TraceLoad
+	var helpers sync.WaitGroup
+	helpers.Add(1)
+	go func() {
+		defer helpers.Done()
+		shardBins := make([][]int64, len(sinks))
+		for i, s := range sinks {
+			shardBins[i] = s.bins
+		}
+		load = traceSeries(mergedTraceLoad(name, shardBins), ord)
+	}()
+
 	// Trace-granular accumulation target: a fresh per-trace delta,
 	// folded into the cumulative aggregate — and banked into the window
 	// containing the trace's last packet — once the trace's event-time
@@ -355,7 +375,6 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// event-time extent: every shard has drained, so the slowest
 	// worker's high-water mark is behind it.
 	var maxTS time.Time
-	shardBins := make([][]int64, 0, len(sinks))
 	for _, s := range sinks {
 		s.foldNetLayer(tgt.netLayer)
 		maps.Copy(tgt.monitoredHosts, s.monHosts)
@@ -364,43 +383,42 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 		if s.maxTS.After(maxTS) {
 			maxTS = s.maxTS
 		}
-		shardBins = append(shardBins, s.bins)
 	}
-	perSec := mergedTraceLoad(name, shardBins)
 
 	// Canonical connection order: by first packet, across all shards —
-	// built by the feed as the trace was read.
+	// built by the feed as the trace was read. §3 scanner removal: the
+	// census observed the settled prefix of that order during the read;
+	// it observes the rest now and classifies.
 	conns := feed.conns
 	tgt.totalConns += len(conns)
-
-	// §3 scanner removal, per trace, from the trace's one census pass.
-	census := scan.TakeCensus(conns, a.opts.KnownScanners)
+	census := feed.census.Finish(conns)
 	tgt.removedConns += census.RemovedConns
 	for _, s := range census.Scanners {
 		tgt.scanners[s] = struct{}{}
 	}
+	var fan map[netip.Addr]*flows.FanStats
+	var profiles []roles.HostProfile
+	helpers.Add(1)
+	go func() {
+		defer helpers.Done()
+		fan, profiles = peerCensus(conns, census, monitored)
+	}()
 
 	// Application replay: the rest of the UDP messages, dynamic
 	// registrations, transport accumulation, payload parsing — all in
 	// canonical order. The serial phase (dynamic registrations) runs
-	// inline and must precede the connection-level accumulation below,
-	// which classifies against the registry; the parallel phase is left
-	// in flight while that accumulation runs, since the two touch
-	// disjoint state. The workers bank and emit the windows they have all
-	// passed as they go.
+	// inline; the parallel phase is left in flight beside the helpers.
+	// The workers bank and emit the windows they have all passed as they
+	// go.
 	join := a.replayApps(feed, census.Kept, maxTS)
-
-	// Trace load accounting and the distinct-peer censuses overlap the
-	// replay workers: they read only the per-second bins, connection
-	// fields and the census, which nothing mutates, and write only the
-	// trace delta, which the workers never touch.
-	tgt.load.finishTrace(perSec, conns, census.Kept, a.traceCount)
-	var profiles []roles.HostProfile
-	tgt.fanAgg, profiles = peerCensus(conns, census, monitored)
+	join()
+	helpers.Wait()
+	load.retrans(conns, census.Kept)
+	tgt.load.traces = append(tgt.load.traces, load)
+	tgt.fanAgg = fan
 	for role, n := range roles.Summary(profiles) {
 		tgt.roleCounts.Add(string(role), int64(n))
 	}
-	join()
 
 	// The phase-A application residue (Endpoint Mapper PDU accounting)
 	// rides the trace-granular delta; the cut keeps the registry pairing

@@ -340,7 +340,7 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 		var sinks []*retainWatch
 		feed := a.ensureFeed()
 		feed.reset()
-		feed.start()
+		feed.start(nil, true)
 		res, err := pipeline.Run(pcap.NewPooledReader(rd, nil), pipeline.Config{
 			Workers: 2,
 			NewSink: func(shard int, base time.Time) pipeline.Sink {

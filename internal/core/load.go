@@ -83,39 +83,46 @@ func windowPeak(bins []int64, w int) float64 {
 // utilization is judged against: the paper's networks were 100 Mbps.
 const linkCapacityMbps = 100
 
-// finishTrace records one trace's load row; retransmission rates count
-// the conns whose kept entry is set.
-func (l *loadAgg) finishTrace(t *traceLoad, conns []*flows.Conn, kept []bool, ord int) {
+// traceSeries is a trace's load row as far as its per-second bins give
+// it — the Figure 9 peaks, the utilization summary and the Hurst
+// estimate — for the trace with ordinal ord. retrans adds the rest.
+func traceSeries(t *traceLoad, ord int) TraceLoad {
 	tl := TraceLoad{Name: t.name, ord: ord}
-	if len(t.bins) > 0 {
-		toMbps := func(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e6 }
-		tl.Peak1s = toMbps(windowPeak(t.bins, 1))
-		tl.Peak10s = toMbps(windowPeak(t.bins, 10))
-		tl.Peak60s = toMbps(windowPeak(t.bins, 60))
-		d := stats.NewDist()
-		d.Reserve(len(t.bins))
-		for _, v := range t.bins {
-			d.Observe(toMbps(float64(v)))
-			if toMbps(float64(v)) >= 0.9*linkCapacityMbps {
-				tl.SaturatedSeconds++
-			}
-		}
-		series := make([]float64, len(t.bins))
-		for i, v := range t.bins {
-			series[i] = float64(v)
-		}
-		tl.Hurst, tl.HurstOK = stats.HurstVT(series)
-		tl.Min, tl.Max = d.Min(), d.Max()
-		tl.P25, tl.Median, tl.P75 = d.Quantile(0.25), d.Median(), d.Quantile(0.75)
-		tl.Avg = d.Mean()
+	if len(t.bins) == 0 {
+		return tl
 	}
+	toMbps := func(bytesPerSec float64) float64 { return bytesPerSec * 8 / 1e6 }
+	tl.Peak1s = toMbps(windowPeak(t.bins, 1))
+	tl.Peak10s = toMbps(windowPeak(t.bins, 10))
+	tl.Peak60s = toMbps(windowPeak(t.bins, 60))
+	d := stats.NewDist()
+	d.Reserve(len(t.bins))
+	for _, v := range t.bins {
+		d.Observe(toMbps(float64(v)))
+		if toMbps(float64(v)) >= 0.9*linkCapacityMbps {
+			tl.SaturatedSeconds++
+		}
+	}
+	series := make([]float64, len(t.bins))
+	for i, v := range t.bins {
+		series[i] = float64(v)
+	}
+	tl.Hurst, tl.HurstOK = stats.HurstVT(series)
+	tl.Min, tl.Max = d.Min(), d.Max()
+	tl.P25, tl.Median, tl.P75 = d.Quantile(0.25), d.Median(), d.Quantile(0.75)
+	tl.Avg = d.Mean()
+	return tl
+}
+
+// retrans sets the row's Figure 10 retransmission rates, over the TCP
+// conns whose kept entry is set.
+func (tl *TraceLoad) retrans(conns []*flows.Conn, kept []bool) {
 	var entData, entRetrans, wanData, wanRetrans int64
 	for i, c := range conns {
 		if !kept[i] || c.Proto != layers.ProtoTCP {
 			continue
 		}
-		wan := connWAN(c)
-		if wan {
+		if connWAN(c) {
 			wanData += c.DataPkts - c.KeepAliveRetrans
 			wanRetrans += c.Retrans
 		} else {
@@ -130,5 +137,4 @@ func (l *loadAgg) finishTrace(t *traceLoad, conns []*flows.Conn, kept []bool, or
 	if wanData > 0 {
 		tl.RetransWan = float64(wanRetrans) / float64(wanData)
 	}
-	l.traces = append(l.traces, tl)
 }

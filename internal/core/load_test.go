@@ -78,8 +78,7 @@ func TestTraceLoadBinning(t *testing.T) {
 }
 
 func TestFinishTraceRetransSplit(t *testing.T) {
-	agg := newLoadAgg()
-	tl := mergedTraceLoad("t", [][]int64{{1000}})
+	got := traceSeries(mergedTraceLoad("t", [][]int64{{1000}}), 1)
 	local1 := netip.MustParseAddr("128.3.1.1")
 	local2 := netip.MustParseAddr("128.3.1.2")
 	remote := netip.MustParseAddr("8.8.8.8")
@@ -100,8 +99,7 @@ func TestFinishTraceRetransSplit(t *testing.T) {
 		Key:   layers.FlowKey{Proto: layers.ProtoTCP, Src: remote, Dst: local1},
 		Proto: layers.ProtoTCP, DataPkts: 3000, Retrans: 3000,
 	}
-	agg.finishTrace(tl, []*flows.Conn{ent, wan, removed, udp}, []bool{true, true, false, true}, 1)
-	got := agg.traces[0]
+	got.retrans([]*flows.Conn{ent, wan, removed, udp}, []bool{true, true, false, true})
 	// Keep-alives excluded from the denominator.
 	wantEnt := 5.0 / 900.0
 	if diff := got.RetransEnt - wantEnt; diff > 1e-9 || diff < -1e-9 {
@@ -116,11 +114,8 @@ func TestFinishTraceRetransSplit(t *testing.T) {
 }
 
 func TestSaturationDwell(t *testing.T) {
-	agg := newLoadAgg()
 	// One second at 100 Mbps (12.5 MB), then quiet.
-	tl := mergedTraceLoad("sat", [][]int64{{12_500_000, 0, 0, 0, 0, 100}})
-	agg.finishTrace(tl, nil, nil, 1)
-	got := agg.traces[0]
+	got := traceSeries(mergedTraceLoad("sat", [][]int64{{12_500_000, 0, 0, 0, 0, 100}}), 1)
 	if got.SaturatedSeconds != 1 {
 		t.Errorf("saturated seconds = %d", got.SaturatedSeconds)
 	}

@@ -23,6 +23,7 @@ import (
 	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
+	"enttrace/internal/scan"
 	"enttrace/internal/stats"
 )
 
@@ -309,13 +310,17 @@ func (c *shardCuts) enter(rw *replayWorker, st *windowStore, ts time.Time) {
 //     shard's positions in it: built under the lock by the publisher;
 //   - each replay shard's UDP pass: its datagrams replayed in global
 //     index order by the shard's pass goroutine, which a publish wakes
-//     when the pass is due (start, kick).
+//     when the pass is due (start, kick);
+//   - the trace's scanner census (scan.Builder), observing the
+//     connections in that order as far as they are settled, on its own
+//     goroutine, which a publish wakes when enough wait (observe): a TCP
+//     connection whose first packet was not a pure SYN may still flip
+//     its originator (flows.Conn.reorient), so the census stops at the
+//     first such connection until end of input.
 //
-// Neither reads anything end of input decides. What does — the scanner
-// census, phase A, the connection pass, the load, fan and role
-// censuses — waits for AddTraceSource: the census is trace-wide, and a
-// TCP connection's originator may still flip (flows.Conn.reorient) until
-// it sees its SYN.
+// None of them reads anything end of input decides. What does — the
+// census's verdicts, phase A, the connection pass and the retransmission
+// sums — waits for AddTraceSource.
 //
 // Like the replay workers, the feed lives as long as the Analyzer, its
 // widths fixed at first use, and reset empties it after each trace: it
@@ -335,9 +340,12 @@ type traceFeed struct {
 	mu sync.Mutex
 	// conns is the trace's connections below the frontier in
 	// first-packet order; byShard lists each replay shard's positions in
-	// conns, in the same order.
-	conns   []*flows.Conn
-	byShard [][]int32
+	// conns, in the same order. The first settled of conns are settled
+	// connections, as many as lead the list; the census goroutine has
+	// been handed the first censusAt of them.
+	conns             []*flows.Conn
+	byShard           [][]int32
+	settled, censusAt int
 	// udp holds each replay shard's published datagrams, one run per
 	// pipeline shard, each in index order. The shard's pass has replayed
 	// a prefix of each run (udpPass.pos) and drops it when it next looks;
@@ -353,6 +361,14 @@ type traceFeed struct {
 	// while a trace with payload analysis is read.
 	wake    []chan struct{}
 	running sync.WaitGroup
+
+	// census is the trace's scanner census. While the trace is read only
+	// the census goroutine touches it, woken by censusWake; observed is
+	// how many connections it has observed, which the test that the
+	// census runs during the read watches.
+	census     *scan.Builder
+	censusWake chan struct{}
+	observed   atomic.Int64
 }
 
 // feedIn is one pipeline shard's side of the feed: the batch its sink is
@@ -375,14 +391,23 @@ type feedIn struct {
 }
 
 // fedConn is a connection as its sink publishes it: with its
-// first-packet index and its replay shard, both fixed at creation. The
-// shard is hashed there, by the connection's own worker: reorientation
-// swaps Key's addresses later, which pairShard does not see but a read
-// from another goroutine would race.
+// first-packet index, its replay shard and whether it is settled, all
+// fixed at creation. They are read there, by the connection's own
+// worker: reorientation swaps Key's addresses later, which pairShard
+// does not see but a read from another goroutine would race.
+//
+// settled is all the census needs to read the connection itself. A
+// settled connection (flows.Conn.Settled) is never reoriented, and
+// nothing else writes its Key, Multicast or Start after its first
+// packet, so those three hold still from the publish that carries it —
+// which orders them before any read under the feed's lock — while its
+// worker goes on writing its counters. An unsettled one's Key is read at
+// end of input only.
 type fedConn struct {
-	conn  *flows.Conn
-	idx   int64
-	shard int
+	conn    *flows.Conn
+	idx     int64
+	shard   int32
+	settled bool
 }
 
 // udpPass is one replay shard's UDP pass over a trace: run by its pass
@@ -427,7 +452,8 @@ func (f *traceFeed) reset() {
 		in.through, in.pending, in.off = 0, in.pending[:0], 0
 	}
 	clear(f.conns)
-	f.conns = f.conns[:0]
+	f.conns, f.settled, f.censusAt, f.census = f.conns[:0], 0, 0, nil
+	f.observed.Store(0)
 	for r, runs := range f.udp {
 		f.byShard[r], f.waiting[r] = f.byShard[r][:0], 0
 		p := &f.passes[r]
@@ -445,7 +471,8 @@ func (f *traceFeed) reset() {
 // batch, and orders the connections the frontier has passed. It marks
 // due the UDP passes to run now: every one when more is false — the
 // worker has no batch of its own queued — and otherwise those with
-// passBacklog datagrams waiting.
+// passBacklog datagrams waiting. By the same rule, with censusBacklog
+// connections, it wakes the census.
 func (f *traceFeed) publish(q int, through int64, more bool) {
 	in := f.in[q]
 	f.mu.Lock()
@@ -457,7 +484,11 @@ func (f *traceFeed) publish(q int, through int64, more bool) {
 	}
 	in.through = through
 	f.order(f.frontier())
+	waiting := f.settled - f.censusAt
 	f.mu.Unlock()
+	if waiting >= censusBacklog || !more && waiting > 0 {
+		kick(f.censusWake)
+	}
 	// What the batch held is the feed's to keep now; the sink's copies
 	// must not keep a connection or a payload alive.
 	clear(in.batchConns)
@@ -475,6 +506,7 @@ func (f *traceFeed) finish() {
 	for _, wake := range f.wake {
 		close(wake)
 	}
+	close(f.censusWake)
 	f.running.Wait()
 	f.wake = f.wake[:0]
 	f.mu.Lock()
@@ -509,6 +541,9 @@ func (f *traceFeed) order(bound int64) {
 		fc := best.pending[best.off]
 		best.off++
 		f.byShard[fc.shard] = append(f.byShard[fc.shard], int32(len(f.conns)))
+		if fc.settled && f.settled == len(f.conns) {
+			f.settled++
+		}
 		f.conns = append(f.conns, fc.conn)
 	}
 	for _, in := range f.in {
@@ -518,6 +553,24 @@ func (f *traceFeed) order(bound int64) {
 	}
 }
 
+// observe hands the census the leading settled connections below the
+// frontier that it has not seen. The census goroutine runs it, outside
+// the feed's lock but for taking the list as it stands: below its
+// length, the list is never written again. The census reads the
+// connections themselves unlocked (fedConn).
+func (f *traceFeed) observe() {
+	f.mu.Lock()
+	settled := f.conns[:f.settled]
+	f.censusAt = f.settled
+	f.mu.Unlock()
+	f.census.Add(settled[f.census.Len():])
+	f.observed.Store(int64(f.census.Len()))
+}
+
+// censusBacklog is how many settled connections wait for the census
+// while the publishing worker has batches of its own queued.
+const censusBacklog = 256
+
 // passBacklog is how many datagrams a replay shard's UDP pass lets wait
 // while the publishing worker has batches of its own queued. Each run
 // of a pass takes a core from the packet path and fills its cache with
@@ -526,14 +579,30 @@ func (f *traceFeed) order(bound int64) {
 // trace is read").
 const passBacklog = 256
 
-// start runs one goroutine per replay shard for the trace's read. Each
-// sleeps until a publish makes its pass due (kick), then replays what
-// the frontier has passed; finish ends them. Between wake-ups they are
-// not runnable, so on two vCPUs they take a core only for work that is
-// there — which is why they measured better than handoff's rule here,
-// running the pass on whichever pipeline worker publishes (EXPERIMENTS
-// "UDP messages replay while the trace is read" has both).
-func (f *traceFeed) start() {
+// start readies the feed for a trace's read: a census that counts known
+// as scanners, with a goroutine that advances it, and, when passes is
+// set, one goroutine per replay shard for its UDP pass. Each sleeps until
+// a publish makes its work due (kick), then does what the frontier has
+// passed; finish ends them. Between wake-ups they are not runnable, so on
+// two vCPUs they take a core only for work that is there — which is why
+// they measured better than running the work on whichever pipeline
+// worker publishes (EXPERIMENTS "UDP messages replay while the trace is
+// read" and "The census is taken while the trace is read").
+func (f *traceFeed) start(known []netip.Addr, passes bool) {
+	// The census reserves nothing: it is resident for the whole read, and
+	// sized from an earlier trace it held more than grown to fit.
+	f.census = scan.NewBuilder(known, 0)
+	f.censusWake = make(chan struct{}, 1)
+	f.running.Add(1)
+	go func() {
+		defer f.running.Done()
+		for range f.censusWake {
+			f.observe()
+		}
+	}()
+	if !passes {
+		return
+	}
 	for r := range f.passes {
 		wake := make(chan struct{}, 1)
 		f.wake = append(f.wake, wake)
@@ -547,11 +616,11 @@ func (f *traceFeed) start() {
 	}
 }
 
-// kick wakes replay shard r's pass goroutine, unless a wake-up is
-// already pending: the run that takes it sees this publish too.
-func (f *traceFeed) kick(r int) {
+// kick wakes the goroutine sleeping on wake, unless a wake-up is already
+// pending: the run that takes it sees this publish too.
+func kick(wake chan struct{}) {
 	select {
-	case f.wake[r] <- struct{}{}:
+	case wake <- struct{}{}:
 	default:
 	}
 }

@@ -218,7 +218,8 @@ func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *f
 	if conn != nil && idx == conn.FirstIdx {
 		s.recordHost(conn.Key.Src)
 		s.recordHost(conn.Key.Dst)
-		s.in.batchConns = append(s.in.batchConns, fedConn{conn: conn, idx: idx, shard: pairShard(conn.Key.Src, conn.Key.Dst, len(s.in.batchUDP))})
+		s.in.batchConns = append(s.in.batchConns, fedConn{conn: conn, idx: idx,
+			shard: int32(pairShard(conn.Key.Src, conn.Key.Dst, len(s.in.batchUDP))), settled: conn.Settled()})
 	}
 	s.bin(pk.Timestamp, pk.OrigLen)
 	if pk.Timestamp.After(s.maxTS) {
@@ -424,7 +425,7 @@ func (s *shardSink) Publish(through int64, more bool) {
 	}
 	for r, due := range s.in.due {
 		if due {
-			s.feed.kick(r)
+			kick(s.feed.wake[r])
 		}
 	}
 }

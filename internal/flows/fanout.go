@@ -29,11 +29,15 @@ type Pair struct {
 	Conns      int64
 }
 
-// Pairs deduplicates connections' (originator, responder) pairs: List
-// holds each distinct pair once, in the order its first connection was
-// added. The zero value is ready to use.
+// Pairs deduplicates connections' (originator, responder) pairs,
+// numbering each distinct pair in the order its first connection was
+// added. The zero value is ready to use. A pair's addresses live only in
+// its index key, with its connection count beside it, until List builds
+// the pairs: a trace's census holds its table for as long as the trace
+// is read, and a Pair is seven words.
 type Pairs struct {
-	List []Pair
+	// conns[i] is pair i's connection count.
+	conns []int64
 	// v4 indexes the pairs of two IPv4 addresses by both as one word,
 	// other the rest by their bytes (pairKey). Neither holds a pointer for
 	// the collector to scan, and the first hashes a word, not 34 bytes:
@@ -52,41 +56,56 @@ type pairKey struct {
 
 // Reserve sizes the table for n distinct pairs, most of them IPv4.
 func (t *Pairs) Reserve(n int) {
-	t.List = slices.Grow(t.List, n)
+	t.conns = slices.Grow(t.conns, n)
 	if t.v4 == nil {
 		t.v4 = make(map[uint64]int32, n)
 	}
 }
 
 // Add counts one connection from orig to resp. It returns the pair's
-// index in List and whether this connection is the pair's first.
+// number and whether this connection is the pair's first.
 func (t *Pairs) Add(orig, resp netip.Addr) (int32, bool) {
 	if orig.Is4() && resp.Is4() {
 		o, r := orig.As4(), resp.As4()
-		return addPair(t, &t.v4, uint64(binary.BigEndian.Uint32(o[:]))<<32|uint64(binary.BigEndian.Uint32(r[:])), orig, resp)
+		return addPair(t, &t.v4, uint64(binary.BigEndian.Uint32(o[:]))<<32|uint64(binary.BigEndian.Uint32(r[:])))
 	}
-	return addPair(t, &t.other, pairKey{orig.As16(), resp.As16(), [2]bool{orig.Is4(), resp.Is4()}}, orig, resp)
+	return addPair(t, &t.other, pairKey{orig.As16(), resp.As16(), [2]bool{orig.Is4(), resp.Is4()}})
 }
 
-func addPair[K comparable](t *Pairs, index *map[K]int32, k K, orig, resp netip.Addr) (int32, bool) {
+func addPair[K comparable](t *Pairs, index *map[K]int32, k K) (int32, bool) {
 	if i, ok := (*index)[k]; ok {
-		t.List[i].Conns++
+		t.conns[i]++
 		return i, false
 	}
 	if *index == nil {
 		*index = make(map[K]int32)
 	}
-	i := int32(len(t.List))
+	i := int32(len(t.conns))
 	(*index)[k] = i
-	t.List = append(t.List, Pair{Orig: orig, Resp: resp, Conns: 1})
+	t.conns = append(t.conns, 1)
 	return i, true
 }
 
-// Reset empties the table, keeping its storage.
-func (t *Pairs) Reset() {
-	t.List = t.List[:0]
-	clear(t.v4)
-	clear(t.other)
+// List returns the distinct pairs, pair i at index i, each with its
+// connection count.
+func (t *Pairs) List() []Pair {
+	out := make([]Pair, len(t.conns))
+	for k, i := range t.v4 {
+		var o, r [4]byte
+		binary.BigEndian.PutUint32(o[:], uint32(k>>32))
+		binary.BigEndian.PutUint32(r[:], uint32(k))
+		out[i] = Pair{Orig: netip.AddrFrom4(o), Resp: netip.AddrFrom4(r), Conns: t.conns[i]}
+	}
+	addr := func(b [16]byte, is4 bool) netip.Addr {
+		if is4 {
+			return netip.AddrFrom16(b).Unmap()
+		}
+		return netip.AddrFrom16(b)
+	}
+	for k, i := range t.other {
+		out[i] = Pair{Orig: addr(k.orig, k.is4[0]), Resp: addr(k.resp, k.is4[1]), Conns: t.conns[i]}
+	}
+	return out
 }
 
 // FanInOut computes per-host fan statistics from distinct pairs: each

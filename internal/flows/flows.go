@@ -143,6 +143,12 @@ func (c *Conn) Successful() bool {
 	return c.RespPkts > 0
 }
 
+// Settled reports whether the connection's originator is final: it is
+// not TCP, or it saw a pure SYN, which fixes the originator. Until then a
+// pure SYN from the responder side reorients it (Key reversed). Like the
+// table, it belongs to the goroutine that feeds the table packets.
+func (c *Conn) Settled() bool { return c.Proto != layers.ProtoTCP || c.sawSYN }
+
 // HostPair returns the unordered endpoint pair.
 func (c *Conn) HostPair() layers.HostPair {
 	return layers.NewHostPair(c.Key.Src, c.Key.Dst)

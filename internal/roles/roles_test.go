@@ -34,7 +34,7 @@ func classify(conns []*flows.Conn, cfg Config) map[netip.Addr]*HostProfile {
 		}
 	}
 	profiles := make(map[netip.Addr]*HostProfile)
-	for _, p := range Accumulate(pairs.List, conns, pairOf).Finalize(cfg) {
+	for _, p := range Accumulate(pairs.List(), conns, pairOf).Finalize(cfg) {
 		profiles[p.Addr] = &p
 	}
 	return profiles

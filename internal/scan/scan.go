@@ -14,18 +14,28 @@
 // deduplicated edge set, from which Figure 2 fan and host-role evidence
 // are read (flows.FanInOut, roles.Accumulate) without sorting anything.
 //
+// The walk need not wait for the trace to end. A Builder takes it while
+// the trace is read: Add observes connections in first-packet order as
+// far as their originators are final, and stops for good at the first
+// that starts before its predecessor — a capture whose timestamps
+// regress is walked again, in start order, by Finish. Finish observes
+// the rest and classifies; verdicts wait for it, since a sweep may end in
+// the trace's last connection. A Census never depends on how far Add
+// got. TakeCensus is a Builder handed every connection at once, so both
+// share one observe loop and one compaction.
+//
 // Epoch obligations: scanner removal is deliberately trace-granular, not
 // per-window — a Census sees a whole trace's connection summaries at
 // once, so a slow scan cannot escape detection by straddling window cuts,
 // and the removal delta banks into the window containing the trace's last
-// packet. Reset readies a Detector for the next trace, not the next
-// window. See DESIGN.md § "Epoch cuts and windowed reports: the
-// Cut/Merge/watermark contract".
+// packet. Each trace takes a Census of its own. See DESIGN.md § "Epoch
+// cuts and windowed reports: the Cut/Merge/watermark contract".
 package scan
 
 import (
 	"net/netip"
 	"slices"
+	"time"
 
 	"enttrace/internal/flows"
 )
@@ -53,19 +63,20 @@ type Detector struct {
 	tracks  []srcTrack
 }
 
-// srcTrack is one source's first-contact sequence, summarized.
+// srcTrack is one source's first-contact sequence, summarized. A trace's
+// census holds one per source for as long as the trace is read, so the
+// counts are 32 bits: a trace of 2^31 connections is far out of reach.
 type srcTrack struct {
-	src netip.Addr
 	// distinct counts first contacts. last is the previous first-contact
 	// address. ascRun/descRun are the current consecutive monotone run
 	// lengths (in addresses) within the first-contact sequence, and
 	// maxAsc/maxDesc their maxima. A random contact order produces only
 	// short runs; a sequential sweep produces a run covering nearly every
 	// address, which is what the heuristic keys on.
-	distinct        int
 	last            netip.Addr
-	ascRun, descRun int
-	maxAsc, maxDesc int
+	distinct        int32
+	ascRun, descRun int32
+	maxAsc, maxDesc int32
 }
 
 // firstContact extends the sequence with dst, a destination the source
@@ -103,17 +114,6 @@ func NewDetector() *Detector {
 // vulnerability scanners in the paper's traces) regardless of heuristics.
 func (d *Detector) AddKnown(src netip.Addr) { d.known[src] = true }
 
-// Reset clears the per-source contact evidence in place while keeping
-// the known-scanner list — the epoch cut for a long-running detector: a
-// serve-mode process rotates detection windows without forgetting the
-// operator-configured scanners. Heuristic verdicts restart from scratch
-// in the new epoch (contact sequences do not straddle a Reset).
-func (d *Detector) Reset() {
-	d.pairs.Reset()
-	clear(d.sources)
-	d.tracks = d.tracks[:0]
-}
-
 // Observe records that src originated a conversation to dst.
 func (d *Detector) Observe(src, dst netip.Addr) { d.observe(src, dst) }
 
@@ -126,7 +126,7 @@ func (d *Detector) observe(src, dst netip.Addr) int32 {
 		if !ok {
 			k = int32(len(d.tracks))
 			d.sources[src] = k
-			d.tracks = append(d.tracks, srcTrack{src: src})
+			d.tracks = append(d.tracks, srcTrack{})
 		}
 		d.tracks[k].firstContact(dst)
 	}
@@ -143,8 +143,8 @@ func (d *Detector) IsScanner(src netip.Addr) bool {
 }
 
 func (d *Detector) qualifies(tr *srcTrack) bool {
-	return tr.distinct > d.HostThreshold &&
-		(tr.maxAsc >= d.OrderedThreshold || tr.maxDesc >= d.OrderedThreshold)
+	return int(tr.distinct) > d.HostThreshold &&
+		(int(tr.maxAsc) >= d.OrderedThreshold || int(tr.maxDesc) >= d.OrderedThreshold)
 }
 
 // Scanners returns every source currently classified as a scanner —
@@ -154,9 +154,9 @@ func (d *Detector) Scanners() []netip.Addr {
 	for src := range d.known {
 		out = append(out, src)
 	}
-	for i := range d.tracks {
-		if tr := &d.tracks[i]; !d.known[tr.src] && d.qualifies(tr) {
-			out = append(out, tr.src)
+	for src, k := range d.sources {
+		if !d.known[src] && d.qualifies(&d.tracks[k]) {
+			out = append(out, src)
 		}
 	}
 	slices.SortFunc(out, netip.Addr.Compare)
@@ -167,10 +167,17 @@ func (d *Detector) Scanners() []netip.Addr {
 // pair through the detector, in the order given.
 func (d *Detector) ObserveConns(conns []*flows.Conn) {
 	for _, c := range conns {
-		if !c.Multicast {
-			d.observe(c.Key.Src, c.Key.Dst)
-		}
+		d.observeConn(c)
 	}
+}
+
+// observeConn observes c's originator→responder pair and returns the
+// pair's index, or -1 for a multicast connection, which is not observed.
+func (d *Detector) observeConn(c *flows.Conn) int32 {
+	if c.Multicast {
+		return -1
+	}
+	return d.observe(c.Key.Src, c.Key.Dst)
 }
 
 // Census is one trace's §3 scanner removal and its distinct-peer pair
@@ -191,40 +198,99 @@ type Census struct {
 	PairOf []int32
 }
 
+// Builder takes one trace's Census as the trace is read. Add observes
+// connections in first-packet order, as many at a time as are ready;
+// Finish observes the rest and classifies. A connection's Key, Multicast
+// and Start are read when it is observed, and never again.
+type Builder struct {
+	known []netip.Addr
+	d     *Detector
+	// pairOf[i] is the i-th added connection's index in the full pair
+	// table, or -1 when it is multicast.
+	pairOf []int32
+	// last is the latest added connection's start. regressed is set once
+	// an added connection started before it: the census then observes
+	// nothing more, and Finish takes it again in start order.
+	last      time.Time
+	regressed bool
+}
+
+// NewBuilder returns an empty census that counts known as scanners and
+// reserves room for about conns connections.
+func NewBuilder(known []netip.Addr, conns int) *Builder {
+	d := NewDetector()
+	for _, k := range known {
+		d.AddKnown(k)
+	}
+	d.pairs.Reserve(conns / 2)
+	return &Builder{known: known, d: d, pairOf: make([]int32, 0, conns)}
+}
+
+// Len is how many connections the census has observed: the first Len
+// connections of the trace.
+func (b *Builder) Len() int { return len(b.pairOf) }
+
+// Add observes conns, the connections after the first Len in
+// first-packet order. It stops at the first one that starts before the
+// connection observed last — a timestamp regression, after which only
+// Finish can order the trace — and from then on observes nothing. A
+// connection added here must be settled: its originator and responder
+// final (flows.Conn.Settled).
+func (b *Builder) Add(conns []*flows.Conn) {
+	for _, c := range conns {
+		if b.regressed || len(b.pairOf) > 0 && c.Start.Before(b.last) {
+			b.regressed = true
+			return
+		}
+		b.last = c.Start
+		b.pairOf = append(b.pairOf, b.d.observeConn(c))
+	}
+}
+
+// Finish completes the census of conns, the trace's connections in
+// first-packet order, of which the census has observed the first Len:
+// it observes the rest, classifies scanners and removes every connection
+// one originated. When a capture's timestamps regress, the walk is taken
+// again from scratch over conns in start order, sorted stably so ties
+// keep their first-packet order — so the Census never depends on how far
+// Add got.
+func (b *Builder) Finish(conns []*flows.Conn) *Census {
+	b.Add(conns[b.Len():])
+	if !b.regressed {
+		return b.d.census(conns, b.pairOf)
+	}
+	order := make([]int, len(conns))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return conns[i].Start.Compare(conns[j].Start) })
+	sorted := make([]*flows.Conn, len(conns))
+	for k, i := range order {
+		sorted[k] = conns[i]
+	}
+	from := NewBuilder(b.known, len(conns))
+	from.Add(sorted)
+	pairOf := make([]int32, len(conns))
+	for k, i := range order {
+		pairOf[i] = from.pairOf[k]
+	}
+	return from.d.census(conns, pairOf)
+}
+
 // TakeCensus runs the full §3 procedure: observe every unicast connection
 // in start order (the order probes hit the wire, which is what makes a
 // sequential sweep visible), classify scanners, and remove every
 // connection one originated. conns in first-packet order are already in
 // start order unless a capture's timestamps regress; only then is an
-// order sorted, stably, so ties keep their first-packet order.
+// order sorted (Builder.Finish).
 func TakeCensus(conns []*flows.Conn, known []netip.Addr) *Census {
-	d := NewDetector()
-	for _, k := range known {
-		d.AddKnown(k)
-	}
-	d.pairs.Reserve(len(conns) / 2)
-	c := &Census{Kept: make([]bool, len(conns)), PairOf: make([]int32, len(conns))}
-	observe := func(i int) {
-		c.PairOf[i] = -1
-		if conn := conns[i]; !conn.Multicast {
-			c.PairOf[i] = d.observe(conn.Key.Src, conn.Key.Dst)
-		}
-	}
-	if slices.IsSortedFunc(conns, func(a, b *flows.Conn) int { return a.Start.Compare(b.Start) }) {
-		for i := range conns {
-			observe(i)
-		}
-	} else {
-		order := make([]int, len(conns))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortStableFunc(order, func(i, j int) int { return conns[i].Start.Compare(conns[j].Start) })
-		for _, i := range order {
-			observe(i)
-		}
-	}
+	return NewBuilder(known, len(conns)).Finish(conns)
+}
 
+// census classifies the scanners among what d observed and removes their
+// connections. pairOf[i] is conns[i]'s index in d's pair table, or -1.
+func (d *Detector) census(conns []*flows.Conn, pairOf []int32) *Census {
+	c := &Census{Kept: make([]bool, len(conns)), PairOf: pairOf}
 	c.Scanners = d.Scanners()
 	scanners := make(map[netip.Addr]bool, len(c.Scanners))
 	for _, s := range c.Scanners {
@@ -234,7 +300,7 @@ func TakeCensus(conns []*flows.Conn, known []netip.Addr) *Census {
 	// originator is not a scanner are exactly the kept unicast
 	// connections' distinct pairs. Compact them in place; remap takes an
 	// index in the full table to one in the kept list, or to -1.
-	all := d.pairs.List
+	all := d.pairs.List()
 	remap := make([]int32, len(all))
 	c.Pairs = all[:0]
 	for i, p := range all {

@@ -248,27 +248,3 @@ func BenchmarkObserve(b *testing.B) {
 		d.Observe(srcs[i%100], addr(i%4096))
 	}
 }
-
-// TestDetectorReset pins the epoch cut: Reset clears the heuristic
-// evidence but keeps the operator-configured known scanners.
-func TestDetectorReset(t *testing.T) {
-	d := NewDetector()
-	d.HostThreshold = 4
-	d.OrderedThreshold = 4
-	known := netip.MustParseAddr("10.9.9.9")
-	d.AddKnown(known)
-	src := netip.MustParseAddr("10.0.0.1")
-	for i := 1; i <= 8; i++ {
-		d.Observe(src, netip.AddrFrom4([4]byte{10, 1, 0, byte(i)}))
-	}
-	if !d.IsScanner(src) {
-		t.Fatal("sequential sweep not detected before reset")
-	}
-	d.Reset()
-	if d.IsScanner(src) {
-		t.Error("heuristic verdict survived Reset")
-	}
-	if !d.IsScanner(known) {
-		t.Error("known scanner forgotten by Reset")
-	}
-}
