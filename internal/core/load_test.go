@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"net/netip"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
@@ -129,3 +132,40 @@ func TestSaturationDwell(t *testing.T) {
 
 // enterpriseD3ForFig gives apps_test a config without import cycles.
 func enterpriseD3ForFig() enterprise.Config { return enterprise.D3() }
+
+// TestBinMatchesDurationDivision holds binIndex to the Duration division
+// it replaced, int(ts.Sub(base)/time.Second) clamped at 0: before the
+// base, in the base's second with fewer nanoseconds, a nanosecond and a
+// second on either side of each boundary, and over the pcap timestamp
+// range (uint32 seconds), at bases across that range.
+func TestBinMatchesDurationDivision(t *testing.T) {
+	old := func(base, ts time.Time) int { return max(int(ts.Sub(base)/time.Second), 0) }
+	check := func(base, ts time.Time) {
+		t.Helper()
+		if got, want := binIndex(base.Unix(), base.Nanosecond(), ts), old(base, ts); got != want {
+			t.Fatalf("base %v, ts %v: bin %d, Duration division %d", base, ts, got, want)
+		}
+	}
+	bases := []time.Time{
+		time.Unix(0, 0), time.Unix(100, 0), time.Unix(100, 1), time.Unix(100, 999_999_999),
+		time.Unix(1_104_969_600, 500_000_000), time.Unix(math.MaxUint32, 0), time.Unix(math.MaxUint32, 999_999_000),
+	}
+	offsets := []time.Duration{0, 1, -1, time.Second, time.Second - 1, time.Second + 1, -time.Second,
+		-time.Second - 1, -time.Second + 1, 59*time.Second + 999_999_999, time.Hour, -time.Hour, 12*time.Hour + 1}
+	rng := rand.New(rand.NewSource(1))
+	for _, base := range bases {
+		for _, d := range offsets {
+			check(base, base.Add(d))
+		}
+		// The base's second with fewer nanoseconds, and the pcap range's
+		// ends.
+		check(base, time.Unix(base.Unix(), 0))
+		check(base, time.Unix(base.Unix(), int64(max(base.Nanosecond()-1, 0))))
+		check(base, time.Unix(0, 0))
+		check(base, time.Unix(math.MaxUint32, 999_999_999).UTC())
+		for i := 0; i < 10_000; i++ {
+			check(base, time.Unix(int64(rng.Uint32()), rng.Int63n(1e9)))
+			check(base, base.Add(time.Duration(rng.Int63n(int64(48*time.Hour)))-24*time.Hour))
+		}
+	}
+}

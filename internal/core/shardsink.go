@@ -58,8 +58,12 @@ type shardSink struct {
 	opts      *Options
 	registry  *categories.Registry
 	monitored netip.Prefix
-	base      time.Time
-	feed      *traceFeed
+	// baseSec and baseNsec are the trace's first packet time, fixed by the
+	// router before any worker starts, as Unix seconds and nanoseconds:
+	// the origin of bins.
+	baseSec  int64
+	baseNsec int
+	feed     *traceFeed
 	// shard is the sink's pipeline shard, in is its side of feed.
 	shard int
 	in    *feedIn
@@ -69,8 +73,7 @@ type shardSink struct {
 	// fed once per connection (see Packet).
 	netLayer                          [numNetClasses]int64
 	monHosts, localHosts, remoteHosts map[netip.Addr]struct{}
-	// bins holds wire bytes per second since base (the trace's first
-	// packet, fixed by the router before any worker starts).
+	// bins holds wire bytes per second since the trace's first packet.
 	bins []int64
 	// maxTS is this shard's event-time high-water mark; the trace
 	// watermark (max across shards, read after all workers drain) drives
@@ -157,7 +160,8 @@ func newShardSink(opts *Options, registry *categories.Registry, monitored netip.
 		opts:        opts,
 		registry:    registry,
 		monitored:   monitored,
-		base:        base,
+		baseSec:     base.Unix(),
+		baseNsec:    base.Nanosecond(),
 		feed:        feed,
 		shard:       shard,
 		in:          feed.in[shard],
@@ -460,11 +464,22 @@ func (s *shardSink) recordHost(addr netip.Addr) {
 	}
 }
 
-func (s *shardSink) bin(ts time.Time, wireLen int) {
-	sec := int(ts.Sub(s.base) / time.Second)
-	if sec < 0 {
-		sec = 0
+// binIndex is the second of ts since the base: int(ts.Sub(base) /
+// time.Second) clamped at 0, from Unix seconds and nanoseconds, with no
+// Duration arithmetic per packet. A non-negative difference divides
+// truncated as it floors, and a negative one clamps to 0 either way. The
+// two agree for any ts within a Duration (±292 years) of the base, which
+// holds every pcap timestamp.
+func binIndex(baseSec int64, baseNsec int, ts time.Time) int {
+	sec := ts.Unix() - baseSec
+	if ts.Nanosecond() < baseNsec {
+		sec--
 	}
+	return int(max(sec, 0))
+}
+
+func (s *shardSink) bin(ts time.Time, wireLen int) {
+	sec := binIndex(s.baseSec, s.baseNsec, ts)
 	if sec >= len(s.bins) {
 		// Fill the gap in one step: a long idle stretch in a trace must
 		// cost one grow, not one append per missing second. Capacity

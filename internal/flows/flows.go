@@ -9,9 +9,11 @@
 // keep-alives in sequence space (the inputs to Figure 10).
 //
 // A packet costs one probe of the live table, keyed by the canonical flow
-// key as plain words read from the decoded header: no pointer to hash, no
-// netip.Addr to compare. A connection's layers.FlowKey is built once, when
-// its first packet creates it.
+// key as five words read from the decoded header. The table is open
+// addressing with a hash seeded per table, so a crafted trace cannot aim
+// its flows at one probe run, and it compares the words one by one: no
+// generic map hash, no netip.Addr to compare. A connection's
+// layers.FlowKey is built once, when its first packet creates it.
 //
 // Epoch obligations: none directly — a Table is per-shard, lives for a
 // whole trace, and connections may straddle window boundaries. The
@@ -23,8 +25,6 @@
 package flows
 
 import (
-	"encoding/binary"
-	"net/netip"
 	"sync/atomic"
 	"time"
 
@@ -82,7 +82,6 @@ type dirTrack struct {
 type Conn struct {
 	// Key is oriented originator → responder.
 	Key   layers.FlowKey
-	Proto uint8
 	Start time.Time
 	Last  time.Time
 	// Packet and header-implied payload byte counts per direction.
@@ -95,6 +94,7 @@ type Conn struct {
 	sawSYN, sawSYNACK bool
 	sawRSTFromResp    bool
 	sawFin            [2]bool
+	Proto             uint8 // beside the flags, where the padding had room
 	// Retransmission accounting (TCP only).
 	Retrans          int64 // retransmitted data packets, keep-alives excluded
 	KeepAliveRetrans int64 // 1-byte snd_nxt-1 probes (NCP/SSH keep-alives)
@@ -111,6 +111,9 @@ type Conn struct {
 	// packet runs originator → responder exactly when its own key flips
 	// the same way.
 	flipped bool
+	// ord is the connection's place in the table's creation order, the
+	// last tie-break of the MaxConns victim.
+	ord int64
 
 	// FirstIdx and App belong to the table's caller, which fills them when
 	// Packet reports the connection new; the table never reads them. They
@@ -198,7 +201,7 @@ func (c *Config) withDefaults() Config {
 // connection observed.
 type Table struct {
 	cfg  Config
-	live map[liveKey]*Conn
+	live liveTable
 	// conns is every connection the table has created, in creation order;
 	// the ones not in live are finished.
 	conns []*Conn
@@ -217,104 +220,13 @@ type Table struct {
 
 // NewTable returns an empty connection table.
 func NewTable(cfg Config) *Table {
-	return &Table{cfg: cfg.withDefaults(), live: make(map[liveKey]*Conn)}
-}
-
-// liveKey is a connection's identity in the live table: its canonical
-// flow key as words, read from the decoded header. Endpoint a is the
-// lower one; an address is two big-endian words, an IPv4 one its 32 bits
-// in the low word. meta packs the ports, the protocol and a family bit,
-// which keeps an IPv4 address apart from the IPv6 address with the same
-// low word. With no pointer in it the map hashes and compares it as 40
-// bytes of memory.
-type liveKey struct {
-	aHi, aLo, bHi, bLo uint64
-	meta               uint64 // a's port<<48 | b's port<<32 | proto<<8 | 1 for IPv6
-}
-
-const metaIPv6 = 1
-
-// v4Word and v6Words are an address's words in a liveKey.
-func v4Word(x netip.Addr) uint64 {
-	b := x.As4()
-	return uint64(binary.BigEndian.Uint32(b[:]))
-}
-
-func v6Words(x netip.Addr) (hi, lo uint64) {
-	b := x.As16()
-	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
-}
-
-// set fills k with the key of the flow src:sp → dst:dp, oriented the way
-// FlowKey.Canonical orients — lower address first, lower port first
-// between equal addresses — by integer compare, which is Addr.Compare's
-// order within one family. It reports whether the flow was flipped.
-func (k *liveKey) set(sHi, sLo, dHi, dLo uint64, sp, dp uint16, meta uint64) (flipped bool) {
-	flipped = sHi > dHi || sHi == dHi && (sLo > dLo || sLo == dLo && sp > dp)
-	if flipped {
-		sHi, sLo, sp, dHi, dLo, dp = dHi, dLo, dp, sHi, sLo, sp
-	}
-	*k = liveKey{sHi, sLo, dHi, dLo, uint64(sp)<<48 | uint64(dp)<<32 | meta}
-	return flipped
-}
-
-// setAddrs is set for a flow's addresses, whose family picks the words.
-func (k *liveKey) setAddrs(proto uint8, src, dst netip.Addr, sp, dp uint16) (flipped bool) {
-	if src.Is4() {
-		return k.set(0, v4Word(src), 0, v4Word(dst), sp, dp, uint64(proto)<<8)
-	}
-	sHi, sLo := v6Words(src)
-	dHi, dLo := v6Words(dst)
-	return k.set(sHi, sLo, dHi, dLo, sp, dp, uint64(proto)<<8|metaIPv6)
-}
-
-// fromPacket sets k to a decoded packet's key; ok is false for frames
-// with no network-layer addresses. Ports are zero where Decode parsed no
-// TCP or UDP header, except that ICMP echo keys both ports by ID,
-// pairing request and reply into one flow.
-func (k *liveKey) fromPacket(p *layers.Packet) (flipped, ok bool) {
-	var sp, dp uint16
-	switch {
-	case p.Layers.Has(layers.LayerTCP):
-		sp, dp = p.TCP.SrcPort, p.TCP.DstPort
-	case p.Layers.Has(layers.LayerUDP):
-		sp, dp = p.UDP.SrcPort, p.UDP.DstPort
-	case p.Layers.Has(layers.LayerICMP) && (p.ICMP.Type == layers.ICMPEchoRequest || p.ICMP.Type == layers.ICMPEchoReply):
-		sp, dp = p.ICMP.ID, p.ICMP.ID
-	}
-	switch {
-	case p.Layers.Has(layers.LayerIPv4): // inlined: the path nearly every packet takes
-		return k.set(0, v4Word(p.IP4.Src), 0, v4Word(p.IP4.Dst), sp, dp, uint64(p.IP4.Protocol)<<8), true
-	case p.Layers.Has(layers.LayerIPv6):
-		return k.setAddrs(p.IP6.NextHeader, p.IP6.Src, p.IP6.Dst, sp, dp), true
-	}
-	return false, false
-}
-
-// flowKey turns k back into a FlowKey, reversed if flipped: the key of
-// the packet k was built from.
-func (k *liveKey) flowKey(flipped bool) layers.FlowKey {
-	addr := func(hi, lo uint64) netip.Addr {
-		var b [16]byte
-		binary.BigEndian.PutUint64(b[:8], hi)
-		binary.BigEndian.PutUint64(b[8:], lo)
-		if k.meta&metaIPv6 == 0 {
-			return netip.AddrFrom4([4]byte(b[12:]))
-		}
-		return netip.AddrFrom16(b)
-	}
-	fk := layers.FlowKey{Proto: uint8(k.meta >> 8), Src: addr(k.aHi, k.aLo), Dst: addr(k.bHi, k.bLo),
-		SrcPort: uint16(k.meta >> 48), DstPort: uint16(k.meta >> 32)}
-	if flipped {
-		return fk.Reverse()
-	}
-	return fk
+	return &Table{cfg: cfg.withDefaults()}
 }
 
 // Packet feeds one decoded packet. wireLen is the frame's original wire
 // length. It returns the connection, the packet's direction within it, and
 // whether this packet created the connection; the connection is nil for
-// frames with no network-layer addresses (ARP, IPX). The lookup in the
+// frames with no network-layer addresses (ARP, IPX). The probe of the
 // live table is the only hashing a packet costs here.
 func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (conn *Conn, dir Dir, isNew bool) {
 	t.maybeSweep(ts)
@@ -323,22 +235,28 @@ func (t *Table) Packet(ts time.Time, p *layers.Packet, wireLen int) (conn *Conn,
 	if !ok {
 		return nil, DirOrig, false
 	}
-	conn = t.live[key]
+	slot := &t.live.slots[t.live.find(&key)]
+	conn = slot.conn
 	if conn != nil && t.expired(conn, ts) {
-		t.finish(conn)
+		conn.finished = true // its successor takes its slot below
 		conn = nil
 	}
 	isNew = conn == nil
 	if isNew {
 		conn = t.alloc()
 		fk := key.flowKey(flipped)
-		*conn = Conn{Key: fk, Proto: fk.Proto, Start: ts, Last: ts, flipped: flipped,
+		*conn = Conn{Key: fk, Proto: fk.Proto, Start: ts, Last: ts, flipped: flipped, ord: int64(len(t.conns) - 1),
 			Multicast: p.Eth.Dst.Multicast() || fk.Dst.Is4() && fk.Dst.IsMulticast()}
-		t.live[key] = conn
-		if t.cfg.LiveGauge != nil {
-			t.cfg.LiveGauge.Add(1)
+		if slot.conn != nil {
+			slot.conn = conn // the live count stays
+		} else {
+			*slot = liveSlot{key, conn}
+			t.live.added()
+			if t.cfg.LiveGauge != nil {
+				t.cfg.LiveGauge.Add(1)
+			}
+			t.enforceCap(conn)
 		}
-		t.enforceCap(conn)
 	}
 	// Direction relative to the connection's originator. Both keys share
 	// one canonical form, so they are equal or reversed, and the flip bits
@@ -396,12 +314,20 @@ func (t *Table) expired(c *Conn, now time.Time) bool {
 // split by expired() at its next packet — the sweep only reclaims the
 // memory earlier, so reports are unchanged by when (or whether) it
 // runs.
+//
+// It collects the idle connections first and finishes them after the
+// walk: a delete shifts entries back, and could move one the walk has yet
+// to visit into a slot it has passed.
 func (t *Table) sweep(now time.Time) {
-	for _, c := range t.live {
-		if now.Sub(c.Last) > t.cfg.IdleTimeout {
-			t.finish(c)
-			t.agedEvicted++
+	var idle []*Conn
+	for i := range t.live.slots {
+		if c := t.live.slots[i].conn; c != nil && now.Sub(c.Last) > t.cfg.IdleTimeout {
+			idle = append(idle, c)
 		}
+	}
+	for _, c := range idle {
+		t.finish(c)
+		t.agedEvicted++
 	}
 }
 
@@ -425,17 +351,18 @@ func (t *Table) maybeSweep(now time.Time) {
 
 // enforceCap evicts the least-recently-active connection when an
 // insert pushed the live table over MaxConns. Ties break toward the
-// earliest-started connection; the just-inserted one is never the
-// victim.
+// earliest-started connection, and then the earliest-created, so the
+// victim is one connection whatever order the slots hold them in; the
+// just-inserted one is never the victim.
 func (t *Table) enforceCap(just *Conn) {
-	for t.cfg.MaxConns > 0 && len(t.live) > t.cfg.MaxConns {
+	for t.cfg.MaxConns > 0 && t.live.n > t.cfg.MaxConns {
 		var victim *Conn
-		for _, c := range t.live {
-			if c == just {
+		for i := range t.live.slots {
+			c := t.live.slots[i].conn
+			if c == nil || c == just {
 				continue
 			}
-			if victim == nil || c.Last.Before(victim.Last) ||
-				(c.Last.Equal(victim.Last) && c.Start.Before(victim.Start)) {
+			if victim == nil || colder(c, victim) {
 				victim = c
 			}
 		}
@@ -445,6 +372,18 @@ func (t *Table) enforceCap(just *Conn) {
 		t.finish(victim)
 		t.capEvicted++
 	}
+}
+
+// colder reports whether a goes before b in the MaxConns eviction order:
+// less recently active, then earlier started, then earlier created.
+func colder(a, b *Conn) bool {
+	if !a.Last.Equal(b.Last) {
+		return a.Last.Before(b.Last)
+	}
+	if !a.Start.Equal(b.Start) {
+		return a.Start.Before(b.Start)
+	}
+	return a.ord < b.ord
 }
 
 // EvictStats returns how many connections the idle sweep (aged) and the
@@ -539,33 +478,33 @@ func (t *Table) finish(c *Conn) {
 	c.finished = true
 	var k liveKey // rebuilt from the connection's FlowKey, once per connection
 	k.setAddrs(c.Key.Proto, c.Key.Src, c.Key.Dst, c.Key.SrcPort, c.Key.DstPort)
-	if t.live[k] == c {
-		delete(t.live, k)
-		if t.cfg.LiveGauge != nil {
-			t.cfg.LiveGauge.Add(-1)
-		}
+	if t.live.remove(&k, c) && t.cfg.LiveGauge != nil {
+		t.cfg.LiveGauge.Add(-1)
 	}
 }
 
-// Flush finalizes all live connections (end of trace).
+// Flush finalizes all live connections (end of trace). The table keeps
+// its slots, empty.
 func (t *Table) Flush() {
-	for _, c := range t.live {
-		c.finished = true
+	for i := range t.live.slots {
+		if c := t.live.slots[i].conn; c != nil {
+			c.finished = true
+		}
 	}
 	if t.cfg.LiveGauge != nil {
-		t.cfg.LiveGauge.Add(-int64(len(t.live)))
+		t.cfg.LiveGauge.Add(-int64(t.live.n))
 	}
-	t.live = make(map[liveKey]*Conn)
+	t.live.reset()
 }
 
 // Conns returns all finalized connections in the order they were created
 // (the order of their first packets). Call Flush first to include
 // still-live flows.
 func (t *Table) Conns() []*Conn {
-	if len(t.live) == 0 {
+	if t.live.n == 0 {
 		return t.conns
 	}
-	done := make([]*Conn, 0, len(t.conns)-len(t.live))
+	done := make([]*Conn, 0, len(t.conns)-t.live.n)
 	for _, c := range t.conns {
 		if c.finished {
 			done = append(done, c)
@@ -575,4 +514,4 @@ func (t *Table) Conns() []*Conn {
 }
 
 // Live returns the number of currently tracked connections.
-func (t *Table) Live() int { return len(t.live) }
+func (t *Table) Live() int { return t.live.n }

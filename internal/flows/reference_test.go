@@ -50,7 +50,7 @@ func (t *refTable) Packet(ts time.Time, p *layers.Packet, wireLen int) (conn *Co
 	isNew = conn == nil
 	if isNew {
 		conn = t.alloc()
-		*conn = Conn{Key: key, Proto: key.Proto, Start: ts, Last: ts, flipped: flipped}
+		*conn = Conn{Key: key, Proto: key.Proto, Start: ts, Last: ts, flipped: flipped, ord: int64(len(t.conns) - 1)}
 		if p.Eth.Dst.Multicast() {
 			conn.Multicast = true
 		}
@@ -121,7 +121,8 @@ func (t *refTable) enforceCap(just *Conn) {
 				continue
 			}
 			if victim == nil || c.Last.Before(victim.Last) ||
-				(c.Last.Equal(victim.Last) && c.Start.Before(victim.Start)) {
+				(c.Last.Equal(victim.Last) && (c.Start.Before(victim.Start) ||
+					c.Start.Equal(victim.Start) && c.ord < victim.ord)) {
 				victim = c
 			}
 		}
@@ -385,9 +386,11 @@ func handStream() []stamped {
 }
 
 // mixedStream is n frames at random over a small mixed IPv4/IPv6
-// population — few enough endpoints that tuples recur — at strictly
-// increasing times with gaps up to 4 s, so idle timeouts, the sweep and a
-// small MaxConns all fire. Distinct times keep the MaxConns victim unique.
+// population — few enough endpoints that tuples recur — with gaps up to
+// 4 s, so idle timeouts, the sweep and a small MaxConns all fire. A
+// quarter of the gaps are zero, as in a burst of a real capture: then
+// connections tie on their last and first packet times, and only creation
+// order tells the MaxConns victim.
 func mixedStream(seed int64, n int) []stamped {
 	rng := rand.New(rand.NewSource(seed))
 	hosts := []netip.Addr{ipA, ipB, ipC, ipAMapped}
@@ -420,7 +423,9 @@ func mixedStream(seed int64, n int) []stamped {
 			f = f[:14+rng.Intn(len(f)-14)]
 		}
 		out = append(out, stamped{at, f, orig})
-		at = at.Add(time.Duration(1+rng.Intn(4000)) * time.Millisecond)
+		if rng.Intn(4) != 0 {
+			at = at.Add(time.Duration(1+rng.Intn(4000)) * time.Millisecond)
+		}
 	}
 	return out
 }
@@ -494,8 +499,8 @@ func TestTableMatchesReference(t *testing.T) {
 // FuzzTableMatchesReference runs fuzzed frame sequences through
 // layers.Decode into both tables. The input is a config selector and
 // records of (gap in 100 ms steps, bytes past the snaplen / 8, frame
-// length, frame); times strictly increase, so the MaxConns victim is
-// unique.
+// length, frame); a zero gap repeats the time, so connections can tie
+// for the MaxConns victim.
 func FuzzTableMatchesReference(f *testing.F) {
 	encode := func(frames []stamped) []byte {
 		var b []byte
@@ -526,7 +531,7 @@ func FuzzTableMatchesReference(f *testing.F) {
 			}
 			frame := data[:n:n]
 			data = data[n:]
-			at = at.Add(time.Duration(gap)*100*time.Millisecond + time.Nanosecond)
+			at = at.Add(time.Duration(gap) * 100 * time.Millisecond)
 			d.frame(at, frame, n+8*int(extra))
 		}
 		d.finish()

@@ -552,9 +552,10 @@ func Run(src Source, cfg Config) (*Result, error) {
 // because it is the instrument's baseline, not because it is faster:
 // benchmark/'s traced op runs at Workers: 1 so that its stage spans do
 // not overlap and sum to the op, and pipeline.w2_over_w1 and
-// core.w_default_over_w1 are ratios over this path (0.78–0.90 and
-// 0.77–0.87 on two vCPUs, EXPERIMENTS "pkts/sec versus cores"). It
-// publishes every batchSize packets, as the worker path does per batch.
+// core.w_default_over_w1 are ratios over this path (0.81–0.92 and
+// 0.67–1.01 over six traced batch-headers runs on two vCPUs, EXPERIMENTS
+// "No generic hash per packet"). It publishes every batchSize packets,
+// as the worker path does per batch.
 func runSerial(rdr *sourceReader, first *pcap.Packet, cfg Config, batchSize int, res *Result, release func(*pcap.Packet)) (*Result, error) {
 	w := newWorker(0, cfg, first.Timestamp)
 	pk := first
