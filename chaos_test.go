@@ -97,7 +97,7 @@ func TestChaosGridDeterminism(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			fsched, err := faults.ParseSpec(sc.spec)
+			fsched, err := faults.ParseSpec(sc.spec, faults.Packets)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +285,7 @@ func TestGracefulDrainDeterminism(t *testing.T) {
 	sched := gen.DefaultSchedule()
 	subnet := cfg.Monitored[0]
 	prefix := enterprise.SubnetPrefix(subnet)
-	fsched, err := faults.ParseSpec("read@300,short@1200:40,read@2600")
+	fsched, err := faults.ParseSpec("read@300,short@1200:40,read@2600", faults.Packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestChaosSoakServeHealth(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	in := &faults.Injector{Schedule: faults.RandomSchedule(7, 40, 8000)}
+	in := &faults.Injector{Schedule: faults.Random(faults.Packets, 7, 40, 8000)}
 	src := in.Wrap(gen.NewStreamSource(gen.StreamConfig{
 		Network:  enterprise.NewNetwork(cfg),
 		Subnet:   subnet,

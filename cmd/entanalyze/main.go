@@ -152,8 +152,9 @@ func parseConfig(args []string) (*config, error) {
 		`source read-error policy: "fail" aborts on the first error (default); "skip" degrades `+
 			`and continues — poisoned records are dropped and the report carries a SourceError census`)
 	inject := fs.String("inject", "",
-		`deterministic fault injection against every source: "kind@index[:arg],..." with kinds `+
-			`read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span"; pair with `+
+		`deterministic fault injection against every source: "word@N[:arg],..." with the source `+
+			`words read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span" (the `+
+			`wire words drop, dup, reorder, netstall count frames sent and are refused here); pair with `+
 			`-on-error skip to exercise degraded runs (the census is checked against the manifest)`)
 	fs.DurationVar(&c.opts.IdleEvict, "idle-evict", 0,
 		"evict connections idle past this horizon, bounding memory on indefinite runs "+
@@ -231,7 +232,7 @@ func parseConfig(args []string) (*config, error) {
 		return nil, &usageError{msg: err.Error()}
 	}
 	if *inject != "" {
-		if c.inject, err = faults.ParseSpec(*inject); err != nil {
+		if c.inject, err = faults.ParseSpec(*inject, faults.Packets); err != nil {
 			return nil, &usageError{msg: err.Error()}
 		}
 	}

@@ -302,6 +302,8 @@ func TestUsageErrors(t *testing.T) {
 		{"windowed ship without origin", []string{"-ship", ":1", "-site", "a", "-window", "60s", "x.pcap"}, "needs -window-origin"},
 		{"on-error", []string{"-serve", "127.0.0.1:0", "-on-error", "retry", "x.pcap"}, "unknown -on-error"},
 		{"inject", []string{"-ship", ":1", "-site", "a", "-inject", "melt@3", "x.pcap"}, "melt"},
+		{"inject wire kind", []string{"-inject", "drop@3", "x.pcap"}, "drop counts frames sent, not packets read"},
+		{"inject wire random", []string{"-inject", "netrand:1:5:20", "x.pcap"}, "frames sent"},
 		{"monitored", []string{"-monitored", "128.3/16", "x.pcap"}, "128.3/16"},
 		{"gen-dataset", []string{"-gen", "default", "-gen-dataset", "D9"}, "unknown -gen-dataset"},
 		{"gen spec", []string{"-gen", "steady", "-serve", "127.0.0.1:0"}, "steady"},

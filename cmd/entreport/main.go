@@ -66,8 +66,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		`source read-error policy: "fail" aborts on the first error (default); "skip" degrades `+
 			`and continues — poisoned records are dropped and the report carries a SourceError census`)
 	inject := fs.String("inject", "",
-		`deterministic fault injection against every source: "kind@index[:arg],..." with kinds `+
-			`read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span"; pair with `+
+		`deterministic fault injection against every source: "word@N[:arg],..." with the source `+
+			`words read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span" (the `+
+			`wire words drop, dup, reorder, netstall count frames sent and are refused here); pair with `+
 			`-on-error skip to exercise degraded runs (the census is checked against the manifest)`)
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		fs.SetOutput(stderr)
@@ -85,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var injectSched faults.Schedule
 	if *inject != "" {
-		if injectSched, err = faults.ParseSpec(*inject); err != nil {
+		if injectSched, err = faults.ParseSpec(*inject, faults.Packets); err != nil {
 			return &usageError{msg: err.Error()}
 		}
 	}

@@ -54,6 +54,8 @@ func TestUsageErrors(t *testing.T) {
 		{"dataset", []string{"-datasets", "D1,D9"}, `unknown dataset "D9"`},
 		{"on-error", []string{"-on-error", "retry"}, "unknown -on-error"},
 		{"inject", []string{"-inject", "melt@3"}, "melt"},
+		{"inject wire kind", []string{"-inject", "drop@3"}, "drop counts frames sent, not packets read"},
+		{"inject wire random", []string{"-inject", "netrand:1:5:20"}, "frames sent"},
 		{"schedule", []string{"-schedule", "sprint:10s:5"}, "sprint"},
 		{"duration without schedule", []string{"-duration", "1m"}, "-duration requires -schedule"},
 	} {

@@ -77,12 +77,17 @@ func fleetMember(t *testing.T, blocks [][]gen.Trace, base int, origin time.Time)
 }
 
 // shipAll streams a site's full export set to the aggregator at addr
-// through a real shipper, optionally under an injected network fault
-// schedule, and asserts the drain completed without data loss.
-func shipAll(t *testing.T, addr, site string, a *core.Analyzer, sched faults.NetSchedule, wantReconnect bool) {
-	var inj *faults.NetInjector
-	if len(sched.Events) > 0 {
-		inj = faults.NewNetInjector(sched)
+// through a real shipper, optionally under a wire fault spec, and
+// asserts the drain completed without data loss.
+func shipAll(t *testing.T, addr, site string, a *core.Analyzer, spec string, wantReconnect bool) {
+	var inj *faults.Wire
+	if spec != "" {
+		sched, err := faults.ParseSpec(spec, faults.Sends)
+		if err != nil {
+			t.Errorf("site %s: %v", site, err)
+			return
+		}
+		inj = faults.NewWire(sched)
 		inj.SetSleep(func(time.Duration) {}) // replay stalls instantly
 	}
 	sh, err := fleet.NewShipper(fleet.ShipperConfig{
@@ -112,9 +117,6 @@ func shipAll(t *testing.T, addr, site string, a *core.Analyzer, sched faults.Net
 		watermark = we.Watermark
 	}
 	sh.Fin(maxWindow, watermark)
-	// A trailing heartbeat flushes a FIN held by a reorder event at the
-	// tail of the stream (untracked, so it costs nothing when clean).
-	sh.Heartbeat(watermark)
 	if err := sh.Close(); err != nil {
 		t.Errorf("site %s close: %v", site, err)
 	}
@@ -149,28 +151,16 @@ func TestFleetTransportDifferential(t *testing.T) {
 	siteB := fleetMember(t, blocks[1:], len(blocks[0]), origin)
 
 	scenarios := []struct {
-		name   string
-		scheds [2]faults.NetSchedule // per-site injection schedules
-		drops  [2]bool               // whether the schedule forces reconnects
+		name  string
+		specs [2]string // per-site wire fault specs
+		drops [2]bool   // whether the schedule forces reconnects
 	}{
 		{name: "clean"},
-		{"drop-dup-reorder", [2]faults.NetSchedule{
-			{Events: []faults.NetEvent{
-				{Kind: faults.ConnDrop, Index: 1},
-				{Kind: faults.DupFrame, Index: 3},
-				{Kind: faults.ReorderFrame, Index: 4},
-				{Kind: faults.NetStall, Index: 2, Delay: time.Millisecond},
-			}},
-			{Events: []faults.NetEvent{
-				{Kind: faults.ConnDrop, Index: 2},
-				{Kind: faults.ConnDrop, Index: 3},
-				{Kind: faults.DupFrame, Index: 5},
-			}},
+		{"drop-dup-reorder", [2]string{
+			"drop@1,dup@3,reorder@4,netstall@2:1ms",
+			"drop@2,drop@3,dup@5",
 		}, [2]bool{true, true}},
-		{"random-seeded", [2]faults.NetSchedule{
-			faults.RandomNetSchedule(11, 5, 20),
-			faults.RandomNetSchedule(23, 5, 20),
-		}, [2]bool{false, false}},
+		{"random-seeded", [2]string{"netrand:11:5:20", "netrand:23:5:20"}, [2]bool{false, false}},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -192,7 +182,7 @@ func TestFleetTransportDifferential(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					shipAll(t, addr, fmt.Sprintf("site-%c", 'a'+i), a, sc.scheds[i], sc.drops[i])
+					shipAll(t, addr, fmt.Sprintf("site-%c", 'a'+i), a, sc.specs[i], sc.drops[i])
 				}()
 			}
 			wg.Wait()

@@ -170,7 +170,7 @@ func TestFailFastAbortIsSticky(t *testing.T) {
 	pkts := gen.GenerateScheduledTrace(enterprise.NewNetwork(cfg), cfg.Monitored[0], 0, gen.DefaultSchedule().Repeat(time.Hour))
 	prefix := enterprise.SubnetPrefix(cfg.Monitored[0])
 	for _, workers := range []int{1, 4} {
-		sched, err := faults.ParseSpec(fmt.Sprintf("read@%d", len(pkts)/2))
+		sched, err := faults.ParseSpec(fmt.Sprintf("read@%d", len(pkts)/2), faults.Packets)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,43 +1,42 @@
-// Package faults is the deterministic fault injector for packet
-// sources: it wraps any pcap.PacketSource and fires a seeded schedule
-// of the failure modes a real capture path produces — mid-stream read
-// errors, torn (truncated) records, short reads, latency stalls, and
-// early EOF — at exact packet offsets, so the same schedule replays the
-// same faults every run.
+// Package faults is the deterministic fault injector for the two seams
+// a run can fail at: a packet source and the fleet shipper's wire. One
+// vocabulary serves both: an Event is a Kind, the ordinal it fires at
+// (packets read, or frames sent — each kind counts one) and an argument.
+// A Schedule fires in ordinal order, so it replays the same faults every
+// run; one grammar (ParseSpec) and one seeded draw (Random) build it.
 //
-// The wrapper is the test and soak harness for the pipeline's
-// degrade-and-continue error policy (entanalyze -inject drives it from
-// the command line): every injected error implements pcap.SourceFault,
-// and the wrapper records what it actually injected, so a run's
-// SourceError census can be checked against the injection manifest
-// exactly. Events scheduled past the end of the stream, or after a
-// terminal fault, never fire and are absent from the manifest.
+// A Source wraps any pcap.PacketSource: it is the test and soak harness
+// for the pipeline's degrade-and-continue policy (entanalyze and
+// entreport -inject drive it), and it records what it actually injected,
+// so a run's SourceError census can be checked against the manifest
+// exactly. A Wire sits under the shipper and exercises the fleet
+// protocol's resend and dedup paths. Events scheduled past the end of
+// the stream, or after a terminal fault, never fire and are absent from
+// the manifest.
 //
-// Epoch obligations: none — the wrapper is upstream of the pipeline and
-// holds no report-feeding state; the census it enables banks through
-// the ordinary epoch machinery in internal/core.
+// Epoch obligations: none — the injectors sit outside the pipeline and
+// hold no report-feeding state.
 package faults
 
 import (
 	"cmp"
 	"fmt"
-	"io"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
-
-	"enttrace/internal/pcap"
 )
 
 // Kind names one injected failure class. The string values are census
-// keys and must stay stable.
+// and manifest keys and must stay stable.
 type Kind string
 
-// Fault kinds. ReadError and ShortRead are recoverable (the stream
-// continues past them); Torn and EarlyEOF are terminal; Stall surfaces
-// no error at all (it only delays Next, for watermark-stall testing).
+// Source kinds count packets read. ReadError and ShortRead are
+// recoverable (the stream continues past them); Torn and EarlyEOF are
+// terminal; Stall surfaces no error at all (it only delays Next, for
+// watermark-stall testing). ReadError, ShortRead and Torn consume the
+// record at their ordinal; Stall and EarlyEOF fire just before it is
+// read.
 const (
 	ReadError Kind = "read-error"
 	ShortRead Kind = "short-read"
@@ -46,58 +45,114 @@ const (
 	EarlyEOF  Kind = "early-eof"
 )
 
-// Event is one scheduled fault. Index is the offset into the underlying
-// stream's records at which the event fires: consuming kinds (ReadError,
-// ShortRead, Torn) apply to that record; Stall and EarlyEOF fire just
-// before it is read.
+// Wire kinds count frames sent, resends included (the ordinal is send
+// operations, not distinct frames). None of them loses data under the
+// fleet protocol: a dropped connection triggers backoff and a resend of
+// everything unacknowledged, duplicates and reorders are absorbed by
+// per-(site, window) sequence dedup, and stalls only delay delivery.
+// Permanent loss comes only from the shipper's queue bound, a capacity
+// decision, not an injected fault.
+const (
+	ConnDrop     Kind = "conn-drop"     // sever the connection instead of sending
+	NetStall     Kind = "net-stall"     // delay the send
+	DupFrame     Kind = "dup-frame"     // send the frame twice back to back
+	ReorderFrame Kind = "reorder-frame" // hold the frame until the next one is sent
+)
+
+// Ordinal names what a kind's events count: the seam they fire on.
+type Ordinal uint8
+
+const (
+	Packets Ordinal = iota // records read from a packet source
+	Sends                  // frame sends on the fleet wire
+)
+
+func (o Ordinal) String() string { return [...]string{"packets read", "frames sent"}[o] }
+
+// Event is one scheduled fault.
 type Event struct {
-	Kind  Kind
-	Index int64
-	// Cut is ShortRead's kept byte count (the record's Data is truncated
-	// to at most this many bytes).
-	Cut int
-	// Delay is Stall's sleep duration.
-	Delay time.Duration
+	Kind Kind
+	// At is the ordinal the event fires at: the underlying record index
+	// for a source kind, the send ordinal for a wire kind.
+	At int64
+	// Arg is ShortRead's kept byte count (the record's Data is truncated
+	// to at most this many bytes), or a stall's duration in nanoseconds.
+	Arg int64
 }
 
-// Schedule is a set of events, kept sorted by Index (ties fire in
-// insertion order).
+// Schedule is a set of events. They fire sorted by At; ties fire in
+// insertion order.
 type Schedule struct {
 	Events []Event
 }
 
-// firingOrder returns a copy of a schedule's events sorted by index;
-// the sort is stable, so ties fire in insertion order. It serves both
-// schedule types (Event here, NetEvent in net.go).
-func firingOrder[E any](evs []E, index func(E) int64) []E {
-	out := slices.Clone(evs)
-	slices.SortStableFunc(out, func(a, b E) int { return cmp.Compare(index(a), index(b)) })
-	return out
+// rule is one row of the spec grammar.
+type rule struct {
+	word string
+	kind Kind
+	on   Ordinal
+	arg  func(string) (int64, error) // nil: the word takes no argument
+	def  int64                       // the argument when the spec omits it
+	// draw is the row's part in its seam's random form: the argument,
+	// drawn from rng when the kind takes one. nil: never drawn.
+	draw func(rng *xorshift) int64
 }
 
-// xorshift is the seeded generator behind both random schedules. Seed
-// it with seed|1: the state must not start at zero.
-type xorshift uint64
-
-func (x *xorshift) next() uint64 {
-	*x ^= *x << 13
-	*x ^= *x >> 7
-	*x ^= *x << 17
-	return uint64(*x)
+// grammar lists every kind. A seam's random form picks among its drawn
+// rows in table order, so the order is part of every seed's schedule.
+var grammar = []rule{
+	{"read", ReadError, Packets, nil, 0, drawNone},
+	{"short", ShortRead, Packets, parseCut, 32, drawCut},
+	{"stall", Stall, Packets, parseDelay, int64(10 * time.Millisecond), drawDelay},
+	{"torn", Torn, Packets, nil, 0, nil},
+	{"eof", EarlyEOF, Packets, nil, 0, nil},
+	{"drop", ConnDrop, Sends, nil, 0, drawNone},
+	{"dup", DupFrame, Sends, nil, 0, drawNone},
+	{"reorder", ReorderFrame, Sends, nil, 0, drawNone},
+	{"netstall", NetStall, Sends, parseDelay, int64(10 * time.Millisecond), drawDelay},
 }
 
-// ParseSpec parses an injection spec. Two forms:
+// randForm is each seam's random-spec prefix.
+var randForm = [...]string{Packets: "rand:", Sends: "netrand:"}
+
+// maxRandom bounds a random spec's count: a flag value must not be able
+// to ask for an unbounded allocation.
+const maxRandom = 1 << 20
+
+// The argument parsers; parseEvent refuses a negative value.
+func parseCut(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
+
+func parseDelay(s string) (int64, error) {
+	d, err := time.ParseDuration(s)
+	return int64(d), err
+}
+
+func drawNone(*xorshift) int64      { return 0 }
+func drawCut(rng *xorshift) int64   { return int64(14 + rng.next()%64) }
+func drawDelay(rng *xorshift) int64 { return int64(time.Duration(1+rng.next()%4) * time.Millisecond) }
+
+// ParseSpec parses an injection spec for the seam that counts on. Two
+// forms:
 //
-//	kind@index[:arg][,kind@index[:arg]...]
-//	rand:seed:count:span
+//	word@N[:arg][,word@N[:arg]...]
+//	rand:seed:count:span     (packets)
+//	netrand:seed:count:span  (sends)
 //
-// Explicit events: read@100, short@250:40 (keep 40 bytes), stall@300:50ms,
-// torn@500, eof@800. The random form draws count recoverable events
-// (read errors, short reads, stalls) at seeded-pseudorandom offsets in
-// [0, span) — the same seed always yields the same schedule.
-func ParseSpec(spec string) (Schedule, error) {
-	if rest, ok := strings.CutPrefix(spec, "rand:"); ok {
-		return parseRand(rest)
+// Source words: read@100, short@250:40 (keep 40 bytes; default 32),
+// stall@300:50ms (default 10ms), torn@500, eof@800. Wire words: drop@3,
+// dup@4, reorder@5, netstall@6:2ms (default 10ms). A word or random form
+// of the other seam is an error, not an event that never fires. The
+// random form draws count events of the seam's drawn kinds (not the
+// terminal ones) at seeded-pseudorandom ordinals in [0, span) — the same
+// seed always yields the same schedule.
+func ParseSpec(spec string, on Ordinal) (Schedule, error) {
+	for o, prefix := range randForm {
+		if rest, ok := strings.CutPrefix(spec, prefix); ok {
+			if Ordinal(o) != on {
+				return Schedule{}, fmt.Errorf("faults: %q draws events on %s, not %s", spec, Ordinal(o), on)
+			}
+			return parseRand(on, rest)
+		}
 	}
 	var s Schedule
 	for _, part := range strings.Split(spec, ",") {
@@ -105,7 +160,7 @@ func ParseSpec(spec string) (Schedule, error) {
 		if part == "" {
 			continue
 		}
-		ev, err := parseEvent(part)
+		ev, err := parseEvent(part, on)
 		if err != nil {
 			return Schedule{}, err
 		}
@@ -117,370 +172,156 @@ func ParseSpec(spec string) (Schedule, error) {
 	return s, nil
 }
 
-func parseEvent(part string) (Event, error) {
-	kind, rest, ok := strings.Cut(part, "@")
+func parseEvent(part string, on Ordinal) (Event, error) {
+	word, rest, ok := strings.Cut(part, "@")
 	if !ok {
-		return Event{}, fmt.Errorf("faults: event %q: want kind@index[:arg]", part)
+		return Event{}, fmt.Errorf("faults: event %q: want word@N[:arg]", part)
 	}
-	idxStr, arg, hasArg := strings.Cut(rest, ":")
-	idx, err := strconv.ParseInt(idxStr, 10, 64)
-	if err != nil || idx < 0 {
-		return Event{}, fmt.Errorf("faults: event %q: bad index %q", part, idxStr)
+	atStr, argStr, hasArg := strings.Cut(rest, ":")
+	at, err := strconv.ParseInt(atStr, 10, 64)
+	if err != nil || at < 0 {
+		return Event{}, fmt.Errorf("faults: event %q: bad index %q", part, atStr)
 	}
-	ev := Event{Index: idx}
-	switch kind {
-	case "read":
-		ev.Kind = ReadError
-	case "short":
-		ev.Kind = ShortRead
-		ev.Cut = 32
-		if hasArg {
-			cut, err := strconv.Atoi(arg)
-			if err != nil || cut < 0 {
-				return Event{}, fmt.Errorf("faults: event %q: bad cut %q", part, arg)
+	i := slices.IndexFunc(grammar, func(r rule) bool { return r.word == word })
+	if i < 0 {
+		var words []string
+		for _, r := range grammar {
+			if r.on == on {
+				words = append(words, r.word)
 			}
-			ev.Cut = cut
 		}
-	case "stall":
-		ev.Kind = Stall
-		ev.Delay = 10 * time.Millisecond
-		if hasArg {
-			d, err := time.ParseDuration(arg)
-			if err != nil || d < 0 {
-				return Event{}, fmt.Errorf("faults: event %q: bad duration %q", part, arg)
-			}
-			ev.Delay = d
-		}
-	case "torn":
-		ev.Kind = Torn
-	case "eof":
-		ev.Kind = EarlyEOF
-	default:
-		return Event{}, fmt.Errorf("faults: event %q: unknown kind %q (want read, short, stall, torn, eof)", part, kind)
+		return Event{}, fmt.Errorf("faults: event %q: unknown kind %q (want %s)", part, word, strings.Join(words, ", "))
 	}
-	if hasArg && ev.Kind != ShortRead && ev.Kind != Stall {
-		return Event{}, fmt.Errorf("faults: event %q: %s takes no argument", part, ev.Kind)
+	r := grammar[i]
+	if r.on != on {
+		return Event{}, fmt.Errorf("faults: event %q: %s counts %s, not %s", part, word, r.on, on)
+	}
+	ev := Event{Kind: r.kind, At: at, Arg: r.def}
+	if hasArg {
+		if r.arg == nil {
+			return Event{}, fmt.Errorf("faults: event %q: %s takes no argument", part, r.kind)
+		}
+		if ev.Arg, err = r.arg(argStr); err != nil || ev.Arg < 0 {
+			return Event{}, fmt.Errorf("faults: event %q: bad %s argument %q", part, word, argStr)
+		}
 	}
 	return ev, nil
 }
 
-// parseRand builds a seeded random schedule of recoverable events.
-func parseRand(rest string) (Schedule, error) {
+func parseRand(on Ordinal, rest string) (Schedule, error) {
 	fields := strings.Split(rest, ":")
 	if len(fields) != 3 {
-		return Schedule{}, fmt.Errorf("faults: random spec: want rand:seed:count:span")
+		return Schedule{}, fmt.Errorf("faults: random spec: want %sseed:count:span", randForm[on])
 	}
 	seed, err1 := strconv.ParseUint(fields[0], 10, 64)
 	count, err2 := strconv.Atoi(fields[1])
 	span, err3 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil || count <= 0 || span <= 0 {
-		return Schedule{}, fmt.Errorf("faults: random spec rand:%s: bad field", rest)
+	if err1 != nil || err2 != nil || err3 != nil || count <= 0 || count > maxRandom || span <= 0 {
+		return Schedule{}, fmt.Errorf("faults: random spec %s%s: bad field (count in [1, %d], span > 0)", randForm[on], rest, maxRandom)
 	}
-	return RandomSchedule(seed, count, span), nil
+	return Random(on, seed, count, span), nil
 }
 
-// RandomSchedule draws count recoverable events (read errors, short
-// reads, stalls) at pseudorandom offsets in [0, span). The same seed
-// always yields the same schedule, so soak runs are reproducible.
-func RandomSchedule(seed uint64, count int, span int64) Schedule {
+// Random draws count events of on's drawn kinds at pseudorandom
+// ordinals in [0, span). The same seed always yields the same schedule,
+// so soak runs are reproducible.
+func Random(on Ordinal, seed uint64, count int, span int64) Schedule {
+	rows := slices.DeleteFunc(slices.Clone(grammar), func(r rule) bool { return r.on != on || r.draw == nil })
 	rng := xorshift(seed | 1)
 	var s Schedule
-	for i := 0; i < count; i++ {
-		ev := Event{Index: int64(rng.next() % uint64(span))}
-		switch rng.next() % 3 {
-		case 0:
-			ev.Kind = ReadError
-		case 1:
-			ev.Kind = ShortRead
-			ev.Cut = int(14 + rng.next()%64)
-		default:
-			ev.Kind = Stall
-			ev.Delay = time.Duration(1+rng.next()%4) * time.Millisecond
-		}
-		s.Events = append(s.Events, ev)
+	for range count {
+		at := int64(rng.next() % uint64(span))
+		r := rows[rng.next()%uint64(len(rows))]
+		s.Events = append(s.Events, Event{Kind: r.kind, At: at, Arg: r.draw(&rng)})
 	}
 	return s
 }
 
-// Error is the error an injected fault surfaces through Next. It
-// implements pcap.SourceFault, so the pipeline's degrade policy
-// classifies it without knowing about this package.
-type Error struct {
+// xorshift is the seeded generator behind Random. Seed it with seed|1:
+// the state must not start at zero.
+type xorshift uint64
+
+func (x *xorshift) next() uint64 {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	return uint64(*x)
+}
+
+// Fired is one manifest entry: an event that actually fired. It is also
+// the error the consumer sees. A source kind's is what Next returns, and
+// it implements pcap.SourceFault, so the pipeline's degrade policy
+// classifies it without knowing about this package. A ConnDrop's is the
+// write error Send returns.
+type Fired struct {
 	Kind Kind
-	// At is the packet offset as the consumer sees it: the number of
-	// packets delivered before the error.
+	// At is the ordinal the event fired at as the consumer sees it: the
+	// packets delivered before it (the offset the pipeline's census
+	// records), or the send ordinal.
 	At int64
 	// Lost is the captured bytes dropped (the whole record for ReadError
 	// and Torn, the truncated tail for ShortRead).
-	Lost int64
-}
-
-// Error implements error.
-func (e *Error) Error() string {
-	return fmt.Sprintf("faults: injected %s at packet %d (%d bytes lost)", e.Kind, e.At, e.Lost)
-}
-
-// FaultKind implements pcap.SourceFault.
-func (e *Error) FaultKind() string { return string(e.Kind) }
-
-// LostBytes implements pcap.SourceFault.
-func (e *Error) LostBytes() int64 { return e.Lost }
-
-// Recoverable implements pcap.SourceFault.
-func (e *Error) Recoverable() bool { return e.Kind == ReadError || e.Kind == ShortRead }
-
-// Fired is one manifest entry: an event that actually fired, with the
-// loss it caused and the consumer-visible packet offset it fired at.
-type Fired struct {
-	Kind Kind
-	// At is the number of packets delivered to the consumer before the
-	// event fired — the offset the pipeline's census records.
-	At int64
-	// Lost is the captured bytes the event dropped (0 for stalls).
 	Lost int64
 	// Delay is the stall duration (stalls only).
 	Delay time.Duration
 }
 
-// Expected is the error census a degraded run over this source must
-// report: the manifest aggregated the way the pipeline aggregates.
-// Stalls are excluded — they surface no error.
-type Expected struct {
-	Errors     int64
-	LostBytes  int64
-	ByKind     map[string]int64
-	FirstIndex int64 // packet offset of the first error (-1 when none)
-	LastIndex  int64
-	Terminal   bool // the stream ended on a terminal fault
-	Stalls     int64
-	StallTime  time.Duration
+// Error implements error.
+func (f *Fired) Error() string {
+	if f.Kind == ConnDrop {
+		return fmt.Sprintf("faults: injected connection drop at send %d", f.At)
+	}
+	return fmt.Sprintf("faults: injected %s at packet %d (%d bytes lost)", f.Kind, f.At, f.Lost)
 }
 
-// Source wraps an inner packet source and fires a fault schedule
-// against it. It implements pcap.PacketSource and pcap.Releaser
-// (delegating to the inner source when it pools packets; records the
-// injector consumes are released immediately).
-type Source struct {
-	inner pcap.PacketSource
-	rel   pcap.Releaser
-	evs   []Event
-	si    int   // next schedule entry
-	idx   int64 // next underlying record ordinal
-	out   int64 // packets delivered to the consumer
-	stash *pcap.Packet
-	dead  error // terminal state: io.EOF after a terminal fault fired
+// FaultKind implements pcap.SourceFault.
+func (f *Fired) FaultKind() string { return string(f.Kind) }
 
+// LostBytes implements pcap.SourceFault.
+func (f *Fired) LostBytes() int64 { return f.Lost }
+
+// Recoverable implements pcap.SourceFault.
+func (f *Fired) Recoverable() bool { return f.Kind == ReadError || f.Kind == ShortRead }
+
+// cursor fires a schedule in ordinal order and keeps the manifest and
+// the stall clock. Source and Wire embed it.
+type cursor struct {
+	evs   []Event // sorted by At, stably
+	next  int
 	fired []Fired
-	// sleep is the stall clock, a seam so tests can count stalls
-	// without waiting them out.
 	sleep func(time.Duration)
 }
 
-// Wrap returns a fault-injecting source over inner.
-func Wrap(inner pcap.PacketSource, sched Schedule) *Source {
-	s := &Source{
-		inner: inner,
-		evs:   firingOrder(sched.Events, func(e Event) int64 { return e.Index }),
-		sleep: time.Sleep,
+func newCursor(s Schedule) cursor {
+	evs := slices.Clone(s.Events)
+	slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+	return cursor{evs: evs, sleep: time.Sleep}
+}
+
+// due pops the next event scheduled at or before ordinal at.
+func (c *cursor) due(at int64) (Event, bool) {
+	if c.next == len(c.evs) || c.evs[c.next].At > at {
+		return Event{}, false
 	}
-	if rel, ok := inner.(pcap.Releaser); ok {
-		s.rel = rel
+	c.next++
+	return c.evs[c.next-1], true
+}
+
+// fire records ev in the manifest as fired at ordinal at, sleeps out a
+// stall, and returns the entry.
+func (c *cursor) fire(ev Event, at, lost int64) *Fired {
+	f := Fired{Kind: ev.Kind, At: at, Lost: lost}
+	if ev.Kind == Stall || ev.Kind == NetStall {
+		f.Delay = time.Duration(ev.Arg)
+		c.sleep(f.Delay)
 	}
-	return s
+	c.fired = append(c.fired, f)
+	return &f
 }
 
 // SetSleep replaces the stall clock (tests pass a recorder so schedules
 // with stalls replay instantly).
-func (s *Source) SetSleep(fn func(time.Duration)) { s.sleep = fn }
-
-// Next implements pcap.PacketSource. Injected errors come from the
-// schedule; between events the inner source's packets (and errors) pass
-// through unchanged.
-func (s *Source) Next() (*pcap.Packet, error) {
-	if s.dead != nil {
-		return nil, s.dead
-	}
-	if s.stash != nil {
-		p := s.stash
-		s.stash = nil
-		s.out++
-		return p, nil
-	}
-	for s.si < len(s.evs) && s.evs[s.si].Index <= s.idx {
-		ev := s.evs[s.si]
-		s.si++
-		switch ev.Kind {
-		case Stall:
-			s.fired = append(s.fired, Fired{Kind: Stall, At: s.out, Delay: ev.Delay})
-			s.sleep(ev.Delay)
-		case EarlyEOF:
-			s.fired = append(s.fired, Fired{Kind: EarlyEOF, At: s.out})
-			s.dead = io.EOF
-			return nil, &Error{Kind: EarlyEOF, At: s.out}
-		case ReadError, ShortRead, Torn:
-			// Consuming kinds: the event applies to the next underlying
-			// record. If the stream ends first, the event never fires.
-			p, err := s.inner.Next()
-			if err != nil {
-				return nil, err
-			}
-			s.idx++
-			switch ev.Kind {
-			case ReadError:
-				lost := int64(len(p.Data))
-				s.release(p)
-				s.fired = append(s.fired, Fired{Kind: ReadError, At: s.out, Lost: lost})
-				return nil, &Error{Kind: ReadError, At: s.out, Lost: lost}
-			case ShortRead:
-				lost := int64(len(p.Data) - ev.Cut)
-				if lost <= 0 {
-					// Record already at or below the cut: nothing truncated,
-					// but the error still fires (a short read was observed).
-					lost = 0
-				} else {
-					p.Data = p.Data[:ev.Cut]
-				}
-				s.stash = p
-				s.fired = append(s.fired, Fired{Kind: ShortRead, At: s.out, Lost: lost})
-				return nil, &Error{Kind: ShortRead, At: s.out, Lost: lost}
-			default: // Torn
-				lost := int64(len(p.Data))
-				s.release(p)
-				s.fired = append(s.fired, Fired{Kind: Torn, At: s.out, Lost: lost})
-				s.dead = io.EOF
-				return nil, &Error{Kind: Torn, At: s.out, Lost: lost}
-			}
-		}
-	}
-	p, err := s.inner.Next()
-	if err != nil {
-		return nil, err
-	}
-	s.idx++
-	s.out++
-	return p, nil
-}
-
-func (s *Source) release(p *pcap.Packet) {
-	if s.rel != nil {
-		s.rel.Release(p)
-	}
-}
-
-// Release implements pcap.Releaser, delegating to the inner source.
-func (s *Source) Release(p *pcap.Packet) { s.release(p) }
+func (c *cursor) SetSleep(fn func(time.Duration)) { c.sleep = fn }
 
 // Manifest returns the events that actually fired, in firing order.
-func (s *Source) Manifest() []Fired { return s.fired }
-
-// PacketsDelivered returns how many packets the consumer has read so
-// far — the injector's own count of the census offset space.
-func (s *Source) PacketsDelivered() int64 { return s.out }
-
-// LimitSource delivers at most n packets from an inner source, then a
-// clean EOF. The drain-determinism tests use it to replay exactly the
-// prefix of a schedule a graceful stop consumed: a stopped run's report
-// must be byte-identical to running the same source through Limit(n)
-// to completion.
-type LimitSource struct {
-	inner pcap.PacketSource
-	rel   pcap.Releaser
-	left  int64
-}
-
-// Limit wraps inner to yield at most n packets.
-func Limit(inner pcap.PacketSource, n int64) *LimitSource {
-	l := &LimitSource{inner: inner, left: n}
-	if rel, ok := inner.(pcap.Releaser); ok {
-		l.rel = rel
-	}
-	return l
-}
-
-// Next implements pcap.PacketSource.
-func (l *LimitSource) Next() (*pcap.Packet, error) {
-	if l.left <= 0 {
-		return nil, io.EOF
-	}
-	p, err := l.inner.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.left--
-	return p, nil
-}
-
-// Release implements pcap.Releaser, delegating to the inner source.
-func (l *LimitSource) Release(p *pcap.Packet) {
-	if l.rel != nil {
-		l.rel.Release(p)
-	}
-}
-
-// Expected aggregates the manifest into the census a degraded run must
-// report. Call it after the run drains the source.
-func (s *Source) Expected() Expected {
-	exp := Expected{ByKind: make(map[string]int64), FirstIndex: -1, LastIndex: -1}
-	for _, f := range s.fired {
-		if f.Kind == Stall {
-			exp.Stalls++
-			exp.StallTime += f.Delay
-			continue
-		}
-		exp.Errors++
-		exp.LostBytes += f.Lost
-		exp.ByKind[string(f.Kind)]++
-		if exp.FirstIndex < 0 {
-			exp.FirstIndex = f.At
-		}
-		exp.LastIndex = f.At
-		if f.Kind == Torn || f.Kind == EarlyEOF {
-			exp.Terminal = true
-		}
-	}
-	return exp
-}
-
-// Injector fires one schedule into every source of a run and keeps the
-// wrappers, so the run's census can be checked against all of them. An
-// Injector with an empty schedule wraps nothing.
-type Injector struct {
-	Schedule Schedule
-	sources  []*Source
-}
-
-// Wrap returns src under the schedule.
-func (in *Injector) Wrap(src pcap.PacketSource) pcap.PacketSource {
-	if len(in.Schedule.Events) == 0 {
-		return src
-	}
-	s := Wrap(src, in.Schedule)
-	in.sources = append(in.sources, s)
-	return s
-}
-
-// CheckCensus compares a degraded run's source-error census (totals and
-// per-kind counts) with what the wrapped sources fired, summed over all
-// of them, and on a match writes the line saying so to w. Stalls surface
-// no error and are not counted. It checks nothing when nothing was
-// wrapped.
-func (in *Injector) CheckCensus(w io.Writer, errors, lostBytes int64, byKind map[string]int64) error {
-	if len(in.sources) == 0 {
-		return nil
-	}
-	exp := Expected{ByKind: make(map[string]int64)}
-	for _, s := range in.sources {
-		e := s.Expected()
-		exp.Errors += e.Errors
-		exp.LostBytes += e.LostBytes
-		for k, n := range e.ByKind {
-			exp.ByKind[k] += n
-		}
-	}
-	if errors != exp.Errors || lostBytes != exp.LostBytes || !maps.Equal(byKind, exp.ByKind) {
-		return fmt.Errorf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (%d errors, %d bytes lost)",
-			errors, lostBytes, exp.Errors, exp.LostBytes)
-	}
-	fmt.Fprintf(w, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n", errors, lostBytes)
-	return nil
-}
+func (c *cursor) Manifest() []Fired { return c.fired }

@@ -32,26 +32,33 @@ func frames(n int) [][]byte {
 	return out
 }
 
-// TestNetScheduleFiringOrderAndSeed pins the two properties a schedule
-// has before an injector runs it: events fire sorted by index whatever
+// wire builds an injector from a spec, with stalls replayed instantly.
+func wire(t *testing.T, spec string) *Wire {
+	t.Helper()
+	s, err := ParseSpec(spec, Sends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWire(s)
+	w.SetSleep(func(time.Duration) {})
+	return w
+}
+
+// TestWireFiringOrderAndSeed pins the two properties a schedule has
+// before an injector runs it: events fire sorted by ordinal whatever
 // order they were listed in, and a seed always draws the same events.
-func TestNetScheduleFiringOrderAndSeed(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{
-		{Kind: ConnDrop, Index: 10},
-		{Kind: NetStall, Index: 5, Delay: 50 * time.Millisecond},
-		{Kind: DupFrame, Index: 3},
-		{Kind: ReorderFrame, Index: 7},
-	}})
-	wantKinds := []NetKind{DupFrame, NetStall, ReorderFrame, ConnDrop}
+func TestWireFiringOrderAndSeed(t *testing.T) {
+	in := wire(t, "drop@10,netstall@5:50ms,dup@3,reorder@7")
+	wantKinds := []Kind{DupFrame, NetStall, ReorderFrame, ConnDrop}
 	for i, k := range wantKinds {
 		if in.evs[i].Kind != k {
 			t.Errorf("evs[%d] = %s, want %s", i, in.evs[i].Kind, k)
 		}
 	}
-	if in.evs[1].Delay != 50*time.Millisecond {
-		t.Errorf("stall delay %v", in.evs[1].Delay)
+	if d := time.Duration(in.evs[1].Arg); d != 50*time.Millisecond {
+		t.Errorf("stall delay %v", d)
 	}
-	r, r2 := RandomNetSchedule(7, 5, 100), RandomNetSchedule(7, 5, 100)
+	r, r2 := Random(Sends, 7, 5, 100), Random(Sends, 7, 5, 100)
 	if len(r.Events) != 5 {
 		t.Fatalf("random schedule drew %d events, want 5", len(r.Events))
 	}
@@ -59,14 +66,14 @@ func TestNetScheduleFiringOrderAndSeed(t *testing.T) {
 		if r.Events[i] != r2.Events[i] {
 			t.Fatal("random schedule not deterministic")
 		}
-		if r.Events[i].Index < 0 || r.Events[i].Index >= 100 {
-			t.Errorf("event %d at send %d, outside [0, 100)", i, r.Events[i].Index)
+		if r.Events[i].At < 0 || r.Events[i].At >= 100 {
+			t.Errorf("event %d at send %d, outside [0, 100)", i, r.Events[i].At)
 		}
 	}
 }
 
-func TestNetInjectorDup(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: DupFrame, Index: 1}}})
+func TestWireDup(t *testing.T) {
+	in := wire(t, "dup@1")
 	rec := &sendRecorder{}
 	for _, f := range frames(3) {
 		if err := in.Send(f, rec.send); err != nil {
@@ -84,8 +91,8 @@ func TestNetInjectorDup(t *testing.T) {
 	}
 }
 
-func TestNetInjectorReorder(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: ReorderFrame, Index: 0}}})
+func TestWireReorder(t *testing.T) {
+	in := wire(t, "reorder@0")
 	rec := &sendRecorder{}
 	for _, f := range frames(3) {
 		if err := in.Send(f, rec.send); err != nil {
@@ -100,8 +107,30 @@ func TestNetInjectorReorder(t *testing.T) {
 	}
 }
 
-func TestNetInjectorReorderAtTailFlushes(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: ReorderFrame, Index: 2}}})
+// TestWireBackToBackReorders pins that holds queue: adjacent reorders,
+// and two at one ordinal (the second slips to the next send), send
+// every frame exactly once, in the order the holds were taken.
+func TestWireBackToBackReorders(t *testing.T) {
+	for _, spec := range []string{"reorder@0,reorder@1", "reorder@0,reorder@0"} {
+		in := wire(t, spec)
+		rec := &sendRecorder{}
+		for _, f := range frames(4) {
+			if err := in.Send(f, rec.send); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []byte
+		for _, b := range rec.sent {
+			got = append(got, b[0])
+		}
+		if want := []byte{2, 0, 1, 3}; string(got) != string(want) {
+			t.Errorf("%s: wire order %v, want %v", spec, got, want)
+		}
+	}
+}
+
+func TestWireReorderAtTailFlushes(t *testing.T) {
+	in := wire(t, "reorder@2")
 	rec := &sendRecorder{}
 	for _, f := range frames(3) {
 		if err := in.Send(f, rec.send); err != nil {
@@ -122,16 +151,16 @@ func TestNetInjectorReorderAtTailFlushes(t *testing.T) {
 	}
 }
 
-func TestNetInjectorDrop(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: ConnDrop, Index: 1}}})
+func TestWireDrop(t *testing.T) {
+	in := wire(t, "drop@1")
 	rec := &sendRecorder{}
 	if err := in.Send(frames(1)[0], rec.send); err != nil {
 		t.Fatal(err)
 	}
 	err := in.Send([]byte{1}, rec.send)
-	var drop *ErrInjectedDrop
-	if !errors.As(err, &drop) || drop.At != 1 {
-		t.Fatalf("want ErrInjectedDrop at 1, got %v", err)
+	var drop *Fired
+	if !errors.As(err, &drop) || drop.Kind != ConnDrop || drop.At != 1 {
+		t.Fatalf("want a fired conn-drop at 1, got %v", err)
 	}
 	if len(rec.sent) != 1 {
 		t.Fatalf("dropped frame reached the wire: %v", rec.sent)
@@ -146,8 +175,8 @@ func TestNetInjectorDrop(t *testing.T) {
 	}
 }
 
-func TestNetInjectorStallUsesClockSeam(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: NetStall, Index: 0, Delay: time.Hour}}})
+func TestWireStallUsesClockSeam(t *testing.T) {
+	in := wire(t, "netstall@0:1h")
 	var slept time.Duration
 	in.SetSleep(func(d time.Duration) { slept += d })
 	rec := &sendRecorder{}
@@ -162,8 +191,8 @@ func TestNetInjectorStallUsesClockSeam(t *testing.T) {
 	}
 }
 
-func TestNetInjectorManifestAndNil(t *testing.T) {
-	in := NewNetInjector(NetSchedule{Events: []NetEvent{{Kind: DupFrame, Index: 0}, {Kind: ConnDrop, Index: 2}}})
+func TestWireManifestAndNil(t *testing.T) {
+	in := wire(t, "dup@0,drop@2")
 	rec := &sendRecorder{}
 	for i := 0; i < 3; i++ {
 		in.Send([]byte{byte(i)}, rec.send)
@@ -173,7 +202,7 @@ func TestNetInjectorManifestAndNil(t *testing.T) {
 		t.Fatalf("manifest %v", m)
 	}
 	// nil injector is a transparent pass-through.
-	var nilIn *NetInjector
+	var nilIn *Wire
 	if err := nilIn.Send([]byte{9}, rec.send); err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +210,7 @@ func TestNetInjectorManifestAndNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	nilIn.ConnReset()
-	nilIn.SetSleep(nil)
-	if nilIn.Manifest() != nil {
-		t.Fatal("nil injector has a manifest")
+	if len(rec.sent) != 4 || rec.sent[3][0] != 9 {
+		t.Fatalf("nil injector did not pass its frame through: %v", rec.sent)
 	}
 }

@@ -33,8 +33,9 @@ type ShipperConfig struct {
 	// window recorded as lost, and a LOST control frame queued in its
 	// place (control frames are exempt from the bound). Default 1024.
 	QueueLimit int
-	// NetFaults optionally injects network faults on the send path.
-	NetFaults *faults.NetInjector
+	// NetFaults optionally injects wire faults on the send path. HELLO
+	// bypasses it: a session's handshake is not injectable.
+	NetFaults *faults.Wire
 	// Logf receives connection lifecycle events (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -276,14 +277,18 @@ func (s *Shipper) run() {
 		_, err := conn.Write(b)
 		return err
 	}
-	// sendFrame pushes one frame through the injector to the conn.
-	// Returns the connection error, if any; the caller tears down.
+	// sendFrame pushes one frame to the conn, through the injector unless
+	// it is the HELLO (a duplicated HELLO ends the session). Returns the
+	// connection error, if any; the caller tears down.
 	sendFrame := func(f *Frame) error {
 		b, err := EncodeFrame(f)
 		if err != nil {
 			// Encoding is infallible for frames we build; treat as fatal.
 			die(fmt.Errorf("fleet: encode %s frame: %w", f.Type, err))
 			return nil
+		}
+		if f.Type == FrameHello {
+			return rawSend(b)
 		}
 		return s.cfg.NetFaults.Send(b, rawSend)
 	}
@@ -456,18 +461,19 @@ func (s *Shipper) run() {
 			}
 			continue
 		}
-		if in == nil && len(queue) == 0 {
-			// Drained: everything tracked is acknowledged.
-			if conn != nil {
-				if err := s.cfg.NetFaults.Flush(rawSend); err != nil {
-					s.cfg.Logf("fleet[%s]: flush: %v", s.cfg.Site, err)
-				}
+		if in == nil {
+			if len(queue) == 0 {
+				return // drained: everything tracked is acknowledged
 			}
-			return
-		}
-		if in == nil && conn == nil {
 			// Closing with residue: reconnect to flush it.
-			if !connect() {
+			if conn == nil && !connect() {
+				continue
+			}
+			// No later send will release a frame a reorder holds, and
+			// its ack may be what the queue waits for.
+			if err := s.cfg.NetFaults.Flush(rawSend); err != nil {
+				s.cfg.Logf("fleet[%s]: flush: %v", s.cfg.Site, err)
+				teardown()
 				continue
 			}
 		}

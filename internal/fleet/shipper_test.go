@@ -122,6 +122,19 @@ func startAggregator(t *testing.T, sink Sink) (addr string, stop func()) {
 	return ln.Addr().String(), func() { agg.Close(); <-done }
 }
 
+// wire builds a wire injector from a spec, with stalls replayed
+// instantly.
+func wire(t *testing.T, spec string) *faults.Wire {
+	t.Helper()
+	s, err := faults.ParseSpec(spec, faults.Sends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := faults.NewWire(s)
+	w.SetSleep(func(time.Duration) {})
+	return w
+}
+
 // fastBackoff keeps shipper tests quick without a fake clock: the run
 // loop's waits are microseconds.
 func fastBackoff(maxAttempts int) Backoff {
@@ -177,12 +190,9 @@ func TestShipperRedeliversAfterDrops(t *testing.T) {
 	addr, stop := startAggregator(t, sink)
 	defer stop()
 	// Drop the connection at several send ordinals, including back to
-	// back (the resend itself gets dropped once).
-	inj := faults.NewNetInjector(faults.NetSchedule{Events: []faults.NetEvent{
-		{Kind: faults.ConnDrop, Index: 2},
-		{Kind: faults.ConnDrop, Index: 3},
-		{Kind: faults.ConnDrop, Index: 9},
-	}})
+	// back (the resend itself gets dropped once). Seven frames each sent
+	// once plus three drops make ten sends at least, so all three fire.
+	inj := wire(t, "drop@2,drop@3,drop@8")
 	sh, err := NewShipper(ShipperConfig{
 		Addr: addr, Site: "a",
 		Backoff:   fastBackoff(0),
@@ -222,10 +232,7 @@ func TestShipperDupAndReorder(t *testing.T) {
 	sink := newRecordingSink()
 	addr, stop := startAggregator(t, sink)
 	defer stop()
-	inj := faults.NewNetInjector(faults.NetSchedule{Events: []faults.NetEvent{
-		{Kind: faults.DupFrame, Index: 1},
-		{Kind: faults.ReorderFrame, Index: 3},
-	}})
+	inj := wire(t, "dup@1,reorder@3")
 	sh, err := NewShipper(ShipperConfig{
 		Addr: addr, Site: "a", Backoff: fastBackoff(0), NetFaults: inj, Logf: t.Logf,
 	})
@@ -250,6 +257,83 @@ func TestShipperDupAndReorder(t *testing.T) {
 	sink.mu.Unlock()
 	if deliveries < 5 { // 4 windows + at least one duplicate
 		t.Errorf("duplicate never reached the sink (%d deliveries)", deliveries)
+	}
+}
+
+// shipUnder ships n deltas and a FIN under a wire spec and checks that
+// Close returns within a deadline and that every window and the FIN
+// arrived. On a missed deadline it aborts the shipper, so a hang fails
+// the test instead of stalling it.
+func shipUnder(t *testing.T, spec string, n int) {
+	t.Helper()
+	sink := newRecordingSink()
+	addr, stop := startAggregator(t, sink)
+	defer stop()
+	inj := wire(t, spec)
+	sh, err := NewShipper(ShipperConfig{
+		Addr: addr, Site: "a", Backoff: fastBackoff(0), NetFaults: inj,
+		Logf: func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range n {
+		sh.ShipDelta(w, int64(w), []byte{byte(w)})
+	}
+	sh.Fin(n-1, int64(n))
+	closed := make(chan error, 1)
+	go func() { closed <- sh.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("%s: Close: %v", spec, err)
+			return
+		}
+	case <-time.After(5 * time.Second):
+		sh.Abort()
+		<-closed
+		t.Errorf("%s: Close had not returned after 5s (fired %v)", spec, inj.Manifest())
+		return
+	}
+	got := sink.windows("a")
+	for w := range n {
+		if len(got[w]) != 1 || got[w][0] != byte(w) {
+			t.Errorf("%s: window %d lost (fired %v)", spec, w, inj.Manifest())
+			return
+		}
+	}
+	sink.mu.Lock()
+	fin, ok := sink.fins["a"]
+	sink.mu.Unlock()
+	if !ok || fin != n-1 {
+		t.Errorf("%s: FIN lost (fired %v)", spec, inj.Manifest())
+	}
+}
+
+// TestShipperSurvivesHeldFrames pins the wire schedules that once lost
+// windows or hung Close: back-to-back reorders (the second hold used to
+// overwrite the first), a reorder on the last tracked frame (nothing
+// sent after it to release the hold), and an event at send 0 (it used
+// to fall on the HELLO, and a duplicated HELLO ends the session).
+func TestShipperSurvivesHeldFrames(t *testing.T) {
+	for _, spec := range []string{
+		"reorder@1,reorder@2",
+		"reorder@1,reorder@1",
+		"reorder@4",
+		"reorder@3,reorder@4",
+		"dup@0",
+		"reorder@0,drop@1",
+	} {
+		shipUnder(t, spec, 4)
+	}
+}
+
+// TestShipperLosesNothingUnderRandomWireSchedules is DESIGN's
+// at-least-once claim over the injector's own random grammar: under
+// every seeded wire schedule, Close returns and every window arrives.
+func TestShipperLosesNothingUnderRandomWireSchedules(t *testing.T) {
+	for seed := range 200 {
+		shipUnder(t, fmt.Sprintf("netrand:%d:5:20", seed), 12)
 	}
 }
 

@@ -19,8 +19,8 @@ func TestDegradeRecoverableFoldsCensus(t *testing.T) {
 		pkts = pkts[:400]
 	}
 	sched := faults.Schedule{Events: []faults.Event{
-		{Kind: faults.ReadError, Index: 50},
-		{Kind: faults.ShortRead, Index: 120, Cut: 20},
+		{Kind: faults.ReadError, At: 50},
+		{Kind: faults.ShortRead, At: 120, Arg: 20},
 	}}
 	for _, workers := range []int{1, 4} {
 		var cnt atomic.Int64
@@ -68,7 +68,7 @@ func TestDegradeTerminalEndsTraceEarly(t *testing.T) {
 	if len(pkts) > 300 {
 		pkts = pkts[:300]
 	}
-	sched := faults.Schedule{Events: []faults.Event{{Kind: faults.Torn, Index: 100}}}
+	sched := faults.Schedule{Events: []faults.Event{{Kind: faults.Torn, At: 100}}}
 	for _, workers := range []int{1, 4} {
 		src := faults.Wrap(pcap.NewSliceSource(pkts), sched)
 		res, err := Run(src, Config{Workers: workers, OnError: Degrade})
@@ -92,7 +92,7 @@ func TestFailFastStillAborts(t *testing.T) {
 	if len(pkts) > 300 {
 		pkts = pkts[:300]
 	}
-	sched := faults.Schedule{Events: []faults.Event{{Kind: faults.ReadError, Index: 50}}}
+	sched := faults.Schedule{Events: []faults.Event{{Kind: faults.ReadError, At: 50}}}
 	src := faults.Wrap(pcap.NewSliceSource(pkts), sched)
 	res, err := Run(src, Config{Workers: 4})
 	if err == nil {

@@ -101,15 +101,15 @@ func TestEveryPacketReleasedExactlyOnce(t *testing.T) {
 	scenarios := []scenario{
 		{name: "clean EOF"},
 		{name: "FailFast mid-trace error", wantErr: true, packets: 700,
-			sched: faults.Schedule{Events: []faults.Event{{Kind: faults.ReadError, Index: 700}}}},
+			sched: faults.Schedule{Events: []faults.Event{{Kind: faults.ReadError, At: 700}}}},
 		{name: "Degrade recoverable", policy: Degrade,
 			sched: faults.Schedule{Events: []faults.Event{
-				{Kind: faults.ReadError, Index: 50},
-				{Kind: faults.ShortRead, Index: 120, Cut: 20},
-				{Kind: faults.ReadError, Index: 900},
+				{Kind: faults.ReadError, At: 50},
+				{Kind: faults.ShortRead, At: 120, Arg: 20},
+				{Kind: faults.ReadError, At: 900},
 			}}},
 		{name: "Degrade terminal", policy: Degrade, packets: 650,
-			sched: faults.Schedule{Events: []faults.Event{{Kind: faults.Torn, Index: 650}}}},
+			sched: faults.Schedule{Events: []faults.Event{{Kind: faults.Torn, At: 650}}}},
 		{name: "Stopped", stopAt: 800, packets: 800},
 	}
 
