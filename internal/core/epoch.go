@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -128,8 +130,9 @@ type windowDelta struct {
 // slots the replay workers and each trace end merge into (bankDeltas,
 // finishTrace); a Fleet's holds a site per shipper, whose slots a
 // higher-sequence snapshot replaces whole (Fleet.Delta). Reads do not
-// tell the two apart: window n's report is built in place from the one
-// site holding it, or from a fold of every holder in site-name order.
+// tell the two apart: window n's report is built in place from the local
+// site when it alone holds the window, or else from a fold of every
+// holder in site-name order.
 //
 // All access is under mu: the replay workers bank and emit while a trace
 // is still replaying (see handoff), frames land while a fleet serves, and
@@ -170,7 +173,8 @@ type siteState struct {
 	// event time banks into it (late data). (The cumulative does not read
 	// these: each worker keeps a running aggregate of everything it cut,
 	// drained at Report.) A remote site's is the latest snapshot it
-	// delivered. A window with no slot reads as emptyWindow.
+	// delivered, kept as the bytes it arrived in. A window with no slot
+	// reads as emptyWindow.
 	slots map[int]slot
 	// horizon is the highest window the site has banked, delivered,
 	// declared lost, finned through or (local) completed; -1 before any.
@@ -191,10 +195,57 @@ type siteState struct {
 
 // slot is one site's aggregate of one window and the sequence number it
 // was delivered under: a remote site's slot is replaced only by a higher
-// one, the local site's (seq 0) is merged into.
+// one, the local site's (seq 0) is merged into. The local site's is the
+// aggregate banking merges into (agg); a remote site's is the snapshot's
+// encoding (wire), checked when it arrived and never decoded — about a
+// tenth of the decoded aggregate's heap.
 type slot struct {
-	seq uint64
-	agg *epochAgg
+	seq  uint64
+	agg  *epochAgg
+	wire []byte
+}
+
+// foldInto merges the slot's aggregate into e: the local site's read in
+// place, a remote site's folded straight from its bytes.
+func (sl slot) foldInto(e *epochAgg) {
+	if sl.agg != nil {
+		fleet.Merge(e, sl.agg)
+		return
+	}
+	if err := fleet.MergeFrom(e, sl.wire); err != nil {
+		panic(fmt.Sprintf("core: a snapshot checked on arrival does not fold: %v", err))
+	}
+}
+
+// foldSlots folds slots, in order, into a fresh aggregate. The order is
+// cut into contiguous runs, one per GOMAXPROCS goroutine, each folded
+// into an aggregate of its own, and the runs' aggregates are merged in
+// order. That is exact because merge is associative — (a⊕b)⊕c renders
+// as a⊕(b⊕c), which FuzzMergeAssociative pins — and every run starts
+// from an empty aggregate, which merges as nothing.
+func foldSlots(slots []slot) *epochAgg {
+	parts := make([]*epochAgg, max(1, min(runtime.GOMAXPROCS(0), len(slots))))
+	run := func(i int) {
+		e := newEpochAgg()
+		for _, sl := range slots[i*len(slots)/len(parts) : (i+1)*len(slots)/len(parts)] {
+			sl.foldInto(e)
+		}
+		parts[i] = e
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(parts); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, p := range parts[1:] {
+		fleet.Merge(parts[0], p)
+	}
+	return parts[0]
 }
 
 func newWindowStore(dataset string, dur time.Duration) *windowStore {
@@ -341,33 +392,33 @@ func (st *windowStore) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
 	st.advanceLocked(maxTS)
 }
 
-// aggLocked returns window n's aggregate for reading: the slot of the one
-// site holding the window, read in place, or every holder's slot folded
-// into a fresh aggregate in site-name order — the concatenated-trace
-// banking order; emptyWindow when no site holds it. Callers hold st.mu,
-// and keep it while they read: a report or an export is built from the
-// aggregate banking writes, not from a copy.
+// aggLocked returns window n's aggregate for reading: the local site's
+// slot, read in place, when no other site holds the window, or else every
+// holder's slot folded into a fresh aggregate in site-name order — the
+// concatenated-trace banking order; emptyWindow when no site holds it.
+// Callers hold st.mu, and keep it while they read: a report or an export
+// is built from the aggregate banking writes, not from a copy.
 func (st *windowStore) aggLocked(n int) *epochAgg {
-	var one *epochAgg
+	var one slot
 	holders := 0
 	for _, s := range st.sites {
 		if sl, ok := s.slots[n]; ok {
-			one, holders = sl.agg, holders+1
+			one, holders = sl, holders+1
 		}
 	}
-	switch holders {
-	case 0:
+	switch {
+	case holders == 0:
 		return emptyWindow
-	case 1:
-		return one
+	case holders == 1 && one.agg != nil:
+		return one.agg
 	}
-	e := newEpochAgg()
+	held := make([]slot, 0, holders)
 	for _, name := range st.siteNamesLocked() {
 		if sl, ok := st.sites[name].slots[n]; ok {
-			fleet.Merge(e, sl.agg)
+			held = append(held, sl)
 		}
 	}
-	return e
+	return foldSlots(held)
 }
 
 // windowReportLocked renders window n, labelled with its span

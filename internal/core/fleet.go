@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -10,9 +11,9 @@ import (
 
 // This file is the analysis half of two-tier fleet mode: encoding a
 // site analyzer's window snapshots for the wire (the shipper side), and
-// merging decoded snapshots from many sites back into fleet-wide
-// reports (the aggregator side). The transport between the two lives in
-// internal/fleet; this file owns what the payloads mean.
+// folding the snapshots of many sites, straight from their bytes, into
+// fleet-wide reports (the aggregator side). The transport between the
+// two lives in internal/fleet; this file owns what the payloads mean.
 //
 // The invariant the whole design leans on is the epoch contract: a
 // window snapshot is a complete epochAgg, and merging a partition of
@@ -119,22 +120,6 @@ func wmNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// decodeEpoch decodes one shipped window snapshot and checks that it
-// holds the containers every window holds, which a report built from it
-// reads (the codec guarantees structure, not non-nilness — a snapshot
-// our own encoder produced always passes).
-func decodeEpoch(payload []byte) (*epochAgg, error) {
-	e := new(epochAgg)
-	if err := fleet.Unmarshal(payload, e); err != nil {
-		return nil, err
-	}
-	if e.netLayer == nil || e.transBytes == nil || e.transConns == nil ||
-		e.origins == nil || e.load == nil || e.apps == nil {
-		return nil, fmt.Errorf("snapshot missing required aggregates")
-	}
-	return e, nil
-}
-
 // FleetConfig configures a fleet aggregation (NewFleet).
 type FleetConfig struct {
 	// Dataset labels the merged reports.
@@ -227,13 +212,17 @@ func (f *Fleet) Hello(site string, h fleet.Hello) error {
 	return nil
 }
 
-// Delta implements fleet.Sink: decode, then keep the snapshot iff its
-// sequence number is the newest seen for (site, window) — duplicates
-// and stale redeliveries are no-ops, which is the idempotence the
-// at-least-once transport requires.
+// Delta implements fleet.Sink: check the snapshot's bytes, then keep a
+// copy of them iff its sequence number is the newest seen for (site,
+// window) — duplicates and stale redeliveries are no-ops, which is the
+// idempotence the at-least-once transport requires. The bytes are not
+// decoded: every read of the window folds them straight into its
+// aggregate (slot.foldInto).
 func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payload []byte) error {
-	e, err := decodeEpoch(payload)
-	if err != nil {
+	if window < 0 {
+		return fmt.Errorf("site %s: negative window %d", site, window)
+	}
+	if err := fleet.Check[epochAgg](payload); err != nil {
 		return fmt.Errorf("site %s window %d: %w", site, window, err)
 	}
 	f.mu.Lock()
@@ -244,7 +233,7 @@ func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payl
 	if prev, ok := s.slots[window]; ok && prev.seq >= seq {
 		return nil
 	}
-	s.slots[window] = slot{seq: seq, agg: e}
+	s.slots[window] = slot{seq: seq, wire: bytes.Clone(payload)}
 	s.horizon = max(s.horizon, window)
 	return nil
 }
@@ -253,6 +242,9 @@ func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payl
 // from its bounded retry queue. A later re-export (higher sequence)
 // supersedes the loss; otherwise the window lands in the census.
 func (f *Fleet) Lost(site string, window int, seq uint64) error {
+	if window < 0 {
+		return fmt.Errorf("site %s: negative window %d", site, window)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	clear(f.rendered)
@@ -328,9 +320,9 @@ func (f *Fleet) Report() *Report {
 }
 
 func (f *Fleet) reportLocked() *Report {
-	merged := newEpochAgg()
-	census := f.censusLocked(merged)
-	r := buildReport(f.dataset, merged, nil)
+	var held []slot
+	census := f.censusLocked(&held)
+	r := buildReport(f.dataset, foldSlots(held), nil)
 	if len(census.Sites) > 0 {
 		r.Fleet = census
 	}
@@ -338,14 +330,14 @@ func (f *Fleet) reportLocked() *Report {
 }
 
 // censusLocked walks every (site, window) the fleet is owed and takes the
-// degradation census; given a non-nil merged it also folds every
-// delivered snapshot into it on the way. One walk serves both, so the
-// report and the status views can never disagree about which windows
-// were counted — but only Report pays for the fold: Status answers
-// /healthz polls and the FinalReady gate under the same mutex Delta
-// needs, and a fold merges every epoch the fleet holds. Callers hold
-// f.mu.
-func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
+// degradation census; given a non-nil held it also appends every
+// delivered snapshot to it on the way, in fold order. One walk serves
+// both, so the report and the status views can never disagree about
+// which windows were counted — but only Report pays for the fold: Status
+// answers /healthz polls and the FinalReady gate under the same mutex
+// Delta needs, and a fold merges every epoch the fleet holds. Callers
+// hold f.mu.
+func (f *Fleet) censusLocked(held *[]slot) *FleetReport {
 	census := &FleetReport{}
 	maxW := f.countLocked() - 1
 	known := make(map[string]bool, len(f.sites))
@@ -373,8 +365,8 @@ func (f *Fleet) censusLocked(merged *epochAgg) *FleetReport {
 				if hasLost && lostSeq > dw.seq {
 					sr.LostWindows = append(sr.LostWindows, w)
 				}
-				if merged != nil {
-					fleet.Merge(merged, dw.agg)
+				if held != nil {
+					*held = append(*held, dw)
 				}
 				sr.Windows++
 			case hasLost:

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -524,7 +528,7 @@ func TestFleetStatusMatchesReportCensus(t *testing.T) {
 			}
 
 			f.mu.Lock()
-			bare, folded := f.censusLocked(nil), f.censusLocked(newEpochAgg())
+			bare, folded := f.censusLocked(nil), f.censusLocked(new([]slot))
 			f.mu.Unlock()
 			if !reflect.DeepEqual(bare, folded) {
 				t.Errorf("the census differs with the fold:\nwithout %+v\n   with %+v", bare, folded)
@@ -585,5 +589,179 @@ func fin(t *testing.T, f *Fleet, site string, maxWindow int, seq uint64) {
 	t.Helper()
 	if err := f.Fin(site, maxWindow, seq, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetHoldsWireBytes pins what a fleet keeps of a remote window:
+// the snapshot's bytes, checked on arrival and folded from the wire, not
+// its decoded aggregate, which is about thirteen times larger. The
+// heap a fleet holding every site's windows adds, read after two GCs,
+// stays within twice the payload bytes it holds plus 1 MiB.
+func TestFleetHoldsWireBytes(t *testing.T) {
+	ds := fleetTestDataset(t)
+	origin := datasetOrigin(ds)
+	const sites = 4
+	var exports [sites][]WindowExport
+	held := 0
+	for s := range sites {
+		lo, hi := len(ds.Traces)*s/sites, len(ds.Traces)*(s+1)/sites
+		a := NewAnalyzer(Options{Dataset: "fleet", PayloadAnalysis: true, Window: time.Minute, WindowOrigin: origin, TraceBase: lo})
+		for i := lo; i < hi; i++ {
+			tr := ds.Traces[i]
+			if err := a.AddTrace(TraceInput{Name: traceName(i), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if exports[s], err = a.ExportAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, we := range exports[s] {
+			held += len(we.Payload)
+		}
+	}
+	ds = nil
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	f := NewFleet(FleetConfig{Dataset: "fleet"})
+	for s := range sites {
+		if err := f.Hello(siteName(s), fleet.Hello{Schema: SnapshotSchema(), WindowNanos: int64(time.Minute), OriginNanos: origin.UnixNano()}); err != nil {
+			t.Fatal(err)
+		}
+		for i, we := range exports[s] {
+			if err := f.Delta(siteName(s), we.Window, uint64(i+1), we.Watermark, we.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	grown := int64(heap()) - int64(before)
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(&exports)
+	t.Logf("%d windows, %d payload bytes held, heap grew %d bytes", f.WindowCount(), held, grown)
+	if limit := int64(2*held + 1<<20); grown > limit {
+		t.Errorf("a fleet holding %d payload bytes grew the heap by %d bytes, over %d", held, grown, limit)
+	}
+}
+
+// TestFleetRefusesNegativeWindows: a DELTA or LOST frame for a window
+// below 0 gets an ERR frame from the aggregator, and nothing of it is
+// stored — no site row counts it, the fleet has no window. FIN through
+// window -1 is a site with no windows, and is acknowledged.
+func TestFleetRefusesNegativeWindows(t *testing.T) {
+	f := NewFleet(FleetConfig{Dataset: "fleet"})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := fleet.NewAggregator(ln, f, t.Logf)
+	served := make(chan struct{})
+	go func() { agg.Serve(); close(served) }()
+	defer func() { agg.Close(); <-served }()
+
+	hello, err := fleet.Marshal(&fleet.Hello{Schema: SnapshotSchema(), WindowNanos: int64(time.Minute)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// session sends HELLO then fr, and returns the answer to fr.
+	session := func(fr *fleet.Frame) *fleet.Frame {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		for i, out := range []*fleet.Frame{{Type: fleet.FrameHello, Site: "site-a", Payload: hello}, fr} {
+			b, err := fleet.EncodeFrame(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Write(b); err != nil {
+				t.Fatal(err)
+			}
+			in, err := fleet.ReadFrame(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				return in
+			}
+			if in.Type != fleet.FrameAck {
+				t.Fatalf("HELLO answered with %s %q", in.Type, in.Payload)
+			}
+		}
+		return nil
+	}
+	for _, fr := range []*fleet.Frame{
+		{Type: fleet.FrameDelta, Site: "site-a", Window: -1, Seq: 1, Payload: syntheticSnapshot(t, 0, 0)},
+		{Type: fleet.FrameLost, Site: "site-a", Window: -1, Seq: 2},
+	} {
+		if got := session(fr); got.Type != fleet.FrameErr {
+			t.Errorf("%s for window -1 answered with %s, want %s", fr.Type, got.Type, fleet.FrameErr)
+		}
+	}
+	st := f.Status()
+	if st.Windows != 0 || len(st.Sites) != 1 || st.Sites[0].Windows != 0 || st.LostWindows != 0 {
+		t.Errorf("a refused frame left state behind: %+v", st)
+	}
+	if got := session(&fleet.Frame{Type: fleet.FrameFin, Site: "site-a", Window: -1, Seq: 3}); got.Type != fleet.FrameAck {
+		t.Errorf("FIN through window -1 answered with %s %q", got.Type, got.Payload)
+	}
+	if st := f.Status(); !st.FinalReady || st.Windows != 0 {
+		t.Errorf("a site finned through window -1: %+v", st)
+	}
+}
+
+// TestFleetFoldsWhileDeltasLand runs the parallel fold under the fleet's
+// mutex while frames keep landing: writers re-deliver every site's
+// windows under rising sequence numbers as a reader builds the merged
+// report, window reports and served bodies. Run with -race -cpu 1,2,4.
+func TestFleetFoldsWhileDeltasLand(t *testing.T) {
+	const sites, windows, rounds = 4, 12, 5
+	f := syntheticFleet(t, sites, windows)
+	var wg sync.WaitGroup
+	for s := range sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				for w := range windows {
+					if err := f.Delta(siteName(s), w, uint64(r*windows+w+windows+1), int64(w+1), syntheticSnapshot(t, s, w)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	written, done := make(chan struct{}), make(chan struct{})
+	go func() { wg.Wait(); close(written) }()
+	go func() {
+		defer close(done)
+		for {
+			if got := f.Report().Figure2.Hosts; got != sites*windows {
+				t.Errorf("mid-delivery report folds %d fan hosts, want %d", got, sites*windows)
+			}
+			if _, ok := f.WindowReport(3); !ok {
+				t.Error("window 3 is missing")
+			}
+			if _, err := f.cumulativeJSON(false); err != nil {
+				t.Error(err)
+			}
+			select {
+			case <-written:
+				return
+			default:
+			}
+		}
+	}()
+	<-done
+	if got := f.Report().Figure2.Hosts; got != sites*windows {
+		t.Errorf("report folds %d fan hosts, want %d", got, sites*windows)
 	}
 }

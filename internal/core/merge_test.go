@@ -168,6 +168,16 @@ func TestZeroLengthResponsesBankInTheirWindow(t *testing.T) {
 	}
 }
 
+// decodeEpoch decodes one shipped window snapshot, which Fleet.Delta
+// only checks (fleet.Check) and its reads fold without decoding.
+func decodeEpoch(payload []byte) (*epochAgg, error) {
+	e := new(epochAgg)
+	if err := fleet.Unmarshal(payload, e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // mergeSeeds returns real window snapshots: a small windowed run's
 // exports, in threes.
 func mergeSeeds(tb testing.TB) [][3][]byte {
@@ -245,4 +255,50 @@ func reportable(e *epochAgg) (ok bool) {
 	}()
 	renderEpoch(e)
 	return true
+}
+
+// FuzzMergeFromMatchesMerge holds the fleet's fold off the wire to the
+// decode-then-merge it replaced, over window snapshots: Check accepts
+// exactly what decodeEpoch accepts, and folding accepted bytes into an
+// empty aggregate, a sparse window aggregate (whose nil components decode
+// fresh), or one that already holds another snapshot or the same one
+// (every key then merges into one the receiver holds) gives the
+// fleet.Marshal bytes of merging the decoded snapshot into the same.
+func FuzzMergeFromMatchesMerge(f *testing.F) {
+	for _, s := range mergeSeeds(f) {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, pa, pb []byte) {
+		_, err := decodeEpoch(pa)
+		if checkErr := fleet.Check[epochAgg](pa); (err == nil) != (checkErr == nil) {
+			t.Fatalf("Check and decode disagree\n  Check: %v\n decode: %v", checkErr, err)
+		}
+		if err != nil {
+			return
+		}
+		dsts := map[string]func() *epochAgg{"empty": newEpochAgg, "sparse": newWindowAgg}
+		for name, held := range map[string][]byte{"holding another": pb, "holding itself": pa} {
+			if _, err := decodeEpoch(held); err == nil {
+				dsts[name] = func() *epochAgg {
+					e, _ := decodeEpoch(held)
+					dst := newEpochAgg()
+					fleet.Merge(dst, e)
+					return dst
+				}
+			}
+		}
+		for name, dst := range dsts {
+			want, got := dst(), dst()
+			a, _ := decodeEpoch(pa)
+			fleet.Merge(want, a)
+			if err := fleet.MergeFrom(got, pa); err != nil {
+				t.Fatalf("%s: MergeFrom refuses what Check accepts: %v", name, err)
+			}
+			wb, werr := fleet.Marshal(want)
+			gb, gerr := fleet.Marshal(got)
+			if werr != nil || gerr != nil || !bytes.Equal(gb, wb) {
+				t.Fatalf("%s: MergeFrom differs from Merge of the decoded snapshot (%v, %v)", name, gerr, werr)
+			}
+		}
+	})
 }

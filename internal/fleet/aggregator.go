@@ -26,7 +26,8 @@ type Sink interface {
 	Hello(site string, h Hello) error
 	// Delta delivers one window's encoded snapshot delta. Duplicate
 	// (site, window, seq) triples MUST be idempotent — delivery is
-	// at-least-once.
+	// at-least-once. payload is the caller's: a sink that keeps the bytes
+	// keeps its own copy.
 	Delta(site string, window int, seq uint64, watermark int64, payload []byte) error
 	// Lost records that site permanently dropped window from its queue.
 	Lost(site string, window int, seq uint64) error

@@ -29,6 +29,14 @@
 // agg:"max" merges a number by maximum, and agg:"pairing" marks state
 // that stays with its owner — a cut leaves it behind, and merge and
 // emptiness ignore it. See DESIGN.md "Epoch cuts and windowed reports".
+//
+// Two more ops read encoded bytes by address, beside Merge and Cut.
+// MergeFrom folds a payload straight into a destination — exactly what
+// Merge gives with the payload decoded, without building the decoded
+// value — and Check accepts exactly the payloads Unmarshal accepts,
+// without allocating. They are one walk of the plan (fold), with and
+// without a destination, so what a receiver checks on arrival is what
+// it folds later. See DESIGN.md "Fleet aggregation".
 package fleet
 
 import (
@@ -128,6 +136,38 @@ func Cut[T any](src *T) *T {
 	return out
 }
 
+// MergeFrom folds the value encoded in b into *dst: exactly what
+// Merge(dst, v) gives for the v that Unmarshal decodes from b, without
+// building v. Where Merge would adopt a field of v because dst's is nil,
+// MergeFrom decodes that field fresh, pairing state included; everywhere
+// else the pairing bytes are read past. It fails on exactly the bytes
+// Unmarshal refuses, and may leave dst partly merged when it does: check
+// bytes on arrival (Check), fold them later. It panics like Merge when T
+// has a field the plan cannot merge.
+func MergeFrom[T any](dst *T, b []byte) error {
+	return mergePlan[T]().foldBytes(b, unsafe.Pointer(dst))
+}
+
+// Check reports whether Unmarshal would accept b for a *T, with the
+// error Unmarshal would return, without decoding b and without
+// allocating once the plan is built.
+func Check[T any](b []byte) error {
+	return planOf(reflect.TypeFor[T]()).foldBytes(b, nil)
+}
+
+// foldBytes runs the fold over all of b with a pooled decoder.
+func (p *plan) foldBytes(b []byte, dst unsafe.Pointer) error {
+	d := decoders.Get().(*decoder)
+	d.buf = b
+	err := p.fold(d, dst)
+	if err == nil && len(d.buf) != 0 {
+		err = fmt.Errorf("fleet: %d trailing bytes after decode", len(d.buf))
+	}
+	d.buf = nil
+	decoders.Put(d)
+	return err
+}
+
 // MergeError says which field of v's type graph Merge and Cut have no
 // rule for and no agg tag excuses (a string, an interface, a func, an
 // array…), or returns nil when the whole graph merges.
@@ -164,9 +204,16 @@ func mergePlan[T any]() *plan {
 // has none, and mergeErr says why. leaf marks a type that merges through
 // its own method and whose zero value is ready to use, so a cut moves it
 // whole.
+//
+// fold reads one encoded value and merges it into the value at dst, as
+// merge would merge the value dec decodes from the same bytes; with a nil
+// dst it only checks the bytes, accepting what dec accepts. Every type
+// has a fold, for checking; only a type that merges folds into a
+// destination.
 type plan struct {
 	enc    func(*encoder, reflect.Value) error
 	dec    func(*decoder, reflect.Value) error
+	fold   func(d *decoder, dst unsafe.Pointer) error
 	schema func(h io.Writer, seen map[reflect.Type]bool)
 
 	merge    func(dst, src unsafe.Pointer)
@@ -242,12 +289,14 @@ func label(s string) func(io.Writer, map[reflect.Type]bool) {
 	return func(h io.Writer, _ map[reflect.Type]bool) { io.WriteString(h, s) }
 }
 
-// field is one kept field of a struct plan.
+// field is one kept field of a struct plan; merge is the plan its
+// aggregate ops run (nil for pairing state).
 type field struct {
 	name   string
 	typ    reflect.Type
 	offset uintptr
 	plan   *plan
+	merge  *plan
 }
 
 // number is every kind the plan merges by adding.
@@ -257,32 +306,89 @@ type number interface {
 
 // scalarOps are the aggregate ops of a scalar: merge by add or OR, or by
 // max (agg:"max"); a cut moves the value and zeroes the source; zero is
-// empty.
+// empty. read decodes one value of the kind into the scalar at w,
+// refusing one the kind cannot hold (t names the type in the error).
 type scalarOps struct {
 	merge, max, cut func(dst, src unsafe.Pointer)
 	empty           func(v unsafe.Pointer) bool
+	read            func(d *decoder, t reflect.Type, w unsafe.Pointer) error
 }
 
-func numberOps[T number]() scalarOps {
+func numberOps[T number](read func(*decoder, reflect.Type, unsafe.Pointer) error) scalarOps {
 	return scalarOps{
 		merge: func(dst, src unsafe.Pointer) { *(*T)(dst) += *(*T)(src) },
 		max:   func(dst, src unsafe.Pointer) { *(*T)(dst) = max(*(*T)(dst), *(*T)(src)) },
 		cut:   func(dst, src unsafe.Pointer) { *(*T)(dst), *(*T)(src) = *(*T)(src), 0 },
 		empty: func(v unsafe.Pointer) bool { return *(*T)(v) == 0 },
+		read:  read,
 	}
 }
 
+func readInt[T int | int8 | int16 | int32 | int64](d *decoder, t reflect.Type, w unsafe.Pointer) error {
+	x, err := d.varint()
+	if err == nil && int64(T(x)) != x {
+		err = fmt.Errorf("fleet: %d overflows %s", x, t)
+	}
+	*(*T)(w) = T(x)
+	return err
+}
+
+func readUint[T uint | uint8 | uint16 | uint32 | uint64 | uintptr](d *decoder, t reflect.Type, w unsafe.Pointer) error {
+	x, err := d.uvarint()
+	if err == nil && uint64(T(x)) != x {
+		err = fmt.Errorf("fleet: %d overflows %s", x, t)
+	}
+	*(*T)(w) = T(x)
+	return err
+}
+
+func readFloat32(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
+	raw, err := d.take(4)
+	if err == nil {
+		*(*float32)(w) = math.Float32frombits(binary.LittleEndian.Uint32(raw))
+	}
+	return err
+}
+
+func readFloat64(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
+	raw, err := d.take(8)
+	if err == nil {
+		*(*float64)(w) = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	}
+	return err
+}
+
 var scalars = map[reflect.Kind]scalarOps{
-	reflect.Int: numberOps[int](), reflect.Int8: numberOps[int8](), reflect.Int16: numberOps[int16](),
-	reflect.Int32: numberOps[int32](), reflect.Int64: numberOps[int64](),
-	reflect.Uint: numberOps[uint](), reflect.Uint8: numberOps[uint8](), reflect.Uint16: numberOps[uint16](),
-	reflect.Uint32: numberOps[uint32](), reflect.Uint64: numberOps[uint64](), reflect.Uintptr: numberOps[uintptr](),
-	reflect.Float32: numberOps[float32](), reflect.Float64: numberOps[float64](),
+	reflect.Int: numberOps[int](readInt[int]), reflect.Int8: numberOps[int8](readInt[int8]),
+	reflect.Int16: numberOps[int16](readInt[int16]), reflect.Int32: numberOps[int32](readInt[int32]),
+	reflect.Int64: numberOps[int64](readInt[int64]),
+	reflect.Uint:  numberOps[uint](readUint[uint]), reflect.Uint8: numberOps[uint8](readUint[uint8]),
+	reflect.Uint16: numberOps[uint16](readUint[uint16]), reflect.Uint32: numberOps[uint32](readUint[uint32]),
+	reflect.Uint64: numberOps[uint64](readUint[uint64]), reflect.Uintptr: numberOps[uintptr](readUint[uintptr]),
+	reflect.Float32: numberOps[float32](readFloat32), reflect.Float64: numberOps[float64](readFloat64),
 	reflect.Bool: {
 		merge: func(dst, src unsafe.Pointer) { *(*bool)(dst) = *(*bool)(dst) || *(*bool)(src) },
 		cut:   func(dst, src unsafe.Pointer) { *(*bool)(dst), *(*bool)(src) = *(*bool)(src), false },
 		empty: func(v unsafe.Pointer) bool { return !*(*bool)(v) },
+		read: func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
+			f, err := d.byteFlag()
+			*(*bool)(w) = f
+			return err
+		},
 	},
+}
+
+// scalarFold is a scalar's fold: the value reads into the decoder's
+// scratch word and merges from there.
+func scalarFold(t reflect.Type, read func(*decoder, reflect.Type, unsafe.Pointer) error, merge func(dst, src unsafe.Pointer)) func(*decoder, unsafe.Pointer) error {
+	return func(d *decoder, dst unsafe.Pointer) error {
+		w := unsafe.Pointer(&d.word)
+		if err := read(d, t, w); err != nil || dst == nil {
+			return err
+		}
+		merge(dst, w)
+		return nil
+	}
 }
 
 // cannotMerge records that t has no aggregate ops.
@@ -325,6 +431,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			*v.Addr().Interface().(*time.Time) = tm
 			return nil
 		}
+		p.fold = checkByDecoding(t, p.dec)
 		return
 	case t == distType:
 		p.merge = func(dst, src unsafe.Pointer) { (*stats.Dist)(dst).Merge((*stats.Dist)(src)) }
@@ -345,34 +452,25 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			return nil
 		}
 		p.dec = func(d *decoder, v reflect.Value) error {
-			nan, err := d.varint()
+			vals, counts, nan, err := d.runs()
 			if err != nil {
 				return err
-			}
-			n, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
-				return errShort
-			}
-			vals := make([]float64, n)
-			counts := make([]int64, n)
-			for i := range vals {
-				raw, err := d.take(8)
-				if err != nil {
-					return err
-				}
-				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-				if counts[i], err = d.varint(); err != nil {
-					return err
-				}
 			}
 			dist, err := stats.DistFromRuns(vals, counts, nan)
 			if err != nil {
 				return fmt.Errorf("fleet: dist: %w", err)
 			}
 			*v.Addr().Interface().(*stats.Dist) = *dist
+			return nil
+		}
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
+			vals, counts, nan, err := d.runs()
+			if err != nil {
+				return err
+			}
+			if err := stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan); err != nil {
+				return fmt.Errorf("fleet: dist: %w", err)
+			}
 			return nil
 		}
 		return
@@ -398,12 +496,16 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
+		p.fold = checkByDecoding(t, p.dec)
 		return
 	}
 
 	p.schema = label(t.Kind().String())
 	if ops, ok := scalars[t.Kind()]; ok {
 		p.merge, p.cut, p.empty = ops.merge, ops.cut, ops.empty
+		p.dec = func(d *decoder, v reflect.Value) error { return ops.read(d, t, unsafe.Pointer(v.UnsafeAddr())) }
+		// p.merge is read as the fold runs: a Join method replaces it.
+		p.fold = scalarFold(t, ops.read, func(dst, src unsafe.Pointer) { p.merge(dst, src) })
 	}
 	defer joinOps(p, t) // a Join method overrides the kind's merge
 	switch t.Kind() {
@@ -412,28 +514,9 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			e.flag(v.Bool())
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			f, err := d.byteFlag()
-			if err != nil {
-				return err
-			}
-			v.SetBool(f)
-			return nil
-		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		p.enc = func(e *encoder, v reflect.Value) error {
 			e.varint(v.Int())
-			return nil
-		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			x, err := d.varint()
-			if err != nil {
-				return err
-			}
-			if v.OverflowInt(x) {
-				return fmt.Errorf("fleet: %d overflows %s", x, t)
-			}
-			v.SetInt(x)
 			return nil
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
@@ -441,41 +524,14 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			e.uvarint(v.Uint())
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			x, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			if v.OverflowUint(x) {
-				return fmt.Errorf("fleet: %d overflows %s", x, t)
-			}
-			v.SetUint(x)
-			return nil
-		}
 	case reflect.Float32:
 		p.enc = func(e *encoder, v reflect.Value) error {
 			e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			raw, err := d.take(4)
-			if err != nil {
-				return err
-			}
-			v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw))))
-			return nil
-		}
 	case reflect.Float64:
 		p.enc = func(e *encoder, v reflect.Value) error {
 			e.float64(v.Float())
-			return nil
-		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			raw, err := d.take(8)
-			if err != nil {
-				return err
-			}
-			v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
 			return nil
 		}
 	case reflect.String:
@@ -492,6 +548,10 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			v.SetString(string(raw))
 			return nil
+		}
+		p.fold = func(d *decoder, _ unsafe.Pointer) error {
+			_, err := d.bytes()
+			return err
 		}
 	case reflect.Slice:
 		elem := b.plan(t.Elem())
@@ -513,6 +573,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			s.SetZero()
 		}
 		p.empty = func(v unsafe.Pointer) bool { return reflect.NewAt(t, v).Elem().Len() == 0 }
+		p.fold = sliceFold(p, t, elem)
 		if t.Elem().Kind() == reflect.Uint8 {
 			p.enc = func(e *encoder, v reflect.Value) error {
 				if e.flag(!v.IsNil()) {
@@ -596,6 +657,14 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
+		p.fold = func(d *decoder, _ unsafe.Pointer) error {
+			for i := 0; i < n; i++ {
+				if err := elem.fold(d, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	case reflect.Map:
 		kt, et := t.Key(), t.Elem()
 		key, elem := b.plan(kt), b.plan(et)
@@ -605,7 +674,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			io.WriteString(h, "]")
 			elem.schema(h, seen)
 		}
-		mapOps(p, t, elem)
+		mapOps(p, t, key, elem)
 		// Map entries are not addressable: both directions copy each
 		// entry through one addressable key slot and one value slot.
 		// Reusing the slots across entries is sound because enc keeps
@@ -658,8 +727,13 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			m := reflect.MakeMapWithSize(t, int(n))
 			k, val := reflect.New(kt).Elem(), reflect.New(et).Elem()
+			var prev []byte
 			for i := 0; i < int(n); i++ {
+				start := d.buf
 				if err := key.dec(d, k); err != nil {
+					return err
+				}
+				if err := d.ordered(start, &prev, i == 0); err != nil {
 					return err
 				}
 				if err := elem.dec(d, val); err != nil {
@@ -700,6 +774,20 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			v.Set(nv)
 			return nil
 		}
+		at := valueAt(t)
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
+			if dst != nil && *(*unsafe.Pointer)(dst) == nil {
+				return p.dec(d, at(dst)) // a nil receiver adopts the decoded pointee
+			}
+			present, err := d.byteFlag()
+			if err != nil || !present {
+				return err
+			}
+			if dst != nil {
+				dst = *(*unsafe.Pointer)(dst)
+			}
+			return elem.fold(d, dst)
+		}
 	case reflect.Struct:
 		// fields are the ones the codec keeps, merged the ones the
 		// aggregate ops walk: every field but pairing state.
@@ -726,7 +814,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 				err = fp.mergeErr
 			case agg == "max":
 				if ops := scalars[f.Type.Kind()]; ops.max != nil {
-					mf.plan = &plan{merge: ops.max, cut: fp.cut, empty: fp.empty}
+					mf.plan = &plan{merge: ops.max, cut: fp.cut, empty: fp.empty, fold: scalarFold(f.Type, ops.read, ops.max)}
 				} else {
 					err = fmt.Errorf("agg:\"max\" on %s", f.Type)
 				}
@@ -734,12 +822,37 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			if err != nil && p.mergeErr == nil {
 				p.mergeErr = fmt.Errorf("%s.%s: %w", t, f.Name, err)
 			}
+			if fp != nil {
+				fields[len(fields)-1].merge = mf.plan
+			}
 			merged = append(merged, mf)
 		}
 		structOps(p, merged)
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
+			for i := range fields {
+				f := &fields[i]
+				var err error
+				if dst == nil || f.merge == nil {
+					err = f.plan.fold(d, nil) // pairing state stays with its owner
+				} else {
+					err = f.merge.fold(d, unsafe.Add(dst, f.offset))
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		if t == counterType {
 			p.merge = func(dst, src unsafe.Pointer) { (*stats.Counter)(dst).Merge((*stats.Counter)(src)) }
 			p.leaf = true
+			walk := p.fold
+			p.fold = func(d *decoder, dst unsafe.Pointer) error {
+				if dst == nil {
+					return walk(d, nil)
+				}
+				return foldCounter(d, (*stats.Counter)(dst))
+			}
 		}
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
 			if seen[t] {
@@ -784,6 +897,76 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		p.dec = func(*decoder, reflect.Value) error {
 			return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
 		}
+		p.fold = func(*decoder, unsafe.Pointer) error {
+			return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
+		}
+	}
+}
+
+// foldCounter folds an encoded stats.Counter — its counts map, then its
+// total — into c key by key through Add, as Counter.Merge does, reading
+// the bytes as the Counter's plan decodes them. The total is read past:
+// Merge adds up the source's counts instead.
+func foldCounter(d *decoder, c *stats.Counter) error {
+	n, present, err := d.length()
+	if err != nil {
+		return err
+	}
+	if present && n > uint64(len(d.buf))+1 {
+		return errShort
+	}
+	var prev []byte
+	for i := 0; present && i < int(n); i++ {
+		start := d.buf
+		key, err := d.bytes()
+		if err != nil {
+			return err
+		}
+		if err := d.ordered(start, &prev, i == 0); err != nil {
+			return err
+		}
+		v, err := d.varint()
+		if err != nil {
+			return err
+		}
+		c.Add(string(key), v)
+	}
+	_, err = d.varint()
+	return err
+}
+
+// sliceFold is a slice's fold. Merge appends a source's elements whole,
+// pairing state and all, so the fold decodes the slice and appends that.
+func sliceFold(p *plan, t reflect.Type, elem *plan) func(*decoder, unsafe.Pointer) error {
+	raw := t.Elem().Kind() == reflect.Uint8
+	return func(d *decoder, dst unsafe.Pointer) error {
+		if dst != nil {
+			if d.absent() {
+				return nil
+			}
+			s := reflect.New(t)
+			if err := p.dec(d, s.Elem()); err != nil {
+				return err
+			}
+			p.merge(dst, s.UnsafePointer())
+			return nil
+		}
+		n, present, err := d.length()
+		switch {
+		case err != nil || !present:
+			return err
+		case raw:
+			_, err := d.take(int(n))
+			return err
+		case n > uint64(len(d.buf))+1:
+			return errShort
+		}
+		for range n {
+			if err := elem.fold(d, nil); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
@@ -879,7 +1062,12 @@ type mapScratch struct {
 // holds: none on the 12 h soak, 39 over a 60 s-windowed D3 run and 31 in
 // a 16-site fleet-fold report (NFS/NCP per-pair sums and the two
 // handshake lattices, for pairs seen in more than one window).
-func mapOps(p *plan, t reflect.Type, elem *plan) {
+//
+// The fold takes the source's entries off the wire instead: each key,
+// and any value not merged in place, decodes into the scratch slots and
+// merges as an iterated entry would; a pointer or map value folds
+// straight into the receiver's, or into a fresh one it lacks.
+func mapOps(p *plan, t reflect.Type, key, elem *plan) {
 	p.mergeErr = elem.mergeErr
 	et := t.Elem()
 	set := et.Size() == 0
@@ -888,11 +1076,18 @@ func mapOps(p *plan, t reflect.Type, elem *plan) {
 		sv, dv := reflect.New(et), reflect.New(et)
 		return &mapScratch{k: reflect.New(t.Key()).Elem(), sv: sv.Elem(), dv: dv.Elem(), svp: sv.UnsafePointer(), dvp: dv.UnsafePointer()}
 	}}
+	release := func(x *mapScratch) {
+		x.it.Reset(reflect.Value{})
+		x.k.SetZero()
+		x.sv.SetZero()
+		x.dv.SetZero()
+		pool.Put(x)
+	}
 	// A map is one pointer word, nil for a nil map. at makes the Value of
 	// the map stored at a field from that word and t's type word, as an
 	// interface holding it is laid out: reflect.NewAt would look *t up in
 	// reflect's type cache, a sync.Map, every time — a tenth of a fleet
-	// fold.
+	// fold. slot is the settable Value of the field, for a decode to fill.
 	zero := reflect.Zero(t).Interface()
 	typeWord := (*[2]unsafe.Pointer)(unsafe.Pointer(&zero))[0]
 	at := func(v unsafe.Pointer) reflect.Value {
@@ -901,6 +1096,7 @@ func mapOps(p *plan, t reflect.Type, elem *plan) {
 		w[0], w[1] = typeWord, *(*unsafe.Pointer)(v)
 		return reflect.ValueOf(m)
 	}
+	slot := valueAt(t)
 	p.merge = func(dst, src unsafe.Pointer) {
 		if *(*unsafe.Pointer)(src) == nil {
 			return
@@ -947,11 +1143,92 @@ func mapOps(p *plan, t reflect.Type, elem *plan) {
 				d.SetMapIndex(x.k, x.dv)
 			}
 		}
-		x.it.Reset(reflect.Value{})
-		x.k.SetZero()
-		x.sv.SetZero()
-		x.dv.SetZero()
-		pool.Put(x)
+		release(x)
+	}
+	p.fold = func(dec *decoder, dst unsafe.Pointer) error {
+		if dst != nil && *(*unsafe.Pointer)(dst) == nil {
+			// A nil receiver adopts the decoded map, unless it is empty.
+			v := slot(dst)
+			err := p.dec(dec, v)
+			if err == nil && v.Len() == 0 {
+				v.SetZero()
+			}
+			return err
+		}
+		n, present, err := dec.length()
+		if err != nil || !present {
+			return err
+		}
+		if n > uint64(len(dec.buf))+1 {
+			return errShort
+		}
+		if dst == nil {
+			var prev []byte
+			for i := 0; i < int(n); i++ {
+				start := dec.buf
+				if err := key.fold(dec, nil); err != nil {
+					return err
+				}
+				if err := dec.ordered(start, &prev, i == 0); err != nil {
+					return err
+				}
+				if err := elem.fold(dec, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		d := at(dst)
+		x := pool.Get().(*mapScratch)
+		defer release(x)
+		var prev []byte
+		for i := 0; i < int(n); i++ {
+			start := dec.buf
+			if err := key.dec(dec, x.k); err != nil {
+				return err
+			}
+			if err := dec.ordered(start, &prev, i == 0); err != nil {
+				return err
+			}
+			if !inPlace {
+				// A set entry is inserted; a sum or a lattice merges into
+				// the value d holds, or is inserted.
+				if err := elem.dec(dec, x.sv); err != nil {
+					return err
+				}
+				v := x.sv
+				if !set {
+					if cur := d.MapIndex(x.k); cur.IsValid() {
+						x.dv.Set(cur)
+						elem.merge(x.dvp, x.svp)
+						v = x.dv
+					}
+				}
+				d.SetMapIndex(x.k, v)
+				continue
+			}
+			cur := d.MapIndex(x.k)
+			switch {
+			case cur.IsValid() && !cur.IsNil():
+				*(*unsafe.Pointer)(x.dvp) = cur.UnsafePointer()
+				if err := elem.fold(dec, x.dvp); err != nil {
+					return err
+				}
+				continue
+			case dec.absent():
+				d.SetMapIndex(x.k, x.sv) // x.sv is nil here
+				continue
+			case et.Kind() == reflect.Pointer:
+				x.dv.Set(reflect.New(et.Elem()))
+			default:
+				x.dv.Set(reflect.MakeMap(et))
+			}
+			if err := elem.fold(dec, x.dvp); err != nil {
+				return err
+			}
+			d.SetMapIndex(x.k, x.dv)
+		}
+		return nil
 	}
 	p.empty = func(v unsafe.Pointer) bool {
 		return *(*unsafe.Pointer)(v) == nil || at(v).Len() == 0
@@ -961,6 +1238,36 @@ func mapOps(p *plan, t reflect.Type, elem *plan) {
 			*(*unsafe.Pointer)(dst) = *(*unsafe.Pointer)(src)
 			*(*unsafe.Pointer)(src) = reflect.MakeMap(t).UnsafePointer()
 		}
+	}
+}
+
+// checkByDecoding is the fold of a type that never merges but is still
+// checked — time.Time, a binary codec such as netip.Addr: it decodes into
+// a pooled scratch value, whatever the destination.
+func checkByDecoding(t reflect.Type, dec func(*decoder, reflect.Value) error) func(*decoder, unsafe.Pointer) error {
+	at := valueAt(t)
+	pool := sync.Pool{New: func() any { return reflect.New(t).UnsafePointer() }}
+	return func(d *decoder, _ unsafe.Pointer) error {
+		s := pool.Get().(unsafe.Pointer)
+		v := at(s)
+		err := dec(d, v)
+		v.SetZero()
+		pool.Put(s)
+		return err
+	}
+}
+
+// valueAt returns the function that makes the addressable Value of the t
+// stored at an address, as reflect.NewAt(t, p).Elem() does, from an
+// interface laid out from *t's type word and p (see mapOps' at).
+func valueAt(t reflect.Type) func(unsafe.Pointer) reflect.Value {
+	zero := reflect.Zero(reflect.PointerTo(t)).Interface()
+	typeWord := (*[2]unsafe.Pointer)(unsafe.Pointer(&zero))[0]
+	return func(p unsafe.Pointer) reflect.Value {
+		var x any
+		w := (*[2]unsafe.Pointer)(unsafe.Pointer(&x))
+		w[0], w[1] = typeWord, p
+		return reflect.ValueOf(x).Elem()
 	}
 }
 
@@ -985,11 +1292,22 @@ func (e *encoder) flag(present bool) bool {
 	return present
 }
 
+// decoder reads a payload. vals and counts are scratch for a
+// distribution's runs, reused from one distribution to the next.
 type decoder struct {
-	buf []byte
+	buf    []byte
+	vals   []float64
+	counts []int64
+	word   uint64 // a scalar's value between its read and its merge
 }
 
-var errShort = fmt.Errorf("fleet: payload truncated")
+// decoders pools the folds' decoders, so Check allocates nothing.
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+var (
+	errShort    = fmt.Errorf("fleet: payload truncated")
+	errKeyOrder = fmt.Errorf("fleet: map keys out of order")
+)
 
 func (d *decoder) uvarint() (uint64, error) {
 	x, n := binary.Uvarint(d.buf)
@@ -1041,6 +1359,58 @@ func (d *decoder) byteFlag() (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("fleet: bad presence flag %d", b[0])
+}
+
+// absent consumes a nilable value's presence byte when it says absent,
+// and otherwise leaves the byte for the value's own decode to read.
+func (d *decoder) absent() bool {
+	if len(d.buf) > 0 && d.buf[0] == 0 {
+		d.buf = d.buf[1:]
+		return true
+	}
+	return false
+}
+
+// ordered checks the map key read since start against the one before:
+// the encoder writes a map's entries in key-byte order, so a key that
+// repeats or runs backwards is refused. Decoded, a repeated key keeps one
+// entry where a fold would merge both.
+func (d *decoder) ordered(start []byte, prev *[]byte, first bool) error {
+	key := start[:len(start)-len(d.buf)]
+	if !first && bytes.Compare(*prev, key) >= 0 {
+		return errKeyOrder
+	}
+	*prev = key
+	return nil
+}
+
+// runs reads a distribution's NaN count and runs into the scratch slices.
+func (d *decoder) runs() (vals []float64, counts []int64, nan int64, err error) {
+	if nan, err = d.varint(); err != nil {
+		return nil, nil, 0, err
+	}
+	n, err := d.uvarint()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
+		return nil, nil, 0, errShort
+	}
+	vals, counts = d.vals[:0], d.counts[:0]
+	for range n {
+		raw, err := d.take(8)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		c, err := d.varint()
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+		counts = append(counts, c)
+	}
+	d.vals, d.counts = vals, counts
+	return vals, counts, nan, nil
 }
 
 // length reads a nilable value's presence byte and, when it is present,

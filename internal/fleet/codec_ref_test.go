@@ -19,7 +19,9 @@ import (
 // every question (which wire form, which fields, is this a special
 // type) of the type again for every value it meets, and hashes the
 // schema by its own walk over the type. Plan and reference share only
-// the byte-level primitives on encoder and decoder.
+// the byte-level primitives on encoder and decoder — among them the rule
+// that a map's keys come in the encoder's order, which came after the
+// plans and holds for both.
 
 func refMarshal(v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
@@ -408,9 +410,14 @@ func (d *decoder) refDecode(v reflect.Value) error {
 			return errShort
 		}
 		m := reflect.MakeMapWithSize(t, int(n))
+		var prev []byte
 		for i := 0; i < int(n); i++ {
 			k := reflect.New(t.Key()).Elem()
+			start := d.buf
 			if err := d.refDecode(k); err != nil {
+				return err
+			}
+			if err := d.ordered(start, &prev, i == 0); err != nil {
 				return err
 			}
 			val := reflect.New(t.Elem()).Elem()

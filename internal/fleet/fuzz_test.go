@@ -62,7 +62,9 @@ func FuzzDecodeFrame(f *testing.F) {
 // same value, and re-encode it to the same bytes through either
 // encoder. The corpus under testdata/ adds real window snapshots
 // (internal/core's epoch type, so to the fixture they are structured
-// noise) to the fixture's own encoding.
+// noise) to the fixture's own encoding. Check, which walks the bytes
+// without decoding them, must refuse exactly what Unmarshal refuses,
+// with the same error.
 func FuzzCodecUnmarshal(f *testing.F) {
 	b, err := Marshal(mkFixture())
 	if err != nil {
@@ -73,5 +75,9 @@ func FuzzCodecUnmarshal(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		diffUnmarshal(t, b, freshFixture)
+		err, checkErr := Unmarshal(b, freshFixture()), Check[wireFixture](b)
+		if (err == nil) != (checkErr == nil) || (err != nil && err.Error() != checkErr.Error()) {
+			t.Fatalf("Check disagrees with Unmarshal\n    Check: %v\nUnmarshal: %v", checkErr, err)
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,4 +185,88 @@ func TestMergeErrorNamesTheField(t *testing.T) {
 		}
 	}()
 	Merge(&withString{}, &withString{})
+}
+
+// TestMergeFromMatchesMerge holds the fold off the wire to Merge of the
+// decoded value, receiver by receiver: full, sparse (a nil field decodes
+// fresh, pairing state and all, where Merge adopts the decoded one), and
+// holding nil entries; sources with nil and empty entries, and empty.
+func TestMergeFromMatchesMerge(t *testing.T) {
+	srcs := map[string]func() *mergeFixture{
+		"full": func() *mergeFixture {
+			f := fullFixture(2)
+			f.seen = true
+			f.boxes["b"] = &box{n: 5}
+			f.nested["b"] = map[int]struct{}{7: {}}
+			f.joins[2] = 9
+			return f
+		},
+		"nil and empty entries": func() *mergeFixture {
+			f := fullFixture(3)
+			f.boxes["a"], f.boxes["z"] = nil, nil
+			f.nested["a"], f.nested["e"] = nil, map[int]struct{}{}
+			f.sums, f.set, f.log = map[string]int64{}, nil, []int{}
+			return f
+		},
+		"empty": func() *mergeFixture { return &mergeFixture{} },
+	}
+	dsts := map[string]func() *mergeFixture{
+		"full":   func() *mergeFixture { return fullFixture(1) },
+		"sparse": func() *mergeFixture { return &mergeFixture{} },
+		"nil entries": func() *mergeFixture {
+			f := fullFixture(1)
+			f.boxes["b"], f.nested["a"] = nil, nil
+			f.sums, f.counter, f.inner, f.dist = nil, nil, nil, nil
+			return f
+		},
+	}
+	for sname, src := range srcs {
+		b, err := Marshal(src())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for dname, dst := range dsts {
+			want, got := dst(), dst()
+			decoded := new(mergeFixture)
+			if err := Unmarshal(b, decoded); err != nil {
+				t.Fatal(err)
+			}
+			Merge(want, decoded)
+			if err := MergeFrom(got, b); err != nil {
+				t.Fatalf("%s into %s: %v", sname, dname, err)
+			}
+			wb, _ := Marshal(want)
+			gb, _ := Marshal(got)
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("%s into %s: MergeFrom differs from Merge of the decoded value:\n got %+v\nwant %+v", sname, dname, got, want)
+			}
+		}
+	}
+}
+
+// TestMapKeysInEncoderOrder: a map whose keys repeat or run backwards is
+// refused by Unmarshal and Check alike. Decoded, a repeated key keeps one
+// entry; folded, it would merge twice.
+func TestMapKeysInEncoderOrder(t *testing.T) {
+	type sums struct{ m map[string]int64 }
+	b, err := Marshal(&sums{m: map[string]int64{"a": 1, "b": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flag, count, then "a" 1 and "b" 2: key length, key byte, varint.
+	for name, mut := range map[string]func(b []byte){
+		"repeated": func(b []byte) { b[len(b)-2] = 'a' },
+		"backwards": func(b []byte) {
+			b[3], b[len(b)-2] = 'b', 'a'
+		},
+	} {
+		bad := bytes.Clone(b)
+		mut(bad)
+		if err := Unmarshal(bad, new(sums)); err == nil {
+			t.Errorf("%s: Unmarshal accepted %x", name, bad)
+		}
+		if err := Check[sums](bad); err == nil {
+			t.Errorf("%s: Check accepted %x", name, bad)
+		}
+	}
 }

@@ -24,27 +24,9 @@ func DistRuns(d *Dist) (vals []float64, counts []int64, nan int64) {
 // NaN-free (NaNs live only in the dedicated counter), counts positive,
 // and the total sample count representable.
 func DistFromRuns(vals []float64, counts []int64, nan int64) (*Dist, error) {
-	if len(vals) != len(counts) {
-		return nil, fmt.Errorf("stats: %d values with %d counts", len(vals), len(counts))
-	}
-	if nan < 0 {
-		return nil, fmt.Errorf("stats: negative NaN count %d", nan)
-	}
-	n := nan
-	for i, v := range vals {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("stats: NaN at run %d (belongs in the NaN counter)", i)
-		}
-		if i > 0 && !(vals[i-1] < v) {
-			return nil, fmt.Errorf("stats: runs not strictly increasing at %d", i)
-		}
-		if counts[i] <= 0 {
-			return nil, fmt.Errorf("stats: non-positive count %d at run %d", counts[i], i)
-		}
-		n += counts[i]
-		if n < 0 {
-			return nil, fmt.Errorf("stats: sample count overflow")
-		}
+	n, err := checkRuns(vals, counts, nan)
+	if err != nil {
+		return nil, err
 	}
 	d := &Dist{nan: nan, n: n}
 	if len(vals) > 0 {
@@ -52,4 +34,44 @@ func DistFromRuns(vals []float64, counts []int64, nan int64) (*Dist, error) {
 		d.counts = append(make([]int64, 0, len(counts)), counts...)
 	}
 	return d, nil
+}
+
+// MergeRuns folds the distribution DistFromRuns would rebuild from the
+// same runs into d, and refuses exactly what DistFromRuns refuses. A nil
+// d only validates. Nothing of vals or counts is kept, so a decoder can
+// reuse them for the next distribution.
+func MergeRuns(d *Dist, vals []float64, counts []int64, nan int64) error {
+	n, err := checkRuns(vals, counts, nan)
+	if err == nil && d != nil {
+		d.Merge(&Dist{vals: vals, counts: counts, nan: nan, n: n})
+	}
+	return err
+}
+
+// checkRuns validates the canonical-form invariants and returns the
+// total sample count.
+func checkRuns(vals []float64, counts []int64, nan int64) (int64, error) {
+	if len(vals) != len(counts) {
+		return 0, fmt.Errorf("stats: %d values with %d counts", len(vals), len(counts))
+	}
+	if nan < 0 {
+		return 0, fmt.Errorf("stats: negative NaN count %d", nan)
+	}
+	n := nan
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			return 0, fmt.Errorf("stats: NaN at run %d (belongs in the NaN counter)", i)
+		}
+		if i > 0 && !(vals[i-1] < v) {
+			return 0, fmt.Errorf("stats: runs not strictly increasing at %d", i)
+		}
+		if counts[i] <= 0 {
+			return 0, fmt.Errorf("stats: non-positive count %d at run %d", counts[i], i)
+		}
+		n += counts[i]
+		if n < 0 {
+			return 0, fmt.Errorf("stats: sample count overflow")
+		}
+	}
+	return n, nil
 }
