@@ -240,7 +240,9 @@ func TestTruncatedFinalRecordMidRun(t *testing.T) {
 }
 
 // stopAfterSource delivers packets from inner and calls stop as the nth
-// arrives — the deterministic trigger for the graceful-drain test.
+// arrives — the deterministic trigger for the graceful-drain test. With
+// a nil stop it ends the stream there instead, a clean EOF after the nth
+// packet: the take-first-N run the stopped one must match.
 type stopAfterSource struct {
 	inner pcap.PacketSource
 	rel   pcap.Releaser
@@ -257,10 +259,13 @@ func stopAfter(inner pcap.PacketSource, n int64, stop func()) *stopAfterSource {
 }
 
 func (s *stopAfterSource) Next() (*pcap.Packet, error) {
+	if s.left <= 0 && s.stop == nil {
+		return nil, io.EOF
+	}
 	p, err := s.inner.Next()
 	if err == nil {
 		s.left--
-		if s.left == 0 {
+		if s.left == 0 && s.stop != nil {
 			s.stop()
 		}
 	}
@@ -309,7 +314,7 @@ func TestGracefulDrainDeterminism(t *testing.T) {
 	got := runJSON(t, stopped)
 
 	full := chaosAnalyzer(cfg, 4, time.Minute)
-	if err := full.AddTraceSource("drain", prefix, faults.Limit(stream(), drainAt)); err != nil {
+	if err := full.AddTraceSource("drain", prefix, stopAfter(stream(), drainAt, nil)); err != nil {
 		t.Fatal(err)
 	}
 	want := runJSON(t, full)

@@ -142,7 +142,7 @@ type windowStore struct {
 	dataset string
 	// dur and origin are the window clock; dur == 0 means not windowed.
 	// originSet records that the clock is pinned: an Analyzer's at its
-	// first packet (setOrigin), a Fleet's by its config or first Hello.
+	// first packet (setOrigin), a Fleet's by its first Hello.
 	// An unpinned Analyzer clock maps every timestamp to window 0, so
 	// replay workers see no boundary and never cut, and nothing is banked
 	// per window.

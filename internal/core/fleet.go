@@ -120,15 +120,12 @@ func wmNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// FleetConfig configures a fleet aggregation (NewFleet).
+// FleetConfig configures a fleet aggregation (NewFleet). A fleet's
+// window clock is not configured: it adopts the first site's HELLO, and
+// every later site must match it exactly.
 type FleetConfig struct {
 	// Dataset labels the merged reports.
 	Dataset string
-	// Window and Origin pin the fleet's window configuration. Leave both
-	// zero to adopt the first site's HELLO instead; either way every
-	// subsequent site must match exactly.
-	Window time.Duration
-	Origin time.Time
 	// ExpectSites, when non-empty, lists the sites the fleet is complete
 	// without — a listed site that never reports keeps the fleet from
 	// reaching FinalReady and is named in the health and degradation
@@ -171,10 +168,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	st := newWindowStore(cfg.Dataset, cfg.Window)
-	st.origin, st.originSet = cfg.Origin, cfg.Window > 0 || !cfg.Origin.IsZero()
 	return &Fleet{
-		windowStore: st,
+		windowStore: newWindowStore(cfg.Dataset, 0),
 		expect:      append([]string(nil), cfg.ExpectSites...),
 		schema:      SnapshotSchema(),
 		now:         now,

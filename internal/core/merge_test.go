@@ -178,6 +178,45 @@ func decodeEpoch(payload []byte) (*epochAgg, error) {
 	return e, nil
 }
 
+// TestUnmarshalOverwrites holds fleet.Unmarshal to "existing contents
+// are overwritten" over real window snapshots: decoding one into an
+// aggregate that already holds two other windows — every component
+// allocated, keys the snapshot lacks — gives what decoding it fresh
+// gives, and re-encodes to the exported bytes. Unmarshal runs the same
+// walk as MergeFrom, so this is where a merge would leak into a decode.
+func TestUnmarshalOverwrites(t *testing.T) {
+	seeds := mergeSeeds(t)
+	if len(seeds) == 0 {
+		t.Fatal("the windowed run exported no window snapshots")
+	}
+	for i, s := range seeds {
+		filled := newEpochAgg()
+		for _, p := range s[1:] {
+			e, err := decodeEpoch(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet.Merge(filled, e)
+		}
+		if held, err := fleet.Marshal(filled); err != nil || bytes.Equal(held, s[0]) {
+			t.Fatalf("seed %d: the filled aggregate already encodes to the snapshot (%v)", i, err)
+		}
+		if err := fleet.Unmarshal(s[0], filled); err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		fresh, err := decodeEpoch(s[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(filled, fresh) {
+			t.Errorf("seed %d: decoding into a filled aggregate differs from a fresh decode", i)
+		}
+		if re, err := fleet.Marshal(filled); err != nil || !bytes.Equal(re, s[0]) {
+			t.Errorf("seed %d: decoding into a filled aggregate re-encodes to %d bytes, exported %d (%v)", i, len(re), len(s[0]), err)
+		}
+	}
+}
+
 // mergeSeeds returns real window snapshots: a small windowed run's
 // exports, in threes.
 func mergeSeeds(tb testing.TB) [][3][]byte {

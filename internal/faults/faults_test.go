@@ -303,24 +303,6 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestLimitDeliversExactlyN(t *testing.T) {
-	src := Limit(pcap.NewSliceSource(mkPackets(10, 60)), 4)
-	var n int
-	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 4 {
-		t.Errorf("delivered %d packets, want 4", n)
-	}
-}
-
 // TestCheckCensus pins the check both binaries run after a degraded
 // run: the manifest is summed over every wrapped source, stalls count
 // for nothing, and totals alone do not pass when the kinds differ.

@@ -130,43 +130,6 @@ func expect(srcs ...*Source) Expected {
 	return exp
 }
 
-// LimitSource delivers at most n packets from an inner source, then a
-// clean EOF. The drain-determinism tests use it to replay exactly the
-// prefix of a schedule a graceful stop consumed: a stopped run's report
-// must be byte-identical to running the same source through Limit(n)
-// to completion.
-type LimitSource struct {
-	inner pcap.PacketSource
-	rel   pcap.Releaser
-	left  int64
-}
-
-// Limit wraps inner to yield at most n packets.
-func Limit(inner pcap.PacketSource, n int64) *LimitSource {
-	rel, _ := inner.(pcap.Releaser)
-	return &LimitSource{inner: inner, rel: rel, left: n}
-}
-
-// Next implements pcap.PacketSource.
-func (l *LimitSource) Next() (*pcap.Packet, error) {
-	if l.left <= 0 {
-		return nil, io.EOF
-	}
-	p, err := l.inner.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.left--
-	return p, nil
-}
-
-// Release implements pcap.Releaser, delegating to the inner source.
-func (l *LimitSource) Release(p *pcap.Packet) {
-	if l.rel != nil {
-		l.rel.Release(p)
-	}
-}
-
 // Injector fires one schedule into every source of a run and keeps the
 // wrappers, so the run's census can be checked against all of them. An
 // Injector with an empty schedule wraps nothing.

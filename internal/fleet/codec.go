@@ -30,13 +30,16 @@
 // that stays with its owner — a cut leaves it behind, and merge and
 // emptiness ignore it. See DESIGN.md "Epoch cuts and windowed reports".
 //
-// Two more ops read encoded bytes by address, beside Merge and Cut.
-// MergeFrom folds a payload straight into a destination — exactly what
-// Merge gives with the payload decoded, without building the decoded
-// value — and Check accepts exactly the payloads Unmarshal accepts,
-// without allocating. They are one walk of the plan (fold), with and
-// without a destination, so what a receiver checks on arrival is what
-// it folds later. See DESIGN.md "Fleet aggregation".
+// Encoded bytes are read by one walk of the plan (fold), in one of
+// three modes. Unmarshal sets a value from the bytes. MergeFrom folds
+// them straight into a destination — exactly what Merge gives with the
+// payload decoded, without building the decoded value. Check only reads
+// them, without allocating. Every op of a plan takes the address of a
+// value, so the three share each rule — a presence flag, a count's
+// bound, a map's key order, an integer's width — and Check accepts
+// exactly the payloads Unmarshal accepts by construction: what a
+// receiver checks on arrival is what it folds later. See DESIGN.md
+// "Fleet aggregation".
 package fleet
 
 import (
@@ -71,7 +74,7 @@ func Marshal(v any) ([]byte, error) {
 		return nil, errNotPointer
 	}
 	var e encoder
-	if err := planOf(rv.Type().Elem()).enc(&e, rv.Elem()); err != nil {
+	if err := planOf(rv.Type().Elem()).enc(&e, rv.UnsafePointer()); err != nil {
 		return nil, err
 	}
 	return e.buf, nil
@@ -86,14 +89,7 @@ func Unmarshal(b []byte, v any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return errNotPointer
 	}
-	d := decoder{buf: b}
-	if err := planOf(rv.Type().Elem()).dec(&d, rv.Elem()); err != nil {
-		return err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("fleet: %d trailing bytes after decode", len(d.buf))
-	}
-	return nil
+	return planOf(rv.Type().Elem()).foldBytes(b, rv.UnsafePointer(), setting)
 }
 
 // SchemaOf returns the 64-bit schema hash of v's type graph. Any change
@@ -145,21 +141,21 @@ func Cut[T any](src *T) *T {
 // bytes on arrival (Check), fold them later. It panics like Merge when T
 // has a field the plan cannot merge.
 func MergeFrom[T any](dst *T, b []byte) error {
-	return mergePlan[T]().foldBytes(b, unsafe.Pointer(dst))
+	return mergePlan[T]().foldBytes(b, unsafe.Pointer(dst), merging)
 }
 
 // Check reports whether Unmarshal would accept b for a *T, with the
 // error Unmarshal would return, without decoding b and without
 // allocating once the plan is built.
 func Check[T any](b []byte) error {
-	return planOf(reflect.TypeFor[T]()).foldBytes(b, nil)
+	return planOf(reflect.TypeFor[T]()).foldBytes(b, nil, checking)
 }
 
 // foldBytes runs the fold over all of b with a pooled decoder.
-func (p *plan) foldBytes(b []byte, dst unsafe.Pointer) error {
+func (p *plan) foldBytes(b []byte, dst unsafe.Pointer, m mode) error {
 	d := decoders.Get().(*decoder)
 	d.buf = b
-	err := p.fold(d, dst)
+	err := p.fold(d, dst, m)
 	if err == nil && len(d.buf) != 0 {
 		err = fmt.Errorf("fleet: %d trailing bytes after decode", len(d.buf))
 	}
@@ -187,33 +183,47 @@ func mergePlan[T any]() *plan {
 	return p
 }
 
+// mode is what a fold does with each value it reads.
+type mode uint8
+
+const (
+	checking mode = iota // only read it; dst is nil
+	merging              // merge it into the value at dst, as merge would
+	setting              // overwrite the value at dst with it
+)
+
+// at is the address offset bytes into the value at dst, or nil when the
+// fold only checks.
+func (m mode) at(dst unsafe.Pointer, offset uintptr) unsafe.Pointer {
+	if m == checking {
+		return nil
+	}
+	return unsafe.Add(dst, offset)
+}
+
 // plan is the codec compiled for one type. Everything that depends on
 // the type alone is decided when the plan is built — the wire form, the
 // struct fields that are kept, whether the type is one of the
 // special-cased ones — so running it asks no questions of the type
-// again. enc and dec take an addressable Value free of reflect's
-// read-only flag (struct plans restore that for each field they hand
-// down); dec overwrites all of it. schema writes the type's
-// contribution to the schema hash; seen holds the struct types open on
-// the path down to it.
+// again. Every op takes the addresses of values of the type. enc writes
+// the value at v. fold is the one read walk: it reads one encoded value
+// and, by its mode, only checks it, merges it into the value at dst as
+// merge would merge the decoded value, or sets the value at dst to it,
+// overwriting all its kept state and allocating maps, slices and
+// pointers fresh. Every type checks and sets; only a type that merges is
+// folded in merging mode. schema writes the type's contribution to
+// the schema hash; seen holds the struct types open on the path down to
+// it.
 //
-// merge, cut and empty are the type's aggregate ops, on the addresses of
-// its values: merge folds src into dst, cut moves what src holds into the
-// zero value at dst and leaves src usable, empty reports whether v holds
-// nothing. All three pass over pairing state. A type they cannot handle
-// has none, and mergeErr says why. leaf marks a type that merges through
-// its own method and whose zero value is ready to use, so a cut moves it
-// whole.
-//
-// fold reads one encoded value and merges it into the value at dst, as
-// merge would merge the value dec decodes from the same bytes; with a nil
-// dst it only checks the bytes, accepting what dec accepts. Every type
-// has a fold, for checking; only a type that merges folds into a
-// destination.
+// merge, cut and empty are the type's aggregate ops: merge folds src
+// into dst, cut moves what src holds into the zero value at dst and
+// leaves src usable, empty reports whether v holds nothing. All three
+// pass over pairing state. A type they cannot handle has none, and
+// mergeErr says why. leaf marks a type that merges through its own
+// method and whose zero value is ready to use, so a cut moves it whole.
 type plan struct {
-	enc    func(*encoder, reflect.Value) error
-	dec    func(*decoder, reflect.Value) error
-	fold   func(d *decoder, dst unsafe.Pointer) error
+	enc    func(e *encoder, v unsafe.Pointer) error
+	fold   func(d *decoder, dst unsafe.Pointer, m mode) error
 	schema func(h io.Writer, seen map[reflect.Type]bool)
 
 	merge    func(dst, src unsafe.Pointer)
@@ -250,7 +260,7 @@ type planBuilder map[reflect.Type]*plan
 // plan returns t's plan, building it if neither the cache nor this build
 // has it. A type that contains itself finds its own entry here while it
 // is still being filled in; that is safe because a parent keeps the
-// *plan and reads enc, dec and schema through it only when run.
+// *plan and reads enc, fold and schema through it only when run.
 func (b planBuilder) plan(t reflect.Type) *plan {
 	if p, ok := plans.Load(t); ok {
 		return p.(*plan)
@@ -293,83 +303,110 @@ func label(s string) func(io.Writer, map[reflect.Type]bool) {
 // aggregate ops run (nil for pairing state).
 type field struct {
 	name   string
-	typ    reflect.Type
 	offset uintptr
 	plan   *plan
 	merge  *plan
 }
 
-// number is every kind the plan merges by adding.
-type number interface {
-	int | int8 | int16 | int32 | int64 | uint | uint8 | uint16 | uint32 | uint64 | uintptr | float32 | float64
-}
+// signed, unsigned and number are the kinds the plan merges by adding.
+type (
+	signed interface {
+		int | int8 | int16 | int32 | int64
+	}
+	unsigned interface {
+		uint | uint8 | uint16 | uint32 | uint64 | uintptr
+	}
+	number interface {
+		signed | unsigned | float32 | float64
+	}
+)
 
-// scalarOps are the aggregate ops of a scalar: merge by add or OR, or by
-// max (agg:"max"); a cut moves the value and zeroes the source; zero is
-// empty. read decodes one value of the kind into the scalar at w,
-// refusing one the kind cannot hold (t names the type in the error).
+// scalarOps are the codec and aggregate ops of a scalar: merge by add or
+// OR, or by max (agg:"max"); a cut moves the value and zeroes the
+// source; zero is empty. write encodes the scalar at v; read decodes one
+// value of the kind into the scalar at w, refusing one the kind cannot
+// hold (t names the type in the error).
 type scalarOps struct {
 	merge, max, cut func(dst, src unsafe.Pointer)
 	empty           func(v unsafe.Pointer) bool
+	write           func(e *encoder, v unsafe.Pointer) error
 	read            func(d *decoder, t reflect.Type, w unsafe.Pointer) error
 }
 
-func numberOps[T number](read func(*decoder, reflect.Type, unsafe.Pointer) error) scalarOps {
+func numberOps[T number](write func(*encoder, unsafe.Pointer) error, read func(*decoder, reflect.Type, unsafe.Pointer) error) scalarOps {
 	return scalarOps{
 		merge: func(dst, src unsafe.Pointer) { *(*T)(dst) += *(*T)(src) },
 		max:   func(dst, src unsafe.Pointer) { *(*T)(dst) = max(*(*T)(dst), *(*T)(src)) },
 		cut:   func(dst, src unsafe.Pointer) { *(*T)(dst), *(*T)(src) = *(*T)(src), 0 },
 		empty: func(v unsafe.Pointer) bool { return *(*T)(v) == 0 },
+		write: write,
 		read:  read,
 	}
 }
 
-func readInt[T int | int8 | int16 | int32 | int64](d *decoder, t reflect.Type, w unsafe.Pointer) error {
-	x, err := d.varint()
-	if err == nil && int64(T(x)) != x {
-		err = fmt.Errorf("fleet: %d overflows %s", x, t)
-	}
-	*(*T)(w) = T(x)
-	return err
+func intOps[T signed]() scalarOps {
+	return numberOps[T](func(e *encoder, v unsafe.Pointer) error {
+		e.varint(int64(*(*T)(v)))
+		return nil
+	}, func(d *decoder, t reflect.Type, w unsafe.Pointer) error {
+		x, err := d.varint()
+		if err == nil && int64(T(x)) != x {
+			err = fmt.Errorf("fleet: %d overflows %s", x, t)
+		}
+		*(*T)(w) = T(x)
+		return err
+	})
 }
 
-func readUint[T uint | uint8 | uint16 | uint32 | uint64 | uintptr](d *decoder, t reflect.Type, w unsafe.Pointer) error {
-	x, err := d.uvarint()
-	if err == nil && uint64(T(x)) != x {
-		err = fmt.Errorf("fleet: %d overflows %s", x, t)
-	}
-	*(*T)(w) = T(x)
-	return err
-}
-
-func readFloat32(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
-	raw, err := d.take(4)
-	if err == nil {
-		*(*float32)(w) = math.Float32frombits(binary.LittleEndian.Uint32(raw))
-	}
-	return err
-}
-
-func readFloat64(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
-	raw, err := d.take(8)
-	if err == nil {
-		*(*float64)(w) = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	}
-	return err
+func uintOps[T unsigned]() scalarOps {
+	return numberOps[T](func(e *encoder, v unsafe.Pointer) error {
+		e.uvarint(uint64(*(*T)(v)))
+		return nil
+	}, func(d *decoder, t reflect.Type, w unsafe.Pointer) error {
+		x, err := d.uvarint()
+		if err == nil && uint64(T(x)) != x {
+			err = fmt.Errorf("fleet: %d overflows %s", x, t)
+		}
+		*(*T)(w) = T(x)
+		return err
+	})
 }
 
 var scalars = map[reflect.Kind]scalarOps{
-	reflect.Int: numberOps[int](readInt[int]), reflect.Int8: numberOps[int8](readInt[int8]),
-	reflect.Int16: numberOps[int16](readInt[int16]), reflect.Int32: numberOps[int32](readInt[int32]),
-	reflect.Int64: numberOps[int64](readInt[int64]),
-	reflect.Uint:  numberOps[uint](readUint[uint]), reflect.Uint8: numberOps[uint8](readUint[uint8]),
-	reflect.Uint16: numberOps[uint16](readUint[uint16]), reflect.Uint32: numberOps[uint32](readUint[uint32]),
-	reflect.Uint64: numberOps[uint64](readUint[uint64]), reflect.Uintptr: numberOps[uintptr](readUint[uintptr]),
-	reflect.Float32: numberOps[float32](readFloat32), reflect.Float64: numberOps[float64](readFloat64),
+	reflect.Int: intOps[int](), reflect.Int8: intOps[int8](), reflect.Int16: intOps[int16](),
+	reflect.Int32: intOps[int32](), reflect.Int64: intOps[int64](),
+	reflect.Uint: uintOps[uint](), reflect.Uint8: uintOps[uint8](), reflect.Uint16: uintOps[uint16](),
+	reflect.Uint32: uintOps[uint32](), reflect.Uint64: uintOps[uint64](), reflect.Uintptr: uintOps[uintptr](),
+	// A float32 goes out through float64, so a signalling NaN leaves
+	// quieted: the wire form the reference walk pins.
+	reflect.Float32: numberOps[float32](func(e *encoder, v unsafe.Pointer) error {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(float64(*(*float32)(v)))))
+		return nil
+	}, func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
+		raw, err := d.take(4)
+		if err == nil {
+			*(*float32)(w) = math.Float32frombits(binary.LittleEndian.Uint32(raw))
+		}
+		return err
+	}),
+	reflect.Float64: numberOps[float64](func(e *encoder, v unsafe.Pointer) error {
+		e.float64(*(*float64)(v))
+		return nil
+	}, func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
+		raw, err := d.take(8)
+		if err == nil {
+			*(*float64)(w) = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		}
+		return err
+	}),
 	reflect.Bool: {
 		merge: func(dst, src unsafe.Pointer) { *(*bool)(dst) = *(*bool)(dst) || *(*bool)(src) },
 		cut:   func(dst, src unsafe.Pointer) { *(*bool)(dst), *(*bool)(src) = *(*bool)(src), false },
 		empty: func(v unsafe.Pointer) bool { return !*(*bool)(v) },
+		write: func(e *encoder, v unsafe.Pointer) error {
+			e.flag(*(*bool)(v))
+			return nil
+		},
 		read: func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
 			f, err := d.byteFlag()
 			*(*bool)(w) = f
@@ -378,12 +415,16 @@ var scalars = map[reflect.Kind]scalarOps{
 	},
 }
 
-// scalarFold is a scalar's fold: the value reads into the decoder's
-// scratch word and merges from there.
-func scalarFold(t reflect.Type, read func(*decoder, reflect.Type, unsafe.Pointer) error, merge func(dst, src unsafe.Pointer)) func(*decoder, unsafe.Pointer) error {
-	return func(d *decoder, dst unsafe.Pointer) error {
+// scalarFold is a scalar's fold: setting reads the value into dst;
+// checking and merging read it into the decoder's scratch word, and
+// merging merges it from there.
+func scalarFold(t reflect.Type, read func(*decoder, reflect.Type, unsafe.Pointer) error, merge func(dst, src unsafe.Pointer)) func(*decoder, unsafe.Pointer, mode) error {
+	return func(d *decoder, dst unsafe.Pointer, m mode) error {
+		if m == setting {
+			return read(d, t, dst)
+		}
 		w := unsafe.Pointer(&d.word)
-		if err := read(d, t, w); err != nil || dst == nil {
+		if err := read(d, t, w); err != nil || m == checking {
 			return err
 		}
 		merge(dst, w)
@@ -396,13 +437,6 @@ func (p *plan) cannotMerge(t reflect.Type) {
 	p.mergeErr = fmt.Errorf("cannot merge %s", t)
 }
 
-// at returns the field of the struct at base. Reflect flags a Value
-// reached through an unexported field read-only; deriving it from its
-// address instead yields one that can be read and set.
-func (f *field) at(base unsafe.Pointer) reflect.Value {
-	return reflect.NewAt(f.typ, unsafe.Add(base, f.offset)).Elem()
-}
-
 // fill compiles t into p: the one place the codec dispatches on type.
 func (b planBuilder) fill(p *plan, t reflect.Type) {
 	// Special cases first: exact wire forms owned by the value's own
@@ -411,15 +445,15 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 	case t == timeType:
 		p.cannotMerge(t)
 		p.schema = label("time.Time")
-		p.enc = func(e *encoder, v reflect.Value) error {
-			raw, err := v.Addr().Interface().(*time.Time).MarshalBinary()
+		p.enc = func(e *encoder, v unsafe.Pointer) error {
+			raw, err := (*time.Time)(v).MarshalBinary()
 			if err != nil {
 				return err
 			}
 			e.bytes(raw)
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
@@ -428,10 +462,11 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			if err := tm.UnmarshalBinary(raw); err != nil {
 				return fmt.Errorf("fleet: time: %w", err)
 			}
-			*v.Addr().Interface().(*time.Time) = tm
+			if m == setting {
+				*(*time.Time)(dst) = tm
+			}
 			return nil
 		}
-		p.fold = checkByDecoding(t, p.dec)
 		return
 	case t == distType:
 		p.merge = func(dst, src unsafe.Pointer) { (*stats.Dist)(dst).Merge((*stats.Dist)(src)) }
@@ -441,8 +476,8 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		p.empty = func(v unsafe.Pointer) bool { return (*stats.Dist)(v).N() == 0 }
 		p.leaf = true
 		p.schema = label("stats.Dist:runs")
-		p.enc = func(e *encoder, v reflect.Value) error {
-			vals, counts, nan := stats.DistRuns(v.Addr().Interface().(*stats.Dist))
+		p.enc = func(e *encoder, v unsafe.Pointer) error {
+			vals, counts, nan := stats.DistRuns((*stats.Dist)(v))
 			e.varint(nan)
 			e.uvarint(uint64(len(vals)))
 			for i := range vals {
@@ -451,24 +486,22 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
+		// The runs are read into decoder scratch: merging and checking
+		// keep nothing of them, setting copies them.
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			vals, counts, nan, err := d.runs()
 			if err != nil {
 				return err
 			}
-			dist, err := stats.DistFromRuns(vals, counts, nan)
-			if err != nil {
-				return fmt.Errorf("fleet: dist: %w", err)
+			if m == setting {
+				var dist *stats.Dist
+				if dist, err = stats.DistFromRuns(vals, counts, nan); err == nil {
+					*(*stats.Dist)(dst) = *dist
+				}
+			} else {
+				err = stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan)
 			}
-			*v.Addr().Interface().(*stats.Dist) = *dist
-			return nil
-		}
-		p.fold = func(d *decoder, dst unsafe.Pointer) error {
-			vals, counts, nan, err := d.runs()
 			if err != nil {
-				return err
-			}
-			if err := stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan); err != nil {
 				return fmt.Errorf("fleet: dist: %w", err)
 			}
 			return nil
@@ -477,80 +510,60 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 	case isBinaryCodec(t):
 		p.cannotMerge(t)
 		p.schema = label("binary:" + t.String())
-		p.enc = func(e *encoder, v reflect.Value) error {
-			raw, err := v.Addr().Interface().(encoding.BinaryMarshaler).MarshalBinary()
+		p.enc = func(e *encoder, v unsafe.Pointer) error {
+			raw, err := reflect.NewAt(t, v).Interface().(encoding.BinaryMarshaler).MarshalBinary()
 			if err != nil {
 				return err
 			}
 			e.bytes(raw)
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
+		// A check decodes into a pooled scratch value, so it allocates
+		// nothing.
+		scratch := sync.Pool{New: func() any { return reflect.New(t).Interface() }}
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
 			}
-			v.SetZero()
-			if err := v.Addr().Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(raw); err != nil {
+			var x any
+			if m == checking {
+				x = scratch.Get()
+				defer scratch.Put(x)
+			} else {
+				x = reflect.NewAt(t, dst).Interface()
+			}
+			reflect.ValueOf(x).Elem().SetZero()
+			if err := x.(encoding.BinaryUnmarshaler).UnmarshalBinary(raw); err != nil {
 				return fmt.Errorf("fleet: %s: %w", t, err)
 			}
 			return nil
 		}
-		p.fold = checkByDecoding(t, p.dec)
 		return
 	}
 
 	p.schema = label(t.Kind().String())
+	defer joinOps(p, t) // a Join method overrides the kind's merge
 	if ops, ok := scalars[t.Kind()]; ok {
-		p.merge, p.cut, p.empty = ops.merge, ops.cut, ops.empty
-		p.dec = func(d *decoder, v reflect.Value) error { return ops.read(d, t, unsafe.Pointer(v.UnsafeAddr())) }
+		p.merge, p.cut, p.empty, p.enc = ops.merge, ops.cut, ops.empty, ops.write
 		// p.merge is read as the fold runs: a Join method replaces it.
 		p.fold = scalarFold(t, ops.read, func(dst, src unsafe.Pointer) { p.merge(dst, src) })
+		return
 	}
-	defer joinOps(p, t) // a Join method overrides the kind's merge
 	switch t.Kind() {
-	case reflect.Bool:
-		p.enc = func(e *encoder, v reflect.Value) error {
-			e.flag(v.Bool())
-			return nil
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		p.enc = func(e *encoder, v reflect.Value) error {
-			e.varint(v.Int())
-			return nil
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		p.enc = func(e *encoder, v reflect.Value) error {
-			e.uvarint(v.Uint())
-			return nil
-		}
-	case reflect.Float32:
-		p.enc = func(e *encoder, v reflect.Value) error {
-			e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
-			return nil
-		}
-	case reflect.Float64:
-		p.enc = func(e *encoder, v reflect.Value) error {
-			e.float64(v.Float())
-			return nil
-		}
 	case reflect.String:
 		p.cannotMerge(t)
-		p.enc = func(e *encoder, v reflect.Value) error {
-			e.uvarint(uint64(v.Len()))
-			e.buf = append(e.buf, v.String()...)
+		p.enc = func(e *encoder, v unsafe.Pointer) error {
+			s := *(*string)(v)
+			e.uvarint(uint64(len(s)))
+			e.buf = append(e.buf, s...)
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			raw, err := d.bytes()
-			if err != nil {
-				return err
+			if err == nil && m == setting {
+				*(*string)(dst) = string(raw)
 			}
-			v.SetString(string(raw))
-			return nil
-		}
-		p.fold = func(d *decoder, _ unsafe.Pointer) error {
-			_, err := d.bytes()
 			return err
 		}
 	case reflect.Slice:
@@ -559,115 +572,32 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			io.WriteString(h, "[]")
 			elem.schema(h, seen)
 		}
-		// A slice appends in banking order; its elements are records,
-		// appended whole.
-		p.merge = func(dst, src unsafe.Pointer) {
-			if s := reflect.NewAt(t, src).Elem(); s.Len() > 0 {
-				d := reflect.NewAt(t, dst).Elem()
-				d.Set(reflect.AppendSlice(d, s))
-			}
-		}
-		p.cut = func(dst, src unsafe.Pointer) {
-			s := reflect.NewAt(t, src).Elem()
-			reflect.NewAt(t, dst).Elem().Set(s)
-			s.SetZero()
-		}
-		p.empty = func(v unsafe.Pointer) bool { return reflect.NewAt(t, v).Elem().Len() == 0 }
-		p.fold = sliceFold(p, t, elem)
-		if t.Elem().Kind() == reflect.Uint8 {
-			p.enc = func(e *encoder, v reflect.Value) error {
-				if e.flag(!v.IsNil()) {
-					e.bytes(v.Bytes())
-				}
-				return nil
-			}
-			p.dec = func(d *decoder, v reflect.Value) error {
-				n, present, err := d.length()
-				if err != nil {
-					return err
-				}
-				if !present {
-					v.SetZero()
-					return nil
-				}
-				raw, err := d.take(int(n))
-				if err != nil {
-					return err
-				}
-				v.SetBytes(append([]byte(nil), raw...))
-				return nil
-			}
-			break
-		}
-		p.enc = func(e *encoder, v reflect.Value) error {
-			if !e.flag(!v.IsNil()) {
-				return nil
-			}
-			n := v.Len()
-			e.uvarint(uint64(n))
-			for i := 0; i < n; i++ {
-				if err := elem.enc(e, v.Index(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			n, present, err := d.length()
-			if err != nil {
-				return err
-			}
-			if !present {
-				v.SetZero()
-				return nil
-			}
-			// A decoded element costs ≥ 1 wire byte; bound the allocation.
-			if n > uint64(len(d.buf))+1 {
-				return errShort
-			}
-			s := reflect.MakeSlice(t, int(n), int(n))
-			for i := 0; i < int(n); i++ {
-				if err := elem.dec(d, s.Index(i)); err != nil {
-					return err
-				}
-			}
-			v.Set(s)
-			return nil
-		}
+		sliceOps(p, t, elem)
 	case reflect.Array:
 		p.cannotMerge(t)
-		elem, n := b.plan(t.Elem()), t.Len()
+		elem, n, size := b.plan(t.Elem()), t.Len(), t.Elem().Size()
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
 			fmt.Fprintf(h, "[%d]", n)
 			elem.schema(h, seen)
 		}
-		p.enc = func(e *encoder, v reflect.Value) error {
-			for i := 0; i < n; i++ {
-				if err := elem.enc(e, v.Index(i)); err != nil {
+		p.enc = func(e *encoder, v unsafe.Pointer) error {
+			for i := range n {
+				if err := elem.enc(e, unsafe.Add(v, uintptr(i)*size)); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			for i := 0; i < n; i++ {
-				if err := elem.dec(d, v.Index(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		p.fold = func(d *decoder, _ unsafe.Pointer) error {
-			for i := 0; i < n; i++ {
-				if err := elem.fold(d, nil); err != nil {
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+			for i := range n {
+				if err := elem.fold(d, m.at(dst, uintptr(i)*size), m); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 	case reflect.Map:
-		kt, et := t.Key(), t.Elem()
-		key, elem := b.plan(kt), b.plan(et)
+		key, elem := b.plan(t.Key()), b.plan(t.Elem())
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
 			io.WriteString(h, "map[")
 			key.schema(h, seen)
@@ -675,119 +605,13 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			elem.schema(h, seen)
 		}
 		mapOps(p, t, key, elem)
-		// Map entries are not addressable: both directions copy each
-		// entry through one addressable key slot and one value slot.
-		// Reusing the slots across entries is sound because enc keeps
-		// nothing of what it read and dec overwrites its whole target
-		// with freshly allocated contents.
-		p.enc = func(e *encoder, v reflect.Value) error {
-			if !e.flag(!v.IsNil()) {
-				return nil
-			}
-			e.uvarint(uint64(v.Len()))
-			// Deterministic order: encode every (key, value) pair into a
-			// scratch buffer, sort the pairs by their key bytes, append.
-			type pair struct{ key, val, end int }
-			var scratch encoder
-			pairs := make([]pair, 0, v.Len())
-			k, val := reflect.New(kt).Elem(), reflect.New(et).Elem()
-			for iter := v.MapRange(); iter.Next(); {
-				pr := pair{key: len(scratch.buf)}
-				k.SetIterKey(iter)
-				if err := key.enc(&scratch, k); err != nil {
-					return err
-				}
-				pr.val = len(scratch.buf)
-				val.SetIterValue(iter)
-				if err := elem.enc(&scratch, val); err != nil {
-					return err
-				}
-				pr.end = len(scratch.buf)
-				pairs = append(pairs, pr)
-			}
-			slices.SortFunc(pairs, func(x, y pair) int {
-				return bytes.Compare(scratch.buf[x.key:x.val], scratch.buf[y.key:y.val])
-			})
-			for _, pr := range pairs {
-				e.buf = append(e.buf, scratch.buf[pr.key:pr.end]...)
-			}
-			return nil
-		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			n, present, err := d.length()
-			if err != nil {
-				return err
-			}
-			if !present {
-				v.SetZero()
-				return nil
-			}
-			if n > uint64(len(d.buf))+1 {
-				return errShort
-			}
-			m := reflect.MakeMapWithSize(t, int(n))
-			k, val := reflect.New(kt).Elem(), reflect.New(et).Elem()
-			var prev []byte
-			for i := 0; i < int(n); i++ {
-				start := d.buf
-				if err := key.dec(d, k); err != nil {
-					return err
-				}
-				if err := d.ordered(start, &prev, i == 0); err != nil {
-					return err
-				}
-				if err := elem.dec(d, val); err != nil {
-					return err
-				}
-				m.SetMapIndex(k, val)
-			}
-			v.Set(m)
-			return nil
-		}
 	case reflect.Pointer:
-		et := t.Elem()
-		elem := b.plan(et)
+		elem := b.plan(t.Elem())
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
 			io.WriteString(h, "*")
 			elem.schema(h, seen)
 		}
 		pointerOps(p, t, elem)
-		p.enc = func(e *encoder, v reflect.Value) error {
-			if !e.flag(!v.IsNil()) {
-				return nil
-			}
-			return elem.enc(e, v.Elem())
-		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			present, err := d.byteFlag()
-			if err != nil {
-				return err
-			}
-			if !present {
-				v.SetZero()
-				return nil
-			}
-			nv := reflect.New(et)
-			if err := elem.dec(d, nv.Elem()); err != nil {
-				return err
-			}
-			v.Set(nv)
-			return nil
-		}
-		at := valueAt(t)
-		p.fold = func(d *decoder, dst unsafe.Pointer) error {
-			if dst != nil && *(*unsafe.Pointer)(dst) == nil {
-				return p.dec(d, at(dst)) // a nil receiver adopts the decoded pointee
-			}
-			present, err := d.byteFlag()
-			if err != nil || !present {
-				return err
-			}
-			if dst != nil {
-				dst = *(*unsafe.Pointer)(dst)
-			}
-			return elem.fold(d, dst)
-		}
 	case reflect.Struct:
 		// fields are the ones the codec keeps, merged the ones the
 		// aggregate ops walk: every field but pairing state.
@@ -797,7 +621,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			var fp *plan
 			if !skipKind(f.Type.Kind()) {
 				fp = b.plan(f.Type)
-				fields = append(fields, field{name: f.Name, typ: f.Type, offset: f.Offset, plan: fp})
+				fields = append(fields, field{name: f.Name, offset: f.Offset, plan: fp})
 			}
 			agg := f.Tag.Get("agg")
 			if agg == "pairing" {
@@ -828,16 +652,24 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			merged = append(merged, mf)
 		}
 		structOps(p, merged)
-		p.fold = func(d *decoder, dst unsafe.Pointer) error {
+		p.enc = func(e *encoder, v unsafe.Pointer) error {
+			for i := range fields {
+				if err := fields[i].plan.enc(e, unsafe.Add(v, fields[i].offset)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			for i := range fields {
 				f := &fields[i]
-				var err error
-				if dst == nil || f.merge == nil {
-					err = f.plan.fold(d, nil) // pairing state stays with its owner
-				} else {
-					err = f.merge.fold(d, unsafe.Add(dst, f.offset))
+				fp, fm := f.plan, m
+				if m == merging {
+					if fp = f.merge; fp == nil {
+						fp, fm = f.plan, checking // pairing state stays with its owner
+					}
 				}
-				if err != nil {
+				if err := fp.fold(d, fm.at(dst, f.offset), fm); err != nil {
 					return err
 				}
 			}
@@ -847,9 +679,9 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			p.merge = func(dst, src unsafe.Pointer) { (*stats.Counter)(dst).Merge((*stats.Counter)(src)) }
 			p.leaf = true
 			walk := p.fold
-			p.fold = func(d *decoder, dst unsafe.Pointer) error {
-				if dst == nil {
-					return walk(d, nil)
+			p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+				if m != merging {
+					return walk(d, dst, m)
 				}
 				return foldCounter(d, (*stats.Counter)(dst))
 			}
@@ -871,52 +703,27 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			io.WriteString(h, "}")
 			delete(seen, t)
 		}
-		p.enc = func(e *encoder, v reflect.Value) error {
-			base := v.Addr().UnsafePointer()
-			for i := range fields {
-				if err := fields[i].plan.enc(e, fields[i].at(base)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		p.dec = func(d *decoder, v reflect.Value) error {
-			base := v.Addr().UnsafePointer()
-			for i := range fields {
-				if err := fields[i].plan.dec(d, fields[i].at(base)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 	default:
 		p.cannotMerge(t)
-		p.enc = func(*encoder, reflect.Value) error {
+		p.enc = func(*encoder, unsafe.Pointer) error {
 			return fmt.Errorf("fleet: cannot encode kind %s (%s)", t.Kind(), t)
 		}
-		p.dec = func(*decoder, reflect.Value) error {
-			return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
-		}
-		p.fold = func(*decoder, unsafe.Pointer) error {
+		p.fold = func(*decoder, unsafe.Pointer, mode) error {
 			return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
 		}
 	}
 }
 
 // foldCounter folds an encoded stats.Counter — its counts map, then its
-// total — into c key by key through Add, as Counter.Merge does, reading
-// the bytes as the Counter's plan decodes them. The total is read past:
-// Merge adds up the source's counts instead.
+// total — into c key by key through Add, as Counter.Merge does. The
+// total is read past: Merge adds up the source's counts instead.
 func foldCounter(d *decoder, c *stats.Counter) error {
-	n, present, err := d.length()
+	n, _, err := d.count()
 	if err != nil {
 		return err
 	}
-	if present && n > uint64(len(d.buf))+1 {
-		return errShort
-	}
 	var prev []byte
-	for i := 0; present && i < int(n); i++ {
+	for i := range n {
 		start := d.buf
 		key, err := d.bytes()
 		if err != nil {
@@ -933,41 +740,6 @@ func foldCounter(d *decoder, c *stats.Counter) error {
 	}
 	_, err = d.varint()
 	return err
-}
-
-// sliceFold is a slice's fold. Merge appends a source's elements whole,
-// pairing state and all, so the fold decodes the slice and appends that.
-func sliceFold(p *plan, t reflect.Type, elem *plan) func(*decoder, unsafe.Pointer) error {
-	raw := t.Elem().Kind() == reflect.Uint8
-	return func(d *decoder, dst unsafe.Pointer) error {
-		if dst != nil {
-			if d.absent() {
-				return nil
-			}
-			s := reflect.New(t)
-			if err := p.dec(d, s.Elem()); err != nil {
-				return err
-			}
-			p.merge(dst, s.UnsafePointer())
-			return nil
-		}
-		n, present, err := d.length()
-		switch {
-		case err != nil || !present:
-			return err
-		case raw:
-			_, err := d.take(int(n))
-			return err
-		case n > uint64(len(d.buf))+1:
-			return errShort
-		}
-		for range n {
-			if err := elem.fold(d, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // joinOps makes a type with a method Join(T) T — a lattice, such as a
@@ -1008,9 +780,90 @@ func structOps(p *plan, fields []field) {
 	}
 }
 
+// sliceOps: a slice appends in banking order; its elements are records,
+// appended whole. So a merging fold grows the receiver and sets its new
+// elements from the wire, as a setting one sets a fresh slice's; a byte
+// slice is one run of bytes. Every slice header is laid out alike, so
+// one of any element type is read and written through a []byte's.
+func sliceOps(p *plan, t reflect.Type, elem *plan) {
+	raw := t.Elem().Kind() == reflect.Uint8
+	size := t.Elem().Size()
+	p.merge = func(dst, src unsafe.Pointer) {
+		if s := reflect.NewAt(t, src).Elem(); s.Len() > 0 {
+			d := reflect.NewAt(t, dst).Elem()
+			d.Set(reflect.AppendSlice(d, s))
+		}
+	}
+	p.cut = func(dst, src unsafe.Pointer) {
+		s := reflect.NewAt(t, src).Elem()
+		reflect.NewAt(t, dst).Elem().Set(s)
+		s.SetZero()
+	}
+	p.empty = func(v unsafe.Pointer) bool { return reflect.NewAt(t, v).Elem().Len() == 0 }
+	p.enc = func(e *encoder, v unsafe.Pointer) error {
+		s := *(*[]byte)(v)
+		if !e.flag(s != nil) {
+			return nil
+		}
+		e.uvarint(uint64(len(s)))
+		if raw {
+			e.buf = append(e.buf, s...)
+			return nil
+		}
+		data := unsafe.Pointer(unsafe.SliceData(s))
+		for i := range len(s) {
+			if err := elem.enc(e, unsafe.Add(data, uintptr(i)*size)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		n, present, err := d.count()
+		switch {
+		case err != nil:
+			return err
+		case !present:
+			if m == setting {
+				*(*[]byte)(dst) = nil
+			}
+			return nil
+		case raw:
+			b, err := d.take(n)
+			if err == nil && m != checking {
+				s := (*[]byte)(dst)
+				if m == setting {
+					*s = nil
+				}
+				*s = append(*s, b...)
+			}
+			return err
+		}
+		var data unsafe.Pointer
+		first := 0
+		if m != checking {
+			v := reflect.NewAt(t, dst).Elem()
+			if m == setting {
+				v.Set(reflect.MakeSlice(t, 0, n))
+			}
+			first = v.Len()
+			v.Grow(n)
+			v.SetLen(first + n)
+			data, m = v.UnsafePointer(), setting
+		}
+		for i := range n {
+			if err := elem.fold(d, m.at(data, uintptr(first+i)*size), m); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // pointerOps: a nil receiver adopts the source's pointee, a cut moves a
 // leaf's pointer (installing a zero value) and cuts anything else into
-// a fresh one, which keeps the pointee's pairing state where it was.
+// a fresh one, which keeps the pointee's pairing state where it was. A
+// merging fold into a nil receiver sets a fresh pointee.
 func pointerOps(p *plan, t reflect.Type, elem *plan) {
 	p.mergeErr = elem.mergeErr
 	p.merge = func(dst, src unsafe.Pointer) {
@@ -1040,17 +893,45 @@ func pointerOps(p *plan, t reflect.Type, elem *plan) {
 		s := *(*unsafe.Pointer)(v)
 		return s == nil || elem.empty(s)
 	}
+	p.enc = func(e *encoder, v unsafe.Pointer) error {
+		s := *(*unsafe.Pointer)(v)
+		if !e.flag(s != nil) {
+			return nil
+		}
+		return elem.enc(e, s)
+	}
+	p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		if m == merging && *(*unsafe.Pointer)(dst) == nil {
+			m = setting
+		}
+		present, err := d.byteFlag()
+		if err != nil || !present {
+			if err == nil && m == setting {
+				*(*unsafe.Pointer)(dst) = nil
+			}
+			return err
+		}
+		var s unsafe.Pointer
+		switch m {
+		case setting:
+			s = reflect.New(t.Elem()).UnsafePointer()
+			*(*unsafe.Pointer)(dst) = s
+		case merging:
+			s = *(*unsafe.Pointer)(dst)
+		}
+		return elem.fold(d, s, m)
+	}
 }
 
-// mapScratch is one map merge's iterator and its addressable key and
-// value slots (svp and dvp address the value slots), pooled per map
-// type: a merge runs for every delta banked, and a merge that allocates
-// per call (or, reading a value out with MapIndex, per entry) is what
-// the allocation ceilings refuse.
+// mapScratch is one map op's iterator and its addressable key and value
+// slots (kp, svp and dvp address them), pooled per map type: a merge
+// runs for every delta banked, and a merge that allocates per call (or,
+// reading a value out with MapIndex, per entry) is what the allocation
+// ceilings refuse.
 type mapScratch struct {
-	it        reflect.MapIter
-	k, sv, dv reflect.Value
-	svp, dvp  unsafe.Pointer
+	it           reflect.MapIter
+	k, sv, dv    reflect.Value
+	kp, svp, dvp unsafe.Pointer
 }
 
 // mapOps: a nil receiver adopts the source's map; otherwise each entry
@@ -1063,18 +944,20 @@ type mapScratch struct {
 // a 16-site fleet-fold report (NFS/NCP per-pair sums and the two
 // handshake lattices, for pairs seen in more than one window).
 //
-// The fold takes the source's entries off the wire instead: each key,
-// and any value not merged in place, decodes into the scratch slots and
-// merges as an iterated entry would; a pointer or map value folds
-// straight into the receiver's, or into a fresh one it lacks.
+// Map entries are not addressable: every op copies each entry through
+// the scratch slots. The fold reads each key, and any value not merged
+// in place, into them in setting mode; merging then merges the entry as
+// an iterated one would, and a pointer or map value folds straight into
+// the receiver's, or into a fresh one it lacks. A nil receiver adopts
+// the map set from the wire, unless it is empty.
 func mapOps(p *plan, t reflect.Type, key, elem *plan) {
 	p.mergeErr = elem.mergeErr
 	et := t.Elem()
 	set := et.Size() == 0
 	inPlace := et.Kind() == reflect.Pointer || et.Kind() == reflect.Map
 	pool := sync.Pool{New: func() any {
-		sv, dv := reflect.New(et), reflect.New(et)
-		return &mapScratch{k: reflect.New(t.Key()).Elem(), sv: sv.Elem(), dv: dv.Elem(), svp: sv.UnsafePointer(), dvp: dv.UnsafePointer()}
+		k, sv, dv := reflect.New(t.Key()), reflect.New(et), reflect.New(et)
+		return &mapScratch{k: k.Elem(), sv: sv.Elem(), dv: dv.Elem(), kp: k.UnsafePointer(), svp: sv.UnsafePointer(), dvp: dv.UnsafePointer()}
 	}}
 	release := func(x *mapScratch) {
 		x.it.Reset(reflect.Value{})
@@ -1087,7 +970,7 @@ func mapOps(p *plan, t reflect.Type, key, elem *plan) {
 	// the map stored at a field from that word and t's type word, as an
 	// interface holding it is laid out: reflect.NewAt would look *t up in
 	// reflect's type cache, a sync.Map, every time — a tenth of a fleet
-	// fold. slot is the settable Value of the field, for a decode to fill.
+	// fold.
 	zero := reflect.Zero(t).Interface()
 	typeWord := (*[2]unsafe.Pointer)(unsafe.Pointer(&zero))[0]
 	at := func(v unsafe.Pointer) reflect.Value {
@@ -1096,7 +979,6 @@ func mapOps(p *plan, t reflect.Type, key, elem *plan) {
 		w[0], w[1] = typeWord, *(*unsafe.Pointer)(v)
 		return reflect.ValueOf(m)
 	}
-	slot := valueAt(t)
 	p.merge = func(dst, src unsafe.Pointer) {
 		if *(*unsafe.Pointer)(src) == nil {
 			return
@@ -1145,88 +1027,123 @@ func mapOps(p *plan, t reflect.Type, key, elem *plan) {
 		}
 		release(x)
 	}
-	p.fold = func(dec *decoder, dst unsafe.Pointer) error {
-		if dst != nil && *(*unsafe.Pointer)(dst) == nil {
-			// A nil receiver adopts the decoded map, unless it is empty.
-			v := slot(dst)
-			err := p.dec(dec, v)
-			if err == nil && v.Len() == 0 {
-				v.SetZero()
-			}
-			return err
-		}
-		n, present, err := dec.length()
-		if err != nil || !present {
-			return err
-		}
-		if n > uint64(len(dec.buf))+1 {
-			return errShort
-		}
-		if dst == nil {
-			var prev []byte
-			for i := 0; i < int(n); i++ {
-				start := dec.buf
-				if err := key.fold(dec, nil); err != nil {
-					return err
-				}
-				if err := dec.ordered(start, &prev, i == 0); err != nil {
-					return err
-				}
-				if err := elem.fold(dec, nil); err != nil {
-					return err
-				}
-			}
+	p.enc = func(e *encoder, v unsafe.Pointer) error {
+		if !e.flag(*(*unsafe.Pointer)(v) != nil) {
 			return nil
 		}
-		d := at(dst)
+		m := at(v)
+		e.uvarint(uint64(m.Len()))
+		// Deterministic order: encode every (key, value) pair into a
+		// scratch buffer, sort the pairs by their key bytes, append.
+		type pair struct{ key, val, end int }
+		var scratch encoder
+		pairs := make([]pair, 0, m.Len())
 		x := pool.Get().(*mapScratch)
 		defer release(x)
+		for x.it.Reset(m); x.it.Next(); {
+			pr := pair{key: len(scratch.buf)}
+			x.k.SetIterKey(&x.it)
+			if err := key.enc(&scratch, x.kp); err != nil {
+				return err
+			}
+			pr.val = len(scratch.buf)
+			x.sv.SetIterValue(&x.it)
+			if err := elem.enc(&scratch, x.svp); err != nil {
+				return err
+			}
+			pr.end = len(scratch.buf)
+			pairs = append(pairs, pr)
+		}
+		slices.SortFunc(pairs, func(x, y pair) int {
+			return bytes.Compare(scratch.buf[x.key:x.val], scratch.buf[y.key:y.val])
+		})
+		for _, pr := range pairs {
+			e.buf = append(e.buf, scratch.buf[pr.key:pr.end]...)
+		}
+		return nil
+	}
+	// foldInPlace folds an entry's pointer or map value into the one the
+	// receiver holds under x.k, or into a fresh one it lacks.
+	foldInPlace := func(d *decoder, dm reflect.Value, x *mapScratch) error {
+		cur := dm.MapIndex(x.k)
+		switch {
+		case cur.IsValid() && !cur.IsNil():
+			*(*unsafe.Pointer)(x.dvp) = cur.UnsafePointer()
+			return elem.fold(d, x.dvp, merging)
+		case d.absent():
+			dm.SetMapIndex(x.k, x.sv) // x.sv is nil here
+			return nil
+		case et.Kind() == reflect.Pointer:
+			x.dv.Set(reflect.New(et.Elem()))
+		default:
+			x.dv.Set(reflect.MakeMap(et))
+		}
+		if err := elem.fold(d, x.dvp, merging); err != nil {
+			return err
+		}
+		dm.SetMapIndex(x.k, x.dv)
+		return nil
+	}
+	p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		if m == merging && *(*unsafe.Pointer)(dst) == nil {
+			err := p.fold(d, dst, setting)
+			if err == nil && p.empty(dst) {
+				*(*unsafe.Pointer)(dst) = nil
+			}
+			return err
+		}
+		n, present, err := d.count()
+		if err != nil || !present {
+			if err == nil && m == setting {
+				*(*unsafe.Pointer)(dst) = nil
+			}
+			return err
+		}
+		var dm reflect.Value
+		var x *mapScratch
+		var kp unsafe.Pointer
+		km := checking
+		if m != checking {
+			if m == setting {
+				*(*unsafe.Pointer)(dst) = reflect.MakeMapWithSize(t, n).UnsafePointer()
+			}
+			dm, x = at(dst), pool.Get().(*mapScratch)
+			kp, km = x.kp, setting
+			defer release(x)
+		}
 		var prev []byte
-		for i := 0; i < int(n); i++ {
-			start := dec.buf
-			if err := key.dec(dec, x.k); err != nil {
+		for i := range n {
+			start := d.buf
+			if err := key.fold(d, kp, km); err != nil {
 				return err
 			}
-			if err := dec.ordered(start, &prev, i == 0); err != nil {
+			if err := d.ordered(start, &prev, i == 0); err != nil {
 				return err
 			}
-			if !inPlace {
-				// A set entry is inserted; a sum or a lattice merges into
-				// the value d holds, or is inserted.
-				if err := elem.dec(dec, x.sv); err != nil {
-					return err
+			switch {
+			case m == checking:
+				err = elem.fold(d, nil, checking)
+			case m == merging && inPlace:
+				err = foldInPlace(d, dm, x)
+			default:
+				// A set entry is inserted; a sum or a lattice merges
+				// into the value the receiver holds, or is inserted.
+				if err = elem.fold(d, x.svp, setting); err != nil {
+					break
 				}
 				v := x.sv
-				if !set {
-					if cur := d.MapIndex(x.k); cur.IsValid() {
+				if m == merging && !set {
+					if cur := dm.MapIndex(x.k); cur.IsValid() {
 						x.dv.Set(cur)
 						elem.merge(x.dvp, x.svp)
 						v = x.dv
 					}
 				}
-				d.SetMapIndex(x.k, v)
-				continue
+				dm.SetMapIndex(x.k, v)
 			}
-			cur := d.MapIndex(x.k)
-			switch {
-			case cur.IsValid() && !cur.IsNil():
-				*(*unsafe.Pointer)(x.dvp) = cur.UnsafePointer()
-				if err := elem.fold(dec, x.dvp); err != nil {
-					return err
-				}
-				continue
-			case dec.absent():
-				d.SetMapIndex(x.k, x.sv) // x.sv is nil here
-				continue
-			case et.Kind() == reflect.Pointer:
-				x.dv.Set(reflect.New(et.Elem()))
-			default:
-				x.dv.Set(reflect.MakeMap(et))
-			}
-			if err := elem.fold(dec, x.dvp); err != nil {
+			if err != nil {
 				return err
 			}
-			d.SetMapIndex(x.k, x.dv)
 		}
 		return nil
 	}
@@ -1238,36 +1155,6 @@ func mapOps(p *plan, t reflect.Type, key, elem *plan) {
 			*(*unsafe.Pointer)(dst) = *(*unsafe.Pointer)(src)
 			*(*unsafe.Pointer)(src) = reflect.MakeMap(t).UnsafePointer()
 		}
-	}
-}
-
-// checkByDecoding is the fold of a type that never merges but is still
-// checked — time.Time, a binary codec such as netip.Addr: it decodes into
-// a pooled scratch value, whatever the destination.
-func checkByDecoding(t reflect.Type, dec func(*decoder, reflect.Value) error) func(*decoder, unsafe.Pointer) error {
-	at := valueAt(t)
-	pool := sync.Pool{New: func() any { return reflect.New(t).UnsafePointer() }}
-	return func(d *decoder, _ unsafe.Pointer) error {
-		s := pool.Get().(unsafe.Pointer)
-		v := at(s)
-		err := dec(d, v)
-		v.SetZero()
-		pool.Put(s)
-		return err
-	}
-}
-
-// valueAt returns the function that makes the addressable Value of the t
-// stored at an address, as reflect.NewAt(t, p).Elem() does, from an
-// interface laid out from *t's type word and p (see mapOps' at).
-func valueAt(t reflect.Type) func(unsafe.Pointer) reflect.Value {
-	zero := reflect.Zero(reflect.PointerTo(t)).Interface()
-	typeWord := (*[2]unsafe.Pointer)(unsafe.Pointer(&zero))[0]
-	return func(p unsafe.Pointer) reflect.Value {
-		var x any
-		w := (*[2]unsafe.Pointer)(unsafe.Pointer(&x))
-		w[0], w[1] = typeWord, p
-		return reflect.ValueOf(x).Elem()
 	}
 }
 
@@ -1413,12 +1300,17 @@ func (d *decoder) runs() (vals []float64, counts []int64, nan int64, err error) 
 	return vals, counts, nan, nil
 }
 
-// length reads a nilable value's presence byte and, when it is present,
-// its element count.
-func (d *decoder) length() (n uint64, present bool, err error) {
+// count reads a nilable collection's presence byte and, when it is
+// present, its element count. A decoded element costs at least one wire
+// byte, so a count the bytes left cannot hold is refused before it sizes
+// an allocation.
+func (d *decoder) count() (n int, present bool, err error) {
 	if present, err = d.byteFlag(); !present || err != nil {
 		return 0, false, err
 	}
-	n, err = d.uvarint()
-	return n, true, err
+	c, err := d.uvarint()
+	if err == nil && c > uint64(len(d.buf))+1 {
+		err = errShort
+	}
+	return int(c), true, err
 }

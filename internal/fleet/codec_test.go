@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,6 +101,61 @@ func TestCodecRoundTrip(t *testing.T) {
 	if out.dist.N() != in.dist.N() || out.dist.Quantile(0.5) != in.dist.Quantile(0.5) {
 		t.Fatalf("dist mismatch: n=%d median=%v", out.dist.N(), out.dist.Quantile(0.5))
 	}
+}
+
+// TestUnmarshalOverwrites holds Unmarshal to its contract: decoding into
+// a value that already holds other contents — every map, slice and
+// pointer set, map keys the bytes lack, a longer slice — gives what a
+// decode into a fresh value gives, and re-encodes to the same bytes.
+// The bytes of the zero fixture must clear every one of them. Unmarshal
+// runs the same walk as MergeFrom, so this is where a merge would leak
+// into a decode.
+func TestUnmarshalOverwrites(t *testing.T) {
+	full := mkFixture()
+	full.nilPtr = &innerFixture{label: "set", n: 3}
+	for name, in := range map[string]*wireFixture{"full": full, "zero": {}} {
+		b, err := Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh wireFixture
+		if err := Unmarshal(b, &fresh); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := filledFixture()
+		if err := Unmarshal(b, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, &fresh) {
+			t.Errorf("%s: decoding into a filled value differs from a fresh decode:\n got %+v\nwant %+v", name, got, &fresh)
+		}
+		if re, err := Marshal(got); err != nil || !bytes.Equal(re, b) {
+			t.Errorf("%s: decoding into a filled value re-encodes differently (%v):\n%x\n%x", name, err, re, b)
+		}
+	}
+}
+
+// filledFixture holds what no test fixture encodes: other scalars, map
+// keys beside the fixture's, other values under the fixture's keys, a
+// longer slice, a dist with pending samples. Its func field stays nil,
+// which DeepEqual can compare.
+func filledFixture() *wireFixture {
+	f := mkFixture()
+	f.name, f.count, f.ratio, f.small, f.flag = "stale", 7, -1, 1, false
+	f.addr = netip.MustParseAddr("fe80::9")
+	f.when = f.when.Add(time.Hour)
+	f.dist.Observe(99)
+	f.pairs[pairKey{netip.MustParseAddr("10.9.9.9"), netip.MustParseAddr("10.9.9.8")}] = 9
+	f.pairs[pairKey{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")}] = 200
+	f.byName["stale"], f.byName["tcp"] = 5, 1
+	f.nested = innerFixture{label: "stale", n: -9, f32: 2}
+	f.ptr.n = 77
+	f.nilPtr = &innerFixture{label: "stale", n: 8}
+	f.items = append(f.items, innerFixture{label: "z", n: 4})
+	f.raw = []byte{9, 9, 9, 9, 9, 9}
+	f.arr[0] = netip.MustParseAddr("10.3.3.3")
+	f.Skipped = nil
+	return f
 }
 
 // TestCodecDeterministic pins that two values with the same content —

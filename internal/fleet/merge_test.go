@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,6 +268,43 @@ func TestMapKeysInEncoderOrder(t *testing.T) {
 		}
 		if err := Check[sums](bad); err == nil {
 			t.Errorf("%s: Check accepted %x", name, bad)
+		}
+	}
+}
+
+// TestMergeFromRefusesWhatCheckRefuses: MergeFrom fails on exactly the
+// bytes Check refuses, with the same error, into a sparse receiver (whose
+// nil fields the fold sets) and a full one (which it merges into) alike —
+// every truncation of a full fixture, and map keys that repeat or run
+// backwards.
+func TestMergeFromRefusesWhatCheckRefuses(t *testing.T) {
+	b, err := Marshal(fullFixture(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := range len(b) + 1 {
+		want := Check[mergeFixture](b[:cut])
+		for name, dst := range map[string]*mergeFixture{"sparse": {}, "full": fullFixture(1)} {
+			if err := MergeFrom(dst, b[:cut]); fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Errorf("cut at %d into %s: MergeFrom %v, Check %v", cut, name, err, want)
+			}
+		}
+	}
+	type sums struct{ m map[string]int64 }
+	b, err = Marshal(&sums{m: map[string]int64{"a": 1, "b": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(b []byte){
+		"repeated":  func(b []byte) { b[len(b)-2] = 'a' },
+		"backwards": func(b []byte) { b[3], b[len(b)-2] = 'b', 'a' },
+	} {
+		bad := bytes.Clone(b)
+		mut(bad)
+		for dname, dst := range map[string]*sums{"sparse": {}, "full": {m: map[string]int64{"a": 1}}} {
+			if err := MergeFrom(dst, bad); err == nil {
+				t.Errorf("%s into %s: MergeFrom accepted %x", name, dname, bad)
+			}
 		}
 	}
 }
