@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"enttrace/internal/advtest"
 	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/ncp"
@@ -145,7 +144,11 @@ func TestAllocationCeilings(t *testing.T) {
 	rotation := func(window time.Duration) setup {
 		return func(tb testing.TB) func() {
 			ds := dataset(tb, "D3", 1.0)
-			return func() { analyzeWindowed(tb, ds, 4, 4, window) }
+			return func() {
+				a := addTraces(tb, datasetAnalyzer(ds, 4, 4, window), ds)
+				a.Report()
+				a.WindowReports()
+			}
 		}
 	}
 	// The gen→analyze loop of `entanalyze -gen`: the default shape tiled
@@ -417,19 +420,13 @@ func TestAllocationCeilings(t *testing.T) {
 		// The hostile-input price: the evasion scenario family through
 		// the differential harness's replay path at the default shape.
 		{name: "adversarial/evasion", allocs: 8380, bytes: 1701264, setup: func(tb testing.TB) func() {
-			var traces []gen.Trace
-			var raws [][]byte
-			for _, sc := range gen.EvasionScenarios() {
-				tr := sc.Build()
-				traces, raws = append(traces, tr), append(raws, advtest.Serialize(tr))
+			for _, in := range evasion {
+				in.get(tb)
 			}
 			return func() {
-				for i, raw := range raws {
-					res, err := advtest.Replay(raw, traces[i].Prefix, advtest.GridPoint{Workers: 4, ReplayWorkers: 4}, 0)
-					if err != nil {
-						tb.Fatal(err)
-					}
-					if res.Report.Hostile.IngestBytes == 0 {
+				for _, in := range evasion {
+					res := point{in: in, workers: 4, replay: 4, source: "pooled"}.run(tb)
+					if res.report.Hostile.IngestBytes == 0 {
 						tb.Fatal("evasion replay produced no reassembled bytes")
 					}
 				}

@@ -1,23 +1,17 @@
-// Chaos differential tests for the resilience layer: every fault
-// scenario must degrade deterministically — bit-identical cumulative
-// reports across the worker grid, batch and windowed, with the folded
-// SourceError census exactly equal to the injector's manifest and the
-// windowed sums (including aged-out connections) reconciling with the
-// cumulative. A graceful stop must likewise be indistinguishable from
-// running the same packet prefix to completion, and the serve mode must
-// stay reachable (and honest about being degraded) through a
-// fault-injected soak.
+// Chaos tests for the resilience layer beyond the fault-schedule rows of
+// the differential table (TestChaosGridDeterminism in grid_test.go): a
+// torn trace mid-run costs only its own record, a graceful stop must be
+// indistinguishable from running the same packet prefix to completion,
+// and the serve mode must stay reachable (and honest about being
+// degraded) through a fault-injected soak.
 package enttrace_test
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,16 +26,10 @@ import (
 // chaosAnalyzer is soakAnalyzer plus the resilience knobs: degrade on
 // source errors, age out connections idle past two minutes.
 func chaosAnalyzer(cfg enterprise.Config, workers int, window time.Duration) *core.Analyzer {
-	return core.NewAnalyzer(core.Options{
-		Dataset:         cfg.Name,
-		KnownScanners:   enterprise.KnownScanners(),
-		PayloadAnalysis: cfg.Snaplen >= 1500,
-		Workers:         workers,
-		ReplayWorkers:   workers,
-		Window:          window,
-		OnError:         pipeline.Degrade,
-		IdleEvict:       2 * time.Minute,
-	})
+	o := options(cfg)
+	o.Workers, o.ReplayWorkers, o.Window = workers, workers, window
+	o.OnError, o.IdleEvict = pipeline.Degrade, 2*time.Minute
+	return core.NewAnalyzer(o)
 }
 
 // checkCensusMatches asserts a report's folded census equals the fired
@@ -68,118 +56,6 @@ func checkCensusMatches(t *testing.T, r *core.Report, in *faults.Injector, src *
 	}
 	if tr.Terminal != exp.Terminal {
 		t.Errorf("census terminal = %v, manifest %v", tr.Terminal, exp.Terminal)
-	}
-}
-
-// TestChaosGridDeterminism replays fault scenarios over the worker grid
-// in batch and windowed mode: the cumulative report must be
-// byte-identical at every point, the census must equal the injected
-// manifest, and windowed degraded accounting must sum to the
-// cumulative.
-func TestChaosGridDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos grid analysis in -short mode")
-	}
-	cfg := enterprise.D3()
-	raw := scheduledPcap(t, cfg, gen.DefaultSchedule())
-	prefix := enterprise.SubnetPrefix(cfg.Monitored[0])
-
-	scenarios := []struct {
-		name, spec string
-	}{
-		// The default-schedule trace runs ~4k packets; every offset below
-		// lands inside it so terminal faults genuinely fire.
-		{"recoverable-mix", "read@200,short@900:40,read@2500,stall@3000:1ms,short@3600:14"},
-		{"torn-mid-stream", "read@500,torn@3000"},
-		{"early-eof", "short@100:48,eof@2500"},
-		{"random-seeded", "rand:99:12:4000"},
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			fsched, err := faults.ParseSpec(sc.spec, faults.Packets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wantReport []byte         // cumulative report: all grid points, both modes
-			var wantExp *faults.Expected  // injector manifest: every run fires identically
-			var wantRun map[string][]byte // full run JSON, keyed by mode
-			wantRun = make(map[string][]byte)
-
-			for _, workers := range []int{1, 4, 8} {
-				for _, window := range []time.Duration{0, 60 * time.Second} {
-					point := fmt.Sprintf("workers=%d/window=%s", workers, window)
-					a := chaosAnalyzer(cfg, workers, window)
-					rd, err := pcap.NewReader(bytes.NewReader(raw))
-					if err != nil {
-						t.Fatal(err)
-					}
-					in := &faults.Injector{Schedule: fsched}
-					src := in.Wrap(rd).(*faults.Source)
-					src.SetSleep(func(time.Duration) {}) // replay stalls instantly
-					if err := a.AddTraceSource("chaos", prefix, src); err != nil {
-						t.Fatalf("%s: %v", point, err)
-					}
-					r := a.Report()
-
-					exp := src.Expected()
-					if wantExp == nil {
-						wantExp = &exp
-					} else if !reflect.DeepEqual(exp, *wantExp) {
-						t.Errorf("%s: manifest differs between runs: %+v vs %+v", point, exp, *wantExp)
-					}
-					checkCensusMatches(t, r, in, src)
-
-					rj, err := core.MarshalReport(r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wantReport == nil {
-						wantReport = rj
-					} else if !bytes.Equal(rj, wantReport) {
-						t.Errorf("%s: cumulative report differs from reference (%d vs %d bytes)", point, len(rj), len(wantReport))
-					}
-
-					mode := fmt.Sprintf("window=%s", window)
-					run := runJSON(t, a)
-					if prev, ok := wantRun[mode]; !ok {
-						wantRun[mode] = run
-					} else if !bytes.Equal(run, prev) {
-						t.Errorf("%s: run JSON differs from the %s reference", point, mode)
-					}
-
-					// Windowed degraded accounting reconciles: the sum over
-					// windows equals the cumulative census.
-					if window > 0 {
-						var sum core.SourceErrorReport
-						byKind := make(map[string]int64)
-						for _, w := range a.WindowReports() {
-							ws := w.Report.SourceErrors
-							sum.Errors += ws.Errors
-							sum.LostBytes += ws.LostBytes
-							sum.AgedOutConns += ws.AgedOutConns
-							sum.CapEvictedConns += ws.CapEvictedConns
-							for k, n := range ws.ByKind {
-								byKind[k] += n
-							}
-						}
-						cs := r.SourceErrors
-						if sum.Errors != cs.Errors || sum.LostBytes != cs.LostBytes ||
-							sum.AgedOutConns != cs.AgedOutConns || sum.CapEvictedConns != cs.CapEvictedConns {
-							t.Errorf("%s: window sums %+v do not reconcile with cumulative %+v", point, sum, cs)
-						}
-						if !reflect.DeepEqual(byKind, map[string]int64(cs.ByKind)) && (len(byKind) > 0 || len(cs.ByKind) > 0) {
-							t.Errorf("%s: window ByKind sums %v vs cumulative %v", point, byKind, cs.ByKind)
-						}
-					}
-
-					// The degraded census renders.
-					if exp.Errors > 0 && !strings.Contains(core.RenderText(r), "Degraded-run census") {
-						t.Errorf("%s: text report lacks the degraded-run census section", point)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -1,13 +1,12 @@
-// Determinism and throughput guarantees of the sharded streaming
-// pipeline: the parallel path must produce a Report deeply equal to the
-// sequential path's for every worker count, and the benchmark pair below
-// measures the packets/sec gain of sharding (EXPERIMENTS.md records the
-// numbers).
+// Throughput of the sharded streaming pipeline: the benchmarks below
+// measure the packets/sec gain of sharding (EXPERIMENTS.md records the
+// numbers), and the helpers they share with the allocation ceilings.
+// The determinism guarantee itself is TestParallelReportIdentical's rows
+// in grid_test.go.
 package enttrace_test
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
@@ -26,14 +25,9 @@ func analyzeWorkers(tb testing.TB, ds *gen.Dataset, workers int) *core.Report {
 // an explicit (pipeline workers, replay workers) point; window 0 is a
 // batch run.
 func datasetAnalyzer(ds *gen.Dataset, workers, replayWorkers int, window time.Duration) *core.Analyzer {
-	return core.NewAnalyzer(core.Options{
-		Dataset:         ds.Config.Name,
-		KnownScanners:   enterprise.KnownScanners(),
-		PayloadAnalysis: ds.Config.Snaplen >= 1500,
-		Workers:         workers,
-		ReplayWorkers:   replayWorkers,
-		Window:          window,
-	})
+	o := options(ds.Config)
+	o.Workers, o.ReplayWorkers, o.Window = workers, replayWorkers, window
+	return core.NewAnalyzer(o)
 }
 
 // analyzeGrid runs a dataset at an explicit (pipeline workers, replay
@@ -79,48 +73,6 @@ func determinismDataset(tb testing.TB, name string, scale float64) *gen.Dataset 
 	}
 	cfg.PerTap = 1
 	return gen.GenerateDataset(cfg)
-}
-
-// TestParallelReportIdentical is the pipeline's core guarantee, now over
-// both parallel axes: every (pipeline workers × replay workers) point of
-// the {1,4,8}×{1,4,8} grid produces a report deeply equal to the fully
-// serial (1,1) run. D3 and D4 exercise payload parsing (including the
-// PASV/EPM dynamic registrations and the two-phase replay's aggregate
-// merge); D1 covers the header-only path.
-func TestParallelReportIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end analysis in -short mode")
-	}
-	counts := []int{1, 4, 8}
-	for _, dsName := range []string{"D3", "D4", "D1"} {
-		ds := determinismDataset(t, dsName, 0.15)
-		base := analyzeGrid(t, ds, 1, 1)
-		for _, workers := range counts {
-			for _, replayWorkers := range counts {
-				if workers == 1 && replayWorkers == 1 {
-					continue
-				}
-				got := analyzeGrid(t, ds, workers, replayWorkers)
-				if !reflect.DeepEqual(base, got) {
-					t.Errorf("%s: report with %d pipeline / %d replay workers differs from serial report",
-						dsName, workers, replayWorkers)
-					diffReports(t, base, got)
-				}
-			}
-		}
-	}
-}
-
-// diffReports narrows a report mismatch down to the top-level section,
-// so a determinism regression names the subsystem that broke.
-func diffReports(t *testing.T, a, b *core.Report) {
-	t.Helper()
-	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
-	for i := 0; i < va.NumField(); i++ {
-		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
-			t.Errorf("  section %s differs", va.Type().Field(i).Name)
-		}
-	}
 }
 
 // datasetPcaps serializes each trace of a dataset the way entgen would.

@@ -15,7 +15,7 @@
 //
 // Input comes through one seam — anything satisfying pcap.PacketSource:
 // replayed capture files, in-memory traces, the adversarial evasion
-// workloads (entgen -evasion, internal/advtest), or the streamed
+// workloads (entgen -evasion, TestEvasionGrid), or the streamed
 // generator (entanalyze -gen), which synthesizes frames on the fly from
 // a load schedule for soak runs at rates and durations no trace file
 // covers, in bounded memory, with reports byte-identical to replaying

@@ -1,227 +1,21 @@
-// Transport-level differential tests for the fleet tier: sites shipping
-// real snapshot frames over real TCP through the retry/backoff shipper
-// must merge to the byte-identical report of a single instance over the
-// concatenated traces — clean and under injected connection drops,
-// duplicated frames, reorders, and stalls (all non-lossy under the
-// at-least-once protocol). Permanent loss exists only as an explicit
-// queue-bound eviction, and every evicted window must surface exactly
-// once in the degradation census.
+// The fleet tier's one lossy path, end to end: permanent loss exists
+// only as an explicit queue-bound eviction, and every evicted window
+// must surface exactly once in the degradation census. The lossless
+// paths — clean and under drops, duplicates, reorders and stalls — are
+// TestFleetTransportDifferential's rows in grid_test.go.
 package enttrace_test
 
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"enttrace/internal/core"
-	"enttrace/internal/enterprise"
-	"enttrace/internal/faults"
 	"enttrace/internal/fleet"
-	"enttrace/internal/gen"
 )
-
-// fleetBlocks generates two classification-self-contained trace blocks —
-// one monitored subnet each, generated with its own network instance so
-// every block carries its own endpoint-mapper exchanges (dynamic port
-// registrations never cross sites; see DESIGN.md "Fleet aggregation").
-func fleetBlocks(t *testing.T) (blocks [][]gen.Trace, origin time.Time) {
-	t.Helper()
-	cfg := enterprise.D3()
-	cfg.Scale = 0.2
-	for _, subnet := range cfg.Monitored[:2] {
-		c := cfg
-		c.Monitored = []int{subnet}
-		ds := gen.GenerateDataset(c)
-		blocks = append(blocks, ds.Traces)
-		for _, tr := range ds.Traces {
-			if len(tr.Packets) == 0 {
-				continue
-			}
-			if ts := tr.Packets[0].Timestamp; origin.IsZero() || ts.Before(origin) {
-				origin = ts
-			}
-		}
-	}
-	return blocks, origin
-}
-
-// fleetMember builds one windowed analyzer over the given trace blocks,
-// sharing the fleet's window clock and owning the global trace ordinals
-// starting at base.
-func fleetMember(t *testing.T, blocks [][]gen.Trace, base int, origin time.Time) *core.Analyzer {
-	t.Helper()
-	a := core.NewAnalyzer(core.Options{
-		Dataset:         "fleet",
-		PayloadAnalysis: true,
-		Workers:         2,
-		ReplayWorkers:   2,
-		Window:          time.Minute,
-		WindowOrigin:    origin,
-		TraceBase:       base,
-	})
-	n := base
-	for _, block := range blocks {
-		for _, tr := range block {
-			name := fmt.Sprintf("trace-%02d", n)
-			n++
-			if err := a.AddTrace(core.TraceInput{Name: name, Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return a
-}
-
-// shipAll streams a site's full export set to the aggregator at addr
-// through a real shipper, optionally under a wire fault spec, and
-// asserts the drain completed without data loss.
-func shipAll(t *testing.T, addr, site string, a *core.Analyzer, spec string, wantReconnect bool) {
-	var inj *faults.Wire
-	if spec != "" {
-		sched, err := faults.ParseSpec(spec, faults.Sends)
-		if err != nil {
-			t.Errorf("site %s: %v", site, err)
-			return
-		}
-		inj = faults.NewWire(sched)
-		inj.SetSleep(func(time.Duration) {}) // replay stalls instantly
-	}
-	sh, err := fleet.NewShipper(fleet.ShipperConfig{
-		Addr:      addr,
-		Site:      site,
-		Hello:     a.FleetHello(),
-		Backoff:   fleet.Backoff{Base: 200 * time.Microsecond, Max: 2 * time.Millisecond},
-		NetFaults: inj,
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Errorf("site %s: %v", site, err)
-		return
-	}
-	exports, err := a.ExportAll()
-	if err != nil {
-		t.Errorf("site %s export: %v", site, err)
-		return
-	}
-	maxWindow := -1
-	var watermark int64
-	for _, we := range exports {
-		sh.ShipDelta(we.Window, we.Watermark, we.Payload)
-		if we.Window > maxWindow {
-			maxWindow = we.Window
-		}
-		watermark = we.Watermark
-	}
-	sh.Fin(maxWindow, watermark)
-	if err := sh.Close(); err != nil {
-		t.Errorf("site %s close: %v", site, err)
-	}
-	if lw := sh.LostWindows(); len(lw) != 0 {
-		t.Errorf("site %s lost windows under non-lossy faults: %v", site, lw)
-	}
-	if wantReconnect {
-		if st := sh.Stats(); st.Reconnects == 0 || st.Resends == 0 {
-			t.Errorf("site %s: drop schedule fired but no reconnect/resend recorded: %+v", site, st)
-		}
-	}
-}
-
-// TestFleetTransportDifferential is the end-to-end tentpole invariant:
-// two sites analyzing disjoint trace blocks and shipping over TCP must
-// merge to the byte-identical cumulative and per-window reports of a
-// single instance — clean, and under every non-lossy fault schedule.
-func TestFleetTransportDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet transport analysis in -short mode")
-	}
-	blocks, origin := fleetBlocks(t)
-
-	single := fleetMember(t, blocks, 0, origin)
-	singleFinal, err := core.MarshalReport(single.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleWins := single.WindowReports()
-
-	siteA := fleetMember(t, blocks[:1], 0, origin)
-	siteB := fleetMember(t, blocks[1:], len(blocks[0]), origin)
-
-	scenarios := []struct {
-		name  string
-		specs [2]string // per-site wire fault specs
-		drops [2]bool   // whether the schedule forces reconnects
-	}{
-		{name: "clean"},
-		{"drop-dup-reorder", [2]string{
-			"drop@1,dup@3,reorder@4,netstall@2:1ms",
-			"drop@2,drop@3,dup@5",
-		}, [2]bool{true, true}},
-		{"random-seeded", [2]string{"netrand:11:5:20", "netrand:23:5:20"}, [2]bool{false, false}},
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			sink := core.NewFleet(core.FleetConfig{Dataset: "fleet", ExpectSites: []string{"site-a", "site-b"}})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			agg := fleet.NewAggregator(ln, sink, t.Logf)
-			served := make(chan struct{})
-			go func() { agg.Serve(); close(served) }()
-			defer func() { agg.Close(); <-served }()
-			addr := ln.Addr().String()
-
-			var wg sync.WaitGroup
-			for i, a := range []*core.Analyzer{siteA, siteB} {
-				i, a := i, a
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					shipAll(t, addr, fmt.Sprintf("site-%c", 'a'+i), a, sc.specs[i], sc.drops[i])
-				}()
-			}
-			wg.Wait()
-
-			st := sink.Status()
-			if !st.FinalReady || st.LostWindows != 0 || len(st.MissingSites) != 0 {
-				t.Fatalf("fleet status after drain = %+v, want final-ready with nothing lost", st)
-			}
-			r := sink.Report()
-			if r.Fleet != nil {
-				t.Errorf("complete fleet carries a degradation census: %+v", r.Fleet)
-			}
-			got, err := core.MarshalReport(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, singleFinal) {
-				t.Errorf("fleet report over TCP differs from single instance (%d vs %d bytes)", len(got), len(singleFinal))
-			}
-			fleetWins := sink.WindowReports()
-			if len(fleetWins) != len(singleWins) {
-				t.Fatalf("fleet has %d windows, single instance %d", len(fleetWins), len(singleWins))
-			}
-			for n := range singleWins {
-				fw, err := core.MarshalReport(fleetWins[n].Report)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sw, err := core.MarshalReport(singleWins[n].Report)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fw, sw) {
-					t.Errorf("window %d: fleet report differs from single instance", n)
-				}
-			}
-		})
-	}
-}
 
 // TestFleetTransportPermanentLoss drives the one genuinely lossy path —
 // the shipper's bounded-queue eviction — end to end: the first
@@ -235,8 +29,8 @@ func TestFleetTransportPermanentLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet transport analysis in -short mode")
 	}
-	blocks, origin := fleetBlocks(t)
-	a := fleetMember(t, blocks, 0, origin)
+	member := point{in: fleetInput, workers: 2, replay: 2, window: time.Minute, source: "packets"}
+	a := member.analyze(t, nil, 0, len(fleetInput.get(t).traces))
 	exports, err := a.ExportAll()
 	if err != nil {
 		t.Fatal(err)

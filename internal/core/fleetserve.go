@@ -108,10 +108,12 @@ type fleetSiteHealth struct {
 	LastDeliveryAgeSeconds float64 `json:",omitempty"`
 }
 
-// healthz is cheap enough to poll: Status walks the (site, window) census
-// and merges nothing, so a poll holds the fleet's mutex — the one every
-// arriving Delta needs — for about 50 µs per thousand windows held,
-// whatever the snapshots weigh. Everything it reports comes from that one
+// healthz merges nothing, but it is not free: Status takes the census,
+// which walks every window index from 0 to the horizon for every site —
+// empty indices included — while it holds the fleet's mutex, the one
+// every arriving Delta needs. A poll's cost is the span of window
+// indices times the sites, not the windows held or what the snapshots
+// weigh (ROADMAP item 14). Everything it reports comes from that one
 // Status, so no frame can land between two of its fields.
 func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 	st := s.f.Status()

@@ -12,9 +12,10 @@ import (
 // with conflicting payload bytes, bogus RSTs, sequence wraps, deliberate
 // gap abuse, retransmit storms, and corrupt headers. Each scenario is a
 // small, fully deterministic trace whose hostile-input census signature
-// is known exactly, so the differential harness (internal/advtest) can
-// assert both determinism across the worker grid and the presence of the
-// specific counter each attack must light up.
+// is known exactly, so the differential table (the root package's
+// TestEvasionGrid rows) can assert both determinism across the worker
+// grid and the presence of the specific counter each attack must light
+// up.
 
 // EvasionExpect declares which hostile-input census counters a scenario
 // is guaranteed to drive above zero.

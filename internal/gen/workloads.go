@@ -1362,7 +1362,7 @@ func (g *traceGen) inboundWANTraffic() {
 	}
 	// Inbound SSH to a few hosts.
 	for i, n := 0, g.count(3); i < n; i++ {
-		g.tcp2(g.remote(), g.client(), 22, g.wanRTT(), []Turn{
+		g.tcp(g.remote(), g.client(), 22, g.wanRTT(), []Turn{
 			{Data: []byte("SSH-2.0-OpenSSH_3.9p1\r\n")},
 			{FromClient: true, Data: fillBytes(800)},
 			{Data: fillBytes(900)},
@@ -1385,16 +1385,6 @@ func (g *traceGen) inboundWANTraffic() {
 			now = now.Add(40 * time.Millisecond)
 		}
 	}
-}
-
-// tcp2 is tcp with an arbitrary originator (used for inbound sessions).
-func (g *traceGen) tcp2(client, server enterprise.Host, sport uint16, rtt time.Duration, turns []Turn) {
-	g.em.TCPSession(TCPOpts{
-		Client: client, Server: server,
-		ClientPort: g.eph(), ServerPort: sport,
-		Start: g.at(30 * time.Second), RTT: rtt, Turns: turns,
-		LossProb: g.loss(client, server),
-	})
 }
 
 // scannerTraffic emits the traffic §3's heuristic removes: external ICMP

@@ -8,13 +8,14 @@
 // shard, per-connection state never crosses a worker boundary.
 //
 // Determinism: every packet carries a global index assigned in read
-// order, and every connection records the index of its first packet.
-// Result.SortedConns returns the dataset's connections in first-packet
-// order regardless of worker count, which is what lets the analysis layer
-// produce bit-identical reports for 1 or N workers: all cross-connection
-// accumulation is replayed in that canonical order. A caller that wants
-// the order before the workers finish builds it from Sink.Publish: the
-// smallest watermark over shards bounds what every shard has seen.
+// order, and every connection records the index of its first packet, so
+// the connections have one first-packet order whatever the worker count.
+// The analysis layer builds that order from Sink.Publish while the
+// workers run — the smallest watermark over shards bounds what every
+// shard has seen — and replays all cross-connection accumulation in it,
+// which is what makes its reports bit-identical for 1 or N workers.
+// Result.SortedConns returns the same order after the run, for callers
+// that only want it then.
 package pipeline
 
 import (

@@ -1,15 +1,13 @@
-// Source equivalence for the gen→analyze load harness: a schedule
-// streamed through gen.StreamSource must report byte-identically to
-// writing the same schedule to a pcap and replaying it — at every
-// worker-grid point, batch and windowed — and must do so in bounded
-// memory however long the schedule runs. These are the guarantees that
-// make soak-mode results (`entanalyze -gen`) interchangeable with
-// trace-file results.
+// Source equivalence for the gen→analyze load harness at soak scale: a
+// long schedule streamed through gen.StreamSource must report
+// byte-identically to writing it to a pcap and replaying it, in bounded
+// memory however long the schedule runs. The worker grid, batch and
+// windowed, is TestStreamedReportMatchesPcapReplay's row in
+// grid_test.go.
 package enttrace_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -45,57 +43,9 @@ func runJSON(tb testing.TB, a *core.Analyzer) []byte {
 }
 
 func soakAnalyzer(cfg enterprise.Config, workers int, window time.Duration) *core.Analyzer {
-	return core.NewAnalyzer(core.Options{
-		Dataset:         cfg.Name,
-		KnownScanners:   enterprise.KnownScanners(),
-		PayloadAnalysis: cfg.Snaplen >= 1500,
-		Workers:         workers,
-		ReplayWorkers:   workers,
-		Window:          window,
-	})
-}
-
-// TestStreamedReportMatchesPcapReplay pins the harness's central claim
-// on the {1,4,8}-worker grid, batch and minute-windowed: the streamed
-// schedule and its pcap round-trip produce byte-identical run JSON.
-func TestStreamedReportMatchesPcapReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end analysis in -short mode")
-	}
-	cfg := enterprise.D3()
-	sched := gen.DefaultSchedule()
-	raw := scheduledPcap(t, cfg, sched)
-	subnet := cfg.Monitored[0]
-	prefix := enterprise.SubnetPrefix(subnet)
-	name := "sched"
-
-	for _, workers := range []int{1, 4, 8} {
-		for _, window := range []time.Duration{0, 60 * time.Second} {
-			t.Run(fmt.Sprintf("workers=%d/window=%s", workers, window), func(t *testing.T) {
-				ref := soakAnalyzer(cfg, workers, window)
-				if err := ref.AddTraceReader(name, prefix, bytes.NewReader(raw)); err != nil {
-					t.Fatal(err)
-				}
-				want := runJSON(t, ref)
-
-				streamed := soakAnalyzer(cfg, workers, window)
-				src := gen.NewStreamSource(gen.StreamConfig{
-					Network:  enterprise.NewNetwork(cfg),
-					Subnet:   subnet,
-					Schedule: sched,
-					Snaplen:  cfg.Snaplen,
-				})
-				if err := streamed.AddTraceSource(name, prefix, src); err != nil {
-					t.Fatal(err)
-				}
-				got := runJSON(t, streamed)
-
-				if !bytes.Equal(got, want) {
-					t.Errorf("streamed run JSON differs from pcap replay (%d vs %d bytes)", len(got), len(want))
-				}
-			})
-		}
-	}
+	o := options(cfg)
+	o.Workers, o.ReplayWorkers, o.Window = workers, workers, window
+	return core.NewAnalyzer(o)
 }
 
 // TestSoakScaleEquivalenceAndBoundedMemory is the acceptance-scale run:
