@@ -32,7 +32,7 @@ func checkPcap(t *testing.T, path string, want []*pcap.Packet) {
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	got, err := rd.ReadAll()
+	got, err := pcap.ReadAll(rd)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}

@@ -6,8 +6,10 @@
 // Usage:
 //
 //	entreport [-scale 1.0] [-datasets D0,D1,D2,D3,D4] [-subnets N]
-//	entreport -datasets D3 -schedule default [-duration 10m] [-window 60s]
 //	entreport -datasets D3 -on-error skip -inject "read@50,stall@100:1ms"
+//
+// A time-structured schedule streamed from the generator is analyzed by
+// entanalyze -gen.
 package main
 
 import (
@@ -58,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	replayWorkers := fs.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
 	window := fs.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
 	format := fs.String("format", "text", "report output format: text or json")
-	schedule := fs.String("schedule", "",
-		`analyze a time-structured schedule streamed straight from the generator (no trace `+
-			`materialized) instead of the tap rotation: phase spec or "default"`)
-	duration := fs.Duration("duration", 0, "with -schedule, tile the schedule to at least this length")
 	onError := fs.String("on-error", "fail",
 		`source read-error policy: "fail" aborts on the first error (default); "skip" degrades `+
 			`and continues — poisoned records are dropped and the report carries a SourceError census`)
@@ -90,15 +88,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return &usageError{msg: err.Error()}
 		}
 	}
-	var sched gen.Schedule
-	if *schedule != "" {
-		if sched, err = gen.ParseSchedule(*schedule); err != nil {
-			return &usageError{msg: err.Error()}
-		}
-		sched = sched.Repeat(*duration)
-	} else if *duration > 0 {
-		return &usageError{msg: "-duration requires -schedule"}
-	}
 	selected, err := selectDatasets(*datasets)
 	if err != nil {
 		return err
@@ -118,35 +107,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Window:          *window,
 			OnError:         policy,
 		})
-		// Both ingest modes route through the injector — dataset traces
-		// via a slice source — so a degraded rotation and a degraded
-		// stream exercise the same seam. Injectors are per-dataset: each
-		// report's census is checked against exactly the faults fired
-		// into it.
+		// Injectors are per-dataset: each report's census is checked
+		// against exactly the faults fired into it.
 		in := &faults.Injector{Schedule: injectSched}
-		var genDur time.Duration
-		var totalPkts int64
 		start := time.Now()
-		if *schedule != "" {
-			// Streamed mode: frames go straight from the generator into
-			// the pipeline, so generation and analysis share the clock.
-			stream := gen.DatasetStream(cfg, sched)
-			src := gen.NewStreamSource(stream)
-			name := fmt.Sprintf("%s/subnet%d/scheduled", cfg.Name, stream.Subnet)
-			if err := a.AddTraceSource(name, enterprise.SubnetPrefix(stream.Subnet), in.Wrap(src)); err != nil {
+		ds := gen.GenerateDataset(cfg)
+		genDur := time.Since(start)
+		start = time.Now()
+		for _, tr := range ds.Traces {
+			name := fmt.Sprintf("%s/subnet%d/tap%d", cfg.Name, tr.Subnet, tr.Tap)
+			if err := a.AddTraceSource(name, tr.Prefix, in.Wrap(pcap.NewSliceSource(tr.Packets))); err != nil {
 				return fmt.Errorf("analyze %s: %w", cfg.Name, err)
-			}
-			totalPkts = src.Stats().Frames
-		} else {
-			ds := gen.GenerateDataset(cfg)
-			genDur = time.Since(start)
-			totalPkts = int64(ds.TotalPackets())
-			start = time.Now()
-			for _, tr := range ds.Traces {
-				name := fmt.Sprintf("%s/subnet%d/tap%d", cfg.Name, tr.Subnet, tr.Tap)
-				if err := a.AddTraceSource(name, tr.Prefix, in.Wrap(pcap.NewSliceSource(tr.Packets))); err != nil {
-					return fmt.Errorf("analyze %s: %w", cfg.Name, err)
-				}
 			}
 		}
 		r := a.Report()
@@ -170,13 +141,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *format == "json" {
 			dst = stderr
 		}
-		if *schedule != "" {
-			fmt.Fprintf(dst, "[%s: streamed %d packets gen→analyze in %.1fs]\n\n",
-				cfg.Name, totalPkts, time.Since(start).Seconds())
-		} else {
-			fmt.Fprintf(dst, "[%s: generated %d packets in %.1fs, analyzed in %.1fs]\n\n",
-				cfg.Name, totalPkts, genDur.Seconds(), time.Since(start).Seconds())
-		}
+		fmt.Fprintf(dst, "[%s: generated %d packets in %.1fs, analyzed in %.1fs]\n\n",
+			cfg.Name, ds.TotalPackets(), genDur.Seconds(), time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -152,9 +152,9 @@ func Parse(clientStream, serverStream []byte) Result {
 	return r
 }
 
-// IsTLS sniffs whether a stream begins with a TLS handshake record, which
-// is how the analyzer separates IMAP/S from plaintext when ports are
-// ambiguous.
+// IsTLS sniffs whether a stream begins with a TLS handshake record, as
+// IMAP/S does and plaintext IMAP does not. The analyzer does not call
+// it: it tells the two apart by port.
 func IsTLS(stream []byte) bool {
 	return len(stream) >= 3 && stream[0] == 0x16 && stream[1] == 3
 }

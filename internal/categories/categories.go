@@ -216,8 +216,8 @@ func WellKnown(transport uint8, port uint16) string {
 	return ""
 }
 
-// PortOf returns the first well-known port for a protocol name, for the
-// generator's convenience. The second result is false for unknown names.
+// PortOf returns the first well-known port for a protocol name. The
+// second result is false for unknown names.
 func PortOf(name string) (uint16, bool) {
 	for i := range wellKnown {
 		if wellKnown[i].Name == name {

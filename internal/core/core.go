@@ -479,7 +479,7 @@ func (a *Analyzer) PacketsSeen() int64 { return a.packetsSeen.Load() }
 // the trace's whole evidence) and sum across traces.
 func peerCensus(conns []*flows.Conn, census *scan.Census, monitored netip.Prefix) (map[netip.Addr]*flows.FanStats, []roles.HostProfile) {
 	fan := flows.FanInOut(census.Pairs, monitored.Contains, enterprise.IsLocal)
-	return fan, roles.Accumulate(census.Pairs, conns, census.PairOf).Finalize(roles.Config{})
+	return fan, roles.Accumulate(census.Pairs, conns, census.PairOf).Finalize()
 }
 
 // accumulateConn feeds Table 3, Figure 1, and the §4 origin mix into a

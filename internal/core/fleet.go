@@ -131,7 +131,8 @@ type FleetConfig struct {
 	// reaching FinalReady and is named in the health and degradation
 	// views.
 	ExpectSites []string
-	// Now is the wall clock seam for liveness tracking (nil = time.Now).
+	// Now is the wall clock seam for liveness tracking and the delivery
+	// ages /healthz reports (nil = time.Now).
 	Now func() time.Time
 	// Logf receives merge-side diagnostics (nil discards).
 	Logf func(format string, args ...any)

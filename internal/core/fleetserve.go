@@ -27,10 +27,8 @@ type FleetServer struct {
 	mux *http.ServeMux
 
 	// staleAfter is how long a non-finned site may go without delivering
-	// a frame before /healthz names it stale; now is the wall-clock seam
-	// for that age (tests pin it).
+	// a frame before /healthz names it stale, by the fleet's clock.
 	staleAfter time.Duration
-	now        func() time.Time
 
 	draining atomic.Bool
 }
@@ -38,7 +36,7 @@ type FleetServer struct {
 // NewFleetServer returns a server over f (the handlers use only the
 // Fleet's concurrency-safe accessors).
 func NewFleetServer(f *Fleet) *FleetServer {
-	s := &FleetServer{f: f, staleAfter: DefaultStallThreshold, now: time.Now}
+	s := &FleetServer{f: f, staleAfter: DefaultStallThreshold}
 	s.mux = newReportMux(f.windowStore, func() ([]byte, error) { return f.cumulativeJSON(true) }, s.healthz)
 	// /report/fleet serves the current merged cumulative, whatever its
 	// completeness; the Fleet section names what is missing while the
@@ -131,7 +129,7 @@ func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 		h.WindowDur = st.Window.String()
 	}
 	quiet := h.FinalReady || h.Draining
-	now := s.now()
+	now := s.f.now()
 	for _, row := range st.Sites {
 		sh := fleetSiteHealth{
 			Site:        row.Site,

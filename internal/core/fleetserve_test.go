@@ -176,10 +176,9 @@ func TestFleetServeLifecycle(t *testing.T) {
 // draining and final-ready suppress all lag reporting.
 func TestFleetServeStaleAndDraining(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	f := NewFleet(FleetConfig{Dataset: "win", Now: func() time.Time { return t0 }})
-	srv := NewFleetServer(f)
 	now := t0
-	srv.now = func() time.Time { return now }
+	f := NewFleet(FleetConfig{Dataset: "win", Now: func() time.Time { return now }})
+	srv := NewFleetServer(f)
 	srv.SetStaleThreshold(10 * time.Second)
 
 	east := fleetSiteAnalyzer(t, 1, 0, 70*time.Second)

@@ -181,7 +181,7 @@ func TestHTTPStreamsMatchBufferedReference(t *testing.T) {
 				t.Fatal("a responder-port HTTP connection is not parsed as it arrives")
 			}
 			limit := bufferedProtos["HTTP"]
-			want := &connStreams{kind: "HTTP", buffered: true}
+			want := &connStreams{buffered: true}
 			want.cliBuf.Limit, want.srvBuf.Limit = limit, limit
 			want.cliStream.Init(&want.cliBuf)
 			want.srvStream.Init(&want.srvBuf)
@@ -361,12 +361,13 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 				if app == nil {
 					continue
 				}
-				seen := parsed[categories.WellKnown(conn.Proto, conn.Key.DstPort)]
+				name := categories.WellKnown(conn.Proto, conn.Key.DstPort)
+				seen := parsed[name]
 				if seen == nil {
 					continue
 				}
 				if !app.parsed() {
-					t.Fatalf("%v is %s by its responder port and still buffered raw", conn.Key, app.kind)
+					t.Fatalf("%v is %s by its responder port and still buffered raw", conn.Key, name)
 				}
 				seen.conns++
 				seen.delivered += app.cliStream.Accounting().DeliveredBytes + app.srvStream.Accounting().DeliveredBytes

@@ -32,17 +32,6 @@ func servedJSON(r *Report) ([]byte, error) {
 	return out, nil
 }
 
-// WriteReportJSON writes a report as indented JSON followed by a
-// newline.
-func WriteReportJSON(w io.Writer, r *Report) error {
-	b, err := servedJSON(r)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // RunJSON is the top-level JSON document of a windowed run: every window
 // report in window order, then the cumulative report. Batch runs emit
 // the cumulative report alone instead.

@@ -84,7 +84,7 @@ func TestPcapRoundTripEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkts, err := r.ReadAll()
+		pkts, err := pcap.ReadAll(r)
 		if err != nil {
 			t.Fatal(err)
 		}

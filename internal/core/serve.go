@@ -46,10 +46,6 @@ type ReportServer struct {
 // signature sit still before reporting the run degraded.
 const DefaultStallThreshold = 30 * time.Second
 
-// SetStallThreshold overrides the watermark-stall threshold; d <= 0
-// disables stall detection. Call before serving.
-func (s *ReportServer) SetStallThreshold(d time.Duration) { s.stallAfter = d }
-
 // NewReportServer returns a server over a (the handlers use only the
 // Analyzer's concurrency-safe accessors).
 func NewReportServer(a *Analyzer) *ReportServer {
@@ -104,13 +100,10 @@ type healthStatus struct {
 }
 
 // stallAge reports how long the (packets, watermark) progress signature
-// has been unchanged, or 0 while it is still advancing (or stall
-// detection is off). The clock arms at the first probe, so a server
-// nobody polls never accumulates a phantom stall.
+// has been unchanged, or 0 while it is still advancing. The clock arms
+// at the first probe, so a server nobody polls never accumulates a
+// phantom stall.
 func (s *ReportServer) stallAge(packets int64, mark time.Time) time.Duration {
-	if s.stallAfter <= 0 {
-		return 0
-	}
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -107,7 +107,7 @@ func TestServeWindowedRun(t *testing.T) {
 func TestServeStallDetection(t *testing.T) {
 	a := windowedAnalyzer(time.Minute)
 	srv := NewReportServer(a)
-	srv.SetStallThreshold(time.Millisecond)
+	srv.stallAfter = time.Millisecond
 
 	health := func() healthStatus {
 		t.Helper()

@@ -121,9 +121,6 @@ type udpEvent struct {
 // every byte buffer underneath them is pooled: replayApps releases the
 // whole structure back to the reassembly buffer pool at end of trace.
 type connStreams struct {
-	// kind is the registry protocol name when the connection attached;
-	// replay re-classifies, so this only records the buffering decision.
-	kind string
 	// buffered reports whether the streams below are live.
 	buffered             bool
 	cliStream, srvStream reassembly.Stream
@@ -292,7 +289,7 @@ func (nullConsumer) Gap(int)     {}
 // and how a connection's payload is kept for replay; parse allows stream
 // parsers where the name is fixed.
 func newConnStreams(name string, conn *flows.Conn, parse bool) *connStreams {
-	app := &connStreams{kind: name}
+	app := &connStreams{}
 	limit, buffered := bufferedProtos[name]
 	// A name that comes from the responder's well-known port is the one
 	// verdict no later dynamic registration can change (Classify looks

@@ -5,82 +5,59 @@ import (
 	"time"
 )
 
-// Clock is the time seam for retry scheduling. The shipper only ever
-// reads time and waits through this interface, so backoff behavior —
-// including jitter — is unit-testable without sleeping.
-type Clock interface {
-	Now() time.Time
-	// After fires once after d elapses, like time.After.
-	After(d time.Duration) <-chan time.Time
-}
-
-// RealClock is the production Clock.
-type RealClock struct{}
-
-func (RealClock) Now() time.Time                         { return time.Now() }
-func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // Backoff computes exponential retry delays with bounded jitter. Zero
 // value is usable (defaults below); not safe for concurrent use — each
 // connection loop owns one.
 type Backoff struct {
 	Base        time.Duration  // first delay (default 100ms)
 	Max         time.Duration  // delay cap (default 30s)
-	Factor      float64        // growth per consecutive failure (default 2)
-	Jitter      float64        // fraction of the delay randomized away, [0,1) (default 0.2)
 	MaxAttempts int            // consecutive failures before give-up (0 = retry forever)
-	Rand        func() float64 // randomness seam in [0,1); default math/rand.Float64
+	Rand        func() float64 // randomness seam in [0,1); default math/rand.Float64 (0 = no jitter)
 
 	attempt int
 }
 
 // Defaults applied by Next for zero fields.
 const (
-	DefaultBackoffBase   = 100 * time.Millisecond
-	DefaultBackoffMax    = 30 * time.Second
-	DefaultBackoffFactor = 2.0
-	DefaultBackoffJitter = 0.2
+	DefaultBackoffBase = 100 * time.Millisecond
+	DefaultBackoffMax  = 30 * time.Second
+)
+
+// Each consecutive failure doubles the delay, and up to a fifth of it is
+// randomized away.
+const (
+	backoffFactor = 2
+	backoffJitter = 0.2
 )
 
 // Next returns the delay before the next retry and whether to retry at
 // all; (0, false) means give up — MaxAttempts consecutive failures
-// without a Reset. Jitter subtracts up to Jitter×delay, so the returned
-// delay is always within (delay×(1−Jitter), delay] and never exceeds
+// without a Reset. Jitter subtracts up to a fifth of the delay, so the
+// returned delay is always within (0.8×delay, delay] and never exceeds
 // the cap.
 func (b *Backoff) Next() (time.Duration, bool) {
 	if b.MaxAttempts > 0 && b.attempt >= b.MaxAttempts {
 		return 0, false
 	}
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
+	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = DefaultBackoffBase
 	}
 	if max <= 0 {
 		max = DefaultBackoffMax
 	}
-	if factor < 1 {
-		factor = DefaultBackoffFactor
-	}
-	if jitter == 0 {
-		jitter = DefaultBackoffJitter
-	}
-	if jitter < 0 || jitter >= 1 {
-		jitter = 0
-	}
 	d := float64(base)
 	for i := 0; i < b.attempt && d < float64(max); i++ {
-		d *= factor
+		d *= backoffFactor
 	}
 	if d > float64(max) {
 		d = float64(max)
 	}
-	if jitter > 0 {
-		r := b.Rand
-		if r == nil {
-			r = rand.Float64
-		}
-		d -= d * jitter * r()
+	r := b.Rand
+	if r == nil {
+		r = rand.Float64
 	}
+	d -= d * backoffJitter * r()
 	b.attempt++
 	if d < 1 {
 		d = 1

@@ -9,7 +9,7 @@ import (
 func noJitter() float64 { return 0 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	b := &Backoff{Base: 100 * time.Millisecond, Max: 1 * time.Second, Factor: 2, Jitter: -1, Rand: noJitter}
+	b := &Backoff{Base: 100 * time.Millisecond, Max: 1 * time.Second, Rand: noJitter}
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -30,7 +30,7 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 }
 
 func TestBackoffResetOnSuccess(t *testing.T) {
-	b := &Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: -1, Rand: noJitter}
+	b := &Backoff{Base: 10 * time.Millisecond, Max: time.Second, Rand: noJitter}
 	for i := 0; i < 4; i++ {
 		b.Next()
 	}
@@ -48,7 +48,7 @@ func TestBackoffResetOnSuccess(t *testing.T) {
 }
 
 func TestBackoffGiveUp(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, MaxAttempts: 3, Jitter: -1, Rand: noJitter}
+	b := &Backoff{Base: time.Millisecond, MaxAttempts: 3, Rand: noJitter}
 	for i := 0; i < 3; i++ {
 		if _, ok := b.Next(); !ok {
 			t.Fatalf("gave up early at attempt %d", i)
@@ -72,17 +72,17 @@ func TestBackoffJitterBounds(t *testing.T) {
 		want time.Duration
 	}{
 		{"rand 0 keeps full delay", 0, 100 * time.Millisecond},
-		{"rand 1 removes full jitter fraction", 1, 50 * time.Millisecond},
-		{"rand 0.5 removes half", 0.5, 75 * time.Millisecond},
+		{"rand 1 removes full jitter fraction", 1, 80 * time.Millisecond},
+		{"rand 0.5 removes half", 0.5, 90 * time.Millisecond},
 	}
 	for _, tc := range cases {
-		b := &Backoff{Base: 100 * time.Millisecond, Jitter: 0.5, Rand: func() float64 { return tc.r }}
+		b := &Backoff{Base: 100 * time.Millisecond, Rand: func() float64 { return tc.r }}
 		d, ok := b.Next()
 		if !ok || d != tc.want {
 			t.Errorf("%s: delay %v ok=%v, want %v", tc.name, d, ok, tc.want)
 		}
 	}
-	// Default jitter with real randomness stays within (0.8d, d].
+	// Real randomness stays within (0.8d, d].
 	b := &Backoff{Base: 100 * time.Millisecond}
 	for i := 0; i < 100; i++ {
 		b.Reset()
@@ -94,7 +94,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestBackoffDefaults(t *testing.T) {
-	b := &Backoff{Rand: noJitter, Jitter: -1}
+	b := &Backoff{Rand: noJitter}
 	d, ok := b.Next()
 	if !ok || d != DefaultBackoffBase {
 		t.Fatalf("zero-value first delay %v, want %v", d, DefaultBackoffBase)
@@ -104,87 +104,5 @@ func TestBackoffDefaults(t *testing.T) {
 	}
 	if d != DefaultBackoffMax {
 		t.Fatalf("zero-value cap %v, want %v", d, DefaultBackoffMax)
-	}
-}
-
-// fakeClock is the injectable Clock used by shipper tests: time only
-// advances when the test says so, and waits release deterministically.
-type fakeClock struct {
-	mu      chMu
-	now     time.Time
-	waiters []fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// chMu is a tiny channel-based mutex so fakeClock has no lock ordering
-// with the code under test.
-type chMu chan struct{}
-
-func newChMu() chMu { m := make(chMu, 1); m <- struct{}{}; return m }
-
-func (m chMu) lock()   { <-m }
-func (m chMu) unlock() { m <- struct{}{} }
-
-func newFakeClock(start time.Time) *fakeClock {
-	return &fakeClock{mu: newChMu(), now: start}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.lock()
-	defer c.mu.unlock()
-	return c.now
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.lock()
-	defer c.mu.unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
-}
-
-// Advance moves the clock forward, firing every waiter that comes due.
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.lock()
-	defer c.mu.unlock()
-	c.now = c.now.Add(d)
-	kept := c.waiters[:0]
-	for _, w := range c.waiters {
-		if !w.at.After(c.now) {
-			w.ch <- c.now
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	c.waiters = kept
-}
-
-func TestFakeClock(t *testing.T) {
-	c := newFakeClock(time.Unix(0, 0))
-	ch := c.After(10 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("fired early")
-	default:
-	}
-	c.Advance(9 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("fired at 9s")
-	default:
-	}
-	c.Advance(time.Second)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("did not fire at 10s")
 	}
 }

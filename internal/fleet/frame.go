@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame is one unit on the shipper↔aggregator stream. The wire layout
@@ -108,18 +110,18 @@ var (
 	ErrTooLarge   = errors.New("fleet: frame field exceeds wire limit")
 )
 
-// AppendFrame encodes f onto dst and returns the extended slice.
-func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+// EncodeFrame returns f's wire bytes.
+func EncodeFrame(f *Frame) ([]byte, error) {
 	if len(f.Site) > MaxSiteLen {
-		return dst, fmt.Errorf("%w: site %d bytes", ErrTooLarge, len(f.Site))
+		return nil, fmt.Errorf("%w: site %d bytes", ErrTooLarge, len(f.Site))
 	}
 	if len(f.Payload) > MaxPayload {
-		return dst, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(f.Payload))
+		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, len(f.Payload))
 	}
 	if f.Type < FrameHello || f.Type > FrameErr {
-		return dst, fmt.Errorf("%w: %d", ErrBadType, f.Type)
+		return nil, fmt.Errorf("%w: %d", ErrBadType, f.Type)
 	}
-	start := len(dst)
+	var dst []byte
 	dst = append(dst, frameMagic[:]...)
 	dst = append(dst, frameVersion, byte(f.Type))
 	dst = binary.AppendUvarint(dst, uint64(len(f.Site)))
@@ -129,151 +131,141 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	dst = binary.AppendVarint(dst, f.Watermark)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
 	dst = append(dst, f.Payload...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, crc), nil
-}
-
-// EncodeFrame returns f's wire bytes.
-func EncodeFrame(f *Frame) ([]byte, error) {
-	return AppendFrame(nil, f)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst)), nil
 }
 
 // DecodeFrame parses one frame from the head of b, returning the frame
 // and the number of bytes consumed. The returned frame's Site and
 // Payload are copies, safe to retain after b is reused.
 func DecodeFrame(b []byte) (*Frame, int, error) {
-	d := frameReader{buf: b}
+	d := frameReader{src: bytes.NewReader(b)}
 	f, err := d.frame()
 	if err != nil {
 		return nil, 0, err
 	}
-	return f, d.off, nil
+	return f, d.n, nil
 }
 
-// ReadFrame reads one frame from a stream. Returns io.EOF only at a
-// clean frame boundary; a connection cut mid-frame is ErrTruncated
-// (wrapping io.ErrUnexpectedEOF).
+// ReadFrame reads one frame from a stream, with the walk DecodeFrame
+// runs over a slice. Returns io.EOF only at a clean frame boundary; a
+// connection cut mid-frame is ErrTruncated (wrapping
+// io.ErrUnexpectedEOF).
 func ReadFrame(br *bufio.Reader) (*Frame, error) {
-	// Peek the fixed prologue first so EOF-at-boundary is clean.
-	head, err := br.Peek(6)
-	if err != nil {
-		if err == io.EOF {
-			if len(head) == 0 {
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("%w: %d-byte partial header", ErrTruncated, len(head))
-		}
+	if _, err := br.Peek(1); err != nil {
 		return nil, err
 	}
-	if [4]byte(head[:4]) != frameMagic {
-		return nil, ErrBadMagic
-	}
-	if head[4] != frameVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, head[4])
-	}
-	// Accumulate the whole frame into a buffer and decode it with the
-	// slice parser, so stream and slice paths cannot diverge.
-	buf := make([]byte, 0, 64)
-	buf = append(buf, head...)
-	br.Discard(6)
-	readUvarint := func() (uint64, error) {
-		start := len(buf)
-		for {
-			c, err := br.ReadByte()
-			if err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-			}
-			buf = append(buf, c)
-			if c < 0x80 {
-				break
-			}
-			if len(buf)-start >= binary.MaxVarintLen64 {
-				return 0, fmt.Errorf("%w: varint overflow", ErrTruncated)
-			}
-		}
-		x, _ := binary.Uvarint(buf[start:])
-		return x, nil
-	}
-	readN := func(n uint64, what string, limit uint64) error {
-		if n > limit {
-			return fmt.Errorf("%w: %s %d bytes", ErrTooLarge, what, n)
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(br, buf[start:]); err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		return nil
-	}
-	siteLen, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if err := readN(siteLen, "site", MaxSiteLen); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 3; i++ { // window, seq, watermark
-		if _, err := readUvarint(); err != nil {
-			return nil, err
-		}
-	}
-	payLen, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if err := readN(payLen, "payload", MaxPayload); err != nil {
-		return nil, err
-	}
-	if err := readN(4, "crc", 4); err != nil {
-		return nil, err
-	}
-	f, n, err := DecodeFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("%w: stream frame reparse consumed %d of %d", ErrTruncated, n, len(buf))
-	}
-	return f, nil
+	d := frameReader{src: br}
+	return d.frame()
 }
 
-// frameReader parses a frame from a byte slice, tracking the offset for
-// CRC coverage.
+// byteSource is what a frame is read from: a bytes.Reader over a slice
+// or the connection's bufio.Reader.
+type byteSource interface {
+	io.Reader
+	io.ByteReader
+}
+
+// frameReader walks one frame from src, counting the bytes it consumes
+// and folding them into the CRC as it goes: the header a byte at a time,
+// into arrays on the walk's stack, and the payload in bulk.
 type frameReader struct {
-	buf []byte
-	off int
+	src byteSource
+	n   int
+	crc uint32
 }
 
-func (d *frameReader) take(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.buf) {
-		return nil, ErrTruncated
+// readChunk bounds how far a payload buffer grows ahead of the bytes
+// that fill it: a declared length is checked against the wire limit,
+// but memory is spent only as the bytes behind it arrive.
+const readChunk = 64 << 10
+
+// truncated maps a read failure inside a frame to ErrTruncated; the end
+// of input there is io.ErrUnexpectedEOF, whichever field it cut.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	return fmt.Errorf("%w: %w", ErrTruncated, err)
+}
+
+// next reads one byte. The CRC step is crc32.Update's for one byte,
+// written out so the byte need not be handed to a call that keeps it.
+func (d *frameReader) next() (byte, error) {
+	c, err := d.src.ReadByte()
+	if err != nil {
+		return 0, truncated(err)
+	}
+	d.n++
+	crc := ^d.crc
+	d.crc = ^(crc32.IEEETable[byte(crc)^c] ^ crc>>8)
+	return c, nil
+}
+
+// fill reads len(b) bytes into b.
+func (d *frameReader) fill(b []byte) error {
+	for i := range b {
+		c, err := d.next()
+		if err != nil {
+			return err
+		}
+		b[i] = c
+	}
+	return nil
+}
+
+// read returns the next n bytes (nil for none), growing the buffer a
+// chunk at a time.
+func (d *frameReader) read(n uint64) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	b := make([]byte, 0, min(n, readChunk))
+	for uint64(len(b)) < n {
+		k := int(min(n-uint64(len(b)), readChunk))
+		b = slices.Grow(b, k)
+		chunk := b[len(b) : len(b)+k]
+		m, err := io.ReadFull(d.src, chunk)
+		d.n += m
+		d.crc = crc32.Update(d.crc, crc32.IEEETable, chunk[:m])
+		if err != nil {
+			return nil, truncated(err)
+		}
+		b = b[:len(b)+k]
+	}
 	return b, nil
 }
 
 func (d *frameReader) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
+	var buf [binary.MaxVarintLen64]byte
+	for i := range buf {
+		c, err := d.next()
+		if err != nil {
+			return 0, err
+		}
+		buf[i] = c
+		if c < 0x80 {
+			x, k := binary.Uvarint(buf[:i+1])
+			if k <= 0 {
+				break
+			}
+			return x, nil
+		}
 	}
-	d.off += n
-	return x, nil
+	return 0, fmt.Errorf("%w: varint overflow", ErrTruncated)
 }
 
 func (d *frameReader) varint() (int64, error) {
-	x, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
+	ux, err := d.uvarint()
+	x := int64(ux >> 1) // zigzag, as binary.Varint
+	if ux&1 != 0 {
+		x = ^x
 	}
-	d.off += n
-	return x, nil
+	return x, err
 }
 
 func (d *frameReader) frame() (*Frame, error) {
-	head, err := d.take(6)
-	if err != nil {
+	var head [6]byte
+	if err := d.fill(head[:]); err != nil {
 		return nil, err
 	}
 	if [4]byte(head[:4]) != frameMagic {
@@ -293,11 +285,11 @@ func (d *frameReader) frame() (*Frame, error) {
 	if siteLen > MaxSiteLen {
 		return nil, fmt.Errorf("%w: site %d bytes", ErrTooLarge, siteLen)
 	}
-	site, err := d.take(int(siteLen))
-	if err != nil {
+	var site [MaxSiteLen]byte
+	if err := d.fill(site[:siteLen]); err != nil {
 		return nil, err
 	}
-	f.Site = string(site)
+	f.Site = string(site[:siteLen])
 	win, err := d.varint()
 	if err != nil {
 		return nil, err
@@ -319,19 +311,15 @@ func (d *frameReader) frame() (*Frame, error) {
 	if payLen > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, payLen)
 	}
-	pay, err := d.take(int(payLen))
-	if err != nil {
+	if f.Payload, err = d.read(payLen); err != nil {
 		return nil, err
 	}
-	if payLen > 0 {
-		f.Payload = append([]byte(nil), pay...)
-	}
-	body := d.buf[:d.off]
-	crcBytes, err := d.take(4)
-	if err != nil {
+	crc := d.crc
+	var sum [4]byte
+	if err := d.fill(sum[:]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(crcBytes) != crc32.ChecksumIEEE(body) {
+	if binary.LittleEndian.Uint32(sum[:]) != crc {
 		return nil, ErrCRC
 	}
 	return f, nil

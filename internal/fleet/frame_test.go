@@ -3,9 +3,12 @@ package fleet
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -69,8 +72,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: stream read %d: %v", f.Type, i, err)
 			}
-			if sf.Seq != f.Seq || sf.Site != f.Site {
-				t.Fatalf("%v: stream frame %d mismatch", f.Type, i)
+			if !reflect.DeepEqual(sf, got) {
+				t.Fatalf("%v: stream frame %d is %+v, slice frame %+v", f.Type, i, sf, got)
 			}
 		}
 		if _, err := ReadFrame(br); err != io.EOF {
@@ -109,26 +112,66 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		}), ErrTooLarge},
 		{"truncated mid-payload", good[:len(good)-7], ErrTruncated},
 		{"truncated mid-header", good[:8], ErrTruncated},
+		{"payload declared, never sent", unsentPayload(), ErrTruncated},
 	}
 	for _, tc := range cases {
-		if _, _, err := DecodeFrame(tc.b); !errors.Is(err, tc.want) {
+		_, _, err := DecodeFrame(tc.b)
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: DecodeFrame err = %v, want %v", tc.name, err, tc.want)
 		}
-		// Truncations at a frame boundary read as EOF on the stream
-		// path (empty case); everything else must error there too.
+		// The stream path runs the same walk, so it fails the same way,
+		// except that no bytes at all is a clean end of stream.
+		serr := readOne(tc.b)
 		if len(tc.b) == 0 {
-			continue
-		}
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(tc.b))); err == nil {
-			t.Errorf("%s: ReadFrame accepted corrupt frame", tc.name)
+			if serr != io.EOF {
+				t.Errorf("%s: ReadFrame err = %v, want io.EOF", tc.name, serr)
+			}
+		} else if !errors.Is(serr, tc.want) || serr.Error() != err.Error() {
+			t.Errorf("%s: ReadFrame err = %v, DecodeFrame's %v", tc.name, serr, err)
 		}
 	}
-	// Every possible truncation of a valid frame is rejected.
+	// Every possible truncation of a valid frame is ErrTruncated wrapping
+	// io.ErrUnexpectedEOF, from the slice and from the stream.
 	for cut := 1; cut < len(good); cut++ {
-		if _, _, err := DecodeFrame(good[:cut]); err == nil {
-			t.Errorf("DecodeFrame accepted truncation at %d", cut)
+		_, _, err := DecodeFrame(good[:cut])
+		serr := readOne(good[:cut])
+		for _, e := range []error{err, serr} {
+			if !errors.Is(e, ErrTruncated) || !errors.Is(e, io.ErrUnexpectedEOF) {
+				t.Errorf("cut at %d: err = %v, want ErrTruncated wrapping io.ErrUnexpectedEOF", cut, e)
+			}
 		}
 	}
+}
+
+// unsentPayload is a frame header that declares a payload at the wire
+// limit, followed by three bytes of it.
+func unsentPayload() []byte {
+	b := []byte{'E', 'F', 'L', '1', frameVersion, byte(FrameDelta), 0, 0, 0, 0}
+	return append(binary.AppendUvarint(b, MaxPayload), 1, 2, 3)
+}
+
+// TestDeclaredLengthCostsNoMemory: a peer that declares a payload at
+// the wire limit and sends three bytes of it costs the reader what it
+// sent, not the declared gigabyte, on either path.
+func TestDeclaredLengthCostsNoMemory(t *testing.T) {
+	b := unsentPayload()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeFrame(b)
+	serr := readOne(b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) || !errors.Is(serr, ErrTruncated) {
+		t.Fatalf("DecodeFrame err = %v, ReadFrame err = %v, want ErrTruncated", err, serr)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+		t.Errorf("reading a frame that declares %d payload bytes and sends 3 allocated %d bytes", MaxPayload, n)
+	}
+}
+
+// readOne reads one frame from b through ReadFrame.
+func readOne(b []byte) error {
+	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(b)))
+	return err
 }
 
 func TestFrameEncodeLimits(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"time"
 
 	"enttrace/internal/faults"
 )
@@ -22,8 +23,6 @@ type ShipperConfig struct {
 	Hello Hello
 	// Dial overrides the connection seam (tests use net.Pipe).
 	Dial func() (net.Conn, error)
-	// Clock drives retry timing (tests use a fake; default RealClock).
-	Clock Clock
 	// Backoff is the reconnect policy template. Backoff.MaxAttempts is
 	// the give-up threshold: that many consecutive failed dials without
 	// an intervening success abandons the queue (0 = retry forever).
@@ -60,11 +59,11 @@ type ShipperStats struct {
 // Shipper streams a site's per-window snapshot deltas to an aggregator
 // with at-least-once delivery: every tracked frame (DELTA, LOST, FIN)
 // carries a monotonic per-site sequence number and stays in an unacked
-// queue until the aggregator's cumulative ACK covers it; on reconnect,
-// everything unacknowledged is resent in order. Duplicates are the
-// aggregator's problem (it dedups by sequence), loss is the shipper's:
-// only an explicit queue-bound eviction or reconnect give-up drops
-// data, and both are recorded.
+// queue until the aggregator ACKs that frame (one ACK per frame, not
+// cumulative); on reconnect, everything unacknowledged is resent in
+// order. Duplicates are the aggregator's problem (it dedups by
+// sequence), loss is the shipper's: only an explicit queue-bound
+// eviction or reconnect give-up drops data, and both are recorded.
 //
 // All sends go through one internal goroutine. ShipDelta, Heartbeat and
 // Fin are safe for concurrent use with each other (entanalyze ships from
@@ -108,9 +107,6 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 			return nil, fmt.Errorf("fleet: shipper requires an address or Dial seam")
 		}
 		cfg.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock{}
 	}
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 1024
@@ -349,7 +345,7 @@ func (s *Shipper) run() {
 				die(fmt.Errorf("%w after %d attempts", ErrGaveUp, s.cfg.Backoff.MaxAttempts))
 				return false
 			}
-			timer := s.cfg.Clock.After(d)
+			timer := time.After(d)
 		wait:
 			for {
 				select {

@@ -138,7 +138,7 @@ func wire(t *testing.T, spec string) *faults.Wire {
 // fastBackoff keeps shipper tests quick without a fake clock: the run
 // loop's waits are microseconds.
 func fastBackoff(maxAttempts int) Backoff {
-	return Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, MaxAttempts: maxAttempts, Jitter: -1, Rand: func() float64 { return 0 }}
+	return Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, MaxAttempts: maxAttempts, Rand: func() float64 { return 0 }}
 }
 
 func TestShipperCleanDelivery(t *testing.T) {

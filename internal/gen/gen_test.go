@@ -304,7 +304,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, err := pcap.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestStreamSourceMatchesPcapRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := rd.ReadAll()
+			want, err := pcap.ReadAll(rd)
 			if err != nil {
 				t.Fatal(err)
 			}

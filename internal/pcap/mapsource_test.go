@@ -24,7 +24,7 @@ func mapTestTrace(t *testing.T) []byte {
 		bytes.Repeat([]byte{0xab}, 1500), // truncated to 96 on write
 	}
 	for i, p := range payloads {
-		if err := w.WritePacket(ts(1000+int64(i), 250), p); err != nil {
+		if err := w.WriteCaptured(ts(1000+int64(i), 250), p, len(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestMapSourceMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.ReadAll()
+	want, err := ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}

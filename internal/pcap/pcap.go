@@ -250,19 +250,16 @@ func (r *Reader) read(p *Packet) error {
 	return nil
 }
 
-// ReadAll drains the reader, returning every packet until EOF. On error —
-// including a final record truncated by the end of the stream, reported
-// as an error wrapping io.ErrUnexpectedEOF — the packets successfully
-// read before the failure are returned alongside it.
-func (r *Reader) ReadAll() ([]*Packet, error) { return ReadAll(r) }
-
 // PacketSource yields packets in timestamp order, ending with io.EOF. Both
 // *Reader and in-memory traces satisfy it.
 type PacketSource interface {
 	Next() (*Packet, error)
 }
 
-// ReadAll drains any PacketSource into a slice.
+// ReadAll drains any PacketSource into a slice. On error — including a
+// final record truncated by the end of the stream, reported as an error
+// wrapping io.ErrUnexpectedEOF — the packets successfully read before
+// the failure are returned alongside it.
 func ReadAll(src PacketSource) ([]*Packet, error) {
 	var pkts []*Packet
 	for {
@@ -302,9 +299,7 @@ func (s *SliceSource) Next() (*Packet, error) {
 type Writer struct {
 	w       io.Writer
 	snaplen uint32
-	nanos   bool
 	rec     [recordHeaderLen]byte
-	wrote   bool
 }
 
 // NewWriter writes a global header to w and returns a Writer. A snaplen of
@@ -330,14 +325,10 @@ func NewWriter(w io.Writer, snaplen uint32, linkType uint32) (*Writer, error) {
 // SnapLen returns the writer's snaplen.
 func (w *Writer) SnapLen() uint32 { return w.snaplen }
 
-// WritePacket writes one record; data longer than the snaplen is truncated
-// and the original length preserved in the record header.
-func (w *Writer) WritePacket(ts time.Time, data []byte) error {
-	return w.WriteCaptured(ts, data, len(data))
-}
-
-// WriteCaptured writes a record whose data was already truncated upstream,
-// preserving the original wire length in the record header.
+// WriteCaptured writes one record of origLen wire bytes whose first
+// len(data) were captured: data longer than the snaplen is truncated
+// here, and the larger of origLen and len(data) goes in the record
+// header as the original length.
 func (w *Writer) WriteCaptured(ts time.Time, data []byte, origLen int) error {
 	orig := origLen
 	if orig < len(data) {
@@ -356,6 +347,5 @@ func (w *Writer) WriteCaptured(ts time.Time, data []byte, origLen int) error {
 	if _, err := w.w.Write(data); err != nil {
 		return fmt.Errorf("pcap: writing packet body: %w", err)
 	}
-	w.wrote = true
 	return nil
 }

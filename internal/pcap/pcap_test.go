@@ -25,7 +25,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		{},
 	}
 	for i, p := range payloads {
-		if err := w.WritePacket(ts(1000+int64(i), 42), p); err != nil {
+		if err := w.WriteCaptured(ts(1000+int64(i), 42), p, len(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.Header().SnapLen != 65535 {
 		t.Errorf("snaplen = %d, want 65535 default", r.Header().SnapLen)
 	}
-	got, err := r.ReadAll()
+	got, err := ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSnaplenTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := bytes.Repeat([]byte{0x55}, 1500)
-	if err := w.WritePacket(ts(1, 0), full); err != nil {
+	if err := w.WriteCaptured(ts(1, 0), full, len(full)); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(&buf)
@@ -108,7 +108,7 @@ func TestShortHeader(t *testing.T) {
 func TestTruncatedRecordBody(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 0, LinkTypeEthernet)
-	_ = w.WritePacket(ts(1, 0), []byte{1, 2, 3, 4})
+	_ = w.WriteCaptured(ts(1, 0), []byte{1, 2, 3, 4}, 4)
 	raw := buf.Bytes()
 	r, err := NewReader(bytes.NewReader(raw[:len(raw)-2]))
 	if err != nil {
@@ -209,7 +209,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := w.WritePacket(ts(100, 5), payload); err != nil {
+		if err := w.WriteCaptured(ts(100, 5), payload, len(payload)); err != nil {
 			return false
 		}
 		r, err := NewReader(&buf)
@@ -240,7 +240,7 @@ func BenchmarkWritePacket(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.WritePacket(t0, data)
+		_ = w.WriteCaptured(t0, data, len(data))
 	}
 }
 
@@ -249,7 +249,7 @@ func BenchmarkReadPacket(b *testing.B) {
 	w, _ := NewWriter(&buf, 0, LinkTypeEthernet)
 	data := bytes.Repeat([]byte{0xaa}, 500)
 	for i := 0; i < 1000; i++ {
-		_ = w.WritePacket(ts(int64(i), 0), data)
+		_ = w.WriteCaptured(ts(int64(i), 0), data, len(data))
 	}
 	raw := buf.Bytes()
 	b.SetBytes(int64(len(data)))

@@ -22,7 +22,7 @@ func writeTestTrace(t testing.TB, n int) ([]byte, []*Packet) {
 	for i := 0; i < n; i++ {
 		data := bytes.Repeat([]byte{byte(i)}, 20+i%64)
 		stamp := ts(1000+int64(i), int64(i))
-		if err := w.WritePacket(stamp, data); err != nil {
+		if err := w.WriteCaptured(stamp, data, len(data)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, &Packet{Timestamp: stamp, Data: data, OrigLen: len(data)})
@@ -264,7 +264,7 @@ func TestReadAllTruncatedFinalRecord(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := mustReader(t, raw[:len(raw)-cut])
-			pkts, err := r.ReadAll()
+			pkts, err := ReadAll(r)
 			if err == nil {
 				t.Fatal("truncated trace read without error")
 			}
@@ -291,7 +291,7 @@ func TestBufferedReaderWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := r.ReadAll()
+	pkts, err := ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func BenchmarkReadPacketPooled(b *testing.B) {
 	w, _ := NewWriter(&buf, 0, LinkTypeEthernet)
 	data := bytes.Repeat([]byte{0x5A}, 1400)
 	for i := 0; i < 1000; i++ {
-		_ = w.WritePacket(time.Unix(int64(i), 0), data)
+		_ = w.WriteCaptured(time.Unix(int64(i), 0), data, len(data))
 	}
 	raw := buf.Bytes()
 	b.ReportAllocs()

@@ -39,43 +39,26 @@ type HostProfile struct {
 	// FanIn/FanOut are distinct-peer counts as originator target/source.
 	FanIn, FanOut int
 	// ServicePorts lists the local ports that received connections from
-	// at least MinClientsPerService distinct peers, most popular first.
+	// at least minClientsPerService (3) distinct peers, most popular first.
 	ServicePorts []uint16
 	// ConnsIn/ConnsOut are raw connection counts.
 	ConnsIn, ConnsOut int64
 }
 
-// Config tunes the classifier.
-type Config struct {
-	// MinClientsPerService is the distinct-peer threshold for a local
-	// port to count as a service. Default 3.
-	MinClientsPerService int
-	// ServerFanInRatio: fan-in must exceed fan-out by this factor for a
-	// server verdict. Default 2.
-	ServerFanInRatio float64
-	// PeerSymmetry: |fanIn-fanOut| / max ≤ this for a peer verdict when
-	// both sides are substantial. Default 0.5.
-	PeerSymmetry float64
-	// MinPeerDegree: both fan directions must reach this for peer.
-	// Default 5.
-	MinPeerDegree int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinClientsPerService == 0 {
-		c.MinClientsPerService = 3
-	}
-	if c.ServerFanInRatio == 0 {
-		c.ServerFanInRatio = 2
-	}
-	if c.PeerSymmetry == 0 {
-		c.PeerSymmetry = 0.5
-	}
-	if c.MinPeerDegree == 0 {
-		c.MinPeerDegree = 5
-	}
-	return c
-}
+// Classifier thresholds.
+const (
+	// minClientsPerService is the distinct-peer threshold for a local
+	// port to count as a service.
+	minClientsPerService = 3
+	// serverFanInRatio: fan-in must exceed fan-out by this factor for a
+	// server verdict.
+	serverFanInRatio = 2
+	// peerSymmetry: |fanIn-fanOut| / max ≤ this for a peer verdict when
+	// both sides are substantial.
+	peerSymmetry = 0.5
+	// minPeerDegree: both fan directions must reach this for peer.
+	minPeerDegree = 5
+)
 
 // Evidence is one trace's per-host classification evidence: distinct-peer
 // fans, raw connection counts, and distinct-client counts per local port,
@@ -134,15 +117,14 @@ func Accumulate(pairs []flows.Pair, conns []*flows.Conn, pairOf []int32) *Eviden
 
 // Finalize applies the service-port threshold and the role rules,
 // consuming ev. Hosts come in the order the pairs first named them.
-func (ev *Evidence) Finalize(cfg Config) []HostProfile {
-	cfg = cfg.withDefaults()
+func (ev *Evidence) Finalize() []HostProfile {
 	type svc struct {
 		port uint16
 		n    int
 	}
 	perHost := make(map[int32][]svc)
 	for k, clients := range ev.clients {
-		if clients >= cfg.MinClientsPerService {
+		if clients >= minClientsPerService {
 			perHost[int32(k>>16)] = append(perHost[int32(k>>16)], svc{uint16(k), clients})
 		}
 	}
@@ -160,20 +142,20 @@ func (ev *Evidence) Finalize(cfg Config) []HostProfile {
 		}
 	}
 	for i := range ev.hosts {
-		ev.hosts[i].Role = classifyOne(&ev.hosts[i], cfg)
+		ev.hosts[i].Role = classifyOne(&ev.hosts[i])
 	}
 	return ev.hosts
 }
 
-func classifyOne(p *HostProfile, cfg Config) Role {
+func classifyOne(p *HostProfile) Role {
 	fi, fo := float64(p.FanIn), float64(p.FanOut)
 	switch {
 	case p.FanIn == 0 && p.FanOut == 0:
 		return Quiet
-	case len(p.ServicePorts) > 0 && fi >= cfg.ServerFanInRatio*fo:
+	case len(p.ServicePorts) > 0 && fi >= serverFanInRatio*fo:
 		return Server
-	case p.FanIn >= cfg.MinPeerDegree && p.FanOut >= cfg.MinPeerDegree &&
-		absDiff(fi, fo)/maxf(fi, fo) <= cfg.PeerSymmetry:
+	case p.FanIn >= minPeerDegree && p.FanOut >= minPeerDegree &&
+		absDiff(fi, fo)/maxf(fi, fo) <= peerSymmetry:
 		return Peer
 	case p.FanOut >= p.FanIn:
 		return Client

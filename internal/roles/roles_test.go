@@ -24,7 +24,7 @@ func conn(src, dst netip.Addr, sport, dport uint16) *flows.Conn {
 // way a trace's census feeds Accumulate: one pair per distinct unicast
 // (originator, responder), every unicast connection counted toward its
 // pair.
-func classify(conns []*flows.Conn, cfg Config) map[netip.Addr]*HostProfile {
+func classify(conns []*flows.Conn) map[netip.Addr]*HostProfile {
 	var pairs flows.Pairs
 	pairOf := make([]int32, len(conns))
 	for i, c := range conns {
@@ -34,7 +34,7 @@ func classify(conns []*flows.Conn, cfg Config) map[netip.Addr]*HostProfile {
 		}
 	}
 	profiles := make(map[netip.Addr]*HostProfile)
-	for _, p := range Accumulate(pairs.List(), conns, pairOf).Finalize(cfg) {
+	for _, p := range Accumulate(pairs.List(), conns, pairOf).Finalize() {
 		profiles[p.Addr] = &p
 	}
 	return profiles
@@ -46,7 +46,7 @@ func TestServerDetection(t *testing.T) {
 	for i := 2; i < 12; i++ {
 		conns = append(conns, conn(addr(i), srv, uint16(40000+i), 80))
 	}
-	profiles := classify(conns, Config{})
+	profiles := classify(conns)
 	p := profiles[srv]
 	if p == nil || p.Role != Server {
 		t.Fatalf("server profile = %+v", p)
@@ -70,7 +70,7 @@ func TestMultiServiceServer(t *testing.T) {
 		conns = append(conns, conn(addr(i), srv, uint16(40000+i), 25))
 		conns = append(conns, conn(addr(i), srv, uint16(41000+i), 993))
 	}
-	p := classify(conns, Config{})[srv]
+	p := classify(conns)[srv]
 	if len(p.ServicePorts) != 2 {
 		t.Fatalf("service ports = %v", p.ServicePorts)
 	}
@@ -85,14 +85,14 @@ func TestPeerDetection(t *testing.T) {
 		conns = append(conns, conn(hub, addr(i), uint16(42000+i), uint16(43000+i)))
 		conns = append(conns, conn(addr(i), hub, uint16(44000+i), uint16(45000+i)))
 	}
-	p := classify(conns, Config{})[hub]
+	p := classify(conns)[hub]
 	if p.Role != Peer {
 		t.Fatalf("hub role = %v (%+v)", p.Role, p)
 	}
 }
 
 func TestQuietAbsent(t *testing.T) {
-	profiles := classify(nil, Config{})
+	profiles := classify(nil)
 	if len(profiles) != 0 {
 		t.Error("no conns should give no profiles")
 	}
@@ -101,7 +101,7 @@ func TestQuietAbsent(t *testing.T) {
 func TestMulticastIgnored(t *testing.T) {
 	c := conn(addr(1), addr(2), 40000, 5004)
 	c.Multicast = true
-	if got := classify([]*flows.Conn{c}, Config{}); len(got) != 0 {
+	if got := classify([]*flows.Conn{c}); len(got) != 0 {
 		t.Errorf("multicast produced profiles: %v", got)
 	}
 }
@@ -113,12 +113,12 @@ func TestServiceThreshold(t *testing.T) {
 		conn(addr(3), srv, 40002, 80),
 	}
 	// Two clients is below the default threshold of three.
-	p := classify(conns, Config{})[srv]
+	p := classify(conns)[srv]
 	if len(p.ServicePorts) != 0 {
 		t.Errorf("ports = %v, want none below threshold", p.ServicePorts)
 	}
 	conns = append(conns, conn(addr(4), srv, 40003, 80))
-	p = classify(conns, Config{})[srv]
+	p = classify(conns)[srv]
 	if len(p.ServicePorts) != 1 {
 		t.Errorf("ports = %v, want port 80 at threshold", p.ServicePorts)
 	}
@@ -131,7 +131,7 @@ func TestSummary(t *testing.T) {
 		conns = append(conns, conn(addr(i), srv, uint16(40000+i), 443))
 	}
 	var profiles []HostProfile
-	for _, p := range classify(conns, Config{}) {
+	for _, p := range classify(conns) {
 		profiles = append(profiles, *p)
 	}
 	sum := Summary(profiles)
@@ -152,7 +152,7 @@ func TestCoverageProperty(t *testing.T) {
 			}
 			conns = append(conns, conn(addr(a), addr(b), 40000, uint16(1+pr%1000)))
 		}
-		profiles := classify(conns, Config{})
+		profiles := classify(conns)
 		for _, c := range conns {
 			if profiles[c.Key.Src] == nil || profiles[c.Key.Dst] == nil {
 				return false
@@ -180,7 +180,7 @@ func BenchmarkClassify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := classify(conns, Config{}); len(got) == 0 {
+		if got := classify(conns); len(got) == 0 {
 			b.Fatal("empty")
 		}
 	}
