@@ -28,7 +28,7 @@ func foldDataset(t *testing.T, ap *appAggregates, step func()) {
 	a := NewAnalyzer(Options{Dataset: "cut", PayloadAnalysis: true})
 	for trace, tr := range gen.GenerateDataset(cfg).Traces {
 		// One replay shard, fed by nothing: the tap keeps every datagram.
-		feed := newTraceFeed(a.windowStore, make([]*replayWorker, 1), 1)
+		feed := newTraceFeed(a.windowStore, make([]*epochAgg, 1), 1)
 		var sink *udpTap
 		res, err := pipeline.Run(pcap.NewSliceSource(tr.Packets), pipeline.Config{
 			Workers: 1,
@@ -138,9 +138,9 @@ func TestAppAggregatesMergeOfCutsMatchesUncut(t *testing.T) {
 // state with its source: what the source banks afterwards must not leak
 // into the delta, and folding the delta elsewhere must not alias it. One
 // level up, a merge into a full epoch aggregate or a fresh set of
-// connection sums — the cumulative's, a worker's running cumulative's,
-// the fleet's fold — shares no map or pointer with what it merged, for
-// every window of a windowed run.
+// connection sums — a fold of windows, on a site or in a fleet — shares
+// no map or pointer with what it merged, for every window of a windowed
+// run.
 func TestAppAggregatesCutIndependent(t *testing.T) {
 	src := newAppAggregates()
 	sum := newAppAggregates()

@@ -55,8 +55,8 @@ type Options struct {
 	// first packet of the first trace) and makes a per-window Report
 	// available for each, while the cumulative report stays
 	// byte-identical to a run without windowing. 0 disables windowing:
-	// the same accumulation path runs with no boundaries, so nothing is
-	// cut or banked per window.
+	// the same accumulation path runs with no boundaries, into one slot
+	// that never closes, so nothing is cut per window.
 	Window time.Duration
 	// OnWindow, when set (requires Window > 0), receives each window's
 	// report as the event-time watermark passes its end — for most
@@ -70,8 +70,8 @@ type Options struct {
 	// serialized and arrive in window-index order, and all of a trace's
 	// calls happen before its Add* returns. The callback may read the
 	// Analyzer's concurrency-safe accessors (WindowReport, ExportWindow,
-	// Watermark, …) but must not call Add* or Report, which drains the
-	// replay workers that may still be running.
+	// Watermark, …) but must not call Add* or Report, which must not race
+	// an in-flight Add*.
 	OnWindow func(*WindowReport)
 	// OnError selects the source read-error policy. The zero value is
 	// pipeline.FailFast (any source error aborts the trace, the
@@ -141,15 +141,9 @@ type Analyzer struct {
 	// FTP-data and Endpoint-Mapper ports phase A registers as it replays.
 	registry *categories.Registry
 
-	// cum is the cumulative aggregate: every report-feeding accumulator
-	// for the whole run. Each trace's delta folds into it at trace end,
-	// the replay workers' share at Report — in banking order either
-	// way, which keeps final reports byte-identical for any window
-	// length and worker count.
-	cum *epochAgg
-
 	// windowStore holds the run's windows: the Analyzer is its one local
-	// site. It holds no windows when Options.Window == 0.
+	// site, whose slots are the run's only accumulation. An unwindowed run
+	// is one slot that never closes.
 	*windowStore
 
 	// apps holds the serial (phase A) application state — the Endpoint
@@ -157,11 +151,11 @@ type Analyzer struct {
 	// Everything else application-level accumulates in replayWorkers.
 	apps *appAggregates
 
-	// replayWorkers are the parallel replay's per-worker states. Report
-	// drains them in shard order — a canonical order independent of
-	// where the cuts fell, which is what keeps the cumulative report
-	// byte-identical across window lengths.
-	replayWorkers []*replayWorker
+	// replayWorkers are the replay workers' shards: each holds its
+	// worker's share until a cut (unwindowed, Report's drain) moves it
+	// out, leaving only pairing state. A host pair always hashes to the
+	// same worker, so cross-trace pairing state stays worker-local.
+	replayWorkers []*epochAgg
 	// feed hands each trace to the replay workers while it is read.
 	feed *traceFeed
 
@@ -171,7 +165,7 @@ type Analyzer struct {
 	// once set, every Add* returns it without reading.
 	err error
 
-	// packetsSeen mirrors cum.totalPackets for lock-free progress reads
+	// packetsSeen is the run's packet total, for lock-free progress reads
 	// (the serve-mode health endpoint polls it mid-trace).
 	packetsSeen atomic.Int64
 
@@ -222,7 +216,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 	a := &Analyzer{
 		opts:        opts,
 		registry:    categories.NewRegistry(),
-		cum:         newEpochAgg(),
 		windowStore: newWindowStore(opts.Dataset, opts.Window),
 		apps:        newAppAggregates(),
 		pool:        pcap.NewPool(),
@@ -311,9 +304,10 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	})
 	feed.finish()
 	if err != nil {
-		// The replay shards hold part of the trace's datagrams now:
-		// nothing after this may add to the Analyzer.
+		// The replay shards hold part of the trace's datagrams, banked as
+		// at a trace end: nothing after this may add to the Analyzer.
 		a.err = err
+		feed.abort()
 		return err
 	}
 	a.traceCount++
@@ -340,17 +334,15 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	}()
 
 	// Trace-granular accumulation target: a fresh per-trace delta,
-	// folded into the cumulative aggregate — and banked into the window
-	// containing the trace's last packet — once the trace's event-time
-	// extent (and hence the watermark) is known.
+	// banked into the window containing the trace's last packet once the
+	// trace's event-time extent (and hence the watermark) is known.
 	tgt := newTraceDelta()
 	tgt.totalPackets += res.Packets
 	tgt.traceCount++
 
 	// Degraded-run accounting: the trace's source-error census and the
 	// MaxConns backstop's eviction count ride the same trace-granular
-	// delta as every other accumulator, so window sums reconcile with
-	// the cumulative.
+	// delta as every other accumulator.
 	tgt.capEvicted += res.CapEvicted
 	if len(res.SourceErrors) > 0 {
 		tse := TraceSourceErrors{
@@ -425,7 +417,7 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	// state (RPC binds) for later traces. Bank the delta into the window
 	// of the trace's last packet, then emit what that completes.
 	tgt.apps = fleet.Cut(a.apps)
-	a.finishTrace(a.cum, tgt, maxTS)
+	a.finishTrace(tgt, maxTS)
 	return nil
 }
 
@@ -442,9 +434,9 @@ func (a *Analyzer) ensureFeed() *traceFeed {
 		if n > maxReplayWorkers {
 			n = maxReplayWorkers
 		}
-		a.replayWorkers = make([]*replayWorker, n)
+		a.replayWorkers = make([]*epochAgg, n)
 		for i := range a.replayWorkers {
-			a.replayWorkers[i] = &replayWorker{shard: &epochAgg{connAggregates: *newConnAggregates(), apps: newAppAggregates()}}
+			a.replayWorkers[i] = &epochAgg{connAggregates: *newConnAggregates(), apps: newAppAggregates()}
 		}
 		workers := a.opts.Workers
 		if workers <= 0 {
@@ -459,12 +451,19 @@ func (a *Analyzer) ensureFeed() *traceFeed {
 // aggregate fixed costs outweigh any parallelism.
 const maxReplayWorkers = 64
 
-// drainLocked folds every replay worker's share into the cumulative, in
-// shard order. Callers hold a.mu and must not race an in-flight
-// Add*.
+// drainLocked moves what an unwindowed run's replay workers hold into
+// its one slot, in shard order: they never cut, so that is all they
+// replayed since the last drain. A windowed run's workers have banked
+// every cut by each trace's end. Callers hold a.mu and, unwindowed,
+// must not race an in-flight Add*.
 func (a *Analyzer) drainLocked() {
-	for _, rw := range a.replayWorkers {
-		rw.drain(a.cum)
+	if a.dur > 0 {
+		return
+	}
+	for _, shard := range a.replayWorkers {
+		if d := fleet.Cut(shard); d != nil {
+			fleet.Merge(a.bankedLocked(0), d)
+		}
 	}
 }
 

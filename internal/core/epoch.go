@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,15 +16,13 @@ import (
 )
 
 // epochAgg holds every report-feeding accumulator for one span of event
-// time: the whole run (the cumulative aggregate every Analyzer owns),
-// one trace, or one time window. Every trace accumulates into a fresh
-// per-trace delta that merges into the cumulative aggregate — and, when
-// the run is windowed, into the window's aggregate as well — in banking
-// order, so the cumulative report is byte-identical however the run was
-// cut. It merges by its fields (fleet.Merge): every fold is a sum, a
-// union, an exact distribution merge, or an append in banking order, so
-// folding a partition of deltas reproduces the aggregate that never
-// split.
+// time: one trace, one time window, or the whole run (the fold of its
+// windows). Every trace accumulates into a fresh per-trace delta that
+// merges into the window of its last packet, in banking order, so the
+// cumulative report is byte-identical however the run was cut. It
+// merges by its fields (fleet.Merge): every fold is a sum, a union, an
+// exact distribution merge, or an append in banking order, so folding a
+// partition of deltas reproduces the aggregate that never split.
 type epochAgg struct {
 	// Table 1 accumulators.
 	totalPackets                            int64
@@ -54,23 +54,22 @@ type epochAgg struct {
 	capEvicted int64
 
 	// apps folds banked application deltas: the phase-A residue at each
-	// trace end, and the replay workers' share — their running
-	// cumulatives at Report into the cumulative, their cuts at each join
-	// into a window's, which is sparse (newWindowAgg).
+	// trace end, and the replay workers' cuts (or, unwindowed, their
+	// drained shards) into a window's, which is sparse (newWindowAgg).
 	apps *appAggregates
 }
 
-// newEpochAgg returns an empty aggregate that can be merged into and
-// reported from.
+// newEpochAgg returns an empty aggregate that can be folded into and
+// reported from; it shares nothing with what merges into it.
 func newEpochAgg() *epochAgg {
 	e := newTraceDelta()
 	e.apps = newAppAggregates()
 	return e
 }
 
-// newWindowAgg returns an empty window aggregate: merged into like the
-// cumulative, but sparse — its apps holds a component only once a banked
-// delta has brought one (the merge adopts it).
+// newWindowAgg returns an empty window aggregate: sparse — its apps holds
+// a component only once a banked delta has brought one (the merge adopts
+// it).
 func newWindowAgg() *epochAgg {
 	e := newTraceDelta()
 	e.apps = &appAggregates{}
@@ -132,7 +131,8 @@ type windowDelta struct {
 // higher-sequence snapshot replaces whole (Fleet.Delta). Reads do not
 // tell the two apart: window n's report is built in place from the local
 // site when it alone holds the window, or else from a fold of every
-// holder in site-name order.
+// holder in site-name order, and the cumulative report is the fold of
+// every slot (heldLocked).
 //
 // All access is under mu: the replay workers bank and emit while a trace
 // is still replaying (see handoff), frames land while a fleet serves, and
@@ -170,14 +170,14 @@ type siteState struct {
 	// arrived — the workers' deltas of every trace that touched it, the
 	// trace-granular delta of every trace that ended in it — and stays
 	// open after the window completes: a later trace that overlaps it in
-	// event time banks into it (late data). (The cumulative does not read
-	// these: each worker keeps a running aggregate of everything it cut,
-	// drained at Report.) A remote site's is the latest snapshot it
+	// event time banks into it (late data). An unwindowed run's one slot,
+	// 0, is all of it. A remote site's is the latest snapshot it
 	// delivered, kept as the bytes it arrived in. A window with no slot
 	// reads as emptyWindow.
 	slots map[int]slot
 	// horizon is the highest window the site has banked, delivered,
 	// declared lost, finned through or (local) completed; -1 before any.
+	// An unwindowed run's slot 0 is not a window: it leaves it at -1.
 	horizon int
 	lost    map[int]uint64 // window → seq of its latest LOST declaration
 	fin     bool
@@ -217,13 +217,17 @@ func (sl slot) foldInto(e *epochAgg) {
 	}
 }
 
-// foldSlots folds slots, in order, into a fresh aggregate. The order is
+// foldSlots folds slots, in order, into a fresh aggregate; a single
+// local slot it returns as it is, to be read in place. The order is
 // cut into contiguous runs, one per GOMAXPROCS goroutine, each folded
 // into an aggregate of its own, and the runs' aggregates are merged in
 // order. That is exact because merge is associative — (a⊕b)⊕c renders
 // as a⊕(b⊕c), which FuzzMergeAssociative pins — and every run starts
 // from an empty aggregate, which merges as nothing.
 func foldSlots(slots []slot) *epochAgg {
+	if len(slots) == 1 && slots[0].agg != nil {
+		return slots[0].agg
+	}
 	parts := make([]*epochAgg, max(1, min(runtime.GOMAXPROCS(0), len(slots))))
 	run := func(i int) {
 		e := newEpochAgg()
@@ -300,19 +304,20 @@ func (st *windowStore) bankedLocked(n int) *epochAgg {
 		sl.agg = newWindowAgg()
 		s.slots[n] = sl
 	}
-	s.horizon = max(s.horizon, n)
+	if st.dur > 0 {
+		s.horizon = max(s.horizon, n)
+	}
 	return sl.agg
 }
 
 // bankDeltas merges worker deltas into their windows, in the order
 // given; the hand-off gives every delta of a batch of windows, shard by
 // shard (see handoff). A banked delta is consumed: the window adopts
-// what it lacks by pointer (the worker moved the delta out at the cut
-// and has already copied it into its running cumulative, so nothing
-// else holds it) and merges the rest. Arrival order preserves each host
-// pair's chronological fold (a pair's deltas all come from one shard, in
-// window order), which is what keeps the sum of windows equal to the
-// cumulative aggregate.
+// what it lacks by pointer (the worker moved the delta out at the cut,
+// so nothing else holds it) and merges the rest. Arrival order preserves
+// each host pair's chronological fold (a pair's deltas all come from one
+// shard, in window order), which is what keeps the fold of the windows
+// equal to the aggregate that never split.
 func (st *windowStore) bankDeltas(deltas []windowDelta) {
 	if len(deltas) == 0 {
 		return
@@ -372,24 +377,22 @@ func (st *windowStore) advanceLocked(to time.Time) {
 // The windows the replay workers had all passed are out already.
 //
 // A zero-packet trace has no event time: it banks into the window of
-// the current watermark (so window sums still cover it), or into the
-// cumulative alone when no packet has ever been seen (or the run is not
-// windowed, and so has no clock) — either way the cumulative counts it.
-func (st *windowStore) finishTrace(cum, traceDelta *epochAgg, maxTS time.Time) {
+// the current watermark, and into window 0 when no packet has been seen
+// yet — the clock is not pinned, and every time is in window 0. An
+// unwindowed run has no clock: every trace banks into its one slot, 0.
+// The window keeps the delta's parts; nothing else holds them.
+func (st *windowStore) finishTrace(traceDelta *epochAgg, maxTS time.Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	fleet.Merge(cum, traceDelta)
-	if !st.originSet {
-		return
-	}
 	at := maxTS
 	if at.IsZero() {
 		at = st.local.watermark
 	}
-	// The cumulative copied the delta; the window may keep its parts.
 	fleet.Merge(st.bankedLocked(st.windowOf(at)), traceDelta)
 	clear(st.rendered)
-	st.advanceLocked(maxTS)
+	if st.originSet {
+		st.advanceLocked(maxTS)
+	}
 }
 
 // aggLocked returns window n's aggregate for reading: the local site's
@@ -419,6 +422,24 @@ func (st *windowStore) aggLocked(n int) *epochAgg {
 		}
 	}
 	return foldSlots(held)
+}
+
+// heldLocked lists the slots the cumulative report folds, in the
+// concatenated-trace banking order: every site in name order, each
+// site's slots in window order, and of a finned site only the windows up
+// to its FIN. An Analyzer's report and a Fleet's both fold this list.
+// Callers hold st.mu.
+func (st *windowStore) heldLocked() []slot {
+	var held []slot
+	for _, name := range st.siteNamesLocked() {
+		s := st.sites[name]
+		for _, w := range slices.Sorted(maps.Keys(s.slots)) {
+			if !s.fin || w <= s.finMax {
+				held = append(held, s.slots[w])
+			}
+		}
+	}
+	return held
 }
 
 // windowReportLocked renders window n, labelled with its span
@@ -522,8 +543,8 @@ func (st *windowStore) windowJSON(n int) ([]byte, error) {
 // WindowReports builds every window's report in window order, empty
 // windows included — the canonical windowed view of the run: late
 // banked data is reflected regardless of when (or whether) a window was
-// emitted, and the sum of these windows merges to the cumulative
-// report, since every banked quantity lives in exactly one window. Nil
+// emitted, and the cumulative report is the fold of these windows,
+// since every banked quantity lives in exactly one window. Nil
 // when there are no windows. Safe for concurrent use with Add* and with
 // arriving frames.
 func (st *windowStore) WindowReports() []*WindowReport {

@@ -208,6 +208,49 @@ func TestFailFastAbortIsSticky(t *testing.T) {
 	}
 }
 
+// TestFailFastAbortBanksIntoWindows pins what a FailFast abort leaves
+// in a windowed run. The UDP passes replayed part of the aborted trace
+// while it was read; that part banks into its windows as at a trace end,
+// so the report is still the fold of the run's windows — what a one-site
+// fleet folds from ExportAll — that differs from the report before the
+// abort, and Table 1 counts the completed trace alone.
+func TestFailFastAbortBanksIntoWindows(t *testing.T) {
+	cfg := enterprise.D3()
+	cfg.Scale = 1
+	pkts := gen.GenerateScheduledTrace(enterprise.NewNetwork(cfg), cfg.Monitored[0], 0, gen.DefaultSchedule())
+	prefix := enterprise.SubnetPrefix(cfg.Monitored[0])
+	for _, workers := range []int{1, 4} {
+		sched, err := faults.ParseSpec(fmt.Sprintf("read@%d", len(pkts)/2), faults.Packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &faults.Injector{Schedule: sched}
+		a := NewAnalyzer(Options{Dataset: "abort", PayloadAnalysis: true, Workers: workers, ReplayWorkers: workers, Window: time.Minute})
+		if err := a.AddTraceSource("whole", prefix, pcap.NewSliceSource(pkts)); err != nil {
+			t.Fatal(err)
+		}
+		whole, before := reportBytes(t, a.Report()), a.feed.replayed.Load()
+		if err := a.AddTraceSource("faulted", prefix, in.Wrap(pcap.NewSliceSource(pkts))); err == nil {
+			t.Fatalf("workers=%d: read@%d did not abort the trace", workers, len(pkts)/2)
+		}
+		if a.feed.replayed.Load() == before {
+			t.Fatalf("workers=%d: the aborted trace left nothing in the replay shards; the check would be vacuous", workers)
+		}
+		r := a.Report()
+		if bytes.Equal(reportBytes(t, r), whole) {
+			t.Errorf("workers=%d: the report is the one before the abort: what the aborted trace's replay took in was not banked", workers)
+		}
+		if r.Table1.Traces != 1 {
+			t.Errorf("workers=%d: Table 1 counts %d traces, want the completed one", workers, r.Table1.Traces)
+		}
+		f := NewFleet(FleetConfig{Dataset: "abort"})
+		deliverAll(t, f, "site", a)
+		if !bytes.Equal(reportBytes(t, r), reportBytes(t, f.Report())) {
+			t.Errorf("workers=%d: the report differs from the fold of the exported windows", workers)
+		}
+	}
+}
+
 // TestRunJSONIndependentOfBatchSize is the batch-size axis: batches are
 // the granularity at which the packet stage hands connections and
 // datagrams to the replay, so where they end must not move a byte. A

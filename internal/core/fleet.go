@@ -60,23 +60,18 @@ func (a *Analyzer) FleetHello() fleet.Hello {
 // ExportWindow encodes window n's complete snapshot: the window's
 // aggregate as it stands, read in place. On a windowed analyzer it is
 // safe to call while analysis streams (banking and the export take the
-// same lock). An unwindowed run is one unbounded window:
-// it exports the drained cumulative as window 0, and like Report must
-// not race an in-flight Add*. The error path is an encoding bug or an
-// out-of-range window, never data-dependent.
+// same lock). An unwindowed run is one unbounded window: it exports its
+// one slot, drained, as window 0, and like Report must not race an
+// in-flight Add*. The error path is an encoding bug or an out-of-range
+// window, never data-dependent.
 func (a *Analyzer) ExportWindow(n int) (WindowExport, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if max := a.exportCountLocked() - 1; n < 0 || n > max {
 		return WindowExport{}, fmt.Errorf("window %d out of range (max %d)", n, max)
 	}
-	e := a.cum
-	if a.dur > 0 {
-		e = a.aggLocked(n)
-	} else {
-		a.drainLocked()
-	}
-	payload, err := fleet.Marshal(e)
+	a.drainLocked()
+	payload, err := fleet.Marshal(a.aggLocked(n))
 	if err != nil {
 		return WindowExport{}, err
 	}
@@ -316,59 +311,54 @@ func (f *Fleet) Report() *Report {
 }
 
 func (f *Fleet) reportLocked() *Report {
-	var held []slot
-	census := f.censusLocked(&held)
-	r := buildReport(f.dataset, foldSlots(held), nil)
-	if len(census.Sites) > 0 {
+	r := buildReport(f.dataset, foldSlots(f.heldLocked()), nil)
+	if census := f.censusLocked(); len(census.Sites) > 0 {
 		r.Fleet = census
 	}
 	return r
 }
 
+// owes is the last window the site owes the fleet: a finned site exactly
+// windows 0..finMax; a site still running (or dead) is measured against
+// the fleet's last window, maxW — what it has not delivered yet is what
+// the merged report is missing.
+func (s *siteState) owes(maxW int) int {
+	if s.fin {
+		return s.finMax
+	}
+	return maxW
+}
+
+// lostAt reports whether window w is lost: declared lost and never
+// delivered, or declared lost under a newer sequence than its best
+// delivery — the canonical re-export was evicted, so the stale
+// provisional snapshot folds (best effort) but the window's data is
+// incomplete. The census and Status both count by it.
+func (s *siteState) lostAt(w int) bool {
+	lostSeq, hasLost := s.lost[w]
+	sl, delivered := s.slots[w]
+	return hasLost && (!delivered || lostSeq > sl.seq)
+}
+
 // censusLocked walks every (site, window) the fleet is owed and takes the
-// degradation census; given a non-nil held it also appends every
-// delivered snapshot to it on the way, in fold order. One walk serves
-// both, so the report and the status views can never disagree about
-// which windows were counted — but only Report pays for the fold: Status
-// answers /healthz polls and the FinalReady gate under the same mutex
-// Delta needs, and a fold merges every epoch the fleet holds. Callers
-// hold f.mu.
-func (f *Fleet) censusLocked(held *[]slot) *FleetReport {
+// degradation census. It lists every missing window, so its cost follows
+// the window horizon; only Report takes it. Callers hold f.mu.
+func (f *Fleet) censusLocked() *FleetReport {
 	census := &FleetReport{}
 	maxW := f.countLocked() - 1
-	known := make(map[string]bool, len(f.sites))
 	for _, name := range f.siteNamesLocked() {
-		known[name] = true
 		s := f.sites[name]
 		sr := FleetSiteReport{Site: name, Fin: s.fin}
-		// A finned site owes exactly windows 0..finMax; a site still
-		// running (or dead) is measured against the fleet's horizon —
-		// what it has not delivered yet is what the merged report is
-		// missing.
-		horizon := maxW
-		if s.fin {
-			horizon = s.finMax
-		}
-		for w := 0; w <= horizon; w++ {
-			dw, delivered := s.slots[w]
-			lostSeq, hasLost := s.lost[w]
+		for w, owed := 0, s.owes(maxW); w <= owed; w++ {
+			_, delivered := s.slots[w]
 			switch {
-			case delivered:
-				// A LOST declaration newer than the best delivery means
-				// the canonical re-export was evicted: fold the stale
-				// provisional snapshot (best effort) but census it as
-				// lost — the data for this window is incomplete.
-				if hasLost && lostSeq > dw.seq {
-					sr.LostWindows = append(sr.LostWindows, w)
-				}
-				if held != nil {
-					*held = append(*held, dw)
-				}
-				sr.Windows++
-			case hasLost:
+			case s.lostAt(w):
 				sr.LostWindows = append(sr.LostWindows, w)
-			default:
+			case !delivered:
 				sr.MissingWindows = append(sr.MissingWindows, w)
+			}
+			if delivered {
+				sr.Windows++
 			}
 		}
 		if len(sr.LostWindows) > 0 || len(sr.MissingWindows) > 0 {
@@ -378,7 +368,7 @@ func (f *Fleet) censusLocked(held *[]slot) *FleetReport {
 	// Expected sites that never connected: everything the fleet knows
 	// about is missing from them.
 	for _, name := range f.expect {
-		if known[name] {
+		if f.sites[name] != nil {
 			continue
 		}
 		sr := FleetSiteReport{Site: name}
@@ -458,27 +448,30 @@ type FleetSiteStatus struct {
 	LastDelivery time.Time // wall clock of the site's last frame
 }
 
-// Status snapshots the fleet's liveness state. It takes the census
-// without the fold: its cost follows the number of sites and windows,
-// not the size of the snapshots.
+// Status snapshots the fleet's liveness state. It neither folds nor
+// walks the window horizon: it counts each site's lost windows from its
+// LOST declarations, so its cost follows the sites and those
+// declarations, not the window indices or the size of the snapshots.
 func (f *Fleet) Status() FleetStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	census := f.censusLocked(nil)
-	lostBySite := make(map[string]int, len(census.Sites))
-	for _, sr := range census.Sites {
-		lostBySite[sr.Site] = len(sr.LostWindows)
-	}
-	st := FleetStatus{Window: f.dur, Windows: f.countLocked(), FinalReady: f.finalReadyLocked()}
+	maxW := f.countLocked() - 1
+	st := FleetStatus{Window: f.dur, Windows: maxW + 1, FinalReady: f.finalReadyLocked()}
 	var minWM, maxWM time.Time
 	for _, name := range f.siteNamesLocked() {
 		s := f.sites[name]
+		lost := 0
+		for w := range s.lost {
+			if w <= s.owes(maxW) && s.lostAt(w) {
+				lost++
+			}
+		}
 		row := FleetSiteStatus{
 			Site:         name,
 			Connected:    s.connected,
 			Fin:          s.fin,
 			Windows:      len(s.slots),
-			LostWindows:  lostBySite[name],
+			LostWindows:  lost,
 			Watermark:    s.watermark,
 			LastDelivery: s.lastSeen,
 		}

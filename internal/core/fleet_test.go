@@ -414,7 +414,7 @@ func syntheticFleet(t *testing.T, sites, windows int) *Fleet {
 	return f
 }
 
-// TestFleetStatusDoesNotFold pins Status as census-only. It answers
+// TestFleetStatusDoesNotFold pins Status as fold-free. It answers
 // every /healthz poll and finalJSON's FinalReady gate under the mutex
 // Delta needs; when it folded every delivered snapshot to count lost
 // windows, its allocations followed sites × windows (here one merged
@@ -441,10 +441,42 @@ func TestFleetStatusDoesNotFold(t *testing.T) {
 	}
 }
 
-// TestFleetStatusMatchesReportCensus pins that Status (the census
-// alone) and Report (the census taken while folding) name the same
-// degradation, case by case. They come from one walk, so this holds by
-// construction; the table keeps it that way.
+// TestFleetStatusCostIgnoresTheHorizon pins /healthz's cost to the sites
+// and their LOST declarations. When Status took the census it listed
+// every window a site owed, under the mutex every Delta needs: one DELTA
+// for window 10⁷ made each poll list ten million missing windows for
+// the site still running.
+func TestFleetStatusCostIgnoresTheHorizon(t *testing.T) {
+	const far = 10_000_000
+	f := NewFleet(FleetConfig{Dataset: "fleet", ExpectSites: []string{"site-a", "site-b"}})
+	for _, site := range []string{"site-a", "site-b"} {
+		if err := f.Hello(site, syntheticHello()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Delta("site-a", far, 1, 0, syntheticSnapshot(t, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Lost("site-b", 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := f.Status()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("one Status allocated %d bytes after a DELTA for window %d; it should not depend on the window index", got, far)
+	}
+	if st.Windows != far+1 || st.LostWindows != 1 || st.FinalReady {
+		t.Errorf("status %+v, want %d windows, 1 lost, not final", st, far+1)
+	}
+}
+
+// TestFleetStatusMatchesReportCensus pins that Status (lost windows
+// counted from each site's LOST declarations) and Report (the census
+// walked over every window a site owes) name the same degradation, case
+// by case. Both count by one rule (siteState.lostAt, up to
+// siteState.owes); the table keeps them agreeing.
 func TestFleetStatusMatchesReportCensus(t *testing.T) {
 	type want struct {
 		lost, missing map[string][]int // per census site
@@ -525,13 +557,6 @@ func TestFleetStatusMatchesReportCensus(t *testing.T) {
 			st, census := f.Status(), f.Report().Fleet
 			if census == nil {
 				census = &FleetReport{}
-			}
-
-			f.mu.Lock()
-			bare, folded := f.censusLocked(nil), f.censusLocked(new([]slot))
-			f.mu.Unlock()
-			if !reflect.DeepEqual(bare, folded) {
-				t.Errorf("the census differs with the fold:\nwithout %+v\n   with %+v", bare, folded)
 			}
 
 			lost, missing := map[string][]int{}, map[string][]int{}

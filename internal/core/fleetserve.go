@@ -106,13 +106,12 @@ type fleetSiteHealth struct {
 	LastDeliveryAgeSeconds float64 `json:",omitempty"`
 }
 
-// healthz merges nothing, but it is not free: Status takes the census,
-// which walks every window index from 0 to the horizon for every site —
-// empty indices included — while it holds the fleet's mutex, the one
-// every arriving Delta needs. A poll's cost is the span of window
-// indices times the sites, not the windows held or what the snapshots
-// weigh (ROADMAP item 14). Everything it reports comes from that one
-// Status, so no frame can land between two of its fields.
+// healthz merges nothing and walks no window range: Status counts each
+// site's lost windows from its LOST declarations, under the fleet's
+// mutex, the one every arriving Delta needs. A poll's cost follows the
+// sites and those declarations, not the span of window indices, the
+// windows held or what the snapshots weigh. Everything it reports comes
+// from that one Status, so no frame can land between two of its fields.
 func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 	st := s.f.Status()
 	h := fleetHealth{

@@ -44,8 +44,9 @@ import (
 // every stateful pairing domain (DNS/NBNS transaction matching, NFS/NCP
 // call-reply pairing, per-host-pair outcome folding) lives wholly inside
 // one worker and is processed there in global order; each worker
-// accumulates into its own appAggregates shard. Report drains the
-// workers in shard order, and because every merged quantity is either
+// accumulates into its own appAggregates shard. The shards bank into
+// the windows in shard order (an unwindowed run's drain into its one
+// slot at Report), and because every merged quantity is either
 // commutative or pair-contained, the report is byte-identical for any
 // replay worker count.
 //
@@ -56,7 +57,7 @@ import (
 // connection pass. Phase B also carries the connection-level
 // accumulation that used to run serially after replay: the Table
 // 3/Figure 1/origin sums (commutative) ride beside the worker's shard
-// and drain with it.
+// and are cut with it.
 //
 // replayApps returns after phase A with phase B in flight; the caller
 // runs work that is independent of the per-shard state (trace load
@@ -133,7 +134,7 @@ func (a *Analyzer) replayApps(f *traceFeed, kept []bool, maxTS time.Time) (join 
 	trace := a.traceCount
 	h := newHandoff(a.windowStore, nshard, maxTS)
 	run := func(w int) {
-		ap := workers[w].shard.apps
+		ap := workers[w].apps
 		// processConn replays one connection into the worker's current
 		// aggregates.
 		processConn := func(i int32, ca *connAggregates) {
@@ -189,52 +190,6 @@ func (a *Analyzer) replayApps(f *traceFeed, kept []bool, maxTS time.Time) (join 
 	return wg.Wait
 }
 
-// replayWorker is one replay worker's state. It persists across traces:
-// a host pair always hashes to the same worker, so cross-trace pairing
-// state (DNS retries, RPC binds) stays worker-local.
-type replayWorker struct {
-	// shard accumulates the worker's share of the replay — its
-	// application aggregate and the connection-level sums beside it —
-	// until a cut moves what it banked out; only pairing state survives a
-	// cut.
-	shard *epochAgg
-	// cum is the running cumulative of everything the worker has cut
-	// (nil until its first cut): it folds its own deltas in, lock-free
-	// and parallel with the other workers.
-	cum *epochAgg
-}
-
-// closeWindow moves everything the worker banked since its last cut out
-// of its shard: a copy goes into the worker's running cumulative, and the
-// delta itself onto deltas, for window — the one it is banked under — to
-// keep.
-func (rw *replayWorker) closeWindow(deltas []windowDelta, window int) []windowDelta {
-	d := fleet.Cut(rw.shard)
-	if d == nil {
-		return deltas
-	}
-	if rw.cum == nil {
-		rw.cum = newEpochAgg()
-	}
-	fleet.Merge(rw.cum, d)
-	return append(deltas, windowDelta{window: window, delta: d})
-}
-
-// drain moves everything the worker holds into e: its running
-// cumulative first, then whatever it has banked since its last cut — on
-// an unwindowed run, where workers never cut, that is everything. Moving
-// keeps the drain idempotent: a report mid-run consumes only what has
-// been banked since the previous one.
-func (rw *replayWorker) drain(e *epochAgg) {
-	if rw.cum != nil {
-		fleet.Merge(e, rw.cum)
-		rw.cum = nil
-	}
-	if d := fleet.Cut(rw.shard); d != nil {
-		fleet.Merge(e, d)
-	}
-}
-
 // replayShard is one worker's connection pass over its share of a
 // trace, after its UDP pass (traceFeed.replayUDP) has replayed the
 // shard's datagrams in arrival order — the order the sequential path
@@ -259,21 +214,21 @@ func (rw *replayWorker) drain(e *epochAgg) {
 // Workers never wait for each other to replay (a lagging worker cuts
 // late, and holds the windows it has not passed); one that is done banks
 // for the rest (see handoff).
-func (a *Analyzer) replayShard(rw *replayWorker, h *handoff, w int, conns []*flows.Conn, connIdx []int32, c *shardCuts, processConn func(int32, *connAggregates)) {
+func (a *Analyzer) replayShard(shard *epochAgg, h *handoff, w int, conns []*flows.Conn, connIdx []int32, c *shardCuts, processConn func(int32, *connAggregates)) {
 	c.floor = 0
 	frontier := -1
 	for _, i := range connIdx {
-		c.enter(rw, a.windowStore, conns[i].Start)
+		c.enter(shard, a.windowStore, conns[i].Start)
 		if c.cur != frontier {
 			frontier = c.cur
 			h.publish(w, c.deltas, frontier)
 			clear(c.deltas) // banked by move: the window owns them now
 			c.deltas = c.deltas[:0]
 		}
-		processConn(i, &rw.shard.connAggregates)
+		processConn(i, &shard.connAggregates)
 	}
 	if a.dur > 0 && c.cur >= 0 {
-		c.deltas = rw.closeWindow(c.deltas, c.cur)
+		c.cut(shard)
 	}
 	h.publish(w, c.deltas, passedAll)
 }
@@ -289,12 +244,20 @@ type shardCuts struct {
 
 // enter moves the shard into the window of ts (never below the pass's
 // floor), cutting what it banked in the window it leaves.
-func (c *shardCuts) enter(rw *replayWorker, st *windowStore, ts time.Time) {
+func (c *shardCuts) enter(shard *epochAgg, st *windowStore, ts time.Time) {
 	c.floor = max(c.floor, st.windowOf(ts))
 	if c.cur >= 0 && c.floor != c.cur {
-		c.deltas = rw.closeWindow(c.deltas, c.cur)
+		c.cut(shard)
 	}
 	c.cur = c.floor
+}
+
+// cut moves everything the shard banked since its last cut out, onto the
+// deltas, for the window it is in to keep.
+func (c *shardCuts) cut(shard *epochAgg) {
+	if d := fleet.Cut(shard); d != nil {
+		c.deltas = append(c.deltas, windowDelta{window: c.cur, delta: d})
+	}
 }
 
 // traceFeed is the hand-off from the packet stage to the replay shards
@@ -328,7 +291,7 @@ func (c *shardCuts) enter(rw *replayWorker, st *windowStore, ts time.Time) {
 // has grown them.
 type traceFeed struct {
 	st      *windowStore
-	workers []*replayWorker
+	workers []*epochAgg
 	// replayed counts the datagrams the UDP passes have replayed, across
 	// traces. It moves while a trace is read; the test that the pass runs
 	// during the read watches it.
@@ -420,7 +383,7 @@ type udpPass struct {
 	cuts shardCuts
 }
 
-func newTraceFeed(st *windowStore, workers []*replayWorker, pipelineShards int) *traceFeed {
+func newTraceFeed(st *windowStore, workers []*epochAgg, pipelineShards int) *traceFeed {
 	n := len(workers)
 	f := &traceFeed{
 		st:      st,
@@ -465,6 +428,23 @@ func (f *traceFeed) reset() {
 		clear(p.cuts.deltas)
 		p.cuts = shardCuts{cur: -1, deltas: p.cuts.deltas[:0]}
 	}
+}
+
+// abort banks what the UDP passes took in of a trace whose read failed,
+// as its end would have: each pass's pending cuts and, windowed, what its
+// worker holds in the window the pass is in, shard by shard. An
+// unwindowed run's workers never cut: Report drains what they hold.
+// Callers have stopped the passes (finish).
+func (f *traceFeed) abort() {
+	var deltas []windowDelta
+	for r, shard := range f.workers {
+		c := &f.passes[r].cuts
+		if f.st.dur > 0 && c.cur >= 0 {
+			c.cut(shard)
+		}
+		deltas = append(deltas, c.deltas...)
+	}
+	f.st.bankDeltas(deltas)
 }
 
 // publish takes pipeline shard q's batch and watermark, empties the
@@ -648,7 +628,7 @@ func (f *traceFeed) replayUDP(r int, all bool) {
 	}
 	f.mu.Unlock()
 
-	rw := f.workers[r]
+	shard := f.workers[r]
 	var n int64
 	for {
 		best, bestIdx := -1, bound
@@ -662,8 +642,8 @@ func (f *traceFeed) replayUDP(r int, all bool) {
 		}
 		ev := &p.runs[best][p.pos[best]]
 		p.pos[best]++
-		p.cuts.enter(rw, f.st, ev.ts)
-		replayUDPEvent(rw.shard.apps, ev)
+		p.cuts.enter(shard, f.st, ev.ts)
+		replayUDPEvent(shard.apps, ev)
 		n++
 	}
 	clear(p.runs)

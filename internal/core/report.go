@@ -373,21 +373,22 @@ type LoadReport struct {
 	EntOver1Pct, WanOver1Pct float64
 }
 
-// Report finalizes all accumulated state into the dataset report. The
-// cumulative aggregate already holds every trace's delta, merged in
-// banking order; the replay workers drain into it here, in shard order,
-// so the report is byte-identical for any window length and worker
+// Report finalizes all accumulated state into the dataset report: the
+// fold of the run's windows, as a one-site Fleet folds them (an
+// unwindowed run's one slot, the replay workers drained into it, is read
+// in place). It is byte-identical for any window length and worker
 // count, however often it is taken. Must not race an in-flight Add*.
 //
 // After an Add* has failed under FailFast (Options.OnError), the report
 // is not one of whole traces: the replay shards had already taken in
-// part of the aborted trace's UDP messages, and they drain with the
-// rest. Stop at the first error to keep only completed traces.
+// part of the aborted trace's UDP messages, and they banked them as at a
+// trace end. Its Table 1 counts the completed traces alone. Stop at the
+// first error to keep only completed traces.
 func (a *Analyzer) Report() *Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.drainLocked()
-	return buildReport(a.opts.Dataset, a.cum, nil)
+	return buildReport(a.opts.Dataset, foldSlots(a.heldLocked()), nil)
 }
 
 // frac is num/den guarded against empty denominators: a quiet window

@@ -243,7 +243,7 @@ func TestServedBytesMatchFreshRender(t *testing.T) {
 		step("finishTrace alone", true, func() {
 			td := newTraceDelta()
 			td.totalPackets, td.traceCount = 7, 1
-			a.finishTrace(a.cum, td, time.Time{})
+			a.finishTrace(td, time.Time{})
 		})
 		step("trace 4, window 0", true, mustAdd(connTrace(4, 10*time.Second)))
 	})

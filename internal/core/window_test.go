@@ -207,6 +207,30 @@ func TestWindowedCountsEmptyTraces(t *testing.T) {
 	}
 }
 
+// TestEmptyFirstTraceBanksIntoWindowZero: a zero-packet trace that
+// comes before any packet has no event time and no pinned clock to place
+// it by, so it banks into window 0 — where every time falls until the
+// clock is pinned — and the windows still fold to the report.
+func TestEmptyFirstTraceBanksIntoWindowZero(t *testing.T) {
+	a := windowedAnalyzer(time.Minute)
+	if err := a.AddTrace(TraceInput{Name: "empty", Monitored: enterprise.SubnetPrefix(5)}); err != nil {
+		t.Fatal(err)
+	}
+	em := gen.NewEmitter(9)
+	emitConn(em, 0, windowTestBase, 0)
+	if err := a.AddTrace(TraceInput{Name: "t", Monitored: enterprise.SubnetPrefix(5), Packets: em.Packets()}); err != nil {
+		t.Fatal(err)
+	}
+	if wr, ok := a.WindowReport(0); !ok || wr.Report.Table1.Traces != 2 {
+		t.Fatalf("window 0 (present %v) does not count both traces", ok)
+	}
+	f := NewFleet(FleetConfig{Dataset: "win"})
+	deliverAll(t, f, "site", a)
+	if !bytes.Equal(reportBytes(t, a.Report()), reportBytes(t, f.Report())) {
+		t.Error("the report differs from the fold of the exported windows")
+	}
+}
+
 // TestWindowedReportsAcrossTraces checks that windows spanning multiple
 // AddTrace calls accumulate correctly and that the watermark only
 // completes windows once their end has passed.
@@ -257,7 +281,7 @@ func TestWindowedReportsAcrossTraces(t *testing.T) {
 // not only their bytes: by the replay workers, as the last of them
 // passes each window, before the trace's join. In a single-trace run
 // every emitted window precedes the trace's last, so every OnWindow call
-// must find the trace-end fold into the cumulative not yet done, and the
+// must find the trace-end delta not yet banked into any window, and the
 // watermark and latest completed window already covering the window it
 // hands over; what it hands over must be exactly what WindowReports()
 // reads at the end (one trace, no late data), and the same bytes at
@@ -278,8 +302,14 @@ func TestWindowsLeaveBehindReplayFrontier(t *testing.T) {
 			ReplayWorkers:   workers,
 			Window:          time.Minute,
 			OnWindow: func(wr *WindowReport) {
-				if n := a.cum.traceCount; n != 0 {
-					t.Errorf("%d workers, window %d: emitted after the trace-end fold (%d traces in the cumulative)", workers, wr.Index, n)
+				a.mu.Lock()
+				n := 0
+				for _, sl := range a.local.slots {
+					n += sl.agg.traceCount
+				}
+				a.mu.Unlock()
+				if n != 0 {
+					t.Errorf("%d workers, window %d: emitted after the trace-end banking (%d traces in the windows)", workers, wr.Index, n)
 				}
 				if got := a.LatestWindowIndex(); got < wr.Index {
 					t.Errorf("%d workers, window %d: latest completed window %d", workers, wr.Index, got)
@@ -327,10 +357,9 @@ func TestWindowsLeaveBehindReplayFrontier(t *testing.T) {
 // way of reading — all windows twice, all exports twice, single windows
 // in between — must equal a fresh analyzer fed the same traces and read
 // once, and every export must decode to the report of its window. The
-// windows are cut from deltas the replay workers also folded into their
-// running cumulatives; the run's final Report() must equal a run that
+// run's final Report() folds those windows and must equal a run that
 // never cut, whatever was read and merged into on the way — a window
-// that still shared anything with a worker would show there.
+// that still shared anything with a worker or a fold would show there.
 func TestWindowReadsInPlace(t *testing.T) {
 	ds := fleetTestDataset(t)
 	analyzer := func(window time.Duration) *Analyzer {

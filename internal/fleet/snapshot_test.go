@@ -12,14 +12,26 @@ import (
 	"enttrace/internal/gen"
 )
 
-// snapshotType digs the epoch snapshot type out of core.Analyzer: the
+// snapshotType digs the epoch snapshot type out of core.Analyzer — the
+// aggregate a local window slot holds (Analyzer.local.slots[n].agg): the
 // type is private to core, and the reference walk is private to this
 // package's tests, so this is the one place both can be had.
 func snapshotType(t *testing.T) reflect.Type {
 	t.Helper()
-	f, ok := reflect.TypeOf((*core.Analyzer)(nil)).Elem().FieldByName("cum")
+	fail := func() {
+		t.Fatal("core.Analyzer no longer keeps its window aggregates at local.slots[n].agg: point this at the type ExportWindow marshals")
+	}
+	local, ok := reflect.TypeOf((*core.Analyzer)(nil)).Elem().FieldByName("local")
+	if !ok || local.Type.Kind() != reflect.Pointer {
+		fail()
+	}
+	slots, ok := local.Type.Elem().FieldByName("slots")
+	if !ok || slots.Type.Kind() != reflect.Map {
+		fail()
+	}
+	f, ok := slots.Type.Elem().FieldByName("agg")
 	if !ok || f.Type.Kind() != reflect.Pointer || f.Type.Elem().Kind() != reflect.Struct {
-		t.Fatal("core.Analyzer no longer keeps its cumulative snapshot in a field named cum: point this at the type ExportWindow marshals")
+		fail()
 	}
 	return f.Type.Elem()
 }
