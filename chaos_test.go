@@ -86,6 +86,7 @@ func TestTruncatedFinalRecordMidRun(t *testing.T) {
 		KnownScanners: enterprise.KnownScanners(),
 		OnError:       pipeline.Degrade,
 	})
+	pool := pcap.NewPool()
 	for _, in := range []struct {
 		name string
 		raw  []byte
@@ -94,7 +95,7 @@ func TestTruncatedFinalRecordMidRun(t *testing.T) {
 		{"torn", truncated},
 		{"healthy-1", healthy},
 	} {
-		if err := a.AddTraceReader(in.name, prefix, bytes.NewReader(in.raw)); err != nil {
+		if err := addPcap(a, in.name, prefix, in.raw, pool); err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 	}

@@ -326,8 +326,8 @@ func runAnalyze(ctx context.Context, c *config, stdout, stderr io.Writer) (err e
 	}
 	// analyzeFile is the one way a trace file is opened: a pooled reader
 	// takes it straight into slabs reused across traces. The file closes
-	// once AddTraceSource returns — the analyzer's borrow contract
-	// consumes every retained view during replay, so nothing outlives it.
+	// once AddTraceSource returns: the analyzer copies what it keeps of a
+	// packet before releasing it, so nothing outlives the call.
 	pool := pcap.NewPool()
 	analyzeFile := func(path string) error {
 		f, err := os.Open(path)

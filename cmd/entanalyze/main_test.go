@@ -24,6 +24,7 @@ import (
 	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
+	"enttrace/internal/pcap"
 )
 
 // d3 is four D3 subnets at scale 0.1 written as pcaps — the split
@@ -339,7 +340,7 @@ func TestUsageErrors(t *testing.T) {
 
 // TestAnalyzeMatchesLibrary holds the file path of the analyze mode to
 // the library: run's JSON is byte for byte what an Analyzer with the same
-// options writes after reading the same files through AddTraceReader.
+// options writes after reading the same files through PooledReaders.
 func TestAnalyzeMatchesLibrary(t *testing.T) {
 	paths := d3Traces(t)[:2]
 	before := runtime.NumGoroutine()
@@ -355,12 +356,16 @@ func TestAnalyzeMatchesLibrary(t *testing.T) {
 		PayloadAnalysis: true,
 		Window:          time.Minute,
 	})
+	pool := pcap.NewPool()
 	for _, path := range paths {
 		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = a.AddTraceReader(path, netip.MustParsePrefix("128.3.0.0/16"), f)
+		rd, err := pcap.NewReader(f)
+		if err == nil {
+			err = a.AddTraceSource(path, netip.MustParsePrefix("128.3.0.0/16"), pcap.NewPooledReader(rd, pool))
+		}
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

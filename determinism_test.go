@@ -7,12 +7,14 @@ package enttrace_test
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
 	"time"
 
 	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
+	"enttrace/internal/pcap"
 )
 
 // analyzeWorkers runs a dataset through the pipeline with the given
@@ -89,17 +91,28 @@ func datasetPcaps(tb testing.TB, ds *gen.Dataset) [][]byte {
 	return raws
 }
 
-// analyzeStream is analyzeWorkers through the streaming entry point —
-// pcap bytes (datasetPcaps) read by AddTraceReader's pooled slab reader —
+// addPcap streams one pcap image into a as entanalyze streams a file: a
+// PooledReader over raw, drawing its slabs from pool, through
+// AddTraceSource.
+func addPcap(a *core.Analyzer, name string, monitored netip.Prefix, raw []byte, pool *pcap.Pool) error {
+	rd, err := pcap.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	return a.AddTraceSource(name, monitored, pcap.NewPooledReader(rd, pool))
+}
+
+// analyzeStream is analyzeWorkers through the file path — pcap bytes
+// (datasetPcaps) read by a pooled slab reader, one pool for the run —
 // which is where per-packet read allocations live; analyzeGrid hands
 // the pipeline pre-built packets. It is the body of both
 // BenchmarkPipelineStream* and the pipeline/stream rows of
 // TestAllocationCeilings, so the two cannot drift.
 func analyzeStream(tb testing.TB, ds *gen.Dataset, raws [][]byte, workers int) *core.Report {
 	tb.Helper()
-	a := datasetAnalyzer(ds, workers, 0, 0)
+	a, pool := datasetAnalyzer(ds, workers, 0, 0), pcap.NewPool()
 	for i, tr := range ds.Traces {
-		if err := a.AddTraceReader(tr.Prefix.String(), tr.Prefix, bytes.NewReader(raws[i])); err != nil {
+		if err := addPcap(a, tr.Prefix.String(), tr.Prefix, raws[i], pool); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -65,10 +65,11 @@ var (
 	replayAxis  = Axis{"replay", []any{1, 4, 8}, func(p *point, v any) { p.replay = v.(int) }}
 	windowAxis  = Axis{"window", []any{time.Duration(0), time.Minute}, func(p *point, v any) { p.window = v.(time.Duration) }}
 	// packets: the generator's in-memory frames; pooled: the slab reader
-	// over pcap bytes (AddTraceReader's); reader: pcap.Reader; map: a
+	// over pcap bytes (entanalyze's file path); reader: pcap.Reader; map: a
 	// MapSource over a copy of the bytes, zeroed once the trace is read;
-	// stream: the schedule generated as it is read.
-	sourceAxis = Axis{"source", []any{"packets", "pooled", "reader", "map", "stream"}, func(p *point, v any) { p.source = v.(string) }}
+	// stream: the schedule generated as it is read; snap68: the input's
+	// reference source with every frame cut to 68 captured bytes.
+	sourceAxis = Axis{"source", []any{"packets", "pooled", "reader", "map", "stream", "snap68"}, func(p *point, v any) { p.source = v.(string) }}
 	// single: one analyzer; fleet: the traces split between two sites
 	// that ship their windows over TCP to one aggregator.
 	topologyAxis = Axis{"topology", []any{"single", "fleet"}, func(p *point, v any) { p.topology = v.(string) }}
@@ -263,6 +264,20 @@ var (
 	evasion = evasionInputs()
 )
 
+// headersOnly is each of ins analyzed without payload analysis, as a
+// header-only (68-byte snaplen) capture is.
+func headersOnly(ins ...*input) []*input {
+	var out []*input
+	for _, in := range ins {
+		out = append(out, &input{name: in.name, source: in.source, build: func(tb testing.TB) *traceSet {
+			s := *in.get(tb)
+			s.opts.PayloadAnalysis = false
+			return &s
+		}})
+	}
+	return out
+}
+
 // scheduleInput is a load schedule on D3's first vantage as one trace;
 // unless it is streamed for reference, a pcap of it too.
 func scheduleInput(name, source string, shape gen.Schedule) *input {
@@ -363,6 +378,11 @@ var table = []row{
 	{test: "TestWindowReportDigests", inputs: []*input{sched1h},
 		at: point{window: time.Minute}, sweep: []Axis{workersAxis.With(1, 2, 4), emitAxis.With("on-window")},
 		extra: []func(*testing.T, point, *result){recordedDigests}},
+	// The snaplen relation: without payload analysis, cutting every frame
+	// to the 68 bytes D1 and D2 were captured at (the wire length kept)
+	// moves no report byte, so nothing on the header path reads payload.
+	{test: "TestSnaplenRelation", inputs: headersOnly(d0, d1, d2, d3, d4),
+		at: point{workers: 2}, sweep: []Axis{windowAxis, sourceAxis.With("snap68")}},
 	// The ledger holds for ordinary traffic too.
 	{test: "TestBenignConservation", inputs: []*input{benign},
 		sweep: []Axis{workersAxis, replayAxis}, extra: []func(*testing.T, point, *result){conserved}},
@@ -380,6 +400,7 @@ func TestEvasionGrid(t *testing.T)                         { runRows(t) }
 func TestBenignConservation(t *testing.T)                  { runRows(t) }
 func TestMidRunReportsLeaveFinalUnchanged(t *testing.T)    { runRows(t) }
 func TestWindowReportDigests(t *testing.T)                 { runRows(t) }
+func TestSnaplenRelation(t *testing.T)                     { runRows(t) }
 
 // runRows runs the table's rows for the calling test: a subtest per
 // input where the test reads several, and one per axis value.
@@ -589,12 +610,35 @@ func (p point) open(s *traceSet, i int, pool *pcap.Pool) (src pcap.PacketSource,
 		image = bytes.Clone(s.raws[i])
 		src, err = pcap.NewMapSource(image)
 		return src, image, err
+	case "snap68":
+		q := p
+		q.source = p.in.source
+		src, image, err = q.open(s, i, pool)
+		return snap68Source{src}, image, err
 	}
 	rd, err := pcap.NewReader(bytes.NewReader(s.raws[i]))
 	if err != nil || p.source == "reader" {
 		return rd, nil, err
 	}
 	return pcap.NewPooledReader(rd, pool), nil, nil
+}
+
+// snap68Source is inner as a capture with a 68-byte snaplen would have
+// recorded it: every frame cut to its first 68 bytes, OrigLen kept. The
+// cut frame is a copy, so inner's packets go back as soon as it is taken.
+type snap68Source struct{ inner pcap.PacketSource }
+
+func (s snap68Source) Next() (*pcap.Packet, error) {
+	p, err := s.inner.Next()
+	if err != nil {
+		return nil, err
+	}
+	cut := &pcap.Packet{Timestamp: p.Timestamp, OrigLen: p.OrigLen}
+	cut.Data = bytes.Clone(p.Data[:min(len(p.Data), 68)])
+	if rel, ok := s.inner.(pcap.Releaser); ok {
+		rel.Release(p)
+	}
+	return cut, nil
 }
 
 // runFleet analyzes p's input as two sites and ships their windows to

@@ -191,9 +191,7 @@ func internPipe(b []byte) string {
 	return string(b)
 }
 
-// Category buckets a message per Table 10.
-func Category(m *Message) string { return category(m.Command, m.PipeName) }
-
+// category buckets a message per Table 10.
 func category(command uint8, pipe string) string {
 	switch command {
 	case CmdNegotiate, CmdSessionSetupAndX, CmdLogoffAndX,

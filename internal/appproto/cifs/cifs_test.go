@@ -105,8 +105,8 @@ func TestCategories(t *testing.T) {
 		{Message{Command: 0xEE}, CatOther},
 	}
 	for _, c := range cases {
-		if got := Category(&c.m); got != c.want {
-			t.Errorf("Category(cmd=%#x pipe=%q) = %q, want %q", c.m.Command, c.m.PipeName, got, c.want)
+		if got := category(c.m.Command, c.m.PipeName); got != c.want {
+			t.Errorf("category(cmd=%#x pipe=%q) = %q, want %q", c.m.Command, c.m.PipeName, got, c.want)
 		}
 	}
 }

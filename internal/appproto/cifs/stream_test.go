@@ -100,7 +100,7 @@ func refConsumeSMB(a *Analyzer, sink pipeSink, fromClient bool, buf []byte) {
 		if err != nil || n == 0 {
 			return
 		}
-		cat := Category(m)
+		cat := category(m.Command, m.PipeName)
 		if !m.Response {
 			a.Requests.Inc(cat)
 		}

@@ -19,7 +19,6 @@ package categories
 import (
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 
 	"enttrace/internal/layers"
@@ -214,27 +213,4 @@ func WellKnown(transport uint8, port uint16) string {
 		}
 	}
 	return ""
-}
-
-// PortOf returns the first well-known port for a protocol name. The
-// second result is false for unknown names.
-func PortOf(name string) (uint16, bool) {
-	for i := range wellKnown {
-		if wellKnown[i].Name == name {
-			return wellKnown[i].Ports[0], true
-		}
-	}
-	return 0, false
-}
-
-// Protos returns the protocol names within a category, sorted.
-func Protos(category string) []string {
-	var out []string
-	for i := range wellKnown {
-		if wellKnown[i].Category == category {
-			out = append(out, wellKnown[i].Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -129,23 +129,30 @@ func TestWellKnownIsTheFixedVerdict(t *testing.T) {
 }
 
 func TestPortOf(t *testing.T) {
-	if p, ok := PortOf("SMTP"); !ok || p != 25 {
-		t.Errorf("PortOf(SMTP) = %d, %v", p, ok)
+	if got := WellKnown(layers.ProtoTCP, 25); got != "SMTP" {
+		t.Errorf("WellKnown(TCP, 25) = %q, want SMTP", got)
 	}
-	if _, ok := PortOf("nonexistent"); ok {
-		t.Error("unknown protocol should return false")
+	for i := range wellKnown {
+		if p := &wellKnown[i]; p.Name == "SMTP" && p.Ports[0] != 25 {
+			t.Errorf("SMTP's first port is %d, want 25", p.Ports[0])
+		}
 	}
 }
 
-func TestProtosByCategory(t *testing.T) {
-	email := Protos(Email)
-	if len(email) != 6 {
-		t.Errorf("email protocols = %v", email)
-	}
-	for i := 1; i < len(email); i++ {
-		if email[i] < email[i-1] {
-			t.Error("protos not sorted")
+// protoCount is the number of well-known protocols in category.
+func protoCount(category string) int {
+	n := 0
+	for i := range wellKnown {
+		if wellKnown[i].Category == category {
+			n++
 		}
+	}
+	return n
+}
+
+func TestProtosByCategory(t *testing.T) {
+	if n := protoCount(Email); n != 6 {
+		t.Errorf("%d email protocols, want 6", n)
 	}
 }
 
@@ -159,7 +166,7 @@ func TestAllCategoriesCovered(t *testing.T) {
 		if !inAll[cat] {
 			t.Errorf("category %q missing from All", cat)
 		}
-		if len(Protos(cat)) == 0 {
+		if protoCount(cat) == 0 {
 			t.Errorf("category %q has no protocols", cat)
 		}
 	}

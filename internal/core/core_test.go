@@ -193,10 +193,21 @@ func TestEndToEndD3Shape(t *testing.T) {
 	}
 }
 
-// TestAddTraceReaderMatchesAddTrace drives the streaming entry point:
-// feeding a serialized pcap through AddTraceReader must produce the same
-// report as handing AddTrace the same packets in memory.
-func TestAddTraceReaderMatchesAddTrace(t *testing.T) {
+// pooledReader is the source entanalyze reads a pcap file through: a
+// PooledReader over raw, drawing its slabs from pool.
+func pooledReader(tb testing.TB, raw []byte, pool *pcap.Pool) *pcap.PooledReader {
+	tb.Helper()
+	rd, err := pcap.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pcap.NewPooledReader(rd, pool)
+}
+
+// TestPooledReaderMatchesAddTrace drives the file path: feeding serialized
+// pcaps to AddTraceSource through PooledReaders over one pool must
+// produce the same report as handing AddTrace the same packets in memory.
+func TestPooledReaderMatchesAddTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end analysis in -short mode")
 	}
@@ -216,6 +227,7 @@ func TestAddTraceReaderMatchesAddTrace(t *testing.T) {
 	// run so both paths see identical timestamps.
 	inMem := newAnalyzer(1)
 	streamed := newAnalyzer(4)
+	pool := pcap.NewPool()
 	for _, tr := range ds.Traces {
 		var buf bytes.Buffer
 		if err := gen.WriteTrace(&buf, cfg, tr); err != nil {
@@ -230,7 +242,7 @@ func TestAddTraceReaderMatchesAddTrace(t *testing.T) {
 		if err := inMem.AddTrace(TraceInput{Name: tr.Prefix.String(), Monitored: tr.Prefix, Packets: trunc}); err != nil {
 			t.Fatal(err)
 		}
-		if err := streamed.AddTraceReader(tr.Prefix.String(), tr.Prefix, &buf); err != nil {
+		if err := streamed.AddTraceSource(tr.Prefix.String(), tr.Prefix, pooledReader(t, buf.Bytes(), pool)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,10 +253,9 @@ func TestAddTraceReaderMatchesAddTrace(t *testing.T) {
 }
 
 // poisonSource wraps a pooled reader and scribbles over every released
-// buffer before it is recycled — unless the analyzer retained it. Any
-// analysis state that kept a slice into an unretained capture buffer
-// (violating the Retain contract) would read 0xAA garbage and change the
-// report.
+// packet before it is recycled. Any analysis state that kept a slice into
+// a capture buffer past Release, instead of copying what it keeps, would
+// read 0xAA garbage and change the report.
 type poisonSource struct{ inner *pcap.PooledReader }
 
 func (s *poisonSource) Next() (*pcap.Packet, error) { return s.inner.Next() }
@@ -252,10 +263,8 @@ func (s *poisonSource) Next() (*pcap.Packet, error) { return s.inner.Next() }
 // Release implements pcap.Releaser. Called from worker goroutines; p is
 // exclusively ours here, so the scribble is race-free.
 func (s *poisonSource) Release(p *pcap.Packet) {
-	if !p.Retained() {
-		for i := range p.Data {
-			p.Data[i] = 0xAA
-		}
+	for i := range p.Data {
+		p.Data[i] = 0xAA
 	}
 	s.inner.Release(p)
 }
@@ -298,11 +307,7 @@ func TestRecycledBufferMutationDoesNotChangeReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range []*Analyzer{poisoned1, poisoned4} {
-			rd, err := pcap.NewReader(bytes.NewReader(raw.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := &poisonSource{inner: pcap.NewPooledReader(rd, nil)}
+			src := &poisonSource{inner: pooledReader(t, raw.Bytes(), nil)}
 			if err := a.AddTraceSource(tr.Prefix.String(), tr.Prefix, src); err != nil {
 				t.Fatal(err)
 			}

@@ -195,13 +195,6 @@ func TestFailFastAbortIsSticky(t *testing.T) {
 		if err := a.AddTrace(TraceInput{Name: "after", Monitored: prefix, Packets: pkts}); err != abort {
 			t.Errorf("workers=%d: AddTrace after the abort returned %v, want %v", workers, err, abort)
 		}
-		r := bytes.NewReader([]byte("not even a pcap header"))
-		if err := a.AddTraceReader("after", prefix, r); err != abort {
-			t.Errorf("workers=%d: AddTraceReader after the abort returned %v, want %v", workers, err, abort)
-		}
-		if r.Len() != len("not even a pcap header") {
-			t.Errorf("workers=%d: AddTraceReader read %d bytes after the abort", workers, len("not even a pcap header")-r.Len())
-		}
 		if got := a.PacketsSeen(); got != seen {
 			t.Errorf("workers=%d: %d packets counted after the abort, %d before", workers, got, seen)
 		}
@@ -281,8 +274,9 @@ func TestRunJSONIndependentOfBatchSize(t *testing.T) {
 					for _, replay := range []int{1, 3} {
 						a := NewAnalyzer(Options{Dataset: name, KnownScanners: enterprise.KnownScanners(), PayloadAnalysis: true,
 							Workers: workers, ReplayWorkers: replay, Window: window, batchSize: batch})
+						pool := pcap.NewPool()
 						for i, raw := range raws {
-							if err := a.AddTraceReader(fmt.Sprint(i), traces[i].Prefix, bytes.NewReader(raw)); err != nil {
+							if err := a.AddTraceSource(fmt.Sprint(i), traces[i].Prefix, pooledReader(t, raw, pool)); err != nil {
 								t.Fatal(err)
 							}
 						}

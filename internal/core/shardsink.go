@@ -203,11 +203,11 @@ func (s *shardSink) Undecodable(idx int64) {
 }
 
 // Packet implements pipeline.Sink. pk may come from a recycled-buffer
-// source, and the sink never retains it: whatever outlives this call is
-// copied out of pk.Data (out-of-order TCP segments, buffered streams and
-// split HTTP heads by reassembly and its consumers, UDP payloads by
-// captureUDP), or a reused buffer would leak other packets' bytes into
-// the analysis.
+// source, and is the source's again once this call returns: whatever
+// outlives it is copied out of pk.Data (out-of-order TCP segments,
+// buffered streams and split HTTP heads by reassembly and its consumers,
+// UDP payloads by captureUDP), or a reused buffer would leak other
+// packets' bytes into the analysis.
 //
 // Nothing here hashes per packet. The host census is taken when a
 // connection is created: every later packet of it names the same two
@@ -391,11 +391,8 @@ func (app *connStreams) release() {
 }
 
 // captureUDP records datagrams for the message-based analyzers, copying
-// each payload into the sink's slab. Retaining the packet instead would
-// pin the reader's whole 256 KiB slab it was parsed out of — thousands
-// of other packets' bytes — for one payload, and make the pool allocate
-// a replacement; the Retain contract stays in pcap for consumers that
-// want it.
+// each payload into the sink's slab: the packet goes back to its source
+// when the batch is released, and its bytes with it.
 func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 	if len(p.Payload) == 0 || !udpAppPorts(p.UDP.SrcPort, p.UDP.DstPort) {
 		return

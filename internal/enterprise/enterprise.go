@@ -283,14 +283,6 @@ func RemoteHost(i int) Host {
 // IsLocal reports whether an address is inside the enterprise.
 func IsLocal(a netip.Addr) bool { return EnterprisePrefix.Contains(a) }
 
-// SubnetOf returns the subnet index of a local address, or -1.
-func SubnetOf(a netip.Addr) int {
-	if !IsLocal(a) {
-		return -1
-	}
-	return int(a.As4()[2])
-}
-
 // SubnetPrefix returns the /24 prefix of a subnet.
 func SubnetPrefix(subnet int) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{128, 3, byte(subnet), 0}), 24)

@@ -85,7 +85,7 @@ func TestNetworkHostPlan(t *testing.T) {
 			t.Fatalf("duplicate address %v", h.Addr)
 		}
 		seen[h.Addr] = true
-		if SubnetOf(h.Addr) != 0 {
+		if !SubnetPrefix(0).Contains(h.Addr) {
 			t.Errorf("host %v not in subnet 0", h.Addr)
 		}
 		if !IsLocal(h.Addr) {
@@ -148,13 +148,10 @@ func TestRemoteHosts(t *testing.T) {
 
 func TestSubnetHelpers(t *testing.T) {
 	a := netip.MustParseAddr("128.3.7.22")
-	if SubnetOf(a) != 7 {
-		t.Errorf("SubnetOf = %d", SubnetOf(a))
-	}
-	if SubnetOf(netip.MustParseAddr("8.8.8.8")) != -1 {
-		t.Error("remote subnet should be -1")
-	}
-	if !SubnetPrefix(7).Contains(a) {
+	if !SubnetPrefix(7).Contains(a) || SubnetPrefix(6).Contains(a) {
 		t.Error("prefix mismatch")
+	}
+	if remote := netip.MustParseAddr("8.8.8.8"); IsLocal(remote) {
+		t.Errorf("%v is local", remote)
 	}
 }

@@ -68,7 +68,3 @@ func (b *Backoff) Next() (time.Duration, bool) {
 // Reset clears the consecutive-failure count — call after a successful
 // connection so the next failure starts from Base again.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt returns the number of consecutive failures since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

@@ -34,12 +34,12 @@ func TestBackoffResetOnSuccess(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Next()
 	}
-	if b.Attempt() != 4 {
-		t.Fatalf("attempt count %d, want 4", b.Attempt())
+	if b.attempt != 4 {
+		t.Fatalf("attempt count %d, want 4", b.attempt)
 	}
 	b.Reset()
-	if b.Attempt() != 0 {
-		t.Fatalf("attempt count after reset %d, want 0", b.Attempt())
+	if b.attempt != 0 {
+		t.Fatalf("attempt count after reset %d, want 0", b.attempt)
 	}
 	d, ok := b.Next()
 	if !ok || d != 10*time.Millisecond {

@@ -145,8 +145,8 @@ func (h *frameHeap) pop() frameRec {
 // Next and Release follow the pooling contract: Next is called from one
 // goroutine; Release is safe from any (the pipeline calls it from the
 // goroutine that calls Next, a batch at a time; other consumers need
-// not). A consumer keeping slices into a frame's Data must call Retain
-// first, as with any pooled source.
+// not). A frame is the source's until Release; a consumer copies what
+// of its Data it keeps, as with any pooled source.
 type StreamSource struct {
 	run     *scheduleRun
 	offsets []time.Duration
@@ -246,9 +246,7 @@ func (s *StreamSource) pop() *pcap.Packet {
 }
 
 // Release implements pcap.Releaser, recycling a frame's buffer once the
-// consumer is done with it (a no-op for retained packets, whose data
-// has escaped into longer-lived analysis state). Safe to call from any
-// goroutine.
+// consumer is done with it. Safe to call from any goroutine.
 func (s *StreamSource) Release(p *pcap.Packet) {
 	s.live.Add(-1)
 	s.pool.Put(p)

@@ -146,20 +146,6 @@ type TCP struct {
 	Urgent           uint16
 }
 
-// FlagStr renders flags as "SA", "F", "R", etc. for diagnostics.
-func (t *TCP) FlagStr() string {
-	buf := make([]byte, 0, 6)
-	for _, fb := range []struct {
-		bit uint8
-		ch  byte
-	}{{TCPSyn, 'S'}, {TCPFin, 'F'}, {TCPRst, 'R'}, {TCPPsh, 'P'}, {TCPAck, 'A'}, {TCPUrg, 'U'}} {
-		if t.Flags&fb.bit != 0 {
-			buf = append(buf, fb.ch)
-		}
-	}
-	return string(buf)
-}
-
 // UDP is a decoded UDP header.
 type UDP struct {
 	SrcPort, DstPort uint16

@@ -49,7 +49,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Errorf("tcp mismatch: %+v", p.TCP)
 	}
 	if p.TCP.Flags != TCPPsh|TCPAck {
-		t.Errorf("flags = %s", p.TCP.FlagStr())
+		t.Errorf("flags = %#x", p.TCP.Flags)
 	}
 	if !bytes.Equal(p.Payload, payload) {
 		t.Errorf("payload = %q", p.Payload)

@@ -13,15 +13,13 @@ import (
 // start, so the walk never refills, and the slab is the caller's, so it
 // is never recycled. It implements PacketSource and Releaser with the
 // same contract as PooledReader: a packet is valid until Release, and
-// consumers keeping slices into Data past the callback must Retain it
-// first.
+// consumers keeping bytes of Data past it copy them.
 //
 // The zero-copy twist is what Release means here. A released packet's
 // Data pointed into the caller's slice, so Release poisons the struct
 // (Data becomes nil) before recycling it: any use-after-release fails
 // loudly with a nil-slice panic instead of silently reading whatever
-// record the view happened to cover. Retained packets are exempt — their
-// views stay valid for as long as the caller keeps the slice.
+// record the view happened to cover.
 //
 // Errors are Reader's record for record, by construction — every source
 // decodes through parseRecord and ends through tornError: a clean end of
@@ -40,7 +38,7 @@ type MapSource struct {
 
 // NewMapSource returns a MapSource over an in-memory pcap image. The
 // slice is borrowed, not copied: it must stay valid (and unmodified)
-// until the source — and every packet retained from it — is done.
+// until the source, and every packet it issued, is done.
 func NewMapSource(data []byte) (*MapSource, error) {
 	if len(data) < globalHeaderLen {
 		return nil, fmt.Errorf("pcap: reading global header: %w", io.ErrUnexpectedEOF)
@@ -53,8 +51,7 @@ func NewMapSource(data []byte) (*MapSource, error) {
 }
 
 // Next implements PacketSource. The returned packet's Data aliases the
-// image — no copy — and is valid until Release (or, if Retained, for as
-// long as the image is).
+// image — no copy — and is valid until Release.
 func (s *MapSource) Next() (*Packet, error) {
 	if s.sticky != nil {
 		return nil, s.sticky
@@ -77,10 +74,9 @@ func (s *MapSource) Next() (*Packet, error) {
 
 // Release implements Releaser. Unlike a buffer-recycling pool, the
 // packet's Data is a borrowed view, so Release poisons it — Data nil,
-// lengths zeroed — before returning the struct for reuse. Retained
-// packets are left untouched, views and all.
+// lengths zeroed — before returning the struct for reuse.
 func (s *MapSource) Release(p *Packet) {
-	if p == nil || p.Retained() {
+	if p == nil {
 		return
 	}
 	p.Data = nil

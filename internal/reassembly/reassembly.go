@@ -54,8 +54,8 @@ import (
 type Consumer interface {
 	// Data delivers the next in-order chunk. The slice borrows either the
 	// caller's segment buffer or a pooled reassembly buffer: it is valid
-	// only until Data returns, mirroring the pcap layer's Retain contract.
-	// A consumer that keeps the bytes must copy them.
+	// only until Data returns, as a pcap packet is its source's until
+	// Release. A consumer that keeps the bytes must copy them.
 	Data(b []byte)
 	// Gap reports that n bytes were skipped (lost to capture or truncation)
 	// before the following Data call.

@@ -114,9 +114,6 @@ func NewDetector() *Detector {
 // vulnerability scanners in the paper's traces) regardless of heuristics.
 func (d *Detector) AddKnown(src netip.Addr) { d.known[src] = true }
 
-// Observe records that src originated a conversation to dst.
-func (d *Detector) Observe(src, dst netip.Addr) { d.observe(src, dst) }
-
 // observe counts one src→dst connection in the pair table, advances
 // src's tracker when the pair is new, and returns the pair's index.
 func (d *Detector) observe(src, dst netip.Addr) int32 {

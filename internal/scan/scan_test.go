@@ -21,7 +21,7 @@ func TestSequentialScannerDetected(t *testing.T) {
 	d := NewDetector()
 	src := netip.MustParseAddr("128.3.2.1")
 	for i := 0; i < 60; i++ {
-		d.Observe(src, addr(i))
+		d.observe(src, addr(i))
 	}
 	if !d.IsScanner(src) {
 		t.Error("ascending sweep of 60 hosts should be a scanner")
@@ -32,7 +32,7 @@ func TestDescendingScannerDetected(t *testing.T) {
 	d := NewDetector()
 	src := netip.MustParseAddr("128.3.2.2")
 	for i := 100; i > 30; i-- {
-		d.Observe(src, addr(i))
+		d.observe(src, addr(i))
 	}
 	if !d.IsScanner(src) {
 		t.Error("descending sweep should be a scanner")
@@ -46,7 +46,7 @@ func TestBusyServerNotScanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(200)
 	for _, i := range perm {
-		d.Observe(src, addr(i))
+		d.observe(src, addr(i))
 	}
 	if d.IsScanner(src) {
 		t.Error("random-order contacts misclassified as scanner")
@@ -57,12 +57,12 @@ func TestFewHostsNotScanner(t *testing.T) {
 	d := NewDetector()
 	src := netip.MustParseAddr("10.1.1.1")
 	for i := 0; i < 50; i++ { // exactly the threshold, not above it
-		d.Observe(src, addr(i))
+		d.observe(src, addr(i))
 	}
 	if d.IsScanner(src) {
 		t.Error("50 hosts is not more than 50")
 	}
-	d.Observe(src, addr(50))
+	d.observe(src, addr(50))
 	if !d.IsScanner(src) {
 		t.Error("51 ascending hosts should flip to scanner")
 	}
@@ -73,7 +73,7 @@ func TestDuplicateContactsIgnored(t *testing.T) {
 	src := netip.MustParseAddr("10.2.2.2")
 	// Repeatedly contacting two hosts should never look like a scan.
 	for i := 0; i < 500; i++ {
-		d.Observe(src, addr(i%2))
+		d.observe(src, addr(i%2))
 	}
 	if d.IsScanner(src) {
 		t.Error("two hosts contacted repeatedly misclassified")
@@ -112,7 +112,7 @@ func TestScannersSorted(t *testing.T) {
 			continue
 		}
 		for i := 0; i < 60; i++ {
-			d.Observe(src, addr(i))
+			d.observe(src, addr(i))
 		}
 	}
 	slices.SortFunc(want, netip.Addr.Compare)
@@ -202,7 +202,7 @@ func TestThresholdProperty(t *testing.T) {
 		d := NewDetector()
 		src := netip.MustParseAddr("192.0.2.1")
 		for i := 0; i < n; i++ {
-			d.Observe(src, addr(i))
+			d.observe(src, addr(i))
 		}
 		want := n > d.HostThreshold && n >= d.OrderedThreshold
 		return d.IsScanner(src) == want
@@ -223,11 +223,11 @@ func TestDuplicateInvarianceProperty(t *testing.T) {
 		for i := 0; i < 70; i++ {
 			a := addr(i)
 			firsts = append(firsts, a)
-			d1.Observe(src, a)
-			d2.Observe(src, a)
+			d1.observe(src, a)
+			d2.observe(src, a)
 			// d2 also gets duplicate re-contacts of earlier hosts.
 			if len(firsts) > 1 {
-				d2.Observe(src, firsts[rng.Intn(len(firsts))])
+				d2.observe(src, firsts[rng.Intn(len(firsts))])
 			}
 		}
 		return d1.IsScanner(src) == d2.IsScanner(src)
@@ -245,6 +245,6 @@ func BenchmarkObserve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Observe(srcs[i%100], addr(i%4096))
+		d.observe(srcs[i%100], addr(i%4096))
 	}
 }

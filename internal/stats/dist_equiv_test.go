@@ -44,15 +44,6 @@ func (d *naiveDist) Quantile(q float64) float64 {
 	return d.samples[idx]
 }
 
-func (d *naiveDist) CDFAt(x float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	idx := sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(d.samples))
-}
-
 func (d *naiveDist) CDF(maxPoints int) []CDFPoint {
 	n := len(d.samples)
 	if n == 0 {
@@ -132,12 +123,6 @@ func TestDistMatchesNaive(t *testing.T) {
 		for _, q := range []float64{-1, 0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1, 2} {
 			if got, want := compact.Quantile(q), naive.Quantile(q); !sameFloat(got, want) {
 				t.Fatalf("trial %d (n=%d): Quantile(%v) = %v, want %v", trial, n, q, got, want)
-			}
-		}
-		for i := 0; i < 20; i++ {
-			x := randomSample(rng)
-			if got, want := compact.CDFAt(x), naive.CDFAt(x); got != want {
-				t.Fatalf("trial %d: CDFAt(%v) = %v, want %v", trial, x, got, want)
 			}
 		}
 		for _, pts := range []int{1, 2, 3, 17, 64, 5000} {
@@ -238,12 +223,6 @@ func TestDistMergeMatchesNaive(t *testing.T) {
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1} {
 			if got, want := merged.Quantile(q), naive.Quantile(q); !sameFloat(got, want) {
 				t.Fatalf("trial %d: merged Quantile(%v) = %v, want %v", trial, q, got, want)
-			}
-		}
-		for i := 0; i < 10; i++ {
-			x := randomSample(rng)
-			if got, want := merged.CDFAt(x), naive.CDFAt(x); got != want {
-				t.Fatalf("trial %d: merged CDFAt(%v) = %v, want %v", trial, x, got, want)
 			}
 		}
 	}

@@ -510,23 +510,6 @@ func (d *Dist) Sum() float64 {
 	return sum
 }
 
-// CDFAt returns the empirical CDF evaluated at x: the fraction of samples
-// <= x (NaN samples order before every x, matching the sorted-samples
-// implementation).
-func (d *Dist) CDFAt(x float64) float64 {
-	if d.N() == 0 {
-		return 0
-	}
-	d.ensureCompact()
-	// First distinct value > x.
-	idx := sort.SearchFloat64s(d.vals, math.Nextafter(x, math.Inf(1)))
-	le := d.nan
-	if idx > 0 {
-		le += d.cum[idx-1]
-	}
-	return float64(le) / float64(d.n)
-}
-
 // CDFPoint is one (x, F(x)) point of an empirical CDF.
 type CDFPoint struct {
 	X float64

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,28 +96,11 @@ func TestDistQuantiles(t *testing.T) {
 
 func TestDistEmpty(t *testing.T) {
 	d := NewDist()
-	if d.Quantile(0.5) != 0 || d.Mean() != 0 || d.CDFAt(10) != 0 {
+	if d.Quantile(0.5) != 0 || d.Mean() != 0 {
 		t.Error("empty dist should return zeros")
 	}
 	if d.CDF(10) != nil {
 		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestDistCDFAt(t *testing.T) {
-	d := NewDist()
-	for _, v := range []float64{1, 2, 2, 3} {
-		d.Observe(v)
-	}
-	cases := []struct {
-		x, want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := d.CDFAt(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
 	}
 }
 
@@ -178,39 +160,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			prev = v
 		}
 		return d.Quantile(0) == d.Min() && d.Quantile(1) == d.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CDFAt is a proper CDF — monotone, 0 below min, 1 at max.
-func TestCDFAtProperty(t *testing.T) {
-	f := func(raw []float64, probe float64) bool {
-		d := NewDist()
-		clean := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			d.Observe(v)
-			clean = append(clean, v)
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		sort.Float64s(clean)
-		if d.CDFAt(clean[len(clean)-1]) != 1 {
-			return false
-		}
-		if d.CDFAt(math.Nextafter(clean[0], math.Inf(-1))) != 0 {
-			return false
-		}
-		if math.IsNaN(probe) || math.IsInf(probe, 0) {
-			return true
-		}
-		got := d.CDFAt(probe)
-		return got >= 0 && got <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

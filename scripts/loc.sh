@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Non-test Go lines per package, outside benchmark/ — the count
-# ROADMAP item 4's reduction target is stated in. Raw `wc -l` lines
+# ROADMAP item 5's reduction target is stated in. Raw `wc -l` lines
 # (blank and comment lines included), so the number is reproducible
 # with nothing but coreutils; quote the total when claiming a reduction.
 set -euo pipefail

@@ -106,7 +106,7 @@ func TestSoakScaleEquivalenceAndBoundedMemory(t *testing.T) {
 	}
 
 	ref := soakAnalyzer(cfg, 4, 60*time.Second)
-	if err := ref.AddTraceReader("soak", prefix, bytes.NewReader(scheduledPcap(t, cfg, long))); err != nil {
+	if err := addPcap(ref, "soak", prefix, scheduledPcap(t, cfg, long), nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := runJSON(t, ref); !bytes.Equal(got, want) {
