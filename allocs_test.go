@@ -251,6 +251,34 @@ func TestAllocationCeilings(t *testing.T) {
 		}
 	}
 
+	// The fleet codec over every window of a 60 s-windowed D3 schedule
+	// run, the default shape tiled to an hour (61 windows). A codec op
+	// is handed the run and its window payloads off the counters and
+	// returns what one op does with them.
+	var windowed *core.Analyzer
+	var payloads [][]byte
+	codec := func(op func(tb testing.TB, a *core.Analyzer, payloads [][]byte) func()) setup {
+		return func(tb testing.TB) func() {
+			if windowed == nil {
+				cfg := enterprise.D3()
+				subnet := cfg.Monitored[0]
+				pkts := gen.GenerateScheduledTrace(enterprise.NewNetwork(cfg), subnet, 0, gen.DefaultSchedule().Repeat(time.Hour))
+				windowed = core.NewAnalyzer(core.Options{PayloadAnalysis: true, Window: time.Minute})
+				if err := windowed.AddTrace(core.TraceInput{Name: "codec", Monitored: enterprise.SubnetPrefix(subnet), Packets: pkts}); err != nil {
+					tb.Fatal(err)
+				}
+				exports, err := windowed.ExportAll()
+				if err != nil || len(exports) < 30 {
+					tb.Fatalf("%d windows exported: %v", len(exports), err)
+				}
+				for _, we := range exports {
+					payloads = append(payloads, we.Payload)
+				}
+			}
+			return op(tb, windowed, payloads)
+		}
+	}
+
 	// One op = one MSS-sized chunk handed to a stream parser that is inside
 	// a record body: enter puts a parser there and returns its Data.
 	body := func(enter func() func([]byte)) setup {
@@ -415,6 +443,37 @@ func TestAllocationCeilings(t *testing.T) {
 			}
 		}},
 		{name: "window/close", allocs: 436, bytes: 73517, runs: 50, setup: windowClose},
+		// Marshal a window: one op is an ExportAll, one payload a window
+		// and the slice.
+		{name: "codec/marshal", allocs: 62, bytes: 79488, runs: 10, setup: codec(func(tb testing.TB, a *core.Analyzer, _ [][]byte) func() {
+			return func() {
+				if _, err := a.ExportAll(); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		})},
+		// Fold every window off the wire: one op is Fleet.Report of one
+		// site that delivered them all, the windows folded into one fresh
+		// aggregate and its report built once.
+		{name: "codec/merge-from", allocs: 2796, bytes: 605677, runs: 10, setup: codec(func(tb testing.TB, _ *core.Analyzer, payloads [][]byte) func() {
+			f := core.NewFleet(core.FleetConfig{Dataset: "codec"})
+			for w, p := range payloads {
+				if err := f.Delta("site", w, 1, 0, p); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			return func() { f.Report() }
+		})},
+		// A snapshot is checked on arrival without decoding it.
+		{name: "codec/check", allocs: 0, bytes: 0, runs: 10, setup: codec(func(tb testing.TB, _ *core.Analyzer, payloads [][]byte) func() {
+			return func() {
+				for _, p := range payloads {
+					if err := core.CheckSnapshot(p); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+		})},
 		{name: "serve/window-hit", allocs: 14, bytes: 9228, runs: 100, setup: serveHit("/report/window/0")},
 		{name: "serve/latest-hit", allocs: 11, bytes: 7124, runs: 100, setup: serveHit("/report/latest")},
 		// The hostile-input price: the evasion scenario family through

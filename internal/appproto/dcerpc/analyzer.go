@@ -1,6 +1,7 @@
 package dcerpc
 
 import (
+	"enttrace/internal/fleet"
 	"enttrace/internal/stats"
 )
 
@@ -42,7 +43,7 @@ type Analyzer struct {
 	Requests *stats.Counter
 	Bytes    *stats.Counter
 
-	binds map[ChanKey]UUID `agg:"pairing"`
+	binds fleet.Map[ChanKey, UUID] `agg:"pairing"`
 }
 
 // NewAnalyzer returns an empty analyzer.

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"time"
 
+	"enttrace/internal/fleet"
 	"enttrace/internal/stats"
 )
 
@@ -18,16 +19,16 @@ import (
 // cut reproduces the uncut statistics, provided each (client, server)
 // host pair is fed to one analyzer.
 type Analyzer struct {
-	pending map[pendKey]pend `agg:"pairing"`
+	pending fleet.Map[pendKey, pend] `agg:"pairing"`
 
-	Types   *stats.Counter     // request type mix
-	Rcodes  *stats.Counter     // return code mix (by distinct name+hostpair)
-	Clients *stats.Counter     // requests per client
-	Latency *stats.Dist        // seconds
-	seenOp  map[opKey]struct{} `agg:"pairing"`
+	Types   *stats.Counter             // request type mix
+	Rcodes  *stats.Counter             // return code mix (by distinct name+hostpair)
+	Clients *stats.Counter             // requests per client
+	Latency *stats.Dist                // seconds
+	seenOp  fleet.Map[opKey, struct{}] `agg:"pairing"`
 	// addrNames caches formatted client addresses; a busy client would
 	// otherwise be re-rendered once per request.
-	addrNames map[netip.Addr]string `agg:"pairing"`
+	addrNames fleet.Map[netip.Addr, string] `agg:"pairing"`
 }
 
 type pendKey struct {

@@ -3,6 +3,7 @@ package ncp
 import (
 	"net/netip"
 
+	"enttrace/internal/fleet"
 	"enttrace/internal/stats"
 )
 
@@ -15,11 +16,11 @@ type Analyzer struct {
 	Requests             *stats.Counter
 	Bytes                *stats.Counter
 	ReqSizes, ReplySizes *stats.Dist
-	PerPair              map[[2]netip.Addr]int64
+	PerPair              fleet.Map[[2]netip.Addr, int64]
 	OK, Failed           int64
 
 	// pending pairs replies to requests by (pair, sequence).
-	pending map[pendKey]uint8 `agg:"pairing"`
+	pending fleet.Map[pendKey, uint8] `agg:"pairing"`
 }
 
 type pendKey struct {

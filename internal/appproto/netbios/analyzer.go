@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"time"
 
+	"enttrace/internal/fleet"
 	"enttrace/internal/stats"
 )
 
@@ -19,9 +20,9 @@ type Analyzer struct {
 	Clients   *stats.Counter // requests per client
 	Rcodes    *stats.Counter // per-distinct-operation outcome
 
-	pending   map[pendKey]pendVal   `agg:"pairing"`
-	seenOp    map[opKey]struct{}    `agg:"pairing"`
-	addrNames map[netip.Addr]string `agg:"pairing"`
+	pending   fleet.Map[pendKey, pendVal]   `agg:"pairing"`
+	seenOp    fleet.Map[opKey, struct{}]    `agg:"pairing"`
+	addrNames fleet.Map[netip.Addr, string] `agg:"pairing"`
 }
 
 // opKey identifies one distinct operation (name asked between one host
@@ -105,7 +106,7 @@ func (a *Analyzer) FailureRate() float64 {
 // SSNAnalyzer tracks Session Service handshakes per host pair for the
 // Netbios/SSN success-rate row of Table 9.
 type SSNAnalyzer struct {
-	pairs map[pairKey]ssnOutcome
+	pairs fleet.Map[pairKey, ssnOutcome]
 }
 
 // ssnOutcome is a host pair's handshake outcome: the strongest

@@ -3,6 +3,7 @@ package sunrpc
 import (
 	"net/netip"
 
+	"enttrace/internal/fleet"
 	"enttrace/internal/stats"
 )
 
@@ -24,11 +25,11 @@ type Analyzer struct {
 	// we record the full RPC body which is the analogous quantity).
 	ReqSizes, ReplySizes *stats.Dist
 	// PerPair counts requests per client-server host pair (Figure 7).
-	PerPair map[[2]netip.Addr]int64
+	PerPair fleet.Map[[2]netip.Addr, int64]
 	// OK and Failed count replies by outcome.
 	OK, Failed int64
 
-	pendingProc map[pendKey]uint32 `agg:"pairing"`
+	pendingProc fleet.Map[pendKey, uint32] `agg:"pairing"`
 }
 
 type pendKey struct {

@@ -13,6 +13,7 @@ import (
 	"enttrace/internal/appproto/netbios"
 	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
+	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
 	"enttrace/internal/stats"
@@ -35,12 +36,12 @@ type appAggregates struct {
 	cifs *cifs.Analyzer
 	rpc  *dcerpc.Analyzer
 	// winPairs tracks Table 9 outcomes per (service, host pair).
-	winPairs map[string]map[layers.HostPair]winState
+	winPairs fleet.Map[string, fleet.Map[layers.HostPair, winState]]
 
 	// File services.
 	nfs                        *sunrpc.Analyzer
 	ncp                        *ncp.Analyzer
-	nfsUDP, nfsTCP             map[layers.HostPair]struct{}
+	nfsUDP, nfsTCP             fleet.Map[layers.HostPair, struct{}]
 	ncpConns, ncpKeepAliveOnly int64
 
 	// Email: transport-level per-connection samples.
@@ -80,7 +81,7 @@ func newAppAggregates() *appAggregates {
 		ssn:         netbios.NewSSNAnalyzer(),
 		cifs:        cifs.NewAnalyzer(),
 		rpc:         dcerpc.NewAnalyzer(),
-		winPairs:    make(map[string]map[layers.HostPair]winState),
+		winPairs:    make(fleet.Map[string, fleet.Map[layers.HostPair, winState]]),
 		nfs:         sunrpc.NewAnalyzer(),
 		ncp:         ncp.NewAnalyzer(),
 		nfsUDP:      make(map[layers.HostPair]struct{}),
@@ -243,10 +244,10 @@ func (ap *appAggregates) cifsStreams(key dcerpc.ChanKey, conn *flows.Conn, cli, 
 type emailAgg struct {
 	bytesByProto *stats.Counter
 	// Duration and size distributions keyed by proto+locality.
-	durations map[string]*stats.Dist
-	sizes     map[string]*stats.Dist // client→server for SMTP, server→client for IMAP
+	durations fleet.Map[string, *stats.Dist]
+	sizes     fleet.Map[string, *stats.Dist] // client→server for SMTP, server→client for IMAP
 	// Host-pair outcomes per proto+locality.
-	pairs map[string]map[pairOutcome]struct{}
+	pairs fleet.Map[string, fleet.Map[pairOutcome, struct{}]]
 	// Parsed SMTP outcomes.
 	smtpAccepted, smtpRejected int64
 }
@@ -256,7 +257,7 @@ func newEmailAgg() *emailAgg {
 		bytesByProto: stats.NewCounter(),
 		durations:    make(map[string]*stats.Dist),
 		sizes:        make(map[string]*stats.Dist),
-		pairs:        make(map[string]map[pairOutcome]struct{}),
+		pairs:        make(fleet.Map[string, fleet.Map[pairOutcome, struct{}]]),
 	}
 }
 
@@ -346,19 +347,19 @@ func successRate(set map[pairOutcome]struct{}, wan bool) (float64, int) {
 // and success-rate statistics.
 type httpAgg struct {
 	// Transport-level (all datasets).
-	connPairs        map[pairOutcome]struct{}
-	httpsConnsByPair map[layers.HostPair]int64
+	connPairs        fleet.Map[pairOutcome, struct{}]
+	httpsConnsByPair fleet.Map[layers.HostPair, int64]
 
 	// Payload-level (full-snaplen datasets).
 	intRequests int64 // internal requests (Table 6's denominator)
 	intBytes    int64 // internal response body bytes
-	byClass     map[string]*struct{ Reqs, Bytes int64 }
-	automated   map[netip.Addr]struct{}   // clients seen acting automated
-	fanServers  map[fanEdge]struct{}      // distinct (client, server, locality); fan-out is counted at report time
-	contentReq  map[string]*stats.Counter // locality → content-class requests
-	contentLen  map[string]*stats.Counter // locality → content-class bytes
-	replySizes  map[string]*stats.Dist    // locality → body size dist
-	conditional map[string]*struct{ Cond, Total, CondBytes, Bytes int64 }
+	byClass     fleet.Map[string, *struct{ Reqs, Bytes int64 }]
+	automated   fleet.Map[netip.Addr, struct{}]   // clients seen acting automated
+	fanServers  fleet.Map[fanEdge, struct{}]      // distinct (client, server, locality); fan-out is counted at report time
+	contentReq  fleet.Map[string, *stats.Counter] // locality → content-class requests
+	contentLen  fleet.Map[string, *stats.Counter] // locality → content-class bytes
+	replySizes  fleet.Map[string, *stats.Dist]    // locality → body size dist
+	conditional fleet.Map[string, *struct{ Cond, Total, CondBytes, Bytes int64 }]
 	methods     *stats.Counter
 	statusOK    int64
 	statusAll   int64

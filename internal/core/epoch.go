@@ -27,7 +27,7 @@ type epochAgg struct {
 	// Table 1 accumulators.
 	totalPackets                            int64
 	traceCount                              int
-	monitoredHosts, localHosts, remoteHosts map[netip.Addr]struct{}
+	monitoredHosts, localHosts, remoteHosts fleet.Map[netip.Addr, struct{}]
 
 	// Table 2: network-layer packet counts.
 	netLayer *stats.Counter
@@ -38,9 +38,9 @@ type epochAgg struct {
 	connAggregates
 	removedConns int
 	totalConns   int
-	scanners     map[netip.Addr]struct{}
+	scanners     fleet.Map[netip.Addr, struct{}]
 
-	fanAgg map[netip.Addr]*flows.FanStats // Figure 2
+	fanAgg fleet.Map[netip.Addr, *flows.FanStats] // Figure 2
 
 	load *loadAgg
 

@@ -30,6 +30,10 @@ import (
 // fails the connection instead of mis-merging silently.
 func SnapshotSchema() uint64 { return fleet.SchemaOf(&epochAgg{}) }
 
+// CheckSnapshot reports whether payload is a window snapshot this build
+// folds, without decoding it: what Fleet.Delta asks of every arrival.
+func CheckSnapshot(payload []byte) error { return fleet.Check[epochAgg](payload) }
+
 // WindowExport is one window's encoded snapshot, ready for
 // Shipper.ShipDelta. Payload is a complete snapshot of the window, not
 // an increment: re-exporting the same window under a higher sequence
@@ -213,7 +217,7 @@ func (f *Fleet) Delta(site string, window int, seq uint64, watermark int64, payl
 	if window < 0 {
 		return fmt.Errorf("site %s: negative window %d", site, window)
 	}
-	if err := fleet.Check[epochAgg](payload); err != nil {
+	if err := CheckSnapshot(payload); err != nil {
 		return fmt.Errorf("site %s window %d: %w", site, window, err)
 	}
 	f.mu.Lock()

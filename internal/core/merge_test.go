@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"enttrace/internal/enterprise"
 	"enttrace/internal/fleet"
 	"enttrace/internal/gen"
+	"enttrace/internal/stats"
 )
 
 // TestMergePlanCoversAggregates pins the plan, not only its output:
@@ -22,6 +25,60 @@ func TestMergePlanCoversAggregates(t *testing.T) {
 	for _, v := range []any{&epochAgg{}, &appAggregates{}} {
 		if err := fleet.MergeError(v); err != nil {
 			t.Errorf("%T: %v", v, err)
+		}
+	}
+}
+
+// TestMapKernelsCoverAggregates: every map the epoch aggregate reaches,
+// pairing state included, is declared a fleet.Map, which the codec has
+// a kernel for, so it encodes, folds and merges without reflection; a
+// map left plain fails by name, and stats.Counter, which cannot declare
+// its map, takes its kernel from the codec. A plain map fails the same
+// way on its own.
+func TestMapKernelsCoverAggregates(t *testing.T) {
+	counter := reflect.TypeFor[stats.Counter]()
+	maps := 0
+	seen := map[reflect.Type]bool{}
+	var walk func(t reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Map:
+			maps++
+			if _, err := fleet.Marshal(reflect.New(typ).Interface()); err != nil {
+				t.Errorf("%s: %v", path, err)
+			}
+			walk(typ.Key(), path+"[key]")
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path)
+		case reflect.Struct:
+			if typ == counter {
+				if _, err := fleet.Marshal(stats.NewCounter()); err != nil {
+					t.Errorf("%s: %v", path, err)
+				}
+				return
+			}
+			for i := range typ.NumField() {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[epochAgg](), "epochAgg")
+	if maps < 20 {
+		t.Fatalf("%d map types in the aggregate: the walk lost its way", maps)
+	}
+	plain := new(map[netip.Addr]struct{})
+	for name, err := range map[string]error{
+		"MergeError": fleet.MergeError(plain),
+		"Marshal":    func() error { _, err := fleet.Marshal(plain); return err }(),
+		"Unmarshal":  fleet.Unmarshal([]byte{0}, plain),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "map[netip.Addr]struct {} has no kernel") {
+			t.Errorf("%s of a plain map: %v, want it to name the type", name, err)
 		}
 	}
 }

@@ -800,7 +800,7 @@ func takeBelow(batch []windowDelta, run *[]windowDelta, lo int) []windowDelta {
 type connAggregates struct {
 	transBytes, transConns *stats.Counter
 	origins                *stats.Counter
-	catBytes, catConns     map[string]*locSplit
+	catBytes, catConns     fleet.Map[string, *locSplit]
 	// hostile is the hostile-input census over this worker's connections
 	// (sums plus one max; see hostileCounters).
 	hostile hostileCounters

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"enttrace/internal/categories"
+	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
 	"enttrace/internal/stats"
 )
@@ -176,7 +177,7 @@ type TraceSourceErrors struct {
 	Trace     string
 	Errors    int64
 	LostBytes int64
-	ByKind    map[string]int64
+	ByKind    fleet.Map[string, int64]
 	// FirstIndex/LastIndex are the packet-stream offsets (packets
 	// delivered before the error) of the trace's first and last errors.
 	FirstIndex, LastIndex int64

@@ -14,11 +14,13 @@
 // sorted by encoded key). Reflection is paid per type, not per value:
 // the first time a type is met it is compiled into a plan (wire form,
 // kept fields, special cases all decided), and values are encoded and
-// decoded by running the plan. A 64-bit schema hash derived from the
-// same plans pins the layout: two builds agree on the hash exactly when
-// they agree on every field name, order, and type in the graph, so a
-// decoder can reject a frame from a mismatched build before touching
-// the payload. See DESIGN.md "Fleet aggregation".
+// decoded by running the plan. A map's plan runs a kernel compiled for
+// its key and value types, so an aggregate declares each of its maps a
+// fleet.Map; a map of any other type fails, naming it. A 64-bit schema
+// hash derived from the same plans pins the layout: two builds agree on
+// the hash exactly when they agree on every field name, order, and type
+// in the graph, so a decoder can reject a frame from a mismatched build
+// before touching the payload. See DESIGN.md "Fleet aggregation".
 //
 // The same plan merges, cuts and tests for emptiness (Merge, Cut), so
 // an aggregate is declared once — its fields — and folds the way it is
@@ -50,8 +52,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"net/netip"
 	"reflect"
-	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -73,11 +75,13 @@ func Marshal(v any) ([]byte, error) {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return nil, errNotPointer
 	}
-	var e encoder
-	if err := planOf(rv.Type().Elem()).enc(&e, rv.UnsafePointer()); err != nil {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.buf = e.buf[:0]
+	if err := planOf(rv.Type().Elem()).enc(e, rv.UnsafePointer()); err != nil {
 		return nil, err
 	}
-	return e.buf, nil
+	return bytes.Clone(e.buf), nil
 }
 
 // Unmarshal decodes Marshal output into v, which must be a non-nil
@@ -276,6 +280,7 @@ func (b planBuilder) plan(t reflect.Type) *plan {
 
 var (
 	timeType          = reflect.TypeOf(time.Time{})
+	addrType          = reflect.TypeFor[netip.Addr]()
 	distType          = reflect.TypeOf(stats.Dist{})
 	counterType       = reflect.TypeOf(stats.Counter{})
 	binaryMarshaler   = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
@@ -283,8 +288,8 @@ var (
 )
 
 // isBinaryCodec reports whether t round-trips through encoding.Binary
-// (Un)Marshaler — netip.Addr and friends. time.Time also qualifies but
-// is matched earlier by identity for a stable schema label.
+// (Un)Marshaler. time.Time and netip.Addr qualify, and the plan builder
+// matches them first, by identity; it refuses any other such type.
 func isBinaryCodec(t reflect.Type) bool {
 	return t.Implements(binaryMarshaler) && reflect.PointerTo(t).Implements(binaryUnmarshaler)
 }
@@ -437,6 +442,14 @@ func (p *plan) cannotMerge(t reflect.Type) {
 	p.mergeErr = fmt.Errorf("cannot merge %s", t)
 }
 
+// fail makes every op of p that can fail — encoding, folding, merging —
+// fail with err.
+func (p *plan) fail(err error) {
+	p.mergeErr = err
+	p.enc = func(*encoder, unsafe.Pointer) error { return err }
+	p.fold = func(*decoder, unsafe.Pointer, mode) error { return err }
+}
+
 // fill compiles t into p: the one place the codec dispatches on type.
 func (b planBuilder) fill(p *plan, t reflect.Type) {
 	// Special cases first: exact wire forms owned by the value's own
@@ -507,38 +520,47 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			return nil
 		}
 		return
-	case isBinaryCodec(t):
+	case t == addrType:
+		// netip.Addr's own binary form, written and read typed:
+		// addresses key most of the aggregate's maps.
 		p.cannotMerge(t)
 		p.schema = label("binary:" + t.String())
 		p.enc = func(e *encoder, v unsafe.Pointer) error {
-			raw, err := reflect.NewAt(t, v).Interface().(encoding.BinaryMarshaler).MarshalBinary()
-			if err != nil {
-				return err
+			a := *(*netip.Addr)(v)
+			switch {
+			case a.Is4():
+				e.uvarint(4)
+				b := a.As4()
+				e.buf = append(e.buf, b[:]...)
+			case a.Is6():
+				e.uvarint(uint64(16 + len(a.Zone())))
+				b := a.As16()
+				e.buf = append(append(e.buf, b[:]...), a.Zone()...)
+			default:
+				e.uvarint(0)
 			}
-			e.bytes(raw)
 			return nil
 		}
-		// A check decodes into a pooled scratch value, so it allocates
-		// nothing.
-		scratch := sync.Pool{New: func() any { return reflect.New(t).Interface() }}
 		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
 			}
-			var x any
-			if m == checking {
-				x = scratch.Get()
-				defer scratch.Put(x)
-			} else {
-				x = reflect.NewAt(t, dst).Interface()
-			}
-			reflect.ValueOf(x).Elem().SetZero()
-			if err := x.(encoding.BinaryUnmarshaler).UnmarshalBinary(raw); err != nil {
+			var a netip.Addr
+			if err := a.UnmarshalBinary(raw); err != nil {
 				return fmt.Errorf("fleet: %s: %w", t, err)
+			}
+			if m == setting {
+				*(*netip.Addr)(dst) = a
 			}
 			return nil
 		}
+		return
+	case isBinaryCodec(t):
+		// Any other type with a binary form of its own: the codec knows
+		// only the two above, and a field walk would not be that form.
+		p.schema = label("binary:" + t.String())
+		p.fail(fmt.Errorf("fleet: %s has a binary form the codec does not know", t))
 		return
 	}
 
@@ -597,14 +619,8 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			return nil
 		}
 	case reflect.Map:
-		key, elem := b.plan(t.Key()), b.plan(t.Elem())
-		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
-			io.WriteString(h, "map[")
-			key.schema(h, seen)
-			io.WriteString(h, "]")
-			elem.schema(h, seen)
-		}
-		mapOps(p, t, key, elem)
+		c, _ := reflect.Zero(t).Interface().(compiler)
+		b.mapPlan(p, t, c)
 	case reflect.Pointer:
 		elem := b.plan(t.Elem())
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
@@ -619,8 +635,17 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			var fp *plan
-			if !skipKind(f.Type.Kind()) {
+			switch {
+			case skipKind(f.Type.Kind()):
+			case t == counterType && f.Type.Kind() == reflect.Map:
+				// A Counter's counts: stats cannot declare them a Map,
+				// as this package imports it.
+				fp = new(plan)
+				b.mapPlan(fp, f.Type, Map[string, int64](nil))
+			default:
 				fp = b.plan(f.Type)
+			}
+			if fp != nil {
 				fields = append(fields, field{name: f.Name, offset: f.Offset, plan: fp})
 			}
 			agg := f.Tag.Get("agg")
@@ -680,7 +705,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			p.leaf = true
 			walk := p.fold
 			p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
-				if m != merging {
+				if m == setting {
 					return walk(d, dst, m)
 				}
 				return foldCounter(d, (*stats.Counter)(dst))
@@ -715,7 +740,8 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 }
 
 // foldCounter folds an encoded stats.Counter — its counts map, then its
-// total — into c key by key through Add, as Counter.Merge does. The
+// total — into c key by key through Add, as Counter.Merge does, or with
+// c nil only checks it: the rules of the field walk, in one loop. The
 // total is read past: Merge adds up the source's counts instead.
 func foldCounter(d *decoder, c *stats.Counter) error {
 	n, _, err := d.count()
@@ -736,7 +762,9 @@ func foldCounter(d *decoder, c *stats.Counter) error {
 		if err != nil {
 			return err
 		}
-		c.Add(string(key), v)
+		if c != nil {
+			c.Add(string(key), v)
+		}
 	}
 	_, err = d.varint()
 	return err
@@ -744,9 +772,8 @@ func foldCounter(d *decoder, c *stats.Counter) error {
 
 // joinOps makes a type with a method Join(T) T — a lattice, such as a
 // precedence fold of outcomes — merge through it. Join is reached by
-// reflection, at one call per value merged: lattice values live in maps,
-// where merging one already reads it out with an allocation, and only
-// for a key the receiver holds (numbers beside mapOps).
+// reflection, at one call per value merged: lattice values live in
+// maps, and merge only under a key the receiver already holds.
 func joinOps(p *plan, t reflect.Type) {
 	j, ok := t.MethodByName("Join")
 	if !ok || p.mergeErr != nil || j.Type.NumIn() != 2 || j.Type.In(1) != t || j.Type.NumOut() != 1 || j.Type.Out(0) != t {
@@ -923,244 +950,29 @@ func pointerOps(p *plan, t reflect.Type, elem *plan) {
 	}
 }
 
-// mapScratch is one map op's iterator and its addressable key and value
-// slots (kp, svp and dvp address them), pooled per map type: a merge
-// runs for every delta banked, and a merge that allocates per call (or,
-// reading a value out with MapIndex, per entry) is what the allocation
-// ceilings refuse.
-type mapScratch struct {
-	it           reflect.MapIter
-	k, sv, dv    reflect.Value
-	kp, svp, dvp unsafe.Pointer
-}
-
-// mapOps: a nil receiver adopts the source's map; otherwise each entry
-// merges into the receiver's, and one the receiver lacks is copied — a
-// pointer's or a map's contents merged into a fresh one. A set entry is
-// only inserted, and a pointer or map value is merged in place, so those
-// maps merge without allocating; any other value (a sum, a lattice) is
-// read out with MapIndex, one allocation per key the receiver already
-// holds: none on the 12 h soak, 39 over a 60 s-windowed D3 run and 31 in
-// a 16-site fleet-fold report (NFS/NCP per-pair sums and the two
-// handshake lattices, for pairs seen in more than one window).
-//
-// Map entries are not addressable: every op copies each entry through
-// the scratch slots. The fold reads each key, and any value not merged
-// in place, into them in setting mode; merging then merges the entry as
-// an iterated one would, and a pointer or map value folds straight into
-// the receiver's, or into a fresh one it lacks. A nil receiver adopts
-// the map set from the wire, unless it is empty.
-func mapOps(p *plan, t reflect.Type, key, elem *plan) {
-	p.mergeErr = elem.mergeErr
-	et := t.Elem()
-	set := et.Size() == 0
-	inPlace := et.Kind() == reflect.Pointer || et.Kind() == reflect.Map
-	pool := sync.Pool{New: func() any {
-		k, sv, dv := reflect.New(t.Key()), reflect.New(et), reflect.New(et)
-		return &mapScratch{k: k.Elem(), sv: sv.Elem(), dv: dv.Elem(), kp: k.UnsafePointer(), svp: sv.UnsafePointer(), dvp: dv.UnsafePointer()}
-	}}
-	release := func(x *mapScratch) {
-		x.it.Reset(reflect.Value{})
-		x.k.SetZero()
-		x.sv.SetZero()
-		x.dv.SetZero()
-		pool.Put(x)
-	}
-	// A map is one pointer word, nil for a nil map. at makes the Value of
-	// the map stored at a field from that word and t's type word, as an
-	// interface holding it is laid out: reflect.NewAt would look *t up in
-	// reflect's type cache, a sync.Map, every time — a tenth of a fleet
-	// fold.
-	zero := reflect.Zero(t).Interface()
-	typeWord := (*[2]unsafe.Pointer)(unsafe.Pointer(&zero))[0]
-	at := func(v unsafe.Pointer) reflect.Value {
-		var m any
-		w := (*[2]unsafe.Pointer)(unsafe.Pointer(&m))
-		w[0], w[1] = typeWord, *(*unsafe.Pointer)(v)
-		return reflect.ValueOf(m)
-	}
-	p.merge = func(dst, src unsafe.Pointer) {
-		if *(*unsafe.Pointer)(src) == nil {
-			return
-		}
-		s := at(src)
-		if s.Len() == 0 {
-			return
-		}
-		if *(*unsafe.Pointer)(dst) == nil {
-			*(*unsafe.Pointer)(dst) = *(*unsafe.Pointer)(src)
-			return
-		}
-		d := at(dst)
-		x := pool.Get().(*mapScratch)
-		for x.it.Reset(s); x.it.Next(); {
-			x.k.SetIterKey(&x.it)
-			if set {
-				d.SetMapIndex(x.k, x.sv)
-				continue
-			}
-			x.sv.SetIterValue(&x.it)
-			cur := d.MapIndex(x.k)
-			if inPlace && cur.IsValid() && cur.IsNil() {
-				cur = reflect.Value{} // a nil entry takes a copy, like a missing one
-			}
-			switch {
-			case cur.IsValid() && inPlace:
-				*(*unsafe.Pointer)(x.dvp) = cur.UnsafePointer()
-			case cur.IsValid():
-				x.dv.Set(cur)
-			case inPlace && x.sv.IsNil():
-				d.SetMapIndex(x.k, x.sv)
-				continue
-			case et.Kind() == reflect.Pointer:
-				x.dv.Set(reflect.New(et.Elem()))
-			case et.Kind() == reflect.Map:
-				x.dv.Set(reflect.MakeMapWithSize(et, x.sv.Len()))
-			default:
-				d.SetMapIndex(x.k, x.sv)
-				continue
-			}
-			elem.merge(x.dvp, x.svp)
-			if !inPlace || !cur.IsValid() {
-				d.SetMapIndex(x.k, x.dv)
-			}
-		}
-		release(x)
-	}
-	p.enc = func(e *encoder, v unsafe.Pointer) error {
-		if !e.flag(*(*unsafe.Pointer)(v) != nil) {
-			return nil
-		}
-		m := at(v)
-		e.uvarint(uint64(m.Len()))
-		// Deterministic order: encode every (key, value) pair into a
-		// scratch buffer, sort the pairs by their key bytes, append.
-		type pair struct{ key, val, end int }
-		var scratch encoder
-		pairs := make([]pair, 0, m.Len())
-		x := pool.Get().(*mapScratch)
-		defer release(x)
-		for x.it.Reset(m); x.it.Next(); {
-			pr := pair{key: len(scratch.buf)}
-			x.k.SetIterKey(&x.it)
-			if err := key.enc(&scratch, x.kp); err != nil {
-				return err
-			}
-			pr.val = len(scratch.buf)
-			x.sv.SetIterValue(&x.it)
-			if err := elem.enc(&scratch, x.svp); err != nil {
-				return err
-			}
-			pr.end = len(scratch.buf)
-			pairs = append(pairs, pr)
-		}
-		slices.SortFunc(pairs, func(x, y pair) int {
-			return bytes.Compare(scratch.buf[x.key:x.val], scratch.buf[y.key:y.val])
-		})
-		for _, pr := range pairs {
-			e.buf = append(e.buf, scratch.buf[pr.key:pr.end]...)
-		}
-		return nil
-	}
-	// foldInPlace folds an entry's pointer or map value into the one the
-	// receiver holds under x.k, or into a fresh one it lacks.
-	foldInPlace := func(d *decoder, dm reflect.Value, x *mapScratch) error {
-		cur := dm.MapIndex(x.k)
-		switch {
-		case cur.IsValid() && !cur.IsNil():
-			*(*unsafe.Pointer)(x.dvp) = cur.UnsafePointer()
-			return elem.fold(d, x.dvp, merging)
-		case d.absent():
-			dm.SetMapIndex(x.k, x.sv) // x.sv is nil here
-			return nil
-		case et.Kind() == reflect.Pointer:
-			x.dv.Set(reflect.New(et.Elem()))
-		default:
-			x.dv.Set(reflect.MakeMap(et))
-		}
-		if err := elem.fold(d, x.dvp, merging); err != nil {
-			return err
-		}
-		dm.SetMapIndex(x.k, x.dv)
-		return nil
-	}
-	p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
-		if m == merging && *(*unsafe.Pointer)(dst) == nil {
-			err := p.fold(d, dst, setting)
-			if err == nil && p.empty(dst) {
-				*(*unsafe.Pointer)(dst) = nil
-			}
-			return err
-		}
-		n, present, err := d.count()
-		if err != nil || !present {
-			if err == nil && m == setting {
-				*(*unsafe.Pointer)(dst) = nil
-			}
-			return err
-		}
-		var dm reflect.Value
-		var x *mapScratch
-		var kp unsafe.Pointer
-		km := checking
-		if m != checking {
-			if m == setting {
-				*(*unsafe.Pointer)(dst) = reflect.MakeMapWithSize(t, n).UnsafePointer()
-			}
-			dm, x = at(dst), pool.Get().(*mapScratch)
-			kp, km = x.kp, setting
-			defer release(x)
-		}
-		var prev []byte
-		for i := range n {
-			start := d.buf
-			if err := key.fold(d, kp, km); err != nil {
-				return err
-			}
-			if err := d.ordered(start, &prev, i == 0); err != nil {
-				return err
-			}
-			switch {
-			case m == checking:
-				err = elem.fold(d, nil, checking)
-			case m == merging && inPlace:
-				err = foldInPlace(d, dm, x)
-			default:
-				// A set entry is inserted; a sum or a lattice merges
-				// into the value the receiver holds, or is inserted.
-				if err = elem.fold(d, x.svp, setting); err != nil {
-					break
-				}
-				v := x.sv
-				if m == merging && !set {
-					if cur := dm.MapIndex(x.k); cur.IsValid() {
-						x.dv.Set(cur)
-						elem.merge(x.dvp, x.svp)
-						v = x.dv
-					}
-				}
-				dm.SetMapIndex(x.k, v)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	p.empty = func(v unsafe.Pointer) bool {
-		return *(*unsafe.Pointer)(v) == nil || at(v).Len() == 0
-	}
-	p.cut = func(dst, src unsafe.Pointer) {
-		if !p.empty(src) {
-			*(*unsafe.Pointer)(dst) = *(*unsafe.Pointer)(src)
-			*(*unsafe.Pointer)(src) = reflect.MakeMap(t).UnsafePointer()
-		}
-	}
-}
-
+// encoder appends a payload to buf. A map encoding into it sorts its
+// entries in sub, which pairs indexes; a map nested in one of those
+// entries sorts its own in sub's sub. One encoder of each depth serves
+// every map at that depth.
 type encoder struct {
-	buf []byte
+	buf   []byte
+	pairs []pair
+	sub   *encoder
 }
+
+// scratch returns e's sub-encoder, emptied.
+func (e *encoder) scratch() *encoder {
+	if e.sub == nil {
+		e.sub = new(encoder)
+	}
+	s := e.sub
+	s.buf, s.pairs = s.buf[:0], s.pairs[:0]
+	return s
+}
+
+// encoders pools Marshal's encoders with their scratch, so a payload
+// costs one allocation: its copy out.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 func (e *encoder) uvarint(x uint64)  { e.buf = binary.AppendUvarint(e.buf, x) }
 func (e *encoder) varint(x int64)    { e.buf = binary.AppendVarint(e.buf, x) }

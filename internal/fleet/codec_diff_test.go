@@ -86,7 +86,7 @@ type chain struct {
 	id     int
 	next   *chain
 	kids   []chain
-	byName map[string]*chain
+	byName Map[string, *chain]
 }
 
 func mkChain() *chain {

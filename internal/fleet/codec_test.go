@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,8 +26,8 @@ type wireFixture struct {
 	addr    netip.Addr
 	when    time.Time
 	dist    stats.Dist
-	pairs   map[pairKey]uint8
-	byName  map[string]int64
+	pairs   Map[pairKey, uint8]
+	byName  Map[string, int64]
 	nested  innerFixture
 	ptr     *innerFixture
 	nilPtr  *innerFixture
@@ -208,6 +210,46 @@ func TestCodecErrors(t *testing.T) {
 	type withIface struct{ v any }
 	if _, err := Marshal(&withIface{v: 3}); err == nil {
 		t.Error("Marshal accepted an interface field")
+	}
+	// A binary form the codec does not know is refused by name, not
+	// walked field by field.
+	type withPrefix struct{ p netip.Prefix }
+	_, merr := Marshal(&withPrefix{})
+	for name, err := range map[string]error{
+		"Marshal":    merr,
+		"Unmarshal":  Unmarshal([]byte{0}, new(withPrefix)),
+		"MergeError": MergeError(&withPrefix{}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "netip.Prefix has a binary form") {
+			t.Errorf("%s of a netip.Prefix field: %v, want it to name the type", name, err)
+		}
+	}
+}
+
+// TestAddrWireForm: an address is written as its own MarshalBinary
+// form, length first, for every kind of address.
+func TestAddrWireForm(t *testing.T) {
+	type holder struct{ a netip.Addr }
+	for _, a := range []netip.Addr{
+		{},
+		netip.MustParseAddr("10.1.2.3"),
+		netip.MustParseAddr("fe80::1"),
+		netip.MustParseAddr("fe80::1%eth0"),
+		netip.MustParseAddr("::ffff:10.1.2.3"),
+	} {
+		raw, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(binary.AppendUvarint(nil, uint64(len(raw))), raw...)
+		got, err := Marshal(&holder{a})
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%v: Marshal = %x, %v; want %x", a, got, err, want)
+		}
+		var back holder
+		if err := Unmarshal(got, &back); err != nil || back.a != a {
+			t.Errorf("%v: Unmarshal = %v, %v", a, back.a, err)
+		}
 	}
 }
 

@@ -23,17 +23,17 @@ type mergeFixture struct {
 	count   int64
 	peak    int64 `agg:"max"`
 	seen    bool
-	sums    map[string]int64
-	set     map[string]struct{}
-	boxes   map[string]*box
-	nested  map[string]map[int]struct{}
-	joins   map[int]lattice
+	sums    Map[string, int64]
+	set     Map[string, struct{}]
+	boxes   Map[string, *box]
+	nested  Map[string, Map[int, struct{}]]
+	joins   Map[int, lattice]
 	log     []int
 	inner   *box
 	counter *stats.Counter
 	dist    *stats.Dist
-	pending map[int]string `agg:"pairing"`
-	label   string         `agg:"pairing"`
+	pending Map[int, string] `agg:"pairing"`
+	label   string           `agg:"pairing"`
 }
 
 // fullFixture returns a fixture with every pointer and map set, holding
@@ -45,7 +45,7 @@ func fullFixture(seed int64) *mergeFixture {
 		sums:    map[string]int64{"a": seed},
 		set:     map[string]struct{}{"s" + string(rune('0'+seed)): {}},
 		boxes:   map[string]*box{"a": {n: seed}},
-		nested:  map[string]map[int]struct{}{"a": {int(seed): {}}},
+		nested:  Map[string, Map[int, struct{}]]{"a": {int(seed): {}}},
 		joins:   map[int]lattice{1: lattice(seed)},
 		log:     []int{int(seed)},
 		inner:   &box{n: seed},
@@ -163,12 +163,14 @@ func TestMergeErrorNamesTheField(t *testing.T) {
 	type typo struct {
 		n int `agg:"maximum"`
 	}
-	type nested struct{ inner map[string]*withString }
+	type nested struct{ inner Map[string, *withString] }
+	type plainMap struct{ m map[string]int64 }
 	for v, want := range map[any]string{
 		&withString{}: "withString.name: cannot merge string",
 		&withHook{}:   "withHook.hook: cannot merge func()",
 		&typo{}:       `unknown tag agg:"maximum"`,
 		&nested{}:     "withString.name",
+		&plainMap{}:   "plainMap.m: fleet: map type map[string]int64 has no kernel",
 	} {
 		if err := MergeError(v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%T: MergeError = %v, want it to say %q", v, err, want)
@@ -190,8 +192,10 @@ func TestMergeErrorNamesTheField(t *testing.T) {
 
 // TestMergeFromMatchesMerge holds the fold off the wire to Merge of the
 // decoded value, receiver by receiver: full, sparse (a nil field decodes
-// fresh, pairing state and all, where Merge adopts the decoded one), and
-// holding nil entries; sources with nil and empty entries, and empty.
+// fresh, pairing state and all, where Merge adopts the decoded one),
+// holding nil entries, and holding empty maps (which a fold may swap for
+// ones sized from the wire); sources with nil and empty entries, and
+// empty.
 func TestMergeFromMatchesMerge(t *testing.T) {
 	srcs := map[string]func() *mergeFixture{
 		"full": func() *mergeFixture {
@@ -220,6 +224,12 @@ func TestMergeFromMatchesMerge(t *testing.T) {
 			f.sums, f.counter, f.inner, f.dist = nil, nil, nil, nil
 			return f
 		},
+		"empty entries": func() *mergeFixture {
+			f := fullFixture(1)
+			f.nested["a"], f.nested["b"] = map[int]struct{}{}, map[int]struct{}{}
+			f.sums, f.set = map[string]int64{}, map[string]struct{}{}
+			return f
+		},
 	}
 	for sname, src := range srcs {
 		b, err := Marshal(src())
@@ -246,28 +256,41 @@ func TestMergeFromMatchesMerge(t *testing.T) {
 }
 
 // TestMapKeysInEncoderOrder: a map whose keys repeat or run backwards is
-// refused by Unmarshal and Check alike. Decoded, a repeated key keeps one
+// refused by Unmarshal and Check alike — a map, and a stats.Counter,
+// whose check has a loop of its own. Decoded, a repeated key keeps one
 // entry; folded, it would merge twice.
 func TestMapKeysInEncoderOrder(t *testing.T) {
-	type sums struct{ m map[string]int64 }
-	b, err := Marshal(&sums{m: map[string]int64{"a": 1, "b": 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// flag, count, then "a" 1 and "b" 2: key length, key byte, varint.
-	for name, mut := range map[string]func(b []byte){
-		"repeated": func(b []byte) { b[len(b)-2] = 'a' },
-		"backwards": func(b []byte) {
-			b[3], b[len(b)-2] = 'b', 'a'
-		},
+	type sums struct{ m Map[string, int64] }
+	type counted struct{ c stats.Counter }
+	var c counted
+	c.c.Add("a", 1)
+	c.c.Add("b", 2)
+	for name, in := range map[string]struct {
+		v     any
+		check func([]byte) error
+	}{
+		"map":     {&sums{m: map[string]int64{"a": 1, "b": 2}}, Check[sums]},
+		"counter": {&c, Check[counted]},
 	} {
-		bad := bytes.Clone(b)
-		mut(bad)
-		if err := Unmarshal(bad, new(sums)); err == nil {
-			t.Errorf("%s: Unmarshal accepted %x", name, bad)
+		b, err := Marshal(in.v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := Check[sums](bad); err == nil {
-			t.Errorf("%s: Check accepted %x", name, bad)
+		// "a" and "b" are the only bytes 0x61 and 0x62: every other
+		// byte is a flag, a count, a key length or a small varint.
+		a, z := bytes.IndexByte(b, 'a'), bytes.LastIndexByte(b, 'b')
+		for mname, mut := range map[string]func(b []byte){
+			"repeated":  func(b []byte) { b[z] = 'a' },
+			"backwards": func(b []byte) { b[a], b[z] = 'b', 'a' },
+		} {
+			bad := bytes.Clone(b)
+			mut(bad)
+			if err := Unmarshal(bad, reflect.New(reflect.TypeOf(in.v).Elem()).Interface()); err == nil {
+				t.Errorf("%s %s: Unmarshal accepted %x", name, mname, bad)
+			}
+			if err := in.check(bad); err == nil {
+				t.Errorf("%s %s: Check accepted %x", name, mname, bad)
+			}
 		}
 	}
 }
@@ -290,7 +313,7 @@ func TestMergeFromRefusesWhatCheckRefuses(t *testing.T) {
 			}
 		}
 	}
-	type sums struct{ m map[string]int64 }
+	type sums struct{ m Map[string, int64] }
 	b, err = Marshal(&sums{m: map[string]int64{"a": 1, "b": 2}})
 	if err != nil {
 		t.Fatal(err)

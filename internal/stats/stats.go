@@ -23,6 +23,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -131,16 +132,19 @@ type Dist struct {
 	// so steady-state merging allocates nothing.
 	scratchVals   []float64
 	scratchCounts []int64
-	// pendingVals/pendingCounts are staged merge runs: repeatedly merging
-	// small distributions into a large one (the windowed analysis banks a
-	// delta per time window) would re-walk the whole run list each time,
-	// so incoming runs are staged and folded pairwise once their combined
+	// pendingVals/pendingCounts are staged merge runs, one after another,
+	// and pendingEnds where each ends: repeatedly merging small
+	// distributions into a large one (the windowed analysis banks a delta
+	// per time window) would re-walk the whole run list each time, so
+	// incoming runs are staged and folded pairwise once their combined
 	// size reaches the main list's — amortized O(log) per element instead
 	// of quadratic, and exact: a fold is the same multiset union in a
-	// different association. pendingN counts staged run entries.
-	pendingVals   [][]float64
-	pendingCounts [][]int64
-	pendingN      int
+	// different association. The fold ping-pongs between the staging
+	// buffers and the scratch arrays, so it allocates nothing once they
+	// have grown.
+	pendingVals   []float64
+	pendingCounts []int64
+	pendingEnds   []int
 	nan           int64 // NaN observations (rank before all values)
 	n             int64 // total observations, NaN included
 }
@@ -273,7 +277,7 @@ func (d *Dist) Merge(other *Dist) {
 	if len(other.vals) == 0 {
 		return
 	}
-	if d.pendingN > 0 {
+	if len(d.pendingEnds) > 0 {
 		// Runs are already staged; keep staging (the fast paths below
 		// compare against the main list's maximum, which staged runs may
 		// exceed).
@@ -337,54 +341,58 @@ func (d *Dist) Merge(other *Dist) {
 	}
 }
 
-// stageRuns copies other's run list into the pending set, folding once
+// stageRuns appends other's run list to the staged runs, folding once
 // the staged volume reaches the main list's. The copy keeps the API
 // aliasing-free: other can keep accumulating (its arrays may become
 // merge scratch) without corrupting d.
 func (d *Dist) stageRuns(other *Dist) {
-	d.pendingVals = append(d.pendingVals, append([]float64(nil), other.vals...))
-	d.pendingCounts = append(d.pendingCounts, append([]int64(nil), other.counts...))
-	d.pendingN += len(other.vals)
-	if d.pendingN >= 64 && d.pendingN >= len(d.vals) {
+	d.pendingVals = append(d.pendingVals, other.vals...)
+	d.pendingCounts = append(d.pendingCounts, other.counts...)
+	d.pendingEnds = append(d.pendingEnds, len(d.pendingVals))
+	if n := len(d.pendingVals); n >= 64 && n >= len(d.vals) {
 		d.foldPending()
 	}
 }
 
-// foldPending merges every staged run and the main list pairwise into a
-// single run list — O(total · log runs), exact for any association.
+// foldPending merges the staged runs pairwise, a level at a time, from
+// the staging buffers into the scratch arrays and back, then the one run
+// left with the main list into whichever pair is free — O(total · log
+// runs), exact for any association. The main list's old arrays become
+// the scratch.
 func (d *Dist) foldPending() {
-	if len(d.pendingVals) == 0 {
+	if len(d.pendingEnds) == 0 {
 		return
 	}
-	runsV, runsC := d.pendingVals, d.pendingCounts
-	if len(d.vals) > 0 {
-		runsV = append(runsV, d.vals)
-		runsC = append(runsC, d.counts)
-	}
-	for len(runsV) > 1 {
-		nv := runsV[:0:0]
-		nc := runsC[:0:0]
-		for i := 0; i < len(runsV); i += 2 {
-			if i+1 == len(runsV) {
-				nv = append(nv, runsV[i])
-				nc = append(nc, runsC[i])
-				break
+	av, ac, ends := d.pendingVals, d.pendingCounts, d.pendingEnds
+	bv, bc := d.scratchVals[:0], d.scratchCounts[:0]
+	for len(ends) > 1 {
+		start, out := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			if i+1 == len(ends) {
+				bv = append(bv, av[start:ends[i]]...)
+				bc = append(bc, ac[start:ends[i]]...)
+			} else {
+				mid, end := ends[i], ends[i+1]
+				bv, bc = mergeRuns(bv, bc, av[start:mid], ac[start:mid], av[mid:end], ac[mid:end])
 			}
-			mv, mc := mergeRuns(runsV[i], runsC[i], runsV[i+1], runsC[i+1])
-			nv = append(nv, mv)
-			nc = append(nc, mc)
+			start = ends[min(i+1, len(ends)-1)]
+			ends[out] = len(bv)
+			out++
 		}
-		runsV, runsC = nv, nc
+		ends = ends[:out]
+		av, ac, bv, bc = bv, bc, av[:0], ac[:0]
 	}
-	d.vals, d.counts = runsV[0], runsC[0]
-	d.pendingVals, d.pendingCounts, d.pendingN = nil, nil, 0
+	bv, bc = mergeRuns(bv, bc, d.vals, d.counts, av, ac)
+	d.vals, d.counts, d.scratchVals, d.scratchCounts = bv, bc, d.vals[:0], d.counts[:0]
+	d.pendingVals, d.pendingCounts, d.pendingEnds = av[:0], ac[:0], ends[:0]
 	d.cum = d.cum[:0]
 }
 
-// mergeRuns two-way merges sorted (value, count) run lists.
-func mergeRuns(av []float64, ac []int64, bv []float64, bc []int64) ([]float64, []int64) {
-	mv := make([]float64, 0, len(av)+len(bv))
-	mc := make([]int64, 0, len(ac)+len(bc))
+// mergeRuns appends the two-way merge of sorted (value, count) run lists
+// a and b to mv, mc.
+func mergeRuns(mv []float64, mc []int64, av []float64, ac []int64, bv []float64, bc []int64) ([]float64, []int64) {
+	mv = slices.Grow(mv, len(av)+len(bv))
+	mc = slices.Grow(mc, len(ac)+len(bc))
 	i, j := 0, 0
 	for i < len(av) && j < len(bv) {
 		switch {
