@@ -25,6 +25,7 @@ import (
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
+	"enttrace/internal/fleet"
 	"enttrace/internal/gen"
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
@@ -50,9 +51,15 @@ const (
 
 // allocsPerOp measures f the way testing.AllocsPerRun does — one P, one
 // warm-up call outside the counters — and reports allocated bytes per
-// call beside the malloc count.
+// call beside the malloc count. It first finishes any collection an
+// earlier row's garbage left running: one that reached its start inside
+// the counters emptied every sync.Pool there, and the next Put
+// re-registered the pool, allocating its per-P array and growing the
+// runtime's pool list (the 1–5 allocations, 16–200 B, that a zero row
+// such as codec/check read in about one run in twenty).
 func allocsPerOp(runs int, f func()) (allocs, size uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -474,6 +481,17 @@ func TestAllocationCeilings(t *testing.T) {
 				}
 			}
 		})},
+		// A frame is built in one buffer sized from its site and payload
+		// up front: one allocation a frame. The payload is the mean window
+		// snapshot of the codec rows' run.
+		{name: "fleet/encode-frame", allocs: 1, bytes: 1280, runs: 100, setup: func(tb testing.TB) func() {
+			f := &fleet.Frame{Type: fleet.FrameDelta, Site: "site-07", Window: 61, Seq: 62, Watermark: 1105000000000000000, Payload: make([]byte, 1182)}
+			return func() {
+				if _, err := fleet.EncodeFrame(f); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
 		{name: "serve/window-hit", allocs: 14, bytes: 9228, runs: 100, setup: serveHit("/report/window/0")},
 		{name: "serve/latest-hit", allocs: 11, bytes: 7124, runs: 100, setup: serveHit("/report/latest")},
 		// The hostile-input price: the evasion scenario family through

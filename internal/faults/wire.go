@@ -7,7 +7,7 @@ import "slices"
 // send passes through Send, which fires at most one event per send
 // ordinal — a tie on one ordinal slips to the next send. Not safe for
 // concurrent use — the shipper's single send loop owns it. A nil *Wire
-// is valid for Send, Flush and ConnReset and injects nothing, so callers
+// is valid for Send, StallDue, Flush and ConnReset and injects nothing, so callers
 // can thread an optional injector without branching.
 type Wire struct {
 	cursor
@@ -50,6 +50,17 @@ func (w *Wire) Send(raw []byte, send func([]byte) error) error {
 		return err
 	}
 	return w.Flush(send)
+}
+
+// StallDue reports whether the next Send sleeps out a stall before it
+// sends. A sender that buffers flushes first, so that a stall delays
+// its frame and later ones, never frames already sent.
+func (w *Wire) StallDue() bool {
+	if w == nil || w.next == len(w.evs) {
+		return false
+	}
+	ev := w.evs[w.next]
+	return ev.At <= w.sent && ev.Kind == NetStall
 }
 
 // Flush releases the frames reorders hold, oldest first. The shipper

@@ -191,6 +191,28 @@ func TestWireStallUsesClockSeam(t *testing.T) {
 	}
 }
 
+// TestWireStallDue pins the look-ahead a buffering sender flushes on: it
+// names the stall the next Send fires, a tie slipped to a later ordinal
+// included, and nothing else.
+func TestWireStallDue(t *testing.T) {
+	in := wire(t, "dup@0,netstall@1,netstall@1,drop@4")
+	rec := &sendRecorder{}
+	want := []bool{false, true, true, false, false}
+	for i, due := range want {
+		if got := in.StallDue(); got != due {
+			t.Fatalf("before send %d: StallDue %v, want %v", i, got, due)
+		}
+		in.Send([]byte{byte(i)}, rec.send)
+	}
+	if got := len(in.Manifest()); got != 4 {
+		t.Fatalf("%d events fired, want 4", got)
+	}
+	var nilIn *Wire
+	if nilIn.StallDue() {
+		t.Fatal("a nil Wire has a stall due")
+	}
+}
+
 func TestWireManifestAndNil(t *testing.T) {
 	in := wire(t, "dup@0,drop@2")
 	rec := &sendRecorder{}

@@ -118,12 +118,32 @@ func (a *Aggregator) Close() error {
 	return err
 }
 
+// wireBuffer is each end's buffer on a shipping connection: the
+// shipper's writer, the aggregator's reader.
+const wireBuffer = 64 << 10
+
+// flushingReader reads a connection after flushing its writer: the acks
+// for every frame read so far leave, in one write, before the reader
+// goes back to the socket and may wait there.
+type flushingReader struct {
+	conn net.Conn
+	bw   *bufio.Writer
+}
+
+func (r flushingReader) Read(p []byte) (int, error) {
+	if err := r.bw.Flush(); err != nil {
+		return 0, err
+	}
+	return r.conn.Read(p)
+}
+
 // handle runs one shipper session: HELLO first, then data frames, each
-// acknowledged after the sink accepts it.
+// acknowledged after the sink accepts it. An ACK waits in the writer
+// until the reader needs the socket again; an ERR is flushed at once.
 func (a *Aggregator) handle(c net.Conn) {
 	defer c.Close()
-	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
+	br := bufio.NewReaderSize(flushingReader{c, bw}, wireBuffer)
 	site := ""
 	defer func() {
 		if site != "" {
@@ -143,10 +163,8 @@ func (a *Aggregator) handle(c net.Conn) {
 		if err != nil {
 			return false
 		}
-		if _, err := bw.Write(b); err != nil {
-			return false
-		}
-		return bw.Flush() == nil
+		_, err = bw.Write(b)
+		return err == nil
 	}
 
 	first, err := ReadFrame(br)

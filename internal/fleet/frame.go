@@ -110,7 +110,11 @@ var (
 	ErrTooLarge   = errors.New("fleet: frame field exceeds wire limit")
 )
 
-// EncodeFrame returns f's wire bytes.
+// maxFrameHeader bounds a frame's bytes beside its site and payload:
+// magic, version and type, five varints at their widest, the CRC.
+const maxFrameHeader = len(frameMagic) + 2 + 5*binary.MaxVarintLen64 + 4
+
+// EncodeFrame returns f's wire bytes, in one allocation.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	if len(f.Site) > MaxSiteLen {
 		return nil, fmt.Errorf("%w: site %d bytes", ErrTooLarge, len(f.Site))
@@ -121,7 +125,7 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	if f.Type < FrameHello || f.Type > FrameErr {
 		return nil, fmt.Errorf("%w: %d", ErrBadType, f.Type)
 	}
-	var dst []byte
+	dst := make([]byte, 0, maxFrameHeader+len(f.Site)+len(f.Payload))
 	dst = append(dst, frameMagic[:]...)
 	dst = append(dst, frameVersion, byte(f.Type))
 	dst = binary.AppendUvarint(dst, uint64(len(f.Site)))

@@ -234,7 +234,12 @@ func tracked(f *Frame) bool {
 func (s *Shipper) run() {
 	defer close(s.doneCh)
 	var (
-		conn    net.Conn
+		conn net.Conn
+		// bw buffers conn's frames. It is flushed at the end of a
+		// (re)connect's HELLO and resend, and otherwise only before the
+		// loop waits, so a burst of frames leaves in one write and a
+		// lone frame at once.
+		bw      *bufio.Writer
 		gen     int // connection generation, tags reader messages
 		queue   []*Frame
 		deltas  int    // DELTA frames in queue (the bounded population)
@@ -249,8 +254,10 @@ func (s *Shipper) run() {
 	)
 	teardown := func() {
 		if conn != nil {
+			// What bw holds goes with the connection; the unacked queue
+			// owns its redelivery.
 			conn.Close()
-			conn = nil
+			conn, bw = nil, nil
 		}
 		s.cfg.NetFaults.ConnReset()
 	}
@@ -268,9 +275,10 @@ func (s *Shipper) run() {
 		queue, deltas = nil, 0
 	}
 
-	// rawSend writes bytes to the current conn (the injector's seam).
+	// rawSend writes bytes to the current conn's buffer (the injector's
+	// seam).
 	rawSend := func(b []byte) error {
-		_, err := conn.Write(b)
+		_, err := bw.Write(b)
 		return err
 	}
 	// sendFrame pushes one frame to the conn, through the injector unless
@@ -286,18 +294,25 @@ func (s *Shipper) run() {
 		if f.Type == FrameHello {
 			return rawSend(b)
 		}
+		// A stall delays its frame and later ones: what is buffered
+		// reaches the socket before it sleeps.
+		if s.cfg.NetFaults.StallDue() {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
 		return s.cfg.NetFaults.Send(b, rawSend)
 	}
 
 	// attempt makes one full connection attempt: dial, HELLO, resend the
-	// unacked queue. Returns the count resent on success.
+	// unacked queue, flush. Returns the count resent on success.
 	attempt := func() (int, bool) {
 		c, err := s.cfg.Dial()
 		if err != nil {
 			s.cfg.Logf("fleet[%s]: dial: %v", s.cfg.Site, err)
 			return 0, false
 		}
-		conn = c
+		conn, bw = c, bufio.NewWriterSize(c, wireBuffer)
 		gen++
 		// HELLO is untracked (seq 0): it re-arrives on every connect.
 		helloPayload, err := Marshal(&s.cfg.Hello)
@@ -317,6 +332,11 @@ func (s *Shipper) run() {
 				teardown()
 				return i, false
 			}
+		}
+		if err := bw.Flush(); err != nil {
+			s.cfg.Logf("fleet[%s]: flush: %v", s.cfg.Site, err)
+			teardown()
+			return 0, false
 		}
 		return len(queue), true
 	}
@@ -437,6 +457,38 @@ func (s *Shipper) run() {
 		}
 	}
 
+	// The loop's three events, taken from either of its selects.
+	take := func(f *Frame, ok bool) {
+		if !ok {
+			in = nil
+			return
+		}
+		enqueue(f)
+	}
+	connEvent := func(m connMsg) {
+		if m.gen != gen {
+			return // stale reader from a torn-down connection
+		}
+		if m.err != nil {
+			if errors.Is(m.err, errPeerFatal) {
+				die(m.err)
+				return
+			}
+			s.cfg.Logf("fleet[%s]: conn: %v", s.cfg.Site, m.err)
+			teardown()
+			if len(queue) > 0 {
+				connect()
+			}
+			return
+		}
+		prune(m.seq)
+	}
+	// abort reports whether the loop exits now.
+	abort := func() bool {
+		die(fmt.Errorf("%w: aborted", ErrGaveUp))
+		return in == nil
+	}
+
 	for {
 		if s.isDead() {
 			// Terminal: swallow producers until they close the channel so
@@ -473,33 +525,35 @@ func (s *Shipper) run() {
 				continue
 			}
 		}
+		if conn != nil && bw.Buffered() > 0 {
+			// Flush only before a wait: a frame or an ack that is ready
+			// now is taken first, and a frame it sends joins the burst.
+			select {
+			case f, ok := <-in:
+				take(f, ok)
+				continue
+			case m := <-s.msgs:
+				connEvent(m)
+				continue
+			case <-s.abortCh:
+				if abort() {
+					return
+				}
+				continue
+			default:
+			}
+			if err := bw.Flush(); err != nil {
+				connEvent(connMsg{gen: gen, err: err})
+				continue
+			}
+		}
 		select {
 		case f, ok := <-in:
-			if !ok {
-				in = nil
-				continue
-			}
-			enqueue(f)
+			take(f, ok)
 		case m := <-s.msgs:
-			if m.gen != gen {
-				continue // stale reader from a torn-down connection
-			}
-			if m.err != nil {
-				if errors.Is(m.err, errPeerFatal) {
-					die(m.err)
-					continue
-				}
-				s.cfg.Logf("fleet[%s]: conn: %v", s.cfg.Site, m.err)
-				teardown()
-				if len(queue) > 0 {
-					connect()
-				}
-				continue
-			}
-			prune(m.seq)
+			connEvent(m)
 		case <-s.abortCh:
-			die(fmt.Errorf("%w: aborted", ErrGaveUp))
-			if in == nil {
+			if abort() {
 				return
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -556,4 +557,161 @@ func TestShipperExitsLeaveNoGoroutines(t *testing.T) {
 		}
 	}
 	t.Fatalf("fleet goroutines still alive a second after every shipper and aggregator ended:\n%s", stacks)
+}
+
+// countingConn counts the writes that reach a connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// countingListener hands out accepted connections that count writes.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+// heldDial is a Dial seam that blocks until release is called, so that
+// everything a test submits meanwhile is ready at once when the first
+// connection opens.
+func heldDial(addr string, writes *atomic.Int64) (dial func() (net.Conn, error), release func()) {
+	held := make(chan struct{})
+	dial = func() (net.Conn, error) {
+		<-held
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{c, writes}, nil
+	}
+	return dial, func() { close(held) }
+}
+
+// TestShipperBatchesWrites pins one write per burst on both ends: 64
+// deltas and a FIN, all ready when the connection opens, leave the
+// shipper in a few writes, and the aggregator's 66 acks (the HELLO's
+// included) in a few more, where a write per frame made 66 on each.
+func TestShipperBatchesWrites(t *testing.T) {
+	sink := newRecordingSink()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipWrites, aggWrites atomic.Int64
+	agg := NewAggregator(countingListener{ln, &aggWrites}, sink, t.Logf)
+	served := make(chan struct{})
+	go func() { agg.Serve(); close(served) }()
+	dial, release := heldDial(ln.Addr().String(), &shipWrites)
+	sh, err := NewShipper(ShipperConfig{Site: "a", Dial: dial, Backoff: fastBackoff(0), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deltas = 64
+	payload := make([]byte, 100)
+	for w := range deltas {
+		payload[0] = byte(w)
+		sh.ShipDelta(w, int64(w), payload)
+	}
+	sh.Fin(deltas-1, deltas)
+	release()
+	if err := sh.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	agg.Close()
+	<-served
+	if got := len(sink.windows("a")); got != deltas {
+		t.Fatalf("aggregator holds %d windows, want %d", got, deltas)
+	}
+	if st := sh.Stats(); st.Acked != deltas+1 {
+		t.Errorf("acked %d tracked frames, want %d", st.Acked, deltas+1)
+	}
+	t.Logf("writes: shipper %d, aggregator %d", shipWrites.Load(), aggWrites.Load())
+	if n := shipWrites.Load(); n > 4 {
+		t.Errorf("shipper made %d writes for a burst of %d frames, want ≤ 4", n, deltas+2)
+	}
+	if n := aggWrites.Load(); n > 8 {
+		t.Errorf("aggregator made %d writes for %d acks, want ≤ 8", n, deltas+2)
+	}
+}
+
+// TestShipperLoneFrameLeavesAtOnce pins flush-before-waiting: a single
+// delta, with nothing after it and no Close, is acknowledged. A frame
+// that waited for a full buffer would never be.
+func TestShipperLoneFrameLeavesAtOnce(t *testing.T) {
+	sink := newRecordingSink()
+	addr, stop := startAggregator(t, sink)
+	defer stop()
+	sh, err := NewShipper(ShipperConfig{Addr: addr, Site: "a", Backoff: fastBackoff(0), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Abort()
+	sh.ShipDelta(0, 1, []byte{0})
+	for deadline := time.Now().Add(2 * time.Second); sh.Stats().Acked != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a lone delta was not acknowledged within 2s: %+v", sh.Stats())
+		}
+	}
+}
+
+// TestShipperStallFlushesFirst pins that a netstall delays its frame and
+// later ones only: when the stall sleeps, the aggregator already holds
+// every frame sent before it, though they were buffered behind a burst.
+func TestShipperStallFlushesFirst(t *testing.T) {
+	sink := newRecordingSink()
+	addr, stop := startAggregator(t, sink)
+	defer stop()
+	const deltas, stallAt = 12, 6 // no event before it: send N is window N
+	inj := wire(t, fmt.Sprintf("netstall@%d", stallAt))
+	var missing []int
+	inj.SetSleep(func(time.Duration) {
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			got := sink.windows("a")
+			missing = missing[:0]
+			for w := range stallAt {
+				if got[w] == nil {
+					missing = append(missing, w)
+				}
+			}
+			if len(missing) == 0 || time.Now().After(deadline) {
+				return
+			}
+		}
+	})
+	var writes atomic.Int64
+	dial, release := heldDial(addr, &writes)
+	sh, err := NewShipper(ShipperConfig{Site: "a", Dial: dial, Backoff: fastBackoff(0), NetFaults: inj, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range deltas {
+		sh.ShipDelta(w, int64(w), []byte{byte(w)})
+	}
+	sh.Fin(deltas-1, deltas)
+	release()
+	if err := sh.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if fired := inj.Manifest(); len(fired) != 1 || fired[0].At != stallAt {
+		t.Fatalf("fired %v, want one stall at send %d", fired, stallAt)
+	}
+	if len(missing) != 0 {
+		t.Fatalf("windows %v, sent before the stall, had not reached the aggregator when it slept", missing)
+	}
+	if got := len(sink.windows("a")); got != deltas {
+		t.Fatalf("aggregator holds %d windows, want %d", got, deltas)
+	}
 }
