@@ -318,8 +318,8 @@ func TestAllocationCeilings(t *testing.T) {
 			raw, pool := datasetPcaps(tb, d3(tb))[0], pcap.NewPool()
 			return func() { drainTrace(tb, raw, pool) }
 		}},
-		{name: "pipeline/stream/workers=1", allocs: 11173, bytes: 8040144, setup: stream(1)},
-		{name: "pipeline/stream/workers=4", allocs: 12335, bytes: 15092368, setup: stream(4)},
+		{name: "pipeline/stream/workers=1", allocs: 11173, bytes: 7291136, setup: stream(1)},
+		{name: "pipeline/stream/workers=4", allocs: 12335, bytes: 13657960, setup: stream(4)},
 		{name: "pipeline/stream/workers=8", allocs: 13279, bytes: 16912376, setup: stream(8)},
 		// In-order delivery borrows the caller's slice and buffers nothing.
 		{name: "reassembly/in-order", allocs: 0, bytes: 0, runs: 1000, setup: func(tb testing.TB) func() {
@@ -400,22 +400,22 @@ func TestAllocationCeilings(t *testing.T) {
 			p.Data(dcerpc.Encode(&dcerpc.PDU{Type: dcerpc.PTRequest, Stub: make([]byte, 65000)})[:64])
 			return p.Data
 		})},
-		{name: "replay/D3/workers=1", allocs: 12112, bytes: 9391016, setup: replay(1)},
-		{name: "replay/D3/workers=4", allocs: 13477, bytes: 9459368, setup: replay(4)},
-		{name: "replay/D3/workers=8", allocs: 14890, bytes: 9600736, setup: replay(8)},
+		{name: "replay/D3/workers=1", allocs: 12112, bytes: 8601528, setup: replay(1)},
+		{name: "replay/D3/workers=4", allocs: 13477, bytes: 8682584, setup: replay(4)},
+		{name: "replay/D3/workers=8", allocs: 14890, bytes: 8871952, setup: replay(8)},
 		// The UDP pass replays while the trace is read: no merged copy of
 		// a trace's datagrams, no partition of them, is allocated at its
 		// end (6.7 MB an op at this density; EXPERIMENTS "UDP messages
 		// replay while the trace is read").
 		{name: "replay/D3/window=0", allocs: 46714, bytes: 25183016, setup: rotation(0)},
-		{name: "replay/D3/window=60s", allocs: 160725, bytes: 38002152, setup: rotation(60 * time.Second)},
-		{name: "analyze/D0", allocs: 6099, bytes: 3327840, setup: analyze("D0")},
+		{name: "replay/D3/window=60s", allocs: 146148, bytes: 35573768, setup: rotation(60 * time.Second)},
+		{name: "analyze/D0", allocs: 6099, bytes: 3125480, setup: analyze("D0")},
 		{name: "analyze/D1", allocs: 4686, bytes: 6575912, setup: analyze("D1")},
-		{name: "analyze/D2", allocs: 4733, bytes: 6837616, setup: analyze("D2")},
-		{name: "analyze/D3", allocs: 12112, bytes: 9391016, setup: analyze("D3")},
-		{name: "analyze/D4", allocs: 11897, bytes: 9433064, setup: analyze("D4")},
-		{name: "soak/D3-shape", allocs: 60714, bytes: 44526136, setup: soak(0)},
-		{name: "soak/D3-shape/window=60s", allocs: 77296, bytes: 46853272, setup: soak(60 * time.Second)},
+		{name: "analyze/D2", allocs: 4733, bytes: 6432120, setup: analyze("D2")},
+		{name: "analyze/D3", allocs: 12112, bytes: 8601040, setup: analyze("D3")},
+		{name: "analyze/D4", allocs: 11897, bytes: 8310824, setup: analyze("D4")},
+		{name: "soak/D3-shape", allocs: 52981, bytes: 42121024, setup: soak(0)},
+		{name: "soak/D3-shape/window=60s", allocs: 70348, bytes: 44408208, setup: soak(60 * time.Second)},
 		// Per frame these come to 0.61 allocations and 1 132 B (D2: 9 894
 		// frames, 68 bytes kept of each), 0.83 and 1 521 B (D3: 4 872 whole
 		// frames) and 0.78 and 791 B (the stream: 37 707 frames built in
@@ -425,9 +425,9 @@ func TestAllocationCeilings(t *testing.T) {
 		// frame: turn payloads (generated whole to be checksummed, even when
 		// the capture keeps 68 bytes), encoder buffers and turn lists; and
 		// for a trace its arena chunks, its packet structs and their sort.
-		{name: "gen/trace/D2", allocs: 6017, bytes: 11204648, setup: genTrace(enterprise.D2())},
-		{name: "gen/trace/D3", allocs: 4041, bytes: 7412384, setup: genTrace(enterprise.D3())},
-		{name: "gen/stream", allocs: 29261, bytes: 29845064, setup: func(tb testing.TB) func() {
+		{name: "gen/trace/D2", allocs: 6017, bytes: 9821304, setup: genTrace(enterprise.D2())},
+		{name: "gen/trace/D3", allocs: 4041, bytes: 6897472, setup: genTrace(enterprise.D3())},
+		{name: "gen/stream", allocs: 25092, bytes: 27873336, setup: func(tb testing.TB) func() {
 			cfg := enterprise.D3()
 			scfg := gen.StreamConfig{
 				Network:  enterprise.NewNetwork(cfg),
@@ -449,7 +449,7 @@ func TestAllocationCeilings(t *testing.T) {
 				}
 			}
 		}},
-		{name: "window/close", allocs: 436, bytes: 73517, runs: 50, setup: windowClose},
+		{name: "window/close", allocs: 403, bytes: 73517, runs: 50, setup: windowClose},
 		// Marshal a window: one op is an ExportAll, one payload a window
 		// and the slice.
 		{name: "codec/marshal", allocs: 62, bytes: 79488, runs: 10, setup: codec(func(tb testing.TB, a *core.Analyzer, _ [][]byte) func() {

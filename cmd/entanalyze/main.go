@@ -373,7 +373,7 @@ func runAnalyze(ctx context.Context, c *config, stdout, stderr io.Writer) (err e
 	if !a.Stopping() {
 		fmt.Fprintln(stderr, "analysis complete; still serving (SIGINT/SIGTERM to exit)")
 		select {
-		case <-ctx.Done():
+		case <-drained: // closed after the drain line is printed
 		case <-web.done: // stop sets err to why serving failed
 		}
 	}

@@ -37,162 +37,6 @@ func analyzeScaled(t testing.TB, cfg enterprise.Config, scale float64, subnets i
 	return a.Report()
 }
 
-func TestEndToEndD3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end analysis in -short mode")
-	}
-	cfg := enterprise.D3()
-	// Keep the DNS/print subnets for vantage effects plus a few client
-	// subnets.
-	cfg.Monitored = []int{2, 3, 5, 6, enterprise.SubnetDNS, enterprise.SubnetPrint}
-	cfg.Scale = 0.3
-	ds := gen.GenerateDataset(cfg)
-	a := NewAnalyzer(Options{Dataset: "D3", KnownScanners: enterprise.KnownScanners(), PayloadAnalysis: true})
-	for _, tr := range ds.Traces {
-		if err := a.AddTrace(TraceInput{Name: tr.Prefix.String(), Monitored: tr.Prefix, Packets: tr.Packets}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := a.Report()
-
-	// Table 2: IP dominates (> 95%).
-	if r.Table2["IP"] < 0.90 {
-		t.Errorf("IP fraction = %v, want > 0.90", r.Table2["IP"])
-	}
-	if r.Table2["ARP"] == 0 || r.Table2["IPX"] == 0 {
-		t.Error("non-IP protocols missing")
-	}
-
-	// Table 3: bulk of bytes TCP, bulk of connections UDP.
-	if r.Table3.BytesFrac["TCP"] < 0.5 {
-		t.Errorf("TCP byte fraction = %v, want majority", r.Table3.BytesFrac["TCP"])
-	}
-	if r.Table3.ConnsFrac["UDP"] < 0.5 {
-		t.Errorf("UDP conn fraction = %v, want majority", r.Table3.ConnsFrac["UDP"])
-	}
-
-	// Scanner removal in the paper's 4–18% band (loosely).
-	if r.Scan.RemovedFraction < 0.005 || r.Scan.RemovedFraction > 0.3 {
-		t.Errorf("scan removal fraction = %v", r.Scan.RemovedFraction)
-	}
-	if r.Scan.Scanners == 0 {
-		t.Error("no scanners found")
-	}
-
-	// Figure 1: name services dominate connections; they carry almost no
-	// bytes.
-	var nameRow, backupRow CategoryRow
-	for _, row := range r.Figure1 {
-		switch row.Category {
-		case "name":
-			nameRow = row
-		case "backup":
-			backupRow = row
-		}
-	}
-	if nameRow.ConnsTotal() < 0.25 {
-		t.Errorf("name conns share = %v, want dominant", nameRow.ConnsTotal())
-	}
-	if nameRow.BytesTotal() > 0.05 {
-		t.Errorf("name bytes share = %v, want ≈0", nameRow.BytesTotal())
-	}
-	if backupRow.BytesTotal() < 0.02 {
-		t.Errorf("backup bytes share = %v, want significant", backupRow.BytesTotal())
-	}
-
-	// Origins: enterprise-to-enterprise unicast dominates.
-	if r.Origins["ent-ent"] < 0.5 {
-		t.Errorf("ent-ent origin = %v", r.Origins["ent-ent"])
-	}
-	if r.Origins["multicast-internal"] == 0 {
-		t.Error("no internal multicast flows")
-	}
-
-	// Names: Netbios/NS fails much more often than DNS.
-	if r.Names.NBNSFailureRate < 0.25 || r.Names.NBNSFailureRate > 0.6 {
-		t.Errorf("NBNS failure rate = %v, want ≈0.43", r.Names.NBNSFailureRate)
-	}
-	if dns := r.Names.DNSRcodes["NXDOMAIN"]; dns > r.Names.NBNSFailureRate {
-		t.Errorf("DNS failure (%v) should be below NBNS (%v)", dns, r.Names.NBNSFailureRate)
-	}
-	if r.Names.DNSMedianLatencyEntMs >= r.Names.DNSMedianLatencyWanMs {
-		t.Errorf("internal DNS latency %vms should be far below WAN %vms",
-			r.Names.DNSMedianLatencyEntMs, r.Names.DNSMedianLatencyWanMs)
-	}
-
-	// Windows: D3 vantage (print server) → Spoolss/WritePrinter dominates
-	// DCE/RPC; RPC pipes beat file sharing in CIFS.
-	if wp := r.Windows.RPCRequests["Spoolss/WritePrinter"]; wp < 0.3 {
-		t.Errorf("WritePrinter share = %v, want dominant at print vantage", wp)
-	}
-	if r.Windows.CIFSRequests["RPC Pipes"] == 0 {
-		t.Error("no RPC pipe traffic seen")
-	}
-	cifsOutcome := r.Windows.Table9["CIFS"]
-	if cifsOutcome.Pairs == 0 || cifsOutcome.Rejected == 0 {
-		t.Errorf("CIFS outcomes = %+v, want rejected pairs from parallel dialing", cifsOutcome)
-	}
-	// The paper's CIFS signature is mass rejection from parallel 139/445
-	// dialing; Netbios/SSN sees almost none of it.
-	ssn := r.Windows.Table9["Netbios/SSN"]
-	if ssn.Rejected >= cifsOutcome.Rejected {
-		t.Errorf("SSN rejected (%v) should be far below CIFS (%v)", ssn.Rejected, cifsOutcome.Rejected)
-	}
-
-	// File services: read/write/attr dominate; NFS mostly UDP pairs.
-	mix := r.FileSvc.NFSRequestMix
-	if mix["Read"]+mix["Write"]+mix["GetAttr"] < 0.5 {
-		t.Errorf("NFS request mix = %v", mix)
-	}
-	if r.FileSvc.NFSUDPPairs <= r.FileSvc.NFSTCPPairs {
-		t.Errorf("NFS UDP pairs (%d) should exceed TCP pairs (%d)", r.FileSvc.NFSUDPPairs, r.FileSvc.NFSTCPPairs)
-	}
-	if r.FileSvc.NCPKeepAliveOnlyFrac < 0.2 {
-		t.Errorf("NCP keep-alive-only fraction = %v, want 40–80%%", r.FileSvc.NCPKeepAliveOnlyFrac)
-	}
-	if r.FileSvc.NFSTop3Share < 0.3 {
-		t.Errorf("NFS top-3 pair share = %v, want heavy hitters", r.FileSvc.NFSTop3Share)
-	}
-
-	// HTTP: automated clients are a large share of internal bytes;
-	// internal conditional GETs exceed WAN.
-	if r.HTTP.InternalRequests == 0 {
-		t.Fatal("no internal HTTP parsed")
-	}
-	if auto := totalAutomatedBytes(r.HTTP); auto < 0.2 {
-		t.Errorf("automated byte share = %v", auto)
-	}
-	if r.HTTP.CondEnt <= r.HTTP.CondWan {
-		t.Errorf("conditional GETs: ent %v should exceed wan %v", r.HTTP.CondEnt, r.HTTP.CondWan)
-	}
-
-	// Load: network far from saturated; internal retransmission below 1%
-	// in the typical trace.
-	if r.Load.MedianOfMedians > 50 {
-		t.Errorf("median utilization = %v Mbps, want far below capacity", r.Load.MedianOfMedians)
-	}
-	over := 0
-	for _, tl := range r.Load.Traces {
-		if tl.RetransEnt > 0.01 {
-			over++
-		}
-	}
-	if over > len(r.Load.Traces)/2 {
-		t.Errorf("%d of %d traces over 1%% retransmission", over, len(r.Load.Traces))
-	}
-
-	// Backup: Veritas data strictly one-way is asserted by the generator;
-	// Dantz bidirectionality must be measured.
-	if r.Backup.Conns["DANTZ"] == 0 || r.Backup.DantzBidirFrac == 0 {
-		t.Errorf("backup report = %+v", r.Backup)
-	}
-
-	// Findings present.
-	if len(r.Findings) < 4 {
-		t.Errorf("findings = %v", r.Findings)
-	}
-}
-
 // pooledReader is the source entanalyze reads a pcap file through: a
 // PooledReader over raw, drawing its slabs from pool.
 func pooledReader(tb testing.TB, raw []byte, pool *pcap.Pool) *pcap.PooledReader {
