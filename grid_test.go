@@ -856,14 +856,16 @@ func censusMatchesManifest(t *testing.T, p point, got *result) {
 // words and the router hashed words. Where OnWindow is set, the reports
 // it hands over — they leave while the trace still replays — must be the
 // bytes it handed over after the replay join, recorded at c67e1d7. A
-// change that means to move report bytes re-records them and says so.
+// change that means to move report bytes re-records them and says so:
+// all five were re-recorded when the host-role census and the Veritas
+// clause left the report.
 func recordedDigests(t *testing.T, p point, got *result) {
 	recorded := map[string]string{
-		"D3":                  "ae1f28b88e7dd0d42a069df646aab82ab448cf788c55637d727d24d379ea8cdb",
-		"D0":                  "b9b81c90192024df0b631ea63f571da258b990ab5653e0b6a67a7226b2d23c2c",
-		"D2":                  "5e6a48b7baf345fad321d6b0c3931c5f9aebc214577b9a49e2c9455b621c0941",
-		"schedule-1h":         "ff3f3bde7adfc963f11eaff2ccb9139b80b4adb12ee4a0f90caaa18cedeebc6a",
-		"schedule-1h emitted": "9e4140c66bb8662d0127b031331cb6b7f2d39f3e07d690590f9221131cd9e1d3",
+		"D3":                  "cf8cd26240141a27525db78058cc0df2df4847cd1ce1e457c55e9868e1798990",
+		"D0":                  "d5b78f8306c6825a1e9633475c2f2bfaba15ef3bacfef0b69bc25d6d67619c3e",
+		"D2":                  "6efcf163091e900ab3319d83f3de47cec58fc3a54d04ce373ee6127233031f63",
+		"schedule-1h":         "1c7a5df7bfe209c7f6cf14893a8ad5cacde26afccfec3586778c2f6344e03cbf",
+		"schedule-1h emitted": "974fd2dbe4a18448ebe21056ed82bf8901e84d3d8e7eed5204604bb19e0f0d5c",
 	}
 	digest := func(b []byte) string { d := sha256.Sum256(b); return hex.EncodeToString(d[:]) }
 	if d := digest(got.json); d != recorded[p.in.name] {

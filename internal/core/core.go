@@ -25,8 +25,6 @@ import (
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
 	"enttrace/internal/pipeline"
-	"enttrace/internal/roles"
-	"enttrace/internal/scan"
 )
 
 // Options configures an Analyzer.
@@ -292,12 +290,12 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	a.packetsSeen.Add(res.Packets)
 
 	// What is left runs as a small dependency graph, each step as soon as
-	// its inputs are: the load series needs only the bins, the fan and
-	// role censuses the finished census, the retransmission sums the
-	// kept mask and counters nothing writes any more. The two helper
-	// goroutines read what nothing mutates — the sinks' bins, connection
-	// fields and the census — and hand back what the caller folds into
-	// the trace delta, which the replay workers never touch.
+	// its inputs are: the load series needs only the bins, the fan the
+	// finished census, the retransmission sums the kept mask and
+	// counters nothing writes any more. The two helper goroutines read
+	// what nothing mutates — the sinks' bins, connection fields and the
+	// census — and hand back what the caller folds into the trace delta,
+	// which the replay workers never touch.
 	ord := a.traceCount
 	var load TraceLoad
 	var helpers sync.WaitGroup
@@ -366,12 +364,13 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	for _, s := range census.Scanners {
 		tgt.scanners[s] = struct{}{}
 	}
+	// Figure 2 fan: the kept pairs are the kept connections' distinct
+	// edges, so it needs no sort.
 	var fan map[netip.Addr]*flows.FanStats
-	var profiles []roles.HostProfile
 	helpers.Add(1)
 	go func() {
 		defer helpers.Done()
-		fan, profiles = peerCensus(conns, census, monitored)
+		fan = flows.FanInOut(census.Pairs, monitored.Contains, enterprise.IsLocal)
 	}()
 
 	// Application replay: the rest of the UDP messages, dynamic
@@ -386,9 +385,6 @@ func (a *Analyzer) AddTraceSource(name string, monitored netip.Prefix, src pcap.
 	load.retrans(conns, census.Kept)
 	tgt.load.traces = append(tgt.load.traces, load)
 	tgt.fanAgg = fan
-	for role, n := range roles.Summary(profiles) {
-		tgt.roleCounts.Add(string(role), int64(n))
-	}
 
 	// The phase-A application residue (Endpoint Mapper PDU accounting)
 	// rides the trace-granular delta; the cut keeps the registry pairing
@@ -453,15 +449,6 @@ func (a *Analyzer) drainLocked() {
 // so far, for progress reporting by streaming callers. Safe for
 // concurrent use with Add* (the serve-mode health endpoint polls it).
 func (a *Analyzer) PacketsSeen() int64 { return a.packetsSeen.Load() }
-
-// peerCensus reads a trace's Figure 2 fan and host roles from its
-// census: the kept pairs are the kept connections' distinct edges, so
-// neither needs a sort. Role verdicts are per trace (thresholds apply to
-// the trace's whole evidence) and sum across traces.
-func peerCensus(conns []*flows.Conn, census *scan.Census, monitored netip.Prefix) (map[netip.Addr]*flows.FanStats, []roles.HostProfile) {
-	fan := flows.FanInOut(census.Pairs, monitored.Contains, enterprise.IsLocal)
-	return fan, roles.Accumulate(census.Pairs, conns, census.PairOf).Finalize()
-}
 
 // accumulateConn feeds Table 3, Figure 1, and the §4 origin mix into a
 // replay worker's connection-level shard (folded at join). cat is the

@@ -44,9 +44,6 @@ type epochAgg struct {
 
 	load *loadAgg
 
-	// roleCounts counts hosts per roles.Role.
-	roleCounts *stats.Counter
-
 	// srcErrs is the degraded-run source-error census, one entry per
 	// trace that saw errors, in banking order.
 	srcErrs []TraceSourceErrors
@@ -93,7 +90,6 @@ func newTraceDelta() *epochAgg {
 		scanners:       make(map[netip.Addr]struct{}),
 		fanAgg:         make(map[netip.Addr]*flows.FanStats),
 		load:           newLoadAgg(),
-		roleCounts:     stats.NewCounter(),
 	}
 }
 
@@ -370,7 +366,7 @@ func (st *windowStore) advanceLocked(to time.Time) {
 }
 
 // finishTrace banks a trace's trace-granular delta (packet censuses,
-// scanner removal, load, fan, roles, and the phase-A application
+// scanner removal, load, fan, and the phase-A application
 // residue) into the window containing the trace's last packet — the
 // window during which those quantities become known — then advances the
 // watermark to that packet and emits every newly completed window.

@@ -483,8 +483,6 @@ func censusDiff(got, want *scan.Census) string {
 	switch {
 	case !slices.Equal(got.Kept, want.Kept):
 		return "Kept"
-	case !slices.Equal(got.PairOf, want.PairOf):
-		return "PairOf"
 	case !slices.Equal(got.Pairs, want.Pairs):
 		return "Pairs"
 	case !slices.Equal(got.Scanners, want.Scanners):

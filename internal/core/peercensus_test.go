@@ -16,14 +16,13 @@ import (
 	"enttrace/internal/layers"
 	"enttrace/internal/pcap"
 	"enttrace/internal/pipeline"
-	"enttrace/internal/roles"
 	"enttrace/internal/scan"
 )
 
-// The references below are the scanner filter, Figure 2 fan and role
-// evidence as they were computed before the census: a stable sort of a
-// copy and a seen set per source for the filter, then sorted edge lists
-// scanned in runs over the kept connections for fan and roles.
+// The references below are the scanner filter and Figure 2 fan as they
+// were computed before the census: a stable sort of a copy and a seen
+// set per source for the filter, then sorted edge lists scanned in runs
+// over the kept connections for fan.
 
 type refTrack struct {
 	seen            map[netip.Addr]struct{}
@@ -157,105 +156,13 @@ func refFanInOut(conns []*flows.Conn, monitored, isLocal func(netip.Addr) bool) 
 	return out
 }
 
-// refRoles is the role classification over kept connections by sorted
-// edges, finalized with the default thresholds.
-func refRoles(conns []*flows.Conn) map[netip.Addr]*roles.HostProfile {
-	var outE, inE []refEdge
-	for _, c := range conns {
-		if !c.Multicast {
-			outE = append(outE, refEdge{host: c.Key.Src, peer: c.Key.Dst})
-			inE = append(inE, refEdge{host: c.Key.Dst, peer: c.Key.Src, port: c.Key.DstPort})
-		}
-	}
-	profiles := make(map[netip.Addr]*roles.HostProfile)
-	get := func(h netip.Addr) *roles.HostProfile {
-		if profiles[h] == nil {
-			profiles[h] = &roles.HostProfile{Addr: h}
-		}
-		return profiles[h]
-	}
-	// runs calls f once per run of e sharing key, with the run's
-	// distinct-peer count and length.
-	runs := func(e []refEdge, key func(refEdge) refEdge, f func(first refEdge, distinct, n int)) {
-		for i := 0; i < len(e); {
-			distinct, j := 0, i
-			for ; j < len(e) && key(e[j]) == key(e[i]); j++ {
-				if j == i || e[j].peer != e[j-1].peer {
-					distinct++
-				}
-			}
-			f(e[i], distinct, j-i)
-			i = j
-		}
-	}
-	byHost := func(e refEdge) refEdge { return refEdge{host: e.host} }
-	slices.SortFunc(outE, refByHostPeer)
-	runs(outE, byHost, func(e refEdge, fan, n int) {
-		get(e.host).FanOut += fan
-		get(e.host).ConnsOut += int64(n)
-	})
-	slices.SortFunc(inE, refByHostPeer)
-	runs(inE, byHost, func(e refEdge, fan, n int) {
-		get(e.host).FanIn += fan
-		get(e.host).ConnsIn += int64(n)
-	})
-	slices.SortFunc(inE, func(a, b refEdge) int {
-		if c := a.host.Compare(b.host); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.port, b.port); c != 0 {
-			return c
-		}
-		return a.peer.Compare(b.peer)
-	})
-	type svc struct {
-		port    uint16
-		clients int
-	}
-	perHost := make(map[netip.Addr][]svc)
-	runs(inE, func(e refEdge) refEdge { return refEdge{host: e.host, port: e.port} }, func(e refEdge, clients, _ int) {
-		if clients >= 3 {
-			perHost[e.host] = append(perHost[e.host], svc{e.port, clients})
-		}
-	})
-	for h, svcs := range perHost {
-		slices.SortFunc(svcs, func(a, b svc) int {
-			if a.clients != b.clients {
-				return cmp.Compare(b.clients, a.clients)
-			}
-			return cmp.Compare(a.port, b.port)
-		})
-		for _, s := range svcs {
-			get(h).ServicePorts = append(get(h).ServicePorts, s.port)
-		}
-	}
-	for _, p := range profiles {
-		fi, fo := float64(p.FanIn), float64(p.FanOut)
-		switch {
-		case p.FanIn == 0 && p.FanOut == 0:
-			p.Role = roles.Quiet
-		case len(p.ServicePorts) > 0 && fi >= 2*fo:
-			p.Role = roles.Server
-		case p.FanIn >= 5 && p.FanOut >= 5 && max(fi-fo, fo-fi)/max(fi, fo) <= 0.5:
-			p.Role = roles.Peer
-		case p.FanOut >= p.FanIn:
-			p.Role = roles.Client
-		case len(p.ServicePorts) > 0:
-			p.Role = roles.Server
-		default:
-			p.Role = roles.Client
-		}
-	}
-	return profiles
-}
-
 // checkCensus compares one trace's census — the kept mask, scanner set
-// and removed count, then every FanStats and every host profile read
-// from it — with the references, and returns the census.
+// and removed count, then every FanStats read from it — with the
+// references, and returns the census.
 func checkCensus(t testing.TB, label string, conns []*flows.Conn, known []netip.Addr, monitored netip.Prefix) *scan.Census {
 	t.Helper()
 	census := scan.TakeCensus(conns, known)
-	fan, profiles := peerCensus(conns, census, monitored)
+	fan := flows.FanInOut(census.Pairs, monitored.Contains, enterprise.IsLocal)
 	kept, removed, scanners := refFilter(conns, known)
 	if !slices.Equal(census.Kept, kept) {
 		t.Errorf("%s: kept mask differs from the reference", label)
@@ -274,13 +181,6 @@ func checkCensus(t testing.TB, label string, conns []*flows.Conn, known []netip.
 	}
 	if want := refFanInOut(keptConns, monitored.Contains, enterprise.IsLocal); !reflect.DeepEqual(fan, want) {
 		t.Errorf("%s: fan over %d hosts differs from the reference over %d", label, len(fan), len(want))
-	}
-	got := make(map[netip.Addr]*roles.HostProfile, len(profiles))
-	for i := range profiles {
-		got[profiles[i].Addr] = &profiles[i]
-	}
-	if want := refRoles(keptConns); len(got) != len(profiles) || !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: %d host profiles (%v) differ from the reference's %d", label, len(profiles), roles.Summary(profiles), len(want))
 	}
 	return census
 }

@@ -221,10 +221,6 @@ func RenderText(r *Report) string {
 		}
 		b.WriteString("\n")
 	}
-	if len(r.Roles) > 0 {
-		fmt.Fprintf(&b, "Host roles (extension): servers %d, clients %d, peers %d\n\n",
-			r.Roles["server"], r.Roles["client"], r.Roles["peer"])
-	}
 	b.WriteString("Table 5: example findings (computed)\n")
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "  - %s\n", f)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,6 +49,64 @@ func TestRenderEmptyReport(t *testing.T) {
 	out := RenderText(a.Report())
 	if !strings.Contains(out, "Dataset empty") {
 		t.Error("empty report should still render")
+	}
+}
+
+// TestFindingsReadTheirFields pins Table 5: each sentence findings
+// writes is gated on one report field, which, zeroed, drops that
+// sentence and no other, and each number in a sentence is the formatted
+// value of the field it names.
+func TestFindingsReadTheirFields(t *testing.T) {
+	full := func() *Report {
+		return &Report{
+			HTTP: HTTPReport{Automated: map[string]AutomatedShare{
+				"Google bot": {ReqFrac: 0.10, ByteFrac: 0.30},
+				"scanner":    {ReqFrac: 0.05, ByteFrac: 0.20},
+			}},
+			Email: EmailReport{MedianIMAPSDurEnt: 120, MedianIMAPSDurWan: 10},
+			Names: NameServiceReport{NBNSFailureRate: 0.36, DNSRcodes: map[string]float64{"NXDOMAIN": 0.03}},
+			Windows: WindowsReport{CIFSRequests: map[string]float64{
+				"RPC Pipes": 0.45, "Windows File Sharing": 0.40,
+			}},
+			FileSvc: FileServiceReport{NFSRequestMix: map[string]float64{"Read": 0.40, "Write": 0.20, "GetAttr": 0.10, "Lookup": 0.30}},
+			Backup:  BackupReport{Conns: map[string]int64{"DANTZ": 3}, DantzBidirFrac: 0.67},
+		}
+	}
+	sentences := []struct {
+		field string
+		zero  func(*Report)
+		want  string
+	}{
+		{"HTTP.Automated", func(r *Report) { r.HTTP.Automated = nil },
+			"§5.1.1 Automated HTTP clients account for 15% of internal requests and 50% of internal HTTP bytes (largest: Google bot)."},
+		{"Email.MedianIMAPSDurEnt", func(r *Report) { r.Email.MedianIMAPSDurEnt = 0 },
+			"§5.1.2 Internal IMAP/S connections last 12x longer than WAN ones (medians 120.0s vs 10.0s)."},
+		{"Names.NBNSFailureRate", func(r *Report) { r.Names.NBNSFailureRate = 0 },
+			"§5.1.3 Netbios/NS queries fail 36% of the time vs 3% for DNS."},
+		{"Windows.CIFSRequests", func(r *Report) { r.Windows.CIFSRequests = nil },
+			"§5.2.1 DCE/RPC named pipes carry 45% of CIFS requests; Windows File Sharing 40%."},
+		{"FileSvc.NFSRequestMix", func(r *Report) { r.FileSvc.NFSRequestMix = nil },
+			"§5.2.2 Read/write/attr operations make up 70% of NFS requests."},
+		{"Backup.Conns", func(r *Report) { r.Backup.Conns = nil },
+			"§5.2.3 67% of Dantz connections carry ≥100KB in both directions."},
+	}
+	var all []string
+	for _, s := range sentences {
+		all = append(all, s.want)
+	}
+	if got := findings(full()); !slices.Equal(got, all) {
+		t.Fatalf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(all, "\n  "))
+	}
+	for i, s := range sentences {
+		r := full()
+		s.zero(r)
+		want := slices.Delete(slices.Clone(all), i, i+1)
+		if got := findings(r); !slices.Equal(got, want) {
+			t.Errorf("%s zeroed: findings %q, want every sentence but %q", s.field, got, s.want)
+		}
+	}
+	if got := findings(&Report{}); len(got) != 0 {
+		t.Errorf("findings from an empty report: %q", got)
 	}
 }
 

@@ -61,7 +61,7 @@ import (
 //
 // replayApps returns after phase A with phase B in flight; the caller
 // runs work that is independent of the per-shard state (trace load
-// accounting, the fan and role censuses) concurrently, then calls the
+// accounting, the Figure 2 fan) concurrently, then calls the
 // returned join, which only waits for the workers. Phase B touches only
 // per-worker state, the stream buffers it owns, the (mutex-guarded)
 // reassembly pool and the trace's hand-off; it reads the registry,

@@ -51,10 +51,6 @@ type Report struct {
 	// zeros on a clean fail-fast run.
 	SourceErrors SourceErrorReport
 
-	// Roles is the host-role census (extension: the paper's cited
-	// role-classification direction), summed over traces.
-	Roles map[string]int
-
 	// Fleet is the fleet-mode degradation census: which sites are
 	// missing which windows from this merged report (extension; see
 	// DESIGN.md "Fleet aggregation"). Nil on single-instance runs and on
@@ -445,10 +441,6 @@ func buildReport(dataset string, e *epochAgg, win *WindowMeta) *Report {
 	r.Load = e.loadReport()
 	r.Hostile = e.hostileReport()
 	r.SourceErrors = e.sourceErrorReport()
-	r.Roles = make(map[string]int)
-	for _, role := range e.roleCounts.Keys() {
-		r.Roles[role] = int(e.roleCounts.Get(role))
-	}
 	r.Findings = findings(r)
 	return r
 }
@@ -914,7 +906,7 @@ func findings(r *Report) []string {
 		f = append(f, fmt.Sprintf("§5.2.2 Read/write/attr operations make up %s of NFS requests.", stats.Pct(rw)))
 	}
 	if r.Backup.Conns["DANTZ"] > 0 {
-		f = append(f, fmt.Sprintf("§5.2.3 %s of Dantz connections carry ≥100KB in both directions; Veritas data flows only client→server.",
+		f = append(f, fmt.Sprintf("§5.2.3 %s of Dantz connections carry ≥100KB in both directions.",
 			stats.Pct(r.Backup.DantzBidirFrac)))
 	}
 	return f

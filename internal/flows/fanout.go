@@ -3,7 +3,6 @@ package flows
 import (
 	"encoding/binary"
 	"net/netip"
-	"slices"
 )
 
 // FanStats holds, for one host, the set sizes the paper's §4 reports:
@@ -23,21 +22,19 @@ func (f FanStats) FanIn() int { return f.FanInLocal + f.FanInRemote }
 func (f FanStats) FanOut() int { return f.FanOutLocal + f.FanOutRemote }
 
 // Pair is one distinct (originator, responder) address pair of a set of
-// connections, with the number of those connections it carries.
+// connections.
 type Pair struct {
 	Orig, Resp netip.Addr
-	Conns      int64
 }
 
 // Pairs deduplicates connections' (originator, responder) pairs,
 // numbering each distinct pair in the order its first connection was
 // added. The zero value is ready to use. A pair's addresses live only in
-// its index key, with its connection count beside it, until List builds
-// the pairs: a trace's census holds its table for as long as the trace
-// is read, and a Pair is seven words.
+// its index key until List builds the pairs: a trace's census holds its
+// table for as long as the trace is read.
 type Pairs struct {
-	// conns[i] is pair i's connection count.
-	conns []int64
+	// n is the number of distinct pairs.
+	n int32
 	// v4 indexes the pairs of two IPv4 addresses by both as one word,
 	// other the rest by their bytes (pairKey). Neither holds a pointer for
 	// the collector to scan, and the first hashes a word, not 34 bytes:
@@ -56,15 +53,14 @@ type pairKey struct {
 
 // Reserve sizes the table for n distinct pairs, most of them IPv4.
 func (t *Pairs) Reserve(n int) {
-	t.conns = slices.Grow(t.conns, n)
 	if t.v4 == nil {
 		t.v4 = make(map[uint64]int32, n)
 	}
 }
 
-// Add counts one connection from orig to resp. It returns the pair's
-// number and whether this connection is the pair's first.
-func (t *Pairs) Add(orig, resp netip.Addr) (int32, bool) {
+// Add records one connection from orig to resp and reports whether it is
+// the pair's first.
+func (t *Pairs) Add(orig, resp netip.Addr) bool {
 	if orig.Is4() && resp.Is4() {
 		o, r := orig.As4(), resp.As4()
 		return addPair(t, &t.v4, uint64(binary.BigEndian.Uint32(o[:]))<<32|uint64(binary.BigEndian.Uint32(r[:])))
@@ -72,29 +68,26 @@ func (t *Pairs) Add(orig, resp netip.Addr) (int32, bool) {
 	return addPair(t, &t.other, pairKey{orig.As16(), resp.As16(), [2]bool{orig.Is4(), resp.Is4()}})
 }
 
-func addPair[K comparable](t *Pairs, index *map[K]int32, k K) (int32, bool) {
-	if i, ok := (*index)[k]; ok {
-		t.conns[i]++
-		return i, false
+func addPair[K comparable](t *Pairs, index *map[K]int32, k K) bool {
+	if _, ok := (*index)[k]; ok {
+		return false
 	}
 	if *index == nil {
 		*index = make(map[K]int32)
 	}
-	i := int32(len(t.conns))
-	(*index)[k] = i
-	t.conns = append(t.conns, 1)
-	return i, true
+	(*index)[k] = t.n
+	t.n++
+	return true
 }
 
-// List returns the distinct pairs, pair i at index i, each with its
-// connection count.
+// List returns the distinct pairs, pair i at index i.
 func (t *Pairs) List() []Pair {
-	out := make([]Pair, len(t.conns))
+	out := make([]Pair, t.n)
 	for k, i := range t.v4 {
 		var o, r [4]byte
 		binary.BigEndian.PutUint32(o[:], uint32(k>>32))
 		binary.BigEndian.PutUint32(r[:], uint32(k))
-		out[i] = Pair{Orig: netip.AddrFrom4(o), Resp: netip.AddrFrom4(r), Conns: t.conns[i]}
+		out[i] = Pair{Orig: netip.AddrFrom4(o), Resp: netip.AddrFrom4(r)}
 	}
 	addr := func(b [16]byte, is4 bool) netip.Addr {
 		if is4 {
@@ -103,7 +96,7 @@ func (t *Pairs) List() []Pair {
 		return netip.AddrFrom16(b)
 	}
 	for k, i := range t.other {
-		out[i] = Pair{Orig: addr(k.orig, k.is4[0]), Resp: addr(k.resp, k.is4[1]), Conns: t.conns[i]}
+		out[i] = Pair{Orig: addr(k.orig, k.is4[0]), Resp: addr(k.resp, k.is4[1])}
 	}
 	return out
 }

@@ -335,21 +335,20 @@ func TestFanInOutExcludesMulticast(t *testing.T) {
 }
 
 // TestPairsDeduplicate pins the pair table: one entry per directed pair
-// of addresses, in first-connection order, counting every connection.
+// of addresses, in first-connection order.
 func TestPairsDeduplicate(t *testing.T) {
 	var tbl Pairs
 	// ipA as an IPv4-mapped IPv6 address is another host, and an IPv6
 	// pair goes through the other index.
 	mapped, v6 := netip.AddrFrom16(ipA.As16()), netip.MustParseAddr("2001:db8::1")
 	adds := [][2]netip.Addr{{ipA, ipB}, {ipB, ipA}, {ipA, ipB}, {ipA, ipC}, {mapped, ipB}, {v6, mapped}, {ipA, ipB}, {v6, mapped}}
-	wantIdx := []int32{0, 1, 0, 2, 3, 4, 0, 4}
 	wantFirst := []bool{true, true, false, true, true, true, false, false}
 	for i, ad := range adds {
-		if idx, first := tbl.Add(ad[0], ad[1]); idx != wantIdx[i] || first != wantFirst[i] {
-			t.Errorf("add %d: (%d, %v), want (%d, %v)", i, idx, first, wantIdx[i], wantFirst[i])
+		if first := tbl.Add(ad[0], ad[1]); first != wantFirst[i] {
+			t.Errorf("add %d: first %v, want %v", i, first, wantFirst[i])
 		}
 	}
-	want := []Pair{{ipA, ipB, 3}, {ipB, ipA, 1}, {ipA, ipC, 1}, {mapped, ipB, 1}, {v6, mapped, 2}}
+	want := []Pair{{ipA, ipB}, {ipB, ipA}, {ipA, ipC}, {mapped, ipB}, {v6, mapped}}
 	if got := tbl.List(); !slices.Equal(got, want) {
 		t.Errorf("pairs = %v, want %v", got, want)
 	}

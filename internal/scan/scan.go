@@ -11,8 +11,8 @@
 // which is also the heuristic's seen set: a contact is a first contact
 // exactly when its pair is new — and the per-source run tracker beside
 // it. The same table, less the scanners' pairs, is the kept connections'
-// deduplicated edge set, from which Figure 2 fan and host-role evidence
-// are read (flows.FanInOut, roles.Accumulate) without sorting anything.
+// deduplicated edge set, from which Figure 2 fan is read
+// (flows.FanInOut) without sorting anything.
 //
 // The walk need not wait for the trace to end. A Builder takes it while
 // the trace is read: Add observes connections in first-packet order as
@@ -114,11 +114,10 @@ func NewDetector() *Detector {
 // vulnerability scanners in the paper's traces) regardless of heuristics.
 func (d *Detector) AddKnown(src netip.Addr) { d.known[src] = true }
 
-// observe counts one src→dst connection in the pair table, advances
-// src's tracker when the pair is new, and returns the pair's index.
-func (d *Detector) observe(src, dst netip.Addr) int32 {
-	i, first := d.pairs.Add(src, dst)
-	if first {
+// observe enters one src→dst connection in the pair table and advances
+// src's tracker when the pair is new.
+func (d *Detector) observe(src, dst netip.Addr) {
+	if d.pairs.Add(src, dst) {
 		k, ok := d.sources[src]
 		if !ok {
 			k = int32(len(d.tracks))
@@ -127,7 +126,6 @@ func (d *Detector) observe(src, dst netip.Addr) int32 {
 		}
 		d.tracks[k].firstContact(dst)
 	}
-	return i
 }
 
 // IsScanner reports whether src currently qualifies as a scanner.
@@ -168,13 +166,12 @@ func (d *Detector) ObserveConns(conns []*flows.Conn) {
 	}
 }
 
-// observeConn observes c's originator→responder pair and returns the
-// pair's index, or -1 for a multicast connection, which is not observed.
-func (d *Detector) observeConn(c *flows.Conn) int32 {
-	if c.Multicast {
-		return -1
+// observeConn observes c's originator→responder pair unless c is
+// multicast.
+func (d *Detector) observeConn(c *flows.Conn) {
+	if !c.Multicast {
+		d.observe(c.Key.Src, c.Key.Dst)
 	}
-	return d.observe(c.Key.Src, c.Key.Dst)
 }
 
 // Census is one trace's §3 scanner removal and its distinct-peer pair
@@ -188,23 +185,20 @@ type Census struct {
 	// flagged, in address order.
 	Scanners []netip.Addr
 	// Pairs is the kept unicast connections' distinct (originator,
-	// responder) pairs, each with its connection count.
+	// responder) pairs.
 	Pairs []flows.Pair
-	// PairOf[i] is conns[i]'s index in Pairs, or -1 when conns[i] is
-	// removed or multicast.
-	PairOf []int32
 }
 
 // Builder takes one trace's Census as the trace is read. Add observes
 // connections in first-packet order, as many at a time as are ready;
 // Finish observes the rest and classifies. A connection's Key, Multicast
-// and Start are read when it is observed, and never again.
+// and Start are read when it is observed; Finish reads its originator
+// again to remove it or keep it.
 type Builder struct {
 	known []netip.Addr
 	d     *Detector
-	// pairOf[i] is the i-th added connection's index in the full pair
-	// table, or -1 when it is multicast.
-	pairOf []int32
+	// n counts the added connections.
+	n int
 	// last is the latest added connection's start. regressed is set once
 	// an added connection started before it: the census then observes
 	// nothing more, and Finish takes it again in start order.
@@ -220,12 +214,12 @@ func NewBuilder(known []netip.Addr, conns int) *Builder {
 		d.AddKnown(k)
 	}
 	d.pairs.Reserve(conns / 2)
-	return &Builder{known: known, d: d, pairOf: make([]int32, 0, conns)}
+	return &Builder{known: known, d: d}
 }
 
 // Len is how many connections the census has observed: the first Len
 // connections of the trace.
-func (b *Builder) Len() int { return len(b.pairOf) }
+func (b *Builder) Len() int { return b.n }
 
 // Add observes conns, the connections after the first Len in
 // first-packet order. It stops at the first one that starts before the
@@ -235,12 +229,13 @@ func (b *Builder) Len() int { return len(b.pairOf) }
 // final (flows.Conn.Settled).
 func (b *Builder) Add(conns []*flows.Conn) {
 	for _, c := range conns {
-		if b.regressed || len(b.pairOf) > 0 && c.Start.Before(b.last) {
+		if b.regressed || b.n > 0 && c.Start.Before(b.last) {
 			b.regressed = true
 			return
 		}
 		b.last = c.Start
-		b.pairOf = append(b.pairOf, b.d.observeConn(c))
+		b.d.observeConn(c)
+		b.n++
 	}
 }
 
@@ -254,24 +249,13 @@ func (b *Builder) Add(conns []*flows.Conn) {
 func (b *Builder) Finish(conns []*flows.Conn) *Census {
 	b.Add(conns[b.Len():])
 	if !b.regressed {
-		return b.d.census(conns, b.pairOf)
+		return b.d.census(conns)
 	}
-	order := make([]int, len(conns))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(i, j int) int { return conns[i].Start.Compare(conns[j].Start) })
-	sorted := make([]*flows.Conn, len(conns))
-	for k, i := range order {
-		sorted[k] = conns[i]
-	}
+	sorted := slices.Clone(conns)
+	slices.SortStableFunc(sorted, func(x, y *flows.Conn) int { return x.Start.Compare(y.Start) })
 	from := NewBuilder(b.known, len(conns))
 	from.Add(sorted)
-	pairOf := make([]int32, len(conns))
-	for k, i := range order {
-		pairOf[i] = from.pairOf[k]
-	}
-	return from.d.census(conns, pairOf)
+	return from.d.census(conns)
 }
 
 // TakeCensus runs the full §3 procedure: observe every unicast connection
@@ -285,9 +269,9 @@ func TakeCensus(conns []*flows.Conn, known []netip.Addr) *Census {
 }
 
 // census classifies the scanners among what d observed and removes their
-// connections. pairOf[i] is conns[i]'s index in d's pair table, or -1.
-func (d *Detector) census(conns []*flows.Conn, pairOf []int32) *Census {
-	c := &Census{Kept: make([]bool, len(conns)), PairOf: pairOf}
+// connections.
+func (d *Detector) census(conns []*flows.Conn) *Census {
+	c := &Census{Kept: make([]bool, len(conns))}
 	c.Scanners = d.Scanners()
 	scanners := make(map[netip.Addr]bool, len(c.Scanners))
 	for _, s := range c.Scanners {
@@ -295,25 +279,10 @@ func (d *Detector) census(conns []*flows.Conn, pairOf []int32) *Census {
 	}
 	// Kept-ness depends only on the originator, so the pairs whose
 	// originator is not a scanner are exactly the kept unicast
-	// connections' distinct pairs. Compact them in place; remap takes an
-	// index in the full table to one in the kept list, or to -1.
-	all := d.pairs.List()
-	remap := make([]int32, len(all))
-	c.Pairs = all[:0]
-	for i, p := range all {
-		remap[i] = -1
-		if !scanners[p.Orig] {
-			remap[i] = int32(len(c.Pairs))
-			c.Pairs = append(c.Pairs, p)
-		}
-	}
+	// connections' distinct pairs. Compact them in place.
+	c.Pairs = slices.DeleteFunc(d.pairs.List(), func(p flows.Pair) bool { return scanners[p.Orig] })
 	for i, conn := range conns {
-		if p := c.PairOf[i]; p >= 0 {
-			c.PairOf[i] = remap[p]
-			c.Kept[i] = remap[p] >= 0
-		} else {
-			c.Kept[i] = !scanners[conn.Key.Src]
-		}
+		c.Kept[i] = !scanners[conn.Key.Src]
 		if !c.Kept[i] {
 			c.RemovedConns++
 		}
