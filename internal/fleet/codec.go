@@ -32,14 +32,15 @@
 // that stays with its owner — a cut leaves it behind, and merge and
 // emptiness ignore it. See DESIGN.md "Epoch cuts and windowed reports".
 //
-// Encoded bytes are read by one walk of the plan (fold), in one of
-// three modes. Unmarshal sets a value from the bytes. MergeFrom folds
-// them straight into a destination — exactly what Merge gives with the
+// Encoded bytes are decoded by one walk of the plan (fold), in one of
+// two modes. Unmarshal sets a value from the bytes. MergeFrom folds them
+// straight into a destination — exactly what Merge gives with the
 // payload decoded, without building the decoded value. Check only reads
-// them, without allocating. Every op of a plan takes the address of a
-// value, so the three share each rule — a presence flag, a count's
-// bound, a map's key order, an integer's width — and Check accepts
-// exactly the payloads Unmarshal accepts by construction: what a
+// them, without allocating, by running the type's check program
+// (check.go), as MergeFrom does to read past pairing state. The fold and
+// the program each state every rule — a presence flag, a count's bound,
+// a map's key order, an integer's width — so that Check refuses exactly
+// what Unmarshal refuses, with the same error, is held by test. What a
 // receiver checks on arrival is what it folds later. See DESIGN.md
 // "Fleet aggregation".
 package fleet
@@ -150,22 +151,19 @@ func MergeFrom[T any](dst *T, b []byte) error {
 
 // Check reports whether Unmarshal would accept b for a *T, with the
 // error Unmarshal would return, without decoding b and without
-// allocating once the plan is built.
+// allocating once the plan is built: it runs T's check program.
 func Check[T any](b []byte) error {
-	return planOf(reflect.TypeFor[T]()).foldBytes(b, nil, checking)
+	prog := planOf(reflect.TypeFor[T]()).program()
+	d := decoders.Get().(*decoder)
+	d.buf = b
+	return d.done(d.run(prog))
 }
 
 // foldBytes runs the fold over all of b with a pooled decoder.
 func (p *plan) foldBytes(b []byte, dst unsafe.Pointer, m mode) error {
 	d := decoders.Get().(*decoder)
 	d.buf = b
-	err := p.fold(d, dst, m)
-	if err == nil && len(d.buf) != 0 {
-		err = fmt.Errorf("fleet: %d trailing bytes after decode", len(d.buf))
-	}
-	d.buf = nil
-	decoders.Put(d)
-	return err
+	return d.done(p.fold(d, dst, m))
 }
 
 // MergeError says which field of v's type graph Merge and Cut have no
@@ -191,19 +189,9 @@ func mergePlan[T any]() *plan {
 type mode uint8
 
 const (
-	checking mode = iota // only read it; dst is nil
-	merging              // merge it into the value at dst, as merge would
-	setting              // overwrite the value at dst with it
+	setting mode = iota // overwrite the value at dst with it
+	merging             // merge it into the value at dst, as merge would
 )
-
-// at is the address offset bytes into the value at dst, or nil when the
-// fold only checks.
-func (m mode) at(dst unsafe.Pointer, offset uintptr) unsafe.Pointer {
-	if m == checking {
-		return nil
-	}
-	return unsafe.Add(dst, offset)
-}
 
 // plan is the codec compiled for one type. Everything that depends on
 // the type alone is decided when the plan is built — the wire form, the
@@ -211,11 +199,12 @@ func (m mode) at(dst unsafe.Pointer, offset uintptr) unsafe.Pointer {
 // special-cased ones — so running it asks no questions of the type
 // again. Every op takes the addresses of values of the type. enc writes
 // the value at v. fold is the one read walk: it reads one encoded value
-// and, by its mode, only checks it, merges it into the value at dst as
-// merge would merge the decoded value, or sets the value at dst to it,
-// overwriting all its kept state and allocating maps, slices and
-// pointers fresh. Every type checks and sets; only a type that merges is
-// folded in merging mode. schema writes the type's contribution to
+// and, by its mode, merges it into the value at dst as merge would merge
+// the decoded value, or sets the value at dst to it, overwriting all its
+// kept state and allocating maps, slices and pointers fresh. Every type
+// sets; only a type that merges is folded in merging mode. emit appends
+// the type's ops to a check program (check.go), and program assembles
+// and keeps the type's own. schema writes the type's contribution to
 // the schema hash; seen holds the struct types open on the path down to
 // it.
 //
@@ -228,7 +217,10 @@ func (m mode) at(dst unsafe.Pointer, offset uintptr) unsafe.Pointer {
 type plan struct {
 	enc    func(e *encoder, v unsafe.Pointer) error
 	fold   func(d *decoder, dst unsafe.Pointer, m mode) error
+	emit   func(a *asm)
 	schema func(h io.Writer, seen map[reflect.Type]bool)
+	once   sync.Once
+	prog   []op
 
 	merge    func(dst, src unsafe.Pointer)
 	cut      func(dst, src unsafe.Pointer)
@@ -264,7 +256,7 @@ type planBuilder map[reflect.Type]*plan
 // plan returns t's plan, building it if neither the cache nor this build
 // has it. A type that contains itself finds its own entry here while it
 // is still being filled in; that is safe because a parent keeps the
-// *plan and reads enc, fold and schema through it only when run.
+// *plan and reads enc, fold, emit and schema through it only when run.
 func (b planBuilder) plan(t reflect.Type) *plan {
 	if p, ok := plans.Load(t); ok {
 		return p.(*plan)
@@ -330,15 +322,17 @@ type (
 // OR, or by max (agg:"max"); a cut moves the value and zeroes the
 // source; zero is empty. write encodes the scalar at v; read decodes one
 // value of the kind into the scalar at w, refusing one the kind cannot
-// hold (t names the type in the error).
+// hold (t names the type in the error); check is the op that reads past
+// one.
 type scalarOps struct {
 	merge, max, cut func(dst, src unsafe.Pointer)
 	empty           func(v unsafe.Pointer) bool
 	write           func(e *encoder, v unsafe.Pointer) error
 	read            func(d *decoder, t reflect.Type, w unsafe.Pointer) error
+	check           op
 }
 
-func numberOps[T number](write func(*encoder, unsafe.Pointer) error, read func(*decoder, reflect.Type, unsafe.Pointer) error) scalarOps {
+func numberOps[T number](check opcode, write func(*encoder, unsafe.Pointer) error, read func(*decoder, reflect.Type, unsafe.Pointer) error) scalarOps {
 	return scalarOps{
 		merge: func(dst, src unsafe.Pointer) { *(*T)(dst) += *(*T)(src) },
 		max:   func(dst, src unsafe.Pointer) { *(*T)(dst) = max(*(*T)(dst), *(*T)(src)) },
@@ -346,11 +340,12 @@ func numberOps[T number](write func(*encoder, unsafe.Pointer) error, read func(*
 		empty: func(v unsafe.Pointer) bool { return *(*T)(v) == 0 },
 		write: write,
 		read:  read,
+		check: op{code: check, width: uint8(unsafe.Sizeof(T(0)) * 8)},
 	}
 }
 
 func intOps[T signed]() scalarOps {
-	return numberOps[T](func(e *encoder, v unsafe.Pointer) error {
+	return numberOps[T](opVarint, func(e *encoder, v unsafe.Pointer) error {
 		e.varint(int64(*(*T)(v)))
 		return nil
 	}, func(d *decoder, t reflect.Type, w unsafe.Pointer) error {
@@ -364,7 +359,7 @@ func intOps[T signed]() scalarOps {
 }
 
 func uintOps[T unsigned]() scalarOps {
-	return numberOps[T](func(e *encoder, v unsafe.Pointer) error {
+	return numberOps[T](opUvarint, func(e *encoder, v unsafe.Pointer) error {
 		e.uvarint(uint64(*(*T)(v)))
 		return nil
 	}, func(d *decoder, t reflect.Type, w unsafe.Pointer) error {
@@ -384,7 +379,7 @@ var scalars = map[reflect.Kind]scalarOps{
 	reflect.Uint32: uintOps[uint32](), reflect.Uint64: uintOps[uint64](), reflect.Uintptr: uintOps[uintptr](),
 	// A float32 goes out through float64, so a signalling NaN leaves
 	// quieted: the wire form the reference walk pins.
-	reflect.Float32: numberOps[float32](func(e *encoder, v unsafe.Pointer) error {
+	reflect.Float32: numberOps[float32](opFixed, func(e *encoder, v unsafe.Pointer) error {
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(float64(*(*float32)(v)))))
 		return nil
 	}, func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
@@ -394,7 +389,7 @@ var scalars = map[reflect.Kind]scalarOps{
 		}
 		return err
 	}),
-	reflect.Float64: numberOps[float64](func(e *encoder, v unsafe.Pointer) error {
+	reflect.Float64: numberOps[float64](opFixed, func(e *encoder, v unsafe.Pointer) error {
 		e.float64(*(*float64)(v))
 		return nil
 	}, func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
@@ -405,6 +400,7 @@ var scalars = map[reflect.Kind]scalarOps{
 		return err
 	}),
 	reflect.Bool: {
+		check: op{code: opFlag},
 		merge: func(dst, src unsafe.Pointer) { *(*bool)(dst) = *(*bool)(dst) || *(*bool)(src) },
 		cut:   func(dst, src unsafe.Pointer) { *(*bool)(dst), *(*bool)(src) = *(*bool)(src), false },
 		empty: func(v unsafe.Pointer) bool { return !*(*bool)(v) },
@@ -421,15 +417,15 @@ var scalars = map[reflect.Kind]scalarOps{
 }
 
 // scalarFold is a scalar's fold: setting reads the value into dst;
-// checking and merging read it into the decoder's scratch word, and
-// merging merges it from there.
+// merging reads it into the decoder's scratch word and merges it from
+// there.
 func scalarFold(t reflect.Type, read func(*decoder, reflect.Type, unsafe.Pointer) error, merge func(dst, src unsafe.Pointer)) func(*decoder, unsafe.Pointer, mode) error {
 	return func(d *decoder, dst unsafe.Pointer, m mode) error {
 		if m == setting {
 			return read(d, t, dst)
 		}
 		w := unsafe.Pointer(&d.word)
-		if err := read(d, t, w); err != nil || m == checking {
+		if err := read(d, t, w); err != nil {
 			return err
 		}
 		merge(dst, w)
@@ -442,22 +438,25 @@ func (p *plan) cannotMerge(t reflect.Type) {
 	p.mergeErr = fmt.Errorf("cannot merge %s", t)
 }
 
-// fail makes every op of p that can fail — encoding, folding, merging —
-// fail with err.
+// fail makes every op of p that can fail — encoding, folding, checking,
+// merging — fail with err.
 func (p *plan) fail(err error) {
 	p.mergeErr = err
 	p.enc = func(*encoder, unsafe.Pointer) error { return err }
 	p.fold = func(*decoder, unsafe.Pointer, mode) error { return err }
+	p.emit = emits(op{code: opFail, arg: err})
 }
 
 // fill compiles t into p: the one place the codec dispatches on type.
 func (b planBuilder) fill(p *plan, t reflect.Type) {
 	// Special cases first: exact wire forms owned by the value's own
-	// package. They hash by name, not structure.
+	// package. They hash by name, not structure. A type that cannot
+	// merge is only ever folded in setting mode.
 	switch {
 	case t == timeType:
 		p.cannotMerge(t)
 		p.schema = label("time.Time")
+		p.emit = emits(op{code: opTime})
 		p.enc = func(e *encoder, v unsafe.Pointer) error {
 			raw, err := (*time.Time)(v).MarshalBinary()
 			if err != nil {
@@ -466,7 +465,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			e.bytes(raw)
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer, _ mode) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
@@ -475,9 +474,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			if err := tm.UnmarshalBinary(raw); err != nil {
 				return fmt.Errorf("fleet: time: %w", err)
 			}
-			if m == setting {
-				*(*time.Time)(dst) = tm
-			}
+			*(*time.Time)(dst) = tm
 			return nil
 		}
 		return
@@ -489,6 +486,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		p.empty = func(v unsafe.Pointer) bool { return (*stats.Dist)(v).N() == 0 }
 		p.leaf = true
 		p.schema = label("stats.Dist:runs")
+		p.emit = emits(op{code: opDist})
 		p.enc = func(e *encoder, v unsafe.Pointer) error {
 			vals, counts, nan := stats.DistRuns((*stats.Dist)(v))
 			e.varint(nan)
@@ -499,32 +497,14 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
-		// The runs are read into decoder scratch: merging and checking
-		// keep nothing of them, setting copies them.
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
-			vals, counts, nan, err := d.runs()
-			if err != nil {
-				return err
-			}
-			if m == setting {
-				var dist *stats.Dist
-				if dist, err = stats.DistFromRuns(vals, counts, nan); err == nil {
-					*(*stats.Dist)(dst) = *dist
-				}
-			} else {
-				err = stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan)
-			}
-			if err != nil {
-				return fmt.Errorf("fleet: dist: %w", err)
-			}
-			return nil
-		}
+		p.fold = foldDist
 		return
 	case t == addrType:
 		// netip.Addr's own binary form, written and read typed:
 		// addresses key most of the aggregate's maps.
 		p.cannotMerge(t)
 		p.schema = label("binary:" + t.String())
+		p.emit = emits(op{code: opAddr})
 		p.enc = func(e *encoder, v unsafe.Pointer) error {
 			a := *(*netip.Addr)(v)
 			switch {
@@ -541,7 +521,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer, _ mode) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
@@ -550,9 +530,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			if err := a.UnmarshalBinary(raw); err != nil {
 				return fmt.Errorf("fleet: %s: %w", t, err)
 			}
-			if m == setting {
-				*(*netip.Addr)(dst) = a
-			}
+			*(*netip.Addr)(dst) = a
 			return nil
 		}
 		return
@@ -568,6 +546,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 	defer joinOps(p, t) // a Join method overrides the kind's merge
 	if ops, ok := scalars[t.Kind()]; ok {
 		p.merge, p.cut, p.empty, p.enc = ops.merge, ops.cut, ops.empty, ops.write
+		p.emit = emits(op{code: ops.check.code, width: ops.check.width, arg: t})
 		// p.merge is read as the fold runs: a Join method replaces it.
 		p.fold = scalarFold(t, ops.read, func(dst, src unsafe.Pointer) { p.merge(dst, src) })
 		return
@@ -581,13 +560,14 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			e.buf = append(e.buf, s...)
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer, _ mode) error {
 			raw, err := d.bytes()
-			if err == nil && m == setting {
+			if err == nil {
 				*(*string)(dst) = string(raw)
 			}
 			return err
 		}
+		p.emit = emits(op{code: opBytes})
 	case reflect.Slice:
 		elem := b.plan(t.Elem())
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
@@ -612,11 +592,16 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		}
 		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			for i := range n {
-				if err := elem.fold(d, m.at(dst, uintptr(i)*size), m); err != nil {
+				if err := elem.fold(d, unsafe.Add(dst, uintptr(i)*size), m); err != nil {
 					return err
 				}
 			}
 			return nil
+		}
+		p.emit = func(a *asm) {
+			if n > 0 {
+				a.repeat(op{code: opArray, n: int32(n)}, func() { a.plan(elem) })
+			}
 		}
 	case reflect.Map:
 		c, _ := reflect.Zero(t).Interface().(compiler)
@@ -688,20 +673,29 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
 			for i := range fields {
 				f := &fields[i]
-				fp, fm := f.plan, m
-				if m == merging {
-					if fp = f.merge; fp == nil {
-						fp, fm = f.plan, checking // pairing state stays with its owner
-					}
+				var err error
+				switch {
+				case m == setting:
+					err = f.plan.fold(d, unsafe.Add(dst, f.offset), setting)
+				case f.merge == nil: // pairing state stays with its owner
+					err = d.run(f.plan.program())
+				default:
+					err = f.merge.fold(d, unsafe.Add(dst, f.offset), merging)
 				}
-				if err := fp.fold(d, fm.at(dst, f.offset), fm); err != nil {
+				if err != nil {
 					return err
 				}
 			}
 			return nil
 		}
+		p.emit = func(a *asm) {
+			for i := range fields {
+				a.plan(fields[i].plan)
+			}
+		}
 		if t == counterType {
 			p.merge = func(dst, src unsafe.Pointer) { (*stats.Counter)(dst).Merge((*stats.Counter)(src)) }
+			p.emit = emits(op{code: opCounter})
 			p.leaf = true
 			walk := p.fold
 			p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
@@ -733,16 +727,40 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		p.enc = func(*encoder, unsafe.Pointer) error {
 			return fmt.Errorf("fleet: cannot encode kind %s (%s)", t.Kind(), t)
 		}
-		p.fold = func(*decoder, unsafe.Pointer, mode) error {
-			return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
-		}
+		err := fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
+		p.fold = func(*decoder, unsafe.Pointer, mode) error { return err }
+		p.emit = emits(op{code: opFail, arg: err})
 	}
+}
+
+// foldDist folds an encoded stats.Dist's runs into the one at dst, or
+// with dst nil only reads past them (the check program's opDist). The
+// runs are read into decoder scratch: merging keeps nothing of them,
+// setting copies them.
+func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
+	vals, counts, nan, err := d.runs()
+	if err != nil {
+		return err
+	}
+	if m == setting {
+		var dist *stats.Dist
+		if dist, err = stats.DistFromRuns(vals, counts, nan); err == nil {
+			*(*stats.Dist)(dst) = *dist
+		}
+	} else {
+		err = stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan)
+	}
+	if err != nil {
+		return fmt.Errorf("fleet: dist: %w", err)
+	}
+	return nil
 }
 
 // foldCounter folds an encoded stats.Counter — its counts map, then its
 // total — into c key by key through Add, as Counter.Merge does, or with
-// c nil only checks it: the rules of the field walk, in one loop. The
-// total is read past: Merge adds up the source's counts instead.
+// c nil only reads past it (the check program's opCounter): the rules of
+// the field walk, in one loop. The total is read past: Merge adds up the
+// source's counts instead.
 func foldCounter(d *decoder, c *stats.Counter) error {
 	n, _, err := d.count()
 	if err != nil {
@@ -857,7 +875,7 @@ func sliceOps(p *plan, t reflect.Type, elem *plan) {
 			return nil
 		case raw:
 			b, err := d.take(n)
-			if err == nil && m != checking {
+			if err == nil {
 				s := (*[]byte)(dst)
 				if m == setting {
 					*s = nil
@@ -866,24 +884,27 @@ func sliceOps(p *plan, t reflect.Type, elem *plan) {
 			}
 			return err
 		}
-		var data unsafe.Pointer
-		first := 0
-		if m != checking {
-			v := reflect.NewAt(t, dst).Elem()
-			if m == setting {
-				v.Set(reflect.MakeSlice(t, 0, n))
-			}
-			first = v.Len()
-			v.Grow(n)
-			v.SetLen(first + n)
-			data, m = v.UnsafePointer(), setting
+		v := reflect.NewAt(t, dst).Elem()
+		if m == setting {
+			v.Set(reflect.MakeSlice(t, 0, n))
 		}
+		first := v.Len()
+		v.Grow(n)
+		v.SetLen(first + n)
+		data := v.UnsafePointer()
 		for i := range n {
-			if err := elem.fold(d, m.at(data, uintptr(first+i)*size), m); err != nil {
+			if err := elem.fold(d, unsafe.Add(data, uintptr(first+i)*size), setting); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+	p.emit = func(a *asm) {
+		if raw {
+			a.op(op{code: opRaw})
+			return
+		}
+		a.repeat(op{code: opCount}, func() { a.plan(elem) })
 	}
 }
 
@@ -938,15 +959,15 @@ func pointerOps(p *plan, t reflect.Type, elem *plan) {
 			}
 			return err
 		}
-		var s unsafe.Pointer
-		switch m {
-		case setting:
+		s := *(*unsafe.Pointer)(dst)
+		if m == setting {
 			s = reflect.New(t.Elem()).UnsafePointer()
 			*(*unsafe.Pointer)(dst) = s
-		case merging:
-			s = *(*unsafe.Pointer)(dst)
 		}
 		return elem.fold(d, s, m)
+	}
+	p.emit = func(a *asm) {
+		a.skip(op{code: opPointer}, func() { a.plan(elem) })
 	}
 }
 
@@ -992,16 +1013,31 @@ func (e *encoder) flag(present bool) bool {
 }
 
 // decoder reads a payload. vals and counts are scratch for a
-// distribution's runs, reused from one distribution to the next.
+// distribution's runs, reused from one distribution to the next; loops
+// are the bodies a check program is running.
 type decoder struct {
 	buf    []byte
 	vals   []float64
 	counts []int64
+	loops  []loop
 	word   uint64 // a scalar's value between its read and its merge
 }
 
 // decoders pools the folds' decoders, so Check allocates nothing.
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// done returns d to the pool, holding nothing of its payload, and err,
+// or the error for bytes left over when a whole value read without one.
+func (d *decoder) done(err error) error {
+	if err == nil && len(d.buf) != 0 {
+		err = fmt.Errorf("fleet: %d trailing bytes after decode", len(d.buf))
+	}
+	d.buf = nil
+	clear(d.loops[:cap(d.loops)])
+	d.loops = d.loops[:0]
+	decoders.Put(d)
+	return err
+}
 
 var (
 	errShort    = fmt.Errorf("fleet: payload truncated")
@@ -1036,6 +1072,10 @@ func (d *decoder) take(n int) ([]byte, error) {
 }
 
 func (d *decoder) bytes() ([]byte, error) {
+	if b := d.buf; len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) { // a one-byte length
+		d.buf = b[1+b[0]:]
+		return b[1 : 1+b[0]], nil
+	}
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err

@@ -56,7 +56,9 @@ func freshFixture() any { return new(wireFixture) }
 // TestCodecMatchesReferenceWalk is the fixture-sized differential: the
 // plans and the reference walk produce the same bytes for the same
 // value, decode them to the same value, and what they produce is
-// canonical — decoding and re-encoding changes nothing.
+// canonical — decoding and re-encoding changes nothing. Over the
+// fixture's truncations and substitutions, the check program refuses
+// exactly what the fold refuses, with the same error.
 func TestCodecMatchesReferenceWalk(t *testing.T) {
 	for name, in := range map[string]*wireFixture{"full": mkFixture(), "zero": {}} {
 		b, err := Marshal(in)
@@ -73,9 +75,21 @@ func TestCodecMatchesReferenceWalk(t *testing.T) {
 		if re := diffUnmarshal(t, b, freshFixture); !bytes.Equal(re, b) {
 			t.Fatalf("%s: not a decode → re-encode fixed point:\n%x\n%x", name, b, re)
 		}
-		// Every truncation is rejected the same way by both.
+		// Every truncation, and every byte replaced by one that ends a
+		// varint or a flag, starts a longer varint or is one above what
+		// was there, is read the same way by both, and by Check.
 		for cut := 0; cut < len(b); cut++ {
 			diffUnmarshal(t, b[:cut], freshFixture)
+			checkMatchesUnmarshal(t, b[:cut])
+		}
+		sub := bytes.Clone(b)
+		for at, was := range b {
+			for _, x := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff, was + 1} {
+				sub[at] = x
+				diffUnmarshal(t, sub, freshFixture)
+				checkMatchesUnmarshal(t, sub)
+			}
+			sub[at] = was
 		}
 	}
 }
@@ -144,9 +158,9 @@ func TestSchemaMatchesReferenceWalk(t *testing.T) {
 
 // TestPlanCacheFirstUse races eight goroutines to be the first to decode
 // (then encode) types the cache has never seen, a recursive one among
-// them, and half of them to merge and cut one: every one must get a
-// complete plan, whoever builds it. Run under -race at several -cpu
-// values (CI's race job does).
+// them, half of them to merge and cut one and half to check one: every
+// one must get a complete plan and program, whoever builds it. Run
+// under -race at several -cpu values (CI's race job does).
 func TestPlanCacheFirstUse(t *testing.T) {
 	fixture, err := refMarshal(mkFixture())
 	if err != nil {
@@ -171,6 +185,8 @@ func TestPlanCacheFirstUse(t *testing.T) {
 					if d := Cut(dst); d == nil || d.count != 3 || len(d.set) != 2 || d.counter.Get("k") != 3 {
 						t.Error("first-use merge and cut")
 					}
+				} else if err := Check[wireFixture](fixture); err != nil {
+					t.Errorf("first-use check: %v", err)
 				}
 				for _, c := range []struct {
 					b     []byte

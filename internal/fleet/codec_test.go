@@ -14,9 +14,12 @@ import (
 )
 
 // wireFixture exercises every encoding path the real snapshot graph
-// uses: unexported fields, nested structs, maps with composite keys,
-// slices of structs, pointers, special-cased types, and a func field
-// that must be skipped.
+// uses: unexported fields, nested structs, narrow integers, maps with
+// composite keys, sets, maps of pointers and of maps, slices of structs,
+// pointers, special-cased types, a type that contains itself, and a func
+// field that must be skipped. refused stays nil: it is on the wire only
+// when the fuzzer sets its flag, and then refused, so every op of a
+// check program is reached.
 type wireFixture struct {
 	name    string
 	count   int64
@@ -34,6 +37,13 @@ type wireFixture struct {
 	items   []innerFixture
 	raw     []byte
 	arr     [2]netip.Addr
+	narrow  int8
+	counter *stats.Counter
+	set     Map[netip.Addr, struct{}]
+	byLabel Map[string, *innerFixture]
+	sets    Map[string, Map[uint16, struct{}]]
+	chain   *chain
+	refused *any
 	Skipped func() // must not affect bytes or schema
 }
 
@@ -50,6 +60,9 @@ func mkFixture() *wireFixture {
 	for _, v := range []float64{5, 1, 1, 3, math.Inf(1), math.NaN(), 2, 2, 2} {
 		d.Observe(v)
 	}
+	c := stats.NewCounter()
+	c.Add("tcp", 3)
+	c.Add("udp", 1)
 	return &wireFixture{
 		name:  "site-a",
 		count: -42,
@@ -72,6 +85,12 @@ func mkFixture() *wireFixture {
 			netip.MustParseAddr("192.168.0.1"),
 			netip.MustParseAddr("fe80::1"),
 		},
+		narrow:  -100,
+		counter: c,
+		set:     map[netip.Addr]struct{}{netip.MustParseAddr("10.0.0.9"): {}, netip.MustParseAddr("10.0.0.7"): {}},
+		byLabel: map[string]*innerFixture{"a": {label: "x", n: 1}, "nil": nil},
+		sets:    map[string]Map[uint16, struct{}]{"a": {7: {}, 300: {}}, "empty": {}},
+		chain:   mkChain(),
 		Skipped: func() {},
 	}
 }
@@ -99,6 +118,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if len(out.byName) != 3 || out.byName["tcp"] != 100 {
 		t.Fatalf("byName mismatch: %v", out.byName)
+	}
+	if out.narrow != in.narrow || out.counter.Get("tcp") != 3 || out.counter.Total() != 4 ||
+		!reflect.DeepEqual(out.set, in.set) || !reflect.DeepEqual(out.byLabel, in.byLabel) ||
+		!reflect.DeepEqual(out.sets, in.sets) || !reflect.DeepEqual(out.chain, in.chain) || out.refused != nil {
+		t.Fatalf("round-trip mismatch in the maps, counter or chain:\n got %+v\nwant %+v", &out, in)
 	}
 	if out.dist.N() != in.dist.N() || out.dist.Quantile(0.5) != in.dist.Quantile(0.5) {
 		t.Fatalf("dist mismatch: n=%d median=%v", out.dist.N(), out.dist.Quantile(0.5))
@@ -156,6 +180,14 @@ func filledFixture() *wireFixture {
 	f.items = append(f.items, innerFixture{label: "z", n: 4})
 	f.raw = []byte{9, 9, 9, 9, 9, 9}
 	f.arr[0] = netip.MustParseAddr("10.3.3.3")
+	f.narrow = 9
+	f.counter.Add("stale", 2)
+	f.set[netip.MustParseAddr("10.9.9.9")] = struct{}{}
+	f.byLabel["a"].n, f.byLabel["stale"] = 5, &innerFixture{label: "stale"}
+	f.sets["a"][9], f.sets["stale"] = struct{}{}, nil
+	f.chain.next.id = 99
+	refused := any(3)
+	f.refused = &refused
 	f.Skipped = nil
 	return f
 }
@@ -263,7 +295,7 @@ func TestSchemaOf(t *testing.T) {
 	}
 	// Pinned: how the hash is computed may change, the hash may not — a
 	// site built before the change must still pass HELLO.
-	if want := uint64(0x30745e5379c456c2); a != want {
+	if want := uint64(0x8238e27a72431208); a != want {
 		t.Fatalf("wireFixture schema hash drifted: %#x, want %#x", a, want)
 	}
 	type renamed struct {

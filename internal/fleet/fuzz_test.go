@@ -78,9 +78,16 @@ func FuzzCodecUnmarshal(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		diffUnmarshal(t, b, freshFixture)
-		err, checkErr := Unmarshal(b, freshFixture()), Check[wireFixture](b)
-		if (err == nil) != (checkErr == nil) || (err != nil && err.Error() != checkErr.Error()) {
-			t.Fatalf("Check disagrees with Unmarshal\n    Check: %v\nUnmarshal: %v", checkErr, err)
-		}
+		checkMatchesUnmarshal(t, b)
 	})
+}
+
+// checkMatchesUnmarshal fails unless Check refuses b for the fixture
+// type exactly when Unmarshal does, with the same error.
+func checkMatchesUnmarshal(t testing.TB, b []byte) {
+	t.Helper()
+	err, checkErr := Unmarshal(b, freshFixture()), Check[wireFixture](b)
+	if (err == nil) != (checkErr == nil) || (err != nil && err.Error() != checkErr.Error()) {
+		t.Fatalf("Check disagrees with Unmarshal on %x\n    Check: %v\nUnmarshal: %v", b, checkErr, err)
+	}
 }

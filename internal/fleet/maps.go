@@ -47,6 +47,13 @@ func (b planBuilder) mapPlan(p *plan, t reflect.Type, c compiler) {
 		return
 	}
 	c.compile(p, t, key, elem)
+	p.emit = func(a *asm) {
+		a.repeat(op{code: opCount}, func() {
+			a.plan(key)
+			a.op(op{code: opKey})
+			a.plan(elem)
+		})
+	}
 }
 
 // word is v, a pointer or a map, as the one pointer word either is.
@@ -212,8 +219,7 @@ type kernel[K comparable, V any] struct {
 	key, elem *plan
 	slots     sync.Pool
 	// entry reads one value off the wire after its key (in x.k) and,
-	// by mode, stores it in dm or merges it into dm; a check reads the
-	// value through elem alone.
+	// by mode, stores it in dm or merges it into dm.
 	entry func(d *decoder, dm map[K]V, x *mapSlots[K, V], m mode) error
 }
 
@@ -302,35 +308,23 @@ func (k *kernel[K, V]) fold(d *decoder, dst unsafe.Pointer, m mode) error {
 		}
 		return err
 	}
-	var dm map[K]V
-	var x *mapSlots[K, V]
-	var kp unsafe.Pointer
-	km := checking
-	if m != checking {
-		// Setting makes the map fresh; merging into an empty receiver
-		// swaps in a fresh one too, sized from the count.
-		if m == setting || len(*mp) == 0 && n > 0 {
-			*mp = make(map[K]V, n)
-		}
-		dm, x = *mp, k.get()
-		kp, km = unsafe.Pointer(&x.k), setting
-		defer k.put(x)
+	// Setting makes the map fresh; merging into an empty receiver swaps
+	// in a fresh one too, sized from the count.
+	if m == setting || len(*mp) == 0 && n > 0 {
+		*mp = make(map[K]V, n)
 	}
+	dm, x := *mp, k.get()
+	defer k.put(x)
 	var prev []byte
 	for i := range n {
 		start := d.buf
-		if err := k.key.fold(d, kp, km); err != nil {
+		if err := k.key.fold(d, unsafe.Pointer(&x.k), setting); err != nil {
 			return err
 		}
 		if err := d.ordered(start, &prev, i == 0); err != nil {
 			return err
 		}
-		if m == checking {
-			err = k.elem.fold(d, nil, checking)
-		} else {
-			err = k.entry(d, dm, x, m)
-		}
-		if err != nil {
+		if err := k.entry(d, dm, x, m); err != nil {
 			return err
 		}
 	}
