@@ -462,7 +462,7 @@ func TestAllocationCeilings(t *testing.T) {
 		// Fold every window off the wire: one op is Fleet.Report of one
 		// site that delivered them all, the windows folded into one fresh
 		// aggregate and its report built once.
-		{name: "codec/merge-from", allocs: 2796, bytes: 605677, runs: 10, setup: codec(func(tb testing.TB, _ *core.Analyzer, payloads [][]byte) func() {
+		{name: "codec/merge-from", allocs: 1190, bytes: 589640, runs: 10, setup: codec(func(tb testing.TB, _ *core.Analyzer, payloads [][]byte) func() {
 			f := core.NewFleet(core.FleetConfig{Dataset: "codec"})
 			for w, p := range payloads {
 				if err := f.Delta("site", w, 1, 0, p); err != nil {

@@ -32,9 +32,9 @@ func TestMergePlanCoversAggregates(t *testing.T) {
 // TestMapKernelsCoverAggregates: every map the epoch aggregate reaches,
 // pairing state included, is declared a fleet.Map, which the codec has
 // a kernel for, so it encodes, folds and merges without reflection; a
-// map left plain fails by name, and stats.Counter, which cannot declare
-// its map, takes its kernel from the codec. A plain map fails the same
-// way on its own.
+// map left plain fails by name. stats.Counter is a codec leaf, whose
+// table's index is no map of the aggregate's: the walk stops there. A
+// plain map fails the same way on its own.
 func TestMapKernelsCoverAggregates(t *testing.T) {
 	counter := reflect.TypeFor[stats.Counter]()
 	maps := 0

@@ -9,6 +9,7 @@ import (
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
 	"enttrace/internal/pcap"
+	"enttrace/internal/stats"
 )
 
 func TestRenderTextCoversEveryExperiment(t *testing.T) {
@@ -199,5 +200,25 @@ func TestFigure1SumsToUnity(t *testing.T) {
 	}
 	if connsSum < 0.95 || connsSum > 1.001 {
 		t.Errorf("conns shares sum to %v", connsSum)
+	}
+}
+
+// TestAutomatedTotalsPrintTheSameEveryTime: the §5.1.1 finding adds the
+// Table 6 classes' shares, and 0.194 + 0.091 + 0.08 is 36 % or 37 %
+// depending on the order of the additions. Built from the same report,
+// the sentence must not change, and it adds in class-name order.
+func TestAutomatedTotalsPrintTheSameEveryTime(t *testing.T) {
+	a, b, c := 0.194, 0.091, 0.08
+	r := &Report{HTTP: HTTPReport{Automated: map[string]AutomatedShare{
+		"a": {ReqFrac: a, ByteFrac: a},
+		"b": {ReqFrac: b, ByteFrac: b},
+		"c": {ReqFrac: c, ByteFrac: c},
+	}}}
+	total := stats.Pct(a + b + c) // (a + b) + c
+	want := "§5.1.1 Automated HTTP clients account for " + total + " of internal requests and " + total + " of internal HTTP bytes (largest: a)."
+	for range 200 {
+		if got := findings(r); len(got) != 1 || got[0] != want {
+			t.Fatalf("findings %q, want %q", got, want)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"enttrace/internal/categories"
@@ -445,10 +447,13 @@ func buildReport(dataset string, e *epochAgg, win *WindowMeta) *Report {
 	return r
 }
 
+// counterFractions is each key's share of c's total, read in one walk
+// of the table.
 func counterFractions(c *stats.Counter) map[string]float64 {
-	out := make(map[string]float64)
-	for _, k := range c.Keys() {
-		out[k] = c.Fraction(k)
+	entries := c.Entries()
+	out := make(map[string]float64, len(entries))
+	for _, e := range entries {
+		out[e.Key] = frac(float64(e.N), float64(c.Total()))
 	}
 	return out
 }
@@ -652,16 +657,9 @@ func nameReport(ap *appAggregates) NameServiceReport {
 	return r
 }
 
+// topNShare is the share of c's total that its n largest counts hold.
 func topNShare(c *stats.Counter, n int) float64 {
-	keys := c.Keys()
-	if len(keys) > n {
-		keys = keys[:n]
-	}
-	var top int64
-	for _, k := range keys {
-		top += c.Get(k)
-	}
-	return frac(float64(top), float64(c.Total()))
+	return frac(float64(c.TopSum(n)), float64(c.Total()))
 }
 
 func windowsReport(ap *appAggregates) WindowsReport {
@@ -923,18 +921,22 @@ func maxAutomated(h HTTPReport) (string, bool) {
 	return best, best != ""
 }
 
+// totalAutomatedReq and totalAutomatedBytes add the Table 6 classes'
+// shares in name order: a float sum depends on its order, and a map's
+// is random, so only a fixed order prints a total near a rounding edge
+// the same way every time.
 func totalAutomatedReq(h HTTPReport) float64 {
 	var t float64
-	for _, v := range h.Automated {
-		t += v.ReqFrac
+	for _, k := range slices.Sorted(maps.Keys(h.Automated)) {
+		t += h.Automated[k].ReqFrac
 	}
 	return t
 }
 
 func totalAutomatedBytes(h HTTPReport) float64 {
 	var t float64
-	for _, v := range h.Automated {
-		t += v.ByteFrac
+	for _, k := range slices.Sorted(maps.Keys(h.Automated)) {
+		t += h.Automated[k].ByteFrac
 	}
 	return t
 }

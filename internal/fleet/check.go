@@ -155,9 +155,9 @@ func (d *decoder) run(prog []op) error {
 				}
 			}
 		case opCounter:
-			err = foldCounter(d, nil)
+			err = foldCounter(d, nil, setting)
 		case opDist:
-			err = foldDist(d, nil, merging)
+			err = checkDist(d)
 		case opCount:
 			var n int
 			if n, _, err = d.count(); err == nil && n == 0 {

@@ -47,6 +47,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"encoding"
 	"encoding/binary"
 	"fmt"
@@ -55,6 +56,8 @@ import (
 	"math"
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -499,6 +502,26 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		}
 		p.fold = foldDist
 		return
+	case t == counterType:
+		p.merge = func(dst, src unsafe.Pointer) { (*stats.Counter)(dst).Merge((*stats.Counter)(src)) }
+		p.cut = func(dst, src unsafe.Pointer) {
+			*(*stats.Counter)(dst), *(*stats.Counter)(src) = *(*stats.Counter)(src), stats.Counter{}
+		}
+		p.empty = func(v unsafe.Pointer) bool {
+			c := (*stats.Counter)(v)
+			return c.Len() == 0 && c.Total() == 0
+		}
+		p.leaf = true
+		// On the wire and in the schema hash a Counter is the struct it
+		// was before its counts became a table: a map of counts, then
+		// the total.
+		p.schema = label("struct stats.Counter{counts:map[string]int64;total:int64;}")
+		p.emit = emits(op{code: opCounter})
+		p.enc = encCounter
+		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+			return foldCounter(d, (*stats.Counter)(dst), m)
+		}
+		return
 	case t == addrType:
 		// netip.Addr's own binary form, written and read typed:
 		// addresses key most of the aggregate's maps.
@@ -620,14 +643,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			var fp *plan
-			switch {
-			case skipKind(f.Type.Kind()):
-			case t == counterType && f.Type.Kind() == reflect.Map:
-				// A Counter's counts: stats cannot declare them a Map,
-				// as this package imports it.
-				fp = new(plan)
-				b.mapPlan(fp, f.Type, Map[string, int64](nil))
-			default:
+			if !skipKind(f.Type.Kind()) {
 				fp = b.plan(f.Type)
 			}
 			if fp != nil {
@@ -693,18 +709,6 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 				a.plan(fields[i].plan)
 			}
 		}
-		if t == counterType {
-			p.merge = func(dst, src unsafe.Pointer) { (*stats.Counter)(dst).Merge((*stats.Counter)(src)) }
-			p.emit = emits(op{code: opCounter})
-			p.leaf = true
-			walk := p.fold
-			p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
-				if m == setting {
-					return walk(d, dst, m)
-				}
-				return foldCounter(d, (*stats.Counter)(dst))
-			}
-		}
 		p.schema = func(h io.Writer, seen map[reflect.Type]bool) {
 			if seen[t] {
 				// Recursive type: the name already contributed where it
@@ -733,8 +737,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 	}
 }
 
-// foldDist folds an encoded stats.Dist's runs into the one at dst, or
-// with dst nil only reads past them (the check program's opDist). The
+// foldDist folds an encoded stats.Dist's runs into the one at dst. The
 // runs are read into decoder scratch: merging keeps nothing of them,
 // setting copies them.
 func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
@@ -756,15 +759,84 @@ func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
 	return nil
 }
 
-// foldCounter folds an encoded stats.Counter — its counts map, then its
-// total — into c key by key through Add, as Counter.Merge does, or with
-// c nil only reads past it (the check program's opCounter): the rules of
-// the field walk, in one loop. The total is read past: Merge adds up the
-// source's counts instead.
-func foldCounter(d *decoder, c *stats.Counter) error {
-	n, _, err := d.count()
+// checkDist reads past an encoded stats.Dist's runs in place — the check
+// program's opDist — and refuses what foldDist refuses with the same
+// error: a run cut short first, then the first run DistFromRuns refuses.
+func checkDist(d *decoder) error {
+	nan, n, err := d.runsHeader()
 	if err != nil {
 		return err
+	}
+	rc := stats.NewRunCheck(nan)
+	for range n {
+		raw, err := d.take(8)
+		if err != nil {
+			return err
+		}
+		c, err := d.varint()
+		if err != nil {
+			return err
+		}
+		rc.Run(math.Float64frombits(binary.LittleEndian.Uint64(raw)), c)
+	}
+	if err := rc.Err(); err != nil {
+		return fmt.Errorf("fleet: dist: %w", err)
+	}
+	return nil
+}
+
+// encCounter writes a stats.Counter as the map kernel wrote the map its
+// counts were — the presence flag, the count, the entries in the order
+// of their encoded keys — then the total.
+func encCounter(e *encoder, v unsafe.Pointer) error {
+	c := (*stats.Counter)(v)
+	if entries := c.Entries(); e.flag(entries != nil) {
+		e.uvarint(uint64(len(entries)))
+		sorted := append(e.counts[:0], entries...)
+		slices.SortFunc(sorted, func(a, b stats.Count) int { return keyOrder(a.Key, b.Key) })
+		for i := range sorted {
+			e.uvarint(uint64(len(sorted[i].Key)))
+			e.buf = append(e.buf, sorted[i].Key...)
+			e.varint(sorted[i].N)
+		}
+		clear(sorted)
+		e.counts = sorted[:0]
+	}
+	e.varint(c.Total())
+	return nil
+}
+
+// keyOrder orders two strings as their encodings do — the length's
+// uvarint, then the bytes — which is the order the map kernel writes a
+// map's keys in. Distinct lengths have distinct uvarints, none a prefix
+// of another, so those decide.
+func keyOrder(a, b string) int {
+	switch {
+	case len(a) == len(b):
+		return strings.Compare(a, b)
+	case len(a) < 0x80 && len(b) < 0x80:
+		return cmp.Compare(len(a), len(b))
+	}
+	var la, lb [binary.MaxVarintLen64]byte
+	return bytes.Compare(binary.AppendUvarint(la[:0], uint64(len(a))), binary.AppendUvarint(lb[:0], uint64(len(b))))
+}
+
+// foldCounter folds an encoded stats.Counter into c: the entries of its
+// counts, refused unless their keys strictly increase, then its total.
+// Setting reads the entries into a fresh table and takes the total as
+// written. Merging adds each count to c's through AddBytes, as
+// Counter.Merge adds them, and reads the total past: Merge adds up the
+// source's counts instead. With c nil it only reads past them, in place
+// (the check program's opCounter).
+func foldCounter(d *decoder, c *stats.Counter, m mode) error {
+	n, present, err := d.count()
+	if err != nil {
+		return err
+	}
+	set := c != nil && m == setting
+	var entries []stats.Count
+	if set && present {
+		entries = make([]stats.Count, 0, n)
 	}
 	var prev []byte
 	for i := range n {
@@ -780,11 +852,17 @@ func foldCounter(d *decoder, c *stats.Counter) error {
 		if err != nil {
 			return err
 		}
-		if c != nil {
-			c.Add(string(key), v)
+		switch {
+		case set:
+			entries = append(entries, stats.Count{Key: string(key), N: v})
+		case c != nil:
+			c.AddBytes(key, v)
 		}
 	}
-	_, err = d.varint()
+	total, err := d.varint()
+	if err == nil && set {
+		*c = stats.CounterFromTable(entries, total)
+	}
 	return err
 }
 
@@ -976,9 +1054,10 @@ func pointerOps(p *plan, t reflect.Type, elem *plan) {
 // entries sorts its own in sub's sub. One encoder of each depth serves
 // every map at that depth.
 type encoder struct {
-	buf   []byte
-	pairs []pair
-	sub   *encoder
+	buf    []byte
+	pairs  []pair
+	counts []stats.Count // a Counter's entries, sorted to be written
+	sub    *encoder
 }
 
 // scratch returns e's sub-encoder, emptied.
@@ -1123,17 +1202,26 @@ func (d *decoder) ordered(start []byte, prev *[]byte, first bool) error {
 	return nil
 }
 
+// runsHeader reads a distribution's NaN count and number of runs.
+func (d *decoder) runsHeader() (nan int64, n int, err error) {
+	if nan, err = d.varint(); err != nil {
+		return 0, 0, err
+	}
+	c, err := d.uvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	if c > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
+		return 0, 0, errShort
+	}
+	return nan, int(c), nil
+}
+
 // runs reads a distribution's NaN count and runs into the scratch slices.
 func (d *decoder) runs() (vals []float64, counts []int64, nan int64, err error) {
-	if nan, err = d.varint(); err != nil {
-		return nil, nil, 0, err
-	}
-	n, err := d.uvarint()
+	nan, n, err := d.runsHeader()
 	if err != nil {
 		return nil, nil, 0, err
-	}
-	if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
-		return nil, nil, 0, errShort
 	}
 	vals, counts = d.vals[:0], d.counts[:0]
 	for range n {

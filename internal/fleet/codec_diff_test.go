@@ -2,9 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"enttrace/internal/stats"
 )
 
 // diffUnmarshal decodes b through the plans and through the reference
@@ -209,5 +214,60 @@ func TestPlanCacheFirstUse(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+	}
+}
+
+// TestCounterMatchesMapForm pins a stats.Counter's wire form to the map
+// its counts were before they became a table: counters of no key, one
+// key, 7, 8 and 9 keys (the table takes its index past 8), a few
+// thousand, and keys whose lengths straddle a uvarint's byte boundaries,
+// each built by Add in a shuffled order and by Merge of two halves,
+// encode to the bytes the reference walk writes for the map, and decode
+// to the same counter through either, which re-encodes to those bytes.
+func TestCounterMatchesMapForm(t *testing.T) {
+	type holder struct {
+		added  *stats.Counter
+		merged stats.Counter
+	}
+	addressKeys := func(n int) []string {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&0xff, i&0xff)
+		}
+		return keys
+	}
+	var long []string
+	for _, n := range []int{0, 1, 127, 128, 129, 255, 256, 16383, 16384} {
+		long = append(long, strings.Repeat(string(rune('a'+len(long))), n))
+	}
+	cases := map[string][]string{"long keys": long}
+	for _, n := range []int{0, 1, 7, 8, 9, 3000} {
+		cases[fmt.Sprintf("%d keys", n)] = addressKeys(n)
+	}
+	for name, keys := range cases {
+		rng := rand.New(rand.NewPCG(uint64(len(keys)), 7))
+		h := &holder{added: stats.NewCounter()}
+		halves := [2]*stats.Counter{stats.NewCounter(), stats.NewCounter()}
+		for _, i := range rng.Perm(len(keys)) {
+			n := rng.Int64N(1 << 20)
+			h.added.Add(keys[i], n)
+			halves[i%2].Add(keys[i], n)
+		}
+		h.merged.Merge(halves[0])
+		h.merged.Merge(halves[1])
+		b, err := Marshal(h)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref, err := refMarshal(h)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("%s: the table encodes as %x, the map form as %x", name, b, ref)
+		}
+		if re := diffUnmarshal(t, b, func() any { return new(holder) }); !bytes.Equal(re, b) {
+			t.Fatalf("%s: not a decode → re-encode fixed point", name)
+		}
 	}
 }

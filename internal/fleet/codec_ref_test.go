@@ -21,7 +21,49 @@ import (
 // schema by its own walk over the type. Plan and reference share only
 // the byte-level primitives on encoder and decoder — among them the rule
 // that a map's keys come in the encoder's order, which came after the
-// plans and holds for both.
+// plans and holds for both. A stats.Counter, whose counts became a table
+// after the plans, is walked as the struct it was (mapCounter).
+
+// mapCounter is stats.Counter as it was: its counts a map, then the
+// total. The reference writes, reads and hashes a Counter as one, under
+// the Counter's name.
+type mapCounter struct {
+	counts map[string]int64
+	total  int64
+}
+
+var mapCounterType = reflect.TypeFor[mapCounter]()
+
+// toMapCounter is c as the struct it was.
+func toMapCounter(c *stats.Counter) mapCounter {
+	mc := mapCounter{total: c.Total()}
+	if entries := c.Entries(); entries != nil {
+		mc.counts = make(map[string]int64, len(entries))
+		for _, e := range entries {
+			mc.counts[e.Key] = e.N
+		}
+	}
+	return mc
+}
+
+// fromMapCounter is the Counter whose table holds mc's counts in the
+// order the reference writes them: by encoded key.
+func fromMapCounter(mc mapCounter) stats.Counter {
+	var entries []stats.Count
+	if mc.counts != nil {
+		entries = make([]stats.Count, 0, len(mc.counts))
+		for k, n := range mc.counts {
+			entries = append(entries, stats.Count{Key: k, N: n})
+		}
+		encoded := func(k string) string {
+			var e encoder
+			e.bytes([]byte(k))
+			return string(e.buf)
+		}
+		sort.Slice(entries, func(i, j int) bool { return encoded(entries[i].Key) < encoded(entries[j].Key) })
+	}
+	return stats.CounterFromTable(entries, mc.total)
+}
 
 func refMarshal(v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
@@ -70,6 +112,9 @@ func refHashType(h interface{ Write([]byte) (int, error) }, t reflect.Type, seen
 	case t == distType:
 		h.Write([]byte("stats.Dist:runs"))
 		return
+	case t == counterType:
+		refHashType(h, mapCounterType, seen)
+		return
 	case isBinaryCodec(t):
 		h.Write([]byte("binary:" + t.String()))
 		return
@@ -97,7 +142,11 @@ func refHashType(h interface{ Write([]byte) (int, error) }, t reflect.Type, seen
 		refHashType(h, t.Elem(), seen)
 	case reflect.Struct:
 		seen[t] = true
-		h.Write([]byte("struct " + t.String() + "{"))
+		name := t.String()
+		if t == mapCounterType {
+			name = counterType.String()
+		}
+		h.Write([]byte("struct " + name + "{"))
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if skipKind(f.Type.Kind()) {
@@ -148,6 +197,9 @@ func (e *encoder) refEncode(v reflect.Value) error {
 			e.varint(counts[i])
 		}
 		return nil
+	case t == counterType:
+		mc := toMapCounter(v.Addr().Interface().(*stats.Counter))
+		return e.refEncode(reflect.ValueOf(&mc).Elem())
 	case isBinaryCodec(t):
 		b, err := v.Interface().(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
@@ -298,6 +350,13 @@ func (d *decoder) refDecode(v reflect.Value) error {
 			return fmt.Errorf("fleet: dist: %w", err)
 		}
 		v.Set(reflect.ValueOf(*dist))
+		return nil
+	case t == counterType:
+		var mc mapCounter
+		if err := d.refDecode(reflect.ValueOf(&mc).Elem()); err != nil {
+			return err
+		}
+		v.Set(reflect.ValueOf(fromMapCounter(mc)))
 		return nil
 	case isBinaryCodec(t):
 		b, err := d.bytes()

@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
-// enterprise-traffic reproduction: counters keyed by string, empirical
-// distributions with quantiles and CDF extraction, and fraction
+// enterprise-traffic reproduction: counters keyed by string, kept as
+// tables of (key, count) entries, empirical distributions with quantiles
+// and CDF extraction, and fraction
 // formatting that mirrors the way the paper reports numbers (percentages,
 // ranges such as "45%–65%", GB/MB volumes).
 //
@@ -17,24 +18,45 @@
 // banked: a nil *Counter or *Dist reads as empty. What the two owe is an
 // exact Merge — folding the pieces of any partition reproduces the
 // aggregate that never split, bit for bit — that leaves its source
-// usable and aliases nothing.
+// usable and aliases nothing. Both are leaves of the fleet codec too: it
+// writes and reads a Counter's table (Entries, CounterFromTable,
+// AddBytes) and a Dist's runs (DistRuns, DistFromRuns, MergeRuns,
+// RunCheck) itself.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 )
 
-// Counter accumulates named counts, e.g. packets per network-layer protocol.
-// The map is allocated on first write, so an empty counter costs one
-// small struct — the epoch machinery creates fresh counters at every
-// window cut. A nil *Counter reads as empty.
+// Counter accumulates named counts, e.g. packets per network-layer
+// protocol. The counts are a table of (key, count) entries in the order
+// the keys were first added. A small table is searched from the front;
+// past indexAt entries it keeps a map from key to entry beside it. So
+// raising a key already counted — by Add, AddBytes or Merge — is a
+// lookup and an add, and allocates nothing. The table is allocated on
+// first write, so an empty counter costs one small struct — the epoch
+// machinery creates fresh counters at every window cut. A nil *Counter
+// reads as empty.
 type Counter struct {
-	counts map[string]int64
-	total  int64
+	entries []Count
+	index   map[string]int32 // key → its entry, once the table outgrows indexAt
+	total   int64
 }
+
+// Count is one entry of a Counter's table.
+type Count struct {
+	Key string
+	N   int64
+}
+
+// indexAt is the table size past which a Counter indexes its entries: a
+// search from the front beats hashing only for a handful of keys.
+const indexAt = 8
 
 // NewCounter returns an empty Counter.
 func NewCounter() *Counter {
@@ -44,15 +66,79 @@ func NewCounter() *Counter {
 // Add increments key by n (n may be negative, though callers never do that
 // in practice).
 func (c *Counter) Add(key string, n int64) {
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
+	if i := c.find(key); i >= 0 {
+		c.entries[i].N += n
+	} else {
+		c.insert(key, n)
 	}
-	c.counts[key] += n
+	c.total += n
+}
+
+// AddBytes is Add with the key as bytes. They are copied into a string
+// only when the key is new, so a decoder folding wire bytes pays no
+// conversion for a key the counter already holds.
+func (c *Counter) AddBytes(key []byte, n int64) {
+	if i := c.findBytes(key); i >= 0 {
+		c.entries[i].N += n
+	} else {
+		c.insert(string(key), n)
+	}
 	c.total += n
 }
 
 // Inc increments key by one.
 func (c *Counter) Inc(key string) { c.Add(key, 1) }
+
+// find returns key's entry, or -1.
+func (c *Counter) find(key string) int {
+	if c.index != nil {
+		if i, ok := c.index[key]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range c.entries {
+		if c.entries[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// findBytes is find for a key in bytes; neither lookup copies them.
+func (c *Counter) findBytes(key []byte) int {
+	if c.index != nil {
+		if i, ok := c.index[string(key)]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range c.entries {
+		if c.entries[i].Key == string(key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// insert appends an entry for key, which the table lacks, and indexes
+// it once the table has outgrown indexAt.
+func (c *Counter) insert(key string, n int64) {
+	c.entries = append(c.entries, Count{Key: key, N: n})
+	if c.index != nil {
+		c.index[key] = int32(len(c.entries) - 1)
+	} else if len(c.entries) > indexAt {
+		c.reindex()
+	}
+}
+
+// reindex builds the index over every entry.
+func (c *Counter) reindex() {
+	c.index = make(map[string]int32, 2*len(c.entries))
+	for i := range c.entries {
+		c.index[c.entries[i].Key] = int32(i)
+	}
+}
 
 // noCounts is what a nil *Counter reads as.
 var noCounts Counter
@@ -66,7 +152,13 @@ func (c *Counter) read() *Counter {
 }
 
 // Get returns the count for key (zero if absent).
-func (c *Counter) Get(key string) int64 { return c.read().counts[key] }
+func (c *Counter) Get(key string) int64 {
+	c = c.read()
+	if i := c.find(key); i >= 0 {
+		return c.entries[i].N
+	}
+	return 0
+}
 
 // Total returns the sum over all keys.
 func (c *Counter) Total() int64 { return c.read().total }
@@ -76,33 +168,73 @@ func (c *Counter) Fraction(key string) float64 {
 	if c.Total() == 0 {
 		return 0
 	}
-	return float64(c.counts[key]) / float64(c.total)
+	return float64(c.Get(key)) / float64(c.total)
 }
+
+// Entries returns the table: every key and its count, in the order the
+// keys were first added, and nil for a counter that never held a key.
+// The slice is the counter's own: do not modify it, and do not add to
+// the counter while holding it.
+func (c *Counter) Entries() []Count { return c.read().entries }
 
 // Keys returns all keys sorted by descending count, ties broken by name, so
 // table rows come out in a stable, paper-like order.
 func (c *Counter) Keys() []string {
-	c = c.read()
-	keys := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if c.counts[keys[i]] != c.counts[keys[j]] {
-			return c.counts[keys[i]] > c.counts[keys[j]]
+	ranked := slices.Clone(c.read().entries)
+	slices.SortFunc(ranked, func(a, b Count) int {
+		if a.N != b.N {
+			return cmp.Compare(b.N, a.N)
 		}
-		return keys[i] < keys[j]
+		return strings.Compare(a.Key, b.Key)
 	})
+	keys := make([]string, len(ranked))
+	for i := range ranked {
+		keys[i] = ranked[i].Key
+	}
 	return keys
 }
 
-// Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.read().counts) }
+// TopSum returns the sum of the n largest counts: the counts of Keys'
+// first n keys, selected without sorting the table.
+func (c *Counter) TopSum(n int) int64 {
+	entries := c.read().entries
+	if n <= 0 {
+		return 0
+	}
+	if n >= len(entries) {
+		var sum int64
+		for i := range entries {
+			sum += entries[i].N
+		}
+		return sum
+	}
+	// top is the n largest counts met so far, largest first.
+	top := make([]int64, 0, n+1)
+	for i := range entries {
+		v := entries[i].N
+		if len(top) == n && v <= top[n-1] {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(top, v, func(t, v int64) int { return cmp.Compare(v, t) })
+		if top = slices.Insert(top, at, v); len(top) > n {
+			top = top[:n]
+		}
+	}
+	var sum int64
+	for _, v := range top {
+		sum += v
+	}
+	return sum
+}
 
-// Merge adds all counts from other into c.
+// Len returns the number of distinct keys.
+func (c *Counter) Len() int { return len(c.read().entries) }
+
+// Merge adds all counts from other into c, walking other's table.
 func (c *Counter) Merge(other *Counter) {
-	for k, v := range other.read().counts {
-		c.Add(k, v)
+	src := other.read().entries
+	for i := range src {
+		c.Add(src[i].Key, src[i].N)
 	}
 }
 
