@@ -157,7 +157,7 @@ func (d *decoder) run(prog []op) error {
 		case opCounter:
 			err = foldCounter(d, nil, setting)
 		case opDist:
-			err = checkDist(d)
+			err = foldDist(d, nil, merging)
 		case opCount:
 			var n int
 			if n, _, err = d.count(); err == nil && n == 0 {

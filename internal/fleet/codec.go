@@ -47,7 +47,6 @@ package fleet
 
 import (
 	"bytes"
-	"cmp"
 	"encoding"
 	"encoding/binary"
 	"fmt"
@@ -56,8 +55,6 @@ import (
 	"math"
 	"net/netip"
 	"reflect"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -737,7 +734,8 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 	}
 }
 
-// foldDist folds an encoded stats.Dist's runs into the one at dst. The
+// foldDist folds an encoded stats.Dist's runs into the one at dst, or
+// with dst nil only reads past them (the check program's opDist). The
 // runs are read into decoder scratch: merging keeps nothing of them,
 // setting copies them.
 func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
@@ -759,32 +757,6 @@ func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
 	return nil
 }
 
-// checkDist reads past an encoded stats.Dist's runs in place — the check
-// program's opDist — and refuses what foldDist refuses with the same
-// error: a run cut short first, then the first run DistFromRuns refuses.
-func checkDist(d *decoder) error {
-	nan, n, err := d.runsHeader()
-	if err != nil {
-		return err
-	}
-	rc := stats.NewRunCheck(nan)
-	for range n {
-		raw, err := d.take(8)
-		if err != nil {
-			return err
-		}
-		c, err := d.varint()
-		if err != nil {
-			return err
-		}
-		rc.Run(math.Float64frombits(binary.LittleEndian.Uint64(raw)), c)
-	}
-	if err := rc.Err(); err != nil {
-		return fmt.Errorf("fleet: dist: %w", err)
-	}
-	return nil
-}
-
 // encCounter writes a stats.Counter as the map kernel wrote the map its
 // counts were — the presence flag, the count, the entries in the order
 // of their encoded keys — then the total.
@@ -792,33 +764,20 @@ func encCounter(e *encoder, v unsafe.Pointer) error {
 	c := (*stats.Counter)(v)
 	if entries := c.Entries(); e.flag(entries != nil) {
 		e.uvarint(uint64(len(entries)))
-		sorted := append(e.counts[:0], entries...)
-		slices.SortFunc(sorted, func(a, b stats.Count) int { return keyOrder(a.Key, b.Key) })
-		for i := range sorted {
-			e.uvarint(uint64(len(sorted[i].Key)))
-			e.buf = append(e.buf, sorted[i].Key...)
-			e.varint(sorted[i].N)
+		s := e.scratch()
+		for i := range entries {
+			pr := pair{key: len(s.buf)}
+			s.uvarint(uint64(len(entries[i].Key)))
+			s.buf = append(s.buf, entries[i].Key...)
+			pr.val = len(s.buf)
+			s.varint(entries[i].N)
+			pr.end = len(s.buf)
+			s.pairs = append(s.pairs, pr)
 		}
-		clear(sorted)
-		e.counts = sorted[:0]
+		e.sorted(s)
 	}
 	e.varint(c.Total())
 	return nil
-}
-
-// keyOrder orders two strings as their encodings do — the length's
-// uvarint, then the bytes — which is the order the map kernel writes a
-// map's keys in. Distinct lengths have distinct uvarints, none a prefix
-// of another, so those decide.
-func keyOrder(a, b string) int {
-	switch {
-	case len(a) == len(b):
-		return strings.Compare(a, b)
-	case len(a) < 0x80 && len(b) < 0x80:
-		return cmp.Compare(len(a), len(b))
-	}
-	var la, lb [binary.MaxVarintLen64]byte
-	return bytes.Compare(binary.AppendUvarint(la[:0], uint64(len(a))), binary.AppendUvarint(lb[:0], uint64(len(b))))
 }
 
 // foldCounter folds an encoded stats.Counter into c: the entries of its
@@ -1054,10 +1013,9 @@ func pointerOps(p *plan, t reflect.Type, elem *plan) {
 // entries sorts its own in sub's sub. One encoder of each depth serves
 // every map at that depth.
 type encoder struct {
-	buf    []byte
-	pairs  []pair
-	counts []stats.Count // a Counter's entries, sorted to be written
-	sub    *encoder
+	buf   []byte
+	pairs []pair
+	sub   *encoder
 }
 
 // scratch returns e's sub-encoder, emptied.
@@ -1202,26 +1160,17 @@ func (d *decoder) ordered(start []byte, prev *[]byte, first bool) error {
 	return nil
 }
 
-// runsHeader reads a distribution's NaN count and number of runs.
-func (d *decoder) runsHeader() (nan int64, n int, err error) {
-	if nan, err = d.varint(); err != nil {
-		return 0, 0, err
-	}
-	c, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if c > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
-		return 0, 0, errShort
-	}
-	return nan, int(c), nil
-}
-
 // runs reads a distribution's NaN count and runs into the scratch slices.
 func (d *decoder) runs() (vals []float64, counts []int64, nan int64, err error) {
-	nan, n, err := d.runsHeader()
+	if nan, err = d.varint(); err != nil {
+		return nil, nil, 0, err
+	}
+	n, err := d.uvarint()
 	if err != nil {
 		return nil, nil, 0, err
+	}
+	if n > uint64(len(d.buf))/9 { // ≥ 9 bytes per run on the wire
+		return nil, nil, 0, errShort
 	}
 	vals, counts = d.vals[:0], d.counts[:0]
 	for range n {

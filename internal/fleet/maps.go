@@ -278,13 +278,19 @@ func (k *kernel[K, V]) enc(e *encoder, v unsafe.Pointer) error {
 		pr.end = len(s.buf)
 		s.pairs = append(s.pairs, pr)
 	}
+	e.sorted(s)
+	return nil
+}
+
+// sorted appends the entries encoded into s, the scratch of e, in the
+// order of their key bytes: the order the wire gives a map's entries.
+func (e *encoder) sorted(s *encoder) {
 	slices.SortFunc(s.pairs, func(a, b pair) int {
 		return bytes.Compare(s.buf[a.key:a.val], s.buf[b.key:b.val])
 	})
 	for _, pr := range s.pairs {
 		e.buf = append(e.buf, s.buf[pr.key:pr.end]...)
 	}
-	return nil
 }
 
 // fold reads the presence flag and the count, then each entry: the key,

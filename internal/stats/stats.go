@@ -17,11 +17,12 @@
 // zero value, which is ready to use, and leaves nil where nothing was
 // banked: a nil *Counter or *Dist reads as empty. What the two owe is an
 // exact Merge — folding the pieces of any partition reproduces the
-// aggregate that never split, bit for bit — that leaves its source
-// usable and aliases nothing. Both are leaves of the fleet codec too: it
-// writes and reads a Counter's table (Entries, CounterFromTable,
-// AddBytes) and a Dist's runs (DistRuns, DistFromRuns, MergeRuns,
-// RunCheck) itself.
+// counts and total of the aggregate that never split (a Dist bit for
+// bit; a Counter's table may list its keys in another order) — that
+// leaves its source usable and aliases nothing. Both are leaves of the
+// fleet codec too: it writes and reads a Counter's table (Entries,
+// CounterFromTable, AddBytes) and a Dist's runs (DistRuns, DistFromRuns,
+// MergeRuns) itself.
 package stats
 
 import (
@@ -54,8 +55,13 @@ type Count struct {
 	N   int64
 }
 
-// indexAt is the table size past which a Counter indexes its entries: a
-// search from the front beats hashing only for a handful of keys.
+// indexAt is the table size past which a Counter indexes its entries.
+// Most counters never outgrow it — 94–100 % of those each benchmark
+// workload fills — and indexing every table costs a map for each: with
+// indexAt 0, windowed-soak's work_per_s fell 4.4 % and
+// TestAllocationCeilings' replay/D3/window=60s row rose 16 %, past its
+// ceiling, while fleet-fold's did not move (EXPERIMENTS.md "Counters as
+// tables").
 const indexAt = 8
 
 // NewCounter returns an empty Counter.
@@ -173,8 +179,10 @@ func (c *Counter) Fraction(key string) float64 {
 
 // Entries returns the table: every key and its count, in the order the
 // keys were first added, and nil for a counter that never held a key.
-// The slice is the counter's own: do not modify it, and do not add to
-// the counter while holding it.
+// That order depends on how the counter was built — the same counts
+// merged by another path list their keys differently — so it must not
+// reach output: sort, as Keys does. The slice is the counter's own: do
+// not modify it, and do not add to the counter while holding it.
 func (c *Counter) Entries() []Count { return c.read().entries }
 
 // Keys returns all keys sorted by descending count, ties broken by name, so

@@ -37,12 +37,12 @@ func DistFromRuns(vals []float64, counts []int64, nan int64) (*Dist, error) {
 }
 
 // MergeRuns folds the distribution DistFromRuns would rebuild from the
-// same runs into d, and refuses exactly what DistFromRuns refuses.
-// Nothing of vals or counts is kept, so a decoder can reuse them for the
-// next distribution.
+// same runs into d, and refuses exactly what DistFromRuns refuses. A nil
+// d only validates. Nothing of vals or counts is kept, so a decoder can
+// reuse them for the next distribution.
 func MergeRuns(d *Dist, vals []float64, counts []int64, nan int64) error {
 	n, err := checkRuns(vals, counts, nan)
-	if err == nil {
+	if err == nil && d != nil {
 		d.Merge(&Dist{vals: vals, counts: counts, nan: nan, n: n})
 	}
 	return err
@@ -54,56 +54,27 @@ func checkRuns(vals []float64, counts []int64, nan int64) (int64, error) {
 	if len(vals) != len(counts) {
 		return 0, fmt.Errorf("stats: %d values with %d counts", len(vals), len(counts))
 	}
-	rc := NewRunCheck(nan)
+	if nan < 0 {
+		return 0, fmt.Errorf("stats: negative NaN count %d", nan)
+	}
+	n := nan
 	for i, v := range vals {
-		if rc.Run(v, counts[i]); rc.err != nil {
-			break
+		if math.IsNaN(v) {
+			return 0, fmt.Errorf("stats: NaN at run %d (belongs in the NaN counter)", i)
+		}
+		if i > 0 && !(vals[i-1] < v) {
+			return 0, fmt.Errorf("stats: runs not strictly increasing at %d", i)
+		}
+		if counts[i] <= 0 {
+			return 0, fmt.Errorf("stats: non-positive count %d at run %d", counts[i], i)
+		}
+		n += counts[i]
+		if n < 0 {
+			return 0, fmt.Errorf("stats: sample count overflow")
 		}
 	}
-	return rc.n, rc.err
+	return n, nil
 }
-
-// RunCheck validates a distribution's runs one at a time, as a reader
-// meets them, and refuses what DistFromRuns refuses with the same error:
-// a reader that keeps nothing of the runs need not collect them to check
-// them. It holds the first error and ignores the runs after it.
-type RunCheck struct {
-	i    int
-	prev float64
-	n    int64
-	err  error
-}
-
-// NewRunCheck starts checking the runs of a distribution with nan NaN
-// samples.
-func NewRunCheck(nan int64) RunCheck {
-	if nan < 0 {
-		return RunCheck{err: fmt.Errorf("stats: negative NaN count %d", nan)}
-	}
-	return RunCheck{n: nan}
-}
-
-// Run checks the next run: value v, count samples.
-func (rc *RunCheck) Run(v float64, count int64) {
-	switch i := rc.i; {
-	case rc.err != nil:
-		return
-	case math.IsNaN(v):
-		rc.err = fmt.Errorf("stats: NaN at run %d (belongs in the NaN counter)", i)
-	case i > 0 && !(rc.prev < v):
-		rc.err = fmt.Errorf("stats: runs not strictly increasing at %d", i)
-	case count <= 0:
-		rc.err = fmt.Errorf("stats: non-positive count %d at run %d", count, i)
-	case rc.n+count < 0:
-		rc.err = fmt.Errorf("stats: sample count overflow")
-	default:
-		rc.n += count
-	}
-	rc.i, rc.prev = rc.i+1, v
-}
-
-// Err returns the first run refused, or nil.
-func (rc *RunCheck) Err() error { return rc.err }
 
 // CounterFromTable is a Counter with the table entries, which it takes
 // as they are, and the total, as a decoder reads them off the wire:
