@@ -96,7 +96,6 @@ func traceSeries(t *traceLoad, ord int) TraceLoad {
 	tl.Peak10s = toMbps(windowPeak(t.bins, 10))
 	tl.Peak60s = toMbps(windowPeak(t.bins, 60))
 	d := stats.NewDist()
-	d.Reserve(len(t.bins))
 	for _, v := range t.bins {
 		d.Observe(toMbps(float64(v)))
 		if toMbps(float64(v)) >= 0.9*linkCapacityMbps {

@@ -498,9 +498,6 @@ func (e *epochAgg) fanReport() FanReport {
 	fr := FanReport{Hosts: len(e.fanAgg)}
 	fiEnt, fiWan := stats.NewDist(), stats.NewDist()
 	foEnt, foWan := stats.NewDist(), stats.NewDist()
-	for _, d := range []*stats.Dist{fiEnt, fiWan, foEnt, foWan} {
-		d.Reserve(len(e.fanAgg))
-	}
 	onlyIntIn, onlyIntOut, haveIn, haveOut := 0, 0, 0, 0
 	for _, s := range e.fanAgg {
 		if s.FanIn() > 0 {
@@ -550,8 +547,6 @@ func httpReport(ap *appAggregates) HTTPReport {
 		}
 	}
 	fanEnt, fanWan := stats.NewDist(), stats.NewDist()
-	fanEnt.Reserve(len(fan))
-	fanWan.Reserve(len(fan))
 	for key, n := range fan {
 		if key.wan {
 			fanWan.Observe(float64(n))
@@ -709,14 +704,12 @@ func fileReport(ap *appAggregates) FileServiceReport {
 		NFSTCPPairs:   len(ap.nfsTCP),
 	}
 	nfsPairs := stats.NewDist()
-	nfsPairs.Reserve(len(ap.nfs.PerPair))
 	nfsCounts := make([]int64, 0, len(ap.nfs.PerPair))
 	for _, n := range ap.nfs.PerPair {
 		nfsPairs.Observe(float64(n))
 		nfsCounts = append(nfsCounts, n)
 	}
 	ncpPairs := stats.NewDist()
-	ncpPairs.Reserve(len(ap.ncp.PerPair))
 	ncpCounts := make([]int64, 0, len(ap.ncp.PerPair))
 	for _, n := range ap.ncp.PerPair {
 		ncpPairs.Observe(float64(n))
@@ -799,9 +792,6 @@ func (e *epochAgg) loadReport() LoadReport {
 	r := LoadReport{Traces: tracesByOrd(e.load.traces, func(t TraceLoad) int { return t.ord })}
 	p1, p10, p60 := stats.NewDist(), stats.NewDist(), stats.NewDist()
 	med := stats.NewDist()
-	for _, d := range []*stats.Dist{p1, p10, p60, med} {
-		d.Reserve(len(r.Traces))
-	}
 	entOver, wanOver, entTraces, wanTraces := 0, 0, 0, 0
 	for _, t := range r.Traces {
 		p1.Observe(t.Peak1s)

@@ -735,23 +735,18 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 }
 
 // foldDist folds an encoded stats.Dist's runs into the one at dst, or
-// with dst nil only reads past them (the check program's opDist). The
-// runs are read into decoder scratch: merging keeps nothing of them,
-// setting copies them.
+// with dst nil only reads past them (the check program's opDist); setting
+// zeroes dst first. The runs are read into decoder scratch, which
+// stats.MergeRuns copies.
 func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
 	vals, counts, nan, err := d.runs()
 	if err != nil {
 		return err
 	}
 	if m == setting {
-		var dist *stats.Dist
-		if dist, err = stats.DistFromRuns(vals, counts, nan); err == nil {
-			*(*stats.Dist)(dst) = *dist
-		}
-	} else {
-		err = stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan)
+		*(*stats.Dist)(dst) = stats.Dist{}
 	}
-	if err != nil {
+	if err = stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan); err != nil {
 		return fmt.Errorf("fleet: dist: %w", err)
 	}
 	return nil

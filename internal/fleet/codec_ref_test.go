@@ -345,11 +345,11 @@ func (d *decoder) refDecode(v reflect.Value) error {
 				return err
 			}
 		}
-		dist, err := stats.DistFromRuns(vals, counts, nan)
-		if err != nil {
+		var dist stats.Dist
+		if err := stats.MergeRuns(&dist, vals, counts, nan); err != nil {
 			return fmt.Errorf("fleet: dist: %w", err)
 		}
-		v.Set(reflect.ValueOf(*dist))
+		v.Set(reflect.ValueOf(dist))
 		return nil
 	case t == counterType:
 		var mc mapCounter

@@ -257,7 +257,6 @@ func TestDistMergeLeavesSourceUsable(t *testing.T) {
 // observations collapse to their distinct values.
 func TestDistCompactsDuplicates(t *testing.T) {
 	d := NewDist()
-	d.Reserve(100000)
 	for i := 0; i < 100000; i++ {
 		d.Observe(float64(i % 250))
 	}

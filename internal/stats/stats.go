@@ -21,8 +21,8 @@
 // bit; a Counter's table may list its keys in another order) — that
 // leaves its source usable and aliases nothing. Both are leaves of the
 // fleet codec too: it writes and reads a Counter's table (Entries,
-// CounterFromTable, AddBytes) and a Dist's runs (DistRuns, DistFromRuns,
-// MergeRuns) itself.
+// CounterFromTable, AddBytes) and a Dist's runs (DistRuns, MergeRuns)
+// itself.
 package stats
 
 import (
@@ -250,8 +250,9 @@ func (c *Counter) Merge(other *Counter) {
 // compact: duplicate values are run-length compressed (value → count), so
 // integer-valued observations — sizes, request counts, millisecond-rounded
 // durations — collapse to their distinct values instead of retaining every
-// raw sample. Observations are staged in a small buffer and merged into
-// the sorted run list by a sorted merge, amortized O(1) per sample.
+// raw sample. Observations are staged in a small buffer, sorted and
+// run-length encoded as a batch, and merged into the sorted run list,
+// amortized O(1) per sample.
 // Quantiles and CDFs are bit-identical to the keep-every-sample
 // implementation: a rank lands on exactly the same value either way.
 //
@@ -263,17 +264,20 @@ type Dist struct {
 	// multiplicities.
 	vals   []float64
 	counts []int64
-	// cum[i] is the number of non-NaN samples ≤ vals[i]; rebuilt lazily.
+	// cum[i] is the number of non-NaN samples ≤ vals[i]; emptied where
+	// vals change (compact, foldPending) and rebuilt lazily.
 	cum []int64
-	// staged holds observations not yet merged into vals.
-	staged []float64
+	// staged holds observations not yet merged into vals; stagedCounts
+	// is where compact counts their runs.
+	staged       []float64
+	stagedCounts []int64
 	// scratchVals/scratchCounts are the merge's ping-pong buffers: each
 	// merge writes into the scratch arrays and swaps them with vals/counts,
 	// so steady-state merging allocates nothing.
 	scratchVals   []float64
 	scratchCounts []int64
-	// pendingVals/pendingCounts are staged merge runs, one after another,
-	// and pendingEnds where each ends: repeatedly merging small
+	// pendingVals/pendingCounts are merged sources' runs, one after
+	// another, and pendingEnds where each ends: repeatedly merging small
 	// distributions into a large one (the windowed analysis banks a delta
 	// per time window) would re-walk the whole run list each time, so
 	// incoming runs are staged and folded pairwise once their combined
@@ -292,21 +296,6 @@ type Dist struct {
 // NewDist returns an empty distribution.
 func NewDist() *Dist { return &Dist{} }
 
-// Reserve hints the expected sample volume so the staging buffer can be
-// sized once. Callers that know flow or bin counts up front (the report
-// builders) use it to avoid regrowth; it never changes results.
-func (d *Dist) Reserve(n int) {
-	const maxStage = 4096
-	if n > maxStage {
-		n = maxStage
-	}
-	if n > cap(d.staged)-len(d.staged) {
-		staged := make([]float64, len(d.staged), len(d.staged)+n)
-		copy(staged, d.staged)
-		d.staged = staged
-	}
-}
-
 // Observe adds a sample. Negative zero is canonicalized to positive zero:
 // the two compare equal, so they share a run, and which sign the
 // all-samples implementation surfaced was an artifact of sort order.
@@ -321,10 +310,11 @@ func (d *Dist) Observe(v float64) {
 	}
 	d.staged = append(d.staged, v)
 	d.n++
-	d.cum = d.cum[:0]
 }
 
-// compact sorts the staged samples and merges them into the run list.
+// compact sorts the staged samples, run-length encodes them — values
+// over the batch's own prefix, counts into stagedCounts — and merges
+// the runs into the run list.
 func (d *Dist) compact() {
 	if len(d.staged) == 0 {
 		return
@@ -337,155 +327,43 @@ func (d *Dist) compact() {
 		s = s[1:]
 	}
 	if len(s) > 0 {
-		d.mergeSorted(s)
+		vals, counts := s[:0], d.stagedCounts[:0]
+		for _, v := range s {
+			if last := len(vals) - 1; last >= 0 && vals[last] == v {
+				counts[last]++
+				continue
+			}
+			vals = append(vals, v)
+			counts = append(counts, 1)
+		}
+		mv, mc := mergeRuns(d.scratchVals[:0], d.scratchCounts[:0], d.vals, d.counts, vals, counts)
+		d.vals, d.counts, d.scratchVals, d.scratchCounts = mv, mc, d.vals[:0], d.counts[:0]
+		d.stagedCounts = counts[:0]
+		d.cum = d.cum[:0]
 	}
 	d.staged = d.staged[:0]
-}
-
-// mergeSorted folds a sorted, NaN-free batch into vals/counts.
-func (d *Dist) mergeSorted(s []float64) {
-	// Fast path: the whole batch extends the current maximum.
-	if len(d.vals) == 0 || d.vals[len(d.vals)-1] <= s[0] {
-		d.appendRuns(s)
-		return
-	}
-	oldVals, oldCounts := d.vals, d.counts
-	need := len(oldVals) + len(s)
-	if cap(d.scratchVals) >= need {
-		d.vals, d.counts = d.scratchVals[:0], d.scratchCounts[:0]
-	} else {
-		// Grow with headroom so steady-state merging ping-pongs between
-		// two stable arrays instead of allocating per merge.
-		d.vals = make([]float64, 0, need+need/2)
-		d.counts = make([]int64, 0, need+need/2)
-	}
-	d.scratchVals, d.scratchCounts = oldVals[:0], oldCounts[:0]
-	i := 0
-	for _, v := range s {
-		for i < len(oldVals) && oldVals[i] < v {
-			d.vals = append(d.vals, oldVals[i])
-			d.counts = append(d.counts, oldCounts[i])
-			i++
-		}
-		if i < len(oldVals) && oldVals[i] == v {
-			d.vals = append(d.vals, oldVals[i])
-			d.counts = append(d.counts, oldCounts[i]+1)
-			i++
-			continue
-		}
-		if last := len(d.vals) - 1; last >= 0 && d.vals[last] == v {
-			d.counts[last]++
-			continue
-		}
-		d.vals = append(d.vals, v)
-		d.counts = append(d.counts, 1)
-	}
-	d.vals = append(d.vals, oldVals[i:]...)
-	d.counts = append(d.counts, oldCounts[i:]...)
-}
-
-// appendRuns run-length appends a sorted batch that starts at or beyond
-// the current maximum value.
-func (d *Dist) appendRuns(s []float64) {
-	for _, v := range s {
-		if last := len(d.vals) - 1; last >= 0 && d.vals[last] == v {
-			d.counts[last]++
-			continue
-		}
-		d.vals = append(d.vals, v)
-		d.counts = append(d.counts, 1)
-	}
 }
 
 // Merge folds other's samples into d, exactly: the result is the
 // distribution that would have observed both sample multisets, so merging
 // is commutative and associative and the merged quantiles/CDFs are
 // bit-identical for any grouping of the sources (the property the
-// parallel replay's shard merge relies on). other is left logically
-// unchanged (its staged samples are compacted in place, which every read
-// path does anyway).
+// parallel replay's shard merge relies on). other's runs are copied to
+// d's staged runs, which fold once their volume reaches the main list's,
+// so other can keep accumulating (its arrays may become merge scratch)
+// without corrupting d. other is left logically unchanged (its staged
+// samples are compacted in place, which every read path does anyway).
 func (d *Dist) Merge(other *Dist) {
 	if other == nil || other.n == 0 {
 		return
 	}
 	other.compact()
 	other.foldPending()
-	d.compact()
 	d.nan += other.nan
 	d.n += other.n
-	d.cum = d.cum[:0]
 	if len(other.vals) == 0 {
 		return
 	}
-	if len(d.pendingEnds) > 0 {
-		// Runs are already staged; keep staging (the fast paths below
-		// compare against the main list's maximum, which staged runs may
-		// exceed).
-		d.stageRuns(other)
-		return
-	}
-	if len(d.vals) == 0 {
-		d.vals = append(d.vals, other.vals...)
-		d.counts = append(d.counts, other.counts...)
-		return
-	}
-	// Fast path: other's runs extend the current maximum.
-	if d.vals[len(d.vals)-1] < other.vals[0] {
-		d.vals = append(d.vals, other.vals...)
-		d.counts = append(d.counts, other.counts...)
-		return
-	}
-	// A small source merging into a much larger run list stages instead:
-	// re-walking the whole list per small merge is what makes per-window
-	// delta banking quadratic.
-	if len(other.vals)*8 < len(d.vals) {
-		d.stageRuns(other)
-		return
-	}
-	// Sorted two-way run merge, ping-ponging with the scratch arrays like
-	// mergeSorted so steady-state merging allocates nothing.
-	oldVals, oldCounts := d.vals, d.counts
-	need := len(oldVals) + len(other.vals)
-	if cap(d.scratchVals) >= need {
-		d.vals, d.counts = d.scratchVals[:0], d.scratchCounts[:0]
-	} else {
-		d.vals = make([]float64, 0, need)
-		d.counts = make([]int64, 0, need)
-	}
-	d.scratchVals, d.scratchCounts = oldVals[:0], oldCounts[:0]
-	i, j := 0, 0
-	for i < len(oldVals) && j < len(other.vals) {
-		switch {
-		case oldVals[i] < other.vals[j]:
-			d.vals = append(d.vals, oldVals[i])
-			d.counts = append(d.counts, oldCounts[i])
-			i++
-		case oldVals[i] > other.vals[j]:
-			d.vals = append(d.vals, other.vals[j])
-			d.counts = append(d.counts, other.counts[j])
-			j++
-		default:
-			d.vals = append(d.vals, oldVals[i])
-			d.counts = append(d.counts, oldCounts[i]+other.counts[j])
-			i++
-			j++
-		}
-	}
-	for ; i < len(oldVals); i++ {
-		d.vals = append(d.vals, oldVals[i])
-		d.counts = append(d.counts, oldCounts[i])
-	}
-	for ; j < len(other.vals); j++ {
-		d.vals = append(d.vals, other.vals[j])
-		d.counts = append(d.counts, other.counts[j])
-	}
-}
-
-// stageRuns appends other's run list to the staged runs, folding once
-// the staged volume reaches the main list's. The copy keeps the API
-// aliasing-free: other can keep accumulating (its arrays may become
-// merge scratch) without corrupting d.
-func (d *Dist) stageRuns(other *Dist) {
 	d.pendingVals = append(d.pendingVals, other.vals...)
 	d.pendingCounts = append(d.pendingCounts, other.counts...)
 	d.pendingEnds = append(d.pendingEnds, len(d.pendingVals))

@@ -18,28 +18,14 @@ func DistRuns(d *Dist) (vals []float64, counts []int64, nan int64) {
 	return d.vals, d.counts, d.nan
 }
 
-// DistFromRuns rebuilds a distribution from DistRuns output, validating
-// the canonical-form invariants so hostile bytes cannot construct a
-// Dist whose queries would misbehave: values strictly increasing,
-// NaN-free (NaNs live only in the dedicated counter), counts positive,
-// and the total sample count representable.
-func DistFromRuns(vals []float64, counts []int64, nan int64) (*Dist, error) {
-	n, err := checkRuns(vals, counts, nan)
-	if err != nil {
-		return nil, err
-	}
-	d := &Dist{nan: nan, n: n}
-	if len(vals) > 0 {
-		d.vals = append(make([]float64, 0, len(vals)), vals...)
-		d.counts = append(make([]int64, 0, len(counts)), counts...)
-	}
-	return d, nil
-}
-
-// MergeRuns folds the distribution DistFromRuns would rebuild from the
-// same runs into d, and refuses exactly what DistFromRuns refuses. A nil
-// d only validates. Nothing of vals or counts is kept, so a decoder can
-// reuse them for the next distribution.
+// MergeRuns folds the distribution whose runs (in DistRuns' form) are
+// vals, counts and nan into d; into a zero Dist, it rebuilds that
+// distribution. It first validates the canonical-form invariants, so
+// hostile bytes cannot construct a Dist whose queries would misbehave:
+// values strictly increasing, NaN-free (NaNs live only in the dedicated
+// counter), counts positive, and the total sample count representable.
+// A nil d only validates. Nothing of vals or counts is kept, so a
+// decoder can reuse them for the next distribution.
 func MergeRuns(d *Dist, vals []float64, counts []int64, nan int64) error {
 	n, err := checkRuns(vals, counts, nan)
 	if err == nil && d != nil {

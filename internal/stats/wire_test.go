@@ -11,9 +11,9 @@ func TestDistRunsRoundTrip(t *testing.T) {
 		d.Observe(v)
 	}
 	vals, counts, nan := DistRuns(d)
-	got, err := DistFromRuns(vals, counts, nan)
-	if err != nil {
-		t.Fatalf("DistFromRuns: %v", err)
+	got := NewDist()
+	if err := MergeRuns(got, vals, counts, nan); err != nil {
+		t.Fatalf("MergeRuns: %v", err)
 	}
 	if got.N() != d.N() {
 		t.Fatalf("N: got %d want %d", got.N(), d.N())
@@ -38,9 +38,9 @@ func TestDistRunsEmpty(t *testing.T) {
 	if len(vals) != 0 || len(counts) != 0 || nan != 0 {
 		t.Fatalf("empty dist exported %d/%d/%d", len(vals), len(counts), nan)
 	}
-	d, err := DistFromRuns(nil, nil, 0)
-	if err != nil {
-		t.Fatalf("DistFromRuns(empty): %v", err)
+	d := NewDist()
+	if err := MergeRuns(d, nil, nil, 0); err != nil {
+		t.Fatalf("MergeRuns(empty): %v", err)
 	}
 	if d.N() != 0 {
 		t.Fatalf("empty rebuild has %d samples", d.N())
@@ -64,8 +64,16 @@ func TestDistFromRunsRejectsHostileInput(t *testing.T) {
 		{"count overflow", []float64{1, 2}, []int64{math.MaxInt64, 1}, 0},
 	}
 	for _, tc := range cases {
-		if _, err := DistFromRuns(tc.vals, tc.counts, tc.nan); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if err := MergeRuns(nil, tc.vals, tc.counts, tc.nan); err == nil {
+			t.Errorf("%s: accepted with no destination", tc.name)
+		}
+		d := NewDist()
+		d.Observe(1)
+		if err := MergeRuns(d, tc.vals, tc.counts, tc.nan); err == nil {
+			t.Errorf("%s: accepted into a Dist", tc.name)
+		}
+		if d.N() != 1 || d.Distinct() != 1 {
+			t.Errorf("%s: refused runs changed the destination: N %d, Distinct %d", tc.name, d.N(), d.Distinct())
 		}
 	}
 }
