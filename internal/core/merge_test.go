@@ -75,7 +75,7 @@ func TestMapKernelsCoverAggregates(t *testing.T) {
 	for name, err := range map[string]error{
 		"MergeError": fleet.MergeError(plain),
 		"Marshal":    func() error { _, err := fleet.Marshal(plain); return err }(),
-		"Unmarshal":  fleet.Unmarshal([]byte{0}, plain),
+		"Check":      fleet.Check[map[netip.Addr]struct{}]([]byte{0}),
 	} {
 		if err == nil || !strings.Contains(err.Error(), "map[netip.Addr]struct {} has no kernel") {
 			t.Errorf("%s of a plain map: %v, want it to name the type", name, err)
@@ -226,50 +226,68 @@ func TestZeroLengthResponsesBankInTheirWindow(t *testing.T) {
 }
 
 // decodeEpoch decodes one shipped window snapshot, which Fleet.Delta
-// only checks (fleet.Check) and its reads fold without decoding.
+// only checks (fleet.Check) and its reads fold without decoding: a
+// decode is the same fold into a zero aggregate.
 func decodeEpoch(payload []byte) (*epochAgg, error) {
 	e := new(epochAgg)
-	if err := fleet.Unmarshal(payload, e); err != nil {
+	if err := fleet.MergeFrom(e, payload); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// TestUnmarshalOverwrites holds fleet.Unmarshal to "existing contents
-// are overwritten" over real window snapshots: decoding one into an
-// aggregate that already holds two other windows — every component
-// allocated, keys the snapshot lacks — gives what decoding it fresh
-// gives, and re-encodes to the exported bytes. Unmarshal runs the same
-// walk as MergeFrom, so this is where a merge would leak into a decode.
+// TestUnmarshalOverwrites holds the decode to the codec's one read rule
+// over real window snapshots: a decode is a merge into a zero aggregate,
+// so nothing a receiver holds leaks into what a fold reads. Folding a
+// snapshot into an aggregate that already holds two other windows —
+// every component allocated, keys the snapshot lacks — gives the bytes
+// of merging its fresh decode into the same, and the fresh decode
+// re-encodes to the snapshot's canonical form: bytes that decode and
+// re-encode to themselves.
 func TestUnmarshalOverwrites(t *testing.T) {
 	seeds := mergeSeeds(t)
 	if len(seeds) == 0 {
 		t.Fatal("the windowed run exported no window snapshots")
 	}
 	for i, s := range seeds {
-		filled := newEpochAgg()
-		for _, p := range s[1:] {
-			e, err := decodeEpoch(p)
-			if err != nil {
-				t.Fatal(err)
+		filled := func() *epochAgg {
+			e := newEpochAgg()
+			for _, p := range s[1:] {
+				d, err := decodeEpoch(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fleet.Merge(e, d)
 			}
-			fleet.Merge(filled, e)
+			return e
 		}
-		if held, err := fleet.Marshal(filled); err != nil || bytes.Equal(held, s[0]) {
+		got, want := filled(), filled()
+		if held, err := fleet.Marshal(got); err != nil || bytes.Equal(held, s[0]) {
 			t.Fatalf("seed %d: the filled aggregate already encodes to the snapshot (%v)", i, err)
 		}
-		if err := fleet.Unmarshal(s[0], filled); err != nil {
+		if err := fleet.MergeFrom(got, s[0]); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 		fresh, err := decodeEpoch(s[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(filled, fresh) {
-			t.Errorf("seed %d: decoding into a filled aggregate differs from a fresh decode", i)
+		canon, err := fleet.Marshal(fresh)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if re, err := fleet.Marshal(filled); err != nil || !bytes.Equal(re, s[0]) {
-			t.Errorf("seed %d: decoding into a filled aggregate re-encodes to %d bytes, exported %d (%v)", i, len(re), len(s[0]), err)
+		fleet.Merge(want, fresh)
+		gb, gerr := fleet.Marshal(got)
+		wb, werr := fleet.Marshal(want)
+		if gerr != nil || werr != nil || !bytes.Equal(gb, wb) {
+			t.Errorf("seed %d: folding into a filled aggregate differs from merging the fresh decode into it (%v, %v)", i, gerr, werr)
+		}
+		again, err := decodeEpoch(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re, err := fleet.Marshal(again); err != nil || !bytes.Equal(re, canon) {
+			t.Errorf("seed %d: the decode's canonical form re-encodes to %d bytes, was %d (%v)", i, len(re), len(canon), err)
 		}
 	}
 }

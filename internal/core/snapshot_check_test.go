@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"enttrace/internal/enterprise"
-	"enttrace/internal/fleet"
 	"enttrace/internal/gen"
 )
 
@@ -41,13 +40,13 @@ func memberWindows(tb testing.TB, n int) [][]byte {
 	return out[:n]
 }
 
-// checkMatchesUnmarshal fails unless CheckSnapshot refuses b exactly
-// when fleet.Unmarshal into a fresh epochAgg does, with the same error.
-func checkMatchesUnmarshal(t testing.TB, b []byte, what string) {
+// checkMatchesDecode fails unless CheckSnapshot refuses b exactly when
+// decodeEpoch does, with the same error.
+func checkMatchesDecode(t testing.TB, b []byte, what string) {
 	t.Helper()
-	checkErr, err := CheckSnapshot(b), fleet.Unmarshal(b, new(epochAgg))
-	if fmt.Sprint(checkErr) != fmt.Sprint(err) {
-		t.Fatalf("%s: Check and Unmarshal disagree\n    Check: %v\nUnmarshal: %v", what, checkErr, err)
+	_, err := decodeEpoch(b)
+	if checkErr := CheckSnapshot(b); fmt.Sprint(checkErr) != fmt.Sprint(err) {
+		t.Fatalf("%s: Check and the decode disagree\n Check: %v\ndecode: %v", what, checkErr, err)
 	}
 }
 
@@ -58,18 +57,18 @@ func checkMatchesUnmarshal(t testing.TB, b []byte, what string) {
 // longer one, and the byte one above what was there.
 func TestCheckSnapshotMatchesUnmarshal(t *testing.T) {
 	for w, payload := range memberWindows(t, 3) {
-		checkMatchesUnmarshal(t, payload, fmt.Sprintf("window %d", w))
+		checkMatchesDecode(t, payload, fmt.Sprintf("window %d", w))
 		if err := CheckSnapshot(payload); err != nil {
 			t.Fatalf("window %d: an exported snapshot is refused: %v", w, err)
 		}
 		for cut := range len(payload) {
-			checkMatchesUnmarshal(t, payload[:cut], fmt.Sprintf("window %d cut at %d", w, cut))
+			checkMatchesDecode(t, payload[:cut], fmt.Sprintf("window %d cut at %d", w, cut))
 		}
 		b := bytes.Clone(payload)
 		for at, was := range payload {
 			for _, sub := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff, was + 1} {
 				b[at] = sub
-				checkMatchesUnmarshal(t, b, fmt.Sprintf("window %d byte %d %#x→%#x", w, at, was, sub))
+				checkMatchesDecode(t, b, fmt.Sprintf("window %d byte %d %#x→%#x", w, at, was, sub))
 			}
 			b[at] = was
 		}
@@ -77,13 +76,13 @@ func TestCheckSnapshotMatchesUnmarshal(t *testing.T) {
 }
 
 // FuzzCheckSnapshot is the same oracle under the fuzzer, seeded with a
-// member's windows: whatever the bytes, CheckSnapshot and fleet.Unmarshal
+// member's windows: whatever the bytes, CheckSnapshot and the decode
 // accept together or refuse with the same error.
 func FuzzCheckSnapshot(f *testing.F) {
 	for _, p := range memberWindows(f, 3) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		checkMatchesUnmarshal(t, b, "fuzzed snapshot")
+		checkMatchesDecode(t, b, "fuzzed snapshot")
 	})
 }

@@ -183,7 +183,7 @@ func (a *Aggregator) handle(c net.Conn) {
 		return
 	}
 	var hello Hello
-	if err := Unmarshal(first.Payload, &hello); err != nil {
+	if err := MergeFrom(&hello, first.Payload); err != nil {
 		reject(first.Seq, fmt.Sprintf("bad HELLO payload: %v", err))
 		return
 	}

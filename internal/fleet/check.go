@@ -9,12 +9,12 @@ import (
 )
 
 // A check program reads past one encoded value of a type, refusing what
-// Unmarshal refuses with the same error: the plan compiled once more,
+// the fold refuses with the same error: the plan compiled once more,
 // into a flat slice of ops that one loop runs (decoder.run). A struct's
 // ops are its fields' in a row, a pointer's pointee's follow its flag,
 // and a collection's body runs once per element by jumping back, so a
 // payload is read without a call but for a type met inside itself.
-// Check runs its type's program, MergeFrom that of the pairing state it
+// Check runs its type's program, the fold that of the pairing state it
 // reads past; a program is assembled the first time it runs, so only
 // those types hold one.
 
@@ -25,7 +25,7 @@ const (
 	opVarint  opcode = iota // a signed integer of width bits
 	opUvarint               // an unsigned integer of width bits
 	opFlag                  // a bool
-	opFixed                 // width bits: a float
+	opFixed                 // a float64
 	opBytes                 // a length and as many bytes: a string
 	opRaw                   // a []byte: presence, length, bytes
 	opAddr                  // a netip.Addr: bytes of a length it takes
@@ -109,7 +109,7 @@ func (p *plan) program() []op {
 }
 
 // run reads past one value for each op of prog, as the fold would read
-// it in setting mode, and returns the error the fold would return.
+// it, and returns the error the fold would return.
 func (d *decoder) run(prog []op) error {
 	for pc := 0; pc < len(prog); pc++ {
 		o := &prog[pc]
@@ -129,7 +129,7 @@ func (d *decoder) run(prog []op) error {
 				pc += int(o.n)
 			}
 		case opFixed:
-			_, err = d.take(int(o.width / 8))
+			_, err = d.take(8)
 		case opRaw:
 			var n int
 			if n, _, err = d.count(); err == nil {
@@ -155,9 +155,9 @@ func (d *decoder) run(prog []op) error {
 				}
 			}
 		case opCounter:
-			err = foldCounter(d, nil, setting)
+			err = foldCounter(d, nil)
 		case opDist:
-			err = foldDist(d, nil, merging)
+			err = foldDist(d, nil)
 		case opCount:
 			var n int
 			if n, _, err = d.count(); err == nil && n == 0 {

@@ -13,7 +13,7 @@
 // producing identical bytes for identical values (map entries are
 // sorted by encoded key). Reflection is paid per type, not per value:
 // the first time a type is met it is compiled into a plan (wire form,
-// kept fields, special cases all decided), and values are encoded and
+// field offsets, special cases all decided), and values are encoded and
 // decoded by running the plan. A map's plan runs a kernel compiled for
 // its key and value types, so an aggregate declares each of its maps a
 // fleet.Map; a map of any other type fails, naming it. A 64-bit schema
@@ -32,15 +32,17 @@
 // that stays with its owner — a cut leaves it behind, and merge and
 // emptiness ignore it. See DESIGN.md "Epoch cuts and windowed reports".
 //
-// Encoded bytes are decoded by one walk of the plan (fold), in one of
-// two modes. Unmarshal sets a value from the bytes. MergeFrom folds them
+// Encoded bytes are read by one walk of the plan (fold), with one rule:
+// what it reads is merged into the destination. MergeFrom folds bytes
 // straight into a destination — exactly what Merge gives with the
-// payload decoded, without building the decoded value. Check only reads
-// them, without allocating, by running the type's check program
-// (check.go), as MergeFrom does to read past pairing state. The fold and
+// payload decoded, without building the decoded value — and decoding is
+// that fold into a zero value: an empty collection stays nil, a Dist
+// holds its runs staged, pairing state stays zero. Check only reads
+// bytes, without allocating, by running the type's check program
+// (check.go), as the fold does to read past pairing state. The fold and
 // the program each state every rule — a presence flag, a count's bound,
 // a map's key order, an integer's width — so that Check refuses exactly
-// what Unmarshal refuses, with the same error, is held by test. What a
+// what the fold refuses, with the same error, is held by test. What a
 // receiver checks on arrival is what it folds later. See DESIGN.md
 // "Fleet aggregation".
 package fleet
@@ -68,9 +70,9 @@ var (
 )
 
 // Marshal serializes v (which must be a pointer to the value graph)
-// into deterministic bytes. Fields of func, chan, or unsafe.Pointer
-// type are skipped (they carry no report state); interface-typed fields
-// are rejected.
+// into deterministic bytes. A value of a kind no aggregate holds — an
+// interface, a func, a chan, an unsafe.Pointer, a complex number, an
+// int8, int16, int32, uint, uintptr or float32 — is refused.
 func Marshal(v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -83,18 +85,6 @@ func Marshal(v any) ([]byte, error) {
 		return nil, err
 	}
 	return bytes.Clone(e.buf), nil
-}
-
-// Unmarshal decodes Marshal output into v, which must be a non-nil
-// pointer to the same type the bytes were encoded from (enforce with
-// SchemaOf before decoding). Existing contents of v are overwritten;
-// maps and pointers are allocated fresh.
-func Unmarshal(b []byte, v any) error {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return errNotPointer
-	}
-	return planOf(rv.Type().Elem()).foldBytes(b, rv.UnsafePointer(), setting)
 }
 
 // SchemaOf returns the 64-bit schema hash of v's type graph. Any change
@@ -138,19 +128,19 @@ func Cut[T any](src *T) *T {
 }
 
 // MergeFrom folds the value encoded in b into *dst: exactly what
-// Merge(dst, v) gives for the v that Unmarshal decodes from b, without
-// building v. Where Merge would adopt a field of v because dst's is nil,
-// MergeFrom decodes that field fresh, pairing state included; everywhere
-// else the pairing bytes are read past. It fails on exactly the bytes
-// Unmarshal refuses, and may leave dst partly merged when it does: check
-// bytes on arrival (Check), fold them later. It panics like Merge when T
-// has a field the plan cannot merge.
+// Merge(dst, v) gives for the v that MergeFrom decodes from b into a
+// zero T, without building v. Where Merge would adopt a field of v
+// because dst's is nil, MergeFrom folds that field into a fresh zero
+// value; pairing bytes are read past. Decoding is MergeFrom into a zero
+// value. It fails on exactly the bytes Check refuses, and may leave dst
+// partly merged when it does: check bytes on arrival (Check), fold them
+// later. It panics like Merge when T has a field the plan cannot merge.
 func MergeFrom[T any](dst *T, b []byte) error {
-	return mergePlan[T]().foldBytes(b, unsafe.Pointer(dst), merging)
+	return mergePlan[T]().foldBytes(b, unsafe.Pointer(dst))
 }
 
-// Check reports whether Unmarshal would accept b for a *T, with the
-// error Unmarshal would return, without decoding b and without
+// Check reports whether MergeFrom would accept b for a *T, with the
+// error MergeFrom would return, without decoding b and without
 // allocating once the plan is built: it runs T's check program.
 func Check[T any](b []byte) error {
 	prog := planOf(reflect.TypeFor[T]()).program()
@@ -160,10 +150,10 @@ func Check[T any](b []byte) error {
 }
 
 // foldBytes runs the fold over all of b with a pooled decoder.
-func (p *plan) foldBytes(b []byte, dst unsafe.Pointer, m mode) error {
+func (p *plan) foldBytes(b []byte, dst unsafe.Pointer) error {
 	d := decoders.Get().(*decoder)
 	d.buf = b
-	return d.done(p.fold(d, dst, m))
+	return d.done(p.fold(d, dst))
 }
 
 // MergeError says which field of v's type graph Merge and Cut have no
@@ -185,24 +175,16 @@ func mergePlan[T any]() *plan {
 	return p
 }
 
-// mode is what a fold does with each value it reads.
-type mode uint8
-
-const (
-	setting mode = iota // overwrite the value at dst with it
-	merging             // merge it into the value at dst, as merge would
-)
-
 // plan is the codec compiled for one type. Everything that depends on
 // the type alone is decided when the plan is built — the wire form, the
-// struct fields that are kept, whether the type is one of the
+// struct fields and their offsets, whether the type is one of the
 // special-cased ones — so running it asks no questions of the type
 // again. Every op takes the addresses of values of the type. enc writes
 // the value at v. fold is the one read walk: it reads one encoded value
-// and, by its mode, merges it into the value at dst as merge would merge
-// the decoded value, or sets the value at dst to it, overwriting all its
-// kept state and allocating maps, slices and pointers fresh. Every type
-// sets; only a type that merges is folded in merging mode. emit appends
+// and merges it into the value at dst as merge would merge the decoded
+// value. A type that cannot merge — a string, an address, a time, an
+// array — is folded only into a zero value (a map key's slot, a fresh
+// pointee or slice element, a decode), and its fold sets it. emit appends
 // the type's ops to a check program (check.go), and program assembles
 // and keeps the type's own. schema writes the type's contribution to
 // the schema hash; seen holds the struct types open on the path down to
@@ -216,7 +198,7 @@ const (
 // method and whose zero value is ready to use, so a cut moves it whole.
 type plan struct {
 	enc    func(e *encoder, v unsafe.Pointer) error
-	fold   func(d *decoder, dst unsafe.Pointer, m mode) error
+	fold   func(d *decoder, dst unsafe.Pointer) error
 	emit   func(a *asm)
 	schema func(h io.Writer, seen map[reflect.Type]bool)
 	once   sync.Once
@@ -286,17 +268,12 @@ func isBinaryCodec(t reflect.Type) bool {
 	return t.Implements(binaryMarshaler) && reflect.PointerTo(t).Implements(binaryUnmarshaler)
 }
 
-// skipKind marks field kinds that carry no serializable state.
-func skipKind(k reflect.Kind) bool {
-	return k == reflect.Func || k == reflect.Chan || k == reflect.UnsafePointer
-}
-
 // label is the schema of a type whose contribution is a fixed string.
 func label(s string) func(io.Writer, map[reflect.Type]bool) {
 	return func(h io.Writer, _ map[reflect.Type]bool) { io.WriteString(h, s) }
 }
 
-// field is one kept field of a struct plan; merge is the plan its
+// field is one field of a struct plan; merge is the plan its
 // aggregate ops run (nil for pairing state).
 type field struct {
 	name   string
@@ -305,16 +282,17 @@ type field struct {
 	merge  *plan
 }
 
-// signed, unsigned and number are the kinds the plan merges by adding.
+// signed, unsigned and number are the kinds the plan merges by adding:
+// the ones an aggregate holds. Any other number is refused.
 type (
 	signed interface {
-		int | int8 | int16 | int32 | int64
+		int | int64
 	}
 	unsigned interface {
-		uint | uint8 | uint16 | uint32 | uint64 | uintptr
+		uint8 | uint16 | uint32 | uint64
 	}
 	number interface {
-		signed | unsigned | float32 | float64
+		signed | unsigned | float64
 	}
 )
 
@@ -373,22 +351,9 @@ func uintOps[T unsigned]() scalarOps {
 }
 
 var scalars = map[reflect.Kind]scalarOps{
-	reflect.Int: intOps[int](), reflect.Int8: intOps[int8](), reflect.Int16: intOps[int16](),
-	reflect.Int32: intOps[int32](), reflect.Int64: intOps[int64](),
-	reflect.Uint: uintOps[uint](), reflect.Uint8: uintOps[uint8](), reflect.Uint16: uintOps[uint16](),
-	reflect.Uint32: uintOps[uint32](), reflect.Uint64: uintOps[uint64](), reflect.Uintptr: uintOps[uintptr](),
-	// A float32 goes out through float64, so a signalling NaN leaves
-	// quieted: the wire form the reference walk pins.
-	reflect.Float32: numberOps[float32](opFixed, func(e *encoder, v unsafe.Pointer) error {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(float64(*(*float32)(v)))))
-		return nil
-	}, func(d *decoder, _ reflect.Type, w unsafe.Pointer) error {
-		raw, err := d.take(4)
-		if err == nil {
-			*(*float32)(w) = math.Float32frombits(binary.LittleEndian.Uint32(raw))
-		}
-		return err
-	}),
+	reflect.Int: intOps[int](), reflect.Int64: intOps[int64](),
+	reflect.Uint8: uintOps[uint8](), reflect.Uint16: uintOps[uint16](),
+	reflect.Uint32: uintOps[uint32](), reflect.Uint64: uintOps[uint64](),
 	reflect.Float64: numberOps[float64](opFixed, func(e *encoder, v unsafe.Pointer) error {
 		e.float64(*(*float64)(v))
 		return nil
@@ -416,14 +381,10 @@ var scalars = map[reflect.Kind]scalarOps{
 	},
 }
 
-// scalarFold is a scalar's fold: setting reads the value into dst;
-// merging reads it into the decoder's scratch word and merges it from
-// there.
-func scalarFold(t reflect.Type, read func(*decoder, reflect.Type, unsafe.Pointer) error, merge func(dst, src unsafe.Pointer)) func(*decoder, unsafe.Pointer, mode) error {
-	return func(d *decoder, dst unsafe.Pointer, m mode) error {
-		if m == setting {
-			return read(d, t, dst)
-		}
+// scalarFold is a scalar's fold: it reads the value into the decoder's
+// scratch word and merges it from there.
+func scalarFold(t reflect.Type, read func(*decoder, reflect.Type, unsafe.Pointer) error, merge func(dst, src unsafe.Pointer)) func(*decoder, unsafe.Pointer) error {
+	return func(d *decoder, dst unsafe.Pointer) error {
 		w := unsafe.Pointer(&d.word)
 		if err := read(d, t, w); err != nil {
 			return err
@@ -443,15 +404,14 @@ func (p *plan) cannotMerge(t reflect.Type) {
 func (p *plan) fail(err error) {
 	p.mergeErr = err
 	p.enc = func(*encoder, unsafe.Pointer) error { return err }
-	p.fold = func(*decoder, unsafe.Pointer, mode) error { return err }
+	p.fold = func(*decoder, unsafe.Pointer) error { return err }
 	p.emit = emits(op{code: opFail, arg: err})
 }
 
 // fill compiles t into p: the one place the codec dispatches on type.
 func (b planBuilder) fill(p *plan, t reflect.Type) {
 	// Special cases first: exact wire forms owned by the value's own
-	// package. They hash by name, not structure. A type that cannot
-	// merge is only ever folded in setting mode.
+	// package. They hash by name, not structure.
 	switch {
 	case t == timeType:
 		p.cannotMerge(t)
@@ -465,7 +425,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			e.bytes(raw)
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, _ mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
@@ -515,8 +475,8 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		p.schema = label("struct stats.Counter{counts:map[string]int64;total:int64;}")
 		p.emit = emits(op{code: opCounter})
 		p.enc = encCounter
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
-			return foldCounter(d, (*stats.Counter)(dst), m)
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
+			return foldCounter(d, (*stats.Counter)(dst))
 		}
 		return
 	case t == addrType:
@@ -541,7 +501,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, _ mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
 			raw, err := d.bytes()
 			if err != nil {
 				return err
@@ -580,7 +540,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			e.buf = append(e.buf, s...)
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, _ mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
 			raw, err := d.bytes()
 			if err == nil {
 				*(*string)(dst) = string(raw)
@@ -610,9 +570,9 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
 			for i := range n {
-				if err := elem.fold(d, unsafe.Add(dst, uintptr(i)*size), m); err != nil {
+				if err := elem.fold(d, unsafe.Add(dst, uintptr(i)*size)); err != nil {
 					return err
 				}
 			}
@@ -634,18 +594,13 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		}
 		pointerOps(p, t, elem)
 	case reflect.Struct:
-		// fields are the ones the codec keeps, merged the ones the
-		// aggregate ops walk: every field but pairing state.
+		// fields are the ones the codec writes — all of them — merged
+		// the ones the aggregate ops walk: every field but pairing state.
 		var fields, merged []field
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			var fp *plan
-			if !skipKind(f.Type.Kind()) {
-				fp = b.plan(f.Type)
-			}
-			if fp != nil {
-				fields = append(fields, field{name: f.Name, offset: f.Offset, plan: fp})
-			}
+			fp := b.plan(f.Type)
+			fields = append(fields, field{name: f.Name, offset: f.Offset, plan: fp})
 			agg := f.Tag.Get("agg")
 			if agg == "pairing" {
 				continue
@@ -655,11 +610,14 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			switch {
 			case agg != "" && agg != "max":
 				err = fmt.Errorf("unknown tag agg:%q", agg)
-			case fp == nil:
-				err = fmt.Errorf("cannot merge %s", f.Type)
 			case fp.mergeErr != nil:
 				err = fp.mergeErr
 			case agg == "max":
+				// A tag, not a Join type: joinOps reaches Join through
+				// reflect.Call, which allocates on every merge — making
+				// core's hostileCounters.peakPending a Join type raised
+				// TestAllocationCeilings' codec/merge-from row from 1 218
+				// to 1 343 allocations, past its 1 317 ceiling.
 				if ops := scalars[f.Type.Kind()]; ops.max != nil {
 					mf.plan = &plan{merge: ops.max, cut: fp.cut, empty: fp.empty, fold: scalarFold(f.Type, ops.read, ops.max)}
 				} else {
@@ -669,9 +627,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			if err != nil && p.mergeErr == nil {
 				p.mergeErr = fmt.Errorf("%s.%s: %w", t, f.Name, err)
 			}
-			if fp != nil {
-				fields[len(fields)-1].merge = mf.plan
-			}
+			fields[len(fields)-1].merge = mf.plan
 			merged = append(merged, mf)
 		}
 		structOps(p, merged)
@@ -683,17 +639,14 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			}
 			return nil
 		}
-		p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+		p.fold = func(d *decoder, dst unsafe.Pointer) error {
 			for i := range fields {
 				f := &fields[i]
 				var err error
-				switch {
-				case m == setting:
-					err = f.plan.fold(d, unsafe.Add(dst, f.offset), setting)
-				case f.merge == nil: // pairing state stays with its owner
+				if f.merge == nil { // pairing state stays with its owner
 					err = d.run(f.plan.program())
-				default:
-					err = f.merge.fold(d, unsafe.Add(dst, f.offset), merging)
+				} else {
+					err = f.merge.fold(d, unsafe.Add(dst, f.offset))
 				}
 				if err != nil {
 					return err
@@ -729,22 +682,18 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			return fmt.Errorf("fleet: cannot encode kind %s (%s)", t.Kind(), t)
 		}
 		err := fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
-		p.fold = func(*decoder, unsafe.Pointer, mode) error { return err }
+		p.fold = func(*decoder, unsafe.Pointer) error { return err }
 		p.emit = emits(op{code: opFail, arg: err})
 	}
 }
 
 // foldDist folds an encoded stats.Dist's runs into the one at dst, or
-// with dst nil only reads past them (the check program's opDist); setting
-// zeroes dst first. The runs are read into decoder scratch, which
-// stats.MergeRuns copies.
-func foldDist(d *decoder, dst unsafe.Pointer, m mode) error {
+// with dst nil only reads past them (the check program's opDist). The
+// runs are read into decoder scratch, which stats.MergeRuns copies.
+func foldDist(d *decoder, dst unsafe.Pointer) error {
 	vals, counts, nan, err := d.runs()
 	if err != nil {
 		return err
-	}
-	if m == setting {
-		*(*stats.Dist)(dst) = stats.Dist{}
 	}
 	if err = stats.MergeRuns((*stats.Dist)(dst), vals, counts, nan); err != nil {
 		return fmt.Errorf("fleet: dist: %w", err)
@@ -776,21 +725,14 @@ func encCounter(e *encoder, v unsafe.Pointer) error {
 }
 
 // foldCounter folds an encoded stats.Counter into c: the entries of its
-// counts, refused unless their keys strictly increase, then its total.
-// Setting reads the entries into a fresh table and takes the total as
-// written. Merging adds each count to c's through AddBytes, as
-// Counter.Merge adds them, and reads the total past: Merge adds up the
-// source's counts instead. With c nil it only reads past them, in place
-// (the check program's opCounter).
-func foldCounter(d *decoder, c *stats.Counter, m mode) error {
-	n, present, err := d.count()
+// counts, refused unless their keys strictly increase, each added to c's
+// through AddBytes as Counter.Merge adds them, then its total, read past:
+// Merge adds up the source's counts instead. With c nil it only reads
+// past them, in place (the check program's opCounter).
+func foldCounter(d *decoder, c *stats.Counter) error {
+	n, _, err := d.count()
 	if err != nil {
 		return err
-	}
-	set := c != nil && m == setting
-	var entries []stats.Count
-	if set && present {
-		entries = make([]stats.Count, 0, n)
 	}
 	var prev []byte
 	for i := range n {
@@ -806,17 +748,11 @@ func foldCounter(d *decoder, c *stats.Counter, m mode) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case set:
-			entries = append(entries, stats.Count{Key: string(key), N: v})
-		case c != nil:
+		if c != nil {
 			c.AddBytes(key, v)
 		}
 	}
-	total, err := d.varint()
-	if err == nil && set {
-		*c = stats.CounterFromTable(entries, total)
-	}
+	_, err = d.varint()
 	return err
 }
 
@@ -858,9 +794,9 @@ func structOps(p *plan, fields []field) {
 }
 
 // sliceOps: a slice appends in banking order; its elements are records,
-// appended whole. So a merging fold grows the receiver and sets its new
-// elements from the wire, as a setting one sets a fresh slice's; a byte
-// slice is one run of bytes. Every slice header is laid out alike, so
+// appended whole. So a fold grows the receiver and folds each new
+// element, zeroed, from the wire; an empty one leaves a nil receiver nil,
+// as Merge appends nothing. A byte slice is one run of bytes. Every slice header is laid out alike, so
 // one of any element type is read and written through a []byte's.
 func sliceOps(p *plan, t reflect.Type, elem *plan) {
 	raw := t.Elem().Kind() == reflect.Uint8
@@ -895,37 +831,27 @@ func sliceOps(p *plan, t reflect.Type, elem *plan) {
 		}
 		return nil
 	}
-	p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
+	p.fold = func(d *decoder, dst unsafe.Pointer) error {
 		n, present, err := d.count()
 		switch {
-		case err != nil:
+		case err != nil || !present:
 			return err
-		case !present:
-			if m == setting {
-				*(*[]byte)(dst) = nil
-			}
-			return nil
 		case raw:
 			b, err := d.take(n)
 			if err == nil {
 				s := (*[]byte)(dst)
-				if m == setting {
-					*s = nil
-				}
 				*s = append(*s, b...)
 			}
 			return err
 		}
 		v := reflect.NewAt(t, dst).Elem()
-		if m == setting {
-			v.Set(reflect.MakeSlice(t, 0, n))
-		}
 		first := v.Len()
 		v.Grow(n)
 		v.SetLen(first + n)
+		v.Slice(first, first+n).Clear() // spare capacity may hold stale elements
 		data := v.UnsafePointer()
 		for i := range n {
-			if err := elem.fold(d, unsafe.Add(data, uintptr(first+i)*size), setting); err != nil {
+			if err := elem.fold(d, unsafe.Add(data, uintptr(first+i)*size)); err != nil {
 				return err
 			}
 		}
@@ -943,7 +869,7 @@ func sliceOps(p *plan, t reflect.Type, elem *plan) {
 // pointerOps: a nil receiver adopts the source's pointee, a cut moves a
 // leaf's pointer (installing a zero value) and cuts anything else into
 // a fresh one, which keeps the pointee's pairing state where it was. A
-// merging fold into a nil receiver sets a fresh pointee.
+// fold into a nil receiver folds into a fresh zero pointee.
 func pointerOps(p *plan, t reflect.Type, elem *plan) {
 	p.mergeErr = elem.mergeErr
 	p.merge = func(dst, src unsafe.Pointer) {
@@ -980,23 +906,17 @@ func pointerOps(p *plan, t reflect.Type, elem *plan) {
 		}
 		return elem.enc(e, s)
 	}
-	p.fold = func(d *decoder, dst unsafe.Pointer, m mode) error {
-		if m == merging && *(*unsafe.Pointer)(dst) == nil {
-			m = setting
-		}
+	p.fold = func(d *decoder, dst unsafe.Pointer) error {
 		present, err := d.byteFlag()
 		if err != nil || !present {
-			if err == nil && m == setting {
-				*(*unsafe.Pointer)(dst) = nil
-			}
 			return err
 		}
 		s := *(*unsafe.Pointer)(dst)
-		if m == setting {
+		if s == nil {
 			s = reflect.New(t.Elem()).UnsafePointer()
 			*(*unsafe.Pointer)(dst) = s
 		}
-		return elem.fold(d, s, m)
+		return elem.fold(d, s)
 	}
 	p.emit = func(a *asm) {
 		a.skip(op{code: opPointer}, func() { a.plan(elem) })

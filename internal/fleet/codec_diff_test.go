@@ -12,15 +12,46 @@ import (
 	"enttrace/internal/stats"
 )
 
+// unmarshal decodes b into *v by the codec's one read rule: *v is
+// zeroed and b folded into it. MergeFrom is that fold for a type that
+// merges; this takes any type the codec reads, the fixture included,
+// which cannot merge.
+func unmarshal(b []byte, v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return errNotPointer
+	}
+	rv.Elem().SetZero()
+	return planOf(rv.Type().Elem()).foldBytes(b, rv.UnsafePointer())
+}
+
+// canonical is the canonical form of accepted bytes b: what the
+// reference walk re-encodes its decode of b to. A decode folds into a
+// zero value, where a present but empty slice or map field stays nil, so
+// bytes that carry one have a shorter canonical form; canonical bytes
+// are their own.
+func canonical(t testing.TB, b []byte, fresh func() any) []byte {
+	t.Helper()
+	v := fresh()
+	if err := refUnmarshal(b, v); err != nil {
+		t.Fatal(err)
+	}
+	c, err := refMarshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // diffUnmarshal decodes b through the plans and through the reference
 // walk into two fresh targets and fails unless the two agree: on
 // accepting b at all, on the error's text, on the decoded value, and on
 // what that value re-encodes to through either encoder. It returns the
-// re-encoding (nil when b is rejected).
+// re-encoding (nil when b is rejected): b's canonical form.
 func diffUnmarshal(t testing.TB, b []byte, fresh func() any) []byte {
 	t.Helper()
 	got, want := fresh(), fresh()
-	err, refErr := Unmarshal(b, got), refUnmarshal(b, want)
+	err, refErr := unmarshal(b, got), refUnmarshal(b, want)
 	if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
 		t.Fatalf("decode disagrees\n     plan: %v\nreference: %v", err, refErr)
 	}
@@ -60,8 +91,8 @@ func freshFixture() any { return new(wireFixture) }
 
 // TestCodecMatchesReferenceWalk is the fixture-sized differential: the
 // plans and the reference walk produce the same bytes for the same
-// value, decode them to the same value, and what they produce is
-// canonical — decoding and re-encoding changes nothing. Over the
+// value, decode them to the same value, and what a decode re-encodes to
+// is canonical — decoding and re-encoding it changes nothing. Over the
 // fixture's truncations and substitutions, the check program refuses
 // exactly what the fold refuses, with the same error.
 func TestCodecMatchesReferenceWalk(t *testing.T) {
@@ -77,22 +108,23 @@ func TestCodecMatchesReferenceWalk(t *testing.T) {
 		if !bytes.Equal(b, ref) {
 			t.Fatalf("%s: plan and reference encode differently:\n%x\n%x", name, b, ref)
 		}
-		if re := diffUnmarshal(t, b, freshFixture); !bytes.Equal(re, b) {
-			t.Fatalf("%s: not a decode → re-encode fixed point:\n%x\n%x", name, b, re)
+		re := diffUnmarshal(t, b, freshFixture)
+		if again := diffUnmarshal(t, re, freshFixture); !bytes.Equal(again, re) {
+			t.Fatalf("%s: the canonical form is not a decode → re-encode fixed point:\n%x\n%x", name, re, again)
 		}
 		// Every truncation, and every byte replaced by one that ends a
 		// varint or a flag, starts a longer varint or is one above what
 		// was there, is read the same way by both, and by Check.
 		for cut := 0; cut < len(b); cut++ {
 			diffUnmarshal(t, b[:cut], freshFixture)
-			checkMatchesUnmarshal(t, b[:cut])
+			checkMatchesDecode(t, b[:cut])
 		}
 		sub := bytes.Clone(b)
 		for at, was := range b {
 			for _, x := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff, was + 1} {
 				sub[at] = x
 				diffUnmarshal(t, sub, freshFixture)
-				checkMatchesUnmarshal(t, sub)
+				checkMatchesDecode(t, sub)
 			}
 			sub[at] = was
 		}
@@ -132,15 +164,19 @@ func TestCodecRecursiveType(t *testing.T) {
 	if !bytes.Equal(b, ref) {
 		t.Fatalf("plan and reference encode a recursive type differently:\n%x\n%x", b, ref)
 	}
-	if re := diffUnmarshal(t, b, func() any { return new(chain) }); !bytes.Equal(re, b) {
-		t.Fatalf("recursive type is not a fixed point:\n%x\n%x", b, re)
+	fresh := func() any { return new(chain) }
+	re := diffUnmarshal(t, b, fresh)
+	if again := diffUnmarshal(t, re, fresh); !bytes.Equal(again, re) {
+		t.Fatalf("recursive type's canonical form is not a fixed point:\n%x\n%x", re, again)
 	}
 	var out chain
-	if err := Unmarshal(b, &out); err != nil {
+	if err := unmarshal(b, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(&out, in) {
-		t.Fatalf("recursive round trip:\n got %+v\nwant %+v", &out, in)
+	want := mkChain()
+	want.next.kids = nil // an empty slice decodes nil
+	if !reflect.DeepEqual(&out, want) {
+		t.Fatalf("recursive round trip:\n got %+v\nwant %+v", &out, want)
 	}
 }
 
@@ -175,6 +211,14 @@ func TestPlanCacheFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freshChain := func() any { return new(chain) }
+	inputs := []struct {
+		b, canon []byte
+		fresh    func() any
+	}{
+		{fixture, canonical(t, fixture, freshFixture), freshFixture},
+		{chained, canonical(t, chained, freshChain), freshChain},
+	}
 	for round := 0; round < 20; round++ {
 		plans.Clear()
 		start := make(chan struct{})
@@ -193,21 +237,18 @@ func TestPlanCacheFirstUse(t *testing.T) {
 				} else if err := Check[wireFixture](fixture); err != nil {
 					t.Errorf("first-use check: %v", err)
 				}
-				for _, c := range []struct {
-					b     []byte
-					fresh func() any
-				}{{fixture, freshFixture}, {chained, func() any { return new(chain) }}} {
+				for _, c := range inputs {
 					out := c.fresh()
 					if g%2 == 1 {
 						SchemaOf(out)
 					}
-					if err := Unmarshal(c.b, out); err != nil {
+					if err := unmarshal(c.b, out); err != nil {
 						t.Errorf("first-use decode: %v", err)
 						return
 					}
 					re, err := Marshal(out)
-					if err != nil || !bytes.Equal(re, c.b) {
-						t.Errorf("first-use re-encode differs from the reference bytes (err %v)", err)
+					if err != nil || !bytes.Equal(re, c.canon) {
+						t.Errorf("first-use re-encode differs from the reference's canonical bytes (err %v)", err)
 					}
 				}
 			}()

@@ -23,6 +23,13 @@ import (
 // that a map's keys come in the encoder's order, which came after the
 // plans and holds for both. A stats.Counter, whose counts became a table
 // after the plans, is walked as the struct it was (mapCounter).
+//
+// The decode follows the plans' one read rule, which also came after
+// them: a decode is a merge into a zero value. So a scalar merges into
+// the zero it finds (adds, ORs, joins, or takes the maximum under
+// agg:"max"), pairing state is read past, a present but empty slice or
+// map stays nil — but for a map under a map key, which Merge gives a
+// fresh map — and a Counter's counts are added in the order read.
 
 // mapCounter is stats.Counter as it was: its counts a map, then the
 // total. The reference writes, reads and hashes a Counter as one, under
@@ -46,23 +53,25 @@ func toMapCounter(c *stats.Counter) mapCounter {
 	return mc
 }
 
-// fromMapCounter is the Counter whose table holds mc's counts in the
-// order the reference writes them: by encoded key.
+// fromMapCounter is the Counter that adds mc's counts to a zero one in
+// the order the reference writes them, by encoded key; mc's total is
+// not read, as Counter.Merge does not read it.
 func fromMapCounter(mc mapCounter) stats.Counter {
-	var entries []stats.Count
-	if mc.counts != nil {
-		entries = make([]stats.Count, 0, len(mc.counts))
-		for k, n := range mc.counts {
-			entries = append(entries, stats.Count{Key: k, N: n})
-		}
-		encoded := func(k string) string {
-			var e encoder
-			e.bytes([]byte(k))
-			return string(e.buf)
-		}
-		sort.Slice(entries, func(i, j int) bool { return encoded(entries[i].Key) < encoded(entries[j].Key) })
+	keys := make([]string, 0, len(mc.counts))
+	for k := range mc.counts {
+		keys = append(keys, k)
 	}
-	return stats.CounterFromTable(entries, mc.total)
+	encoded := func(k string) string {
+		var e encoder
+		e.bytes([]byte(k))
+		return string(e.buf)
+	}
+	sort.Slice(keys, func(i, j int) bool { return encoded(keys[i]) < encoded(keys[j]) })
+	var c stats.Counter
+	for _, k := range keys {
+		c.Add(k, mc.counts[k])
+	}
+	return c
 }
 
 func refMarshal(v any) ([]byte, error) {
@@ -149,9 +158,6 @@ func refHashType(h interface{ Write([]byte) (int, error) }, t reflect.Type, seen
 		h.Write([]byte("struct " + name + "{"))
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			if skipKind(f.Type.Kind()) {
-				continue
-			}
 			h.Write([]byte(f.Name + ":"))
 			refHashType(h, f.Type, seen)
 			h.Write([]byte(";"))
@@ -216,12 +222,10 @@ func (e *encoder) refEncode(v reflect.Value) error {
 		} else {
 			e.buf = append(e.buf, 0)
 		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	case reflect.Int, reflect.Int64:
 		e.varint(v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		e.uvarint(v.Uint())
-	case reflect.Float32:
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
 	case reflect.Float64:
 		e.float64(v.Float())
 	case reflect.String:
@@ -291,9 +295,6 @@ func (e *encoder) refEncode(v reflect.Value) error {
 		return e.refEncode(v.Elem())
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
-			if skipKind(t.Field(i).Type.Kind()) {
-				continue
-			}
 			if err := e.refEncode(v.Field(i)); err != nil {
 				return err
 			}
@@ -304,7 +305,8 @@ func (e *encoder) refEncode(v reflect.Value) error {
 	return nil
 }
 
-// refDecode fills v (addressable) from the stream.
+// refDecode merges the value read from the stream into v (addressable,
+// and zero but where a map entry's is fresh).
 func (d *decoder) refDecode(v reflect.Value) error {
 	v = launder(v)
 	t := v.Type()
@@ -377,8 +379,8 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		v.SetBool(f)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		refMerge(v, reflect.ValueOf(f).Convert(t), false)
+	case reflect.Int, reflect.Int64:
 		x, err := d.varint()
 		if err != nil {
 			return err
@@ -386,8 +388,8 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		if v.OverflowInt(x) {
 			return fmt.Errorf("fleet: %d overflows %s", x, t)
 		}
-		v.SetInt(x)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		refMerge(v, reflect.ValueOf(x).Convert(t), false)
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		x, err := d.uvarint()
 		if err != nil {
 			return err
@@ -395,19 +397,13 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		if v.OverflowUint(x) {
 			return fmt.Errorf("fleet: %d overflows %s", x, t)
 		}
-		v.SetUint(x)
-	case reflect.Float32:
-		raw, err := d.take(4)
-		if err != nil {
-			return err
-		}
-		v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(raw))))
+		refMerge(v, reflect.ValueOf(x).Convert(t), false)
 	case reflect.Float64:
 		raw, err := d.take(8)
 		if err != nil {
 			return err
 		}
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+		refMerge(v, reflect.ValueOf(math.Float64frombits(binary.LittleEndian.Uint64(raw))).Convert(t), false)
 	case reflect.String:
 		b, err := d.bytes()
 		if err != nil {
@@ -420,7 +416,6 @@ func (d *decoder) refDecode(v reflect.Value) error {
 			return err
 		}
 		if !present {
-			v.Set(reflect.Zero(t))
 			return nil
 		}
 		n, err := d.uvarint()
@@ -429,7 +424,7 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		}
 		if t.Elem().Kind() == reflect.Uint8 {
 			b, err := d.take(int(n))
-			if err != nil {
+			if err != nil || n == 0 {
 				return err
 			}
 			v.SetBytes(append([]byte(nil), b...))
@@ -438,6 +433,9 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		// A decoded element costs ≥ 1 wire byte; bound the allocation.
 		if n > uint64(len(d.buf))+1 {
 			return errShort
+		}
+		if n == 0 {
+			return nil
 		}
 		s := reflect.MakeSlice(t, int(n), int(n))
 		for i := 0; i < int(n); i++ {
@@ -458,7 +456,6 @@ func (d *decoder) refDecode(v reflect.Value) error {
 			return err
 		}
 		if !present {
-			v.Set(reflect.Zero(t))
 			return nil
 		}
 		n, err := d.uvarint()
@@ -467,6 +464,9 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		}
 		if n > uint64(len(d.buf))+1 {
 			return errShort
+		}
+		if n == 0 {
+			return nil
 		}
 		m := reflect.MakeMapWithSize(t, int(n))
 		var prev []byte
@@ -480,6 +480,9 @@ func (d *decoder) refDecode(v reflect.Value) error {
 				return err
 			}
 			val := reflect.New(t.Elem()).Elem()
+			if t.Elem().Kind() == reflect.Map && len(d.buf) > 0 && d.buf[0] == 1 {
+				val.Set(reflect.MakeMap(t.Elem())) // a key the wire holds a map under gets a fresh one
+			}
 			if err := d.refDecode(val); err != nil {
 				return err
 			}
@@ -492,7 +495,6 @@ func (d *decoder) refDecode(v reflect.Value) error {
 			return err
 		}
 		if !present {
-			v.Set(reflect.Zero(t))
 			return nil
 		}
 		nv := reflect.New(t.Elem())
@@ -502,10 +504,20 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		v.Set(nv)
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
-			if skipKind(t.Field(i).Type.Kind()) {
-				continue
+			f := t.Field(i)
+			var err error
+			switch f.Tag.Get("agg") {
+			case "pairing":
+				err = d.refDecode(reflect.New(f.Type).Elem()) // read past
+			case "max":
+				x := reflect.New(f.Type).Elem()
+				if err = d.refDecode(x); err == nil {
+					refMerge(launder(v.Field(i)), x, true)
+				}
+			default:
+				err = d.refDecode(v.Field(i))
 			}
-			if err := d.refDecode(v.Field(i)); err != nil {
+			if err != nil {
 				return err
 			}
 		}
@@ -513,4 +525,31 @@ func (d *decoder) refDecode(v reflect.Value) error {
 		return fmt.Errorf("fleet: cannot decode kind %s (%s)", t.Kind(), t)
 	}
 	return nil
+}
+
+// refMerge merges the scalar x into v as the plans' scalar fold does:
+// by maximum under agg:"max", through a Join method where v's type has
+// one, and otherwise by adding or ORing.
+func refMerge(v, x reflect.Value, byMax bool) {
+	t := v.Type()
+	j, join := t.MethodByName("Join")
+	join = join && j.Type.NumIn() == 2 && j.Type.In(1) == t && j.Type.NumOut() == 1 && j.Type.Out(0) == t
+	switch k := t.Kind(); {
+	case byMax && v.CanInt():
+		v.SetInt(max(v.Int(), x.Int()))
+	case byMax && v.CanUint():
+		v.SetUint(max(v.Uint(), x.Uint()))
+	case byMax && v.CanFloat():
+		v.SetFloat(max(v.Float(), x.Float()))
+	case join:
+		v.Set(j.Func.Call([]reflect.Value{v, x})[0])
+	case k == reflect.Bool:
+		v.SetBool(v.Bool() || x.Bool())
+	case v.CanInt():
+		v.SetInt(v.Int() + x.Int())
+	case v.CanUint():
+		v.SetUint(v.Uint() + x.Uint())
+	default:
+		v.SetFloat(v.Float() + x.Float())
+	}
 }

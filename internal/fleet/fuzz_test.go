@@ -66,7 +66,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // encoder. The corpus under testdata/ adds real window snapshots
 // (internal/core's epoch type, so to the fixture they are structured
 // noise) to the fixture's own encoding. Check, which walks the bytes
-// without decoding them, must refuse exactly what Unmarshal refuses,
+// without decoding them, must refuse exactly what the decode refuses,
 // with the same error.
 func FuzzCodecUnmarshal(f *testing.F) {
 	b, err := Marshal(mkFixture())
@@ -78,16 +78,16 @@ func FuzzCodecUnmarshal(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		diffUnmarshal(t, b, freshFixture)
-		checkMatchesUnmarshal(t, b)
+		checkMatchesDecode(t, b)
 	})
 }
 
-// checkMatchesUnmarshal fails unless Check refuses b for the fixture
-// type exactly when Unmarshal does, with the same error.
-func checkMatchesUnmarshal(t testing.TB, b []byte) {
+// checkMatchesDecode fails unless Check refuses b for the fixture type
+// exactly when the decode does, with the same error.
+func checkMatchesDecode(t testing.TB, b []byte) {
 	t.Helper()
-	err, checkErr := Unmarshal(b, freshFixture()), Check[wireFixture](b)
+	err, checkErr := unmarshal(b, freshFixture()), Check[wireFixture](b)
 	if (err == nil) != (checkErr == nil) || (err != nil && err.Error() != checkErr.Error()) {
-		t.Fatalf("Check disagrees with Unmarshal on %x\n    Check: %v\nUnmarshal: %v", b, checkErr, err)
+		t.Fatalf("Check disagrees with the decode on %x\n Check: %v\ndecode: %v", b, checkErr, err)
 	}
 }

@@ -97,8 +97,8 @@ func (k *kernel[K, V]) insert(p *plan) {
 			}
 		}
 	}
-	k.entry = func(d *decoder, dm map[K]V, x *mapSlots[K, V], _ mode) error {
-		if err := k.elem.fold(d, unsafe.Pointer(&x.v), setting); err != nil {
+	k.entry = func(d *decoder, dm map[K]V, x *mapSlots[K, V]) error {
+		if err := k.elem.fold(d, unsafe.Pointer(&x.v)); err != nil {
 			return err
 		}
 		dm[x.k] = x.v
@@ -132,18 +132,16 @@ func (k *kernel[K, V]) byValue(p *plan) {
 			k.put(x)
 		}
 	}
-	// A value is read whole; merging merges it into the one the receiver
-	// holds, if any.
-	k.entry = func(d *decoder, dm map[K]V, x *mapSlots[K, V], m mode) error {
-		if err := k.elem.fold(d, unsafe.Pointer(&x.v), setting); err != nil {
+	// A value is read whole, into the zeroed slot, and merges into the one
+	// the receiver holds, if any.
+	k.entry = func(d *decoder, dm map[K]V, x *mapSlots[K, V]) error {
+		if err := k.elem.fold(d, unsafe.Pointer(&x.v)); err != nil {
 			return err
 		}
-		if m == merging {
-			if cur, ok := dm[x.k]; ok {
-				x.cur = cur
-				k.elem.merge(unsafe.Pointer(&x.cur), unsafe.Pointer(&x.v))
-				x.v = x.cur
-			}
+		if cur, ok := dm[x.k]; ok {
+			x.cur = cur
+			k.elem.merge(unsafe.Pointer(&x.cur), unsafe.Pointer(&x.v))
+			x.v = x.cur
 		}
 		dm[x.k] = x.v
 		return nil
@@ -177,14 +175,7 @@ func (k *kernel[K, V]) inPlace(p *plan, fresh func(like V) V) {
 		}
 		k.put(x)
 	}
-	k.entry = func(d *decoder, dm map[K]V, x *mapSlots[K, V], m mode) error {
-		if m == setting {
-			if err := k.elem.fold(d, unsafe.Pointer(&x.v), setting); err != nil {
-				return err
-			}
-			dm[x.k] = x.v
-			return nil
-		}
+	k.entry = func(d *decoder, dm map[K]V, x *mapSlots[K, V]) error {
 		x.cur = dm[x.k]
 		held := word(x.cur)
 		if held == nil {
@@ -194,7 +185,7 @@ func (k *kernel[K, V]) inPlace(p *plan, fresh func(like V) V) {
 			}
 			x.cur = fresh(x.cur)
 		}
-		if err := k.elem.fold(d, unsafe.Pointer(&x.cur), merging); err != nil {
+		if err := k.elem.fold(d, unsafe.Pointer(&x.cur)); err != nil {
 			return err
 		}
 		if word(x.cur) != held { // a fresh value, or an empty map the fold swapped
@@ -218,9 +209,9 @@ type mapSlots[K comparable, V any] struct {
 type kernel[K comparable, V any] struct {
 	key, elem *plan
 	slots     sync.Pool
-	// entry reads one value off the wire after its key (in x.k) and,
-	// by mode, stores it in dm or merges it into dm.
-	entry func(d *decoder, dm map[K]V, x *mapSlots[K, V], m mode) error
+	// entry reads one value off the wire after its key (in x.k) and
+	// merges it into dm.
+	entry func(d *decoder, dm map[K]V, x *mapSlots[K, V]) error
 }
 
 func (k *kernel[K, V]) get() *mapSlots[K, V] { return k.slots.Get().(*mapSlots[K, V]) }
@@ -294,43 +285,32 @@ func (e *encoder) sorted(s *encoder) {
 }
 
 // fold reads the presence flag and the count, then each entry: the key,
-// refused unless keys strictly increase, and the value through entry.
-// Setting makes the map fresh, sized from the count; merging into a nil
-// receiver sets it, and leaves nil when the wire map is empty, as a
+// refused unless keys strictly increase, and the value through entry,
+// both read into slots zeroed first. An empty receiver takes a fresh map
+// sized from the count; an empty wire map leaves a nil receiver nil, as a
 // merge adopting an empty map would have nothing to adopt.
-func (k *kernel[K, V]) fold(d *decoder, dst unsafe.Pointer, m mode) error {
-	mp := (*map[K]V)(dst)
-	if m == merging && *mp == nil {
-		err := k.fold(d, dst, setting)
-		if err == nil && len(*mp) == 0 {
-			*mp = nil
-		}
-		return err
-	}
+func (k *kernel[K, V]) fold(d *decoder, dst unsafe.Pointer) error {
 	n, present, err := d.count()
-	if err != nil || !present {
-		if err == nil && m == setting {
-			*mp = nil
-		}
+	if err != nil || !present || n == 0 {
 		return err
 	}
-	// Setting makes the map fresh; merging into an empty receiver swaps
-	// in a fresh one too, sized from the count.
-	if m == setting || len(*mp) == 0 && n > 0 {
+	mp := (*map[K]V)(dst)
+	if len(*mp) == 0 {
 		*mp = make(map[K]V, n)
 	}
 	dm, x := *mp, k.get()
 	defer k.put(x)
 	var prev []byte
 	for i := range n {
+		*x = mapSlots[K, V]{}
 		start := d.buf
-		if err := k.key.fold(d, unsafe.Pointer(&x.k), setting); err != nil {
+		if err := k.key.fold(d, unsafe.Pointer(&x.k)); err != nil {
 			return err
 		}
 		if err := d.ordered(start, &prev, i == 0); err != nil {
 			return err
 		}
-		if err := k.entry(d, dm, x, m); err != nil {
+		if err := k.entry(d, dm, x); err != nil {
 			return err
 		}
 	}

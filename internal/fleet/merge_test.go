@@ -191,8 +191,8 @@ func TestMergeErrorNamesTheField(t *testing.T) {
 }
 
 // TestMergeFromMatchesMerge holds the fold off the wire to Merge of the
-// decoded value, receiver by receiver: full, sparse (a nil field decodes
-// fresh, pairing state and all, where Merge adopts the decoded one),
+// decoded value, receiver by receiver: full, sparse (a nil field is
+// folded into fresh, where Merge adopts the decoded one),
 // holding nil entries, and holding empty maps (which a fold may swap for
 // ones sized from the wire); sources with nil and empty entries, and
 // empty.
@@ -239,7 +239,7 @@ func TestMergeFromMatchesMerge(t *testing.T) {
 		for dname, dst := range dsts {
 			want, got := dst(), dst()
 			decoded := new(mergeFixture)
-			if err := Unmarshal(b, decoded); err != nil {
+			if err := unmarshal(b, decoded); err != nil {
 				t.Fatal(err)
 			}
 			Merge(want, decoded)
@@ -255,8 +255,26 @@ func TestMergeFromMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestMergeFromZeroesNewSliceElements: a slice's new elements are folded
+// into from zero, whatever the receiver's spare capacity holds — as
+// Merge appends the source's elements over it.
+func TestMergeFromZeroesNewSliceElements(t *testing.T) {
+	b, err := Marshal(&mergeFixture{log: []int{2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []int{1, 7, 7, 7}
+	got := &mergeFixture{log: stale[:1]}
+	if err := MergeFrom(got, b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.log, []int{1, 2, 3}) {
+		t.Errorf("folded into a slice with stale spare capacity: %v, want [1 2 3]", got.log)
+	}
+}
+
 // TestMapKeysInEncoderOrder: a map whose keys repeat or run backwards is
-// refused by Unmarshal and Check alike — a map, and a stats.Counter,
+// refused by the decode and Check alike — a map, and a stats.Counter,
 // whose check has a loop of its own. Decoded, a repeated key keeps one
 // entry; folded, it would merge twice.
 func TestMapKeysInEncoderOrder(t *testing.T) {
@@ -285,8 +303,8 @@ func TestMapKeysInEncoderOrder(t *testing.T) {
 		} {
 			bad := bytes.Clone(b)
 			mut(bad)
-			if err := Unmarshal(bad, reflect.New(reflect.TypeOf(in.v).Elem()).Interface()); err == nil {
-				t.Errorf("%s %s: Unmarshal accepted %x", name, mname, bad)
+			if err := unmarshal(bad, reflect.New(reflect.TypeOf(in.v).Elem()).Interface()); err == nil {
+				t.Errorf("%s %s: the decode accepted %x", name, mname, bad)
 			}
 			if err := in.check(bad); err == nil {
 				t.Errorf("%s %s: Check accepted %x", name, mname, bad)
@@ -297,7 +315,7 @@ func TestMapKeysInEncoderOrder(t *testing.T) {
 
 // TestMergeFromRefusesWhatCheckRefuses: MergeFrom fails on exactly the
 // bytes Check refuses, with the same error, into a sparse receiver (whose
-// nil fields the fold sets) and a full one (which it merges into) alike —
+// nil fields the fold fills fresh) and a full one alike —
 // every truncation of a full fixture, and map keys that repeat or run
 // backwards.
 func TestMergeFromRefusesWhatCheckRefuses(t *testing.T) {

@@ -39,10 +39,14 @@ func snapshotType(t *testing.T) reflect.Type {
 // TestSnapshotBytesMatchReferenceWalk runs the differential over the
 // real thing: every window snapshot a windowed D3 analysis exports
 // (encoded by the plans) decodes to the same value through the plans
-// and through the reference walk, re-encodes to the exported bytes
-// through both encoders from either decode, and the schema hash in
-// every HELLO is the one the reference walk computes — so a site and an
-// aggregator on either side of the plan change interoperate.
+// and through the reference walk, re-encodes to the exported bytes'
+// canonical form through both encoders from either decode, and the
+// schema hash in every HELLO is the one the reference walk computes — so
+// a site and an aggregator on either side of the plan change
+// interoperate. The canonical form is what the reference re-encodes its
+// own decode to: a decode folds into a zero value, so a window that
+// ships an empty map (window 0 ships five) re-encodes it absent. It is a
+// fixed point of the decode.
 func TestSnapshotBytesMatchReferenceWalk(t *testing.T) {
 	typ := snapshotType(t)
 	fresh := func() any { return reflect.New(typ).Interface() }
@@ -69,7 +73,7 @@ func TestSnapshotBytesMatchReferenceWalk(t *testing.T) {
 	}
 	for _, we := range exports {
 		plan, ref := fresh(), fresh()
-		if err := fleet.Unmarshal(we.Payload, plan); err != nil {
+		if err := fleet.Decode(we.Payload, plan); err != nil {
 			t.Fatalf("window %d: plan decode: %v", we.Window, err)
 		}
 		if err := fleet.RefUnmarshal(we.Payload, ref); err != nil {
@@ -78,7 +82,15 @@ func TestSnapshotBytesMatchReferenceWalk(t *testing.T) {
 		if !reflect.DeepEqual(plan, ref) {
 			t.Fatalf("window %d: plan and reference decode to different snapshots", we.Window)
 		}
-		for name, v := range map[string]any{"plan": plan, "reference": ref} {
+		canon, err := fleet.RefMarshal(ref)
+		if err != nil {
+			t.Fatalf("window %d: %v", we.Window, err)
+		}
+		again := fresh()
+		if err := fleet.Decode(canon, again); err != nil {
+			t.Fatalf("window %d: the canonical form does not decode: %v", we.Window, err)
+		}
+		for name, v := range map[string]any{"plan": plan, "reference": ref, "canonical": again} {
 			re, err := fleet.Marshal(v)
 			if err != nil {
 				t.Fatalf("window %d: %v", we.Window, err)
@@ -87,9 +99,9 @@ func TestSnapshotBytesMatchReferenceWalk(t *testing.T) {
 			if err != nil {
 				t.Fatalf("window %d: %v", we.Window, err)
 			}
-			if !bytes.Equal(re, we.Payload) || !bytes.Equal(refRe, we.Payload) {
-				t.Fatalf("window %d: the %s decode re-encodes to %d bytes by plan, %d by reference; exported %d",
-					we.Window, name, len(re), len(refRe), len(we.Payload))
+			if !bytes.Equal(re, canon) || !bytes.Equal(refRe, canon) {
+				t.Fatalf("window %d: the %s decode re-encodes to %d bytes by plan, %d by reference; canonical %d",
+					we.Window, name, len(re), len(refRe), len(canon))
 			}
 		}
 	}

@@ -21,8 +21,7 @@
 // bit; a Counter's table may list its keys in another order) — that
 // leaves its source usable and aliases nothing. Both are leaves of the
 // fleet codec too: it writes and reads a Counter's table (Entries,
-// CounterFromTable, AddBytes) and a Dist's runs (DistRuns, MergeRuns)
-// itself.
+// AddBytes) and a Dist's runs (DistRuns, MergeRuns) itself.
 package stats
 
 import (

@@ -61,15 +61,3 @@ func checkRuns(vals []float64, counts []int64, nan int64) (int64, error) {
 	}
 	return n, nil
 }
-
-// CounterFromTable is a Counter with the table entries, which it takes
-// as they are, and the total, as a decoder reads them off the wire:
-// entries nil for a counter that never held a key. The keys must be
-// distinct, as they are for a decoder that refuses keys out of order.
-func CounterFromTable(entries []Count, total int64) Counter {
-	c := Counter{entries: entries, total: total}
-	if len(entries) > indexAt {
-		c.reindex()
-	}
-	return c
-}
