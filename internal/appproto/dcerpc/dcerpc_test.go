@@ -133,7 +133,7 @@ func TestAnalyzerChannelsIndependent(t *testing.T) {
 	a.Stream(auth, Encode(&PDU{Type: PTRequest, CallID: 2, Opnum: OpNetrLogonSamLogon, Stub: make([]byte, 100)}))
 	a.Stream(spool, Encode(&PDU{Type: PTRequest, CallID: 2, Opnum: OpSpoolssWritePrinter, Stub: make([]byte, 100)}))
 	if a.Requests.Get("NetLogon") != 1 || a.Requests.Get("Spoolss/WritePrinter") != 1 {
-		t.Errorf("cross-channel contamination: %v", a.Requests.Keys())
+		t.Errorf("cross-channel contamination: %v", a.Requests.Entries())
 	}
 }
 
@@ -153,7 +153,7 @@ func TestAnalyzerUnboundRequestIsOther(t *testing.T) {
 	a := NewAnalyzer()
 	a.Stream(ChanKey{}, Encode(&PDU{Type: PTRequest, CallID: 1, Opnum: 7, Stub: make([]byte, 10)}))
 	if a.Requests.Get("Other") != 1 {
-		t.Errorf("requests: %v", a.Requests.Keys())
+		t.Errorf("requests: %v", a.Requests.Entries())
 	}
 }
 

@@ -13,22 +13,19 @@ import (
 // latency distribution, and per-client request counts.
 //
 // It merges and cuts by its fields (fleet.Merge, fleet.Cut). The pairing
-// state — pending queries, the per-operation dedup set, the address
-// cache — stays with the analyzer that saw it: a query answered after a
-// cut pairs exactly as it would have without the cut, and merging every
-// cut reproduces the uncut statistics, provided each (client, server)
-// host pair is fed to one analyzer.
+// state — pending queries and the per-operation dedup set — stays with
+// the analyzer that saw it: a query answered after a cut pairs exactly
+// as it would have without the cut, and merging every cut reproduces the
+// uncut statistics, provided each (client, server) host pair is fed to
+// one analyzer.
 type Analyzer struct {
 	pending fleet.Map[pendKey, pend] `agg:"pairing"`
 
-	Types   *stats.Counter             // request type mix
-	Rcodes  *stats.Counter             // return code mix (by distinct name+hostpair)
-	Clients *stats.Counter             // requests per client
-	Latency *stats.Dist                // seconds
-	seenOp  fleet.Map[opKey, struct{}] `agg:"pairing"`
-	// addrNames caches formatted client addresses; a busy client would
-	// otherwise be re-rendered once per request.
-	addrNames fleet.Map[netip.Addr, string] `agg:"pairing"`
+	Types   *stats.Counter               // request type mix
+	Rcodes  *stats.Counter               // return code mix (by distinct name+hostpair)
+	Clients fleet.Map[netip.Addr, int64] // requests per client
+	Latency *stats.Dist                  // seconds
+	seenOp  fleet.Map[opKey, struct{}]   `agg:"pairing"`
 }
 
 type pendKey struct {
@@ -52,24 +49,13 @@ type pend struct {
 // NewAnalyzer returns an empty analyzer.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		pending:   make(map[pendKey]pend),
-		Types:     stats.NewCounter(),
-		Rcodes:    stats.NewCounter(),
-		Clients:   stats.NewCounter(),
-		Latency:   stats.NewDist(),
-		seenOp:    make(map[opKey]struct{}),
-		addrNames: make(map[netip.Addr]string),
+		pending: make(map[pendKey]pend),
+		Types:   stats.NewCounter(),
+		Rcodes:  stats.NewCounter(),
+		Clients: make(map[netip.Addr]int64),
+		Latency: stats.NewDist(),
+		seenOp:  make(map[opKey]struct{}),
 	}
-}
-
-// addrString formats addr, caching the result per analyzer.
-func (a *Analyzer) addrString(addr netip.Addr) string {
-	if s, ok := a.addrNames[addr]; ok {
-		return s
-	}
-	s := addr.String()
-	a.addrNames[addr] = s
-	return s
 }
 
 // Message feeds one decoded DNS message seen at time ts traveling
@@ -77,7 +63,7 @@ func (a *Analyzer) addrString(addr netip.Addr) string {
 func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *Message) {
 	if !m.Response {
 		a.Types.Inc(TypeName(m.QType))
-		a.Clients.Inc(a.addrString(src))
+		a.Clients[src]++
 		a.pending[pendKey{client: src, server: dst, id: m.ID}] = pend{qname: m.QName, at: ts}
 		return
 	}

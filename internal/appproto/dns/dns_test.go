@@ -148,7 +148,7 @@ func TestAnalyzerPairsQueryResponse(t *testing.T) {
 	if a.Rcodes.Get("NOERROR") != 1 || a.Rcodes.Total() != 1 {
 		t.Error("rcode counter")
 	}
-	if a.Clients.Get(client.String()) != 1 || a.Clients.Total() != 1 {
+	if a.Clients[client] != 1 || len(a.Clients) != 1 {
 		t.Error("client counter")
 	}
 	if a.Latency.N() != 1 || a.Latency.Median() != (400*time.Microsecond).Seconds() {
@@ -161,7 +161,7 @@ func TestAnalyzerUnansweredStaysPending(t *testing.T) {
 	a.Message(time.Unix(0, 0), client, server, &Message{ID: 1, QName: "x.lbl.gov", QType: TypeAAAA})
 	// The request counts at once; with no answer there is no outcome and
 	// no latency sample, and the query waits for one.
-	if a.Types.Get("AAAA") != 1 || a.Clients.Get(client.String()) != 1 {
+	if a.Types.Get("AAAA") != 1 || a.Clients[client] != 1 {
 		t.Error("unanswered query missing from the request counters")
 	}
 	if len(a.pending) != 1 || a.Rcodes.Total() != 0 || a.Latency.N() != 0 {
@@ -185,16 +185,16 @@ func TestAnalyzerRetryCountedOnce(t *testing.T) {
 	}
 	// Requests and latency are per message: every retry was asked and
 	// answered.
-	if a.Types.Get("A") != 5 || a.Clients.Get(client.String()) != 5 || a.Latency.N() != 5 {
+	if a.Types.Get("A") != 5 || a.Clients[client] != 5 || a.Latency.N() != 5 {
 		t.Errorf("types %d, clients %d, latency samples %d; want 5 raw transactions each",
-			a.Types.Get("A"), a.Clients.Get(client.String()), a.Latency.N())
+			a.Types.Get("A"), a.Clients[client], a.Latency.N())
 	}
 }
 
 func TestAnalyzerResponseWithoutQueryIgnored(t *testing.T) {
 	a := NewAnalyzer()
 	a.Message(time.Unix(0, 0), server, client, &Message{ID: 9, Response: true, Rcode: RcodeNoError})
-	if a.Rcodes.Total() != 0 || a.Latency.N() != 0 || a.Types.Total() != 0 || a.Clients.Total() != 0 || len(a.pending) != 0 {
+	if a.Rcodes.Total() != 0 || a.Latency.N() != 0 || a.Types.Total() != 0 || len(a.Clients) != 0 || len(a.pending) != 0 {
 		t.Error("orphan response should be dropped")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"enttrace/internal/fleet"
+	"enttrace/internal/layers"
 	"enttrace/internal/stats"
 )
 
@@ -16,7 +17,7 @@ type Analyzer struct {
 	Requests             *stats.Counter
 	Bytes                *stats.Counter
 	ReqSizes, ReplySizes *stats.Dist
-	PerPair              fleet.Map[[2]netip.Addr, int64]
+	PerPair              fleet.Map[layers.HostPair, int64]
 	OK, Failed           int64
 
 	// pending pairs replies to requests by (pair, sequence).
@@ -35,16 +36,9 @@ func NewAnalyzer() *Analyzer {
 		Bytes:      stats.NewCounter(),
 		ReqSizes:   stats.NewDist(),
 		ReplySizes: stats.NewDist(),
-		PerPair:    make(map[[2]netip.Addr]int64),
+		PerPair:    make(map[layers.HostPair]int64),
 		pending:    make(map[pendKey]uint8),
 	}
-}
-
-func pairOf(a, b netip.Addr) [2]netip.Addr {
-	if a.Compare(b) > 0 {
-		a, b = b, a
-	}
-	return [2]netip.Addr{a, b}
 }
 
 // Stream consumes one direction of an NCP connection's reassembled bytes.
@@ -69,7 +63,7 @@ func (a *Analyzer) message(src, dst netip.Addr, m Record) {
 	if m.Request {
 		a.Requests.Inc(name)
 		a.ReqSizes.Observe(size)
-		a.PerPair[pairOf(src, dst)]++
+		a.PerPair[layers.NewHostPair(src, dst)]++
 		if m.Function == FnWriteFile {
 			a.Bytes.Add(name, int64(m.PayloadLen))
 		}

@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+
+	"enttrace/internal/layers"
 )
 
 func TestFnNames(t *testing.T) {
@@ -104,7 +106,7 @@ func TestAnalyzerRequestReply(t *testing.T) {
 	if a.OK != 1 {
 		t.Errorf("ok = %d", a.OK)
 	}
-	if a.PerPair[pairOf(cli, srv)] != 1 {
+	if a.PerPair[layers.NewHostPair(cli, srv)] != 1 {
 		t.Error("per-pair")
 	}
 }

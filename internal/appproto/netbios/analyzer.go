@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"enttrace/internal/fleet"
+	"enttrace/internal/layers"
 	"enttrace/internal/stats"
 )
 
@@ -15,14 +16,13 @@ import (
 // the analyzer that saw it, so cross-cut pairings resolve exactly as
 // they would without the cut.
 type Analyzer struct {
-	Ops       *stats.Counter // request type mix (query/refresh/...)
-	NameTypes *stats.Counter // workstation/server vs domain/browser
-	Clients   *stats.Counter // requests per client
-	Rcodes    *stats.Counter // per-distinct-operation outcome
+	Ops       *stats.Counter               // request type mix (query/refresh/...)
+	NameTypes *stats.Counter               // workstation/server vs domain/browser
+	Clients   fleet.Map[netip.Addr, int64] // requests per client
+	Rcodes    *stats.Counter               // per-distinct-operation outcome
 
-	pending   fleet.Map[pendKey, pendVal]   `agg:"pairing"`
-	seenOp    fleet.Map[opKey, struct{}]    `agg:"pairing"`
-	addrNames fleet.Map[netip.Addr, string] `agg:"pairing"`
+	pending fleet.Map[pendKey, pendVal] `agg:"pairing"`
+	seenOp  fleet.Map[opKey, struct{}]  `agg:"pairing"`
 }
 
 // opKey identifies one distinct operation (name asked between one host
@@ -47,22 +47,11 @@ func NewAnalyzer() *Analyzer {
 	return &Analyzer{
 		Ops:       stats.NewCounter(),
 		NameTypes: stats.NewCounter(),
-		Clients:   stats.NewCounter(),
+		Clients:   make(map[netip.Addr]int64),
 		Rcodes:    stats.NewCounter(),
 		pending:   make(map[pendKey]pendVal),
 		seenOp:    make(map[opKey]struct{}),
-		addrNames: make(map[netip.Addr]string),
 	}
-}
-
-// addrString formats addr, caching the result per analyzer.
-func (a *Analyzer) addrString(addr netip.Addr) string {
-	if s, ok := a.addrNames[addr]; ok {
-		return s
-	}
-	s := addr.String()
-	a.addrNames[addr] = s
-	return s
 }
 
 // Message feeds one decoded NS message traveling src → dst at ts.
@@ -72,7 +61,7 @@ func (a *Analyzer) Message(ts time.Time, src, dst netip.Addr, m *NSMessage) {
 		if m.Op == OpQuery {
 			a.NameTypes.Inc(SuffixClass(m.Suffix))
 		}
-		a.Clients.Inc(a.addrString(src))
+		a.Clients[src]++
 		a.pending[pendKey{client: src, server: dst, id: m.ID}] = pendVal{name: m.Name, op: m.Op}
 		return
 	}
@@ -106,7 +95,7 @@ func (a *Analyzer) FailureRate() float64 {
 // SSNAnalyzer tracks Session Service handshakes per host pair for the
 // Netbios/SSN success-rate row of Table 9.
 type SSNAnalyzer struct {
-	pairs fleet.Map[pairKey, ssnOutcome]
+	pairs fleet.Map[layers.HostPair, ssnOutcome]
 }
 
 // ssnOutcome is a host pair's handshake outcome: the strongest
@@ -136,18 +125,9 @@ func (o ssnOutcome) rank() int {
 	return 0
 }
 
-type pairKey struct{ a, b netip.Addr }
-
 // NewSSNAnalyzer returns an empty SSN analyzer.
 func NewSSNAnalyzer() *SSNAnalyzer {
-	return &SSNAnalyzer{pairs: make(map[pairKey]ssnOutcome)}
-}
-
-func canonPair(x, y netip.Addr) pairKey {
-	if x.Compare(y) > 0 {
-		x, y = y, x
-	}
-	return pairKey{x, y}
+	return &SSNAnalyzer{pairs: make(map[layers.HostPair]ssnOutcome)}
 }
 
 // Frame feeds one session-service frame type observed between client and
@@ -155,7 +135,7 @@ func canonPair(x, y netip.Addr) pairKey {
 func (s *SSNAnalyzer) Frame(client, server netip.Addr, typ uint8) {
 	switch typ {
 	case SSNRequest, SSNPositiveResponse, SSNNegativeResponse:
-		k := canonPair(client, server)
+		k := layers.NewHostPair(client, server)
 		s.pairs[k] = s.pairs[k].Join(ssnOutcome(typ))
 	}
 }

@@ -177,7 +177,7 @@ func TestAnalyzerQueryFailure(t *testing.T) {
 		t.Errorf("query ops = %d", a.Ops.Get("query"))
 	}
 	if a.NameTypes.Get("workstation/server") != 2 {
-		t.Errorf("name types: %v", a.NameTypes.Keys())
+		t.Errorf("name types: %v", a.NameTypes.Entries())
 	}
 }
 

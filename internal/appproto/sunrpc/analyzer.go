@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"enttrace/internal/fleet"
+	"enttrace/internal/layers"
 	"enttrace/internal/stats"
 )
 
@@ -25,7 +26,7 @@ type Analyzer struct {
 	// we record the full RPC body which is the analogous quantity).
 	ReqSizes, ReplySizes *stats.Dist
 	// PerPair counts requests per client-server host pair (Figure 7).
-	PerPair fleet.Map[[2]netip.Addr, int64]
+	PerPair fleet.Map[layers.HostPair, int64]
 	// OK and Failed count replies by outcome.
 	OK, Failed int64
 
@@ -44,16 +45,9 @@ func NewAnalyzer() *Analyzer {
 		Bytes:       stats.NewCounter(),
 		ReqSizes:    stats.NewDist(),
 		ReplySizes:  stats.NewDist(),
-		PerPair:     make(map[[2]netip.Addr]int64),
+		PerPair:     make(map[layers.HostPair]int64),
 		pendingProc: make(map[pendKey]uint32),
 	}
-}
-
-func pairOf(a, b netip.Addr) [2]netip.Addr {
-	if a.Compare(b) > 0 {
-		a, b = b, a
-	}
-	return [2]netip.Addr{a, b}
 }
 
 // Message feeds one raw RPC message (a UDP payload) traveling src → dst.
@@ -82,7 +76,7 @@ func (a *Analyzer) record(src, dst netip.Addr, r Record) {
 			a.Bytes.Add(name, int64(r.Count))
 		}
 		a.ReqSizes.Observe(float64(r.Len))
-		a.PerPair[pairOf(src, dst)]++
+		a.PerPair[layers.NewHostPair(src, dst)]++
 		return
 	}
 	// A reply does not repeat its procedure: the matched call names it.

@@ -7,6 +7,8 @@ import (
 	"net/netip"
 	"reflect"
 	"testing"
+
+	"enttrace/internal/layers"
 )
 
 // refDecode, refSplitRecords and refMessage are the buffer-then-walk
@@ -80,7 +82,7 @@ func refMessage(a *Analyzer, src, dst netip.Addr, raw []byte) {
 			a.Bytes.Add(name, int64(m.DataLen))
 		}
 		a.ReqSizes.Observe(float64(len(raw)))
-		a.PerPair[pairOf(src, dst)]++
+		a.PerPair[layers.NewHostPair(src, dst)]++
 		return
 	}
 	key := pendKey{client: dst, server: src, xid: m.XID}

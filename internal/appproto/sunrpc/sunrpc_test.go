@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+
+	"enttrace/internal/layers"
 )
 
 func TestProcNames(t *testing.T) {
@@ -121,7 +123,7 @@ func TestAnalyzerCallReply(t *testing.T) {
 	if a.OK != 1 || a.Failed != 0 {
 		t.Errorf("ok=%d failed=%d", a.OK, a.Failed)
 	}
-	if a.PerPair[pairOf(cli, srv)] != 1 {
+	if a.PerPair[layers.NewHostPair(cli, srv)] != 1 {
 		t.Error("per-pair count")
 	}
 	if a.ReqSizes.N() != 1 || a.ReplySizes.N() != 1 {

@@ -91,7 +91,7 @@ func TestEmailAggIMAPUsesServerBytes(t *testing.T) {
 		t.Errorf("imaps size = %v, want server→client bytes", got)
 	}
 	if e.bytesByProto.Get("SIMAP") != 90400 {
-		t.Errorf("table8 key: %v", e.bytesByProto.Keys())
+		t.Errorf("table8 key: %v", e.bytesByProto.Entries())
 	}
 }
 
@@ -131,7 +131,7 @@ func TestHTTPAggAutomatedSeparation(t *testing.T) {
 	// The browser request contributed to content stats; the scanner's
 	// 404 did not (non-2xx).
 	if h.contentReq["ent"].Get("text") != 1 {
-		t.Errorf("content classes: %v", h.contentReq["ent"].Keys())
+		t.Errorf("content classes: %v", h.contentReq["ent"].Entries())
 	}
 }
 

@@ -148,8 +148,8 @@ func compareCensus(t *testing.T, label string, prefix netip.Prefix, pkts []*pcap
 		if !reflect.DeepEqual(countsOf(got), countsOf(p.ref.netLayer)) {
 			t.Errorf("%s shard %d: net-layer counter %v, per-packet reference %v", label, shard, got, p.ref.netLayer)
 		}
-		for _, k := range got.Keys() {
-			st.classes[k] += got.Get(k)
+		for _, e := range got.Entries() {
+			st.classes[e.Key] += e.N
 		}
 		for _, set := range []struct {
 			name      string

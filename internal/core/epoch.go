@@ -64,13 +64,16 @@ func newEpochAgg() *epochAgg {
 	return e
 }
 
-// newWindowAgg returns an empty window aggregate: sparse — its apps holds
-// a component only once a banked delta has brought one (the merge adopts
-// it).
+// newWindowAgg returns an empty window aggregate: sparse — its host
+// sets, its scanners and fan maps, and its apps's components stay nil
+// until a banked delta brings one (the merge adopts it).
 func newWindowAgg() *epochAgg {
-	e := newTraceDelta()
-	e.apps = &appAggregates{}
-	return e
+	return &epochAgg{
+		netLayer:       stats.NewCounter(),
+		connAggregates: *newConnAggregates(),
+		load:           newLoadAgg(),
+		apps:           &appAggregates{},
+	}
 }
 
 // emptyWindow is what a window nothing was banked into reads as: one

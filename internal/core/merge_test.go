@@ -327,7 +327,8 @@ func renderEpoch(e *epochAgg) []byte {
 
 // FuzzMergeAssociative holds the plan's merge to the algebra the windowed
 // and fleet designs rest on, over decoded snapshots: (a⊕b)⊕c and
-// a⊕(b⊕c) render identical reports, and ∅⊕a renders as a does. A
+// a⊕(b⊕c) render identical reports, so do a⊕b and b⊕a, and ∅⊕a renders
+// as a does. A
 // snapshot that cannot be reported on its own (the decoder checks
 // structure, not meaning) says nothing about merging and is skipped.
 func FuzzMergeAssociative(f *testing.F) {
@@ -353,6 +354,9 @@ func FuzzMergeAssociative(f *testing.F) {
 		}
 		if l, r := renderEpoch(fold(fold(a, b), c)), renderEpoch(fold(a, fold(b, c))); !bytes.Equal(l, r) {
 			t.Fatalf("(a⊕b)⊕c and a⊕(b⊕c) differ:\n%s\n%s", l, r)
+		}
+		if l, r := renderEpoch(fold(a, b)), renderEpoch(fold(b, a)); !bytes.Equal(l, r) {
+			t.Fatalf("a⊕b and b⊕a differ:\n%s\n%s", l, r)
 		}
 		if got, want := renderEpoch(fold(a)), renderEpoch(a); !bytes.Equal(got, want) {
 			t.Fatalf("∅⊕a renders differently from a:\n%s\n%s", got, want)

@@ -3,12 +3,15 @@ package core
 import (
 	"fmt"
 	"maps"
+	"net/netip"
 	"slices"
 	"sort"
 
+	"enttrace/internal/appproto/dns"
 	"enttrace/internal/categories"
 	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
+	"enttrace/internal/layers"
 	"enttrace/internal/stats"
 )
 
@@ -458,6 +461,16 @@ func counterFractions(c *stats.Counter) map[string]float64 {
 	return out
 }
 
+// counterCounts is c's count per key, read in one walk of the table.
+func counterCounts(c *stats.Counter) map[string]int64 {
+	entries := c.Entries()
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		out[e.Key] = e.N
+	}
+	return out
+}
+
 func (e *epochAgg) categoryRows() []CategoryRow {
 	var totalBytes, totalConns int64
 	for _, s := range e.catBytes {
@@ -592,10 +605,7 @@ func httpReport(ap *appAggregates) HTTPReport {
 
 func emailReport(ap *appAggregates) EmailReport {
 	e := ap.email
-	r := EmailReport{Bytes: make(map[string]int64)}
-	for _, k := range e.bytesByProto.Keys() {
-		r.Bytes[k] = e.bytesByProto.Get(k)
-	}
+	r := EmailReport{Bytes: counterCounts(e.bytesByProto)}
 	cdf := func(key string) []stats.CDFPoint {
 		if d := e.durations[key]; d != nil {
 			return d.CDF(96)
@@ -644,18 +654,20 @@ func nameReport(ap *appAggregates) NameServiceReport {
 	r.DNSRcodes = counterFractions(rcodes)
 	r.NBNSOps = counterFractions(ap.nbns.Ops)
 	r.NBNSNameTypes = counterFractions(ap.nbns.NameTypes)
-	dnsClients := stats.NewCounter()
-	dnsClients.Merge(ap.dnsInt.Clients)
-	dnsClients.Merge(ap.dnsWan.Clients)
-	r.DNSTop10ClientShare = topNShare(dnsClients, 10)
-	r.NBNSTop10ClientShare = topNShare(ap.nbns.Clients, 10)
+	dnsClients := make(map[netip.Addr]int64, len(ap.dnsInt.Clients)+len(ap.dnsWan.Clients))
+	for _, d := range []*dns.Analyzer{ap.dnsInt, ap.dnsWan} {
+		for c, n := range d.Clients {
+			dnsClients[c] += n
+		}
+	}
+	r.DNSTop10ClientShare = share(stats.TopSum(maps.Values(dnsClients), 10))
+	r.NBNSTop10ClientShare = share(stats.TopSum(maps.Values(ap.nbns.Clients), 10))
 	return r
 }
 
-// topNShare is the share of c's total that its n largest counts hold.
-func topNShare(c *stats.Counter, n int) float64 {
-	return frac(float64(c.TopSum(n)), float64(c.Total()))
-}
+// share is top's share of total: a top-n share, given what stats.TopSum
+// returns.
+func share(top, total int64) float64 { return frac(float64(top), float64(total)) }
 
 func windowsReport(ap *appAggregates) WindowsReport {
 	r := WindowsReport{Table9: make(map[string]ServiceOutcome)}
@@ -703,22 +715,8 @@ func fileReport(ap *appAggregates) FileServiceReport {
 		NFSUDPPairs:   len(ap.nfsUDP),
 		NFSTCPPairs:   len(ap.nfsTCP),
 	}
-	nfsPairs := stats.NewDist()
-	nfsCounts := make([]int64, 0, len(ap.nfs.PerPair))
-	for _, n := range ap.nfs.PerPair {
-		nfsPairs.Observe(float64(n))
-		nfsCounts = append(nfsCounts, n)
-	}
-	ncpPairs := stats.NewDist()
-	ncpCounts := make([]int64, 0, len(ap.ncp.PerPair))
-	for _, n := range ap.ncp.PerPair {
-		ncpPairs.Observe(float64(n))
-		ncpCounts = append(ncpCounts, n)
-	}
-	r.NFSPerPair = nfsPairs.CDF(64)
-	r.NCPPerPair = ncpPairs.CDF(64)
-	r.NFSTop3Share = topShare(nfsCounts, 3)
-	r.NCPTop3Share = topShare(ncpCounts, 3)
+	r.NFSPerPair, r.NFSTop3Share = perPair(ap.nfs.PerPair)
+	r.NCPPerPair, r.NCPTop3Share = perPair(ap.ncp.PerPair)
 	r.NFSReqSizes = ap.nfs.ReqSizes.CDF(128)
 	r.NFSReplySizes = ap.nfs.ReplySizes.CDF(128)
 	r.NCPReqSizes = ap.ncp.ReqSizes.CDF(128)
@@ -727,16 +725,14 @@ func fileReport(ap *appAggregates) FileServiceReport {
 	return r
 }
 
-func topShare(counts []int64, n int) float64 {
-	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-	var total, top int64
-	for i, c := range counts {
-		total += c
-		if i < n {
-			top += c
-		}
+// perPair is Figure 7 for one file service: the CDF of requests per host
+// pair, and the share of requests that the three busiest pairs carry.
+func perPair(requests map[layers.HostPair]int64) ([]stats.CDFPoint, float64) {
+	d := stats.NewDist()
+	for _, n := range requests {
+		d.Observe(float64(n))
 	}
-	return frac(float64(top), float64(total))
+	return d.CDF(64), share(stats.TopSum(maps.Values(requests), 3))
 }
 
 func interactiveReport(ap *appAggregates) InteractiveReport {
@@ -766,13 +762,7 @@ func bulkReport(ap *appAggregates) BulkReport {
 }
 
 func backupReport(ap *appAggregates) BackupReport {
-	r := BackupReport{Conns: make(map[string]int64), Bytes: make(map[string]int64)}
-	for _, k := range ap.backupConns.Keys() {
-		r.Conns[k] = ap.backupConns.Get(k)
-	}
-	for _, k := range ap.backupBytes.Keys() {
-		r.Bytes[k] = ap.backupBytes.Get(k)
-	}
+	r := BackupReport{Conns: counterCounts(ap.backupConns), Bytes: counterCounts(ap.backupBytes)}
 	r.DantzBidirFrac = frac(float64(ap.dantzBidir), float64(ap.dantzConns))
 	return r
 }

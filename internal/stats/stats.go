@@ -27,10 +27,10 @@ package stats
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Counter accumulates named counts, e.g. packets per network-layer
@@ -180,59 +180,10 @@ func (c *Counter) Fraction(key string) float64 {
 // keys were first added, and nil for a counter that never held a key.
 // That order depends on how the counter was built — the same counts
 // merged by another path list their keys differently — so it must not
-// reach output: sort, as Keys does. The slice is the counter's own: do
-// not modify it, and do not add to the counter while holding it.
+// reach output: sort, or reduce to what order cannot change (a sum,
+// TopSum, a map). The slice is the counter's own: do not modify it,
+// and do not add to the counter while holding it.
 func (c *Counter) Entries() []Count { return c.read().entries }
-
-// Keys returns all keys sorted by descending count, ties broken by name, so
-// table rows come out in a stable, paper-like order.
-func (c *Counter) Keys() []string {
-	ranked := slices.Clone(c.read().entries)
-	slices.SortFunc(ranked, func(a, b Count) int {
-		if a.N != b.N {
-			return cmp.Compare(b.N, a.N)
-		}
-		return strings.Compare(a.Key, b.Key)
-	})
-	keys := make([]string, len(ranked))
-	for i := range ranked {
-		keys[i] = ranked[i].Key
-	}
-	return keys
-}
-
-// TopSum returns the sum of the n largest counts: the counts of Keys'
-// first n keys, selected without sorting the table.
-func (c *Counter) TopSum(n int) int64 {
-	entries := c.read().entries
-	if n <= 0 {
-		return 0
-	}
-	if n >= len(entries) {
-		var sum int64
-		for i := range entries {
-			sum += entries[i].N
-		}
-		return sum
-	}
-	// top is the n largest counts met so far, largest first.
-	top := make([]int64, 0, n+1)
-	for i := range entries {
-		v := entries[i].N
-		if len(top) == n && v <= top[n-1] {
-			continue
-		}
-		at, _ := slices.BinarySearchFunc(top, v, func(t, v int64) int { return cmp.Compare(v, t) })
-		if top = slices.Insert(top, at, v); len(top) > n {
-			top = top[:n]
-		}
-	}
-	var sum int64
-	for _, v := range top {
-		sum += v
-	}
-	return sum
-}
 
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.read().entries) }
@@ -243,6 +194,34 @@ func (c *Counter) Merge(other *Counter) {
 	for i := range src {
 		c.Add(src[i].Key, src[i].N)
 	}
+}
+
+// TopSum returns the sum of the n largest of counts and the sum of them
+// all, so a top-n share is top over total. The n largest are selected
+// in one pass without sorting; ties at the n-th place cannot change the
+// sum.
+func TopSum(counts iter.Seq[int64], n int) (top, total int64) {
+	n = max(n, 0)
+	// largest is the n largest counts met so far, largest first. The
+	// pass is a plain callback, not a range over counts: a range body
+	// handed to a sequence the compiler cannot see into escapes to the
+	// heap with every variable it writes.
+	largest := make([]int64, 0, n+1)
+	counts(func(v int64) bool {
+		total += v
+		if len(largest) == n && (n == 0 || v <= largest[n-1]) {
+			return true
+		}
+		at, _ := slices.BinarySearchFunc(largest, v, func(t, v int64) int { return cmp.Compare(v, t) })
+		if largest = slices.Insert(largest, at, v); len(largest) > n {
+			largest = largest[:n]
+		}
+		return true
+	})
+	for _, v := range largest {
+		top += v
+	}
+	return top, total
 }
 
 // Dist is an empirical distribution over float64 samples. It is exact but

@@ -33,20 +33,6 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestCounterKeysOrdering(t *testing.T) {
-	c := NewCounter()
-	c.Add("b", 5)
-	c.Add("a", 5)
-	c.Add("c", 10)
-	keys := c.Keys()
-	want := []string{"c", "a", "b"}
-	for i, k := range want {
-		if keys[i] != k {
-			t.Fatalf("keys = %v, want %v", keys, want)
-		}
-	}
-}
-
 func TestCounterMerge(t *testing.T) {
 	a, b := NewCounter(), NewCounter()
 	a.Add("x", 1)
