@@ -21,7 +21,6 @@ import (
 	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/ncp"
-	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
@@ -381,12 +380,6 @@ func TestAllocationCeilings(t *testing.T) {
 			var p sunrpc.StreamParser
 			p.Init(0)
 			p.Data([]byte{0x7f, 0xff, 0xff, 0xff}) // a record mark claiming 2 GiB
-			return p.Data
-		})},
-		{name: "parser/smtp/body", allocs: 0, bytes: 0, runs: 1000, setup: body(func() func([]byte) {
-			var p smtp.StreamParser
-			p.InitClient(0)
-			p.Data([]byte("DATA\r\n"))
 			return p.Data
 		})},
 		{name: "parser/cifs/body", allocs: 0, bytes: 0, runs: 40, setup: body(func() func([]byte) {

@@ -11,22 +11,14 @@ import (
 // Analyzer accumulates Table 14's request/byte mix, Figure 7's requests
 // per host pair, Figure 8's size distributions, and the request success
 // rate from completion codes. It merges and cuts by its fields
-// (fleet.Merge, fleet.Cut); the request/reply pairing stays with the
-// analyzer that saw the request, so replies pair across cuts.
+// (fleet.Merge, fleet.Cut). It pairs nothing: a reply carries its own
+// function code, so each message is counted alone.
 type Analyzer struct {
 	Requests             *stats.Counter
 	Bytes                *stats.Counter
 	ReqSizes, ReplySizes *stats.Dist
 	PerPair              fleet.Map[layers.HostPair, int64]
 	OK, Failed           int64
-
-	// pending pairs replies to requests by (pair, sequence).
-	pending fleet.Map[pendKey, uint8] `agg:"pairing"`
-}
-
-type pendKey struct {
-	client, server netip.Addr
-	seq            uint8
 }
 
 // NewAnalyzer returns an empty analyzer.
@@ -37,7 +29,6 @@ func NewAnalyzer() *Analyzer {
 		ReqSizes:   stats.NewDist(),
 		ReplySizes: stats.NewDist(),
 		PerPair:    make(map[layers.HostPair]int64),
-		pending:    make(map[pendKey]uint8),
 	}
 }
 
@@ -67,10 +58,8 @@ func (a *Analyzer) message(src, dst netip.Addr, m Record) {
 		if m.Function == FnWriteFile {
 			a.Bytes.Add(name, int64(m.PayloadLen))
 		}
-		a.pending[pendKey{client: src, server: dst, seq: m.Sequence}] = m.Function
 		return
 	}
-	delete(a.pending, pendKey{client: dst, server: src, seq: m.Sequence})
 	a.ReplySizes.Observe(size)
 	if m.Completion == 0 {
 		a.OK++

@@ -1,10 +1,10 @@
 // Package smtp models SMTP dialogues for the paper's email analysis
 // (§5.1.2): a generator producing byte-exact client/server command
-// streams for a message of a given size, and a parser extracting the
-// transaction outcome and transferred message size from reassembled
-// streams. SMTP sessions exchange control information and a unidirectional
-// bulk transfer, both proportional to RTT — which is why the paper finds
-// internal SMTP connections an order of magnitude shorter than WAN ones.
+// streams for a message of a given size. The analysis reads SMTP at the
+// transport level only, as the paper does. SMTP sessions exchange
+// control information and a unidirectional bulk transfer, both
+// proportional to RTT — which is why the paper finds internal SMTP
+// connections an order of magnitude shorter than WAN ones.
 package smtp
 
 import (
@@ -64,27 +64,4 @@ func message(n int) []byte {
 	head := copy(msg, "Subject: report\r\nMIME-Version: 1.0\r\n\r\n")
 	filler.Fill(msg[head:], "The quick brown fox jumps over the lazy dog 0123456789.\r\n")
 	return append(msg, terminator...)
-}
-
-// Result summarizes a parsed SMTP session.
-type Result struct {
-	// Accepted reports that the server accepted the message (250 after
-	// DATA).
-	Accepted bool
-	// Rejected reports a 5xx reply to MAIL/RCPT.
-	Rejected bool
-	// MessageBytes is the size of the DATA payload seen.
-	MessageBytes int
-}
-
-// Parse extracts the outcome from the two reassembled directions of an
-// SMTP connection handed over whole. It is a one-chunk feed of
-// StreamParser.
-func Parse(clientStream, serverStream []byte) Result {
-	var cli, srv StreamParser
-	cli.InitClient(0)
-	srv.InitServer(0)
-	cli.Data(clientStream)
-	srv.Data(serverStream)
-	return ResultOf(&cli, &srv)
 }

@@ -1,19 +1,31 @@
 package smtp
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func split(turns []Turn) (client, server []byte) {
-	for _, t := range turns {
-		if t.FromClient {
-			client = append(client, t.Data...)
-		} else {
-			server = append(server, t.Data...)
+// replyTo returns the server's reply to the first client turn that
+// begins with prefix, and whether there was one.
+func replyTo(turns []Turn, prefix string) (string, bool) {
+	for i, t := range turns {
+		if t.FromClient && strings.HasPrefix(string(t.Data), prefix) && i+1 < len(turns) {
+			return string(turns[i+1].Data), true
 		}
 	}
-	return
+	return "", false
+}
+
+// body returns the message body the client sends after the server's
+// 354 go-ahead, terminator included, or nil.
+func body(turns []Turn) []byte {
+	for i, t := range turns {
+		if !t.FromClient && strings.HasPrefix(string(t.Data), "354") && i+1 < len(turns) {
+			return turns[i+1].Data
+		}
+	}
+	return nil
 }
 
 func TestAcceptedDialogue(t *testing.T) {
@@ -25,25 +37,26 @@ func TestAcceptedDialogue(t *testing.T) {
 	if turns[0].FromClient {
 		t.Error("SMTP server speaks first (220 banner)")
 	}
-	client, server := split(turns)
-	r := Parse(client, server)
-	if !r.Accepted || r.Rejected {
-		t.Errorf("result = %+v", r)
+	msg := body(turns)
+	if n := len(msg); n < 4000 || n > 4100 {
+		t.Errorf("message bytes = %d, want ≈4000", n)
 	}
-	if r.MessageBytes < 4000 || r.MessageBytes > 4100 {
-		t.Errorf("message bytes = %d, want ≈4000", r.MessageBytes)
+	if r, _ := replyTo(turns, string(msg)); !strings.HasPrefix(r, "250") {
+		t.Errorf("reply after DATA = %q, want 250", r)
 	}
 }
 
 func TestRejectedDialogue(t *testing.T) {
 	d := &Dialogue{ClientHost: "ext.example.com", From: "spam@example.com", To: "x@lbl.gov", MessageSize: 100, Rejected: true}
-	client, server := split(d.Turns())
-	r := Parse(client, server)
-	if r.Accepted || !r.Rejected {
-		t.Errorf("result = %+v", r)
+	turns := d.Turns()
+	if r, _ := replyTo(turns, "MAIL FROM:"); !strings.HasPrefix(r, "550") {
+		t.Errorf("reply to MAIL = %q, want 550", r)
 	}
-	if r.MessageBytes != 0 {
-		t.Errorf("rejected session transferred %d bytes", r.MessageBytes)
+	if _, sent := replyTo(turns, "DATA"); sent {
+		t.Error("rejected session sent DATA")
+	}
+	if msg := body(turns); msg != nil {
+		t.Errorf("rejected session transferred %d bytes", len(msg))
 	}
 }
 
@@ -58,34 +71,17 @@ func TestAlternation(t *testing.T) {
 	}
 }
 
-func TestParseTruncatedCapture(t *testing.T) {
-	d := &Dialogue{ClientHost: "h", From: "a@b", To: "c@d", MessageSize: 10000}
-	client, server := split(d.Turns())
-	r := Parse(client[:len(client)/2], server)
-	if r.MessageBytes == 0 {
-		t.Error("truncated capture should still estimate message bytes")
-	}
-}
-
-func TestParseGarbage(t *testing.T) {
-	r := Parse([]byte("not smtp at all"), []byte("\x00\x01\x02"))
-	if r.Accepted || r.Rejected || r.MessageBytes != 0 {
-		t.Errorf("garbage parse = %+v", r)
-	}
-}
-
-// Property: the message size extracted by the parser tracks the requested
-// size within the terminator/line-rounding slack for any size.
+// Property: every message is accepted, and its body tracks the requested
+// size within the terminator slack for any size.
 func TestMessageSizeProperty(t *testing.T) {
 	f := func(size uint16) bool {
 		d := &Dialogue{ClientHost: "h", From: "a@b", To: "c@d", MessageSize: int(size)}
-		client, server := split(d.Turns())
-		r := Parse(client, server)
-		if !r.Accepted {
+		turns := d.Turns()
+		msg := body(turns)
+		if r, _ := replyTo(turns, string(msg)); msg == nil || !strings.HasPrefix(r, "250") {
 			return false
 		}
-		// message() pads with the header block, so tiny sizes floor there.
-		return r.MessageBytes >= int(size) && r.MessageBytes <= int(size)+128
+		return len(msg) >= int(size) && len(msg) <= int(size)+128
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 
 	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/dcerpc"
@@ -11,7 +10,6 @@ import (
 	"enttrace/internal/appproto/http"
 	"enttrace/internal/appproto/ncp"
 	"enttrace/internal/appproto/netbios"
-	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/fleet"
 	"enttrace/internal/flows"
@@ -24,8 +22,8 @@ import (
 // parallel replay's merge contract (DESIGN.md "Two-phase deterministic
 // replay"). Every fold is commutative (sums, counter and distribution
 // merges, set unions), keyed by a host pair the replay sharding keeps in
-// one worker (Table 9's outcome lattice), or re-sorted when read (FTP
-// sessions), so the merged state is identical for any shard count.
+// one worker (Table 9's outcome lattice), so the merged state is
+// identical for any shard count.
 type appAggregates struct {
 	// Name services.
 	dnsInt, dnsWan *dns.Analyzer
@@ -55,12 +53,11 @@ type appAggregates struct {
 	sshConns, sshBulk   int64
 	sshPkts, sshPayload int64
 
-	// Bulk: FTP control sessions and data volumes. Sessions are tagged
-	// with their connection's canonical position so shard merges can
-	// restore first-packet order.
-	ftpSessions []ftpSessionRec
-	bulkConns   *stats.Counter
-	bulkBytes   *stats.Counter
+	// Bulk: FTP control sessions (with their transfers and logins) and
+	// data volumes.
+	ftpSessions, ftpTransfers, ftpLogins int64
+	bulkConns                            *stats.Counter
+	bulkBytes                            *stats.Counter
 
 	// Backup: per-protocol connection and byte counts.
 	backupConns *stats.Counter
@@ -95,16 +92,13 @@ func newAppAggregates() *appAggregates {
 	}
 }
 
-// ftpSessionRec is one parsed FTP control session plus its canonical
-// ordering key (trace ordinal, first-packet index).
-type ftpSessionRec struct {
-	trace    int
-	firstIdx int64
-	session  ftp.Session
-}
-
-func (ap *appAggregates) ftpSession(trace int, firstIdx int64, s ftp.Session) {
-	ap.ftpSessions = append(ap.ftpSessions, ftpSessionRec{trace: trace, firstIdx: firstIdx, session: s})
+// ftpSession counts one parsed FTP control session.
+func (ap *appAggregates) ftpSession(s ftp.Session) {
+	ap.ftpSessions++
+	ap.ftpTransfers += int64(s.Transfers)
+	if s.LoggedIn {
+		ap.ftpLogins++
+	}
 }
 
 // transportConn accumulates everything derivable without payloads. name
@@ -214,10 +208,6 @@ func (ap *appAggregates) markNCPKeepAlive(c *flows.Conn) {
 	}
 }
 
-func (ap *appAggregates) smtpParsed(wan bool, res smtp.Result) {
-	ap.email.smtpParsed(wan, res)
-}
-
 // cifsStreams folds both directions of a CIFS connection, parsed and
 // ended, through the command analyzer, routing the PDUs of named-pipe
 // transactions to the DCE/RPC analyzer on the connection's channel for
@@ -240,7 +230,8 @@ func (ap *appAggregates) cifsStreams(key dcerpc.ChanKey, conn *flows.Conn, cli, 
 	ap.cifs.Records(srv, pipes)
 }
 
-// emailAgg collects Figures 5–6 and Table 8.
+// emailAgg collects Figures 5–6 (SMTP and IMAP/S) and Table 8 (every
+// email protocol's bytes).
 type emailAgg struct {
 	bytesByProto *stats.Counter
 	// Duration and size distributions keyed by proto+locality.
@@ -248,8 +239,6 @@ type emailAgg struct {
 	sizes     fleet.Map[string, *stats.Dist] // client→server for SMTP, server→client for IMAP
 	// Host-pair outcomes per proto+locality.
 	pairs fleet.Map[string, fleet.Map[pairOutcome, struct{}]]
-	// Parsed SMTP outcomes.
-	smtpAccepted, smtpRejected int64
 }
 
 func newEmailAgg() *emailAgg {
@@ -277,6 +266,9 @@ func (e *emailAgg) conn(proto string, wan bool, c *flows.Conn) {
 		table8Key = "Other"
 	}
 	e.bytesByProto.Add(table8Key, c.PayloadBytes())
+	if proto != "SMTP" && proto != "IMAP/S" {
+		return // Figures 5–6 cover SMTP and IMAP/S alone
+	}
 	key := locKey(proto, wan)
 	if d := c.Duration(); d > 0 && c.Successful() {
 		dist := e.durations[key]
@@ -287,7 +279,7 @@ func (e *emailAgg) conn(proto string, wan bool, c *flows.Conn) {
 		dist.Observe(d.Seconds())
 	}
 	size := c.OrigBytes // SMTP: flow toward the server
-	if proto == "IMAP/S" || proto == "IMAP4" || proto == "POP3" || proto == "POP/S" {
+	if proto == "IMAP/S" {
 		size = c.RespBytes // mailbox data flows to the client
 	}
 	if c.Successful() {
@@ -304,15 +296,6 @@ func (e *emailAgg) conn(proto string, wan bool, c *flows.Conn) {
 		e.pairs[key] = pm
 	}
 	pm[pairOutcome{pair: c.HostPair(), ok: c.Successful()}] = struct{}{}
-}
-
-func (e *emailAgg) smtpParsed(wan bool, res smtp.Result) {
-	if res.Accepted {
-		e.smtpAccepted++
-	}
-	if res.Rejected {
-		e.smtpRejected++
-	}
 }
 
 // pairOutcome is one (host pair, locality, outcome) some connection
@@ -478,9 +461,9 @@ var emptyApps = newAppAggregates()
 
 // dense returns a copy of ap in which every component a report builder
 // dereferences is present: ap's own where it holds one, emptyApps'
-// otherwise. Counters, distributions, maps and the session list read the
-// same nil or empty. The copy shares everything it points to with ap; it
-// is for reading.
+// otherwise. Counters, distributions and maps read the same nil or
+// empty. The copy shares everything it points to with ap; it is for
+// reading.
 func (ap *appAggregates) dense() *appAggregates {
 	d, e := *ap, emptyApps
 	orEmpty(&d.dnsInt, e.dnsInt)
@@ -500,16 +483,4 @@ func orEmpty[T any](p **T, empty *T) {
 	if *p == nil {
 		*p = empty
 	}
-}
-
-// sortFTPSessions restores canonical first-packet order after shard
-// merges, so anything walking the session list is shard-count-invariant.
-func (ap *appAggregates) sortFTPSessions() {
-	sort.Slice(ap.ftpSessions, func(i, j int) bool {
-		a, b := ap.ftpSessions[i], ap.ftpSessions[j]
-		if a.trace != b.trace {
-			return a.trace < b.trace
-		}
-		return a.firstIdx < b.firstIdx
-	})
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"enttrace/internal/appproto/http"
-	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/categories"
 	"enttrace/internal/flows"
 	"enttrace/internal/layers"
@@ -153,15 +152,6 @@ func TestHTTPAggConditionalSavings(t *testing.T) {
 	}
 	if c.CondBytes != 0 || c.Bytes != 5000 {
 		t.Errorf("cond bytes = %+v", c)
-	}
-}
-
-func TestSMTPParsedCounts(t *testing.T) {
-	ap := newAppAggregates()
-	ap.smtpParsed(false, smtp.Result{Accepted: true, MessageBytes: 100})
-	ap.smtpParsed(true, smtp.Result{Rejected: true})
-	if ap.email.smtpAccepted != 1 || ap.email.smtpRejected != 1 {
-		t.Errorf("smtp parse counts: %d/%d", ap.email.smtpAccepted, ap.email.smtpRejected)
 	}
 }
 

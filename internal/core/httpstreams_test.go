@@ -244,7 +244,7 @@ func TestHTTPStreamsMatchBufferedReference(t *testing.T) {
 
 // parsed reports whether the connection's streams feed stream parsers.
 func (app *connStreams) parsed() bool {
-	return app.http != nil || app.smtp != nil || app.cifs != nil || app.ncp != nil || app.nfs != nil
+	return app.http != nil || app.cifs != nil || app.ncp != nil || app.nfs != nil
 }
 
 // Only the responder's well-known port fixes a verdict for good; anything
@@ -263,7 +263,7 @@ func TestNewConnStreamsConsumerChoice(t *testing.T) {
 		{"HTTP", 80, 40000, false, false, true}, // matched via the originator's port
 		{"IMAP4", 40000, 143, false, true, false},
 		{"IMAP4", 143, 40000, false, false, true},
-		{"SMTP", 40000, 25, true, false, false},
+		{"SMTP", 40000, 25, false, true, false},
 		{"SMTP", 25, 40000, false, false, true},
 		{"CIFS", 40000, 445, true, false, false},
 		{"CIFS", 445, 40000, false, false, true},
@@ -314,7 +314,7 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 		conns     int
 		delivered int64
 	}
-	parsed := map[string]*tally{"HTTP": {}, "SMTP": {}, "CIFS": {}, "Netbios-SSN": {}, "NCP": {}, "NFS": {}}
+	parsed := map[string]*tally{"HTTP": {}, "CIFS": {}, "Netbios-SSN": {}, "NCP": {}, "NFS": {}}
 	for _, tr := range gen.GenerateDataset(cfg).Traces {
 		var raw bytes.Buffer
 		if err := gen.WriteTrace(&raw, cfg, tr); err != nil {
@@ -372,7 +372,7 @@ func TestSinkHoldsNoParsedStreamBytesAtEndOfInput(t *testing.T) {
 	}
 	// A trace too thin in any of the protocols would pin nothing for it.
 	for proto, floor := range map[string]tally{
-		"HTTP": {50, 1 << 20}, "SMTP": {2, 64 << 10}, "CIFS": {10, 64 << 10},
+		"HTTP": {50, 1 << 20}, "CIFS": {10, 64 << 10},
 		"Netbios-SSN": {5, 64 << 10}, "NCP": {5, 256 << 10}, "NFS": {1, 64 << 10},
 	} {
 		if seen := parsed[proto]; seen.conns < floor.conns || seen.delivered < floor.delivered {

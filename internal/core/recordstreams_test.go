@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"enttrace/internal/appproto/dcerpc"
 	"enttrace/internal/appproto/ncp"
 	"enttrace/internal/appproto/netbios"
-	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/flows"
@@ -22,7 +20,7 @@ import (
 
 // TestRecordStreamsMatchBufferedReference is the whole-report
 // differential for the record parsers: the same D3 and D4 traces analyzed
-// with SMTP, CIFS, Netbios-SSN, NCP and NFS (and HTTP) parsed as they
+// with CIFS, Netbios-SSN, NCP and NFS (and HTTP) parsed as they
 // reassemble, and again with every stream buffered to end of trace and
 // parsed at replay as before, must produce the same cumulative report and
 // the same window reports, byte for byte, as JSON and as text. It runs at
@@ -59,7 +57,6 @@ func TestRecordStreamsMatchBufferedReference(t *testing.T) {
 				proto string
 				n     int64
 			}{
-				{"SMTP", want.Email.Bytes["SMTP"]}, // its verdicts reach no report: see the connection-level differential
 				{"CIFS", want.Windows.CIFSTotalRequests},
 				{"DCE/RPC over pipes", want.Windows.RPCTotalRequests},
 				{"Netbios-SSN", int64(want.Windows.Table9["Netbios/SSN"].Pairs)},
@@ -135,17 +132,6 @@ var recordProtos = []struct {
 			status := uint32(r.Intn(2) * r.Intn(2) * int(sunrpc.NFSErrNoEnt))
 			cli = append(cli, sunrpc.MarkRecord(sunrpc.Encode(&sunrpc.Msg{XID: xid, Type: sunrpc.MsgCall, Prog: sunrpc.ProgNFS, Vers: 3, Proc: proc, DataLen: n}))...)
 			srv = append(srv, sunrpc.MarkRecord(sunrpc.Encode(&sunrpc.Msg{XID: xid, Type: sunrpc.MsgReply, Proc: proc, Status: status, DataLen: n}))...)
-		}
-		return cli, srv
-	}},
-	{"SMTP", 25, func(r *rand.Rand, size int) (cli, srv []byte) {
-		d := smtp.Dialogue{ClientHost: "pc1.lbl.gov", From: "a@lbl.gov", To: "b@lbl.gov", MessageSize: size}
-		for _, turn := range d.Turns() {
-			if turn.FromClient {
-				cli = append(cli, turn.Data...)
-			} else {
-				srv = append(srv, turn.Data...)
-			}
 		}
 		return cli, srv
 	}},
@@ -251,7 +237,7 @@ func TestRecordStreamsMatchBufferedConnection(t *testing.T) {
 			func(want *connStreams) bool { return want.bogusRST == 1 && want.postRSTData > 0 }},
 	}
 	a := NewAnalyzer(Options{PayloadAnalysis: true})
-	empty := fmt.Appendf(reportBytes(t, appsReport(newAppAggregates())), "\nsmtp accepted 0 rejected 0")
+	empty := reportBytes(t, appsReport(newAppAggregates()))
 	for _, proto := range recordProtos {
 		conn := tcpConn(hostA, hostB, 40123, proto.port, flows.StateEstablished)
 		for _, sched := range schedules {
@@ -268,8 +254,7 @@ func TestRecordStreamsMatchBufferedConnection(t *testing.T) {
 					driveSink(app, conn, steps)
 					ap := newAppAggregates()
 					a.parseConnPayload(ap, 0, conn, proto.name, app)
-					// The SMTP verdicts reach no report; compare them as banked.
-					folded[i] = fmt.Appendf(reportBytes(t, appsReport(ap)), "\nsmtp accepted %d rejected %d", ap.email.smtpAccepted, ap.email.smtpRejected)
+					folded[i] = reportBytes(t, appsReport(ap))
 				}
 				if !sched.hit(want) {
 					t.Fatalf("the schedule did not produce its event: %+v / %+v", want.cliStream.Accounting(), want.srvStream.Accounting())

@@ -16,7 +16,6 @@ import (
 	"enttrace/internal/appproto/ftp"
 	"enttrace/internal/appproto/http"
 	"enttrace/internal/appproto/netbios"
-	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
@@ -839,12 +838,6 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, conn *flows.Co
 		} else {
 			ap.http.conn(conn, wan, http.ParseRequests(app.cliBuf.Buf), http.ParseResponses(app.srvBuf.Buf))
 		}
-	case "SMTP":
-		if app.smtp != nil {
-			ap.smtpParsed(wan, smtp.ResultOf(&app.smtp.cli, &app.smtp.srv))
-		} else {
-			ap.smtpParsed(wan, smtp.Parse(app.cliBuf.Buf, app.srvBuf.Buf))
-		}
 	case "CIFS", "Netbios-SSN":
 		streams := app.cifs
 		if streams == nil {
@@ -881,7 +874,7 @@ func (a *Analyzer) parseConnPayload(ap *appAggregates, trace int, conn *flows.Co
 		ap.rpc.Stream(key, app.srvBuf.Buf)
 	case "FTP":
 		if conn.Key.DstPort == 21 {
-			ap.ftpSession(trace, conn.FirstIdx, ftp.Analyze(app.cliBuf.Buf, app.srvBuf.Buf))
+			ap.ftpSession(ftp.Analyze(app.cliBuf.Buf, app.srvBuf.Buf))
 		}
 	}
 }

@@ -431,10 +431,6 @@ func buildReport(dataset string, e *epochAgg, win *WindowMeta) *Report {
 	r.Figure1 = e.categoryRows()
 	r.Figure2 = e.fanReport()
 	r.Origins = counterFractions(e.origins)
-	// Order-bearing collections restore canonical first-packet order
-	// before anything walks them (idempotent; shard and window merges
-	// append out of order).
-	ap.sortFTPSessions()
 	r.HTTP = httpReport(ap)
 	r.Email = emailReport(ap)
 	r.Names = nameReport(ap)
@@ -744,21 +740,14 @@ func interactiveReport(ap *appAggregates) InteractiveReport {
 }
 
 func bulkReport(ap *appAggregates) BulkReport {
-	r := BulkReport{
-		FTPSessions:  len(ap.ftpSessions),
+	return BulkReport{
+		FTPSessions:  int(ap.ftpSessions),
+		FTPTransfers: int(ap.ftpTransfers),
+		FTPLoginRate: frac(float64(ap.ftpLogins), float64(ap.ftpSessions)),
 		FTPDataConns: ap.bulkConns.Get("FTP-Data"),
 		FTPDataBytes: ap.bulkBytes.Get("FTP-Data"),
 		HPSSBytes:    ap.bulkBytes.Get("HPSS"),
 	}
-	logins := 0
-	for _, rec := range ap.ftpSessions {
-		r.FTPTransfers += rec.session.Transfers
-		if rec.session.LoggedIn {
-			logins++
-		}
-	}
-	r.FTPLoginRate = frac(float64(logins), float64(r.FTPSessions))
-	return r
 }
 
 func backupReport(ap *appAggregates) BackupReport {

@@ -7,7 +7,6 @@ import (
 	"enttrace/internal/appproto/cifs"
 	"enttrace/internal/appproto/http"
 	"enttrace/internal/appproto/ncp"
-	"enttrace/internal/appproto/smtp"
 	"enttrace/internal/appproto/sunrpc"
 	"enttrace/internal/categories"
 	"enttrace/internal/enterprise"
@@ -21,9 +20,10 @@ import (
 // bufferedProtos are the TCP protocols whose payloads are reassembled,
 // with the per-direction byte limit replay sees: a stream parser stops
 // reading there, a buffer stops growing. newConnStreams decides what each
-// one's reassembled bytes are delivered into — for all but FTP, the
-// Endpoint Mapper and dynamically mapped Spoolss that is a parser, when
-// the responder's port fixes the name.
+// one's reassembled bytes are delivered into — when the responder's port
+// fixes the name, a parser for all but FTP, the Endpoint Mapper,
+// dynamically mapped Spoolss and the email protocols, whose streams run
+// for the hostile-input ledger alone.
 var bufferedProtos = map[string]int{
 	"HTTP":        4 << 20,
 	"FTP":         1 << 20,
@@ -114,7 +114,7 @@ type udpEvent struct {
 // connStreams reassembles one TCP connection's two directions and holds
 // what replay needs of them: the parsed records alone where the protocol
 // was known when the connection attached and its stream could be parsed
-// as it arrived (http, smtp, cifs, ncp, nfs), the bytes themselves
+// as it arrived (http, cifs, ncp, nfs), the bytes themselves
 // (cliBuf/srvBuf, or the EPM segment buffers) where replay must classify
 // or register before it can parse, nothing where replay reads nothing.
 // The streams are embedded by value (one allocation per connection), and
@@ -130,7 +130,6 @@ type connStreams struct {
 	// feed the two directions' parsers directly and no stream byte is
 	// kept. cifs serves both framings (CIFS and Netbios-SSN).
 	http *parserPair[http.StreamParser]
-	smtp *parserPair[smtp.StreamParser]
 	cifs *parserPair[cifs.StreamParser]
 	ncp  *parserPair[ncp.StreamParser]
 	nfs  *parserPair[sunrpc.StreamParser]
@@ -314,11 +313,6 @@ func newConnStreams(name string, conn *flows.Conn, parse bool) *connStreams {
 		app.http.cli.InitRequests(limit)
 		app.http.srv.InitResponses(limit)
 		app.consume(&app.http.cli, &app.http.srv)
-	case fixed && name == "SMTP":
-		app.smtp = &parserPair[smtp.StreamParser]{}
-		app.smtp.cli.InitClient(limit)
-		app.smtp.srv.InitServer(limit)
-		app.consume(&app.smtp.cli, &app.smtp.srv)
 	case fixed && (name == "CIFS" || name == "Netbios-SSN"):
 		app.cifs = &parserPair[cifs.StreamParser]{}
 		app.cifs.cli.Init(name == "Netbios-SSN", limit)
@@ -334,8 +328,8 @@ func newConnStreams(name string, conn *flows.Conn, parse bool) *connStreams {
 		app.nfs.cli.Init(limit)
 		app.nfs.srv.Init(limit)
 		app.consume(&app.nfs.cli, &app.nfs.srv)
-	case fixed && name == "IMAP4":
-		// Replay parses nothing of IMAP4 (the email figures are
+	case fixed && (name == "SMTP" || name == "IMAP4"):
+		// Replay parses nothing of email (the email figures are
 		// transport-level); the streams run for the hostile-input ledger.
 		app.consume(nullConsumer{}, nullConsumer{})
 	default:
@@ -383,7 +377,7 @@ func (app *connStreams) release() {
 	app.srvStream.Discard()
 	app.cliBuf.Release()
 	app.srvBuf.Release()
-	app.http, app.smtp, app.cifs, app.ncp, app.nfs = nil, nil, nil, nil, nil
+	app.http, app.cifs, app.ncp, app.nfs = nil, nil, nil, nil
 	if app.epmCli != nil {
 		app.epmCli.release()
 		app.epmSrv.release()

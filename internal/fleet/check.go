@@ -14,9 +14,9 @@ import (
 // ops are its fields' in a row, a pointer's pointee's follow its flag,
 // and a collection's body runs once per element by jumping back, so a
 // payload is read without a call but for a type met inside itself.
-// Check runs its type's program, the fold that of the pairing state it
-// reads past; a program is assembled the first time it runs, so only
-// those types hold one.
+// Check runs its type's program, and a program that of a type met
+// inside itself (opCall); a program is assembled the first time it runs,
+// so only those types hold one.
 
 // opcode says what an op reads.
 type opcode uint8

@@ -29,8 +29,9 @@
 // stats.Counter, stats.Dist and any type with a Join method combine
 // through their own methods. Two struct tags declare the exceptions:
 // agg:"max" merges a number by maximum, and agg:"pairing" marks state
-// that stays with its owner — a cut leaves it behind, and merge and
-// emptiness ignore it. See DESIGN.md "Epoch cuts and windowed reports".
+// that stays with its owner — a cut leaves it behind, merge and
+// emptiness ignore it, and the codec neither writes it nor hashes it
+// into the schema. See DESIGN.md "Epoch cuts and windowed reports".
 //
 // Encoded bytes are read by one walk of the plan (fold), with one rule:
 // what it reads is merged into the destination. MergeFrom folds bytes
@@ -39,12 +40,11 @@
 // that fold into a zero value: an empty collection stays nil, a Dist
 // holds its runs staged, pairing state stays zero. Check only reads
 // bytes, without allocating, by running the type's check program
-// (check.go), as the fold does to read past pairing state. The fold and
-// the program each state every rule — a presence flag, a count's bound,
-// a map's key order, an integer's width — so that Check refuses exactly
-// what the fold refuses, with the same error, is held by test. What a
-// receiver checks on arrival is what it folds later. See DESIGN.md
-// "Fleet aggregation".
+// (check.go). The fold and the program each state every rule — a
+// presence flag, a count's bound, a map's key order, an integer's width
+// — so that Check refuses exactly what the fold refuses, with the same
+// error, is held by test. What a receiver checks on arrival is what it
+// folds later. See DESIGN.md "Fleet aggregation".
 package fleet
 
 import (
@@ -131,10 +131,10 @@ func Cut[T any](src *T) *T {
 // Merge(dst, v) gives for the v that MergeFrom decodes from b into a
 // zero T, without building v. Where Merge would adopt a field of v
 // because dst's is nil, MergeFrom folds that field into a fresh zero
-// value; pairing bytes are read past. Decoding is MergeFrom into a zero
-// value. It fails on exactly the bytes Check refuses, and may leave dst
-// partly merged when it does: check bytes on arrival (Check), fold them
-// later. It panics like Merge when T has a field the plan cannot merge.
+// value. Decoding is MergeFrom into a zero value. It fails on exactly
+// the bytes Check refuses, and may leave dst partly merged when it does:
+// check bytes on arrival (Check), fold them later. It panics like Merge
+// when T has a field the plan cannot merge.
 func MergeFrom[T any](dst *T, b []byte) error {
 	return mergePlan[T]().foldBytes(b, unsafe.Pointer(dst))
 }
@@ -192,10 +192,11 @@ func mergePlan[T any]() *plan {
 //
 // merge, cut and empty are the type's aggregate ops: merge folds src
 // into dst, cut moves what src holds into the zero value at dst and
-// leaves src usable, empty reports whether v holds nothing. All three
-// pass over pairing state. A type they cannot handle has none, and
-// mergeErr says why. leaf marks a type that merges through its own
-// method and whose zero value is ready to use, so a cut moves it whole.
+// leaves src usable, empty reports whether v holds nothing. Like the
+// codec's, they pass over pairing state. A type they cannot handle has
+// none, and mergeErr says why. leaf marks a type that merges through
+// its own method and whose zero value is ready to use, so a cut moves it
+// whole.
 type plan struct {
 	enc    func(e *encoder, v unsafe.Pointer) error
 	fold   func(d *decoder, dst unsafe.Pointer) error
@@ -273,13 +274,11 @@ func label(s string) func(io.Writer, map[reflect.Type]bool) {
 	return func(h io.Writer, _ map[reflect.Type]bool) { io.WriteString(h, s) }
 }
 
-// field is one field of a struct plan; merge is the plan its
-// aggregate ops run (nil for pairing state).
+// field is one field of a struct plan.
 type field struct {
 	name   string
 	offset uintptr
 	plan   *plan
-	merge  *plan
 }
 
 // signed, unsigned and number are the kinds the plan merges by adding:
@@ -594,17 +593,17 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		}
 		pointerOps(p, t, elem)
 	case reflect.Struct:
-		// fields are the ones the codec writes — all of them — merged
-		// the ones the aggregate ops walk: every field but pairing state.
-		var fields, merged []field
+		// fields are the ones the codec writes and the aggregate ops
+		// walk: every field but pairing state, which stays with its
+		// owner and never travels.
+		var fields []field
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			fp := b.plan(f.Type)
-			fields = append(fields, field{name: f.Name, offset: f.Offset, plan: fp})
 			agg := f.Tag.Get("agg")
 			if agg == "pairing" {
 				continue
 			}
+			fp := b.plan(f.Type)
 			mf := field{name: f.Name, offset: f.Offset, plan: fp}
 			var err error
 			switch {
@@ -619,7 +618,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 				// TestAllocationCeilings' codec/merge-from row from 1 218
 				// to 1 343 allocations, past its 1 317 ceiling.
 				if ops := scalars[f.Type.Kind()]; ops.max != nil {
-					mf.plan = &plan{merge: ops.max, cut: fp.cut, empty: fp.empty, fold: scalarFold(f.Type, ops.read, ops.max)}
+					mf.plan = &plan{enc: fp.enc, emit: fp.emit, schema: fp.schema, merge: ops.max, cut: fp.cut, empty: fp.empty, fold: scalarFold(f.Type, ops.read, ops.max)}
 				} else {
 					err = fmt.Errorf("agg:\"max\" on %s", f.Type)
 				}
@@ -627,10 +626,9 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 			if err != nil && p.mergeErr == nil {
 				p.mergeErr = fmt.Errorf("%s.%s: %w", t, f.Name, err)
 			}
-			fields[len(fields)-1].merge = mf.plan
-			merged = append(merged, mf)
+			fields = append(fields, mf)
 		}
-		structOps(p, merged)
+		structOps(p, fields)
 		p.enc = func(e *encoder, v unsafe.Pointer) error {
 			for i := range fields {
 				if err := fields[i].plan.enc(e, unsafe.Add(v, fields[i].offset)); err != nil {
@@ -641,14 +639,7 @@ func (b planBuilder) fill(p *plan, t reflect.Type) {
 		}
 		p.fold = func(d *decoder, dst unsafe.Pointer) error {
 			for i := range fields {
-				f := &fields[i]
-				var err error
-				if f.merge == nil { // pairing state stays with its owner
-					err = d.run(f.plan.program())
-				} else {
-					err = f.merge.fold(d, unsafe.Add(dst, f.offset))
-				}
-				if err != nil {
+				if err := fields[i].plan.fold(d, unsafe.Add(dst, fields[i].offset)); err != nil {
 					return err
 				}
 			}

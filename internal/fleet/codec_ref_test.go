@@ -22,14 +22,15 @@ import (
 // the byte-level primitives on encoder and decoder — among them the rule
 // that a map's keys come in the encoder's order, which came after the
 // plans and holds for both. A stats.Counter, whose counts became a table
-// after the plans, is walked as the struct it was (mapCounter).
+// after the plans, is walked as the struct it was (mapCounter). Pairing
+// state, which left the wire after the plans, is skipped by every walk.
 //
 // The decode follows the plans' one read rule, which also came after
 // them: a decode is a merge into a zero value. So a scalar merges into
 // the zero it finds (adds, ORs, joins, or takes the maximum under
-// agg:"max"), pairing state is read past, a present but empty slice or
-// map stays nil — but for a map under a map key, which Merge gives a
-// fresh map — and a Counter's counts are added in the order read.
+// agg:"max"), a present but empty slice or map stays nil — but for a map
+// under a map key, which Merge gives a fresh map — and a Counter's counts
+// are added in the order read.
 
 // mapCounter is stats.Counter as it was: its counts a map, then the
 // total. The reference writes, reads and hashes a Counter as one, under
@@ -158,6 +159,9 @@ func refHashType(h interface{ Write([]byte) (int, error) }, t reflect.Type, seen
 		h.Write([]byte("struct " + name + "{"))
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
+			if f.Tag.Get("agg") == "pairing" {
+				continue
+			}
 			h.Write([]byte(f.Name + ":"))
 			refHashType(h, f.Type, seen)
 			h.Write([]byte(";"))
@@ -295,6 +299,9 @@ func (e *encoder) refEncode(v reflect.Value) error {
 		return e.refEncode(v.Elem())
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).Tag.Get("agg") == "pairing" {
+				continue
+			}
 			if err := e.refEncode(v.Field(i)); err != nil {
 				return err
 			}
@@ -508,7 +515,7 @@ func (d *decoder) refDecode(v reflect.Value) error {
 			var err error
 			switch f.Tag.Get("agg") {
 			case "pairing":
-				err = d.refDecode(reflect.New(f.Type).Elem()) // read past
+				continue
 			case "max":
 				x := reflect.New(f.Type).Elem()
 				if err = d.refDecode(x); err == nil {
